@@ -34,7 +34,9 @@ let measure ~reps f =
 
 type kernel = {
   k_name : string;
-  k_n : int; (* elements (or bytes, for keccak-batch) processed per run *)
+  k_n : int;
+      (* elements processed per run (bytes for keccak-batch, permutations
+         for keccak-f1600) *)
   k_run : unit -> string; (* runs under the ambient mode; returns fingerprint *)
 }
 
@@ -78,6 +80,16 @@ let kernels ~smoke rng =
   for i = 0 to (ch_rows * ch_cols) - 1 do
     Fv.set ch_flat i (Gf.random rng)
   done;
+  (* Single Keccak-f[1600] permutations, back to back on one state: the
+     kernel under every sponge entry point, without the absorb/squeeze
+     around it. Each run restarts from the same state so the fingerprint
+     is comparable across modes. *)
+  let kf_n = scale 100_000 1_000 in
+  let kf_init = Fv.create 25 in
+  for i = 0 to 24 do
+    Fv.set kf_init i (Gf.random rng)
+  done;
+  let kf_st = Fv.create 25 and kf_b = Fv.create 25 and kf_c = Fv.create 5 in
   (* One Merkle level: pairwise digest compression. *)
   let hp_n = scale 8192 64 in
   let hp_digests =
@@ -109,6 +121,18 @@ let kernels ~smoke rng =
         (fun () ->
           let d = Keccak.sha3_256_batch kb_msgs in
           Keccak.to_hex d.(kb_count - 1));
+    };
+    {
+      k_name = "keccak-f1600";
+      k_n = kf_n;
+      k_run =
+        (fun () ->
+          Fv.blit ~src:kf_init ~src_pos:0 ~dst:kf_st ~dst_pos:0 ~len:25;
+          for _ = 1 to kf_n do
+            if Native.on () then Native.f1600_off kf_st 0
+            else Keccak.f1600_off_ocaml kf_st 0 kf_b kf_c
+          done;
+          Printf.sprintf "%Lx" (Fv.get kf_st 0));
     };
     {
       k_name = "rs-encode-rows";
@@ -232,7 +256,7 @@ let validate_schema (s : string) : (unit, string) result =
       (fun required ->
         if not (List.mem required names) then
           raise (Bad_json (Printf.sprintf "kernel %S missing" required)))
-      [ "ntt-forward-rows"; "keccak-batch"; "rs-encode-rows" ];
+      [ "ntt-forward-rows"; "keccak-batch"; "keccak-f1600"; "rs-encode-rows" ];
     Ok ()
   with Bad_json msg -> Error msg
 
@@ -263,6 +287,12 @@ let run ?(smoke = false) ?(path = "BENCH_native.json") () =
            Printf.sprintf "%.2fx" (speedup_simd r);
          ])
        rows);
+  (match List.find_opt (fun r -> r.kernel.k_name = "keccak-f1600") rows with
+  | Some r ->
+    let ns s = 1e9 *. s /. float_of_int r.kernel.k_n in
+    Printf.printf "keccak-f1600 ns/perm: %.0f OCaml, %.0f scalar C, %.0f simd\n%!"
+      (ns r.ocaml_s) (ns r.scalar_s) (ns r.simd_s)
+  | None -> ());
   (match List.filter (fun r -> not r.fingerprint_equal) rows with
   | [] -> ()
   | bad ->

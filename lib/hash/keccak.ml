@@ -324,12 +324,13 @@ let hash_fv v = hash_fv_stride v ~pos:0 ~stride:1 ~count:(Fv.length v)
 
 (* --- grain calibration --------------------------------------------------- *)
 
-(* One f1600 permutation costs ~1.5µs in the pure-OCaml build and ~350ns in
-   the C kernel (measured once; see DESIGN.md Sec. 12/13), so the chunk
-   cost is mode-dependent. Every batched entry point below derives its pool
-   grain from a per-item permutation count, so a claimed chunk amortizes
-   ~50µs of hashing regardless of message shape. *)
-let block_ns () = if Native.on () then 350 else 1_500
+(* One f1600 permutation costs ~27µs in the pure-OCaml build and ~0.47µs
+   in the unrolled C kernel (the keccak-f1600 row of BENCH_native.json; see
+   DESIGN.md Sec. 13), so the chunk cost is mode-dependent. Every batched
+   entry point below derives its pool grain from a per-item permutation
+   count, so a claimed chunk amortizes ~50µs of hashing regardless of
+   message shape. *)
+let block_ns () = if Native.on () then 470 else 27_000
 
 (* A message of [msg_bytes] runs ceil-ish (len / 136) + 1 permutations. *)
 let batch_grain ~msg_bytes = Pool.grain_of_ns (((msg_bytes / rate_bytes) + 1) * block_ns ())

@@ -501,36 +501,112 @@ static const uint64_t keccak_rc[24] = {
   0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL,
 };
 
-static const int keccak_rot[25] = {
-  0, 1, 62, 28, 27, 36, 44, 6, 55, 20, 3, 10, 43, 25, 39, 41, 45, 15, 21, 8, 18, 2, 61, 56, 14,
-};
+/* The permutation is written once, as a macro over the lane type, and
+   instantiated for one state in uint64_t locals (keccak_f1600) and for four
+   states in __m256i locals (keccak_f1600_x4). The 25 lanes live in named
+   locals a0..a24 (index x + 5y); each round reads one set of locals and
+   writes the other, so two rounds per loop trip ping-pong between the a and
+   e sets with no copy. Theta, rho, pi, chi and iota are spelled out lane by
+   lane with the rotation amounts as literals: no % indexing, no rotation
+   table, no scratch arrays. Within a round chi runs plane by plane, so only
+   five rho/pi outputs (b0..b4) are live at once.
 
-static inline uint64_t rotl64(uint64_t x, int r)
+   Plane Y, position X of the rho/pi output takes lane (x, X) with
+   x = (X + 3Y) mod 5, theta-corrected by d[x] and rotated by its rho
+   offset; the expansion below is that formula evaluated for all 25
+   (X, Y). XOR/ANDN/ROL are the lane type's ops, ANDN(p, q) = ~p & q, and
+   ROL is never asked for a zero rotation. */
+
+#define KECCAK_ROUND(T, I, O, RC, XOR, ANDN, ROL)                \
+  do {                                                           \
+    T c0 = XOR(XOR(XOR(XOR(I##0, I##5), I##10), I##15), I##20);  \
+    T c1 = XOR(XOR(XOR(XOR(I##1, I##6), I##11), I##16), I##21);  \
+    T c2 = XOR(XOR(XOR(XOR(I##2, I##7), I##12), I##17), I##22);  \
+    T c3 = XOR(XOR(XOR(XOR(I##3, I##8), I##13), I##18), I##23);  \
+    T c4 = XOR(XOR(XOR(XOR(I##4, I##9), I##14), I##19), I##24);  \
+    T d0 = XOR(c4, ROL(c1, 1));                                  \
+    T d1 = XOR(c0, ROL(c2, 1));                                  \
+    T d2 = XOR(c1, ROL(c3, 1));                                  \
+    T d3 = XOR(c2, ROL(c4, 1));                                  \
+    T d4 = XOR(c3, ROL(c0, 1));                                  \
+    T b0, b1, b2, b3, b4;                                        \
+    b0 = XOR(I##0, d0);                                          \
+    b1 = ROL(XOR(I##6, d1), 44);                                 \
+    b2 = ROL(XOR(I##12, d2), 43);                                \
+    b3 = ROL(XOR(I##18, d3), 21);                                \
+    b4 = ROL(XOR(I##24, d4), 14);                                \
+    O##0 = XOR(XOR(b0, ANDN(b1, b2)), RC);                       \
+    O##1 = XOR(b1, ANDN(b2, b3));                                \
+    O##2 = XOR(b2, ANDN(b3, b4));                                \
+    O##3 = XOR(b3, ANDN(b4, b0));                                \
+    O##4 = XOR(b4, ANDN(b0, b1));                                \
+    b0 = ROL(XOR(I##3, d3), 28);                                 \
+    b1 = ROL(XOR(I##9, d4), 20);                                 \
+    b2 = ROL(XOR(I##10, d0), 3);                                 \
+    b3 = ROL(XOR(I##16, d1), 45);                                \
+    b4 = ROL(XOR(I##22, d2), 61);                                \
+    O##5 = XOR(b0, ANDN(b1, b2));                                \
+    O##6 = XOR(b1, ANDN(b2, b3));                                \
+    O##7 = XOR(b2, ANDN(b3, b4));                                \
+    O##8 = XOR(b3, ANDN(b4, b0));                                \
+    O##9 = XOR(b4, ANDN(b0, b1));                                \
+    b0 = ROL(XOR(I##1, d1), 1);                                  \
+    b1 = ROL(XOR(I##7, d2), 6);                                  \
+    b2 = ROL(XOR(I##13, d3), 25);                                \
+    b3 = ROL(XOR(I##19, d4), 8);                                 \
+    b4 = ROL(XOR(I##20, d0), 18);                                \
+    O##10 = XOR(b0, ANDN(b1, b2));                               \
+    O##11 = XOR(b1, ANDN(b2, b3));                               \
+    O##12 = XOR(b2, ANDN(b3, b4));                               \
+    O##13 = XOR(b3, ANDN(b4, b0));                               \
+    O##14 = XOR(b4, ANDN(b0, b1));                               \
+    b0 = ROL(XOR(I##4, d4), 27);                                 \
+    b1 = ROL(XOR(I##5, d0), 36);                                 \
+    b2 = ROL(XOR(I##11, d1), 10);                                \
+    b3 = ROL(XOR(I##17, d2), 15);                                \
+    b4 = ROL(XOR(I##23, d3), 56);                                \
+    O##15 = XOR(b0, ANDN(b1, b2));                               \
+    O##16 = XOR(b1, ANDN(b2, b3));                               \
+    O##17 = XOR(b2, ANDN(b3, b4));                               \
+    O##18 = XOR(b3, ANDN(b4, b0));                               \
+    O##19 = XOR(b4, ANDN(b0, b1));                               \
+    b0 = ROL(XOR(I##2, d2), 62);                                 \
+    b1 = ROL(XOR(I##8, d3), 55);                                 \
+    b2 = ROL(XOR(I##14, d4), 39);                                \
+    b3 = ROL(XOR(I##15, d0), 41);                                \
+    b4 = ROL(XOR(I##21, d1), 2);                                 \
+    O##20 = XOR(b0, ANDN(b1, b2));                               \
+    O##21 = XOR(b1, ANDN(b2, b3));                               \
+    O##22 = XOR(b2, ANDN(b3, b4));                               \
+    O##23 = XOR(b3, ANDN(b4, b0));                               \
+    O##24 = XOR(b4, ANDN(b0, b1));                               \
+  } while (0)
+
+#define KECCAK_EACH_LANE(F)                                                           \
+  F(0) F(1) F(2) F(3) F(4) F(5) F(6) F(7) F(8) F(9) F(10) F(11) F(12) F(13) F(14) F(15) \
+  F(16) F(17) F(18) F(19) F(20) F(21) F(22) F(23) F(24)
+
+/* ROL amounts are always in [1, 63]. */
+static inline uint64_t rol64(uint64_t x, int r)
 {
-  return r == 0 ? x : (x << r) | (x >> (64 - r));
+  return (x << r) | (x >> (64 - r));
 }
+
+#define XOR64(p, q) ((p) ^ (q))
+#define ANDN64(p, q) (~(p) & (q))
 
 static void keccak_f1600(uint64_t *st)
 {
-  uint64_t b[25], c[5], d;
-  for (int round = 0; round < 24; round++) {
-    for (int x = 0; x < 5; x++)
-      c[x] = st[x] ^ st[x + 5] ^ st[x + 10] ^ st[x + 15] ^ st[x + 20];
-    for (int x = 0; x < 5; x++) {
-      d = c[(x + 4) % 5] ^ rotl64(c[(x + 1) % 5], 1);
-      for (int y = 0; y < 5; y++) st[x + 5 * y] ^= d;
-    }
-    for (int x = 0; x < 5; x++)
-      for (int y = 0; y < 5; y++) {
-        int src = x + 5 * y;
-        int dst = y + 5 * ((2 * x + 3 * y) % 5);
-        b[dst] = rotl64(st[src], keccak_rot[src]);
-      }
-    for (int y = 0; y < 5; y++)
-      for (int x = 0; x < 5; x++)
-        st[x + 5 * y] = b[x + 5 * y] ^ (~b[(x + 1) % 5 + 5 * y] & b[(x + 2) % 5 + 5 * y]);
-    st[0] ^= keccak_rc[round];
+#define LOAD(i) uint64_t a##i = st[i], e##i;
+  KECCAK_EACH_LANE(LOAD)
+#undef LOAD
+  for (int round = 0; round < 24; round += 2) {
+    KECCAK_ROUND(uint64_t, a, e, keccak_rc[round], XOR64, ANDN64, rol64);
+    KECCAK_ROUND(uint64_t, e, a, keccak_rc[round + 1], XOR64, ANDN64, rol64);
   }
+#define STORE(i) st[i] = a##i;
+  KECCAK_EACH_LANE(STORE)
+#undef STORE
 }
 
 CAMLprim value caml_nocap_f1600_off(value vst, value voff)
@@ -673,42 +749,29 @@ CAMLprim value caml_nocap_col_absorb(value vstates, value vflat, value vrs, valu
 /* --- 4-lane AVX2 Keccak sponge -------------------------------------------
    One 64-bit lane position across four independent states per ymm register:
    the batched entry points (sha3_256_batch over equal-length messages)
-   drive four sponges for the price of ~1.3. */
+   drive four sponges for the price of ~1.5 scalar permutations. */
 
 #if defined(NOCAP_X86_64)
 
-__attribute__((target("avx2"))) static inline __m256i rotl64x4(__m256i x, int r)
+__attribute__((target("avx2"))) static inline __m256i rol64x4(__m256i x, int r)
 {
-  if (r == 0) return x;
   return _mm256_or_si256(_mm256_slli_epi64(x, r), _mm256_srli_epi64(x, 64 - r));
 }
 
 __attribute__((target("avx2"))) static void keccak_f1600_x4(__m256i *st)
 {
-  __m256i b[25], c[5], d;
-  for (int round = 0; round < 24; round++) {
-    for (int x = 0; x < 5; x++)
-      c[x] = _mm256_xor_si256(
-          st[x],
-          _mm256_xor_si256(st[x + 5], _mm256_xor_si256(st[x + 10],
-                                                       _mm256_xor_si256(st[x + 15], st[x + 20]))));
-    for (int x = 0; x < 5; x++) {
-      d = _mm256_xor_si256(c[(x + 4) % 5], rotl64x4(c[(x + 1) % 5], 1));
-      for (int y = 0; y < 5; y++) st[x + 5 * y] = _mm256_xor_si256(st[x + 5 * y], d);
-    }
-    for (int x = 0; x < 5; x++)
-      for (int y = 0; y < 5; y++) {
-        int src = x + 5 * y;
-        int dst = y + 5 * ((2 * x + 3 * y) % 5);
-        b[dst] = rotl64x4(st[src], keccak_rot[src]);
-      }
-    for (int y = 0; y < 5; y++)
-      for (int x = 0; x < 5; x++)
-        st[x + 5 * y] = _mm256_xor_si256(
-            b[x + 5 * y],
-            _mm256_andnot_si256(b[(x + 1) % 5 + 5 * y], b[(x + 2) % 5 + 5 * y]));
-    st[0] = _mm256_xor_si256(st[0], _mm256_set1_epi64x((long long)keccak_rc[round]));
+#define LOAD(i) __m256i a##i = st[i], e##i;
+  KECCAK_EACH_LANE(LOAD)
+#undef LOAD
+  for (int round = 0; round < 24; round += 2) {
+    KECCAK_ROUND(__m256i, a, e, _mm256_set1_epi64x((long long)keccak_rc[round]),
+                 _mm256_xor_si256, _mm256_andnot_si256, rol64x4);
+    KECCAK_ROUND(__m256i, e, a, _mm256_set1_epi64x((long long)keccak_rc[round + 1]),
+                 _mm256_xor_si256, _mm256_andnot_si256, rol64x4);
   }
+#define STORE(i) st[i] = a##i;
+  KECCAK_EACH_LANE(STORE)
+#undef STORE
 }
 
 __attribute__((target("avx2"))) static void sha3_256_x4(const unsigned char *m[4], size_t len,

@@ -1,7 +1,8 @@
 module Gf = Zk_field.Gf
-module Ntt = Zk_ntt.Ntt.Gf_ntt
 module Merkle = Zk_merkle.Merkle
 module Transcript = Zk_hash.Transcript
+module Ntt_fv = Zk_ntt.Ntt.Gf_fv
+module Fv = Nocap_vec.Fv
 
 type params = { blowup_log2 : int; num_queries : int }
 
@@ -24,27 +25,38 @@ let log2_exact n =
   go 0 n
 
 (* Merkle tree over an evaluation layer, co-locating f(x) and f(-x): leaf j
-   commits to (E[j], E[j + half]). *)
+   commits to (E[j], E[j + half]), i.e. column j of the layer read as a
+   2 x half row-major matrix — hashed straight out of the flat buffer and
+   split across the pool. *)
 let commit_layer evals =
-  let half = Array.length evals / 2 in
-  let leaves =
-    Array.init half (fun j -> Merkle.leaf_of_column [| evals.(j); evals.(j + half) |])
-  in
-  Merkle.build leaves
+  let half = Fv.length evals / 2 in
+  Merkle.build (Merkle.leaves_of_matrix ~rows:2 ~cols:half evals)
+
+let inv2 = Gf.inv Gf.two
+
+(* One fold output from the pair (a, b) = (f(x), f(-x)):
+   (a + b)/2 + beta * (a - b)/(2x), with [coef = beta / (2x)] supplied. *)
+let[@inline] fold_pair ~coef a b = Gf.add (Gf.mul inv2 (Gf.add a b)) (Gf.mul coef (Gf.sub a b))
+
+let fold_at ~x_inv beta a b = fold_pair ~coef:(Gf.mul beta (Gf.mul inv2 x_inv)) a b
+
+let fold_block ~x_inv ~w_inv ~lo ~hi ~dst beta =
+  let coef = ref (Gf.mul beta (Gf.mul inv2 x_inv)) in
+  for i = 0 to Fv.length dst - 1 do
+    Fv.unsafe_set dst i (fold_pair ~coef:!coef (Fv.unsafe_get lo i) (Fv.unsafe_get hi i));
+    coef := Gf.mul !coef w_inv
+  done
 
 let fold ~shift evals beta =
-  let n = Array.length evals in
+  let n = Fv.length evals in
   let half = n / 2 in
-  let w = Gf.root_of_unity (log2_exact n) in
-  let inv2 = Gf.inv Gf.two in
-  let x = ref shift in
-  Array.init half (fun j ->
-      let a = evals.(j) and b = evals.(j + half) in
-      let even = Gf.mul inv2 (Gf.add a b) in
-      let odd = Gf.mul inv2 (Gf.mul (Gf.sub a b) (Gf.inv !x)) in
-      let out = Gf.add even (Gf.mul beta odd) in
-      x := Gf.mul !x w;
-      out)
+  let w_inv = Gf.inv (Gf.root_of_unity (log2_exact n)) in
+  let dst = Fv.create half in
+  fold_block ~x_inv:(Gf.inv shift) ~w_inv
+    ~lo:(Fv.sub_view evals ~pos:0 ~len:half)
+    ~hi:(Fv.sub_view evals ~pos:half ~len:half)
+    ~dst beta;
+  dst
 
 let prove ?(shift = Gf.one) params transcript coeffs =
   let n = Array.length coeffs in
@@ -52,18 +64,16 @@ let prove ?(shift = Gf.one) params transcript coeffs =
   let domain = n lsl params.blowup_log2 in
   Transcript.absorb_int transcript "fri/degree" n;
   Transcript.absorb_int transcript "fri/blowup" params.blowup_log2;
-  (* Layer 0: evaluations over the (possibly coset-shifted) domain. *)
-  let evals = Array.make domain Gf.zero in
-  Array.blit coeffs 0 evals 0 n;
-  (* Coset: scale coefficient i by shift^i before the NTT. *)
-  if not (Gf.equal shift Gf.one) then begin
-    let si = ref Gf.one in
-    for i = 0 to n - 1 do
-      evals.(i) <- Gf.mul evals.(i) !si;
-      si := Gf.mul !si shift
-    done
-  end;
-  Ntt.forward (Ntt.plan domain) evals;
+  (* Layer 0: evaluations over the (possibly coset-shifted) domain. Coset:
+     scale coefficient i by shift^i before the NTT. *)
+  let evals = Fv.create domain in
+  Fv.zero evals;
+  let si = ref Gf.one in
+  for i = 0 to n - 1 do
+    Fv.set evals i (Gf.mul coeffs.(i) !si);
+    si := Gf.mul !si shift
+  done;
+  Ntt_fv.forward (Ntt_fv.plan domain) evals;
   (* Commit and fold log_n times. *)
   let layers = ref [ evals ] in
   let trees = ref [ commit_layer evals ] in
@@ -81,8 +91,7 @@ let prove ?(shift = Gf.one) params transcript coeffs =
   let layers = Array.of_list (List.rev !layers) in
   let trees = Array.of_list (List.rev !trees) in
   (* The last layer must be constant (degree < 1 after log_n folds). *)
-  let last = layers.(Array.length layers - 1) in
-  let final_constant = last.(0) in
+  let final_constant = Fv.get layers.(Array.length layers - 1) 0 in
   Transcript.absorb_gf transcript "fri/final" [| final_constant |];
   (* Queries. *)
   let positions =
@@ -95,10 +104,10 @@ let prove ?(shift = Gf.one) params transcript coeffs =
         let opened =
           Array.mapi
             (fun i layer ->
-              let half = Array.length layer / 2 in
+              let half = Fv.length layer / 2 in
               let pos = position mod half in
               let path = Merkle.path trees.(i) pos in
-              (layer.(pos), layer.(pos + half), path, path))
+              (Fv.get layer pos, Fv.get layer (pos + half), path, path))
             layers
         in
         { position; layers = opened })
@@ -135,7 +144,15 @@ let verify ?(shift = Gf.one) params transcript ~degree_bound proof =
     if Array.length proof.queries = params.num_queries then Ok ()
     else Error "wrong number of queries"
   in
-  let inv2 = Gf.inv Gf.two in
+  (* Per-layer inverse twiddle bases: layer i has size domain / 2^i, over
+     the coset shift^(2^i) <w_i>; its fold at leaf j divides by
+     shift^(2^i) * w_i^j. *)
+  let log_domain = log2_exact domain in
+  let w_invs = Array.init log_n (fun i -> Gf.inv (Gf.root_of_unity (log_domain - i))) in
+  let shift_invs = Array.make log_n (Gf.inv shift) in
+  for i = 1 to log_n - 1 do
+    shift_invs.(i) <- Gf.square shift_invs.(i - 1)
+  done;
   let rec check_query q_idx =
     if q_idx >= Array.length proof.queries then Ok ()
     else begin
@@ -167,17 +184,8 @@ let verify ?(shift = Gf.one) params transcript ~degree_bound proof =
               then Ok ()
               else Error (Printf.sprintf "query %d: final layer not constant" q_idx)
             else begin
-              let w = Gf.root_of_unity (log2_exact layer_size) in
-              let shift_i =
-                (* The layer-i domain is shift^(2^i) times the plain one. *)
-                let rec sq s k = if k = 0 then s else sq (Gf.square s) (k - 1) in
-                sq shift i
-              in
-              let x = Gf.mul shift_i (Gf.pow w (Int64.of_int leaf_pos)) in
-              let even = Gf.mul inv2 (Gf.add a b) in
-              let odd = Gf.mul inv2 (Gf.mul (Gf.sub a b) (Gf.inv x)) in
-              let next = Gf.add even (Gf.mul betas.(i) odd) in
-              walk (i + 1) half leaf_pos (Some next)
+              let x_inv = Gf.mul shift_invs.(i) (Gf.pow w_invs.(i) (Int64.of_int leaf_pos)) in
+              walk (i + 1) half leaf_pos (Some (fold_at ~x_inv betas.(i) a b))
             end
           end
         in

@@ -63,12 +63,34 @@ val proof_size_bytes : proof -> int
     Reused by {!Fri_pcs}, which interleaves these codeword folds with a
     sumcheck to turn the low-degree test into a multilinear PCS. *)
 
-val commit_layer : Gf.t array -> Zk_merkle.Merkle.tree
+val commit_layer : Nocap_vec.Fv.t -> Zk_merkle.Merkle.tree
 (** Merkle tree over an evaluation layer, co-locating [f(x)] and [f(-x)]:
-    leaf [j] commits to [(E.(j), E.(j + half))]. *)
+    leaf [j] commits to [(E.(j), E.(j + half))] — column [j] of the layer
+    viewed as a [2 x half] row-major matrix
+    ({!Zk_merkle.Merkle.leaves_of_matrix}). *)
 
-val fold : shift:Gf.t -> Gf.t array -> Gf.t -> Gf.t array
+val fold : shift:Gf.t -> Nocap_vec.Fv.t -> Gf.t -> Nocap_vec.Fv.t
 (** [fold ~shift evals beta] halves the layer:
     [out.(j) = (E.(j) + E.(j+half)) / 2 + beta * (E.(j) - E.(j+half)) / (2x_j)]
     where [x_j = shift * w^j]. On the coefficient side this is
-    [c'_i = c_{2i} + beta * c_{2i+1}] — it binds monomial bit 0. *)
+    [c'_i = c_{2i} + beta * c_{2i+1}] — it binds monomial bit 0. The
+    divisions by [x_j] are a running product of [w^-1] from [shift^-1]:
+    two inversions per layer, none per element. *)
+
+val fold_at : x_inv:Gf.t -> Gf.t -> Gf.t -> Gf.t -> Gf.t
+(** [fold_at ~x_inv beta a b] is one {!fold} output from the pair
+    [(a, b) = (f(x), f(-x))] given [x_inv = x^-1]: the verifiers' spot
+    check, same arithmetic as the prover's. *)
+
+val fold_block :
+  x_inv:Gf.t ->
+  w_inv:Gf.t ->
+  lo:Nocap_vec.Fv.t ->
+  hi:Nocap_vec.Fv.t ->
+  dst:Nocap_vec.Fv.t ->
+  Gf.t ->
+  unit
+(** The kernel behind {!fold}, on one block of a layer:
+    [dst.(i)] is the fold of [(lo.(i), hi.(i))] at
+    [x_i = x_inv^-1 * w_inv^-i]; [dst] may alias [lo]. A streamed caller
+    folding block [\[j, j + len)] passes [x_inv = shift^-1 * w^-j]. *)

@@ -3,7 +3,6 @@ module Mle = Zk_poly.Mle
 module Dense = Zk_poly.Dense
 module Merkle = Zk_merkle.Merkle
 module Transcript = Zk_hash.Transcript
-module Ntt = Zk_ntt.Ntt.Gf_ntt
 module Ntt_fv = Zk_ntt.Ntt.Gf_fv
 module Pool = Nocap_parallel.Pool
 module Codec = Zk_pcs.Codec
@@ -42,7 +41,7 @@ type commitment = { root : Merkle.digest; num_vars : int }
 type store =
   | Dense of {
       table : Gf.t array; (* multilinear evaluations, length 2^num_vars *)
-      evals : Gf.t array; (* layer-0 codeword, size 2^num_vars * blowup *)
+      evals : Fv.t; (* layer-0 codeword, size 2^num_vars * blowup *)
     }
   | Streamed of { s_table : Spill.t; s_evals : Spill.t; budget : int }
 
@@ -102,23 +101,24 @@ let monomial_coeffs table =
   end
 
 (* Chunked {!Fri.commit_layer} over a spillable codeword, fed through the
-   incremental Merkle builder: leaf j pairs positions j and j + half, read
-   in blocks. Same leaf bytes, same tree. *)
+   incremental Merkle builder: leaf j pairs positions j and j + half. Each
+   block reads its [bl] low and [bl] high elements as the two rows of a
+   flat [2 x bl] matrix, whose columns are the block's leaves. Same leaf
+   bytes, same tree. *)
 let commit_layer_spill ev ~block =
   let n = Spill.length ev in
   let half = n / 2 in
   let builder = Merkle.Builder.create half in
-  let lo = Fv.create (min block half) and hi = Fv.create (min block half) in
+  let blk = min block half in
+  let pair = Fv.create (2 * blk) in
   let j = ref 0 in
   while !j < half do
     Pool.Cancel.check ();
-    let bl = min (Fv.length lo) (half - !j) in
-    Spill.read ev ~pos:!j (Fv.sub_view lo ~pos:0 ~len:bl);
-    Spill.read ev ~pos:(!j + half) (Fv.sub_view hi ~pos:0 ~len:bl);
-    let leaves =
-      Array.init bl (fun i -> Merkle.leaf_of_column [| Fv.get lo i; Fv.get hi i |])
-    in
-    Merkle.Builder.add builder leaves;
+    let bl = min blk (half - !j) in
+    Spill.read ev ~pos:!j (Fv.sub_view pair ~pos:0 ~len:bl);
+    Spill.read ev ~pos:(!j + half) (Fv.sub_view pair ~pos:bl ~len:bl);
+    Merkle.Builder.add builder
+      (Merkle.leaves_of_matrix ~rows:2 ~cols:bl (Fv.sub_view pair ~pos:0 ~len:(2 * bl)));
     j := !j + bl
   done;
   Merkle.Builder.finish builder
@@ -157,48 +157,39 @@ let commit ?engine params rng table =
   let n = Array.length table in
   let num_vars = log2_exact n in
   let domain = n lsl params.blowup_log2 in
+  (* Layer-0 codeword: the flat NTT of the zero-padded coefficients. *)
+  let evals = Fv.create domain in
+  Fv.zero evals;
+  Fv.write_array (monomial_coeffs table) ~src_pos:0 evals ~dst_pos:0 ~len:n;
+  Ntt_fv.forward (Ntt_fv.plan domain) evals;
+  let tree = Fri.commit_layer evals in
+  let c_commitment = { root = Merkle.root tree; num_vars } in
   match Option.bind engine Zk_pcs.Engine.stream_budget_bytes with
   | None ->
-    let coeffs = monomial_coeffs table in
-    let evals = Array.make domain Gf.zero in
-    Array.blit coeffs 0 evals 0 n;
-    Ntt.forward (Ntt.plan domain) evals;
-    let tree = Fri.commit_layer evals in
-    let c_commitment = { root = Merkle.root tree; num_vars } in
     ({ c_commitment; store = Dense { table = Array.copy table; evals }; tree }, c_commitment)
   | Some budget ->
-    (* Streaming store. The NTT itself still runs in RAM — over the flat
-       8-byte/element vector rather than boxed Gf, but O(domain) resident
-       all the same (documented limit); the win is downstream: the
+    (* Streaming store. The NTT itself ran in RAM — O(domain) resident at
+       8 bytes/element (documented limit); the win is downstream: the
        codeword and table spill, and the opening's fold pyramid never
-       materializes. Field values are identical to the boxed NTT, so the
-       root and proof bytes match the dense store's. *)
+       materializes. The root is the dense store's. *)
     let block = block_of_budget budget in
-    let coeffs = monomial_coeffs table in
-    let evals_fv = Fv.create domain in
-    Fv.zero evals_fv;
-    Fv.write_array coeffs ~src_pos:0 evals_fv ~dst_pos:0 ~len:n;
-    Ntt_fv.forward (Ntt_fv.plan domain) evals_fv;
     let s_evals = Spill.create ~tag:"fri-evals" ~spill:true domain in
     (* Free the partially-built spills on cancellation / injected I/O
        faults instead of waiting for the GC backstop. *)
-    let tree, s_table =
+    let s_table =
       try
         let pos = ref 0 in
         while !pos < domain do
           Pool.Cancel.check ();
           let len = min block (domain - !pos) in
-          Spill.write s_evals ~pos:!pos (Fv.sub_view evals_fv ~pos:!pos ~len);
+          Spill.write s_evals ~pos:!pos (Fv.sub_view evals ~pos:!pos ~len);
           pos := !pos + len
         done;
-        let tree = commit_layer_spill s_evals ~block in
-        let s_table = spill_of_array ~tag:"fri-table" table ~block in
-        (tree, s_table)
+        spill_of_array ~tag:"fri-table" table ~block
       with e ->
         Spill.free s_evals;
         raise e
     in
-    let c_commitment = { root = Merkle.root tree; num_vars } in
     ({ c_commitment; store = Streamed { s_table; s_evals; budget }; tree }, c_commitment)
 
 let free_committed c =
@@ -276,9 +267,9 @@ let open_at_dense ?engine params committed ~table ~evals transcript point =
   done;
   let layers = Array.of_list (List.rev !layers) in
   let trees = Array.of_list (List.rev !trees) in
-  let final_constant = layers.(l).(0) in
+  let final_constant = Fv.get layers.(l) 0 in
   Transcript.absorb_gf transcript "fripcs/final" [| final_constant |];
-  let domain = Array.length evals in
+  let domain = Fv.length evals in
   let positions =
     Transcript.challenge_indices transcript "fripcs/queries" ~bound:(domain / 2)
       ~count:params.num_queries
@@ -291,9 +282,9 @@ let open_at_dense ?engine params committed ~table ~evals transcript point =
         let opened =
           Array.mapi
             (fun i layer ->
-              let half = Array.length layer / 2 in
+              let half = Fv.length layer / 2 in
               let pos = position mod half in
-              (layer.(pos), layer.(pos + half), Merkle.path trees.(i) pos))
+              (Fv.get layer pos, Fv.get layer (pos + half), Merkle.path trees.(i) pos))
             layers
         in
         (position, opened))
@@ -312,8 +303,9 @@ let open_at_dense ?engine params committed ~table ~evals transcript point =
    at a time. Accumulation order, fold arithmetic, and transcript traffic
    are element-for-element those of {!open_at_dense} — Goldilocks ops are
    exact and canonical, so value equality is bit equality and the proof
-   bytes match. Block-start twiddles come from [Gf.pow] instead of the
-   dense running product; same field element, same bits. *)
+   bytes match. Each block's fold starts its running product of [w^-1]
+   at [Gf.pow w_inv j] instead of continuing the dense one; same field
+   element, same bits. *)
 let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point =
   let cm = committed.c_commitment in
   let l = cm.num_vars in
@@ -377,7 +369,6 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
   let bsz = max 1 (min block (max (n / 2) (domain / 2))) in
   let alo = Fv.create bsz and ahi = Fv.create bsz in
   let elo = Fv.create bsz and ehi = Fv.create bsz in
-  let inv2 = Gf.inv Gf.two in
   for round = 0 to l - 1 do
     let half = !len / 2 in
     (* Pass 1: the round polynomial, same b = 0 .. half-1 order. *)
@@ -434,7 +425,7 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
     let cw = List.hd !layers in
     let cw_len = Spill.length cw in
     let cw_half = cw_len / 2 in
-    let w = Gf.root_of_unity (log2_exact cw_len) in
+    let w_inv = Gf.inv (Gf.root_of_unity (log2_exact cw_len)) in
     let next = fresh "fri-layer" cw_half in
     let j = ref 0 in
     while !j < cw_half do
@@ -442,14 +433,7 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
       let alv = Fv.sub_view alo ~pos:0 ~len:bl and ahv = Fv.sub_view ahi ~pos:0 ~len:bl in
       Spill.read cw ~pos:!j alv;
       Spill.read cw ~pos:(!j + cw_half) ahv;
-      let x = ref (Gf.pow w (Int64.of_int !j)) in
-      for i = 0 to bl - 1 do
-        let av = Fv.get alv i and bv = Fv.get ahv i in
-        let even = Gf.mul inv2 (Gf.add av bv) in
-        let odd = Gf.mul inv2 (Gf.mul (Gf.sub av bv) (Gf.inv !x)) in
-        Fv.set alv i (Gf.add even (Gf.mul r odd));
-        x := Gf.mul !x w
-      done;
+      Fri.fold_block ~x_inv:(Gf.pow w_inv (Int64.of_int !j)) ~w_inv ~lo:alv ~hi:ahv ~dst:alv r;
       Spill.write next ~pos:!j alv;
       j := !j + bl
     done;
@@ -580,7 +564,10 @@ let verify ?engine params (cm : commitment) transcript point value proof =
     else E.error E.Shape "wrong number of queries"
   in
   let roots = Array.append [| cm.root |] proof.layer_roots in
-  let inv2 = Gf.inv Gf.two in
+  (* Layer i has 2^(l + blowup_log2 - i) points; its inverse root. *)
+  let w_invs =
+    Array.init l (fun i -> Gf.inv (Gf.root_of_unity (l + params.blowup_log2 - i)))
+  in
   let rec check_query qi =
     if qi >= Array.length proof.queries then Ok ()
     else begin
@@ -609,12 +596,8 @@ let verify ?engine params (cm : commitment) transcript point value proof =
               then Ok ()
               else E.errorf E.Consistency "query %d: final layer not constant" qi
             else begin
-              let w = Gf.root_of_unity (log2_exact layer_size) in
-              let x = Gf.pow w (Int64.of_int leaf_pos) in
-              let even = Gf.mul inv2 (Gf.add av bv) in
-              let odd = Gf.mul inv2 (Gf.mul (Gf.sub av bv) (Gf.inv x)) in
-              let next = Gf.add even (Gf.mul challenges.(i) odd) in
-              walk (i + 1) half leaf_pos (Some next)
+              let x_inv = Gf.pow w_invs.(i) (Int64.of_int leaf_pos) in
+              walk (i + 1) half leaf_pos (Some (Fri.fold_at ~x_inv challenges.(i) av bv))
             end
         in
         match walk 0 domain position None with

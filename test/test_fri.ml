@@ -85,6 +85,34 @@ let prop_random_sizes =
       let _, proof = prove_poly ~seed:(Int64.of_int (800 + log_n)) n in
       match verify ~degree_bound:n proof with Ok () -> true | Error _ -> false)
 
+(* The pre-running-product fold, one inversion per element: the oracle
+   for {!Fri.fold}'s inversion-free twiddles. *)
+let reference_fold ~shift evals beta =
+  let n = Array.length evals in
+  let half = n / 2 in
+  let rec log2 k = if k = 1 then 0 else 1 + log2 (k / 2) in
+  let w = Gf.root_of_unity (log2 n) in
+  let inv2 = Gf.inv Gf.two in
+  let x = ref shift in
+  Array.init half (fun j ->
+      let a = evals.(j) and b = evals.(j + half) in
+      let even = Gf.mul inv2 (Gf.add a b) in
+      let odd = Gf.mul inv2 (Gf.mul (Gf.sub a b) (Gf.inv !x)) in
+      let out = Gf.add even (Gf.mul beta odd) in
+      x := Gf.mul !x w;
+      out)
+
+let prop_fold_vs_reference =
+  QCheck.Test.make ~count:60 ~name:"Fri.fold = per-element-inverse fold (plain and coset)"
+    QCheck.(triple (int_range 1 12) bool (int_range 0 1_000_000))
+    (fun (log_n, coset, seed) ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let evals = Array.init (1 lsl log_n) (fun _ -> Gf.random rng) in
+      let beta = Gf.random rng in
+      let shift = if coset then Gf.multiplicative_generator else Gf.one in
+      let got = Fri.fold ~shift (Nocap_vec.Fv.of_array evals) beta in
+      Nocap_vec.Fv.to_array got = reference_fold ~shift evals beta)
+
 let suite =
   [
     Alcotest.test_case "completeness" `Quick test_completeness;
@@ -95,4 +123,5 @@ let suite =
     Alcotest.test_case "wrong transcript rejected" `Quick test_wrong_transcript_rejected;
     Alcotest.test_case "proof size" `Quick test_proof_size;
     QCheck_alcotest.to_alcotest prop_random_sizes;
+    QCheck_alcotest.to_alcotest prop_fold_vs_reference;
   ]

@@ -378,6 +378,46 @@ let test_f1600_off_torture () =
         [ Native.Scalar; Native.Simd ])
     [ 0; 7; 25; 52; 75 ]
 
+(* The raw C permutation against the OCaml one on arbitrary 25-lane
+   states, in both C modes (Simd dispatch still runs the scalar body for a
+   single state). *)
+let arb_state =
+  QCheck.make
+    ~print:(fun a -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%Lx") a)))
+    QCheck.Gen.(array_repeat 25 gen_raw64)
+
+let prop_f1600_vs_ocaml =
+  QCheck.Test.make ~count:200 ~name:"native f1600_off vs Keccak.f1600_off_ocaml on random states"
+    arb_state (fun lanes ->
+      let expected = fv_of_raw lanes in
+      Keccak.f1600_off_ocaml expected 0 (Fv.create 25) (Fv.create 5);
+      List.for_all
+        (fun m ->
+          let got = fv_of_raw lanes in
+          Native.with_mode m (fun () -> Native.f1600_off got 0);
+          fv_raw_eq expected got)
+        [ Native.Scalar; Native.Simd ])
+
+(* Known answer: Keccak-f[1600] of the all-zero state (the Keccak team's
+   published intermediate values), lanes 0 and 1. *)
+let test_f1600_zero_kat () =
+  let check name permute =
+    let st = Fv.create 25 in
+    Fv.zero st;
+    permute st;
+    Alcotest.(check (pair int64 int64))
+      ("zero-state lanes 0-1 " ^ name)
+      (0xF1258F7940E1DDE7L, 0x84D5CCF933C0478AL)
+      (Fv.get st 0, Fv.get st 1)
+  in
+  check "[ocaml]" (fun st -> Keccak.f1600_off_ocaml st 0 (Fv.create 25) (Fv.create 5));
+  List.iter
+    (fun m ->
+      check
+        (Printf.sprintf "[%s]" (Native.mode_to_string m))
+        (fun st -> Native.with_mode m (fun () -> Native.f1600_off st 0)))
+    [ Native.Scalar; Native.Simd ]
+
 (* Column sponges driven through irregular absorb chunks (splitting rows at
    non-multiples of the 17-lane rate and columns mid-range) over a
    misaligned sub-view, against the one-shot hash_matrix_cols oracle. *)
@@ -468,6 +508,8 @@ let suite =
     Alcotest.test_case "hash_gf/hash_fv/hash2/pairs across modes" `Quick test_hash_entry_points;
     Alcotest.test_case "hash_matrix_cols across modes" `Quick test_hash_matrix_cols;
     Alcotest.test_case "f1600_off offset torture" `Quick test_f1600_off_torture;
+    QCheck_alcotest.to_alcotest prop_f1600_vs_ocaml;
+    Alcotest.test_case "f1600 zero-state KAT" `Quick test_f1600_zero_kat;
     Alcotest.test_case "Col_hash chunked absorb torture" `Quick test_col_hash_torture;
     Alcotest.test_case "proof bytes invariant: modes x domains" `Quick test_proof_bytes_invariant;
   ]

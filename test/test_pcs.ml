@@ -1,7 +1,7 @@
 (* The backend-pluggable proving engine: PCS interface conformance on both
-   backends, golden proof bytes for the default (Orion) backend across
-   domain counts, engine-context invariance, the tagged serialization
-   format, and the Engine.Config environment parsing. *)
+   backends, golden proof bytes for both backends across domain counts,
+   engine-context invariance, the tagged serialization format, and the
+   Engine.Config environment parsing. *)
 
 module Gf = Zk_field.Gf
 module Rng = Zk_util.Rng
@@ -55,6 +55,32 @@ let test_golden_bytes () =
                 (payload_hash (Spartan.proof_to_bytes proof))))
         [ 1; 2; 3 ])
     golden_cases
+
+(* FRI-backend proofs at [test_params], pinned the same way: the fold,
+   leaf-hash and Keccak kernels under the second backend must not move a
+   byte either. *)
+let fri_golden_cases =
+  [
+    ("fri-synthetic-300", 300, 44L, "78571a8866385df599ad54e5413cfa06837ccc1e765ebbf655d9d5c0f3d82023");
+    ( "fri-synthetic-2000", 2000, 42L,
+      "bd7e89dccd6a7c76784b06fca6c808cabc2d38fabee2bb160cf798ea1e0bb670" );
+  ]
+
+let test_fri_golden_bytes () =
+  List.iter
+    (fun (name, n, seed, expected) ->
+      let inst, asn = Synthetic.circuit ~n_constraints:n ~seed () in
+      let check label run =
+        let proof, _ = run (fun () -> Spartan_fri.prove Spartan_fri.test_params inst asn) in
+        Alcotest.(check string) (name ^ " " ^ label) expected
+          (payload_hash (Spartan_fri.proof_to_bytes proof))
+      in
+      List.iter
+        (fun d -> check (Printf.sprintf "at %d domains" d) (Pool.with_domains d))
+        [ 1; 2; 3 ];
+      (* The pure-OCaml kernels (NOCAP_NATIVE=0) produce the same bytes. *)
+      check "with native kernels off" (Nocap_native.Native.with_mode Nocap_native.Native.Off))
+    fri_golden_cases
 
 (* --- engine-context invariance: pools and trace sinks schedule and
    observe, they never change bytes --- *)
@@ -353,6 +379,8 @@ let suite =
   [
     Alcotest.test_case "golden proof bytes across domain counts" `Slow
       test_golden_bytes;
+    Alcotest.test_case "fri golden proof bytes across domain counts" `Slow
+      test_fri_golden_bytes;
     Alcotest.test_case "engine context never changes bytes" `Quick
       test_engine_invariance;
     Alcotest.test_case "orion backend end-to-end" `Quick test_orion_backend_e2e;
