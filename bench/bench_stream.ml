@@ -1,23 +1,28 @@
-(* Streaming out-of-core prover benchmark -> BENCH_stream.json.
+(* Stream-budget benchmark -> BENCH_stream.json.
 
-   Three sections:
+   The prover has one path; a stream budget makes its blocks budget-sized
+   and spills them to temp files, and no budget runs it as one RAM block
+   per phase. Three sections compare the two:
 
-   - [endtoend]: the full Spartan pipeline, streaming vs in-memory, for
-     both PCS backends. Proof BYTES MUST BE EQUAL — this is the hard gate
-     (exit 1 otherwise), and in smoke mode the flagship entry is a
-     2^16-constraint Orion proof under an artificially tiny budget that
-     must actually spill.
-   - [commit]: Orion's out-of-core commit over a PRG row producer (the
+   - [endtoend]: the full Spartan pipeline under a budget vs with no
+     budget, for both PCS backends. Proof BYTES MUST BE EQUAL — this is
+     the hard gate (exit 1 otherwise), and in smoke mode the flagship
+     entry is a 2^16-constraint Orion proof under an artificially tiny
+     budget that must actually spill.
+   - [commit]: Orion's commit under a budget over a PRG row producer (the
      table never exists in RAM), with the matrix aspect chosen so the
      column working set is constant — peak RSS should stay flat while N
-     doubles, where the in-memory commit grows linearly.
-   - [sumcheck]: the recompute-halves streaming sumcheck over spilled
-     tables vs the in-memory prover at the same sizes.
+     doubles, where a no-budget commit grows linearly.
+   - [sumcheck]: the recompute-halves sumcheck over spilled tables under
+     a budget vs the same sizes with no budget.
 
-   Peak RSS comes from the {!Rss} probe; all streaming phases run BEFORE
-   the in-memory phases (ascending N, with a high-water-mark reset in
-   between) so a monotonic probe cannot charge streaming with an earlier
-   in-memory peak. *)
+   The JSON keeps its v1 keys: "streaming" is the budgeted run and
+   "in_memory" the no-budget run.
+
+   Peak RSS comes from the {!Rss} probe; all budgeted phases run BEFORE
+   the no-budget phases (ascending N, with a high-water-mark reset in
+   between) so a monotonic probe cannot charge a budgeted run with an
+   earlier no-budget peak. *)
 
 open Nocap_repro
 
@@ -49,8 +54,8 @@ type endtoend = {
   e_budget : int;
   e_bytes_equal : bool;
   e_spill_bytes : int;
-  e_streaming : phase;
-  e_in_memory : phase;
+  e_budgeted : phase;
+  e_no_budget : phase;
 }
 
 let endtoend_sizes ~smoke =
@@ -88,7 +93,7 @@ let run_endtoend ~smoke =
       let proof, _ = Spartan_fri.prove ?engine params inst asn in
       Spartan_fri.proof_to_bytes proof
   in
-  (* streaming phases first, ascending *)
+  (* budgeted phases first, ascending *)
   let streamed =
     List.map
       (fun (backend, lg, budget, inst, asn) ->
@@ -107,8 +112,8 @@ let run_endtoend ~smoke =
         e_budget = budget;
         e_bytes_equal = Bytes.equal s_bytes m_bytes;
         e_spill_bytes = spill_bytes;
-        e_streaming = s_ph;
-        e_in_memory = m_ph;
+        e_budgeted = s_ph;
+        e_no_budget = m_ph;
       })
     streamed circuits
 
@@ -162,8 +167,8 @@ let run_commit ~smoke =
 type sumcheck_row = {
   s_log_n : int;
   s_budget : int;
-  s_streaming : phase;
-  s_in_memory : phase;
+  s_budgeted : phase;
+  s_no_budget : phase;
   s_equal : bool;
 }
 
@@ -172,7 +177,7 @@ let comb2 v = Gf.mul v.(0) v.(1)
 let run_sumcheck ~smoke =
   let budget = if smoke then 1 lsl 18 else 1 lsl 22 in
   let sizes = if smoke then [ 14; 15; 16 ] else [ 18; 20; 22 ] in
-  (* streaming first (spilled PRG tables), then the in-memory oracle *)
+  (* budgeted first (spilled PRG tables), then the same sizes with no budget *)
   let streamed =
     List.map
       (fun log_n ->
@@ -219,7 +224,7 @@ let run_sumcheck ~smoke =
   List.map
     (fun (log_n, streamed_r, s_ph, claim) ->
       let n = 1 lsl log_n in
-      let in_mem_r, m_ph =
+      let no_budget_r, m_ph =
         measure (fun () ->
             let tables =
               [|
@@ -233,11 +238,11 @@ let run_sumcheck ~smoke =
       {
         s_log_n = log_n;
         s_budget = budget;
-        s_streaming = s_ph;
-        s_in_memory = m_ph;
+        s_budgeted = s_ph;
+        s_no_budget = m_ph;
         s_equal =
-          streamed_r.Sumcheck.proof = in_mem_r.Sumcheck.proof
-          && streamed_r.Sumcheck.challenges = in_mem_r.Sumcheck.challenges;
+          streamed_r.Sumcheck.proof = no_budget_r.Sumcheck.proof
+          && streamed_r.Sumcheck.challenges = no_budget_r.Sumcheck.challenges;
       })
     streamed
 
@@ -264,10 +269,10 @@ let json_of ~smoke ~rss_source ~resettable endtoend commits sumchecks =
       adds "      \"budget_bytes\": %d,\n" e.e_budget;
       adds "      \"bytes_equal\": %b,\n" e.e_bytes_equal;
       adds "      \"spill_bytes\": %d,\n" e.e_spill_bytes;
-      add_phase "streaming" e.e_streaming;
-      add_phase "in_memory" e.e_in_memory;
+      add_phase "streaming" e.e_budgeted;
+      add_phase "in_memory" e.e_no_budget;
       adds "      \"slowdown\": %.4f\n"
-        (e.e_streaming.seconds /. (max 1e-9 e.e_in_memory.seconds));
+        (e.e_budgeted.seconds /. (max 1e-9 e.e_no_budget.seconds));
       adds "    }%s\n" (if i = List.length endtoend - 1 then "" else ","))
     endtoend;
   adds "  ],\n";
@@ -289,10 +294,10 @@ let json_of ~smoke ~rss_source ~resettable endtoend commits sumchecks =
       adds "      \"log_n\": %d,\n" s.s_log_n;
       adds "      \"budget_bytes\": %d,\n" s.s_budget;
       adds "      \"proof_equal\": %b,\n" s.s_equal;
-      add_phase "streaming" s.s_streaming;
-      add_phase "in_memory" s.s_in_memory;
+      add_phase "streaming" s.s_budgeted;
+      add_phase "in_memory" s.s_no_budget;
       adds "      \"slowdown\": %.4f\n"
-        (s.s_streaming.seconds /. (max 1e-9 s.s_in_memory.seconds));
+        (s.s_budgeted.seconds /. (max 1e-9 s.s_no_budget.seconds));
       adds "    }%s\n" (if i = List.length sumchecks - 1 then "" else ","))
     sumchecks;
   adds "  ]\n";
@@ -318,7 +323,7 @@ let validate_schema (s : string) : (unit, string) result =
         if not (as_num (field e "budget_bytes") > 0.0) then
           raise (Bad_json "budget must be positive");
         if not (as_bool (field e "bytes_equal")) then
-          raise (Bad_json "streaming proof bytes diverged from in-memory");
+          raise (Bad_json "budgeted proof bytes diverged from no budget");
         if as_num (field e "spill_bytes") > 0.0 then has_spill := true;
         List.iter
           (fun ph ->
@@ -344,7 +349,7 @@ let validate_schema (s : string) : (unit, string) result =
     List.iter
       (fun s ->
         if not (as_bool (field s "proof_equal")) then
-          raise (Bad_json "streaming sumcheck diverged"))
+          raise (Bad_json "budgeted sumcheck diverged from no budget"))
       sumchecks;
     Ok ()
   with Bad_json msg -> Error msg
@@ -353,7 +358,7 @@ let validate_schema (s : string) : (unit, string) result =
 
 let run ?(smoke = false) ?(path = "BENCH_stream.json") () =
   Zk_report.Render.section
-    (Printf.sprintf "Streaming out-of-core prover: bounded-memory vs in-RAM%s"
+    (Printf.sprintf "One prover path: stream budget vs no budget (one RAM block)%s"
        (if smoke then " (smoke)" else ""));
   let resettable = Rss.settle_and_reset () in
   (* The commit ladder runs FIRST: the OCaml heap never shrinks back after
@@ -365,7 +370,7 @@ let run ?(smoke = false) ?(path = "BENCH_stream.json") () =
   let _, rss_source = Rss.peak_rss_kb () in
   Zk_report.Render.table
     ~header:
-      [ "backend"; "2^c"; "budget"; "equal"; "spilled"; "stream"; "in-mem"; "rss str"; "rss mem" ]
+      [ "backend"; "2^c"; "budget"; "equal"; "spilled"; "budgeted"; "no budget"; "rss bud"; "rss none" ]
     (List.map
        (fun e ->
          [
@@ -374,10 +379,10 @@ let run ?(smoke = false) ?(path = "BENCH_stream.json") () =
            Printf.sprintf "%dK" (e.e_budget / 1024);
            (if e.e_bytes_equal then "yes" else "NO");
            Printf.sprintf "%dK" (e.e_spill_bytes / 1024);
-           Zk_report.Render.seconds e.e_streaming.seconds;
-           Zk_report.Render.seconds e.e_in_memory.seconds;
-           Printf.sprintf "%dM" (e.e_streaming.peak_rss_kb / 1024);
-           Printf.sprintf "%dM" (e.e_in_memory.peak_rss_kb / 1024);
+           Zk_report.Render.seconds e.e_budgeted.seconds;
+           Zk_report.Render.seconds e.e_no_budget.seconds;
+           Printf.sprintf "%dM" (e.e_budgeted.peak_rss_kb / 1024);
+           Printf.sprintf "%dM" (e.e_no_budget.peak_rss_kb / 1024);
          ])
        endtoend);
   Zk_report.Render.table
@@ -394,26 +399,26 @@ let run ?(smoke = false) ?(path = "BENCH_stream.json") () =
          ])
        commits);
   Zk_report.Render.table
-    ~header:[ "sumcheck 2^n"; "equal"; "stream"; "in-mem"; "rss str"; "rss mem" ]
+    ~header:[ "sumcheck 2^n"; "equal"; "budgeted"; "no budget"; "rss bud"; "rss none" ]
     (List.map
        (fun s ->
          [
            string_of_int s.s_log_n;
            (if s.s_equal then "yes" else "NO");
-           Zk_report.Render.seconds s.s_streaming.seconds;
-           Zk_report.Render.seconds s.s_in_memory.seconds;
-           Printf.sprintf "%dM" (s.s_streaming.peak_rss_kb / 1024);
-           Printf.sprintf "%dM" (s.s_in_memory.peak_rss_kb / 1024);
+           Zk_report.Render.seconds s.s_budgeted.seconds;
+           Zk_report.Render.seconds s.s_no_budget.seconds;
+           Printf.sprintf "%dM" (s.s_budgeted.peak_rss_kb / 1024);
+           Printf.sprintf "%dM" (s.s_no_budget.peak_rss_kb / 1024);
          ])
        sumchecks);
-  (* Hard gates: every streaming proof must match its in-memory oracle, and
+  (* Hard gates: every budgeted proof must match its no-budget bytes, and
      the flagship smoke entry (orion @ 2^16 constraints, 1 MiB budget) must
      actually have spilled. *)
   List.iter
     (fun e ->
       if not e.e_bytes_equal then begin
         Printf.eprintf
-          "bench stream: %s 2^%d streaming proof bytes DIVERGED from in-memory\n%!"
+          "bench stream: %s 2^%d budgeted proof bytes DIVERGED from no budget\n%!"
           e.e_backend e.e_constraints_log2;
         exit 1
       end)

@@ -12,7 +12,7 @@
      main.exe native     OCaml vs scalar-C vs SIMD kernels -> BENCH_native.json
      main.exe faults     fault-injection sweep over mutated proofs -> BENCH_faults.json
      main.exe analysis   circuit lint + structure + mutation oracle -> BENCH_analysis.json
-     main.exe stream     streaming vs in-memory prover + peak RSS -> BENCH_stream.json
+     main.exe stream     stream budget vs no budget + peak RSS -> BENCH_stream.json
      main.exe serve      proving service under load + injected faults -> BENCH_serve.json
      main.exe table4     a single table/figure by id
 

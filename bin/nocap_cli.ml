@@ -526,7 +526,7 @@ let serve_cmd =
   let mem_budget_arg =
     let doc =
       "Memory budget in bytes; jobs whose working set exceeds it are demoted \
-       to the streaming prover."
+       to a stream budget (spill-file blocks)."
     in
     Arg.(value & opt (some int) None & info [ "mem-budget" ] ~docv:"BYTES" ~doc)
   in

@@ -45,12 +45,15 @@ let build_serial leaves =
 let build leaves = build_with leaves ~pairs:Keccak.hash2_pairs
 
 (* Incremental builder for the streaming commit: leaves arrive in chunks
-   (as column sponges finalize) and internal nodes are hashed eagerly as
-   soon as both children exist, so no leaf chunk has to persist. Produces
-   the same node set as [build] — pairs hashed with [Keccak.hash2],
-   padding with [empty_leaf] — so roots and paths are byte-identical to
-   the one-shot build; only the hashing schedule differs (serial cascade
-   instead of the pool's batched levels). *)
+   (as column sponges finalize) and internal nodes are hashed as soon as
+   both children exist, so no leaf chunk has to persist. A chunk is cut
+   into aligned power-of-two runs: a run of [m] leaves starting at a
+   multiple of [m] is a complete subtree, hashed level by level with the
+   batched, pool-parallel [Keccak.hash2_pairs] exactly as [build] does,
+   and only its root joins the serial cascade. A single-chunk build thus
+   does [build]'s work. Either way the node set is [build]'s — pairs
+   hashed with [Keccak.hash2], padding with [empty_leaf] — so roots and
+   paths are byte-identical to the one-shot build. *)
 module Builder = struct
   type t = {
     levels : digest array array;
@@ -74,22 +77,46 @@ module Builder = struct
     if i land 1 = 1 && k + 1 < Array.length t.levels then
       push t (k + 1) (Keccak.hash2 t.levels.(k).(i - 1) d)
 
+  (* [run] is a complete subtree: its length [m] is a power of two and the
+     level-0 fill is a multiple of [m], so level [k] of the subtree lands
+     at [fill.(k) = fill.(0) / 2^k] for every [k] below its root. *)
+  let add_subtree t run =
+    let level = ref run and k = ref 0 in
+    while Array.length !level > 1 do
+      let lv = !level in
+      Array.blit lv 0 t.levels.(!k) t.fill.(!k) (Array.length lv);
+      t.fill.(!k) <- t.fill.(!k) + Array.length lv;
+      level := Keccak.hash2_pairs lv;
+      incr k
+    done;
+    push t !k !level.(0)
+
+  let append t leaves =
+    let n = Array.length leaves in
+    let pos = ref 0 in
+    while !pos < n do
+      (* Largest power of two that fits the rest and divides the fill. *)
+      let f = t.fill.(0) in
+      let m = ref 1 in
+      while 2 * !m <= n - !pos && f land ((2 * !m) - 1) = 0 do
+        m := 2 * !m
+      done;
+      if !m = 1 then push t 0 leaves.(!pos)
+      else add_subtree t (if !m = n then leaves else Array.sub leaves !pos !m);
+      pos := !pos + !m
+    done
+
   let add t leaves =
     let n = Array.length leaves in
     if t.added + n > t.real then invalid_arg "Merkle.Builder.add: too many leaves";
-    for i = 0 to n - 1 do
-      push t 0 leaves.(i)
-    done;
+    append t leaves;
     t.added <- t.added + n
 
   let finish t =
     if t.added <> t.real then
       invalid_arg
         (Printf.sprintf "Merkle.Builder.finish: %d of %d leaves added" t.added t.real);
-    let padded = Array.length t.levels.(0) in
-    for _ = t.fill.(0) to padded - 1 do
-      push t 0 empty_leaf
-    done;
+    append t (Array.make (Array.length t.levels.(0) - t.fill.(0)) empty_leaf);
     { levels = t.levels; real_leaves = t.real }
 end
 

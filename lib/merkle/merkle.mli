@@ -34,9 +34,13 @@ val leaves_of_matrix : rows:int -> cols:int -> Nocap_vec.Fv.t -> digest array
 
 (** Incremental tree construction for the streaming commit: leaf digests
     arrive in chunks as column sponges finalize, and internal nodes are
-    hashed eagerly the moment both children exist. [finish] returns a tree
-    byte-identical to {!build} over the same leaves (same pair hashing,
-    same [empty_leaf] padding); only the hashing schedule differs. *)
+    hashed eagerly the moment both children exist. Each chunk is cut into
+    aligned power-of-two runs, and every run is a complete subtree hashed
+    level by level with the batched, pool-parallel pair hasher, so one
+    chunk of all the leaves costs what {!build} costs. [finish] returns a
+    tree byte-identical to {!build} over the same leaves (same pair
+    hashing, same [empty_leaf] padding); only the hashing schedule
+    differs. *)
 module Builder : sig
   type t
 

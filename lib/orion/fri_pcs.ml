@@ -30,22 +30,23 @@ let param_error_to_string = function
 
 type commitment = { root : Merkle.digest; num_vars : int }
 
-(* Prover-side opening state. Dense keeps the table and layer-0 codeword
-   resident; Streamed (engine budget set) holds both in spill files and
-   the opening runs the sumcheck/fold pyramid out of core. The codeword
-   pyramid — sum over layers of 2^i — is the dominant in-memory object of
-   an opening, and it is what streaming eliminates; the per-layer Merkle
-   trees stay resident (openings need sibling paths), as does the NTT of
-   the streaming COMMIT (flat, 8 bytes/element) — a documented limit of
-   this backend's out-of-core support. *)
-type store =
-  | Dense of {
-      table : Gf.t array; (* multilinear evaluations, length 2^num_vars *)
-      evals : Fv.t; (* layer-0 codeword, size 2^num_vars * blowup *)
-    }
-  | Streamed of { s_table : Spill.t; s_evals : Spill.t; budget : int }
-
-type committed = { c_commitment : commitment; store : store; tree : Merkle.tree }
+(* Prover-side opening state: the table and the layer-0 codeword. With no
+   budget both wrap RAM vectors and the opening runs each layer as one
+   block; under a budget (engine stream budget) both live in spill files
+   and the opening runs the sumcheck/fold pyramid out of core, touching
+   one budget-sized block at a time. The codeword pyramid — sum over
+   layers of 2^i — is the dominant object of an opening, and it is what a
+   budget moves to disk; the per-layer Merkle trees stay resident
+   (openings need sibling paths), as does the NTT of the commit (flat,
+   8 bytes/element) — a documented limit of this backend's out-of-core
+   support. *)
+type committed = {
+  c_commitment : commitment;
+  table : Spill.t; (* multilinear evaluations, length 2^num_vars *)
+  evals : Spill.t; (* layer-0 codeword, size 2^num_vars * blowup *)
+  budget : int option;
+  tree : Merkle.tree;
+}
 
 type eval_proof = {
   round_polys : Gf.t array array; (* one degree-2 polynomial (3 evals) per variable *)
@@ -164,15 +165,17 @@ let commit ?engine params rng table =
   Ntt_fv.forward (Ntt_fv.plan domain) evals;
   let tree = Fri.commit_layer evals in
   let c_commitment = { root = Merkle.root tree; num_vars } in
-  match Option.bind engine Zk_pcs.Engine.stream_budget_bytes with
+  let budget = Option.bind engine Zk_pcs.Engine.stream_budget_bytes in
+  match budget with
   | None ->
-    ({ c_commitment; store = Dense { table = Array.copy table; evals }; tree }, c_commitment)
-  | Some budget ->
-    (* Streaming store. The NTT itself ran in RAM — O(domain) resident at
-       8 bytes/element (documented limit); the win is downstream: the
-       codeword and table spill, and the opening's fold pyramid never
-       materializes. The root is the dense store's. *)
-    let block = block_of_budget budget in
+    ( { c_commitment; table = Spill.of_fv (Fv.of_array table); evals = Spill.of_fv evals;
+        budget; tree },
+      c_commitment )
+  | Some b ->
+    (* The NTT itself ran in RAM — O(domain) resident at 8 bytes/element
+       (documented limit); the win is downstream: the codeword and table
+       spill, and the opening's fold pyramid never materializes. *)
+    let block = block_of_budget b in
     let s_evals = Spill.create ~tag:"fri-evals" ~spill:true domain in
     (* Free the partially-built spills on cancellation / injected I/O
        faults instead of waiting for the GC backstop. *)
@@ -190,14 +193,11 @@ let commit ?engine params rng table =
         Spill.free s_evals;
         raise e
     in
-    ({ c_commitment; store = Streamed { s_table; s_evals; budget }; tree }, c_commitment)
+    ({ c_commitment; table = s_table; evals = s_evals; budget; tree }, c_commitment)
 
 let free_committed c =
-  match c.store with
-  | Dense _ -> ()
-  | Streamed { s_table; s_evals; _ } ->
-    Spill.free s_table;
-    Spill.free s_evals
+  Spill.free c.table;
+  Spill.free c.evals
 
 let absorb_commitment transcript (cm : commitment) =
   Transcript.absorb_digest transcript "fripcs/root" cm.root;
@@ -212,121 +212,51 @@ let commitment_num_vars (cm : commitment) = cm.num_vars
    coefficient vector of [f(r_1..r_i, .)]. After the last round the
    codeword is the constant [f~(r)], so the verifier can close the
    sumcheck with [f~(r) * eq~(q, r)] and needs only FRI-style spot checks
-   (no second commitment, no trusted evaluation). *)
-let open_at_dense ?engine params committed ~table ~evals transcript point =
+   (no second commitment, no trusted evaluation).
+
+   The tables [a]/[e] and every codeword layer are [Spill.t] vectors,
+   touched one block at a time: one block per layer in RAM with no budget,
+   budget-sized blocks over spill files under one. Goldilocks ops are
+   exact and canonical, so the accumulation order fixes the bits and the
+   proof bytes are the same for every block size. Each block's fold starts
+   its running product of [w^-1] at [Gf.pow w_inv j]; same field element
+   for every split. *)
+let open_at ?engine params committed transcript point =
   let pool = Option.bind engine Zk_pcs.Engine.pool in
   let cm = committed.c_commitment in
   let l = cm.num_vars in
   if Array.length point <> l then invalid_arg "Fri_pcs.open_at: point dimension";
-  let n = Array.length table in
-  Transcript.absorb_gf transcript "fripcs/point" point;
-  let a = Array.copy table in
-  let e = Mle.eq_table point in
-  let value =
-    let acc = ref Gf.zero in
-    for b = 0 to n - 1 do
-      acc := Gf.add !acc (Gf.mul a.(b) e.(b))
-    done;
-    !acc
-  in
-  Transcript.absorb_gf transcript "fripcs/value" [| value |];
-  let round_polys = Array.make l [||] in
-  let challenges = Array.make l Gf.zero in
-  let layers = ref [ evals ] in
-  let trees = ref [ committed.tree ] in
-  let len = ref n in
-  for round = 0 to l - 1 do
-    let half = !len / 2 in
-    (* Round polynomial g(t) = sum_b A_t(b) * E_t(b) with the top variable
-       pinned to t, tabulated at t = 0, 1, 2. *)
-    let g = Array.make 3 Gf.zero in
-    for b = 0 to half - 1 do
-      let a0 = a.(b) and a1 = a.(b + half) in
-      let e0 = e.(b) and e1 = e.(b + half) in
-      let da = Gf.sub a1 a0 and de = Gf.sub e1 e0 in
-      g.(0) <- Gf.add g.(0) (Gf.mul a0 e0);
-      g.(1) <- Gf.add g.(1) (Gf.mul a1 e1);
-      g.(2) <- Gf.add g.(2) (Gf.mul (Gf.add a1 da) (Gf.add e1 de))
-    done;
-    round_polys.(round) <- g;
-    Transcript.absorb_gf transcript "fripcs/round" g;
-    let r = Transcript.challenge_gf transcript "fripcs/r" in
-    challenges.(round) <- r;
-    (* Bind the top variable of both tables... *)
-    for b = 0 to half - 1 do
-      a.(b) <- Gf.add a.(b) (Gf.mul r (Gf.sub a.(b + half) a.(b)));
-      e.(b) <- Gf.add e.(b) (Gf.mul r (Gf.sub e.(b + half) e.(b)))
-    done;
-    len := half;
-    (* ...and fold the codeword with the same challenge. *)
-    let next = Fri.fold ~shift:Gf.one (List.hd !layers) r in
-    layers := next :: !layers;
-    let tree = Fri.commit_layer next in
-    trees := tree :: !trees;
-    Transcript.absorb_digest transcript "fripcs/layer" (Merkle.root tree)
-  done;
-  let layers = Array.of_list (List.rev !layers) in
-  let trees = Array.of_list (List.rev !trees) in
-  let final_constant = Fv.get layers.(l) 0 in
-  Transcript.absorb_gf transcript "fripcs/final" [| final_constant |];
-  let domain = Fv.length evals in
-  let positions =
-    Transcript.challenge_indices transcript "fripcs/queries" ~bound:(domain / 2)
-      ~count:params.num_queries
-  in
-  let queries =
-    (* One query opens a pair + Merkle path per layer, ~2µs per layer. *)
-    Pool.parallel_map ?pool
-      ~grain:(Nocap_parallel.Pool.grain_of_ns (max 1 (Array.length layers * 2_000)))
-      (fun position ->
-        let opened =
-          Array.mapi
-            (fun i layer ->
-              let half = Fv.length layer / 2 in
-              let pos = position mod half in
-              (Fv.get layer pos, Fv.get layer (pos + half), Merkle.path trees.(i) pos))
-            layers
-        in
-        (position, opened))
-      positions
-  in
-  ( value,
-    {
-      round_polys;
-      layer_roots = Array.init l (fun i -> Merkle.root trees.(i + 1));
-      final_constant;
-      queries;
-    } )
-
-(* The same interleaved sumcheck/fold, out of core: the tables [a]/[e] and
-   every codeword layer live in spill files, touched one budget-sized block
-   at a time. Accumulation order, fold arithmetic, and transcript traffic
-   are element-for-element those of {!open_at_dense} — Goldilocks ops are
-   exact and canonical, so value equality is bit equality and the proof
-   bytes match. Each block's fold starts its running product of [w^-1]
-   at [Gf.pow w_inv j] instead of continuing the dense one; same field
-   element, same bits. *)
-let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point =
-  let cm = committed.c_commitment in
-  let l = cm.num_vars in
-  if Array.length point <> l then invalid_arg "Fri_pcs.open_at: point dimension";
-  let n = Spill.length s_table in
-  let domain = Spill.length s_evals in
-  let block = block_of_budget budget in
+  let n = Spill.length committed.table in
+  let domain = Spill.length committed.evals in
+  let budget = committed.budget in
+  let block = match budget with None -> domain | Some b -> block_of_budget b in
   (* Back a fresh working vector with a file only when it would bite into
-     the budget; small tails stay in RAM (reads/writes are uniform). *)
-  let fresh tag len = Spill.create ~tag ~spill:(len * 8 > budget / 4) len in
+     the budget; small tails stay in RAM (reads/writes are uniform). Every
+     exit — success, cancellation, an injected I/O fault — frees them all;
+     layer 0 is the committed codeword and stays alive until
+     [free_committed]. *)
+  let temps = ref [] in
+  let fresh tag len =
+    let spill = match budget with None -> false | Some b -> len * 8 > b / 4 in
+    let s = Spill.create ~tag ~spill len in
+    if spill then temps := s :: !temps;
+    s
+  in
+  Fun.protect ~finally:(fun () -> List.iter Spill.free !temps) @@ fun () ->
+  (* Staging for file-backed blocks; RAM-backed blocks are read in place. *)
+  let bsz = max 1 (min block (max (n / 2) (domain / 2))) in
+  let stage () = Fv.create (if Option.is_some budget then bsz else 0) in
+  let alo = stage () and ahi = stage () in
+  let elo = stage () and ehi = stage () in
   Transcript.absorb_gf transcript "fripcs/point" point;
-  (* Working copies: a = table, e = eq(point), both spilled. The eq table is
-     generated directly into blocks via the aligned-range factorization. *)
+  (* Working copies: a = table, e = eq(point). The eq table is generated
+     directly into blocks via the aligned-range factorization. *)
   let a = fresh "fri-open-a" n in
-  let buf = Fv.create (min block n) in
   let pos = ref 0 in
   while !pos < n do
-    let len = min (Fv.length buf) (n - !pos) in
-    let v = Fv.sub_view buf ~pos:0 ~len in
-    Spill.read s_table ~pos:!pos v;
-    Spill.write a ~pos:!pos v;
+    Pool.Cancel.check ();
+    let len = min bsz (n - !pos) in
+    Spill.write a ~pos:!pos (Spill.view committed.table ~pos:!pos ~len ~buf:alo);
     pos := !pos + len
   done;
   let e = fresh "fri-open-e" n in
@@ -339,19 +269,16 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
   in
   let pos = ref 0 in
   while !pos < n do
-    let chunk = Mle.eq_table_range point ~lo:!pos ~len:eblock in
-    Spill.write e ~pos:!pos (Fv.of_array chunk);
+    Spill.write_array e ~pos:!pos (Mle.eq_table_range point ~lo:!pos ~len:eblock);
     pos := !pos + eblock
   done;
   let value =
     let acc = ref Gf.zero in
-    let ab = Fv.create (min block n) and eb = Fv.create (min block n) in
     let pos = ref 0 in
     while !pos < n do
-      let len = min (Fv.length ab) (n - !pos) in
-      let av = Fv.sub_view ab ~pos:0 ~len and ev = Fv.sub_view eb ~pos:0 ~len in
-      Spill.read a ~pos:!pos av;
-      Spill.read e ~pos:!pos ev;
+      let len = min bsz (n - !pos) in
+      let av = Spill.view a ~pos:!pos ~len ~buf:alo in
+      let ev = Spill.view e ~pos:!pos ~len ~buf:elo in
       for i = 0 to len - 1 do
         acc := Gf.add !acc (Gf.mul (Fv.get av i) (Fv.get ev i))
       done;
@@ -362,26 +289,23 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
   Transcript.absorb_gf transcript "fripcs/value" [| value |];
   let round_polys = Array.make l [||] in
   let challenges = Array.make l Gf.zero in
-  let layers = ref [ s_evals ] in
+  let layers = ref [ committed.evals ] in
   let trees = ref [ committed.tree ] in
   let a = ref a and e = ref e in
   let len = ref n in
-  let bsz = max 1 (min block (max (n / 2) (domain / 2))) in
-  let alo = Fv.create bsz and ahi = Fv.create bsz in
-  let elo = Fv.create bsz and ehi = Fv.create bsz in
   for round = 0 to l - 1 do
+    Pool.Cancel.check ();
     let half = !len / 2 in
-    (* Pass 1: the round polynomial, same b = 0 .. half-1 order. *)
+    (* Pass 1: the round polynomial g(t) = sum_b A_t(b) * E_t(b) with the
+       top variable pinned to t, tabulated at t = 0, 1, 2, in b order. *)
     let g = Array.make 3 Gf.zero in
     let b = ref 0 in
     while !b < half do
       let bl = min bsz (half - !b) in
-      let alv = Fv.sub_view alo ~pos:0 ~len:bl and ahv = Fv.sub_view ahi ~pos:0 ~len:bl in
-      let elv = Fv.sub_view elo ~pos:0 ~len:bl and ehv = Fv.sub_view ehi ~pos:0 ~len:bl in
-      Spill.read !a ~pos:!b alv;
-      Spill.read !a ~pos:(!b + half) ahv;
-      Spill.read !e ~pos:!b elv;
-      Spill.read !e ~pos:(!b + half) ehv;
+      let alv = Spill.view !a ~pos:!b ~len:bl ~buf:alo in
+      let ahv = Spill.view !a ~pos:(!b + half) ~len:bl ~buf:ahi in
+      let elv = Spill.view !e ~pos:!b ~len:bl ~buf:elo in
+      let ehv = Spill.view !e ~pos:(!b + half) ~len:bl ~buf:ehi in
       for i = 0 to bl - 1 do
         let a0 = Fv.get alv i and a1 = Fv.get ahv i in
         let e0 = Fv.get elv i and e1 = Fv.get ehv i in
@@ -396,24 +320,26 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
     Transcript.absorb_gf transcript "fripcs/round" g;
     let r = Transcript.challenge_gf transcript "fripcs/r" in
     challenges.(round) <- r;
-    (* Pass 2: bind the top variable of both tables into fresh spills. *)
+    (* Pass 2: bind the top variable of both tables into fresh vectors.
+       An output block may share the low input's staging buffer: element i
+       is read before it is written. *)
     let a' = fresh "fri-open-a" half and e' = fresh "fri-open-e" half in
     let b = ref 0 in
     while !b < half do
       let bl = min bsz (half - !b) in
-      let alv = Fv.sub_view alo ~pos:0 ~len:bl and ahv = Fv.sub_view ahi ~pos:0 ~len:bl in
-      let elv = Fv.sub_view elo ~pos:0 ~len:bl and ehv = Fv.sub_view ehi ~pos:0 ~len:bl in
-      Spill.read !a ~pos:!b alv;
-      Spill.read !a ~pos:(!b + half) ahv;
-      Spill.read !e ~pos:!b elv;
-      Spill.read !e ~pos:(!b + half) ehv;
+      let alv = Spill.view !a ~pos:!b ~len:bl ~buf:alo in
+      let ahv = Spill.view !a ~pos:(!b + half) ~len:bl ~buf:ahi in
+      let elv = Spill.view !e ~pos:!b ~len:bl ~buf:elo in
+      let ehv = Spill.view !e ~pos:(!b + half) ~len:bl ~buf:ehi in
+      let aout = Spill.writable a' ~pos:!b ~len:bl ~buf:alo in
+      let eout = Spill.writable e' ~pos:!b ~len:bl ~buf:elo in
       for i = 0 to bl - 1 do
         let a0 = Fv.get alv i and e0 = Fv.get elv i in
-        Fv.set alv i (Gf.add a0 (Gf.mul r (Gf.sub (Fv.get ahv i) a0)));
-        Fv.set elv i (Gf.add e0 (Gf.mul r (Gf.sub (Fv.get ehv i) e0)))
+        Fv.set aout i (Gf.add a0 (Gf.mul r (Gf.sub (Fv.get ahv i) a0)));
+        Fv.set eout i (Gf.add e0 (Gf.mul r (Gf.sub (Fv.get ehv i) e0)))
       done;
-      Spill.write a' ~pos:!b alv;
-      Spill.write e' ~pos:!b elv;
+      Spill.store a' ~pos:!b aout;
+      Spill.store e' ~pos:!b eout;
       b := !b + bl
     done;
     Spill.free !a;
@@ -421,7 +347,8 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
     a := a';
     e := e';
     len := half;
-    (* ...and fold the codeword with the same challenge, blockwise. *)
+    (* ...and fold the codeword with the same challenge, blockwise (the
+       output may share the low input's staging buffer, as above). *)
     let cw = List.hd !layers in
     let cw_len = Spill.length cw in
     let cw_half = cw_len / 2 in
@@ -430,11 +357,11 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
     let j = ref 0 in
     while !j < cw_half do
       let bl = min bsz (cw_half - !j) in
-      let alv = Fv.sub_view alo ~pos:0 ~len:bl and ahv = Fv.sub_view ahi ~pos:0 ~len:bl in
-      Spill.read cw ~pos:!j alv;
-      Spill.read cw ~pos:(!j + cw_half) ahv;
-      Fri.fold_block ~x_inv:(Gf.pow w_inv (Int64.of_int !j)) ~w_inv ~lo:alv ~hi:ahv ~dst:alv r;
-      Spill.write next ~pos:!j alv;
+      let lo = Spill.view cw ~pos:!j ~len:bl ~buf:alo in
+      let hi = Spill.view cw ~pos:(!j + cw_half) ~len:bl ~buf:ahi in
+      let dst = Spill.writable next ~pos:!j ~len:bl ~buf:alo in
+      Fri.fold_block ~x_inv:(Gf.pow w_inv (Int64.of_int !j)) ~w_inv ~lo ~hi ~dst r;
+      Spill.store next ~pos:!j dst;
       j := !j + bl
     done;
     layers := next :: !layers;
@@ -451,7 +378,9 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
       ~count:params.num_queries
   in
   let queries =
-    Array.map
+    (* One query opens a pair + Merkle path per layer, ~2µs per layer. *)
+    Pool.parallel_map ?pool
+      ~grain:(Pool.grain_of_ns (max 1 (Array.length layer_arr * 2_000)))
       (fun position ->
         let opened =
           Array.mapi
@@ -464,13 +393,6 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
         (position, opened))
       positions
   in
-  (* Release the opening's temporaries; layer 0 is the committed codeword
-     and stays alive until [free_committed]. *)
-  Spill.free !a;
-  Spill.free !e;
-  for i = 1 to l do
-    Spill.free layer_arr.(i)
-  done;
   ( value,
     {
       round_polys;
@@ -478,12 +400,6 @@ let open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
       final_constant;
       queries;
     } )
-
-let open_at ?engine params committed transcript point =
-  match committed.store with
-  | Dense { table; evals } -> open_at_dense ?engine params committed ~table ~evals transcript point
-  | Streamed { s_table; s_evals; budget } ->
-    open_at_streamed params committed ~s_table ~s_evals ~budget transcript point
 
 module E = Zk_pcs.Verify_error
 

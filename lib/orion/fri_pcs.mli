@@ -14,6 +14,14 @@
     the constant [f~(r)] and spot checks against the committed layers are
     all that is left to verify.
 
+    The prover keeps the table, the codeword and every fold layer as
+    {!Nocap_vec.Spill.t} vectors and walks them in blocks: with no engine
+    stream budget they wrap RAM and each layer is one block; under a
+    budget they are spill files read and written in budget-sized blocks.
+    Proof bytes are the same either way. [open_at] checks the ambient
+    cancel token at its block boundaries and frees every spill file it
+    made on any exit.
+
     Unlike Orion's zk configuration this backend draws no hiding masks
     (the [rng] passed to [commit] is unused): openings leak information
     about the polynomial beyond the evaluation, so it is a performance /

@@ -49,29 +49,19 @@ type commitment = {
   mat_cols : int;
 }
 
-(* Prover-side state is kept unboxed: each matrix is one row-major flat
-   vector, so row combinations and column openings stream over contiguous
-   (or fixed-stride) int64 instead of chasing a pointer per element.
-
-   The backing store depends on how the commitment was built. The dense
-   (in-memory) commit keeps the data matrix and the full encoded matrix
-   resident — openings are strided reads. The streamed commit (engine
-   budget set) keeps only the un-encoded rows (data then masks), in a
-   spill file: the encoded matrix — the blowup-times-larger object — is
-   never materialized, and openings re-encode every row block on demand,
-   gathering just the queried codeword positions. Either way the column
-   sponges and Merkle tree see identical bytes, so the commitment roots
-   and proofs agree bit for bit. *)
-type store =
-  | Dense of { matrix : Fv.t; encoded : Fv.t }
-  | Streamed of { all_rows : Spill.t; row_block : int }
-
+(* Prover-side state is kept unboxed: the un-encoded rows (data then
+   masks) are one row-major flat [Spill.t], RAM-backed with no budget and
+   file-backed under one. The encoded matrix — the blowup-times-larger
+   object — is never kept: the commit encodes and hashes it one row block
+   at a time, and openings re-encode every row block on demand, gathering
+   just the queried codeword positions. *)
 type committed = {
   c_params : params;
   c_commitment : commitment;
   masks : Fv.t; (* proximity_count x mat_cols mask rows (length 0 if not zk) *)
   enc_rows : int; (* data rows + mask rows *)
-  store : store;
+  all_rows : Spill.t; (* enc_rows x mat_cols, row-major *)
+  row_block : int; (* rows per encode block *)
   tree : Merkle.tree;
 }
 
@@ -86,124 +76,22 @@ let log2_exact n =
   let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
   go 0 n
 
-let layout params table =
-  let n = Array.length table in
-  let _ = log2_exact n in
-  let rows = min params.rows n in
-  let cols = n / rows in
-  (rows, cols)
-
-(* Rows per pipeline stage: two full sponge blocks, so every absorbed block
-   but the last lands on a permutation boundary. *)
+(* Rows per block are whole multiples of two full sponge blocks, so every
+   block boundary is a permutation boundary. *)
 let pipeline_block = 2 * Keccak.rate_lanes
 
-(* Streamed commit: encode row-block k while absorbing row-block k-1 into
-   the per-column sponges, so the Merkle leaf hashing overlaps the encoder
-   instead of waiting for the full codeword matrix. Stage k is one fused
-   pool job whose index space mixes encode rows and absorb columns: each
-   row is weighted [w] virtual units (its cost relative to one column
-   absorb) so the work-stealing grain sees a uniform cost per index. The
-   result is byte-identical to encode-everything-then-hash: rows still
-   stream into each column sponge in order, and the encoded matrix is still
-   fully materialized (column openings read it in prove_eval). *)
-let commit_dense ?engine params rng table =
-  (match validate_params params with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Orion.commit: " ^ param_error_to_string e));
-  let pool = Option.bind engine Zk_pcs.Engine.pool in
-  let module Code = (val params.code : Zk_ecc.Linear_code.S) in
-  let rows, cols = layout params table in
-  (* The row-major matrix of a flat table is the table itself. *)
-  let matrix = Fv.of_array table in
-  let mask_rows = if params.zk then params.proximity_count else 0 in
-  let masks = Fv.create (mask_rows * cols) in
-  (* Same draw order as the boxed path: mask rows in order, each row left to
-     right, one [Gf.random] per cell. *)
-  for i = 0 to (mask_rows * cols) - 1 do
-    Fv.unsafe_set masks i (Gf.random rng)
-  done;
-  let enc_rows = rows + mask_rows in
-  let all_rows = Fv.create (enc_rows * cols) in
-  Fv.blit ~src:matrix ~src_pos:0 ~dst:all_rows ~dst_pos:0 ~len:(rows * cols);
-  Fv.blit ~src:masks ~src_pos:0 ~dst:all_rows ~dst_pos:(rows * cols) ~len:(mask_rows * cols);
-  let code_len = Code.blowup * cols in
-  let encoded = Fv.create (enc_rows * code_len) in
-  let col_hash = Keccak.Col_hash.create code_len in
-  let leaves = Array.make code_len "" in
-  let row_ns = Code.row_encode_ns ~cols in
-  let encode_row r =
-    Code.encode_row_into
-      ~src:(Fv.sub_view all_rows ~pos:(r * cols) ~len:cols)
-      ~dst:(Fv.sub_view encoded ~pos:(r * code_len) ~len:code_len)
-  in
-  let nblocks = (enc_rows + pipeline_block - 1) / pipeline_block in
-  (* Stage k encodes block k (if any) and absorbs block k-1 (if any); the
-     stage after the last encode also finalizes the column sponges. *)
-  for k = 0 to nblocks do
-    let e_lo = k * pipeline_block in
-    let rn = max 0 (min ((k + 1) * pipeline_block) enc_rows - e_lo) in
-    let a_lo = (k - 1) * pipeline_block in
-    let a_hi = min (k * pipeline_block) enc_rows in
-    let last = k = nblocks in
-    if k = 0 then
-      Pool.run ?pool ~grain:(Pool.grain_of_ns row_ns) ~n:rn (fun lo hi ->
-          for r = lo to hi - 1 do
-            encode_row (e_lo + r)
-          done)
-    else begin
-      let col_ns =
-        max 1 (((a_hi - a_lo + Keccak.rate_lanes - 1) / Keccak.rate_lanes) * Keccak.block_ns ())
-      in
-      let absorb_cols c_lo c_hi =
-        Keccak.Col_hash.absorb col_hash encoded ~row_stride:code_len ~r_lo:a_lo ~r_hi:a_hi
-          ~c_lo ~c_hi;
-        if last then Keccak.Col_hash.finalize col_hash ~total_rows:enc_rows ~c_lo ~c_hi leaves
-      in
-      let grain = Pool.grain_of_ns col_ns in
-      if rn = 0 then Pool.run ?pool ~grain ~n:code_len (fun lo hi -> absorb_cols lo hi)
-      else begin
-        let w = max 1 (row_ns / col_ns) in
-        let encode_hi = rn * w in
-        Pool.run ?pool ~grain ~n:(encode_hi + code_len) (fun lo hi ->
-            (* Row r's marker is virtual index r * w; a chunk encodes the
-               rows whose markers it covers, so each row runs exactly once
-               and a chunk's true cost tracks its virtual length. *)
-            (if lo < encode_hi then begin
-               let h = min hi encode_hi in
-               for r = (lo + w - 1) / w to (h - 1) / w do
-                 encode_row (e_lo + r)
-               done
-             end);
-            if hi > encode_hi then absorb_cols (max 0 (lo - encode_hi)) (hi - encode_hi))
-      end
-    end
-  done;
-  let tree = Merkle.build leaves in
-  let commitment =
-    { root = Merkle.root tree; num_vars = log2_exact (Array.length table); mat_rows = rows; mat_cols = cols }
-  in
-  ( {
-      c_params = params;
-      c_commitment = commitment;
-      masks;
-      enc_rows;
-      store = Dense { matrix; encoded };
-      tree;
-    },
-    commitment )
-
-(* Streaming commit over a flat-element producer: [read ~pos dst] must fill
-   [dst] with elements [pos, pos + length dst) of the table (row-major
-   [rows * cols], like the flat table itself). Nothing bigger than a
-   budget-sized row block, the per-column sponge bank (200 bytes/column)
-   and the Merkle tree is ever resident; the un-encoded rows go to a spill
-   file for the opening phase. Mask rows are drawn from [rng] in exactly
-   the dense order, rows stream into each column sponge in the same order
+(* Commit over a flat-element producer: [read ~pos dst] must fill [dst]
+   with elements [pos, pos + length dst) of the table (row-major
+   [rows * cols], like the flat table itself). Nothing bigger than a row
+   block (all rows when there is no budget), the per-column sponge bank
+   (200 bytes/column) and the Merkle tree is ever resident; the un-encoded
+   rows are kept for the opening phase. Mask rows are drawn from [rng] in
+   a fixed order, rows stream into each column sponge in order
    (block-local absorb indices stay lane-aligned because blocks are
-   multiples of [pipeline_block] = 2 sponge blocks), and the Merkle
-   builder hashes the same leaf set — so the root and every subsequent
-   proof byte match {!commit_dense} on the same data. *)
-let commit_stream ?engine params rng ~num_vars ~read ~budget_bytes =
+   multiples of [pipeline_block]), and the Merkle builder hashes the same
+   leaf set for every block size — so the root and every subsequent proof
+   byte are the same for every budget. *)
+let commit_stream ?engine ?budget_bytes params rng ~num_vars ~read =
   (match validate_params params with
   | Ok () -> ()
   | Error e -> invalid_arg ("Orion.commit: " ^ param_error_to_string e));
@@ -216,52 +104,57 @@ let commit_stream ?engine params rng ~num_vars ~read ~budget_bytes =
   let code_len = Code.blowup * cols in
   let mask_rows = if params.zk then params.proximity_count else 0 in
   let masks = Fv.create (mask_rows * cols) in
+  (* Mask rows in order, each row left to right, one [Gf.random] per cell. *)
   for i = 0 to (mask_rows * cols) - 1 do
     Fv.unsafe_set masks i (Gf.random rng)
   done;
   let enc_rows = rows + mask_rows in
-  (* Row block sized so the un-encoded and encoded staging buffers together
-     fit ~half the budget, rounded to whole pipeline blocks so every block
-     boundary is a permutation boundary (keeps block-local absorb indices
-     congruent to absolute ones mod the sponge rate). *)
+  (* Under a budget, the row block is sized so the un-encoded and encoded
+     staging buffers together fit ~half of it, rounded to whole pipeline
+     blocks (keeps block-local absorb indices congruent to absolute ones
+     mod the sponge rate). With no budget it spans every row. *)
+  let all_blocks = ((enc_rows + pipeline_block - 1) / pipeline_block) * pipeline_block in
   let row_block =
-    let by_budget = budget_bytes / 2 / (8 * (cols + code_len)) in
-    let blocks = max 1 (by_budget / pipeline_block) in
-    min (blocks * pipeline_block) (((enc_rows + pipeline_block - 1) / pipeline_block) * pipeline_block)
+    match budget_bytes with
+    | None -> all_blocks
+    | Some b ->
+      let by_budget = b / 2 / (8 * (cols + code_len)) in
+      min (max 1 (by_budget / pipeline_block) * pipeline_block) all_blocks
   in
-  let all_rows = Spill.create ~tag:"orion-rows" ~spill:true (enc_rows * cols) in
+  let spill = Option.is_some budget_bytes in
+  let all_rows = Spill.create ~tag:"orion-rows" ~spill (enc_rows * cols) in
   (* Cancellation or an injected I/O fault mid-commit must not strand the
      staging spill until a major GC: free it on any non-success exit (the
      finalizer stays as backstop only). *)
   let staged_ok = ref false in
   Fun.protect ~finally:(fun () -> if not !staged_ok then Spill.free all_rows)
   @@ fun () ->
-  let src_buf = Fv.create (row_block * cols) in
-  (* Stage the data rows into the spill file... *)
+  let src_buf = Fv.create (if spill then row_block * cols else 0) in
+  (* Stage the data rows (straight into RAM-backed storage)... *)
   let pos = ref 0 in
   while !pos < rows * cols do
     Pool.Cancel.check ();
     let len = min (row_block * cols) ((rows * cols) - !pos) in
-    let v = Fv.sub_view src_buf ~pos:0 ~len in
+    let v = Spill.writable all_rows ~pos:!pos ~len ~buf:src_buf in
     read ~pos:!pos v;
-    Spill.write all_rows ~pos:!pos v;
+    Spill.store all_rows ~pos:!pos v;
     pos := !pos + len
   done;
-  (* ...then the mask rows after them, same layout as the dense path. *)
+  (* ...then the mask rows after them. *)
   if mask_rows > 0 then Spill.write all_rows ~pos:(rows * cols) masks;
   let col_hash = Keccak.Col_hash.create code_len in
-  let enc_buf = Fv.create (row_block * code_len) in
+  let enc_buf = Fv.create (min row_block enc_rows * code_len) in
   let row_ns = Code.row_encode_ns ~cols in
   let nblocks = (enc_rows + row_block - 1) / row_block in
   for k = 0 to nblocks - 1 do
     Pool.Cancel.check ();
     let r_lo = k * row_block in
     let bh = min row_block (enc_rows - r_lo) in
-    Spill.read all_rows ~pos:(r_lo * cols) (Fv.sub_view src_buf ~pos:0 ~len:(bh * cols));
+    let src = Spill.view all_rows ~pos:(r_lo * cols) ~len:(bh * cols) ~buf:src_buf in
     Pool.run ?pool ~grain:(Pool.grain_of_ns row_ns) ~n:bh (fun lo hi ->
         for r = lo to hi - 1 do
           Code.encode_row_into
-            ~src:(Fv.sub_view src_buf ~pos:(r * cols) ~len:cols)
+            ~src:(Fv.sub_view src ~pos:(r * cols) ~len:cols)
             ~dst:(Fv.sub_view enc_buf ~pos:(r * code_len) ~len:code_len)
         done);
     let col_ns =
@@ -287,29 +180,19 @@ let commit_stream ?engine params rng ~num_vars ~read ~budget_bytes =
     { root = Merkle.root tree; num_vars; mat_rows = rows; mat_cols = cols }
   in
   staged_ok := true;
-  ( {
-      c_params = params;
-      c_commitment = commitment;
-      masks;
-      enc_rows;
-      store = Streamed { all_rows; row_block };
-      tree;
-    },
+  ( { c_params = params; c_commitment = commitment; masks; enc_rows; all_rows; row_block; tree },
     commitment )
 
-(* The PCS entry point: the engine's stream budget selects the backing
-   store. Both stores yield byte-identical commitments and proofs. *)
+(* The PCS entry point: the engine's stream budget, if any, sizes the row
+   blocks and sends the rows to a spill file. *)
 let commit ?engine params rng table =
-  match Option.bind engine Zk_pcs.Engine.stream_budget_bytes with
-  | None -> commit_dense ?engine params rng table
-  | Some budget_bytes ->
-    commit_stream ?engine params rng
-      ~num_vars:(log2_exact (Array.length table))
-      ~read:(fun ~pos dst -> Fv.write_array table ~src_pos:pos dst ~dst_pos:0 ~len:(Fv.length dst))
-      ~budget_bytes
+  commit_stream ?engine
+    ?budget_bytes:(Option.bind engine Zk_pcs.Engine.stream_budget_bytes)
+    params rng
+    ~num_vars:(log2_exact (Array.length table))
+    ~read:(fun ~pos dst -> Fv.write_array table ~src_pos:pos dst ~dst_pos:0 ~len:(Fv.length dst))
 
-let free_committed c =
-  match c.store with Dense _ -> () | Streamed { all_rows; _ } -> Spill.free all_rows
+let free_committed c = Spill.free c.all_rows
 
 let absorb_commitment transcript (cm : commitment) =
   Transcript.absorb_digest transcript "orion/root" cm.root;
@@ -321,78 +204,71 @@ let split_point (cm : commitment) point =
   let log_rows = log2_exact cm.mat_rows in
   (Array.sub point 0 log_rows, Array.sub point log_rows (cm.num_vars - log_rows))
 
-(* combo coeffs^T M over a row-major flat matrix. Column chunks are
-   independent, and within a column the accumulation order over rows is the
-   serial one, so the combination is byte-identical for every domain count.
-   The accumulator is a flat vector too: the loop body is pure unboxed
-   int64, and only the final result is materialized as a boxed array for
-   the (public) proof record. *)
-let row_combination ?pool coeffs (mat : Fv.t) cols =
-  let nrows = Array.length coeffs in
-  let out = Fv.create cols in
-  Fv.zero out;
-  (* One output column costs [nrows] unboxed mul+adds, ~12ns each. *)
-  Pool.run ?pool ~grain:(Pool.grain_of_ns (max 1 (nrows * 12))) ~n:cols (fun lo hi ->
-      for r = 0 to nrows - 1 do
-        let coeff = Array.unsafe_get coeffs r in
-        let base = r * cols in
-        for j = lo to hi - 1 do
-          Fv.unsafe_set out j
-            (Gf.add (Fv.unsafe_get out j) (Gf.mul coeff (Fv.unsafe_get mat (base + j))))
-        done
-      done);
-  Fv.to_array out
-
 let code_length params (cm : commitment) =
   let module Code = (val params.code : Zk_ecc.Linear_code.S) in
   Code.blowup * cm.mat_cols
 
-(* coeffs^T over the DATA rows of a streamed store: row blocks are read
-   back from the spill file and accumulated with axpy. Field arithmetic is
-   exact, so the blocked accumulation equals the dense one bit for bit. *)
-let row_combination_streamed coeffs all_rows ~row_block ~cols =
+(* coeffs^T over the DATA rows, one row block at a time, as an axpy per
+   row over each column chunk. Column chunks are independent, and within a
+   column the accumulation order over rows is the serial one, so the
+   combination is byte-identical for every domain count and block size.
+   The accumulator is a flat vector; only the final result is
+   materialized as a boxed array for the (public) proof record. *)
+(* Staging for one row block read back from a spill file; RAM-backed rows
+   are read in place. *)
+let row_staging committed =
+  let spilled = Spill.is_spilled committed.all_rows in
+  Fv.create (if spilled then committed.row_block * committed.c_commitment.mat_cols else 0)
+
+let row_combination ?pool committed coeffs =
+  let cols = committed.c_commitment.mat_cols in
   let nrows = Array.length coeffs in
   let out = Fv.create cols in
   Fv.zero out;
-  let buf = Fv.create (row_block * cols) in
+  let buf = row_staging committed in
   let r = ref 0 in
   while !r < nrows do
-    let bh = min row_block (nrows - !r) in
-    Spill.read all_rows ~pos:(!r * cols) (Fv.sub_view buf ~pos:0 ~len:(bh * cols));
-    for i = 0 to bh - 1 do
-      Fv.axpy_into ~dst:out coeffs.(!r + i) (Fv.sub_view buf ~pos:(i * cols) ~len:cols)
-    done;
-    r := !r + bh
+    Pool.Cancel.check ();
+    let r0 = !r in
+    let bh = min committed.row_block (nrows - r0) in
+    let mat = Spill.view committed.all_rows ~pos:(r0 * cols) ~len:(bh * cols) ~buf in
+    (* One output column costs [bh] axpy steps, a few ns each. *)
+    Pool.run ?pool ~grain:(Pool.grain_of_ns (max 1 (bh * 4))) ~n:cols (fun lo hi ->
+        let dst = Fv.sub_view out ~pos:lo ~len:(hi - lo) in
+        for i = 0 to bh - 1 do
+          Fv.axpy_into ~dst coeffs.(r0 + i)
+            (Fv.sub_view mat ~pos:((i * cols) + lo) ~len:(hi - lo))
+        done);
+    r := r0 + bh
   done;
   Fv.to_array out
 
-let row_combination_store ?pool committed coeffs ~cols =
-  match committed.store with
-  | Dense { matrix; _ } -> row_combination ?pool coeffs matrix cols
-  | Streamed { all_rows; row_block } ->
-    row_combination_streamed coeffs all_rows ~row_block ~cols
-
-(* Column openings from a streamed store: one more streaming re-encode
-   pass over the spilled rows, gathering only the queried codeword
-   positions — the whole point of never materializing the encoded matrix.
-   The encoder is deterministic, so gathered values equal the dense
-   store's strided reads. *)
-let gather_columns_streamed ?pool committed ~all_rows ~row_block ~cols ~code_len indices =
+(* Column openings: one more re-encode pass over the stored rows,
+   gathering only the queried codeword positions — the encoded matrix is
+   never materialized. The encoder is deterministic, so the gathered
+   values are the committed codeword's. *)
+let gather_columns ?pool committed indices =
   let module Code = (val committed.c_params.code : Zk_ecc.Linear_code.S) in
+  let cols = committed.c_commitment.mat_cols in
+  let code_len = Code.blowup * cols in
+  let row_block = committed.row_block in
   let nq = Array.length indices in
   let enc_rows = committed.enc_rows in
   let col_vals = Array.init nq (fun _ -> Array.make enc_rows Gf.zero) in
-  let src_buf = Fv.create (row_block * cols) in
-  let enc_buf = Fv.create (row_block * code_len) in
+  let src_buf = row_staging committed in
+  let enc_buf = Fv.create (min row_block enc_rows * code_len) in
   let row_ns = Code.row_encode_ns ~cols in
   let r_lo = ref 0 in
   while !r_lo < enc_rows do
+    Pool.Cancel.check ();
     let bh = min row_block (enc_rows - !r_lo) in
-    Spill.read all_rows ~pos:(!r_lo * cols) (Fv.sub_view src_buf ~pos:0 ~len:(bh * cols));
+    let src =
+      Spill.view committed.all_rows ~pos:(!r_lo * cols) ~len:(bh * cols) ~buf:src_buf
+    in
     Pool.run ?pool ~grain:(Pool.grain_of_ns row_ns) ~n:bh (fun lo hi ->
         for r = lo to hi - 1 do
           Code.encode_row_into
-            ~src:(Fv.sub_view src_buf ~pos:(r * cols) ~len:cols)
+            ~src:(Fv.sub_view src ~pos:(r * cols) ~len:cols)
             ~dst:(Fv.sub_view enc_buf ~pos:(r * code_len) ~len:code_len)
         done);
     for q = 0 to nq - 1 do
@@ -418,7 +294,7 @@ let prove_eval ?engine params committed transcript point =
   let proximity =
     Array.init params.proximity_count (fun i ->
         let rho = Transcript.challenge_gf_vec transcript "orion/rho" cm.mat_rows in
-        let v = row_combination_store ?pool committed rho ~cols in
+        let v = row_combination ?pool committed rho in
         let v =
           if params.zk then
             Array.mapi (fun j x -> Gf.add x (Fv.get committed.masks ((i * cols) + j))) v
@@ -430,33 +306,14 @@ let prove_eval ?engine params committed transcript point =
   (* Consistency: the eq(q_row) combination, whose inner product with
      eq(q_col) is the evaluation. *)
   let eq_row = Mle.eq_table q_row in
-  let u = row_combination_store ?pool committed eq_row ~cols in
+  let u = row_combination ?pool committed eq_row in
   Transcript.absorb_gf transcript "orion/u" u;
   (* Column queries over the codeword domain. *)
   let bound = code_length params cm in
   let indices =
     Transcript.challenge_indices transcript "orion/columns" ~bound ~count:Code.query_count
   in
-  let columns =
-    match committed.store with
-    | Dense { encoded; _ } ->
-      (* Proximity-test column openings: each query reads the (immutable)
-         encoded matrix and tree independently; a column is a
-         stride-[bound] walk of the flat encoding. One opening gathers
-         [enc_rows] strided elements and walks a Merkle path (~1µs of
-         hashing-free pointer work). *)
-      Pool.parallel_map ?pool
-        ~grain:(Pool.grain_of_ns (max 1 ((committed.enc_rows * 10) + 1_000)))
-        (fun j ->
-          let col =
-            Array.init committed.enc_rows (fun r -> Fv.get encoded ((r * bound) + j))
-          in
-          (j, col, Merkle.path committed.tree j))
-        indices
-    | Streamed { all_rows; row_block } ->
-      gather_columns_streamed ?pool committed ~all_rows ~row_block ~cols
-        ~code_len:bound indices
-  in
+  let columns = gather_columns ?pool committed indices in
   let eq_col = Mle.eq_table q_col in
   let value = ref Gf.zero in
   for j = 0 to cols - 1 do

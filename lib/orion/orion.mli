@@ -54,8 +54,9 @@ type commitment = {
 }
 
 type committed
-(** Prover-side state: the coefficient matrix, its encoding, mask rows, and
-    the Merkle tree. *)
+(** Prover-side state: the un-encoded coefficient rows and mask rows (in
+    RAM, or in a spill file under a stream budget) and the Merkle tree.
+    The encoded matrix is not kept; openings re-encode the rows. *)
 
 type eval_proof = {
   u : Gf.t array; (** eq(q_row)^T W, length mat_cols *)
@@ -67,33 +68,36 @@ type eval_proof = {
 val commit :
   ?engine:Zk_pcs.Engine.t -> params -> Zk_util.Rng.t -> Gf.t array -> committed * commitment
 (** [commit params rng table] commits to the multilinear polynomial whose
-    evaluation table is [table] (power-of-two length). [rng] draws the zk
-    mask rows (unused when [params.zk] is false); the draw order is fixed,
-    so the commitment does not depend on the engine. When the engine
-    carries a stream budget ({!Zk_pcs.Engine.stream_budget_bytes}), the
-    commit runs out-of-core: the encoded matrix is never materialized and
-    the un-encoded rows spill to a temp file — commitment and all
-    subsequent proof bytes are identical either way.
+    evaluation table is [table] (power-of-two length): {!commit_stream}
+    over the table, with the engine's stream budget
+    ({!Zk_pcs.Engine.stream_budget_bytes}). [rng] draws the zk mask rows
+    (unused when [params.zk] is false); the draw order is fixed, so the
+    commitment does not depend on the engine, and the commitment and all
+    subsequent proof bytes are the same for every budget.
     @raise Invalid_argument if {!validate_params} rejects [params]. *)
 
 val commit_stream :
   ?engine:Zk_pcs.Engine.t ->
+  ?budget_bytes:int ->
   params ->
   Zk_util.Rng.t ->
   num_vars:int ->
   read:(pos:int -> Nocap_vec.Fv.t -> unit) ->
-  budget_bytes:int ->
   committed * commitment
-(** The streaming commit over a flat-element producer: [read ~pos dst]
-    fills [dst] with elements [pos, pos + length dst) of the (row-major)
-    table, so callers can commit to data that never exists in RAM at once
-    (chunked witness generation, generators). Peak residency is one
-    budget-sized row block plus the column-sponge bank and the Merkle
-    tree. Byte-identical to {!commit} on the same table. *)
+(** The commit over a flat-element producer: [read ~pos dst] fills [dst]
+    with elements [pos, pos + length dst) of the (row-major) table, so
+    callers can commit to data that never exists in RAM at once (chunked
+    witness generation, generators). Rows are encoded and column-hashed
+    one row block at a time and the encoded matrix is never kept. With no
+    [budget_bytes] the block spans every row and the rows stay in RAM;
+    under a budget, blocks are budget-sized and the rows spill to a temp
+    file, so peak residency is one row block plus the column-sponge bank
+    and the Merkle tree. Byte-identical for every budget. *)
 
 val free_committed : committed -> unit
-(** Release the spill file behind a streamed commitment (no-op for dense).
-    Idempotent; also run by a GC finalizer as a backstop. *)
+(** Release the spill file behind a commitment made under a budget (no-op
+    for RAM-backed rows). Idempotent; also run by a GC finalizer as a
+    backstop. *)
 
 val prove_eval :
   ?engine:Zk_pcs.Engine.t ->
@@ -104,9 +108,12 @@ val prove_eval :
   Gf.t * eval_proof
 (** [prove_eval params cm transcript point] opens the polynomial at [point]
     (length [num_vars]), returning the value and the proof. The commitment
-    must have been absorbed by the caller via {!absorb_commitment}. The
-    engine supplies the worker pool for row combinations and column
-    openings (proof bytes are identical for every pool). *)
+    must have been absorbed by the caller via {!absorb_commitment}. Row
+    combinations read the stored rows block by block; column openings
+    re-encode every row block and gather the queried positions. The
+    engine supplies the worker pool (proof bytes are identical for every
+    pool). Checks the ambient cancel token once per row block.
+    @raise Nocap_parallel.Pool.Cancel.Cancelled if it is cancelled. *)
 
 val max_num_vars : int
 (** Largest [num_vars] a wire commitment may claim (32; paper scale tops out

@@ -37,8 +37,8 @@ module Config : sig
       immediately), [NOCAP_NATIVE] (kernel layer mode, see
       {!Nocap_native.Native.parse_mode}: [0|off], [scalar],
       [1|on|auto|simd]) and [NOCAP_STREAM_BUDGET_MB] (prover memory
-      budget in MiB; setting it switches provers to the streaming
-      out-of-core path). A key that is set but malformed is an [Error] —
+      budget in MiB; setting it makes the prover's blocks budget-sized
+      and spills them to temp files, see {!stream_budget_bytes}). A key that is set but malformed is an [Error] —
       rejected loudly, never silently defaulted. All knobs are validated
       even after one fails: the [Error] aggregates every malformed
       variable (["; "]-separated, in knob order), so a service operator
@@ -74,7 +74,8 @@ val create :
     default pool, per-call RNG seeds, no trace sink).
     [stream_budget_bytes] is the byte-granular form of the
     [NOCAP_STREAM_BUDGET_MB] knob (it wins over the config when both are
-    set) so tests can force spills on tiny circuits.
+    set) so tests can force spills on tiny circuits. It sizes the one
+    prover path's blocks; it never selects a different prover.
     @raise Invalid_argument if [stream_budget_bytes <= 0]. *)
 
 val default : unit -> t
@@ -101,8 +102,10 @@ val config : t -> Config.t
 val stream_budget_bytes : t -> int option
 (** The effective prover memory budget: the explicit [create] argument if
     any, else [config.stream_budget_mb] scaled to bytes, else [None].
-    [Some _] selects the streaming out-of-core prover paths; [None] means
-    everything stays in RAM (the historical behavior). *)
+    There is one prover path, which works in blocks over [Spill.t]
+    vectors: [None] runs it as one RAM-backed block per phase; [Some b]
+    makes the blocks [b]-sized and backs the large vectors with spill
+    files. Proof bytes are the same either way. *)
 
 val rng : seed:int64 -> ?rng:Zk_util.Rng.t -> t -> Zk_util.Rng.t
 (** RNG precedence for an entry point: explicit argument, else the

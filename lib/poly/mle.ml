@@ -74,8 +74,12 @@ let eq_table_range point ~lo ~len =
     prefix := Gf.mul !prefix f
   done;
   let suffix = eq_table (Array.sub point k (l - k)) in
-  let p = !prefix in
-  Array.map (fun s -> Gf.mul p s) suffix
+  (* k = 0 is the whole table: its prefix is the empty product. *)
+  if k > 0 then begin
+    let p = !prefix in
+    Array.iteri (fun i s -> suffix.(i) <- Gf.mul p s) suffix
+  end;
+  suffix
 
 let eq_point r s =
   let l = Array.length r in

@@ -1,7 +1,8 @@
 (* Long-running proving-service runtime over Engine.t: bounded job queue,
    runner domains, a watchdog enforcing deadlines and backoff, retry with
-   exponential backoff + deterministic jitter, demotion to the streaming
-   prover under a memory budget, and graceful drain. DESIGN.md Sec. 15.
+   exponential backoff + deterministic jitter, demotion of large jobs to a
+   stream budget under a memory budget, and graceful drain. DESIGN.md
+   Sec. 15.
 
    Concurrency model: every piece of scheduler state lives under one mutex
    [lock] with two conditions — [work] (runners sleep here for ready jobs)
@@ -126,7 +127,7 @@ type job = {
   mutable not_before : float; (* backoff gate *)
   mutable token : Pool.Cancel.token option; (* set while Running *)
   mutable user_cancelled : bool;
-  mutable streamed : bool; (* demoted to the streaming prover *)
+  mutable streamed : bool; (* demoted: proves under the stream budget *)
   mutable outcome : outcome option;
 }
 
@@ -149,7 +150,7 @@ type fault_hook = stage:string -> job_id:int -> attempt:int -> unit
 type t = {
   cfg : config;
   engine : Engine.t;
-  stream_engine : Engine.t option; (* demotion target, if a budget is set *)
+  stream_engine : Engine.t option; (* engine with the demotion stream budget *)
   fault_hook : fault_hook option;
   lock : Mutex.t;
   work : Condition.t;
@@ -303,9 +304,11 @@ let run_attempt t job =
       | Some d -> d
       | None -> assert false (* only Finished jobs drop their circuit *)
     in
-    (* Demotion decision: a job whose in-memory working set would blow the
-       configured budget runs on the streaming engine instead of dying.
-       The estimate is the prover's resident factor (~6 full-length tables
+    (* Demotion decision: demotion picks a budget, not a prover. A job
+       whose working set with no budget (one RAM block per phase) would
+       blow the configured memory budget runs under the stream engine's
+       budget instead, with budget-sized blocks in spill files. The
+       estimate is the prover's resident factor (~6 full-length tables
        of 8 bytes/element) over the instance size. *)
     (match t.cfg.mem_budget_bytes with
     | Some budget when (not job.streamed) && 48 * R1cs.size inst > budget ->

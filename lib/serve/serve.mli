@@ -7,8 +7,9 @@
     exponential backoff + deterministic jitter for transient faults
     (classified by {!Job_error}), crash isolation (an exception in one
     job fails only that job — the pool and its sibling jobs are
-    untouched), demotion to the PR 9 streaming prover under a memory
-    budget, and graceful drain on SIGTERM/SIGINT.
+    untouched), demotion of large jobs to a stream budget (the same
+    prover with spill-file blocks) under a memory budget, and graceful
+    drain on SIGTERM/SIGINT.
 
     {b Determinism.} Job execution is a pure function of the request:
     circuit generation derives from (workload, scale), and the prover's
@@ -50,8 +51,9 @@ type config = {
   backoff_max_s : float;  (** backoff cap *)
   default_deadline_s : float option;  (** applied when a request has none *)
   mem_budget_bytes : int option;
-      (** jobs whose in-memory working-set estimate exceeds this are
-          demoted to the streaming prover instead of running hot *)
+      (** jobs whose no-budget working-set estimate exceeds this are
+          demoted to a stream budget (spill-file blocks) instead of
+          running hot *)
   params : Zk_spartan.Spartan.params;  (** SNARK parameters for all jobs *)
   seed : int64;  (** jitter seed; never affects proof bytes *)
   tick_s : float;  (** watchdog period (deadline/backoff granularity) *)
@@ -70,7 +72,7 @@ type stats = {
   retries : int;  (** attempts re-queued after a transient fault *)
   timeouts : int;  (** jobs that failed with [Deadline_exceeded] *)
   cancelled : int;  (** jobs that failed with [Cancelled] *)
-  demoted : int;  (** jobs demoted to the streaming prover *)
+  demoted : int;  (** jobs demoted to a stream budget *)
   crashes : int;  (** worker exceptions captured (including retried ones) *)
   io_failures : int;  (** I/O faults captured (including retried ones) *)
 }

@@ -159,112 +159,37 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
     Transcript.absorb_gf t "io" io;
     t
 
-  let prove_in_memory ~engine ~rng params inst asn =
-    if not (R1cs.satisfied inst asn) then
-      invalid_arg "Spartan.prove: assignment does not satisfy the instance";
-    let io = R1cs.public_io inst asn in
-    let transcript = start_transcript params inst io in
-    let l = inst.R1cs.log_size in
-    (* Commit to the witness half. *)
-    let committed, w_commitment = P.commit ~engine params.pcs rng asn.R1cs.w in
-    (* Cancellation or a worker crash mid-proof must still release the PCS
-       working set (spill files); free_committed is idempotent, so this
-       backstop composes with the deterministic free on the normal path. *)
-    Fun.protect ~finally:(fun () -> P.free_committed committed) @@ fun () ->
-    P.absorb_commitment transcript w_commitment;
-    let zv = R1cs.z inst asn in
-    let az = Sparse.spmv inst.R1cs.a zv in
-    let bz = Sparse.spmv inst.R1cs.b zv in
-    let cz = Sparse.spmv inst.R1cs.c zv in
-    let spmv_mults = ref (R1cs.nnz inst) in
-    let sc_mults = ref 0 and sc_adds = ref 0 in
-    let reps =
-      Array.init params.repetitions (fun _ ->
-          (* --- Sumcheck #1 --- *)
-          let tau = Transcript.challenge_gf_vec transcript "tau" l in
-          let eq_tau = Mle.eq_table tau in
-          let r1 =
-            Sumcheck.prove ~engine ~comb_mults:2 transcript ~degree:3
-              ~tables:[| eq_tau; az; bz; cz |]
-              ~comb:comb1 ~claim:Gf.zero
-          in
-          sc_mults := !sc_mults + r1.Sumcheck.stats.Sumcheck.mults;
-          sc_adds := !sc_adds + r1.Sumcheck.stats.Sumcheck.adds;
-          let rx = r1.Sumcheck.challenges in
-          let va = r1.Sumcheck.final_values.(1) in
-          let vb = r1.Sumcheck.final_values.(2) in
-          let vc = r1.Sumcheck.final_values.(3) in
-          Transcript.absorb_gf transcript "claims-abc" [| va; vb; vc |];
-          (* --- Sumcheck #2 --- *)
-          let r_abc = Transcript.challenge_gf_vec transcript "r-abc" 3 in
-          let claim2 =
-            Gf.add
-              (Gf.mul r_abc.(0) va)
-              (Gf.add (Gf.mul r_abc.(1) vb) (Gf.mul r_abc.(2) vc))
-          in
-          let eq_rx = Mle.eq_table rx in
-          let m_table =
-            let ta = Sparse.spmv_transpose inst.R1cs.a eq_rx in
-            let tb = Sparse.spmv_transpose inst.R1cs.b eq_rx in
-            let tc = Sparse.spmv_transpose inst.R1cs.c eq_rx in
-            spmv_mults := !spmv_mults + R1cs.nnz inst;
-            Array.init (R1cs.size inst) (fun y ->
-                Gf.add
-                  (Gf.mul r_abc.(0) ta.(y))
-                  (Gf.add (Gf.mul r_abc.(1) tb.(y)) (Gf.mul r_abc.(2) tc.(y))))
-          in
-          let r2 =
-            Sumcheck.prove ~engine ~comb_mults:1 transcript ~degree:2
-              ~tables:[| m_table; zv |] ~comb:comb2 ~claim:claim2
-          in
-          sc_mults := !sc_mults + r2.Sumcheck.stats.Sumcheck.mults;
-          sc_adds := !sc_adds + r2.Sumcheck.stats.Sumcheck.adds;
-          let ry = r2.Sumcheck.challenges in
-          (* Open w~ at ry minus the top variable. *)
-          let ry_rest = Array.sub ry 1 (l - 1) in
-          let vw, w_open = P.open_at ~engine params.pcs committed transcript ry_rest in
-          Transcript.absorb_gf transcript "vw" [| vw |];
-          { sc1 = r1.Sumcheck.proof; va; vb; vc; sc2 = r2.Sumcheck.proof; vw; w_open })
-    in
-    P.free_committed committed;
-    let stats =
-      {
-        sumcheck_mults = !sc_mults;
-        sumcheck_adds = !sc_adds;
-        spmv_mults = !spmv_mults;
-        transcript_hashes = Transcript.hash_count transcript;
-      }
-    in
-    Engine.emit engine "spartan/sumcheck_mults" (float_of_int stats.sumcheck_mults);
-    Engine.emit engine "spartan/spmv_mults" (float_of_int stats.spmv_mults);
-    Engine.emit engine "spartan/transcript_hashes"
-      (float_of_int stats.transcript_hashes);
-    Engine.finish_entry engine;
-    ({ w_commitment; reps }, stats)
-
-  (* The bounded-memory prover: same transcript traffic, same RNG draws,
-     same arithmetic — so the proof bytes are identical to
-     {!prove_in_memory} — but every full-length intermediate (Az/Bz/Cz,
-     the eq tables, the M~ table, the sumcheck generations, the PCS
-     working set) lives in spill files touched one block at a time. The
+  (* One dataflow for every budget: every full-length intermediate
+     (Az/Bz/Cz, the eq tables, the M~ table, the sumcheck generations, the
+     PCS working set) is a [Spill.t] filled one row/column block at a time.
+     With no budget there is one block spanning the whole vector and every
+     vector is RAM-backed; under a budget, blocks are budget-sized and the
+     vectors live in spill files. Transcript traffic, RNG draws and
+     arithmetic are the same either way, so the proof bytes are too. The
      only full-length residents are the caller-owned assignment and the
      flat 8-byte/element wire vector z. *)
-  let prove_streaming ~engine ~rng ~budget params inst asn =
-    let io = R1cs.public_io inst asn in
+  let prove ?engine ?rng params inst asn =
+    let engine = Engine.resolve engine in
+    let rng = Engine.rng ~seed:0x5EED_CAFEL ?rng engine in
+    let budget = Engine.stream_budget_bytes engine in
+    let spill = Option.is_some budget in
     let l = inst.R1cs.log_size in
     let n = R1cs.size inst in
-    let block = max 1024 (budget / (8 * 8)) in
+    let block = match budget with None -> n | Some b -> max 1024 (b / (8 * 8)) in
     (* z as a flat vector (validates the assignment shape like R1cs.z). *)
     let zfv = Fv.create n in
     R1cs.iter_z_blocks inst asn ~block (fun ~pos slice ->
         Fv.write_array slice ~src_pos:0 zfv ~dst_pos:pos ~len:(Array.length slice));
-    let zf j = Fv.get zfv j in
+    (* SpMV reads z out of the assignment's own boxed halves (no
+       per-entry boxing of an [Fv] read). *)
+    let half = n / 2 in
+    let zf j = if j < half then asn.R1cs.w.(j) else asn.R1cs.io.(j - half) in
     (* Row-blocked Az/Bz/Cz: each block is checked for satisfiability and
-       spilled; the three dense vectors never coexist in RAM. Raises before
-       any commitment work, like the in-memory path. *)
-    let az = Spill.create ~tag:"spartan-az" ~spill:true n in
-    let bz = Spill.create ~tag:"spartan-bz" ~spill:true n in
-    let cz = Spill.create ~tag:"spartan-cz" ~spill:true n in
+       stored; under a budget the three dense vectors never coexist in
+       RAM. Raises before any commitment work. *)
+    let az = Spill.create ~tag:"spartan-az" ~spill n in
+    let bz = Spill.create ~tag:"spartan-bz" ~spill n in
+    let cz = Spill.create ~tag:"spartan-cz" ~spill n in
     (* Every exit — success, unsatisfiable assignment, cancellation, an
        injected I/O fault — releases the spilled vectors deterministically;
        Spill.free is idempotent so this composes with the normal-path
@@ -286,25 +211,25 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
         if not (Gf.equal (Gf.mul ab.(i) bb.(i)) cb.(i)) then
           invalid_arg "Spartan.prove: assignment does not satisfy the instance"
       done;
-      Spill.write az ~pos:!r (Fv.of_array ab);
-      Spill.write bz ~pos:!r (Fv.of_array bb);
-      Spill.write cz ~pos:!r (Fv.of_array cb);
+      Spill.write_array az ~pos:!r ab;
+      Spill.write_array bz ~pos:!r bb;
+      Spill.write_array cz ~pos:!r cb;
       r := hi
     done;
-    let transcript = start_transcript params inst io in
-    (* Commit to the witness half; the engine budget routes the backend to
-       its own out-of-core commit. *)
+    let transcript = start_transcript params inst (R1cs.public_io inst asn) in
+    (* Commit to the witness half; the engine budget sizes the backend's
+       blocks the same way. *)
     let committed, w_commitment = P.commit ~engine params.pcs rng asn.R1cs.w in
     Fun.protect ~finally:(fun () -> P.free_committed committed) @@ fun () ->
     P.absorb_commitment transcript w_commitment;
     let spmv_mults = ref (R1cs.nnz inst) in
     let sc_mults = ref 0 and sc_adds = ref 0 in
     let z_spill = Spill.of_fv zfv in
-    (* Spilled eq table, generated block-by-block via the aligned-range
+    (* Eq table generated block-by-block via the aligned-range
        factorization (bit-identical to Mle.eq_table). *)
     let spill_eq tag point =
       let len = 1 lsl Array.length point in
-      let s = Spill.create ~tag ~spill:true len in
+      let s = Spill.create ~tag ~spill len in
       let eb =
         let b = min block len in
         let p = ref 1 in
@@ -317,8 +242,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
       (try
          while !pos < len do
            Pool.Cancel.check ();
-           Spill.write s ~pos:!pos
-             (Fv.of_array (Mle.eq_table_range point ~lo:!pos ~len:eb));
+           Spill.write_array s ~pos:!pos (Mle.eq_table_range point ~lo:!pos ~len:eb);
            pos := !pos + eb
          done
        with e ->
@@ -333,8 +257,8 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           let eq_tau = spill_eq "spartan-eqtau" tau in
           let r1 =
             Fun.protect ~finally:(fun () -> Spill.free eq_tau) @@ fun () ->
-            Sumcheck.prove_streaming ~engine ~comb_mults:2 ~budget_bytes:budget
-              transcript ~degree:3
+            Sumcheck.prove_streaming ~engine ~comb_mults:2 ?budget_bytes:budget transcript
+              ~degree:3
               ~tables:[| eq_tau; az; bz; cz |]
               ~comb:comb1 ~claim:Gf.zero
           in
@@ -356,7 +280,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           (* Column-blocked M~ table: the transpose SpMV scans the matrices
              once per window (window-sized accumulator), reading eq_rx
              through a sliding spill window. *)
-          let m_table = Spill.create ~tag:"spartan-m" ~spill:true n in
+          let m_table = Spill.create ~tag:"spartan-m" ~spill n in
           let r2 =
             Fun.protect
               ~finally:(fun () ->
@@ -372,13 +296,13 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
               let ta = Sparse.spmv_transpose_range inst.R1cs.a ~y ~c_lo:!c ~c_hi:hi in
               let tb = Sparse.spmv_transpose_range inst.R1cs.b ~y ~c_lo:!c ~c_hi:hi in
               let tc = Sparse.spmv_transpose_range inst.R1cs.c ~y ~c_lo:!c ~c_hi:hi in
-              let blk =
-                Array.init (hi - !c) (fun i ->
-                    Gf.add
-                      (Gf.mul r_abc.(0) ta.(i))
-                      (Gf.add (Gf.mul r_abc.(1) tb.(i)) (Gf.mul r_abc.(2) tc.(i))))
-              in
-              Spill.write m_table ~pos:!c (Fv.of_array blk);
+              for i = 0 to hi - !c - 1 do
+                ta.(i) <-
+                  Gf.add
+                    (Gf.mul r_abc.(0) ta.(i))
+                    (Gf.add (Gf.mul r_abc.(1) tb.(i)) (Gf.mul r_abc.(2) tc.(i)))
+              done;
+              Spill.write_array m_table ~pos:!c ta;
               c := hi
             done;
             spmv_mults := !spmv_mults + R1cs.nnz inst;
@@ -386,14 +310,15 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
                sumcheck so the two never coexist (the finally re-free is an
                idempotent no-op). *)
             Spill.free eq_rx;
-            Sumcheck.prove_streaming ~engine ~comb_mults:1 ~budget_bytes:budget
-              transcript ~degree:2
+            Sumcheck.prove_streaming ~engine ~comb_mults:1 ?budget_bytes:budget transcript
+              ~degree:2
               ~tables:[| m_table; z_spill |]
               ~comb:comb2 ~claim:claim2
           in
           sc_mults := !sc_mults + r2.Sumcheck.stats.Sumcheck.mults;
           sc_adds := !sc_adds + r2.Sumcheck.stats.Sumcheck.adds;
           let ry = r2.Sumcheck.challenges in
+          (* Open w~ at ry minus the top variable. *)
           let ry_rest = Array.sub ry 1 (l - 1) in
           let vw, w_open = P.open_at ~engine params.pcs committed transcript ry_rest in
           Transcript.absorb_gf transcript "vw" [| vw |];
@@ -417,13 +342,6 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
       (float_of_int stats.transcript_hashes);
     Engine.finish_entry engine;
     ({ w_commitment; reps }, stats)
-
-  let prove ?engine ?rng params inst asn =
-    let engine = Engine.resolve engine in
-    let rng = Engine.rng ~seed:0x5EED_CAFEL ?rng engine in
-    match Engine.stream_budget_bytes engine with
-    | None -> prove_in_memory ~engine ~rng params inst asn
-    | Some budget -> prove_streaming ~engine ~rng ~budget params inst asn
 
   let verify ?engine params inst ~io proof =
     let engine = Engine.resolve engine in

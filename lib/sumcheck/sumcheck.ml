@@ -113,10 +113,10 @@ let prove_arrays ?engine ?(comb_mults = 0) transcript ~degree ~tables ~comb ~cla
     stats = { rounds = num_vars; mults = !mults; adds = !adds };
   }
 
-(* The in-memory round loop over unboxed tables, shared between {!prove}
-   (round0 = 0) and the tail of {!prove_streaming} (round0 = the round at
-   which the shrinking tables first fit the budget). Runs rounds
-   [round0, num_vars), reading tables of current length [len0] in place. *)
+(* The round loop over unboxed in-RAM tables: every round of an unbudgeted
+   proof, and the tail of a budgeted one from [round0] (the round at which
+   the shrinking tables first fit the budget). Runs rounds
+   [round0, num_vars), folding tables of current length [len0] in place. *)
 let run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~num_vars ~round0
     ~len0 ~mults ~adds ~round_polys ~challenges () =
   let k = Array.length tabs in
@@ -179,49 +179,15 @@ let run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~num_vars ~roun
     len := half
   done
 
-(* Production prover: one copy of each table into an unboxed flat vector,
-   then every round reads/writes flat int64. The round-polynomial chunking,
-   combine order, and field arithmetic are identical to {!prove_arrays}, so
-   the transcript — and therefore the proof bytes and challenges — are
-   byte-identical. The fold loop
-   [T(b) <- T(b) + r * (T(b + half) - T(b))] runs without heap allocation;
-   the evaluation loop still stages [vals]/[deltas] in k-element boxed
-   arrays because [comb] consumes a [Gf.t array]. *)
-let prove ?engine ?(comb_mults = 0) transcript ~degree ~tables ~comb ~claim =
-  let pool = Option.bind engine Zk_pcs.Engine.pool in
-  let k = Array.length tables in
-  if k = 0 then invalid_arg "Sumcheck.prove: no tables";
-  let n = Array.length tables.(0) in
-  let num_vars = log2_exact n in
-  Array.iter
-    (fun t -> if Array.length t <> n then invalid_arg "Sumcheck.prove: table size mismatch")
-    tables;
-  Transcript.absorb_int transcript "sumcheck/num_vars" num_vars;
-  Transcript.absorb_int transcript "sumcheck/degree" degree;
-  Transcript.absorb_gf transcript "sumcheck/claim" [| claim |];
-  let tabs = Array.map Fv.of_array tables in
-  let mults = ref 0 and adds = ref 0 in
-  let round_polys = Array.make num_vars [||] in
-  let challenges = Array.make num_vars Gf.zero in
-  run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~num_vars ~round0:0
-    ~len0:n ~mults ~adds ~round_polys ~challenges ();
-  let final_values = Array.map (fun t -> Fv.get t 0) tabs in
-  {
-    proof = { round_polys };
-    challenges;
-    final_values;
-    stats = { rounds = num_vars; mults = !mults; adds = !adds };
-  }
-
 module Spill = Nocap_vec.Spill
 
-(* Bounded-memory prover over spillable tables (the ISSUE 9 tentpole).
+(* The prover over spillable tables (recompute-halves).
 
-   The in-memory prover folds each table in place, so after round j it
-   holds the length-(n >> j) generation of every table. The streaming
-   prover never stores any folded generation: after j rounds with
-   challenges r_0..r_{j-1}, the current table is a weighted sum of strided
-   slices of the ORIGINAL table,
+   Folding a table in place holds, after round j, the length-(n >> j)
+   generation of every table. Under a budget the prover never stores any
+   folded generation: after j rounds with challenges r_0..r_{j-1}, the
+   current table is a weighted sum of strided slices of the ORIGINAL
+   table,
 
      T_j(b) = sum_{m < 2^j} w_j(m) * T_0(m * (n >> j) + b),
 
@@ -231,21 +197,26 @@ module Spill = Nocap_vec.Spill
    budget-sized blocks, and accumulates T_j values on the fly; nothing but
    O(block) scratch and the 2^j weight vector stays resident. Goldilocks
    arithmetic is exact, so the recomputed values — and hence every round
-   polynomial, challenge, and final value — are bit-identical to the
-   in-memory prover's.
+   polynomial, challenge, and final value — are bit-identical to folding.
 
    As the residual table length n >> j shrinks, it eventually fits half
    the budget; at that point the tables are materialized into RAM once and
-   {!run_rounds} finishes with the standard loop, which also pins the
-   tail's Pool chunking to the in-memory prover's exactly.
+   {!run_rounds} finishes with the in-place loop. With no budget the
+   tables fit at round 0: they are copied into RAM as they are (or used
+   directly when [owned] says the caller's RAM tables may be folded in
+   place) and every round runs in {!run_rounds}.
 
-   [stats] mirrors the in-memory formulas round for round (it reports the
-   protocol's arithmetic, not the recomputation overhead), so whole-record
-   equality against {!prove} holds. *)
-let prove_streaming ?engine ?(comb_mults = 0) ~budget_bytes transcript ~degree ~tables
-    ~comb ~claim =
+   [stats] reports the protocol's arithmetic, not the recomputation
+   overhead, so it is the same for every budget. *)
+let prove_spills ?engine ?(comb_mults = 0) ?budget_bytes ~owned transcript ~degree
+    ~tables ~comb ~claim =
   let pool = Option.bind engine Zk_pcs.Engine.pool in
-  if budget_bytes <= 0 then invalid_arg "Sumcheck.prove_streaming: budget must be positive";
+  let budget =
+    match budget_bytes with
+    | None -> max_int
+    | Some b when b <= 0 -> invalid_arg "Sumcheck.prove_streaming: budget must be positive"
+    | Some b -> b
+  in
   let k = Array.length tables in
   if k = 0 then invalid_arg "Sumcheck.prove: no tables";
   let n = Spill.length tables.(0) in
@@ -262,19 +233,23 @@ let prove_streaming ?engine ?(comb_mults = 0) ~budget_bytes transcript ~degree ~
   let challenges = Array.make num_vars Gf.zero in
   (* Residual tables fit the materialization half of the budget when
      k * (n >> j) * 8 <= budget / 2. *)
-  let fits len = k * len * 8 <= budget_bytes / 2 || len <= 1 in
+  let fits len = len <= 1 || k * len * 8 <= budget / 2 in
   (* Streamed-round scratch: per table an accumulator pair (lo/hi) plus a
      read buffer, all block-sized — 3k + slack vectors of 8 bytes/elem. *)
   let block =
-    let b = max 256 (budget_bytes / (8 * ((3 * k) + 2))) in
+    let b = max 256 (budget / (8 * ((3 * k) + 2))) in
     min b (max 1 (n / 2))
   in
-  let buf = Fv.create block in
-  let acc_lo = Array.init k (fun _ -> Fv.create block) in
-  let acc_hi = Array.init k (fun _ -> Fv.create block) in
-  (* Accumulate T_round(pos .. pos+len) into [dst] for table [tj], given
-     the eq-weights of the challenges so far. *)
+  let scratch =
+    lazy
+      ( Fv.create block,
+        Array.init k (fun _ -> Fv.create block),
+        Array.init k (fun _ -> Fv.create block) )
+  in
+  (* T_round(pos .. pos+len) of table [tj] into [dst], given the
+     eq-weights [w] of the challenges so far. *)
   let recompute ~w ~stride tj dst ~pos ~len =
+    let buf, _, _ = Lazy.force scratch in
     let dstv = Fv.sub_view dst ~pos:0 ~len in
     Fv.zero dstv;
     let bufv = Fv.sub_view buf ~pos:0 ~len in
@@ -285,6 +260,7 @@ let prove_streaming ?engine ?(comb_mults = 0) ~budget_bytes transcript ~degree ~
   in
   let round = ref 0 in
   while not (fits (n lsr !round)) do
+    let _, acc_lo, acc_hi = Lazy.force scratch in
     let j = !round in
     let stride = n lsr j in
     let half = stride / 2 in
@@ -316,8 +292,6 @@ let prove_streaming ?engine ?(comb_mults = 0) ~budget_bytes transcript ~degree ~
       done;
       pos := !pos + len
     done;
-    (* Same per-round accounting as the in-memory prover (protocol
-       arithmetic, not recomputation overhead), so stats match. *)
     adds := !adds + (half * (degree + 1) * (k + 1));
     mults := !mults + (half * (degree + 1) * comb_mults);
     round_polys.(j) <- g;
@@ -329,28 +303,26 @@ let prove_streaming ?engine ?(comb_mults = 0) ~budget_bytes transcript ~degree ~
     incr round
   done;
   (* Materialize the residual generation into RAM once and finish with the
-     standard in-memory loop — identical chunking from here on. *)
+     in-place loop. *)
   let round0 = !round in
   let stride = n lsr round0 in
   let w = Mle.eq_table (Array.sub challenges 0 round0) in
   let tabs =
     Array.map
       (fun tj ->
-        let dst = Fv.create stride in
-        let pos = ref 0 in
-        while !pos < stride do
-          Pool.Cancel.check ();
-          let len = min block (stride - !pos) in
-          let dstv = Fv.sub_view dst ~pos:!pos ~len in
-          Fv.zero dstv;
-          let bufv = Fv.sub_view buf ~pos:0 ~len in
-          for m = 0 to Array.length w - 1 do
-            Spill.read tj ~pos:((m * stride) + !pos) bufv;
-            Fv.axpy_into ~dst:dstv w.(m) bufv
+        if round0 = 0 then
+          if owned && not (Spill.is_spilled tj) then Spill.as_fv tj else Spill.to_fv tj
+        else begin
+          let dst = Fv.create stride in
+          let pos = ref 0 in
+          while !pos < stride do
+            Pool.Cancel.check ();
+            let len = min block (stride - !pos) in
+            recompute ~w ~stride tj (Fv.sub_view dst ~pos:!pos ~len) ~pos:!pos ~len;
+            pos := !pos + len
           done;
-          pos := !pos + len
-        done;
-        dst)
+          dst
+        end)
       tables
   in
   run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~num_vars ~round0
@@ -362,6 +334,18 @@ let prove_streaming ?engine ?(comb_mults = 0) ~budget_bytes transcript ~degree ~
     final_values;
     stats = { rounds = num_vars; mults = !mults; adds = !adds };
   }
+
+let prove_streaming ?engine ?comb_mults ?budget_bytes transcript ~degree ~tables ~comb
+    ~claim =
+  prove_spills ?engine ?comb_mults ?budget_bytes ~owned:false transcript ~degree ~tables
+    ~comb ~claim
+
+(* The boxed-array entry point: the tables are copied once into fresh
+   RAM vectors, which the round loop may then fold in place. *)
+let prove ?engine ?comb_mults transcript ~degree ~tables ~comb ~claim =
+  prove_spills ?engine ?comb_mults ~owned:true transcript ~degree
+    ~tables:(Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables)
+    ~comb ~claim
 
 module E = Zk_pcs.Verify_error
 

@@ -35,6 +35,34 @@ type prover_result = {
   stats : stats;
 }
 
+val prove_streaming :
+  ?engine:Zk_pcs.Engine.t ->
+  ?comb_mults:int ->
+  ?budget_bytes:int ->
+  Zk_hash.Transcript.t ->
+  degree:int ->
+  tables:Nocap_vec.Spill.t array ->
+  comb:(Gf.t array -> Gf.t) ->
+  claim:Gf.t ->
+  prover_result
+(** Runs the prover over spillable tables. [comb] receives one value per
+    table; [comb_mults] is the number of field multiplications one [comb]
+    call performs (default 0), so [stats] can account for them. The claim
+    is absorbed into the transcript, so prover and verifier bind to it.
+    [engine] supplies the worker pool for round evaluation and folds.
+
+    With no [budget_bytes] the tables are copied once into unboxed RAM
+    vectors and every round folds them in place. Under a budget no folded
+    table generation is ever stored (recompute-halves): after j rounds the
+    current table is recomputed on the fly as an eq-weighted sum of
+    strided slices of the original, read in budget-sized blocks; once the
+    shrinking residual fits half the budget, it is materialized into RAM
+    and the in-place loop finishes. Each streamed round costs one full
+    pass over the original tables. The result — proof bytes, challenges,
+    final values, stats — is the same for every budget and every engine.
+    [tables] are read, never written; the caller frees them.
+    @raise Invalid_argument if [budget_bytes <= 0]. *)
+
 val prove :
   ?engine:Zk_pcs.Engine.t ->
   ?comb_mults:int ->
@@ -44,36 +72,8 @@ val prove :
   comb:(Gf.t array -> Gf.t) ->
   claim:Gf.t ->
   prover_result
-(** Runs the prover. [tables] are not mutated (they are copied once — into
-    unboxed {!Nocap_vec.Fv} vectors, so every round evaluation and table
-    fold runs over flat int64). [comb] receives one value per table;
-    [comb_mults] is the number of field multiplications one [comb] call
-    performs (default 0), so [stats] can account for them. The claim is
-    absorbed into the transcript, so prover and verifier bind to it.
-    [engine] supplies the worker pool for round evaluation and folds; the
-    proof is byte-identical for every engine. *)
-
-val prove_streaming :
-  ?engine:Zk_pcs.Engine.t ->
-  ?comb_mults:int ->
-  budget_bytes:int ->
-  Zk_hash.Transcript.t ->
-  degree:int ->
-  tables:Nocap_vec.Spill.t array ->
-  comb:(Gf.t array -> Gf.t) ->
-  claim:Gf.t ->
-  prover_result
-(** Bounded-memory prover over spillable tables (recompute-halves): no
-    folded table generation is ever stored. After j rounds the current
-    table is recomputed on the fly as an eq-weighted sum of strided slices
-    of the original, read in budget-sized blocks; once the shrinking
-    residual fits half the budget, the tables are materialized into RAM
-    and the standard loop finishes. Each streamed round costs one full
-    pass over the original tables. The result — proof bytes, challenges,
-    final values, stats — is identical to {!prove} on the same data for
-    every budget; the in-memory prover is the oracle the equivalence tests
-    pin this against. [tables] are read, never written; the caller frees
-    them. @raise Invalid_argument if [budget_bytes <= 0]. *)
+(** {!prove_streaming} with no budget over boxed tables, which are not
+    mutated (they are copied once into unboxed vectors). *)
 
 val prove_arrays :
   ?engine:Zk_pcs.Engine.t ->
@@ -86,7 +86,7 @@ val prove_arrays :
   prover_result
 (** Boxed-array reference implementation of {!prove}: same chunking, same
     combine order, same arithmetic, byte-identical proof and challenges.
-    Kept as the correctness oracle the equivalence tests compare against. *)
+    Kept as the correctness oracle the budget sweeps compare against. *)
 
 type verifier_result = {
   point : Gf.t array;

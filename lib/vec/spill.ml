@@ -163,6 +163,33 @@ let read t ~pos dst =
       A1.unsafe_set dst i (Bytes.get_int64_le f.stage (i * 8))
     done
 
+let write_array t ~pos src =
+  match t.backing with
+  | Ram fv ->
+    let n = Array.length src in
+    check_range t ~pos ~n "write";
+    Fv.write_array src ~src_pos:0 fv ~dst_pos:pos ~len:n
+  | File _ -> write t ~pos (Fv.of_array src)
+
+let view t ~pos ~len ~buf =
+  match t.backing with
+  | Ram fv ->
+    check_range t ~pos ~n:len "view";
+    Fv.sub_view fv ~pos ~len
+  | File _ ->
+    let v = Fv.sub_view buf ~pos:0 ~len in
+    read t ~pos v;
+    v
+
+let writable t ~pos ~len ~buf =
+  match t.backing with
+  | Ram fv ->
+    check_range t ~pos ~n:len "writable";
+    Fv.sub_view fv ~pos ~len
+  | File _ -> Fv.sub_view buf ~pos:0 ~len
+
+let store t ~pos v = match t.backing with Ram _ -> () | File _ -> write t ~pos v
+
 let get t i =
   match t.backing with
   | Ram fv -> Fv.get fv i

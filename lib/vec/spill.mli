@@ -50,6 +50,25 @@ val write : t -> pos:int -> Fv.t -> unit
 val read : t -> pos:int -> Fv.t -> unit
 (** Load [Fv.length dst] elements from [pos]. *)
 
+val write_array : t -> pos:int -> Gf.t array -> unit
+(** {!write} from a boxed array: one copy straight into a RAM-backed
+    vector's storage instead of an intermediate [Fv.t]. *)
+
+val view : t -> pos:int -> len:int -> buf:Fv.t -> Fv.t
+(** Elements [pos, pos + len) for reading: a shared view of a RAM-backed
+    vector's storage (no copy), or a {!read} into the front of [buf] when
+    file-backed. The view may alias the vector, so treat it as read-only
+    unless the vector's contents are dead. *)
+
+val writable : t -> pos:int -> len:int -> buf:Fv.t -> Fv.t
+(** A block to fill for elements [pos, pos + len): a view of a RAM-backed
+    vector's own storage, or the front of [buf] when file-backed. Its
+    contents are unspecified; pass it to {!store} once filled. *)
+
+val store : t -> pos:int -> Fv.t -> unit
+(** Make a filled {!writable} block part of the vector: a no-op when
+    RAM-backed (the block is the storage), a {!write} when file-backed. *)
+
 val get : t -> int -> Gf.t
 (** Point read. O(1) in RAM; one tiny pread when spilled — use {!Reader}
     for scans. *)

@@ -17,6 +17,7 @@ module Engine = Zk_pcs.Engine
 module Transcript = Zk_hash.Transcript
 module Sumcheck = Zk_sumcheck.Sumcheck
 module Orion = Zk_orion.Orion
+module Fri_pcs = Zk_orion.Fri_pcs
 module Spartan = Zk_spartan.Spartan
 module Synthetic = Zk_workloads.Synthetic
 module Serve = Nocap_serve.Serve
@@ -129,7 +130,7 @@ let test_cancel_each_kernel () =
   let stream_engine = Engine.create ~stream_budget_bytes:65536 () in
   (* Spartan streaming pipeline (spmv staging + witness commit) *)
   cancelled (fun () -> Spartan.prove ~engine:stream_engine Spartan.test_params inst asn);
-  (* Spartan in-memory pipeline (pool-level cancel in the kernels) *)
+  (* Spartan with no budget (one RAM block per phase) *)
   cancelled (fun () -> Spartan.prove Spartan.test_params inst asn);
   (* Orion out-of-core commit (row staging loop) *)
   let table = Array.init 1024 (fun i -> Gf.of_int64 (Int64.of_int (i + 1))) in
@@ -155,7 +156,31 @@ let test_cancel_each_kernel () =
       Sumcheck.prove_streaming ~comb_mults:1 ~budget_bytes:65536 t ~degree:2 ~tables
         ~comb:(fun v -> Gf.mul v.(0) v.(1))
         ~claim:Gf.zero);
-  (* The pool survived all four aborts: a clean prove still works and is
+  (* The PCS openings, with and without a budget: a commitment made
+     outside the token, opened under it, aborts and leaves no spill file
+     behind. *)
+  let point = Array.init 10 (fun i -> Gf.of_int64 (Int64.of_int (i + 7))) in
+  List.iter
+    (fun engine ->
+      let orion_params = { Orion.default_params with Orion.rows = 16 } in
+      let committed, cm = Orion.commit ~engine orion_params (Rng.create 5L) table in
+      let live = Spill.live_files () in
+      cancelled (fun () ->
+          let t = Transcript.create "test-serve" in
+          Orion.absorb_commitment t cm;
+          Orion.prove_eval ~engine orion_params committed t point);
+      Alcotest.(check int) "orion opening leaves no spill file" live (Spill.live_files ());
+      Orion.free_committed committed;
+      let committed, cm = Fri_pcs.commit ~engine Fri_pcs.test_params (Rng.create 5L) table in
+      let live = Spill.live_files () in
+      cancelled (fun () ->
+          let t = Transcript.create "test-serve" in
+          Fri_pcs.absorb_commitment t cm;
+          Fri_pcs.open_at ~engine Fri_pcs.test_params committed t point);
+      Alcotest.(check int) "fri opening leaves no spill file" live (Spill.live_files ());
+      Fri_pcs.free_committed committed)
+    [ Engine.create (); stream_engine ];
+  (* The pool survived every abort: a clean prove still works and is
      byte-identical to the oracle. *)
   let proof, _ = Spartan.prove Spartan.test_params inst asn in
   ignore proof;
@@ -392,7 +417,7 @@ let test_drain_wakes_on_submit_error () =
 let test_free_committed_idempotent () =
   let table = Array.init 1024 (fun i -> Gf.of_int64 (Int64.of_int (i + 3))) in
   let params = { Orion.default_params with Orion.rows = 16 } in
-  (* dense commit: free is a no-op, twice *)
+  (* RAM-backed commit (no budget): free is a no-op, twice *)
   let committed, _ = Orion.commit params (Rng.create 9L) table in
   Orion.free_committed committed;
   Orion.free_committed committed;

@@ -1,14 +1,16 @@
-(* The streaming out-of-core prover pinned against the in-memory oracle.
+(* The one prover path pinned across stream budgets.
 
-   Every streaming component — spill files, blocked eq tables, ranged
-   SpMV, chunked witness emission, the incremental Merkle builder, the
-   recompute-halves sumcheck, the out-of-core PCS commits/openings, and
-   the end-to-end Spartan pipeline — must be *byte-identical* to its
-   in-memory counterpart: Goldilocks ops are exact and canonical, so any
+   There is a single prover at every layer; the engine's stream budget
+   only picks the block size and whether vectors live in RAM or in spill
+   files. Every component — spill files, blocked eq tables, ranged SpMV,
+   chunked witness emission, the incremental Merkle builder, the
+   recompute-halves sumcheck, the PCS commits/openings, and the end-to-end
+   Spartan pipeline — must be *byte-identical* for every budget and equal
+   to its reference oracle: Goldilocks ops are exact and canonical, so any
    algebraically equal evaluation order yields the same bits, the same
    transcripts, the same proofs. The suite runs under every NOCAP_NATIVE
-   mode via the runtest matrix in test/dune, and the Spartan equivalence
-   sweeps domain counts 1/2/3. *)
+   mode via the runtest matrix in test/dune, and the Spartan budget sweep
+   covers domain counts 1/2/3. *)
 
 module Gf = Zk_field.Gf
 module Fv = Nocap_vec.Fv
@@ -269,6 +271,40 @@ let test_merkle_builder () =
       done)
     [ 1; 2; 3; 5; 8; 13; 16; 33 ]
 
+(* Random chunk sequences mixing aligned power-of-two runs (the builder's
+   batched subtree path) with ragged, unaligned chunks, over leaf totals
+   that are mostly not powers of two. *)
+let prop_merkle_builder_chunks =
+  qcheck ~count:100 "merkle builder: mixed chunks = build_serial"
+    QCheck.(pair (int_range 1 300) small_int)
+    (fun (n, seed) ->
+      let rng = Rng.create (Int64.of_int (succ seed)) in
+      let leaves = Array.init n (fun _ -> Merkle.leaf_of_column (random_gf_array rng 1)) in
+      let reference = Merkle.build_serial leaves in
+      let b = Merkle.Builder.create n in
+      let pos = ref 0 in
+      while !pos < n do
+        let rest = n - !pos in
+        let len =
+          if Rng.int rng 2 = 0 then begin
+            (* an aligned power of two: divides the position, fits the rest *)
+            let m = ref 1 in
+            while 2 * !m <= rest && !pos land ((2 * !m) - 1) = 0 && Rng.int rng 4 > 0 do
+              m := 2 * !m
+            done;
+            !m
+          end
+          else min rest (1 + Rng.int rng 13)
+        in
+        Merkle.Builder.add b (Array.sub leaves !pos len);
+        pos := !pos + len
+      done;
+      let tree = Merkle.Builder.finish b in
+      String.equal (Merkle.root reference) (Merkle.root tree)
+      && List.for_all
+           (fun i -> Merkle.path reference i = Merkle.path tree i)
+           (List.init n Fun.id))
+
 (* --- streaming sumcheck ------------------------------------------------- *)
 
 let comb2 v = Gf.mul v.(0) v.(1)
@@ -303,15 +339,23 @@ let run_sumcheck_pair ~l ~degree ~tables_count ~comb ~comb_mults ~budget seed =
   in
   let t1 = Transcript.create "stream-test" in
   let reference =
-    Sumcheck.prove ~comb_mults t1 ~degree ~tables ~comb ~claim
+    Sumcheck.prove_arrays ~comb_mults t1 ~degree ~tables ~comb ~claim
   in
   let t2 = Transcript.create "stream-test" in
   let spills = Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables in
   let streamed =
-    Sumcheck.prove_streaming ~comb_mults ~budget_bytes:budget t2 ~degree
+    Sumcheck.prove_streaming ~comb_mults ?budget_bytes:budget t2 ~degree
       ~tables:spills ~comb ~claim
   in
-  let msg = Printf.sprintf "l=%d budget=%d" l budget in
+  Array.iteri
+    (fun i t ->
+      check_gf_array (Printf.sprintf "table %d untouched" i) t
+        (Fv.to_array (Spill.as_fv spills.(i))))
+    tables;
+  let msg =
+    Printf.sprintf "l=%d budget=%s" l
+      (match budget with None -> "none" | Some b -> string_of_int b)
+  in
   check_sumcheck_equal msg reference streamed;
   (* the transcripts must have ended in the same state *)
   Alcotest.(check bool)
@@ -320,18 +364,19 @@ let run_sumcheck_pair ~l ~degree ~tables_count ~comb ~comb_mults ~budget seed =
     (Gf.equal (Transcript.challenge_gf t1 "after") (Transcript.challenge_gf t2 "after"))
 
 let test_sumcheck_streaming () =
-  (* budgets chosen to force: never spills (huge), spills the first round
-     only, spills most rounds (tiny) *)
+  (* budgets chosen to force: no budget (one RAM block), never streams
+     (huge), streams the first round only, streams most rounds (tiny) *)
   List.iter
     (fun budget ->
+      let salt = Option.value budget ~default:0 in
       List.iter
         (fun l ->
           run_sumcheck_pair ~l ~degree:2 ~tables_count:2 ~comb:comb2 ~comb_mults:1
-            ~budget (l + budget);
+            ~budget (l + salt);
           run_sumcheck_pair ~l ~degree:3 ~tables_count:4 ~comb:comb3 ~comb_mults:2
-            ~budget (l * 31 + budget))
+            ~budget ((l * 31) + salt))
         [ 0; 1; 2; 5; 8 ])
-    [ 256; 4 * 1024; 64 * 1024 * 1024 ]
+    [ None; Some 256; Some (4 * 1024); Some (64 * 1024 * 1024) ]
 
 let test_sumcheck_spilled_tables () =
   (* same equivalence with the inputs living in actual files *)
@@ -347,7 +392,9 @@ let test_sumcheck_spilled_tables () =
     !acc
   in
   let t1 = Transcript.create "stream-test" in
-  let reference = Sumcheck.prove ~comb_mults:1 t1 ~degree:2 ~tables ~comb:comb2 ~claim in
+  let reference =
+    Sumcheck.prove_arrays ~comb_mults:1 t1 ~degree:2 ~tables ~comb:comb2 ~claim
+  in
   let t2 = Transcript.create "stream-test" in
   let spills =
     Array.map
@@ -364,11 +411,11 @@ let test_sumcheck_spilled_tables () =
   Array.iter Spill.free spills;
   check_sumcheck_equal "spilled tables" reference streamed
 
-(* --- out-of-core PCS commits and openings ------------------------------- *)
+(* --- PCS commits and openings under a budget ----------------------------- *)
 
 let budget_engine bytes = Engine.create ~stream_budget_bytes:bytes ()
 
-let test_orion_streamed_equal () =
+let test_orion_budget_equal () =
   let params = { Orion.default_params with Orion.rows = 8 } in
   List.iter
     (fun l ->
@@ -385,14 +432,13 @@ let test_orion_streamed_equal () =
       Orion.absorb_commitment t2 cm_s;
       let v2, p2 = Orion.prove_eval ~engine:(budget_engine 2048) params cs t2 point in
       Alcotest.(check bool) "orion value" true (Gf.equal v1 v2);
+      Alcotest.(check bool) "orion value = MLE" true (Gf.equal v1 (Mle.eval table point));
       Alcotest.(check bool) "orion proof" true (p1 = p2);
-      (match Orion.verify_eval params cm_s t1 point v2 p2 with
-      | Ok _ | Error _ -> ());
       Orion.free_committed cs;
       Orion.free_committed cd)
     [ 4; 7; 9 ]
 
-let test_fri_streamed_equal () =
+let test_fri_budget_equal () =
   let params = Fri_pcs.test_params in
   List.iter
     (fun l ->
@@ -411,68 +457,88 @@ let test_fri_streamed_equal () =
       Fri_pcs.absorb_commitment t2 cm_s;
       let v2, p2 = Fri_pcs.open_at ~engine:(budget_engine 2048) params cs t2 point in
       Alcotest.(check bool) "fri value" true (Gf.equal v1 v2);
+      Alcotest.(check bool) "fri value = MLE" true (Gf.equal v1 (Mle.eval table point));
       Alcotest.(check bool) "fri proof" true (p1 = p2);
       Fri_pcs.free_committed cs;
       Fri_pcs.free_committed cd)
     [ 2; 5; 8 ]
 
-(* --- end-to-end Spartan: streaming bytes = in-memory bytes -------------- *)
+(* --- end-to-end Spartan: one prover, every budget ------------------------ *)
 
-let spartan_pair_orion ~budget inst asn =
-  let reference, _ = Spartan.prove Spartan.test_params inst asn in
-  let streamed, _ = Spartan.prove ~engine:(budget_engine budget) Spartan.test_params inst asn in
-  (Spartan.proof_to_bytes reference, Spartan.proof_to_bytes streamed)
+let engine_of budget = Engine.create ?stream_budget_bytes:budget ()
 
-let spartan_pair_fri ~budget inst asn =
-  let reference, _ = Spartan_fri.prove Spartan_fri.test_params inst asn in
-  let streamed, _ =
-    Spartan_fri.prove ~engine:(budget_engine budget) Spartan_fri.test_params inst asn
-  in
-  (Spartan_fri.proof_to_bytes reference, Spartan_fri.proof_to_bytes streamed)
-
-let test_spartan_streaming_equal () =
+(* Every golden Spartan fixture of test_pcs.ml, proved under each budget
+   (none = one RAM block; 2 KiB and 8 KiB force multi-block spills; 256 MiB
+   spills with one block): the payload hash must be the pinned one every
+   time. The 300-constraint fixtures run at domain counts 1/2/3; the larger
+   ones, whose SpMV passes split into several row/column blocks under the
+   small budgets, at one domain. *)
+let test_spartan_budget_sweep () =
   let live_before = Spill.live_files () in
-  let inst, asn = chain_circuit 21 120 in
+  let budgets =
+    [ None; Some (2 * 1024); Some (8 * 1024); Some (64 * 1024); Some (256 * 1024 * 1024) ]
+  in
+  let domains n = if n <= 300 then [ 1; 2; 3 ] else [ 1 ] in
+  let orion =
+    List.map
+      (fun (name, n, seed, params, expected) ->
+        ( name, n, seed, expected,
+          fun engine inst asn ->
+            Spartan.proof_to_bytes (fst (Spartan.prove ~engine params inst asn)) ))
+      Test_pcs.golden_cases
+  in
+  let fri =
+    List.map
+      (fun (name, n, seed, expected) ->
+        ( name, n, seed, expected,
+          fun engine inst asn ->
+            Spartan_fri.proof_to_bytes
+              (fst (Spartan_fri.prove ~engine Spartan_fri.test_params inst asn)) ))
+      Test_pcs.fri_golden_cases
+  in
   List.iter
-    (fun budget ->
-      let r, s = spartan_pair_orion ~budget inst asn in
-      Alcotest.(check bool)
-        (Printf.sprintf "orion bytes equal (budget=%d)" budget)
-        true (Bytes.equal r s);
-      let r, s = spartan_pair_fri ~budget inst asn in
-      Alcotest.(check bool)
-        (Printf.sprintf "fri bytes equal (budget=%d)" budget)
-        true (Bytes.equal r s))
-    [ 2 * 1024; 64 * 1024; 256 * 1024 * 1024 ];
+    (fun (name, n, seed, expected, prove) ->
+      let inst, asn = Zk_workloads.Synthetic.circuit ~n_constraints:n ~seed () in
+      List.iter
+        (fun budget ->
+          List.iter
+            (fun d ->
+              Pool.with_domains d (fun () ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s budget=%s domains=%d" name
+                       (match budget with None -> "none" | Some b -> string_of_int b)
+                       d)
+                    expected
+                    (Test_pcs.payload_hash (prove (engine_of budget) inst asn))))
+            (domains n))
+        budgets)
+    (orion @ fri);
   Alcotest.(check int) "no leaked spill files" live_before (Spill.live_files ())
 
-let test_spartan_streaming_domains () =
-  (* the full pipeline across domain counts: streaming bytes must match the
-     single-domain in-memory reference at every pool size *)
-  let inst, asn = chain_circuit 8 60 in
-  let reference, _ = Spartan.prove Spartan.test_params inst asn in
-  let reference = Spartan.proof_to_bytes reference in
-  let reference_fri, _ = Spartan_fri.prove Spartan_fri.test_params inst asn in
-  let reference_fri = Spartan_fri.proof_to_bytes reference_fri in
+(* With no budget the whole pipeline runs over RAM-backed vectors: not one
+   spill file is opened and not one byte is written to disk. *)
+let test_no_budget_never_spills () =
+  let inst, asn = chain_circuit 21 120 in
   List.iter
     (fun d ->
       Pool.with_domains d (fun () ->
-          let streamed, _ =
-            Spartan.prove ~engine:(budget_engine 8192) Spartan.test_params inst asn
+          let check label prove =
+            let bytes0 = Spill.spilled_bytes_total () in
+            let files0 = Spill.live_files () in
+            let spy = ref 0 in
+            Spill.set_io_fault_hook (Some (fun _ -> incr spy));
+            Fun.protect ~finally:(fun () -> Spill.set_io_fault_hook None) prove;
+            Alcotest.(check int)
+              (Printf.sprintf "%s domains=%d: bytes spilled" label d)
+              bytes0 (Spill.spilled_bytes_total ());
+            Alcotest.(check int)
+              (Printf.sprintf "%s domains=%d: live files" label d)
+              files0 (Spill.live_files ());
+            Alcotest.(check int) (Printf.sprintf "%s domains=%d: file I/O" label d) 0 !spy
           in
-          Alcotest.(check bool)
-            (Printf.sprintf "orion domains=%d" d)
-            true
-            (Bytes.equal reference (Spartan.proof_to_bytes streamed));
-          let streamed, _ =
-            Spartan_fri.prove ~engine:(budget_engine 8192) Spartan_fri.test_params inst
-              asn
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "fri domains=%d" d)
-            true
-            (Bytes.equal reference_fri (Spartan_fri.proof_to_bytes streamed))))
-    [ 1; 2; 3 ]
+          check "orion" (fun () -> ignore (Spartan.prove Spartan.test_params inst asn));
+          check "fri" (fun () -> ignore (Spartan_fri.prove Spartan_fri.test_params inst asn))))
+    [ 1; 2 ]
 
 let test_spartan_streaming_verifies () =
   let inst, asn = chain_circuit 4 80 in
@@ -530,14 +596,13 @@ let suite =
     Alcotest.test_case "ranged spmv = full" `Quick test_spmv_ranges;
     Alcotest.test_case "z blocks = z" `Quick test_z_blocks;
     Alcotest.test_case "merkle builder = build" `Quick test_merkle_builder;
-    Alcotest.test_case "sumcheck streaming = in-memory" `Quick test_sumcheck_streaming;
+    prop_merkle_builder_chunks;
+    Alcotest.test_case "sumcheck budgets = prove_arrays" `Quick test_sumcheck_streaming;
     Alcotest.test_case "sumcheck over spilled tables" `Quick test_sumcheck_spilled_tables;
-    Alcotest.test_case "orion streamed = dense" `Quick test_orion_streamed_equal;
-    Alcotest.test_case "fri streamed = dense" `Quick test_fri_streamed_equal;
-    Alcotest.test_case "spartan streaming bytes = in-memory" `Quick
-      test_spartan_streaming_equal;
-    Alcotest.test_case "spartan streaming across domains" `Quick
-      test_spartan_streaming_domains;
+    Alcotest.test_case "orion: budget = no budget" `Quick test_orion_budget_equal;
+    Alcotest.test_case "fri: budget = no budget" `Quick test_fri_budget_equal;
+    Alcotest.test_case "spartan budget sweep = goldens" `Quick test_spartan_budget_sweep;
+    Alcotest.test_case "no budget never touches disk" `Quick test_no_budget_never_spills;
     Alcotest.test_case "spartan streamed proofs verify" `Quick
       test_spartan_streaming_verifies;
     Alcotest.test_case "budget knob parse + precedence" `Quick test_budget_knob;
