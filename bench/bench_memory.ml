@@ -125,11 +125,11 @@ let kernels ~smoke rng =
   (* Full sumcheck prover: boxed reference vs. unboxed production path. *)
   let sc_n = scale (1 lsl 14) (1 lsl 8) in
   let sc_tables = Array.init 4 (fun _ -> Array.init sc_n (fun _ -> Gf.random rng)) in
-  let sc_comb v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3)) in
   let sc_claim =
     let acc = ref Gf.zero in
     for b = 0 to sc_n - 1 do
-      acc := Gf.add !acc (sc_comb (Array.map (fun t -> t.(b)) sc_tables))
+      acc :=
+        Gf.add !acc (Sumcheck.spartan_comb_scalar (Array.map (fun t -> t.(b)) sc_tables))
     done;
     !acc
   in
@@ -221,16 +221,16 @@ let kernels ~smoke rng =
         (fun () ->
           let t = Transcript.create "bench-memory" in
           let r =
-            Sumcheck.prove_arrays ~comb_mults:2 t ~degree:3 ~tables:sc_tables ~comb:sc_comb
-              ~claim:sc_claim
+            Sumcheck.prove_arrays ~comb_mults:2 t ~degree:3 ~tables:sc_tables
+              ~comb:Sumcheck.spartan_comb_scalar ~claim:sc_claim
           in
           Gf.to_string r.Sumcheck.challenges.(Array.length r.Sumcheck.challenges - 1));
       k_unboxed =
         (fun () ->
           let t = Transcript.create "bench-memory" in
           let r =
-            Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:sc_tables ~comb:sc_comb
-              ~claim:sc_claim
+            Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:sc_tables
+              ~comb:Sumcheck.spartan_comb ~claim:sc_claim
           in
           Gf.to_string r.Sumcheck.challenges.(Array.length r.Sumcheck.challenges - 1));
     };

@@ -95,6 +95,24 @@ let kernels ~smoke rng =
   let hp_digests =
     Array.init hp_n (fun i -> Keccak.sha3_256 (Bytes.of_string (string_of_int i)))
   in
+  (* The sumcheck fold/round-point kernel, at a fixed field constant. *)
+  let lerp_c = Gf.random rng in
+  (* One sumcheck round as Spartan's first sumcheck runs it: 4 tables of
+     2^16, degree 3 (eq * (az * bz - cz)), round polynomial on the vector
+     kernels, then the fold into half-length tables. *)
+  let sc_n = scale (1 lsl 16) (1 lsl 10) in
+  let sc_half = sc_n / 2 in
+  let sc_tables =
+    Array.init 4 (fun _ ->
+        let t = Fv.create sc_n in
+        for i = 0 to sc_n - 1 do
+          Fv.set t i (Gf.random rng)
+        done;
+        t)
+  in
+  let sc_lo = Array.map (fun t -> Fv.sub_view t ~pos:0 ~len:sc_half) sc_tables in
+  let sc_hi = Array.map (fun t -> Fv.sub_view t ~pos:sc_half ~len:sc_half) sc_tables in
+  let sc_dst = Array.map (fun _ -> Fv.create sc_half) sc_tables in
   [
     {
       k_name = "fv-mul";
@@ -103,6 +121,27 @@ let kernels ~smoke rng =
         (fun () ->
           Fv.mul_into ~dst:ew_dst ew_a ew_b;
           Gf.to_string (Fv.get ew_dst (ew_n - 1)));
+    };
+    {
+      k_name = "fv-lerp";
+      k_n = ew_n;
+      k_run =
+        (fun () ->
+          Fv.lerp_into ~dst:ew_dst ew_a ew_b lerp_c;
+          Gf.to_string (Fv.get ew_dst (ew_n - 1)));
+    };
+    {
+      k_name = "sumcheck-round";
+      k_n = sc_n;
+      k_run =
+        (fun () ->
+          let g =
+            Sumcheck.round_poly ~degree:3 ~comb:Sumcheck.spartan_comb ~comb_mults:2 ~lo:sc_lo
+              ~hi:sc_hi ()
+          in
+          Sumcheck.fold ~dst:sc_dst ~lo:sc_lo ~hi:sc_hi lerp_c;
+          String.concat "," (Array.to_list (Array.map Gf.to_string g))
+          ^ Gf.to_string (Fv.get sc_dst.(3) (sc_half - 1)));
     };
     {
       k_name = "ntt-forward-rows";
@@ -226,7 +265,7 @@ open Json_min
 
 (* Required shape: schema id, single-domain marker, CPU feature string, and
    >= 6 kernels each carrying all three timings, matching fingerprints, and
-   positive speedups; the three acceptance kernels must be present. *)
+   positive speedups; the acceptance kernels must be present. *)
 let validate_schema (s : string) : (unit, string) result =
   try
     let j = parse_json s in
@@ -256,7 +295,10 @@ let validate_schema (s : string) : (unit, string) result =
       (fun required ->
         if not (List.mem required names) then
           raise (Bad_json (Printf.sprintf "kernel %S missing" required)))
-      [ "ntt-forward-rows"; "keccak-batch"; "keccak-f1600"; "rs-encode-rows" ];
+      [
+        "fv-lerp"; "sumcheck-round"; "ntt-forward-rows"; "keccak-batch"; "keccak-f1600";
+        "rs-encode-rows";
+      ];
     Ok ()
   with Bad_json msg -> Error msg
 

@@ -55,11 +55,11 @@ let kernels ~smoke rng =
   let rows = Array.init enc_rows (fun _ -> Array.init enc_cols (fun _ -> Gf.random rng)) in
   let sc_n = scale (1 lsl 14) (1 lsl 8) in
   let sc_tables = Array.init 4 (fun _ -> Array.init sc_n (fun _ -> Gf.random rng)) in
-  let sc_comb v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3)) in
   let sc_claim =
     let acc = ref Gf.zero in
     for b = 0 to sc_n - 1 do
-      acc := Gf.add !acc (sc_comb (Array.map (fun t -> t.(b)) sc_tables))
+      acc :=
+        Gf.add !acc (Sumcheck.spartan_comb_scalar (Array.map (fun t -> t.(b)) sc_tables))
     done;
     !acc
   in
@@ -107,14 +107,15 @@ let kernels ~smoke rng =
     {
       k_name = "sumcheck-prove";
       k_n = sc_n;
-      (* First-round evaluation grain: degree 3, comb_mults 2, 4 tables. *)
-      k_grain = Pool.grain_of_ns (max 1 ((3 + 1) * (2 + 4) * 20));
+      (* First-round evaluation grain (Sumcheck.round_poly's cost model):
+         degree 3, comb_mults 2, 4 tables. *)
+      k_grain = Pool.grain_of_ns (max 1 ((3 + 1) * (2 + 4) * 4));
       k_run =
         (fun () ->
           let t = Transcript.create "bench-parallel" in
           let r =
-            Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:sc_tables ~comb:sc_comb
-              ~claim:sc_claim
+            Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:sc_tables
+              ~comb:Sumcheck.spartan_comb ~claim:sc_claim
           in
           Gf.to_string r.Sumcheck.challenges.(Array.length r.Sumcheck.challenges - 1));
     };

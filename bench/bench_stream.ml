@@ -172,7 +172,7 @@ type sumcheck_row = {
   s_equal : bool;
 }
 
-let comb2 v = Gf.mul v.(0) v.(1)
+let comb2 v out = Fv.mul_into ~dst:out v.(0) v.(1)
 
 let run_sumcheck ~smoke =
   let budget = if smoke then 1 lsl 18 else 1 lsl 22 in
@@ -203,12 +203,18 @@ let run_sumcheck ~smoke =
           measure (fun () ->
               let tables = [| make_table 1; make_table 2 |] in
               (* claim = sum of products, computed blockwise *)
-              let reader0 = Spill.Reader.create tables.(0) in
-              let reader1 = Spill.Reader.create tables.(1) in
-              for b = 0 to n - 1 do
-                claim :=
-                  Gf.add !claim
-                    (Gf.mul (Spill.Reader.get reader0 b) (Spill.Reader.get reader1 b))
+              let block = min (1 lsl 14) n in
+              let buf0 = Fv.create block and buf1 = Fv.create block in
+              let prod = Fv.create block in
+              let pos = ref 0 in
+              while !pos < n do
+                let len = min block (n - !pos) in
+                let p = Fv.sub_view prod ~pos:0 ~len in
+                Fv.mul_into ~dst:p
+                  (Spill.view tables.(0) ~pos:!pos ~len ~buf:buf0)
+                  (Spill.view tables.(1) ~pos:!pos ~len ~buf:buf1);
+                claim := Gf.add !claim (Fv.sum p);
+                pos := !pos + len
               done;
               let t = Transcript.create "bench-stream" in
               let r =

@@ -193,17 +193,20 @@ let bench_merkle =
 let sumcheck_tables = Array.init 4 (fun _ -> Array.init 4096 (fun _ -> Gf.random rng))
 
 let bench_sumcheck =
-  let comb v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3)) in
   let claim =
     let acc = ref Gf.zero in
     for b = 0 to 4095 do
-      acc := Gf.add !acc (comb (Array.map (fun t -> t.(b)) sumcheck_tables))
+      acc :=
+        Gf.add !acc
+          (Sumcheck.spartan_comb_scalar (Array.map (fun t -> t.(b)) sumcheck_tables))
     done;
     !acc
   in
   Test.make ~name:"kernel/sumcheck-2^12" (staged (fun () ->
       let t = Transcript.create "bench" in
-      ignore (Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:sumcheck_tables ~comb ~claim)))
+      ignore
+        (Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:sumcheck_tables
+           ~comb:Sumcheck.spartan_comb ~claim)))
 
 let spartan_instance = lazy (Synthetic.circuit ~n_constraints:2000 ~seed:42L ())
 

@@ -64,6 +64,10 @@ external fv_mul : fv -> fv -> fv -> unit = "caml_nocap_fv_mul" [@@noalloc]
 external fv_scale : fv -> fv -> int64 -> unit = "caml_nocap_fv_scale" [@@noalloc]
 external fv_axpy : fv -> int64 -> fv -> unit = "caml_nocap_fv_axpy" [@@noalloc]
 
+external fv_lerp : fv -> fv -> fv -> int64 -> unit = "caml_nocap_fv_lerp" [@@noalloc]
+(** [fv_lerp dst a b c]: [dst.(i) <- a.(i) + c * (b.(i) - a.(i))]; [dst]
+    may alias [a] or [b]. *)
+
 external ntt_forward : fv -> fv -> unit = "caml_nocap_ntt_forward" [@@noalloc]
 (** [ntt_forward buf tw]: in-place forward NTT of [buf] (length n, a power
     of two) against the shared twiddle table [tw] (length [n/2]). *)

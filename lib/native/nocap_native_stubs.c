@@ -259,6 +259,20 @@ __attribute__((target("avx2"))) static void fv_axpy_avx2(uint64_t *dst, uint64_t
   }
   for (; i < n; i++) dst[i] = gl_add(dst[i], gl_mul(c, src[i]));
 }
+
+__attribute__((target("avx2"))) static void fv_lerp_avx2(uint64_t *dst, const uint64_t *a,
+                                                         const uint64_t *b, uint64_t c,
+                                                         intnat n)
+{
+  const __m256i cv = _mm256_set1_epi64x((long long)c);
+  intnat i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256i x = _mm256_loadu_si256((const __m256i *)(a + i));
+    __m256i y = _mm256_loadu_si256((const __m256i *)(b + i));
+    _mm256_storeu_si256((__m256i *)(dst + i), gl4_add(x, gl4_mul(cv, gl4_sub(y, x))));
+  }
+  for (; i < n; i++) dst[i] = gl_add(a[i], gl_mul(c, gl_sub(b[i], a[i])));
+}
 #endif /* NOCAP_X86_64 */
 
 #if defined(__aarch64__)
@@ -294,6 +308,7 @@ static void fv_sub_neon(uint64_t *dst, const uint64_t *a, const uint64_t *b, int
   }
   for (; i < n; i++) dst[i] = gl_sub(a[i], b[i]);
 }
+
 #endif /* __aarch64__ */
 
 CAMLprim value caml_nocap_fv_add(value vdst, value va, value vb)
@@ -359,6 +374,22 @@ CAMLprim value caml_nocap_fv_axpy(value vdst, value vc, value vsrc)
   if (g_simd && have_avx2()) { fv_axpy_avx2(dst, c, src, n); return Val_unit; }
 #endif
   for (intnat i = 0; i < n; i++) dst[i] = gl_add(dst[i], gl_mul(c, src[i]));
+  return Val_unit;
+}
+
+/* dst[i] = a[i] + c * (b[i] - a[i]): the sumcheck fold and the round
+   polynomial's line through (0, a) and (1, b) at t = c. dst may alias a
+   or b (each element is read before it is written). */
+CAMLprim value caml_nocap_fv_lerp(value vdst, value va, value vb, value vc)
+{
+  uint64_t *dst = BA_DATA(vdst);
+  const uint64_t *a = BA_DATA(va), *b = BA_DATA(vb);
+  uint64_t c = (uint64_t)Int64_val(vc);
+  intnat n = BA_DIM(vdst);
+#if defined(NOCAP_X86_64)
+  if (g_simd && have_avx2()) { fv_lerp_avx2(dst, a, b, c, n); return Val_unit; }
+#endif
+  for (intnat i = 0; i < n; i++) dst[i] = gl_add(a[i], gl_mul(c, gl_sub(b[i], a[i])));
   return Val_unit;
 }
 

@@ -267,9 +267,12 @@ let open_at ?engine params committed transcript point =
     while !p * 2 <= b do p := !p * 2 done;
     !p
   in
+  let ebuf = Fv.create (if Spill.is_spilled e then eblock else 0) in
   let pos = ref 0 in
   while !pos < n do
-    Spill.write_array e ~pos:!pos (Mle.eq_table_range point ~lo:!pos ~len:eblock);
+    let blk = Spill.writable e ~pos:!pos ~len:eblock ~buf:ebuf in
+    Mle.eq_table_into point ~lo:!pos blk;
+    Spill.store e ~pos:!pos blk;
     pos := !pos + eblock
   done;
   let value =

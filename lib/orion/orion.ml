@@ -412,9 +412,13 @@ let verify_eval ?engine params (cm : commitment) transcript point value proof =
       | Error reason -> E.errorf E.Merkle_mismatch "column %d: %s" k reason
       | Ok () ->
         (* Consistency of u with the committed data rows at this column. *)
+        (* A plain loop: the accumulator stays an unboxed local (a closure
+           capturing it would box every partial sum). *)
         let dot coeffs =
           let acc = ref Gf.zero in
-          Array.iteri (fun r c -> acc := Gf.add !acc (Gf.mul c col.(r))) coeffs;
+          for r = 0 to Array.length coeffs - 1 do
+            acc := Gf.add !acc (Gf.mul coeffs.(r) col.(r))
+          done;
           !acc
         in
         if not (Gf.equal encoded_u.(j) (dot eq_row)) then

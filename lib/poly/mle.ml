@@ -1,4 +1,5 @@
 module Gf = Zk_field.Gf
+module Fv = Nocap_vec.Fv
 
 type point = Gf.t array
 
@@ -30,38 +31,24 @@ let eval a point =
   Array.iter (fun r -> cur := fold_top !cur r) point;
   (!cur).(0)
 
-let eq_table point =
-  let l = Array.length point in
-  let table = Array.make (1 lsl l) Gf.one in
-  let size = ref 1 in
-  (* Each new variable becomes the low bit, so after processing all L
-     variables, variable i sits at bit position (L - i): variable 1 is the
-     most significant bit, as required. *)
-  for i = 0 to l - 1 do
-    let r = point.(i) in
-    for b = !size - 1 downto 0 do
-      let v = table.(b) in
-      let hi = Gf.mul v r in
-      table.((2 * b) + 1) <- hi;
-      table.(2 * b) <- Gf.sub v hi
-    done;
-    size := 2 * !size
-  done;
-  table
-
-(* Blocked eq_table for the streaming prover: entries [lo, lo+len) only.
-   The doubling chain above factors exactly — for an aligned power-of-two
-   block, every entry is (product over the high variables at the block's
-   fixed bits) * (eq_table of the low variables). Goldilocks arithmetic is
-   exact, so the factored form is bit-identical to the full table's
-   entries, which is what keeps streamed proofs byte-equal. *)
-let eq_table_range point ~lo ~len =
+(* Entries [lo, lo + len) of the eq table, len = Fv.length dst, filled in
+   place by the doubling chain: each new variable becomes the low bit, so
+   after all L variables variable i sits at bit position (L - i) —
+   variable 1 is the most significant bit, as required. The chain factors
+   exactly: for an aligned power-of-two block, every entry is (product
+   over the high variables at the block's fixed bits) * (eq table of the
+   low variables), so a block's doubling starts from that prefix instead
+   of one. Goldilocks arithmetic is exact, so every block entry is
+   bit-identical to the full table's, which is what keeps blocked and
+   streamed proofs byte-equal. *)
+let eq_table_into point ~lo dst =
   let l = Array.length point in
   let n = 1 lsl l in
+  let len = Fv.length dst in
   if len <= 0 || len land (len - 1) <> 0 then
-    invalid_arg "Mle.eq_table_range: len must be a positive power of two";
+    invalid_arg "Mle.eq_table_into: length must be a positive power of two";
   if len > n || lo mod len <> 0 || lo < 0 || lo + len > n then
-    invalid_arg "Mle.eq_table_range: block must be aligned and in range";
+    invalid_arg "Mle.eq_table_into: block must be aligned and in range";
   let rec log2 m = if m = 1 then 0 else 1 + log2 (m lsr 1) in
   let k = l - log2 len in
   let m = lo / len in
@@ -73,13 +60,25 @@ let eq_table_range point ~lo ~len =
     in
     prefix := Gf.mul !prefix f
   done;
-  let suffix = eq_table (Array.sub point k (l - k)) in
-  (* k = 0 is the whole table: its prefix is the empty product. *)
-  if k > 0 then begin
-    let p = !prefix in
-    Array.iteri (fun i s -> suffix.(i) <- Gf.mul p s) suffix
-  end;
-  suffix
+  Fv.unsafe_set dst 0 !prefix;
+  let size = ref 1 in
+  for i = k to l - 1 do
+    let r = point.(i) in
+    for b = !size - 1 downto 0 do
+      let v = Fv.unsafe_get dst b in
+      let hi = Gf.mul v r in
+      Fv.unsafe_set dst ((2 * b) + 1) hi;
+      Fv.unsafe_set dst (2 * b) (Gf.sub v hi)
+    done;
+    size := 2 * !size
+  done
+
+let eq_fv point =
+  let dst = Fv.create (1 lsl Array.length point) in
+  eq_table_into point ~lo:0 dst;
+  dst
+
+let eq_table point = Fv.to_array (eq_fv point)
 
 let eq_point r s =
   let l = Array.length r in

@@ -35,12 +35,17 @@ val eq_table : point -> Zk_field.Gf.t array
     the Lagrange-basis vector such that
     [eval a r = sum_b a.(b) * (eq_table r).(b)]. *)
 
-val eq_table_range : point -> lo:int -> len:int -> Zk_field.Gf.t array
-(** The [lo, lo+len) block of {!eq_table} without materializing the full
+val eq_table_into : point -> lo:int -> Nocap_vec.Fv.t -> unit
+(** [eq_table_into r ~lo dst] fills [dst] with entries [lo, lo + len) of
+    {!eq_table}[ r], [len = Fv.length dst], without materializing the full
     table: [len] must be a positive power of two and [lo] a multiple of
-    [len] (aligned blocks). Because the table's doubling chain factors
-    exactly over Goldilocks, each block entry is bit-identical to the full
-    table's — the streaming prover depends on this. *)
+    [len] (aligned blocks). The doubling runs in place, seeded with the
+    product over the block's fixed high bits; because the table's doubling
+    chain factors exactly over Goldilocks, each entry is bit-identical to
+    the full table's — the blocked and streaming provers depend on this. *)
+
+val eq_fv : point -> Nocap_vec.Fv.t
+(** {!eq_table} as a fresh flat vector (one {!eq_table_into} at [lo = 0]). *)
 
 val eq_point : point -> point -> Zk_field.Gf.t
 (** [eq_point r s] = [prod_i (r_i * s_i + (1 - r_i) * (1 - s_i))]. *)

@@ -29,42 +29,25 @@ let make ~a ~b ~c ~log_size ~num_constraints ~num_witness ~num_io =
 
 let size inst = 1 lsl inst.log_size
 
-let z inst asn =
-  let half = size inst / 2 in
-  if Array.length asn.w <> half || Array.length asn.io <> half then
-    invalid_arg "R1cs.z: assignment halves must be 2^(log_size-1)";
-  if not (Gf.equal asn.io.(0) Gf.one) then invalid_arg "R1cs.z: io.(0) must be 1";
-  Array.append asn.w asn.io
-
-(* Chunked witness emission for the streaming prover: the same validation
-   as [z], but the wire vector is produced in [block]-sized pieces instead
-   of one 2^log_size array, so the caller can write each piece straight to
-   a spill file. *)
 let check_assignment inst asn =
   let half = size inst / 2 in
   if Array.length asn.w <> half || Array.length asn.io <> half then
     invalid_arg "R1cs.z: assignment halves must be 2^(log_size-1)";
   if not (Gf.equal asn.io.(0) Gf.one) then invalid_arg "R1cs.z: io.(0) must be 1"
 
-let z_block inst asn ~pos ~len =
+let z inst asn =
   check_assignment inst asn;
-  let n = size inst in
-  let half = n / 2 in
-  if pos < 0 || len < 0 || pos + len > n then invalid_arg "R1cs.z_block: out of range";
-  Array.init len (fun i ->
-      let j = pos + i in
-      if j < half then asn.w.(j) else asn.io.(j - half))
+  Array.append asn.w asn.io
 
-let iter_z_blocks inst asn ~block f =
-  if block <= 0 then invalid_arg "R1cs.iter_z_blocks: block must be positive";
+(* The wire vector straight into a flat vector, for the prover's SpMV:
+   the same validation as [z], no boxed intermediate. *)
+let z_fv inst asn =
   check_assignment inst asn;
-  let n = size inst in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = min block (n - !pos) in
-    f ~pos:!pos (z_block inst asn ~pos:!pos ~len);
-    pos := !pos + len
-  done
+  let half = size inst / 2 in
+  let zfv = Nocap_vec.Fv.create (2 * half) in
+  Nocap_vec.Fv.write_array asn.w ~src_pos:0 zfv ~dst_pos:0 ~len:half;
+  Nocap_vec.Fv.write_array asn.io ~src_pos:0 zfv ~dst_pos:half ~len:half;
+  zfv
 
 let satisfied inst asn =
   let zv = z inst asn in

@@ -40,19 +40,9 @@ val size : instance -> int
 val z : instance -> assignment -> Zk_field.Gf.t array
 (** The full wire vector [w || io]. *)
 
-val z_block : instance -> assignment -> pos:int -> len:int -> Zk_field.Gf.t array
-(** The [pos, pos+len) slice of {!z} without materializing the full wire
-    vector (same validation). *)
-
-val iter_z_blocks :
-  instance ->
-  assignment ->
-  block:int ->
-  (pos:int -> Zk_field.Gf.t array -> unit) ->
-  unit
-(** Chunked witness emission for the streaming prover: call [f ~pos slice]
-    over consecutive [block]-sized slices of {!z} (last one may be short),
-    so the wire vector can be written straight to a spill file. *)
+val z_fv : instance -> assignment -> Nocap_vec.Fv.t
+(** {!z} as a fresh flat vector (same validation), copied straight out of
+    the assignment's halves. *)
 
 val satisfied : instance -> assignment -> bool
 (** Check [(Az) o (Bz) = Cz]. *)

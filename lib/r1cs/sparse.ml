@@ -1,4 +1,5 @@
 module Gf = Zk_field.Gf
+module Fv = Nocap_vec.Fv
 
 type t = {
   nrows : int;
@@ -69,40 +70,45 @@ let spmv_transpose m y =
   done;
   out
 
-(* Streaming variants for the out-of-core prover: the vector comes in
-   through an accessor so the caller can serve it from a spill-file window
-   instead of a resident array, and only a row/column window of the result
-   is produced. Field arithmetic is exact, so windowed results are
+(* Blocked variants for the prover, on flat vectors: only a row/column
+   window of the result is produced (the streaming prover's blocks), and
+   nothing is boxed. Field arithmetic is exact, so windowed results are
    bit-identical to the corresponding slice of spmv/spmv_transpose. *)
 
-let spmv_range m ~x ~r_lo ~r_hi =
-  if r_lo < 0 || r_hi > m.nrows || r_lo > r_hi then
-    invalid_arg "Sparse.spmv_range: row window out of range";
-  Array.init (r_hi - r_lo) (fun i ->
-      let r = r_lo + i in
-      let acc = ref Gf.zero in
-      for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
-        acc := Gf.add !acc (Gf.mul m.values.(k) (x m.col_idx.(k)))
-      done;
-      !acc)
+let spmv_into m ~x ~r_lo dst =
+  let len = Fv.length dst in
+  if Fv.length x < m.ncols then invalid_arg "Sparse.spmv_into: dimension mismatch";
+  if r_lo < 0 || r_lo + len > m.nrows then
+    invalid_arg "Sparse.spmv_into: row window out of range";
+  for i = 0 to len - 1 do
+    let r = r_lo + i in
+    let acc = ref Gf.zero in
+    for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
+      acc := Gf.add !acc (Gf.mul m.values.(k) (Fv.unsafe_get x m.col_idx.(k)))
+    done;
+    Fv.unsafe_set dst i !acc
+  done
 
-let spmv_transpose_range m ~y ~c_lo ~c_hi =
-  if c_lo < 0 || c_hi > m.ncols || c_lo > c_hi then
-    invalid_arg "Sparse.spmv_transpose_range: column window out of range";
-  (* One full row scan per column window — cost nblocks * nnz overall, the
-     price of bounding the scatter accumulator to the window. [y] is
-     called once per row in ascending order (sequential-reader friendly). *)
-  let out = Array.make (c_hi - c_lo) Gf.zero in
-  for r = 0 to m.nrows - 1 do
-    let yr = y r in
-    if not (Gf.equal yr Gf.zero) then
+let spmv_transpose_acc m ~y ~r_lo ~scale ~c_lo dst =
+  let rows = Fv.length y and len = Fv.length dst in
+  if r_lo < 0 || r_lo + rows > m.nrows then
+    invalid_arg "Sparse.spmv_transpose_acc: row window out of range";
+  if c_lo < 0 || c_lo + len > m.ncols then
+    invalid_arg "Sparse.spmv_transpose_acc: column window out of range";
+  let c_hi = c_lo + len in
+  for i = 0 to rows - 1 do
+    let yr = Fv.unsafe_get y i in
+    if not (Gf.equal yr Gf.zero) then begin
+      let s = Gf.mul scale yr in
+      let r = r_lo + i in
       for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
         let c = m.col_idx.(k) in
         if c >= c_lo && c < c_hi then
-          out.(c - c_lo) <- Gf.add out.(c - c_lo) (Gf.mul m.values.(k) yr)
+          Fv.unsafe_set dst (c - c_lo)
+            (Gf.add (Fv.unsafe_get dst (c - c_lo)) (Gf.mul s m.values.(k)))
       done
-  done;
-  out
+    end
+  done
 
 let entries m =
   let n = nnz m in
@@ -117,13 +123,15 @@ let entries m =
   seq 0 0
 
 let mle_eval m ~row_eq ~col_eq =
-  if Array.length row_eq < m.nrows || Array.length col_eq < m.ncols then
+  if Fv.length row_eq < m.nrows || Fv.length col_eq < m.ncols then
     invalid_arg "Sparse.mle_eval: eq tables too small";
   let acc = ref Gf.zero in
   for r = 0 to m.nrows - 1 do
+    let row = ref Gf.zero in
     for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
-      acc := Gf.add !acc (Gf.mul m.values.(k) (Gf.mul row_eq.(r) col_eq.(m.col_idx.(k))))
-    done
+      row := Gf.add !row (Gf.mul m.values.(k) (Fv.unsafe_get col_eq m.col_idx.(k)))
+    done;
+    acc := Gf.add !acc (Gf.mul (Fv.unsafe_get row_eq r) !row)
   done;
   !acc
 

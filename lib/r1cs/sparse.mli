@@ -25,27 +25,31 @@ val spmv_transpose : t -> Zk_field.Gf.t array -> Zk_field.Gf.t array
 (** [spmv_transpose m y] is [m^T * y] — used to build the second-sumcheck
     table [M(y) = sum_i eq(rx,i) M_{i,y}] without materializing M^T. *)
 
-val spmv_range :
-  t -> x:(int -> Zk_field.Gf.t) -> r_lo:int -> r_hi:int -> Zk_field.Gf.t array
-(** Rows [r_lo, r_hi) of [m * x], with [x] supplied by an accessor (e.g. a
-    spill-file window) — the streaming prover's row-blocked SpMV.
-    Bit-identical to the same slice of {!spmv}. *)
+val spmv_into : t -> x:Nocap_vec.Fv.t -> r_lo:int -> Nocap_vec.Fv.t -> unit
+(** [spmv_into m ~x ~r_lo dst] writes rows [r_lo, r_lo + Fv.length dst)
+    of [m * x] into [dst] — the prover's row-blocked SpMV, on flat
+    vectors. Bit-identical to the same slice of {!spmv}. *)
 
-val spmv_transpose_range :
-  t -> y:(int -> Zk_field.Gf.t) -> c_lo:int -> c_hi:int -> Zk_field.Gf.t array
-(** Columns [c_lo, c_hi) of [m^T * y]. Scans every row per window ([y] is
-    called once per row, ascending), so a full blocked transpose costs
-    [nblocks * nnz]; the scatter accumulator stays window-sized.
-    Bit-identical to the same slice of {!spmv_transpose}. *)
+val spmv_transpose_acc :
+  t -> y:Nocap_vec.Fv.t -> r_lo:int -> scale:Zk_field.Gf.t -> c_lo:int -> Nocap_vec.Fv.t -> unit
+(** [spmv_transpose_acc m ~y ~r_lo ~scale ~c_lo dst] adds
+    [scale * (m^T y)] restricted to rows [r_lo, r_lo + Fv.length y)
+    ([y.(i)] is row [r_lo + i]) and columns [c_lo, c_lo + Fv.length dst)
+    into [dst]: one multiplication per row for [scale * y_r], then one per
+    in-window nonzero. Summing it over every row block, and over A, B, C
+    with their scales, builds a window of Spartan's M~ table in place.
+    Scans every row of the block per call, so a full column-blocked
+    transpose costs [nblocks * nnz]; the accumulator stays window-sized. *)
 
 val entries : t -> (int * int * Zk_field.Gf.t) Seq.t
 (** All nonzero entries in row-major order. *)
 
-val mle_eval : t -> row_eq:Zk_field.Gf.t array -> col_eq:Zk_field.Gf.t array -> Zk_field.Gf.t
+val mle_eval : t -> row_eq:Nocap_vec.Fv.t -> col_eq:Nocap_vec.Fv.t -> Zk_field.Gf.t
 (** [mle_eval m ~row_eq ~col_eq] = [sum_{(i,j,v)} v * row_eq.(i) * col_eq.(j)]
     — the matrix MLE evaluated at a point, given precomputed eq tables
-    ({!Zk_poly.Mle.eq_table}). This is how the Spartan verifier evaluates
-    A(rx, ry), B(rx, ry), C(rx, ry) in O(nnz). *)
+    ({!Zk_poly.Mle.eq_fv}), with [row_eq.(i)] factored out of each row.
+    This is how the Spartan verifier evaluates A(rx, ry), B(rx, ry),
+    C(rx, ry) in O(nnz). *)
 
 val bandwidth_profile : t -> int * float
 (** [(max_band, mean_band)] where band is [abs (col - row)] over nonzeros. *)

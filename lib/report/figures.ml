@@ -261,21 +261,21 @@ let soundness_ablation () =
   let rng = Zk_util.Rng.create 4242L in
   let module Gf = Zk_field.Gf in
   let module Gf2 = Zk_field.Gf2 in
+  let module Sumcheck = Zk_sumcheck.Sumcheck in
   let l = 12 in
   let tables = Array.init 4 (fun _ -> Array.init (1 lsl l) (fun _ -> Gf.random rng)) in
-  let comb v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3)) in
   let comb_ext v = Gf2.mul v.(0) (Gf2.sub (Gf2.mul v.(1) v.(2)) v.(3)) in
   let claim =
     let acc = ref Gf.zero in
     for b = 0 to (1 lsl l) - 1 do
-      acc := Gf.add !acc (comb (Array.map (fun t -> t.(b)) tables))
+      acc := Gf.add !acc (Sumcheck.spartan_comb_scalar (Array.map (fun t -> t.(b)) tables))
     done;
     !acc
   in
   let base_mults =
     let t = Zk_hash.Transcript.create "abl-base" in
-    (Zk_sumcheck.Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables ~comb ~claim)
-      .Zk_sumcheck.Sumcheck.stats.Zk_sumcheck.Sumcheck.mults
+    (Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables ~comb:Sumcheck.spartan_comb ~claim)
+      .Sumcheck.stats.Sumcheck.mults
   in
   let ext =
     let t = Zk_hash.Transcript.create "abl-ext" in

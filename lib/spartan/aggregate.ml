@@ -5,6 +5,7 @@ module Sparse = Zk_r1cs.Sparse
 module R1cs = Zk_r1cs.R1cs
 module Sumcheck = Zk_sumcheck.Sumcheck
 module Orion = Zk_orion.Orion
+module Fv = Nocap_vec.Fv
 
 type proof = {
   commitments : Orion.commitment array;
@@ -29,22 +30,18 @@ let start_transcript params inst ios =
 
 (* comb for the batched first sumcheck over tables
    [eq; a_1; b_1; c_1; ...; a_k; b_k; c_k] with coefficients rho. *)
-let comb1 rho v =
-  let k = Array.length rho in
-  let acc = ref Gf.zero in
-  for i = 0 to k - 1 do
-    let a = v.((3 * i) + 1) and b = v.((3 * i) + 2) and c = v.((3 * i) + 3) in
-    acc := Gf.add !acc (Gf.mul rho.(i) (Gf.sub (Gf.mul a b) c))
-  done;
-  Gf.mul v.(0) !acc
+let comb1 rho v out =
+  let tmp = Nocap_vec.Arena.alloc (Fv.length out) in
+  Fv.zero out;
+  Array.iteri
+    (fun i r ->
+      Fv.mul_into ~dst:tmp v.((3 * i) + 1) v.((3 * i) + 2);
+      Fv.sub_into ~dst:tmp tmp v.((3 * i) + 3);
+      Fv.axpy_into ~dst:out r tmp)
+    rho;
+  Fv.mul_into ~dst:out out v.(0)
 
-let comb2 v = Gf.mul v.(0) v.(1)
-
-let io_mle_eval io_live point =
-  let eq = Mle.eq_table point in
-  let acc = ref Gf.zero in
-  Array.iteri (fun j v -> acc := Gf.add !acc (Gf.mul v eq.(j))) io_live;
-  !acc
+let comb2 v out = Fv.mul_into ~dst:out v.(0) v.(1)
 
 let prove ?engine ?rng params inst assignments =
   let engine = Zk_pcs.Engine.resolve engine in
@@ -231,7 +228,7 @@ let verify ?engine params inst ~ios proof =
       in
       let ry = v2.Sumcheck.point in
       (* One O(nnz) matrix evaluation serves the whole batch. *)
-      let row_eq = Mle.eq_table rx and col_eq = Mle.eq_table ry in
+      let row_eq = Mle.eq_fv rx and col_eq = Mle.eq_fv ry in
       let ma = Sparse.mle_eval inst.R1cs.a ~row_eq ~col_eq in
       let mb = Sparse.mle_eval inst.R1cs.b ~row_eq ~col_eq in
       let mc = Sparse.mle_eval inst.R1cs.c ~row_eq ~col_eq in
@@ -246,7 +243,7 @@ let verify ?engine params inst ~ios proof =
             let z_i =
               Gf.add
                 (Gf.mul (Gf.sub Gf.one ry.(0)) rep.vws.(i))
-                (Gf.mul ry.(0) (io_mle_eval io ry_rest))
+                (Gf.mul ry.(0) (Spartan.io_mle_eval io ry_rest))
             in
             acc := Gf.add !acc (Gf.mul sigma.(i) z_i))
           ios;

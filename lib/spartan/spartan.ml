@@ -36,38 +36,57 @@ let backend_of_bytes data =
     | Some name -> Ok name
     | None -> E.errorf E.Bad_header "unknown backend tag 0x%02x" (Char.code t))
 
+(* SHA3 of "r1cs:<log_size>:" and, per matrix, its tag then one
+   (row, col, value) triple of little-endian int64s per nonzero in
+   row-major order, written into one exact-size buffer straight from the
+   CSR arrays. Deliberately uncached: the instance's arrays are mutable
+   and a verifier must hash what it is given. *)
 let instance_digest (inst : R1cs.instance) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "r1cs:%d:" inst.R1cs.log_size);
-  let add_matrix tag m =
-    Buffer.add_string buf tag;
-    Seq.iter
-      (fun (r, c, v) ->
-        let b = Bytes.create 24 in
-        Bytes.set_int64_le b 0 (Int64.of_int r);
-        Bytes.set_int64_le b 8 (Int64.of_int c);
-        Bytes.set_int64_le b 16 (Gf.to_int64 v);
-        Buffer.add_bytes buf b)
-      (Sparse.entries m)
+  let header = Printf.sprintf "r1cs:%d:" inst.R1cs.log_size in
+  let mats = [ ('A', inst.R1cs.a); ('B', inst.R1cs.b); ('C', inst.R1cs.c) ] in
+  let size =
+    List.fold_left (fun acc (_, m) -> acc + 1 + (24 * Sparse.nnz m)) (String.length header) mats
   in
-  add_matrix "A" inst.R1cs.a;
-  add_matrix "B" inst.R1cs.b;
-  add_matrix "C" inst.R1cs.c;
-  Keccak.sha3_256 (Buffer.to_bytes buf)
+  let buf = Bytes.create size in
+  Bytes.blit_string header 0 buf 0 (String.length header);
+  let pos = ref (String.length header) in
+  List.iter
+    (fun (tag, (m : Sparse.t)) ->
+      Bytes.set buf !pos tag;
+      incr pos;
+      for r = 0 to m.Sparse.nrows - 1 do
+        for k = m.Sparse.row_ptr.(r) to m.Sparse.row_ptr.(r + 1) - 1 do
+          Bytes.set_int64_le buf !pos (Int64.of_int r);
+          Bytes.set_int64_le buf (!pos + 8) (Int64.of_int m.Sparse.col_idx.(k));
+          Bytes.set_int64_le buf (!pos + 16) (Gf.to_int64 m.Sparse.values.(k));
+          pos := !pos + 24
+        done
+      done)
+    mats;
+  Keccak.sha3_256 buf
 
 (* The multilinear extension of the io half at a point over (L-1) variables,
-   computed from the live io prefix only (everything else is zero). *)
+   computed from the live io prefix only (everything else is zero): only
+   the smallest aligned power-of-two block of the eq table covering that
+   prefix is built. *)
 let io_mle_eval io_live point =
-  let eq = Mle.eq_table point in
+  let live = Array.length io_live in
+  if live > 1 lsl Array.length point then invalid_arg "Spartan: io longer than the io half";
+  let len = ref 1 in
+  while !len < live do
+    len := 2 * !len
+  done;
+  let eq = Fv.create !len in
+  Mle.eq_table_into point ~lo:0 eq;
   let acc = ref Gf.zero in
-  Array.iteri (fun j v -> acc := Gf.add !acc (Gf.mul v eq.(j))) io_live;
+  for j = 0 to live - 1 do
+    acc := Gf.add !acc (Gf.mul io_live.(j) (Fv.unsafe_get eq j))
+  done;
   !acc
 
-(* comb for sumcheck #1: eq * (az * bz - cz), degree 3. *)
-let comb1 v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3))
-
-(* comb for sumcheck #2: m * z, degree 2. *)
-let comb2 v = Gf.mul v.(0) v.(1)
+(* comb for sumcheck #2: m * z, degree 2 (sumcheck #1 uses
+   Sumcheck.spartan_comb). *)
+let comb2 v out = Fv.mul_into ~dst:out v.(0) v.(1)
 
 module type S = sig
   module P : Zk_pcs.Pcs.S
@@ -177,16 +196,14 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
     let n = R1cs.size inst in
     let block = match budget with None -> n | Some b -> max 1024 (b / (8 * 8)) in
     (* z as a flat vector (validates the assignment shape like R1cs.z). *)
-    let zfv = Fv.create n in
-    R1cs.iter_z_blocks inst asn ~block (fun ~pos slice ->
-        Fv.write_array slice ~src_pos:0 zfv ~dst_pos:pos ~len:(Array.length slice));
-    (* SpMV reads z out of the assignment's own boxed halves (no
-       per-entry boxing of an [Fv] read). *)
-    let half = n / 2 in
-    let zf j = if j < half then asn.R1cs.w.(j) else asn.R1cs.io.(j - half) in
-    (* Row-blocked Az/Bz/Cz: each block is checked for satisfiability and
-       stored; under a budget the three dense vectors never coexist in
-       RAM. Raises before any commitment work. *)
+    let zfv = R1cs.z_fv inst asn in
+    (* File-backed blocks are filled in these staging vectors and then
+       stored; RAM-backed ones are filled in place. *)
+    let stage () = Fv.create (if spill then block else 0) in
+    (* Row-blocked Az/Bz/Cz, written straight into the vectors' blocks:
+       each block is checked for satisfiability and stored; under a budget
+       the three dense vectors never coexist in RAM. Raises before any
+       commitment work. *)
     let az = Spill.create ~tag:"spartan-az" ~spill n in
     let bz = Spill.create ~tag:"spartan-bz" ~spill n in
     let cz = Spill.create ~tag:"spartan-cz" ~spill n in
@@ -200,21 +217,25 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
         Spill.free bz;
         Spill.free cz)
     @@ fun () ->
+    let abuf = stage () and bbuf = stage () and cbuf = stage () in
     let r = ref 0 in
     while !r < n do
       Pool.Cancel.check ();
-      let hi = min n (!r + block) in
-      let ab = Sparse.spmv_range inst.R1cs.a ~x:zf ~r_lo:!r ~r_hi:hi in
-      let bb = Sparse.spmv_range inst.R1cs.b ~x:zf ~r_lo:!r ~r_hi:hi in
-      let cb = Sparse.spmv_range inst.R1cs.c ~x:zf ~r_lo:!r ~r_hi:hi in
-      for i = 0 to hi - !r - 1 do
-        if not (Gf.equal (Gf.mul ab.(i) bb.(i)) cb.(i)) then
-          invalid_arg "Spartan.prove: assignment does not satisfy the instance"
+      let len = min block (n - !r) in
+      let ab = Spill.writable az ~pos:!r ~len ~buf:abuf in
+      let bb = Spill.writable bz ~pos:!r ~len ~buf:bbuf in
+      let cb = Spill.writable cz ~pos:!r ~len ~buf:cbuf in
+      Sparse.spmv_into inst.R1cs.a ~x:zfv ~r_lo:!r ab;
+      Sparse.spmv_into inst.R1cs.b ~x:zfv ~r_lo:!r bb;
+      Sparse.spmv_into inst.R1cs.c ~x:zfv ~r_lo:!r cb;
+      for i = 0 to len - 1 do
+        if not (Gf.equal (Gf.mul (Fv.unsafe_get ab i) (Fv.unsafe_get bb i)) (Fv.unsafe_get cb i))
+        then invalid_arg "Spartan.prove: assignment does not satisfy the instance"
       done;
-      Spill.write_array az ~pos:!r ab;
-      Spill.write_array bz ~pos:!r bb;
-      Spill.write_array cz ~pos:!r cb;
-      r := hi
+      Spill.store az ~pos:!r ab;
+      Spill.store bz ~pos:!r bb;
+      Spill.store cz ~pos:!r cb;
+      r := !r + len
     done;
     let transcript = start_transcript params inst (R1cs.public_io inst asn) in
     (* Commit to the witness half; the engine budget sizes the backend's
@@ -225,8 +246,9 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
     let spmv_mults = ref (R1cs.nnz inst) in
     let sc_mults = ref 0 and sc_adds = ref 0 in
     let z_spill = Spill.of_fv zfv in
-    (* Eq table generated block-by-block via the aligned-range
-       factorization (bit-identical to Mle.eq_table). *)
+    (* Eq table generated block-by-block, each block doubled in place from
+       its aligned prefix (bit-identical to Mle.eq_table). *)
+    let ebuf = stage () in
     let spill_eq tag point =
       let len = 1 lsl Array.length point in
       let s = Spill.create ~tag ~spill len in
@@ -242,7 +264,9 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
       (try
          while !pos < len do
            Pool.Cancel.check ();
-           Spill.write_array s ~pos:!pos (Mle.eq_table_range point ~lo:!pos ~len:eb);
+           let blk = Spill.writable s ~pos:!pos ~len:eb ~buf:ebuf in
+           Mle.eq_table_into point ~lo:!pos blk;
+           Spill.store s ~pos:!pos blk;
            pos := !pos + eb
          done
        with e ->
@@ -250,6 +274,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
          raise e);
       s
     in
+    let mbuf = stage () and ybuf = stage () in
     let reps =
       Array.init params.repetitions (fun _ ->
           (* --- Sumcheck #1 --- *)
@@ -260,7 +285,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
             Sumcheck.prove_streaming ~engine ~comb_mults:2 ?budget_bytes:budget transcript
               ~degree:3
               ~tables:[| eq_tau; az; bz; cz |]
-              ~comb:comb1 ~claim:Gf.zero
+              ~comb:Sumcheck.spartan_comb ~claim:Gf.zero
           in
           sc_mults := !sc_mults + r1.Sumcheck.stats.Sumcheck.mults;
           sc_adds := !sc_adds + r1.Sumcheck.stats.Sumcheck.adds;
@@ -277,9 +302,10 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
               (Gf.add (Gf.mul r_abc.(1) vb) (Gf.mul r_abc.(2) vc))
           in
           let eq_rx = spill_eq "spartan-eqrx" rx in
-          (* Column-blocked M~ table: the transpose SpMV scans the matrices
-             once per window (window-sized accumulator), reading eq_rx
-             through a sliding spill window. *)
+          (* Column-blocked M~ table: each window accumulates the
+             r_abc-scaled transpose products of A, B and C in place,
+             scanning eq_rx in row blocks (one view of the whole vector
+             when it is RAM-backed, block reads when it has spilled). *)
           let m_table = Spill.create ~tag:"spartan-m" ~spill n in
           let r2 =
             Fun.protect
@@ -287,23 +313,23 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
                 Spill.free eq_rx;
                 Spill.free m_table)
             @@ fun () ->
-            let reader = Spill.Reader.create eq_rx in
-            let y r = Spill.Reader.get reader r in
             let c = ref 0 in
             while !c < n do
               Pool.Cancel.check ();
-              let hi = min n (!c + block) in
-              let ta = Sparse.spmv_transpose_range inst.R1cs.a ~y ~c_lo:!c ~c_hi:hi in
-              let tb = Sparse.spmv_transpose_range inst.R1cs.b ~y ~c_lo:!c ~c_hi:hi in
-              let tc = Sparse.spmv_transpose_range inst.R1cs.c ~y ~c_lo:!c ~c_hi:hi in
-              for i = 0 to hi - !c - 1 do
-                ta.(i) <-
-                  Gf.add
-                    (Gf.mul r_abc.(0) ta.(i))
-                    (Gf.add (Gf.mul r_abc.(1) tb.(i)) (Gf.mul r_abc.(2) tc.(i)))
+              let len = min block (n - !c) in
+              let mb = Spill.writable m_table ~pos:!c ~len ~buf:mbuf in
+              Fv.zero mb;
+              let r = ref 0 in
+              while !r < n do
+                let rows = min block (n - !r) in
+                let y = Spill.view eq_rx ~pos:!r ~len:rows ~buf:ybuf in
+                Sparse.spmv_transpose_acc inst.R1cs.a ~y ~r_lo:!r ~scale:r_abc.(0) ~c_lo:!c mb;
+                Sparse.spmv_transpose_acc inst.R1cs.b ~y ~r_lo:!r ~scale:r_abc.(1) ~c_lo:!c mb;
+                Sparse.spmv_transpose_acc inst.R1cs.c ~y ~r_lo:!r ~scale:r_abc.(2) ~c_lo:!c mb;
+                r := !r + rows
               done;
-              Spill.write_array m_table ~pos:!c ta;
-              c := hi
+              Spill.store m_table ~pos:!c mb;
+              c := !c + len
             done;
             spmv_mults := !spmv_mults + R1cs.nnz inst;
             (* eq_rx is only needed to build M~; free it before the second
@@ -390,7 +416,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
         let ry = v2.Sumcheck.point in
         (* M~(ry) = rA * A~(rx,ry) + rB * B~(rx,ry) + rC * C~(rx,ry), evaluated
            directly from the sparse matrices in O(nnz). *)
-        let row_eq = Mle.eq_table rx and col_eq = Mle.eq_table ry in
+        let row_eq = Mle.eq_fv rx and col_eq = Mle.eq_fv ry in
         let ma = Sparse.mle_eval inst.R1cs.a ~row_eq ~col_eq in
         let mb = Sparse.mle_eval inst.R1cs.b ~row_eq ~col_eq in
         let mc = Sparse.mle_eval inst.R1cs.c ~row_eq ~col_eq in
@@ -450,7 +476,17 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
     Ok { Sumcheck.round_polys }
 
   let proof_to_bytes (p : proof) =
-    let buf = Buffer.create 65536 in
+    (* The buffer starts at the proof's size, so it is allocated once
+       rather than grown by doubling from a small start: the dropped
+       buffers of that chain went to the major heap on every proof and
+       raised peak RSS. The size is the payload estimate plus 1/8 for the
+       length prefixes it leaves out (they add 1-6% on the shipped
+       circuits). Both backends size an opening from the proof alone, so
+       the default params serve; a short estimate only costs a regrow. *)
+    let payload =
+      proof_size_bytes { pcs = P.default_params; repetitions = Array.length p.reps } p
+    in
+    let buf = Buffer.create (payload + (payload / 8) + 256) in
     Buffer.add_string buf magic;
     Codec.put_byte buf P.tag;
     P.write_commitment buf p.w_commitment;

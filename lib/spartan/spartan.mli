@@ -125,6 +125,13 @@ include S with module P = Zk_orion.Orion_pcs
 (** The default instance, over Orion — byte-compatible with the pre-functor
     prover for every engine/domain configuration. *)
 
+val io_mle_eval : Gf.t array -> Gf.t array -> Gf.t
+(** [io_mle_eval io point] is the multilinear extension of the io half of
+    [z] (the live prefix [io], zero beyond it) at [point], over
+    [Array.length point] variables. Only the power-of-two prefix of the eq
+    table that covers [io] is built.
+    @raise Invalid_argument if [io] is longer than [2^(Array.length point)]. *)
+
 val backend_of_bytes : bytes -> (string, Zk_pcs.Verify_error.t) result
 (** Sniff the header of a serialized proof and report which backend wrote it
     ([Ok "orion"], [Ok "fri"], ...) without decoding the payload. Legacy

@@ -1,6 +1,7 @@
 module Gf = Zk_field.Gf
 module Transcript = Zk_hash.Transcript
 module Mle = Zk_poly.Mle
+module Fv = Nocap_vec.Fv
 
 type proof = {
   layer_claims : (Gf.t * Gf.t) array;
@@ -15,7 +16,10 @@ let log2_exact n =
   let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
   go 0 n
 
-let comb v = Gf.mul v.(0) (Gf.mul v.(1) v.(2))
+(* eq * evens * odds, elementwise over a chunk. *)
+let comb v out =
+  Fv.mul_into ~dst:out v.(1) v.(2);
+  Fv.mul_into ~dst:out out v.(0)
 
 let prove transcript v =
   let n = Array.length v in

@@ -18,6 +18,15 @@ type prover_result = {
 
 type verifier_result = { point : Gf.t array; value : Gf.t }
 
+(* Spartan's first combiner eq * (az * bz - cz) over [| eq; az; bz; cz |]:
+   degree 3, two multiplications per point. *)
+let spartan_comb v out =
+  Fv.mul_into ~dst:out v.(1) v.(2);
+  Fv.sub_into ~dst:out out v.(3);
+  Fv.mul_into ~dst:out out v.(0)
+
+let spartan_comb_scalar v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3))
+
 let log2_exact n =
   if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Sumcheck: table size must be a power of two";
   let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
@@ -113,71 +122,99 @@ let prove_arrays ?engine ?(comb_mults = 0) transcript ~degree ~tables ~comb ~cla
     stats = { rounds = num_vars; mults = !mults; adds = !adds };
   }
 
+module Arena = Nocap_vec.Arena
+
+(* Adds to [g] the round polynomial's sums over one block of points, given
+   the blocks' lo halves (t = 0) and hi halves (t = 1) of every table. The
+   values at t = 0 and t = 1 are the halves themselves; each t >= 2 is a
+   [lerp_into] at the field constant t. Each point's [comb] writes the
+   elementwise combiner into [out], which is summed into g(t). Scratch
+   comes from this domain's arena and is reclaimed on return. *)
+let eval_block ~degree ~comb ~lo ~hi g =
+  Arena.with_frame @@ fun () ->
+  let m = Fv.length lo.(0) in
+  let out = Arena.alloc m in
+  let point t tabs =
+    comb tabs out;
+    g.(t) <- Gf.add g.(t) (Fv.sum out)
+  in
+  point 0 lo;
+  if degree >= 1 then point 1 hi;
+  if degree >= 2 then begin
+    let pts = Array.map (fun _ -> Arena.alloc m) lo in
+    for t = 2 to degree do
+      let c = Gf.of_int t in
+      Array.iteri (fun j p -> Fv.lerp_into ~dst:p lo.(j) hi.(j) c) pts;
+      point t pts
+    done
+  end
+
+(* The round polynomial g(t), t = 0..degree, over the points whose lo/hi
+   halves are [lo.(j)]/[hi.(j)] (equal-length vectors). The points split
+   into 1024-point chunks evaluated in parallel, each producing a partial
+   g; partials are added back in chunk order (and Gf addition is exact),
+   so g is byte-identical for every domain count. *)
+let round_poly ?pool ~degree ~comb ~comb_mults ~lo ~hi () =
+  let k = Array.length lo in
+  Pool.fold_chunks ?pool ~chunk:1024
+    (* One index evaluates the combiner at degree+1 points on the vector
+       kernels; the fixed chunk:1024 pins the combine order for every
+       grain. *)
+    ~grain:(Pool.grain_of_ns (max 1 ((degree + 1) * (comb_mults + k) * 4)))
+    ~n:(Fv.length lo.(0))
+    ~init:(Array.make (degree + 1) Gf.zero)
+    ~body:(fun a b ->
+      let view t = Fv.sub_view t ~pos:a ~len:(b - a) in
+      let g = Array.make (degree + 1) Gf.zero in
+      eval_block ~degree ~comb ~lo:(Array.map view lo) ~hi:(Array.map view hi) g;
+      g)
+    ~combine:(fun acc part ->
+      for t = 0 to degree do
+        acc.(t) <- Gf.add acc.(t) part.(t)
+      done;
+      acc)
+    ()
+
+(* T(b) <- T(b) + r * (T(b + half) - T(b)) for every table, into [dst]
+   (which may be [lo] itself: the kernel is elementwise). *)
+let fold ?pool ~dst ~lo ~hi r =
+  let k = Array.length lo in
+  Pool.run ?pool ~grain:(Pool.grain_of_ns (4 * k)) ~n:(Fv.length lo.(0)) (fun a b ->
+      let view t = Fv.sub_view t ~pos:a ~len:(b - a) in
+      for j = 0 to k - 1 do
+        Fv.lerp_into ~dst:(view dst.(j)) (view lo.(j)) (view hi.(j)) r
+      done)
+
 (* The round loop over unboxed in-RAM tables: every round of an unbudgeted
    proof, and the tail of a budgeted one from [round0] (the round at which
-   the shrinking tables first fit the budget). Runs rounds
-   [round0, num_vars), folding tables of current length [len0] in place. *)
-let run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~num_vars ~round0
-    ~len0 ~mults ~adds ~round_polys ~challenges () =
+   the shrinking tables first fit the budget). [tabs] hold the current
+   generation; unless [owned], they are the caller's and round [round0]
+   folds out of place into fresh half-length vectors, after which every
+   fold is in place. *)
+let run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~owned ~num_vars ~round0
+    ~mults ~adds ~round_polys ~challenges () =
   let k = Array.length tabs in
-  let len = ref len0 in
+  let tabs = ref tabs and owned = ref owned in
   for round = round0 to num_vars - 1 do
     Pool.Cancel.check ();
-    let half = !len / 2 in
-    let eval_chunk lo_b hi_b =
-      let g = Array.make (degree + 1) Gf.zero in
-      let vals = Array.make k Gf.zero in
-      let deltas = Array.make k Gf.zero in
-      for b = lo_b to hi_b - 1 do
-        for j = 0 to k - 1 do
-          let tj = Array.unsafe_get tabs j in
-          let lo = Fv.unsafe_get tj b and hi = Fv.unsafe_get tj (b + half) in
-          vals.(j) <- lo;
-          deltas.(j) <- Gf.sub hi lo
-        done;
-        for t = 0 to degree do
-          if t > 0 then
-            for j = 0 to k - 1 do
-              vals.(j) <- Gf.add vals.(j) deltas.(j)
-            done;
-          g.(t) <- Gf.add g.(t) (comb vals)
-        done
-      done;
-      g
-    in
-    let g =
-      Pool.fold_chunks ?pool ~chunk:1024
-        (* One index evaluates the combiner at degree+1 points; the fixed
-           chunk:1024 pins the combine order for every grain. *)
-        ~grain:(Pool.grain_of_ns (max 1 ((degree + 1) * (comb_mults + k) * 20)))
-        ~n:half
-        ~init:(Array.make (degree + 1) Gf.zero)
-        ~body:eval_chunk
-        ~combine:(fun acc part ->
-          for t = 0 to degree do
-            acc.(t) <- Gf.add acc.(t) part.(t)
-          done;
-          acc)
-        ()
-    in
+    let half = Fv.length !tabs.(0) / 2 in
+    let lo = Array.map (fun t -> Fv.sub_view t ~pos:0 ~len:half) !tabs in
+    let hi = Array.map (fun t -> Fv.sub_view t ~pos:half ~len:half) !tabs in
+    let g = round_poly ?pool ~degree ~comb ~comb_mults ~lo ~hi () in
     adds := !adds + (half * (degree + 1) * (k + 1));
     mults := !mults + (half * (degree + 1) * comb_mults);
     round_polys.(round) <- g;
     Transcript.absorb_gf transcript "sumcheck/round" g;
     let r = Transcript.challenge_gf transcript "sumcheck/challenge" in
     challenges.(round) <- r;
-    for j = 0 to k - 1 do
-      let t = tabs.(j) in
-      Pool.run ?pool ~grain:(Pool.grain_of_ns 15) ~n:half (fun lo hi ->
-          for b = lo to hi - 1 do
-            let x = Fv.unsafe_get t b in
-            Fv.unsafe_set t b (Gf.add x (Gf.mul r (Gf.sub (Fv.unsafe_get t (b + half)) x)))
-          done)
-    done;
+    let dst = if !owned then lo else Array.map (fun _ -> Fv.create half) lo in
+    fold ?pool ~dst ~lo ~hi r;
     mults := !mults + (k * half);
     adds := !adds + (2 * k * half);
-    len := half
-  done
+    tabs := dst;
+    owned := true
+  done;
+  Array.map (fun t -> Fv.get t 0) !tabs
 
 module Spill = Nocap_vec.Spill
 
@@ -199,12 +236,15 @@ module Spill = Nocap_vec.Spill
    arithmetic is exact, so the recomputed values — and hence every round
    polynomial, challenge, and final value — are bit-identical to folding.
 
-   As the residual table length n >> j shrinks, it eventually fits half
-   the budget; at that point the tables are materialized into RAM once and
-   {!run_rounds} finishes with the in-place loop. With no budget the
-   tables fit at round 0: they are copied into RAM as they are (or used
-   directly when [owned] says the caller's RAM tables may be folded in
-   place) and every round runs in {!run_rounds}.
+   Each recomputed lo/hi block pair goes through the same chunk evaluator
+   ({!round_poly}) as the in-RAM rounds. As the residual table length
+   n >> j shrinks, it eventually fits half the budget; at that point the
+   tables are materialized into RAM once and {!run_rounds} finishes. With
+   no budget the tables fit at round 0 and every round runs in
+   {!run_rounds}: RAM-backed tables are read where they are (folded in
+   place from the start when [owned] says the caller handed them over,
+   else folded out of place once into fresh half-length vectors), and
+   file-backed ones are loaded into RAM copies first.
 
    [stats] reports the protocol's arithmetic, not the recomputation
    overhead, so it is the same for every budget. *)
@@ -253,9 +293,9 @@ let prove_spills ?engine ?(comb_mults = 0) ?budget_bytes ~owned transcript ~degr
     let dstv = Fv.sub_view dst ~pos:0 ~len in
     Fv.zero dstv;
     let bufv = Fv.sub_view buf ~pos:0 ~len in
-    for m = 0 to Array.length w - 1 do
+    for m = 0 to Fv.length w - 1 do
       Spill.read tj ~pos:((m * stride) + pos) bufv;
-      Fv.axpy_into ~dst:dstv w.(m) bufv
+      Fv.axpy_into ~dst:dstv (Fv.unsafe_get w m) bufv
     done
   in
   let round = ref 0 in
@@ -264,10 +304,8 @@ let prove_spills ?engine ?(comb_mults = 0) ?budget_bytes ~owned transcript ~degr
     let j = !round in
     let stride = n lsr j in
     let half = stride / 2 in
-    let w = Mle.eq_table (Array.sub challenges 0 j) in
+    let w = Mle.eq_fv (Array.sub challenges 0 j) in
     let g = Array.make (degree + 1) Gf.zero in
-    let vals = Array.make k Gf.zero in
-    let deltas = Array.make k Gf.zero in
     let pos = ref 0 in
     while !pos < half do
       Pool.Cancel.check ();
@@ -276,20 +314,12 @@ let prove_spills ?engine ?(comb_mults = 0) ?budget_bytes ~owned transcript ~degr
         recompute ~w ~stride tables.(t) acc_lo.(t) ~pos:!pos ~len;
         recompute ~w ~stride tables.(t) acc_hi.(t) ~pos:(!pos + half) ~len
       done;
-      for b = 0 to len - 1 do
-        for t = 0 to k - 1 do
-          let lo = Fv.unsafe_get acc_lo.(t) b and hi = Fv.unsafe_get acc_hi.(t) b in
-          vals.(t) <- lo;
-          deltas.(t) <- Gf.sub hi lo
-        done;
-        for t = 0 to degree do
-          if t > 0 then
-            for j = 0 to k - 1 do
-              vals.(j) <- Gf.add vals.(j) deltas.(j)
-            done;
-          g.(t) <- Gf.add g.(t) (comb vals)
-        done
-      done;
+      let view v = Fv.sub_view v ~pos:0 ~len in
+      let part =
+        round_poly ?pool ~degree ~comb ~comb_mults ~lo:(Array.map view acc_lo)
+          ~hi:(Array.map view acc_hi) ()
+      in
+      Array.iteri (fun t x -> g.(t) <- Gf.add g.(t) x) part;
       pos := !pos + len
     done;
     adds := !adds + (half * (degree + 1) * (k + 1));
@@ -303,15 +333,18 @@ let prove_spills ?engine ?(comb_mults = 0) ?budget_bytes ~owned transcript ~degr
     incr round
   done;
   (* Materialize the residual generation into RAM once and finish with the
-     in-place loop. *)
+     in-RAM loop. At round 0 RAM-backed tables are read where they are
+     (the first fold writes fresh half-length vectors); spilled ones are
+     loaded into RAM copies the loop may fold in place. *)
   let round0 = !round in
   let stride = n lsr round0 in
-  let w = Mle.eq_table (Array.sub challenges 0 round0) in
+  let w = Mle.eq_fv (Array.sub challenges 0 round0) in
+  let in_ram = round0 = 0 && not (Array.exists Spill.is_spilled tables) in
   let tabs =
     Array.map
       (fun tj ->
-        if round0 = 0 then
-          if owned && not (Spill.is_spilled tj) then Spill.as_fv tj else Spill.to_fv tj
+        if in_ram then Spill.as_fv tj
+        else if round0 = 0 then Spill.to_fv tj
         else begin
           let dst = Fv.create stride in
           let pos = ref 0 in
@@ -325,9 +358,11 @@ let prove_spills ?engine ?(comb_mults = 0) ?budget_bytes ~owned transcript ~degr
         end)
       tables
   in
-  run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~num_vars ~round0
-    ~len0:stride ~mults ~adds ~round_polys ~challenges ();
-  let final_values = Array.map (fun t -> Fv.get t 0) tabs in
+  let final_values =
+    run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs
+      ~owned:(owned || not in_ram) ~num_vars ~round0 ~mults ~adds ~round_polys
+      ~challenges ()
+  in
   {
     proof = { round_polys };
     challenges;

@@ -35,6 +35,40 @@ type prover_result = {
   stats : stats;
 }
 
+(** {1 The combiner contract}
+
+    The provers take the combiner in vector form,
+    [comb : Fv.t array -> Fv.t -> unit]: [comb vals out] writes
+    [out.(i) <- comb(vals.(0).(i), ..., vals.(k-1).(i))] for every [i],
+    where all vectors have the same (chunk) length, at most 1024. It is
+    built from the elementwise [Fv] kernels ([mul_into], [sub_into],
+    [add_into], ...), which dispatch to the native C/SIMD layer, so one
+    call evaluates a whole chunk of points. [comb] must not write
+    [vals] (they may be views of the tables themselves); it may use [out]
+    as scratch and take further scratch from [Nocap_vec.Arena.alloc],
+    which the prover's enclosing frame reclaims. {!spartan_comb} is an
+    example.
+
+    Each round one evaluator serves every table backing: per chunk the
+    values at [t = 0] and [t = 1] are views of the lo/hi halves, each
+    [t >= 2] is one {!Nocap_vec.Fv.lerp_into} per table, and [Fv.sum] of
+    [out] is added into [g(t)]; the fold is [lerp_into] at the challenge.
+    The scalar form [Gf.t array -> Gf.t] survives only in the
+    {!prove_arrays} oracle. *)
+
+val spartan_comb : Nocap_vec.Fv.t array -> Nocap_vec.Fv.t -> unit
+(** Spartan's first combiner [eq * (az * bz - cz)] over the tables
+    [[| eq; az; bz; cz |]] (degree 3, two multiplications per point):
+    {[
+      fun v out ->
+        Fv.mul_into ~dst:out v.(1) v.(2);
+        Fv.sub_into ~dst:out out v.(3);
+        Fv.mul_into ~dst:out out v.(0)
+    ]} *)
+
+val spartan_comb_scalar : Gf.t array -> Gf.t
+(** The scalar form of {!spartan_comb}, for {!prove_arrays} and claims. *)
+
 val prove_streaming :
   ?engine:Zk_pcs.Engine.t ->
   ?comb_mults:int ->
@@ -42,22 +76,25 @@ val prove_streaming :
   Zk_hash.Transcript.t ->
   degree:int ->
   tables:Nocap_vec.Spill.t array ->
-  comb:(Gf.t array -> Gf.t) ->
+  comb:(Nocap_vec.Fv.t array -> Nocap_vec.Fv.t -> unit) ->
   claim:Gf.t ->
   prover_result
-(** Runs the prover over spillable tables. [comb] receives one value per
-    table; [comb_mults] is the number of field multiplications one [comb]
-    call performs (default 0), so [stats] can account for them. The claim
-    is absorbed into the transcript, so prover and verifier bind to it.
+(** Runs the prover over spillable tables. [comb] is the vector combiner
+    above; [comb_mults] is the number of field multiplications it performs
+    per point (default 0), so [stats] can account for them. The claim is
+    absorbed into the transcript, so prover and verifier bind to it.
     [engine] supplies the worker pool for round evaluation and folds.
 
-    With no [budget_bytes] the tables are copied once into unboxed RAM
-    vectors and every round folds them in place. Under a budget no folded
+    With no [budget_bytes] every round runs on unboxed RAM vectors:
+    RAM-backed tables are read where they are and the first fold writes
+    fresh half-length vectors (file-backed ones are loaded into RAM
+    first); later folds are in place. Under a budget no folded
     table generation is ever stored (recompute-halves): after j rounds the
     current table is recomputed on the fly as an eq-weighted sum of
-    strided slices of the original, read in budget-sized blocks; once the
+    strided slices of the original, read in budget-sized blocks, and each
+    recomputed block pair goes through the same evaluator; once the
     shrinking residual fits half the budget, it is materialized into RAM
-    and the in-place loop finishes. Each streamed round costs one full
+    and the in-RAM loop finishes. Each streamed round costs one full
     pass over the original tables. The result — proof bytes, challenges,
     final values, stats — is the same for every budget and every engine.
     [tables] are read, never written; the caller frees them.
@@ -69,11 +106,12 @@ val prove :
   Zk_hash.Transcript.t ->
   degree:int ->
   tables:Gf.t array array ->
-  comb:(Gf.t array -> Gf.t) ->
+  comb:(Nocap_vec.Fv.t array -> Nocap_vec.Fv.t -> unit) ->
   claim:Gf.t ->
   prover_result
 (** {!prove_streaming} with no budget over boxed tables, which are not
-    mutated (they are copied once into unboxed vectors). *)
+    mutated (they are copied once into unboxed vectors, which the rounds
+    then fold in place). *)
 
 val prove_arrays :
   ?engine:Zk_pcs.Engine.t ->
@@ -84,9 +122,40 @@ val prove_arrays :
   comb:(Gf.t array -> Gf.t) ->
   claim:Gf.t ->
   prover_result
-(** Boxed-array reference implementation of {!prove}: same chunking, same
-    combine order, same arithmetic, byte-identical proof and challenges.
-    Kept as the correctness oracle the budget sweeps compare against. *)
+(** Boxed-array reference implementation of {!prove} with the scalar form
+    of the same combiner, evaluated point by point: same chunking, same
+    stats, byte-identical proof and challenges. Kept as the correctness
+    oracle the vector provers and the budget sweeps compare against. *)
+
+(** {1 Round kernels}
+
+    One round of the provers above on RAM vectors, exposed for the kernel
+    benches. *)
+
+val round_poly :
+  ?pool:Nocap_parallel.Pool.t ->
+  degree:int ->
+  comb:(Nocap_vec.Fv.t array -> Nocap_vec.Fv.t -> unit) ->
+  comb_mults:int ->
+  lo:Nocap_vec.Fv.t array ->
+  hi:Nocap_vec.Fv.t array ->
+  unit ->
+  Gf.t array
+(** [round_poly ~degree ~comb ~comb_mults ~lo ~hi ()] is the round
+    polynomial [g(0..degree)] over the points whose top variable is 0 in
+    [lo.(j)] and 1 in [hi.(j)] (all of one length), evaluated in 1024-point
+    chunks ([comb_mults] only sizes the parallel grain). *)
+
+val fold :
+  ?pool:Nocap_parallel.Pool.t ->
+  dst:Nocap_vec.Fv.t array ->
+  lo:Nocap_vec.Fv.t array ->
+  hi:Nocap_vec.Fv.t array ->
+  Gf.t ->
+  unit
+(** [fold ~dst ~lo ~hi r] binds the top variable to [r]:
+    [dst.(j) <- lo.(j) + r * (hi.(j) - lo.(j))]; [dst.(j)] may be
+    [lo.(j)] itself (the in-place fold). *)
 
 type verifier_result = {
   point : Gf.t array;

@@ -131,6 +131,16 @@ let axpy_into ~dst c src =
       unsafe_set dst i (Gf.add (unsafe_get dst i) (Gf.mul c (unsafe_get src i)))
     done
 
+(* dst <- a + c * (b - a) : the sumcheck fold and round-point kernel. *)
+let lerp_into ~dst a b c =
+  check3 "Fv.lerp_into" dst a b;
+  if Native.on () then Native.fv_lerp dst a b c
+  else
+    for i = 0 to length dst - 1 do
+      let x = unsafe_get a i in
+      unsafe_set dst i (Gf.add x (Gf.mul c (Gf.sub (unsafe_get b i) x)))
+    done
+
 let map_into ~dst f a =
   check2 "Fv.map_into" dst a;
   for i = 0 to length dst - 1 do

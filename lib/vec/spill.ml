@@ -163,14 +163,6 @@ let read t ~pos dst =
       A1.unsafe_set dst i (Bytes.get_int64_le f.stage (i * 8))
     done
 
-let write_array t ~pos src =
-  match t.backing with
-  | Ram fv ->
-    let n = Array.length src in
-    check_range t ~pos ~n "write";
-    Fv.write_array src ~src_pos:0 fv ~dst_pos:pos ~len:n
-  | File _ -> write t ~pos (Fv.of_array src)
-
 let view t ~pos ~len ~buf =
   match t.backing with
   | Ram fv ->
@@ -246,35 +238,3 @@ let create ?(tag = "spill") ~spill n =
 let spilled_bytes_total () = !spilled_total
 let live_files () = !live_files_count
 let reset_counters () = spilled_total := 0
-
-module Reader = struct
-  type spill = t
-
-  type t = {
-    src : spill;
-    buf : Fv.t; (* empty for RAM sources *)
-    mutable lo : int; (* first element cached in buf *)
-    mutable n : int; (* valid elements in buf *)
-  }
-
-  let create ?(window = 16384) src =
-    match src.backing with
-    | Ram _ -> { src; buf = Fv.create 0; lo = 0; n = 0 }
-    | File _ ->
-      let window = max 1 (min window src.len) in
-      { src; buf = Fv.create (max 1 window); lo = 0; n = 0 }
-
-  let get r i =
-    match r.src.backing with
-    | Ram fv -> Fv.get fv i
-    | File _ ->
-      if i < r.lo || i >= r.lo + r.n then begin
-        let window = Fv.length r.buf in
-        let lo = min i (max 0 (length r.src - window)) in
-        let n = min window (length r.src - lo) in
-        read r.src ~pos:lo (Fv.sub_view r.buf ~pos:0 ~len:n);
-        r.lo <- lo;
-        r.n <- n
-      end;
-      Fv.unsafe_get r.buf (i - r.lo)
-end

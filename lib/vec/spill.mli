@@ -50,10 +50,6 @@ val write : t -> pos:int -> Fv.t -> unit
 val read : t -> pos:int -> Fv.t -> unit
 (** Load [Fv.length dst] elements from [pos]. *)
 
-val write_array : t -> pos:int -> Gf.t array -> unit
-(** {!write} from a boxed array: one copy straight into a RAM-backed
-    vector's storage instead of an intermediate [Fv.t]. *)
-
 val view : t -> pos:int -> len:int -> buf:Fv.t -> Fv.t
 (** Elements [pos, pos + len) for reading: a shared view of a RAM-backed
     vector's storage (no copy), or a {!read} into the front of [buf] when
@@ -70,8 +66,8 @@ val store : t -> pos:int -> Fv.t -> unit
     RAM-backed (the block is the storage), a {!write} when file-backed. *)
 
 val get : t -> int -> Gf.t
-(** Point read. O(1) in RAM; one tiny pread when spilled — use {!Reader}
-    for scans. *)
+(** Point read. O(1) in RAM; one tiny pread when spilled — use {!view}
+    blocks for scans. *)
 
 val as_fv : t -> Fv.t
 (** The underlying [Fv.t] of a RAM-backed vector (shared, not copied).
@@ -118,17 +114,3 @@ val set_io_fault_hook : (string -> unit) option -> unit
     may raise (e.g. [Unix.Unix_error (EIO, _, _)]) to simulate disk
     failure — the staging mutex is released on the way out. [None]
     disarms. Testing only; never set in production paths. *)
-
-(** Sequential read window over a spill vector: [get] near-misses reload a
-    fixed-size window starting at the requested index, so ascending scans
-    cost one pass of block I/O while staying O(window) resident. *)
-module Reader : sig
-  type spill := t
-  type t
-
-  val create : ?window:int -> spill -> t
-  (** [window] is in elements (default 16384 = 128 KiB); RAM-backed
-      sources ignore it and read directly. *)
-
-  val get : t -> int -> Gf.t
-end

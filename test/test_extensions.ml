@@ -111,11 +111,12 @@ let test_ext_vs_repetition_cost () =
   let l = 8 in
   let tables = Array.init 4 (fun _ -> Array.init (1 lsl l) (fun _ -> Gf.random rng)) in
   let comb2 v = Gf2.mul v.(0) (Gf2.sub (Gf2.mul v.(1) v.(2)) v.(3)) in
-  let comb v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3)) in
   let claim =
     let acc = ref Gf.zero in
     for b = 0 to (1 lsl l) - 1 do
-      acc := Gf.add !acc (comb (Array.map (fun t -> t.(b)) tables))
+      acc :=
+        Gf.add !acc
+          (Zk_sumcheck.Sumcheck.spartan_comb_scalar (Array.map (fun t -> t.(b)) tables))
     done;
     !acc
   in
@@ -123,7 +124,9 @@ let test_ext_vs_repetition_cost () =
   let ext = Sumcheck_ext.prove pt ~degree:3 ~tables ~comb:comb2 ~comb_mults:2 ~claim in
   let base_run () =
     let t = Transcript.create "base-cost" in
-    (Zk_sumcheck.Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables ~comb ~claim)
+    (Zk_sumcheck.Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables
+       ~comb:Zk_sumcheck.Sumcheck.spartan_comb
+       ~claim)
       .Zk_sumcheck.Sumcheck.stats
       .Zk_sumcheck.Sumcheck.mults
   in

@@ -266,7 +266,6 @@ let qcheck_codes =
           |> List.for_all (( = ) serial))
         [ (module Reed_solomon); (module Expander) ])
 
-let sumcheck_comb v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3))
 
 let qcheck_sumcheck =
   qcheck "sumcheck transcripts identical across domain counts"
@@ -276,14 +275,14 @@ let qcheck_sumcheck =
       let claim =
         let acc = ref Gf.zero in
         for b = 0 to 63 do
-          acc := Gf.add !acc (sumcheck_comb (Array.map (fun t -> t.(b)) tables))
+          acc := Gf.add !acc (Sumcheck.spartan_comb_scalar (Array.map (fun t -> t.(b)) tables))
         done;
         !acc
       in
       let run () =
         let t = Transcript.create "test-parallel" in
         let r =
-          Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables ~comb:sumcheck_comb ~claim
+          Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables ~comb:Sumcheck.spartan_comb ~claim
         in
         (* The post-proof challenge pins the entire transcript state. *)
         (r.Sumcheck.proof, r.Sumcheck.challenges, r.Sumcheck.final_values,

@@ -54,7 +54,7 @@ let test_sparse_mle_eval () =
   in
   let rx = Array.init 3 (fun _ -> Gf.random rng) in
   let ry = Array.init 3 (fun _ -> Gf.random rng) in
-  let row_eq = Mle.eq_table rx and col_eq = Mle.eq_table ry in
+  let row_eq = Mle.eq_fv rx and col_eq = Mle.eq_fv ry in
   (* Reference: build the dense 64-entry MLE table and evaluate. *)
   let dense = Array.make (n * n) Gf.zero in
   Seq.iter (fun (r, c, v) -> dense.((r * n) + c) <- v) (Sparse.entries m);

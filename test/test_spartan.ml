@@ -157,6 +157,23 @@ let test_stats_populated () =
   Alcotest.(check bool) "spmv mults" true (stats.Spartan.spmv_mults >= 2 * R1cs.nnz inst);
   Alcotest.(check bool) "hashes" true (stats.Spartan.transcript_hashes > 0)
 
+(* The instance digest is absorbed first into every prover and verifier
+   transcript, so its bytes are part of the proof-format contract: the
+   hashed layout ("r1cs:<log_size>:", then per matrix its tag and one
+   (row, col, value) triple of little-endian int64s per nonzero) must not
+   drift. *)
+let test_instance_digest_pinned () =
+  let check name inst expected =
+    Alcotest.(check string) name expected
+      (Zk_hash.Keccak.to_hex (Spartan.instance_digest inst))
+  in
+  let synthetic, _ = Zk_workloads.Synthetic.circuit ~n_constraints:200 ~seed:7L () in
+  check "synthetic n=200 seed=7" synthetic
+    "611768fb5ea43e0bf46ec1f70b44f43b6820b06fc7d9b1019031076f1863b9ec";
+  let auction, _ = Zk_workloads.Auction_circuit.circuit ~bids:4 ~seed:11L () in
+  check "auction bids=4 seed=11" auction
+    "2e028fdd78c79bca1ed7e9a5b7920e3ccaf600a9b35fc10695e3e1fa0862bbcd"
+
 let prop_random_circuits_roundtrip =
   QCheck.Test.make ~count:10 ~name:"random circuits prove and verify"
     QCheck.(int_range 1 80)
@@ -176,5 +193,6 @@ let suite =
     Alcotest.test_case "different instance rejected" `Quick test_proof_for_different_instance_rejected;
     Alcotest.test_case "proof size" `Quick test_proof_size_positive;
     Alcotest.test_case "prover stats" `Quick test_stats_populated;
+    Alcotest.test_case "instance digest pinned" `Quick test_instance_digest_pinned;
     QCheck_alcotest.to_alcotest prop_random_circuits_roundtrip;
   ]

@@ -2,8 +2,8 @@
 
    There is a single prover at every layer; the engine's stream budget
    only picks the block size and whether vectors live in RAM or in spill
-   files. Every component — spill files, blocked eq tables, ranged SpMV,
-   chunked witness emission, the incremental Merkle builder, the
+   files. Every component — spill files, blocked eq tables, blocked SpMV,
+   the flat witness vector, the incremental Merkle builder, the
    recompute-halves sumcheck, the PCS commits/openings, and the end-to-end
    Spartan pipeline — must be *byte-identical* for every budget and equal
    to its reference oracle: Goldilocks ops are exact and canonical, so any
@@ -104,28 +104,34 @@ let test_spill_ram_backing () =
   check_gf_array "of_fv" data (Fv.to_array (Spill.to_fv wrapped));
   Spill.free s
 
-let test_spill_reader () =
+let test_spill_view () =
   let n = 513 in
   let rng = Rng.create 42L in
   let data = random_gf_array rng n in
-  let s = Spill.create ~tag:"reader" ~spill:true n in
-  Spill.write s ~pos:0 (Fv.of_array data);
-  let r = Spill.Reader.create ~window:32 s in
-  (* sequential, strided, backward, random: window reloads must be invisible *)
-  let probe i =
-    if not (Gf.equal (Spill.Reader.get r i) data.(i)) then
-      Alcotest.failf "reader mismatch at %d" i
-  in
-  for i = 0 to n - 1 do
-    probe i
-  done;
-  let i = ref (n - 1) in
-  while !i >= 0 do
-    probe !i;
-    i := !i - 37
-  done;
-  List.iter probe [ 0; n - 1; 256; 31; 32; 33; 511; 1 ];
-  Spill.free s
+  let buf = Fv.create 32 in
+  List.iter
+    (fun spill ->
+      let s = Spill.create ~tag:"view" ~spill n in
+      Spill.write s ~pos:0 (Fv.of_array data);
+      let probe pos len =
+        check_gf_array
+          (Printf.sprintf "view %d+%d (spilled %b)" pos len spill)
+          (Array.sub data pos len)
+          (Fv.to_array (Spill.view s ~pos ~len ~buf))
+      in
+      (* buffer-sized blocks with a ragged tail, then blocks across their
+         edges, single elements at both ends and an empty block *)
+      let pos = ref 0 in
+      while !pos < n do
+        let len = min 32 (n - !pos) in
+        probe !pos len;
+        pos := !pos + len
+      done;
+      List.iter
+        (fun (pos, len) -> probe pos len)
+        [ (31, 2); (500, 13); (0, 1); (n - 1, 1); (256, 0) ];
+      Spill.free s)
+    [ false; true ]
 
 let test_spill_bounds () =
   let s = Spill.create ~tag:"bounds" ~spill:true 8 in
@@ -142,23 +148,25 @@ let test_spill_bounds () =
 
 (* --- blocked eq tables -------------------------------------------------- *)
 
-let prop_eq_table_range =
-  qcheck ~count:60 "eq_table_range = eq_table slice"
+let prop_eq_table_into =
+  qcheck ~count:60 "eq_table_into = eq_table slice"
     QCheck.(pair (int_range 0 8) small_int)
     (fun (l, seed) ->
       let rng = Rng.create (Int64.of_int (succ seed)) in
       let point = random_gf_array rng l in
-      let full = Mle.eq_table point in
       let n = 1 lsl l in
+      (* the closed form, independent of the doubling chain *)
+      let full = Array.init n (fun b -> Mle.eq_point point (Mle.eval_of_index l b)) in
       (* every aligned power-of-two block size *)
       let ok = ref true in
       let len = ref 1 in
       while !len <= n do
         let lo = ref 0 in
         while !lo < n do
-          let part = Mle.eq_table_range point ~lo:!lo ~len:!len in
+          let part = Fv.create !len in
+          Mle.eq_table_into point ~lo:!lo part;
           for i = 0 to !len - 1 do
-            if not (Gf.equal part.(i) full.(!lo + i)) then ok := false
+            if not (Gf.equal (Fv.get part i) full.(!lo + i)) then ok := false
           done;
           lo := !lo + !len
         done;
@@ -184,24 +192,37 @@ let test_spmv_ranges () =
   let y = random_gf_array rng 37 in
   let full = Sparse.spmv m x in
   let fullt = Sparse.spmv_transpose m y in
+  let xv = Fv.of_array x in
   List.iter
     (fun (lo, hi) ->
-      let part = Sparse.spmv_range m ~x:(fun j -> x.(j)) ~r_lo:lo ~r_hi:hi in
+      let part = Fv.create (hi - lo) in
+      Sparse.spmv_into m ~x:xv ~r_lo:lo part;
       check_gf_array
-        (Printf.sprintf "spmv_range [%d,%d)" lo hi)
+        (Printf.sprintf "spmv_into [%d,%d)" lo hi)
         (Array.sub full lo (hi - lo))
-        part)
+        (Fv.to_array part))
     [ (0, 37); (0, 1); (36, 37); (5, 21); (17, 18) ];
+  (* Column windows accumulated over row blocks, with a scale. *)
+  let scale = gf_of_rng rng in
   List.iter
-    (fun (lo, hi) ->
-      let part = Sparse.spmv_transpose_range m ~y:(fun i -> y.(i)) ~c_lo:lo ~c_hi:hi in
+    (fun ((lo, hi), row_block) ->
+      let part = Fv.create (hi - lo) in
+      Fv.zero part;
+      let r = ref 0 in
+      while !r < 37 do
+        let rows = min row_block (37 - !r) in
+        Sparse.spmv_transpose_acc m
+          ~y:(Fv.of_array (Array.sub y !r rows))
+          ~r_lo:!r ~scale ~c_lo:lo part;
+        r := !r + rows
+      done;
       check_gf_array
-        (Printf.sprintf "spmv_transpose_range [%d,%d)" lo hi)
-        (Array.sub fullt lo (hi - lo))
-        part)
-    [ (0, 29); (0, 1); (28, 29); (3, 17) ]
+        (Printf.sprintf "spmv_transpose_acc [%d,%d) rows/%d" lo hi row_block)
+        (Array.map (Gf.mul scale) (Array.sub fullt lo (hi - lo)))
+        (Fv.to_array part))
+    [ ((0, 29), 37); ((0, 1), 5); ((28, 29), 1); ((3, 17), 10) ]
 
-(* --- chunked witness emission ------------------------------------------- *)
+(* --- flat witness vector ------------------------------------------------ *)
 
 let chain_circuit seed steps =
   let rng = Rng.create (Int64.of_int seed) in
@@ -219,27 +240,14 @@ let chain_circuit seed steps =
   Gadgets.assert_equal b (Builder.lc_var !cur) (Builder.lc_var out);
   Builder.finalize b
 
-let test_z_blocks () =
+let test_z_fv () =
   let inst, asn = chain_circuit 3 50 in
-  let full = R1cs.z inst asn in
-  let n = Array.length full in
-  List.iter
-    (fun (pos, len) ->
-      check_gf_array
-        (Printf.sprintf "z_block pos=%d len=%d" pos len)
-        (Array.sub full pos len)
-        (R1cs.z_block inst asn ~pos ~len))
-    [ (0, n); (0, 1); (n - 1, 1); (n / 2, n / 2); (3, 17) ];
-  List.iter
-    (fun block ->
-      let out = Array.make n Gf.zero in
-      let seen = ref 0 in
-      R1cs.iter_z_blocks inst asn ~block (fun ~pos slice ->
-          Array.blit slice 0 out pos (Array.length slice);
-          seen := !seen + Array.length slice);
-      Alcotest.(check int) (Printf.sprintf "iter covers all (block=%d)" block) n !seen;
-      check_gf_array (Printf.sprintf "iter_z_blocks block=%d" block) full out)
-    [ 1; 7; 64; n; 3 * n ]
+  check_gf_array "z_fv" (R1cs.z inst asn) (Fv.to_array (R1cs.z_fv inst asn));
+  Alcotest.(check bool) "z_fv validates like z" true
+    (try
+       ignore (R1cs.z_fv inst { asn with R1cs.w = Array.sub asn.R1cs.w 1 1 });
+       false
+     with Invalid_argument _ -> true)
 
 (* --- incremental Merkle builder ----------------------------------------- *)
 
@@ -308,7 +316,6 @@ let prop_merkle_builder_chunks =
 (* --- streaming sumcheck ------------------------------------------------- *)
 
 let comb2 v = Gf.mul v.(0) v.(1)
-let comb3 v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3))
 
 let check_sumcheck_equal msg (a : Sumcheck.prover_result) (b : Sumcheck.prover_result) =
   Alcotest.(check int)
@@ -326,7 +333,7 @@ let check_sumcheck_equal msg (a : Sumcheck.prover_result) (b : Sumcheck.prover_r
     true
     (a.Sumcheck.stats = b.Sumcheck.stats)
 
-let run_sumcheck_pair ~l ~degree ~tables_count ~comb ~comb_mults ~budget seed =
+let run_sumcheck_pair ~l ~degree ~tables_count ~comb ~vcomb ~comb_mults ~budget seed =
   let n = 1 lsl l in
   let rng = Rng.create (Int64.of_int (succ seed)) in
   let tables = Array.init tables_count (fun _ -> random_gf_array rng n) in
@@ -345,7 +352,7 @@ let run_sumcheck_pair ~l ~degree ~tables_count ~comb ~comb_mults ~budget seed =
   let spills = Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables in
   let streamed =
     Sumcheck.prove_streaming ~comb_mults ?budget_bytes:budget t2 ~degree
-      ~tables:spills ~comb ~claim
+      ~tables:spills ~comb:vcomb ~claim
   in
   Array.iteri
     (fun i t ->
@@ -371,9 +378,12 @@ let test_sumcheck_streaming () =
       let salt = Option.value budget ~default:0 in
       List.iter
         (fun l ->
-          run_sumcheck_pair ~l ~degree:2 ~tables_count:2 ~comb:comb2 ~comb_mults:1
+          run_sumcheck_pair ~l ~degree:2 ~tables_count:2 ~comb:comb2 ~vcomb:Vcomb.prod2
+            ~comb_mults:1
             ~budget (l + salt);
-          run_sumcheck_pair ~l ~degree:3 ~tables_count:4 ~comb:comb3 ~comb_mults:2
+          run_sumcheck_pair ~l ~degree:3 ~tables_count:4 ~comb:Sumcheck.spartan_comb_scalar
+            ~vcomb:Sumcheck.spartan_comb
+            ~comb_mults:2
             ~budget ((l * 31) + salt))
         [ 0; 1; 2; 5; 8 ])
     [ None; Some 256; Some (4 * 1024); Some (64 * 1024 * 1024) ]
@@ -406,10 +416,87 @@ let test_sumcheck_spilled_tables () =
   in
   let streamed =
     Sumcheck.prove_streaming ~comb_mults:1 ~budget_bytes:512 t2 ~degree:2
-      ~tables:spills ~comb:comb2 ~claim
+      ~tables:spills ~comb:Vcomb.prod2 ~claim
   in
   Array.iter Spill.free spills;
   check_sumcheck_equal "spilled tables" reference streamed
+
+(* The vector-combiner contract: a random combiner — a sum of [terms]
+   (coefficient, variable indices) monomials of degree <= [degree] over
+   k tables — written once as a scalar function for the boxed oracle and
+   once on the Fv kernels for the provers. Sizes 2..2^12 make halves both
+   below and above the 1024-point chunk, and the streamed blocks under the
+   small budgets are not multiples of it. *)
+let random_combiner rng ~k ~degree =
+  let terms =
+    List.init
+      (1 + Rng.int rng 3)
+      (fun _ ->
+        (gf_of_rng rng, List.init (1 + Rng.int rng degree) (fun _ -> Rng.int rng k)))
+  in
+  let scalar v =
+    List.fold_left
+      (fun acc (c, idx) -> Gf.add acc (List.fold_left (fun p j -> Gf.mul p v.(j)) c idx))
+      Gf.zero terms
+  in
+  let vector v out =
+    let tmp = Nocap_vec.Arena.alloc (Fv.length out) in
+    Fv.zero out;
+    List.iter
+      (fun (c, idx) ->
+        Fv.fill tmp c;
+        List.iter (fun j -> Fv.mul_into ~dst:tmp tmp v.(j)) idx;
+        Fv.add_into ~dst:out out tmp)
+      terms
+  in
+  let mults = List.fold_left (fun acc (_, idx) -> acc + List.length idx) 0 terms in
+  (scalar, vector, mults)
+
+let prop_vector_combiner_contract =
+  qcheck ~count:25 "vector combiners: prove_streaming = prove_arrays (budgets x domains)"
+    QCheck.(
+      make
+        ~print:(fun (l, k, d, s) -> Printf.sprintf "l=%d k=%d degree=%d seed=%d" l k d s)
+        Gen.(quad (int_range 1 12) (int_range 1 5) (int_range 1 4) small_nat))
+    (fun (l, k, degree, seed) ->
+      let rng = Rng.create (Int64.of_int (seed + (1000 * l) + (100 * k) + degree)) in
+      let n = 1 lsl l in
+      let tables = Array.init k (fun _ -> random_gf_array rng n) in
+      let scalar, vector, comb_mults = random_combiner rng ~k ~degree in
+      let claim =
+        let acc = ref Gf.zero in
+        for b = 0 to n - 1 do
+          acc := Gf.add !acc (scalar (Array.map (fun t -> t.(b)) tables))
+        done;
+        !acc
+      in
+      let reference =
+        Sumcheck.prove_arrays ~comb_mults (Transcript.create "contract") ~degree ~tables
+          ~comb:scalar ~claim
+      in
+      List.iter
+        (fun domains ->
+          List.iter
+            (fun budget ->
+              let msg =
+                Printf.sprintf "l=%d k=%d degree=%d domains=%d budget=%s" l k degree domains
+                  (match budget with None -> "none" | Some b -> string_of_int b)
+              in
+              let spills = Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables in
+              let streamed =
+                Pool.with_domains domains (fun () ->
+                    Sumcheck.prove_streaming ~comb_mults ?budget_bytes:budget
+                      (Transcript.create "contract") ~degree ~tables:spills ~comb:vector ~claim)
+              in
+              check_sumcheck_equal msg reference streamed;
+              Array.iteri
+                (fun i t ->
+                  check_gf_array (Printf.sprintf "%s: table %d untouched" msg i) t
+                    (Fv.to_array (Spill.as_fv spills.(i))))
+                tables)
+            [ None; Some 512; Some 2048; Some 65536 ])
+        [ 1; 2 ];
+      true)
 
 (* --- PCS commits and openings under a budget ----------------------------- *)
 
@@ -590,15 +677,16 @@ let suite =
   [
     Alcotest.test_case "spill roundtrip + cleanup" `Quick test_spill_roundtrip;
     Alcotest.test_case "spill RAM backing" `Quick test_spill_ram_backing;
-    Alcotest.test_case "spill reader windows" `Quick test_spill_reader;
+    Alcotest.test_case "spill view blocks" `Quick test_spill_view;
     Alcotest.test_case "spill bounds checks" `Quick test_spill_bounds;
-    prop_eq_table_range;
+    prop_eq_table_into;
     Alcotest.test_case "ranged spmv = full" `Quick test_spmv_ranges;
-    Alcotest.test_case "z blocks = z" `Quick test_z_blocks;
+    Alcotest.test_case "z_fv = z" `Quick test_z_fv;
     Alcotest.test_case "merkle builder = build" `Quick test_merkle_builder;
     prop_merkle_builder_chunks;
     Alcotest.test_case "sumcheck budgets = prove_arrays" `Quick test_sumcheck_streaming;
     Alcotest.test_case "sumcheck over spilled tables" `Quick test_sumcheck_spilled_tables;
+    prop_vector_combiner_contract;
     Alcotest.test_case "orion: budget = no budget" `Quick test_orion_budget_equal;
     Alcotest.test_case "fri: budget = no budget" `Quick test_fri_budget_equal;
     Alcotest.test_case "spartan budget sweep = goldens" `Quick test_spartan_budget_sweep;

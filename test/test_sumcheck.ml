@@ -18,10 +18,12 @@ let sum_over_cube tables comb =
   done;
   !acc
 
-let run_roundtrip ~l ~degree ~tables ~comb =
+(* [comb] is the scalar form (claims and checks), [vcomb] the vector form
+   the prover takes. *)
+let run_roundtrip ~l ~degree ~tables ~comb ~vcomb =
   let claim = sum_over_cube tables comb in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree ~tables ~comb ~claim in
+  let res = Sumcheck.prove pt ~degree ~tables ~comb:vcomb ~claim in
   let vt = Transcript.create "sumcheck-test" in
   match Sumcheck.verify vt ~degree ~num_vars:l ~claim res.Sumcheck.proof with
   | Error e -> Alcotest.failf "verify failed: %s" (Zk_pcs.Verify_error.to_string e)
@@ -46,19 +48,22 @@ let test_single_table () =
   (* Listing 1: prove sum of a single multilinear table (degree 1). *)
   let rng = Rng.create 40L in
   let tables = [| random_table rng 5 |] in
-  ignore (run_roundtrip ~l:5 ~degree:1 ~tables ~comb:(fun v -> v.(0)))
+  ignore (run_roundtrip ~l:5 ~degree:1 ~tables ~comb:(fun v -> v.(0)) ~vcomb:Vcomb.first)
 
 let test_product_of_two () =
   let rng = Rng.create 41L in
   let tables = [| random_table rng 4; random_table rng 4 |] in
-  ignore (run_roundtrip ~l:4 ~degree:2 ~tables ~comb:(fun v -> Gf.mul v.(0) v.(1)))
+  ignore
+    (run_roundtrip ~l:4 ~degree:2 ~tables ~comb:(fun v -> Gf.mul v.(0) v.(1))
+       ~vcomb:Vcomb.prod2)
 
 let test_spartan_shape () =
   (* The degree-3 Spartan combination eq * (az * bz - cz). *)
   let rng = Rng.create 42L in
   let tables = Array.init 4 (fun _ -> random_table rng 6) in
-  let comb v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3)) in
-  ignore (run_roundtrip ~l:6 ~degree:3 ~tables ~comb)
+  ignore
+    (run_roundtrip ~l:6 ~degree:3 ~tables ~comb:Sumcheck.spartan_comb_scalar
+       ~vcomb:Sumcheck.spartan_comb)
 
 let test_wrong_claim_rejected () =
   let rng = Rng.create 43L in
@@ -68,7 +73,7 @@ let test_wrong_claim_rejected () =
   let pt = Transcript.create "sumcheck-test" in
   (* A cheating prover can still produce rounds, but the verifier's final
      reduced value will not match the true MLE evaluation. *)
-  let res = Sumcheck.prove pt ~degree:1 ~tables ~comb ~claim in
+  let res = Sumcheck.prove pt ~degree:1 ~tables ~comb:Vcomb.first ~claim in
   let vt = Transcript.create "sumcheck-test" in
   match Sumcheck.verify vt ~degree:1 ~num_vars:4 ~claim res.Sumcheck.proof with
   | Error _ -> () (* round check already caught it *)
@@ -82,7 +87,7 @@ let test_tampered_round_rejected () =
   let comb v = Gf.mul v.(0) v.(1) in
   let claim = sum_over_cube tables comb in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:2 ~tables ~comb ~claim in
+  let res = Sumcheck.prove pt ~degree:2 ~tables ~comb:Vcomb.prod2 ~claim in
   let proof = res.Sumcheck.proof in
   proof.Sumcheck.round_polys.(2).(1) <- Gf.add proof.Sumcheck.round_polys.(2).(1) Gf.one;
   let vt = Transcript.create "sumcheck-test" in
@@ -102,7 +107,7 @@ let test_wrong_transcript_rejected () =
   let comb v = v.(0) in
   let claim = sum_over_cube tables comb in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:1 ~tables ~comb ~claim in
+  let res = Sumcheck.prove pt ~degree:1 ~tables ~comb:Vcomb.first ~claim in
   let vt = Transcript.create "different-domain" in
   match Sumcheck.verify vt ~degree:1 ~num_vars:3 ~claim res.Sumcheck.proof with
   | Error _ -> ()
@@ -116,7 +121,7 @@ let test_stats () =
   let tables = [| random_table rng l |] in
   let claim = sum_over_cube tables (fun v -> v.(0)) in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:1 ~tables ~comb:(fun v -> v.(0)) ~claim in
+  let res = Sumcheck.prove pt ~degree:1 ~tables ~comb:Vcomb.first ~claim in
   Alcotest.(check int) "rounds" l res.Sumcheck.stats.Sumcheck.rounds;
   (* Fold multiplications: sum over rounds of half = 2^(l-1) + ... + 1. *)
   Alcotest.(check int) "fold mults" ((1 lsl l) - 1) res.Sumcheck.stats.Sumcheck.mults
@@ -130,7 +135,7 @@ let prop_roundtrip_random_degrees =
       let comb v = Array.fold_left Gf.mul Gf.one v in
       let claim = sum_over_cube tables comb in
       let pt = Transcript.create "sumcheck-prop" in
-      let res = Sumcheck.prove pt ~degree:k ~tables ~comb ~claim in
+      let res = Sumcheck.prove pt ~degree:k ~tables ~comb:Vcomb.prod_all ~claim in
       let vt = Transcript.create "sumcheck-prop" in
       match Sumcheck.verify vt ~degree:k ~num_vars:l ~claim res.Sumcheck.proof with
       | Error _ -> false

@@ -302,12 +302,18 @@ let test_sumcheck_prove_equiv () =
     done;
     !acc
   in
-  let run prover =
-    let t = Transcript.create "test-vec-sumcheck" in
-    prover t ~degree:3 ~tables ~comb ~claim
+  let vcomb v out =
+    Fv.mul_into ~dst:out v.(1) v.(2);
+    Fv.sub_into ~dst:out out v.(0);
+    Fv.mul_into ~dst:out out v.(0)
   in
-  let a = run (Sumcheck.prove_arrays ?engine:None ~comb_mults:2)
-  and b = run (Sumcheck.prove ?engine:None ~comb_mults:2) in
+  let a =
+    Sumcheck.prove_arrays ~comb_mults:2 (Transcript.create "test-vec-sumcheck") ~degree:3
+      ~tables ~comb ~claim
+  and b =
+    Sumcheck.prove ~comb_mults:2 (Transcript.create "test-vec-sumcheck") ~degree:3 ~tables
+      ~comb:vcomb ~claim
+  in
   Array.iteri
     (fun i g -> gf_array_eq (Printf.sprintf "round %d" i) g b.Sumcheck.proof.Sumcheck.round_polys.(i))
     a.Sumcheck.proof.Sumcheck.round_polys;
