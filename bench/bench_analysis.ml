@@ -3,8 +3,8 @@
    seeded mutation sweep demanding zero silent accepts — every weakened
    circuit must trip its operator's expected lint rule.
 
-   Emits BENCH_analysis.json (validated against its own schema before exit)
-   and exits non-zero on any lint error in the corpus, report inconsistency
+   Writes BENCH_analysis.json through [Bench_report.write], whose gates exit
+   non-zero on any lint error in the corpus, report inconsistency
    (Structure.consistent), or silent mutant.
 
    [run ~smoke:true] backs the @bench-smoke alias that tier-1 runs: it lints
@@ -39,103 +39,135 @@ type mutant_totals = {
   by_op : (string * int) list;
 }
 
-(* --- JSON emission ------------------------------------------------------ *)
+type mutant_sweep = {
+  totals : mutant_totals;
+  silent : string list;  (* "circuit/op" of every mutant its rule missed *)
+}
 
-let json_of_results ~smoke ~anchor_name (rows : circuit_row list)
-    (m : mutant_totals) =
-  let buf = Buffer.create 8192 in
-  let adds fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  adds "{\n";
-  adds "  \"schema\": %S,\n" schema_id;
-  adds "  \"smoke\": %b,\n" smoke;
-  adds "  \"seed\": %Ld,\n" mutant_seed;
-  adds "  \"anchor\": %S,\n" anchor_name;
-  adds "  \"circuits\": [\n";
-  List.iteri
-    (fun i r ->
-      adds "    {\n";
-      adds "      \"report\": %s,\n" (Circuit_report.to_json r.report);
-      adds "      \"density_rel\": %.6f,\n" r.density_rel;
-      adds "      \"streamable\": %b,\n" r.streamable;
-      adds "      \"consistent\": %b,\n" r.consistent;
-      adds "      \"prover_seconds_est\": %.9f,\n" r.prover_seconds;
-      adds "      \"lint\": {\"errors\": %d, \"warnings\": %d, \"propagated\": %d, \"probe_unknowns\": %d, \"probe_free\": %d, \"probe_ops\": %d}\n"
-        (List.length (Diag.errors r.verdict.Circuit_lint.diags))
-        (List.length (Diag.warnings r.verdict.Circuit_lint.diags))
-        r.verdict.Circuit_lint.propagated r.verdict.Circuit_lint.probe_unknowns
-        r.verdict.Circuit_lint.probe_free r.verdict.Circuit_lint.probe_ops;
-      adds "    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  adds "  ],\n";
-  adds "  \"mutants\": {\n";
-  adds "    \"total\": %d,\n" m.total;
-  adds "    \"caught\": %d,\n" m.caught;
-  adds "    \"silent_accepts\": %d,\n" (m.total - m.caught);
-  adds "    \"unsatisfied\": %d,\n" m.unsatisfied;
-  adds "    \"by_op\": { %s }\n"
-    (String.concat ", "
-       (List.map (fun (k, n) -> Printf.sprintf "%S: %d" k n) m.by_op));
-  adds "  }\n";
-  adds "}\n";
-  Buffer.contents buf
+(* --- report --------------------------------------------------------------- *)
 
-(* --- schema validation (shared parser in Json_min) ---------------------- *)
+let document ~smoke ~anchor_name (rows : circuit_row list) (m : mutant_totals) =
+  let open Bench_report in
+  let open Json_min in
+  [
+    ("smoke", Bool smoke);
+    ("seed", Num (Int64.to_float mutant_seed));
+    ("anchor", Str anchor_name);
+    ( "circuits",
+      objs
+        (fun r ->
+          let v = r.verdict in
+          [
+            ("report", Circuit_report.to_json r.report);
+            ("density_rel", Num r.density_rel);
+            ("streamable", Bool r.streamable);
+            ("consistent", Bool r.consistent);
+            ("prover_seconds_est", Num r.prover_seconds);
+            ( "lint",
+              Obj
+                [
+                  ("errors", int (List.length (Diag.errors v.Circuit_lint.diags)));
+                  ("warnings", int (List.length (Diag.warnings v.Circuit_lint.diags)));
+                  ("propagated", int v.Circuit_lint.propagated);
+                  ("probe_unknowns", int v.Circuit_lint.probe_unknowns);
+                  ("probe_free", int v.Circuit_lint.probe_free);
+                  ("probe_ops", int v.Circuit_lint.probe_ops);
+                ] );
+          ])
+        rows );
+    ( "mutants",
+      Obj
+        [
+          ("total", int m.total);
+          ("caught", int m.caught);
+          ("silent_accepts", int (m.total - m.caught));
+          ("unsatisfied", int m.unsatisfied);
+          ("by_op", counts m.by_op);
+        ] );
+  ]
 
-open Json_min
-
-let validate_schema (s : string) : (unit, string) result =
-  try
-    let j = parse_json s in
-    if as_str (field j "schema") <> schema_id then
-      raise (Bad_json "wrong schema id");
-    let circuits = as_list (field j "circuits") in
-    if circuits = [] then raise (Bad_json "circuits must be non-empty");
-    List.iter
-      (fun c ->
-        let report = field c "report" in
-        if as_str (field report "name") = "" then
-          raise (Bad_json "circuit name must be non-empty");
-        if as_num (field report "total_nnz") <= 0.0 then
-          raise (Bad_json "total_nnz must be positive");
-        if as_num (field report "density_factor") <= 0.0 then
-          raise (Bad_json "density_factor must be positive");
-        if as_num (field c "density_rel") <= 0.0 then
-          raise (Bad_json "density_rel must be positive");
-        if not (as_bool (field c "consistent")) then
-          raise (Bad_json "report failed Structure.consistent");
-        let lint = field c "lint" in
-        if as_num (field lint "errors") <> 0.0 then
-          raise (Bad_json "corpus circuit has lint errors");
-        if as_num (field lint "probe_free") <> 0.0 then
-          raise (Bad_json "corpus circuit has residual degrees of freedom"))
-      circuits;
-    let m = field j "mutants" in
-    let num k = int_of_float (as_num (field m k)) in
-    if num "total" < 1000 then
-      raise (Bad_json "mutant sweep must cover >= 1000 mutants");
-    if num "silent_accepts" <> 0 then
-      raise (Bad_json "silent accepts in the mutation sweep");
-    if num "caught" <> num "total" then
-      raise (Bad_json "caught must account for every mutant");
-    if num "unsatisfied" <> 0 then
-      raise (Bad_json "a mutation operator broke satisfiability");
-    let op_total =
-      match field m "by_op" with
-      | Obj kvs ->
-        List.fold_left (fun acc (_, v) -> acc + int_of_float (as_num v)) 0 kvs
-      | _ -> raise (Bad_json "by_op must be an object")
-    in
-    if op_total <> num "total" then
-      raise (Bad_json "by_op must sum to total");
-    Ok ()
-  with Bad_json msg -> Error msg
+(* Every corpus circuit lint-clean, consistent, free of residual degrees of
+   freedom and with a positive structure; a sweep of >= 1000 mutants with
+   zero silent accepts, every operator preserving satisfiability, and the
+   per-operator counts summing to the total. *)
+let gates (rows : circuit_row list) { totals = m; silent } =
+  (rows <> [], "circuits must be non-empty")
+  :: List.concat_map
+       (fun r ->
+         let name = r.report.Circuit_report.name in
+         let v = r.verdict in
+         [
+           (name <> "", "circuit name must be non-empty");
+           (r.report.Circuit_report.total_nnz > 0, name ^ ": total_nnz must be positive");
+           ( r.report.Circuit_report.density_factor > 0.0,
+             name ^ ": density_factor must be positive" );
+           (r.density_rel > 0.0, name ^ ": density_rel must be positive");
+           ( Circuit_lint.is_clean v,
+             String.concat "\n  "
+               (Printf.sprintf "circuit %s has lint errors: %s" name (Circuit_lint.summary v)
+               :: List.map Diag.to_string (Diag.errors v.Circuit_lint.diags)) );
+           ( r.consistent,
+             Printf.sprintf "circuit %s report failed Structure.consistent: %s" name
+               (match Structure.consistent r.report with Ok () -> "" | Error e -> e) );
+           ( v.Circuit_lint.probe_free = 0,
+             name ^ ": corpus circuit has residual degrees of freedom" );
+         ])
+       rows
+  @ [
+      (m.total >= 1000, "mutant sweep must cover >= 1000 mutants");
+      ( m.caught = m.total,
+        Printf.sprintf "%d silent accepts in the mutation sweep: %s" (m.total - m.caught)
+          (String.concat ", " silent) );
+      ( m.unsatisfied = 0,
+        Printf.sprintf "mutation operators broke satisfiability %d times" m.unsatisfied );
+      (List.fold_left (fun acc (_, n) -> acc + n) 0 m.by_op = m.total, "by_op must sum to total");
+    ]
 
 (* --- driver ------------------------------------------------------------- *)
 
-let run ?(smoke = false) ?(path = "BENCH_analysis.json") () =
-  Zk_report.Render.section
-    (Printf.sprintf "Circuit analysis: lint + structure + mutation oracle%s"
-       (if smoke then " (smoke)" else ""));
+(* Every weakened circuit must trip its operator's expected rule, and the
+   honest assignment must still satisfy it (the operators are weakenings,
+   not corruptions). *)
+let mutation_sweep ~smoke entries =
+  let per_circuit = if smoke then 260 else 1500 in
+  let total = ref 0 and caught = ref 0 and unsat = ref 0 in
+  let by_op = Hashtbl.create 8 in
+  let silent = ref [] in
+  List.iter
+    (fun (e : Circuit_corpus.entry) ->
+      let inst, asgn = e.Circuit_corpus.generate ~scale:1 in
+      List.iter
+        (fun (op, mutant) ->
+          incr total;
+          let name = Circuit_mutate.op_name op in
+          Hashtbl.replace by_op name
+            (1 + try Hashtbl.find by_op name with Not_found -> 0);
+          if not (R1cs.satisfied mutant asgn) then incr unsat;
+          let diags = Circuit_lint.lint mutant asgn in
+          if Diag.has_rule (Circuit_mutate.expected_rule op) diags then
+            incr caught
+          else
+            silent :=
+              Printf.sprintf "%s/%s" e.Circuit_corpus.name
+                (Circuit_mutate.op_to_string op)
+              :: !silent)
+        (Circuit_mutate.sweep ~seed:mutant_seed ~count:per_circuit inst asgn))
+    entries;
+  Printf.printf "mutation sweep: %d mutants, %d caught, %d silent, %d unsatisfied\n%!"
+    !total !caught (!total - !caught) !unsat;
+  {
+    totals =
+      {
+        total = !total;
+        caught = !caught;
+        unsatisfied = !unsat;
+        by_op = Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_op [];
+      };
+    silent = List.rev !silent;
+  }
+
+let run ~smoke ~path =
+  Bench_report.section "Circuit analysis: lint + structure + mutation oracle" ~smoke;
   let entries name_filter =
     List.filter
       (fun (e : Circuit_corpus.entry) ->
@@ -145,12 +177,9 @@ let run ?(smoke = false) ?(path = "BENCH_analysis.json") () =
       Circuit_corpus.entries
   in
   let lint_entries = entries (if smoke then Some smoke_lint_names else None) in
-  (* The sweep lints every mutant, so it sticks to the fast circuits in both
-     modes; the full run compensates with a much larger draw count. *)
-  let mutate_entries = entries (Some smoke_mutate_names) in
-  (* Anchor: the AES circuit defines density 1.0 for the performance model.
-     Building its report does not require linting it, so the smoke run pays
-     only generation + one entries pass. *)
+  (* The anchor: the AES circuit defines density 1.0 for the performance
+     model. Building its report does not require linting it, so the smoke
+     run pays only generation + one entries pass. *)
   let anchor_entry =
     match Circuit_corpus.find "aes128" with
     | Some e -> e
@@ -191,77 +220,8 @@ let run ?(smoke = false) ?(path = "BENCH_analysis.json") () =
            string_of_int r.verdict.Circuit_lint.probe_free;
          ])
        rows);
-  let dirty =
-    List.filter
-      (fun r ->
-        (not (Circuit_lint.is_clean r.verdict)) || not r.consistent)
-      rows
-  in
-  if dirty <> [] then begin
-    List.iter
-      (fun r ->
-        Printf.eprintf "circuit %s FAILED: %s%s\n%!"
-          r.report.Circuit_report.name
-          (Circuit_lint.summary r.verdict)
-          (match Structure.consistent r.report with
-          | Ok () -> ""
-          | Error m -> "; report inconsistent: " ^ m);
-        List.iter
-          (fun d -> Printf.eprintf "  %s\n%!" (Diag.to_string d))
-          (Diag.errors r.verdict.Circuit_lint.diags))
-      dirty;
-    exit 1
-  end;
-  (* Mutation sweep: every weakened circuit must trip its operator's
-     expected rule, and the honest assignment must still satisfy it (the
-     operators are weakenings, not corruptions). *)
-  let per_circuit = if smoke then 260 else 1500 in
-  let total = ref 0 and caught = ref 0 and unsat = ref 0 in
-  let by_op = Hashtbl.create 8 in
-  let silent = ref [] in
-  List.iter
-    (fun (e : Circuit_corpus.entry) ->
-      let inst, asgn = e.Circuit_corpus.generate ~scale:1 in
-      List.iter
-        (fun (op, mutant) ->
-          incr total;
-          let name = Circuit_mutate.op_name op in
-          Hashtbl.replace by_op name
-            (1 + try Hashtbl.find by_op name with Not_found -> 0);
-          if not (R1cs.satisfied mutant asgn) then incr unsat;
-          let diags = Circuit_lint.lint mutant asgn in
-          if Diag.has_rule (Circuit_mutate.expected_rule op) diags then
-            incr caught
-          else
-            silent :=
-              Printf.sprintf "%s/%s" e.Circuit_corpus.name
-                (Circuit_mutate.op_to_string op)
-              :: !silent)
-        (Circuit_mutate.sweep ~seed:mutant_seed ~count:per_circuit inst asgn))
-    mutate_entries;
-  Printf.printf "mutation sweep: %d mutants, %d caught, %d silent, %d unsatisfied\n%!"
-    !total !caught (!total - !caught) !unsat;
-  if !total <> !caught || !unsat > 0 then begin
-    List.iter (fun s -> Printf.eprintf "SILENT ACCEPT: %s\n%!" s) !silent;
-    if !unsat > 0 then
-      Printf.eprintf "mutation operators broke satisfiability %d times\n%!" !unsat;
-    exit 1
-  end;
-  let totals =
-    {
-      total = !total;
-      caught = !caught;
-      unsatisfied = !unsat;
-      by_op = Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_op [];
-    }
-  in
-  let json = json_of_results ~smoke ~anchor_name:"aes128" rows totals in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  (match validate_schema json with
-  | Ok () -> Printf.printf "wrote %s (schema %s, valid)\n%!" path schema_id
-  | Error msg ->
-    Printf.eprintf "BENCH_analysis.json failed schema validation: %s\n%!" msg;
-    exit 1);
-  rows
+  (* The sweep lints every mutant, so it sticks to the fast circuits in both
+     modes; the full run compensates with a much larger draw count. *)
+  let sweep = mutation_sweep ~smoke (entries (Some smoke_mutate_names)) in
+  Bench_report.write ~path ~schema:schema_id ~gates:(gates rows sweep)
+    (document ~smoke ~anchor_name:"aes128" rows sweep.totals)

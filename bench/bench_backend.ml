@@ -1,25 +1,12 @@
 (* Backend benchmark: times commit / open / verify for every PCS backend on
    the same multilinear table and point, cross-checks the opened value
-   against a direct MLE evaluation, and emits BENCH_backend.json (validated
-   against its own schema before exit).
+   against a direct MLE evaluation, and writes BENCH_backend.json through
+   [Bench_report.write] with its gates.
 
    [run ~smoke:true] uses tiny sizes — it backs the @bench-smoke alias that
    tier-1 verify builds, so it must stay fast and loud on regressions. *)
 
 open Nocap_repro
-
-let wall () = Unix.gettimeofday ()
-
-let time_best ~reps f =
-  Gc.major ();
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = wall () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = wall () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
 
 type row = {
   b_name : string;
@@ -60,13 +47,13 @@ let measure ~smoke (module P : Pcs.S) =
   | Error e ->
     failwith (Printf.sprintf "bench backend: %s rejected its own proof: %s" P.name (Zk_pcs.Verify_error.to_string e)));
   let commit_seconds =
-    time_best ~reps (fun () -> P.commit params (fresh_rng ()) evals)
+    Bench_report.time_best ~reps (fun () -> P.commit params (fresh_rng ()) evals)
   in
   let open_seconds =
-    time_best ~reps (fun () -> P.open_at params committed (transcript ()) point)
+    Bench_report.time_best ~reps (fun () -> P.open_at params committed (transcript ()) point)
   in
   let verify_seconds =
-    time_best ~reps (fun () ->
+    Bench_report.time_best ~reps (fun () ->
         match P.verify params cm (transcript ()) point value proof with
         | Ok () -> ()
         | Error e -> failwith (Zk_pcs.Verify_error.to_string e))
@@ -85,75 +72,50 @@ let measure ~smoke (module P : Pcs.S) =
 
 let backends : (module Pcs.S) list = [ (module Orion_pcs); (module Fri_pcs) ]
 
-(* --- JSON emission ------------------------------------------------------ *)
+(* --- report --------------------------------------------------------------- *)
 
 let schema_id = "nocap-bench-backend/v1"
 
-let json_of_rows rows =
-  let buf = Buffer.create 2048 in
-  let adds fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  adds "{\n";
-  adds "  \"schema\": %S,\n" schema_id;
-  adds "  \"backends\": [\n";
-  List.iteri
-    (fun i r ->
-      adds "    {\n";
-      adds "      \"name\": %S,\n" r.b_name;
-      adds "      \"num_vars\": %d,\n" r.b_num_vars;
-      adds "      \"commit_seconds\": %.9f,\n" r.commit_seconds;
-      adds "      \"open_seconds\": %.9f,\n" r.open_seconds;
-      adds "      \"verify_seconds\": %.9f,\n" r.verify_seconds;
-      adds "      \"commitment_bytes\": %d,\n" r.commitment_bytes;
-      adds "      \"proof_bytes\": %d,\n" r.proof_bytes;
-      adds "      \"queries\": %d\n" r.queries;
-      adds "    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  adds "  ]\n";
-  adds "}\n";
-  Buffer.contents buf
-
-(* --- schema validation (shared parser in Json_min) ---------------------- *)
-
-open Json_min
-
-(* Required shape: schema id, and one entry per registered backend — both
-   "orion" and "fri" must be present with positive times and sizes. *)
-let validate_schema (s : string) : (unit, string) result =
-  try
-    let j = parse_json s in
-    if as_str (field j "schema") <> schema_id then raise (Bad_json "wrong schema id");
-    let rows = as_list (field j "backends") in
-    if List.length rows < 2 then raise (Bad_json "need >= 2 backends");
-    let names =
-      List.map
+let document rows =
+  let open Bench_report in
+  let open Json_min in
+  [
+    ( "backends",
+      objs
         (fun r ->
-          if as_num (field r "num_vars") <= 0.0 then
-            raise (Bad_json "num_vars must be positive");
-          List.iter
-            (fun key ->
-              if as_num (field r key) <= 0.0 then
-                raise (Bad_json (key ^ " must be positive")))
-            [
-              "commit_seconds"; "open_seconds"; "verify_seconds";
-              "commitment_bytes"; "proof_bytes"; "queries";
-            ];
-          as_str (field r "name"))
-        rows
-    in
-    List.iter
-      (fun required ->
-        if not (List.mem required names) then
-          raise (Bad_json (required ^ " backend missing")))
-      [ "orion"; "fri" ];
-    Ok ()
-  with Bad_json msg -> Error msg
+          [
+            ("name", Str r.b_name);
+            ("num_vars", int r.b_num_vars);
+            ("commit_seconds", Num r.commit_seconds);
+            ("open_seconds", Num r.open_seconds);
+            ("verify_seconds", Num r.verify_seconds);
+            ("commitment_bytes", int r.commitment_bytes);
+            ("proof_bytes", int r.proof_bytes);
+            ("queries", int r.queries);
+          ])
+        rows );
+  ]
+
+(* Both registered backends present, every time and size positive. *)
+let gates rows =
+  let positive key f = (List.for_all (fun r -> f r > 0.0) rows, key ^ " must be positive") in
+  let count f r = float_of_int (f r) in
+  [
+    (List.length rows >= 2, "need >= 2 backends");
+    positive "num_vars" (count (fun r -> r.b_num_vars));
+    positive "commit_seconds" (fun r -> r.commit_seconds);
+    positive "open_seconds" (fun r -> r.open_seconds);
+    positive "verify_seconds" (fun r -> r.verify_seconds);
+    positive "commitment_bytes" (count (fun r -> r.commitment_bytes));
+    positive "proof_bytes" (count (fun r -> r.proof_bytes));
+    positive "queries" (count (fun r -> r.queries));
+  ]
+  @ Bench_report.require ~what:"backend" (List.map (fun r -> r.b_name) rows) [ "orion"; "fri" ]
 
 (* --- driver ------------------------------------------------------------- *)
 
-let run ?(smoke = false) ?(path = "BENCH_backend.json") () =
-  Zk_report.Render.section
-    (Printf.sprintf "PCS backends: Orion vs FRI commit/open/verify%s"
-       (if smoke then " (smoke)" else ""));
+let run ~smoke ~path =
+  Bench_report.section "PCS backends: Orion vs FRI commit/open/verify" ~smoke;
   let rows = List.map (measure ~smoke) backends in
   Zk_report.Render.table
     ~header:
@@ -170,13 +132,4 @@ let run ?(smoke = false) ?(path = "BENCH_backend.json") () =
            string_of_int r.queries;
          ])
        rows);
-  let json = json_of_rows rows in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  (match validate_schema json with
-  | Ok () -> Printf.printf "wrote %s (schema %s, valid)\n%!" path schema_id
-  | Error msg ->
-    Printf.eprintf "BENCH_backend.json failed schema validation: %s\n%!" msg;
-    exit 1);
-  rows
+  Bench_report.write ~path ~schema:schema_id ~gates:(gates rows) (document rows)

@@ -1,8 +1,8 @@
 (* Fault-injection sweep: mutate honest proofs at the wire and structure
    layers for every Spartan backend and demand the verifier rejects each
    mutant with a structured error — no accepts (soundness alarm), no
-   exceptions (robustness alarm). Emits BENCH_faults.json (validated
-   against its own schema before exit) and exits non-zero on any alarm.
+   exceptions (robustness alarm). Writes BENCH_faults.json through
+   [Bench_report.write], whose gates exit non-zero on any alarm.
 
    [run ~smoke:true] backs the @fuzz-smoke alias that tier-1 verify builds;
    the full run is the acceptance sweep (>= 10k mutants per backend). *)
@@ -11,102 +11,58 @@ open Nocap_repro
 
 let schema_id = "nocap-bench-faults/v1"
 
-(* --- JSON emission ------------------------------------------------------ *)
+(* --- report --------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let document ~seed (reports : Fuzz.report list) =
+  let open Bench_report in
+  let open Json_min in
+  [
+    ("seed", Num (Int64.to_float seed));
+    ( "targets",
+      objs
+        (fun (r : Fuzz.report) ->
+          [
+            ("name", Str r.Fuzz.target_name);
+            ("byte_mutants", int r.Fuzz.byte_mutants);
+            ("structured_mutants", int r.Fuzz.structured_mutants);
+            ("rejected", int r.Fuzz.rejected);
+            ("accepted", int r.Fuzz.accepted);
+            ("raised", int r.Fuzz.raised);
+            ("honest_ok", Bool r.Fuzz.honest_ok);
+            ("by_category", counts r.Fuzz.by_category);
+            ("by_op", counts r.Fuzz.by_op);
+            ("alarms", List (List.map (fun a -> Str a) r.Fuzz.alarms));
+          ])
+        reports );
+  ]
 
-let json_of_reports ~seed (reports : Fuzz.report list) =
-  let buf = Buffer.create 4096 in
-  let adds fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  adds "{\n";
-  adds "  \"schema\": %S,\n" schema_id;
-  adds "  \"seed\": %Ld,\n" seed;
-  adds "  \"targets\": [\n";
-  List.iteri
-    (fun i (r : Fuzz.report) ->
-      let counts kvs =
-        String.concat ", " (List.map (fun (k, n) -> Printf.sprintf "%S: %d" k n) kvs)
-      in
-      adds "    {\n";
-      adds "      \"name\": %S,\n" r.Fuzz.target_name;
-      adds "      \"byte_mutants\": %d,\n" r.Fuzz.byte_mutants;
-      adds "      \"structured_mutants\": %d,\n" r.Fuzz.structured_mutants;
-      adds "      \"rejected\": %d,\n" r.Fuzz.rejected;
-      adds "      \"accepted\": %d,\n" r.Fuzz.accepted;
-      adds "      \"raised\": %d,\n" r.Fuzz.raised;
-      adds "      \"honest_ok\": %b,\n" r.Fuzz.honest_ok;
-      adds "      \"by_category\": { %s },\n" (counts r.Fuzz.by_category);
-      adds "      \"by_op\": { %s },\n" (counts r.Fuzz.by_op);
-      adds "      \"alarms\": [%s]\n"
-        (String.concat ", "
-           (List.map (fun a -> Printf.sprintf "\"%s\"" (json_escape a)) r.Fuzz.alarms));
-      adds "    }%s\n" (if i = List.length reports - 1 then "" else ","))
-    reports;
-  adds "  ]\n";
-  adds "}\n";
-  Buffer.contents buf
-
-(* --- schema validation (shared parser in Json_min) ---------------------- *)
-
-open Json_min
-
-(* Required shape: schema id, both backends, zero accepts/raises, honest
-   proofs verifying, and the per-category buckets accounting for every
-   rejection. *)
-let validate_schema (s : string) : (unit, string) result =
-  try
-    let j = parse_json s in
-    if as_str (field j "schema") <> schema_id then raise (Bad_json "wrong schema id");
-    let rows = as_list (field j "targets") in
-    let names =
-      List.map
-        (fun r ->
-          let num k = int_of_float (as_num (field r k)) in
-          if num "accepted" <> 0 then raise (Bad_json "accepted must be 0");
-          if num "raised" <> 0 then raise (Bad_json "raised must be 0");
-          (match field r "honest_ok" with
-          | Bool true -> ()
-          | _ -> raise (Bad_json "honest_ok must be true"));
-          if num "byte_mutants" <= 0 then raise (Bad_json "byte_mutants must be positive");
-          if num "structured_mutants" <= 0 then
-            raise (Bad_json "structured_mutants must be positive");
-          if num "rejected" <> num "byte_mutants" + num "structured_mutants" then
-            raise (Bad_json "rejected must account for every mutant");
-          let cat_total =
-            match field r "by_category" with
-            | Obj kvs -> List.fold_left (fun acc (_, v) -> acc + int_of_float (as_num v)) 0 kvs
-            | _ -> raise (Bad_json "by_category must be an object")
-          in
-          if cat_total <> num "rejected" then
-            raise (Bad_json "by_category must sum to rejected");
-          as_str (field r "name"))
-        rows
-    in
-    List.iter
-      (fun required ->
-        if not (List.mem required names) then
-          raise (Bad_json (required ^ " target missing")))
-      [ "orion"; "fri" ];
-    Ok ()
-  with Bad_json msg -> Error msg
+(* Per backend: zero accepts and raises with the honest proof verifying,
+   mutants of both layers, and every mutant rejected and bucketed. Both
+   backends must be present. *)
+let gates (reports : Fuzz.report list) =
+  List.concat_map
+    (fun (r : Fuzz.report) ->
+      let name = r.Fuzz.target_name in
+      [
+        ( Fuzz.clean r,
+          Printf.sprintf "fault sweep FAILED on %s: %d accepted, %d raised, honest %b" name
+            r.Fuzz.accepted r.Fuzz.raised r.Fuzz.honest_ok );
+        (r.Fuzz.byte_mutants > 0, name ^ ": byte_mutants must be positive");
+        (r.Fuzz.structured_mutants > 0, name ^ ": structured_mutants must be positive");
+        ( r.Fuzz.rejected = r.Fuzz.byte_mutants + r.Fuzz.structured_mutants,
+          name ^ ": rejected must account for every mutant" );
+        ( List.fold_left (fun acc (_, n) -> acc + n) 0 r.Fuzz.by_category = r.Fuzz.rejected,
+          name ^ ": by_category must sum to rejected" );
+      ])
+    reports
+  @ Bench_report.require ~what:"target"
+      (List.map (fun (r : Fuzz.report) -> r.Fuzz.target_name) reports)
+      [ "orion"; "fri" ]
 
 (* --- driver ------------------------------------------------------------- *)
 
-let run ?(smoke = false) ?(path = "BENCH_faults.json") () =
-  Zk_report.Render.section
-    (Printf.sprintf "Fault injection: mutated proofs vs the verifier%s"
-       (if smoke then " (smoke)" else ""));
+let run ~smoke ~path =
+  Bench_report.section "Fault injection: mutated proofs vs the verifier" ~smoke;
   let seed = 0xFA_17_5EL in
   (* The full sweep is the acceptance run: >= 10k mutants per backend.
      Structured mutants come from ~17 mutators per round, so 600 rounds
@@ -133,22 +89,4 @@ let run ?(smoke = false) ?(path = "BENCH_faults.json") () =
          ])
        reports);
   List.iter (fun r -> Format.printf "%a" Fuzz.pp_report r) reports;
-  let dirty = List.filter (fun r -> not (Fuzz.clean r)) reports in
-  if dirty <> [] then begin
-    List.iter
-      (fun (r : Fuzz.report) ->
-        Printf.eprintf "fault sweep FAILED on %s: %d accepted, %d raised, honest %b\n%!"
-          r.Fuzz.target_name r.Fuzz.accepted r.Fuzz.raised r.Fuzz.honest_ok)
-      dirty;
-    exit 1
-  end;
-  let json = json_of_reports ~seed reports in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  (match validate_schema json with
-  | Ok () -> Printf.printf "wrote %s (schema %s, valid)\n%!" path schema_id
-  | Error msg ->
-    Printf.eprintf "BENCH_faults.json failed schema validation: %s\n%!" msg;
-    exit 1);
-  reports
+  Bench_report.write ~path ~schema:schema_id ~gates:(gates reports) (document ~seed reports)

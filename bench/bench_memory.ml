@@ -2,8 +2,8 @@
    its [Gf.t array] (boxed Int64) and [Fv.t] (flat Bigarray) forms, records
    per-kernel GC statistics (minor/major allocated words, promotions,
    collection counts) for both, cross-checks that the two forms produce the
-   same result, and emits BENCH_memory.json (validated against its own
-   schema before exit).
+   same result, and writes BENCH_memory.json through [Bench_report.write]
+   with its gates.
 
    Everything runs single-domain ([Pool.with_domains 1]): the point is the
    allocation behaviour of one domain's hot loop, not parallel scaling —
@@ -19,8 +19,6 @@
 open Nocap_repro
 module Gf_fv = Ntt.Gf_fv
 
-let wall () = Unix.gettimeofday ()
-
 type gc_sample = {
   seconds : float;
   minor_words : float;
@@ -34,14 +32,7 @@ type gc_sample = {
    heap, so collections triggered by the previous variant are not charged
    to this one. *)
 let measure ~reps f =
-  Gc.full_major ();
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = wall () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = wall () -. t0 in
-    if dt < !best then best := dt
-  done;
+  let seconds = Bench_report.time_best ~reps f in
   Gc.full_major ();
   let s0 = Gc.quick_stat () in
   (* [Gc.minor_words] reads the live allocation pointer; quick_stat's
@@ -52,7 +43,7 @@ let measure ~reps f =
   let m1 = Gc.minor_words () in
   let s1 = Gc.quick_stat () in
   {
-    seconds = !best;
+    seconds;
     minor_words = m1 -. m0;
     major_words = s1.Gc.major_words -. s0.Gc.major_words;
     promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
@@ -274,105 +265,79 @@ let allocated s = s.minor_words +. s.major_words -. s.promoted_words
 let alloc_reduction r =
   Float.max 1.0 (allocated r.boxed) /. Float.max 1.0 (allocated r.unboxed)
 
-(* --- JSON emission + schema --------------------------------------------- *)
+(* --- report --------------------------------------------------------------- *)
 
 let schema_id = "nocap-bench-memory/v1"
 
-let json_of_rows ~probe ~peak_rss_kb ~rss_source rows =
+let document ~probe ~peak_rss_kb ~rss_source rows =
+  let open Bench_report in
+  let open Json_min in
   let control = Gc.get () in
-  let buf = Buffer.create 4096 in
-  let adds fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let add_sample name (s : gc_sample) n =
-    adds "      \"%s\": {\"seconds\": %.9f, \"minor_words\": %.1f, \"major_words\": %.1f, \"promoted_words\": %.1f, \"minor_collections\": %d, \"major_collections\": %d, \"words_per_elem\": %.4f},\n"
-      name s.seconds s.minor_words s.major_words s.promoted_words s.minor_collections
-      s.major_collections
-      (allocated s /. float_of_int n)
+  let sample (s : gc_sample) n =
+    Obj
+      [
+        ("seconds", Num s.seconds);
+        ("minor_words", Num s.minor_words);
+        ("major_words", Num s.major_words);
+        ("promoted_words", Num s.promoted_words);
+        ("minor_collections", int s.minor_collections);
+        ("major_collections", int s.major_collections);
+        ("words_per_elem", Num (allocated s /. float_of_int n));
+      ]
   in
-  adds "{\n";
-  adds "  \"schema\": %S,\n" schema_id;
-  adds "  \"domains\": 1,\n";
-  adds "  \"peak_rss_kb\": %d,\n" peak_rss_kb;
-  adds "  \"rss_source\": %S,\n" rss_source;
-  adds "  \"fv_probe_words_per_elem\": %.4f,\n" probe;
-  adds "  \"gc\": {\"minor_heap_words\": %d, \"space_overhead\": %d},\n"
-    control.Gc.minor_heap_size control.Gc.space_overhead;
-  adds "  \"kernels\": [\n";
-  List.iteri
-    (fun i r ->
-      adds "    {\n";
-      adds "      \"name\": %S,\n" r.kernel.k_name;
-      adds "      \"n\": %d,\n" r.kernel.k_n;
-      adds "      \"fingerprint_equal\": %b,\n" r.fingerprint_equal;
-      add_sample "boxed" r.boxed r.kernel.k_n;
-      add_sample "unboxed" r.unboxed r.kernel.k_n;
-      adds "      \"speedup\": %.4f,\n" (speedup r);
-      adds "      \"alloc_reduction\": %.4f\n" (alloc_reduction r);
-      adds "    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  adds "  ]\n";
-  adds "}\n";
-  Buffer.contents buf
+  [
+    ("domains", int 1);
+    ("peak_rss_kb", int peak_rss_kb);
+    ("rss_source", Str rss_source);
+    ("fv_probe_words_per_elem", Num probe);
+    ( "gc",
+      Obj
+        [
+          ("minor_heap_words", int control.Gc.minor_heap_size);
+          ("space_overhead", int control.Gc.space_overhead);
+        ] );
+    ( "kernels",
+      objs
+        (fun r ->
+          [
+            ("name", Str r.kernel.k_name);
+            ("n", int r.kernel.k_n);
+            ("fingerprint_equal", Bool r.fingerprint_equal);
+            ("boxed", sample r.boxed r.kernel.k_n);
+            ("unboxed", sample r.unboxed r.kernel.k_n);
+            ("speedup", Num (speedup r));
+            ("alloc_reduction", Num (alloc_reduction r));
+          ])
+        rows );
+  ]
 
-open Json_min
-
-(* Required shape: schema id, single-domain marker, GC settings, and >= 6
-   kernels each carrying both GC samples, matching fingerprints, and the
-   derived ratios. *)
-let validate_schema (s : string) : (unit, string) result =
-  try
-    let j = parse_json s in
-    if as_str (field j "schema") <> schema_id then raise (Bad_json "wrong schema id");
-    if as_num (field j "domains") <> 1.0 then raise (Bad_json "memory bench must be single-domain");
-    let rss_source = as_str (field j "rss_source") in
-    if rss_source = "" then raise (Bad_json "rss_source must be non-empty");
-    (* (0, "none") is the probe's explicit both-probes-failed marker; any
-       live source must report a positive high-water mark. *)
-    if rss_source <> "none" && not (as_num (field j "peak_rss_kb") > 0.0) then
-      raise (Bad_json "peak_rss_kb must be positive");
-    ignore (as_num (field j "fv_probe_words_per_elem"));
-    let gc = field j "gc" in
-    if not (as_num (field gc "minor_heap_words") > 0.0) then
-      raise (Bad_json "minor_heap_words must be positive");
-    ignore (as_num (field gc "space_overhead"));
-    let kernels = as_list (field j "kernels") in
-    if List.length kernels < 6 then raise (Bad_json "need >= 6 kernels");
-    let names =
-      List.map
-        (fun k ->
-          ignore (as_num (field k "n"));
-          if not (as_bool (field k "fingerprint_equal")) then
-            raise (Bad_json "boxed/unboxed fingerprints diverged");
-          List.iter
-            (fun v ->
-              let sample = field k v in
-              if not (as_num (field sample "seconds") > 0.0) then
-                raise (Bad_json "seconds must be positive");
-              List.iter
-                (fun key -> ignore (as_num (field sample key)))
-                [ "minor_words"; "major_words"; "promoted_words"; "minor_collections";
-                  "major_collections"; "words_per_elem" ])
-            [ "boxed"; "unboxed" ];
-          if not (as_num (field k "speedup") > 0.0) then
-            raise (Bad_json "speedup must be positive");
-          if not (as_num (field k "alloc_reduction") > 0.0) then
-            raise (Bad_json "alloc_reduction must be positive");
-          as_str (field k "name"))
-        kernels
-    in
-    List.iter
-      (fun required ->
-        if not (List.mem required names) then
-          raise (Bad_json (Printf.sprintf "kernel %S missing" required)))
-      [ "ntt"; "merkle-build"; "rs-encode"; "sumcheck-fold"; "sumcheck-prove"; "orion-commit" ];
-    Ok ()
-  with Bad_json msg -> Error msg
+(* >= 6 kernels (the six required by name), each with matching boxed and
+   unboxed fingerprints, positive times and positive derived ratios; a live
+   RSS probe must report a positive high-water mark ((0, "none") is the
+   probe's explicit both-probes-failed marker). *)
+let gates ~peak_rss_kb ~rss_source rows =
+  let for_all p = List.for_all p rows in
+  [
+    (rss_source <> "", "rss_source must be non-empty");
+    (rss_source = "none" || peak_rss_kb > 0, "peak_rss_kb must be positive");
+    ((Gc.get ()).Gc.minor_heap_size > 0, "minor_heap_words must be positive");
+    (List.length rows >= 6, "need >= 6 kernels");
+    ( for_all (fun r -> r.boxed.seconds > 0.0 && r.unboxed.seconds > 0.0),
+      "seconds must be positive" );
+    (for_all (fun r -> speedup r > 0.0), "speedup must be positive");
+    (for_all (fun r -> alloc_reduction r > 0.0), "alloc_reduction must be positive");
+  ]
+  @ List.map
+      (fun r -> (r.fingerprint_equal, r.kernel.k_name ^ ": boxed/unboxed fingerprints diverged"))
+      rows
+  @ Bench_report.require ~what:"kernel"
+      (List.map (fun r -> r.kernel.k_name) rows)
+      [ "ntt"; "merkle-build"; "rs-encode"; "sumcheck-fold"; "sumcheck-prove"; "orion-commit" ]
 
 (* --- driver ------------------------------------------------------------- *)
 
-let run ?(smoke = false) ?(path = "BENCH_memory.json") () =
-  Zk_report.Render.section
-    (Printf.sprintf "Memory: boxed Gf.t array vs unboxed Fv (single domain)%s"
-       (if smoke then " (smoke)" else ""));
+let run ~smoke ~path =
+  Bench_report.section "Memory: boxed Gf.t array vs unboxed Fv (single domain)" ~smoke;
   let rng = Rng.create 0x4D454DL in
   let probe, rows =
     Pool.with_domains 1 (fun () ->
@@ -395,22 +360,8 @@ let run ?(smoke = false) ?(path = "BENCH_memory.json") () =
            Printf.sprintf "%.0fx" (alloc_reduction r);
          ])
        rows);
-  (match List.filter (fun r -> not r.fingerprint_equal) rows with
-  | [] -> ()
-  | bad ->
-    List.iter
-      (fun r -> Printf.eprintf "bench memory: %s boxed/unboxed diverged\n%!" r.kernel.k_name)
-      bad;
-    exit 1);
   let peak_rss_kb, rss_source = Rss.peak_rss_kb () in
   Printf.printf "peak RSS: %d KiB (probe: %s)\n%!" peak_rss_kb rss_source;
-  let json = json_of_rows ~probe ~peak_rss_kb ~rss_source rows in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  (match validate_schema json with
-  | Ok () -> Printf.printf "wrote %s (schema %s, valid)\n%!" path schema_id
-  | Error msg ->
-    Printf.eprintf "BENCH_memory.json failed schema validation: %s\n%!" msg;
-    exit 1);
-  rows
+  Bench_report.write ~path ~schema:schema_id
+    ~gates:(gates ~peak_rss_kb ~rss_source rows)
+    (document ~probe ~peak_rss_kb ~rss_source rows)

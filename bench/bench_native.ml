@@ -1,8 +1,8 @@
-(* Native kernel layer benchmark: times each C-stub-backed kernel in its
-   three modes — pure OCaml oracle ([Native.Off]), portable scalar C
-   ([Native.Scalar]), and SIMD-dispatched C ([Native.Simd]) — cross-checks
-   that all three produce identical results, and emits BENCH_native.json
-   (validated against its own schema before exit).
+(* Native kernel layer benchmark: times each C-stub-backed kernel three
+   ways — pure OCaml oracle ([Native.Off]), portable scalar C
+   ([Native.with_scalar_c]), and SIMD-dispatched C ([Native.On]) —
+   cross-checks that all three produce identical results, and writes
+   BENCH_native.json through [Bench_report.write] with its gates.
 
    Everything runs single-domain ([Pool.with_domains 1]): the point is the
    per-kernel instruction stream, not parallel scaling — BENCH_parallel.json
@@ -10,34 +10,20 @@
    mode-aware grain costs in Keccak/Ntt/Reed_solomon keep chunking sane
    either way).
 
-   The three modes are timed over the same preallocated inputs, so the
+   The three legs are timed over the same preallocated inputs, so the
    ratios isolate the kernel swap itself. On a machine without AVX2/NEON the
-   Simd rows degrade to the scalar C bodies and speedup_simd ~= speedup_scalar;
+   SIMD rows degrade to the scalar C bodies and speedup_simd ~= speedup_scalar;
    the "features" field in the JSON records which case a given report is. *)
 
 open Nocap_repro
 module Gf_fv = Ntt.Gf_fv
-
-let wall () = Unix.gettimeofday ()
-
-(* Best-of-r wall time from a settled heap. *)
-let measure ~reps f =
-  Gc.full_major ();
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = wall () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = wall () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
 
 type kernel = {
   k_name : string;
   k_n : int;
       (* elements processed per run (bytes for keccak-batch, permutations
          for keccak-f1600) *)
-  k_run : unit -> string; (* runs under the ambient mode; returns fingerprint *)
+  k_run : unit -> string; (* runs under the ambient leg; returns fingerprint *)
 }
 
 let kernels ~smoke rng =
@@ -210,15 +196,15 @@ type row = {
 
 let measure_kernel ~smoke k =
   let reps = if smoke then 2 else 5 in
-  let under mode =
-    Native.with_mode mode (fun () ->
+  let under leg =
+    leg (fun () ->
         (* Warm-up builds plans/twiddles and takes the equality fingerprint. *)
         let fp = k.k_run () in
-        (fp, measure ~reps k.k_run))
+        (fp, Bench_report.time_best ~reps k.k_run))
   in
-  let fp_ocaml, ocaml_s = under Native.Off in
-  let fp_scalar, scalar_s = under Native.Scalar in
-  let fp_simd, simd_s = under Native.Simd in
+  let fp_ocaml, ocaml_s = under (Native.with_mode Native.Off) in
+  let fp_scalar, scalar_s = under Native.with_scalar_c in
+  let fp_simd, simd_s = under (Native.with_mode Native.On) in
   {
     kernel = k;
     ocaml_s;
@@ -231,83 +217,58 @@ let measure_kernel ~smoke k =
 let speedup_scalar r = r.ocaml_s /. r.scalar_s
 let speedup_simd r = r.ocaml_s /. r.simd_s
 
-(* --- JSON emission + schema --------------------------------------------- *)
+(* --- report --------------------------------------------------------------- *)
 
 let schema_id = "nocap-bench-native/v1"
 
-let json_of_rows rows =
-  let buf = Buffer.create 4096 in
-  let adds fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  adds "{\n";
-  adds "  \"schema\": %S,\n" schema_id;
-  adds "  \"domains\": 1,\n";
-  adds "  \"features\": %S,\n" (Native.features_to_string ());
-  adds "  \"default_mode\": %S,\n" (Native.mode_to_string (Native.mode ()));
-  adds "  \"kernels\": [\n";
-  List.iteri
-    (fun i r ->
-      adds "    {\n";
-      adds "      \"name\": %S,\n" r.kernel.k_name;
-      adds "      \"n\": %d,\n" r.kernel.k_n;
-      adds "      \"fingerprint_equal\": %b,\n" r.fingerprint_equal;
-      adds "      \"ocaml_seconds\": %.9f,\n" r.ocaml_s;
-      adds "      \"scalar_seconds\": %.9f,\n" r.scalar_s;
-      adds "      \"simd_seconds\": %.9f,\n" r.simd_s;
-      adds "      \"speedup_scalar\": %.4f,\n" (speedup_scalar r);
-      adds "      \"speedup_simd\": %.4f\n" (speedup_simd r);
-      adds "    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  adds "  ]\n";
-  adds "}\n";
-  Buffer.contents buf
+let document rows =
+  let open Bench_report in
+  let open Json_min in
+  [
+    ("domains", int 1);
+    ("features", Str (Native.features_to_string ()));
+    ("default_mode", Str (Native.mode_to_string (Native.mode ())));
+    ( "kernels",
+      objs
+        (fun r ->
+          [
+            ("name", Str r.kernel.k_name);
+            ("n", int r.kernel.k_n);
+            ("fingerprint_equal", Bool r.fingerprint_equal);
+            ("ocaml_seconds", Num r.ocaml_s);
+            ("scalar_seconds", Num r.scalar_s);
+            ("simd_seconds", Num r.simd_s);
+            ("speedup_scalar", Num (speedup_scalar r));
+            ("speedup_simd", Num (speedup_simd r));
+          ])
+        rows );
+  ]
 
-open Json_min
-
-(* Required shape: schema id, single-domain marker, CPU feature string, and
-   >= 6 kernels each carrying all three timings, matching fingerprints, and
-   positive speedups; the acceptance kernels must be present. *)
-let validate_schema (s : string) : (unit, string) result =
-  try
-    let j = parse_json s in
-    if as_str (field j "schema") <> schema_id then raise (Bad_json "wrong schema id");
-    if as_num (field j "domains") <> 1.0 then
-      raise (Bad_json "native bench must be single-domain");
-    ignore (as_str (field j "features"));
-    ignore (as_str (field j "default_mode"));
-    let kernels = as_list (field j "kernels") in
-    if List.length kernels < 6 then raise (Bad_json "need >= 6 kernels");
-    let names =
-      List.map
-        (fun k ->
-          if not (as_num (field k "n") > 0.0) then raise (Bad_json "n must be positive");
-          if not (as_bool (field k "fingerprint_equal")) then
-            raise (Bad_json "mode fingerprints diverged");
-          List.iter
-            (fun key ->
-              if not (as_num (field k key) > 0.0) then
-                raise (Bad_json (key ^ " must be positive")))
-            [ "ocaml_seconds"; "scalar_seconds"; "simd_seconds";
-              "speedup_scalar"; "speedup_simd" ];
-          as_str (field k "name"))
-        kernels
-    in
-    List.iter
-      (fun required ->
-        if not (List.mem required names) then
-          raise (Bad_json (Printf.sprintf "kernel %S missing" required)))
+(* >= 6 kernels (the acceptance kernels by name), each with all three legs'
+   fingerprints equal and positive sizes, timings and speedups. *)
+let gates rows =
+  let positive key f = (List.for_all (fun r -> f r > 0.0) rows, key ^ " must be positive") in
+  [
+    (List.length rows >= 6, "need >= 6 kernels");
+    positive "n" (fun r -> float_of_int r.kernel.k_n);
+    positive "ocaml_seconds" (fun r -> r.ocaml_s);
+    positive "scalar_seconds" (fun r -> r.scalar_s);
+    positive "simd_seconds" (fun r -> r.simd_s);
+    positive "speedup_scalar" speedup_scalar;
+    positive "speedup_simd" speedup_simd;
+  ]
+  @ List.map (fun r -> (r.fingerprint_equal, r.kernel.k_name ^ " diverged across modes")) rows
+  @ Bench_report.require ~what:"kernel"
+      (List.map (fun r -> r.kernel.k_name) rows)
       [
         "fv-lerp"; "sumcheck-round"; "ntt-forward-rows"; "keccak-batch"; "keccak-f1600";
         "rs-encode-rows";
-      ];
-    Ok ()
-  with Bad_json msg -> Error msg
+      ]
 
 (* --- driver ------------------------------------------------------------- *)
 
-let run ?(smoke = false) ?(path = "BENCH_native.json") () =
-  Zk_report.Render.section
-    (Printf.sprintf "Native kernels: OCaml vs scalar C vs SIMD (single domain)%s"
-       (if smoke then " (smoke)" else ""));
+let run ~smoke ~path =
+  Bench_report.section "Native kernels: OCaml vs scalar C vs SIMD (single domain)" ~smoke;
   Printf.printf "cpu features: %s, default mode: %s\n%!"
     (Native.features_to_string ())
     (Native.mode_to_string (Native.mode ()));
@@ -335,21 +296,4 @@ let run ?(smoke = false) ?(path = "BENCH_native.json") () =
     Printf.printf "keccak-f1600 ns/perm: %.0f OCaml, %.0f scalar C, %.0f simd\n%!"
       (ns r.ocaml_s) (ns r.scalar_s) (ns r.simd_s)
   | None -> ());
-  (match List.filter (fun r -> not r.fingerprint_equal) rows with
-  | [] -> ()
-  | bad ->
-    List.iter
-      (fun r ->
-        Printf.eprintf "bench native: %s diverged across modes\n%!" r.kernel.k_name)
-      bad;
-    exit 1);
-  let json = json_of_rows rows in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  (match validate_schema json with
-  | Ok () -> Printf.printf "wrote %s (schema %s, valid)\n%!" path schema_id
-  | Error msg ->
-    Printf.eprintf "BENCH_native.json failed schema validation: %s\n%!" msg;
-    exit 1);
-  rows
+  Bench_report.write ~path ~schema:schema_id ~gates:(gates rows) (document rows)

@@ -1,7 +1,7 @@
 (* Parallel-runtime benchmark: times serial vs. multi-domain runs of each
    converted prover kernel plus an end-to-end Spartan prove, cross-checks
-   that every domain count produced identical results, and emits
-   BENCH_parallel.json (validated against its own schema before exit).
+   that every domain count produced identical results, and writes
+   BENCH_parallel.json through [Bench_report.write] with its gates.
 
    Schema v2 additions: a [dispatch] micro-row (latency of an empty-body
    parallel_for per domain count — the pure pool overhead), a [host_domains]
@@ -19,21 +19,6 @@
 open Nocap_repro
 
 let wall () = Unix.gettimeofday ()
-
-(* Best-of-r wall time: robust to scheduler noise without needing a long
-   quota like Bechamel's OLS. *)
-let time_best ~reps f =
-  (* Start each measurement from a settled heap so a major GC triggered by
-     the previous configuration is not charged to this one. *)
-  Gc.major ();
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = wall () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = wall () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
 
 type kernel = {
   k_name : string;
@@ -178,8 +163,55 @@ let measure ~smoke kernel =
   (* Warm-up run (also the cross-domain-count reference fingerprint) so the
      serial baseline is not charged for plan/page/GC warm-up. *)
   let reference = Pool.with_domains 1 kernel.k_run in
-  let serial_seconds =
-    Pool.with_domains 1 (fun () -> time_best ~reps kernel.k_run)
+  (* One sample times a batch of [iters] runs spanning >= 2 ms, so a
+     microsecond kernel is not timed at the granularity of the clock and
+     the scheduler; the report keeps seconds per run. *)
+  let iters =
+    let t0 = wall () in
+    ignore (Pool.with_domains 1 kernel.k_run);
+    max 1 (int_of_float (2e-3 /. Float.max 1e-7 (wall () -. t0)))
+  in
+  let sample ~reps =
+    Bench_report.time_best ~reps (fun () ->
+        for _ = 1 to iters do
+          ignore (Sys.opaque_identity (kernel.k_run ()))
+        done)
+    /. float_of_int iters
+  in
+  (* The serial baseline and the 1-domain timing are the same configuration,
+     so their runs alternate one by one (swapping order each time) inside
+     every sample: host drift hits both alike instead of landing between
+     two separate batches. Each keeps its best of 2*reps samples. Every
+     sample starts from a settled heap plus one untimed run, so neither
+     side is charged the first run after a full GC; a kernel long enough to
+     fill a sample alone settles the heap before each run. *)
+  let serial_seconds, one_domain_seconds =
+    Pool.with_domains 1 (fun () ->
+        let timed () =
+          if iters = 1 then Gc.full_major ();
+          let t0 = wall () in
+          ignore (Sys.opaque_identity (kernel.k_run ()));
+          wall () -. t0
+        in
+        let best_s = ref infinity and best_o = ref infinity in
+        for rep = 1 to 2 * reps do
+          Gc.full_major ();
+          ignore (timed ());
+          let s = ref 0.0 and o = ref 0.0 in
+          for i = 1 to iters do
+            if (rep + i) land 1 = 0 then begin
+              s := !s +. timed ();
+              o := !o +. timed ()
+            end
+            else begin
+              o := !o +. timed ();
+              s := !s +. timed ()
+            end
+          done;
+          best_s := Float.min !best_s (!s /. float_of_int iters);
+          best_o := Float.min !best_o (!o /. float_of_int iters)
+        done;
+        (!best_s, !best_o))
   in
   let timings =
     List.map
@@ -189,7 +221,7 @@ let measure ~smoke kernel =
             if not (String.equal fp reference) then
               failwith
                 (Printf.sprintf "bench parallel: %s diverged at %d domains" kernel.k_name d);
-            let seconds = time_best ~reps kernel.k_run in
+            let seconds = if d = 1 then one_domain_seconds else sample ~reps in
             { domains = d; seconds; speedup = serial_seconds /. seconds }))
       (domain_counts ())
   in
@@ -219,106 +251,36 @@ let recommended_domains rows =
     (domain_counts ())
   |> fst
 
-(* --- JSON emission ------------------------------------------------------ *)
+(* --- report --------------------------------------------------------------- *)
 
 let schema_id = "nocap-bench-parallel/v2"
 
-let json_of_rows ~dispatch rows =
-  let buf = Buffer.create 4096 in
-  let adds fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  adds "{\n";
-  adds "  \"schema\": %S,\n" schema_id;
-  adds "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
-  adds "  \"recommended_domains\": %d,\n" (recommended_domains rows);
-  adds "  \"domains\": [%s],\n"
-    (String.concat ", " (List.map string_of_int (domain_counts ())));
-  adds "  \"dispatch\": [\n";
-  List.iteri
-    (fun i d ->
-      adds "    {\"domains\": %d, \"seconds\": %.9f}%s\n" d.d_domains d.d_seconds
-        (if i = List.length dispatch - 1 then "" else ","))
-    dispatch;
-  adds "  ],\n";
-  adds "  \"kernels\": [\n";
-  List.iteri
-    (fun i r ->
-      adds "    {\n";
-      adds "      \"name\": %S,\n" r.kernel.k_name;
-      adds "      \"n\": %d,\n" r.kernel.k_n;
-      adds "      \"grain\": %d,\n" r.kernel.k_grain;
-      adds "      \"crossover_n\": %d,\n" (2 * r.kernel.k_grain);
-      adds "      \"serial_seconds\": %.9f,\n" r.serial_seconds;
-      adds "      \"timings\": [\n";
-      List.iteri
-        (fun j t ->
-          adds "        {\"domains\": %d, \"seconds\": %.9f, \"speedup\": %.4f}%s\n"
-            t.domains t.seconds t.speedup
-            (if j = List.length r.timings - 1 then "" else ","))
-        r.timings;
-      adds "      ]\n";
-      adds "    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  adds "  ]\n";
-  adds "}\n";
-  Buffer.contents buf
-
-(* --- schema validation (shared parser in Json_min) ---------------------- *)
-
-open Json_min
-
-(* Required shape: schema id, host + recommended domain counts, one dispatch
-   micro-row per domain count, and >= 4 kernels + the end-to-end prove,
-   each with grain/crossover hints, serial time, and one timing per domain
-   count. *)
-let validate_schema (s : string) : (unit, string) result =
-  try
-    let j = parse_json s in
-    if as_str (field j "schema") <> schema_id then raise (Bad_json "wrong schema id");
-    if as_int (field j "host_domains") < 1 then raise (Bad_json "host_domains < 1");
-    if as_int (field j "recommended_domains") < 1 then
-      raise (Bad_json "recommended_domains < 1");
-    let domains = List.map as_int (as_list (field j "domains")) in
-    if domains = [] then raise (Bad_json "empty domains");
-    let dispatch = as_list (field j "dispatch") in
-    if List.length dispatch <> List.length domains then
-      raise (Bad_json "one dispatch row per domain count required");
-    List.iter
-      (fun d ->
-        ignore (as_int (field d "domains"));
-        if not (as_num (field d "seconds") > 0.0) then
-          raise (Bad_json "dispatch seconds must be positive"))
-      dispatch;
-    let kernels = as_list (field j "kernels") in
-    if List.length kernels < 5 then raise (Bad_json "need >= 5 kernels");
-    let names =
-      List.map
-        (fun k ->
-          ignore (as_int (field k "n"));
-          let grain = as_int (field k "grain") in
-          if grain < 0 then raise (Bad_json "grain must be >= 0");
-          if as_int (field k "crossover_n") <> 2 * grain then
-            raise (Bad_json "crossover_n must equal 2 * grain");
-          let serial = as_num (field k "serial_seconds") in
-          if not (serial > 0.0) then raise (Bad_json "serial_seconds must be positive");
-          let timings = as_list (field k "timings") in
-          if List.length timings <> List.length domains then
-            raise (Bad_json "one timing per domain count required");
-          List.iter
-            (fun t ->
-              ignore (as_int (field t "domains"));
-              let sec = as_num (field t "seconds") in
-              if not (sec > 0.0) then raise (Bad_json "seconds must be positive");
-              ignore (as_num (field t "speedup")))
-            timings;
-          as_str (field k "name"))
-        kernels
-    in
-    if not (List.mem "endtoend-prove" names) then
-      raise (Bad_json "endtoend-prove kernel missing");
-    Ok ()
-  with Bad_json msg -> Error msg
-
-(* --- smoke assertions ---------------------------------------------------- *)
+let document ~dispatch rows =
+  let open Bench_report in
+  let open Json_min in
+  [
+    ("host_domains", int (Domain.recommended_domain_count ()));
+    ("recommended_domains", int (recommended_domains rows));
+    ("domains", List (List.map int (domain_counts ())));
+    ( "dispatch",
+      objs (fun d -> [ ("domains", int d.d_domains); ("seconds", Num d.d_seconds) ]) dispatch );
+    ( "kernels",
+      objs
+        (fun r ->
+          [
+            ("name", Str r.kernel.k_name);
+            ("n", int r.kernel.k_n);
+            ("grain", int r.kernel.k_grain);
+            ("crossover_n", int (2 * r.kernel.k_grain));
+            ("serial_seconds", Num r.serial_seconds);
+            ( "timings",
+              objs
+                (fun t ->
+                  [ ("domains", int t.domains); ("seconds", Num t.seconds); ("speedup", Num t.speedup) ])
+                r.timings );
+          ])
+        rows );
+  ]
 
 (* Pinned ceiling for one empty dispatch. A healthy pool needs ~1-30µs
    (spin-path handoff) even when domains are oversubscribed on one core;
@@ -332,48 +294,64 @@ let dispatch_ceiling_seconds = 0.005
    single-core users. *)
 let one_domain_floor = 0.9
 
-let assert_smoke ~dispatch rows =
-  (* Both pins compare timings of concurrently-scheduled configurations, so
-     they are only meaningful when the host can actually run a second
-     domain: on a 1-core box every multi-domain configuration timeshares
-     one CPU, and a loaded machine makes both measurements pure noise.
-     Skip (loudly, with the reason) rather than fail there. *)
-  if Domain.recommended_domain_count () <= 1 then
+(* Both smoke pins compare timings of concurrently-scheduled configurations,
+   so they are only meaningful when the host can actually run a second
+   domain: on a 1-core box every multi-domain configuration timeshares one
+   CPU, and a loaded machine makes both measurements pure noise. They are
+   skipped there (loudly, with the reason) rather than failed. *)
+let smoke_gates ~dispatch rows =
+  if Domain.recommended_domain_count () <= 1 then begin
     Printf.printf
       "bench-smoke SKIP: host_domains=1 — dispatch ceiling and 1-domain speedup pins need a \
        multi-core host (timings on a timeshared core are noise, not regressions)\n\
-       %!"
-  else begin
-    let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-    List.iter
-      (fun d ->
-        if d.d_seconds > dispatch_ceiling_seconds then
-          fail "dispatch at %d domains took %.6fs > pinned ceiling %.6fs" d.d_domains
-            d.d_seconds dispatch_ceiling_seconds)
-      dispatch;
-    List.iter
-      (fun r ->
-        match List.find_opt (fun t -> t.domains = 1) r.timings with
-        | Some t when t.speedup < one_domain_floor ->
-          fail "%s: 1-domain speedup %.2fx < %.2fx floor" r.kernel.k_name t.speedup
-            one_domain_floor
-        | _ -> ())
-      rows;
-    match !failures with
-    | [] -> ()
-    | fs ->
-      List.iter (fun m -> Printf.eprintf "bench-smoke FAIL: %s\n" m) (List.rev fs);
-      Printf.eprintf "%!";
-      exit 1
+       %!";
+    []
   end
+  else
+    List.map
+      (fun d ->
+        ( d.d_seconds <= dispatch_ceiling_seconds,
+          Printf.sprintf "dispatch at %d domains took %.6fs > pinned ceiling %.6fs" d.d_domains
+            d.d_seconds dispatch_ceiling_seconds ))
+      dispatch
+    @ List.concat_map
+        (fun r ->
+          List.filter_map
+            (fun t ->
+              if t.domains <> 1 then None
+              else
+                Some
+                  ( t.speedup >= one_domain_floor,
+                    Printf.sprintf "%s: 1-domain speedup %.2fx < %.2fx floor" r.kernel.k_name
+                      t.speedup one_domain_floor ))
+            r.timings)
+        rows
+
+let gates ~smoke ~dispatch rows =
+  let n_domains = List.length (domain_counts ()) in
+  let for_all p = List.for_all p rows in
+  [
+    (Domain.recommended_domain_count () >= 1, "host_domains < 1");
+    (recommended_domains rows >= 1, "recommended_domains < 1");
+    (n_domains > 0, "empty domains");
+    (List.length dispatch = n_domains, "one dispatch row per domain count required");
+    (List.for_all (fun d -> d.d_seconds > 0.0) dispatch, "dispatch seconds must be positive");
+    (List.length rows >= 5, "need >= 5 kernels");
+    (for_all (fun r -> r.kernel.k_grain >= 0), "grain must be >= 0");
+    (for_all (fun r -> r.serial_seconds > 0.0), "serial_seconds must be positive");
+    (for_all (fun r -> List.length r.timings = n_domains), "one timing per domain count required");
+    ( for_all (fun r -> List.for_all (fun t -> t.seconds > 0.0) r.timings),
+      "seconds must be positive" );
+  ]
+  @ Bench_report.require ~what:"kernel"
+      (List.map (fun r -> r.kernel.k_name) rows)
+      [ "endtoend-prove" ]
+  @ if smoke then smoke_gates ~dispatch rows else []
 
 (* --- driver ------------------------------------------------------------- *)
 
-let run ?(smoke = false) ?(path = "BENCH_parallel.json") () =
-  Zk_report.Render.section
-    (Printf.sprintf "Parallel runtime: serial vs. multi-domain%s"
-       (if smoke then " (smoke)" else ""));
+let run ~smoke ~path =
+  Bench_report.section "Parallel runtime: serial vs. multi-domain" ~smoke;
   let rng = Rng.create 0xD0_5EEDL in
   let dispatch = measure_dispatch ~smoke () in
   let rows = List.map (measure ~smoke) (kernels ~smoke rng) in
@@ -395,14 +373,5 @@ let run ?(smoke = false) ?(path = "BENCH_parallel.json") () =
   Printf.printf "host_domains=%d recommended_domains=%d\n"
     (Domain.recommended_domain_count ())
     (recommended_domains rows);
-  let json = json_of_rows ~dispatch rows in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  (match validate_schema json with
-  | Ok () -> Printf.printf "wrote %s (schema %s, valid)\n%!" path schema_id
-  | Error msg ->
-    Printf.eprintf "BENCH_parallel.json failed schema validation: %s\n%!" msg;
-    exit 1);
-  if smoke then assert_smoke ~dispatch rows;
-  rows
+  Bench_report.write ~path ~schema:schema_id ~gates:(gates ~smoke ~dispatch rows)
+    (document ~dispatch rows)

@@ -18,7 +18,7 @@
      must fail with [Deadline_exceeded] (nonzero timeout counter, no
      retries burned on a permanent error).
 
-   All gates exit 1; the emitted JSON is schema-validated in-process. *)
+   All gates exit 1 through [Bench_report.write]. *)
 
 open Nocap_repro
 
@@ -275,99 +275,86 @@ let run_deadline ~smoke =
   let stats = Serve.shutdown srv in
   { d_jobs = jobs; d_timeouts = timeouts; d_retries = stats.Serve.retries }
 
-(* --- JSON + schema ------------------------------------------------------ *)
+(* --- report --------------------------------------------------------------- *)
 
-let json_of ~smoke ~rss_source ~spill_leftovers tp fl dl =
-  let buf = Buffer.create 2048 in
-  let adds fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+let document ~smoke ~rss_source ~spill_leftovers tp fl dl =
+  let open Bench_report in
+  let open Json_min in
   let s = fl.f_stats in
-  adds "{\n";
-  adds "  \"schema\": %S,\n" schema_id;
-  adds "  \"smoke\": %b,\n" smoke;
-  adds "  \"rss_source\": %S,\n" rss_source;
-  adds "  \"spill_leftover_files\": %d,\n" spill_leftovers;
-  adds "  \"throughput\": {\n";
-  adds "    \"jobs\": %d,\n" tp.t_jobs;
-  adds "    \"completed\": %d,\n" tp.t_completed;
-  adds "    \"wall_s\": %.6f,\n" tp.t_wall_s;
-  adds "    \"proofs_per_s\": %.4f,\n" tp.t_proofs_per_s;
-  adds "    \"p50_latency_ms\": %.3f,\n" tp.t_p50_ms;
-  adds "    \"p99_latency_ms\": %.3f,\n" tp.t_p99_ms;
-  adds "    \"peak_rss_kb\": %d\n" tp.t_peak_rss_kb;
-  adds "  },\n";
-  adds "  \"faulted\": {\n";
-  adds "    \"submitted\": %d,\n" s.Serve.submitted;
-  adds "    \"completed\": %d,\n" s.Serve.completed;
-  adds "    \"failed\": %d,\n" s.Serve.failed;
-  adds "    \"rejected\": %d,\n" s.Serve.rejected;
-  adds "    \"invalid\": %d,\n" s.Serve.invalid;
-  adds "    \"retries\": %d,\n" s.Serve.retries;
-  adds "    \"crashes\": %d,\n" s.Serve.crashes;
-  adds "    \"io_failures\": %d,\n" s.Serve.io_failures;
-  adds "    \"demoted\": %d,\n" s.Serve.demoted;
-  adds "    \"timeouts\": %d,\n" s.Serve.timeouts;
-  adds "    \"cancelled\": %d,\n" s.Serve.cancelled;
-  adds "    \"surviving_proofs\": %d,\n" fl.f_proofs;
-  adds "    \"byte_identical\": %b,\n" fl.f_byte_identical;
-  adds "    \"offline_proves\": %d,\n" fl.f_offline_proves;
-  adds "    \"pool_reusable\": %b,\n" fl.f_pool_reusable;
-  adds "    \"peak_rss_kb\": %d\n" fl.f_peak_rss_kb;
-  adds "  },\n";
-  adds "  \"deadline\": {\n";
-  adds "    \"jobs\": %d,\n" dl.d_jobs;
-  adds "    \"timeouts\": %d,\n" dl.d_timeouts;
-  adds "    \"retries\": %d\n" dl.d_retries;
-  adds "  }\n";
-  adds "}\n";
-  Buffer.contents buf
+  [
+    ("smoke", Bool smoke);
+    ("rss_source", Str rss_source);
+    ("spill_leftover_files", int spill_leftovers);
+    ( "throughput",
+      Obj
+        [
+          ("jobs", int tp.t_jobs);
+          ("completed", int tp.t_completed);
+          ("wall_s", Num tp.t_wall_s);
+          ("proofs_per_s", Num tp.t_proofs_per_s);
+          ("p50_latency_ms", Num tp.t_p50_ms);
+          ("p99_latency_ms", Num tp.t_p99_ms);
+          ("peak_rss_kb", int tp.t_peak_rss_kb);
+        ] );
+    ( "faulted",
+      Obj
+        [
+          ("submitted", int s.Serve.submitted);
+          ("completed", int s.Serve.completed);
+          ("failed", int s.Serve.failed);
+          ("rejected", int s.Serve.rejected);
+          ("invalid", int s.Serve.invalid);
+          ("retries", int s.Serve.retries);
+          ("crashes", int s.Serve.crashes);
+          ("io_failures", int s.Serve.io_failures);
+          ("demoted", int s.Serve.demoted);
+          ("timeouts", int s.Serve.timeouts);
+          ("cancelled", int s.Serve.cancelled);
+          ("surviving_proofs", int fl.f_proofs);
+          ("byte_identical", Bool fl.f_byte_identical);
+          ("offline_proves", int fl.f_offline_proves);
+          ("pool_reusable", Bool fl.f_pool_reusable);
+          ("peak_rss_kb", int fl.f_peak_rss_kb);
+        ] );
+    ( "deadline",
+      Obj
+        [ ("jobs", int dl.d_jobs); ("timeouts", int dl.d_timeouts); ("retries", int dl.d_retries) ]
+    );
+  ]
 
-open Json_min
-
-let validate_schema (str : string) : (unit, string) result =
-  try
-    let j = parse_json str in
-    if as_str (field j "schema") <> schema_id then raise (Bad_json "wrong schema id");
-    ignore (as_bool (field j "smoke"));
-    if as_str (field j "rss_source") = "" then raise (Bad_json "empty rss_source");
-    if as_num (field j "spill_leftover_files") <> 0.0 then
-      raise (Bad_json "spill files leaked past shutdown");
-    let tp = field j "throughput" in
-    if not (as_num (field tp "proofs_per_s") > 0.0) then
-      raise (Bad_json "throughput must be positive");
-    if as_num (field tp "completed") <> as_num (field tp "jobs") then
-      raise (Bad_json "clean run lost jobs");
-    if not (as_num (field tp "p99_latency_ms") >= as_num (field tp "p50_latency_ms")) then
-      raise (Bad_json "p99 below p50");
-    ignore (as_num (field tp "peak_rss_kb"));
-    let fl = field j "faulted" in
-    List.iter
-      (fun key ->
-        if not (as_num (field fl key) > 0.0) then
-          raise (Bad_json ("faulted." ^ key ^ " must be nonzero")))
-      [ "submitted"; "completed"; "rejected"; "invalid"; "retries"; "crashes";
-        "io_failures"; "demoted"; "surviving_proofs" ];
-    if as_num (field fl "failed") <> 0.0 then
-      raise (Bad_json "first-attempt-only faults must all recover");
-    if not (as_bool (field fl "byte_identical")) then
-      raise (Bad_json "surviving proof diverged from offline prover");
-    if not (as_bool (field fl "pool_reusable")) then
-      raise (Bad_json "kernel pool unusable after faulted shutdown");
-    let dl = field j "deadline" in
-    if not (as_num (field dl "timeouts") > 0.0) then
-      raise (Bad_json "deadline phase produced no timeouts");
-    if as_num (field dl "timeouts") <> as_num (field dl "jobs") then
-      raise (Bad_json "a slowed job escaped its deadline");
-    if as_num (field dl "retries") <> 0.0 then
-      raise (Bad_json "deadline errors are permanent; no retries allowed");
-    Ok ()
-  with Bad_json msg -> Error msg
+(* The gate battery: counters that must be nonzero, byte identity, pool
+   reusability, zero leaked spill files. *)
+let gates ~rss_source ~spill_leftovers tp fl dl =
+  let s = fl.f_stats in
+  [
+    (rss_source <> "", "empty rss_source");
+    (spill_leftovers = 0, "spill files leaked past shutdown");
+    (tp.t_proofs_per_s > 0.0, "throughput must be positive");
+    (tp.t_completed = tp.t_jobs, "clean run lost jobs");
+    (tp.t_p99_ms >= tp.t_p50_ms, "p99 below p50");
+  ]
+  @ List.map
+      (fun (key, n) -> (n > 0, "faulted." ^ key ^ " must be nonzero"))
+      [
+        ("submitted", s.Serve.submitted); ("completed", s.Serve.completed);
+        ("rejected", s.Serve.rejected); ("invalid", s.Serve.invalid);
+        ("retries", s.Serve.retries); ("crashes", s.Serve.crashes);
+        ("io_failures", s.Serve.io_failures); ("demoted", s.Serve.demoted);
+        ("surviving_proofs", fl.f_proofs);
+      ]
+  @ [
+      (s.Serve.failed = 0, "first-attempt-only faults must all recover");
+      (fl.f_byte_identical, "surviving proof diverged from offline prover");
+      (fl.f_pool_reusable, "kernel pool unusable after faulted shutdown");
+      (dl.d_timeouts > 0, "deadline phase produced no timeouts");
+      (dl.d_timeouts = dl.d_jobs, "a slowed job escaped its deadline");
+      (dl.d_retries = 0, "deadline errors are permanent; no retries allowed");
+    ]
 
 (* --- driver ------------------------------------------------------------- *)
 
-let run ?(smoke = false) ?(path = "BENCH_serve.json") () =
-  Zk_report.Render.section
-    (Printf.sprintf "Proving service: throughput, injected faults, deadlines%s"
-       (if smoke then " (smoke)" else ""));
+let run ~smoke ~path =
+  Bench_report.section "Proving service: throughput, injected faults, deadlines" ~smoke;
   let finished = install_hang_guard ~limit_s:(if smoke then 240.0 else 540.0) in
   let tp = run_throughput ~smoke in
   let fl = run_faulted ~smoke in
@@ -403,15 +390,6 @@ let run ?(smoke = false) ?(path = "BENCH_serve.json") () =
         string_of_int dl.d_retries; string_of_int dl.d_timeouts; "all Deadline_exceeded";
       ];
     ];
-  let json = json_of ~smoke ~rss_source ~spill_leftovers tp fl dl in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  (* The schema validator IS the gate battery: counters that must be
-     nonzero, byte identity, pool reusability, zero leaked spill files. *)
-  (match validate_schema json with
-  | Ok () -> Printf.printf "wrote %s (schema %s, valid)\n%!" path schema_id
-  | Error msg ->
-    Printf.eprintf "BENCH_serve.json failed schema validation: %s\n%!" msg;
-    exit 1);
-  (tp, fl, dl)
+  Bench_report.write ~path ~schema:schema_id
+    ~gates:(gates ~rss_source ~spill_leftovers tp fl dl)
+    (document ~smoke ~rss_source ~spill_leftovers tp fl dl)

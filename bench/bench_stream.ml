@@ -6,9 +6,9 @@
 
    - [endtoend]: the full Spartan pipeline under a budget vs with no
      budget, for both PCS backends. Proof BYTES MUST BE EQUAL — this is
-     the hard gate (exit 1 otherwise), and in smoke mode the flagship
-     entry is a 2^16-constraint Orion proof under an artificially tiny
-     budget that must actually spill.
+     the hard gate (exit 1 otherwise), and the flagship entry is a
+     2^16-constraint Orion proof under an artificially tiny budget that
+     must actually spill.
    - [commit]: Orion's commit under a budget over a PRG row producer (the
      table never exists in RAM), with the matrix aspect chosen so the
      column working set is constant — peak RSS should stay flat while N
@@ -252,120 +252,92 @@ let run_sumcheck ~smoke =
       })
     streamed
 
-(* --- JSON + schema ------------------------------------------------------ *)
+(* --- report --------------------------------------------------------------- *)
 
-let json_of ~smoke ~rss_source ~resettable endtoend commits sumchecks =
-  let buf = Buffer.create 4096 in
-  let adds fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let add_phase name p =
-    adds "      \"%s\": {\"seconds\": %.6f, \"peak_rss_kb\": %d},\n" name p.seconds
-      p.peak_rss_kb
+let document ~smoke ~rss_source ~resettable endtoend commits sumchecks =
+  let open Bench_report in
+  let open Json_min in
+  let phase p = Obj [ ("seconds", Num p.seconds); ("peak_rss_kb", int p.peak_rss_kb) ] in
+  let slowdown b n = Num (b.seconds /. max 1e-9 n.seconds) in
+  [
+    ("smoke", Bool smoke);
+    ("rss_source", Str rss_source);
+    ("rss_resettable", Bool resettable);
+    ( "endtoend",
+      objs
+        (fun e ->
+          [
+            ("backend", Str e.e_backend);
+            ("constraints_log2", int e.e_constraints_log2);
+            ("budget_bytes", int e.e_budget);
+            ("bytes_equal", Bool e.e_bytes_equal);
+            ("spill_bytes", int e.e_spill_bytes);
+            ("streaming", phase e.e_budgeted);
+            ("in_memory", phase e.e_no_budget);
+            ("slowdown", slowdown e.e_budgeted e.e_no_budget);
+          ])
+        endtoend );
+    ( "commit",
+      objs
+        (fun c ->
+          [
+            ("log_n", int c.c_log_n);
+            ("budget_bytes", int c.c_budget);
+            ("rows", int c.c_rows);
+            ("cols", int c.c_cols);
+            ("spill_bytes", int c.c_spill_bytes);
+            ("seconds", Num c.c_phase.seconds);
+            ("peak_rss_kb", int c.c_phase.peak_rss_kb);
+          ])
+        commits );
+    ( "sumcheck",
+      objs
+        (fun s ->
+          [
+            ("log_n", int s.s_log_n);
+            ("budget_bytes", int s.s_budget);
+            ("proof_equal", Bool s.s_equal);
+            ("streaming", phase s.s_budgeted);
+            ("in_memory", phase s.s_no_budget);
+            ("slowdown", slowdown s.s_budgeted s.s_no_budget);
+          ])
+        sumchecks );
+  ]
+
+(* Every budgeted proof and sumcheck matches its no-budget run, the
+   flagship endtoend entry (orion @ 2^16 constraints, 1 MiB budget) and
+   every streamed commit actually spilled, and every timed phase is
+   positive. *)
+let gates ~rss_source endtoend commits sumchecks =
+  let flagship =
+    List.find_opt (fun e -> e.e_backend = "orion" && e.e_constraints_log2 = 16) endtoend
   in
-  adds "{\n";
-  adds "  \"schema\": %S,\n" schema_id;
-  adds "  \"smoke\": %b,\n" smoke;
-  adds "  \"rss_source\": %S,\n" rss_source;
-  adds "  \"rss_resettable\": %b,\n" resettable;
-  adds "  \"endtoend\": [\n";
-  List.iteri
-    (fun i e ->
-      adds "    {\n";
-      adds "      \"backend\": %S,\n" e.e_backend;
-      adds "      \"constraints_log2\": %d,\n" e.e_constraints_log2;
-      adds "      \"budget_bytes\": %d,\n" e.e_budget;
-      adds "      \"bytes_equal\": %b,\n" e.e_bytes_equal;
-      adds "      \"spill_bytes\": %d,\n" e.e_spill_bytes;
-      add_phase "streaming" e.e_budgeted;
-      add_phase "in_memory" e.e_no_budget;
-      adds "      \"slowdown\": %.4f\n"
-        (e.e_budgeted.seconds /. (max 1e-9 e.e_no_budget.seconds));
-      adds "    }%s\n" (if i = List.length endtoend - 1 then "" else ","))
-    endtoend;
-  adds "  ],\n";
-  adds "  \"commit\": [\n";
-  List.iteri
-    (fun i c ->
-      adds
-        "    {\"log_n\": %d, \"budget_bytes\": %d, \"rows\": %d, \"cols\": %d, \
-         \"spill_bytes\": %d, \"seconds\": %.6f, \"peak_rss_kb\": %d}%s\n"
-        c.c_log_n c.c_budget c.c_rows c.c_cols c.c_spill_bytes c.c_phase.seconds
-        c.c_phase.peak_rss_kb
-        (if i = List.length commits - 1 then "" else ","))
-    commits;
-  adds "  ],\n";
-  adds "  \"sumcheck\": [\n";
-  List.iteri
-    (fun i s ->
-      adds "    {\n";
-      adds "      \"log_n\": %d,\n" s.s_log_n;
-      adds "      \"budget_bytes\": %d,\n" s.s_budget;
-      adds "      \"proof_equal\": %b,\n" s.s_equal;
-      add_phase "streaming" s.s_budgeted;
-      add_phase "in_memory" s.s_no_budget;
-      adds "      \"slowdown\": %.4f\n"
-        (s.s_budgeted.seconds /. (max 1e-9 s.s_no_budget.seconds));
-      adds "    }%s\n" (if i = List.length sumchecks - 1 then "" else ","))
-    sumchecks;
-  adds "  ]\n";
-  adds "}\n";
-  Buffer.contents buf
-
-open Json_min
-
-let validate_schema (s : string) : (unit, string) result =
-  try
-    let j = parse_json s in
-    if as_str (field j "schema") <> schema_id then raise (Bad_json "wrong schema id");
-    ignore (as_bool (field j "smoke"));
-    if as_str (field j "rss_source") = "" then raise (Bad_json "empty rss_source");
-    ignore (as_bool (field j "rss_resettable"));
-    let endtoend = as_list (field j "endtoend") in
-    if List.length endtoend < 2 then raise (Bad_json "need >= 2 endtoend entries");
-    let has_spill = ref false in
-    List.iter
+  [
+    (rss_source <> "", "empty rss_source");
+    (List.length endtoend >= 2, "need >= 2 endtoend entries");
+    (List.for_all (fun e -> e.e_budget > 0) endtoend, "budget must be positive");
+    ( List.for_all (fun e -> e.e_budgeted.seconds > 0.0 && e.e_no_budget.seconds > 0.0) endtoend,
+      "endtoend seconds must be positive" );
+    (flagship <> None, "2^16 gate entry missing");
+    ( (match flagship with Some e -> e.e_spill_bytes > 0 | None -> true),
+      "2^16 gate entry never spilled (budget too large?)" );
+    (List.length commits >= 3, "need >= 3 commit sizes");
+    (List.for_all (fun c -> c.c_spill_bytes > 0) commits, "streamed commit must spill");
+    (List.for_all (fun c -> c.c_phase.seconds > 0.0) commits, "commit seconds must be positive");
+    (List.length sumchecks >= 2, "need >= 2 sumcheck sizes");
+  ]
+  @ List.map
       (fun e ->
-        ignore (as_str (field e "backend"));
-        ignore (as_num (field e "constraints_log2"));
-        if not (as_num (field e "budget_bytes") > 0.0) then
-          raise (Bad_json "budget must be positive");
-        if not (as_bool (field e "bytes_equal")) then
-          raise (Bad_json "budgeted proof bytes diverged from no budget");
-        if as_num (field e "spill_bytes") > 0.0 then has_spill := true;
-        List.iter
-          (fun ph ->
-            let p = field e ph in
-            if not (as_num (field p "seconds") > 0.0) then
-              raise (Bad_json "seconds must be positive");
-            ignore (as_num (field p "peak_rss_kb")))
-          [ "streaming"; "in_memory" ])
-      endtoend;
-    if not !has_spill then raise (Bad_json "no endtoend entry actually spilled");
-    let commits = as_list (field j "commit") in
-    if List.length commits < 3 then raise (Bad_json "need >= 3 commit sizes");
-    List.iter
-      (fun c ->
-        ignore (as_num (field c "log_n"));
-        if not (as_num (field c "spill_bytes") > 0.0) then
-          raise (Bad_json "streamed commit must spill");
-        if not (as_num (field c "seconds") > 0.0) then
-          raise (Bad_json "commit seconds must be positive"))
-      commits;
-    let sumchecks = as_list (field j "sumcheck") in
-    if List.length sumchecks < 2 then raise (Bad_json "need >= 2 sumcheck sizes");
-    List.iter
-      (fun s ->
-        if not (as_bool (field s "proof_equal")) then
-          raise (Bad_json "budgeted sumcheck diverged from no budget"))
-      sumchecks;
-    Ok ()
-  with Bad_json msg -> Error msg
+        ( e.e_bytes_equal,
+          Printf.sprintf "%s 2^%d budgeted proof bytes DIVERGED from no budget" e.e_backend
+            e.e_constraints_log2 ))
+      endtoend
+  @ List.map (fun s -> (s.s_equal, Printf.sprintf "sumcheck 2^%d diverged" s.s_log_n)) sumchecks
 
 (* --- driver ------------------------------------------------------------- *)
 
-let run ?(smoke = false) ?(path = "BENCH_stream.json") () =
-  Zk_report.Render.section
-    (Printf.sprintf "One prover path: stream budget vs no budget (one RAM block)%s"
-       (if smoke then " (smoke)" else ""));
+let run ~smoke ~path =
+  Bench_report.section "One prover path: stream budget vs no budget (one RAM block)" ~smoke;
   let resettable = Rss.settle_and_reset () in
   (* The commit ladder runs FIRST: the OCaml heap never shrinks back after
      the big endtoend phases, so running it later would bury its flat,
@@ -417,44 +389,6 @@ let run ?(smoke = false) ?(path = "BENCH_stream.json") () =
            Printf.sprintf "%dM" (s.s_no_budget.peak_rss_kb / 1024);
          ])
        sumchecks);
-  (* Hard gates: every budgeted proof must match its no-budget bytes, and
-     the flagship smoke entry (orion @ 2^16 constraints, 1 MiB budget) must
-     actually have spilled. *)
-  List.iter
-    (fun e ->
-      if not e.e_bytes_equal then begin
-        Printf.eprintf
-          "bench stream: %s 2^%d budgeted proof bytes DIVERGED from no budget\n%!"
-          e.e_backend e.e_constraints_log2;
-        exit 1
-      end)
-    endtoend;
-  (match
-     List.find_opt
-       (fun e -> e.e_backend = "orion" && e.e_constraints_log2 = 16)
-       endtoend
-   with
-  | Some e when e.e_spill_bytes = 0 ->
-    Printf.eprintf "bench stream: 2^16 gate entry never spilled (budget too large?)\n%!";
-    exit 1
-  | Some _ -> ()
-  | None ->
-    Printf.eprintf "bench stream: 2^16 gate entry missing\n%!";
-    exit 1);
-  List.iter
-    (fun s ->
-      if not s.s_equal then begin
-        Printf.eprintf "bench stream: sumcheck 2^%d diverged\n%!" s.s_log_n;
-        exit 1
-      end)
-    sumchecks;
-  let json = json_of ~smoke ~rss_source ~resettable endtoend commits sumchecks in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  (match validate_schema json with
-  | Ok () -> Printf.printf "wrote %s (schema %s, valid)\n%!" path schema_id
-  | Error msg ->
-    Printf.eprintf "BENCH_stream.json failed schema validation: %s\n%!" msg;
-    exit 1);
-  (endtoend, commits, sumchecks)
+  Bench_report.write ~path ~schema:schema_id
+    ~gates:(gates ~rss_source endtoend commits sumchecks)
+    (document ~smoke ~rss_source ~resettable endtoend commits sumchecks)

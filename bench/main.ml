@@ -3,18 +3,14 @@
    table/figure plus the substrate kernels they are built from.
 
    Usage:
-     main.exe            full report + microbenchmarks
-     main.exe report     tables/figures only
-     main.exe bench      microbenchmarks only
-     main.exe parallel   serial vs multi-domain kernels -> BENCH_parallel.json
-     main.exe memory     boxed vs unboxed kernels + GC stats -> BENCH_memory.json
-     main.exe backend    Orion vs FRI PCS backends -> BENCH_backend.json
-     main.exe native     OCaml vs scalar-C vs SIMD kernels -> BENCH_native.json
-     main.exe faults     fault-injection sweep over mutated proofs -> BENCH_faults.json
-     main.exe analysis   circuit lint + structure + mutation oracle -> BENCH_analysis.json
-     main.exe stream     stream budget vs no budget + peak RSS -> BENCH_stream.json
-     main.exe serve      proving service under load + injected faults -> BENCH_serve.json
-     main.exe table4     a single table/figure by id
+     main.exe                    full report + microbenchmarks + every bench
+     main.exe report             tables/figures only
+     main.exe bench              microbenchmarks only
+     main.exe NAME[-smoke] [PATH]
+                                 one bench (see [benches] below) at full or
+                                 smoke size; PATH defaults to BENCH_NAME.json
+                                 (BENCH_NAME_smoke.json for a smoke run)
+     main.exe table4 ...         tables/figures by id
 
    GC tuning for every mode lives in [tune_gc] below. *)
 
@@ -336,6 +332,29 @@ let run_benches () =
     ~header:[ "benchmark"; "time/run" ]
     (List.map (fun (name, ns) -> [ name; Zk_report.Render.seconds (ns /. 1e9) ]) rows)
 
+(* Every bench writes one BENCH_<name>.json report. *)
+let benches : (string * (smoke:bool -> path:string -> unit)) list =
+  [
+    ("parallel", Bench_parallel.run) (* serial vs multi-domain kernels *);
+    ("memory", Bench_memory.run) (* boxed vs unboxed kernels + GC stats *);
+    ("backend", Bench_backend.run) (* Orion vs FRI PCS backends *);
+    ("native", Bench_native.run) (* OCaml vs scalar-C vs SIMD kernels *);
+    ("faults", Bench_faults.run) (* fault-injection sweep over mutated proofs *);
+    ("analysis", Bench_analysis.run) (* circuit lint + structure + mutation oracle *);
+    ("stream", Bench_stream.run) (* stream budget vs no budget + peak RSS *);
+    ("serve", Bench_serve.run) (* proving service under load + injected faults *);
+  ]
+
+let run_bench ?path ~smoke (name, run) =
+  let default = Printf.sprintf "BENCH_%s%s.json" name (if smoke then "_smoke" else "") in
+  run ~smoke ~path:(Option.value path ~default)
+
+(* "NAME" or "NAME-smoke", for a NAME in [benches]. *)
+let find_bench arg =
+  let smoke = String.ends_with ~suffix:"-smoke" arg in
+  let name = if smoke then String.sub arg 0 (String.length arg - 6) else arg in
+  Option.map (fun run -> (smoke, (name, run))) (List.assoc_opt name benches)
+
 let () =
   tune_gc ();
   let args = Array.to_list Sys.argv |> List.tl in
@@ -343,52 +362,17 @@ let () =
   | [] ->
     List.iter (fun (_, f) -> f ()) report_items;
     run_benches ();
-    ignore (Bench_parallel.run ());
-    ignore (Bench_memory.run ());
-    ignore (Bench_backend.run ());
-    ignore (Bench_native.run ());
-    ignore (Bench_faults.run ());
-    ignore (Bench_analysis.run ());
-    ignore (Bench_stream.run ());
-    ignore (Bench_serve.run ())
+    List.iter (run_bench ~smoke:false) benches
   | [ "report" ] -> List.iter (fun (_, f) -> f ()) report_items
   | [ "bench" ] -> run_benches ()
-  | [ "parallel" ] -> ignore (Bench_parallel.run ())
-  | [ "parallel"; path ] -> ignore (Bench_parallel.run ~path ())
-  | [ "parallel-smoke" ] -> ignore (Bench_parallel.run ~smoke:true ())
-  | [ "parallel-smoke"; path ] -> ignore (Bench_parallel.run ~smoke:true ~path ())
-  | [ "memory" ] -> ignore (Bench_memory.run ())
-  | [ "memory"; path ] -> ignore (Bench_memory.run ~path ())
-  | [ "memory-smoke" ] -> ignore (Bench_memory.run ~smoke:true ~path:"BENCH_memory_smoke.json" ())
-  | [ "memory-smoke"; path ] -> ignore (Bench_memory.run ~smoke:true ~path ())
-  | [ "backend" ] -> ignore (Bench_backend.run ())
-  | [ "backend"; path ] -> ignore (Bench_backend.run ~path ())
-  | [ "backend-smoke" ] -> ignore (Bench_backend.run ~smoke:true ())
-  | [ "backend-smoke"; path ] -> ignore (Bench_backend.run ~smoke:true ~path ())
-  | [ "native" ] -> ignore (Bench_native.run ())
-  | [ "native"; path ] -> ignore (Bench_native.run ~path ())
-  | [ "native-smoke" ] -> ignore (Bench_native.run ~smoke:true ())
-  | [ "native-smoke"; path ] -> ignore (Bench_native.run ~smoke:true ~path ())
-  | [ "faults" ] -> ignore (Bench_faults.run ())
-  | [ "faults"; path ] -> ignore (Bench_faults.run ~path ())
-  | [ "faults-smoke" ] -> ignore (Bench_faults.run ~smoke:true ())
-  | [ "faults-smoke"; path ] -> ignore (Bench_faults.run ~smoke:true ~path ())
-  | [ "serve" ] -> ignore (Bench_serve.run ())
-  | [ "serve"; path ] -> ignore (Bench_serve.run ~path ())
-  | [ "serve-smoke" ] -> ignore (Bench_serve.run ~smoke:true ())
-  | [ "serve-smoke"; path ] -> ignore (Bench_serve.run ~smoke:true ~path ())
-  | [ "stream" ] -> ignore (Bench_stream.run ())
-  | [ "stream"; path ] -> ignore (Bench_stream.run ~path ())
-  | [ "stream-smoke" ] -> ignore (Bench_stream.run ~smoke:true ())
-  | [ "stream-smoke"; path ] -> ignore (Bench_stream.run ~smoke:true ~path ())
-  | [ "analysis" ] -> ignore (Bench_analysis.run ())
-  | [ "analysis"; path ] -> ignore (Bench_analysis.run ~path ())
-  | [ "analysis-smoke" ] -> ignore (Bench_analysis.run ~smoke:true ())
-  | [ "analysis-smoke"; path ] -> ignore (Bench_analysis.run ~smoke:true ~path ())
-  | ids ->
-    List.iter
-      (fun id ->
-        match List.assoc_opt id report_items with
-        | Some f -> f ()
-        | None -> Printf.eprintf "unknown item %s\n" id)
-      ids
+  | arg :: rest -> (
+    match (find_bench arg, rest) with
+    | Some (smoke, bench), [] -> run_bench ~smoke bench
+    | Some (smoke, bench), [ path ] -> run_bench ~path ~smoke bench
+    | _ ->
+      List.iter
+        (fun id ->
+          match List.assoc_opt id report_items with
+          | Some f -> f ()
+          | None -> Printf.eprintf "unknown item %s\n" id)
+        args)

@@ -118,15 +118,39 @@ let summary t =
     t.fanout.fanout_mean
 
 let matrix_to_json m =
-  Printf.sprintf
-    {|{"nnz": %d, "rows_nonempty": %d, "row_nnz_max": %d, "row_nnz_mean": %.6f, "band_max": %d, "band_mean": %.6f, "band_within_64": %.6f}|}
-    m.nnz m.rows_nonempty m.row_nnz_max m.row_nnz_mean m.band_max m.band_mean
-    m.band_within_64
+  Zk_util.Json_min.(
+    Obj
+      [
+        ("nnz", Num (float_of_int m.nnz));
+        ("rows_nonempty", Num (float_of_int m.rows_nonempty));
+        ("row_nnz_max", Num (float_of_int m.row_nnz_max));
+        ("row_nnz_mean", Num m.row_nnz_mean);
+        ("band_max", Num (float_of_int m.band_max));
+        ("band_mean", Num m.band_mean);
+        ("band_within_64", Num m.band_within_64);
+      ])
 
 let to_json t =
-  Printf.sprintf
-    {|{"name": "%s", "log_size": %d, "num_constraints": %d, "num_witness": %d, "num_io": %d, "total_nnz": %d, "density_factor": %.6f, "a": %s, "b": %s, "c": %s, "fanout": {"live_vars": %d, "unused_vars": %d, "fanout_max": %d, "fanout_mean": %.6f}}|}
-    t.name t.log_size t.num_constraints t.num_witness t.num_io t.total_nnz
-    t.density_factor (matrix_to_json t.a) (matrix_to_json t.b)
-    (matrix_to_json t.c) t.fanout.live_vars t.fanout.unused_vars
-    t.fanout.fanout_max t.fanout.fanout_mean
+  let int n = Zk_util.Json_min.Num (float_of_int n) in
+  Zk_util.Json_min.(
+    Obj
+      [
+        ("name", Str t.name);
+        ("log_size", int t.log_size);
+        ("num_constraints", int t.num_constraints);
+        ("num_witness", int t.num_witness);
+        ("num_io", int t.num_io);
+        ("total_nnz", int t.total_nnz);
+        ("density_factor", Num t.density_factor);
+        ("a", matrix_to_json t.a);
+        ("b", matrix_to_json t.b);
+        ("c", matrix_to_json t.c);
+        ( "fanout",
+          Obj
+            [
+              ("live_vars", int t.fanout.live_vars);
+              ("unused_vars", int t.fanout.unused_vars);
+              ("fanout_max", int t.fanout.fanout_max);
+              ("fanout_mean", Num t.fanout.fanout_mean);
+            ] );
+      ])

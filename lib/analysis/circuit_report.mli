@@ -44,6 +44,6 @@ val of_instance : ?name:string -> Zk_r1cs.R1cs.instance -> t
 val summary : t -> string
 (** One human-readable line. *)
 
-val to_json : t -> string
-(** One JSON object (no trailing newline) — the [circuits] array element of
-    the [nocap-bench-analysis/v1] schema. *)
+val to_json : t -> Zk_util.Json_min.json
+(** One JSON object — the [report] member of each [circuits] element of the
+    [nocap-bench-analysis/v1] schema. *)

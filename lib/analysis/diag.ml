@@ -90,21 +90,6 @@ let exit_code ds = match exit_category ds with None -> 0 | Some (_, c) -> c
 
 (* --- stable machine-readable JSON form ---------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let severity_name = function Error -> "error" | Warning -> "warning"
 
 let severity_of_name = function
@@ -112,26 +97,30 @@ let severity_of_name = function
   | "warning" -> Warning
   | s -> raise (Zk_util.Json_min.Bad_json ("unknown severity " ^ s))
 
-let to_json d =
-  Printf.sprintf {|{"severity": "%s", "index": %d, "rule": "%s", "message": "%s"}|}
-    (severity_name d.severity) d.index (json_escape d.rule) (json_escape d.message)
+let json_value d =
+  Zk_util.Json_min.(
+    Obj
+      [
+        ("severity", Str (severity_name d.severity));
+        ("index", Num (float_of_int d.index));
+        ("rule", Str d.rule);
+        ("message", Str d.message);
+      ])
+
+let to_json d = Zk_util.Json_min.to_string (json_value d)
 
 let json_schema = "nocap-diag/v1"
 
 let list_to_json ds =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"schema\": %S,\n" json_schema);
-  Buffer.add_string buf (Printf.sprintf "  \"exit_code\": %d,\n" (exit_code ds));
-  Buffer.add_string buf "  \"diags\": [\n";
-  List.iteri
-    (fun i d ->
-      Buffer.add_string buf "    ";
-      Buffer.add_string buf (to_json d);
-      Buffer.add_string buf (if i = List.length ds - 1 then "\n" else ",\n"))
-    ds;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  Zk_util.Json_min.(
+    to_string
+      (Obj
+         [
+           ("schema", Str json_schema);
+           ("exit_code", Num (float_of_int (exit_code ds)));
+           ("diags", List (List.map json_value ds));
+         ]))
+  ^ "\n"
 
 let of_json j =
   let open Zk_util.Json_min in

@@ -1,21 +1,15 @@
 type mode =
   | Off
-  | Scalar
-  | Simd
+  | On
 
-let mode_to_string = function
-  | Off -> "off"
-  | Scalar -> "scalar"
-  | Simd -> "simd"
+let mode_to_string = function Off -> "off" | On -> "on"
 
 let parse_mode s =
   match String.lowercase_ascii (String.trim s) with
   | "0" | "off" -> Ok Off
-  | "scalar" -> Ok Scalar
-  | "1" | "on" | "auto" | "simd" -> Ok Simd
+  | "1" | "on" | "auto" | "simd" -> Ok On
   | other ->
-    Error
-      (Printf.sprintf "invalid NOCAP_NATIVE %S (expected 0|off|scalar|1|on|auto|simd)" other)
+    Error (Printf.sprintf "invalid NOCAP_NATIVE %S (expected 0|off|1|on|auto|simd)" other)
 
 external cpu_features : unit -> int = "caml_nocap_cpu_features" [@@noalloc]
 external set_simd : int -> unit = "caml_nocap_set_simd" [@@noalloc]
@@ -38,12 +32,12 @@ let current = ref None
 
 let set_mode m =
   current := Some m;
-  set_simd (match m with Simd -> 1 | Off | Scalar -> 0)
+  set_simd (match m with On -> 1 | Off -> 0)
 
 let default_mode () =
   match Sys.getenv_opt "NOCAP_NATIVE" with
-  | None -> Simd
-  | Some s -> ( match parse_mode s with Ok m -> m | Error _ -> Simd)
+  | None -> On
+  | Some s -> ( match parse_mode s with Ok m -> m | Error _ -> On)
 
 let mode () =
   match !current with
@@ -59,6 +53,11 @@ let with_mode m f =
   let prev = mode () in
   set_mode m;
   Fun.protect ~finally:(fun () -> set_mode prev) f
+
+let with_scalar_c f =
+  with_mode On (fun () ->
+      set_simd 0;
+      f ())
 
 type fv = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 

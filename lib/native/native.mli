@@ -5,12 +5,15 @@
     NTT, Keccak-f[1600] sponges, fused RS row encode).  This module owns the
     single mode flag that every dispatch site consults:
 
-    - [Off]    — pure OCaml oracles only (the pre-PR-8 code paths).
-    - [Scalar] — portable C kernels, SIMD variants disabled.
-    - [Simd]   — C kernels with AVX2/NEON bodies when the CPU supports them
-                 (falls back to scalar C per kernel otherwise).
+    - [Off] — pure OCaml oracles only.
+    - [On]  — C kernels with AVX2/NEON bodies when the CPU supports them
+              (falls back to the portable scalar C body per kernel
+              otherwise).
 
-    The default comes from [NOCAP_NATIVE] (unset = [Simd]); [Engine.Config]
+    The scalar C bodies of SIMD-dispatched kernels are reachable on an AVX2
+    host only through the test hook {!with_scalar_c}.
+
+    The default comes from [NOCAP_NATIVE] (unset = [On]); [Engine.Config]
     re-parses the same variable with loud errors and re-applies it via
     [set_mode], so engine-driven programs get config validation while bare
     library users still get a sensible default.  Mode changes are global and
@@ -19,18 +22,17 @@
 
 type mode =
   | Off
-  | Scalar
-  | Simd
+  | On
 
 val mode_to_string : mode -> string
 
 val parse_mode : string -> (mode, string) result
-(** Accepts ["0"|"off"] (Off), ["scalar"] (Scalar), ["1"|"on"|"auto"|"simd"]
-    (Simd), case-insensitively. *)
+(** Accepts ["0"|"off"] (Off) and ["1"|"on"|"auto"|"simd"] (On),
+    case-insensitively. *)
 
 val mode : unit -> mode
 (** Current mode.  First call reads [NOCAP_NATIVE] (malformed values fall
-    back to [Simd]; [Engine.Config.of_env] reports them loudly). *)
+    back to [On]; [Engine.Config.of_env] reports them loudly). *)
 
 val set_mode : mode -> unit
 
@@ -40,6 +42,11 @@ val on : unit -> bool
 val with_mode : mode -> (unit -> 'a) -> 'a
 (** Run [f] under a forced mode, restoring the previous mode after (also on
     exceptions).  Not atomic w.r.t. concurrent [set_mode]. *)
+
+val with_scalar_c : (unit -> 'a) -> 'a
+(** Test and bench hook: run [f] in mode [On] with the SIMD variants
+    disabled, so every kernel runs its portable scalar C body; restores the
+    previous mode after.  Not a [mode]: no configuration selects it. *)
 
 (** {2 CPU feature detection} *)
 

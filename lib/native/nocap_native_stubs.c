@@ -17,8 +17,9 @@
      the choice is made per call from __builtin_cpu_supports. On aarch64
      the add/sub lanes use NEON; everything else takes the scalar path
      (still well ahead of the OCaml loops). The g_simd flag is set from
-     OCaml (Native.set_mode): 0 pins every kernel to scalar C, which is
-     how the bench separates "scalar C" from "SIMD" rows. */
+     OCaml (Native.set_mode, Native.with_scalar_c): 0 pins every kernel to
+     scalar C, which is how the tests and the bench reach the scalar C
+     bodies on a SIMD host. */
 
 #include <stdint.h>
 #include <stddef.h>

@@ -82,24 +82,20 @@ module Config = struct
     | Error msg -> invalid_arg ("Engine.Config.of_env: " ^ msg)
 end
 
-type arena_policy = Grow_only | Reset_after_entry
-
 type t = {
   pool : Pool.t option;
   rng : Rng.t option;
   trace : (string -> float -> unit) option;
-  arena : arena_policy;
   config : Config.t;
   stream_budget_bytes : int option;
 }
 
-let create ?pool ?rng ?trace ?(arena = Grow_only) ?(config = Config.default)
-    ?stream_budget_bytes () =
+let create ?pool ?rng ?trace ?(config = Config.default) ?stream_budget_bytes () =
   (match stream_budget_bytes with
   | Some b when b <= 0 ->
     invalid_arg "Engine.create: stream_budget_bytes must be positive"
   | _ -> ());
-  { pool; rng; trace; arena; config; stream_budget_bytes }
+  { pool; rng; trace; config; stream_budget_bytes }
 
 let default_engine : t option ref = ref None
 
@@ -149,8 +145,3 @@ let tune_gc e =
       Gc.minor_heap_size = mb * 1024 * 1024 / 8;
       space_overhead = 200;
     }
-
-let finish_entry e =
-  match e.arena with
-  | Grow_only -> ()
-  | Reset_after_entry -> Nocap_vec.Arena.reset ()

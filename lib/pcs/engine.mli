@@ -1,8 +1,8 @@
 (** Explicit engine context for the prover stack.
 
     An [Engine.t] bundles every runtime policy a prove/verify entry point
-    used to pick up ambiently — domain pool, RNG, stat/trace sink, arena
-    policy, GC tuning — into one value that is created once (usually by the
+    used to pick up ambiently — domain pool, RNG, stat/trace sink, GC
+    tuning — into one value that is created once (usually by the
     driver) and threaded down through Spartan, the PCS backends, sumcheck,
     and zkdb. Call sites that pass nothing get {!default}, which behaves
     exactly like the pre-engine code, so the context is opt-in.
@@ -35,8 +35,8 @@ module Config : sig
       spin budget before parking, see
       {!Nocap_parallel.Pool.set_spin_us}; 0 is legal and means park
       immediately), [NOCAP_NATIVE] (kernel layer mode, see
-      {!Nocap_native.Native.parse_mode}: [0|off], [scalar],
-      [1|on|auto|simd]) and [NOCAP_STREAM_BUDGET_MB] (prover memory
+      {!Nocap_native.Native.parse_mode}: [0|off] or [1|on|auto|simd];
+      anything else, [scalar] included, is an error) and [NOCAP_STREAM_BUDGET_MB] (prover memory
       budget in MiB; setting it makes the prover's blocks budget-sized
       and spills them to temp files, see {!stream_budget_bytes}). A key that is set but malformed is an [Error] —
       rejected loudly, never silently defaulted. All knobs are validated
@@ -53,19 +53,12 @@ module Config : sig
       @raise Invalid_argument on a malformed value. *)
 end
 
-type arena_policy =
-  | Grow_only  (** per-domain arenas keep their high-water mark (default) *)
-  | Reset_after_entry
-      (** release arena memory after each prove/verify entry point; only
-          safe when no [Fv] views escape the entry point *)
-
 type t
 
 val create :
   ?pool:Nocap_parallel.Pool.t ->
   ?rng:Zk_util.Rng.t ->
   ?trace:(string -> float -> unit) ->
-  ?arena:arena_policy ->
   ?config:Config.t ->
   ?stream_budget_bytes:int ->
   unit ->
@@ -120,6 +113,3 @@ val tune_gc : t -> unit
     [config.gc_minor_mb] (default 16 MiB) and [space_overhead] 200 — the
     tuning the benchmarks always ran with. Deliberately explicit: library
     entry points never mutate process-global GC state on their own. *)
-
-val finish_entry : t -> unit
-(** Apply the arena policy at the end of a prove/verify entry point. *)

@@ -144,7 +144,6 @@ let prove ?engine ?rng params inst assignments =
         { sc1 = r1.Sumcheck.proof; claims_abc; sc2 = r2.Sumcheck.proof; vws;
           w_opens = Array.map snd opens })
   in
-  Zk_pcs.Engine.finish_entry engine;
   { commitments = Array.map snd committed_and_cm; reps }
 
 let verify ?engine params inst ~ios proof =

@@ -366,7 +366,6 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
     Engine.emit engine "spartan/spmv_mults" (float_of_int stats.spmv_mults);
     Engine.emit engine "spartan/transcript_hashes"
       (float_of_int stats.transcript_hashes);
-    Engine.finish_entry engine;
     ({ w_commitment; reps }, stats)
 
   let verify ?engine params inst ~io proof =
@@ -444,9 +443,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
         check_rep (k + 1)
       end
     in
-    let result = check_rep 0 in
-    Engine.finish_entry engine;
-    result
+    check_rep 0
 
   let proof_size_bytes params proof =
     let field = 8 and digest = 32 in

@@ -1,9 +1,8 @@
-(* Minimal JSON representation, parser, and accessors shared by the bench
-   emitters (BENCH_parallel.json, BENCH_memory.json, BENCH_analysis.json)
-   and the Diag machine-readable output. Each producer builds its document
-   with printf, then round-trips it through [parse_json] and validates its
-   own schema before exiting — so a malformed report fails the producing
-   run instead of landing in the repo. *)
+(* Minimal JSON representation, printer, parser, and accessors shared by
+   the bench reports (BENCH_*.json), the Diag machine-readable output and
+   the circuit structure reports. Producers build a [json] value and print
+   it with [to_string]; [parse_json (to_string j) = j] for every finite
+   document, which the bench writer checks on each report it writes. *)
 
 type json =
   | Null
@@ -14,6 +13,70 @@ type json =
   | Obj of (string * json) list
 
 exception Bad_json of string
+
+(* --- printer ------------------------------------------------------------ *)
+
+(* Control bytes get JSON escapes; every other byte, including the bytes of
+   multi-byte UTF-8 sequences, is copied through, so any OCaml string
+   round-trips through [parse_json]. *)
+let add_string b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\b' -> Buffer.add_string b "\\b"
+      | '\012' -> Buffer.add_string b "\\f"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+(* Integral values print as integers; anything else in the shortest of
+   %.15g/%.16g/%.17g that reads back to the same float. *)
+let number_to_string f =
+  if not (Float.is_finite f) then raise (Bad_json "non-finite number");
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let exact p = Printf.sprintf "%.*g" p f in
+    match List.find_opt (fun s -> float_of_string s = f) [ exact 15; exact 16 ] with
+    | Some s -> s
+    | None -> exact 17
+
+let is_scalar = function List _ | Obj _ -> false | _ -> true
+
+(* Two-space indentation; a container whose members are all scalars stays
+   on one line. *)
+let to_string j =
+  let b = Buffer.create 1024 in
+  let rec go indent = function
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (string_of_bool v)
+    | Num f -> Buffer.add_string b (number_to_string f)
+    | Str s -> add_string b s
+    | List items -> members indent '[' ']' (List.map (fun v -> (None, v)) items)
+    | Obj kvs -> members indent '{' '}' (List.map (fun (k, v) -> (Some k, v)) kvs)
+  and members indent opening closing kvs =
+    let flat = List.for_all (fun (_, v) -> is_scalar v) kvs in
+    let break = "\n" ^ String.make (indent + 2) ' ' in
+    Buffer.add_char b opening;
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char b ',';
+        if not flat then Buffer.add_string b break else if i > 0 then Buffer.add_char b ' ';
+        Option.iter (fun k -> add_string b k; Buffer.add_string b ": ") k;
+        go (indent + 2) v)
+      kvs;
+    if not flat then Buffer.add_string b ("\n" ^ String.make indent ' ');
+    Buffer.add_char b closing
+  in
+  go 0 j;
+  Buffer.contents b
+
+(* --- parser ------------------------------------------------------------- *)
 
 let parse_json (s : string) : json =
   let pos = ref 0 in
@@ -33,6 +96,14 @@ let parse_json (s : string) : json =
     | Some c' when c' = c -> advance ()
     | _ -> fail (Printf.sprintf "expected '%c'" c)
   in
+  let hex4 () =
+    let digits = if !pos + 4 <= len then String.sub s !pos 4 else "" in
+    let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+    if String.length digits <> 4 || not (String.for_all is_hex digits) then
+      fail "bad \\u escape";
+    pos := !pos + 4;
+    int_of_string ("0x" ^ digits)
+  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -42,12 +113,31 @@ let parse_json (s : string) : json =
       | Some '"' -> advance ()
       | Some '\\' ->
         advance ();
-        (match peek () with
-        | Some ('"' | '\\' | '/') ->
-          Buffer.add_char b (Option.get (peek ()));
-          advance ()
-        | Some 'n' -> Buffer.add_char b '\n'; advance ()
-        | Some 't' -> Buffer.add_char b '\t'; advance ()
+        let c = match peek () with Some c -> c | None -> fail "unterminated escape" in
+        advance ();
+        (match c with
+        | '"' | '\\' | '/' -> Buffer.add_char b c
+        | 'n' -> Buffer.add_char b '\n'
+        | 'r' -> Buffer.add_char b '\r'
+        | 't' -> Buffer.add_char b '\t'
+        | 'b' -> Buffer.add_char b '\b'
+        | 'f' -> Buffer.add_char b '\012'
+        | 'u' ->
+          let u = hex4 () in
+          let u =
+            if u >= 0xD800 && u <= 0xDBFF then begin
+              (* High surrogate: must pair with a following \uDC00-\uDFFF. *)
+              if not (!pos + 1 < len && s.[!pos] = '\\' && s.[!pos + 1] = 'u') then
+                fail "unpaired surrogate";
+              pos := !pos + 2;
+              let lo = hex4 () in
+              if lo < 0xDC00 || lo > 0xDFFF then fail "unpaired surrogate";
+              0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+            end
+            else if u >= 0xDC00 && u <= 0xDFFF then fail "unpaired surrogate"
+            else u
+          in
+          Buffer.add_utf_8_uchar b (Uchar.of_int u)
         | _ -> fail "unsupported escape");
         go ()
       | Some c ->

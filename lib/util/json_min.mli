@@ -1,11 +1,11 @@
-(** Minimal JSON representation, parser, and accessors.
+(** Minimal JSON representation, printer, parser, and accessors.
 
-    Originally private to the bench emitters (BENCH_parallel.json and
-    friends), now shared with {!Nocap_analysis.Diag}'s machine-readable
-    output: every producer builds its document with printf, then round-trips
-    it through {!parse_json} and validates its own schema before exiting —
-    so a malformed report fails the producing run instead of landing in the
-    repo. *)
+    Shared by the bench reports ([BENCH_*.json]), {!Nocap_analysis.Diag}'s
+    machine-readable output and the circuit structure reports. Every
+    producer builds a typed {!json} value and prints it with {!to_string};
+    the bench writer parses each report back and checks it equals the value
+    it printed, so a malformed report fails the producing run instead of
+    landing in the repo. *)
 
 type json =
   | Null
@@ -17,8 +17,18 @@ type json =
 
 exception Bad_json of string
 
+val to_string : json -> string
+(** Two-space indented JSON, no trailing newline. Strings are escaped per
+    RFC 8259 (control bytes as [\n], [\t], ... or [\u00XX]; other bytes
+    copied through, so UTF-8 stays UTF-8); integral numbers below 1e15
+    print as integers, other numbers with the fewest digits that read back
+    exactly. [parse_json (to_string j) = j] for every [j] it accepts.
+    @raise Bad_json on a non-finite number. *)
+
 val parse_json : string -> json
-(** @raise Bad_json on malformed input (with the offending offset). *)
+(** Accepts every JSON string escape; [\uXXXX] (surrogate pairs included)
+    decodes to UTF-8.
+    @raise Bad_json on malformed input (with the offending offset). *)
 
 val field : json -> string -> json
 (** Object member access. @raise Bad_json when missing or not an object. *)

@@ -721,6 +721,7 @@ let test_diag_json_roundtrip () =
         "free direction at z[3]: \"quote\" back\\slash\tand\nnewline";
       Diag.warning ~index:Diag.program_level ~rule:"probe-overflow" "budget";
       Diag.error ~index:0 ~rule:"unsatisfied-constraint" "row 0";
+      Diag.warning ~index:7 ~rule:"rule\r" "cr\r, \x01, \b\012 and caf\xc3\xa9";
     ]
   in
   Alcotest.(check bool) "round-trip" true
@@ -747,6 +748,56 @@ let test_diag_json_roundtrip () =
   expect_bad "wrong schema" {|{"schema": "bogus/v1", "exit_code": 0, "diags": []}|};
   expect_bad "exit-code mismatch"
     {|{"schema": "nocap-diag/v1", "exit_code": 7, "diags": []}|}
+
+(* The printer and the parser agree: any document — strings over all 256
+   byte values, nested arrays and objects, integral and fractional finite
+   numbers — reads back as itself. *)
+let gen_json =
+  QCheck.Gen.(
+    let bytes = string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 12) in
+    let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+    let leaf =
+      oneof
+        [
+          return Json_min.Null;
+          map (fun b -> Json_min.Bool b) bool;
+          map (fun f -> Json_min.Num f) (oneof [ finite; map float_of_int int ]);
+          map (fun s -> Json_min.Str s) bytes;
+        ]
+    in
+    sized
+      (fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json_min.List l) (list_size (int_bound 4) (self (n / 2))));
+                 ( 1,
+                   map
+                     (fun kvs -> Json_min.Obj kvs)
+                     (list_size (int_bound 4) (pair bytes (self (n / 2)))) );
+               ])))
+
+let prop_json_round_trip =
+  QCheck.Test.make ~count:500 ~name:"Json_min: parse (to_string j) = j"
+    (QCheck.make ~print:Json_min.to_string gen_json)
+    (fun j -> Json_min.parse_json (Json_min.to_string j) = j)
+
+(* Escapes other printers emit: \uXXXX (surrogate pairs included) decodes
+   to UTF-8, non-finite numbers do not print. *)
+let test_json_escapes () =
+  Alcotest.(check string) "u escapes" "\x01\xc3\xa9\xf0\x9f\x98\x80\r\b\012/"
+    (Json_min.as_str (Json_min.parse_json {|"\u0001\u00e9\ud83d\ude00\r\b\f\/"|}));
+  List.iter
+    (fun bad ->
+      match Json_min.parse_json bad with
+      | _ -> Alcotest.failf "accepted %s" bad
+      | exception Json_min.Bad_json _ -> ())
+    [ {|"\ud83d"|}; {|"\ude00"|}; {|"\u12g4"|}; {|"\u12"|}; {|"\x"|} ];
+  match Json_min.to_string (Json_min.Num nan) with
+  | _ -> Alcotest.fail "printed nan"
+  | exception Json_min.Bad_json _ -> ()
 
 (* --- litmus memory discipline: overwritten writes are flagged --- *)
 
@@ -798,6 +849,8 @@ let suite =
     Alcotest.test_case "structure feeds the perf model" `Quick
       test_structure_model;
     Alcotest.test_case "diag JSON round-trips" `Quick test_diag_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_round_trip;
+    Alcotest.test_case "JSON string escapes" `Quick test_json_escapes;
     Alcotest.test_case "litmus overwrite is under-constrained" `Quick
       test_litmus_overwrite_flagged;
   ]

@@ -3,8 +3,8 @@
    non-canonical residues >= p) for the field kernels, exhaustive message
    lengths across the sponge rate boundaries for the hashes, offset/sub-view
    torture for the in-place permutation and the column sponges, and a
-   full-pipeline proof-byte golden across all three modes and domain counts
-   1/2/3.
+   full-pipeline proof-byte golden across the three kernel legs and domain
+   counts 1/2/3.
 
    The dispatchers are bit-exact by construction (the C mirrors the OCaml
    formulas operation for operation), so every comparison here is for raw
@@ -25,20 +25,26 @@ module Serialize = Zk_spartan.Serialize
 
 let p_int64 = 0xFFFF_FFFF_0000_0001L
 
-(* All three modes; every cross-mode check compares Scalar and Simd against
-   the Off (pure OCaml) result. On hosts without AVX2/NEON the Simd leg
-   degrades to the scalar C bodies — the check still runs. *)
-let modes = [ Native.Off; Native.Scalar; Native.Simd ]
+(* The three kernel legs: pure OCaml ([Off]), the portable scalar C bodies
+   ([Native.with_scalar_c]) and the SIMD-dispatched C ([On]). Every
+   cross-leg check compares the two C legs against the OCaml result. On
+   hosts without AVX2/NEON the "on" leg degrades to the scalar C bodies —
+   the check still runs. *)
+type leg = { name : string; run : 'a. (unit -> 'a) -> 'a }
 
-let check_modes name (f : unit -> string) =
-  let expected = Native.with_mode Native.Off f in
+let off = { name = "off"; run = (fun f -> Native.with_mode Native.Off f) }
+let c_legs =
+  [
+    { name = "scalar"; run = (fun f -> Native.with_scalar_c f) };
+    { name = "on"; run = (fun f -> Native.with_mode Native.On f) };
+  ]
+let legs = off :: c_legs
+
+let check_legs name (f : unit -> string) =
+  let expected = off.run f in
   List.iter
-    (fun m ->
-      let got = Native.with_mode m f in
-      Alcotest.(check string)
-        (Printf.sprintf "%s [%s]" name (Native.mode_to_string m))
-        expected got)
-    modes
+    (fun l -> Alcotest.(check string) (Printf.sprintf "%s [%s]" name l.name) expected (l.run f))
+    legs
 
 (* --- raw 64-bit generators ---------------------------------------------- *)
 
@@ -126,12 +132,12 @@ let prop_elementwise =
       let s = if n = 0 then 0L else ra.(0) in
       let oracle op =
         let dst = Fv.create n in
-        Native.with_mode Native.Off (fun () -> op dst);
+        off.run (fun () -> op dst);
         dst
       in
-      let native mode op =
+      let native (leg : leg) op =
         let dst = Fv.create n in
-        Native.with_mode mode (fun () -> op dst);
+        leg.run (fun () -> op dst);
         dst
       in
       let ops =
@@ -154,8 +160,8 @@ let prop_elementwise =
             (fun m ->
               fv_raw_eq expected (native m op)
               || QCheck.Test.fail_reportf "%s diverged under %s" name
-                   (Native.mode_to_string m))
-            [ Native.Scalar; Native.Simd ])
+                   m.name)
+            c_legs)
         ops)
 
 (* The raw lerp stub (the sumcheck fold and round-point kernel) against
@@ -174,7 +180,7 @@ let prop_lerp_raw =
       in
       List.for_all
         (fun m ->
-          Native.with_mode m (fun () ->
+          m.run (fun () ->
               let a = fv_of_raw ra and b = fv_of_raw rb in
               let dst = Fv.create n in
               Native.fv_lerp dst a b c;
@@ -186,8 +192,8 @@ let prop_lerp_raw =
               let alias_b = fv_raw_eq expected b in
               (fresh && alias_a && alias_b)
               || QCheck.Test.fail_reportf "lerp diverged under %s (n=%d)"
-                   (Native.mode_to_string m) n))
-        [ Native.Scalar; Native.Simd ])
+                   m.name n))
+        c_legs)
 
 (* --- NTT / RS encode ----------------------------------------------------- *)
 
@@ -199,28 +205,28 @@ let test_ntt_equiv () =
       let plan = Gf_fv.plan n in
       let input = Array.init n (fun _ -> Gf.random rng) in
       let ocaml_buf = Fv.of_array input in
-      Native.with_mode Native.Off (fun () -> Gf_fv.forward plan ocaml_buf);
+      off.run (fun () -> Gf_fv.forward plan ocaml_buf);
       List.iter
         (fun m ->
           let c_buf = Fv.of_array input in
-          Native.with_mode m (fun () ->
+          m.run (fun () ->
               Native.ntt_forward c_buf (Gf_fv.twiddles plan));
           Alcotest.(check bool)
-            (Printf.sprintf "forward n=%d [%s]" n (Native.mode_to_string m))
+            (Printf.sprintf "forward n=%d [%s]" n m.name)
             true (fv_raw_eq ocaml_buf c_buf);
           (* Inverse kernel: exact roundtrip back to the input. *)
-          Native.with_mode m (fun () ->
+          m.run (fun () ->
               Native.ntt_inverse c_buf (Gf_fv.inv_twiddles plan) (Gf_fv.n_inv plan));
           Alcotest.(check bool)
-            (Printf.sprintf "roundtrip n=%d [%s]" n (Native.mode_to_string m))
+            (Printf.sprintf "roundtrip n=%d [%s]" n m.name)
             true (fv_raw_eq (Fv.of_array input) c_buf))
-        [ Native.Scalar; Native.Simd ];
+        c_legs;
       (* The dispatching inverse agrees with the OCaml inverse on the
          forward image. *)
       let inv_ocaml = Fv.copy ocaml_buf in
-      Native.with_mode Native.Off (fun () -> Gf_fv.inverse plan inv_ocaml);
+      off.run (fun () -> Gf_fv.inverse plan inv_ocaml);
       let inv_c = Fv.copy ocaml_buf in
-      Native.with_mode Native.Simd (fun () -> Gf_fv.inverse plan inv_c);
+      Native.with_mode Native.On (fun () -> Gf_fv.inverse plan inv_c);
       Alcotest.(check bool)
         (Printf.sprintf "inverse n=%d" n)
         true (fv_raw_eq inv_ocaml inv_c))
@@ -233,26 +239,26 @@ let test_rs_encode_equiv () =
       let code_len = Rs.blowup * cols in
       let src = Fv.create cols in
       random_fill rng src;
-      let encode mode =
+      let encode (leg : leg) =
         let dst = Fv.create code_len in
-        Native.with_mode mode (fun () -> Rs.encode_row_into ~src ~dst);
+        leg.run (fun () -> Rs.encode_row_into ~src ~dst);
         dst
       in
-      let expected = encode Native.Off in
+      let expected = encode off in
       List.iter
         (fun m ->
           Alcotest.(check bool)
             (Printf.sprintf "encode_row_into cols=%d [%s]" cols
-               (Native.mode_to_string m))
+               m.name)
             true
             (fv_raw_eq expected (encode m)))
-        [ Native.Scalar; Native.Simd ];
+        c_legs;
       (* Raw fused stub against the dispatcher result; dst deliberately
          pre-filled with garbage to catch a missing zero-pad. *)
       let plan = Gf_fv.plan code_len in
       let dst_raw = Fv.create code_len in
       Fv.fill dst_raw (Gf.of_int 0x5A5A5A);
-      Native.with_mode Native.Simd (fun () ->
+      Native.with_mode Native.On (fun () ->
           Native.rs_encode_row src dst_raw (Gf_fv.twiddles plan));
       Alcotest.(check bool)
         (Printf.sprintf "rs_encode_row raw cols=%d" cols)
@@ -268,20 +274,20 @@ let test_ntt_rows_equiv () =
       let plan = Gf_fv.plan cols in
       let flat = Fv.create (rows * cols) in
       random_fill rng flat;
-      let run mode =
+      let run (leg : leg) =
         let buf = Fv.copy flat in
-        Native.with_mode mode (fun () -> Gf_fv.forward_rows_flat plan ~rows buf);
+        leg.run (fun () -> Gf_fv.forward_rows_flat plan ~rows buf);
         buf
       in
-      let expected = run Native.Off in
+      let expected = run off in
       List.iter
         (fun m ->
           Alcotest.(check bool)
             (Printf.sprintf "forward_rows_flat %dx%d [%s]" rows cols
-               (Native.mode_to_string m))
+               m.name)
             true
             (fv_raw_eq expected (run m)))
-        [ Native.Scalar; Native.Simd ])
+        c_legs)
     [ (1, 64); (3, 32); (7, 128); (16, 16) ]
 
 (* --- Keccak / SHA3 ------------------------------------------------------- *)
@@ -292,7 +298,7 @@ let test_ntt_rows_equiv () =
 let test_sha3_all_lengths () =
   for len = 0 to 300 do
     let msg = Bytes.init len (fun i -> Char.chr ((i * 37 + len) land 0xff)) in
-    check_modes
+    check_legs
       (Printf.sprintf "sha3_256 len=%d" len)
       (fun () -> Keccak.sha3_256 msg)
   done;
@@ -312,21 +318,21 @@ let test_sha3_x4 () =
             Bytes.init len (fun i -> Char.chr ((l + (i * 11)) land 0xff)))
       in
       let expected =
-        Native.with_mode Native.Off (fun () -> Array.map Keccak.sha3_256 msgs)
+        off.run (fun () -> Array.map Keccak.sha3_256 msgs)
       in
       List.iter
         (fun m ->
           let outs = Array.init 4 (fun _ -> Bytes.create 32) in
-          Native.with_mode m (fun () -> Native.sha3_x4 msgs outs);
+          m.run (fun () -> Native.sha3_x4 msgs outs);
           Array.iteri
             (fun i d ->
               Alcotest.(check string)
                 (Printf.sprintf "sha3_x4 len=%d lane=%d [%s]" len i
-                   (Native.mode_to_string m))
+                   m.name)
                 expected.(i)
                 (Bytes.to_string d))
             outs)
-        [ Native.Scalar; Native.Simd ])
+        c_legs)
     [ 0; 1; 135; 136; 137; 272 ]
 
 let test_sha3_batch () =
@@ -340,7 +346,7 @@ let test_sha3_batch () =
   in
   List.iter
     (fun (name, batch) ->
-      check_modes name (fun () -> String.concat "" (Array.to_list (Keccak.sha3_256_batch batch))))
+      check_legs name (fun () -> String.concat "" (Array.to_list (Keccak.sha3_256_batch batch))))
     [ ("sha3_256_batch mixed", mixed); ("sha3_256_batch uniform-13", uniform) ]
 
 let test_hash_entry_points () =
@@ -348,7 +354,7 @@ let test_hash_entry_points () =
   List.iter
     (fun n ->
       let elems = Array.init n (fun _ -> Gf.random rng) in
-      check_modes
+      check_legs
         (Printf.sprintf "hash_gf n=%d" n)
         (fun () -> Keccak.hash_gf elems))
     [ 0; 1; 3; 4; 17; 100 ];
@@ -359,15 +365,15 @@ let test_hash_entry_points () =
   List.iter
     (fun (pos, len) ->
       let v = Fv.sub_view big ~pos ~len in
-      check_modes
+      check_legs
         (Printf.sprintf "hash_fv pos=%d len=%d" pos len)
         (fun () -> Keccak.hash_fv v))
     [ (0, 40); (3, 40); (1, 0); (5, 17) ];
   let d1 = Keccak.sha3_256 (Bytes.of_string "left") in
   let d2 = Keccak.sha3_256 (Bytes.of_string "right") in
-  check_modes "hash2" (fun () -> Keccak.hash2 d1 d2);
+  check_legs "hash2" (fun () -> Keccak.hash2 d1 d2);
   let level = Array.init 16 (fun i -> Keccak.sha3_256 (Bytes.make 5 (Char.chr i))) in
-  check_modes "hash2_pairs" (fun () ->
+  check_legs "hash2_pairs" (fun () ->
       String.concat "" (Array.to_list (Keccak.hash2_pairs level)))
 
 let test_hash_matrix_cols () =
@@ -376,7 +382,7 @@ let test_hash_matrix_cols () =
     (fun (rows, cols) ->
       let flat = Fv.create (rows * cols) in
       random_fill rng flat;
-      check_modes
+      check_legs
         (Printf.sprintf "hash_matrix_cols %dx%d" rows cols)
         (fun () ->
           String.concat "" (Array.to_list (Keccak.hash_matrix_cols ~rows ~cols flat))))
@@ -397,21 +403,21 @@ let test_f1600_off_torture () =
           let snapshot = Fv.copy st in
           let oracle = Array.init 25 (fun i -> Fv.get st (off + i)) in
           Keccak.keccak_f1600 oracle;
-          Native.with_mode m (fun () -> Native.f1600_off st off);
+          m.run (fun () -> Native.f1600_off st off);
           for i = 0 to total - 1 do
             let expected =
               if i >= off && i < off + 25 then oracle.(i - off) else Fv.get snapshot i
             in
             Alcotest.(check int64)
               (Printf.sprintf "f1600_off off=%d lane=%d [%s]" off i
-                 (Native.mode_to_string m))
+                 m.name)
               expected (Fv.get st i)
           done)
-        [ Native.Scalar; Native.Simd ])
+        c_legs)
     [ 0; 7; 25; 52; 75 ]
 
 (* The raw C permutation against the OCaml one on arbitrary 25-lane
-   states, in both C modes (Simd dispatch still runs the scalar body for a
+   states, in both C legs (SIMD dispatch still runs the scalar body for a
    single state). *)
 let arb_state =
   QCheck.make
@@ -426,9 +432,9 @@ let prop_f1600_vs_ocaml =
       List.for_all
         (fun m ->
           let got = fv_of_raw lanes in
-          Native.with_mode m (fun () -> Native.f1600_off got 0);
+          m.run (fun () -> Native.f1600_off got 0);
           fv_raw_eq expected got)
-        [ Native.Scalar; Native.Simd ])
+        c_legs)
 
 (* Known answer: Keccak-f[1600] of the all-zero state (the Keccak team's
    published intermediate values), lanes 0 and 1. *)
@@ -446,9 +452,9 @@ let test_f1600_zero_kat () =
   List.iter
     (fun m ->
       check
-        (Printf.sprintf "[%s]" (Native.mode_to_string m))
-        (fun st -> Native.with_mode m (fun () -> Native.f1600_off st 0)))
-    [ Native.Scalar; Native.Simd ]
+        (Printf.sprintf "[%s]" m.name)
+        (fun st -> m.run (fun () -> Native.f1600_off st 0)))
+    c_legs
 
 (* Column sponges driven through irregular absorb chunks (splitting rows at
    non-multiples of the 17-lane rate and columns mid-range) over a
@@ -460,13 +466,13 @@ let test_col_hash_torture () =
   random_fill rng big;
   let flat = Fv.sub_view big ~pos:5 ~len:(rows * cols) in
   let expected =
-    Native.with_mode Native.Off (fun () -> Keccak.hash_matrix_cols ~rows ~cols flat)
+    off.run (fun () -> Keccak.hash_matrix_cols ~rows ~cols flat)
   in
   let splits = [ 0; 1; 4; 16; 17; 18; 34; rows ] in
   List.iter
     (fun m ->
       let digests =
-        Native.with_mode m (fun () ->
+        m.run (fun () ->
             let t = Keccak.Col_hash.create cols in
             let rec go = function
               | lo :: (hi :: _ as rest) ->
@@ -485,10 +491,10 @@ let test_col_hash_torture () =
       Array.iteri
         (fun j d ->
           Alcotest.(check string)
-            (Printf.sprintf "col_hash col=%d [%s]" j (Native.mode_to_string m))
+            (Printf.sprintf "col_hash col=%d [%s]" j m.name)
             expected.(j) d)
         digests)
-    modes
+    legs
 
 (* --- full-pipeline proof golden ------------------------------------------ *)
 
@@ -509,22 +515,22 @@ let golden_circuit () =
    into the transcript. *)
 let test_proof_bytes_invariant () =
   let inst, asn = golden_circuit () in
-  let prove_bytes mode d =
-    Native.with_mode mode (fun () ->
+  let prove_bytes (leg : leg) d =
+    leg.run (fun () ->
         Pool.with_domains d (fun () ->
             let proof, _ = Spartan.prove Spartan.test_params inst asn in
             Serialize.proof_to_bytes proof))
   in
-  let reference = prove_bytes Native.Off 1 in
+  let reference = prove_bytes off 1 in
   List.iter
     (fun d ->
       List.iter
         (fun m ->
           Alcotest.(check bool)
-            (Printf.sprintf "proof bytes domains=%d [%s]" d (Native.mode_to_string m))
+            (Printf.sprintf "proof bytes domains=%d [%s]" d m.name)
             true
             (Bytes.equal reference (prove_bytes m d)))
-        modes)
+        legs)
     [ 1; 2; 3 ]
 
 let suite =

@@ -327,7 +327,7 @@ let test_engine_config () =
               ("NOCAP_DOMAINS", "3");
               ("NOCAP_GC_MINOR_MB", "64");
               ("NOCAP_SPIN_US", "0");
-              ("NOCAP_NATIVE", "scalar");
+              ("NOCAP_NATIVE", "off");
               ("NOCAP_STREAM_BUDGET_MB", "256");
             ])
    with
@@ -336,7 +336,7 @@ let test_engine_config () =
         Engine.Config.domains = Some 3;
         gc_minor_mb = Some 64;
         spin_us = Some 0;
-        native = Some Nocap_native.Native.Scalar;
+        native = Some Nocap_native.Native.Off;
         stream_budget_mb = Some 256;
       } ->
     ()
@@ -368,12 +368,17 @@ let test_engine_config () =
       | Error e -> Alcotest.failf "NOCAP_NATIVE=%s rejected: %s" v e)
     Nocap_native.Native.
       [
-        ("0", Off); ("off", Off); ("OFF", Off); ("scalar", Scalar); ("1", Simd);
-        ("on", Simd); ("auto", Simd); ("simd", Simd);
+        ("0", Off); ("off", Off); ("OFF", Off); ("1", On); ("on", On); ("auto", On);
+        ("simd", On);
       ];
-  match Engine.Config.parse ~lookup:(lookup [ ("NOCAP_NATIVE", "fast") ]) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted NOCAP_NATIVE=fast"
+  (* The scalar C bodies are a test hook ([Native.with_scalar_c]), not a
+     mode, so the knob rejects "scalar" like any other unknown value. *)
+  List.iter
+    (fun v ->
+      match Engine.Config.parse ~lookup:(lookup [ ("NOCAP_NATIVE", v) ]) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted NOCAP_NATIVE=%s" v)
+    [ "scalar"; "fast" ]
 
 let suite =
   [
