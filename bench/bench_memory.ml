@@ -153,7 +153,9 @@ let kernels ~smoke rng =
       k_name = "merkle-build";
       k_n = mk_rows * mk_len;
       k_boxed =
-        (fun () -> Keccak.to_hex (Merkle.root (Merkle.build (Merkle.leaves_of_columns mk_cols))));
+        (fun () ->
+          Keccak.to_hex
+            (Merkle.root (Merkle.build (Merkle.of_digests (Merkle.leaves_of_columns mk_cols)))));
       k_unboxed =
         (fun () ->
           Keccak.to_hex
@@ -236,7 +238,8 @@ let kernels ~smoke rng =
           let cols =
             Array.init code_len (fun j -> Array.map (fun row -> row.(j)) encoded)
           in
-          Keccak.to_hex (Merkle.root (Merkle.build (Merkle.leaves_of_columns cols))));
+          Keccak.to_hex
+            (Merkle.root (Merkle.build (Merkle.of_digests (Merkle.leaves_of_columns cols)))));
       k_unboxed =
         (fun () ->
           let _, cm = Orion.commit orion_params (Rng.create 1L) orion_table in

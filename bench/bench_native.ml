@@ -22,7 +22,7 @@ type kernel = {
   k_name : string;
   k_n : int;
       (* elements processed per run (bytes for keccak-batch, permutations
-         for keccak-f1600) *)
+         for keccak-f1600, leaves for merkle-build) *)
   k_run : unit -> string; (* runs under the ambient leg; returns fingerprint *)
 }
 
@@ -76,11 +76,14 @@ let kernels ~smoke rng =
     Fv.set kf_init i (Gf.random rng)
   done;
   let kf_st = Fv.create 25 and kf_b = Fv.create 25 and kf_c = Fv.create 5 in
-  (* One Merkle level: pairwise digest compression. *)
-  let hp_n = scale 8192 64 in
-  let hp_digests =
-    Array.init hp_n (fun i -> Keccak.sha3_256 (Bytes.of_string (string_of_int i)))
+  (* A whole flat Merkle tree over 2^13 leaves: every level through the
+     node kernel, four nodes per x4 permutation under SIMD. *)
+  let mk_n = scale 8192 64 in
+  let mk_leaves =
+    Merkle.of_digests
+      (Array.init mk_n (fun i -> Keccak.sha3_256 (Bytes.of_string (string_of_int i))))
   in
+  let ch_dst = Fv.create (4 * ch_cols) in
   (* The sumcheck fold/round-point kernel, at a fixed field constant. *)
   let lerp_c = Gf.random rng in
   (* One sumcheck round as Spartan's first sumcheck runs it: 4 tables of
@@ -173,16 +176,13 @@ let kernels ~smoke rng =
       k_n = ch_rows * ch_cols;
       k_run =
         (fun () ->
-          let d = Keccak.hash_matrix_cols ~rows:ch_rows ~cols:ch_cols ch_flat in
-          Keccak.to_hex d.(ch_cols - 1));
+          Keccak.hash_cols_into ~rows:ch_rows ~cols:ch_cols ch_flat ~dst:ch_dst;
+          Keccak.to_hex (Keccak.digest_at ch_dst (ch_cols - 1)));
     };
     {
-      k_name = "hash2-pairs";
-      k_n = hp_n;
-      k_run =
-        (fun () ->
-          let d = Keccak.hash2_pairs hp_digests in
-          Keccak.to_hex d.((hp_n / 2) - 1));
+      k_name = "merkle-build";
+      k_n = mk_n;
+      k_run = (fun () -> Keccak.to_hex (Merkle.root (Merkle.build mk_leaves)));
     };
   ]
 
@@ -244,12 +244,14 @@ let document rows =
         rows );
   ]
 
-(* >= 6 kernels (the acceptance kernels by name), each with all three legs'
-   fingerprints equal and positive sizes, timings and speedups. *)
+(* >= 6 kernels, the flat Merkle build among them, each with all three
+   legs' fingerprints equal and positive sizes, timings and speedups. *)
 let gates rows =
   let positive key f = (List.for_all (fun r -> f r > 0.0) rows, key ^ " must be positive") in
   [
     (List.length rows >= 6, "need >= 6 kernels");
+    ( List.exists (fun r -> r.kernel.k_name = "merkle-build") rows,
+      "need a merkle-build row" );
     positive "n" (fun r -> float_of_int r.kernel.k_n);
     positive "ocaml_seconds" (fun r -> r.ocaml_s);
     positive "scalar_seconds" (fun r -> r.scalar_s);

@@ -31,7 +31,8 @@ let kernels ~smoke rng =
   let scale b s = if smoke then s else b in
   let merkle_n = scale 8192 256 in
   let leaves =
-    Array.init merkle_n (fun i -> Keccak.sha3_256_string (string_of_int i))
+    Merkle.of_digests
+      (Array.init merkle_n (fun i -> Keccak.sha3_256_string (string_of_int i)))
   in
   let keccak_n = scale 2048 64 in
   let keccak_msgs = Array.init keccak_n (fun i -> Bytes.make 512 (Char.chr (i land 0xff))) in
@@ -67,8 +68,8 @@ let kernels ~smoke rng =
     {
       k_name = "merkle-build";
       k_n = merkle_n;
-      (* hash2_pairs: one Keccak permutation per pair. *)
-      k_grain = Pool.grain_of_ns (Keccak.block_ns ());
+      (* Flat levels: one permutation per node, four nodes per x4 call. *)
+      k_grain = Keccak.node_grain ();
       k_run = (fun () -> Keccak.to_hex (Merkle.root (Merkle.build leaves)));
     };
     {

@@ -180,7 +180,7 @@ let bench_expander_encode =
       ignore (Expander_code.encode rs_msg)))
 
 let merkle_leaves =
-  Array.init 1024 (fun i -> Keccak.sha3_256_string (string_of_int i))
+  Merkle.of_digests (Array.init 1024 (fun i -> Keccak.sha3_256_string (string_of_int i)))
 
 let bench_merkle =
   Test.make ~name:"kernel/merkle-1024" (staged (fun () ->

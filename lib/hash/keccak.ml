@@ -184,14 +184,12 @@ let absorb_tail_padded st (msg : bytes) off rem =
 
 let trailing_pad = Int64.shift_left 0x80L 56 (* byte 135 = lane 16, top byte *)
 
-let squeeze_32_off st off =
+let squeeze_32 st =
   let out = Bytes.create digest_length in
   for lane = 0 to 3 do
-    Bytes.set_int64_le out (8 * lane) (Fv.unsafe_get st (off + lane))
+    Bytes.set_int64_le out (8 * lane) (Fv.unsafe_get st lane)
   done;
   Bytes.unsafe_to_string out
-
-let squeeze_32 st = squeeze_32_off st 0
 
 let sha3_256_ocaml (msg : bytes) : digest =
   let s = Domain.DLS.get scratch_key in
@@ -221,6 +219,13 @@ let sha3_256 (msg : bytes) : digest =
 
 let sha3_256_string s = sha3_256 (Bytes.unsafe_of_string s)
 
+(* Pad a message that ends at lane [m] (SHA3's 0x06 at byte 8m, the
+   closing 0x80 at byte 135) and run the final permutation. *)
+let pad_and_permute s m =
+  xor_lane s.st m 0x06L (* pad at byte 8*m; m < rate_lanes *);
+  xor_lane s.st 16 trailing_pad;
+  f1600 s
+
 (* Two 32-byte digests fill exactly lanes 0-7, so the Merkle compression
    absorbs both operands in place of the old [a ^ b] concatenation buffer:
    one permutation, zero intermediate allocation. *)
@@ -232,9 +237,7 @@ let hash2_ocaml a b =
     xor_lane st lane (String.get_int64_le a (8 * lane));
     xor_lane st (4 + lane) (String.get_int64_le b (8 * lane))
   done;
-  xor_lane st 8 0x06L (* pad at byte 64 *);
-  xor_lane st 16 trailing_pad;
-  f1600 s;
+  pad_and_permute s 8 (* a 64-byte message: pad at byte 64 *);
   squeeze_32 st
 
 let hash2 a b =
@@ -253,11 +256,8 @@ let hash2 a b =
    implementation built. *)
 
 let finish_gf_block s m =
-  let st = s.st in
-  xor_lane st m 0x06L (* pad at byte 8*m; m < rate_lanes *);
-  xor_lane st 16 trailing_pad;
-  f1600 s;
-  squeeze_32 st
+  pad_and_permute s m;
+  squeeze_32 s.st
 
 let rec hash_gf (elems : Gf.t array) =
   if Native.on () then begin
@@ -302,6 +302,12 @@ let rec hash_fv_stride (v : Fv.t) ~pos ~stride ~count =
 
 and hash_fv_stride_ocaml (v : Fv.t) ~pos ~stride ~count =
   let s = Domain.DLS.get scratch_key in
+  sponge_strided s v ~pos ~stride ~count;
+  squeeze_32 s.st
+
+(* Absorb the strided message, pad and permute: the digest is then lanes
+   0..3 of [s.st]. *)
+and sponge_strided s (v : Fv.t) ~pos ~stride ~count =
   let st = s.st in
   Fv.zero st;
   let off = ref 0 in
@@ -318,7 +324,7 @@ and hash_fv_stride_ocaml (v : Fv.t) ~pos ~stride ~count =
   for k = 0 to m - 1 do
     xor_lane st k (Fv.unsafe_get v (base + (k * stride)))
   done;
-  finish_gf_block s m
+  pad_and_permute s m
 
 let hash_fv v = hash_fv_stride v ~pos:0 ~stride:1 ~count:(Fv.length v)
 
@@ -335,22 +341,13 @@ let block_ns () = if Native.on () then 470 else 27_000
 (* A message of [msg_bytes] runs ceil-ish (len / 136) + 1 permutations. *)
 let batch_grain ~msg_bytes = Pool.grain_of_ns (((msg_bytes / rate_bytes) + 1) * block_ns ())
 
-(* hash2 is a single permutation. *)
-let pair_grain () = Pool.grain_of_ns (block_ns ())
-
 (* Hashing [count] absorbed elements costs (count / 17) + 1 permutations. *)
 let elems_grain count = Pool.grain_of_ns (((count / rate_lanes) + 1) * block_ns ())
 
-let hash_matrix_cols ~rows ~cols (flat : Fv.t) =
-  if rows < 0 || cols <= 0 || Fv.length flat <> rows * cols then
-    invalid_arg "Keccak.hash_matrix_cols";
-  Pool.parallel_init ~grain:(elems_grain rows) cols (fun j ->
-      hash_fv_stride flat ~pos:j ~stride:cols ~count:rows)
-
 (* Batched absorption: each input is absorbed by an independent sponge, so
    the batch splits across pool domains with byte-identical digests for any
-   domain count. These are the entry points the Merkle / Orion hot paths
-   use; the Hash FU analogue is hashing one column per vector lane. *)
+   domain count. The Hash FU analogue is hashing one column per vector
+   lane. *)
 
 (* When every message has the same length (the common case: Merkle leaves,
    fixed-width columns) and SIMD is up, quads of messages run through the
@@ -383,17 +380,82 @@ let sha3_256_batch msgs =
     out
   end
 
-let hash2_pairs level =
-  let n = Array.length level in
-  if n = 0 || n land 1 = 1 then invalid_arg "Keccak.hash2_pairs: need an even, non-empty level";
-  Pool.parallel_init ~grain:(pair_grain ()) (n / 2) (fun i ->
-      hash2 level.(2 * i) level.((2 * i) + 1))
-
 let hash_gf_batch cols =
   let grain =
     if Array.length cols = 0 then 1 else elems_grain (Array.length cols.(0))
   in
   Pool.parallel_map ~grain hash_gf cols
+
+(* --- flat digest buffers ---------------------------------------------------- *)
+
+(* A digest is 32 bytes = 4 little-endian lanes, so a run of digests is one
+   flat lane buffer with digest i at lanes [4i, 4i + 4). The Merkle levels
+   and the leaf kernels below live in that form; [digest_at]/[set_digest]
+   convert one digest at the string boundary (roots, paths). *)
+
+let digest_at (v : Fv.t) i =
+  let out = Bytes.create digest_length in
+  for lane = 0 to 3 do
+    Bytes.set_int64_le out (8 * lane) (Fv.get v ((4 * i) + lane))
+  done;
+  Bytes.unsafe_to_string out
+
+let set_digest (v : Fv.t) i (d : digest) =
+  if String.length d <> digest_length then invalid_arg "Keccak.set_digest: need 32 bytes";
+  for lane = 0 to 3 do
+    Fv.set v ((4 * i) + lane) (String.get_int64_le d (8 * lane))
+  done
+
+let hash_nodes_ocaml (src : Fv.t) (dst : Fv.t) lo hi =
+  let s = Domain.DLS.get scratch_key in
+  let st = s.st in
+  for i = lo to hi - 1 do
+    Fv.zero st;
+    for lane = 0 to 7 do
+      Fv.unsafe_set st lane (Fv.unsafe_get src ((8 * i) + lane))
+    done;
+    pad_and_permute s 8 (* a 64-byte message: pad at byte 64 *);
+    for lane = 0 to 3 do
+      Fv.unsafe_set dst ((4 * i) + lane) (Fv.unsafe_get st lane)
+    done
+  done
+
+let hash_cols_ocaml (flat : Fv.t) ~cols ~rows (dst : Fv.t) lo hi =
+  let s = Domain.DLS.get scratch_key in
+  for j = lo to hi - 1 do
+    sponge_strided s flat ~pos:j ~stride:cols ~count:rows;
+    for lane = 0 to 3 do
+      Fv.unsafe_set dst ((4 * j) + lane) (Fv.unsafe_get s.st lane)
+    done
+  done
+
+(* The pool claims quads of nodes/columns, so with AVX2 every claimed
+   range but the level's last runs whole x4 permutations. One x4 call
+   costs ~0.95µs for four sponges (the keccak-batch row of
+   BENCH_native.json: ~236 ns per absorbed block); without the native
+   layer a quad is four ~27µs OCaml permutations. *)
+let quad_grain ~perms =
+  Pool.grain_of_ns (perms * if Native.on () then 950 else 4 * block_ns ())
+
+let node_grain () = 4 * quad_grain ~perms:1
+
+let over_quads ~perms n body =
+  Pool.run ~grain:(quad_grain ~perms) ~n:((n + 3) / 4) (fun a b -> body (4 * a) (min n (4 * b)))
+
+let hash_nodes_into ~(src : Fv.t) ~(dst : Fv.t) =
+  if Fv.length dst land 3 <> 0 || Fv.length src <> 2 * Fv.length dst then
+    invalid_arg "Keccak.hash_nodes_into: need 8 source lanes per 4 destination lanes";
+  let body = if Native.on () then Native.hash_nodes src dst else hash_nodes_ocaml src dst in
+  over_quads ~perms:1 (Fv.length dst / 4) body
+
+let hash_cols_into ~rows ~cols (flat : Fv.t) ~(dst : Fv.t) =
+  if rows < 0 || cols <= 0 || Fv.length flat <> rows * cols || Fv.length dst <> 4 * cols then
+    invalid_arg "Keccak.hash_cols_into";
+  let body =
+    if Native.on () then Native.hash_cols flat cols rows dst
+    else hash_cols_ocaml flat ~cols ~rows dst
+  in
+  over_quads ~perms:((rows / rate_lanes) + 1) cols body
 
 (* --- incremental per-column sponges -------------------------------------- *)
 
@@ -439,9 +501,9 @@ module Col_hash = struct
     done
 
   (* Close columns [c_lo, c_hi) after [total_rows] absorbed rows, writing
-     digest j into [out.(j)]. *)
-  let finalize t ~total_rows ~c_lo ~c_hi (out : digest array) =
-    if c_lo < 0 || c_hi > t.cols || Array.length out < c_hi then
+     digest j into lanes [4j, 4j + 4) of [out]. *)
+  let finalize t ~total_rows ~c_lo ~c_hi (out : Fv.t) =
+    if c_lo < 0 || c_hi > t.cols || Fv.length out < 4 * c_hi then
       invalid_arg "Keccak.Col_hash.finalize";
     let s = Domain.DLS.get scratch_key in
     let m = total_rows mod rate_lanes in
@@ -452,7 +514,9 @@ module Col_hash = struct
       Fv.unsafe_set t.states (base + 16)
         (Int64.logxor (Fv.unsafe_get t.states (base + 16)) trailing_pad);
       f1600_off t.states base s.b s.c;
-      out.(j) <- squeeze_32_off t.states base
+      for lane = 0 to 3 do
+        Fv.unsafe_set out ((4 * j) + lane) (Fv.unsafe_get t.states (base + lane))
+      done
     done
 end
 

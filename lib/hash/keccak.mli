@@ -26,7 +26,9 @@ val sha3_256_string : string -> digest
 
 val hash2 : digest -> digest -> digest
 (** The paper's Hash-FU compression: SHA3-256 of the concatenation of two
-    256-bit values. Used for Merkle-tree interior nodes. *)
+    256-bit values: a Merkle-tree interior node. The verifier's path check
+    uses it; the prover's flat levels ({!hash_nodes_into}) hash the same
+    bytes. *)
 
 val hash_gf : Zk_field.Gf.t array -> digest
 (** Hash a vector of field elements, each packed as 8 little-endian bytes
@@ -38,23 +40,10 @@ val hash_fv : Nocap_vec.Fv.t -> digest
     [hash_gf (Fv.to_array v)]. Elements are absorbed lane-aligned straight
     from the Bigarray, with no intermediate byte buffer. *)
 
-val hash_matrix_cols : rows:int -> cols:int -> Nocap_vec.Fv.t -> digest array
-(** [hash_matrix_cols ~rows ~cols flat] hashes each column of the row-major
-    [rows * cols] flat matrix — [hash_gf] of the gathered column, without
-    gathering it. Columns split across the {!Nocap_parallel.Pool} domains;
-    digests are byte-identical for every domain count.
-    @raise Invalid_argument if [Fv.length flat <> rows * cols]. *)
-
 val sha3_256_batch : bytes array -> digest array
 (** Hash a batch of independent messages, split across the
     {!Nocap_parallel.Pool} domains. Digests are byte-identical to mapping
     {!sha3_256} for every domain count. *)
-
-val hash2_pairs : digest array -> digest array
-(** [hash2_pairs level] compresses adjacent pairs:
-    [[| hash2 level.(0) level.(1); hash2 level.(2) level.(3); ... |]] —
-    one Merkle level in a single batched call.
-    @raise Invalid_argument on an empty or odd-length array. *)
 
 val hash_gf_batch : Zk_field.Gf.t array array -> digest array
 (** Batched {!hash_gf} over independent columns. *)
@@ -73,9 +62,44 @@ val block_ns : unit -> int
 val batch_grain : msg_bytes:int -> int
 (** Pool grain used by {!sha3_256_batch} for messages of the given length. *)
 
+(** {2 Flat digest buffers}
+
+    A digest is four little-endian 64-bit lanes, so [n] digests are one
+    [Fv.t] of [4n] lanes with digest [i] at lanes [\[4i, 4i + 4)]. Merkle
+    levels live in this form; the batched kernels below read and write it
+    directly (no per-digest string). *)
+
+val digest_at : Nocap_vec.Fv.t -> int -> digest
+(** The [i]-th digest of a flat buffer, as a 32-byte string. *)
+
+val set_digest : Nocap_vec.Fv.t -> int -> digest -> unit
+(** Store a 32-byte digest as the [i]-th of a flat buffer.
+    @raise Invalid_argument unless the digest is 32 bytes. *)
+
+val hash_nodes_into : src:Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> unit
+(** One Merkle level from the one below: digest [i] of [dst] is
+    [hash2] of digests [2i] and [2i + 1] of [src]. Nodes split across the
+    {!Nocap_parallel.Pool} domains in quads; with AVX2 each quad is one
+    4-lane permutation. Byte-identical for every mode and domain count.
+    @raise Invalid_argument unless [Fv.length src = 2 * Fv.length dst] and
+    [dst] holds whole digests. *)
+
+val node_grain : unit -> int
+(** Nodes per pool claim in {!hash_nodes_into}: whole quads amortizing
+    ~50µs of permutations in the current mode. *)
+
+val hash_cols_into : rows:int -> cols:int -> Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> unit
+(** [hash_cols_into ~rows ~cols flat ~dst] hashes each column of the
+    row-major [rows * cols] matrix [flat] into digest [j] of [dst] —
+    [hash_gf] of the gathered column, without gathering it. Columns split
+    across the pool in quads; with AVX2 four adjacent columns share one
+    4-lane sponge.
+    @raise Invalid_argument unless [Fv.length flat = rows * cols] and
+    [Fv.length dst = 4 * cols]. *)
+
 (** A bank of independent per-column sponges for hashing a row-major matrix
     incrementally: absorb row-blocks as they are produced, finalize once at
-    the end. Digests are byte-identical to {!hash_matrix_cols} on the full
+    the end. Digests are byte-identical to {!hash_cols_into} on the full
     matrix. Disjoint column ranges may be driven from different domains
     concurrently; rows must arrive in order within each column. *)
 module Col_hash : sig
@@ -89,8 +113,9 @@ module Col_hash : sig
   (** Absorb element [(r, j)] = [flat.(r * row_stride + j)] for every row
       [r] in [\[r_lo, r_hi)] and column [j] in [\[c_lo, c_hi)]. *)
 
-  val finalize : t -> total_rows:int -> c_lo:int -> c_hi:int -> digest array -> unit
-  (** Pad, permute and squeeze columns [\[c_lo, c_hi)] into [out.(j)]. *)
+  val finalize : t -> total_rows:int -> c_lo:int -> c_hi:int -> Nocap_vec.Fv.t -> unit
+  (** Pad, permute and squeeze columns [\[c_lo, c_hi)] into digest [j] of
+      the flat buffer [out] (lanes [\[4j, 4j + 4)]). *)
 end
 
 val to_hex : digest -> string

@@ -1,12 +1,12 @@
 module Keccak = Zk_hash.Keccak
+module Fv = Nocap_vec.Fv
 
 type digest = Keccak.digest
 
-type tree = {
-  (* levels.(0) is the (padded) leaf level; the last level is [| root |]. *)
-  levels : digest array array;
-  real_leaves : int;
-}
+(* Every level is one flat lane buffer, 4 lanes per node (Keccak's flat
+   digest layout): levels.(0) is the (padded) leaf level, the last level
+   holds the root. *)
+type tree = { levels : Fv.t array; real_leaves : int }
 
 let empty_leaf = Keccak.sha3_256_string "nocap-repro/merkle-empty-leaf"
 
@@ -18,46 +18,36 @@ let leaf_of_column col = Keccak.hash_gf col
 
 let leaves_of_columns cols = Keccak.hash_gf_batch cols
 
-(* Flat fast path: leaf j is the hash of column j of the row-major
-   [rows * cols] matrix, absorbed with stride [cols] straight out of the
-   Bigarray — no per-column gather, no boxed intermediate. *)
-let leaves_of_matrix ~rows ~cols flat = Keccak.hash_matrix_cols ~rows ~cols flat
+let of_digests ds =
+  let v = Fv.create (4 * Array.length ds) in
+  Array.iteri (Keccak.set_digest v) ds;
+  v
 
-let build_with ~pairs leaves =
-  let n = Array.length leaves in
-  if n = 0 then invalid_arg "Merkle.build: empty";
-  let padded = next_pow2 n in
-  let level0 = Array.make padded empty_leaf in
-  Array.blit leaves 0 level0 0 n;
-  let rec go acc level =
-    if Array.length level = 1 then List.rev (level :: acc)
-    else go (level :: acc) (pairs level)
-  in
-  { levels = Array.of_list (go [] level0); real_leaves = n }
+(* Leaf j is the hash of column j of the row-major [rows * cols] matrix,
+   absorbed with stride [cols] straight out of the Bigarray. *)
+let leaves_of_matrix ~rows ~cols flat =
+  let dst = Fv.create (4 * cols) in
+  Keccak.hash_cols_into ~rows ~cols flat ~dst;
+  dst
 
-(* Serial oracle for the parallel build: same tree, one domain. *)
-let build_serial leaves =
-  build_with leaves ~pairs:(fun level ->
-      Array.init
-        (Array.length level / 2)
-        (fun i -> Keccak.hash2 level.(2 * i) level.((2 * i) + 1)))
-
-let build leaves = build_with leaves ~pairs:Keccak.hash2_pairs
+(* Nodes [pos, pos + len) of a level, as a view of its lane buffer. *)
+let nodes level ~pos ~len = Fv.sub_view level ~pos:(4 * pos) ~len:(4 * len)
 
 (* Incremental builder for the streaming commit: leaves arrive in chunks
    (as column sponges finalize) and internal nodes are hashed as soon as
    both children exist, so no leaf chunk has to persist. A chunk is cut
    into aligned power-of-two runs: a run of [m] leaves starting at a
    multiple of [m] is a complete subtree, hashed level by level with the
-   batched, pool-parallel [Keccak.hash2_pairs] exactly as [build] does,
-   and only its root joins the serial cascade. A single-chunk build thus
-   does [build]'s work. Either way the node set is [build]'s — pairs
-   hashed with [Keccak.hash2], padding with [empty_leaf] — so roots and
-   paths are byte-identical to the one-shot build. *)
+   batched, pool-parallel [Keccak.hash_nodes_into] straight into the
+   tree's levels, and only its root joins the serial cascade. One chunk of
+   all the leaves is thus a plain level-by-level build. The node set never
+   depends on the chunking — pairs compressed as [Keccak.hash2] does,
+   padding with [empty_leaf] — so roots and paths are the same for every
+   split. *)
 module Builder = struct
   type t = {
-    levels : digest array array;
-    fill : int array; (* entries written so far at each level *)
+    levels : Fv.t array;
+    fill : int array; (* nodes written so far at each level *)
     real : int;
     mutable added : int;
   }
@@ -67,32 +57,40 @@ module Builder = struct
     let padded = next_pow2 n in
     let rec depth_of k m = if m = 1 then k else depth_of (k + 1) (m / 2) in
     let depth = depth_of 0 padded in
-    let levels = Array.init (depth + 1) (fun k -> Array.make (padded lsr k) empty_leaf) in
+    let levels = Array.init (depth + 1) (fun k -> Fv.create (4 * (padded lsr k))) in
     { levels; fill = Array.make (depth + 1) 0; real = n; added = 0 }
 
-  let rec push t k d =
+  (* Node [fill.(k)] of level [k] has just been written: count it, and if
+     it completes a pair, hash the parent and carry on up. *)
+  let rec bump t k =
     let i = t.fill.(k) in
-    t.levels.(k).(i) <- d;
     t.fill.(k) <- i + 1;
-    if i land 1 = 1 && k + 1 < Array.length t.levels then
-      push t (k + 1) (Keccak.hash2 t.levels.(k).(i - 1) d)
+    if i land 1 = 1 && k + 1 < Array.length t.levels then begin
+      Keccak.hash_nodes_into
+        ~src:(nodes t.levels.(k) ~pos:(i - 1) ~len:2)
+        ~dst:(nodes t.levels.(k + 1) ~pos:(i / 2) ~len:1);
+      bump t (k + 1)
+    end
 
-  (* [run] is a complete subtree: its length [m] is a power of two and the
-     level-0 fill is a multiple of [m], so level [k] of the subtree lands
-     at [fill.(k) = fill.(0) / 2^k] for every [k] below its root. *)
-  let add_subtree t run =
-    let level = ref run and k = ref 0 in
-    while Array.length !level > 1 do
-      let lv = !level in
-      Array.blit lv 0 t.levels.(!k) t.fill.(!k) (Array.length lv);
-      t.fill.(!k) <- t.fill.(!k) + Array.length lv;
-      level := Keccak.hash2_pairs lv;
+  (* [run] holds a complete subtree's [m] leaves: [m] is a power of two and
+     the level-0 fill is a multiple of [m], so level [k] of the subtree
+     lands at [fill.(k) = fill.(0) / 2^k] for every [k] up to its root. *)
+  let add_subtree t run ~m =
+    Fv.blit ~src:run ~src_pos:0 ~dst:t.levels.(0) ~dst_pos:(4 * t.fill.(0)) ~len:(4 * m);
+    let k = ref 0 and len = ref m in
+    while !len > 1 do
+      let f = t.fill.(!k) in
+      Keccak.hash_nodes_into
+        ~src:(nodes t.levels.(!k) ~pos:f ~len:!len)
+        ~dst:(nodes t.levels.(!k + 1) ~pos:(f / 2) ~len:(!len / 2));
+      t.fill.(!k) <- f + !len;
+      len := !len / 2;
       incr k
     done;
-    push t !k !level.(0)
+    bump t !k
 
   let append t leaves =
-    let n = Array.length leaves in
+    let n = Fv.length leaves / 4 in
     let pos = ref 0 in
     while !pos < n do
       (* Largest power of two that fits the rest and divides the fill. *)
@@ -101,13 +99,13 @@ module Builder = struct
       while 2 * !m <= n - !pos && f land ((2 * !m) - 1) = 0 do
         m := 2 * !m
       done;
-      if !m = 1 then push t 0 leaves.(!pos)
-      else add_subtree t (if !m = n then leaves else Array.sub leaves !pos !m);
+      add_subtree t (nodes leaves ~pos:!pos ~len:!m) ~m:!m;
       pos := !pos + !m
     done
 
   let add t leaves =
-    let n = Array.length leaves in
+    if Fv.length leaves land 3 <> 0 then invalid_arg "Merkle.Builder.add: need whole digests";
+    let n = Fv.length leaves / 4 in
     if t.added + n > t.real then invalid_arg "Merkle.Builder.add: too many leaves";
     append t leaves;
     t.added <- t.added + n
@@ -116,26 +114,27 @@ module Builder = struct
     if t.added <> t.real then
       invalid_arg
         (Printf.sprintf "Merkle.Builder.finish: %d of %d leaves added" t.added t.real);
-    append t (Array.make (Array.length t.levels.(0) - t.fill.(0)) empty_leaf);
+    let pad = (Fv.length t.levels.(0) / 4) - t.fill.(0) in
+    if pad > 0 then append t (of_digests (Array.make pad empty_leaf));
     { levels = t.levels; real_leaves = t.real }
 end
 
-let root t = t.levels.(Array.length t.levels - 1).(0)
+let build leaves =
+  let n = Fv.length leaves / 4 in
+  if n = 0 then invalid_arg "Merkle.build: empty";
+  let b = Builder.create n in
+  Builder.add b leaves;
+  Builder.finish b
+
+let root t = Keccak.digest_at t.levels.(Array.length t.levels - 1) 0
 
 let num_leaves t = t.real_leaves
 
 let depth t = Array.length t.levels - 1
 
 let path t i =
-  if i < 0 || i >= Array.length t.levels.(0) then invalid_arg "Merkle.path: index";
-  let rec go level idx acc =
-    if level >= Array.length t.levels - 1 then List.rev acc
-    else begin
-      let sibling = t.levels.(level).(idx lxor 1) in
-      go (level + 1) (idx / 2) (sibling :: acc)
-    end
-  in
-  go 0 i []
+  if i < 0 || 4 * i >= Fv.length t.levels.(0) then invalid_arg "Merkle.path: index";
+  List.init (depth t) (fun k -> Keccak.digest_at t.levels.(k) ((i lsr k) lxor 1))
 
 (* A path longer than this cannot belong to any addressable tree (leaf
    counts are OCaml ints); it only ever appears in hostile input, so bound

@@ -2,22 +2,28 @@
 
     Orion commits to an encoded matrix by hashing each codeword column into a
     leaf and Merkle-hashing the leaves; openings reveal a column together with
-    its authentication path. *)
+    its authentication path. The prover builds trees on flat lane buffers;
+    roots and paths leave as 32-byte [digest] strings, the wire form the
+    verifier ({!check_path}) reads. *)
 
 type digest = Zk_hash.Keccak.digest
 
 type tree
+(** Every level is one flat {!Nocap_vec.Fv.t} lane buffer holding 4
+    little-endian lanes per node ({!Zk_hash.Keccak.digest_at}'s layout):
+    no per-node string. *)
 
-val build : digest array -> tree
-(** Build over the given leaf digests. The leaf count is padded to a power of
-    two with a distinguished empty digest. Each level is hashed as one
-    batched call split across the {!Nocap_parallel.Pool} domains; the tree
-    is byte-identical to {!build_serial} for every domain count.
-    @raise Invalid_argument on an empty leaf array. *)
+val build : Nocap_vec.Fv.t -> tree
+(** Build over flat leaf digests (4 lanes per leaf, e.g. from
+    {!leaves_of_matrix} or {!of_digests}). The leaf count is padded to a
+    power of two with a distinguished empty digest. Each level is hashed as
+    one batched {!Zk_hash.Keccak.hash_nodes_into} call split across the
+    {!Nocap_parallel.Pool} domains, four nodes per AVX2 permutation; the
+    tree is the same for every domain count and native mode.
+    @raise Invalid_argument on an empty leaf buffer. *)
 
-val build_serial : digest array -> tree
-(** Single-domain reference implementation of {!build} (the oracle the
-    parallel/serial equivalence tests compare against). *)
+val of_digests : digest array -> Nocap_vec.Fv.t
+(** Pack digests into a flat leaf buffer for {!build} / {!Builder.add}. *)
 
 val leaf_of_column : Zk_field.Gf.t array -> digest
 (** Hash a column of field elements into a leaf (8 LE bytes per element, as
@@ -27,19 +33,20 @@ val leaves_of_columns : Zk_field.Gf.t array array -> digest array
 (** Batched {!leaf_of_column} over independent columns, split across the
     pool domains. *)
 
-val leaves_of_matrix : rows:int -> cols:int -> Nocap_vec.Fv.t -> digest array
-(** Leaf digests for every column of a row-major [rows * cols] flat encoded
-    matrix, read with stride [cols] straight out of the unboxed buffer.
-    Equals {!leaves_of_columns} of the gathered columns. *)
+val leaves_of_matrix : rows:int -> cols:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
+(** Flat leaf digests for every column of a row-major [rows * cols] encoded
+    matrix, read with stride [cols] straight out of the unboxed buffer
+    ({!Zk_hash.Keccak.hash_cols_into}). Equals {!of_digests} of
+    {!leaves_of_columns} of the gathered columns. *)
 
-(** Incremental tree construction for the streaming commit: leaf digests
-    arrive in chunks as column sponges finalize, and internal nodes are
-    hashed eagerly the moment both children exist. Each chunk is cut into
-    aligned power-of-two runs, and every run is a complete subtree hashed
-    level by level with the batched, pool-parallel pair hasher, so one
-    chunk of all the leaves costs what {!build} costs. [finish] returns a
-    tree byte-identical to {!build} over the same leaves (same pair
-    hashing, same [empty_leaf] padding); only the hashing schedule
+(** Incremental tree construction for the streaming commit: flat leaf
+    chunks arrive as column sponges finalize, and internal nodes are hashed
+    eagerly the moment both children exist. Each chunk is cut into aligned
+    power-of-two runs, and every run is a complete subtree hashed level by
+    level into the tree's flat levels with the batched, pool-parallel node
+    kernel, so one chunk of all the leaves costs what {!build} costs.
+    [finish] returns the tree {!build} gives over the same leaves (same
+    pair hashing, same [empty_leaf] padding); only the hashing schedule
     differs. *)
 module Builder : sig
   type t
@@ -48,9 +55,10 @@ module Builder : sig
   (** [create n] expects exactly [n] real leaves.
       @raise Invalid_argument if [n <= 0]. *)
 
-  val add : t -> digest array -> unit
-  (** Append the next chunk of leaves, in leaf order.
-      @raise Invalid_argument past [n] leaves. *)
+  val add : t -> Nocap_vec.Fv.t -> unit
+  (** Append the next chunk of flat leaf digests (4 lanes each), in leaf
+      order. The chunk is copied; the caller may reuse it.
+      @raise Invalid_argument past [n] leaves or on a partial digest. *)
 
   val finish : t -> tree
   (** Pad and finish. @raise Invalid_argument unless exactly [n] leaves

@@ -67,6 +67,7 @@ external fv_mul : fv -> fv -> fv -> unit = "caml_nocap_fv_mul" [@@noalloc]
 external fv_scale : fv -> fv -> int64 -> unit = "caml_nocap_fv_scale" [@@noalloc]
 external fv_axpy : fv -> int64 -> fv -> unit = "caml_nocap_fv_axpy" [@@noalloc]
 external fv_lerp : fv -> fv -> fv -> int64 -> unit = "caml_nocap_fv_lerp" [@@noalloc]
+external fri_fold : fv -> fv -> fv -> int64 -> int64 -> unit = "caml_nocap_fri_fold" [@@noalloc]
 external ntt_forward : fv -> fv -> unit = "caml_nocap_ntt_forward" [@@noalloc]
 external ntt_inverse : fv -> fv -> int64 -> unit = "caml_nocap_ntt_inverse" [@@noalloc]
 external rs_encode_row : fv -> fv -> fv -> unit = "caml_nocap_rs_encode_row" [@@noalloc]
@@ -78,6 +79,12 @@ external hash_gf : int64 array -> Bytes.t -> unit = "caml_nocap_hash_gf" [@@noal
 
 external hash_fv_stride : fv -> int -> int -> int -> Bytes.t -> unit
   = "caml_nocap_hash_fv_stride"
+[@@noalloc]
+
+external hash_nodes : fv -> fv -> int -> int -> unit = "caml_nocap_hash_nodes" [@@noalloc]
+
+external hash_cols : fv -> int -> int -> fv -> int -> int -> unit
+  = "caml_nocap_hash_cols_byte" "caml_nocap_hash_cols"
 [@@noalloc]
 
 external col_absorb : fv -> fv -> int -> int -> int -> int -> int -> unit

@@ -75,6 +75,12 @@ external fv_lerp : fv -> fv -> fv -> int64 -> unit = "caml_nocap_fv_lerp" [@@noa
 (** [fv_lerp dst a b c]: [dst.(i) <- a.(i) + c * (b.(i) - a.(i))]; [dst]
     may alias [a] or [b]. *)
 
+external fri_fold : fv -> fv -> fv -> int64 -> int64 -> unit = "caml_nocap_fri_fold" [@@noalloc]
+(** [fri_fold dst lo hi coef w_inv]: the FRI fold of one block,
+    [dst.(i) <- (lo.(i) + hi.(i)) / 2 + coef * w_inv^i * (lo.(i) - hi.(i))],
+    with the powers of [w_inv] as a running product (four interleaved
+    ones under AVX2); [dst] may alias [lo] or [hi]. *)
+
 external ntt_forward : fv -> fv -> unit = "caml_nocap_ntt_forward" [@@noalloc]
 (** [ntt_forward buf tw]: in-place forward NTT of [buf] (length n, a power
     of two) against the shared twiddle table [tw] (length [n/2]). *)
@@ -106,6 +112,21 @@ external hash_fv_stride : fv -> int -> int -> int -> Bytes.t -> unit
   = "caml_nocap_hash_fv_stride"
 [@@noalloc]
 (** [hash_fv_stride v pos stride count out]. *)
+
+external hash_nodes : fv -> fv -> int -> int -> unit = "caml_nocap_hash_nodes" [@@noalloc]
+(** [hash_nodes src dst lo hi]: for every node [i] in [\[lo, hi)], the
+    digest lanes [dst.(4i .. 4i + 3)] are the SHA3-256 of the 64 bytes in
+    lanes [src.(8i .. 8i + 7)] — one flat Merkle level from the one below.
+    With AVX2 four nodes share one 4-lane permutation. *)
+
+external hash_cols : fv -> int -> int -> fv -> int -> int -> unit
+  = "caml_nocap_hash_cols_byte" "caml_nocap_hash_cols"
+[@@noalloc]
+(** [hash_cols flat cols rows dst lo hi]: for every column [j] in
+    [\[lo, hi)] of the row-major [rows * cols] matrix [flat], the digest
+    lanes [dst.(4j .. 4j + 3)] are the SHA3-256 of the column's elements
+    absorbed as lanes. With AVX2 four adjacent columns share one 4-lane
+    permutation. *)
 
 external col_absorb : fv -> fv -> int -> int -> int -> int -> int -> unit
   = "caml_nocap_col_absorb_byte" "caml_nocap_col_absorb"

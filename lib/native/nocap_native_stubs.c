@@ -394,6 +394,62 @@ CAMLprim value caml_nocap_fv_lerp(value vdst, value va, value vb, value vc)
   return Val_unit;
 }
 
+/* One FRI fold block: dst[i] = (lo[i] + hi[i]) / 2 + coef_i * (lo[i] - hi[i])
+   with coef_i = coef * w_inv^i, operation for operation Fri.fold_pair.
+   The scalar body keeps Fri's running product; the AVX2 body runs four
+   products, lane k at coef * w_inv^k, each advanced by w_inv^4 per step.
+   gl_mul always returns the canonical residue, so both reach the same
+   coef_i bits. dst may alias lo or hi. GL_INV2 is 1/2 mod p = (p + 1) / 2. */
+#define GL_INV2 0x7FFFFFFF80000001ULL
+
+static inline uint64_t fri_fold1(uint64_t a, uint64_t b, uint64_t coef)
+{
+  return gl_add(gl_mul(GL_INV2, gl_add(a, b)), gl_mul(coef, gl_sub(a, b)));
+}
+
+#if defined(NOCAP_X86_64)
+/* Returns coef_i for the first element it leaves to the caller. */
+__attribute__((target("avx2"))) static uint64_t fri_fold_avx2(uint64_t *dst, const uint64_t *lo,
+                                                              const uint64_t *hi, uint64_t coef,
+                                                              uint64_t w, intnat *pi, intnat n)
+{
+  uint64_t c[4] = { coef, 0, 0, 0 };
+  for (int k = 1; k < 4; k++) c[k] = gl_mul(c[k - 1], w);
+  uint64_t w2 = gl_mul(w, w);
+  const __m256i w4 = _mm256_set1_epi64x((long long)gl_mul(w2, w2));
+  const __m256i inv2 = _mm256_set1_epi64x((long long)GL_INV2);
+  __m256i cv = _mm256_loadu_si256((const __m256i *)c);
+  intnat i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256i x = _mm256_loadu_si256((const __m256i *)(lo + i));
+    __m256i y = _mm256_loadu_si256((const __m256i *)(hi + i));
+    _mm256_storeu_si256((__m256i *)(dst + i),
+                        gl4_add(gl4_mul(inv2, gl4_add(x, y)), gl4_mul(cv, gl4_sub(x, y))));
+    cv = gl4_mul(cv, w4);
+  }
+  _mm256_storeu_si256((__m256i *)c, cv);
+  *pi = i;
+  return c[0];
+}
+#endif
+
+CAMLprim value caml_nocap_fri_fold(value vdst, value vlo, value vhi, value vcoef, value vw)
+{
+  uint64_t *dst = BA_DATA(vdst);
+  const uint64_t *lo = BA_DATA(vlo), *hi = BA_DATA(vhi);
+  uint64_t coef = (uint64_t)Int64_val(vcoef), w = (uint64_t)Int64_val(vw);
+  intnat n = BA_DIM(vdst);
+  intnat i = 0;
+#if defined(NOCAP_X86_64)
+  if (g_simd && have_avx2()) coef = fri_fold_avx2(dst, lo, hi, coef, w, &i, n);
+#endif
+  for (; i < n; i++) {
+    dst[i] = fri_fold1(lo[i], hi[i], coef);
+    coef = gl_mul(coef, w);
+  }
+  return Val_unit;
+}
+
 /* --- radix-2 NTT ---------------------------------------------------------
    Same algorithm and operation order as Ntt.Gf_fv.transform: bit-reverse,
    then log n butterfly passes against the shared twiddle table
@@ -698,25 +754,46 @@ CAMLprim value caml_nocap_sha3(value vmsg, value vout)
   return Val_unit;
 }
 
-CAMLprim value caml_nocap_hash2(value va, value vb, value vout)
+/* --- flat Merkle kernels ---------------------------------------------------
+   A digest is four little-endian 64-bit lanes, so one Merkle level is one
+   flat lane buffer with node i at lanes [4i, 4i + 4). hash_nodes
+   compresses node pairs (lanes [8i, 8i + 8) of the level below, absorbed
+   as one 64-byte message: pad at lane 8, closing bit in lane 16) into
+   node i of the next level; hash_cols hashes column j of a row-major
+   matrix into leaf j. Both cover an index range [lo, hi), so the OCaml
+   side splits one level over the pool; with AVX2 each runs four nodes or
+   columns per keccak_f1600_x4 call and finishes the range on the scalar
+   bodies below. */
+
+static void hash_node_c(const uint64_t *pair, uint64_t *out)
 {
   uint64_t st[25] = { 0 };
+  for (int l = 0; l < 8; l++) st[l] = pair[l];
+  st[8] = SHA3_PAD;
+  st[16] = TRAILING_PAD;
+  keccak_f1600(st);
+  for (int l = 0; l < 4; l++) out[l] = st[l];
+}
+
+/* Keccak.hash2: the node compression over two 32-byte strings. */
+CAMLprim value caml_nocap_hash2(value va, value vb, value vout)
+{
+  uint64_t pair[8], d[4];
   const unsigned char *a = (const unsigned char *)String_val(va);
   const unsigned char *b = (const unsigned char *)String_val(vb);
   for (int l = 0; l < 4; l++) {
-    st[l] ^= load64le(a + 8 * l);
-    st[4 + l] ^= load64le(b + 8 * l);
+    pair[l] = load64le(a + 8 * l);
+    pair[4 + l] = load64le(b + 8 * l);
   }
-  st[8] ^= SHA3_PAD;
-  st[16] ^= TRAILING_PAD;
-  keccak_f1600(st);
-  squeeze32(st, Bytes_val(vout));
+  hash_node_c(pair, d);
+  for (int l = 0; l < 4; l++) store64le(Bytes_val(vout) + 8 * l, d[l]);
   return Val_unit;
 }
 
-/* Absorb [count] already-packed 64-bit lanes fetched by [get(i)], then pad
-   and squeeze: the shared tail of hash_gf / hash_fv_stride. */
-#define SPONGE_LANES(st, count, GET, out)                                                \
+/* Absorb [count] already-packed 64-bit lanes fetched by [get(i)], pad and
+   run the final permutation; the digest is lanes 0..3 of [st]. The shared
+   body of hash_gf / hash_fv_stride / hash_cols. */
+#define SPONGE_LANES(st, count, GET)                                                     \
   do {                                                                                   \
     intnat off_ = 0;                                                                     \
     while ((count) - off_ >= RATE_LANES) {                                               \
@@ -729,7 +806,6 @@ CAMLprim value caml_nocap_hash2(value va, value vb, value vout)
     st[m_] ^= SHA3_PAD;                                                                  \
     st[16] ^= TRAILING_PAD;                                                              \
     keccak_f1600(st);                                                                    \
-    squeeze32(st, out);                                                                  \
   } while (0)
 
 CAMLprim value caml_nocap_hash_gf(value varr, value vout)
@@ -738,8 +814,9 @@ CAMLprim value caml_nocap_hash_gf(value varr, value vout)
   intnat n = Wosize_val(varr);
   unsigned char *out = Bytes_val(vout);
 #define GET_BOXED(i) ((uint64_t)Int64_val(Field(varr, (i))))
-  SPONGE_LANES(st, n, GET_BOXED, out);
+  SPONGE_LANES(st, n, GET_BOXED);
 #undef GET_BOXED
+  squeeze32(st, out);
   return Val_unit;
 }
 
@@ -751,8 +828,9 @@ CAMLprim value caml_nocap_hash_fv_stride(value vv, value vpos, value vstride, va
   intnat pos = Int_val(vpos), stride = Int_val(vstride), count = Int_val(vcount);
   unsigned char *out = Bytes_val(vout);
 #define GET_STRIDED(i) (v[pos + (i)*stride])
-  SPONGE_LANES(st, count, GET_STRIDED, out);
+  SPONGE_LANES(st, count, GET_STRIDED);
 #undef GET_STRIDED
+  squeeze32(st, out);
   return Val_unit;
 }
 
@@ -778,10 +856,20 @@ CAMLprim value caml_nocap_col_absorb(value vstates, value vflat, value vrs, valu
   return Val_unit;
 }
 
+static void hash_col_c(const uint64_t *col, intnat stride, intnat rows, uint64_t *out)
+{
+  uint64_t st[25] = { 0 };
+#define GET_COL(i) (col[(i)*stride])
+  SPONGE_LANES(st, rows, GET_COL);
+#undef GET_COL
+  for (int l = 0; l < 4; l++) out[l] = st[l];
+}
+
 /* --- 4-lane AVX2 Keccak sponge -------------------------------------------
    One 64-bit lane position across four independent states per ymm register:
-   the batched entry points (sha3_256_batch over equal-length messages)
-   drive four sponges for the price of ~1.5 scalar permutations. */
+   the batched entry points (sha3_256_batch over equal-length messages and
+   the flat Merkle kernels) drive four sponges for the price of ~1.5 scalar
+   permutations. */
 
 #if defined(NOCAP_X86_64)
 
@@ -847,6 +935,73 @@ __attribute__((target("avx2"))) static void sha3_256_x4(const unsigned char *m[4
   }
 }
 
+/* Row k of the 4x4 lane block becomes column k: turns "four lanes of one
+   node" into "one lane of four nodes" and back. */
+__attribute__((target("avx2"))) static inline void transpose4x4(__m256i r[4])
+{
+  __m256i t0 = _mm256_unpacklo_epi64(r[0], r[1]);
+  __m256i t1 = _mm256_unpackhi_epi64(r[0], r[1]);
+  __m256i t2 = _mm256_unpacklo_epi64(r[2], r[3]);
+  __m256i t3 = _mm256_unpackhi_epi64(r[2], r[3]);
+  r[0] = _mm256_permute2x128_si256(t0, t2, 0x20);
+  r[1] = _mm256_permute2x128_si256(t1, t3, 0x20);
+  r[2] = _mm256_permute2x128_si256(t0, t2, 0x31);
+  r[3] = _mm256_permute2x128_si256(t1, t3, 0x31);
+}
+
+/* Squeeze lanes 0..3 of four sponges into four consecutive digests. */
+__attribute__((target("avx2"))) static inline void store_digests_x4(const __m256i *st,
+                                                                     uint64_t *out)
+{
+  __m256i d[4] = { st[0], st[1], st[2], st[3] };
+  transpose4x4(d);
+  for (int k = 0; k < 4; k++) _mm256_storeu_si256((__m256i *)(out + 4 * k), d[k]);
+}
+
+/* Nodes i..i+3: their four child pairs are 32 consecutive lanes at
+   [pairs], their digests 16 consecutive lanes at [out]. */
+__attribute__((target("avx2"))) static void hash_nodes_x4(const uint64_t *pairs, uint64_t *out)
+{
+  __m256i st[25];
+  __m256i lo[4], hi[4];
+  for (int k = 0; k < 4; k++) {
+    lo[k] = _mm256_loadu_si256((const __m256i *)(pairs + 8 * k));
+    hi[k] = _mm256_loadu_si256((const __m256i *)(pairs + 8 * k + 4));
+  }
+  transpose4x4(lo);
+  transpose4x4(hi);
+  for (int l = 0; l < 4; l++) {
+    st[l] = lo[l];
+    st[4 + l] = hi[l];
+  }
+  for (int l = 8; l < 25; l++) st[l] = _mm256_setzero_si256();
+  st[8] = _mm256_set1_epi64x((long long)SHA3_PAD);
+  st[16] = _mm256_set1_epi64x((long long)TRAILING_PAD);
+  keccak_f1600_x4(st);
+  store_digests_x4(st, out);
+}
+
+/* Columns j..j+3 of a row-major matrix: one unaligned load per row picks
+   up the four columns' elements side by side, already lane-sliced. */
+__attribute__((target("avx2"))) static void hash_cols_x4(const uint64_t *col0, intnat stride,
+                                                         intnat rows, uint64_t *out)
+{
+  __m256i st[25];
+  for (int l = 0; l < 25; l++) st[l] = _mm256_setzero_si256();
+  int lane = 0;
+  for (intnat r = 0; r < rows; r++) {
+    st[lane] = _mm256_xor_si256(st[lane], _mm256_loadu_si256((const __m256i *)(col0 + r * stride)));
+    if (++lane == RATE_LANES) {
+      keccak_f1600_x4(st);
+      lane = 0;
+    }
+  }
+  st[lane] = _mm256_xor_si256(st[lane], _mm256_set1_epi64x((long long)SHA3_PAD));
+  st[16] = _mm256_xor_si256(st[16], _mm256_set1_epi64x((long long)TRAILING_PAD));
+  keccak_f1600_x4(st);
+  store_digests_x4(st, out);
+}
+
 #endif /* NOCAP_X86_64 */
 
 CAMLprim value caml_nocap_sha3_x4(value vmsgs, value vouts)
@@ -866,6 +1021,40 @@ CAMLprim value caml_nocap_sha3_x4(value vmsgs, value vouts)
 #endif
   for (int i = 0; i < 4; i++) sha3_256_c(m[i], len, o[i]);
   return Val_unit;
+}
+
+CAMLprim value caml_nocap_hash_nodes(value vsrc, value vdst, value vlo, value vhi)
+{
+  const uint64_t *src = BA_DATA(vsrc);
+  uint64_t *dst = BA_DATA(vdst);
+  intnat i = Int_val(vlo), hi = Int_val(vhi);
+#if defined(NOCAP_X86_64)
+  if (g_simd && have_avx2())
+    for (; i + 4 <= hi; i += 4) hash_nodes_x4(src + 8 * i, dst + 4 * i);
+#endif
+  for (; i < hi; i++) hash_node_c(src + 8 * i, dst + 4 * i);
+  return Val_unit;
+}
+
+CAMLprim value caml_nocap_hash_cols(value vflat, value vcols, value vrows, value vdst,
+                                    value vlo, value vhi)
+{
+  const uint64_t *flat = BA_DATA(vflat);
+  uint64_t *dst = BA_DATA(vdst);
+  intnat cols = Int_val(vcols), rows = Int_val(vrows);
+  intnat j = Int_val(vlo), hi = Int_val(vhi);
+#if defined(NOCAP_X86_64)
+  if (g_simd && have_avx2())
+    for (; j + 4 <= hi; j += 4) hash_cols_x4(flat + j, cols, rows, dst + 4 * j);
+#endif
+  for (; j < hi; j++) hash_col_c(flat + j, cols, rows, dst + 4 * j);
+  return Val_unit;
+}
+
+CAMLprim value caml_nocap_hash_cols_byte(value *argv, int argn)
+{
+  (void)argn;
+  return caml_nocap_hash_cols(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
 }
 
 /* Self-check hook for gl_pow (used by inverse-NTT plan building from C if

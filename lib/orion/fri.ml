@@ -3,6 +3,8 @@ module Merkle = Zk_merkle.Merkle
 module Transcript = Zk_hash.Transcript
 module Ntt_fv = Zk_ntt.Ntt.Gf_fv
 module Fv = Nocap_vec.Fv
+module Pool = Nocap_parallel.Pool
+module Native = Nocap_native.Native
 
 type params = { blowup_log2 : int; num_queries : int }
 
@@ -40,12 +42,28 @@ let[@inline] fold_pair ~coef a b = Gf.add (Gf.mul inv2 (Gf.add a b)) (Gf.mul coe
 
 let fold_at ~x_inv beta a b = fold_pair ~coef:(Gf.mul beta (Gf.mul inv2 x_inv)) a b
 
-let fold_block ~x_inv ~w_inv ~lo ~hi ~dst beta =
-  let coef = ref (Gf.mul beta (Gf.mul inv2 x_inv)) in
+let fold_block_ocaml ~coef ~w_inv ~lo ~hi ~dst =
+  let coef = ref coef in
   for i = 0 to Fv.length dst - 1 do
     Fv.unsafe_set dst i (fold_pair ~coef:!coef (Fv.unsafe_get lo i) (Fv.unsafe_get hi i));
     coef := Gf.mul !coef w_inv
   done
+
+(* Split across the pool: the chunk at [a] starts its running product at
+   [coef0 * w_inv^a], the same field element the serial loop reaches, so
+   the output is the same for every split. One element costs ~6 ns in the
+   AVX2 kernel (~27 ns scalar C) and ~74 ns in the OCaml loop (2^16
+   elements, one domain). *)
+let fold_block ?pool ~x_inv ~w_inv ~lo ~hi ~dst beta =
+  let n = Fv.length dst in
+  if Fv.length lo <> n || Fv.length hi <> n then invalid_arg "Fri.fold_block: lengths";
+  let coef0 = Gf.mul beta (Gf.mul inv2 x_inv) in
+  let native = Native.on () in
+  Pool.run ?pool ~grain:(Pool.grain_of_ns (if native then 6 else 74)) ~n (fun a b ->
+      let coef = Gf.mul coef0 (Gf.pow w_inv (Int64.of_int a)) in
+      let view v = Fv.sub_view v ~pos:a ~len:(b - a) in
+      if native then Native.fri_fold (view dst) (view lo) (view hi) coef w_inv
+      else fold_block_ocaml ~coef ~w_inv ~lo:(view lo) ~hi:(view hi) ~dst:(view dst))
 
 let fold ~shift evals beta =
   let n = Fv.length evals in

@@ -83,6 +83,7 @@ val fold_at : x_inv:Gf.t -> Gf.t -> Gf.t -> Gf.t -> Gf.t
     check, same arithmetic as the prover's. *)
 
 val fold_block :
+  ?pool:Nocap_parallel.Pool.t ->
   x_inv:Gf.t ->
   w_inv:Gf.t ->
   lo:Nocap_vec.Fv.t ->
@@ -93,4 +94,7 @@ val fold_block :
 (** The kernel behind {!fold}, on one block of a layer:
     [dst.(i)] is the fold of [(lo.(i), hi.(i))] at
     [x_i = x_inv^-1 * w_inv^-i]; [dst] may alias [lo]. A streamed caller
-    folding block [\[j, j + len)] passes [x_inv = shift^-1 * w^-j]. *)
+    folding block [\[j, j + len)] passes [x_inv = shift^-1 * w^-j]. Runs
+    the native fold kernel when the native layer is on, split across the
+    pool; the output is the same in every mode and for every split.
+    @raise Invalid_argument unless the three blocks have one length. *)

@@ -8,6 +8,7 @@ module Pool = Nocap_parallel.Pool
 module Codec = Zk_pcs.Codec
 module Fv = Nocap_vec.Fv
 module Spill = Nocap_vec.Spill
+module Sumcheck = Zk_sumcheck.Sumcheck
 
 let name = "fri"
 let tag = '\002'
@@ -205,6 +206,9 @@ let absorb_commitment transcript (cm : commitment) =
 
 let commitment_num_vars (cm : commitment) = cm.num_vars
 
+(* The round polynomial's combiner: A * E. *)
+let product v out = Fv.mul_into ~dst:out v.(0) v.(1)
+
 (* The opening argument is a basefold-style interleaving: the claim
    [v = sum_b f(b) * eq(q, b)] runs through a degree-2 sumcheck over the
    tables [A = f] and [E = eq(q)], and each round's challenge [r_i] also
@@ -300,7 +304,9 @@ let open_at ?engine params committed transcript point =
     Pool.Cancel.check ();
     let half = !len / 2 in
     (* Pass 1: the round polynomial g(t) = sum_b A_t(b) * E_t(b) with the
-       top variable pinned to t, tabulated at t = 0, 1, 2, in b order. *)
+       top variable pinned to t, tabulated at t = 0, 1, 2 on the vector
+       sumcheck kernel, block by block (Goldilocks sums are exact, so the
+       block split does not change g). *)
     let g = Array.make 3 Gf.zero in
     let b = ref 0 in
     while !b < half do
@@ -309,14 +315,11 @@ let open_at ?engine params committed transcript point =
       let ahv = Spill.view !a ~pos:(!b + half) ~len:bl ~buf:ahi in
       let elv = Spill.view !e ~pos:!b ~len:bl ~buf:elo in
       let ehv = Spill.view !e ~pos:(!b + half) ~len:bl ~buf:ehi in
-      for i = 0 to bl - 1 do
-        let a0 = Fv.get alv i and a1 = Fv.get ahv i in
-        let e0 = Fv.get elv i and e1 = Fv.get ehv i in
-        let da = Gf.sub a1 a0 and de = Gf.sub e1 e0 in
-        g.(0) <- Gf.add g.(0) (Gf.mul a0 e0);
-        g.(1) <- Gf.add g.(1) (Gf.mul a1 e1);
-        g.(2) <- Gf.add g.(2) (Gf.mul (Gf.add a1 da) (Gf.add e1 de))
-      done;
+      let part =
+        Sumcheck.round_poly ?pool ~degree:2 ~comb:product ~comb_mults:1 ~lo:[| alv; elv |]
+          ~hi:[| ahv; ehv |] ()
+      in
+      Array.iteri (fun t v -> g.(t) <- Gf.add g.(t) v) part;
       b := !b + bl
     done;
     round_polys.(round) <- g;
@@ -336,11 +339,7 @@ let open_at ?engine params committed transcript point =
       let ehv = Spill.view !e ~pos:(!b + half) ~len:bl ~buf:ehi in
       let aout = Spill.writable a' ~pos:!b ~len:bl ~buf:alo in
       let eout = Spill.writable e' ~pos:!b ~len:bl ~buf:elo in
-      for i = 0 to bl - 1 do
-        let a0 = Fv.get alv i and e0 = Fv.get elv i in
-        Fv.set aout i (Gf.add a0 (Gf.mul r (Gf.sub (Fv.get ahv i) a0)));
-        Fv.set eout i (Gf.add e0 (Gf.mul r (Gf.sub (Fv.get ehv i) e0)))
-      done;
+      Sumcheck.fold ?pool ~dst:[| aout; eout |] ~lo:[| alv; elv |] ~hi:[| ahv; ehv |] r;
       Spill.store a' ~pos:!b aout;
       Spill.store e' ~pos:!b eout;
       b := !b + bl
@@ -363,7 +362,7 @@ let open_at ?engine params committed transcript point =
       let lo = Spill.view cw ~pos:!j ~len:bl ~buf:alo in
       let hi = Spill.view cw ~pos:(!j + cw_half) ~len:bl ~buf:ahi in
       let dst = Spill.writable next ~pos:!j ~len:bl ~buf:alo in
-      Fri.fold_block ~x_inv:(Gf.pow w_inv (Int64.of_int !j)) ~w_inv ~lo ~hi ~dst r;
+      Fri.fold_block ?pool ~x_inv:(Gf.pow w_inv (Int64.of_int !j)) ~w_inv ~lo ~hi ~dst r;
       Spill.store next ~pos:!j dst;
       j := !j + bl
     done;

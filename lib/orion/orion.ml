@@ -167,15 +167,13 @@ let commit_stream ?engine ?budget_bytes params rng ~num_vars ~read =
         Keccak.Col_hash.absorb col_hash enc_buf ~row_stride:code_len ~r_lo:0 ~r_hi:bh
           ~c_lo ~c_hi)
   done;
-  let leaves = Array.make code_len "" in
+  let leaves = Fv.create (4 * code_len) in
   Pool.run ?pool
     ~grain:(Pool.grain_of_ns (max 1 (Keccak.block_ns ())))
     ~n:code_len
     (fun c_lo c_hi ->
       Keccak.Col_hash.finalize col_hash ~total_rows:enc_rows ~c_lo ~c_hi leaves);
-  let builder = Merkle.Builder.create code_len in
-  Merkle.Builder.add builder leaves;
-  let tree = Merkle.Builder.finish builder in
+  let tree = Merkle.build leaves in
   let commitment =
     { root = Merkle.root tree; num_vars; mat_rows = rows; mat_cols = cols }
   in

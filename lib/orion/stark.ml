@@ -2,6 +2,7 @@ module Gf = Zk_field.Gf
 module Ntt = Zk_ntt.Ntt.Gf_ntt
 module Merkle = Zk_merkle.Merkle
 module Transcript = Zk_hash.Transcript
+module Fv = Nocap_vec.Fv
 
 type proof = {
   trace_root : Merkle.digest;
@@ -48,7 +49,8 @@ let trace_lde t =
   evals
 
 let commit_trace lde =
-  Merkle.build (Array.map (fun v -> Merkle.leaf_of_column [| v |]) lde)
+  (* Leaf j hashes the one-element column [lde.(j)]. *)
+  Merkle.build (Merkle.leaves_of_matrix ~rows:1 ~cols:(Array.length lde) (Fv.of_array lde))
 
 (* Composition value at LDE index j, from the three trace values the
    transition touches. *)

@@ -74,7 +74,7 @@ let test_bad_arguments_rejected () =
   Alcotest.(check bool) "mle dimension mismatch" true
     (raises_invalid (fun () -> ignore (Mle.eval (Array.make 4 Gf.zero) [| Gf.one |])));
   Alcotest.(check bool) "merkle empty" true
-    (raises_invalid (fun () -> ignore (Merkle.build [||])));
+    (raises_invalid (fun () -> ignore (Merkle.build (Nocap_vec.Fv.create 0))));
   Alcotest.(check bool) "gadget width 0" true
     (raises_invalid (fun () ->
          let b = Builder.create () in

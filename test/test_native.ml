@@ -372,21 +372,94 @@ let test_hash_entry_points () =
   let d1 = Keccak.sha3_256 (Bytes.of_string "left") in
   let d2 = Keccak.sha3_256 (Bytes.of_string "right") in
   check_legs "hash2" (fun () -> Keccak.hash2 d1 d2);
-  let level = Array.init 16 (fun i -> Keccak.sha3_256 (Bytes.make 5 (Char.chr i))) in
-  check_legs "hash2_pairs" (fun () ->
-      String.concat "" (Array.to_list (Keccak.hash2_pairs level)))
+  (* One flat Merkle level per node count: whole x4 quads, quads plus a
+     scalar tail, and a misaligned source sub-view. Each leg must also
+     agree with hash2 on the string digests. *)
+  let digests = Array.init 27 (fun i -> Keccak.sha3_256 (Bytes.make 5 (Char.chr i))) in
+  let lanes = Fv.create ((4 * 27) + 4) in
+  Array.iteri (fun i d -> Keccak.set_digest lanes (i + 1) d) digests;
+  List.iter
+    (fun nodes ->
+      let src = Fv.sub_view lanes ~pos:4 ~len:(8 * nodes) in
+      let expected =
+        String.concat ""
+          (List.init nodes (fun i -> Keccak.hash2 digests.(2 * i) digests.((2 * i) + 1)))
+      in
+      List.iter
+        (fun l ->
+          let got =
+            l.run (fun () ->
+                let dst = Fv.create (4 * nodes) in
+                Keccak.hash_nodes_into ~src ~dst;
+                String.concat "" (List.init nodes (Keccak.digest_at dst)))
+          in
+          Alcotest.(check string) (Printf.sprintf "hash_nodes_into n=%d [%s]" nodes l.name)
+            expected got)
+        legs)
+    [ 1; 4; 8; 13 ]
 
-let test_hash_matrix_cols () =
+let test_hash_cols_into () =
   let rng = Rng.create 0xC015L in
   List.iter
     (fun (rows, cols) ->
       let flat = Fv.create (rows * cols) in
       random_fill rng flat;
-      check_legs
-        (Printf.sprintf "hash_matrix_cols %dx%d" rows cols)
-        (fun () ->
-          String.concat "" (Array.to_list (Keccak.hash_matrix_cols ~rows ~cols flat))))
-    [ (5, 3); (17, 4); (40, 13) ]
+      let expected =
+        String.concat ""
+          (List.init cols (fun j ->
+               off.run (fun () ->
+                   Keccak.hash_gf (Array.init rows (fun r -> Fv.get flat ((r * cols) + j))))))
+      in
+      List.iter
+        (fun l ->
+          let got =
+            l.run (fun () ->
+                let dst = Fv.create (4 * cols) in
+                Keccak.hash_cols_into ~rows ~cols flat ~dst;
+                String.concat "" (List.init cols (Keccak.digest_at dst)))
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "hash_cols_into %dx%d [%s]" rows cols l.name)
+            expected got)
+        legs)
+    [ (5, 3); (17, 4); (40, 13); (2, 9); (0, 5); (34, 8) ]
+
+(* The FRI codeword fold in every leg, split across 1 and 3 domains (the
+   length puts several pool chunks in each leg), in place and out of place,
+   against the per-element verifier formula [Fri.fold_at]. *)
+let test_fri_fold_block () =
+  let rng = Rng.create 0xF01DL in
+  let n = 40_003 in
+  let lo = Fv.create n and hi = Fv.create n in
+  random_fill rng lo;
+  random_fill rng hi;
+  let beta = Gf.random rng and x_inv = Gf.random rng and w_inv = Gf.random rng in
+  let expected = Fv.create n in
+  let x = ref x_inv in
+  for i = 0 to n - 1 do
+    Fv.set expected i (Zk_orion.Fri.fold_at ~x_inv:!x beta (Fv.get lo i) (Fv.get hi i));
+    x := Gf.mul !x w_inv
+  done;
+  List.iter
+    (fun d ->
+      List.iter
+        (fun l ->
+          List.iter
+            (fun in_place ->
+              let got =
+                l.run (fun () ->
+                    Pool.with_domains d (fun () ->
+                        let dst = if in_place then Fv.copy lo else Fv.create n in
+                        let lo = if in_place then dst else lo in
+                        Zk_orion.Fri.fold_block ~x_inv ~w_inv ~lo ~hi ~dst beta;
+                        dst))
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "fold_block domains=%d in_place=%b [%s]" d in_place l.name)
+                true (Fv.equal expected got))
+            [ false; true ])
+        legs)
+    [ 1; 3 ]
 
 (* In-place permutation at arbitrary (including unaligned) lane offsets in a
    larger state bank: result and every untouched neighbour checked against a
@@ -458,7 +531,7 @@ let test_f1600_zero_kat () =
 
 (* Column sponges driven through irregular absorb chunks (splitting rows at
    non-multiples of the 17-lane rate and columns mid-range) over a
-   misaligned sub-view, against the one-shot hash_matrix_cols oracle. *)
+   misaligned sub-view, against the one-shot hash_cols_into. *)
 let test_col_hash_torture () =
   let rng = Rng.create 0xC01L in
   let rows = 40 and cols = 13 in
@@ -466,7 +539,10 @@ let test_col_hash_torture () =
   random_fill rng big;
   let flat = Fv.sub_view big ~pos:5 ~len:(rows * cols) in
   let expected =
-    off.run (fun () -> Keccak.hash_matrix_cols ~rows ~cols flat)
+    off.run (fun () ->
+        let dst = Fv.create (4 * cols) in
+        Keccak.hash_cols_into ~rows ~cols flat ~dst;
+        Array.init cols (Keccak.digest_at dst))
   in
   let splits = [ 0; 1; 4; 16; 17; 18; 34; rows ] in
   List.iter
@@ -484,9 +560,9 @@ let test_col_hash_torture () =
               | _ -> ()
             in
             go splits;
-            let out = Array.make cols "" in
+            let out = Fv.create (4 * cols) in
             Keccak.Col_hash.finalize t ~total_rows:rows ~c_lo:0 ~c_hi:cols out;
-            out)
+            Array.init cols (Keccak.digest_at out))
       in
       Array.iteri
         (fun j d ->
@@ -544,8 +620,9 @@ let suite =
     Alcotest.test_case "sha3 lengths 0..300 across modes + FIPS" `Quick test_sha3_all_lengths;
     Alcotest.test_case "sha3_x4 vs 4x sha3" `Quick test_sha3_x4;
     Alcotest.test_case "sha3_256_batch mixed/tail" `Quick test_sha3_batch;
-    Alcotest.test_case "hash_gf/hash_fv/hash2/pairs across modes" `Quick test_hash_entry_points;
-    Alcotest.test_case "hash_matrix_cols across modes" `Quick test_hash_matrix_cols;
+    Alcotest.test_case "hash_gf/hash_fv/hash2/nodes across modes" `Quick test_hash_entry_points;
+    Alcotest.test_case "hash_cols_into across modes" `Quick test_hash_cols_into;
+    Alcotest.test_case "FRI fold_block across modes and splits" `Quick test_fri_fold_block;
     Alcotest.test_case "f1600_off offset torture" `Quick test_f1600_off_torture;
     QCheck_alcotest.to_alcotest prop_f1600_vs_ocaml;
     Alcotest.test_case "f1600 zero-state KAT" `Quick test_f1600_zero_kat;

@@ -228,8 +228,8 @@ let qcheck_merkle =
       let leaves =
         Array.init n (fun _ -> Keccak.sha3_256_string (Int64.to_string (Rng.next rng)))
       in
-      let serial = Merkle.root (Merkle.build_serial leaves) in
-      with_each_domain_count (fun _ -> Merkle.root (Merkle.build leaves))
+      let serial = Merkle_oracle.root (Merkle_oracle.build leaves) in
+      with_each_domain_count (fun _ -> Merkle.root (Merkle.build (Merkle.of_digests leaves)))
       |> List.for_all (String.equal serial))
 
 let qcheck_ntt_rows =

@@ -258,14 +258,14 @@ let test_merkle_builder () =
       let leaves =
         Array.init n (fun _ -> Merkle.leaf_of_column (random_gf_array rng 2))
       in
-      let reference = Merkle.build leaves in
+      let reference = Merkle.build (Merkle.of_digests leaves) in
       (* push in ragged chunks *)
       let b = Merkle.Builder.create n in
       let pos = ref 0 in
       let step = ref 1 in
       while !pos < n do
         let len = min !step (n - !pos) in
-        Merkle.Builder.add b (Array.sub leaves !pos len);
+        Merkle.Builder.add b (Merkle.of_digests (Array.sub leaves !pos len));
         pos := !pos + len;
         step := 1 + ((!step * 3) mod 7)
       done;
@@ -283,12 +283,12 @@ let test_merkle_builder () =
    batched subtree path) with ragged, unaligned chunks, over leaf totals
    that are mostly not powers of two. *)
 let prop_merkle_builder_chunks =
-  qcheck ~count:100 "merkle builder: mixed chunks = build_serial"
+  qcheck ~count:100 "merkle builder: mixed chunks = string-tree oracle"
     QCheck.(pair (int_range 1 300) small_int)
     (fun (n, seed) ->
       let rng = Rng.create (Int64.of_int (succ seed)) in
       let leaves = Array.init n (fun _ -> Merkle.leaf_of_column (random_gf_array rng 1)) in
-      let reference = Merkle.build_serial leaves in
+      let reference = Merkle_oracle.build leaves in
       let b = Merkle.Builder.create n in
       let pos = ref 0 in
       while !pos < n do
@@ -304,13 +304,13 @@ let prop_merkle_builder_chunks =
           end
           else min rest (1 + Rng.int rng 13)
         in
-        Merkle.Builder.add b (Array.sub leaves !pos len);
+        Merkle.Builder.add b (Merkle.of_digests (Array.sub leaves !pos len));
         pos := !pos + len
       done;
       let tree = Merkle.Builder.finish b in
-      String.equal (Merkle.root reference) (Merkle.root tree)
+      String.equal (Merkle_oracle.root reference) (Merkle.root tree)
       && List.for_all
-           (fun i -> Merkle.path reference i = Merkle.path tree i)
+           (fun i -> Merkle_oracle.path reference i = Merkle.path tree i)
            (List.init n Fun.id))
 
 (* --- streaming sumcheck ------------------------------------------------- *)
