@@ -1,4 +1,6 @@
 module Gf = Zk_field.Gf
+module Fv = Nocap_vec.Fv
+module Keccak = Zk_hash.Keccak
 module Rng = Zk_util.Rng
 module R1cs = Zk_r1cs.R1cs
 module Synthetic = Zk_workloads.Synthetic
@@ -13,6 +15,14 @@ module Spartan_fri = Zk_spartan.Spartan.Make (Zk_orion.Fri_pcs)
 let statement_seed = 7L
 let prover_seed = 11L
 let n_constraints = 200
+
+(* Where run [k] starts in a buffer of concatenated runs of these lengths. *)
+let column_start lens k =
+  let pos = ref 0 in
+  for i = 0 to k - 1 do
+    pos := !pos + lens.(i)
+  done;
+  !pos
 
 let nudge rng x = Gf.add x (Gf.of_int (1 + Rng.int rng 1000))
 
@@ -152,68 +162,62 @@ let orion () =
         );
         ( "edit_u",
           with_open (fun rng wo ->
-              if Array.length wo.O.u = 0 then None
+              if Fv.length wo.O.u = 0 then None
               else begin
-                let u = Array.copy wo.O.u in
-                let i = Rng.int rng (Array.length u) in
-                u.(i) <- nudge rng u.(i);
-                Some { wo with O.u = u }
+                let u = Fv.copy wo.O.u in
+                let i = Rng.int rng (Fv.length u) in
+                Fv.set u i (nudge rng (Fv.get u i));
+                Some { wo with O.u }
               end) );
         ( "edit_proximity",
           with_open (fun rng wo ->
               if Array.length wo.O.proximity = 0 then None
               else begin
-                let prox = Array.map Array.copy wo.O.proximity in
+                let prox = Array.map Fv.copy wo.O.proximity in
                 let i = Rng.int rng (Array.length prox) in
-                if Array.length prox.(i) = 0 then None
+                if Fv.length prox.(i) = 0 then None
                 else begin
-                  let j = Rng.int rng (Array.length prox.(i)) in
-                  prox.(i).(j) <- nudge rng prox.(i).(j);
+                  let j = Rng.int rng (Fv.length prox.(i)) in
+                  Fv.set prox.(i) j (nudge rng (Fv.get prox.(i) j));
                   Some { wo with O.proximity = prox }
                 end
               end) );
         ( "tamper_column_index",
           with_open (fun rng wo ->
-              if Array.length wo.O.columns = 0 then None
+              if O.num_openings wo = 0 then None
               else begin
-                let cols = Array.copy wo.O.columns in
-                let k = Rng.int rng (Array.length cols) in
-                let j, col, path = cols.(k) in
-                cols.(k) <- (j + 1, col, path);
-                Some { wo with O.columns = cols }
+                let col_index = Array.copy wo.O.col_index in
+                let k = Rng.int rng (Array.length col_index) in
+                col_index.(k) <- col_index.(k) + 1;
+                Some { wo with O.col_index }
               end) );
         ( "edit_column_value",
           with_open (fun rng wo ->
-              if Array.length wo.O.columns = 0 then None
+              if O.num_openings wo = 0 then None
               else begin
-                let cols = Array.copy wo.O.columns in
-                let k = Rng.int rng (Array.length cols) in
-                let j, col, path = cols.(k) in
-                if Array.length col = 0 then None
+                let k = Rng.int rng (O.num_openings wo) in
+                let h = wo.O.col_height.(k) in
+                if h = 0 then None
                 else begin
-                  let col = Array.copy col in
-                  let i = Rng.int rng (Array.length col) in
-                  col.(i) <- nudge rng col.(i);
-                  cols.(k) <- (j, col, path);
-                  Some { wo with O.columns = cols }
+                  let col_values = Fv.copy wo.O.col_values in
+                  let i = column_start wo.O.col_height k + Rng.int rng h in
+                  Fv.set col_values i (nudge rng (Fv.get col_values i));
+                  Some { wo with O.col_values }
                 end
               end) );
         ( "tamper_column_path",
           with_open (fun rng wo ->
-              if Array.length wo.O.columns = 0 then None
+              if O.num_openings wo = 0 then None
               else begin
-                let cols = Array.copy wo.O.columns in
-                let k = Rng.int rng (Array.length cols) in
-                let j, col, path = cols.(k) in
-                match path with
-                | [] -> None
-                | _ ->
-                  let which = Rng.int rng (List.length path) in
-                  let path =
-                    List.mapi (fun i d -> if i = which then tamper_digest rng d else d) path
-                  in
-                  cols.(k) <- (j, col, path);
-                  Some { wo with O.columns = cols }
+                let k = Rng.int rng (O.num_openings wo) in
+                let l = wo.O.path_len.(k) in
+                if l = 0 then None
+                else begin
+                  let paths = Fv.copy wo.O.paths in
+                  let d = column_start wo.O.path_len k + Rng.int rng l in
+                  Keccak.set_digest paths d (tamper_digest rng (Keccak.digest_at paths d));
+                  Some { wo with O.paths }
+                end
               end) );
       ])
 

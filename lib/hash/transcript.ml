@@ -22,6 +22,14 @@ let absorb_gf t label elems =
   done;
   absorb_bytes t label buf
 
+let absorb_fv t label v =
+  let n = Nocap_vec.Fv.length v in
+  let buf = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le buf (8 * i) (Nocap_vec.Fv.unsafe_get v i)
+  done;
+  absorb_bytes t label buf
+
 let absorb_digest t label d = absorb_bytes t label (Bytes.of_string d)
 
 let absorb_int t label n = absorb_bytes t label (Bytes.of_string (string_of_int n))

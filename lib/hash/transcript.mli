@@ -17,6 +17,9 @@ val absorb_bytes : t -> string -> bytes -> unit
 val absorb_gf : t -> string -> Zk_field.Gf.t array -> unit
 (** Absorb a vector of field elements. *)
 
+val absorb_fv : t -> string -> Nocap_vec.Fv.t -> unit
+(** {!absorb_gf} of a flat vector: the same bytes, the same state. *)
+
 val absorb_digest : t -> string -> Keccak.digest -> unit
 
 val absorb_int : t -> string -> int -> unit

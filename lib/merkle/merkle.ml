@@ -136,6 +136,16 @@ let path t i =
   if i < 0 || 4 * i >= Fv.length t.levels.(0) then invalid_arg "Merkle.path: index";
   List.init (depth t) (fun k -> Keccak.digest_at t.levels.(k) ((i lsr k) lxor 1))
 
+let path_into t i dst ~pos =
+  if i < 0 || 4 * i >= Fv.length t.levels.(0) then invalid_arg "Merkle.path_into: index";
+  if pos < 0 || pos + (4 * depth t) > Fv.length dst then invalid_arg "Merkle.path_into: dst";
+  for k = 0 to depth t - 1 do
+    let sib = 4 * ((i lsr k) lxor 1) in
+    for l = 0 to 3 do
+      Fv.unsafe_set dst (pos + (4 * k) + l) (Fv.unsafe_get t.levels.(k) (sib + l))
+    done
+  done
+
 (* A path longer than this cannot belong to any addressable tree (leaf
    counts are OCaml ints); it only ever appears in hostile input, so bound
    the walk before hashing anything. *)
@@ -158,6 +168,37 @@ let check_path ~root ~index ~leaf ~path =
     in
     go index leaf path
   end
+
+(* Level by level over every path at once: each level packs the (node,
+   sibling) pairs, ordered by the index bit, into one 8-lane-per-pair buffer
+   and hashes them as a batch, so with AVX2 four paths share a permutation.
+   Each step is [hash2] of the same two digests [check_path] would hash. *)
+let check_paths ~root ~depth ~index ~leaves ~paths ~path_pos =
+  let n = Array.length index in
+  if String.length root <> 32 || depth < 0
+     || Fv.length leaves <> 4 * n
+     || Array.length path_pos <> n
+     || Array.exists (fun p -> p < 0 || p + (4 * depth) > Fv.length paths) path_pos
+  then invalid_arg "Merkle.check_paths";
+  let cur = Fv.copy leaves in
+  let pairs = Fv.create (8 * n) in
+  for k = 0 to depth - 1 do
+    for i = 0 to n - 1 do
+      let node, sib = if (index.(i) lsr k) land 1 = 0 then (0, 4) else (4, 0) in
+      let s = path_pos.(i) + (4 * k) in
+      for l = 0 to 3 do
+        Fv.unsafe_set pairs ((8 * i) + node + l) (Fv.unsafe_get cur ((4 * i) + l));
+        Fv.unsafe_set pairs ((8 * i) + sib + l) (Fv.unsafe_get paths (s + l))
+      done
+    done;
+    if n > 0 then Keccak.hash_nodes_into ~src:pairs ~dst:cur
+  done;
+  let root_lane l = String.get_int64_le root (8 * l) in
+  Array.init n (fun i ->
+      let rec eq l =
+        l = 4 || (Int64.equal (Fv.get cur ((4 * i) + l)) (root_lane l) && eq (l + 1))
+      in
+      eq 0)
 
 let verify ~root ~index ~leaf ~path =
   Result.is_ok (check_path ~root ~index ~leaf ~path)

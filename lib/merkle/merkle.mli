@@ -75,6 +75,12 @@ val depth : tree -> int
 val path : tree -> int -> digest list
 (** Authentication path for leaf [i], bottom-up (sibling at each level). *)
 
+val path_into : tree -> int -> Nocap_vec.Fv.t -> pos:int -> unit
+(** [path_into t i dst ~pos] writes {!path}[ t i] as flat lanes (4 per
+    digest, bottom-up) into [dst] at lane [pos]: copied straight from the
+    tree's levels, no digest string.
+    @raise Invalid_argument on a bad index or a too-short [dst]. *)
+
 val verify : root:digest -> index:int -> leaf:digest -> path:digest list -> bool
 (** Check a leaf against a root. Total on arbitrary input. *)
 
@@ -89,6 +95,24 @@ val check_path :
     wrong-length digests are rejected, never raised on. This layer reports
     plain strings so it stays independent of the PCS error taxonomy;
     callers wrap the reason in [Verify_error.Merkle_mismatch]. *)
+
+val check_paths :
+  root:digest ->
+  depth:int ->
+  index:int array ->
+  leaves:Nocap_vec.Fv.t ->
+  paths:Nocap_vec.Fv.t ->
+  path_pos:int array ->
+  bool array
+(** Batched {!verify} of [n = Array.length index] paths that all have
+    [depth] digests: leaf [i] is digest [i] of [leaves] (4 lanes each) and
+    its path the [depth] digests at lanes [\[path_pos.(i), path_pos.(i) +
+    4 * depth)] of [paths]. Element [i] of the result is whether leaf [i]
+    hashes up to [root] at [index.(i)], the answer {!verify} gives on the
+    same path. The walk goes level by level, one {!Zk_hash.Keccak.hash_nodes_into}
+    batch per level.
+    @raise Invalid_argument on mismatched shapes or a root that is not 32
+    bytes. *)
 
 val path_length : int -> int
 (** [path_length n] is the authentication-path length for [n] leaves

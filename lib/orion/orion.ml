@@ -66,10 +66,37 @@ type committed = {
 }
 
 type eval_proof = {
-  u : Gf.t array;
-  proximity : Gf.t array array;
-  columns : (int * Gf.t array * Merkle.digest list) array;
+  u : Fv.t;
+  proximity : Fv.t array;
+  col_index : int array;
+  col_height : int array;
+  col_values : Fv.t;
+  path_len : int array;
+  paths : Fv.t;
 }
+
+let num_openings p = Array.length p.col_index
+
+(* Start of each opening's run in a buffer of concatenated runs. *)
+let offsets lens =
+  let pos = Array.make (Array.length lens) 0 in
+  for k = 1 to Array.length lens - 1 do
+    pos.(k) <- pos.(k - 1) + lens.(k - 1)
+  done;
+  pos
+
+let sum = Array.fold_left ( + ) 0
+
+(* The per-opening arrays agree with each other and with the buffers. The
+   decoder only ever builds such records; a hand-built one may not. *)
+let well_formed p =
+  let nq = num_openings p in
+  Array.length p.col_height = nq
+  && Array.length p.path_len = nq
+  && Array.for_all (fun h -> h >= 0) p.col_height
+  && Array.for_all (fun l -> l >= 0) p.path_len
+  && sum p.col_height = Fv.length p.col_values
+  && 4 * sum p.path_len = Fv.length p.paths
 
 let log2_exact n =
   if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Orion: size must be a power of two";
@@ -206,18 +233,16 @@ let code_length params (cm : commitment) =
   let module Code = (val params.code : Zk_ecc.Linear_code.S) in
   Code.blowup * cm.mat_cols
 
-(* coeffs^T over the DATA rows, one row block at a time, as an axpy per
-   row over each column chunk. Column chunks are independent, and within a
-   column the accumulation order over rows is the serial one, so the
-   combination is byte-identical for every domain count and block size.
-   The accumulator is a flat vector; only the final result is
-   materialized as a boxed array for the (public) proof record. *)
 (* Staging for one row block read back from a spill file; RAM-backed rows
    are read in place. *)
 let row_staging committed =
   let spilled = Spill.is_spilled committed.all_rows in
   Fv.create (if spilled then committed.row_block * committed.c_commitment.mat_cols else 0)
 
+(* coeffs^T over the DATA rows, one row block at a time, as an axpy per
+   row over each column chunk. Column chunks are independent, and within a
+   column the accumulation order over rows is the serial one, so the
+   combination is byte-identical for every domain count and block size. *)
 let row_combination ?pool committed coeffs =
   let cols = committed.c_commitment.mat_cols in
   let nrows = Array.length coeffs in
@@ -239,12 +264,14 @@ let row_combination ?pool committed coeffs =
         done);
     r := r0 + bh
   done;
-  Fv.to_array out
+  out
 
 (* Column openings: one more re-encode pass over the stored rows,
    gathering only the queried codeword positions — the encoded matrix is
-   never materialized. The encoder is deterministic, so the gathered
-   values are the committed codeword's. *)
+   never materialized — straight into the proof's flat column buffer
+   (opening q at [q * enc_rows]). The encoder is deterministic, so the
+   gathered values are the committed codeword's. Paths are copied as lanes
+   from the tree's flat levels. *)
 let gather_columns ?pool committed indices =
   let module Code = (val committed.c_params.code : Zk_ecc.Linear_code.S) in
   let cols = committed.c_commitment.mat_cols in
@@ -252,7 +279,7 @@ let gather_columns ?pool committed indices =
   let row_block = committed.row_block in
   let nq = Array.length indices in
   let enc_rows = committed.enc_rows in
-  let col_vals = Array.init nq (fun _ -> Array.make enc_rows Gf.zero) in
+  let col_values = Fv.create (nq * enc_rows) in
   let src_buf = row_staging committed in
   let enc_buf = Fv.create (min row_block enc_rows * code_len) in
   let row_ns = Code.row_encode_ns ~cols in
@@ -271,14 +298,25 @@ let gather_columns ?pool committed indices =
         done);
     for q = 0 to nq - 1 do
       let j = indices.(q) in
-      let dst = col_vals.(q) in
+      let dst = (q * enc_rows) + !r_lo in
       for r = 0 to bh - 1 do
-        dst.(!r_lo + r) <- Fv.get enc_buf ((r * code_len) + j)
+        Fv.set col_values (dst + r) (Fv.get enc_buf ((r * code_len) + j))
       done
     done;
     r_lo := !r_lo + bh
   done;
-  Array.init nq (fun q -> (indices.(q), col_vals.(q), Merkle.path committed.tree indices.(q)))
+  let depth = Merkle.depth committed.tree in
+  let paths = Fv.create (4 * nq * depth) in
+  Array.iteri (fun q j -> Merkle.path_into committed.tree j paths ~pos:(4 * q * depth)) indices;
+  (col_values, paths, depth)
+
+(* [sum_j a_j * b_j] over two flat vectors of the same length. *)
+let dot (a : Fv.t) (b : Fv.t) =
+  let acc = ref Gf.zero in
+  for j = 0 to Fv.length a - 1 do
+    acc := Gf.add !acc (Gf.mul (Fv.get a j) (Fv.get b j))
+  done;
+  !acc
 
 let prove_eval ?engine params committed transcript point =
   let pool = Option.bind engine Zk_pcs.Engine.pool in
@@ -293,31 +331,32 @@ let prove_eval ?engine params committed transcript point =
     Array.init params.proximity_count (fun i ->
         let rho = Transcript.challenge_gf_vec transcript "orion/rho" cm.mat_rows in
         let v = row_combination ?pool committed rho in
-        let v =
-          if params.zk then
-            Array.mapi (fun j x -> Gf.add x (Fv.get committed.masks ((i * cols) + j))) v
-          else v
-        in
-        Transcript.absorb_gf transcript "orion/proximity" v;
+        if params.zk then
+          Fv.add_into ~dst:v v (Fv.sub_view committed.masks ~pos:(i * cols) ~len:cols);
+        Transcript.absorb_fv transcript "orion/proximity" v;
         v)
   in
   (* Consistency: the eq(q_row) combination, whose inner product with
      eq(q_col) is the evaluation. *)
-  let eq_row = Mle.eq_table q_row in
-  let u = row_combination ?pool committed eq_row in
-  Transcript.absorb_gf transcript "orion/u" u;
+  let u = row_combination ?pool committed (Mle.eq_table q_row) in
+  Transcript.absorb_fv transcript "orion/u" u;
   (* Column queries over the codeword domain. *)
   let bound = code_length params cm in
   let indices =
     Transcript.challenge_indices transcript "orion/columns" ~bound ~count:Code.query_count
   in
-  let columns = gather_columns ?pool committed indices in
-  let eq_col = Mle.eq_table q_col in
-  let value = ref Gf.zero in
-  for j = 0 to cols - 1 do
-    value := Gf.add !value (Gf.mul u.(j) eq_col.(j))
-  done;
-  (!value, { u; proximity; columns })
+  let col_values, paths, depth = gather_columns ?pool committed indices in
+  let nq = Array.length indices in
+  ( dot u (Mle.eq_fv q_col),
+    {
+      u;
+      proximity;
+      col_index = indices;
+      col_height = Array.make nq committed.enc_rows;
+      col_values;
+      path_len = Array.make nq depth;
+      paths;
+    } )
 
 module E = Zk_pcs.Verify_error
 
@@ -354,6 +393,118 @@ let validate_commitment params (cm : commitment) =
     else Ok ()
   end
 
+(* The positions in [0, n) that satisfy [p], in order. *)
+let select n p = Array.of_list (List.filter p (List.init n Fun.id))
+
+(* What decides one opened column, in the order the checks run. *)
+type column_verdict =
+  | Col_ok
+  | Bad_index
+  | Bad_height
+  | Bad_path of string
+  | Bad_u
+  | Bad_proximity of int
+
+let column_error k = function
+  | Col_ok -> Ok ()
+  | Bad_index -> E.errorf E.Consistency "column %d: index mismatch" k
+  | Bad_height -> E.errorf E.Shape "column %d: wrong height" k
+  | Bad_path reason -> E.errorf E.Merkle_mismatch "column %d: %s" k reason
+  | Bad_u -> E.errorf E.Consistency "column %d: u consistency failed" k
+  | Bad_proximity i -> E.errorf E.Consistency "column %d: proximity %d failed" k i
+
+(* Every column of an opening in one batch, in stages: shapes, a transpose
+   of the well-shaped columns into one [rows x nw] matrix, all leaves
+   ({!Keccak.hash_cols_into}), all full-depth paths level by level
+   ({!Merkle.check_paths}), then the combinations as one axpy per data row.
+   [coeffs.(c)] are combination [c]'s row coefficients and [encoded.(c)]
+   its encoded claim: eq(q_row) against u first, then each rho_i against
+   proximity row i, shifted by mask row i when [zk]. A path of another
+   length gets the scalar {!Merkle.check_path} and its reason. The verdict
+   is the first failing column in opening order, with its first failing
+   check. *)
+let check_columns ~root ~indices ~rows ~data_rows ~zk ~coeffs ~encoded proof =
+  let nq = Array.length indices in
+  let col_pos = offsets proof.col_height and path_pos = offsets proof.path_len in
+  let verdict =
+    Array.init nq (fun k ->
+        if proof.col_index.(k) <> indices.(k) then Bad_index
+        else if proof.col_height.(k) <> rows then Bad_height
+        else Col_ok)
+  in
+  let shaped = select nq (fun k -> verdict.(k) = Col_ok) in
+  let nw = Array.length shaped in
+  let mat = Fv.create (rows * nw) in
+  Array.iteri
+    (fun w k ->
+      for r = 0 to rows - 1 do
+        Fv.unsafe_set mat ((r * nw) + w) (Fv.unsafe_get proof.col_values (col_pos.(k) + r))
+      done)
+    shaped;
+  let leaves = Fv.create (4 * nw) in
+  if nw > 0 then Keccak.hash_cols_into ~rows ~cols:nw mat ~dst:leaves;
+  (* Merkle: code lengths are powers of two, so the tree is unpadded and
+     every honest path is [depth] long. *)
+  let depth = Merkle.path_length (Fv.length encoded.(0)) in
+  let full = select nw (fun w -> proof.path_len.(shaped.(w)) = depth) in
+  let full_leaves = Fv.create (4 * Array.length full) in
+  Array.iteri
+    (fun b w -> Fv.blit ~src:leaves ~src_pos:(4 * w) ~dst:full_leaves ~dst_pos:(4 * b) ~len:4)
+    full;
+  let on_root =
+    Merkle.check_paths ~root ~depth
+      ~index:(Array.map (fun w -> indices.(shaped.(w))) full)
+      ~leaves:full_leaves ~paths:proof.paths
+      ~path_pos:(Array.map (fun w -> 4 * path_pos.(shaped.(w))) full)
+  in
+  Array.iteri
+    (fun b w -> if not on_root.(b) then verdict.(shaped.(w)) <- Bad_path "root mismatch")
+    full;
+  Array.iteri
+    (fun w k ->
+      let len = proof.path_len.(k) in
+      if len <> depth then begin
+        let path = List.init len (fun d -> Keccak.digest_at proof.paths (path_pos.(k) + d)) in
+        match
+          Merkle.check_path ~root ~index:indices.(k) ~leaf:(Keccak.digest_at leaves w) ~path
+        with
+        | Ok () -> ()
+        | Error reason -> verdict.(k) <- Bad_path reason
+      end)
+    shaped;
+  (* acc.(c) = coeffs.(c)^T (data rows of mat), plus mask row c - 1 for a
+     proximity combination under zk. *)
+  let ncomb = Array.length coeffs in
+  let acc = Array.init ncomb (fun _ -> Fv.create nw) in
+  Array.iter Fv.zero acc;
+  for r = 0 to data_rows - 1 do
+    let row = Fv.sub_view mat ~pos:(r * nw) ~len:nw in
+    Array.iteri (fun c dst -> Fv.axpy_into ~dst coeffs.(c).(r) row) acc
+  done;
+  if zk then
+    for c = 1 to ncomb - 1 do
+      Fv.add_into ~dst:acc.(c) acc.(c) (Fv.sub_view mat ~pos:((data_rows + c - 1) * nw) ~len:nw)
+    done;
+  Array.iteri
+    (fun w k ->
+      if verdict.(k) = Col_ok then begin
+        let j = indices.(k) in
+        let rec first c =
+          if c = ncomb then Col_ok
+          else if Gf.equal (Fv.get acc.(c) w) (Fv.get encoded.(c) j) then first (c + 1)
+          else if c = 0 then Bad_u
+          else Bad_proximity (c - 1)
+        in
+        verdict.(k) <- first 0
+      end)
+    shaped;
+  let rec scan k =
+    if k = nq then Ok ()
+    else if verdict.(k) = Col_ok then scan (k + 1)
+    else column_error k verdict.(k)
+  in
+  scan 0
+
 let verify_eval ?engine params (cm : commitment) transcript point value proof =
   ignore (engine : Zk_pcs.Engine.t option);
   let module Code = (val params.code : Zk_ecc.Linear_code.S) in
@@ -370,102 +521,54 @@ let verify_eval ?engine params (cm : commitment) transcript point value proof =
   let* rhos =
     if Array.length proof.proximity <> params.proximity_count then
       E.error E.Shape "wrong number of proximity vectors"
-    else if Array.exists (fun v -> Array.length v <> cols) proof.proximity then
+    else if Array.exists (fun v -> Fv.length v <> cols) proof.proximity then
       E.error E.Shape "proximity vector has wrong length"
     else
       Ok
         (Array.map
            (fun v ->
              let rho = Transcript.challenge_gf_vec transcript "orion/rho" cm.mat_rows in
-             Transcript.absorb_gf transcript "orion/proximity" v;
+             Transcript.absorb_fv transcript "orion/proximity" v;
              rho)
            proof.proximity)
   in
   let* () =
-    if Array.length proof.u = cols then Ok () else E.error E.Shape "u has wrong length"
+    if Fv.length proof.u = cols then Ok () else E.error E.Shape "u has wrong length"
   in
-  Transcript.absorb_gf transcript "orion/u" proof.u;
+  Transcript.absorb_fv transcript "orion/u" proof.u;
   let bound = code_length params cm in
   let indices =
     Transcript.challenge_indices transcript "orion/columns" ~bound ~count:Code.query_count
   in
   let* () =
-    if Array.length proof.columns = Code.query_count then Ok ()
-    else E.error E.Shape "wrong number of column openings"
+    if num_openings proof <> Code.query_count then
+      E.error E.Shape "wrong number of column openings"
+    else if not (well_formed proof) then
+      E.error E.Shape "column openings do not match their buffers"
+    else Ok ()
   in
   (* The verifier encodes the claimed combinations itself (O(cols log cols)). *)
-  let encoded_u = Code.encode proof.u in
-  let encoded_prox = Array.map Code.encode proof.proximity in
-  let eq_row = Mle.eq_table q_row in
-  let expected_rows = cm.mat_rows + if params.zk then params.proximity_count else 0 in
-  let check_column k =
-    let j, col, path = proof.columns.(k) in
-    if j <> indices.(k) then E.errorf E.Consistency "column %d: index mismatch" k
-    else if Array.length col <> expected_rows then
-      E.errorf E.Shape "column %d: wrong height" k
-    else begin
-      match
-        Merkle.check_path ~root:cm.root ~index:j ~leaf:(Merkle.leaf_of_column col) ~path
-      with
-      | Error reason -> E.errorf E.Merkle_mismatch "column %d: %s" k reason
-      | Ok () ->
-        (* Consistency of u with the committed data rows at this column. *)
-        (* A plain loop: the accumulator stays an unboxed local (a closure
-           capturing it would box every partial sum). *)
-        let dot coeffs =
-          let acc = ref Gf.zero in
-          for r = 0 to Array.length coeffs - 1 do
-            acc := Gf.add !acc (Gf.mul coeffs.(r) col.(r))
-          done;
-          !acc
-        in
-        if not (Gf.equal encoded_u.(j) (dot eq_row)) then
-          E.errorf E.Consistency "column %d: u consistency failed" k
-        else begin
-          (* Proximity combinations, each shifted by its mask row. *)
-          let rec prox i =
-            if i >= params.proximity_count then Ok ()
-            else begin
-              let expected = dot rhos.(i) in
-              let expected =
-                if params.zk then Gf.add expected col.(cm.mat_rows + i) else expected
-              in
-              if Gf.equal encoded_prox.(i).(j) expected then prox (i + 1)
-              else E.errorf E.Consistency "column %d: proximity %d failed" k i
-            end
-          in
-          prox 0
-        end
-    end
+  let encode v =
+    let dst = Fv.create bound in
+    Code.encode_row_into ~src:v ~dst;
+    dst
   in
-  let rec all k =
-    if k >= Array.length proof.columns then Ok ()
-    else
-      let* () = check_column k in
-      all (k + 1)
+  let* () =
+    check_columns ~root:cm.root ~indices
+      ~rows:(cm.mat_rows + if params.zk then params.proximity_count else 0)
+      ~data_rows:cm.mat_rows ~zk:params.zk
+      ~coeffs:(Array.append [| Mle.eq_table q_row |] rhos)
+      ~encoded:(Array.map encode (Array.append [| proof.u |] proof.proximity))
+      proof
   in
-  let* () = all 0 in
   (* Finally the claimed evaluation. *)
-  let eq_col = Mle.eq_table q_col in
-  let v = ref Gf.zero in
-  for j = 0 to cols - 1 do
-    v := Gf.add !v (Gf.mul proof.u.(j) eq_col.(j))
-  done;
-  if Gf.equal !v value then Ok () else E.error E.Consistency "evaluation mismatch"
+  if Gf.equal (dot proof.u (Mle.eq_fv q_col)) value then Ok ()
+  else E.error E.Consistency "evaluation mismatch"
 
-let proof_size_bytes params (cm : commitment) proof =
-  let field_bytes = 8 and digest_bytes = 32 and index_bytes = 8 in
-  let u_bytes = field_bytes * Array.length proof.u in
-  let prox_bytes =
-    Array.fold_left (fun acc v -> acc + (field_bytes * Array.length v)) 0 proof.proximity
-  in
-  let col_bytes =
-    Array.fold_left
-      (fun acc (_, col, path) ->
-        acc + index_bytes + (field_bytes * Array.length col)
-        + (digest_bytes * List.length path))
-      0 proof.columns
-  in
-  ignore params;
-  ignore cm;
-  u_bytes + prox_bytes + col_bytes
+(* 8 bytes per field element and per column index, 32 per digest (= 4
+   lanes of 8 bytes). *)
+let proof_size_bytes _params (_cm : commitment) proof =
+  8
+  * (Fv.length proof.u
+    + Array.fold_left (fun acc v -> acc + Fv.length v) 0 proof.proximity
+    + num_openings proof + Fv.length proof.col_values + Fv.length proof.paths)

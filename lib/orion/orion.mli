@@ -59,11 +59,26 @@ type committed
     The encoded matrix is not kept; openings re-encode the rows. *)
 
 type eval_proof = {
-  u : Gf.t array; (** eq(q_row)^T W, length mat_cols *)
-  proximity : Gf.t array array; (** masked random row-combinations *)
-  columns : (int * Gf.t array * Zk_merkle.Merkle.digest list) array;
-      (** queried codeword columns with authentication paths *)
+  u : Nocap_vec.Fv.t; (** eq(q_row)^T W, length mat_cols *)
+  proximity : Nocap_vec.Fv.t array; (** masked random row-combinations *)
+  col_index : int array; (** codeword position of each opened column *)
+  col_height : int array; (** elements in each opened column *)
+  col_values : Nocap_vec.Fv.t;
+      (** the opened columns, concatenated in opening order (length
+          [sum col_height]) *)
+  path_len : int array; (** digests in each column's authentication path *)
+  paths : Nocap_vec.Fv.t;
+      (** the authentication paths, concatenated in opening order, each
+          bottom-up, 4 lanes per digest ({!Zk_hash.Keccak.digest_at}'s
+          layout; length [4 * sum path_len]) *)
 }
+(** An opening, flat from the wire to the verdict: no boxed element and no
+    digest string. The per-opening arrays have one entry per opened column;
+    heights and path lengths are kept per column, so a ragged opening
+    decodes and is rejected with the same error as any other. *)
+
+val num_openings : eval_proof -> int
+(** Number of opened columns. *)
 
 val commit :
   ?engine:Zk_pcs.Engine.t -> params -> Zk_util.Rng.t -> Gf.t array -> committed * commitment
@@ -138,7 +153,14 @@ val verify_eval :
 (** Verifies that the committed polynomial evaluates to the claimed value at
     the point. The transcript must mirror the prover's. Total on arbitrary
     commitments and proofs (e.g. decoded from hostile bytes): every failure
-    is a categorized [Error], never an exception. *)
+    is a categorized [Error], never an exception.
+
+    The column checks run over all openings at once: index and height of
+    every column, one leaf hash batch over the transposed well-shaped
+    columns, one node-hash batch per Merkle level, and the u and proximity
+    combinations as one axpy per data row. The error reported is the one a
+    column-by-column check gives: the first failing column in opening order
+    with its first failing check (index, height, path, u, proximity i). *)
 
 val absorb_commitment : Zk_hash.Transcript.t -> commitment -> unit
 

@@ -1,5 +1,6 @@
 module Gf = Zk_field.Gf
 module Codec = Zk_pcs.Codec
+module Fv = Nocap_vec.Fv
 
 let name = "orion"
 let tag = '\001'
@@ -32,7 +33,7 @@ let stats params (cm : commitment) (proof : eval_proof) =
     num_vars = cm.Orion.num_vars;
     commitment_bytes = 32;
     proof_bytes = proof_size_bytes params cm proof;
-    queries = Array.length proof.Orion.columns;
+    queries = Orion.num_openings proof;
   }
 
 (* --- byte forms (layout shared with the pre-functor Serialize module, so
@@ -52,28 +53,83 @@ let read_commitment r =
   let* mat_cols = Codec.get_len r in
   Ok { Orion.root; num_vars; mat_rows; mat_cols }
 
+(* Per opening: index, length-prefixed column, path length, raw digests. *)
 let write_eval_proof buf (p : eval_proof) =
-  Codec.put_gf_array buf p.Orion.u;
+  Codec.put_fv buf p.Orion.u;
   Codec.put_int buf (Array.length p.Orion.proximity);
-  Array.iter (Codec.put_gf_array buf) p.Orion.proximity;
-  Codec.put_int buf (Array.length p.Orion.columns);
-  Array.iter
-    (fun (j, col, path) ->
+  Array.iter (Codec.put_fv buf) p.Orion.proximity;
+  Codec.put_int buf (Orion.num_openings p);
+  let col = ref 0 and lane = ref 0 in
+  Array.iteri
+    (fun k j ->
+      let h = p.Orion.col_height.(k) and l = p.Orion.path_len.(k) in
       Codec.put_int buf j;
-      Codec.put_gf_array buf col;
-      Codec.put_int buf (List.length path);
-      List.iter (Codec.put_digest buf) path)
-    p.Orion.columns
+      Codec.put_fv buf (Fv.sub_view p.Orion.col_values ~pos:!col ~len:h);
+      Codec.put_int buf l;
+      Codec.put_digest_lanes buf (Fv.sub_view p.Orion.paths ~pos:!lane ~len:(4 * l));
+      col := !col + h;
+      lane := !lane + (4 * l))
+    p.Orion.col_index
 
+(* A flat buffer filled front to back. *)
+type fill = { mutable buf : Fv.t; mutable used : int }
+
+(* Room for [n] more elements: at least [hint] (the whole section if every
+   opening has this one's shape, so an honest proof is sized exactly by its
+   first opening), else double. Callers bound [n] and [hint] by the bytes
+   left, so hostile lengths cannot over-allocate. *)
+let reserve f n ~hint =
+  if f.used + n > Fv.length f.buf then begin
+    let b = Fv.create (max (f.used + n) (max hint (2 * Fv.length f.buf))) in
+    Fv.blit ~src:f.buf ~src_pos:0 ~dst:b ~dst_pos:0 ~len:f.used;
+    f.buf <- b
+  end
+
+let contents f =
+  if f.used = Fv.length f.buf then f.buf else Fv.sub_view f.buf ~pos:0 ~len:f.used
+
+(* Every field is read in wire order with the checks the boxed decoder ran
+   ([Codec.get_fv_into] for a column, [Codec.need_digests] for a path), so
+   a bad input fails with the same error at the same field. *)
 let read_eval_proof r =
   let ( let* ) = Result.bind in
-  let* u = Codec.get_gf_array r in
-  let* proximity = Codec.get_array r Codec.get_gf_array in
-  let* columns =
-    Codec.get_array r (fun r ->
-        let* j = Codec.get_len r in
-        let* col = Codec.get_gf_array r in
-        let* path = Codec.get_list r Codec.get_digest in
-        Ok (j, col, path))
+  let* u = Codec.get_fv r in
+  let* proximity = Codec.get_array r Codec.get_fv in
+  let* nq = Codec.get_len r in
+  (* An opening spends at least 24 bytes on its three integers, so no more
+     than [remaining / 24] of them can decode. *)
+  let cap = min nq (Codec.remaining r / 24) in
+  let col_index = Array.make cap 0 and col_height = Array.make cap 0 in
+  let path_len = Array.make cap 0 in
+  let values = { buf = Fv.create 0; used = 0 } and paths = { buf = Fv.create 0; used = 0 } in
+  let rec go k =
+    if k = nq then Ok ()
+    else begin
+      let* j = Codec.get_len r in
+      let* h = Codec.get_len r in
+      let* () = Codec.need r (8 * h) in
+      reserve values h ~hint:(min (nq * h) (Codec.remaining r / 8));
+      let* () = Codec.get_fv_into r ~len:h values.buf ~pos:values.used in
+      values.used <- values.used + h;
+      let* l = Codec.get_len r in
+      let* () = Codec.need_digests r l in
+      reserve paths (4 * l) ~hint:(min (4 * nq * l) (Codec.remaining r / 8));
+      let* () = Codec.get_digest_lanes_into r ~count:l paths.buf ~pos:paths.used in
+      paths.used <- paths.used + (4 * l);
+      col_index.(k) <- j;
+      col_height.(k) <- h;
+      path_len.(k) <- l;
+      go (k + 1)
+    end
   in
-  Ok { Orion.u; proximity; columns }
+  let* () = go 0 in
+  Ok
+    {
+      Orion.u;
+      proximity;
+      col_index;
+      col_height;
+      col_values = contents values;
+      path_len;
+      paths = contents paths;
+    }

@@ -1,11 +1,9 @@
 module Gf = Zk_field.Gf
+module Fv = Nocap_vec.Fv
 
 (* --- writer --- *)
 
-let put_u64 buf (x : int64) =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 x;
-  Buffer.add_bytes buf b
+let put_u64 buf (x : int64) = Buffer.add_int64_le buf x
 
 let put_int buf n = put_u64 buf (Int64.of_int n)
 
@@ -17,9 +15,23 @@ let put_gf_array buf a =
   put_int buf (Array.length a);
   Array.iter (put_gf buf) a
 
+let put_words buf v =
+  for i = 0 to Fv.length v - 1 do
+    put_u64 buf (Fv.unsafe_get v i)
+  done
+
+let put_fv buf v =
+  put_int buf (Fv.length v);
+  put_words buf v
+
 let put_digest buf d =
   assert (String.length d = 32);
   Buffer.add_string buf d
+
+(* A digest's four little-endian lanes are its 32 bytes in order. *)
+let put_digest_lanes buf v =
+  if Fv.length v land 3 <> 0 then invalid_arg "Codec.put_digest_lanes: need whole digests";
+  put_words buf v
 
 (* --- reader: total, bounds-checked --- *)
 
@@ -40,11 +52,11 @@ let ( let* ) = Result.bind
    pre-allocate unbounded memory. *)
 let max_len = 1 lsl 28
 
-let need r n =
-  if n >= 0 && r.pos + n <= Bytes.length r.data then Ok ()
-  else
-    Verify_error.errorf Verify_error.Truncated
-      "input ends at byte %d, needed %d more" (Bytes.length r.data) n
+let truncated r n =
+  Verify_error.errorf Verify_error.Truncated "input ends at byte %d, needed %d more"
+    (Bytes.length r.data) n
+
+let need r n = if n >= 0 && r.pos + n <= Bytes.length r.data then Ok () else truncated r n
 
 let get_u64 r =
   let* () = need r 8 in
@@ -64,12 +76,12 @@ let get_len r =
     Verify_error.errorf Verify_error.Malformed_field "implausible length field %Ld" x
   else Ok (Int64.to_int x)
 
+let non_canonical x =
+  Verify_error.errorf Verify_error.Malformed_field "non-canonical field element 0x%Lx" x
+
 let get_gf r =
   let* x = get_u64 r in
-  if Gf.is_canonical x then Ok (Gf.of_int64 x)
-  else
-    Verify_error.errorf Verify_error.Malformed_field
-      "non-canonical field element 0x%Lx" x
+  if Gf.is_canonical x then Ok (Gf.of_int64 x) else non_canonical x
 
 let get_gf_array r =
   let* n = get_len r in
@@ -83,6 +95,48 @@ let get_gf_array r =
       go (i + 1)
   in
   go 0
+
+(* [n] little-endian words into [dst] at [pos]; the caller checked the
+   bounds. *)
+let read_words r n dst ~pos =
+  for i = 0 to n - 1 do
+    Fv.unsafe_set dst (pos + i) (Bytes.get_int64_le r.data (r.pos + (8 * i)))
+  done;
+  r.pos <- r.pos + (8 * n)
+
+(* One bounds check, one pass of word reads, then one canonicality pass:
+   the first offender is the element [get_gf_array] would have stopped
+   at, so the error is the same. *)
+let get_fv_into r ~len dst ~pos =
+  if len < 0 || pos < 0 || pos + len > Fv.length dst then
+    invalid_arg "Codec.get_fv_into: destination";
+  let* () = need r (8 * len) in
+  read_words r len dst ~pos;
+  let rec check i =
+    if i = len then Ok ()
+    else
+      let x = Fv.unsafe_get dst (pos + i) in
+      if Gf.is_canonical x then check (i + 1) else non_canonical x
+  in
+  check 0
+
+let get_fv r =
+  let* n = get_len r in
+  let* () = need r (8 * n) in
+  let v = Fv.create n in
+  let* () = get_fv_into r ~len:n v ~pos:0 in
+  Ok v
+
+(* [count] calls of [get_digest] fail at the first digest that does not
+   fit, always as "needed 32 more"; one bounds check reports the same. *)
+let need_digests r count = if count <= remaining r / 32 then Ok () else truncated r 32
+
+let get_digest_lanes_into r ~count dst ~pos =
+  if count < 0 || pos < 0 || pos + (4 * count) > Fv.length dst then
+    invalid_arg "Codec.get_digest_lanes_into: destination";
+  let* () = need_digests r count in
+  read_words r (4 * count) dst ~pos;
+  Ok ()
 
 let get_digest r =
   let* () = need r 32 in

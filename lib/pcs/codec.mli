@@ -9,6 +9,7 @@
     field elements) are uniform across backends. *)
 
 module Gf = Zk_field.Gf
+module Fv = Nocap_vec.Fv
 
 (** {2 Writer} *)
 
@@ -20,8 +21,17 @@ val put_gf : Buffer.t -> Gf.t -> unit
 val put_gf_array : Buffer.t -> Gf.t array -> unit
 (** Length-prefixed. *)
 
+val put_fv : Buffer.t -> Fv.t -> unit
+(** Length-prefixed; the same bytes as {!put_gf_array} of the elements. *)
+
 val put_digest : Buffer.t -> string -> unit
 (** Raw 32 bytes, no length prefix. *)
+
+val put_digest_lanes : Buffer.t -> Fv.t -> unit
+(** Digests held as flat lanes (4 little-endian lanes each, Keccak's flat
+    digest layout), each written as its raw 32 bytes: the same bytes as
+    {!put_digest} of every digest in turn.
+    @raise Invalid_argument unless the length is a multiple of 4. *)
 
 (** {2 Reader} *)
 
@@ -50,7 +60,28 @@ val get_gf : reader -> (Gf.t, Verify_error.t) result
 (** Rejects non-canonical encodings (>= the field modulus). *)
 
 val get_gf_array : reader -> (Gf.t array, Verify_error.t) result
+val get_fv : reader -> (Fv.t, Verify_error.t) result
+(** {!get_gf_array} into a flat vector: one bounds check, one pass of word
+    reads, then a canonicality pass. Every error (category and message) is
+    the one {!get_gf_array} gives on the same bytes. *)
+
+val get_fv_into : reader -> len:int -> Fv.t -> pos:int -> (unit, Verify_error.t) result
+(** [get_fv_into r ~len dst ~pos] reads [len] elements (no length prefix)
+    into [dst] at [pos], with {!get_fv}'s checks; on [Error], the contents of
+    that range are unspecified.
+    @raise Invalid_argument if the range does not fit [dst]. *)
+
 val get_digest : reader -> (string, Verify_error.t) result
+
+val need_digests : reader -> int -> (unit, Verify_error.t) result
+(** The bounds check of [count] consecutive {!get_digest} calls, with the
+    error the first failing one gives. *)
+
+val get_digest_lanes_into :
+  reader -> count:int -> Fv.t -> pos:int -> (unit, Verify_error.t) result
+(** Read [count] raw digests as flat lanes into [dst] at lane [pos]. Fails
+    exactly as [count] calls of {!get_digest} would ({!need_digests}).
+    @raise Invalid_argument if the range does not fit [dst]. *)
 
 val get_list :
   reader -> (reader -> ('a, Verify_error.t) result) -> ('a list, Verify_error.t) result

@@ -119,6 +119,46 @@ let prop_flat_vs_oracle =
               && same (chunked leaves)))
         Test_native.legs)
 
+(* Flat paths and the batched walk against [path] / [verify], in every
+   kernel leg: every leaf of a 32-leaf tree, with a leaf lane, a path lane
+   or an index bit tampered in some of them. *)
+let test_flat_paths () =
+  let n = 32 in
+  let ls = leaves n in
+  let t = build ls in
+  let root = Merkle.root t and depth = Merkle.depth t in
+  let paths = Fv.create (4 * n * depth) in
+  for i = 0 to n - 1 do
+    Merkle.path_into t i paths ~pos:(4 * i * depth);
+    Alcotest.(check (list string)) (Printf.sprintf "path_into %d" i) (Merkle.path t i)
+      (List.init depth (fun d -> Keccak.digest_at paths ((i * depth) + d)))
+  done;
+  let leaf_lanes = Merkle.of_digests ls in
+  let index = Array.init n Fun.id in
+  (* Leaves 0 mod 4 get a flipped leaf lane, 1 mod 4 a flipped path lane,
+     2 mod 4 a flipped index bit; 3 mod 4 stay honest. *)
+  let flip v i = Fv.set v i (Int64.logxor (Fv.get v i) 0x100L) in
+  for i = 0 to n - 1 do
+    match i mod 4 with
+    | 0 -> flip leaf_lanes ((4 * i) + (i mod 3))
+    | 1 -> flip paths ((4 * i * depth) + (4 * (i mod depth)) + 2)
+    | 2 -> index.(i) <- index.(i) lxor (1 lsl (i mod depth))
+    | _ -> ()
+  done;
+  let expected =
+    Array.init n (fun i ->
+        Merkle.verify ~root ~index:index.(i) ~leaf:(Keccak.digest_at leaf_lanes i)
+          ~path:(List.init depth (fun d -> Keccak.digest_at paths ((i * depth) + d))))
+  in
+  Alcotest.(check (array bool)) "honest ones verify" (Array.init n (fun i -> i mod 4 = 3)) expected;
+  List.iter
+    (fun (leg : Test_native.leg) ->
+      Alcotest.(check (array bool)) ("check_paths = verify, " ^ leg.name) expected
+        (leg.run (fun () ->
+             Merkle.check_paths ~root ~depth ~index ~leaves:leaf_lanes ~paths
+               ~path_pos:(Array.init n (fun i -> 4 * i * depth)))))
+    Test_native.legs
+
 let suite =
   [
     Alcotest.test_case "build and verify" `Quick test_roundtrip;
@@ -127,4 +167,5 @@ let suite =
     Alcotest.test_case "column leaf" `Quick test_column_leaf;
     Alcotest.test_case "root covers all leaves" `Quick test_root_depends_on_all_leaves;
     QCheck_alcotest.to_alcotest prop_flat_vs_oracle;
+    Alcotest.test_case "flat paths and batched path checks" `Quick test_flat_paths;
   ]

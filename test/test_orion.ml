@@ -3,6 +3,7 @@
 
 module Gf = Zk_field.Gf
 module Orion = Zk_orion.Orion
+module Fv = Nocap_vec.Fv
 module Mle = Zk_poly.Mle
 module Transcript = Zk_hash.Transcript
 module Rng = Zk_util.Rng
@@ -51,7 +52,7 @@ let test_wrong_value_rejected () =
 
 let test_tampered_u_rejected () =
   let _, cm, point, value, proof = roundtrip ~seed:63L 6 in
-  proof.Orion.u.(0) <- Gf.add proof.Orion.u.(0) Gf.one;
+  Fv.set proof.Orion.u 0 (Gf.add (Fv.get proof.Orion.u 0) Gf.one);
   let vt = Transcript.create "orion-test" in
   Orion.absorb_commitment vt cm;
   match Orion.verify_eval small_params cm vt point value proof with
@@ -60,9 +61,9 @@ let test_tampered_u_rejected () =
 
 let test_tampered_column_rejected () =
   let _, cm, point, value, proof = roundtrip ~seed:64L 6 in
-  let j, col, path = proof.Orion.columns.(5) in
-  col.(0) <- Gf.add col.(0) Gf.one;
-  proof.Orion.columns.(5) <- (j, col, path);
+  (* First element of opening 5 (every opening has the same height). *)
+  let i = 5 * proof.Orion.col_height.(0) in
+  Fv.set proof.Orion.col_values i (Gf.add (Fv.get proof.Orion.col_values i) Gf.one);
   let vt = Transcript.create "orion-test" in
   Orion.absorb_commitment vt cm;
   match Orion.verify_eval small_params cm vt point value proof with
@@ -102,7 +103,7 @@ let test_proximity_masking_hides_rows () =
       raw.(c) <- Gf.add raw.(c) (Gf.mul rho.(r) table.((r * cols) + c))
     done
   done;
-  let masked = proof.Orion.proximity.(0) in
+  let masked = Fv.to_array proof.Orion.proximity.(0) in
   Alcotest.(check bool) "first proximity vector is masked" true
     (Array.exists2 (fun a b -> not (Gf.equal a b)) raw masked)
 
@@ -128,6 +129,139 @@ let test_expander_code_roundtrip () =
   in
   ignore (roundtrip ~params ~seed:68L 8)
 
+(* --- batched verifier vs the column-at-a-time oracle -------------------- *)
+
+(* Honest openings at a few shapes: data rows 8 with zk (12-element
+   columns), without zk, and a one-column matrix. *)
+let honest_openings =
+  lazy
+    (List.map
+       (fun (params, l, seed) ->
+         let rng = Rng.create seed in
+         let table = random_table rng l in
+         let committed, cm = Orion.commit params rng table in
+         let point = Array.init l (fun _ -> Gf.random rng) in
+         let pt = Transcript.create "orion-oracle" in
+         Orion.absorb_commitment pt cm;
+         let value, proof = Orion.prove_eval params committed pt point in
+         (params, cm, point, value, proof))
+       [
+         (small_params, 5, 70L);
+         ({ small_params with Orion.zk = false }, 4, 71L);
+         (small_params, 3, 72L);
+       ])
+
+(* One opened column, unpacked so an edit may change its shape. *)
+type opened = { j : int; vals : Gf.t array; lanes : int64 array }
+
+let unpack (p : Orion.eval_proof) =
+  let c = ref 0 and d = ref 0 in
+  Array.init (Orion.num_openings p) (fun k ->
+      let h = p.Orion.col_height.(k) and l = 4 * p.Orion.path_len.(k) in
+      let o =
+        {
+          j = p.Orion.col_index.(k);
+          vals = Array.init h (fun r -> Fv.get p.Orion.col_values (!c + r));
+          lanes = Array.init l (fun i -> Fv.get p.Orion.paths (!d + i));
+        }
+      in
+      c := !c + h;
+      d := !d + l;
+      o)
+
+let pack (p : Orion.eval_proof) cols =
+  {
+    p with
+    Orion.col_index = Array.map (fun o -> o.j) cols;
+    col_height = Array.map (fun o -> Array.length o.vals) cols;
+    col_values = Fv.of_array (Array.concat (Array.to_list (Array.map (fun o -> o.vals) cols)));
+    path_len = Array.map (fun o -> Array.length o.lanes / 4) cols;
+    paths = Fv.of_array (Array.concat (Array.to_list (Array.map (fun o -> o.lanes) cols)));
+  }
+
+(* Insert [x] before position [i] of [a] (i clamped to the length). *)
+let insert a i x =
+  let i = min i (Array.length a) in
+  Array.concat [ Array.sub a 0 i; x; Array.sub a i (Array.length a - i) ]
+
+let remove a i n =
+  if Array.length a < n then a
+  else
+    let i = min i (Array.length a - n) in
+    Array.append (Array.sub a 0 i) (Array.sub a (i + n) (Array.length a - i - n))
+
+(* An edit is (kind, column, a, b); each kind reads the two numbers its
+   own way. Kinds: column value, index, path digest, height (grow or
+   shrink), path length (grow, shrink, or past the 62-digest limit),
+   proximity element, u element. *)
+let apply_edit (p : Orion.eval_proof) (kind, k, a, b) =
+  let bump x = Gf.add x (Gf.of_int (1 + (b mod 1000))) in
+  match kind mod 7 with
+  | 6 ->
+    let u = Fv.copy p.Orion.u in
+    if Fv.length u > 0 then Fv.set u (a mod Fv.length u) (bump (Fv.get u (a mod Fv.length u)));
+    { p with Orion.u }
+  | 5 ->
+    let prox = Array.map Fv.copy p.Orion.proximity in
+    let v = prox.(a mod Array.length prox) in
+    Fv.set v (b mod Fv.length v) (bump (Fv.get v (b mod Fv.length v)));
+    { p with Orion.proximity = prox }
+  | kind ->
+    let cols = unpack p in
+    let k = k mod Array.length cols in
+    let o = cols.(k) in
+    let o =
+      match kind with
+      | 0 when Array.length o.vals > 0 ->
+        let vals = Array.copy o.vals in
+        let i = a mod Array.length vals in
+        vals.(i) <- bump vals.(i);
+        { o with vals }
+      | 1 -> { o with j = (if b land 1 = 0 then o.j + 1 + (a mod 3) else a mod 64) }
+      | 2 when Array.length o.lanes > 0 ->
+        let lanes = Array.copy o.lanes in
+        let i = a mod Array.length lanes in
+        lanes.(i) <- Int64.logxor lanes.(i) (Int64.shift_left 1L (b mod 64));
+        { o with lanes }
+      | 3 ->
+        if b land 1 = 0 then { o with vals = insert o.vals a [| Gf.of_int b |] }
+        else { o with vals = remove o.vals a 1 }
+      | 4 -> (
+        match b mod 3 with
+        | 0 -> { o with lanes = insert o.lanes (4 * a) (Array.init 4 Int64.of_int) }
+        | 1 -> { o with lanes = remove o.lanes (4 * a) 4 }
+        | _ -> { o with lanes = insert o.lanes 0 (Array.make (4 * (60 + (a mod 8))) 7L) })
+      | _ -> o
+    in
+    cols.(k) <- o;
+    pack p cols
+
+let verdict verify (params, cm, point, value, proof) =
+  let vt = Transcript.create "orion-oracle" in
+  Orion.absorb_commitment vt cm;
+  Result.map_error Zk_pcs.Verify_error.to_string (verify params cm vt point value proof)
+
+let prop_batched_vs_oracle (leg : Test_native.leg) ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "batched column checks = column-at-a-time oracle (%s)" leg.name)
+    QCheck.(
+      pair small_nat
+        (list_of_size (Gen.int_range 0 4)
+           (quad small_nat (int_bound 1000) (int_bound 10_000) (int_bound 10_000))))
+    (fun (which, edits) ->
+      let openings = Lazy.force honest_openings in
+      let params, cm, point, value, proof = List.nth openings (which mod List.length openings) in
+      let proof = List.fold_left apply_edit proof edits in
+      let case = (params, cm, point, value, proof) in
+      leg.run (fun () ->
+          let got = verdict (fun p cm t x v pr -> Orion.verify_eval p cm t x v pr) case in
+          let want = verdict Orion_oracle.verify_eval case in
+          if got <> want then
+            QCheck.Test.fail_reportf "batched %s, oracle %s"
+              (match got with Ok () -> "Ok" | Error e -> e)
+              (match want with Ok () -> "Ok" | Error e -> e);
+          edits <> [] || got = Ok ()))
+
 let suite =
   [
     Alcotest.test_case "roundtrip across sizes" `Quick test_roundtrip_sizes;
@@ -141,3 +275,9 @@ let suite =
     Alcotest.test_case "proof size accounting" `Quick test_proof_size;
     Alcotest.test_case "expander-code configuration" `Quick test_expander_code_roundtrip;
   ]
+  @ List.map
+      (fun (leg : Test_native.leg) ->
+        (* The OCaml Keccak is ~50x slower than C: fewer cases there. *)
+        QCheck_alcotest.to_alcotest
+          (prop_batched_vs_oracle leg ~count:(if leg.name = "off" then 25 else 120)))
+      Test_native.legs

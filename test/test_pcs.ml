@@ -45,15 +45,20 @@ let test_golden_bytes () =
   List.iter
     (fun (name, n, seed, params, expected) ->
       let inst, asn = Synthetic.circuit ~n_constraints:n ~seed () in
+      let check label run =
+        let bytes = run (fun () -> Spartan.proof_to_bytes (fst (Spartan.prove params inst asn))) in
+        Alcotest.(check string) (name ^ " " ^ label) expected (payload_hash bytes);
+        (* The flat decoder and writer give back the same bytes. *)
+        match Spartan.proof_of_bytes bytes with
+        | Ok p ->
+          Alcotest.(check bool) (name ^ " re-encodes " ^ label) true
+            (Bytes.equal bytes (Spartan.proof_to_bytes p))
+        | Error e -> Alcotest.failf "%s: decode failed: %s" name (Zk_pcs.Verify_error.to_string e)
+      in
       List.iter
-        (fun d ->
-          Pool.with_domains d (fun () ->
-              let proof, _ = Spartan.prove params inst asn in
-              Alcotest.(check string)
-                (Printf.sprintf "%s at %d domains" name d)
-                expected
-                (payload_hash (Spartan.proof_to_bytes proof))))
-        [ 1; 2; 3 ])
+        (fun d -> check (Printf.sprintf "at %d domains" d) (Pool.with_domains d))
+        [ 1; 2; 3 ];
+      check "with native kernels off" (Nocap_native.Native.with_mode Nocap_native.Native.Off))
     golden_cases
 
 (* FRI-backend proofs at [test_params], pinned the same way: the fold,
@@ -380,6 +385,96 @@ let test_engine_config () =
       | Ok _ -> Alcotest.failf "accepted NOCAP_NATIVE=%s" v)
     [ "scalar"; "fast" ]
 
+(* --- flat codec: get_fv is get_gf_array, error for error --- *)
+
+module Codec = Zk_pcs.Codec
+module Fv = Nocap_vec.Fv
+
+let decode_with get data =
+  let r = Codec.reader data in
+  match get r with
+  | Ok v -> Ok (v, Codec.pos r)
+  | Error e -> Error (Zk_pcs.Verify_error.to_string e)
+
+let boxed_decode = decode_with Codec.get_gf_array
+let flat_decode = decode_with (fun r -> Result.map Fv.to_array (Codec.get_fv r))
+
+let test_codec_fv () =
+  let rng = Rng.create 5L in
+  let same label data =
+    Alcotest.(check (result (pair (array int64) int) string))
+      label (boxed_decode data) (flat_decode data)
+  in
+  List.iter
+    (fun n ->
+      let a = Array.init n (fun _ -> Gf.random rng) in
+      let boxed = Buffer.create 16 and flat = Buffer.create 16 in
+      Codec.put_gf_array boxed a;
+      Codec.put_fv flat (Fv.of_array a);
+      Alcotest.(check string) "put_fv = put_gf_array" (Buffer.contents boxed)
+        (Buffer.contents flat);
+      let data = Buffer.to_bytes flat in
+      Alcotest.(check (result (pair (array int64) int) string))
+        "round trip" (Ok (a, Bytes.length data)) (flat_decode data);
+      (* Every truncation. *)
+      for cut = 0 to Bytes.length data - 1 do
+        same (Printf.sprintf "n=%d cut at %d" n cut) (Bytes.sub data 0 cut)
+      done;
+      (* A non-canonical word at each position, and a second one after it:
+         the first is reported. *)
+      for k = 0 to n - 1 do
+        let bad = Bytes.copy data in
+        Bytes.set_int64_le bad (8 + (8 * k)) (Int64.add Gf.p (Int64.of_int k));
+        if k + 1 < n then Bytes.set_int64_le bad (8 + (8 * (k + 1))) (-1L);
+        same (Printf.sprintf "n=%d non-canonical at %d" n k) bad
+      done)
+    [ 0; 1; 5; 17 ];
+  (* Length fields above max_len, and negative as a signed word. *)
+  List.iter
+    (fun len ->
+      let b = Bytes.make 64 '\000' in
+      Bytes.set_int64_le b 0 len;
+      same (Printf.sprintf "length %Ld" len) b)
+    [ Int64.of_int (Codec.max_len + 1); Int64.max_int; -1L; 7L; 8L ]
+
+let test_codec_digest_lanes () =
+  let rng = Rng.create 6L in
+  let digests =
+    Array.init 5 (fun i -> Keccak.sha3_256_string (string_of_int (i + Rng.int rng 99)))
+  in
+  let lanes = Fv.create 20 in
+  Array.iteri (Keccak.set_digest lanes) digests;
+  let boxed = Buffer.create 16 and flat = Buffer.create 16 in
+  Array.iter (Codec.put_digest boxed) digests;
+  Codec.put_digest_lanes flat lanes;
+  Alcotest.(check string) "put_digest_lanes = put_digest" (Buffer.contents boxed)
+    (Buffer.contents flat);
+  let data = Buffer.to_bytes flat in
+  for cut = 0 to Bytes.length data do
+    let part = Bytes.sub data 0 cut in
+    let boxed =
+      decode_with
+        (fun r ->
+          let rec go i acc =
+            if i = 5 then Ok (List.rev acc)
+            else Result.bind (Codec.get_digest r) (fun d -> go (i + 1) (d :: acc))
+          in
+          go 0 [])
+        part
+    in
+    let flat =
+      decode_with
+        (fun r ->
+          let dst = Fv.create 20 in
+          Result.map
+            (fun () -> List.init 5 (Keccak.digest_at dst))
+            (Codec.get_digest_lanes_into r ~count:5 dst ~pos:0))
+        part
+    in
+    Alcotest.(check (result (pair (list string) int) string))
+      (Printf.sprintf "digests cut at %d" cut) boxed flat
+  done
+
 let suite =
   [
     Alcotest.test_case "golden proof bytes across domain counts" `Slow
@@ -398,4 +493,6 @@ let suite =
       test_orion_param_validation;
     Alcotest.test_case "fri param validation" `Quick test_fri_param_validation;
     Alcotest.test_case "engine config parsing" `Quick test_engine_config;
+    Alcotest.test_case "get_fv = get_gf_array, error for error" `Quick test_codec_fv;
+    Alcotest.test_case "digest lanes = digest list" `Quick test_codec_digest_lanes;
   ]

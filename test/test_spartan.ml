@@ -127,7 +127,7 @@ let test_tampered_proof_rejected () =
       g.(2) <- Gf.add g.(2) Gf.one);
   tamper_and_check "orion u" (fun p ->
       let u = p.Spartan.reps.(0).Spartan.w_open.Zk_orion.Orion.u in
-      u.(0) <- Gf.add u.(0) Gf.one)
+      Nocap_vec.Fv.set u 0 (Gf.add (Nocap_vec.Fv.get u 0) Gf.one))
 
 let test_proof_for_different_instance_rejected () =
   (* A proof for (3,5) must not verify against the instance for (2,8),

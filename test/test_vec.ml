@@ -359,7 +359,7 @@ let test_orion_flat_commit () =
         done;
         !acc)
   in
-  gf_array_eq "u matches boxed row combination" expected_u proof.Orion.u;
+  gf_array_eq "u matches boxed row combination" expected_u (Fv.to_array proof.Orion.u);
   let eq_col = Mle.eq_table q_col in
   let expected_value =
     let acc = ref Gf.zero in
