@@ -120,7 +120,7 @@ let kernels ~smoke rng =
     let acc = ref Gf.zero in
     for b = 0 to sc_n - 1 do
       acc :=
-        Gf.add !acc (Sumcheck.spartan_comb_scalar (Array.map (fun t -> t.(b)) sc_tables))
+        Gf.add !acc (Sumcheck_oracle.spartan_comb_scalar (Array.map (fun t -> t.(b)) sc_tables))
     done;
     !acc
   in
@@ -214,15 +214,16 @@ let kernels ~smoke rng =
         (fun () ->
           let t = Transcript.create "bench-memory" in
           let r =
-            Sumcheck.prove_arrays ~comb_mults:2 t ~degree:3 ~tables:sc_tables
-              ~comb:Sumcheck.spartan_comb_scalar ~claim:sc_claim
+            Sumcheck_oracle.prove_arrays ~comb_mults:2 t ~degree:3 ~tables:sc_tables
+              ~comb:Sumcheck_oracle.spartan_comb_scalar ~claim:sc_claim
           in
           Gf.to_string r.Sumcheck.challenges.(Array.length r.Sumcheck.challenges - 1));
       k_unboxed =
         (fun () ->
           let t = Transcript.create "bench-memory" in
           let r =
-            Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:sc_tables
+            Sumcheck.prove ~comb_mults:2 t ~degree:3
+              ~tables:(Sumcheck_oracle.spills sc_tables)
               ~comb:Sumcheck.spartan_comb ~claim:sc_claim
           in
           Gf.to_string r.Sumcheck.challenges.(Array.length r.Sumcheck.challenges - 1));

@@ -45,7 +45,7 @@ let kernels ~smoke rng =
     let acc = ref Gf.zero in
     for b = 0 to sc_n - 1 do
       acc :=
-        Gf.add !acc (Sumcheck.spartan_comb_scalar (Array.map (fun t -> t.(b)) sc_tables))
+        Gf.add !acc (Sumcheck_oracle.spartan_comb_scalar (Array.map (fun t -> t.(b)) sc_tables))
     done;
     !acc
   in
@@ -100,7 +100,8 @@ let kernels ~smoke rng =
         (fun () ->
           let t = Transcript.create "bench-parallel" in
           let r =
-            Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:sc_tables
+            Sumcheck.prove ~comb_mults:2 t ~degree:3
+              ~tables:(Sumcheck_oracle.spills sc_tables)
               ~comb:Sumcheck.spartan_comb ~claim:sc_claim
           in
           Gf.to_string r.Sumcheck.challenges.(Array.length r.Sumcheck.challenges - 1));

@@ -218,7 +218,7 @@ let run_sumcheck ~smoke =
               done;
               let t = Transcript.create "bench-stream" in
               let r =
-                Sumcheck.prove_streaming ~comb_mults:1 ~budget_bytes:budget t ~degree:2
+                Sumcheck.prove ~comb_mults:1 ~budget_bytes:budget t ~degree:2
                   ~tables ~comb:comb2 ~claim:!claim
               in
               Array.iter Spill.free tables;
@@ -239,7 +239,8 @@ let run_sumcheck ~smoke =
               |]
             in
             let t = Transcript.create "bench-stream" in
-            Sumcheck.prove ~comb_mults:1 t ~degree:2 ~tables ~comb:comb2 ~claim)
+            Sumcheck.prove ~comb_mults:1 t ~degree:2 ~tables:(Sumcheck_oracle.spills tables)
+              ~comb:comb2 ~claim)
       in
       {
         s_log_n = log_n;

@@ -194,14 +194,15 @@ let bench_sumcheck =
     for b = 0 to 4095 do
       acc :=
         Gf.add !acc
-          (Sumcheck.spartan_comb_scalar (Array.map (fun t -> t.(b)) sumcheck_tables))
+          (Sumcheck_oracle.spartan_comb_scalar (Array.map (fun t -> t.(b)) sumcheck_tables))
     done;
     !acc
   in
   Test.make ~name:"kernel/sumcheck-2^12" (staged (fun () ->
       let t = Transcript.create "bench" in
       ignore
-        (Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:sumcheck_tables
+        (Sumcheck.prove ~comb_mults:2 t ~degree:3
+           ~tables:(Sumcheck_oracle.spills sumcheck_tables)
            ~comb:Sumcheck.spartan_comb ~claim)))
 
 let spartan_instance = lazy (Synthetic.circuit ~n_constraints:2000 ~seed:42L ())

@@ -51,17 +51,6 @@ let combine_windows windowed c =
   done;
   !acc
 
-let pippenger_serial ?window scalars points =
-  let n = Array.length scalars in
-  if n <> Array.length points then invalid_arg "Msm.pippenger: lengths";
-  if n = 0 then G1.infinity
-  else begin
-    let c = match window with Some c -> c | None -> window_for n in
-    let num_windows = (scalar_bits + c - 1) / c in
-    let limbs = Array.map Fr.to_limbs scalars in
-    combine_windows (Array.init num_windows (window_sum limbs points n c)) c
-  end
-
 let pippenger ?window scalars points =
   let n = Array.length scalars in
   if n <> Array.length points then invalid_arg "Msm.pippenger: lengths";
@@ -72,8 +61,8 @@ let pippenger ?window scalars points =
     let limbs = Array.map Fr.to_limbs scalars in
     (* Windows accumulate in parallel (each owns its buckets); the serial
        combine applies the shift-and-add in the fixed most-significant-first
-       order, so the result is the exact group element {!pippenger_serial}
-       computes. *)
+       order, so the result is the same group element for every domain
+       count. *)
     let windowed =
       (* One window costs ~(n + 2*2^c) point adds at ~1.5µs each; the grain
          folds whole windows per claim, and small MSMs (where even all

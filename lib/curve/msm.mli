@@ -13,11 +13,8 @@ val pippenger : ?window:int -> Fr.t array -> G1.t array -> G1.t
 (** Bucket-method MSM. [window] defaults to a size tuned to the input length
     (roughly [log2 n - 2], clamped to [\[2, 16\]]). Per-window bucket
     accumulation runs across the {!Nocap_parallel.Pool} domains; the result
-    equals {!pippenger_serial} exactly for every domain count. *)
-
-val pippenger_serial : ?window:int -> Fr.t array -> G1.t array -> G1.t
-(** Single-domain reference implementation (the parallel/serial equivalence
-    oracle). *)
+    is the same group element for every domain count, and equals the
+    single-domain serial reference in [test/oracle/msm_oracle.ml]. *)
 
 val window_for : int -> int
 (** The default window size chosen for [n] points. *)

@@ -125,27 +125,6 @@ let commit_layer_spill ev ~block =
   done;
   Merkle.Builder.finish builder
 
-(* Copy a boxed table into a fresh spill file, block by block (the staging
-   buffer stays budget-sized). *)
-let spill_of_array ?tag arr ~block =
-  let n = Array.length arr in
-  let s = Spill.create ?tag ~spill:true n in
-  try
-    let buf = Fv.create (min block (max 1 n)) in
-    let pos = ref 0 in
-    while !pos < n do
-      Pool.Cancel.check ();
-      let len = min (Fv.length buf) (n - !pos) in
-      let v = Fv.sub_view buf ~pos:0 ~len in
-      Fv.write_array arr ~src_pos:!pos v ~dst_pos:0 ~len;
-      Spill.write s ~pos:!pos v;
-      pos := !pos + len
-    done;
-    s
-  with e ->
-    Spill.free s;
-    raise e
-
 let block_of_budget budget =
   (* Six block-sized staging vectors live at once in the opening loop
      (lo/hi per table plus output); keep them inside half the budget. *)
@@ -177,24 +156,36 @@ let commit ?engine params rng table =
        (documented limit); the win is downstream: the codeword and table
        spill, and the opening's fold pyramid never materializes. *)
     let block = block_of_budget b in
-    let s_evals = Spill.create ~tag:"fri-evals" ~spill:true domain in
-    (* Free the partially-built spills on cancellation / injected I/O
-       faults instead of waiting for the GC backstop. *)
-    let s_table =
-      try
-        let pos = ref 0 in
-        while !pos < domain do
-          Pool.Cancel.check ();
-          let len = min block (domain - !pos) in
-          Spill.write s_evals ~pos:!pos (Fv.sub_view evals ~pos:!pos ~len);
-          pos := !pos + len
-        done;
-        spill_of_array ~tag:"fri-table" table ~block
-      with e ->
-        Spill.free s_evals;
-        raise e
+    (* One block loop stages both spills: the codeword straight from its
+       flat vector, the table through a block-sized buffer. Free the
+       partially-built spills on cancellation / injected I/O faults instead
+       of waiting for the GC backstop. *)
+    let created = ref [] in
+    let create tag len =
+      let s = Spill.create ~tag ~spill:true len in
+      created := s :: !created;
+      s
     in
-    ({ c_commitment; table = s_table; evals = s_evals; budget; tree }, c_commitment)
+    (try
+       let s_evals = create "fri-evals" domain in
+       let s_table = create "fri-table" n in
+       let buf = Fv.create (min block n) in
+       let pos = ref 0 in
+       while !pos < domain do
+         Pool.Cancel.check ();
+         let len = min block (domain - !pos) in
+         Spill.write s_evals ~pos:!pos (Fv.sub_view evals ~pos:!pos ~len);
+         if !pos < n then begin
+           let v = Fv.sub_view buf ~pos:0 ~len:(min len (n - !pos)) in
+           Fv.write_array table ~src_pos:!pos v ~dst_pos:0 ~len:(Fv.length v);
+           Spill.write s_table ~pos:!pos v
+         end;
+         pos := !pos + len
+       done;
+       ({ c_commitment; table = s_table; evals = s_evals; budget; tree }, c_commitment)
+     with e ->
+       List.iter Spill.free !created;
+       raise e)
 
 let free_committed c =
   Spill.free c.table;
@@ -264,21 +255,7 @@ let open_at ?engine params committed transcript point =
     pos := !pos + len
   done;
   let e = fresh "fri-open-e" n in
-  let eblock =
-    (* largest power of two <= min block n, so every range is aligned *)
-    let b = min block n in
-    let p = ref 1 in
-    while !p * 2 <= b do p := !p * 2 done;
-    !p
-  in
-  let ebuf = Fv.create (if Spill.is_spilled e then eblock else 0) in
-  let pos = ref 0 in
-  while !pos < n do
-    let blk = Spill.writable e ~pos:!pos ~len:eblock ~buf:ebuf in
-    Mle.eq_table_into point ~lo:!pos blk;
-    Spill.store e ~pos:!pos blk;
-    pos := !pos + eblock
-  done;
+  Mle.eq_table_spill point ~block e;
   let value =
     let acc = ref Gf.zero in
     let pos = ref 0 in

@@ -80,6 +80,35 @@ let eq_fv point =
 
 let eq_table point = Fv.to_array (eq_fv point)
 
+(* Aligned power-of-two blocks of at most [block] elements, each doubled in
+   place by [eq_table_into]; file-backed blocks go through one staging
+   buffer. *)
+let eq_table_spill point ~block s =
+  let module Spill = Nocap_vec.Spill in
+  let len = Spill.length s in
+  if len <> 1 lsl Array.length point then invalid_arg "Mle.eq_table_spill: length mismatch";
+  let eb =
+    let b = min block len in
+    let p = ref 1 in
+    while !p * 2 <= b do
+      p := !p * 2
+    done;
+    !p
+  in
+  try
+    let buf = Fv.create (if Spill.is_spilled s then eb else 0) in
+    let pos = ref 0 in
+    while !pos < len do
+      Nocap_parallel.Pool.Cancel.check ();
+      let blk = Spill.writable s ~pos:!pos ~len:eb ~buf in
+      eq_table_into point ~lo:!pos blk;
+      Spill.store s ~pos:!pos blk;
+      pos := !pos + eb
+    done
+  with e ->
+    Spill.free s;
+    raise e
+
 let eq_point r s =
   let l = Array.length r in
   if Array.length s <> l then invalid_arg "Mle.eq_point";

@@ -47,6 +47,13 @@ val eq_table_into : point -> lo:int -> Nocap_vec.Fv.t -> unit
 val eq_fv : point -> Nocap_vec.Fv.t
 (** {!eq_table} as a fresh flat vector (one {!eq_table_into} at [lo = 0]). *)
 
+val eq_table_spill : point -> block:int -> Nocap_vec.Spill.t -> unit
+(** [eq_table_spill r ~block s] fills [s] with {!eq_table}[ r], one aligned
+    power-of-two block of at most [block] elements at a time through
+    {!eq_table_into}, with a {!Nocap_parallel.Pool.Cancel.check} per
+    block. On any exception [s] is freed and the exception re-raised.
+    @raise Invalid_argument if [Spill.length s <> 2^(Array.length r)]. *)
+
 val eq_point : point -> point -> Zk_field.Gf.t
 (** [eq_point r s] = [prod_i (r_i * s_i + (1 - r_i) * (1 - s_i))]. *)
 

@@ -57,23 +57,10 @@ let spmv m x =
       done;
       !acc)
 
-let spmv_transpose m y =
-  if Array.length y <> m.nrows then invalid_arg "Sparse.spmv_transpose: dimension mismatch";
-  let out = Array.make m.ncols Gf.zero in
-  for r = 0 to m.nrows - 1 do
-    let yr = y.(r) in
-    if not (Gf.equal yr Gf.zero) then
-      for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
-        let c = m.col_idx.(k) in
-        out.(c) <- Gf.add out.(c) (Gf.mul m.values.(k) yr)
-      done
-  done;
-  out
-
 (* Blocked variants for the prover, on flat vectors: only a row/column
    window of the result is produced (the streaming prover's blocks), and
    nothing is boxed. Field arithmetic is exact, so windowed results are
-   bit-identical to the corresponding slice of spmv/spmv_transpose. *)
+   bit-identical to the corresponding slice of the whole-vector products. *)
 
 let spmv_into m ~x ~r_lo dst =
   let len = Fv.length dst in

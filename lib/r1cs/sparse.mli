@@ -21,10 +21,6 @@ val nnz : t -> int
 val spmv : t -> Zk_field.Gf.t array -> Zk_field.Gf.t array
 (** [spmv m x] is [m * x]. @raise Invalid_argument on dimension mismatch. *)
 
-val spmv_transpose : t -> Zk_field.Gf.t array -> Zk_field.Gf.t array
-(** [spmv_transpose m y] is [m^T * y] — used to build the second-sumcheck
-    table [M(y) = sum_i eq(rx,i) M_{i,y}] without materializing M^T. *)
-
 val spmv_into : t -> x:Nocap_vec.Fv.t -> r_lo:int -> Nocap_vec.Fv.t -> unit
 (** [spmv_into m ~x ~r_lo dst] writes rows [r_lo, r_lo + Fv.length dst)
     of [m * x] into [dst] — the prover's row-blocked SpMV, on flat

@@ -262,24 +262,28 @@ let soundness_ablation () =
   let module Gf = Zk_field.Gf in
   let module Gf2 = Zk_field.Gf2 in
   let module Sumcheck = Zk_sumcheck.Sumcheck in
+  let module Fv = Nocap_vec.Fv in
   let l = 12 in
-  let tables = Array.init 4 (fun _ -> Array.init (1 lsl l) (fun _ -> Gf.random rng)) in
+  let tables =
+    Array.init 4 (fun _ -> Fv.of_array (Array.init (1 lsl l) (fun _ -> Gf.random rng)))
+  in
   let comb_ext v = Gf2.mul v.(0) (Gf2.sub (Gf2.mul v.(1) v.(2)) v.(3)) in
   let claim =
-    let acc = ref Gf.zero in
-    for b = 0 to (1 lsl l) - 1 do
-      acc := Gf.add !acc (Sumcheck.spartan_comb_scalar (Array.map (fun t -> t.(b)) tables))
-    done;
-    !acc
+    let out = Fv.create (1 lsl l) in
+    Sumcheck.spartan_comb tables out;
+    Fv.sum out
   in
   let base_mults =
     let t = Zk_hash.Transcript.create "abl-base" in
-    (Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables ~comb:Sumcheck.spartan_comb ~claim)
+    (Sumcheck.prove ~comb_mults:2 t ~degree:3
+       ~tables:(Array.map Nocap_vec.Spill.of_fv tables)
+       ~comb:Sumcheck.spartan_comb ~claim)
       .Sumcheck.stats.Sumcheck.mults
   in
   let ext =
     let t = Zk_hash.Transcript.create "abl-ext" in
-    Zk_sumcheck.Sumcheck_ext.prove t ~degree:3 ~tables ~comb:comb_ext ~comb_mults:2 ~claim
+    Zk_sumcheck.Sumcheck_ext.prove t ~degree:3 ~tables:(Array.map Fv.to_array tables)
+      ~comb:comb_ext ~comb_mults:2 ~claim
   in
   let reps3 = 3 * base_mults in
   let ext_mults = ext.Zk_sumcheck.Sumcheck_ext.base_mults_equivalent in

@@ -6,6 +6,7 @@ module R1cs = Zk_r1cs.R1cs
 module Sumcheck = Zk_sumcheck.Sumcheck
 module Orion = Zk_orion.Orion
 module Fv = Nocap_vec.Fv
+module Spill = Nocap_vec.Spill
 
 type proof = {
   commitments : Orion.commitment array;
@@ -48,38 +49,36 @@ let prove ?engine ?rng params inst assignments =
   let rng = Zk_pcs.Engine.rng ~seed:0xA66_CAFEL ?rng engine in
   let k = Array.length assignments in
   if k = 0 then invalid_arg "Aggregate.prove: empty batch";
-  Array.iter
-    (fun asn ->
-      if not (R1cs.satisfied inst asn) then
-        invalid_arg "Aggregate.prove: unsatisfied assignment in batch")
-    assignments;
+  let l = inst.R1cs.log_size in
+  let n = R1cs.size inst in
+  (* Spartan's table fills, in RAM with one block per table. Every
+     instance's Az/Bz/Cz is checked while it is filled, so an unsatisfied
+     batch raises before any commitment work. *)
+  let zs = Array.map (R1cs.z_fv inst) assignments in
+  let abc =
+    Array.concat
+      (List.map
+         (fun z ->
+           let az, bz, cz = Spartan.fill_abc ~spill:false ~block:n inst z in
+           [| az; bz; cz |])
+         (Array.to_list zs))
+  in
   let ios = Array.map (R1cs.public_io inst) assignments in
   let transcript = start_transcript params inst ios in
-  let l = inst.R1cs.log_size in
   let committed_and_cm =
     Array.map
       (fun asn -> Orion.commit ~engine params.Spartan.pcs rng asn.R1cs.w)
       assignments
   in
   Array.iter (fun (_, cm) -> Orion.absorb_commitment transcript cm) committed_and_cm;
-  let zs = Array.map (R1cs.z inst) assignments in
-  let az = Array.map (Sparse.spmv inst.R1cs.a) zs in
-  let bz = Array.map (Sparse.spmv inst.R1cs.b) zs in
-  let cz = Array.map (Sparse.spmv inst.R1cs.c) zs in
   let reps =
     Array.init params.Spartan.repetitions (fun _ ->
         let rho = Transcript.challenge_gf_vec transcript "rho" k in
         let tau = Transcript.challenge_gf_vec transcript "tau" l in
-        let eq_tau = Mle.eq_table tau in
-        let tables =
-          Array.of_list
-            (eq_tau
-            :: List.concat
-                 (List.init k (fun i -> [ az.(i); bz.(i); cz.(i) ])))
-        in
+        let eq_tau = Spartan.fill_eq ~tag:"batch-eqtau" ~spill:false ~block:n tau in
         let r1 =
           Sumcheck.prove ~engine ~comb_mults:(2 * k) transcript ~degree:3
-            ~tables ~comb:(comb1 rho) ~claim:Gf.zero
+            ~tables:(Array.append [| eq_tau |] abc) ~comb:(comb1 rho) ~claim:Gf.zero
         in
         let rx = r1.Sumcheck.challenges in
         let claims_abc =
@@ -108,27 +107,14 @@ let prove ?engine ?rng params inst assignments =
           !acc
         in
         (* The M-table is built once for the whole batch. *)
-        let eq_rx = Mle.eq_table rx in
-        let ta = Sparse.spmv_transpose inst.R1cs.a eq_rx in
-        let tb = Sparse.spmv_transpose inst.R1cs.b eq_rx in
-        let tc = Sparse.spmv_transpose inst.R1cs.c eq_rx in
-        let m_table =
-          Array.init (R1cs.size inst) (fun y ->
-              Gf.add
-                (Gf.mul r_abc.(0) ta.(y))
-                (Gf.add (Gf.mul r_abc.(1) tb.(y)) (Gf.mul r_abc.(2) tc.(y))))
-        in
-        let z_comb =
-          Array.init (R1cs.size inst) (fun y ->
-              let acc = ref Gf.zero in
-              for i = 0 to k - 1 do
-                acc := Gf.add !acc (Gf.mul sigma.(i) zs.(i).(y))
-              done;
-              !acc)
-        in
+        let eq_rx = Spartan.fill_eq ~tag:"batch-eqrx" ~spill:false ~block:n rx in
+        let m_table = Spartan.fill_m ~spill:false ~block:n inst ~eq_rx ~r_abc in
+        let z_comb = Fv.create n in
+        Fv.zero z_comb;
+        Array.iteri (fun i z -> Fv.axpy_into ~dst:z_comb sigma.(i) z) zs;
         let r2 =
           Sumcheck.prove ~engine ~comb_mults:1 transcript ~degree:2
-            ~tables:[| m_table; z_comb |] ~comb:comb2 ~claim:claim2
+            ~tables:[| m_table; Spill.of_fv z_comb |] ~comb:comb2 ~claim:claim2
         in
         let ry = r2.Sumcheck.challenges in
         let ry_rest = Array.sub ry 1 (l - 1) in

@@ -84,6 +84,82 @@ let io_mle_eval io_live point =
   done;
   !acc
 
+(* File-backed blocks are filled in these staging vectors and then
+   stored; RAM-backed ones are filled in place. *)
+let stage ~spill ~block = Fv.create (if spill then block else 0)
+
+let free_on_error spills f =
+  try f ()
+  with e ->
+    List.iter Spill.free spills;
+    raise e
+
+(* Row-blocked Az/Bz/Cz, written straight into the vectors' blocks: each
+   block is checked for satisfiability and stored; under a budget the
+   three dense vectors never coexist in RAM. *)
+let fill_abc ~spill ~block inst zfv =
+  let n = R1cs.size inst in
+  let az = Spill.create ~tag:"spartan-az" ~spill n in
+  let bz = Spill.create ~tag:"spartan-bz" ~spill n in
+  let cz = Spill.create ~tag:"spartan-cz" ~spill n in
+  free_on_error [ az; bz; cz ] (fun () ->
+      let abuf = stage ~spill ~block and bbuf = stage ~spill ~block in
+      let cbuf = stage ~spill ~block in
+      let r = ref 0 in
+      while !r < n do
+        Pool.Cancel.check ();
+        let len = min block (n - !r) in
+        let ab = Spill.writable az ~pos:!r ~len ~buf:abuf in
+        let bb = Spill.writable bz ~pos:!r ~len ~buf:bbuf in
+        let cb = Spill.writable cz ~pos:!r ~len ~buf:cbuf in
+        Sparse.spmv_into inst.R1cs.a ~x:zfv ~r_lo:!r ab;
+        Sparse.spmv_into inst.R1cs.b ~x:zfv ~r_lo:!r bb;
+        Sparse.spmv_into inst.R1cs.c ~x:zfv ~r_lo:!r cb;
+        for i = 0 to len - 1 do
+          let abi = Gf.mul (Fv.unsafe_get ab i) (Fv.unsafe_get bb i) in
+          if not (Gf.equal abi (Fv.unsafe_get cb i)) then invalid_arg "Spartan: assignment does not satisfy the instance"
+        done;
+        Spill.store az ~pos:!r ab;
+        Spill.store bz ~pos:!r bb;
+        Spill.store cz ~pos:!r cb;
+        r := !r + len
+      done);
+  (az, bz, cz)
+
+let fill_eq ~tag ~spill ~block point =
+  let s = Spill.create ~tag ~spill (1 lsl Array.length point) in
+  Mle.eq_table_spill point ~block s;
+  s
+
+(* Column-blocked M~ table: each window accumulates the r_abc-scaled
+   transpose products of A, B and C in place, scanning eq_rx in row blocks
+   (one view of the whole vector when it is RAM-backed, block reads when
+   it has spilled). *)
+let fill_m ~spill ~block inst ~eq_rx ~r_abc =
+  let n = R1cs.size inst in
+  let m = Spill.create ~tag:"spartan-m" ~spill n in
+  free_on_error [ m ] (fun () ->
+      let mbuf = stage ~spill ~block and ybuf = stage ~spill ~block in
+      let c = ref 0 in
+      while !c < n do
+        Pool.Cancel.check ();
+        let len = min block (n - !c) in
+        let mb = Spill.writable m ~pos:!c ~len ~buf:mbuf in
+        Fv.zero mb;
+        let r = ref 0 in
+        while !r < n do
+          let rows = min block (n - !r) in
+          let y = Spill.view eq_rx ~pos:!r ~len:rows ~buf:ybuf in
+          Sparse.spmv_transpose_acc inst.R1cs.a ~y ~r_lo:!r ~scale:r_abc.(0) ~c_lo:!c mb;
+          Sparse.spmv_transpose_acc inst.R1cs.b ~y ~r_lo:!r ~scale:r_abc.(1) ~c_lo:!c mb;
+          Sparse.spmv_transpose_acc inst.R1cs.c ~y ~r_lo:!r ~scale:r_abc.(2) ~c_lo:!c mb;
+          r := !r + rows
+        done;
+        Spill.store m ~pos:!c mb;
+        c := !c + len
+      done);
+  m
+
 (* comb for sumcheck #2: m * z, degree 2 (sumcheck #1 uses
    Sumcheck.spartan_comb). *)
 let comb2 v out = Fv.mul_into ~dst:out v.(0) v.(1)
@@ -197,46 +273,16 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
     let block = match budget with None -> n | Some b -> max 1024 (b / (8 * 8)) in
     (* z as a flat vector (validates the assignment shape like R1cs.z). *)
     let zfv = R1cs.z_fv inst asn in
-    (* File-backed blocks are filled in these staging vectors and then
-       stored; RAM-backed ones are filled in place. *)
-    let stage () = Fv.create (if spill then block else 0) in
-    (* Row-blocked Az/Bz/Cz, written straight into the vectors' blocks:
-       each block is checked for satisfiability and stored; under a budget
-       the three dense vectors never coexist in RAM. Raises before any
-       commitment work. *)
-    let az = Spill.create ~tag:"spartan-az" ~spill n in
-    let bz = Spill.create ~tag:"spartan-bz" ~spill n in
-    let cz = Spill.create ~tag:"spartan-cz" ~spill n in
-    (* Every exit — success, unsatisfiable assignment, cancellation, an
-       injected I/O fault — releases the spilled vectors deterministically;
-       Spill.free is idempotent so this composes with the normal-path
-       frees below. *)
+    (* Raises before any commitment work on an unsatisfied assignment. *)
+    let az, bz, cz = fill_abc ~spill ~block inst zfv in
+    (* Every exit — success, cancellation, an injected I/O fault — releases
+       the spilled vectors deterministically. *)
     Fun.protect
       ~finally:(fun () ->
         Spill.free az;
         Spill.free bz;
         Spill.free cz)
     @@ fun () ->
-    let abuf = stage () and bbuf = stage () and cbuf = stage () in
-    let r = ref 0 in
-    while !r < n do
-      Pool.Cancel.check ();
-      let len = min block (n - !r) in
-      let ab = Spill.writable az ~pos:!r ~len ~buf:abuf in
-      let bb = Spill.writable bz ~pos:!r ~len ~buf:bbuf in
-      let cb = Spill.writable cz ~pos:!r ~len ~buf:cbuf in
-      Sparse.spmv_into inst.R1cs.a ~x:zfv ~r_lo:!r ab;
-      Sparse.spmv_into inst.R1cs.b ~x:zfv ~r_lo:!r bb;
-      Sparse.spmv_into inst.R1cs.c ~x:zfv ~r_lo:!r cb;
-      for i = 0 to len - 1 do
-        if not (Gf.equal (Gf.mul (Fv.unsafe_get ab i) (Fv.unsafe_get bb i)) (Fv.unsafe_get cb i))
-        then invalid_arg "Spartan.prove: assignment does not satisfy the instance"
-      done;
-      Spill.store az ~pos:!r ab;
-      Spill.store bz ~pos:!r bb;
-      Spill.store cz ~pos:!r cb;
-      r := !r + len
-    done;
     let transcript = start_transcript params inst (R1cs.public_io inst asn) in
     (* Commit to the witness half; the engine budget sizes the backend's
        blocks the same way. *)
@@ -246,43 +292,14 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
     let spmv_mults = ref (R1cs.nnz inst) in
     let sc_mults = ref 0 and sc_adds = ref 0 in
     let z_spill = Spill.of_fv zfv in
-    (* Eq table generated block-by-block, each block doubled in place from
-       its aligned prefix (bit-identical to Mle.eq_table). *)
-    let ebuf = stage () in
-    let spill_eq tag point =
-      let len = 1 lsl Array.length point in
-      let s = Spill.create ~tag ~spill len in
-      let eb =
-        let b = min block len in
-        let p = ref 1 in
-        while !p * 2 <= b do
-          p := !p * 2
-        done;
-        !p
-      in
-      let pos = ref 0 in
-      (try
-         while !pos < len do
-           Pool.Cancel.check ();
-           let blk = Spill.writable s ~pos:!pos ~len:eb ~buf:ebuf in
-           Mle.eq_table_into point ~lo:!pos blk;
-           Spill.store s ~pos:!pos blk;
-           pos := !pos + eb
-         done
-       with e ->
-         Spill.free s;
-         raise e);
-      s
-    in
-    let mbuf = stage () and ybuf = stage () in
     let reps =
       Array.init params.repetitions (fun _ ->
           (* --- Sumcheck #1 --- *)
           let tau = Transcript.challenge_gf_vec transcript "tau" l in
-          let eq_tau = spill_eq "spartan-eqtau" tau in
+          let eq_tau = fill_eq ~tag:"spartan-eqtau" ~spill ~block tau in
           let r1 =
             Fun.protect ~finally:(fun () -> Spill.free eq_tau) @@ fun () ->
-            Sumcheck.prove_streaming ~engine ~comb_mults:2 ?budget_bytes:budget transcript
+            Sumcheck.prove ~engine ~comb_mults:2 ?budget_bytes:budget transcript
               ~degree:3
               ~tables:[| eq_tau; az; bz; cz |]
               ~comb:Sumcheck.spartan_comb ~claim:Gf.zero
@@ -301,43 +318,17 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
               (Gf.mul r_abc.(0) va)
               (Gf.add (Gf.mul r_abc.(1) vb) (Gf.mul r_abc.(2) vc))
           in
-          let eq_rx = spill_eq "spartan-eqrx" rx in
-          (* Column-blocked M~ table: each window accumulates the
-             r_abc-scaled transpose products of A, B and C in place,
-             scanning eq_rx in row blocks (one view of the whole vector
-             when it is RAM-backed, block reads when it has spilled). *)
-          let m_table = Spill.create ~tag:"spartan-m" ~spill n in
+          let eq_rx = fill_eq ~tag:"spartan-eqrx" ~spill ~block rx in
+          (* eq_rx is only needed to build M~; it is freed before the
+             second sumcheck so the two never coexist. *)
+          let m_table =
+            Fun.protect ~finally:(fun () -> Spill.free eq_rx) @@ fun () ->
+            fill_m ~spill ~block inst ~eq_rx ~r_abc
+          in
+          spmv_mults := !spmv_mults + R1cs.nnz inst;
           let r2 =
-            Fun.protect
-              ~finally:(fun () ->
-                Spill.free eq_rx;
-                Spill.free m_table)
-            @@ fun () ->
-            let c = ref 0 in
-            while !c < n do
-              Pool.Cancel.check ();
-              let len = min block (n - !c) in
-              let mb = Spill.writable m_table ~pos:!c ~len ~buf:mbuf in
-              Fv.zero mb;
-              let r = ref 0 in
-              while !r < n do
-                let rows = min block (n - !r) in
-                let y = Spill.view eq_rx ~pos:!r ~len:rows ~buf:ybuf in
-                Sparse.spmv_transpose_acc inst.R1cs.a ~y ~r_lo:!r ~scale:r_abc.(0) ~c_lo:!c mb;
-                Sparse.spmv_transpose_acc inst.R1cs.b ~y ~r_lo:!r ~scale:r_abc.(1) ~c_lo:!c mb;
-                Sparse.spmv_transpose_acc inst.R1cs.c ~y ~r_lo:!r ~scale:r_abc.(2) ~c_lo:!c mb;
-                r := !r + rows
-              done;
-              Spill.store m_table ~pos:!c mb;
-              c := !c + len
-            done;
-            spmv_mults := !spmv_mults + R1cs.nnz inst;
-            (* eq_rx is only needed to build M~; free it before the second
-               sumcheck so the two never coexist (the finally re-free is an
-               idempotent no-op). *)
-            Spill.free eq_rx;
-            Sumcheck.prove_streaming ~engine ~comb_mults:1 ?budget_bytes:budget transcript
-              ~degree:2
+            Fun.protect ~finally:(fun () -> Spill.free m_table) @@ fun () ->
+            Sumcheck.prove ~engine ~comb_mults:1 ?budget_bytes:budget transcript ~degree:2
               ~tables:[| m_table; z_spill |]
               ~comb:comb2 ~claim:claim2
           in
@@ -350,10 +341,6 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           Transcript.absorb_gf transcript "vw" [| vw |];
           { sc1 = r1.Sumcheck.proof; va; vb; vc; sc2 = r2.Sumcheck.proof; vw; w_open })
     in
-    P.free_committed committed;
-    Spill.free az;
-    Spill.free bz;
-    Spill.free cz;
     let stats : prover_stats =
       {
         sumcheck_mults = !sc_mults;

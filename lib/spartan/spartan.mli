@@ -132,6 +132,40 @@ val io_mle_eval : Gf.t array -> Gf.t array -> Gf.t
     table that covers [io] is built.
     @raise Invalid_argument if [io] is longer than [2^(Array.length point)]. *)
 
+(** {1 Prover tables}
+
+    The full-length tables of {!S.prove}, shared with {!Aggregate}: each a
+    fresh [Spill.t] (file-backed when [spill]) filled one block of at most
+    [block] elements at a time, with a {!Nocap_parallel.Pool.Cancel.check}
+    per block. The caller frees the result; a fill that raises frees what
+    it created. The values do not depend on [spill] or [block]. *)
+
+val fill_abc :
+  spill:bool ->
+  block:int ->
+  Zk_r1cs.R1cs.instance ->
+  Nocap_vec.Fv.t ->
+  Nocap_vec.Spill.t * Nocap_vec.Spill.t * Nocap_vec.Spill.t
+(** [(Az, Bz, Cz)] for the wire vector [z] ({!Zk_r1cs.R1cs.z_fv}), each
+    row block checked for [Az * Bz = Cz] before it is stored.
+    @raise Invalid_argument if [z] does not satisfy the instance. *)
+
+val fill_eq :
+  tag:string -> spill:bool -> block:int -> Gf.t array -> Nocap_vec.Spill.t
+(** {!Zk_poly.Mle.eq_table}[ r] in a vector named [tag]
+    ({!Zk_poly.Mle.eq_table_spill}). *)
+
+val fill_m :
+  spill:bool ->
+  block:int ->
+  Zk_r1cs.R1cs.instance ->
+  eq_rx:Nocap_vec.Spill.t ->
+  r_abc:Gf.t array ->
+  Nocap_vec.Spill.t
+(** The second sumcheck's table
+    [M~(y) = sum_x eq_rx(x) * (rA * A(x,y) + rB * B(x,y) + rC * C(x,y))],
+    one column window at a time, scanning [eq_rx] in row blocks. *)
+
 val backend_of_bytes : bytes -> (string, Zk_pcs.Verify_error.t) result
 (** Sniff the header of a serialized proof and report which backend wrote it
     ([Ok "orion"], [Ok "fri"], ...) without decoding the payload. Legacy

@@ -2,6 +2,7 @@ module Gf = Zk_field.Gf
 module Transcript = Zk_hash.Transcript
 module Mle = Zk_poly.Mle
 module Fv = Nocap_vec.Fv
+module Spill = Nocap_vec.Spill
 
 type proof = {
   layer_claims : (Gf.t * Gf.t) array;
@@ -24,14 +25,23 @@ let comb v out =
 let prove transcript v =
   let n = Array.length v in
   let l = log2_exact n in
-  (* Build the product tree bottom-up: layers.(i) has 2^(l-i) entries. *)
-  let layers = Array.make (l + 1) v in
+  (* Build the product tree bottom-up, keeping each layer's even and odd
+     entries: P_i = halves.(i) multiplied elementwise, of 2^(l-i) entries. *)
+  let halves = Array.make (l + 1) (Fv.create 0, Fv.create 0) in
+  let layer = ref (Fv.of_array v) in
   for i = 1 to l do
-    let prev = layers.(i - 1) in
-    layers.(i) <-
-      Array.init (Array.length prev / 2) (fun y -> Gf.mul prev.(2 * y) prev.((2 * y) + 1))
+    let prev = !layer in
+    let half = Fv.length prev / 2 in
+    let evens = Fv.create half and odds = Fv.create half in
+    for y = 0 to half - 1 do
+      Fv.unsafe_set evens y (Fv.unsafe_get prev (2 * y));
+      Fv.unsafe_set odds y (Fv.unsafe_get prev ((2 * y) + 1))
+    done;
+    halves.(i) <- (evens, odds);
+    layer := Fv.create half;
+    Fv.mul_into ~dst:!layer evens odds
   done;
-  let product = layers.(l).(0) in
+  let product = Fv.get !layer 0 in
   Transcript.absorb_int transcript "gp/num_vars" l;
   Transcript.absorb_gf transcript "gp/product" [| product |];
   let layer_claims = Array.make l (Gf.zero, Gf.zero) in
@@ -40,13 +50,10 @@ let prove transcript v =
   let claim = ref product in
   (* Descend from the root: tie P_k(r) to the layer below. *)
   for k = l downto 1 do
-    let below = layers.(k - 1) in
-    let half = Array.length below / 2 in
-    let evens = Array.init half (fun y -> below.(2 * y)) in
-    let odds = Array.init half (fun y -> below.((2 * y) + 1)) in
-    let eq = Mle.eq_table !r in
+    let evens, odds = halves.(k) in
     let res =
-      Sumcheck.prove ~comb_mults:2 transcript ~degree:3 ~tables:[| eq; evens; odds |]
+      Sumcheck.prove ~comb_mults:2 transcript ~degree:3
+        ~tables:(Array.map Spill.of_fv [| Mle.eq_fv !r; evens; odds |])
         ~comb ~claim:!claim
     in
     let p0 = res.Sumcheck.final_values.(1) and p1 = res.Sumcheck.final_values.(2) in

@@ -25,102 +25,10 @@ let spartan_comb v out =
   Fv.sub_into ~dst:out out v.(3);
   Fv.mul_into ~dst:out out v.(0)
 
-let spartan_comb_scalar v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3))
-
 let log2_exact n =
   if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Sumcheck: table size must be a power of two";
   let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
   go 0 n
-
-(* Boxed reference prover: byte-identical proofs to {!prove}, kept as the
-   correctness oracle for the unboxed table path below. *)
-let prove_arrays ?engine ?(comb_mults = 0) transcript ~degree ~tables ~comb ~claim =
-  let pool = Option.bind engine Zk_pcs.Engine.pool in
-  let k = Array.length tables in
-  if k = 0 then invalid_arg "Sumcheck.prove: no tables";
-  let n = Array.length tables.(0) in
-  let num_vars = log2_exact n in
-  Array.iter
-    (fun t -> if Array.length t <> n then invalid_arg "Sumcheck.prove: table size mismatch")
-    tables;
-  Transcript.absorb_int transcript "sumcheck/num_vars" num_vars;
-  Transcript.absorb_int transcript "sumcheck/degree" degree;
-  Transcript.absorb_gf transcript "sumcheck/claim" [| claim |];
-  let tables = Array.map Array.copy tables in
-  let len = ref n in
-  let mults = ref 0 and adds = ref 0 in
-  let round_polys = Array.make num_vars [||] in
-  let challenges = Array.make num_vars Gf.zero in
-  for round = 0 to num_vars - 1 do
-    let half = !len / 2 in
-    (* Round polynomial g(t) at t = 0..degree. For each b, each table
-       restricted to the top variable is the line lo + t*(hi - lo); we walk t
-       by repeated addition of the delta, avoiding multiplications.
-
-       The b-range splits into chunks evaluated in parallel, each producing
-       a partial g; partials are added back in chunk order (and Gf addition
-       is exact), so g is byte-identical for every domain count. *)
-    let eval_chunk lo_b hi_b =
-      let g = Array.make (degree + 1) Gf.zero in
-      let vals = Array.make k Gf.zero in
-      let deltas = Array.make k Gf.zero in
-      for b = lo_b to hi_b - 1 do
-        for j = 0 to k - 1 do
-          let lo = tables.(j).(b) and hi = tables.(j).(b + half) in
-          vals.(j) <- lo;
-          deltas.(j) <- Gf.sub hi lo
-        done;
-        for t = 0 to degree do
-          if t > 0 then
-            for j = 0 to k - 1 do
-              vals.(j) <- Gf.add vals.(j) deltas.(j)
-            done;
-          g.(t) <- Gf.add g.(t) (comb vals)
-        done
-      done;
-      g
-    in
-    let g =
-      Pool.fold_chunks ?pool ~chunk:1024
-        (* One index evaluates the combiner at degree+1 points; the fixed
-           chunk:1024 pins the combine order for every grain. *)
-        ~grain:(Pool.grain_of_ns (max 1 ((degree + 1) * (comb_mults + k) * 20)))
-        ~n:half
-        ~init:(Array.make (degree + 1) Gf.zero)
-        ~body:eval_chunk
-        ~combine:(fun acc part ->
-          for t = 0 to degree do
-            acc.(t) <- Gf.add acc.(t) part.(t)
-          done;
-          acc)
-        ()
-    in
-    adds := !adds + (half * (degree + 1) * (k + 1));
-    mults := !mults + (half * (degree + 1) * comb_mults);
-    round_polys.(round) <- g;
-    Transcript.absorb_gf transcript "sumcheck/round" g;
-    let r = Transcript.challenge_gf transcript "sumcheck/challenge" in
-    challenges.(round) <- r;
-    (* Fold every table: T(b) <- T(b) + r * (T(b + half) - T(b)); writes to
-       b < half are disjoint from the reads at b + half. *)
-    for j = 0 to k - 1 do
-      let t = tables.(j) in
-      Pool.run ?pool ~grain:(Pool.grain_of_ns 15) ~n:half (fun lo hi ->
-          for b = lo to hi - 1 do
-            t.(b) <- Gf.add t.(b) (Gf.mul r (Gf.sub t.(b + half) t.(b)))
-          done)
-    done;
-    mults := !mults + (k * half);
-    adds := !adds + (2 * k * half);
-    len := half
-  done;
-  let final_values = Array.map (fun t -> t.(0)) tables in
-  {
-    proof = { round_polys };
-    challenges;
-    final_values;
-    stats = { rounds = num_vars; mults = !mults; adds = !adds };
-  }
 
 module Arena = Nocap_vec.Arena
 
@@ -188,13 +96,13 @@ let fold ?pool ~dst ~lo ~hi r =
 (* The round loop over unboxed in-RAM tables: every round of an unbudgeted
    proof, and the tail of a budgeted one from [round0] (the round at which
    the shrinking tables first fit the budget). [tabs] hold the current
-   generation; unless [owned], they are the caller's and round [round0]
+   generation; unless [in_place], they are the caller's and round [round0]
    folds out of place into fresh half-length vectors, after which every
    fold is in place. *)
-let run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~owned ~num_vars ~round0
-    ~mults ~adds ~round_polys ~challenges () =
+let run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~in_place ~num_vars
+    ~round0 ~mults ~adds ~round_polys ~challenges () =
   let k = Array.length tabs in
-  let tabs = ref tabs and owned = ref owned in
+  let tabs = ref tabs and in_place = ref in_place in
   for round = round0 to num_vars - 1 do
     Pool.Cancel.check ();
     let half = Fv.length !tabs.(0) / 2 in
@@ -207,12 +115,12 @@ let run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~owned ~num_var
     Transcript.absorb_gf transcript "sumcheck/round" g;
     let r = Transcript.challenge_gf transcript "sumcheck/challenge" in
     challenges.(round) <- r;
-    let dst = if !owned then lo else Array.map (fun _ -> Fv.create half) lo in
+    let dst = if !in_place then lo else Array.map (fun _ -> Fv.create half) lo in
     fold ?pool ~dst ~lo ~hi r;
     mults := !mults + (k * half);
     adds := !adds + (2 * k * half);
     tabs := dst;
-    owned := true
+    in_place := true
   done;
   Array.map (fun t -> Fv.get t 0) !tabs
 
@@ -241,20 +149,18 @@ module Spill = Nocap_vec.Spill
    n >> j shrinks, it eventually fits half the budget; at that point the
    tables are materialized into RAM once and {!run_rounds} finishes. With
    no budget the tables fit at round 0 and every round runs in
-   {!run_rounds}: RAM-backed tables are read where they are (folded in
-   place from the start when [owned] says the caller handed them over,
-   else folded out of place once into fresh half-length vectors), and
-   file-backed ones are loaded into RAM copies first.
+   {!run_rounds}: RAM-backed tables are read where they are (the first
+   fold writes fresh half-length vectors, so the caller's tables are never
+   written), and file-backed ones are loaded into RAM copies first.
 
    [stats] reports the protocol's arithmetic, not the recomputation
    overhead, so it is the same for every budget. *)
-let prove_spills ?engine ?(comb_mults = 0) ?budget_bytes ~owned transcript ~degree
-    ~tables ~comb ~claim =
+let prove ?engine ?(comb_mults = 0) ?budget_bytes transcript ~degree ~tables ~comb ~claim =
   let pool = Option.bind engine Zk_pcs.Engine.pool in
   let budget =
     match budget_bytes with
     | None -> max_int
-    | Some b when b <= 0 -> invalid_arg "Sumcheck.prove_streaming: budget must be positive"
+    | Some b when b <= 0 -> invalid_arg "Sumcheck.prove: budget must be positive"
     | Some b -> b
   in
   let k = Array.length tables in
@@ -359,9 +265,8 @@ let prove_spills ?engine ?(comb_mults = 0) ?budget_bytes ~owned transcript ~degr
       tables
   in
   let final_values =
-    run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs
-      ~owned:(owned || not in_ram) ~num_vars ~round0 ~mults ~adds ~round_polys
-      ~challenges ()
+    run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~in_place:(not in_ram)
+      ~num_vars ~round0 ~mults ~adds ~round_polys ~challenges ()
   in
   {
     proof = { round_polys };
@@ -369,18 +274,6 @@ let prove_spills ?engine ?(comb_mults = 0) ?budget_bytes ~owned transcript ~degr
     final_values;
     stats = { rounds = num_vars; mults = !mults; adds = !adds };
   }
-
-let prove_streaming ?engine ?comb_mults ?budget_bytes transcript ~degree ~tables ~comb
-    ~claim =
-  prove_spills ?engine ?comb_mults ?budget_bytes ~owned:false transcript ~degree ~tables
-    ~comb ~claim
-
-(* The boxed-array entry point: the tables are copied once into fresh
-   RAM vectors, which the round loop may then fold in place. *)
-let prove ?engine ?comb_mults transcript ~degree ~tables ~comb ~claim =
-  prove_spills ?engine ?comb_mults ~owned:true transcript ~degree
-    ~tables:(Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables)
-    ~comb ~claim
 
 module E = Zk_pcs.Verify_error
 

@@ -37,7 +37,7 @@ type prover_result = {
 
 (** {1 The combiner contract}
 
-    The provers take the combiner in vector form,
+    The prover takes the combiner in vector form,
     [comb : Fv.t array -> Fv.t -> unit]: [comb vals out] writes
     [out.(i) <- comb(vals.(0).(i), ..., vals.(k-1).(i))] for every [i],
     where all vectors have the same (chunk) length, at most 1024. It is
@@ -52,9 +52,7 @@ type prover_result = {
     Each round one evaluator serves every table backing: per chunk the
     values at [t = 0] and [t = 1] are views of the lo/hi halves, each
     [t >= 2] is one {!Nocap_vec.Fv.lerp_into} per table, and [Fv.sum] of
-    [out] is added into [g(t)]; the fold is [lerp_into] at the challenge.
-    The scalar form [Gf.t array -> Gf.t] survives only in the
-    {!prove_arrays} oracle. *)
+    [out] is added into [g(t)]; the fold is [lerp_into] at the challenge. *)
 
 val spartan_comb : Nocap_vec.Fv.t array -> Nocap_vec.Fv.t -> unit
 (** Spartan's first combiner [eq * (az * bz - cz)] over the tables
@@ -66,10 +64,7 @@ val spartan_comb : Nocap_vec.Fv.t array -> Nocap_vec.Fv.t -> unit
         Fv.mul_into ~dst:out out v.(0)
     ]} *)
 
-val spartan_comb_scalar : Gf.t array -> Gf.t
-(** The scalar form of {!spartan_comb}, for {!prove_arrays} and claims. *)
-
-val prove_streaming :
+val prove :
   ?engine:Zk_pcs.Engine.t ->
   ?comb_mults:int ->
   ?budget_bytes:int ->
@@ -79,7 +74,7 @@ val prove_streaming :
   comb:(Nocap_vec.Fv.t array -> Nocap_vec.Fv.t -> unit) ->
   claim:Gf.t ->
   prover_result
-(** Runs the prover over spillable tables. [comb] is the vector combiner
+(** The sumcheck prover, over spillable tables. [comb] is the vector combiner
     above; [comb_mults] is the number of field multiplications it performs
     per point (default 0), so [stats] can account for them. The claim is
     absorbed into the transcript, so prover and verifier bind to it.
@@ -98,39 +93,13 @@ val prove_streaming :
     pass over the original tables. The result — proof bytes, challenges,
     final values, stats — is the same for every budget and every engine.
     [tables] are read, never written; the caller frees them.
-    @raise Invalid_argument if [budget_bytes <= 0]. *)
-
-val prove :
-  ?engine:Zk_pcs.Engine.t ->
-  ?comb_mults:int ->
-  Zk_hash.Transcript.t ->
-  degree:int ->
-  tables:Gf.t array array ->
-  comb:(Nocap_vec.Fv.t array -> Nocap_vec.Fv.t -> unit) ->
-  claim:Gf.t ->
-  prover_result
-(** {!prove_streaming} with no budget over boxed tables, which are not
-    mutated (they are copied once into unboxed vectors, which the rounds
-    then fold in place). *)
-
-val prove_arrays :
-  ?engine:Zk_pcs.Engine.t ->
-  ?comb_mults:int ->
-  Zk_hash.Transcript.t ->
-  degree:int ->
-  tables:Gf.t array array ->
-  comb:(Gf.t array -> Gf.t) ->
-  claim:Gf.t ->
-  prover_result
-(** Boxed-array reference implementation of {!prove} with the scalar form
-    of the same combiner, evaluated point by point: same chunking, same
-    stats, byte-identical proof and challenges. Kept as the correctness
-    oracle the vector provers and the budget sweeps compare against. *)
+    @raise Invalid_argument if [tables] is empty, their lengths differ or
+    are not a power of two, or [budget_bytes <= 0]. *)
 
 (** {1 Round kernels}
 
-    One round of the provers above on RAM vectors, exposed for the kernel
-    benches. *)
+    One round of {!prove} on RAM vectors, exposed for the kernel benches
+    and the FRI opening. *)
 
 val round_poly :
   ?pool:Nocap_parallel.Pool.t ->

@@ -1,0 +1,117 @@
+(* The sumcheck prover's byte oracle: boxed tables and the scalar form of
+   the combiner, evaluated point by point with the same chunking and the
+   same stats as [Zk_sumcheck.Sumcheck.prove]. Its proofs, challenges and
+   final values must be byte-identical to the production prover's for
+   every budget, engine and domain count. *)
+
+module Gf = Zk_field.Gf
+module Transcript = Zk_hash.Transcript
+module Pool = Nocap_parallel.Pool
+module Fv = Nocap_vec.Fv
+module Spill = Nocap_vec.Spill
+open Zk_sumcheck.Sumcheck
+
+(* The scalar form of [Sumcheck.spartan_comb]: eq * (az * bz - cz) over
+   [| eq; az; bz; cz |]. *)
+let spartan_comb_scalar v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3))
+
+(* Boxed tables as fresh RAM-backed spill vectors, the form the production
+   prover takes. *)
+let spills tables = Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables
+
+let log2_exact n =
+  if n <= 0 || n land (n - 1) <> 0 then
+    invalid_arg "Sumcheck_oracle: table size must be a power of two";
+  let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
+  go 0 n
+
+let prove_arrays ?engine ?(comb_mults = 0) transcript ~degree ~tables ~comb ~claim =
+  let pool = Option.bind engine Zk_pcs.Engine.pool in
+  let k = Array.length tables in
+  if k = 0 then invalid_arg "Sumcheck_oracle.prove_arrays: no tables";
+  let n = Array.length tables.(0) in
+  let num_vars = log2_exact n in
+  Array.iter
+    (fun t ->
+      if Array.length t <> n then
+        invalid_arg "Sumcheck_oracle.prove_arrays: table size mismatch")
+    tables;
+  Transcript.absorb_int transcript "sumcheck/num_vars" num_vars;
+  Transcript.absorb_int transcript "sumcheck/degree" degree;
+  Transcript.absorb_gf transcript "sumcheck/claim" [| claim |];
+  let tables = Array.map Array.copy tables in
+  let len = ref n in
+  let mults = ref 0 and adds = ref 0 in
+  let round_polys = Array.make num_vars [||] in
+  let challenges = Array.make num_vars Gf.zero in
+  for round = 0 to num_vars - 1 do
+    let half = !len / 2 in
+    (* Round polynomial g(t) at t = 0..degree. For each b, each table
+       restricted to the top variable is the line lo + t*(hi - lo); we walk t
+       by repeated addition of the delta, avoiding multiplications.
+
+       The b-range splits into chunks evaluated in parallel, each producing
+       a partial g; partials are added back in chunk order (and Gf addition
+       is exact), so g is byte-identical for every domain count. *)
+    let eval_chunk lo_b hi_b =
+      let g = Array.make (degree + 1) Gf.zero in
+      let vals = Array.make k Gf.zero in
+      let deltas = Array.make k Gf.zero in
+      for b = lo_b to hi_b - 1 do
+        for j = 0 to k - 1 do
+          let lo = tables.(j).(b) and hi = tables.(j).(b + half) in
+          vals.(j) <- lo;
+          deltas.(j) <- Gf.sub hi lo
+        done;
+        for t = 0 to degree do
+          if t > 0 then
+            for j = 0 to k - 1 do
+              vals.(j) <- Gf.add vals.(j) deltas.(j)
+            done;
+          g.(t) <- Gf.add g.(t) (comb vals)
+        done
+      done;
+      g
+    in
+    let g =
+      Pool.fold_chunks ?pool ~chunk:1024
+        (* One index evaluates the combiner at degree+1 points; the fixed
+           chunk:1024 pins the combine order for every grain. *)
+        ~grain:(Pool.grain_of_ns (max 1 ((degree + 1) * (comb_mults + k) * 20)))
+        ~n:half
+        ~init:(Array.make (degree + 1) Gf.zero)
+        ~body:eval_chunk
+        ~combine:(fun acc part ->
+          for t = 0 to degree do
+            acc.(t) <- Gf.add acc.(t) part.(t)
+          done;
+          acc)
+        ()
+    in
+    adds := !adds + (half * (degree + 1) * (k + 1));
+    mults := !mults + (half * (degree + 1) * comb_mults);
+    round_polys.(round) <- g;
+    Transcript.absorb_gf transcript "sumcheck/round" g;
+    let r = Transcript.challenge_gf transcript "sumcheck/challenge" in
+    challenges.(round) <- r;
+    (* Fold every table: T(b) <- T(b) + r * (T(b + half) - T(b)); writes to
+       b < half are disjoint from the reads at b + half. *)
+    for j = 0 to k - 1 do
+      let t = tables.(j) in
+      Pool.run ?pool ~grain:(Pool.grain_of_ns 15) ~n:half (fun lo hi ->
+          for b = lo to hi - 1 do
+            t.(b) <- Gf.add t.(b) (Gf.mul r (Gf.sub t.(b + half) t.(b)))
+          done)
+    done;
+    mults := !mults + (k * half);
+    adds := !adds + (2 * k * half);
+    len := half
+  done;
+  let final_values = Array.map (fun t -> t.(0)) tables in
+  {
+    proof = { round_polys };
+    challenges;
+    final_values;
+    stats = { rounds = num_vars; mults = !mults; adds = !adds };
+  }
+

@@ -116,7 +116,7 @@ let test_ext_vs_repetition_cost () =
     for b = 0 to (1 lsl l) - 1 do
       acc :=
         Gf.add !acc
-          (Zk_sumcheck.Sumcheck.spartan_comb_scalar (Array.map (fun t -> t.(b)) tables))
+          (Sumcheck_oracle.spartan_comb_scalar (Array.map (fun t -> t.(b)) tables))
     done;
     !acc
   in
@@ -124,7 +124,8 @@ let test_ext_vs_repetition_cost () =
   let ext = Sumcheck_ext.prove pt ~degree:3 ~tables ~comb:comb2 ~comb_mults:2 ~claim in
   let base_run () =
     let t = Transcript.create "base-cost" in
-    (Zk_sumcheck.Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables
+    (Zk_sumcheck.Sumcheck.prove ~comb_mults:2 t ~degree:3
+       ~tables:(Sumcheck_oracle.spills tables)
        ~comb:Zk_sumcheck.Sumcheck.spartan_comb
        ~claim)
       .Zk_sumcheck.Sumcheck.stats
@@ -308,6 +309,64 @@ let test_batch_amortization () =
     (Array.length rep.Aggregate.sc1.Zk_sumcheck.Sumcheck.round_polys);
   Alcotest.(check int) "k openings" k (Array.length rep.Aggregate.w_opens)
 
+(* Golden batch-proof bytes: the sumcheck round polynomials, the per-instance
+   claims, vws and every opening (in its Orion wire form), hashed with
+   SHA3-256. Pins the batched prover's transcript traffic, RNG draws and
+   arithmetic across refactors of its dataflow. *)
+let aggregate_fingerprint (p : Aggregate.proof) =
+  let module Codec = Zk_pcs.Codec in
+  let module Orion_pcs = Zk_orion.Orion_pcs in
+  let buf = Buffer.create 4096 in
+  let put_sumcheck (sc : Zk_sumcheck.Sumcheck.proof) =
+    Array.iter (Codec.put_gf_array buf) sc.Zk_sumcheck.Sumcheck.round_polys
+  in
+  Array.iter (Orion_pcs.write_commitment buf) p.Aggregate.commitments;
+  Array.iter
+    (fun (rep : Aggregate.rep_proof) ->
+      put_sumcheck rep.Aggregate.sc1;
+      Array.iter (fun (va, vb, vc) -> Codec.put_gf_array buf [| va; vb; vc |])
+        rep.Aggregate.claims_abc;
+      put_sumcheck rep.Aggregate.sc2;
+      Codec.put_gf_array buf rep.Aggregate.vws;
+      Array.iter (Orion_pcs.write_eval_proof buf) rep.Aggregate.w_opens)
+    p.Aggregate.reps;
+  Zk_hash.Keccak.(to_hex (sha3_256 (Buffer.to_bytes buf)))
+
+let test_batch_golden () =
+  let synthetic =
+    let inst, asn = Synthetic.circuit ~n_constraints:300 ~seed:99L () in
+    (inst, Array.make 3 asn)
+  in
+  let product =
+    let build x y =
+      let b = Zk_r1cs.Builder.create () in
+      let vx = Zk_r1cs.Builder.witness b (Gf.of_int x) in
+      let vy = Zk_r1cs.Builder.witness b (Gf.of_int y) in
+      let out = Zk_r1cs.Builder.input b (Gf.of_int (x * y)) in
+      Zk_r1cs.Builder.constrain b
+        (Zk_r1cs.Builder.lc_var vx)
+        (Zk_r1cs.Builder.lc_var vy)
+        (Zk_r1cs.Builder.lc_var out);
+      Zk_r1cs.Builder.finalize b
+    in
+    let inst, asn1 = build 3 5 in
+    (inst, [| asn1; snd (build 4 4); snd (build 2 8) |])
+  in
+  List.iter
+    (fun (name, (inst, assignments), params, expected) ->
+      Alcotest.(check string) name expected
+        (aggregate_fingerprint (Aggregate.prove params inst assignments)))
+    [
+      ( "synthetic-300 x3, 2 reps",
+        synthetic,
+        { Spartan.test_params with Spartan.repetitions = 2 },
+        "573d135c67567e59884e8df029d32b74752ebdce5d3782c65d1d7860bbb3875d" );
+      ( "product x3",
+        product,
+        Spartan.test_params,
+        "b5d29a693a646174f9e4b27ab798c0de9e8361bdc7619c2c19abdce1904d60ef" );
+    ]
+
 (* --- instruction streams --- *)
 
 let test_streams_preserve_schedule () =
@@ -390,6 +449,7 @@ let suite =
     Alcotest.test_case "batch distinct witnesses" `Quick test_batch_distinct_witnesses;
     Alcotest.test_case "batch unsatisfied rejected" `Quick test_batch_unsatisfied_rejected;
     Alcotest.test_case "batch amortization" `Quick test_batch_amortization;
+    Alcotest.test_case "batch proof golden" `Quick test_batch_golden;
     Alcotest.test_case "streams preserve schedule" `Quick test_streams_preserve_schedule;
     Alcotest.test_case "streams code size" `Quick test_streams_code_size;
     Alcotest.test_case "four-step NTT kernel" `Quick test_four_step_kernel;

@@ -101,11 +101,41 @@ let prop_roundtrip =
       | Error _ -> false
       | Ok rc -> Gf.equal (Mle.eval v rc.Gp.point) rc.Gp.value)
 
+(* Golden proof bytes: the product, every layer's half-claims and sumcheck
+   round polynomials, and the reduced claim, hashed with SHA3-256. Pins the
+   argument's transcript traffic and arithmetic across refactors of its
+   dataflow. *)
+let test_golden () =
+  let module Codec = Zk_pcs.Codec in
+  List.iter
+    (fun (l, expected) ->
+      let v = random_vec (Rng.create (Int64.of_int (920 + l))) (1 lsl l) in
+      let product, proof, claim = Gp.prove (Transcript.create "gp-golden") v in
+      let buf = Buffer.create 4096 in
+      Codec.put_gf buf product;
+      Array.iter (fun (p0, p1) -> Codec.put_gf_array buf [| p0; p1 |]) proof.Gp.layer_claims;
+      Array.iter
+        (fun (sc : Sumcheck.proof) ->
+          Array.iter (Codec.put_gf_array buf) sc.Sumcheck.round_polys)
+        proof.Gp.sumchecks;
+      Codec.put_gf_array buf claim.Gp.point;
+      Codec.put_gf buf claim.Gp.value;
+      Alcotest.(check string)
+        (Printf.sprintf "l=%d" l)
+        expected
+        Zk_hash.Keccak.(to_hex (sha3_256 (Buffer.to_bytes buf))))
+    [
+      (1, "3a3209e4694161536854ebad9a6dc294f4b4ccbc625b6b154610b7fd6672ad54");
+      (5, "ee1d9810b2279f804cc425b75c91d37138c76e8a07cb05cb1435f378b33f4a2e");
+      (11, "e4150af5e38ba67fb35291369b4c3721197a886aeda2366389bcf55eba5582de");
+    ]
+
 let suite =
   [
     Alcotest.test_case "completeness" `Quick test_completeness;
     Alcotest.test_case "forged product rejected" `Quick test_forged_product_rejected;
     Alcotest.test_case "tampered halves rejected" `Quick test_tampered_halves_rejected;
     Alcotest.test_case "with Orion commitment" `Quick test_with_orion_commitment;
+    Alcotest.test_case "proof golden" `Quick test_golden;
     QCheck_alcotest.to_alcotest prop_roundtrip;
   ]

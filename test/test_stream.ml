@@ -191,7 +191,7 @@ let test_spmv_ranges () =
   let x = random_gf_array rng 29 in
   let y = random_gf_array rng 37 in
   let full = Sparse.spmv m x in
-  let fullt = Sparse.spmv_transpose m y in
+  let fullt = Sparse_oracle.spmv_transpose m y in
   let xv = Fv.of_array x in
   List.iter
     (fun (lo, hi) ->
@@ -346,12 +346,12 @@ let run_sumcheck_pair ~l ~degree ~tables_count ~comb ~vcomb ~comb_mults ~budget 
   in
   let t1 = Transcript.create "stream-test" in
   let reference =
-    Sumcheck.prove_arrays ~comb_mults t1 ~degree ~tables ~comb ~claim
+    Sumcheck_oracle.prove_arrays ~comb_mults t1 ~degree ~tables ~comb ~claim
   in
   let t2 = Transcript.create "stream-test" in
   let spills = Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables in
   let streamed =
-    Sumcheck.prove_streaming ~comb_mults ?budget_bytes:budget t2 ~degree
+    Sumcheck.prove ~comb_mults ?budget_bytes:budget t2 ~degree
       ~tables:spills ~comb:vcomb ~claim
   in
   Array.iteri
@@ -381,7 +381,7 @@ let test_sumcheck_streaming () =
           run_sumcheck_pair ~l ~degree:2 ~tables_count:2 ~comb:comb2 ~vcomb:Vcomb.prod2
             ~comb_mults:1
             ~budget (l + salt);
-          run_sumcheck_pair ~l ~degree:3 ~tables_count:4 ~comb:Sumcheck.spartan_comb_scalar
+          run_sumcheck_pair ~l ~degree:3 ~tables_count:4 ~comb:Sumcheck_oracle.spartan_comb_scalar
             ~vcomb:Sumcheck.spartan_comb
             ~comb_mults:2
             ~budget ((l * 31) + salt))
@@ -403,7 +403,7 @@ let test_sumcheck_spilled_tables () =
   in
   let t1 = Transcript.create "stream-test" in
   let reference =
-    Sumcheck.prove_arrays ~comb_mults:1 t1 ~degree:2 ~tables ~comb:comb2 ~claim
+    Sumcheck_oracle.prove_arrays ~comb_mults:1 t1 ~degree:2 ~tables ~comb:comb2 ~claim
   in
   let t2 = Transcript.create "stream-test" in
   let spills =
@@ -415,7 +415,7 @@ let test_sumcheck_spilled_tables () =
       tables
   in
   let streamed =
-    Sumcheck.prove_streaming ~comb_mults:1 ~budget_bytes:512 t2 ~degree:2
+    Sumcheck.prove ~comb_mults:1 ~budget_bytes:512 t2 ~degree:2
       ~tables:spills ~comb:Vcomb.prod2 ~claim
   in
   Array.iter Spill.free spills;
@@ -453,7 +453,7 @@ let random_combiner rng ~k ~degree =
   (scalar, vector, mults)
 
 let prop_vector_combiner_contract =
-  qcheck ~count:25 "vector combiners: prove_streaming = prove_arrays (budgets x domains)"
+  qcheck ~count:25 "vector combiners: prove = prove_arrays (budgets x domains)"
     QCheck.(
       make
         ~print:(fun (l, k, d, s) -> Printf.sprintf "l=%d k=%d degree=%d seed=%d" l k d s)
@@ -471,7 +471,7 @@ let prop_vector_combiner_contract =
         !acc
       in
       let reference =
-        Sumcheck.prove_arrays ~comb_mults (Transcript.create "contract") ~degree ~tables
+        Sumcheck_oracle.prove_arrays ~comb_mults (Transcript.create "contract") ~degree ~tables
           ~comb:scalar ~claim
       in
       List.iter
@@ -485,7 +485,7 @@ let prop_vector_combiner_contract =
               let spills = Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables in
               let streamed =
                 Pool.with_domains domains (fun () ->
-                    Sumcheck.prove_streaming ~comb_mults ?budget_bytes:budget
+                    Sumcheck.prove ~comb_mults ?budget_bytes:budget
                       (Transcript.create "contract") ~degree ~tables:spills ~comb:vector ~claim)
               in
               check_sumcheck_equal msg reference streamed;

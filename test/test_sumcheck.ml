@@ -23,7 +23,7 @@ let sum_over_cube tables comb =
 let run_roundtrip ~l ~degree ~tables ~comb ~vcomb =
   let claim = sum_over_cube tables comb in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree ~tables ~comb:vcomb ~claim in
+  let res = Sumcheck.prove pt ~degree ~tables:(Sumcheck_oracle.spills tables) ~comb:vcomb ~claim in
   let vt = Transcript.create "sumcheck-test" in
   match Sumcheck.verify vt ~degree ~num_vars:l ~claim res.Sumcheck.proof with
   | Error e -> Alcotest.failf "verify failed: %s" (Zk_pcs.Verify_error.to_string e)
@@ -62,7 +62,7 @@ let test_spartan_shape () =
   let rng = Rng.create 42L in
   let tables = Array.init 4 (fun _ -> random_table rng 6) in
   ignore
-    (run_roundtrip ~l:6 ~degree:3 ~tables ~comb:Sumcheck.spartan_comb_scalar
+    (run_roundtrip ~l:6 ~degree:3 ~tables ~comb:Sumcheck_oracle.spartan_comb_scalar
        ~vcomb:Sumcheck.spartan_comb)
 
 let test_wrong_claim_rejected () =
@@ -73,7 +73,7 @@ let test_wrong_claim_rejected () =
   let pt = Transcript.create "sumcheck-test" in
   (* A cheating prover can still produce rounds, but the verifier's final
      reduced value will not match the true MLE evaluation. *)
-  let res = Sumcheck.prove pt ~degree:1 ~tables ~comb:Vcomb.first ~claim in
+  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first ~claim in
   let vt = Transcript.create "sumcheck-test" in
   match Sumcheck.verify vt ~degree:1 ~num_vars:4 ~claim res.Sumcheck.proof with
   | Error _ -> () (* round check already caught it *)
@@ -87,7 +87,7 @@ let test_tampered_round_rejected () =
   let comb v = Gf.mul v.(0) v.(1) in
   let claim = sum_over_cube tables comb in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:2 ~tables ~comb:Vcomb.prod2 ~claim in
+  let res = Sumcheck.prove pt ~degree:2 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.prod2 ~claim in
   let proof = res.Sumcheck.proof in
   proof.Sumcheck.round_polys.(2).(1) <- Gf.add proof.Sumcheck.round_polys.(2).(1) Gf.one;
   let vt = Transcript.create "sumcheck-test" in
@@ -107,7 +107,7 @@ let test_wrong_transcript_rejected () =
   let comb v = v.(0) in
   let claim = sum_over_cube tables comb in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:1 ~tables ~comb:Vcomb.first ~claim in
+  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first ~claim in
   let vt = Transcript.create "different-domain" in
   match Sumcheck.verify vt ~degree:1 ~num_vars:3 ~claim res.Sumcheck.proof with
   | Error _ -> ()
@@ -121,7 +121,7 @@ let test_stats () =
   let tables = [| random_table rng l |] in
   let claim = sum_over_cube tables (fun v -> v.(0)) in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:1 ~tables ~comb:Vcomb.first ~claim in
+  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first ~claim in
   Alcotest.(check int) "rounds" l res.Sumcheck.stats.Sumcheck.rounds;
   (* Fold multiplications: sum over rounds of half = 2^(l-1) + ... + 1. *)
   Alcotest.(check int) "fold mults" ((1 lsl l) - 1) res.Sumcheck.stats.Sumcheck.mults
@@ -135,7 +135,7 @@ let prop_roundtrip_random_degrees =
       let comb v = Array.fold_left Gf.mul Gf.one v in
       let claim = sum_over_cube tables comb in
       let pt = Transcript.create "sumcheck-prop" in
-      let res = Sumcheck.prove pt ~degree:k ~tables ~comb:Vcomb.prod_all ~claim in
+      let res = Sumcheck.prove pt ~degree:k ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.prod_all ~claim in
       let vt = Transcript.create "sumcheck-prop" in
       match Sumcheck.verify vt ~degree:k ~num_vars:l ~claim res.Sumcheck.proof with
       | Error _ -> false

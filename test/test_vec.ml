@@ -308,11 +308,11 @@ let test_sumcheck_prove_equiv () =
     Fv.mul_into ~dst:out out v.(0)
   in
   let a =
-    Sumcheck.prove_arrays ~comb_mults:2 (Transcript.create "test-vec-sumcheck") ~degree:3
+    Sumcheck_oracle.prove_arrays ~comb_mults:2 (Transcript.create "test-vec-sumcheck") ~degree:3
       ~tables ~comb ~claim
   and b =
-    Sumcheck.prove ~comb_mults:2 (Transcript.create "test-vec-sumcheck") ~degree:3 ~tables
-      ~comb:vcomb ~claim
+    Sumcheck.prove ~comb_mults:2 (Transcript.create "test-vec-sumcheck") ~degree:3
+      ~tables:(Sumcheck_oracle.spills tables) ~comb:vcomb ~claim
   in
   Array.iteri
     (fun i g -> gf_array_eq (Printf.sprintf "round %d" i) g b.Sumcheck.proof.Sumcheck.round_polys.(i))
