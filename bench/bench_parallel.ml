@@ -62,6 +62,14 @@ let kernels ~smoke rng =
   let orion_params =
     { Orion.rows = orion_rows; code = (module Reed_solomon); proximity_count = 4; zk = true }
   in
+  (* Spartan's M~ gather over a synthetic instance, in RAM (one window). *)
+  let mfill_constraints = scale (1 lsl 16) (1 lsl 10) in
+  let mfill =
+    lazy
+      (let inst, _ = Synthetic.circuit ~n_constraints:mfill_constraints ~seed:43L () in
+       let rx = Array.init inst.R1cs.log_size (fun _ -> Gf.random rng) in
+       (inst, rx, Array.init 3 (fun _ -> Gf.random rng)))
+  in
   let e2e_constraints = scale 2000 200 in
   let e2e = lazy (Synthetic.circuit ~n_constraints:e2e_constraints ~seed:42L ()) in
   [
@@ -121,6 +129,18 @@ let kernels ~smoke rng =
         (fun () ->
           let _, cm = Orion.commit orion_params (Rng.create 1L) orion_table in
           Keccak.to_hex cm.Orion.root);
+    };
+    {
+      k_name = "m-fill";
+      k_n = mfill_constraints;
+      k_grain =
+        (let inst, _, _ = Lazy.force mfill in
+         Spartan.fill_m_grain inst);
+      k_run =
+        (fun () ->
+          let inst, rx, r_abc = Lazy.force mfill in
+          let m = Spartan.fill_m ~spill:false ~block:(R1cs.size inst) inst ~rx ~r_abc in
+          Gf.to_string (Fv.sum (Spill.as_fv m)));
     };
     {
       k_name = "endtoend-prove";
@@ -347,7 +367,7 @@ let gates ~smoke ~dispatch rows =
   ]
   @ Bench_report.require ~what:"kernel"
       (List.map (fun r -> r.kernel.k_name) rows)
-      [ "endtoend-prove" ]
+      [ "m-fill"; "endtoend-prove" ]
   @ if smoke then smoke_gates ~dispatch rows else []
 
 (* --- driver ------------------------------------------------------------- *)

@@ -19,10 +19,12 @@
    The JSON keeps its v1 keys: "streaming" is the budgeted run and
    "in_memory" the no-budget run.
 
-   Peak RSS comes from the {!Rss} probe; all budgeted phases run BEFORE
-   the no-budget phases (ascending N, with a high-water-mark reset in
-   between) so a monotonic probe cannot charge a budgeted run with an
-   earlier no-budget peak. *)
+   Peak RSS comes from the {!Rss} probe, reset before each phase. Every
+   endtoend proof runs in its own child process (circuit built there), so
+   its peak is that proof's footprint plus its circuit, never an earlier
+   row's heap; the commit and sumcheck phases run in this process, budgeted
+   before no-budget and ascending in N, so a monotonic probe cannot charge
+   a budgeted run with an earlier no-budget peak. *)
 
 open Nocap_repro
 
@@ -36,15 +38,18 @@ let gf_of_index i =
   let x = Int64.logxor x (Int64.shift_right_logical x 29) in
   Gf.of_int64 (Int64.shift_right_logical x 1)
 
-type phase = { seconds : float; peak_rss_kb : int }
+(* [floor_rss_kb] is the settled RSS the phase started from (for an
+   endtoend row, its circuit and the heap its generation left resident). *)
+type phase = { seconds : float; peak_rss_kb : int; floor_rss_kb : int }
 
 let measure f =
   ignore (Rss.settle_and_reset ());
+  let floor_rss_kb = Rss.current_rss_kb () in
   let t0 = wall () in
   let r = f () in
   let seconds = wall () -. t0 in
   let kb, _ = Rss.peak_rss_kb () in
-  (r, { seconds; peak_rss_kb = kb })
+  (r, { seconds; peak_rss_kb = kb; floor_rss_kb })
 
 (* --- endtoend ----------------------------------------------------------- *)
 
@@ -71,51 +76,70 @@ let endtoend_sizes ~smoke =
       ("fri", 14, 1 lsl 20);
     ]
 
+let prove_bytes ~engine backend inst asn =
+  match backend with
+  | "orion" ->
+    let params = { Spartan.pcs = { Orion.default_params with Orion.rows = 64 }; repetitions = 1 } in
+    let proof, _ = Spartan.prove ?engine params inst asn in
+    Spartan.proof_to_bytes proof
+  | _ ->
+    let params = { Spartan_fri.pcs = Fri_pcs.test_params; repetitions = 1 } in
+    let proof, _ = Spartan_fri.prove ?engine params inst asn in
+    Spartan_fri.proof_to_bytes proof
+
+(* [main.exe stream-row BACKEND LOG2 BUDGET budgeted|none]: one endtoend
+   proof in a fresh process. It builds the circuit, settles, times the
+   proof and prints one line: the proof's sha3, seconds, peak and floor
+   RSS in KiB, and bytes spilled. *)
+let row_main = function
+  | [ backend; lg; budget; mode ] ->
+    let inst, asn =
+      Synthetic.circuit ~n_constraints:(1 lsl int_of_string lg) ~public_seed:true
+        ~seed:0xBEEFL ()
+    in
+    let engine =
+      if mode = "budgeted" then
+        Some (Engine.create ~stream_budget_bytes:(int_of_string budget) ())
+      else None
+    in
+    Spill.reset_counters ();
+    let bytes, ph = measure (fun () -> prove_bytes ~engine backend inst asn) in
+    Printf.printf "%s %.9f %d %d %d\n" (Keccak.to_hex (Keccak.sha3_256 bytes)) ph.seconds
+      ph.peak_rss_kb ph.floor_rss_kb (Spill.spilled_bytes_total ())
+  | _ -> failwith "usage: stream-row BACKEND LOG2 BUDGET budgeted|none"
+
+(* Each endtoend proof runs in a child process of this executable, so its
+   peak RSS is its own and not the heap earlier rows left in this one.
+   A child, not a fork: OCaml 5 refuses [Unix.fork] once any domain has
+   been spawned, and the bench harness has spawned the pool by then. *)
+let prove_in_child (backend, lg, budget) ~budgeted =
+  let args =
+    [| Sys.executable_name; "stream-row"; backend; string_of_int lg; string_of_int budget;
+       (if budgeted then "budgeted" else "none") |]
+  in
+  let ic = Unix.open_process_args_in Sys.executable_name args in
+  let line = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 ->
+    Scanf.sscanf line " %s %f %d %d %d" (fun digest seconds peak_rss_kb floor_rss_kb spilled ->
+        (digest, { seconds; peak_rss_kb; floor_rss_kb }, spilled))
+  | _ -> failwith "bench stream: endtoend child failed"
+
 let run_endtoend ~smoke =
-  let cases = endtoend_sizes ~smoke in
-  let circuits =
-    List.map
-      (fun (backend, lg, budget) ->
-        let inst, asn =
-          Synthetic.circuit ~n_constraints:(1 lsl lg) ~public_seed:true ~seed:0xBEEFL ()
-        in
-        (backend, lg, budget, inst, asn))
-      cases
-  in
-  let prove_bytes ~engine backend inst asn =
-    match backend with
-    | "orion" ->
-      let params = { Spartan.pcs = { Orion.default_params with Orion.rows = 64 }; repetitions = 1 } in
-      let proof, _ = Spartan.prove ?engine params inst asn in
-      Spartan.proof_to_bytes proof
-    | _ ->
-      let params = { Spartan_fri.pcs = Fri_pcs.test_params; repetitions = 1 } in
-      let proof, _ = Spartan_fri.prove ?engine params inst asn in
-      Spartan_fri.proof_to_bytes proof
-  in
-  (* budgeted phases first, ascending *)
-  let streamed =
-    List.map
-      (fun (backend, lg, budget, inst, asn) ->
-        Spill.reset_counters ();
-        let engine = Some (Engine.create ~stream_budget_bytes:budget ()) in
-        let bytes, ph = measure (fun () -> prove_bytes ~engine backend inst asn) in
-        (backend, lg, budget, bytes, ph, Spill.spilled_bytes_total ()))
-      circuits
-  in
-  List.map2
-    (fun (backend, lg, budget, s_bytes, s_ph, spill_bytes) (_, _, _, inst, asn) ->
-      let m_bytes, m_ph = measure (fun () -> prove_bytes ~engine:None backend inst asn) in
+  List.map
+    (fun ((backend, lg, budget) as case) ->
+      let s_digest, s_ph, spill_bytes = prove_in_child case ~budgeted:true in
+      let m_digest, m_ph, _ = prove_in_child case ~budgeted:false in
       {
         e_backend = backend;
         e_constraints_log2 = lg;
         e_budget = budget;
-        e_bytes_equal = Bytes.equal s_bytes m_bytes;
+        e_bytes_equal = String.equal s_digest m_digest;
         e_spill_bytes = spill_bytes;
         e_budgeted = s_ph;
         e_no_budget = m_ph;
       })
-    streamed circuits
+    (endtoend_sizes ~smoke)
 
 (* --- commit ------------------------------------------------------------- *)
 
@@ -258,7 +282,14 @@ let run_sumcheck ~smoke =
 let document ~smoke ~rss_source ~resettable endtoend commits sumchecks =
   let open Bench_report in
   let open Json_min in
-  let phase p = Obj [ ("seconds", Num p.seconds); ("peak_rss_kb", int p.peak_rss_kb) ] in
+  let phase p =
+    Obj
+      [
+        ("seconds", Num p.seconds);
+        ("peak_rss_kb", int p.peak_rss_kb);
+        ("floor_rss_kb", int p.floor_rss_kb);
+      ]
+  in
   let slowdown b n = Num (b.seconds /. max 1e-9 n.seconds) in
   [
     ("smoke", Bool smoke);
@@ -340,16 +371,18 @@ let gates ~rss_source endtoend commits sumchecks =
 let run ~smoke ~path =
   Bench_report.section "One prover path: stream budget vs no budget (one RAM block)" ~smoke;
   let resettable = Rss.settle_and_reset () in
-  (* The commit ladder runs FIRST: the OCaml heap never shrinks back after
-     the big endtoend phases, so running it later would bury its flat,
-     budget-bound RSS profile under the endtoend phases' heap floor. *)
+  (* The commit ladder runs first, before the sumcheck tables grow this
+     process's heap; the endtoend proofs run in child processes. *)
   let commits = run_commit ~smoke in
   let sumchecks = run_sumcheck ~smoke in
   let endtoend = run_endtoend ~smoke in
   let _, rss_source = Rss.peak_rss_kb () in
   Zk_report.Render.table
     ~header:
-      [ "backend"; "2^c"; "budget"; "equal"; "spilled"; "budgeted"; "no budget"; "rss bud"; "rss none" ]
+      [
+        "backend"; "2^c"; "budget"; "equal"; "spilled"; "budgeted"; "no budget"; "floor";
+        "rss bud"; "rss none";
+      ]
     (List.map
        (fun e ->
          [
@@ -360,6 +393,7 @@ let run ~smoke ~path =
            Printf.sprintf "%dK" (e.e_spill_bytes / 1024);
            Zk_report.Render.seconds e.e_budgeted.seconds;
            Zk_report.Render.seconds e.e_no_budget.seconds;
+           Printf.sprintf "%dM" (e.e_budgeted.floor_rss_kb / 1024);
            Printf.sprintf "%dM" (e.e_budgeted.peak_rss_kb / 1024);
            Printf.sprintf "%dM" (e.e_no_budget.peak_rss_kb / 1024);
          ])

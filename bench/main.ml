@@ -10,6 +10,8 @@
                                  one bench (see [benches] below) at full or
                                  smoke size; PATH defaults to BENCH_NAME.json
                                  (BENCH_NAME_smoke.json for a smoke run)
+     main.exe stream-row ...     one endtoend proof of the stream bench,
+                                 run by it as a child process
      main.exe table4 ...         tables/figures by id
 
    GC tuning for every mode lives in [tune_gc] below. *)
@@ -366,6 +368,7 @@ let () =
     List.iter (run_bench ~smoke:false) benches
   | [ "report" ] -> List.iter (fun (_, f) -> f ()) report_items
   | [ "bench" ] -> run_benches ()
+  | "stream-row" :: row -> Bench_stream.row_main row
   | arg :: rest -> (
     match (find_bench arg, rest) with
     | Some (smoke, bench), [] -> run_bench ~smoke bench

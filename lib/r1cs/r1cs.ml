@@ -4,6 +4,7 @@ type instance = {
   a : Sparse.t;
   b : Sparse.t;
   c : Sparse.t;
+  columns : Sparse.Csc.t array;
   log_size : int;
   num_constraints : int;
   num_witness : int;
@@ -25,7 +26,8 @@ let make ~a ~b ~c ~log_size ~num_constraints ~num_witness ~num_io =
   let half = n / 2 in
   if num_constraints > n || num_witness > half || num_io > half || num_io < 1 then
     invalid_arg "R1cs.make: counts out of range";
-  { a; b; c; log_size; num_constraints; num_witness; num_io }
+  let columns = Array.map Sparse.Csc.of_csr [| a; b; c |] in
+  { a; b; c; columns; log_size; num_constraints; num_witness; num_io }
 
 let size inst = 1 lsl inst.log_size
 

@@ -14,6 +14,8 @@ type instance = private {
   a : Sparse.t;
   b : Sparse.t;
   c : Sparse.t;
+  columns : Sparse.Csc.t array;
+      (* A, B, C column-major, built once by [make] for the prover's M~ *)
   log_size : int; (* matrices are 2^log_size x 2^log_size, >= 1 *)
   num_constraints : int; (* real constraint rows *)
   num_witness : int; (* live entries of w *)
@@ -32,7 +34,8 @@ val make :
   num_witness:int ->
   num_io:int ->
   instance
-(** Validates dimensions. The matrices must already be [2^log_size] square. *)
+(** Validates dimensions and builds [columns], in O(nnz + 2^log_size).
+    The matrices must already be [2^log_size] square. *)
 
 val size : instance -> int
 (** [2^log_size]. *)

@@ -6,7 +6,7 @@ type t = {
   ncols : int;
   row_ptr : int array;
   col_idx : int array;
-  values : Gf.t array;
+  values : Fv.t;
 }
 
 let of_entries ~nrows ~ncols entries =
@@ -34,26 +34,26 @@ let of_entries ~nrows ~ncols entries =
   let n = List.length merged in
   let row_ptr = Array.make (nrows + 1) 0 in
   let col_idx = Array.make n 0 in
-  let values = Array.make n Gf.zero in
+  let values = Fv.create n in
   List.iteri
     (fun k (r, c, v) ->
       row_ptr.(r + 1) <- row_ptr.(r + 1) + 1;
       col_idx.(k) <- c;
-      values.(k) <- v)
+      Fv.unsafe_set values k v)
     merged;
   for r = 1 to nrows do
     row_ptr.(r) <- row_ptr.(r) + row_ptr.(r - 1)
   done;
   { nrows; ncols; row_ptr; col_idx; values }
 
-let nnz m = Array.length m.values
+let nnz m = Fv.length m.values
 
 let spmv m x =
   if Array.length x <> m.ncols then invalid_arg "Sparse.spmv: dimension mismatch";
   Array.init m.nrows (fun r ->
       let acc = ref Gf.zero in
       for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
-        acc := Gf.add !acc (Gf.mul m.values.(k) x.(m.col_idx.(k)))
+        acc := Gf.add !acc (Gf.mul (Fv.unsafe_get m.values k) x.(m.col_idx.(k)))
       done;
       !acc)
 
@@ -71,31 +71,73 @@ let spmv_into m ~x ~r_lo dst =
     let r = r_lo + i in
     let acc = ref Gf.zero in
     for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
-      acc := Gf.add !acc (Gf.mul m.values.(k) (Fv.unsafe_get x m.col_idx.(k)))
+      acc := Gf.add !acc (Gf.mul (Fv.unsafe_get m.values k) (Fv.unsafe_get x m.col_idx.(k)))
     done;
     Fv.unsafe_set dst i !acc
   done
 
-let spmv_transpose_acc m ~y ~r_lo ~scale ~c_lo dst =
-  let rows = Fv.length y and len = Fv.length dst in
-  if r_lo < 0 || r_lo + rows > m.nrows then
-    invalid_arg "Sparse.spmv_transpose_acc: row window out of range";
-  if c_lo < 0 || c_lo + len > m.ncols then
-    invalid_arg "Sparse.spmv_transpose_acc: column window out of range";
-  let c_hi = c_lo + len in
-  for i = 0 to rows - 1 do
-    let yr = Fv.unsafe_get y i in
-    if not (Gf.equal yr Gf.zero) then begin
-      let s = Gf.mul scale yr in
-      let r = r_lo + i in
+(* Column-major copy for the prover's M~ gather, off the OCaml heap: int
+   column pointers and row indices, [Fv] values. Built by a counting sort
+   over the CSR, so row indices ascend within each column. *)
+module Csc = struct
+  type csr = t
+  type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+  type t = {
+    nrows : int;
+    ncols : int;
+    col_ptr : ints;
+    row_idx : ints;
+    values : Fv.t;
+  }
+
+  let ints n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+
+  let of_csr (m : csr) =
+    let nz = Fv.length m.values in
+    let col_ptr = ints (m.ncols + 1) in
+    Bigarray.Array1.fill col_ptr 0;
+    Array.iter (fun c -> col_ptr.{c + 1} <- col_ptr.{c + 1} + 1) m.col_idx;
+    for c = 1 to m.ncols do
+      col_ptr.{c} <- col_ptr.{c} + col_ptr.{c - 1}
+    done;
+    (* next.{c} is the next free slot of column c. *)
+    let next = ints m.ncols in
+    Bigarray.Array1.blit (Bigarray.Array1.sub col_ptr 0 m.ncols) next;
+    let row_idx = ints nz and values = Fv.create nz in
+    for r = 0 to m.nrows - 1 do
       for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
         let c = m.col_idx.(k) in
-        if c >= c_lo && c < c_hi then
-          Fv.unsafe_set dst (c - c_lo)
-            (Gf.add (Fv.unsafe_get dst (c - c_lo)) (Gf.mul s m.values.(k)))
+        let slot = next.{c} in
+        next.{c} <- slot + 1;
+        row_idx.{slot} <- r;
+        Fv.unsafe_set values slot (Fv.unsafe_get m.values k)
       done
-    end
-  done
+    done;
+    { nrows = m.nrows; ncols = m.ncols; col_ptr; row_idx; values }
+
+  let gather_acc m ~hi ~lo ~c_lo dst =
+    let len = Fv.length dst and lo_len = Fv.length lo in
+    if lo_len <= 0 || lo_len land (lo_len - 1) <> 0 then
+      invalid_arg "Sparse.Csc.gather_acc: lo length must be a positive power of two";
+    if Fv.length hi * lo_len < m.nrows then
+      invalid_arg "Sparse.Csc.gather_acc: hi x lo shorter than the rows";
+    if c_lo < 0 || c_lo + len > m.ncols then
+      invalid_arg "Sparse.Csc.gather_acc: column window out of range";
+    let rec log2 x = if x = 1 then 0 else 1 + log2 (x lsr 1) in
+    let s = log2 lo_len and mask = lo_len - 1 in
+    let col_ptr = m.col_ptr and row_idx = m.row_idx and values = m.values in
+    for j = 0 to len - 1 do
+      let acc = ref (Fv.unsafe_get dst j) in
+      for k = Bigarray.Array1.unsafe_get col_ptr (c_lo + j)
+          to Bigarray.Array1.unsafe_get col_ptr (c_lo + j + 1) - 1 do
+        let r = Bigarray.Array1.unsafe_get row_idx k in
+        let y = Gf.mul (Fv.unsafe_get hi (r lsr s)) (Fv.unsafe_get lo (r land mask)) in
+        acc := Gf.add !acc (Gf.mul (Fv.unsafe_get values k) y)
+      done;
+      Fv.unsafe_set dst j !acc
+    done
+end
 
 let entries m =
   let n = nnz m in
@@ -104,7 +146,7 @@ let entries m =
     if k >= n then Seq.Nil
     else begin
       let r = row_of r k in
-      Seq.Cons ((r, m.col_idx.(k), m.values.(k)), seq r (k + 1))
+      Seq.Cons ((r, m.col_idx.(k), Fv.get m.values k), seq r (k + 1))
     end
   in
   seq 0 0
@@ -116,7 +158,7 @@ let mle_eval m ~row_eq ~col_eq =
   for r = 0 to m.nrows - 1 do
     let row = ref Gf.zero in
     for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
-      row := Gf.add !row (Gf.mul m.values.(k) (Fv.unsafe_get col_eq m.col_idx.(k)))
+      row := Gf.add !row (Gf.mul (Fv.unsafe_get m.values k) (Fv.unsafe_get col_eq m.col_idx.(k)))
     done;
     acc := Gf.add !acc (Gf.mul (Fv.unsafe_get row_eq r) !row)
   done;

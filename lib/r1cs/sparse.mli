@@ -9,7 +9,7 @@ type t = private {
   ncols : int;
   row_ptr : int array; (* length nrows + 1 *)
   col_idx : int array;
-  values : Zk_field.Gf.t array;
+  values : Nocap_vec.Fv.t; (* unboxed: 8 bytes a nonzero, nothing the GC scans *)
 }
 
 val of_entries : nrows:int -> ncols:int -> (int * int * Zk_field.Gf.t) list -> t
@@ -26,16 +26,40 @@ val spmv_into : t -> x:Nocap_vec.Fv.t -> r_lo:int -> Nocap_vec.Fv.t -> unit
     of [m * x] into [dst] — the prover's row-blocked SpMV, on flat
     vectors. Bit-identical to the same slice of {!spmv}. *)
 
-val spmv_transpose_acc :
-  t -> y:Nocap_vec.Fv.t -> r_lo:int -> scale:Zk_field.Gf.t -> c_lo:int -> Nocap_vec.Fv.t -> unit
-(** [spmv_transpose_acc m ~y ~r_lo ~scale ~c_lo dst] adds
-    [scale * (m^T y)] restricted to rows [r_lo, r_lo + Fv.length y)
-    ([y.(i)] is row [r_lo + i]) and columns [c_lo, c_lo + Fv.length dst)
-    into [dst]: one multiplication per row for [scale * y_r], then one per
-    in-window nonzero. Summing it over every row block, and over A, B, C
-    with their scales, builds a window of Spartan's M~ table in place.
-    Scans every row of the block per call, so a full column-blocked
-    transpose costs [nblocks * nnz]; the accumulator stays window-sized. *)
+(** Column-major (CSC) copies, for the prover's second-sumcheck table:
+    Spartan's M~ is a transpose product, so it is gathered one column at
+    a time. Everything is off the OCaml heap — [Bigarray] int column
+    pointers and row indices, [Fv] values — so a copy is
+    [(ncols + 1 + 2 * nnz) * 8] resident bytes and nothing the GC scans. *)
+module Csc : sig
+  type csr := t
+  type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+  type t = private {
+    nrows : int;
+    ncols : int;
+    col_ptr : ints; (* length ncols + 1 *)
+    row_idx : ints; (* ascending within each column *)
+    values : Nocap_vec.Fv.t;
+  }
+
+  val of_csr : csr -> t
+  (** The transpose layout of a CSR matrix, in O(nnz + nrows + ncols). *)
+
+  val gather_acc :
+    t -> hi:Nocap_vec.Fv.t -> lo:Nocap_vec.Fv.t -> c_lo:int -> Nocap_vec.Fv.t -> unit
+  (** [gather_acc m ~hi ~lo ~c_lo dst] adds columns
+      [c_lo, c_lo + Fv.length dst) of [m^T y] into [dst], where [y] is the
+      tensor product [y(r) = hi.(r lsr s) * lo.(r land (2^s - 1))] and
+      [2^s = Fv.length lo] (a power of two; [lo = \[1\]] makes [y = hi]).
+      Two multiplications per in-window nonzero, and each column is summed
+      in a register and stored once. With [hi]/[lo] the eq tables of a
+      point's top and bottom variables, [y] is that point's full eq
+      table, never materialized.
+      @raise Invalid_argument if [lo] is not a power of two long, if
+      [hi x lo] covers fewer than [nrows] rows, or if the window is out
+      of range. *)
+end
 
 val entries : t -> (int * int * Zk_field.Gf.t) Seq.t
 (** All nonzero entries in row-major order. *)

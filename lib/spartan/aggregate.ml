@@ -107,8 +107,7 @@ let prove ?engine ?rng params inst assignments =
           !acc
         in
         (* The M-table is built once for the whole batch. *)
-        let eq_rx = Spartan.fill_eq ~tag:"batch-eqrx" ~spill:false ~block:n rx in
-        let m_table = Spartan.fill_m ~spill:false ~block:n inst ~eq_rx ~r_abc in
+        let m_table = Spartan.fill_m ~spill:false ~block:n inst ~rx ~r_abc in
         let z_comb = Fv.create n in
         Fv.zero z_comb;
         Array.iteri (fun i z -> Fv.axpy_into ~dst:z_comb sigma.(i) z) zs;

@@ -58,7 +58,7 @@ let instance_digest (inst : R1cs.instance) =
         for k = m.Sparse.row_ptr.(r) to m.Sparse.row_ptr.(r + 1) - 1 do
           Bytes.set_int64_le buf !pos (Int64.of_int r);
           Bytes.set_int64_le buf (!pos + 8) (Int64.of_int m.Sparse.col_idx.(k));
-          Bytes.set_int64_le buf (!pos + 16) (Gf.to_int64 m.Sparse.values.(k));
+          Bytes.set_int64_le buf (!pos + 16) (Gf.to_int64 (Fv.unsafe_get m.Sparse.values k));
           pos := !pos + 24
         done
       done)
@@ -131,32 +131,52 @@ let fill_eq ~tag ~spill ~block point =
   Mle.eq_table_spill point ~block s;
   s
 
-(* Column-blocked M~ table: each window accumulates the r_abc-scaled
-   transpose products of A, B and C in place, scanning eq_rx in row blocks
-   (one view of the whole vector when it is RAM-backed, block reads when
-   it has spilled). *)
-let fill_m ~spill ~block inst ~eq_rx ~r_abc =
+(* ~15 ns per nonzero (two multiplications and an add) and ~15 ns per
+   column per call (its pointers and the load/store of its slot). *)
+let fill_m_grain inst =
+  Pool.grain_of_ns (15 + (15 * R1cs.nnz inst / R1cs.size inst))
+
+(* Column-blocked M~ table, gathered from the column-major A, B, C:
+   M~(y) = sum over column y's entries (row, v) of
+   v * hi_k(row lsr s) * lo(row land (2^s - 1)), with lo the eq table of
+   r_x's bottom s = ceil(l/2) variables and hi_k that of its top
+   floor(l/2) variables scaled by r_abc.(k). Two sqrt(n)-sized tables
+   replace the full eq(r_x, .) vector, so a fill costs O(nnz + n) for
+   every block size. Each window is split across the pool and summed
+   straight into its block. *)
+let fill_m ~spill ~block inst ~rx ~r_abc =
   let n = R1cs.size inst in
+  let l = inst.R1cs.log_size in
+  if Array.length rx <> l || Array.length r_abc <> 3 then
+    invalid_arg "Spartan.fill_m: r_x must have log_size entries and r_abc three";
+  let h = l / 2 in
+  let lo = Mle.eq_fv (Array.sub rx h (l - h)) in
+  let hi = Mle.eq_fv (Array.sub rx 0 h) in
+  let his =
+    Array.map
+      (fun r ->
+        let v = Fv.create (Fv.length hi) in
+        Fv.scale_into ~dst:v hi r;
+        v)
+      r_abc
+  in
+  let grain = fill_m_grain inst in
   let m = Spill.create ~tag:"spartan-m" ~spill n in
   free_on_error [ m ] (fun () ->
-      let mbuf = stage ~spill ~block and ybuf = stage ~spill ~block in
+      let mbuf = stage ~spill ~block in
       let c = ref 0 in
       while !c < n do
         Pool.Cancel.check ();
-        let len = min block (n - !c) in
-        let mb = Spill.writable m ~pos:!c ~len ~buf:mbuf in
-        Fv.zero mb;
-        let r = ref 0 in
-        while !r < n do
-          let rows = min block (n - !r) in
-          let y = Spill.view eq_rx ~pos:!r ~len:rows ~buf:ybuf in
-          Sparse.spmv_transpose_acc inst.R1cs.a ~y ~r_lo:!r ~scale:r_abc.(0) ~c_lo:!c mb;
-          Sparse.spmv_transpose_acc inst.R1cs.b ~y ~r_lo:!r ~scale:r_abc.(1) ~c_lo:!c mb;
-          Sparse.spmv_transpose_acc inst.R1cs.c ~y ~r_lo:!r ~scale:r_abc.(2) ~c_lo:!c mb;
-          r := !r + rows
-        done;
-        Spill.store m ~pos:!c mb;
-        c := !c + len
+        let c_lo = !c and len = min block (n - !c) in
+        let mb = Spill.writable m ~pos:c_lo ~len ~buf:mbuf in
+        Pool.run ~grain ~n:len (fun j0 j1 ->
+            let dst = Fv.sub_view mb ~pos:j0 ~len:(j1 - j0) in
+            Fv.zero dst;
+            Array.iteri
+              (fun k csc -> Sparse.Csc.gather_acc csc ~hi:his.(k) ~lo ~c_lo:(c_lo + j0) dst)
+              inst.R1cs.columns);
+        Spill.store m ~pos:c_lo mb;
+        c := c_lo + len
       done);
   m
 
@@ -318,13 +338,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
               (Gf.mul r_abc.(0) va)
               (Gf.add (Gf.mul r_abc.(1) vb) (Gf.mul r_abc.(2) vc))
           in
-          let eq_rx = fill_eq ~tag:"spartan-eqrx" ~spill ~block rx in
-          (* eq_rx is only needed to build M~; it is freed before the
-             second sumcheck so the two never coexist. *)
-          let m_table =
-            Fun.protect ~finally:(fun () -> Spill.free eq_rx) @@ fun () ->
-            fill_m ~spill ~block inst ~eq_rx ~r_abc
-          in
+          let m_table = fill_m ~spill ~block inst ~rx ~r_abc in
           spmv_mults := !spmv_mults + R1cs.nnz inst;
           let r2 =
             Fun.protect ~finally:(fun () -> Spill.free m_table) @@ fun () ->

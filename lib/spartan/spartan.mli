@@ -159,12 +159,22 @@ val fill_m :
   spill:bool ->
   block:int ->
   Zk_r1cs.R1cs.instance ->
-  eq_rx:Nocap_vec.Spill.t ->
+  rx:Gf.t array ->
   r_abc:Gf.t array ->
   Nocap_vec.Spill.t
 (** The second sumcheck's table
-    [M~(y) = sum_x eq_rx(x) * (rA * A(x,y) + rB * B(x,y) + rC * C(x,y))],
-    one column window at a time, scanning [eq_rx] in row blocks. *)
+    [M~(y) = sum_x eq(rx, x) * (rA * A(x,y) + rB * B(x,y) + rC * C(x,y))],
+    gathered column by column from the instance's column-major copies
+    ({!Zk_r1cs.Sparse.Csc.gather_acc}) with [eq(rx, x)] split as the
+    product of the eq tables of [rx]'s top [floor(l/2)] and bottom
+    [ceil(l/2)] variables. O(nnz + n) for every [block]; each window is
+    split across the default pool.
+    @raise Invalid_argument unless [rx] has [log_size] entries and [r_abc]
+    three. *)
+
+val fill_m_grain : Zk_r1cs.R1cs.instance -> int
+(** The pool grain (columns per claim) {!fill_m} splits a window with, from
+    the instance's nonzeros per column. *)
 
 val backend_of_bytes : bytes -> (string, Zk_pcs.Verify_error.t) result
 (** Sniff the header of a serialized proof and report which backend wrote it

@@ -1,6 +1,6 @@
 (* Whole-vector transpose SpMV over boxed arrays: the reference the
-   prover's windowed [Zk_r1cs.Sparse.spmv_transpose_acc] is checked
-   against. *)
+   prover's column-window gather [Zk_r1cs.Sparse.Csc.gather_acc] and
+   Spartan's M~ fill are checked against. *)
 
 module Gf = Zk_field.Gf
 module Sparse = Zk_r1cs.Sparse
@@ -15,7 +15,7 @@ let spmv_transpose (m : Sparse.t) y =
     if not (Gf.equal yr Gf.zero) then
       for k = m.Sparse.row_ptr.(r) to m.Sparse.row_ptr.(r + 1) - 1 do
         let c = m.Sparse.col_idx.(k) in
-        out.(c) <- Gf.add out.(c) (Gf.mul m.Sparse.values.(k) yr)
+        out.(c) <- Gf.add out.(c) (Gf.mul (Nocap_vec.Fv.get m.Sparse.values k) yr)
       done
   done;
   out

@@ -45,6 +45,38 @@ let test_sparse_transpose () =
   let dot a b = Array.fold_left Gf.add Gf.zero (Array.map2 Gf.mul a b) in
   Alcotest.check gf "adjoint identity" (dot y (Sparse.spmv m x)) (dot (Sparse_oracle.spmv_transpose m y) x)
 
+(* R1cs.make's column-major copies hold exactly A, B and C's entries:
+   same dimensions, ascending rows within each column, and the same
+   (row, col, value) set. *)
+let test_instance_columns () =
+  let inst, _ = Zk_workloads.Synthetic.circuit ~n_constraints:300 ~seed:5L () in
+  List.iteri
+    (fun k (m : Sparse.t) ->
+      let t = inst.R1cs.columns.(k) in
+      Alcotest.(check (pair int int)) "dimensions" (m.Sparse.nrows, m.Sparse.ncols)
+        (t.Sparse.Csc.nrows, t.Sparse.Csc.ncols);
+      Alcotest.(check int) "col_ptr length" (m.Sparse.ncols + 1)
+        (Bigarray.Array1.dim t.Sparse.Csc.col_ptr);
+      let from_csc = ref [] in
+      for c = 0 to t.Sparse.Csc.ncols - 1 do
+        for i = t.Sparse.Csc.col_ptr.{c} to t.Sparse.Csc.col_ptr.{c + 1} - 1 do
+          let r = t.Sparse.Csc.row_idx.{i} in
+          if i > t.Sparse.Csc.col_ptr.{c} then
+            Alcotest.(check bool) "rows ascend in a column" true
+              (t.Sparse.Csc.row_idx.{i - 1} < r);
+          from_csc := (r, c, Nocap_vec.Fv.get t.Sparse.Csc.values i) :: !from_csc
+        done
+      done;
+      let sorted = List.sort compare !from_csc in
+      let expected = List.of_seq (Sparse.entries m) in
+      Alcotest.(check int) "nnz" (List.length expected) (List.length sorted);
+      List.iter2
+        (fun (r, c, v) (r', c', v') ->
+          Alcotest.(check (pair int int)) "position" (r, c) (r', c');
+          Alcotest.check gf "value" v v')
+        expected sorted)
+    [ inst.R1cs.a; inst.R1cs.b; inst.R1cs.c ]
+
 let test_sparse_mle_eval () =
   let rng = Rng.create 31L in
   let n = 8 in
@@ -233,6 +265,7 @@ let suite =
     Alcotest.test_case "sparse duplicates/zeros" `Quick test_sparse_duplicates_and_zeros;
     Alcotest.test_case "sparse transpose adjoint" `Quick test_sparse_transpose;
     Alcotest.test_case "sparse MLE eval" `Quick test_sparse_mle_eval;
+    Alcotest.test_case "instance columns are the transpose" `Quick test_instance_columns;
     Alcotest.test_case "bandwidth profile" `Quick test_bandwidth_profile;
     Alcotest.test_case "builder simple" `Quick test_builder_simple;
     Alcotest.test_case "builder rejects bad constraint" `Quick test_builder_rejects_bad_constraint;

@@ -181,6 +181,82 @@ let prop_random_circuits_roundtrip =
       let inst, asn = chain_circuit (steps * 13) steps in
       match prove_verify inst asn with Ok () -> true | Error _ -> false)
 
+(* A random instance for the M~ checks, [2^l] square: up to [per_row]
+   entries per row in each matrix (8 at [l = 10], so the pool splits the
+   one-block window), one column left empty in all three and one column
+   dense in A. *)
+let random_m_instance ~l seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let n = 1 lsl l in
+  let per_row = if l >= 10 then 8 else 1 + Rng.int rng 4 in
+  let empty = Rng.int rng n and dense = Rng.int rng n in
+  let matrix ~dense_col =
+    let entries = ref [] in
+    for r = 0 to n - 1 do
+      if dense_col then entries := (r, dense, Gf.random rng) :: !entries;
+      for _ = 1 to Rng.int rng (per_row + 1) do
+        entries := (r, Rng.int rng n, Gf.random rng) :: !entries
+      done
+    done;
+    let entries = List.filter (fun (_, c, _) -> c <> empty) !entries in
+    Zk_r1cs.Sparse.of_entries ~nrows:n ~ncols:n entries
+  in
+  let a = matrix ~dense_col:true and b = matrix ~dense_col:false in
+  let c = matrix ~dense_col:false in
+  let inst =
+    R1cs.make ~a ~b ~c ~log_size:l ~num_constraints:n ~num_witness:(n / 2) ~num_io:1
+  in
+  let rx = Array.init l (fun _ -> Gf.random rng) in
+  let r_abc = Array.init 3 (fun _ -> Gf.random rng) in
+  (inst, rx, r_abc)
+
+(* The dense definition of the second sumcheck's table:
+   sum_x eq(r_x, x) * (rA * A + rB * B + rC * C)(x, .). *)
+let dense_m inst rx r_abc =
+  let eq = Zk_poly.Mle.eq_table rx in
+  let acc = Array.make (R1cs.size inst) Gf.zero in
+  List.iteri
+    (fun k m ->
+      Array.iteri
+        (fun y v -> acc.(y) <- Gf.add acc.(y) (Gf.mul r_abc.(k) v))
+        (Sparse_oracle.spmv_transpose m eq))
+    [ inst.R1cs.a; inst.R1cs.b; inst.R1cs.c ];
+  acc
+
+(* fill_m against [dense_m] for spill {false, true} x block {1, 3, 1024, n}
+   x domains {1, 2}; [l = 1] leaves r_x's high half empty. *)
+let fill_m_matches_dense ~l seed =
+  let inst, rx, r_abc = random_m_instance ~l seed in
+  let n = R1cs.size inst in
+  let expected = dense_m inst rx r_abc in
+  List.for_all
+    (fun (spill, block, domains) ->
+      let m =
+        Nocap_parallel.Pool.with_domains domains (fun () ->
+            Spartan.fill_m ~spill ~block inst ~rx ~r_abc)
+      in
+      let got = Nocap_vec.Spill.to_fv m in
+      Nocap_vec.Spill.free m;
+      Array.for_all2 Gf.equal expected (Nocap_vec.Fv.to_array got)
+      || QCheck.Test.fail_reportf "seed %d, log_size %d: spill=%b block=%d domains=%d" seed l
+           spill block domains)
+    (List.concat_map
+       (fun spill ->
+         List.concat_map
+           (fun block -> List.map (fun d -> (spill, block, d)) [ 1; 2 ])
+           [ 1; 3; 1024; n ])
+       [ false; true ])
+
+let test_fill_m_edges () =
+  List.iter
+    (fun l -> Alcotest.(check bool) "fill_m = dense" true (fill_m_matches_dense ~l 7))
+    [ 1; 2; 10 ]
+
+let prop_fill_m_dense =
+  QCheck.Test.make ~count:12 ~name:"fill_m = dense eq(r_x, .) transpose product"
+    QCheck.(pair (oneofl [ 1; 2; 3; 4; 5; 6; 10 ]) (int_range 0 10_000))
+    (fun (l, seed) -> fill_m_matches_dense ~l seed)
+
 let suite =
   [
     Alcotest.test_case "completeness: factoring" `Quick test_completeness_small;
@@ -195,4 +271,6 @@ let suite =
     Alcotest.test_case "prover stats" `Quick test_stats_populated;
     Alcotest.test_case "instance digest pinned" `Quick test_instance_digest_pinned;
     QCheck_alcotest.to_alcotest prop_random_circuits_roundtrip;
+    Alcotest.test_case "fill_m: log_size 1, 2 and a pool-split window" `Quick test_fill_m_edges;
+    QCheck_alcotest.to_alcotest prop_fill_m_dense;
   ]

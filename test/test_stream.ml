@@ -202,25 +202,21 @@ let test_spmv_ranges () =
         (Array.sub full lo (hi - lo))
         (Fv.to_array part))
     [ (0, 37); (0, 1); (36, 37); (5, 21); (17, 18) ];
-  (* Column windows accumulated over row blocks, with a scale. *)
-  let scale = gf_of_rng rng in
+  (* Column windows of the transpose, gathered from the column-major copy
+     with y = y (x) [1]; a window accumulates onto what dst already holds. *)
+  let csc = Sparse.Csc.of_csr m in
+  let one = Fv.of_array [| Gf.one |] and yv = Fv.of_array y in
+  let base = gf_of_rng rng in
   List.iter
-    (fun ((lo, hi), row_block) ->
+    (fun (lo, hi) ->
       let part = Fv.create (hi - lo) in
-      Fv.zero part;
-      let r = ref 0 in
-      while !r < 37 do
-        let rows = min row_block (37 - !r) in
-        Sparse.spmv_transpose_acc m
-          ~y:(Fv.of_array (Array.sub y !r rows))
-          ~r_lo:!r ~scale ~c_lo:lo part;
-        r := !r + rows
-      done;
+      Fv.fill part base;
+      Sparse.Csc.gather_acc csc ~hi:yv ~lo:one ~c_lo:lo part;
       check_gf_array
-        (Printf.sprintf "spmv_transpose_acc [%d,%d) rows/%d" lo hi row_block)
-        (Array.map (Gf.mul scale) (Array.sub fullt lo (hi - lo)))
+        (Printf.sprintf "Csc.gather_acc [%d,%d)" lo hi)
+        (Array.map (Gf.add base) (Array.sub fullt lo (hi - lo)))
         (Fv.to_array part))
-    [ ((0, 29), 37); ((0, 1), 5); ((28, 29), 1); ((3, 17), 10) ]
+    [ (0, 29); (0, 1); (28, 29); (3, 17) ]
 
 (* --- flat witness vector ------------------------------------------------ *)
 
