@@ -22,7 +22,8 @@ type kernel = {
   k_name : string;
   k_n : int;
       (* elements processed per run (bytes for keccak-batch, permutations
-         for keccak-f1600, leaves for merkle-build) *)
+         for keccak-f1600, leaves for merkle-build, nonzeros for
+         csr-eval) *)
   k_run : unit -> string; (* runs under the ambient leg; returns fingerprint *)
 }
 
@@ -102,6 +103,14 @@ let kernels ~smoke rng =
   let sc_lo = Array.map (fun t -> Fv.sub_view t ~pos:0 ~len:sc_half) sc_tables in
   let sc_hi = Array.map (fun t -> Fv.sub_view t ~pos:sc_half ~len:sc_half) sc_tables in
   let sc_dst = Array.map (fun _ -> Fv.create sc_half) sc_tables in
+  (* The Spartan verifier's matrix evaluation at rsa-fri size (the RSA
+     circuit at 16 instances: l = 14, ~25.6k nonzeros over A, B, C): one
+     tensor-split CSR walk per matrix against fixed eq tables. *)
+  let ce_inst, _ = Benchmarks.rsa.Benchmarks.generate (scale 16 1) in
+  let ce_point () = Array.init ce_inst.R1cs.log_size (fun _ -> Gf.random rng) in
+  let ce_row_hi, ce_row_lo, _ = Mle.eq_split (ce_point ()) in
+  let ce_col_hi, ce_col_lo, _ = Mle.eq_split (ce_point ()) in
+  let ce_mats = [ ce_inst.R1cs.a; ce_inst.R1cs.b; ce_inst.R1cs.c ] in
   [
     {
       k_name = "fv-mul";
@@ -131,6 +140,19 @@ let kernels ~smoke rng =
           Sumcheck.fold ~dst:sc_dst ~lo:sc_lo ~hi:sc_hi lerp_c;
           String.concat "," (Array.to_list (Array.map Gf.to_string g))
           ^ Gf.to_string (Fv.get sc_dst.(3) (sc_half - 1)));
+    };
+    {
+      k_name = "csr-eval";
+      k_n = R1cs.nnz ce_inst;
+      k_run =
+        (fun () ->
+          Gf.to_string
+            (List.fold_left
+               (fun acc m ->
+                 Gf.add acc
+                   (Sparse.mle_eval_split m ~row_hi:ce_row_hi ~row_lo:ce_row_lo
+                      ~col_hi:ce_col_hi ~col_lo:ce_col_lo))
+               Gf.zero ce_mats));
     };
     {
       k_name = "ntt-forward-rows";
@@ -263,8 +285,8 @@ let gates rows =
   @ Bench_report.require ~what:"kernel"
       (List.map (fun r -> r.kernel.k_name) rows)
       [
-        "fv-lerp"; "sumcheck-round"; "ntt-forward-rows"; "keccak-batch"; "keccak-f1600";
-        "rs-encode-rows";
+        "fv-lerp"; "sumcheck-round"; "csr-eval"; "ntt-forward-rows"; "keccak-batch";
+        "keccak-f1600"; "rs-encode-rows";
       ]
 
 (* --- driver ------------------------------------------------------------- *)

@@ -81,6 +81,14 @@ external fri_fold : fv -> fv -> fv -> int64 -> int64 -> unit = "caml_nocap_fri_f
     with the powers of [w_inv] as a running product (four interleaved
     ones under AVX2); [dst] may alias [lo] or [hi]. *)
 
+external csr_eval : int array -> int array -> fv -> fv -> fv -> fv -> fv -> (int64[@unboxed])
+  = "caml_nocap_csr_eval_byte" "caml_nocap_csr_eval"
+[@@noalloc]
+(** [csr_eval row_ptr col_idx values row_hi row_lo col_hi col_lo]: the
+    sparse matrix MLE walk of [Zk_r1cs.Sparse.mle_eval_split] over a CSR
+    matrix's arrays, with [2^s] the length of each [lo] table; one field
+    element, returned unboxed. Scalar C only (gather-bound). *)
+
 external ntt_forward : fv -> fv -> unit = "caml_nocap_ntt_forward" [@@noalloc]
 (** [ntt_forward buf tw]: in-place forward NTT of [buf] (length n, a power
     of two) against the shared twiddle table [tw] (length [n/2]). *)

@@ -450,6 +450,58 @@ CAMLprim value caml_nocap_fri_fold(value vdst, value vlo, value vhi, value vcoef
   return Val_unit;
 }
 
+/* --- sparse matrix MLE ----------------------------------------------------
+   The Spartan verifier's walk, Sparse.mle_eval_split's OCaml body
+   operation for operation: per row the sum of v * col_hi[c >> cs] *
+   col_lo[c & cmask] over its nonzeros, times row_lo[r & rmask]; per block
+   of 2^rs rows the sum of those, times row_hi[block]. The CSR arrays are
+   OCaml int arrays, the tables int64 Bigarrays; every lo length is a power
+   of two and every index in range (checked in OCaml). Gathers dominate, so
+   there is no SIMD body. */
+
+static intnat log2_pow2(intnat n)
+{
+  intnat s = 0;
+  while (((intnat)1 << s) < n) s++;
+  return s;
+}
+
+int64_t caml_nocap_csr_eval(value vrow_ptr, value vcol_idx, value vvals, value vrow_hi,
+                            value vrow_lo, value vcol_hi, value vcol_lo)
+{
+  const uint64_t *vals = BA_DATA(vvals);
+  const uint64_t *row_hi = BA_DATA(vrow_hi), *row_lo = BA_DATA(vrow_lo);
+  const uint64_t *col_hi = BA_DATA(vcol_hi), *col_lo = BA_DATA(vcol_lo);
+  intnat nrows = (intnat)Wosize_val(vrow_ptr) - 1;
+  intnat rs = log2_pow2(BA_DIM(vrow_lo)), cs = log2_pow2(BA_DIM(vcol_lo));
+  intnat rmask = BA_DIM(vrow_lo) - 1;
+  uint64_t cmask = (uint64_t)BA_DIM(vcol_lo) - 1;
+  uint64_t acc = 0;
+  for (intnat h = 0; h < (nrows + rmask) >> rs; h++) {
+    intnat r1 = (h + 1) << rs < nrows ? (h + 1) << rs : nrows;
+    uint64_t blk = 0;
+    for (intnat r = h << rs; r < r1; r++) {
+      intnat k0 = Long_val(Field(vrow_ptr, r)), k1 = Long_val(Field(vrow_ptr, r + 1));
+      if (k0 >= k1) continue;
+      uint64_t row = 0;
+      for (intnat k = k0; k < k1; k++) {
+        uint64_t c = (uint64_t)Long_val(Field(vcol_idx, k));
+        row = gl_add(row, gl_mul(gl_mul(vals[k], col_hi[c >> cs]), col_lo[c & cmask]));
+      }
+      blk = gl_add(blk, gl_mul(row_lo[r & rmask], row));
+    }
+    acc = gl_add(acc, gl_mul(row_hi[h], blk));
+  }
+  return (int64_t)acc;
+}
+
+CAMLprim value caml_nocap_csr_eval_byte(value *argv, int argn)
+{
+  (void)argn;
+  return caml_copy_int64(
+      caml_nocap_csr_eval(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6]));
+}
+
 /* --- radix-2 NTT ---------------------------------------------------------
    Same algorithm and operation order as Ntt.Gf_fv.transform: bit-reverse,
    then log n butterfly passes against the shared twiddle table

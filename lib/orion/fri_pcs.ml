@@ -574,7 +574,7 @@ let read_eval_proof r =
           Codec.get_array r (fun r ->
               let* a = Codec.get_gf r in
               let* b = Codec.get_gf r in
-              let* path = Codec.get_list r Codec.get_digest in
+              let* path = Codec.get_digest_list r in
               Ok (a, b, path))
         in
         Ok (position, opened))

@@ -144,6 +144,18 @@ let get_digest r =
   r.pos <- r.pos + 32;
   Ok d
 
+(* One length read and one bounds check, then the digests straight into
+   the list, last first: no per-digest result or closure. *)
+let get_digest_list r =
+  let* n = get_len r in
+  let* () = need_digests r n in
+  let rec build i acc =
+    if i < 0 then acc else build (i - 1) (Bytes.sub_string r.data (r.pos + (32 * i)) 32 :: acc)
+  in
+  let l = build (n - 1) [] in
+  r.pos <- r.pos + (32 * n);
+  Ok l
+
 let get_list r get =
   let* n = get_len r in
   let rec go i acc =

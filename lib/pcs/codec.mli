@@ -83,6 +83,11 @@ val get_digest_lanes_into :
     exactly as [count] calls of {!get_digest} would ({!need_digests}).
     @raise Invalid_argument if the range does not fit [dst]. *)
 
+val get_digest_list : reader -> (string list, Verify_error.t) result
+(** [get_list r get_digest] (a length, then that many digests) with one
+    bounds check and no per-digest allocation beyond the digest and its
+    list cell. Every error is the one [get_list r get_digest] gives. *)
+
 val get_list :
   reader -> (reader -> ('a, Verify_error.t) result) -> ('a list, Verify_error.t) result
 

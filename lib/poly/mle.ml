@@ -80,6 +80,11 @@ let eq_fv point =
 
 let eq_table point = Fv.to_array (eq_fv point)
 
+let eq_split point =
+  let l = Array.length point in
+  let h = l / 2 in
+  (eq_fv (Array.sub point 0 h), eq_fv (Array.sub point h (l - h)), l - h)
+
 (* Aligned power-of-two blocks of at most [block] elements, each doubled in
    place by [eq_table_into]; file-backed blocks go through one staging
    buffer. *)

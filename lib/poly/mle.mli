@@ -47,6 +47,15 @@ val eq_table_into : point -> lo:int -> Nocap_vec.Fv.t -> unit
 val eq_fv : point -> Nocap_vec.Fv.t
 (** {!eq_table} as a fresh flat vector (one {!eq_table_into} at [lo = 0]). *)
 
+val eq_split : point -> Nocap_vec.Fv.t * Nocap_vec.Fv.t * int
+(** [eq_split r] is [(hi, lo, s)]: [hi] the {!eq_fv} of r's top
+    [floor(l/2)] variables, [lo] that of its bottom [s = ceil(l/2)], so
+    [(eq_fv r).(i) = hi.(i lsr s) * lo.(i land (2^s - 1))] for every [i]
+    (exactly: Goldilocks arithmetic is exact). Two [O(sqrt n)] tables stand
+    for the full [n]-entry table; for [l = 1] the high half is empty and
+    [hi = \[1\]]. The prover's M~ gather and the verifier's matrix
+    evaluation both split this way. *)
+
 val eq_table_spill : point -> block:int -> Nocap_vec.Spill.t -> unit
 (** [eq_table_spill r ~block s] fills [s] with {!eq_table}[ r], one aligned
     power-of-two block of at most [block] elements at a time through

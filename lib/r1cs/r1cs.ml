@@ -5,6 +5,7 @@ type instance = {
   b : Sparse.t;
   c : Sparse.t;
   columns : Sparse.Csc.t array;
+  digest : Zk_hash.Keccak.digest;
   log_size : int;
   num_constraints : int;
   num_witness : int;
@@ -12,6 +13,32 @@ type instance = {
 }
 
 type assignment = { w : Gf.t array; io : Gf.t array }
+
+(* The hashed layout [make]'s documentation pins, written into one
+   exact-size buffer straight from the CSR arrays. *)
+let digest_of ~log_size mats =
+  let header = Printf.sprintf "r1cs:%d:" log_size in
+  let size =
+    List.fold_left (fun acc (_, m) -> acc + 1 + (24 * Sparse.nnz m)) (String.length header) mats
+  in
+  let buf = Bytes.create size in
+  Bytes.blit_string header 0 buf 0 (String.length header);
+  let pos = ref (String.length header) in
+  List.iter
+    (fun (tag, (m : Sparse.t)) ->
+      Bytes.set buf !pos tag;
+      incr pos;
+      for r = 0 to m.Sparse.nrows - 1 do
+        for k = m.Sparse.row_ptr.(r) to m.Sparse.row_ptr.(r + 1) - 1 do
+          Bytes.set_int64_le buf !pos (Int64.of_int r);
+          Bytes.set_int64_le buf (!pos + 8) (Int64.of_int m.Sparse.col_idx.(k));
+          Bytes.set_int64_le buf (!pos + 16)
+            (Gf.to_int64 (Nocap_vec.Fv.unsafe_get m.Sparse.values k));
+          pos := !pos + 24
+        done
+      done)
+    mats;
+  Zk_hash.Keccak.sha3_256 buf
 
 let make ~a ~b ~c ~log_size ~num_constraints ~num_witness ~num_io =
   if log_size < 1 then invalid_arg "R1cs.make: log_size must be >= 1";
@@ -27,7 +54,9 @@ let make ~a ~b ~c ~log_size ~num_constraints ~num_witness ~num_io =
   if num_constraints > n || num_witness > half || num_io > half || num_io < 1 then
     invalid_arg "R1cs.make: counts out of range";
   let columns = Array.map Sparse.Csc.of_csr [| a; b; c |] in
-  { a; b; c; columns; log_size; num_constraints; num_witness; num_io }
+  (* Eager, not lazy: domains sharing an instance never race to force it. *)
+  let digest = digest_of ~log_size [ ('A', a); ('B', b); ('C', c) ] in
+  { a; b; c; columns; digest; log_size; num_constraints; num_witness; num_io }
 
 let size inst = 1 lsl inst.log_size
 

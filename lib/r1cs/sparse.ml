@@ -76,6 +76,8 @@ let spmv_into m ~x ~r_lo dst =
     Fv.unsafe_set dst i !acc
   done
 
+let rec log2 x = if x = 1 then 0 else 1 + log2 (x lsr 1)
+
 (* Column-major copy for the prover's M~ gather, off the OCaml heap: int
    column pointers and row indices, [Fv] values. Built by a counting sort
    over the CSR, so row indices ascend within each column. *)
@@ -124,7 +126,6 @@ module Csc = struct
       invalid_arg "Sparse.Csc.gather_acc: hi x lo shorter than the rows";
     if c_lo < 0 || c_lo + len > m.ncols then
       invalid_arg "Sparse.Csc.gather_acc: column window out of range";
-    let rec log2 x = if x = 1 then 0 else 1 + log2 (x lsr 1) in
     let s = log2 lo_len and mask = lo_len - 1 in
     let col_ptr = m.col_ptr and row_idx = m.row_idx and values = m.values in
     for j = 0 to len - 1 do
@@ -151,18 +152,42 @@ let entries m =
   in
   seq 0 0
 
-let mle_eval m ~row_eq ~col_eq =
-  if Fv.length row_eq < m.nrows || Fv.length col_eq < m.ncols then
-    invalid_arg "Sparse.mle_eval: eq tables too small";
+(* The OCaml body of [mle_eval_split], and the native kernel's oracle: the
+   C walk mirrors it operation for operation. Rows are taken in blocks of
+   one [row_hi] entry, so [row_hi] is multiplied in once per block. *)
+let mle_eval_split_ocaml m ~row_hi ~row_lo ~col_hi ~col_lo =
+  let rs = log2 (Fv.length row_lo) and cs = log2 (Fv.length col_lo) in
+  let rmask = Fv.length row_lo - 1 and cmask = Fv.length col_lo - 1 in
+  let row_ptr = m.row_ptr and col_idx = m.col_idx and values = m.values in
   let acc = ref Gf.zero in
-  for r = 0 to m.nrows - 1 do
-    let row = ref Gf.zero in
-    for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
-      row := Gf.add !row (Gf.mul (Fv.unsafe_get m.values k) (Fv.unsafe_get col_eq m.col_idx.(k)))
+  for h = 0 to ((m.nrows + rmask) lsr rs) - 1 do
+    let blk = ref Gf.zero in
+    for r = h lsl rs to min m.nrows ((h + 1) lsl rs) - 1 do
+      let k0 = Array.unsafe_get row_ptr r and k1 = Array.unsafe_get row_ptr (r + 1) in
+      if k0 < k1 then begin
+        let row = ref Gf.zero in
+        for k = k0 to k1 - 1 do
+          let c = Array.unsafe_get col_idx k in
+          let vh = Gf.mul (Fv.unsafe_get values k) (Fv.unsafe_get col_hi (c lsr cs)) in
+          row := Gf.add !row (Gf.mul vh (Fv.unsafe_get col_lo (c land cmask)))
+        done;
+        blk := Gf.add !blk (Gf.mul (Fv.unsafe_get row_lo (r land rmask)) !row)
+      end
     done;
-    acc := Gf.add !acc (Gf.mul (Fv.unsafe_get row_eq r) !row)
+    acc := Gf.add !acc (Gf.mul (Fv.unsafe_get row_hi h) !blk)
   done;
   !acc
+
+let mle_eval_split m ~row_hi ~row_lo ~col_hi ~col_lo =
+  let pow2 v = Fv.length v > 0 && Fv.length v land (Fv.length v - 1) = 0 in
+  if not (pow2 row_lo && pow2 col_lo) then
+    invalid_arg "Sparse.mle_eval_split: lo tables must be positive powers of two long";
+  if Fv.length row_hi * Fv.length row_lo < m.nrows
+     || Fv.length col_hi * Fv.length col_lo < m.ncols
+  then invalid_arg "Sparse.mle_eval_split: hi x lo shorter than the matrix";
+  if Nocap_native.Native.on () then
+    Nocap_native.Native.csr_eval m.row_ptr m.col_idx m.values row_hi row_lo col_hi col_lo
+  else mle_eval_split_ocaml m ~row_hi ~row_lo ~col_hi ~col_lo
 
 let bandwidth_profile m =
   let n = nnz m in

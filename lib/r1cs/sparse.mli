@@ -64,12 +64,27 @@ end
 val entries : t -> (int * int * Zk_field.Gf.t) Seq.t
 (** All nonzero entries in row-major order. *)
 
-val mle_eval : t -> row_eq:Nocap_vec.Fv.t -> col_eq:Nocap_vec.Fv.t -> Zk_field.Gf.t
-(** [mle_eval m ~row_eq ~col_eq] = [sum_{(i,j,v)} v * row_eq.(i) * col_eq.(j)]
-    — the matrix MLE evaluated at a point, given precomputed eq tables
-    ({!Zk_poly.Mle.eq_fv}), with [row_eq.(i)] factored out of each row.
-    This is how the Spartan verifier evaluates A(rx, ry), B(rx, ry),
-    C(rx, ry) in O(nnz). *)
+val mle_eval_split :
+  t ->
+  row_hi:Nocap_vec.Fv.t ->
+  row_lo:Nocap_vec.Fv.t ->
+  col_hi:Nocap_vec.Fv.t ->
+  col_lo:Nocap_vec.Fv.t ->
+  Zk_field.Gf.t
+(** [mle_eval_split m ~row_hi ~row_lo ~col_hi ~col_lo] is
+    [sum_{(i,j,v)} v * row(i) * col(j)], where
+    [row(i) = row_hi.(i lsr s) * row_lo.(i land (2^s - 1))] with
+    [2^s = Fv.length row_lo], and [col] likewise — the matrix MLE at a
+    point, given the point's tensor-split eq tables ({!Zk_poly.Mle.eq_split}):
+    4 sqrt(n) table entries instead of 2n. One walk of the CSR arrays, two
+    multiplications per nonzero, one per non-empty row and one per
+    [row_hi] entry; empty rows cost a comparison. Scaling [col_hi] by a
+    constant scales the result, which is how the Spartan verifier folds
+    its random combination of A, B and C into the walks. Runs the native
+    kernel ({!Nocap_native.Native.csr_eval}) unless the native layer is
+    off; both are exact, so the result does not depend on the mode.
+    @raise Invalid_argument if a [lo] table is not a positive power of two
+    long or [hi x lo] covers fewer than the matrix's rows or columns. *)
 
 val bandwidth_profile : t -> int * float
 (** [(max_band, mean_band)] where band is [abs (col - row)] over nonzeros. *)

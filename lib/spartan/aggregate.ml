@@ -1,7 +1,6 @@
 module Gf = Zk_field.Gf
 module Transcript = Zk_hash.Transcript
 module Mle = Zk_poly.Mle
-module Sparse = Zk_r1cs.Sparse
 module R1cs = Zk_r1cs.R1cs
 module Sumcheck = Zk_sumcheck.Sumcheck
 module Orion = Zk_orion.Orion
@@ -23,7 +22,7 @@ and rep_proof = {
 
 let start_transcript params inst ios =
   let t = Transcript.create "spartan-orion-batch" in
-  Transcript.absorb_digest t "instance" (Spartan.instance_digest inst);
+  Transcript.absorb_digest t "instance" inst.R1cs.digest;
   Transcript.absorb_int t "repetitions" params.Spartan.repetitions;
   Transcript.absorb_int t "batch" (Array.length ios);
   Array.iter (Transcript.absorb_gf t "io") ios;
@@ -212,13 +211,7 @@ let verify ?engine params inst ~ios proof =
       in
       let ry = v2.Sumcheck.point in
       (* One O(nnz) matrix evaluation serves the whole batch. *)
-      let row_eq = Mle.eq_fv rx and col_eq = Mle.eq_fv ry in
-      let ma = Sparse.mle_eval inst.R1cs.a ~row_eq ~col_eq in
-      let mb = Sparse.mle_eval inst.R1cs.b ~row_eq ~col_eq in
-      let mc = Sparse.mle_eval inst.R1cs.c ~row_eq ~col_eq in
-      let m_at_ry =
-        Gf.add (Gf.mul r_abc.(0) ma) (Gf.add (Gf.mul r_abc.(1) mb) (Gf.mul r_abc.(2) mc))
-      in
+      let m_at_ry = Spartan.abc_eval inst ~rx ~ry ~r_abc in
       let ry_rest = Array.sub ry 1 (l - 1) in
       let z_comb_at_ry =
         let acc = ref Gf.zero in

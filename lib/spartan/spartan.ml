@@ -1,6 +1,5 @@
 module Gf = Zk_field.Gf
 module Transcript = Zk_hash.Transcript
-module Keccak = Zk_hash.Keccak
 module Mle = Zk_poly.Mle
 module Sparse = Zk_r1cs.Sparse
 module R1cs = Zk_r1cs.R1cs
@@ -36,34 +35,11 @@ let backend_of_bytes data =
     | Some name -> Ok name
     | None -> E.errorf E.Bad_header "unknown backend tag 0x%02x" (Char.code t))
 
-(* SHA3 of "r1cs:<log_size>:" and, per matrix, its tag then one
-   (row, col, value) triple of little-endian int64s per nonzero in
-   row-major order, written into one exact-size buffer straight from the
-   CSR arrays. Deliberately uncached: the instance's arrays are mutable
-   and a verifier must hash what it is given. *)
-let instance_digest (inst : R1cs.instance) =
-  let header = Printf.sprintf "r1cs:%d:" inst.R1cs.log_size in
-  let mats = [ ('A', inst.R1cs.a); ('B', inst.R1cs.b); ('C', inst.R1cs.c) ] in
-  let size =
-    List.fold_left (fun acc (_, m) -> acc + 1 + (24 * Sparse.nnz m)) (String.length header) mats
-  in
-  let buf = Bytes.create size in
-  Bytes.blit_string header 0 buf 0 (String.length header);
-  let pos = ref (String.length header) in
-  List.iter
-    (fun (tag, (m : Sparse.t)) ->
-      Bytes.set buf !pos tag;
-      incr pos;
-      for r = 0 to m.Sparse.nrows - 1 do
-        for k = m.Sparse.row_ptr.(r) to m.Sparse.row_ptr.(r + 1) - 1 do
-          Bytes.set_int64_le buf !pos (Int64.of_int r);
-          Bytes.set_int64_le buf (!pos + 8) (Int64.of_int m.Sparse.col_idx.(k));
-          Bytes.set_int64_le buf (!pos + 16) (Gf.to_int64 (Fv.unsafe_get m.Sparse.values k));
-          pos := !pos + 24
-        done
-      done)
-    mats;
-  Keccak.sha3_256 buf
+(* The binding digest of the matrices, hashed once by [R1cs.make]: the
+   instance is frozen after [make] (see r1cs.mli), so every proof and every
+   verification on one circuit reads the same field instead of rehashing
+   ~24 bytes per nonzero. *)
+let instance_digest (inst : R1cs.instance) = inst.R1cs.digest
 
 (* The multilinear extension of the io half at a point over (L-1) variables,
    computed from the live io prefix only (everything else is zero): only
@@ -136,30 +112,29 @@ let fill_eq ~tag ~spill ~block point =
 let fill_m_grain inst =
   Pool.grain_of_ns (15 + (15 * R1cs.nnz inst / R1cs.size inst))
 
+(* [hi] scaled by each of r_abc: the random combination of A, B and C
+   folded into one sqrt(n)-sized table per matrix. *)
+let scaled_by_abc hi r_abc =
+  Array.map
+    (fun r ->
+      let v = Fv.create (Fv.length hi) in
+      Fv.scale_into ~dst:v hi r;
+      v)
+    r_abc
+
 (* Column-blocked M~ table, gathered from the column-major A, B, C:
    M~(y) = sum over column y's entries (row, v) of
-   v * hi_k(row lsr s) * lo(row land (2^s - 1)), with lo the eq table of
-   r_x's bottom s = ceil(l/2) variables and hi_k that of its top
-   floor(l/2) variables scaled by r_abc.(k). Two sqrt(n)-sized tables
+   v * hi_k(row lsr s) * lo(row land (2^s - 1)), with (hi, lo, s) r_x's
+   [Mle.eq_split] and hi_k = r_abc.(k) * hi. Two sqrt(n)-sized tables
    replace the full eq(r_x, .) vector, so a fill costs O(nnz + n) for
    every block size. Each window is split across the pool and summed
    straight into its block. *)
 let fill_m ~spill ~block inst ~rx ~r_abc =
   let n = R1cs.size inst in
-  let l = inst.R1cs.log_size in
-  if Array.length rx <> l || Array.length r_abc <> 3 then
+  if Array.length rx <> inst.R1cs.log_size || Array.length r_abc <> 3 then
     invalid_arg "Spartan.fill_m: r_x must have log_size entries and r_abc three";
-  let h = l / 2 in
-  let lo = Mle.eq_fv (Array.sub rx h (l - h)) in
-  let hi = Mle.eq_fv (Array.sub rx 0 h) in
-  let his =
-    Array.map
-      (fun r ->
-        let v = Fv.create (Fv.length hi) in
-        Fv.scale_into ~dst:v hi r;
-        v)
-      r_abc
-  in
+  let hi, lo, _ = Mle.eq_split rx in
+  let his = scaled_by_abc hi r_abc in
   let grain = fill_m_grain inst in
   let m = Spill.create ~tag:"spartan-m" ~spill n in
   free_on_error [ m ] (fun () ->
@@ -179,6 +154,20 @@ let fill_m ~spill ~block inst ~rx ~r_abc =
         c := c_lo + len
       done);
   m
+
+(* The verifier's M~(r_x, r_y) = sum_k r_abc.(k) * M_k~(r_x, r_y) over
+   M = A, B, C: one CSR walk per matrix against the tensor-split eq tables
+   of r_x (rows) and r_y (columns), with r_abc.(k) folded into matrix k's
+   column-hi table. 4 sqrt(n) table entries and O(nnz) work. *)
+let abc_eval inst ~rx ~ry ~r_abc =
+  let row_hi, row_lo, _ = Mle.eq_split rx and col_hi, col_lo, _ = Mle.eq_split ry in
+  let col_his = scaled_by_abc col_hi r_abc in
+  let acc = ref Gf.zero in
+  List.iteri
+    (fun k m ->
+      acc := Gf.add !acc (Sparse.mle_eval_split m ~row_hi ~row_lo ~col_hi:col_his.(k) ~col_lo))
+    [ inst.R1cs.a; inst.R1cs.b; inst.R1cs.c ];
+  !acc
 
 (* comb for sumcheck #2: m * z, degree 2 (sumcheck #1 uses
    Sumcheck.spartan_comb). *)
@@ -416,15 +405,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
         let ry = v2.Sumcheck.point in
         (* M~(ry) = rA * A~(rx,ry) + rB * B~(rx,ry) + rC * C~(rx,ry), evaluated
            directly from the sparse matrices in O(nnz). *)
-        let row_eq = Mle.eq_fv rx and col_eq = Mle.eq_fv ry in
-        let ma = Sparse.mle_eval inst.R1cs.a ~row_eq ~col_eq in
-        let mb = Sparse.mle_eval inst.R1cs.b ~row_eq ~col_eq in
-        let mc = Sparse.mle_eval inst.R1cs.c ~row_eq ~col_eq in
-        let m_at_ry =
-          Gf.add
-            (Gf.mul r_abc.(0) ma)
-            (Gf.add (Gf.mul r_abc.(1) mb) (Gf.mul r_abc.(2) mc))
-        in
+        let m_at_ry = abc_eval inst ~rx ~ry ~r_abc in
         (* z~(ry) = (1 - ry_0) * w~(ry_rest) + ry_0 * io~(ry_rest). *)
         let ry_rest = Array.sub ry 1 (l - 1) in
         let io_eval = io_mle_eval io ry_rest in

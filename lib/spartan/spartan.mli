@@ -94,8 +94,9 @@ module type S = sig
   (** Serialized proof size (8 B per field element, 32 B per digest). *)
 
   val instance_digest : Zk_r1cs.R1cs.instance -> Zk_hash.Keccak.digest
-  (** Binding digest of the constraint matrices; absorbed into the transcript
-      by both parties so proofs are tied to a specific circuit. *)
+  (** Binding digest of the constraint matrices ({!Zk_r1cs.R1cs.instance}'s
+      [digest], hashed once by {!Zk_r1cs.R1cs.make}); absorbed into the
+      transcript by both parties so proofs are tied to a specific circuit. *)
 
   val magic : string
   (** 8-byte wire magic ["NCAP2\x00\x00\x00"]; followed by the backend's
@@ -132,6 +133,12 @@ val io_mle_eval : Gf.t array -> Gf.t array -> Gf.t
     table that covers [io] is built.
     @raise Invalid_argument if [io] is longer than [2^(Array.length point)]. *)
 
+val abc_eval : Zk_r1cs.R1cs.instance -> rx:Gf.t array -> ry:Gf.t array -> r_abc:Gf.t array -> Gf.t
+(** The verifier's [rA * A~(rx, ry) + rB * B~(rx, ry) + rC * C~(rx, ry)]:
+    one {!Zk_r1cs.Sparse.mle_eval_split} walk per matrix against the
+    {!Zk_poly.Mle.eq_split} tables of [rx] (rows) and [ry] (columns),
+    [r_abc] folded into the column-hi tables. O(nnz + sqrt n). *)
+
 (** {1 Prover tables}
 
     The full-length tables of {!S.prove}, shared with {!Aggregate}: each a
@@ -165,9 +172,9 @@ val fill_m :
 (** The second sumcheck's table
     [M~(y) = sum_x eq(rx, x) * (rA * A(x,y) + rB * B(x,y) + rC * C(x,y))],
     gathered column by column from the instance's column-major copies
-    ({!Zk_r1cs.Sparse.Csc.gather_acc}) with [eq(rx, x)] split as the
-    product of the eq tables of [rx]'s top [floor(l/2)] and bottom
-    [ceil(l/2)] variables. O(nnz + n) for every [block]; each window is
+    ({!Zk_r1cs.Sparse.Csc.gather_acc}) with [eq(rx, x)] split by
+    {!Zk_poly.Mle.eq_split}, as the verifier's {!abc_eval} splits it.
+    O(nnz + n) for every [block]; each window is
     split across the default pool.
     @raise Invalid_argument unless [rx] has [log_size] entries and [r_abc]
     three. *)

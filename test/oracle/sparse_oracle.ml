@@ -1,8 +1,10 @@
-(* Whole-vector transpose SpMV over boxed arrays: the reference the
-   prover's column-window gather [Zk_r1cs.Sparse.Csc.gather_acc] and
-   Spartan's M~ fill are checked against. *)
+(* Whole-vector sparse products over full-length tables: the references
+   the prover's column-window gather [Zk_r1cs.Sparse.Csc.gather_acc],
+   Spartan's M~ fill and the verifier's tensor-split walk
+   [Zk_r1cs.Sparse.mle_eval_split] are checked against. *)
 
 module Gf = Zk_field.Gf
+module Fv = Nocap_vec.Fv
 module Sparse = Zk_r1cs.Sparse
 
 (* [spmv_transpose m y] is [m^T * y]. *)
@@ -19,3 +21,20 @@ let spmv_transpose (m : Sparse.t) y =
       done
   done;
   out
+
+(* [mle_eval m ~row_eq ~col_eq] = sum over nonzeros (i, j, v) of
+   v * row_eq.(i) * col_eq.(j): the matrix MLE at a point, given the
+   point's full eq tables, with row_eq.(i) factored out of each row. *)
+let mle_eval (m : Sparse.t) ~row_eq ~col_eq =
+  if Fv.length row_eq < m.Sparse.nrows || Fv.length col_eq < m.Sparse.ncols then
+    invalid_arg "Sparse_oracle.mle_eval: eq tables too small";
+  let acc = ref Gf.zero in
+  for r = 0 to m.Sparse.nrows - 1 do
+    let row = ref Gf.zero in
+    for k = m.Sparse.row_ptr.(r) to m.Sparse.row_ptr.(r + 1) - 1 do
+      row :=
+        Gf.add !row (Gf.mul (Fv.get m.Sparse.values k) (Fv.get col_eq m.Sparse.col_idx.(k)))
+    done;
+    acc := Gf.add !acc (Gf.mul (Fv.get row_eq r) !row)
+  done;
+  !acc

@@ -461,6 +461,65 @@ let test_fri_fold_block () =
         legs)
     [ 1; 3 ]
 
+(* The verifier's matrix evaluation ([Spartan.abc_eval]: one tensor-split
+   [Sparse.mle_eval_split] walk per matrix) against r_abc . (the oracle's
+   full-eq-table [mle_eval] of A, B, C), in every leg. Random [2^l]-square
+   instances, l in 1..12: rows past a random [num_constraints] are empty,
+   one column is empty in all three matrices and one is dense in A. The
+   split itself is checked against the full eq table too. *)
+let prop_abc_eval =
+  QCheck.Test.make ~count:24 ~name:"abc_eval = r_abc . oracle mle_eval, all legs"
+    (* No shrinker: shrinking would leave l's range. *)
+    (QCheck.make
+       ~print:(fun (l, seed) -> Printf.sprintf "l=%d seed=%d" l seed)
+       QCheck.Gen.(pair (int_range 1 12) (int_range 0 100_000)))
+    (fun (l, seed) ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let n = 1 lsl l in
+      let nc = Rng.int rng (n + 1) in
+      let empty = Rng.int rng n and dense = Rng.int rng n in
+      let matrix ~dense_col =
+        let entries = ref [] in
+        for r = 0 to nc - 1 do
+          if dense_col then entries := (r, dense, Gf.random rng) :: !entries;
+          for _ = 1 to Rng.int rng 5 do
+            entries := (r, Rng.int rng n, Gf.random rng) :: !entries
+          done
+        done;
+        Zk_r1cs.Sparse.of_entries ~nrows:n ~ncols:n
+          (List.filter (fun (_, c, _) -> c <> empty) !entries)
+      in
+      let a = matrix ~dense_col:true in
+      let b = matrix ~dense_col:false and c = matrix ~dense_col:false in
+      let inst =
+        Zk_r1cs.R1cs.make ~a ~b ~c ~log_size:l ~num_constraints:nc ~num_witness:(n / 2)
+          ~num_io:1
+      in
+      let point () = Array.init l (fun _ -> Gf.random rng) in
+      let rx = point () and ry = point () and r_abc = Array.init 3 (fun _ -> Gf.random rng) in
+      let row_eq = Zk_poly.Mle.eq_fv rx and col_eq = Zk_poly.Mle.eq_fv ry in
+      let expected =
+        List.fold_left2
+          (fun acc r m -> Gf.add acc (Gf.mul r (Sparse_oracle.mle_eval m ~row_eq ~col_eq)))
+          Gf.zero (Array.to_list r_abc) [ a; b; c ]
+      in
+      let hi, lo, sh = Zk_poly.Mle.eq_split rx in
+      let split_ok =
+        Fv.length hi * Fv.length lo = n
+        && Fv.length lo = 1 lsl sh
+        && List.for_all
+             (fun i ->
+               Gf.equal (Fv.get row_eq i)
+                 (Gf.mul (Fv.get hi (i lsr sh)) (Fv.get lo (i land ((1 lsl sh) - 1)))))
+             (List.init n Fun.id)
+      in
+      (split_ok || QCheck.Test.fail_reportf "eq_split: l=%d seed=%d" l seed)
+      && List.for_all
+           (fun leg ->
+             Gf.equal expected (leg.run (fun () -> Spartan.abc_eval inst ~rx ~ry ~r_abc))
+             || QCheck.Test.fail_reportf "l=%d seed=%d constraints=%d [%s]" l seed nc leg.name)
+           legs)
+
 (* In-place permutation at arbitrary (including unaligned) lane offsets in a
    larger state bank: result and every untouched neighbour checked against a
    snapshot + the public 25-lane oracle. *)
@@ -623,6 +682,7 @@ let suite =
     Alcotest.test_case "hash_gf/hash_fv/hash2/nodes across modes" `Quick test_hash_entry_points;
     Alcotest.test_case "hash_cols_into across modes" `Quick test_hash_cols_into;
     Alcotest.test_case "FRI fold_block across modes and splits" `Quick test_fri_fold_block;
+    QCheck_alcotest.to_alcotest prop_abc_eval;
     Alcotest.test_case "f1600_off offset torture" `Quick test_f1600_off_torture;
     QCheck_alcotest.to_alcotest prop_f1600_vs_ocaml;
     Alcotest.test_case "f1600 zero-state KAT" `Quick test_f1600_zero_kat;

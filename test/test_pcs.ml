@@ -475,6 +475,32 @@ let test_codec_digest_lanes () =
       (Printf.sprintf "digests cut at %d" cut) boxed flat
   done
 
+(* [get_digest_list] = [get_list get_digest]: value, final position and
+   error text, for every cut of a 5-digest list, an empty list and a
+   length field past the input. *)
+let test_codec_digest_list () =
+  let buf = Buffer.create 256 in
+  Codec.put_int buf 5;
+  for i = 0 to 4 do
+    Codec.put_digest buf (Keccak.sha3_256_string (string_of_int i))
+  done;
+  let data = Buffer.to_bytes buf in
+  let same label data =
+    Alcotest.(check (result (pair (list string) int) string))
+      label
+      (decode_with (fun r -> Codec.get_list r Codec.get_digest) data)
+      (decode_with Codec.get_digest_list data)
+  in
+  for cut = 0 to Bytes.length data do
+    same (Printf.sprintf "cut at %d" cut) (Bytes.sub data 0 cut)
+  done;
+  let empty = Buffer.create 8 in
+  Codec.put_int empty 0;
+  same "empty list" (Buffer.to_bytes empty);
+  let long = Buffer.create 8 in
+  Codec.put_int long (1 lsl 27);
+  same "length past the input" (Buffer.to_bytes long)
+
 let suite =
   [
     Alcotest.test_case "golden proof bytes across domain counts" `Slow
@@ -495,4 +521,5 @@ let suite =
     Alcotest.test_case "engine config parsing" `Quick test_engine_config;
     Alcotest.test_case "get_fv = get_gf_array, error for error" `Quick test_codec_fv;
     Alcotest.test_case "digest lanes = digest list" `Quick test_codec_digest_lanes;
+    Alcotest.test_case "get_digest_list = get_list get_digest" `Quick test_codec_digest_list;
   ]

@@ -91,7 +91,7 @@ let test_sparse_mle_eval () =
   let dense = Array.make (n * n) Gf.zero in
   Seq.iter (fun (r, c, v) -> dense.((r * n) + c) <- v) (Sparse.entries m);
   let expected = Mle.eval dense (Array.append rx ry) in
-  Alcotest.check gf "sparse MLE = dense MLE" expected (Sparse.mle_eval m ~row_eq ~col_eq)
+  Alcotest.check gf "sparse MLE = dense MLE" expected (Sparse_oracle.mle_eval m ~row_eq ~col_eq)
 
 let test_bandwidth_profile () =
   let m =

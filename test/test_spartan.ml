@@ -164,8 +164,7 @@ let test_stats_populated () =
    drift. *)
 let test_instance_digest_pinned () =
   let check name inst expected =
-    Alcotest.(check string) name expected
-      (Zk_hash.Keccak.to_hex (Spartan.instance_digest inst))
+    Alcotest.(check string) name expected (Zk_hash.Keccak.to_hex inst.R1cs.digest)
   in
   let synthetic, _ = Zk_workloads.Synthetic.circuit ~n_constraints:200 ~seed:7L () in
   check "synthetic n=200 seed=7" synthetic
@@ -173,6 +172,27 @@ let test_instance_digest_pinned () =
   let auction, _ = Zk_workloads.Auction_circuit.circuit ~bids:4 ~seed:11L () in
   check "auction bids=4 seed=11" auction
     "2e028fdd78c79bca1ed7e9a5b7920e3ccaf600a9b35fc10695e3e1fa0862bbcd"
+
+(* The digest [R1cs.make] stores is the one the oracle recomputes from the
+   matrices, for every shipped generator and for a lint mutant (a circuit
+   built from another's entries, through [make]). *)
+let test_instance_digest_oracle () =
+  let check name inst =
+    Alcotest.(check string) name
+      (Zk_hash.Keccak.to_hex (R1cs_oracle.instance_digest inst))
+      (Zk_hash.Keccak.to_hex inst.R1cs.digest)
+  in
+  List.iter
+    (fun (b : Zk_workloads.Benchmarks.t) ->
+      check b.Zk_workloads.Benchmarks.name (fst (b.Zk_workloads.Benchmarks.generate 1)))
+    Zk_workloads.Benchmarks.all;
+  let inst, asn = Zk_workloads.Auction_circuit.circuit ~bids:4 ~seed:11L () in
+  match Nocap_analysis.Circuit_mutate.random (Rng.create 5L) inst asn with
+  | None -> Alcotest.fail "no applicable mutation"
+  | Some (op, mutant) ->
+    check (Nocap_analysis.Circuit_mutate.op_to_string op) mutant;
+    Alcotest.(check bool) "the mutant's digest differs" false
+      (String.equal inst.R1cs.digest mutant.R1cs.digest)
 
 let prop_random_circuits_roundtrip =
   QCheck.Test.make ~count:10 ~name:"random circuits prove and verify"
@@ -270,6 +290,7 @@ let suite =
     Alcotest.test_case "proof size" `Quick test_proof_size_positive;
     Alcotest.test_case "prover stats" `Quick test_stats_populated;
     Alcotest.test_case "instance digest pinned" `Quick test_instance_digest_pinned;
+    Alcotest.test_case "instance digest = oracle recomputation" `Quick test_instance_digest_oracle;
     QCheck_alcotest.to_alcotest prop_random_circuits_roundtrip;
     Alcotest.test_case "fill_m: log_size 1, 2 and a pool-split window" `Quick test_fill_m_edges;
     QCheck_alcotest.to_alcotest prop_fill_m_dense;
