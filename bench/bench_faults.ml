@@ -37,11 +37,13 @@ let document ~seed (reports : Fuzz.report list) =
   ]
 
 (* Per backend: zero accepts and raises with the honest proof verifying,
-   mutants of both layers, and every mutant rejected and bucketed. Both
-   backends must be present. *)
-let gates (reports : Fuzz.report list) =
+   mutants of both layers, every mutant rejected and bucketed, and every
+   structured mutator of the target with at least one mutant (a mutator
+   that always returns [None] is dead coverage). Both backends must be
+   present. *)
+let gates (targets : Fuzz.target list) (reports : Fuzz.report list) =
   List.concat_map
-    (fun (r : Fuzz.report) ->
+    (fun ((t : Fuzz.target), (r : Fuzz.report)) ->
       let name = r.Fuzz.target_name in
       [
         ( Fuzz.clean r,
@@ -53,8 +55,13 @@ let gates (reports : Fuzz.report list) =
           name ^ ": rejected must account for every mutant" );
         ( List.fold_left (fun acc (_, n) -> acc + n) 0 r.Fuzz.by_category = r.Fuzz.rejected,
           name ^ ": by_category must sum to rejected" );
-      ])
-    reports
+      ]
+      @ List.map
+          (fun (mname, _) ->
+            ( (match List.assoc_opt mname r.Fuzz.by_op with Some n -> n >= 1 | None -> false),
+              Printf.sprintf "%s: structured mutator %s made no mutant" name mname ))
+          t.Fuzz.structured)
+    (List.combine targets reports)
   @ Bench_report.require ~what:"target"
       (List.map (fun (r : Fuzz.report) -> r.Fuzz.target_name) reports)
       [ "orion"; "fri" ]
@@ -69,10 +76,9 @@ let run ~smoke ~path =
      yields ~10k structured on top of the 10k byte mutants. *)
   let byte_mutants = if smoke then 150 else 10_000 in
   let structured_rounds = if smoke then 4 else 600 in
+  let targets = Fault_targets.all () in
   let reports =
-    List.map
-      (fun target -> Fuzz.sweep ~seed ~byte_mutants ~structured_rounds target)
-      (Fault_targets.all ())
+    List.map (fun target -> Fuzz.sweep ~seed ~byte_mutants ~structured_rounds target) targets
   in
   Zk_report.Render.table
     ~header:[ "target"; "byte"; "structured"; "rejected"; "accepted"; "raised"; "honest" ]
@@ -89,4 +95,4 @@ let run ~smoke ~path =
          ])
        reports);
   List.iter (fun r -> Format.printf "%a" Fuzz.pp_report r) reports;
-  Bench_report.write ~path ~schema:schema_id ~gates:(gates reports) (document ~seed reports)
+  Bench_report.write ~path ~schema:schema_id ~gates:(gates targets reports) (document ~seed reports)

@@ -23,7 +23,7 @@ type kernel = {
   k_n : int;
       (* elements processed per run (bytes for keccak-batch, permutations
          for keccak-f1600, leaves for merkle-build, nonzeros for
-         csr-eval) *)
+         csr-eval, node hashes for merkle-check-paths) *)
   k_run : unit -> string; (* runs under the ambient leg; returns fingerprint *)
 }
 
@@ -85,6 +85,24 @@ let kernels ~smoke rng =
       (Array.init mk_n (fun i -> Keccak.sha3_256 (Bytes.of_string (string_of_int i))))
   in
   let ch_dst = Fv.create (4 * ch_cols) in
+  (* One layer of an rsa-fri opening's spot checks: 30 authentication
+     paths of depth 14 walked together against one root. *)
+  let cp_paths = 30 and cp_depth = scale 14 6 in
+  let cp_tree =
+    Merkle.build
+      (Merkle.of_digests
+         (Array.init (1 lsl cp_depth) (fun i ->
+              Keccak.sha3_256 (Bytes.of_string (string_of_int (-i))))))
+  in
+  let cp_index = Array.init cp_paths (fun _ -> Rng.int rng (1 lsl cp_depth)) in
+  let cp_leaves = Fv.create (4 * cp_paths) in
+  let cp_lanes = Fv.create (4 * cp_paths * cp_depth) in
+  Array.iteri
+    (fun k i ->
+      Keccak.set_digest cp_leaves k (Keccak.sha3_256 (Bytes.of_string (string_of_int (-i))));
+      Merkle.path_into cp_tree i cp_lanes ~pos:(4 * k * cp_depth))
+    cp_index;
+  let cp_pos = Array.init cp_paths (fun k -> 4 * k * cp_depth) in
   (* The sumcheck fold/round-point kernel, at a fixed field constant. *)
   let lerp_c = Gf.random rng in
   (* One sumcheck round as Spartan's first sumcheck runs it: 4 tables of
@@ -202,6 +220,17 @@ let kernels ~smoke rng =
           Keccak.to_hex (Keccak.digest_at ch_dst (ch_cols - 1)));
     };
     {
+      k_name = "merkle-check-paths";
+      k_n = cp_paths * cp_depth;
+      k_run =
+        (fun () ->
+          let ok =
+            Merkle.check_paths ~root:(Merkle.root cp_tree) ~depth:cp_depth ~index:cp_index
+              ~leaves:cp_leaves ~paths:cp_lanes ~path_pos:cp_pos
+          in
+          string_of_int (Array.fold_left (fun n b -> if b then n + 1 else n) 0 ok));
+    };
+    {
       k_name = "merkle-build";
       k_n = mk_n;
       k_run = (fun () -> Keccak.to_hex (Merkle.root (Merkle.build mk_leaves)));
@@ -286,7 +315,7 @@ let gates rows =
       (List.map (fun r -> r.kernel.k_name) rows)
       [
         "fv-lerp"; "sumcheck-round"; "csr-eval"; "ntt-forward-rows"; "keccak-batch";
-        "keccak-f1600"; "rs-encode-rows";
+        "keccak-f1600"; "rs-encode-rows"; "merkle-check-paths";
       ]
 
 (* --- driver ------------------------------------------------------------- *)

@@ -54,7 +54,7 @@ let record tally ?op ~desc verdict =
     in
     let i = idx 0 E.all_categories in
     tally.cat_counts.(i) <- tally.cat_counts.(i) + 1;
-    Option.iter (fun o -> incr (List.assoc (Mutate.op_name o) tally.op_counts)) op
+    Option.iter (fun o -> incr (List.assoc o tally.op_counts)) op
   | Accepted ->
     tally.t_accepted <- tally.t_accepted + 1;
     if List.length tally.t_alarms < max_recorded_alarms then
@@ -73,7 +73,9 @@ let sweep ?(seed = 1L) ~byte_mutants ~structured_rounds target =
       t_raised = 0;
       t_alarms = [];
       cat_counts = Array.make (List.length E.all_categories) 0;
-      op_counts = List.map (fun o -> (Mutate.op_name o, ref 0)) Mutate.all_ops;
+      op_counts =
+        List.map (fun o -> (Mutate.op_name o, ref 0)) Mutate.all_ops
+        @ List.map (fun (mname, _) -> (mname, ref 0)) target.structured;
     }
   in
   let honest_ok = run_bytes target target.honest = Accepted in
@@ -83,7 +85,7 @@ let sweep ?(seed = 1L) ~byte_mutants ~structured_rounds target =
       Printf.sprintf "%s byte mutant #%d (seed %Ld, op %s)" target.name i seed
         (Mutate.op_name op)
     in
-    record tally ~op ~desc (run_bytes target mutant)
+    record tally ~op:(Mutate.op_name op) ~desc (run_bytes target mutant)
   done;
   let structured_count = ref 0 in
   for round = 0 to structured_rounds - 1 do
@@ -102,7 +104,7 @@ let sweep ?(seed = 1L) ~byte_mutants ~structured_rounds target =
               Printf.sprintf "%s structured mutant %s round %d (seed %Ld)" target.name
                 mname round seed
             in
-            record tally ~desc (run_bytes target mutant))
+            record tally ~op:mname ~desc (run_bytes target mutant))
       target.structured
   done;
   {

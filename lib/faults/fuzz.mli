@@ -46,7 +46,9 @@ type report = {
       (** rejections bucketed by {!Zk_pcs.Verify_error.category_name}, in
           taxonomy order (all categories present, zero counts included) *)
   by_op : (string * int) list;
-      (** byte-layer rejections bucketed by {!Mutate.op_name} *)
+      (** rejections bucketed by {!Mutate.op_name} for byte mutants, then
+          by mutator name for structured ones (every operator and mutator
+          present, zero counts included) *)
   alarms : string list;
       (** human description of each accepted/raised mutant, with the seed
           and index needed to replay it (capped at 20) *)

@@ -24,6 +24,10 @@ let column_start lens k =
   done;
   !pos
 
+let statement () =
+  let inst, asn = Synthetic.circuit ~n_constraints ~seed:statement_seed () in
+  (inst, R1cs.public_io inst asn)
+
 let nudge rng x = Gf.add x (Gf.of_int (1 + Rng.int rng 1000))
 
 let tamper_digest rng d =
@@ -246,6 +250,18 @@ let fri () =
             reser { p with Spartan_fri.reps = reps }
         end
       in
+      (* A random query, then a random layer it opens: [f] gets the opened
+         layer's index [k] into the per-layer arrays. *)
+      let with_query_layer f =
+        with_open (fun rng wo ->
+            if Fp.num_queries wo = 0 then None
+            else begin
+              let q = Rng.int rng (Fp.num_queries wo) in
+              let n = wo.Fp.layer_count.(q) in
+              if n = 0 then None
+              else f rng wo (column_start wo.Fp.layer_count q + Rng.int rng n)
+            end)
+      in
       [
         ( "tamper_commit_root",
           with_commitment (fun rng cm ->
@@ -280,59 +296,44 @@ let fri () =
               end) );
         ( "tamper_query_pos",
           with_open (fun rng wo ->
-              if Array.length wo.Fp.queries = 0 then None
+              if Fp.num_queries wo = 0 then None
               else begin
-                let qs = Array.copy wo.Fp.queries in
-                let k = Rng.int rng (Array.length qs) in
-                let pos, entries = qs.(k) in
-                qs.(k) <- (pos lxor 1, entries);
-                Some { wo with Fp.queries = qs }
+                let positions = Array.copy wo.Fp.positions in
+                let k = Rng.int rng (Array.length positions) in
+                positions.(k) <- positions.(k) lxor 1;
+                Some { wo with Fp.positions }
               end) );
         ( "nudge_query_leaf",
-          with_open (fun rng wo ->
-              if Array.length wo.Fp.queries = 0 then None
-              else begin
-                let qs = Array.copy wo.Fp.queries in
-                let k = Rng.int rng (Array.length qs) in
-                let pos, entries = qs.(k) in
-                if Array.length entries = 0 then None
-                else begin
-                  let entries = Array.copy entries in
-                  let i = Rng.int rng (Array.length entries) in
-                  let e0, e1, path = entries.(i) in
-                  let e0, e1 =
-                    if Rng.bool rng then (nudge rng e0, e1) else (e0, nudge rng e1)
-                  in
-                  entries.(i) <- (e0, e1, path);
-                  qs.(k) <- (pos, entries);
-                  Some { wo with Fp.queries = qs }
-                end
-              end) );
+          with_query_layer (fun rng wo k ->
+              let pairs = Fv.copy wo.Fp.pairs in
+              let e = (2 * k) + if Rng.bool rng then 0 else 1 in
+              Fv.set pairs e (nudge rng (Fv.get pairs e));
+              Some { wo with Fp.pairs }) );
         ( "tamper_query_path",
-          with_open (fun rng wo ->
-              if Array.length wo.Fp.queries = 0 then None
+          with_query_layer (fun rng wo k ->
+              let len = wo.Fp.path_len.(k) in
+              if len = 0 then None
               else begin
-                let qs = Array.copy wo.Fp.queries in
-                let k = Rng.int rng (Array.length qs) in
-                let pos, entries = qs.(k) in
-                if Array.length entries = 0 then None
-                else begin
-                  let entries = Array.copy entries in
-                  let i = Rng.int rng (Array.length entries) in
-                  let e0, e1, path = entries.(i) in
-                  match path with
-                  | [] -> None
-                  | _ ->
-                    let which = Rng.int rng (List.length path) in
-                    let path =
-                      List.mapi
-                        (fun n d -> if n = which then tamper_digest rng d else d)
-                        path
-                    in
-                    entries.(i) <- (e0, e1, path);
-                    qs.(k) <- (pos, entries);
-                    Some { wo with Fp.queries = qs }
-                end
+                let paths = Fv.copy wo.Fp.paths in
+                let d = column_start wo.Fp.path_len k + Rng.int rng len in
+                Keccak.set_digest paths d (tamper_digest rng (Keccak.digest_at paths d));
+                Some { wo with Fp.paths }
+              end) );
+        (* One digest fewer: the verifier's wrong-length fallback. *)
+        ( "truncate_query_path",
+          with_query_layer (fun rng wo k ->
+              let len = wo.Fp.path_len.(k) in
+              if len = 0 then None
+              else begin
+                let d = column_start wo.Fp.path_len k + Rng.int rng len in
+                let lanes = Fv.length wo.Fp.paths in
+                let paths = Fv.create (lanes - 4) in
+                Fv.blit ~src:wo.Fp.paths ~src_pos:0 ~dst:paths ~dst_pos:0 ~len:(4 * d);
+                Fv.blit ~src:wo.Fp.paths ~src_pos:(4 * (d + 1)) ~dst:paths ~dst_pos:(4 * d)
+                  ~len:(lanes - (4 * (d + 1)));
+                let path_len = Array.copy wo.Fp.path_len in
+                path_len.(k) <- len - 1;
+                Some { wo with Fp.paths; path_len }
               end) );
       ])
 

@@ -11,6 +11,10 @@
     byte flipper is unlikely to synthesize, aimed at each check the verifier
     performs. *)
 
+val statement : unit -> Zk_r1cs.R1cs.instance * Zk_field.Gf.t array
+(** The fixed statement every target proves: the instance and its public
+    io, for replaying a target's bytes through another verifier. *)
+
 val orion : unit -> Fuzz.target
 (** Spartan over the Orion PCS (the default backend). Structural mutators
     cover the Spartan layer (claimed evaluations, sumcheck round
@@ -20,8 +24,9 @@ val orion : unit -> Fuzz.target
 
 val fri : unit -> Fuzz.target
 (** Spartan over the FRI PCS. Structural mutators cover the same Spartan
-    layer plus the FRI opening (layer roots, final constant, query
-    positions and leaf values). *)
+    layer plus the FRI opening (layer roots, final constant, round
+    polynomials, query positions, leaf values, path digests, and a path one
+    digest short). *)
 
 val all : unit -> Fuzz.target list
 (** Both targets, Orion first. *)

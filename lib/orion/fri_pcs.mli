@@ -42,13 +42,29 @@ type eval_proof = {
   layer_roots : Zk_merkle.Merkle.digest array;
       (** roots of the folded codeword layers 1..num_vars *)
   final_constant : Zk_field.Gf.t;
-  queries : (int * (Zk_field.Gf.t * Zk_field.Gf.t * Zk_merkle.Merkle.digest list) array) array;
-      (** spot checks: layer-0 position, then per layer the even/odd pair
-          with its authentication path *)
+  positions : int array;  (** spot checks: each query's layer-0 position *)
+  layer_count : int array;  (** per query: the layers it opens ([num_vars + 1]) *)
+  pairs : Nocap_vec.Fv.t;
+      (** per opened layer, query after query: the even/odd pair (2
+          elements) *)
+  path_len : int array;  (** per opened layer: its authentication path's length *)
+  paths : Nocap_vec.Fv.t;
+      (** every authentication path in the same order, bottom-up, as flat
+          lanes (4 per digest, {!Zk_hash.Keccak.digest_at}'s layout) *)
 }
-(** Transparent like {!Orion_pcs}'s types, so typed fault injection (and any
-    other structural consumer) can build corrupted proofs field-by-field
-    instead of patching wire bytes blind. *)
+(** Flat, like {!Orion.eval_proof}: no boxed element and no digest string
+    between the wire and the verdict. Transparent like {!Orion_pcs}'s types,
+    so typed fault injection (and any other structural consumer) can build
+    corrupted proofs field-by-field instead of patching wire bytes blind.
+    The wire form is per query: position, layer count, then per layer the
+    pair, the path length and the path's raw digests. *)
+
+val num_queries : eval_proof -> int
+
+val validate_commitment :
+  params -> commitment -> (unit, Zk_pcs.Verify_error.t) result
+(** The checks [verify] runs first on a wire commitment: valid params, a
+    32-byte root, and a domain of at most 2^32 points. *)
 
 include
   Zk_pcs.Pcs.S

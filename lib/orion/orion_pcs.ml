@@ -71,23 +71,6 @@ let write_eval_proof buf (p : eval_proof) =
       lane := !lane + (4 * l))
     p.Orion.col_index
 
-(* A flat buffer filled front to back. *)
-type fill = { mutable buf : Fv.t; mutable used : int }
-
-(* Room for [n] more elements: at least [hint] (the whole section if every
-   opening has this one's shape, so an honest proof is sized exactly by its
-   first opening), else double. Callers bound [n] and [hint] by the bytes
-   left, so hostile lengths cannot over-allocate. *)
-let reserve f n ~hint =
-  if f.used + n > Fv.length f.buf then begin
-    let b = Fv.create (max (f.used + n) (max hint (2 * Fv.length f.buf))) in
-    Fv.blit ~src:f.buf ~src_pos:0 ~dst:b ~dst_pos:0 ~len:f.used;
-    f.buf <- b
-  end
-
-let contents f =
-  if f.used = Fv.length f.buf then f.buf else Fv.sub_view f.buf ~pos:0 ~len:f.used
-
 (* Every field is read in wire order with the checks the boxed decoder ran
    ([Codec.get_fv_into] for a column, [Codec.need_digests] for a path), so
    a bad input fails with the same error at the same field. *)
@@ -101,19 +84,19 @@ let read_eval_proof r =
   let cap = min nq (Codec.remaining r / 24) in
   let col_index = Array.make cap 0 and col_height = Array.make cap 0 in
   let path_len = Array.make cap 0 in
-  let values = { buf = Fv.create 0; used = 0 } and paths = { buf = Fv.create 0; used = 0 } in
+  let values = Codec.fill () and paths = Codec.fill () in
   let rec go k =
     if k = nq then Ok ()
     else begin
       let* j = Codec.get_len r in
       let* h = Codec.get_len r in
       let* () = Codec.need r (8 * h) in
-      reserve values h ~hint:(min (nq * h) (Codec.remaining r / 8));
+      Codec.reserve values h ~hint:(min (nq * h) (Codec.remaining r / 8));
       let* () = Codec.get_fv_into r ~len:h values.buf ~pos:values.used in
       values.used <- values.used + h;
       let* l = Codec.get_len r in
       let* () = Codec.need_digests r l in
-      reserve paths (4 * l) ~hint:(min (4 * nq * l) (Codec.remaining r / 8));
+      Codec.reserve paths (4 * l) ~hint:(min (4 * nq * l) (Codec.remaining r / 8));
       let* () = Codec.get_digest_lanes_into r ~count:l paths.buf ~pos:paths.used in
       paths.used <- paths.used + (4 * l);
       col_index.(k) <- j;
@@ -129,7 +112,7 @@ let read_eval_proof r =
       proximity;
       col_index;
       col_height;
-      col_values = contents values;
+      col_values = Codec.contents values;
       path_len;
-      paths = contents paths;
+      paths = Codec.contents paths;
     }

@@ -144,18 +144,6 @@ let get_digest r =
   r.pos <- r.pos + 32;
   Ok d
 
-(* One length read and one bounds check, then the digests straight into
-   the list, last first: no per-digest result or closure. *)
-let get_digest_list r =
-  let* n = get_len r in
-  let* () = need_digests r n in
-  let rec build i acc =
-    if i < 0 then acc else build (i - 1) (Bytes.sub_string r.data (r.pos + (32 * i)) 32 :: acc)
-  in
-  let l = build (n - 1) [] in
-  r.pos <- r.pos + (32 * n);
-  Ok l
-
 let get_list r get =
   let* n = get_len r in
   let rec go i acc =
@@ -169,6 +157,22 @@ let get_list r get =
 let get_array r get =
   let* l = get_list r get in
   Ok (Array.of_list l)
+
+(* --- growable flat buffers for decoders --- *)
+
+type fill = { mutable buf : Fv.t; mutable used : int }
+
+let fill () = { buf = Fv.create 0; used = 0 }
+
+let reserve f n ~hint =
+  if f.used + n > Fv.length f.buf then begin
+    let b = Fv.create (max (f.used + n) (max hint (2 * Fv.length f.buf))) in
+    Fv.blit ~src:f.buf ~src_pos:0 ~dst:b ~dst_pos:0 ~len:f.used;
+    f.buf <- b
+  end
+
+let contents f =
+  if f.used = Fv.length f.buf then f.buf else Fv.sub_view f.buf ~pos:0 ~len:f.used
 
 let expect_string r s =
   let n = String.length s in

@@ -83,16 +83,34 @@ val get_digest_lanes_into :
     exactly as [count] calls of {!get_digest} would ({!need_digests}).
     @raise Invalid_argument if the range does not fit [dst]. *)
 
-val get_digest_list : reader -> (string list, Verify_error.t) result
-(** [get_list r get_digest] (a length, then that many digests) with one
-    bounds check and no per-digest allocation beyond the digest and its
-    list cell. Every error is the one [get_list r get_digest] gives. *)
-
 val get_list :
   reader -> (reader -> ('a, Verify_error.t) result) -> ('a list, Verify_error.t) result
 
 val get_array :
   reader -> (reader -> ('a, Verify_error.t) result) -> ('a array, Verify_error.t) result
+
+(** {2 Growable flat buffers}
+
+    Decoders of concatenated runs (Orion's columns, FRI's opened pairs
+    and every authentication path) append to one flat buffer. Callers
+    bound each [n] and [hint] by the bytes left to read, so a hostile
+    length cannot over-allocate. *)
+
+type fill = { mutable buf : Fv.t; mutable used : int }
+(** [buf.{0 .. used - 1}] is filled; the rest is spare room. *)
+
+val fill : unit -> fill
+(** Empty, with no room. *)
+
+val reserve : fill -> int -> hint:int -> unit
+(** [reserve f n ~hint] makes room for [n] more elements. When it must
+    grow, the new buffer holds at least [hint] elements (the size the
+    caller expects the whole section to reach) and at least twice the old
+    one. *)
+
+val contents : fill -> Fv.t
+(** The filled prefix: the buffer itself when it is exactly full, else a
+    view. *)
 
 val expect_string : reader -> string -> (unit, Verify_error.t) result
 (** Consume and compare a fixed literal (e.g. a magic prefix); mismatch and

@@ -1,0 +1,239 @@
+(* Query-at-a-time FRI PCS verifier: the reference the batched
+   [Zk_orion.Fri_pcs.verify] is checked against. An opening is decoded into
+   one (position, per-layer (even, odd, digest list)) tuple per query, and
+   each query is walked alone, layer by layer: [Merkle.check_path] over
+   [Merkle.leaf_of_column], the fold consistency, then the final constant.
+   The first failing query is reported with its first failing check.
+
+   It is a whole [Pcs.S] backend (same name, tag and wire form as
+   [Fri_pcs]; commit and open delegate to it), so [Spartan.Make] over it
+   verifies the very bytes the production backend does. *)
+
+module Gf = Zk_field.Gf
+module Fv = Nocap_vec.Fv
+module Mle = Zk_poly.Mle
+module Dense = Zk_poly.Dense
+module Merkle = Zk_merkle.Merkle
+module Keccak = Zk_hash.Keccak
+module Transcript = Zk_hash.Transcript
+module Codec = Zk_pcs.Codec
+module Fri = Zk_orion.Fri
+module Fri_pcs = Zk_orion.Fri_pcs
+module E = Zk_pcs.Verify_error
+
+let name = Fri_pcs.name
+let tag = Fri_pcs.tag
+
+type params = Fri_pcs.params
+
+let default_params = Fri_pcs.default_params
+let test_params = Fri_pcs.test_params
+
+type param_error = Fri_pcs.param_error
+
+let validate_params = Fri_pcs.validate_params
+let param_error_to_string = Fri_pcs.param_error_to_string
+
+type committed = Fri_pcs.committed
+type commitment = Fri_pcs.commitment
+
+type eval_proof = {
+  round_polys : Gf.t array array;
+  layer_roots : Merkle.digest array;
+  final_constant : Gf.t;
+  queries : (int * (Gf.t * Gf.t * Merkle.digest list) array) array;
+}
+
+let of_flat (p : Fri_pcs.eval_proof) =
+  let k = ref 0 and d = ref 0 in
+  {
+    round_polys = p.Fri_pcs.round_polys;
+    layer_roots = p.Fri_pcs.layer_roots;
+    final_constant = p.Fri_pcs.final_constant;
+    queries =
+      Array.mapi
+        (fun q position ->
+          ( position,
+            Array.init p.Fri_pcs.layer_count.(q) (fun _ ->
+                let len = p.Fri_pcs.path_len.(!k) in
+                let opened =
+                  ( Fv.get p.Fri_pcs.pairs (2 * !k),
+                    Fv.get p.Fri_pcs.pairs ((2 * !k) + 1),
+                    List.init len (fun i -> Keccak.digest_at p.Fri_pcs.paths (!d + i)) )
+                in
+                incr k;
+                d := !d + len;
+                opened) ))
+        p.Fri_pcs.positions;
+  }
+
+let commit = Fri_pcs.commit
+let absorb_commitment = Fri_pcs.absorb_commitment
+let commitment_num_vars = Fri_pcs.commitment_num_vars
+let free_committed = Fri_pcs.free_committed
+
+let open_at ?engine params committed transcript point =
+  let value, proof = Fri_pcs.open_at ?engine params committed transcript point in
+  (value, of_flat proof)
+
+let verify ?engine params (cm : commitment) transcript point value proof =
+  ignore (engine : Zk_pcs.Engine.t option);
+  let ( let* ) = Result.bind in
+  let* () = Fri_pcs.validate_commitment params cm in
+  let l = cm.Fri_pcs.num_vars in
+  let blowup_log2 = params.Fri_pcs.blowup_log2 in
+  let num_queries = params.Fri_pcs.num_queries in
+  let* () =
+    if Array.length point = l then Ok () else E.error E.Params "point dimension mismatch"
+  in
+  let* () =
+    if Array.length proof.round_polys = l then Ok ()
+    else E.error E.Shape "wrong number of sumcheck rounds"
+  in
+  let* () =
+    if Array.length proof.layer_roots = l then Ok ()
+    else E.error E.Shape "wrong number of fold layers"
+  in
+  Transcript.absorb_gf transcript "fripcs/point" point;
+  Transcript.absorb_gf transcript "fripcs/value" [| value |];
+  let challenges = Array.make l Gf.zero in
+  let expected = ref value in
+  let* () =
+    let rec round i =
+      if i = l then Ok ()
+      else begin
+        let g = proof.round_polys.(i) in
+        if Array.length g <> 3 then E.errorf E.Shape "round %d: wrong degree" i
+        else if not (Gf.equal (Gf.add g.(0) g.(1)) !expected) then
+          E.errorf E.Sumcheck_mismatch "round %d: g(0) + g(1) does not match the claim" i
+        else begin
+          Transcript.absorb_gf transcript "fripcs/round" g;
+          let r = Transcript.challenge_gf transcript "fripcs/r" in
+          challenges.(i) <- r;
+          expected := Dense.interpolate_eval_small g r;
+          Transcript.absorb_digest transcript "fripcs/layer" proof.layer_roots.(i);
+          round (i + 1)
+        end
+      end
+    in
+    round 0
+  in
+  Transcript.absorb_gf transcript "fripcs/final" [| proof.final_constant |];
+  let* () =
+    if Gf.equal !expected (Gf.mul proof.final_constant (Mle.eq_point point challenges))
+    then Ok ()
+    else E.error E.Sumcheck_mismatch "final claim does not match the folded constant"
+  in
+  let domain = 1 lsl (l + blowup_log2) in
+  let positions =
+    Transcript.challenge_indices transcript "fripcs/queries" ~bound:(domain / 2)
+      ~count:num_queries
+  in
+  let* () =
+    if Array.length proof.queries = num_queries then Ok ()
+    else E.error E.Shape "wrong number of queries"
+  in
+  let roots = Array.append [| cm.Fri_pcs.root |] proof.layer_roots in
+  let w_invs = Array.init l (fun i -> Gf.inv (Gf.root_of_unity (l + blowup_log2 - i))) in
+  let rec check_query qi =
+    if qi >= Array.length proof.queries then Ok ()
+    else begin
+      let position, opened = proof.queries.(qi) in
+      if position <> positions.(qi) then E.errorf E.Consistency "query %d: position mismatch" qi
+      else if Array.length opened <> l + 1 then E.errorf E.Shape "query %d: layer count" qi
+      else begin
+        let rec walk i layer_size j exp =
+          let half = layer_size / 2 in
+          let leaf_pos = j mod half in
+          let av, bv, path = opened.(i) in
+          let leaf = Merkle.leaf_of_column [| av; bv |] in
+          match Merkle.check_path ~root:roots.(i) ~index:leaf_pos ~leaf ~path with
+          | Error reason -> E.errorf E.Merkle_mismatch "query %d layer %d: %s" qi i reason
+          | Ok () ->
+            let value_at_j = if j >= half then bv else av in
+            let consistent =
+              match exp with None -> true | Some v -> Gf.equal v value_at_j
+            in
+            if not consistent then E.errorf E.Consistency "query %d layer %d: fold mismatch" qi i
+            else if i = l then
+              if Gf.equal av proof.final_constant && Gf.equal bv proof.final_constant then Ok ()
+              else E.errorf E.Consistency "query %d: final layer not constant" qi
+            else begin
+              let x_inv = Gf.pow w_invs.(i) (Int64.of_int leaf_pos) in
+              walk (i + 1) half leaf_pos (Some (Fri.fold_at ~x_inv challenges.(i) av bv))
+            end
+        in
+        match walk 0 domain position None with
+        | Error e -> Error e
+        | Ok () -> check_query (qi + 1)
+      end
+    end
+  in
+  check_query 0
+
+let proof_size_bytes _params (_cm : commitment) proof =
+  let field = 8 and digest = 32 and index = 8 in
+  let round_bytes =
+    Array.fold_left (fun acc g -> acc + (field * Array.length g)) 0 proof.round_polys
+  in
+  let query_bytes =
+    Array.fold_left
+      (fun acc (_, opened) ->
+        acc + index
+        + Array.fold_left
+            (fun acc (_, _, path) -> acc + (2 * field) + (digest * List.length path))
+            0 opened)
+      0 proof.queries
+  in
+  round_bytes + (digest * Array.length proof.layer_roots) + field + query_bytes
+
+let stats params (cm : commitment) proof =
+  {
+    Zk_pcs.Pcs.backend = name;
+    num_vars = cm.Fri_pcs.num_vars;
+    commitment_bytes = 32;
+    proof_bytes = proof_size_bytes params cm proof;
+    queries = Array.length proof.queries;
+  }
+
+let write_commitment = Fri_pcs.write_commitment
+let read_commitment = Fri_pcs.read_commitment
+
+let write_eval_proof buf p =
+  Codec.put_int buf (Array.length p.round_polys);
+  Array.iter (Codec.put_gf_array buf) p.round_polys;
+  Codec.put_int buf (Array.length p.layer_roots);
+  Array.iter (Codec.put_digest buf) p.layer_roots;
+  Codec.put_gf buf p.final_constant;
+  Codec.put_int buf (Array.length p.queries);
+  Array.iter
+    (fun (position, opened) ->
+      Codec.put_int buf position;
+      Codec.put_int buf (Array.length opened);
+      Array.iter
+        (fun (a, b, path) ->
+          Codec.put_gf buf a;
+          Codec.put_gf buf b;
+          Codec.put_int buf (List.length path);
+          List.iter (Codec.put_digest buf) path)
+        opened)
+    p.queries
+
+let read_eval_proof r =
+  let ( let* ) = Result.bind in
+  let* round_polys = Codec.get_array r Codec.get_gf_array in
+  let* layer_roots = Codec.get_array r Codec.get_digest in
+  let* final_constant = Codec.get_gf r in
+  let* queries =
+    Codec.get_array r (fun r ->
+        let* position = Codec.get_len r in
+        let* opened =
+          Codec.get_array r (fun r ->
+              let* a = Codec.get_gf r in
+              let* b = Codec.get_gf r in
+              let* path = Codec.get_list r Codec.get_digest in
+              Ok (a, b, path))
+        in
+        Ok (position, opened))
+  in
+  Ok { round_polys; layer_roots; final_constant; queries }

@@ -475,31 +475,237 @@ let test_codec_digest_lanes () =
       (Printf.sprintf "digests cut at %d" cut) boxed flat
   done
 
-(* [get_digest_list] = [get_list get_digest]: value, final position and
-   error text, for every cut of a 5-digest list, an empty list and a
-   length field past the input. *)
-let test_codec_digest_list () =
-  let buf = Buffer.create 256 in
-  Codec.put_int buf 5;
-  for i = 0 to 4 do
-    Codec.put_digest buf (Keccak.sha3_256_string (string_of_int i))
-  done;
-  let data = Buffer.to_bytes buf in
-  let same label data =
-    Alcotest.(check (result (pair (list string) int) string))
-      label
-      (decode_with (fun r -> Codec.get_list r Codec.get_digest) data)
-      (decode_with Codec.get_digest_list data)
+(* --- flat FRI openings against the tuple oracle --- *)
+
+module Fri_oracle = Fri_pcs_oracle
+module Spartan_fri_oracle = Zk_spartan.Spartan.Make (Fri_pcs_oracle)
+module Mutate = Nocap_faults.Mutate
+module Fuzz = Nocap_faults.Fuzz
+module Targets = Nocap_faults.Targets
+
+let fri_transcript cm =
+  let t = Transcript.create "fri-oracle" in
+  Fri_pcs.absorb_commitment t cm;
+  t
+
+(* Honest openings: test params at a few sizes (l = 0 has no fold round),
+   blowup 2^1 (its last tree is one leaf, paths of length 0), and the
+   default 30 queries on 2^8 and 2^10 tables. *)
+let fri_openings =
+  lazy
+    (List.map
+       (fun (params, l, seed) ->
+         let rng = Rng.create seed in
+         let table = Array.init (1 lsl l) (fun _ -> Gf.random rng) in
+         let committed, cm = Fri_pcs.commit params rng table in
+         let point = Array.init l (fun _ -> Gf.random rng) in
+         let value, proof = Fri_pcs.open_at params committed (fri_transcript cm) point in
+         (params, cm, point, value, proof))
+       [
+         (Fri_pcs.test_params, 0, 80L);
+         (Fri_pcs.test_params, 4, 81L);
+         (Fri_pcs.test_params, 6, 82L);
+         ({ Fri_pcs.blowup_log2 = 1; num_queries = 5 }, 3, 83L);
+         (Fri_pcs.default_params, 8, 84L);
+         (Fri_pcs.default_params, 10, 85L);
+       ])
+
+let show = function Ok () -> "Ok" | Error e -> Zk_pcs.Verify_error.to_string e
+
+(* Decode + verify with the flat backend and with the oracle, both from
+   the same bytes. A flat decode must also write back the bytes it read. *)
+let fri_verdicts (params, cm, point, value) data =
+  let flat =
+    let r = Zk_pcs.Codec.reader data in
+    match Fri_pcs.read_eval_proof r with
+    | Error e -> Error e
+    | Ok p ->
+      let buf = Buffer.create (Bytes.length data) in
+      Fri_pcs.write_eval_proof buf p;
+      let read = Bytes.sub_string data 0 (Zk_pcs.Codec.pos r) in
+      if not (String.equal (Buffer.contents buf) read) then
+        Alcotest.fail "flat writer changed the bytes it decoded";
+      Fri_pcs.verify params cm (fri_transcript cm) point value p
   in
-  for cut = 0 to Bytes.length data do
-    same (Printf.sprintf "cut at %d" cut) (Bytes.sub data 0 cut)
+  let oracle =
+    Result.bind
+      (Fri_oracle.read_eval_proof (Zk_pcs.Codec.reader data))
+      (Fri_oracle.verify params cm (fri_transcript cm) point value)
+  in
+  (show flat, show oracle)
+
+(* Edits on the tuple form, so any shape can be written: (kind, query, a,
+   b). Kinds: position, pair element, path digest, drop a path digest, add
+   one, a path past the 62-digest limit, drop or add a layer, round
+   polynomial, layer root, final constant. *)
+let edit_opening (p : Fri_oracle.eval_proof) (kind, q, a, b) =
+  let bump x = Gf.add x (Gf.of_int (1 + (b mod 1000))) in
+  let queries = Array.copy p.Fri_oracle.queries in
+  let nq = Array.length queries in
+  let with_query f =
+    if nq = 0 then p
+    else begin
+      let q = q mod nq in
+      let position, opened = queries.(q) in
+      queries.(q) <- f position (Array.copy opened);
+      { p with Fri_oracle.queries }
+    end
+  in
+  let with_layer f =
+    with_query (fun position opened ->
+        if Array.length opened > 0 then begin
+          let i = a mod Array.length opened in
+          opened.(i) <- f opened.(i)
+        end;
+        (position, opened))
+  in
+  let flip d =
+    let s = Bytes.of_string d in
+    let i = b mod 32 in
+    Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor (1 + (a mod 255))));
+    Bytes.to_string s
+  in
+  let with_path f = with_layer (fun (x, y, path) -> (x, y, f path)) in
+  let at path = b mod max 1 (List.length path) in
+  let digest = Keccak.sha3_256_string (string_of_int b) in
+  match kind mod 10 with
+  | 0 -> with_query (fun position opened -> (position lxor (1 + (a mod 4)), opened))
+  | 1 ->
+    with_layer (fun (x, y, path) ->
+        if b land 1 = 0 then (bump x, y, path) else (x, bump y, path))
+  | 2 -> with_path (fun path -> List.mapi (fun d x -> if d = at path then flip x else x) path)
+  | 3 -> with_path (fun path -> List.filteri (fun d _ -> d <> at path) path)
+  | 4 -> with_path (fun path -> digest :: path)
+  | 5 -> with_path (fun path -> List.init (60 + (b mod 8)) (fun _ -> digest) @ path)
+  | 6 ->
+    with_query (fun position opened ->
+        if b land 1 = 0 && Array.length opened > 0 then
+          (position, Array.sub opened 0 (Array.length opened - 1))
+        else (position, Array.append opened [| (Gf.of_int a, Gf.of_int b, []) |]))
+  | 7 ->
+    let rp = Array.map Array.copy p.Fri_oracle.round_polys in
+    if Array.length rp > 0 then begin
+      let g = rp.(a mod Array.length rp) in
+      g.(b mod 3) <- bump g.(b mod 3)
+    end;
+    { p with Fri_oracle.round_polys = rp }
+  | 8 ->
+    let roots = Array.copy p.Fri_oracle.layer_roots in
+    if Array.length roots > 0 then begin
+      let i = a mod Array.length roots in
+      roots.(i) <- flip roots.(i)
+    end;
+    { p with Fri_oracle.layer_roots = roots }
+  | _ -> { p with Fri_oracle.final_constant = bump p.Fri_oracle.final_constant }
+
+let prop_fri_flat_vs_oracle (leg : Test_native.leg) ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "fri flat openings = query-at-a-time oracle (%s)" leg.name)
+    QCheck.(
+      triple small_nat
+        (list_of_size (Gen.int_range 0 3)
+           (quad small_nat small_nat (int_bound 10_000) (int_bound 10_000)))
+        (option (pair (int_bound 1_000_000) (int_bound 254))))
+    (fun (which, edits, byte_flip) ->
+      let openings = Lazy.force fri_openings in
+      let params, cm, point, value, proof =
+        List.nth openings (which mod List.length openings)
+      in
+      let edited = List.fold_left edit_opening (Fri_oracle.of_flat proof) edits in
+      let buf = Buffer.create 4096 in
+      Fri_oracle.write_eval_proof buf edited;
+      let data = Buffer.to_bytes buf in
+      (match byte_flip with
+      | Some (at, x) when Bytes.length data > 0 ->
+        let at = at mod Bytes.length data in
+        Bytes.set data at (Char.chr (Char.code (Bytes.get data at) lxor (1 + x)))
+      | _ -> ());
+      let got, want = leg.run (fun () -> fri_verdicts (params, cm, point, value) data) in
+      if got <> want then QCheck.Test.fail_reportf "flat %s, oracle %s" got want;
+      edits <> [] || byte_flip <> None || got = "Ok")
+
+(* The whole Spartan proof of the FRI fault target: every structured
+   mutator and some byte mutants, the flat verifier against Spartan over
+   the oracle backend. *)
+let fri_target = lazy (Targets.fri (), Targets.statement ())
+
+let prop_fri_target_vs_oracle (leg : Test_native.leg) ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "fri fault target: flat verdict = oracle verdict (%s)" leg.name)
+    QCheck.int64
+    (fun seed ->
+      let target, (inst, io) = Lazy.force fri_target in
+      let rng = Rng.create seed in
+      let oracle data =
+        Result.bind (Spartan_fri_oracle.proof_of_bytes data) (fun p ->
+            Spartan_fri_oracle.verify Spartan_fri_oracle.test_params inst ~io p)
+      in
+      let mutants =
+        List.filter_map
+          (fun (name, f) -> Option.map (fun m -> (name, m)) (f rng))
+          target.Fuzz.structured
+        @ List.init 4 (fun _ ->
+              let op, m = Mutate.random rng target.Fuzz.honest in
+              (Mutate.op_name op, m))
+      in
+      List.iter
+        (fun (name, data) ->
+          let got, want = leg.run (fun () -> (show (target.Fuzz.verify data), show (oracle data))) in
+          if got <> want then QCheck.Test.fail_reportf "%s: flat %s, oracle %s" name got want)
+        mutants;
+      true)
+
+(* A hostile count is rejected as the tuple decoder rejects it, and before
+   anything sized by it is allocated: every cut of an honest opening, then
+   a 2^27 query count, layer count and path length on short buffers. The
+   allocation is checked on the OCaml heap and, where /proc/self/statm
+   exists, on the address space (a 2^27-digest path is 4 GiB). *)
+let test_fri_decoder_bounds () =
+  let _, _, _, _, proof = List.nth (Lazy.force fri_openings) 1 in
+  let buf = Buffer.create 4096 in
+  Fri_pcs.write_eval_proof buf proof;
+  let honest = Buffer.to_bytes buf in
+  let flat data = show (Result.map ignore (Fri_pcs.read_eval_proof (Zk_pcs.Codec.reader data))) in
+  let tuple data =
+    show (Result.map ignore (Fri_oracle.read_eval_proof (Zk_pcs.Codec.reader data)))
+  in
+  for cut = 0 to Bytes.length honest do
+    let data = Bytes.sub honest 0 cut in
+    Alcotest.(check string) (Printf.sprintf "cut at %d" cut) (tuple data) (flat data)
   done;
-  let empty = Buffer.create 8 in
-  Codec.put_int empty 0;
-  same "empty list" (Buffer.to_bytes empty);
-  let long = Buffer.create 8 in
-  Codec.put_int long (1 lsl 27);
-  same "length past the input" (Buffer.to_bytes long)
+  let vm_bytes () =
+    match In_channel.with_open_text "/proc/self/statm" In_channel.input_line with
+    | Some line -> Some (4096 * int_of_string (List.hd (String.split_on_char ' ' line)))
+    | None | (exception _) -> None
+  in
+  (* Header of an opening with no rounds or layers, then [tail] words. *)
+  let hostile tail =
+    let b = Buffer.create 64 in
+    Zk_pcs.Codec.put_int b 0;
+    Zk_pcs.Codec.put_int b 0;
+    Zk_pcs.Codec.put_gf b Gf.zero;
+    List.iter (Zk_pcs.Codec.put_int b) tail;
+    Buffer.to_bytes b
+  in
+  let big = 1 lsl 27 in
+  List.iter
+    (fun (label, tail) ->
+      let data = hostile tail in
+      let vm0 = vm_bytes () and heap0 = Gc.allocated_bytes () in
+      let got = flat data in
+      let heap = Gc.allocated_bytes () -. heap0 and vm1 = vm_bytes () in
+      Alcotest.(check string) label (tuple data) got;
+      if String.equal got "Ok" then Alcotest.failf "%s: decoded" label;
+      if heap > 1e6 then Alcotest.failf "%s: %.0f bytes allocated" label heap;
+      match (vm0, vm1) with
+      | Some a, Some b when b - a > 1 lsl 28 -> Alcotest.failf "%s: mapped %d bytes" label (b - a)
+      | _ -> ())
+    [
+      ("query count", [ big; 3; 1 ]);
+      ("layer count", [ 1; 5; big; 0; 0 ]);
+      ("path length", [ 1; 5; 1; 0; 0; big; 0 ]);
+      ("path length, one digest short", [ 1; 5; 1; 0; 0; 2; 0; 0; 0; 0; 0 ]);
+    ]
 
 let suite =
   [
@@ -521,5 +727,17 @@ let suite =
     Alcotest.test_case "engine config parsing" `Quick test_engine_config;
     Alcotest.test_case "get_fv = get_gf_array, error for error" `Quick test_codec_fv;
     Alcotest.test_case "digest lanes = digest list" `Quick test_codec_digest_lanes;
-    Alcotest.test_case "get_digest_list = get_list get_digest" `Quick test_codec_digest_list;
+    Alcotest.test_case "fri decoder = tuple decoder: cuts and hostile lengths" `Quick
+      test_fri_decoder_bounds;
   ]
+  @ List.concat_map
+      (fun (leg : Test_native.leg) ->
+        (* The OCaml Keccak is ~50x slower than C: fewer cases there. *)
+        let off = leg.name = "off" in
+        [
+          QCheck_alcotest.to_alcotest
+            (prop_fri_flat_vs_oracle leg ~count:(if off then 30 else 150));
+          QCheck_alcotest.to_alcotest
+            (prop_fri_target_vs_oracle leg ~count:(if off then 2 else 6));
+        ])
+      Test_native.legs
