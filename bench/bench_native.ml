@@ -2,7 +2,10 @@
    ways — pure OCaml oracle ([Native.Off]), portable scalar C
    ([Native.with_scalar_c]), and SIMD-dispatched C ([Native.On]) —
    cross-checks that all three produce identical results, and writes
-   BENCH_native.json through [Bench_report.write] with its gates.
+   BENCH_native.json through [Bench_report.write] with its gates. The
+   flat Merkle rows also time the AVX2 tier alone
+   ([Native.with_avx2_only]), so on an AVX-512F host the report shows what
+   the 8-lane Keccak adds over the 4-lane one.
 
    Everything runs single-domain ([Pool.with_domains 1]): the point is the
    per-kernel instruction stream, not parallel scaling — BENCH_parallel.json
@@ -25,6 +28,7 @@ type kernel = {
          for keccak-f1600, leaves for merkle-build, nonzeros for
          csr-eval, node hashes for merkle-check-paths) *)
   k_run : unit -> string; (* runs under the ambient leg; returns fingerprint *)
+  k_x4 : bool; (* also timed under [Native.with_avx2_only] *)
 }
 
 let kernels ~smoke rng =
@@ -78,13 +82,21 @@ let kernels ~smoke rng =
   done;
   let kf_st = Fv.create 25 and kf_b = Fv.create 25 and kf_c = Fv.create 5 in
   (* A whole flat Merkle tree over 2^13 leaves: every level through the
-     node kernel, four nodes per x4 permutation under SIMD. *)
+     node kernel, eight (x8) or four (x4) nodes per permutation under
+     SIMD. *)
   let mk_n = scale 8192 64 in
   let mk_leaves =
     Merkle.of_digests
       (Array.init mk_n (fun i -> Keccak.sha3_256 (Bytes.of_string (string_of_int i))))
   in
   let ch_dst = Fv.create (4 * ch_cols) in
+  (* rsa-fri's layer-0 commit: a 2 x 2^14 codeword matrix, its 2^14
+     column leaves and the tree over them ([Fri.commit_layer]). *)
+  let mf_half = scale (1 lsl 14) 64 in
+  let mf_evals = Fv.create (2 * mf_half) in
+  for i = 0 to (2 * mf_half) - 1 do
+    Fv.set mf_evals i (Gf.random rng)
+  done;
   (* One layer of an rsa-fri opening's spot checks: 30 authentication
      paths of depth 14 walked together against one root. *)
   let cp_paths = 30 and cp_depth = scale 14 6 in
@@ -137,6 +149,7 @@ let kernels ~smoke rng =
         (fun () ->
           Fv.mul_into ~dst:ew_dst ew_a ew_b;
           Gf.to_string (Fv.get ew_dst (ew_n - 1)));
+      k_x4 = false;
     };
     {
       k_name = "fv-lerp";
@@ -145,6 +158,7 @@ let kernels ~smoke rng =
         (fun () ->
           Fv.lerp_into ~dst:ew_dst ew_a ew_b lerp_c;
           Gf.to_string (Fv.get ew_dst (ew_n - 1)));
+      k_x4 = false;
     };
     {
       k_name = "sumcheck-round";
@@ -158,6 +172,7 @@ let kernels ~smoke rng =
           Sumcheck.fold ~dst:sc_dst ~lo:sc_lo ~hi:sc_hi lerp_c;
           String.concat "," (Array.to_list (Array.map Gf.to_string g))
           ^ Gf.to_string (Fv.get sc_dst.(3) (sc_half - 1)));
+      k_x4 = false;
     };
     {
       k_name = "csr-eval";
@@ -171,6 +186,7 @@ let kernels ~smoke rng =
                    (Sparse.mle_eval_split m ~row_hi:ce_row_hi ~row_lo:ce_row_lo
                       ~col_hi:ce_col_hi ~col_lo:ce_col_lo))
                Gf.zero ce_mats));
+      k_x4 = false;
     };
     {
       k_name = "ntt-forward-rows";
@@ -181,6 +197,7 @@ let kernels ~smoke rng =
             ~len:(ntt_rows * ntt_cols);
           Gf_fv.forward_rows_flat ntt_plan ~rows:ntt_rows ntt_buf;
           Gf.to_string (Fv.get ntt_buf ((ntt_rows * ntt_cols) - 1)));
+      k_x4 = false;
     };
     {
       k_name = "keccak-batch";
@@ -189,6 +206,7 @@ let kernels ~smoke rng =
         (fun () ->
           let d = Keccak.sha3_256_batch kb_msgs in
           Keccak.to_hex d.(kb_count - 1));
+      k_x4 = false;
     };
     {
       k_name = "keccak-f1600";
@@ -201,6 +219,7 @@ let kernels ~smoke rng =
             else Keccak.f1600_off_ocaml kf_st 0 kf_b kf_c
           done;
           Printf.sprintf "%Lx" (Fv.get kf_st 0));
+      k_x4 = false;
     };
     {
       k_name = "rs-encode-rows";
@@ -210,6 +229,7 @@ let kernels ~smoke rng =
           let e = Reed_solomon.encode_rows_fv ~rows:rs_rows ~cols:rs_cols rs_flat in
           Gf.to_string
             (Fv.get e (((rs_rows - 1) * Reed_solomon.blowup * rs_cols) + 1)));
+      k_x4 = false;
     };
     {
       k_name = "col-hash";
@@ -218,6 +238,7 @@ let kernels ~smoke rng =
         (fun () ->
           Keccak.hash_cols_into ~rows:ch_rows ~cols:ch_cols ch_flat ~dst:ch_dst;
           Keccak.to_hex (Keccak.digest_at ch_dst (ch_cols - 1)));
+      k_x4 = true;
     };
     {
       k_name = "merkle-check-paths";
@@ -229,11 +250,19 @@ let kernels ~smoke rng =
               ~leaves:cp_leaves ~paths:cp_lanes ~path_pos:cp_pos
           in
           string_of_int (Array.fold_left (fun n b -> if b then n + 1 else n) 0 ok));
+      k_x4 = true;
     };
     {
       k_name = "merkle-build";
       k_n = mk_n;
       k_run = (fun () -> Keccak.to_hex (Merkle.root (Merkle.build mk_leaves)));
+      k_x4 = true;
+    };
+    {
+      k_name = "merkle-build-fri";
+      k_n = mf_half;
+      k_run = (fun () -> Keccak.to_hex (Merkle.root (Fri.commit_layer mf_evals)));
+      k_x4 = true;
     };
   ]
 
@@ -242,6 +271,7 @@ type row = {
   ocaml_s : float;
   scalar_s : float;
   simd_s : float;
+  x4_s : float option; (* the AVX2 tier alone, for the [k_x4] kernels *)
   fingerprint_equal : bool;
 }
 
@@ -256,13 +286,20 @@ let measure_kernel ~smoke k =
   let fp_ocaml, ocaml_s = under (Native.with_mode Native.Off) in
   let fp_scalar, scalar_s = under Native.with_scalar_c in
   let fp_simd, simd_s = under (Native.with_mode Native.On) in
+  let fp_x4, x4_s =
+    if k.k_x4 then
+      let fp, t = under Native.with_avx2_only in
+      (fp, Some t)
+    else (fp_simd, None)
+  in
   {
     kernel = k;
     ocaml_s;
     scalar_s;
     simd_s;
+    x4_s;
     fingerprint_equal =
-      String.equal fp_ocaml fp_scalar && String.equal fp_ocaml fp_simd;
+      List.for_all (String.equal fp_ocaml) [ fp_scalar; fp_simd; fp_x4 ];
   }
 
 let speedup_scalar r = r.ocaml_s /. r.scalar_s
@@ -291,11 +328,12 @@ let document rows =
             ("simd_seconds", Num r.simd_s);
             ("speedup_scalar", Num (speedup_scalar r));
             ("speedup_simd", Num (speedup_simd r));
-          ])
+          ]
+          @ match r.x4_s with Some t -> [ ("simd_x4_seconds", Num t) ] | None -> [])
         rows );
   ]
 
-(* >= 6 kernels, the flat Merkle build among them, each with all three
+(* >= 6 kernels, the flat Merkle build among them, each with all its
    legs' fingerprints equal and positive sizes, timings and speedups. *)
 let gates rows =
   let positive key f = (List.for_all (fun r -> f r > 0.0) rows, key ^ " must be positive") in
@@ -307,6 +345,8 @@ let gates rows =
     positive "ocaml_seconds" (fun r -> r.ocaml_s);
     positive "scalar_seconds" (fun r -> r.scalar_s);
     positive "simd_seconds" (fun r -> r.simd_s);
+    ( List.for_all (fun r -> Option.fold ~none:true ~some:(fun t -> t > 0.0) r.x4_s) rows,
+      "simd_x4_seconds must be positive" );
     positive "speedup_scalar" speedup_scalar;
     positive "speedup_simd" speedup_simd;
   ]
@@ -315,7 +355,7 @@ let gates rows =
       (List.map (fun r -> r.kernel.k_name) rows)
       [
         "fv-lerp"; "sumcheck-round"; "csr-eval"; "ntt-forward-rows"; "keccak-batch";
-        "keccak-f1600"; "rs-encode-rows"; "merkle-check-paths";
+        "keccak-f1600"; "rs-encode-rows"; "merkle-check-paths"; "merkle-build-fri";
       ]
 
 (* --- driver ------------------------------------------------------------- *)
@@ -330,7 +370,7 @@ let run ~smoke ~path =
     Pool.with_domains 1 (fun () -> List.map (measure_kernel ~smoke) (kernels ~smoke rng))
   in
   Zk_report.Render.table
-    ~header:[ "kernel"; "n"; "ocaml"; "scalar C"; "simd"; "scalar x"; "simd x" ]
+    ~header:[ "kernel"; "n"; "ocaml"; "scalar C"; "simd x4"; "simd"; "scalar x"; "simd x" ]
     (List.map
        (fun r ->
          [
@@ -338,6 +378,7 @@ let run ~smoke ~path =
            string_of_int r.kernel.k_n;
            Zk_report.Render.seconds r.ocaml_s;
            Zk_report.Render.seconds r.scalar_s;
+           Option.fold ~none:"-" ~some:Zk_report.Render.seconds r.x4_s;
            Zk_report.Render.seconds r.simd_s;
            Printf.sprintf "%.2fx" (speedup_scalar r);
            Printf.sprintf "%.2fx" (speedup_simd r);

@@ -429,24 +429,34 @@ let hash_cols_ocaml (flat : Fv.t) ~cols ~rows (dst : Fv.t) lo hi =
     done
   done
 
-(* The pool claims quads of nodes/columns, so with AVX2 every claimed
-   range but the level's last runs whole x4 permutations. One x4 call
-   costs ~0.95µs for four sponges (the keccak-batch row of
-   BENCH_native.json: ~236 ns per absorbed block); without the native
-   layer a quad is four ~27µs OCaml permutations. *)
-let quad_grain ~perms =
-  Pool.grain_of_ns (perms * if Native.on () then 950 else 4 * block_ns ())
+(* The pool claims groups of nodes/columns of the kernel's lane count, so
+   with SIMD every claimed range but the level's last runs whole x8 or x4
+   permutations. One x8 call costs ~0.55µs for eight sponges (the
+   merkle-build and merkle-build-fri rows of BENCH_native.json: 67-73 ns
+   per node). Without AVX-512F a range goes in quads priced at one x4 call,
+   ~0.95µs for four sponges (the keccak-batch row: ~236 ns per absorbed
+   block), also under the scalar C body; without the native layer a quad is
+   four ~27µs OCaml permutations. *)
+let group_width () = if Native.keccak_lanes () = 8 then 8 else 4
 
-let node_grain () = 4 * quad_grain ~perms:1
+let group_ns () =
+  if not (Native.on ()) then 4 * block_ns ()
+  else if group_width () = 8 then 550
+  else 950
 
-let over_quads ~perms n body =
-  Pool.run ~grain:(quad_grain ~perms) ~n:((n + 3) / 4) (fun a b -> body (4 * a) (min n (4 * b)))
+let group_grain ~perms = Pool.grain_of_ns (perms * group_ns ())
+
+let node_grain () = group_width () * group_grain ~perms:1
+
+let over_groups ~perms n body =
+  let w = group_width () in
+  Pool.run ~grain:(group_grain ~perms) ~n:((n + w - 1) / w) (fun a b -> body (w * a) (min n (w * b)))
 
 let hash_nodes_into ~(src : Fv.t) ~(dst : Fv.t) =
   if Fv.length dst land 3 <> 0 || Fv.length src <> 2 * Fv.length dst then
     invalid_arg "Keccak.hash_nodes_into: need 8 source lanes per 4 destination lanes";
   let body = if Native.on () then Native.hash_nodes src dst else hash_nodes_ocaml src dst in
-  over_quads ~perms:1 (Fv.length dst / 4) body
+  over_groups ~perms:1 (Fv.length dst / 4) body
 
 let hash_cols_into ~rows ~cols (flat : Fv.t) ~(dst : Fv.t) =
   if rows < 0 || cols <= 0 || Fv.length flat <> rows * cols || Fv.length dst <> 4 * cols then
@@ -455,7 +465,7 @@ let hash_cols_into ~rows ~cols (flat : Fv.t) ~(dst : Fv.t) =
     if Native.on () then Native.hash_cols flat cols rows dst
     else hash_cols_ocaml flat ~cols ~rows dst
   in
-  over_quads ~perms:((rows / rate_lanes) + 1) cols body
+  over_groups ~perms:((rows / rate_lanes) + 1) cols body
 
 (* --- incremental per-column sponges -------------------------------------- *)
 

@@ -79,21 +79,22 @@ val set_digest : Nocap_vec.Fv.t -> int -> digest -> unit
 val hash_nodes_into : src:Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> unit
 (** One Merkle level from the one below: digest [i] of [dst] is
     [hash2] of digests [2i] and [2i + 1] of [src]. Nodes split across the
-    {!Nocap_parallel.Pool} domains in quads; with AVX2 each quad is one
-    4-lane permutation. Byte-identical for every mode and domain count.
+    {!Nocap_parallel.Pool} domains in groups of eight with AVX-512F (one
+    8-lane permutation each) and of four otherwise (one 4-lane permutation
+    each with AVX2). Byte-identical for every mode and domain count.
     @raise Invalid_argument unless [Fv.length src = 2 * Fv.length dst] and
     [dst] holds whole digests. *)
 
 val node_grain : unit -> int
-(** Nodes per pool claim in {!hash_nodes_into}: whole quads amortizing
+(** Nodes per pool claim in {!hash_nodes_into}: whole groups amortizing
     ~50µs of permutations in the current mode. *)
 
 val hash_cols_into : rows:int -> cols:int -> Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> unit
 (** [hash_cols_into ~rows ~cols flat ~dst] hashes each column of the
     row-major [rows * cols] matrix [flat] into digest [j] of [dst] —
     [hash_gf] of the gathered column, without gathering it. Columns split
-    across the pool in quads; with AVX2 four adjacent columns share one
-    4-lane sponge.
+    across the pool in groups as in {!hash_nodes_into}; eight (AVX-512F) or
+    four (AVX2) adjacent columns share one sponge permutation.
     @raise Invalid_argument unless [Fv.length flat = rows * cols] and
     [Fv.length dst = 4 * cols]. *)
 

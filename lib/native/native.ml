@@ -16,23 +16,33 @@ external set_simd : int -> unit = "caml_nocap_set_simd" [@@noalloc]
 
 let have_avx2 () = cpu_features () land 1 <> 0
 let have_neon () = cpu_features () land 2 <> 0
+let have_avx512f () = cpu_features () land 4 <> 0
 
 let features_to_string () =
-  match (have_avx2 (), have_neon ()) with
-  | true, true -> "avx2+neon"
-  | true, false -> "avx2"
-  | false, true -> "neon"
-  | false, false -> "none"
+  match
+    List.filter_map
+      (fun (have, name) -> if have () then Some name else None)
+      [ (have_avx2, "avx2"); (have_avx512f, "avx512f"); (have_neon, "neon") ]
+  with
+  | [] -> "none"
+  | names -> String.concat "+" names
 
-(* The C-side [g_simd] flag starts at 0, so [set_mode] must run before any
-   SIMD kernel can fire; the lazy default below covers programs that never
-   resolve an [Engine] (tests, bare library users). [Engine.Config.of_env]
-   parses the same variable with loud errors and re-applies it here. *)
+(* The C-side [g_simd] level starts at 0, so [set_mode] must run before
+   any SIMD kernel can fire; the lazy default below covers programs that
+   never resolve an [Engine] (tests, bare library users).
+   [Engine.Config.of_env] parses the same variable with loud errors and
+   re-applies it here. [simd] mirrors the level: 2 every SIMD tier, 1 up
+   to AVX2/NEON, 0 scalar C only. *)
 let current = ref None
+let simd = ref 0
+
+let set_simd_level l =
+  simd := l;
+  set_simd l
 
 let set_mode m =
   current := Some m;
-  set_simd (match m with On -> 1 | Off -> 0)
+  set_simd_level (match m with On -> 2 | Off -> 0)
 
 let default_mode () =
   match Sys.getenv_opt "NOCAP_NATIVE" with
@@ -54,10 +64,19 @@ let with_mode m f =
   set_mode m;
   Fun.protect ~finally:(fun () -> set_mode prev) f
 
-let with_scalar_c f =
+let with_simd_level l f =
   with_mode On (fun () ->
-      set_simd 0;
+      set_simd_level l;
       f ())
+
+let with_scalar_c f = with_simd_level 0 f
+let with_avx2_only f = with_simd_level 1 f
+
+let keccak_lanes () =
+  if not (on ()) then 1
+  else if !simd >= 2 && have_avx512f () then 8
+  else if !simd >= 1 && have_avx2 () then 4
+  else 1
 
 type fv = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -6,12 +6,13 @@
     single mode flag that every dispatch site consults:
 
     - [Off] — pure OCaml oracles only.
-    - [On]  — C kernels with AVX2/NEON bodies when the CPU supports them
-              (falls back to the portable scalar C body per kernel
-              otherwise).
+    - [On]  — C kernels with AVX2/NEON bodies when the CPU supports them,
+              and the 8-lane AVX-512F Keccak under the flat Merkle kernels
+              where the CPU has AVX-512F (falls back to the portable scalar
+              C body per kernel otherwise).
 
-    The scalar C bodies of SIMD-dispatched kernels are reachable on an AVX2
-    host only through the test hook {!with_scalar_c}.
+    The lower tiers of SIMD-dispatched kernels are reachable on a wider host
+    only through the test hooks {!with_avx2_only} and {!with_scalar_c}.
 
     The default comes from [NOCAP_NATIVE] (unset = [On]); [Engine.Config]
     re-parses the same variable with loud errors and re-applies it via
@@ -48,13 +49,25 @@ val with_scalar_c : (unit -> 'a) -> 'a
     disabled, so every kernel runs its portable scalar C body; restores the
     previous mode after.  Not a [mode]: no configuration selects it. *)
 
+val with_avx2_only : (unit -> 'a) -> 'a
+(** Test and bench hook, a sibling of {!with_scalar_c}: run [f] in mode
+    [On] with the SIMD tiers above AVX2/NEON disabled, so the flat Merkle
+    kernels run the 4-lane AVX2 Keccak even on an AVX-512F host. *)
+
+val keccak_lanes : unit -> int
+(** Sponges per permutation the flat Merkle kernels run at under the
+    current mode and hooks: 8 (AVX-512F), 4 (AVX2) or 1 (scalar C or
+    OCaml). *)
+
 (** {2 CPU feature detection} *)
 
 val have_avx2 : unit -> bool
 val have_neon : unit -> bool
+val have_avx512f : unit -> bool
 
 val features_to_string : unit -> string
-(** e.g. ["avx2"], ["neon"], or ["none"] — for bench metadata. *)
+(** e.g. ["avx2+avx512f"], ["avx2"], ["neon"], or ["none"] — for bench
+    metadata. *)
 
 (** {2 Raw stub entry points}
 

@@ -16,10 +16,12 @@
      __attribute__((target("avx2"))) so the object file stays portable and
      the choice is made per call from __builtin_cpu_supports. On aarch64
      the add/sub lanes use NEON; everything else takes the scalar path
-     (still well ahead of the OCaml loops). The g_simd flag is set from
-     OCaml (Native.set_mode, Native.with_scalar_c): 0 pins every kernel to
-     scalar C, which is how the tests and the bench reach the scalar C
-     bodies on a SIMD host. */
+     (still well ahead of the OCaml loops). The g_simd level is set from
+     OCaml (Native.set_mode, Native.with_avx2_only, Native.with_scalar_c):
+     2 allows every SIMD tier (the 8-lane AVX-512F Keccak where the CPU has
+     it), 1 stops at the AVX2/NEON bodies and 0 pins every kernel to
+     scalar C, which is how the tests and the bench reach the lower tiers
+     on a wider host. */
 
 #include <stdint.h>
 #include <stddef.h>
@@ -40,7 +42,7 @@
 
 /* --- runtime feature detection / mode flag ------------------------------- */
 
-static int g_simd = 0; /* 1 = SIMD variants allowed; set from OCaml */
+static int g_simd = 0; /* 0 scalar, 1 AVX2/NEON, 2 also AVX-512F; set from OCaml */
 
 #if defined(NOCAP_X86_64)
 static int g_have_avx2 = -1;
@@ -49,8 +51,15 @@ static int have_avx2(void)
   if (g_have_avx2 < 0) g_have_avx2 = __builtin_cpu_supports("avx2") ? 1 : 0;
   return g_have_avx2;
 }
+static int g_have_avx512f = -1;
+static int have_avx512f(void)
+{
+  if (g_have_avx512f < 0) g_have_avx512f = __builtin_cpu_supports("avx512f") ? 1 : 0;
+  return g_have_avx512f;
+}
 #else
 static int have_avx2(void) { return 0; }
+static int have_avx512f(void) { return 0; }
 #endif
 
 static int have_neon(void)
@@ -68,6 +77,7 @@ CAMLprim value caml_nocap_cpu_features(value unit)
   (void)unit;
   if (have_avx2()) f |= 1;
   if (have_neon()) f |= 2;
+  if (have_avx512f()) f |= 4;
   return Val_int(f);
 }
 
@@ -813,9 +823,10 @@ CAMLprim value caml_nocap_sha3(value vmsg, value vout)
    as one 64-byte message: pad at lane 8, closing bit in lane 16) into
    node i of the next level; hash_cols hashes column j of a row-major
    matrix into leaf j. Both cover an index range [lo, hi), so the OCaml
-   side splits one level over the pool; with AVX2 each runs four nodes or
-   columns per keccak_f1600_x4 call and finishes the range on the scalar
-   bodies below. */
+   side splits one level over the pool. A range runs eight nodes or
+   columns per keccak_f1600_x8 call with AVX-512F, then four per
+   keccak_f1600_x4 call with AVX2, and finishes on the scalar bodies
+   below. */
 
 static void hash_node_c(const uint64_t *pair, uint64_t *out)
 {
@@ -1054,6 +1065,85 @@ __attribute__((target("avx2"))) static void hash_cols_x4(const uint64_t *col0, i
   store_digests_x4(st, out);
 }
 
+/* --- 8-lane AVX-512F Keccak sponge ----------------------------------------
+   The same KECCAK_ROUND over __m512i: eight sponges per zmm register, ROL
+   as vprolq. Only the flat Merkle kernels drive it; their ranges run
+   groups of eight here, then groups of four on the AVX2 body, then the
+   scalar body. */
+
+#define ROL64X8(x, r) _mm512_rol_epi64((x), (r))
+
+__attribute__((target("avx512f"))) static void keccak_f1600_x8(__m512i *st)
+{
+#define LOAD(i) __m512i a##i = st[i], e##i;
+  KECCAK_EACH_LANE(LOAD)
+#undef LOAD
+  for (int round = 0; round < 24; round += 2) {
+    KECCAK_ROUND(__m512i, a, e, _mm512_set1_epi64((long long)keccak_rc[round]),
+                 _mm512_xor_si512, _mm512_andnot_si512, ROL64X8);
+    KECCAK_ROUND(__m512i, e, a, _mm512_set1_epi64((long long)keccak_rc[round + 1]),
+                 _mm512_xor_si512, _mm512_andnot_si512, ROL64X8);
+  }
+#define STORE(i) st[i] = a##i;
+  KECCAK_EACH_LANE(STORE)
+#undef STORE
+}
+
+/* Squeeze lanes 0..3 of eight sponges into eight consecutive digests:
+   pair up lanes 0/1 and 2/3 of each sponge, then gather the 128-bit
+   halves so register k holds digests 2k and 2k + 1. */
+__attribute__((target("avx512f"))) static inline void store_digests_x8(const __m512i *st,
+                                                                       uint64_t *out)
+{
+  __m512i t0 = _mm512_unpacklo_epi64(st[0], st[1]);
+  __m512i t1 = _mm512_unpackhi_epi64(st[0], st[1]);
+  __m512i t2 = _mm512_unpacklo_epi64(st[2], st[3]);
+  __m512i t3 = _mm512_unpackhi_epi64(st[2], st[3]);
+  __m512i lo0 = _mm512_shuffle_i64x2(t0, t2, 0x44), lo1 = _mm512_shuffle_i64x2(t1, t3, 0x44);
+  __m512i hi0 = _mm512_shuffle_i64x2(t0, t2, 0xEE), hi1 = _mm512_shuffle_i64x2(t1, t3, 0xEE);
+  _mm512_storeu_si512((void *)(out + 0), _mm512_shuffle_i64x2(lo0, lo1, 0x88));
+  _mm512_storeu_si512((void *)(out + 8), _mm512_shuffle_i64x2(lo0, lo1, 0xDD));
+  _mm512_storeu_si512((void *)(out + 16), _mm512_shuffle_i64x2(hi0, hi1, 0x88));
+  _mm512_storeu_si512((void *)(out + 24), _mm512_shuffle_i64x2(hi0, hi1, 0xDD));
+}
+
+/* Nodes i..i+7: their eight child pairs are 64 consecutive lanes at
+   [pairs] (row = node); lane l of the eight sponges is one strided gather
+   down that 8x8 block. A three-stage unpack/shuffle transpose measured the
+   same (~75 ns per node either way), so the shorter form stays. Their
+   digests are 32 consecutive lanes at [out]. */
+__attribute__((target("avx512f"))) static void hash_nodes_x8(const uint64_t *pairs, uint64_t *out)
+{
+  __m512i st[25];
+  const __m512i rows = _mm512_setr_epi64(0, 8, 16, 24, 32, 40, 48, 56);
+  for (int l = 0; l < 8; l++) st[l] = _mm512_i64gather_epi64(rows, (const void *)(pairs + l), 8);
+  for (int l = 8; l < 25; l++) st[l] = _mm512_setzero_si512();
+  st[8] = _mm512_set1_epi64((long long)SHA3_PAD);
+  st[16] = _mm512_set1_epi64((long long)TRAILING_PAD);
+  keccak_f1600_x8(st);
+  store_digests_x8(st, out);
+}
+
+/* Columns j..j+7: one unaligned 512-bit load per row. */
+__attribute__((target("avx512f"))) static void hash_cols_x8(const uint64_t *col0, intnat stride,
+                                                           intnat rows, uint64_t *out)
+{
+  __m512i st[25];
+  for (int l = 0; l < 25; l++) st[l] = _mm512_setzero_si512();
+  int lane = 0;
+  for (intnat r = 0; r < rows; r++) {
+    st[lane] = _mm512_xor_si512(st[lane], _mm512_loadu_si512((const void *)(col0 + r * stride)));
+    if (++lane == RATE_LANES) {
+      keccak_f1600_x8(st);
+      lane = 0;
+    }
+  }
+  st[lane] = _mm512_xor_si512(st[lane], _mm512_set1_epi64((long long)SHA3_PAD));
+  st[16] = _mm512_xor_si512(st[16], _mm512_set1_epi64((long long)TRAILING_PAD));
+  keccak_f1600_x8(st);
+  store_digests_x8(st, out);
+}
+
 #endif /* NOCAP_X86_64 */
 
 CAMLprim value caml_nocap_sha3_x4(value vmsgs, value vouts)
@@ -1081,6 +1171,8 @@ CAMLprim value caml_nocap_hash_nodes(value vsrc, value vdst, value vlo, value vh
   uint64_t *dst = BA_DATA(vdst);
   intnat i = Int_val(vlo), hi = Int_val(vhi);
 #if defined(NOCAP_X86_64)
+  if (g_simd >= 2 && have_avx512f())
+    for (; i + 8 <= hi; i += 8) hash_nodes_x8(src + 8 * i, dst + 4 * i);
   if (g_simd && have_avx2())
     for (; i + 4 <= hi; i += 4) hash_nodes_x4(src + 8 * i, dst + 4 * i);
 #endif
@@ -1096,6 +1188,8 @@ CAMLprim value caml_nocap_hash_cols(value vflat, value vcols, value vrows, value
   intnat cols = Int_val(vcols), rows = Int_val(vrows);
   intnat j = Int_val(vlo), hi = Int_val(vhi);
 #if defined(NOCAP_X86_64)
+  if (g_simd >= 2 && have_avx512f())
+    for (; j + 8 <= hi; j += 8) hash_cols_x8(flat + j, cols, rows, dst + 4 * j);
   if (g_simd && have_avx2())
     for (; j + 4 <= hi; j += 4) hash_cols_x4(flat + j, cols, rows, dst + 4 * j);
 #endif

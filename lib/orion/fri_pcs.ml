@@ -101,12 +101,13 @@ let log2_exact n =
    [c'_i = c_{2i} + r * c_{2i+1}] is exactly "substitute the round
    challenge for the variable the sumcheck just bound", so one challenge
    drives both the sumcheck tables and the codeword. *)
-let monomial_coeffs table =
+let monomial_coeffs_into table (dst : Fv.t) =
   let n = Array.length table in
   let l = log2_exact n in
-  let c = Array.copy table in
-  (* Evaluations to multilinear monomial coefficients, one variable (index
-     bit) at a time: (f(0), f(1)) |-> (f(0), f(1) - f(0)). *)
+  if Fv.length dst < n then invalid_arg "Fri_pcs.monomial_coeffs_into: destination too short";
+  Fv.write_array table ~src_pos:0 dst ~dst_pos:0 ~len:n;
+  (* Evaluations to multilinear monomial coefficients in place, one
+     variable (index bit) at a time: (f(0), f(1)) |-> (f(0), f(1) - f(0)). *)
   let stride = ref 1 in
   while !stride < n do
     let s = !stride in
@@ -114,26 +115,26 @@ let monomial_coeffs table =
     let i = ref 0 in
     while !i < n do
       for j = !i to !i + s - 1 do
-        c.(j + s) <- Gf.sub c.(j + s) c.(j)
+        Fv.unsafe_set dst (j + s) (Gf.sub (Fv.unsafe_get dst (j + s)) (Fv.unsafe_get dst j))
       done;
       i := !i + block
     done;
     stride := block
   done;
-  if l = 0 then c
-  else begin
-    (* Bit-reverse: variable j lives at evaluation-index bit (l - j), and
-       must land at monomial bit (j - 1). *)
-    let rev m =
-      let acc = ref 0 and m = ref m in
-      for _ = 1 to l do
-        acc := (!acc lsl 1) lor (!m land 1);
-        m := !m lsr 1
-      done;
-      !acc
-    in
-    Array.init n (fun m -> c.(rev m))
-  end
+  (* Bit-reverse in place: variable j lives at evaluation-index bit
+     (l - j), and must land at monomial bit (j - 1). *)
+  for m = 0 to n - 1 do
+    let r = ref 0 in
+    for k = 0 to l - 1 do
+      r := !r lor (((m lsr k) land 1) lsl (l - 1 - k))
+    done;
+    let r = !r in
+    if m < r then begin
+      let x = Fv.unsafe_get dst m in
+      Fv.unsafe_set dst m (Fv.unsafe_get dst r);
+      Fv.unsafe_set dst r x
+    end
+  done
 
 (* Chunked {!Fri.commit_layer} over a spillable codeword, fed through the
    incremental Merkle builder: leaf j pairs positions j and j + half. Each
@@ -174,7 +175,7 @@ let commit ?engine params rng table =
   (* Layer-0 codeword: the flat NTT of the zero-padded coefficients. *)
   let evals = Fv.create domain in
   Fv.zero evals;
-  Fv.write_array (monomial_coeffs table) ~src_pos:0 evals ~dst_pos:0 ~len:n;
+  monomial_coeffs_into table evals;
   Ntt_fv.forward (Ntt_fv.plan domain) evals;
   let tree = Fri.commit_layer evals in
   let c_commitment = { root = Merkle.root tree; num_vars } in

@@ -61,6 +61,16 @@ type eval_proof = {
 
 val num_queries : eval_proof -> int
 
+val monomial_coeffs_into : Zk_field.Gf.t array -> Nocap_vec.Fv.t -> unit
+(** [monomial_coeffs_into table dst] writes the univariate coefficients of
+    the multilinear [table] (length [2^l]) into [dst.(0 .. 2^l - 1)],
+    monomial bit [j - 1] carrying variable [j] (the MSB of the evaluation
+    index is variable 1), so {!Fri.fold} by a sumcheck challenge binds the
+    same variable the sumcheck does. The commit's layer-0 codeword is the
+    NTT of these coefficients, zero-padded.
+    @raise Invalid_argument unless the table's length is a power of two
+    and [dst] holds at least that many elements. *)
+
 val validate_commitment :
   params -> commitment -> (unit, Zk_pcs.Verify_error.t) result
 (** The checks [verify] runs first on a wire commitment: valid params, a

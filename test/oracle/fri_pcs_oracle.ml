@@ -67,6 +67,39 @@ let of_flat (p : Fri_pcs.eval_proof) =
         p.Fri_pcs.positions;
   }
 
+(* The boxed evaluations-to-coefficients map [Fri_pcs.commit] once ran:
+   [l] passes of [Gf.sub] over a copied [Gf.t array], then an [Array.init]
+   bit-reversal. The reference for [Fri_pcs.monomial_coeffs_into]. *)
+let monomial_coeffs table =
+  let n = Array.length table in
+  let l = ref 0 in
+  while 1 lsl !l < n do
+    incr l
+  done;
+  let l = !l in
+  let c = Array.copy table in
+  let stride = ref 1 in
+  while !stride < n do
+    let s = !stride in
+    let i = ref 0 in
+    while !i < n do
+      for j = !i to !i + s - 1 do
+        c.(j + s) <- Gf.sub c.(j + s) c.(j)
+      done;
+      i := !i + (2 * s)
+    done;
+    stride := 2 * s
+  done;
+  let rev m =
+    let acc = ref 0 and m = ref m in
+    for _ = 1 to l do
+      acc := (!acc lsl 1) lor (!m land 1);
+      m := !m lsr 1
+    done;
+    !acc
+  in
+  Array.init n (fun m -> c.(rev m))
+
 let commit = Fri_pcs.commit
 let absorb_commitment = Fri_pcs.absorb_commitment
 let commitment_num_vars = Fri_pcs.commitment_num_vars

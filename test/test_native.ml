@@ -25,20 +25,35 @@ module Serialize = Zk_spartan.Serialize
 
 let p_int64 = 0xFFFF_FFFF_0000_0001L
 
-(* The three kernel legs: pure OCaml ([Off]), the portable scalar C bodies
-   ([Native.with_scalar_c]) and the SIMD-dispatched C ([On]). Every
-   cross-leg check compares the two C legs against the OCaml result. On
-   hosts without AVX2/NEON the "on" leg degrades to the scalar C bodies —
-   the check still runs. *)
+(* The kernel legs: pure OCaml ([Off]), the portable scalar C bodies
+   ([Native.with_scalar_c]), the AVX2 tier ([Native.with_avx2_only]: the
+   4-lane Keccak under the flat Merkle kernels) and the best SIMD the CPU
+   has ([On]: the 8-lane AVX-512F Keccak where present). Every cross-leg
+   check compares the C legs against the OCaml result. On a host without
+   a tier its leg degrades to the next one down — the check still runs,
+   and "SIMD tiers reached" says which tiers did. *)
 type leg = { name : string; run : 'a. (unit -> 'a) -> 'a }
 
 let off = { name = "off"; run = (fun f -> Native.with_mode Native.Off f) }
-let c_legs =
-  [
-    { name = "scalar"; run = (fun f -> Native.with_scalar_c f) };
-    { name = "on"; run = (fun f -> Native.with_mode Native.On f) };
-  ]
+let scalar = { name = "scalar"; run = (fun f -> Native.with_scalar_c f) }
+let avx2 = { name = "avx2"; run = (fun f -> Native.with_avx2_only f) }
+let on = { name = "on"; run = (fun f -> Native.with_mode Native.On f) }
+let c_legs = [ scalar; avx2; on ]
 let legs = off :: c_legs
+
+(* Each leg's Merkle-kernel width is the tier it claims, or the next one
+   down where the CPU lacks it. *)
+let test_tiers_reached () =
+  let lanes (l : leg) = l.run Native.keccak_lanes in
+  let x4 = if Native.have_avx2 () then 4 else 1 in
+  Alcotest.(check int) "off" 1 (lanes off);
+  Alcotest.(check int) "scalar" 1 (lanes scalar);
+  Alcotest.(check int) "avx2" x4 (lanes avx2);
+  Alcotest.(check int) "on" (if Native.have_avx512f () then 8 else x4) (lanes on);
+  Printf.printf "SIMD tiers reached (cpu %s): scalar C, %s, %s\n"
+    (Native.features_to_string ())
+    (if x4 = 4 then "x4 (AVX2)" else "x4 skipped: CPU has no AVX2")
+    (if Native.have_avx512f () then "x8 (AVX-512F)" else "x8 skipped: CPU has no AVX-512F")
 
 let check_legs name (f : unit -> string) =
   let expected = off.run f in
@@ -372,15 +387,16 @@ let test_hash_entry_points () =
   let d1 = Keccak.sha3_256 (Bytes.of_string "left") in
   let d2 = Keccak.sha3_256 (Bytes.of_string "right") in
   check_legs "hash2" (fun () -> Keccak.hash2 d1 d2);
-  (* One flat Merkle level per node count: whole x4 quads, quads plus a
-     scalar tail, and a misaligned source sub-view. Each leg must also
-     agree with hash2 on the string digests. *)
-  let digests = Array.init 27 (fun i -> Keccak.sha3_256 (Bytes.make 5 (Char.chr i))) in
-  let lanes = Fv.create ((4 * 27) + 4) in
-  Array.iteri (fun i d -> Keccak.set_digest lanes (i + 1) d) digests;
+  (* One flat Merkle level per node count: whole x8 and x4 groups with
+     every mix of x4 and scalar tails, from a source at an odd lane offset
+     (off any 32- or 64-byte boundary). Each leg must also agree with
+     hash2 on the string digests. *)
+  let digests = Array.init 128 (fun i -> Keccak.sha3_256 (Bytes.make 5 (Char.chr i))) in
+  let lanes = Fv.sub_view (Fv.create ((4 * 128) + 1)) ~pos:1 ~len:(4 * 128) in
+  Array.iteri (Keccak.set_digest lanes) digests;
   List.iter
     (fun nodes ->
-      let src = Fv.sub_view lanes ~pos:4 ~len:(8 * nodes) in
+      let src = Fv.sub_view lanes ~pos:0 ~len:(8 * nodes) in
       let expected =
         String.concat ""
           (List.init nodes (fun i -> Keccak.hash2 digests.(2 * i) digests.((2 * i) + 1)))
@@ -396,13 +412,16 @@ let test_hash_entry_points () =
           Alcotest.(check string) (Printf.sprintf "hash_nodes_into n=%d [%s]" nodes l.name)
             expected got)
         legs)
-    [ 1; 4; 8; 13 ]
+    [ 1; 4; 7; 8; 9; 12; 13; 16; 23; 64 ]
 
+(* Column leaves at every width mod 8 (x8 groups, an x4 group, scalar
+   tails) and row counts on both sides of the 17-lane rate block; the
+   offset case reads the matrix from an odd lane offset. *)
 let test_hash_cols_into () =
   let rng = Rng.create 0xC015L in
   List.iter
-    (fun (rows, cols) ->
-      let flat = Fv.create (rows * cols) in
+    (fun (rows, cols, pos) ->
+      let flat = Fv.sub_view (Fv.create ((rows * cols) + pos)) ~pos ~len:(rows * cols) in
       random_fill rng flat;
       let expected =
         String.concat ""
@@ -419,10 +438,14 @@ let test_hash_cols_into () =
                 String.concat "" (List.init cols (Keccak.digest_at dst)))
           in
           Alcotest.(check string)
-            (Printf.sprintf "hash_cols_into %dx%d [%s]" rows cols l.name)
+            (Printf.sprintf "hash_cols_into %dx%d at %d [%s]" rows cols pos l.name)
             expected got)
         legs)
-    [ (5, 3); (17, 4); (40, 13); (2, 9); (0, 5); (34, 8) ]
+    [
+      (5, 3, 0); (17, 4, 0); (40, 13, 0); (2, 9, 0); (0, 5, 0); (34, 8, 0);
+      (16, 9, 0); (17, 10, 0); (18, 11, 0); (34, 12, 0); (35, 13, 0); (16, 14, 0);
+      (17, 15, 0); (18, 16, 0); (35, 23, 3); (34, 17, 0);
+    ]
 
 (* The FRI codeword fold in every leg, split across 1 and 3 domains (the
    length puts several pool chunks in each leg), in place and out of place,
@@ -670,6 +693,7 @@ let test_proof_bytes_invariant () =
 
 let suite =
   [
+    Alcotest.test_case "SIMD tiers reached" `Quick test_tiers_reached;
     Alcotest.test_case "gl_pow vs Gf.pow + Fermat" `Quick test_gl_pow;
     QCheck_alcotest.to_alcotest prop_elementwise;
     QCheck_alcotest.to_alcotest prop_lerp_raw;

@@ -58,7 +58,8 @@ let test_golden_bytes () =
       List.iter
         (fun d -> check (Printf.sprintf "at %d domains" d) (Pool.with_domains d))
         [ 1; 2; 3 ];
-      check "with native kernels off" (Nocap_native.Native.with_mode Nocap_native.Native.Off))
+      check "with native kernels off" (Nocap_native.Native.with_mode Nocap_native.Native.Off);
+      check "with the AVX2 tier only" Nocap_native.Native.with_avx2_only)
     golden_cases
 
 (* FRI-backend proofs at [test_params], pinned the same way: the fold,
@@ -84,7 +85,9 @@ let test_fri_golden_bytes () =
         (fun d -> check (Printf.sprintf "at %d domains" d) (Pool.with_domains d))
         [ 1; 2; 3 ];
       (* The pure-OCaml kernels (NOCAP_NATIVE=0) produce the same bytes. *)
-      check "with native kernels off" (Nocap_native.Native.with_mode Nocap_native.Native.Off))
+      check "with native kernels off" (Nocap_native.Native.with_mode Nocap_native.Native.Off);
+      (* The 4-lane Merkle kernels, also on an AVX-512F host. *)
+      check "with the AVX2 tier only" Nocap_native.Native.with_avx2_only)
     fri_golden_cases
 
 (* --- engine-context invariance: pools and trace sinks schedule and
@@ -707,6 +710,34 @@ let test_fri_decoder_bounds () =
       ("path length, one digest short", [ 1; 5; 1; 0; 0; 2; 0; 0; 0; 0; 0 ]);
     ]
 
+(* The in-place coefficient map against the boxed one, at every size
+   2^0..2^12, written into a longer buffer whose tail must stay as it
+   was (the commit's zero padding). *)
+let prop_monomial_coeffs =
+  QCheck.Test.make ~count:10 ~name:"fri monomial_coeffs_into = boxed oracle, sizes 2^0..2^12"
+    QCheck.int64
+    (fun seed ->
+      let rng = Rng.create seed in
+      for l = 0 to 12 do
+        let n = 1 lsl l in
+        let table = Array.init n (fun _ -> Gf.random rng) in
+        let dst = Fv.create (2 * n) in
+        Fv.fill dst Gf.one;
+        Fri_pcs.monomial_coeffs_into table dst;
+        let want = Fri_pcs_oracle.monomial_coeffs table in
+        Array.iteri
+          (fun i c ->
+            if not (Gf.equal c (Fv.get dst i)) then
+              QCheck.Test.fail_reportf "l=%d index %d: %s, oracle %s" l i
+                (Gf.to_string (Fv.get dst i)) (Gf.to_string c))
+          want;
+        for i = n to (2 * n) - 1 do
+          if not (Gf.equal Gf.one (Fv.get dst i)) then
+            QCheck.Test.fail_reportf "l=%d: padding index %d written" l i
+        done
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "golden proof bytes across domain counts" `Slow
@@ -729,6 +760,7 @@ let suite =
     Alcotest.test_case "digest lanes = digest list" `Quick test_codec_digest_lanes;
     Alcotest.test_case "fri decoder = tuple decoder: cuts and hostile lengths" `Quick
       test_fri_decoder_bounds;
+    QCheck_alcotest.to_alcotest prop_monomial_coeffs;
   ]
   @ List.concat_map
       (fun (leg : Test_native.leg) ->
