@@ -84,7 +84,8 @@ let kernels ~smoke rng =
   let ntt_plan = Ntt.Gf_ntt.plan ntt_n in
   let ntt_plan_fv = Gf_fv.plan ntt_n in
   (* Merkle build: leaves from a [mk_rows x mk_len] codeword matrix, boxed
-     as gathered columns vs. read strided out of the flat buffer. *)
+     as gathered columns into the string-digest oracle tree vs. read strided
+     out of the flat buffer into the flat tree. *)
   let mk_rows = scale 128 16 in
   let mk_len = scale 2048 64 in
   let mk_flat = Fv.create (mk_rows * mk_len) in
@@ -95,12 +96,15 @@ let kernels ~smoke rng =
     Array.init mk_len (fun j ->
         Array.init mk_rows (fun r -> Fv.get mk_flat ((r * mk_len) + j)))
   in
-  (* RS encode: row-wise batch encode of a message matrix. *)
+  (* RS encode: every row of a message matrix, through the boxed oracle
+     vs. the row encoder into one preallocated flat codeword matrix. *)
   let rs_rows = scale 256 8 in
   let rs_cols = scale 1024 64 in
+  let rs_len = Reed_solomon.blowup * rs_cols in
   let rs_msgs = Array.init rs_rows (fun _ -> Array.init rs_cols (fun _ -> Gf.random rng)) in
   let rs_flat = Fv.create (rs_rows * rs_cols) in
   Array.iteri (fun r row -> Fv.write_array row ~src_pos:0 rs_flat ~dst_pos:(r * rs_cols) ~len:rs_cols) rs_msgs;
+  let rs_out = Fv.create (rs_rows * rs_len) in
   (* Sumcheck fold: the round-folding recurrence
      T(b) <- T(b) + r*(T(b+half) - T(b)) run to a single element, with a
      fixed deterministic challenge per round. *)
@@ -125,8 +129,8 @@ let kernels ~smoke rng =
     !acc
   in
   (* Orion commit (zk off so both sides are deterministic): production
-     flat commit vs. the same pipeline assembled from the boxed entry
-     points. *)
+     flat commit vs. the same pipeline assembled from the boxed oracles
+     (reference encoder, string-digest tree). *)
   let orion_n = scale (1 lsl 16) (1 lsl 8) in
   let orion_table = Array.init orion_n (fun _ -> Gf.random rng) in
   let orion_params =
@@ -155,7 +159,7 @@ let kernels ~smoke rng =
       k_boxed =
         (fun () ->
           Keccak.to_hex
-            (Merkle.root (Merkle.build (Merkle.of_digests (Merkle.leaves_of_columns mk_cols)))));
+            (Merkle_oracle.root (Merkle_oracle.build (Array.map Merkle.leaf_of_column mk_cols))));
       k_unboxed =
         (fun () ->
           Keccak.to_hex
@@ -166,12 +170,16 @@ let kernels ~smoke rng =
       k_n = rs_rows * rs_cols;
       k_boxed =
         (fun () ->
-          let e = Reed_solomon.encode_batch rs_msgs in
+          let e = Array.map Ecc_oracle.rs_encode rs_msgs in
           Gf.to_string e.(rs_rows - 1).(1));
       k_unboxed =
         (fun () ->
-          let e = Reed_solomon.encode_rows_fv ~rows:rs_rows ~cols:rs_cols rs_flat in
-          Gf.to_string (Fv.get e (((rs_rows - 1) * Reed_solomon.blowup * rs_cols) + 1)));
+          for r = 0 to rs_rows - 1 do
+            Reed_solomon.encode_row_into
+              ~src:(Fv.sub_view rs_flat ~pos:(r * rs_cols) ~len:rs_cols)
+              ~dst:(Fv.sub_view rs_out ~pos:(r * rs_len) ~len:rs_len)
+          done;
+          Gf.to_string (Fv.get rs_out (((rs_rows - 1) * rs_len) + 1)));
     };
     {
       k_name = "sumcheck-fold";
@@ -234,13 +242,13 @@ let kernels ~smoke rng =
       k_boxed =
         (fun () ->
           let matrix = Array.init orion_rows (fun r -> Array.sub orion_table (r * orion_cols) orion_cols) in
-          let encoded = Reed_solomon.encode_batch matrix in
+          let encoded = Array.map Ecc_oracle.rs_encode matrix in
           let code_len = Reed_solomon.blowup * orion_cols in
           let cols =
             Array.init code_len (fun j -> Array.map (fun row -> row.(j)) encoded)
           in
           Keccak.to_hex
-            (Merkle.root (Merkle.build (Merkle.of_digests (Merkle.leaves_of_columns cols)))));
+            (Merkle_oracle.root (Merkle_oracle.build (Array.map Merkle.leaf_of_column cols))));
       k_unboxed =
         (fun () ->
           let _, cm = Orion.commit orion_params (Rng.create 1L) orion_table in

@@ -24,9 +24,9 @@ module Gf_fv = Ntt.Gf_fv
 type kernel = {
   k_name : string;
   k_n : int;
-      (* elements processed per run (bytes for keccak-batch, permutations
-         for keccak-f1600, leaves for merkle-build, nonzeros for
-         csr-eval, node hashes for merkle-check-paths) *)
+      (* elements processed per run (permutations for keccak-f1600,
+         leaves for merkle-build, nonzeros for csr-eval, node hashes for
+         merkle-check-paths) *)
   k_run : unit -> string; (* runs under the ambient leg; returns fingerprint *)
   k_x4 : bool; (* also timed under [Native.with_avx2_only] *)
 }
@@ -41,7 +41,8 @@ let kernels ~smoke rng =
     Fv.set ew_b i (Gf.random rng)
   done;
   let ew_dst = Fv.create ew_n in
-  (* Row-batched forward NTT: the codeword-matrix shape Orion commits. *)
+  (* Forward NTT of every row of a flat matrix, one row view at a time:
+     the codeword-matrix shape Orion commits. *)
   let ntt_rows = scale 64 4 in
   let ntt_cols = scale (1 lsl 12) (1 lsl 8) in
   let ntt_input = Fv.create (ntt_rows * ntt_cols) in
@@ -50,20 +51,16 @@ let kernels ~smoke rng =
   done;
   let ntt_buf = Fv.create (ntt_rows * ntt_cols) in
   let ntt_plan = Gf_fv.plan ntt_cols in
-  (* Keccak batch: independent equal-length messages (three f1600 each). *)
-  let kb_count = scale 1024 32 in
-  let kb_len = scale 272 64 in
-  let kb_msgs =
-    Array.init kb_count (fun i ->
-        Bytes.init kb_len (fun j -> Char.chr ((i + (31 * j)) land 0xff)))
-  in
-  (* Fused RS row encode over a message matrix. *)
+  (* Fused RS row encode over a message matrix, into one preallocated
+     codeword matrix. *)
   let rs_rows = scale 128 4 in
   let rs_cols = scale 1024 64 in
+  let rs_len = Reed_solomon.blowup * rs_cols in
   let rs_flat = Fv.create (rs_rows * rs_cols) in
   for i = 0 to (rs_rows * rs_cols) - 1 do
     Fv.set rs_flat i (Gf.random rng)
   done;
+  let rs_out = Fv.create (rs_rows * rs_len) in
   (* Column sponges over a flat codeword matrix (Merkle leaf hashing). *)
   let ch_rows = scale 2048 64 in
   let ch_cols = scale 256 16 in
@@ -195,17 +192,10 @@ let kernels ~smoke rng =
         (fun () ->
           Fv.blit ~src:ntt_input ~src_pos:0 ~dst:ntt_buf ~dst_pos:0
             ~len:(ntt_rows * ntt_cols);
-          Gf_fv.forward_rows_flat ntt_plan ~rows:ntt_rows ntt_buf;
+          for r = 0 to ntt_rows - 1 do
+            Gf_fv.forward ntt_plan (Fv.sub_view ntt_buf ~pos:(r * ntt_cols) ~len:ntt_cols)
+          done;
           Gf.to_string (Fv.get ntt_buf ((ntt_rows * ntt_cols) - 1)));
-      k_x4 = false;
-    };
-    {
-      k_name = "keccak-batch";
-      k_n = kb_count * kb_len;
-      k_run =
-        (fun () ->
-          let d = Keccak.sha3_256_batch kb_msgs in
-          Keccak.to_hex d.(kb_count - 1));
       k_x4 = false;
     };
     {
@@ -226,9 +216,12 @@ let kernels ~smoke rng =
       k_n = rs_rows * rs_cols;
       k_run =
         (fun () ->
-          let e = Reed_solomon.encode_rows_fv ~rows:rs_rows ~cols:rs_cols rs_flat in
-          Gf.to_string
-            (Fv.get e (((rs_rows - 1) * Reed_solomon.blowup * rs_cols) + 1)));
+          for r = 0 to rs_rows - 1 do
+            Reed_solomon.encode_row_into
+              ~src:(Fv.sub_view rs_flat ~pos:(r * rs_cols) ~len:rs_cols)
+              ~dst:(Fv.sub_view rs_out ~pos:(r * rs_len) ~len:rs_len)
+          done;
+          Gf.to_string (Fv.get rs_out (((rs_rows - 1) * rs_len) + 1)));
       k_x4 = false;
     };
     {
@@ -354,8 +347,8 @@ let gates rows =
   @ Bench_report.require ~what:"kernel"
       (List.map (fun r -> r.kernel.k_name) rows)
       [
-        "fv-lerp"; "sumcheck-round"; "csr-eval"; "ntt-forward-rows"; "keccak-batch";
-        "keccak-f1600"; "rs-encode-rows"; "merkle-check-paths"; "merkle-build-fri";
+        "fv-lerp"; "sumcheck-round"; "csr-eval"; "ntt-forward-rows"; "keccak-f1600";
+        "rs-encode-rows"; "merkle-check-paths"; "merkle-build-fri";
       ]
 
 (* --- driver ------------------------------------------------------------- *)

@@ -34,11 +34,15 @@ let kernels ~smoke rng =
     Merkle.of_digests
       (Array.init merkle_n (fun i -> Keccak.sha3_256_string (string_of_int i)))
   in
-  let keccak_n = scale 2048 64 in
-  let keccak_msgs = Array.init keccak_n (fun i -> Bytes.make 512 (Char.chr (i land 0xff))) in
   let enc_rows = scale 64 8 in
   let enc_cols = scale 1024 64 in
-  let rows = Array.init enc_rows (fun _ -> Array.init enc_cols (fun _ -> Gf.random rng)) in
+  let enc_len = Reed_solomon.blowup * enc_cols in
+  let enc_src = Fv.create (enc_rows * enc_cols) in
+  for i = 0 to (enc_rows * enc_cols) - 1 do
+    Fv.set enc_src i (Gf.random rng)
+  done;
+  let enc_dst = Fv.create (enc_rows * enc_len) in
+  let enc_grain = Pool.grain_of_ns (Reed_solomon.row_encode_ns ~cols:enc_cols) in
   let sc_n = scale (1 lsl 14) (1 lsl 8) in
   let sc_tables = Array.init 4 (fun _ -> Array.init sc_n (fun _ -> Gf.random rng)) in
   let sc_claim =
@@ -81,22 +85,20 @@ let kernels ~smoke rng =
       k_run = (fun () -> Keccak.to_hex (Merkle.root (Merkle.build leaves)));
     };
     {
-      k_name = "keccak-batch";
-      k_n = keccak_n;
-      k_grain = Keccak.batch_grain ~msg_bytes:512;
-      k_run =
-        (fun () ->
-          let ds = Keccak.sha3_256_batch keccak_msgs in
-          Keccak.to_hex ds.(Array.length ds - 1));
-    };
-    {
+      (* Rows split across the pool, each through the row encoder, as
+         Orion's commit runs them. *)
       k_name = "rs-encode-rows";
       k_n = enc_rows * enc_cols;
-      k_grain = Pool.grain_of_ns (Reed_solomon.row_encode_ns ~cols:enc_cols);
+      k_grain = enc_grain;
       k_run =
         (fun () ->
-          let e = Reed_solomon.encode_batch rows in
-          Gf.to_string e.(enc_rows - 1).(0));
+          Pool.run ~grain:enc_grain ~n:enc_rows (fun lo hi ->
+              for r = lo to hi - 1 do
+                Reed_solomon.encode_row_into
+                  ~src:(Fv.sub_view enc_src ~pos:(r * enc_cols) ~len:enc_cols)
+                  ~dst:(Fv.sub_view enc_dst ~pos:(r * enc_len) ~len:enc_len)
+              done);
+          Gf.to_string (Fv.get enc_dst ((enc_rows - 1) * enc_len)));
     };
     {
       k_name = "sumcheck-prove";

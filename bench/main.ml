@@ -171,15 +171,17 @@ let sha_input = Bytes.make 1024 'x'
 let bench_sha3 =
   Test.make ~name:"kernel/sha3-1KB" (staged (fun () -> ignore (Keccak.sha3_256 sha_input)))
 
-let rs_msg = Array.init 1024 (fun _ -> Gf.random rng)
+let rs_msg = Fv.of_array (Array.init 1024 (fun _ -> Gf.random rng))
+
+let codeword = Fv.create (4 * 1024)
 
 let bench_rs_encode =
   Test.make ~name:"ablation/rs-encode-1024" (staged (fun () ->
-      ignore (Reed_solomon.encode rs_msg)))
+      Reed_solomon.encode_row_into ~src:rs_msg ~dst:codeword))
 
 let bench_expander_encode =
   Test.make ~name:"ablation/expander-encode-1024" (staged (fun () ->
-      ignore (Expander_code.encode rs_msg)))
+      Expander_code.encode_row_into ~src:rs_msg ~dst:codeword))
 
 let merkle_leaves =
   Merkle.of_digests (Array.init 1024 (fun i -> Keccak.sha3_256_string (string_of_int i)))

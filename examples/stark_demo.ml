@@ -24,7 +24,7 @@ let () =
   (* A prover lying about the result is caught. *)
   (match Stark.verify ~n ~a0 ~a1 ~claimed_last:(Gf.add last Gf.one) proof with
   | Ok () -> failwith "BUG: accepted a false execution claim"
-  | Error _ -> print_endline "a false final value is rejected");
+  | Error e -> Printf.printf "a false final value is rejected (%s)\n" e);
   (* The FRI engine underneath also works standalone as a low-degree test. *)
   let rng = Rng.create 7L in
   let coeffs = Array.init 256 (fun _ -> Gf.random rng) in

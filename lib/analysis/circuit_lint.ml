@@ -1,6 +1,7 @@
 module Gf = Zk_field.Gf
 module R1cs = Zk_r1cs.R1cs
 module Sparse = Zk_r1cs.Sparse
+module Fv = Nocap_vec.Fv
 
 (* Static soundness analysis of R1CS instances (DESIGN.md Sec. 10).
 
@@ -97,12 +98,16 @@ let analyze ?(max_reports = default_max_reports)
   let n = R1cs.size inst in
   let half = n / 2 in
   let nc = inst.num_constraints in
-  let z = R1cs.z inst asgn in
+  let z = R1cs.z_fv inst asgn in
   let a_rows = rows_of_matrix inst.a ~num_rows:nc in
   let b_rows = rows_of_matrix inst.b ~num_rows:nc in
   let c_rows = rows_of_matrix inst.c ~num_rows:nc in
-  let az = Sparse.spmv inst.a z and bz = Sparse.spmv inst.b z in
-  let cz = Sparse.spmv inst.c z in
+  let spmv m =
+    let dst = Fv.create n in
+    Sparse.spmv_into m ~x:z ~r_lo:0 dst;
+    dst
+  in
+  let az = spmv inst.a and bz = spmv inst.b and cz = spmv inst.c in
   let s = sink max_reports in
 
   (* Occurrence counts over the real constraint rows. *)
@@ -138,12 +143,12 @@ let analyze ?(max_reports = default_max_reports)
 
   (* Per-row lints. *)
   for r = 0 to nc - 1 do
-    if not (Gf.equal (Gf.mul az.(r) bz.(r)) cz.(r)) then
+    if not (Gf.equal (Gf.mul (Fv.get az r) (Fv.get bz r)) (Fv.get cz r)) then
       emit s
         (Diag.error ~index:r ~rule:"unsatisfied-constraint"
            (Printf.sprintf "(Az)(Bz) = %s but Cz = %s at row %d"
-              (Gf.to_string (Gf.mul az.(r) bz.(r)))
-              (Gf.to_string cz.(r))
+              (Gf.to_string (Gf.mul (Fv.get az r) (Fv.get bz r)))
+              (Gf.to_string (Fv.get cz r))
               r));
     if c_rows.(r) = [] && (a_rows.(r) = [] || b_rows.(r) = []) then
       emit s
@@ -268,11 +273,11 @@ let analyze ?(max_reports = default_max_reports)
         Some (List.map (fun (j, v) -> (j, Gf.neg v)) c)
       else if a_known then
         Some
-          (List.map (fun (j, v) -> (j, Gf.mul az.(r) v)) b
+          (List.map (fun (j, v) -> (j, Gf.mul (Fv.get az r) v)) b
           @ List.map (fun (j, v) -> (j, Gf.neg v)) c)
       else if b_known then
         Some
-          (List.map (fun (j, v) -> (j, Gf.mul bz.(r) v)) a
+          (List.map (fun (j, v) -> (j, Gf.mul (Fv.get bz r) v)) a
           @ List.map (fun (j, v) -> (j, Gf.neg v)) c)
       else None
     in
@@ -320,7 +325,7 @@ let analyze ?(max_reports = default_max_reports)
               "witness column %d is the constant %s in every satisfying \
                assignment"
               j
-              (Gf.to_string z.(j))))
+              (Gf.to_string (Fv.get z j))))
   done;
 
   (* --- stage 2: Jacobian rank probe on the leftovers --------------------- *)
@@ -347,8 +352,8 @@ let analyze ?(max_reports = default_max_reports)
           let cur = try Hashtbl.find net j with Not_found -> Gf.zero in
           Hashtbl.replace net j (Gf.add cur v)
       in
-      List.iter (fun (j, v) -> addc j (Gf.mul bz.(r) v)) a_rows.(r);
-      List.iter (fun (j, v) -> addc j (Gf.mul az.(r) v)) b_rows.(r);
+      List.iter (fun (j, v) -> addc j (Gf.mul (Fv.get bz r) v)) a_rows.(r);
+      List.iter (fun (j, v) -> addc j (Gf.mul (Fv.get az r) v)) b_rows.(r);
       List.iter (fun (j, v) -> addc j (Gf.neg v)) c_rows.(r);
       let l =
         Hashtbl.fold

@@ -18,49 +18,6 @@ let row_seed ~tag ~n ~row =
     (Int64.mul (Int64.of_int n) 0x9E3779B97F4A7C15L)
     (Int64.add (Int64.mul (Int64.of_int row) 6364136223846793005L) (Int64.of_int tag))
 
-(* A sparse row of a pseudo-random graph matrix: [degree] (column, coeff)
-   pairs, derived deterministically from (tag, n, row) so that encoding is a
-   fixed linear map per message size. *)
-let sparse_row ~tag ~n ~cols ~row =
-  let rng = Rng.create (row_seed ~tag ~n ~row) in
-  Array.init degree (fun _ ->
-      let col = Rng.int rng cols in
-      let coeff = Gf.add Gf.one (Gf.of_int64 (Int64.rem (Rng.next rng) (Int64.sub Gf.p 1L))) in
-      (col, coeff))
-
-(* Each output symbol is an independent sparse dot product (the row
-   derivation is a pure function of (tag, n, row)), so the gather loop
-   splits across the pool; called from inside a batched encode it runs
-   serially via the pool's nesting fallback. *)
-(* One sparse row costs ~degree gathers of rng + mul/add, ~50ns each. *)
-let graph_row_ns = degree * 50
-
-let apply_graph ~tag ~rows x =
-  let cols = Array.length x in
-  Nocap_parallel.Pool.parallel_init
-    ~grain:(Nocap_parallel.Pool.grain_of_ns graph_row_ns) rows
-    (fun r ->
-      let row = sparse_row ~tag ~n:cols ~cols ~row:r in
-      Array.fold_left
-        (fun acc (c, coeff) -> Gf.add acc (Gf.mul coeff x.(c)))
-        Gf.zero row)
-
-let rec encode msg =
-  let n = Array.length msg in
-  if n = 0 || n land (n - 1) <> 0 then
-    invalid_arg "Expander.encode: message length must be a power of two";
-  if n <= base_size then Reed_solomon.encode msg
-  else begin
-    (* Compress to n/2 through graph A, encode recursively (giving 2n), then
-       expand the concatenation back through graph B to n more symbols:
-       total n + 2n + n = 4n. The message is systematic in the codeword. *)
-    let y = apply_graph ~tag:1 ~rows:(n / 2) msg in
-    let z = encode y in
-    let xz = Array.append msg z in
-    let w = apply_graph ~tag:2 ~rows:n xz in
-    Array.concat [ msg; z; w ]
-  end
-
 let rec random_accesses n =
   if n <= base_size then 0
   else
@@ -71,25 +28,15 @@ let rec random_accesses n =
    base-case RS encodes (~10ns per output symbol). *)
 let row_encode_ns ~cols = max 1 ((random_accesses cols * 50) + (blowup * cols * 10))
 
-(* Whole messages are independent; the recursion inside each message then
-   runs serially on its worker domain. *)
-let encode_batch rows =
-  let grain =
-    if Array.length rows = 0 then 1
-    else Nocap_parallel.Pool.grain_of_ns (row_encode_ns ~cols:(Array.length rows.(0)))
-  in
-  Nocap_parallel.Pool.parallel_map ~grain encode rows
-
-(* --- unboxed flat path --------------------------------------------------- *)
-
 module Fv = Nocap_vec.Fv
 module Arena = Nocap_vec.Arena
 
-(* [apply_graph] over flat vectors. Same sparse rows, same Rng consumption
-   order (column then coefficient, per entry ascending), same left-to-right
-   accumulation — so results are bit-identical to the array path — but the
-   per-row (column, coeff) pair array never materializes. *)
-let apply_graph_fv ~tag (x : Fv.t) (dst : Fv.t) =
+(* Row [r] of a pseudo-random sparse graph matrix: [degree] (column,
+   coefficient) pairs drawn from an Rng seeded by (tag, n, row), so encoding
+   is a fixed linear map per message size. Output [r] is that row's dot
+   product with [x], accumulated left to right as the entries are drawn
+   (column, then coefficient); the pairs never materialize. *)
+let apply_graph ~tag (x : Fv.t) (dst : Fv.t) =
   let cols = Fv.length x in
   for r = 0 to Fv.length dst - 1 do
     let rng = Rng.create (row_seed ~tag ~n:cols ~row:r) in
@@ -115,11 +62,14 @@ let rec encode_fv_into (src : Fv.t) (dst : Fv.t) =
     Nfv.forward (Nfv.plan (Fv.length dst)) dst
   end
   else begin
+    (* Compress to n/2 through graph A, encode recursively (giving 2n), then
+       expand the concatenation back through graph B to n more symbols:
+       total n + 2n + n = 4n. The message is systematic in the codeword. *)
     Fv.blit ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:n;
     let y = Arena.alloc (n / 2) in
-    apply_graph_fv ~tag:1 src y;
+    apply_graph ~tag:1 src y;
     encode_fv_into y (Fv.sub_view dst ~pos:n ~len:(2 * n));
-    apply_graph_fv ~tag:2
+    apply_graph ~tag:2
       (Fv.sub_view dst ~pos:0 ~len:(3 * n))
       (Fv.sub_view dst ~pos:(3 * n) ~len:n)
   end
@@ -133,26 +83,6 @@ let encode_row_into ~src ~dst =
   if Fv.length dst <> blowup * n then
     invalid_arg "Expander.encode_row_into: dst length <> blowup * src length";
   Arena.with_frame (fun () -> encode_fv_into src dst)
-
-let encode_rows_fv ~rows ~cols flat =
-  if rows = 0 then Fv.create 0
-  else begin
-    if cols = 0 || cols land (cols - 1) <> 0 then
-      invalid_arg "Expander.encode_rows_fv: message length must be a power of two";
-    if rows < 0 || Fv.length flat <> rows * cols then
-      invalid_arg "Expander.encode_rows_fv: flat length <> rows * cols";
-    let m = blowup * cols in
-    let out = Fv.create (rows * m) in
-    Nocap_parallel.Pool.parallel_for
-      ~grain:(Nocap_parallel.Pool.grain_of_ns (row_encode_ns ~cols))
-      ~n:rows
-      (fun r ->
-        Arena.with_frame (fun () ->
-            encode_fv_into
-              (Fv.sub_view flat ~pos:(r * cols) ~len:cols)
-              (Fv.sub_view out ~pos:(r * m) ~len:m)));
-    out
-  end
 
 let graph_bytes n =
   (* Each graph entry stores a column index (8 bytes) and coefficient

@@ -1,17 +1,13 @@
 module type S = sig
   val name : string
   val blowup : int
-  val encode : Zk_field.Gf.t array -> Zk_field.Gf.t array
-  val encode_batch : Zk_field.Gf.t array array -> Zk_field.Gf.t array array
-  val encode_rows_fv : rows:int -> cols:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
 
   val encode_row_into : src:Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> unit
   (** Encode one row in place: [src] is a length-[cols] message view, [dst]
       a length-[blowup * cols] codeword view ([dst] is fully overwritten).
-      Bit-identical to the corresponding row of {!encode_rows_fv}; safe to
-      call from pool workers (scratch is domain-local). The Orion commit
-      pipeline streams rows through this instead of materializing encode
-      output in one pass. *)
+      Safe to call from pool workers (scratch is domain-local). The Orion
+      commit pipeline streams rows through this instead of materializing
+      encode output in one pass. *)
 
   val row_encode_ns : cols:int -> int
   (** Estimated cost of one {!encode_row_into} call in nanoseconds — the

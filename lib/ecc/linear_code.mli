@@ -4,7 +4,8 @@
     A code maps an [n]-element message to a [blowup * n]-element codeword and
     is linear: [encode (m1 + m2) = encode m1 + encode m2], the property Orion
     exploits to let the verifier check random linear combinations of committed
-    rows (Sec. V-A). *)
+    rows (Sec. V-A). Encoding is one row at a time on flat vectors; Orion's
+    commit, opening and verifier all go through {!S.encode_row_into}. *)
 
 module type S = sig
   val name : string
@@ -13,28 +14,14 @@ module type S = sig
   (** Codeword length divided by message length (4 in the paper's
       configuration). *)
 
-  val encode : Zk_field.Gf.t array -> Zk_field.Gf.t array
-  (** [encode msg] for a power-of-two message length. *)
-
-  val encode_batch : Zk_field.Gf.t array array -> Zk_field.Gf.t array array
-  (** Row-wise encoding of independent messages, split across the
-      {!Nocap_parallel.Pool} domains — the matrix-row encode Orion's commit
-      performs. Codewords are byte-identical to mapping {!encode} for every
-      domain count. *)
-
-  val encode_rows_fv : rows:int -> cols:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
-  (** Unboxed {!encode_batch}: the input is a row-major [rows * cols] flat
-      message matrix, the result the row-major [rows * (blowup * cols)] flat
-      codeword matrix. Element-identical to {!encode_batch} of the unpacked
-      rows for every domain count; scratch comes from the per-domain
-      {!Nocap_vec.Arena}. *)
-
   val encode_row_into : src:Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> unit
   (** Encode one row in place: [src] is a length-[cols] message view, [dst]
-      a length-[blowup * cols] codeword view, fully overwritten. Bit-identical
-      to the corresponding row of {!encode_rows_fv}; safe to call from pool
-      workers (scratch is domain-local). The Orion commit pipeline streams
-      rows through this to overlap encoding with column hashing. *)
+      a length-[blowup * cols] codeword view, fully overwritten. The message
+      length must be a power of two. Safe to call from pool workers
+      (scratch is domain-local). The Orion commit pipeline streams rows
+      through this to overlap encoding with column hashing.
+      @raise Invalid_argument on a message length that is not a power of
+      two or a [dst] that is not [blowup] times as long. *)
 
   val row_encode_ns : cols:int -> int
   (** Estimated cost of one {!encode_row_into} call in nanoseconds — the

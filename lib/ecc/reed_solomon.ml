@@ -1,6 +1,3 @@
-module Gf = Zk_field.Gf
-module Ntt = Zk_ntt.Ntt.Gf_ntt
-
 let name = "reed-solomon"
 
 let blowup = 4
@@ -9,51 +6,8 @@ let blowup = 4
    test (Sec. VII-A); the expander code needed 1,222. *)
 let query_count = 189
 
-let encode msg =
-  let n = Array.length msg in
-  if n = 0 || n land (n - 1) <> 0 then
-    invalid_arg "Reed_solomon.encode: message length must be a power of two";
-  let m = blowup * n in
-  let buf = Array.make m Gf.zero in
-  Array.blit msg 0 buf 0 n;
-  Ntt.forward (Ntt.plan m) buf;
-  buf
-
-let encode_with_plan = encode
-
-(* Row-wise encode: hoist the (lock-guarded) plan lookup out of the hot
-   region, then one independent NTT per row across the pool. *)
-let encode_batch rows =
-  if Array.length rows = 0 then [||]
-  else begin
-    let n = Array.length rows.(0) in
-    if n = 0 || n land (n - 1) <> 0 then
-      invalid_arg "Reed_solomon.encode_batch: message length must be a power of two";
-    Array.iter
-      (fun row ->
-        if Array.length row <> n then
-          invalid_arg "Reed_solomon.encode_batch: ragged rows")
-      rows;
-    let m = blowup * n in
-    let plan = Ntt.plan m in
-    let out =
-      (* Just allocate + blit per row here; the NTT below carries its own
-         grain. *)
-      Nocap_parallel.Pool.parallel_init
-        ~grain:(Nocap_parallel.Pool.grain_of_ns (max 1 (m * 10)))
-        (Array.length rows)
-        (fun r ->
-          let buf = Array.make m Gf.zero in
-          Array.blit rows.(r) 0 buf 0 n;
-          buf)
-    in
-    Ntt.forward_rows plan out;
-    out
-  end
-
 (* One row: zero-extend the message view into the codeword view and NTT it
-   in place. This is exactly what [encode_rows_fv] does per row, so the
-   streaming commit pipeline produces bit-identical codewords. *)
+   in place. *)
 let encode_row_into ~src ~dst =
   let n = Nocap_vec.Fv.length src in
   if n = 0 || n land (n - 1) <> 0 then
@@ -83,41 +37,3 @@ let row_encode_ns ~cols =
   let m = blowup * cols in
   if Nocap_native.Native.on () then max 1 ((m / 2 * log2 m * 3) + m)
   else max 1 ((m / 2 * log2 m * 8) + (m * 4))
-
-(* Unboxed row-wise encode: zero-extend every row inside one flat
-   [rows * 4n] buffer, then run the in-place flat NTT across the pool. No
-   boxed element is touched anywhere on this path. *)
-let encode_rows_fv ~rows ~cols flat =
-  if rows = 0 then Nocap_vec.Fv.create 0
-  else begin
-    if cols = 0 || cols land (cols - 1) <> 0 then
-      invalid_arg "Reed_solomon.encode_rows_fv: message length must be a power of two";
-    if rows < 0 || Nocap_vec.Fv.length flat <> rows * cols then
-      invalid_arg "Reed_solomon.encode_rows_fv: flat length <> rows * cols";
-    let m = blowup * cols in
-    let out = Nocap_vec.Fv.create (rows * m) in
-    Nocap_vec.Fv.zero out;
-    for r = 0 to rows - 1 do
-      Nocap_vec.Fv.blit ~src:flat ~src_pos:(r * cols) ~dst:out ~dst_pos:(r * m) ~len:cols
-    done;
-    let module Nfv = Zk_ntt.Ntt.Gf_fv in
-    Nfv.forward_rows_flat (Nfv.plan m) ~rows out;
-    out
-  end
-
-let codeword_at msg i =
-  let n = Array.length msg in
-  let m = blowup * n in
-  if i < 0 || i >= m then invalid_arg "Reed_solomon.codeword_at";
-  let log_m =
-    let rec go k x = if x = 1 then k else go (k + 1) (x lsr 1) in
-    go 0 m
-  in
-  let w = Gf.root_of_unity log_m in
-  let x = Gf.pow w (Int64.of_int i) in
-  (* Horner evaluation of the message polynomial at w^i. *)
-  let acc = ref Gf.zero in
-  for j = n - 1 downto 0 do
-    acc := Gf.add (Gf.mul !acc x) msg.(j)
-  done;
-  !acc

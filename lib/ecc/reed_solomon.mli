@@ -8,12 +8,3 @@
     gives 128-bit security (Sec. VII-A). *)
 
 include Linear_code.S
-
-val encode_with_plan : Zk_field.Gf.t array -> Zk_field.Gf.t array
-(** Same as {!encode}; exposed separately for benchmarks that want to reuse
-    the cached plan explicitly. *)
-
-val codeword_at : Zk_field.Gf.t array -> int -> Zk_field.Gf.t
-(** [codeword_at msg i] evaluates position [i] of the codeword directly in
-    [O(n)] (polynomial evaluation at the [i]-th root), without encoding the
-    whole message. Used by tests as an independent cross-check. *)

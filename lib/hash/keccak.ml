@@ -33,69 +33,16 @@ let[@inline] rotl64 x n =
   if n = 0 then x
   else Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
 
-(* The inner rounds use unsafe accesses: every index is x + 5*y (or a
-   rho/pi permutation of one) with x, y in [0, 4] from the loop headers and
-   the 25-lane length checked once on entry, so all indices lie in
-   [0, 24]. *)
-let keccak_f1600 st =
-  if Array.length st <> 25 then invalid_arg "Keccak.keccak_f1600: need 25 lanes";
-  let c = Array.make 5 0L in
-  let b = Array.make 25 0L in
-  for round = 0 to 23 do
-    (* theta *)
-    for x = 0 to 4 do
-      Array.unsafe_set c x
-        (Int64.logxor (Array.unsafe_get st x)
-           (Int64.logxor
-              (Array.unsafe_get st (x + 5))
-              (Int64.logxor
-                 (Array.unsafe_get st (x + 10))
-                 (Int64.logxor (Array.unsafe_get st (x + 15)) (Array.unsafe_get st (x + 20))))))
-    done;
-    for x = 0 to 4 do
-      let d =
-        Int64.logxor
-          (Array.unsafe_get c ((x + 4) mod 5))
-          (rotl64 (Array.unsafe_get c ((x + 1) mod 5)) 1)
-      in
-      for y = 0 to 4 do
-        Array.unsafe_set st (x + (5 * y)) (Int64.logxor (Array.unsafe_get st (x + (5 * y))) d)
-      done
-    done;
-    (* rho + pi *)
-    for x = 0 to 4 do
-      for y = 0 to 4 do
-        let src = x + (5 * y) in
-        let dst = y + (5 * (((2 * x) + (3 * y)) mod 5)) in
-        Array.unsafe_set b dst (rotl64 (Array.unsafe_get st src) (Array.unsafe_get rotations src))
-      done
-    done;
-    (* chi *)
-    for y = 0 to 4 do
-      for x = 0 to 4 do
-        Array.unsafe_set st (x + (5 * y))
-          (Int64.logxor
-             (Array.unsafe_get b (x + (5 * y)))
-             (Int64.logand
-                (Int64.lognot (Array.unsafe_get b (((x + 1) mod 5) + (5 * y))))
-                (Array.unsafe_get b (((x + 2) mod 5) + (5 * y)))))
-      done
-    done;
-    (* iota *)
-    Array.unsafe_set st 0 (Int64.logxor (Array.unsafe_get st 0) (Array.unsafe_get round_constants round))
-  done
-
 let rate_bytes = 136 (* SHA3-256: capacity 512 bits *)
 let rate_lanes = 17 (* 136 / 8 *)
 
 (* --- unboxed sponge ----------------------------------------------------- *)
 
-(* The production sponge keeps its 25-lane state plus the theta/chi scratch
-   in Bigarray-backed vectors: [int64 array] lanes are boxed, so the array
-   permutation above (kept exported as the correctness oracle) allocates a
-   box per lane write, while this one runs on flat int64 with no heap
-   traffic. One scratch record lives per domain, so batched hashing splits
-   across the pool without sharing. *)
+(* The sponge keeps its 25-lane state plus the theta/chi scratch in
+   Bigarray-backed vectors: [int64 array] lanes would be boxed, a box per
+   lane write, while these run on flat int64 with no heap traffic. One
+   scratch record lives per domain, so batched hashing splits across the
+   pool without sharing. *)
 
 type scratch = { st : Fv.t; b : Fv.t; c : Fv.t }
 
@@ -338,54 +285,6 @@ let hash_fv v = hash_fv_stride v ~pos:0 ~stride:1 ~count:(Fv.length v)
    message shape. *)
 let block_ns () = if Native.on () then 470 else 27_000
 
-(* A message of [msg_bytes] runs ceil-ish (len / 136) + 1 permutations. *)
-let batch_grain ~msg_bytes = Pool.grain_of_ns (((msg_bytes / rate_bytes) + 1) * block_ns ())
-
-(* Hashing [count] absorbed elements costs (count / 17) + 1 permutations. *)
-let elems_grain count = Pool.grain_of_ns (((count / rate_lanes) + 1) * block_ns ())
-
-(* Batched absorption: each input is absorbed by an independent sponge, so
-   the batch splits across pool domains with byte-identical digests for any
-   domain count. The Hash FU analogue is hashing one column per vector
-   lane. *)
-
-(* When every message has the same length (the common case: Merkle leaves,
-   fixed-width columns) and SIMD is up, quads of messages run through the
-   4-lane AVX2 sponge; the digests are identical to four scalar calls, so
-   batching is invisible to callers. *)
-let sha3_256_batch msgs =
-  let n = Array.length msgs in
-  let grain = if n = 0 then 1 else batch_grain ~msg_bytes:(Bytes.length msgs.(0)) in
-  let uniform =
-    n >= 4
-    && Native.on ()
-    &&
-    let len0 = Bytes.length msgs.(0) in
-    Array.for_all (fun m -> Bytes.length m = len0) msgs
-  in
-  if not uniform then Pool.parallel_map ~grain sha3_256 msgs
-  else begin
-    let quads = n / 4 in
-    let out = Array.make n "" in
-    Pool.parallel_for ~grain:(max 1 (grain / 4)) ~n:quads (fun q ->
-        let base = 4 * q in
-        let outs = [| Bytes.create 32; Bytes.create 32; Bytes.create 32; Bytes.create 32 |] in
-        Native.sha3_x4 (Array.sub msgs base 4) outs;
-        for i = 0 to 3 do
-          out.(base + i) <- Bytes.unsafe_to_string outs.(i)
-        done);
-    for i = 4 * quads to n - 1 do
-      out.(i) <- sha3_256 msgs.(i)
-    done;
-    out
-  end
-
-let hash_gf_batch cols =
-  let grain =
-    if Array.length cols = 0 then 1 else elems_grain (Array.length cols.(0))
-  in
-  Pool.parallel_map ~grain hash_gf cols
-
 (* --- flat digest buffers ---------------------------------------------------- *)
 
 (* A digest is 32 bytes = 4 little-endian lanes, so a run of digests is one
@@ -432,11 +331,13 @@ let hash_cols_ocaml (flat : Fv.t) ~cols ~rows (dst : Fv.t) lo hi =
 (* The pool claims groups of nodes/columns of the kernel's lane count, so
    with SIMD every claimed range but the level's last runs whole x8 or x4
    permutations. One x8 call costs ~0.55µs for eight sponges (the
-   merkle-build and merkle-build-fri rows of BENCH_native.json: 67-73 ns
-   per node). Without AVX-512F a range goes in quads priced at one x4 call,
-   ~0.95µs for four sponges (the keccak-batch row: ~236 ns per absorbed
-   block), also under the scalar C body; without the native layer a quad is
-   four ~27µs OCaml permutations. *)
+   merkle-build and merkle-build-fri rows of BENCH_native.json: 67-90 ns
+   per node on the 2-core Xeon bench host). Without AVX-512F a range goes
+   in quads priced at one x4 call, 0.95µs for four sponges, also under the
+   scalar C body: the AVX2-tier leg ([simd_x4]) of the merkle-build row
+   reads 147-220 ns per node, 0.6-0.9µs a quad, so a chunk lands a little
+   under the pool's ~50µs target. Without the native layer a quad is four
+   OCaml permutations. *)
 let group_width () = if Native.keccak_lanes () = 8 then 8 else 4
 
 let group_ns () =

@@ -9,10 +9,6 @@ type digest = string
 val digest_length : int
 (** [32]. *)
 
-val keccak_f1600 : int64 array -> unit
-(** Apply the Keccak-f[1600] permutation in place to a 25-lane state.
-    @raise Invalid_argument if the state is not 25 lanes. *)
-
 val f1600_off_ocaml : Nocap_vec.Fv.t -> int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t -> unit
 (** [f1600_off_ocaml st off b c] permutes the 25 lanes [st.(off .. off + 24)]
     in place with the OCaml permutation, using [b] (25 lanes) and [c]
@@ -40,14 +36,6 @@ val hash_fv : Nocap_vec.Fv.t -> digest
     [hash_gf (Fv.to_array v)]. Elements are absorbed lane-aligned straight
     from the Bigarray, with no intermediate byte buffer. *)
 
-val sha3_256_batch : bytes array -> digest array
-(** Hash a batch of independent messages, split across the
-    {!Nocap_parallel.Pool} domains. Digests are byte-identical to mapping
-    {!sha3_256} for every domain count. *)
-
-val hash_gf_batch : Zk_field.Gf.t array array -> digest array
-(** Batched {!hash_gf} over independent columns. *)
-
 val rate_lanes : int
 (** [17] — 64-bit lanes absorbed per SHA3-256 block. Row-block producers
     (the Orion commit pipeline) size their blocks in multiples of this so
@@ -58,9 +46,6 @@ val block_ns : unit -> int
     (nanoseconds) — mode-dependent (the C permutation is ~55x cheaper than
     the OCaml one); the cost every batched entry point feeds
     {!Nocap_parallel.Pool.grain_of_ns}. *)
-
-val batch_grain : msg_bytes:int -> int
-(** Pool grain used by {!sha3_256_batch} for messages of the given length. *)
 
 (** {2 Flat digest buffers}
 

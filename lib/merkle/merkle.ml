@@ -16,8 +16,6 @@ let next_pow2 n =
 
 let leaf_of_column col = Keccak.hash_gf col
 
-let leaves_of_columns cols = Keccak.hash_gf_batch cols
-
 let of_digests ds =
   let v = Fv.create (4 * Array.length ds) in
   Array.iteri (Keccak.set_digest v) ds;
@@ -199,9 +197,6 @@ let check_paths ~root ~depth ~index ~leaves ~paths ~path_pos =
         l = 4 || (Int64.equal (Fv.get cur ((4 * i) + l)) (root_lane l) && eq (l + 1))
       in
       eq 0)
-
-let verify ~root ~index ~leaf ~path =
-  Result.is_ok (check_path ~root ~index ~leaf ~path)
 
 let path_length n =
   let rec go k m = if m >= n then k else go (k + 1) (2 * m) in

@@ -18,8 +18,9 @@ val build : Nocap_vec.Fv.t -> tree
     {!leaves_of_matrix} or {!of_digests}). The leaf count is padded to a
     power of two with a distinguished empty digest. Each level is hashed as
     one batched {!Zk_hash.Keccak.hash_nodes_into} call split across the
-    {!Nocap_parallel.Pool} domains, four nodes per AVX2 permutation; the
-    tree is the same for every domain count and native mode.
+    {!Nocap_parallel.Pool} domains, eight nodes per AVX-512F permutation
+    or four per AVX2 one; the tree is the same for every domain count and
+    native mode.
     @raise Invalid_argument on an empty leaf buffer. *)
 
 val of_digests : digest array -> Nocap_vec.Fv.t
@@ -29,15 +30,11 @@ val leaf_of_column : Zk_field.Gf.t array -> digest
 (** Hash a column of field elements into a leaf (8 LE bytes per element, as
     the Hash FU packs vector lanes). *)
 
-val leaves_of_columns : Zk_field.Gf.t array array -> digest array
-(** Batched {!leaf_of_column} over independent columns, split across the
-    pool domains. *)
-
 val leaves_of_matrix : rows:int -> cols:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
 (** Flat leaf digests for every column of a row-major [rows * cols] encoded
     matrix, read with stride [cols] straight out of the unboxed buffer
-    ({!Zk_hash.Keccak.hash_cols_into}). Equals {!of_digests} of
-    {!leaves_of_columns} of the gathered columns. *)
+    ({!Zk_hash.Keccak.hash_cols_into}). Leaf [j] is {!leaf_of_column} of
+    the gathered column [j]. *)
 
 (** Incremental tree construction for the streaming commit: flat leaf
     chunks arrive as column sponges finalize, and internal nodes are hashed
@@ -81,17 +78,15 @@ val path_into : tree -> int -> Nocap_vec.Fv.t -> pos:int -> unit
     tree's levels, no digest string.
     @raise Invalid_argument on a bad index or a too-short [dst]. *)
 
-val verify : root:digest -> index:int -> leaf:digest -> path:digest list -> bool
-(** Check a leaf against a root. Total on arbitrary input. *)
-
 val max_proof_depth : int
 (** Longest authentication path [check_path] will walk (62): a longer path
     cannot belong to any addressable tree and is rejected before hashing. *)
 
 val check_path :
   root:digest -> index:int -> leaf:digest -> path:digest list -> (unit, string) result
-(** {!verify} with a reason on failure ("root mismatch", "path too long",
-    ...). Total on arbitrary input: hostile indices, over-long paths, and
+(** Check a leaf against a root: [Ok ()] when the leaf hashes up [path]
+    to [root] at [index], else [Error] with the reason ("root mismatch",
+    "path too long", ...). Total on arbitrary input: hostile indices, over-long paths, and
     wrong-length digests are rejected, never raised on. This layer reports
     plain strings so it stays independent of the PCS error taxonomy;
     callers wrap the reason in [Verify_error.Merkle_mismatch]. *)
@@ -104,12 +99,12 @@ val check_paths :
   paths:Nocap_vec.Fv.t ->
   path_pos:int array ->
   bool array
-(** Batched {!verify} of [n = Array.length index] paths that all have
+(** Batched {!check_path} of [n = Array.length index] paths that all have
     [depth] digests: leaf [i] is digest [i] of [leaves] (4 lanes each) and
     its path the [depth] digests at lanes [\[path_pos.(i), path_pos.(i) +
     4 * depth)] of [paths]. Element [i] of the result is whether leaf [i]
-    hashes up to [root] at [index.(i)], the answer {!verify} gives on the
-    same path. The walk goes level by level, one {!Zk_hash.Keccak.hash_nodes_into}
+    hashes up to [root] at [index.(i)], the answer {!check_path} gives on
+    the same path. The walk goes level by level, one {!Zk_hash.Keccak.hash_nodes_into}
     batch per level.
     @raise Invalid_argument on mismatched shapes or a root that is not 32
     bytes. *)

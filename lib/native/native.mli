@@ -119,10 +119,6 @@ external f1600_off : fv -> int -> unit = "caml_nocap_f1600_off" [@@noalloc]
 external sha3 : Bytes.t -> Bytes.t -> unit = "caml_nocap_sha3" [@@noalloc]
 (** [sha3 msg out]: SHA3-256 of [msg] into the 32-byte [out]. *)
 
-external sha3_x4 : Bytes.t array -> Bytes.t array -> unit = "caml_nocap_sha3_x4" [@@noalloc]
-(** Four equal-length messages, four 32-byte outputs; AVX2 runs the four
-    sponges in 64-bit lanes of ymm registers, otherwise sequential. *)
-
 external hash2 : string -> string -> Bytes.t -> unit = "caml_nocap_hash2" [@@noalloc]
 (** SHA3-256 of the concatenation of two 32-byte strings (Merkle node). *)
 

@@ -652,7 +652,7 @@ static const uint64_t keccak_rc[24] = {
 };
 
 /* The permutation is written once, as a macro over the lane type, and
-   instantiated for one state in uint64_t locals (keccak_f1600) and for four
+   instantiated for one state in uint64_t locals (keccak_f1600_x1) and for four
    states in __m256i locals (keccak_f1600_x4). The 25 lanes live in named
    locals a0..a24 (index x + 5y); each round reads one set of locals and
    writes the other, so two rounds per loop trip ping-pong between the a and
@@ -745,7 +745,7 @@ static inline uint64_t rol64(uint64_t x, int r)
 #define XOR64(p, q) ((p) ^ (q))
 #define ANDN64(p, q) (~(p) & (q))
 
-static void keccak_f1600(uint64_t *st)
+static void keccak_f1600_x1(uint64_t *st)
 {
 #define LOAD(i) uint64_t a##i = st[i], e##i;
   KECCAK_EACH_LANE(LOAD)
@@ -761,7 +761,7 @@ static void keccak_f1600(uint64_t *st)
 
 CAMLprim value caml_nocap_f1600_off(value vst, value voff)
 {
-  keccak_f1600(BA_DATA(vst) + Int_val(voff));
+  keccak_f1600_x1(BA_DATA(vst) + Int_val(voff));
   return Val_unit;
 }
 
@@ -795,7 +795,7 @@ static void sha3_256_c(const unsigned char *msg, size_t len, unsigned char *out)
   size_t off = 0;
   while (len - off >= RATE_BYTES) {
     for (int l = 0; l < RATE_LANES; l++) st[l] ^= load64le(msg + off + 8 * l);
-    keccak_f1600(st);
+    keccak_f1600_x1(st);
     off += RATE_BYTES;
   }
   size_t rem = len - off;
@@ -806,7 +806,7 @@ static void sha3_256_c(const unsigned char *msg, size_t len, unsigned char *out)
     tail |= (uint64_t)msg[off + i] << (8 * (i - 8 * full));
   st[full] ^= tail | (SHA3_PAD << (8 * (rem & 7)));
   st[16] ^= TRAILING_PAD;
-  keccak_f1600(st);
+  keccak_f1600_x1(st);
   squeeze32(st, out);
 }
 
@@ -834,7 +834,7 @@ static void hash_node_c(const uint64_t *pair, uint64_t *out)
   for (int l = 0; l < 8; l++) st[l] = pair[l];
   st[8] = SHA3_PAD;
   st[16] = TRAILING_PAD;
-  keccak_f1600(st);
+  keccak_f1600_x1(st);
   for (int l = 0; l < 4; l++) out[l] = st[l];
 }
 
@@ -861,14 +861,14 @@ CAMLprim value caml_nocap_hash2(value va, value vb, value vout)
     intnat off_ = 0;                                                                     \
     while ((count) - off_ >= RATE_LANES) {                                               \
       for (int k_ = 0; k_ < RATE_LANES; k_++) st[k_] ^= GET(off_ + k_);                  \
-      keccak_f1600(st);                                                                  \
+      keccak_f1600_x1(st);                                                               \
       off_ += RATE_LANES;                                                                \
     }                                                                                    \
     intnat m_ = (count)-off_;                                                            \
     for (intnat k_ = 0; k_ < m_; k_++) st[k_] ^= GET(off_ + k_);                         \
     st[m_] ^= SHA3_PAD;                                                                  \
     st[16] ^= TRAILING_PAD;                                                              \
-    keccak_f1600(st);                                                                    \
+    keccak_f1600_x1(st);                                                                 \
   } while (0)
 
 CAMLprim value caml_nocap_hash_gf(value varr, value vout)
@@ -913,7 +913,7 @@ CAMLprim value caml_nocap_col_absorb(value vstates, value vflat, value vrs, valu
     for (intnat r = r_lo; r < r_hi; r++) {
       int lane = (int)(r % RATE_LANES);
       st[lane] ^= flat[r * row_stride + j];
-      if (lane == RATE_LANES - 1) keccak_f1600(st);
+      if (lane == RATE_LANES - 1) keccak_f1600_x1(st);
     }
   }
   return Val_unit;
@@ -930,9 +930,8 @@ static void hash_col_c(const uint64_t *col, intnat stride, intnat rows, uint64_t
 
 /* --- 4-lane AVX2 Keccak sponge -------------------------------------------
    One 64-bit lane position across four independent states per ymm register:
-   the batched entry points (sha3_256_batch over equal-length messages and
-   the flat Merkle kernels) drive four sponges for the price of ~1.5 scalar
-   permutations. */
+   the flat Merkle kernels (node pairs and matrix columns) drive four
+   sponges for the price of ~1.5 scalar permutations. */
 
 #if defined(NOCAP_X86_64)
 
@@ -955,47 +954,6 @@ __attribute__((target("avx2"))) static void keccak_f1600_x4(__m256i *st)
 #define STORE(i) st[i] = a##i;
   KECCAK_EACH_LANE(STORE)
 #undef STORE
-}
-
-__attribute__((target("avx2"))) static void sha3_256_x4(const unsigned char *m[4], size_t len,
-                                                        unsigned char *out[4])
-{
-  __m256i st[25];
-  for (int l = 0; l < 25; l++) st[l] = _mm256_setzero_si256();
-  size_t off = 0;
-  while (len - off >= RATE_BYTES) {
-    for (int l = 0; l < RATE_LANES; l++)
-      st[l] = _mm256_xor_si256(
-          st[l], _mm256_set_epi64x((long long)load64le(m[3] + off + 8 * l),
-                                   (long long)load64le(m[2] + off + 8 * l),
-                                   (long long)load64le(m[1] + off + 8 * l),
-                                   (long long)load64le(m[0] + off + 8 * l)));
-    keccak_f1600_x4(st);
-    off += RATE_BYTES;
-  }
-  size_t rem = len - off;
-  size_t full = rem / 8;
-  for (size_t l = 0; l < full; l++)
-    st[l] = _mm256_xor_si256(st[l], _mm256_set_epi64x((long long)load64le(m[3] + off + 8 * l),
-                                                      (long long)load64le(m[2] + off + 8 * l),
-                                                      (long long)load64le(m[1] + off + 8 * l),
-                                                      (long long)load64le(m[0] + off + 8 * l)));
-  uint64_t tails[4];
-  for (int i = 0; i < 4; i++) {
-    uint64_t tail = 0;
-    for (size_t k = 8 * full; k < rem; k++)
-      tail |= (uint64_t)m[i][off + k] << (8 * (k - 8 * full));
-    tails[i] = tail | (SHA3_PAD << (8 * (rem & 7)));
-  }
-  st[full] = _mm256_xor_si256(st[full], _mm256_set_epi64x((long long)tails[3], (long long)tails[2],
-                                                          (long long)tails[1], (long long)tails[0]));
-  st[16] = _mm256_xor_si256(st[16], _mm256_set1_epi64x((long long)TRAILING_PAD));
-  keccak_f1600_x4(st);
-  uint64_t tmp[4];
-  for (int l = 0; l < 4; l++) {
-    _mm256_storeu_si256((__m256i *)tmp, st[l]);
-    for (int i = 0; i < 4; i++) store64le(out[i] + 8 * l, tmp[i]);
-  }
 }
 
 /* Row k of the 4x4 lane block becomes column k: turns "four lanes of one
@@ -1145,25 +1103,6 @@ __attribute__((target("avx512f"))) static void hash_cols_x8(const uint64_t *col0
 }
 
 #endif /* NOCAP_X86_64 */
-
-CAMLprim value caml_nocap_sha3_x4(value vmsgs, value vouts)
-{
-  const unsigned char *m[4];
-  unsigned char *o[4];
-  size_t len = caml_string_length(Field(vmsgs, 0));
-  for (int i = 0; i < 4; i++) {
-    m[i] = Bytes_val(Field(vmsgs, i));
-    o[i] = Bytes_val(Field(vouts, i));
-  }
-#if defined(NOCAP_X86_64)
-  if (g_simd && have_avx2()) {
-    sha3_256_x4(m, len, o);
-    return Val_unit;
-  }
-#endif
-  for (int i = 0; i < 4; i++) sha3_256_c(m[i], len, o[i]);
-  return Val_unit;
-}
 
 CAMLprim value caml_nocap_hash_nodes(value vsrc, value vdst, value vlo, value vhi)
 {

@@ -10,7 +10,7 @@
     order consumed — no coordinate storage, no cache.
 
     [compile] produces a real {!Isa.program} implementing this schedule; the
-    tests execute it on the {!Vm} and compare against {!Zk_r1cs.Sparse.spmv},
+    tests execute it on the {!Vm} and compare against a reference SpMV,
     and check the traffic claims (each matrix value read exactly once, input
     chunks reused rather than reloaded). *)
 

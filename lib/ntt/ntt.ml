@@ -23,8 +23,6 @@ module type S = sig
   val inverse : plan -> elt array -> unit
   val forward_copy : plan -> elt array -> elt array
   val inverse_copy : plan -> elt array -> elt array
-  val forward_rows : plan -> elt array array -> unit
-  val four_step_forward : rows:int -> cols:int -> elt array -> elt array
   val butterfly_count : int -> int
 end
 
@@ -34,8 +32,6 @@ let log2_exact n =
   if not (is_pow2 n) then invalid_arg "Ntt: size must be a power of two";
   let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
   go 0 n
-
-module Pool = Nocap_parallel.Pool
 
 module Make (F : FIELD) : S with type elt = F.t = struct
   type elt = F.t
@@ -50,9 +46,9 @@ module Make (F : FIELD) : S with type elt = F.t = struct
 
   let plans : (int, plan) Hashtbl.t = Hashtbl.create 16
 
-  (* Plans are demanded from worker domains (e.g. the expander code's
-     base-case Reed-Solomon encodes inside a batched encode), so the cache
-     needs a lock; a plan itself is immutable after construction. *)
+  (* Plans may be demanded from any domain (a prover running on a pool
+     worker), so the cache needs a lock; a plan itself is immutable after
+     construction. *)
   let plans_lock = Mutex.create ()
 
   let make_plan n =
@@ -90,42 +86,6 @@ module Make (F : FIELD) : S with type elt = F.t = struct
       in
       Mutex.unlock plans_lock;
       p
-
-  (* Four-step scale bases w^r (w the primitive (rows*cols)-th root), cached
-     per shape: previously recomputed via [root_of_unity] + a serial power
-     chain on every call. Same race-tolerant locking discipline as [plan]. *)
-  let scale_tables : (int * int, F.t array) Hashtbl.t = Hashtbl.create 8
-
-  let scale_lock = Mutex.create ()
-
-  let make_scale_rows ~rows ~cols =
-    let w = F.root_of_unity (log2_exact (rows * cols)) in
-    let w_rows = Array.make rows F.one in
-    for r = 1 to rows - 1 do
-      w_rows.(r) <- F.mul w_rows.(r - 1) w
-    done;
-    w_rows
-
-  let scale_rows ~rows ~cols =
-    let key = (rows, cols) in
-    Mutex.lock scale_lock;
-    match Hashtbl.find_opt scale_tables key with
-    | Some t ->
-      Mutex.unlock scale_lock;
-      t
-    | None ->
-      Mutex.unlock scale_lock;
-      let t = make_scale_rows ~rows ~cols in
-      Mutex.lock scale_lock;
-      let t =
-        match Hashtbl.find_opt scale_tables key with
-        | Some u -> u
-        | None ->
-          Hashtbl.add scale_tables key t;
-          t
-      in
-      Mutex.unlock scale_lock;
-      t
 
   let size p = p.n
 
@@ -189,71 +149,6 @@ module Make (F : FIELD) : S with type elt = F.t = struct
     inverse p b;
     b
 
-  (* Pool grains from the butterfly count: a boxed butterfly costs ~25ns
-     (more for Fr — grains only get coarser, which is safe), scale/copy
-     passes ~20ns and ~5ns per element. *)
-  let bf_ns = 25
-
-  let ntt_grain m = Pool.grain_of_ns (max 1 (m / 2 * log2_exact m * bf_ns))
-
-  (* Row-wise batch: each row is an independent in-place transform, the
-     per-row decomposition both Orion's encoder and the four-step NTT
-     parallelize over. Results are byte-identical for any domain count. *)
-  let forward_rows p rows =
-    Pool.parallel_for ~grain:(ntt_grain p.n) ~n:(Array.length rows) (fun r -> forward p rows.(r))
-
-  let four_step_forward ~rows ~cols a =
-    let n = rows * cols in
-    if Array.length a <> n then invalid_arg "Ntt.four_step_forward: size";
-    ignore (log2_exact n);
-    ignore (log2_exact rows);
-    ignore (log2_exact cols);
-    let col_plan = plan rows and row_plan = plan cols in
-    (* Step 1: NTT down each column (stride [cols] in the row-major layout).
-       Columns are independent; each chunk gathers into its own scratch. *)
-    let out = Array.copy a in
-    Pool.run ~grain:(ntt_grain rows) ~n:cols (fun c_lo c_hi ->
-        let col = Array.make rows F.zero in
-        for c = c_lo to c_hi - 1 do
-          for r = 0 to rows - 1 do
-            col.(r) <- out.((r * cols) + c)
-          done;
-          forward col_plan col;
-          for r = 0 to rows - 1 do
-            out.((r * cols) + c) <- col.(r)
-          done
-        done);
-    (* Step 2: scale entry (r, c) by w^(r*c). The per-row twiddle bases
-       w^r come from the shared cache so row chunks start mid-sequence. *)
-    let w_rows = scale_rows ~rows ~cols in
-    Pool.run ~grain:(Pool.grain_of_ns (max 1 (cols * 20))) ~n:rows (fun r_lo r_hi ->
-        for r = r_lo to r_hi - 1 do
-          let w_r = w_rows.(r) in
-          let f = ref F.one in
-          for c = 0 to cols - 1 do
-            out.((r * cols) + c) <- F.mul out.((r * cols) + c) !f;
-            f := F.mul !f w_r
-          done
-        done);
-    (* Step 3: NTT along each row. *)
-    Pool.run ~grain:(ntt_grain cols) ~n:rows (fun r_lo r_hi ->
-        let row = Array.make cols F.zero in
-        for r = r_lo to r_hi - 1 do
-          Array.blit out (r * cols) row 0 cols;
-          forward row_plan row;
-          Array.blit row 0 out (r * cols) cols
-        done);
-    (* Step 4: transpose, so that output index k = c * rows + r holds
-       X_k with k = c * rows + r, matching the flat transform's order. *)
-    let res = Array.make n F.zero in
-    Pool.run ~grain:(Pool.grain_of_ns (max 1 (cols * 5))) ~n:rows (fun r_lo r_hi ->
-        for r = r_lo to r_hi - 1 do
-          for c = 0 to cols - 1 do
-            res.((c * rows) + r) <- out.((r * cols) + c)
-          done
-        done);
-    res
-
   let butterfly_count n = n / 2 * log2_exact n
 end
 
@@ -270,6 +165,7 @@ end)
    every butterfly runs on unboxed int64 with zero heap traffic (in release
    builds, where cross-module [@inline] is effective — see README). *)
 
+module Pool = Nocap_parallel.Pool
 module Fv = Nocap_vec.Fv
 module Arena = Nocap_vec.Arena
 module Gf = Zk_field.Gf
@@ -450,16 +346,6 @@ module Gf_fv = struct
       done
     end
 
-  let forward_copy p a =
-    let b = Fv.copy a in
-    forward p b;
-    b
-
-  let inverse_copy p a =
-    let b = Fv.copy a in
-    inverse p b;
-    b
-
   (* Unboxed butterflies run ~3x cheaper than the boxed oracle's; the C
      kernels cut another ~3x, so chunk cost is mode-dependent (coarser
      grains under native — re-measured in BENCH_native.json). *)
@@ -467,18 +353,10 @@ module Gf_fv = struct
 
   let ntt_grain m = Pool.grain_of_ns (max 1 (m / 2 * log2_exact m * bf_ns ()))
 
-  (* Rows live back to back in one flat buffer of [rows * size p] elements;
-     each row is an independent in-place transform. *)
-  let forward_rows_flat p ~rows (flat : Fv.t) =
-    let n = size p in
-    if Fv.length flat <> rows * n then invalid_arg "Ntt.Gf_fv.forward_rows_flat: size";
-    Pool.parallel_for ~grain:(ntt_grain n) ~n:rows (fun r ->
-        forward p (Fv.sub_view flat ~pos:(r * n) ~len:n))
-
-  (* Four-step decomposition over a flat buffer; mirrors
-     [Gf_ntt.four_step_forward] pass for pass (same operation order, so the
-     result is bit-identical to the oracle), with column/row scratch drawn
-     from the per-domain arena. *)
+  (* Four-step decomposition over a flat buffer, with column/row scratch
+     drawn from the per-domain arena. A boxed reference in the test oracles
+     mirrors it pass for pass (same operation order, so the two are
+     bit-identical). *)
   let four_step_forward ~rows ~cols (a : Fv.t) : Fv.t =
     let n = rows * cols in
     if Fv.length a <> n then invalid_arg "Ntt.Gf_fv.four_step_forward: size";

@@ -41,18 +41,6 @@ module type S = sig
   val forward_copy : plan -> elt array -> elt array
   val inverse_copy : plan -> elt array -> elt array
 
-  val forward_rows : plan -> elt array array -> unit
-  (** In-place {!forward} on each row, split across the
-      {!Nocap_parallel.Pool} domains. Byte-identical to a serial loop for
-      every domain count. *)
-
-  val four_step_forward : rows:int -> cols:int -> elt array -> elt array
-  (** Bailey's four-step NTT of a [rows * cols] array viewed as a row-major
-      matrix: column transforms, twiddle scaling, row transforms, transpose.
-      This is the decomposition NoCap's 64-lane NTT FU uses for transforms
-      larger than 2^12 (Sec. V-A); the result equals {!forward} of the flat
-      array. *)
-
   val butterfly_count : int -> int
   (** [butterfly_count n] = [n/2 * log2 n]: work metric used by the
       performance model. *)
@@ -111,17 +99,11 @@ module Gf_fv : sig
 
   val inverse : plan -> Nocap_vec.Fv.t -> unit
 
-  val forward_copy : plan -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
-  val inverse_copy : plan -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
-
-  val forward_rows_flat : plan -> rows:int -> Nocap_vec.Fv.t -> unit
-  (** [forward_rows_flat p ~rows flat] transforms each of the [rows]
-      contiguous rows of the [rows * size p] flat buffer in place, split
-      across the {!Nocap_parallel.Pool} domains. *)
-
   val four_step_forward : rows:int -> cols:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
-  (** Bailey four-step NTT of a flat [rows * cols] buffer; equals
-      {!forward} of the flat vector (and {!Gf_ntt.four_step_forward} of the
-      boxed copy). Column/row scratch comes from the per-domain
+  (** Bailey's four-step NTT of a flat [rows * cols] buffer viewed as a
+      row-major matrix: column transforms, twiddle scaling, row transforms,
+      transpose. This is the decomposition NoCap's 64-lane NTT FU uses for
+      transforms larger than 2^12 (Sec. V-A); the result equals {!forward}
+      of the flat vector. Column/row scratch comes from the per-domain
       {!Nocap_vec.Arena}. *)
 end

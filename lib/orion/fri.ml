@@ -18,7 +18,7 @@ type proof = {
 
 and query = {
   position : int;
-  layers : (Gf.t * Gf.t * Merkle.digest list * Merkle.digest list) array;
+  layers : (Gf.t * Gf.t * Merkle.digest list) array;
 }
 
 let log2_exact n =
@@ -124,8 +124,7 @@ let prove ?(shift = Gf.one) params transcript coeffs =
             (fun i layer ->
               let half = Fv.length layer / 2 in
               let pos = position mod half in
-              let path = Merkle.path trees.(i) pos in
-              (Fv.get layer pos, Fv.get layer (pos + half), path, path))
+              (Fv.get layer pos, Fv.get layer (pos + half), Merkle.path trees.(i) pos))
             layers
         in
         { position; layers = opened })
@@ -184,11 +183,11 @@ let verify ?(shift = Gf.one) params transcript ~degree_bound proof =
         let rec walk i layer_size j expected =
           let half = layer_size / 2 in
           let leaf_pos = j mod half in
-          let a, b, path, _ = q.layers.(i) in
+          let a, b, path = q.layers.(i) in
           let leaf = Merkle.leaf_of_column [| a; b |] in
-          if not (Merkle.verify ~root:proof.layer_roots.(i) ~index:leaf_pos ~leaf ~path)
-          then Error (Printf.sprintf "query %d layer %d: bad path" q_idx i)
-          else begin
+          match Merkle.check_path ~root:proof.layer_roots.(i) ~index:leaf_pos ~leaf ~path with
+          | Error reason -> Error (Printf.sprintf "query %d layer %d: bad path: %s" q_idx i reason)
+          | Ok () ->
             let value_at_j = if j >= half then b else a in
             let consistent =
               match expected with
@@ -205,7 +204,6 @@ let verify ?(shift = Gf.one) params transcript ~degree_bound proof =
               let x_inv = Gf.mul shift_invs.(i) (Gf.pow w_invs.(i) (Int64.of_int leaf_pos)) in
               walk (i + 1) half leaf_pos (Some (fold_at ~x_inv betas.(i) a b))
             end
-          end
         in
         match walk 0 domain q.position None with
         | Error e -> Error e
@@ -223,6 +221,6 @@ let proof_size_bytes proof =
       (fun acc q ->
         acc + 8
         + Array.fold_left
-            (fun acc (_, _, path, _) -> acc + (2 * field) + (digest * List.length path))
+            (fun acc (_, _, path) -> acc + (2 * field) + (digest * List.length path))
             0 q.layers)
       0 proof.queries

@@ -32,8 +32,9 @@ type proof = {
 
 and query = {
   position : int;
-  layers : (Gf.t * Gf.t * Zk_merkle.Merkle.digest list * Zk_merkle.Merkle.digest list) array;
-      (** per layer: f(x), f(-x) and their authentication paths *)
+  layers : (Gf.t * Gf.t * Zk_merkle.Merkle.digest list) array;
+      (** per layer: f(x), f(-x) and the authentication path of the leaf
+          that commits to both *)
 }
 
 val prove :

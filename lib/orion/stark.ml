@@ -148,12 +148,14 @@ let verify ~n ~a0 ~a1 ~claimed_last proof =
         if i >= 6 then Ok ()
         else begin
           let v, path = opens.(i) in
-          if
-            Merkle.verify ~root:proof.trace_root ~index:indices.(i)
+          match
+            Merkle.check_path ~root:proof.trace_root ~index:indices.(i)
               ~leaf:(Merkle.leaf_of_column [| v |])
               ~path
-          then auth (i + 1)
-          else Error (Printf.sprintf "query %d: bad trace opening %d" q_idx i)
+          with
+          | Ok () -> auth (i + 1)
+          | Error reason ->
+            Error (Printf.sprintf "query %d: bad trace opening %d: %s" q_idx i reason)
         end
       in
       let* () = auth 0 in
@@ -169,7 +171,7 @@ let verify ~n ~a0 ~a1 ~claimed_last proof =
         recompute ((q.Fri.position + (2 * n)) mod domain) (fst opens.(3)) (fst opens.(4))
           (fst opens.(5))
       in
-      let a, b, _, _ = q.Fri.layers.(0) in
+      let a, b, _ = q.Fri.layers.(0) in
       if not (Gf.equal f_lo a) then
         Error (Printf.sprintf "query %d: composition mismatch (low)" q_idx)
       else if not (Gf.equal f_hi b) then

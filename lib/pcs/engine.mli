@@ -64,7 +64,12 @@ val create :
   unit ->
   t
 (** All fields optional: [create ()] is a fully default engine (lazy
-    default pool, per-call RNG seeds, no trace sink).
+    default pool, per-call RNG seeds, no trace sink). It reads no
+    environment: [NOCAP_DOMAINS], [NOCAP_GC_MINOR_MB] and the other
+    {!Config} knobs reach an engine only through {!default} (or an
+    explicit [config]). [perfbench/prover_bench.ml] builds its engine with
+    [create], so those two knobs have no effect on the end-to-end
+    benchmark.
     [stream_budget_bytes] is the byte-granular form of the
     [NOCAP_STREAM_BUDGET_MB] knob (it wins over the config when both are
     set) so tests can force spills on tiny circuits. It sizes the one

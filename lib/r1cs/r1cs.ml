@@ -60,34 +60,38 @@ let make ~a ~b ~c ~log_size ~num_constraints ~num_witness ~num_io =
 
 let size inst = 1 lsl inst.log_size
 
-let check_assignment inst asn =
+(* [fn] names the entry point in the error, so a shape error says which
+   call it came from. *)
+let check_assignment ~fn inst asn =
   let half = size inst / 2 in
   if Array.length asn.w <> half || Array.length asn.io <> half then
-    invalid_arg "R1cs.z: assignment halves must be 2^(log_size-1)";
-  if not (Gf.equal asn.io.(0) Gf.one) then invalid_arg "R1cs.z: io.(0) must be 1"
+    invalid_arg (fn ^ ": assignment halves must be 2^(log_size-1)");
+  if not (Gf.equal asn.io.(0) Gf.one) then invalid_arg (fn ^ ": io.(0) must be 1")
 
-let z inst asn =
-  check_assignment inst asn;
-  Array.append asn.w asn.io
-
-(* The wire vector straight into a flat vector, for the prover's SpMV:
-   the same validation as [z], no boxed intermediate. *)
-let z_fv inst asn =
-  check_assignment inst asn;
+let z_fv_checked ~fn inst asn =
+  check_assignment ~fn inst asn;
   let half = size inst / 2 in
   let zfv = Nocap_vec.Fv.create (2 * half) in
   Nocap_vec.Fv.write_array asn.w ~src_pos:0 zfv ~dst_pos:0 ~len:half;
   Nocap_vec.Fv.write_array asn.io ~src_pos:0 zfv ~dst_pos:half ~len:half;
   zfv
 
+(* The wire vector straight into a flat vector, for the prover's SpMV. *)
+let z_fv inst asn = z_fv_checked ~fn:"R1cs.z_fv" inst asn
+
 let satisfied inst asn =
-  let zv = z inst asn in
-  let az = Sparse.spmv inst.a zv
-  and bz = Sparse.spmv inst.b zv
-  and cz = Sparse.spmv inst.c zv in
+  let zv = z_fv_checked ~fn:"R1cs.satisfied" inst asn in
+  let n = size inst in
+  let mul m =
+    let dst = Nocap_vec.Fv.create n in
+    Sparse.spmv_into m ~x:zv ~r_lo:0 dst;
+    dst
+  in
+  let az = mul inst.a and bz = mul inst.b and cz = mul inst.c in
   let ok = ref true in
-  for i = 0 to size inst - 1 do
-    if not (Gf.equal (Gf.mul az.(i) bz.(i)) cz.(i)) then ok := false
+  for i = 0 to n - 1 do
+    let get v = Nocap_vec.Fv.get v i in
+    if not (Gf.equal (Gf.mul (get az) (get bz)) (get cz)) then ok := false
   done;
   !ok
 

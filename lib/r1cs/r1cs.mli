@@ -63,15 +63,15 @@ val make :
 val size : instance -> int
 (** [2^log_size]. *)
 
-val z : instance -> assignment -> Zk_field.Gf.t array
-(** The full wire vector [w || io]. *)
-
 val z_fv : instance -> assignment -> Nocap_vec.Fv.t
-(** {!z} as a fresh flat vector (same validation), copied straight out of
-    the assignment's halves. *)
+(** The full wire vector [w || io] as a fresh flat vector, copied straight
+    out of the assignment's halves.
+    @raise Invalid_argument unless both halves have length
+    [2^(log_size - 1)] and [io.(0) = 1]. *)
 
 val satisfied : instance -> assignment -> bool
-(** Check [(Az) o (Bz) = Cz]. *)
+(** Check [(Az) o (Bz) = Cz].
+    @raise Invalid_argument on an assignment {!z_fv} rejects. *)
 
 val public_io : instance -> assignment -> Zk_field.Gf.t array
 (** The live io prefix (constant 1 and public inputs) — what the verifier

@@ -48,16 +48,7 @@ let of_entries ~nrows ~ncols entries =
 
 let nnz m = Fv.length m.values
 
-let spmv m x =
-  if Array.length x <> m.ncols then invalid_arg "Sparse.spmv: dimension mismatch";
-  Array.init m.nrows (fun r ->
-      let acc = ref Gf.zero in
-      for k = m.row_ptr.(r) to m.row_ptr.(r + 1) - 1 do
-        acc := Gf.add !acc (Gf.mul (Fv.unsafe_get m.values k) x.(m.col_idx.(k)))
-      done;
-      !acc)
-
-(* Blocked variants for the prover, on flat vectors: only a row/column
+(* Blocked products for the prover, on flat vectors: only a row/column
    window of the result is produced (the streaming prover's blocks), and
    nothing is boxed. Field arithmetic is exact, so windowed results are
    bit-identical to the corresponding slice of the whole-vector products. *)

@@ -18,13 +18,12 @@ val of_entries : nrows:int -> ncols:int -> (int * int * Zk_field.Gf.t) list -> t
 
 val nnz : t -> int
 
-val spmv : t -> Zk_field.Gf.t array -> Zk_field.Gf.t array
-(** [spmv m x] is [m * x]. @raise Invalid_argument on dimension mismatch. *)
-
 val spmv_into : t -> x:Nocap_vec.Fv.t -> r_lo:int -> Nocap_vec.Fv.t -> unit
 (** [spmv_into m ~x ~r_lo dst] writes rows [r_lo, r_lo + Fv.length dst)
     of [m * x] into [dst] — the prover's row-blocked SpMV, on flat
-    vectors. Bit-identical to the same slice of {!spmv}. *)
+    vectors; [r_lo = 0] with a [nrows]-long [dst] is the whole product.
+    @raise Invalid_argument if [x] is shorter than [ncols] or the row
+    window is out of range. *)
 
 (** Column-major (CSC) copies, for the prover's second-sumcheck table:
     Spartan's M~ is a transpose product, so it is gathered one column at

@@ -280,7 +280,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
     let l = inst.R1cs.log_size in
     let n = R1cs.size inst in
     let block = match budget with None -> n | Some b -> max 1024 (b / (8 * 8)) in
-    (* z as a flat vector (validates the assignment shape like R1cs.z). *)
+    (* z as a flat vector (validates the assignment shape). *)
     let zfv = R1cs.z_fv inst asn in
     (* Raises before any commitment work on an unsatisfied assignment. *)
     let az, bz, cz = fill_abc ~spill ~block inst zfv in

@@ -4,7 +4,7 @@
    index, height, [Merkle.check_path] over [Merkle.leaf_of_column], the u
    dot product, each proximity dot product — and the first failing column
    is reported with its first failing check. The combinations are encoded
-   with the boxed [Code.encode]. *)
+   with the boxed reference encoder ([Ecc_oracle.encode]). *)
 
 module Gf = Zk_field.Gf
 module Fv = Nocap_vec.Fv
@@ -62,8 +62,9 @@ let verify_eval (params : Orion.params) (cm : Orion.commitment) transcript point
     if Orion.num_openings proof = Code.query_count then Ok ()
     else E.error E.Shape "wrong number of column openings"
   in
-  let encoded_u = Code.encode u in
-  let encoded_prox = Array.map Code.encode proximity in
+  let encode = Ecc_oracle.encode (module Code) in
+  let encoded_u = encode u in
+  let encoded_prox = Array.map encode proximity in
   let eq_row = Mle.eq_table q_row in
   let expected_rows =
     cm.Orion.mat_rows + if params.Orion.zk then params.Orion.proximity_count else 0

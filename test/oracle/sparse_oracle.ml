@@ -38,3 +38,14 @@ let mle_eval (m : Sparse.t) ~row_eq ~col_eq =
     acc := Gf.add !acc (Gf.mul (Fv.get row_eq r) !row)
   done;
   !acc
+
+(* [spmv m x] is [m * x]: the whole-vector reference for the prover's
+   row-window [Zk_r1cs.Sparse.spmv_into]. *)
+let spmv (m : Sparse.t) x =
+  if Array.length x <> m.Sparse.ncols then invalid_arg "Sparse_oracle.spmv: dimension mismatch";
+  Array.init m.Sparse.nrows (fun r ->
+      let acc = ref Gf.zero in
+      for k = m.Sparse.row_ptr.(r) to m.Sparse.row_ptr.(r + 1) - 1 do
+        acc := Gf.add !acc (Gf.mul (Fv.get m.Sparse.values k) x.(m.Sparse.col_idx.(k)))
+      done;
+      !acc)

@@ -1,6 +1,7 @@
-(* Linear-code tests: Reed-Solomon (cross-checked against direct evaluation)
-   and the expander ablation code; both must be linear and systematic enough
-   for Orion's combination checks. *)
+(* Linear-code tests on the row encoder Orion runs ([encode_row_into]):
+   Reed-Solomon (cross-checked against direct evaluation) and the expander
+   ablation code; both must be linear and systematic enough for Orion's
+   combination checks. *)
 
 module Gf = Zk_field.Gf
 module Rs = Zk_ecc.Reed_solomon
@@ -11,20 +12,28 @@ let gf = Alcotest.testable Gf.pp Gf.equal
 
 let random_msg rng n = Array.init n (fun _ -> Gf.random rng)
 
+let encode (module Code : Zk_ecc.Linear_code.S) msg =
+  let dst = Nocap_vec.Fv.create (Code.blowup * Array.length msg) in
+  Code.encode_row_into ~src:(Nocap_vec.Fv.of_array msg) ~dst;
+  Nocap_vec.Fv.to_array dst
+
+let rs_encode = encode (module Rs)
+let expander_encode = encode (module Expander)
+
 let test_rs_blowup () =
   let rng = Rng.create 20L in
   List.iter
     (fun n ->
-      let cw = Rs.encode (random_msg rng n) in
+      let cw = rs_encode (random_msg rng n) in
       Alcotest.(check int) (Printf.sprintf "blowup n=%d" n) (4 * n) (Array.length cw))
     [ 1; 2; 16; 128; 1024 ]
 
 let test_rs_matches_direct_eval () =
   let rng = Rng.create 21L in
   let msg = random_msg rng 64 in
-  let cw = Rs.encode msg in
+  let cw = rs_encode msg in
   List.iter
-    (fun i -> Alcotest.check gf (Printf.sprintf "position %d" i) (Rs.codeword_at msg i) cw.(i))
+    (fun i -> Alcotest.check gf (Printf.sprintf "position %d" i) (Ecc_oracle.codeword_at msg i) cw.(i))
     [ 0; 1; 17; 100; 255 ]
 
 let check_linear name encode rng n =
@@ -42,31 +51,31 @@ let check_linear name encode rng n =
 
 let test_rs_linear () =
   let rng = Rng.create 22L in
-  check_linear "rs" Rs.encode rng 128
+  check_linear "rs" rs_encode rng 128
 
 let test_expander_blowup () =
   let rng = Rng.create 23L in
   List.iter
     (fun n ->
-      let cw = Expander.encode (random_msg rng n) in
+      let cw = expander_encode (random_msg rng n) in
       Alcotest.(check int) (Printf.sprintf "blowup n=%d" n) (4 * n) (Array.length cw))
     [ 16; 32; 64; 256; 1024 ]
 
 let test_expander_linear () =
   let rng = Rng.create 24L in
-  check_linear "expander" Expander.encode rng 256
+  check_linear "expander" expander_encode rng 256
 
 let test_expander_systematic () =
   (* The message is embedded verbatim at the head of the codeword. *)
   let rng = Rng.create 25L in
   let msg = random_msg rng 128 in
-  let cw = Expander.encode msg in
+  let cw = expander_encode msg in
   Array.iteri (fun i m -> Alcotest.check gf "systematic prefix" m cw.(i)) msg
 
 let test_expander_deterministic () =
   let rng = Rng.create 26L in
   let msg = random_msg rng 64 in
-  let c1 = Expander.encode msg and c2 = Expander.encode msg in
+  let c1 = expander_encode msg and c2 = expander_encode msg in
   Array.iteri (fun i x -> Alcotest.check gf "deterministic" x c2.(i)) c1
 
 let test_cost_models () =
@@ -85,7 +94,29 @@ let prop_rs_distinct_messages_distinct_codewords =
       let m2 = random_msg (Rng.create (Int64.of_int (s2 + 1000000))) n in
       let distinct = Array.exists2 (fun a b -> not (Gf.equal a b)) m1 m2 in
       (not distinct)
-      || Array.exists2 (fun a b -> not (Gf.equal a b)) (Rs.encode m1) (Rs.encode m2))
+      || Array.exists2 (fun a b -> not (Gf.equal a b)) (rs_encode m1) (rs_encode m2))
+
+(* Both codes reject a message length that is not a power of two and a
+   codeword buffer that is not exactly [blowup] times the message. *)
+let test_encode_row_shape_errors () =
+  List.iter
+    (fun (module Code : Zk_ecc.Linear_code.S) ->
+      let prefix =
+        if Code.name = Rs.name then "Reed_solomon.encode_row_into: "
+        else "Expander.encode_row_into: "
+      in
+      let run ~src_len ~dst_len () =
+        Code.encode_row_into ~src:(Nocap_vec.Fv.create src_len) ~dst:(Nocap_vec.Fv.create dst_len)
+      in
+      let pow2 = Invalid_argument (prefix ^ "message length must be a power of two") in
+      let len = Invalid_argument (prefix ^ "dst length <> blowup * src length") in
+      Alcotest.check_raises (Code.name ^ " src 0") pow2 (run ~src_len:0 ~dst_len:0);
+      Alcotest.check_raises (Code.name ^ " src 48") pow2 (run ~src_len:48 ~dst_len:(Code.blowup * 48));
+      Alcotest.check_raises (Code.name ^ " dst short") len
+        (run ~src_len:64 ~dst_len:((Code.blowup * 64) - 1));
+      Alcotest.check_raises (Code.name ^ " dst long") len
+        (run ~src_len:64 ~dst_len:((Code.blowup * 64) + 1)))
+    [ (module Rs); (module Expander) ]
 
 let suite =
   [
@@ -96,6 +127,7 @@ let suite =
     Alcotest.test_case "expander linearity" `Quick test_expander_linear;
     Alcotest.test_case "expander systematic" `Quick test_expander_systematic;
     Alcotest.test_case "expander deterministic" `Quick test_expander_deterministic;
+    Alcotest.test_case "encode_row_into shape errors" `Quick test_encode_row_shape_errors;
     Alcotest.test_case "cost models" `Quick test_cost_models;
     QCheck_alcotest.to_alcotest prop_rs_distinct_messages_distinct_codewords;
   ]

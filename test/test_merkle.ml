@@ -17,10 +17,10 @@ let test_roundtrip () =
       let t = build ls in
       Alcotest.(check int) "num_leaves" n (Merkle.num_leaves t);
       for i = 0 to n - 1 do
-        let ok =
-          Merkle.verify ~root:(Merkle.root t) ~index:i ~leaf:ls.(i) ~path:(Merkle.path t i)
-        in
-        Alcotest.(check bool) (Printf.sprintf "n=%d leaf %d verifies" n i) true ok
+        Alcotest.(check (result unit string))
+          (Printf.sprintf "n=%d leaf %d verifies" n i)
+          (Ok ())
+          (Merkle.check_path ~root:(Merkle.root t) ~index:i ~leaf:ls.(i) ~path:(Merkle.path t i))
       done)
     [ 1; 2; 3; 7; 8; 16; 100 ]
 
@@ -29,15 +29,15 @@ let test_rejections () =
   let t = build ls in
   let root = Merkle.root t in
   let path5 = Merkle.path t 5 in
-  Alcotest.(check bool) "wrong leaf" false
-    (Merkle.verify ~root ~index:5 ~leaf:ls.(6) ~path:path5);
-  Alcotest.(check bool) "wrong index" false
-    (Merkle.verify ~root ~index:6 ~leaf:ls.(5) ~path:path5);
-  Alcotest.(check bool) "wrong root" false
-    (Merkle.verify ~root:(Keccak.sha3_256_string "evil") ~index:5 ~leaf:ls.(5) ~path:path5);
+  let mismatch name r =
+    Alcotest.(check (result unit string)) name (Error "root mismatch") r
+  in
+  mismatch "wrong leaf" (Merkle.check_path ~root ~index:5 ~leaf:ls.(6) ~path:path5);
+  mismatch "wrong index" (Merkle.check_path ~root ~index:6 ~leaf:ls.(5) ~path:path5);
+  mismatch "wrong root"
+    (Merkle.check_path ~root:(Keccak.sha3_256_string "evil") ~index:5 ~leaf:ls.(5) ~path:path5);
   let tampered = match path5 with x :: rest -> Keccak.sha3_256_string "x" :: rest @ [ x ] |> List.tl | [] -> [] in
-  Alcotest.(check bool) "tampered path" false
-    (Merkle.verify ~root ~index:5 ~leaf:ls.(5) ~path:tampered)
+  mismatch "tampered path" (Merkle.check_path ~root ~index:5 ~leaf:ls.(5) ~path:tampered)
 
 let test_depth_and_path_length () =
   let t = build (leaves 16) in
@@ -119,7 +119,7 @@ let prop_flat_vs_oracle =
               && same (chunked leaves)))
         Test_native.legs)
 
-(* Flat paths and the batched walk against [path] / [verify], in every
+(* Flat paths and the batched walk against [path] / [check_path], in every
    kernel leg: every leaf of a 32-leaf tree, with a leaf lane, a path lane
    or an index bit tampered in some of them. *)
 let test_flat_paths () =
@@ -147,13 +147,14 @@ let test_flat_paths () =
   done;
   let expected =
     Array.init n (fun i ->
-        Merkle.verify ~root ~index:index.(i) ~leaf:(Keccak.digest_at leaf_lanes i)
-          ~path:(List.init depth (fun d -> Keccak.digest_at paths ((i * depth) + d))))
+        Result.is_ok
+          (Merkle.check_path ~root ~index:index.(i) ~leaf:(Keccak.digest_at leaf_lanes i)
+             ~path:(List.init depth (fun d -> Keccak.digest_at paths ((i * depth) + d)))))
   in
   Alcotest.(check (array bool)) "honest ones verify" (Array.init n (fun i -> i mod 4 = 3)) expected;
   List.iter
     (fun (leg : Test_native.leg) ->
-      Alcotest.(check (array bool)) ("check_paths = verify, " ^ leg.name) expected
+      Alcotest.(check (array bool)) ("check_paths = check_path, " ^ leg.name) expected
         (leg.run (fun () ->
              Merkle.check_paths ~root ~depth ~index ~leaves:leaf_lanes ~paths
                ~path_pos:(Array.init n (fun i -> 4 * i * depth)))))

@@ -12,6 +12,7 @@
 
 module Native = Nocap_native.Native
 module Fv = Nocap_vec.Fv
+module Arena = Nocap_vec.Arena
 module Gf = Zk_field.Gf
 module Rng = Zk_util.Rng
 module Keccak = Zk_hash.Keccak
@@ -247,41 +248,64 @@ let test_ntt_equiv () =
         true (fv_raw_eq inv_ocaml inv_c))
     [ 0; 1; 2; 3; 5; 8; 10 ]
 
-let test_rs_encode_equiv () =
-  let rng = Rng.create 0x5EEDL in
-  List.iter
-    (fun cols ->
-      let code_len = Rs.blowup * cols in
-      let src = Fv.create cols in
-      random_fill rng src;
+(* A code's row encoder against the boxed oracle in every leg, at sizes on
+   both sides of the expander's RS base case (32). The message and codeword
+   are arena views above an [offset]-lane watermark, so with an odd offset
+   they and the expander's own arena scratch start off any 32- or 64-byte
+   boundary. The codeword is pre-filled with garbage to catch a missing
+   zero-pad. Returns each message with its oracle codeword. *)
+let check_encode_row (module Code : Zk_ecc.Linear_code.S) seed =
+  let rng = Rng.create seed in
+  List.map
+    (fun (cols, offset) ->
+      let code_len = Code.blowup * cols in
+      let msg = Array.init cols (fun _ -> Gf.random rng) in
+      let expected = Ecc_oracle.encode (module Code) msg in
       let encode (leg : leg) =
-        let dst = Fv.create code_len in
-        leg.run (fun () -> Rs.encode_row_into ~src ~dst);
-        dst
+        leg.run (fun () ->
+            Arena.with_frame (fun () ->
+                ignore (Arena.alloc offset);
+                let src = Arena.alloc cols and dst = Arena.alloc code_len in
+                Fv.write_array msg ~src_pos:0 src ~dst_pos:0 ~len:cols;
+                Fv.fill dst (Gf.of_int 0x5A5A5A);
+                Code.encode_row_into ~src ~dst;
+                Fv.to_array dst))
       in
-      let expected = encode off in
       List.iter
         (fun m ->
-          Alcotest.(check bool)
-            (Printf.sprintf "encode_row_into cols=%d [%s]" cols
+          Alcotest.(check (array int64))
+            (Printf.sprintf "%s encode_row_into cols=%d offset=%d [%s]" Code.name cols offset
                m.name)
-            true
-            (fv_raw_eq expected (encode m)))
-        c_legs;
-      (* Raw fused stub against the dispatcher result; dst deliberately
-         pre-filled with garbage to catch a missing zero-pad. *)
-      let plan = Gf_fv.plan code_len in
+            expected (encode m))
+        legs;
+      (msg, expected))
+    [ (1, 0); (2, 1); (8, 0); (32, 0); (32, 3); (64, 0); (64, 1); (128, 5); (256, 0) ]
+
+(* RS in every leg, and the raw fused stub (garbage-filled codeword)
+   against the same oracle codewords. *)
+let test_rs_encode_row () =
+  List.iter
+    (fun (msg, expected) ->
+      let cols = Array.length msg in
+      let code_len = Rs.blowup * cols in
       let dst_raw = Fv.create code_len in
       Fv.fill dst_raw (Gf.of_int 0x5A5A5A);
       Native.with_mode Native.On (fun () ->
-          Native.rs_encode_row src dst_raw (Gf_fv.twiddles plan));
-      Alcotest.(check bool)
+          Native.rs_encode_row (Fv.of_array msg) dst_raw
+            (Gf_fv.twiddles (Gf_fv.plan code_len)));
+      Alcotest.(check (array int64))
         (Printf.sprintf "rs_encode_row raw cols=%d" cols)
-        true (fv_raw_eq expected dst_raw))
-    [ 1; 2; 8; 64 ]
+        expected (Fv.to_array dst_raw))
+    (check_encode_row (module Rs) 0x5EEDL)
 
-(* Batched rows through the dispatching row transform (the shape the Orion
-   commit pipeline uses), odd row counts included. *)
+(* The expander's recursion bottoms out in the RS kernel at 32 and runs its
+   graph products on arena scratch above that. *)
+let test_expander_encode_row () =
+  ignore (check_encode_row (module Zk_ecc.Expander) 0xE5EEDL)
+
+(* Rows of one flat buffer transformed in place through row views, odd row
+   counts included: the C kernel reads each row from a base pointer inside
+   the buffer. *)
 let test_ntt_rows_equiv () =
   let rng = Rng.create 0xB0B5L in
   List.iter
@@ -291,14 +315,17 @@ let test_ntt_rows_equiv () =
       random_fill rng flat;
       let run (leg : leg) =
         let buf = Fv.copy flat in
-        leg.run (fun () -> Gf_fv.forward_rows_flat plan ~rows buf);
+        leg.run (fun () ->
+            for r = 0 to rows - 1 do
+              Gf_fv.forward plan (Fv.sub_view buf ~pos:(r * cols) ~len:cols)
+            done);
         buf
       in
       let expected = run off in
       List.iter
         (fun m ->
           Alcotest.(check bool)
-            (Printf.sprintf "forward_rows_flat %dx%d [%s]" rows cols
+            (Printf.sprintf "row views %dx%d [%s]" rows cols
                m.name)
             true
             (fv_raw_eq expected (run m)))
@@ -325,44 +352,33 @@ let test_sha3_all_lengths () =
     "sha3(\"abc\")" "3a985da74fe225b2045c172d6bd390bd855f086e3e9d525b46bfe24511431532"
     (Keccak.to_hex (Keccak.sha3_256 (Bytes.of_string "abc")))
 
-let test_sha3_x4 () =
+(* Every leg's sha3_256 against the boxed sponge ([Keccak_oracle]) around
+   one, two and three rate blocks: rem = rate - 1 puts the 0x06 and 0x80
+   pad bits in one byte, rem = 0 adds a whole padding block. hash2 is
+   SHA3 of the concatenated digests. *)
+let test_sha3_vs_sponge_oracle () =
+  let rate = Keccak_oracle.rate in
   List.iter
     (fun len ->
-      let msgs =
-        Array.init 4 (fun l ->
-            Bytes.init len (fun i -> Char.chr ((l + (i * 11)) land 0xff)))
-      in
-      let expected =
-        off.run (fun () -> Array.map Keccak.sha3_256 msgs)
-      in
+      let msg = Bytes.init len (fun i -> Char.chr ((i * 131 + 7) land 0xff)) in
+      let expected = Keccak_oracle.sha3_256 msg in
       List.iter
-        (fun m ->
-          let outs = Array.init 4 (fun _ -> Bytes.create 32) in
-          m.run (fun () -> Native.sha3_x4 msgs outs);
-          Array.iteri
-            (fun i d ->
-              Alcotest.(check string)
-                (Printf.sprintf "sha3_x4 len=%d lane=%d [%s]" len i
-                   m.name)
-                expected.(i)
-                (Bytes.to_string d))
-            outs)
-        c_legs)
-    [ 0; 1; 135; 136; 137; 272 ]
-
-let test_sha3_batch () =
-  (* Non-uniform lengths (parallel_map path) and a uniform batch with a
-     non-multiple-of-4 count (x4 quads + serial tail). *)
-  let mixed =
-    Array.init 11 (fun i -> Bytes.init (i * 29) (fun j -> Char.chr ((i + j) land 0xff)))
-  in
-  let uniform =
-    Array.init 13 (fun i -> Bytes.init 96 (fun j -> Char.chr ((i * 7 + j) land 0xff)))
-  in
+        (fun l ->
+          Alcotest.(check string)
+            (Printf.sprintf "sha3_256 len=%d [%s]" len l.name)
+            (Keccak.to_hex expected)
+            (Keccak.to_hex (l.run (fun () -> Keccak.sha3_256 msg))))
+        legs)
+    (List.concat_map (fun k -> [ (k * rate) - 1; k * rate; (k * rate) + 1 ]) [ 1; 2; 3 ]
+     @ [ 0; 1; 63; 64; 65 ]);
+  let d1 = Keccak_oracle.sha3_256 (Bytes.of_string "left") in
+  let d2 = Keccak_oracle.sha3_256 (Bytes.of_string "right") in
+  let expected = Keccak_oracle.sha3_256 (Bytes.of_string (d1 ^ d2)) in
   List.iter
-    (fun (name, batch) ->
-      check_legs name (fun () -> String.concat "" (Array.to_list (Keccak.sha3_256_batch batch))))
-    [ ("sha3_256_batch mixed", mixed); ("sha3_256_batch uniform-13", uniform) ]
+    (fun l ->
+      Alcotest.(check string) (Printf.sprintf "hash2 [%s]" l.name) (Keccak.to_hex expected)
+        (Keccak.to_hex (l.run (fun () -> Keccak.hash2 d1 d2))))
+    legs
 
 let test_hash_entry_points () =
   let rng = Rng.create 0xCAFEL in
@@ -545,7 +561,7 @@ let prop_abc_eval =
 
 (* In-place permutation at arbitrary (including unaligned) lane offsets in a
    larger state bank: result and every untouched neighbour checked against a
-   snapshot + the public 25-lane oracle. *)
+   snapshot + the boxed 25-lane oracle ([Keccak_oracle]). *)
 let test_f1600_off_torture () =
   let rng = Rng.create 0xF16L in
   let total = (25 * 4) + 7 in
@@ -557,7 +573,7 @@ let test_f1600_off_torture () =
         (fun m ->
           let snapshot = Fv.copy st in
           let oracle = Array.init 25 (fun i -> Fv.get st (off + i)) in
-          Keccak.keccak_f1600 oracle;
+          Keccak_oracle.keccak_f1600 oracle;
           m.run (fun () -> Native.f1600_off st off);
           for i = 0 to total - 1 do
             let expected =
@@ -603,6 +619,10 @@ let test_f1600_zero_kat () =
       (0xF1258F7940E1DDE7L, 0x84D5CCF933C0478AL)
       (Fv.get st 0, Fv.get st 1)
   in
+  check "[oracle]" (fun st ->
+      let lanes = Array.init 25 (Fv.get st) in
+      Keccak_oracle.keccak_f1600 lanes;
+      Array.iteri (Fv.set st) lanes);
   check "[ocaml]" (fun st -> Keccak.f1600_off_ocaml st 0 (Fv.create 25) (Fv.create 5));
   List.iter
     (fun m ->
@@ -699,10 +719,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lerp_raw;
     Alcotest.test_case "NTT forward/inverse vs OCaml, all sizes" `Quick test_ntt_equiv;
     Alcotest.test_case "row-batched NTT vs OCaml" `Quick test_ntt_rows_equiv;
-    Alcotest.test_case "RS row encode vs OCaml + raw fused stub" `Quick test_rs_encode_equiv;
+    Alcotest.test_case "RS row encode vs oracle + raw fused stub" `Quick test_rs_encode_row;
+    Alcotest.test_case "expander row encode vs oracle" `Quick test_expander_encode_row;
     Alcotest.test_case "sha3 lengths 0..300 across modes + FIPS" `Quick test_sha3_all_lengths;
-    Alcotest.test_case "sha3_x4 vs 4x sha3" `Quick test_sha3_x4;
-    Alcotest.test_case "sha3_256_batch mixed/tail" `Quick test_sha3_batch;
+    Alcotest.test_case "sha3_256 + hash2 vs boxed sponge oracle" `Quick test_sha3_vs_sponge_oracle;
     Alcotest.test_case "hash_gf/hash_fv/hash2/nodes across modes" `Quick test_hash_entry_points;
     Alcotest.test_case "hash_cols_into across modes" `Quick test_hash_cols_into;
     Alcotest.test_case "FRI fold_block across modes and splits" `Quick test_fri_fold_block;

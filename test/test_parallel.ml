@@ -5,11 +5,13 @@
    grain including ones larger than the whole range. *)
 
 module Pool = Nocap_parallel.Pool
+module Fv = Nocap_vec.Fv
 module Gf = Zk_field.Gf
 module Keccak = Zk_hash.Keccak
 module Transcript = Zk_hash.Transcript
 module Merkle = Zk_merkle.Merkle
 module Ntt = Zk_ntt.Ntt.Gf_ntt
+module Ntt_fv = Zk_ntt.Ntt.Gf_fv
 module Reed_solomon = Zk_ecc.Reed_solomon
 module Expander = Zk_ecc.Expander
 module Sumcheck = Zk_sumcheck.Sumcheck
@@ -232,18 +234,24 @@ let qcheck_merkle =
       with_each_domain_count (fun _ -> Merkle.root (Merkle.build (Merkle.of_digests leaves)))
       |> List.for_all (String.equal serial))
 
-let qcheck_ntt_rows =
-  qcheck "row-wise NTT identical across domain counts"
-    QCheck.(make (gf_array_gen 9))
-    (fun flat ->
-      let rows n = Array.init n (fun r -> Array.sub flat (r * 32) 32) in
-      let plan = Ntt.plan 32 in
-      let serial = rows 16 in
-      Array.iter (Ntt.forward plan) serial;
+(* Column leaves of one flat matrix, hashed by pool workers in groups of
+   the Keccak kernel width ([Keccak.hash_cols_into], the Orion commit's
+   leaf pass), against one serial sponge per column. Widths past several
+   pool chunks, with every group tail. *)
+let qcheck_merkle_leaves =
+  qcheck "merkle leaves identical across domain counts"
+    QCheck.(make Gen.(triple (int_range 1 40) (int_range 1 700) int))
+    (fun (rows, cols, seed) ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let flat = Array.init (rows * cols) (fun _ -> Gf.random rng) in
+      let serial =
+        Array.init cols (fun j ->
+            Merkle.leaf_of_column (Array.init rows (fun r -> flat.((r * cols) + j))))
+      in
+      let m = Fv.of_array flat in
       with_each_domain_count (fun _ ->
-          let m = rows 16 in
-          Ntt.forward_rows plan m;
-          m)
+          let leaves = Merkle.leaves_of_matrix ~rows ~cols m in
+          Array.init cols (Keccak.digest_at leaves))
       |> List.for_all (( = ) serial))
 
 let qcheck_four_step =
@@ -251,18 +259,34 @@ let qcheck_four_step =
     QCheck.(make (gf_array_gen 8))
     (fun a ->
       let flat = Ntt.forward_copy (Ntt.plan 256) a in
-      with_each_domain_count (fun _ -> Ntt.four_step_forward ~rows:16 ~cols:16 a)
+      with_each_domain_count (fun _ ->
+          Fv.to_array (Ntt_fv.four_step_forward ~rows:16 ~cols:16 (Fv.of_array a)))
       |> List.for_all (( = ) flat))
 
+(* Rows encoded by pool workers, as Orion's commit runs them (grain 1, so
+   every row may land on another domain and its arena), against the boxed
+   oracle. *)
 let qcheck_codes =
   qcheck "codewords identical across domain counts"
     QCheck.(make (gf_array_gen 8))
     (fun flat ->
-      let rows = Array.init 4 (fun r -> Array.sub flat (r * 64) 64) in
+      let rows = 4 and cols = 64 in
       List.for_all
         (fun ((module Code : Zk_ecc.Linear_code.S)) ->
-          let serial = Array.map Code.encode rows in
-          with_each_domain_count (fun _ -> Code.encode_batch rows)
+          let code_len = Code.blowup * cols in
+          let serial =
+            Array.concat
+              (List.init rows (fun r ->
+                   Ecc_oracle.encode (module Code) (Array.sub flat (r * cols) cols)))
+          in
+          let src = Fv.of_array flat in
+          with_each_domain_count (fun _ ->
+              let dst = Fv.create (rows * code_len) in
+              Pool.parallel_for ~grain:1 ~n:rows (fun r ->
+                  Code.encode_row_into
+                    ~src:(Fv.sub_view src ~pos:(r * cols) ~len:cols)
+                    ~dst:(Fv.sub_view dst ~pos:(r * code_len) ~len:code_len));
+              Fv.to_array dst)
           |> List.for_all (( = ) serial))
         [ (module Reed_solomon); (module Expander) ])
 
@@ -348,7 +372,7 @@ let suite =
     qcheck_stealing_torture;
     qcheck_grain_equivalence;
     qcheck_merkle;
-    qcheck_ntt_rows;
+    qcheck_merkle_leaves;
     qcheck_four_step;
     qcheck_codes;
     qcheck_sumcheck;

@@ -10,13 +10,19 @@ module Rng = Zk_util.Rng
 
 let gf = Alcotest.testable Gf.pp Gf.equal
 
+(* The whole product [m * x] through the prover's row-window SpMV. *)
+let spmv (m : Sparse.t) x =
+  let dst = Nocap_vec.Fv.create m.Sparse.nrows in
+  Sparse.spmv_into m ~x:(Nocap_vec.Fv.of_array x) ~r_lo:0 dst;
+  Nocap_vec.Fv.to_array dst
+
 let test_sparse_spmv () =
   (* [[1 2 0] [0 0 3] [0 0 0]] * [1 1 1] = [3 3 0] *)
   let m =
     Sparse.of_entries ~nrows:3 ~ncols:3
       [ (0, 0, Gf.one); (0, 1, Gf.two); (1, 2, Gf.of_int 3) ]
   in
-  let y = Sparse.spmv m [| Gf.one; Gf.one; Gf.one |] in
+  let y = spmv m [| Gf.one; Gf.one; Gf.one |] in
   Alcotest.check gf "y0" (Gf.of_int 3) y.(0);
   Alcotest.check gf "y1" (Gf.of_int 3) y.(1);
   Alcotest.check gf "y2" Gf.zero y.(2);
@@ -28,7 +34,7 @@ let test_sparse_duplicates_and_zeros () =
       [ (0, 0, Gf.one); (0, 0, Gf.two); (1, 1, Gf.zero) ]
   in
   Alcotest.(check int) "duplicates merged, zeros dropped" 1 (Sparse.nnz m);
-  let y = Sparse.spmv m [| Gf.one; Gf.one |] in
+  let y = spmv m [| Gf.one; Gf.one |] in
   Alcotest.check gf "merged value" (Gf.of_int 3) y.(0)
 
 let test_sparse_transpose () =
@@ -43,7 +49,8 @@ let test_sparse_transpose () =
   let y = Array.init n (fun _ -> Gf.random rng) in
   (* <y, Mx> = <M^T y, x> *)
   let dot a b = Array.fold_left Gf.add Gf.zero (Array.map2 Gf.mul a b) in
-  Alcotest.check gf "adjoint identity" (dot y (Sparse.spmv m x)) (dot (Sparse_oracle.spmv_transpose m y) x)
+  Alcotest.check gf "adjoint identity" (dot y (spmv m x)) (dot (Sparse_oracle.spmv_transpose m y) x);
+  Alcotest.(check (array gf)) "spmv_into = oracle" (Sparse_oracle.spmv m x) (spmv m x)
 
 (* R1cs.make's column-major copies hold exactly A, B and C's entries:
    same dimensions, ascending rows within each column, and the same
@@ -139,6 +146,35 @@ let test_tampered_assignment_unsatisfied () =
   Alcotest.(check bool) "honest" true (R1cs.satisfied inst asn);
   asn.R1cs.w.(0) <- Gf.of_int 4;
   Alcotest.(check bool) "tampered" false (R1cs.satisfied inst asn)
+
+(* A malformed assignment is rejected before any product, and the error
+   names the entry point it reached: each half one short, each half one
+   long, and io.(0) <> 1. *)
+let test_assignment_shape_errors () =
+  let b = Builder.create () in
+  let x = Builder.witness b (Gf.of_int 3) in
+  Builder.constrain b (Builder.lc_var x) (Builder.lc_var x) (Builder.lc_const (Gf.of_int 9));
+  let inst, asn = Builder.finalize b in
+  let resize a len = Array.init len (fun i -> if i < Array.length a then a.(i) else Gf.zero) in
+  let half = R1cs.size inst / 2 in
+  let halves = "assignment halves must be 2^(log_size-1)" in
+  let bad =
+    [
+      ({ asn with R1cs.w = resize asn.R1cs.w (half - 1) }, halves);
+      ({ asn with R1cs.w = resize asn.R1cs.w (half + 1) }, halves);
+      ({ asn with R1cs.io = resize asn.R1cs.io (half - 1) }, halves);
+      ({ asn with R1cs.io = resize asn.R1cs.io (half + 1) }, halves);
+      ({ asn with R1cs.io = Array.mapi (fun i v -> if i = 0 then Gf.two else v) asn.R1cs.io },
+        "io.(0) must be 1");
+    ]
+  in
+  List.iter
+    (fun (asn, reason) ->
+      Alcotest.check_raises "z_fv" (Invalid_argument ("R1cs.z_fv: " ^ reason)) (fun () ->
+          ignore (R1cs.z_fv inst asn));
+      Alcotest.check_raises "satisfied" (Invalid_argument ("R1cs.satisfied: " ^ reason))
+        (fun () -> ignore (R1cs.satisfied inst asn)))
+    bad
 
 (* --- gadgets --- *)
 
@@ -270,6 +306,7 @@ let suite =
     Alcotest.test_case "builder simple" `Quick test_builder_simple;
     Alcotest.test_case "builder rejects bad constraint" `Quick test_builder_rejects_bad_constraint;
     Alcotest.test_case "tampered assignment" `Quick test_tampered_assignment_unsatisfied;
+    Alcotest.test_case "assignment shape errors" `Quick test_assignment_shape_errors;
     Alcotest.test_case "gadget arithmetic" `Quick test_gadget_arith;
     Alcotest.test_case "gadget bits" `Quick test_gadget_bits;
     Alcotest.test_case "gadget bits overflow" `Quick test_gadget_bits_overflow_rejected;

@@ -41,7 +41,7 @@ let test_tampered_openings_rejected () =
   opens.(0) <- (Gf.add v Gf.one, path);
   match Stark.verify ~n ~a0 ~a1 ~claimed_last:last proof with
   | Ok () -> Alcotest.fail "accepted a tampered trace opening"
-  | Error _ -> ()
+  | Error e -> Alcotest.(check string) "reason" "query 0: bad trace opening 0: root mismatch" e
 
 let test_proof_scales_logarithmically () =
   let size n =

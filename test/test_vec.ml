@@ -172,33 +172,38 @@ let test_ntt_equiv () =
       Ntt.Gf_fv.forward plan_fv v;
       gf_array_eq (Printf.sprintf "forward n=%d" n) expected (Fv.to_array v);
       Ntt.Gf_fv.inverse plan_fv v;
-      gf_array_eq (Printf.sprintf "inverse n=%d" n) input (Fv.to_array v);
-      let fwd = Ntt.Gf_fv.forward_copy plan_fv (Fv.of_array input) in
-      gf_array_eq (Printf.sprintf "forward_copy n=%d" n) expected (Fv.to_array fwd))
+      gf_array_eq (Printf.sprintf "inverse n=%d" n) input (Fv.to_array v))
     [ 0; 1; 2; 5; 8; 10 ]
 
+(* Rows of one flat buffer transformed in place through row views (the
+   view a row encoder hands the NTT), odd row count, against the boxed
+   transform of each row; the inverse brings every row back. *)
 let test_ntt_rows_flat () =
   let rng = Rng.create 8L in
   let rows = 5 and n = 64 in
   let flat_arr = Array.init (rows * n) (fun _ -> Gf.random rng) in
-  let plan = Ntt.Gf_ntt.plan n in
-  let expected =
-    Array.init rows (fun r ->
-        Ntt.Gf_ntt.forward_copy plan (Array.sub flat_arr (r * n) n))
-  in
+  let plan = Ntt.Gf_ntt.plan n and plan_fv = Ntt.Gf_fv.plan n in
   let flat = Fv.of_array flat_arr in
-  Ntt.Gf_fv.forward_rows_flat (Ntt.Gf_fv.plan n) ~rows flat;
-  Array.iteri
-    (fun r row ->
-      gf_array_eq (Printf.sprintf "row %d" r) row (Fv.to_array (Fv.sub_view flat ~pos:(r * n) ~len:n)))
-    expected
+  let row r = Fv.sub_view flat ~pos:(r * n) ~len:n in
+  for r = 0 to rows - 1 do
+    Ntt.Gf_fv.forward plan_fv (row r)
+  done;
+  for r = 0 to rows - 1 do
+    gf_array_eq (Printf.sprintf "row %d" r)
+      (Ntt.Gf_ntt.forward_copy plan (Array.sub flat_arr (r * n) n))
+      (Fv.to_array (row r))
+  done;
+  for r = 0 to rows - 1 do
+    Ntt.Gf_fv.inverse plan_fv (row r)
+  done;
+  gf_array_eq "inverse rows" flat_arr (Fv.to_array flat)
 
 let test_four_step () =
   let rng = Rng.create 9L in
   List.iter
     (fun (rows, cols) ->
       let a = Array.init (rows * cols) (fun _ -> Gf.random rng) in
-      let expected = Ntt.Gf_ntt.four_step_forward ~rows ~cols a in
+      let expected = Ntt_oracle.four_step_forward ~rows ~cols a in
       let got = Ntt.Gf_fv.four_step_forward ~rows ~cols (Fv.of_array a) in
       gf_array_eq (Printf.sprintf "four-step %dx%d" rows cols) expected (Fv.to_array got);
       (* and both equal the direct flat transform *)
@@ -249,44 +254,12 @@ let test_leaves_of_matrix () =
   let gathered =
     Array.init cols (fun j -> Array.init rows (fun r -> flat.((r * cols) + j)))
   in
-  let expected = Merkle.leaves_of_columns gathered in
+  let expected = Array.map Merkle.leaf_of_column gathered in
   let got = Merkle.leaves_of_matrix ~rows ~cols (Fv.of_array flat) in
   Alcotest.(check (array string)) "leaves" expected (Array.init cols (Keccak.digest_at got));
   Alcotest.(check string) "same root"
     (Keccak.to_hex (Merkle.root (Merkle.build (Merkle.of_digests expected))))
     (Keccak.to_hex (Merkle.root (Merkle.build got)))
-
-(* --- flat encoders vs boxed oracles -------------------------------------- *)
-
-let encode_rows_oracle (module Code : Zk_ecc.Linear_code.S) rows cols seed =
-  let rng = Rng.create seed in
-  let msgs = Array.init rows (fun _ -> Array.init cols (fun _ -> Gf.random rng)) in
-  let flat = Fv.create (rows * cols) in
-  Array.iteri (fun r row -> Fv.write_array row ~src_pos:0 flat ~dst_pos:(r * cols) ~len:cols) msgs;
-  let expected = Code.encode_batch msgs in
-  let got = Code.encode_rows_fv ~rows ~cols flat in
-  Alcotest.(check int)
-    (Printf.sprintf "%s flat length" Code.name)
-    (rows * Code.blowup * cols)
-    (Fv.length got);
-  Array.iteri
-    (fun r row ->
-      gf_array_eq
-        (Printf.sprintf "%s row %d (%dx%d)" Code.name r rows cols)
-        row
-        (Fv.to_array (Fv.sub_view got ~pos:(r * Code.blowup * cols) ~len:(Code.blowup * cols))))
-    expected
-
-let test_rs_rows_fv () =
-  List.iter
-    (fun (rows, cols) -> encode_rows_oracle (module Rs) rows cols 13L)
-    [ (0, 8); (1, 1); (3, 16); (8, 64) ]
-
-let test_expander_rows_fv () =
-  (* cols > base_size exercises the recursive graph path. *)
-  List.iter
-    (fun (rows, cols) -> encode_rows_oracle (module Expander) rows cols 14L)
-    [ (1, 16); (2, 32); (3, 64); (2, 256) ]
 
 (* --- sumcheck: unboxed prover vs boxed oracle ---------------------------- *)
 
@@ -334,12 +307,15 @@ let test_orion_flat_commit () =
   in
   let rows = 16 in
   let cols = n / rows in
-  (* Boxed oracle: same pipeline assembled from public boxed entry points. *)
+  (* Boxed oracle: same pipeline assembled from the reference encoder and
+     the string-digest tree. *)
   let matrix = Array.init rows (fun r -> Array.sub table (r * cols) cols) in
-  let encoded = Rs.encode_batch matrix in
+  let encoded = Array.map Ecc_oracle.rs_encode matrix in
   let code_len = Rs.blowup * cols in
   let gathered = Array.init code_len (fun j -> Array.map (fun row -> row.(j)) encoded) in
-  let expected_root = Merkle.root (Merkle.build (Merkle.of_digests (Merkle.leaves_of_columns gathered))) in
+  let expected_root =
+    Merkle_oracle.root (Merkle_oracle.build (Array.map Merkle.leaf_of_column gathered))
+  in
   let committed, cm = Orion.commit params (Rng.create 1L) table in
   Alcotest.(check string) "root matches boxed pipeline"
     (Keccak.to_hex expected_root)
@@ -476,8 +452,6 @@ let suite =
     Alcotest.test_case "concat-free hash2" `Quick test_hash2_concat_free;
     Alcotest.test_case "lane-aligned hash_gf" `Quick test_hash_gf_packed_oracle;
     Alcotest.test_case "leaves_of_matrix" `Quick test_leaves_of_matrix;
-    Alcotest.test_case "RS encode_rows_fv" `Quick test_rs_rows_fv;
-    Alcotest.test_case "expander encode_rows_fv" `Quick test_expander_rows_fv;
     Alcotest.test_case "sumcheck prove = prove_arrays" `Quick test_sumcheck_prove_equiv;
     Alcotest.test_case "orion flat commit vs boxed pipeline" `Quick test_orion_flat_commit;
     Alcotest.test_case "orion commit domain invariance" `Quick test_orion_commit_domain_invariance;
