@@ -164,7 +164,7 @@ let kernels ~smoke rng =
         (fun () ->
           let g =
             Sumcheck.round_poly ~degree:3 ~comb:Sumcheck.spartan_comb ~comb_mults:2 ~lo:sc_lo
-              ~hi:sc_hi ()
+              ~hi:sc_hi
           in
           Sumcheck.fold ~dst:sc_dst ~lo:sc_lo ~hi:sc_hi lerp_c;
           String.concat "," (Array.to_list (Array.map Gf.to_string g))

@@ -330,20 +330,21 @@ let hash_cols_ocaml (flat : Fv.t) ~cols ~rows (dst : Fv.t) lo hi =
 
 (* The pool claims groups of nodes/columns of the kernel's lane count, so
    with SIMD every claimed range but the level's last runs whole x8 or x4
-   permutations. One x8 call costs ~0.55µs for eight sponges (the
-   merkle-build and merkle-build-fri rows of BENCH_native.json: 67-90 ns
-   per node on the 2-core Xeon bench host). Without AVX-512F a range goes
-   in quads priced at one x4 call, 0.95µs for four sponges, also under the
-   scalar C body: the AVX2-tier leg ([simd_x4]) of the merkle-build row
-   reads 147-220 ns per node, 0.6-0.9µs a quad, so a chunk lands a little
-   under the pool's ~50µs target. Without the native layer a quad is four
-   OCaml permutations. *)
+   permutations. A group is priced by the lane count that actually runs.
+   One x8 call costs ~0.55µs for eight sponges (the merkle-build and
+   merkle-build-fri rows of BENCH_native.json: 67-90 ns per node on the
+   2-core Xeon bench host). One x4 call costs ~0.95µs for four sponges
+   (the AVX2-tier leg of the merkle-build row reads 147-220 ns per node,
+   0.6-0.9µs a quad), so a chunk lands a little under the pool's ~50µs
+   target. With one lane (the scalar C body, or the OCaml permutation) a
+   quad is four single permutations. *)
 let group_width () = if Native.keccak_lanes () = 8 then 8 else 4
 
 let group_ns () =
-  if not (Native.on ()) then 4 * block_ns ()
-  else if group_width () = 8 then 550
-  else 950
+  match Native.keccak_lanes () with
+  | 8 -> 550
+  | 4 -> 950
+  | _ -> 4 * block_ns ()
 
 let group_grain ~perms = Pool.grain_of_ns (perms * group_ns ())
 

@@ -165,9 +165,7 @@ end)
    every butterfly runs on unboxed int64 with zero heap traffic (in release
    builds, where cross-module [@inline] is effective — see README). *)
 
-module Pool = Nocap_parallel.Pool
 module Fv = Nocap_vec.Fv
-module Arena = Nocap_vec.Arena
 module Gf = Zk_field.Gf
 module Native = Nocap_native.Native
 
@@ -175,8 +173,7 @@ module Native = Nocap_native.Native
    under a double-checked mutex (plans are demanded from worker domains).
    One [tables] per size feeds both the OCaml butterflies and the native C
    kernels — the C side reads the very same Fv buffers, so the two paths
-   cannot drift — and the four-step scale bases live here too instead of
-   being regrown via [Gf.pow] chains on every call. *)
+   cannot drift. *)
 module Gf_twiddles = struct
   type tables = {
     pow : Fv.t; (* w^0 .. w^(n/2-1) for the primitive n-th root w *)
@@ -222,41 +219,6 @@ module Gf_twiddles = struct
           t
       in
       Mutex.unlock lock;
-      t
-
-  (* Four-step scale bases w^r, cached per (rows, cols) shape. *)
-  let scale_cache : (int * int, Fv.t) Hashtbl.t = Hashtbl.create 8
-
-  let scale_lock = Mutex.create ()
-
-  let make_scale_rows ~rows ~cols =
-    let w = Gf.root_of_unity (log2_exact (rows * cols)) in
-    let w_rows = Fv.create rows in
-    Fv.set w_rows 0 Gf.one;
-    for r = 1 to rows - 1 do
-      Fv.set w_rows r (Gf.mul (Fv.get w_rows (r - 1)) w)
-    done;
-    w_rows
-
-  let scale_rows ~rows ~cols =
-    let key = (rows, cols) in
-    Mutex.lock scale_lock;
-    match Hashtbl.find_opt scale_cache key with
-    | Some t ->
-      Mutex.unlock scale_lock;
-      t
-    | None ->
-      Mutex.unlock scale_lock;
-      let t = make_scale_rows ~rows ~cols in
-      Mutex.lock scale_lock;
-      let t =
-        match Hashtbl.find_opt scale_cache key with
-        | Some u -> u
-        | None ->
-          Hashtbl.add scale_cache key t;
-          t
-      in
-      Mutex.unlock scale_lock;
       t
 end
 
@@ -345,65 +307,4 @@ module Gf_fv = struct
         Fv.unsafe_set a i (Gf.mul (Fv.unsafe_get a i) n_inv)
       done
     end
-
-  (* Unboxed butterflies run ~3x cheaper than the boxed oracle's; the C
-     kernels cut another ~3x, so chunk cost is mode-dependent (coarser
-     grains under native — re-measured in BENCH_native.json). *)
-  let bf_ns () = if Native.on () then 3 else 8
-
-  let ntt_grain m = Pool.grain_of_ns (max 1 (m / 2 * log2_exact m * bf_ns ()))
-
-  (* Four-step decomposition over a flat buffer, with column/row scratch
-     drawn from the per-domain arena. A boxed reference in the test oracles
-     mirrors it pass for pass (same operation order, so the two are
-     bit-identical). *)
-  let four_step_forward ~rows ~cols (a : Fv.t) : Fv.t =
-    let n = rows * cols in
-    if Fv.length a <> n then invalid_arg "Ntt.Gf_fv.four_step_forward: size";
-    ignore (log2_exact n);
-    ignore (log2_exact rows);
-    ignore (log2_exact cols);
-    let col_plan = plan rows and row_plan = plan cols in
-    let out = Fv.copy a in
-    (* Step 1: column NTTs (stride [cols]); each chunk gathers into arena
-       scratch owned by the executing domain. *)
-    Pool.run ~grain:(ntt_grain rows) ~n:cols (fun c_lo c_hi ->
-        Arena.with_frame (fun () ->
-            let col = Arena.alloc rows in
-            for c = c_lo to c_hi - 1 do
-              for r = 0 to rows - 1 do
-                Fv.unsafe_set col r (Fv.unsafe_get out ((r * cols) + c))
-              done;
-              forward col_plan col;
-              for r = 0 to rows - 1 do
-                Fv.unsafe_set out ((r * cols) + c) (Fv.unsafe_get col r)
-              done
-            done));
-    (* Step 2: twiddle scale by w^(r*c), per-row bases from the shared
-       cache (the running power f stays a serial chain within each row, so
-       chunked rows start mid-sequence without recomputation). *)
-    let w_rows = Gf_twiddles.scale_rows ~rows ~cols in
-    Pool.run ~grain:(Pool.grain_of_ns (max 1 (cols * 6))) ~n:rows (fun r_lo r_hi ->
-        for r = r_lo to r_hi - 1 do
-          let w_r = Fv.unsafe_get w_rows r in
-          let f = ref Gf.one in
-          for c = 0 to cols - 1 do
-            Fv.unsafe_set out ((r * cols) + c) (Gf.mul (Fv.unsafe_get out ((r * cols) + c)) !f);
-            f := Gf.mul !f w_r
-          done
-        done);
-    (* Step 3: row NTTs, in place (rows are contiguous). *)
-    Pool.run ~grain:(ntt_grain cols) ~n:rows (fun r_lo r_hi ->
-        for r = r_lo to r_hi - 1 do
-          forward row_plan (Fv.sub_view out ~pos:(r * cols) ~len:cols)
-        done);
-    (* Step 4: transpose into the flat transform's output order. *)
-    let res = Fv.create n in
-    Pool.run ~grain:(Pool.grain_of_ns (max 1 (cols * 4))) ~n:rows (fun r_lo r_hi ->
-        for r = r_lo to r_hi - 1 do
-          for c = 0 to cols - 1 do
-            Fv.unsafe_set res ((c * rows) + r) (Fv.unsafe_get out ((r * cols) + c))
-          done
-        done);
-    res
 end

@@ -65,10 +65,6 @@ module Gf_twiddles : sig
 
   val get : int -> tables
   (** [get log_n]; cached, safe to demand from any domain. *)
-
-  val scale_rows : rows:int -> cols:int -> Nocap_vec.Fv.t
-  (** Four-step scale bases w^0..w^(rows-1) for the primitive
-      (rows*cols)-th root, cached per shape. *)
 end
 
 (** Unboxed Goldilocks NTT over flat {!Nocap_vec.Fv} buffers: the same
@@ -99,11 +95,4 @@ module Gf_fv : sig
 
   val inverse : plan -> Nocap_vec.Fv.t -> unit
 
-  val four_step_forward : rows:int -> cols:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
-  (** Bailey's four-step NTT of a flat [rows * cols] buffer viewed as a
-      row-major matrix: column transforms, twiddle scaling, row transforms,
-      transpose. This is the decomposition NoCap's 64-lane NTT FU uses for
-      transforms larger than 2^12 (Sec. V-A); the result equals {!forward}
-      of the flat vector. Column/row scratch comes from the per-domain
-      {!Nocap_vec.Arena}. *)
 end

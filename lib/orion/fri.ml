@@ -54,12 +54,12 @@ let fold_block_ocaml ~coef ~w_inv ~lo ~hi ~dst =
    the output is the same for every split. One element costs ~6 ns in the
    AVX2 kernel (~27 ns scalar C) and ~74 ns in the OCaml loop (2^16
    elements, one domain). *)
-let fold_block ?pool ~x_inv ~w_inv ~lo ~hi ~dst beta =
+let fold_block ~x_inv ~w_inv ~lo ~hi ~dst beta =
   let n = Fv.length dst in
   if Fv.length lo <> n || Fv.length hi <> n then invalid_arg "Fri.fold_block: lengths";
   let coef0 = Gf.mul beta (Gf.mul inv2 x_inv) in
   let native = Native.on () in
-  Pool.run ?pool ~grain:(Pool.grain_of_ns (if native then 6 else 74)) ~n (fun a b ->
+  Pool.run ~grain:(Pool.grain_of_ns (if native then 6 else 74)) ~n (fun a b ->
       let coef = Gf.mul coef0 (Gf.pow w_inv (Int64.of_int a)) in
       let view v = Fv.sub_view v ~pos:a ~len:(b - a) in
       if native then Native.fri_fold (view dst) (view lo) (view hi) coef w_inv

@@ -84,7 +84,6 @@ val fold_at : x_inv:Gf.t -> Gf.t -> Gf.t -> Gf.t -> Gf.t
     check, same arithmetic as the prover's. *)
 
 val fold_block :
-  ?pool:Nocap_parallel.Pool.t ->
   x_inv:Gf.t ->
   w_inv:Gf.t ->
   lo:Nocap_vec.Fv.t ->

@@ -251,7 +251,7 @@ let product v out = Fv.mul_into ~dst:out v.(0) v.(1)
    its running product of [w^-1] at [Gf.pow w_inv j]; same field element
    for every split. *)
 let open_at ?engine params committed transcript point =
-  let pool = Option.bind engine Zk_pcs.Engine.pool in
+  ignore (engine : Zk_pcs.Engine.t option);
   let cm = committed.c_commitment in
   let l = cm.num_vars in
   if Array.length point <> l then invalid_arg "Fri_pcs.open_at: point dimension";
@@ -327,8 +327,8 @@ let open_at ?engine params committed transcript point =
       let elv = Spill.view !e ~pos:!b ~len:bl ~buf:elo in
       let ehv = Spill.view !e ~pos:(!b + half) ~len:bl ~buf:ehi in
       let part =
-        Sumcheck.round_poly ?pool ~degree:2 ~comb:product ~comb_mults:1 ~lo:[| alv; elv |]
-          ~hi:[| ahv; ehv |] ()
+        Sumcheck.round_poly ~degree:2 ~comb:product ~comb_mults:1 ~lo:[| alv; elv |]
+          ~hi:[| ahv; ehv |]
       in
       Array.iteri (fun t v -> g.(t) <- Gf.add g.(t) v) part;
       b := !b + bl
@@ -350,7 +350,7 @@ let open_at ?engine params committed transcript point =
       let ehv = Spill.view !e ~pos:(!b + half) ~len:bl ~buf:ehi in
       let aout = Spill.writable a' ~pos:!b ~len:bl ~buf:alo in
       let eout = Spill.writable e' ~pos:!b ~len:bl ~buf:elo in
-      Sumcheck.fold ?pool ~dst:[| aout; eout |] ~lo:[| alv; elv |] ~hi:[| ahv; ehv |] r;
+      Sumcheck.fold ~dst:[| aout; eout |] ~lo:[| alv; elv |] ~hi:[| ahv; ehv |] r;
       Spill.store a' ~pos:!b aout;
       Spill.store e' ~pos:!b eout;
       b := !b + bl
@@ -373,7 +373,7 @@ let open_at ?engine params committed transcript point =
       let lo = Spill.view cw ~pos:!j ~len:bl ~buf:alo in
       let hi = Spill.view cw ~pos:(!j + cw_half) ~len:bl ~buf:ahi in
       let dst = Spill.writable next ~pos:!j ~len:bl ~buf:alo in
-      Fri.fold_block ?pool ~x_inv:(Gf.pow w_inv (Int64.of_int !j)) ~w_inv ~lo ~hi ~dst r;
+      Fri.fold_block ~x_inv:(Gf.pow w_inv (Int64.of_int !j)) ~w_inv ~lo ~hi ~dst r;
       Spill.store next ~pos:!j dst;
       j := !j + bl
     done;
@@ -397,7 +397,7 @@ let open_at ?engine params committed transcript point =
   let depths = Array.map Merkle.depth trees in
   let per_query = sum depths in
   let pairs = Fv.create (2 * nq * layers) and paths = Fv.create (4 * nq * per_query) in
-  Pool.run ?pool ~grain:(Pool.grain_of_ns (max 1 (layers * 2_000))) ~n:nq (fun lo hi ->
+  Pool.run ~grain:(Pool.grain_of_ns (max 1 (layers * 2_000))) ~n:nq (fun lo hi ->
       for q = lo to hi - 1 do
         let lane = ref (4 * q * per_query) in
         Array.iteri

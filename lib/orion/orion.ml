@@ -118,12 +118,11 @@ let pipeline_block = 2 * Keccak.rate_lanes
    multiples of [pipeline_block]), and the Merkle builder hashes the same
    leaf set for every block size — so the root and every subsequent proof
    byte are the same for every budget. *)
-let commit_stream ?engine ?budget_bytes params rng ~num_vars ~read =
+let commit_stream ?budget_bytes params rng ~num_vars ~read =
   (match validate_params params with
   | Ok () -> ()
   | Error e -> invalid_arg ("Orion.commit: " ^ param_error_to_string e));
   if num_vars < 0 || num_vars > 62 then invalid_arg "Orion.commit_stream: num_vars";
-  let pool = Option.bind engine Zk_pcs.Engine.pool in
   let module Code = (val params.code : Zk_ecc.Linear_code.S) in
   let n = 1 lsl num_vars in
   let rows = min params.rows n in
@@ -178,7 +177,7 @@ let commit_stream ?engine ?budget_bytes params rng ~num_vars ~read =
     let r_lo = k * row_block in
     let bh = min row_block (enc_rows - r_lo) in
     let src = Spill.view all_rows ~pos:(r_lo * cols) ~len:(bh * cols) ~buf:src_buf in
-    Pool.run ?pool ~grain:(Pool.grain_of_ns row_ns) ~n:bh (fun lo hi ->
+    Pool.run ~grain:(Pool.grain_of_ns row_ns) ~n:bh (fun lo hi ->
         for r = lo to hi - 1 do
           Code.encode_row_into
             ~src:(Fv.sub_view src ~pos:(r * cols) ~len:cols)
@@ -187,7 +186,7 @@ let commit_stream ?engine ?budget_bytes params rng ~num_vars ~read =
     let col_ns =
       max 1 (((bh + Keccak.rate_lanes - 1) / Keccak.rate_lanes) * Keccak.block_ns ())
     in
-    Pool.run ?pool ~grain:(Pool.grain_of_ns col_ns) ~n:code_len (fun c_lo c_hi ->
+    Pool.run ~grain:(Pool.grain_of_ns col_ns) ~n:code_len (fun c_lo c_hi ->
         (* Block-local row indices: r_lo is a multiple of the sponge rate,
            so [r mod rate_lanes] — the only thing absorb derives from the
            row index — matches the absolute row's. *)
@@ -195,7 +194,7 @@ let commit_stream ?engine ?budget_bytes params rng ~num_vars ~read =
           ~c_lo ~c_hi)
   done;
   let leaves = Fv.create (4 * code_len) in
-  Pool.run ?pool
+  Pool.run
     ~grain:(Pool.grain_of_ns (max 1 (Keccak.block_ns ())))
     ~n:code_len
     (fun c_lo c_hi ->
@@ -211,7 +210,7 @@ let commit_stream ?engine ?budget_bytes params rng ~num_vars ~read =
 (* The PCS entry point: the engine's stream budget, if any, sizes the row
    blocks and sends the rows to a spill file. *)
 let commit ?engine params rng table =
-  commit_stream ?engine
+  commit_stream
     ?budget_bytes:(Option.bind engine Zk_pcs.Engine.stream_budget_bytes)
     params rng
     ~num_vars:(log2_exact (Array.length table))
@@ -243,7 +242,7 @@ let row_staging committed =
    row over each column chunk. Column chunks are independent, and within a
    column the accumulation order over rows is the serial one, so the
    combination is byte-identical for every domain count and block size. *)
-let row_combination ?pool committed coeffs =
+let row_combination committed coeffs =
   let cols = committed.c_commitment.mat_cols in
   let nrows = Array.length coeffs in
   let out = Fv.create cols in
@@ -256,7 +255,7 @@ let row_combination ?pool committed coeffs =
     let bh = min committed.row_block (nrows - r0) in
     let mat = Spill.view committed.all_rows ~pos:(r0 * cols) ~len:(bh * cols) ~buf in
     (* One output column costs [bh] axpy steps, a few ns each. *)
-    Pool.run ?pool ~grain:(Pool.grain_of_ns (max 1 (bh * 4))) ~n:cols (fun lo hi ->
+    Pool.run ~grain:(Pool.grain_of_ns (max 1 (bh * 4))) ~n:cols (fun lo hi ->
         let dst = Fv.sub_view out ~pos:lo ~len:(hi - lo) in
         for i = 0 to bh - 1 do
           Fv.axpy_into ~dst coeffs.(r0 + i)
@@ -272,7 +271,7 @@ let row_combination ?pool committed coeffs =
    (opening q at [q * enc_rows]). The encoder is deterministic, so the
    gathered values are the committed codeword's. Paths are copied as lanes
    from the tree's flat levels. *)
-let gather_columns ?pool committed indices =
+let gather_columns committed indices =
   let module Code = (val committed.c_params.code : Zk_ecc.Linear_code.S) in
   let cols = committed.c_commitment.mat_cols in
   let code_len = Code.blowup * cols in
@@ -290,7 +289,7 @@ let gather_columns ?pool committed indices =
     let src =
       Spill.view committed.all_rows ~pos:(!r_lo * cols) ~len:(bh * cols) ~buf:src_buf
     in
-    Pool.run ?pool ~grain:(Pool.grain_of_ns row_ns) ~n:bh (fun lo hi ->
+    Pool.run ~grain:(Pool.grain_of_ns row_ns) ~n:bh (fun lo hi ->
         for r = lo to hi - 1 do
           Code.encode_row_into
             ~src:(Fv.sub_view src ~pos:(r * cols) ~len:cols)
@@ -319,7 +318,7 @@ let dot (a : Fv.t) (b : Fv.t) =
   !acc
 
 let prove_eval ?engine params committed transcript point =
-  let pool = Option.bind engine Zk_pcs.Engine.pool in
+  ignore (engine : Zk_pcs.Engine.t option);
   let cm = committed.c_commitment in
   let module Code = (val params.code : Zk_ecc.Linear_code.S) in
   let cols = cm.mat_cols in
@@ -330,7 +329,7 @@ let prove_eval ?engine params committed transcript point =
   let proximity =
     Array.init params.proximity_count (fun i ->
         let rho = Transcript.challenge_gf_vec transcript "orion/rho" cm.mat_rows in
-        let v = row_combination ?pool committed rho in
+        let v = row_combination committed rho in
         if params.zk then
           Fv.add_into ~dst:v v (Fv.sub_view committed.masks ~pos:(i * cols) ~len:cols);
         Transcript.absorb_fv transcript "orion/proximity" v;
@@ -338,14 +337,14 @@ let prove_eval ?engine params committed transcript point =
   in
   (* Consistency: the eq(q_row) combination, whose inner product with
      eq(q_col) is the evaluation. *)
-  let u = row_combination ?pool committed (Mle.eq_table q_row) in
+  let u = row_combination committed (Mle.eq_table q_row) in
   Transcript.absorb_fv transcript "orion/u" u;
   (* Column queries over the codeword domain. *)
   let bound = code_length params cm in
   let indices =
     Transcript.challenge_indices transcript "orion/columns" ~bound ~count:Code.query_count
   in
-  let col_values, paths, depth = gather_columns ?pool committed indices in
+  let col_values, paths, depth = gather_columns committed indices in
   let nq = Array.length indices in
   ( dot u (Mle.eq_fv q_col),
     {

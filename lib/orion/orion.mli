@@ -92,7 +92,6 @@ val commit :
     @raise Invalid_argument if {!validate_params} rejects [params]. *)
 
 val commit_stream :
-  ?engine:Zk_pcs.Engine.t ->
   ?budget_bytes:int ->
   params ->
   Zk_util.Rng.t ->
@@ -125,9 +124,9 @@ val prove_eval :
     (length [num_vars]), returning the value and the proof. The commitment
     must have been absorbed by the caller via {!absorb_commitment}. Row
     combinations read the stored rows block by block; column openings
-    re-encode every row block and gather the queried positions. The
-    engine supplies the worker pool (proof bytes are identical for every
-    pool). Checks the ambient cancel token once per row block.
+    re-encode every row block and gather the queried positions. [engine]
+    is accepted for the {!Zk_pcs.Pcs.S} signature and unused. Checks the
+    ambient cancel token once per row block.
     @raise Nocap_parallel.Pool.Cancel.Cancelled if it is cancelled. *)
 
 val max_num_vars : int

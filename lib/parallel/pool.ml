@@ -111,8 +111,6 @@ type t = {
   shutdown : bool Atomic.t;
 }
 
-let size p = p.pool_size
-
 (* --- spin policy -------------------------------------------------------- *)
 
 (* cpu_relax iterations per microsecond of spin budget — deliberately
@@ -316,13 +314,8 @@ let worker pool me () =
 
 let clamp_domains d = max 1 (min 128 d)
 
-let create ?domains () =
-  let requested =
-    match domains with
-    | Some d -> d
-    | None -> Domain.recommended_domain_count ()
-  in
-  let pool_size = clamp_domains requested in
+let create domains =
+  let pool_size = clamp_domains domains in
   let pool =
     {
       pool_size;
@@ -349,11 +342,11 @@ let teardown pool =
 
 (* --- default pool ------------------------------------------------------ *)
 
+(* Size forced by [with_domains]; wins over the baseline. *)
 let forced_default : int option ref = ref None
 
 (* Lower-priority default installed by the engine layer (which owns all
-   environment parsing); [forced_default] — set_default_domains and
-   with_domains — still wins. *)
+   environment parsing). *)
 let baseline_default : int option ref = ref None
 
 let default_domains () =
@@ -364,7 +357,16 @@ let default_domains () =
     | Some d -> d
     | None -> clamp_domains (Domain.recommended_domain_count ()))
 
+(* The one process-wide pool, created on first use at [default_domains ()]
+   and dropped (joined) whenever that size changes. *)
 let default_pool : t option ref = ref None
+
+let drop_default () =
+  match !default_pool with
+  | Some p ->
+    default_pool := None;
+    teardown p
+  | None -> ()
 
 let at_exit_installed = ref false
 
@@ -372,54 +374,32 @@ let default () =
   match !default_pool with
   | Some p -> p
   | None ->
-    let p = create ~domains:(default_domains ()) () in
+    let p = create (default_domains ()) in
     default_pool := Some p;
     if not !at_exit_installed then begin
       at_exit_installed := true;
-      at_exit (fun () ->
-          match !default_pool with
-          | Some p ->
-            default_pool := None;
-            teardown p
-          | None -> ())
+      at_exit drop_default
     end;
     p
-
-let set_default_domains d =
-  (match !default_pool with
-  | Some p ->
-    default_pool := None;
-    teardown p
-  | None -> ());
-  forced_default := Some (clamp_domains d)
 
 let set_baseline_domains d =
   (* Only tear the pool down when the baseline is actually in charge; while
      a forced size is active (e.g. inside with_domains) the live pool stays
      untouched and the baseline takes effect after the force is released. *)
-  (match (!default_pool, !forced_default) with
-  | Some p, None ->
-    default_pool := None;
-    teardown p
-  | _ -> ());
+  if !forced_default = None then drop_default ();
   baseline_default := Some (clamp_domains d)
 
 let with_domains d f =
   let saved = !forced_default in
-  set_default_domains d;
+  drop_default ();
+  forced_default := Some (clamp_domains d);
   Fun.protect
     ~finally:(fun () ->
-      (match !default_pool with
-      | Some p ->
-        default_pool := None;
-        teardown p
-      | None -> ());
+      drop_default ();
       forced_default := saved)
     f
 
 (* --- submission --------------------------------------------------------- *)
-
-let resolve_pool = function Some p -> p | None -> default ()
 
 (* The serial fallback honours the ambient cancel token with the same
    chunk-boundary promptness as the pool path: with a token installed the
@@ -488,12 +468,12 @@ let submit p grain ~n body =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let run ?pool ?grain ~n body =
+let run ?grain ~n body =
   if n > 0 then begin
     let cutoff = match grain with Some g -> 2 * max 1 g | None -> default_serial_cutoff in
     if n < cutoff || !(Domain.DLS.get in_worker) then serial_run body n
     else begin
-      let p = resolve_pool pool in
+      let p = default () in
       if p.pool_size = 1 || Atomic.get p.shutdown then serial_run body n
       else begin
         let grain =
@@ -517,38 +497,25 @@ let run ?pool ?grain ~n body =
     end
   end
 
-let parallel_for ?pool ?grain ~n f =
-  run ?pool ?grain ~n (fun lo hi ->
+let parallel_for ?grain ~n f =
+  run ?grain ~n (fun lo hi ->
       for i = lo to hi - 1 do
         f i
       done)
 
-let parallel_init ?pool ?grain n f =
+let parallel_init ?grain n f =
   if n <= 0 then [||]
   else begin
     let first = f 0 in
     let out = Array.make n first in
-    run ?pool ?grain ~n:(n - 1) (fun lo hi ->
+    run ?grain ~n:(n - 1) (fun lo hi ->
         for i = lo to hi - 1 do
           out.(i + 1) <- f (i + 1)
         done);
     out
   end
 
-let parallel_map ?pool ?grain f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let first = f a.(0) in
-    let out = Array.make n first in
-    run ?pool ?grain ~n:(n - 1) (fun lo hi ->
-        for i = lo to hi - 1 do
-          out.(i + 1) <- f a.(i + 1)
-        done);
-    out
-  end
-
-let fold_chunks ?pool ?chunk ?grain ~n ~init ~body ~combine () =
+let fold_chunks ?chunk ?grain ~n ~init ~body ~combine () =
   if n <= 0 then init
   else begin
     (* Chunk geometry is a function of n (and the explicit chunk) only, so
@@ -573,7 +540,7 @@ let fold_chunks ?pool ?chunk ?grain ~n ~init ~body ~combine () =
     | Some g when n < 2 * max 1 g -> Arena.with_frame (fun () -> run_chunks 0 nchunks)
     | _ ->
       let grain_chunks = Option.map (fun g -> max 1 (g / chunk)) grain in
-      run ?pool ?grain:grain_chunks ~n:nchunks run_chunks);
+      run ?grain:grain_chunks ~n:nchunks run_chunks);
     Array.fold_left
       (fun acc part -> match part with Some v -> combine acc v | None -> acc)
       init parts

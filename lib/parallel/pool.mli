@@ -1,12 +1,14 @@
 (** Work-stealing Domain pool for the prover hot paths.
 
-    Persistent worker domains (sized from {!set_baseline_domains} — the
-    engine layer installs [NOCAP_DOMAINS] there — or
-    {!Domain.recommended_domain_count}) execute chunked index ranges on
-    behalf of a submitting domain, which also participates. The pool is the
-    software analogue of NoCap's vector lanes: every converted kernel
-    (Merkle hashing, row-wise encoding, sumcheck rounds, Pippenger windows)
-    is an embarrassingly parallel loop over disjoint output slots.
+    There is one pool per process: persistent worker domains, sized by
+    {!default_domains}, execute chunked index ranges on behalf of a
+    submitting domain, which also participates. Every entry point below
+    submits to it; the pool is created on first use, resized only through
+    {!with_domains} and {!set_baseline_domains}, and joined at exit. It is
+    the software analogue of NoCap's one fixed set of vector lanes: every
+    converted kernel (Merkle hashing, row-wise encoding, sumcheck rounds,
+    Pippenger windows) is an embarrassingly parallel loop over disjoint
+    output slots.
 
     {b Scheduling.} Submission statically slices [\[0, n)] into one packed
     lock-free range per participant; owners claim [grain] indices at a time
@@ -35,10 +37,6 @@
     scheduling. The serial fallback (pool of size 1, [n] below the
     crossover, or a nested call from inside a worker) runs the same chunk
     decomposition in order. *)
-
-type t
-(** A pool handle. The submitting domain counts towards the size, so a pool
-    of size [k] spawns [k - 1] worker domains. *)
 
 (** Cooperative cancellation tokens, checked at kernel chunk boundaries.
 
@@ -81,44 +79,24 @@ module Cancel : sig
       otherwise. Streaming kernels call this at block boundaries. *)
 end
 
-val create : ?domains:int -> unit -> t
-(** [create ~domains ()] spawns a pool of the given total size (default:
-    {!default_domains}[ ()]), clamped to [\[1, 128\]]. A pool of size 1
-    spawns no domains and runs everything serially. *)
-
-val size : t -> int
-
-val teardown : t -> unit
-(** Join all worker domains. The pool must not be used afterwards; calling
-    [teardown] twice is harmless. *)
-
 val default_domains : unit -> int
-(** Size used for the shared default pool: the forced size if one is active
-    ({!set_default_domains} / {!with_domains}), else the baseline from
-    {!set_baseline_domains}, else [Domain.recommended_domain_count ()].
-    This module reads no environment variables itself; the engine layer
+(** Size of the process pool: the size forced by {!with_domains} if one is
+    active, else the baseline from {!set_baseline_domains}, else
+    [Domain.recommended_domain_count ()], clamped to [\[1, 128\]]. This
+    module reads no environment variables itself; the engine layer
     ([Zk_pcs.Engine.Config]) parses [NOCAP_DOMAINS] and installs it as the
     baseline. *)
 
-val default : unit -> t
-(** The shared default pool, created on first use and torn down via
-    [at_exit]. All converted library hot paths submit here unless handed an
-    explicit pool. *)
-
-val set_default_domains : int -> unit
-(** Tear down the current default pool (if any) and recreate it with the
-    given size on next use. Intended for benchmarks and tests that sweep
-    domain counts inside one process. *)
-
 val set_baseline_domains : int -> unit
 (** Install a low-priority default size, used only when no forced size is
-    active. Tears down an unforced live default pool so the new size takes
+    active. Tears down an unforced live pool so the new size takes
     effect on next use; a forced pool (inside {!with_domains}) is left
     running and picks the baseline up once the force is released. *)
 
 val with_domains : int -> (unit -> 'a) -> 'a
-(** [with_domains k f] runs [f] with the default pool resized to [k],
-    restoring the previous size afterwards (even on exceptions). *)
+(** [with_domains k f] runs [f] with the pool resized to [k] (clamped to
+    [\[1, 128\]]), restoring the previous size afterwards (even on
+    exceptions). Benchmarks and tests sweep domain counts with it. *)
 
 val set_spin_us : int -> unit
 (** Spin budget (microseconds of {!Domain.cpu_relax}) an idle worker burns
@@ -137,29 +115,25 @@ val grain_of_ns : int -> int
     [max 1 (50_000 / max 1 cost)]. Kernels pass measured-once cost
     constants; see DESIGN.md Sec. 12 for the calibration table. *)
 
-val run : ?pool:t -> ?grain:int -> n:int -> (int -> int -> unit) -> unit
+val run : ?grain:int -> n:int -> (int -> int -> unit) -> unit
 (** [run ~grain ~n body] executes [body lo hi] over half-open chunks
     covering [\[0, n)]. Chunks are claimed and stolen dynamically, so
     [body] must only write state disjoint per index (or commute exactly).
-    [grain] is the per-claim chunk length (default [max 1 (n / (16 * size))]
-    with a serial cutoff of 64); [n < 2 * grain] short-circuits to
-    [body 0 n] in the calling domain. Every chunk runs inside an
-    {!Nocap_vec.Arena.with_frame}. The first exception raised by any
+    [grain] is the per-claim chunk length (default
+    [max 1 (n / (16 * default_domains ()))] with a serial cutoff of 64);
+    [n < 2 * grain] short-circuits to [body 0 n] in the calling domain.
+    Every chunk runs inside an {!Nocap_vec.Arena.with_frame}. The first exception raised by any
     participant is re-raised in the submitting domain after all chunks
     complete. Nested calls from inside a worker run serially. *)
 
-val parallel_for : ?pool:t -> ?grain:int -> n:int -> (int -> unit) -> unit
+val parallel_for : ?grain:int -> n:int -> (int -> unit) -> unit
 (** Per-index variant of {!run}. *)
 
-val parallel_init : ?pool:t -> ?grain:int -> int -> (int -> 'a) -> 'a array
+val parallel_init : ?grain:int -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init]. [f 0] runs first in the submitting domain (to
     seed the result array), the rest in parallel. *)
 
-val parallel_map : ?pool:t -> ?grain:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map], same evaluation structure as {!parallel_init}. *)
-
 val fold_chunks :
-  ?pool:t ->
   ?chunk:int ->
   ?grain:int ->
   n:int ->

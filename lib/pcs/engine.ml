@@ -1,6 +1,4 @@
 module Pool = Nocap_parallel.Pool
-module Rng = Zk_util.Rng
-
 module Native = Nocap_native.Native
 
 module Config = struct
@@ -82,20 +80,14 @@ module Config = struct
     | Error msg -> invalid_arg ("Engine.Config.of_env: " ^ msg)
 end
 
-type t = {
-  pool : Pool.t option;
-  rng : Rng.t option;
-  trace : (string -> float -> unit) option;
-  config : Config.t;
-  stream_budget_bytes : int option;
-}
+type t = { config : Config.t; stream_budget_bytes : int option }
 
-let create ?pool ?rng ?trace ?(config = Config.default) ?stream_budget_bytes () =
+let create ?(config = Config.default) ?stream_budget_bytes () =
   (match stream_budget_bytes with
   | Some b when b <= 0 ->
     invalid_arg "Engine.create: stream_budget_bytes must be positive"
   | _ -> ());
-  { pool; rng; trace; config; stream_budget_bytes }
+  { config; stream_budget_bytes }
 
 let default_engine : t option ref = ref None
 
@@ -105,8 +97,8 @@ let default () =
   | None ->
     let config = Config.of_env () in
     (* The pool itself stays lazy: recording a baseline (instead of building
-       a pool eagerly) keeps Pool.with_domains and explicit pools able to
-       override, and avoids spawning domains in processes that never prove. *)
+       a pool eagerly) keeps Pool.with_domains able to override, and avoids
+       spawning domains in processes that never prove. *)
     Option.iter Pool.set_baseline_domains config.Config.domains;
     Option.iter Pool.set_spin_us config.Config.spin_us;
     Option.iter Native.set_mode config.Config.native;
@@ -118,10 +110,6 @@ let reset_default () = default_engine := None
 
 let resolve = function Some e -> e | None -> default ()
 
-let pool e = e.pool
-
-let config e = e.config
-
 (* Byte granularity so tests can force spills on tiny circuits; the env
    knob is MB granularity for operators. Explicit argument wins. *)
 let stream_budget_bytes e =
@@ -129,13 +117,6 @@ let stream_budget_bytes e =
   | Some b -> Some b
   | None ->
     Option.map (fun mb -> mb * 1024 * 1024) e.config.Config.stream_budget_mb
-
-let rng ~seed ?rng e =
-  match rng with
-  | Some r -> r
-  | None -> ( match e.rng with Some r -> r | None -> Rng.create seed)
-
-let emit e key value = match e.trace with Some f -> f key value | None -> ()
 
 let tune_gc e =
   let mb = Option.value e.config.Config.gc_minor_mb ~default:16 in

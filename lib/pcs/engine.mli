@@ -1,19 +1,20 @@
 (** Explicit engine context for the prover stack.
 
-    An [Engine.t] bundles every runtime policy a prove/verify entry point
-    used to pick up ambiently — domain pool, RNG, stat/trace sink, GC
-    tuning — into one value that is created once (usually by the
-    driver) and threaded down through Spartan, the PCS backends, sumcheck,
-    and zkdb. Call sites that pass nothing get {!default}, which behaves
-    exactly like the pre-engine code, so the context is opt-in.
+    An [Engine.t] carries the two runtime policies a prove/verify entry
+    point takes from its caller: the prover memory budget
+    ({!stream_budget_bytes}) and the GC tuning ({!tune_gc}), both read from
+    a {!Config.t}. It is created once (usually by the driver) and threaded
+    down through Spartan, the PCS backends and zkdb. Call sites that pass
+    nothing get {!default}, built from the environment, so the context is
+    opt-in.
 
-    {b Ownership rules.} The engine does not own its pool: [pool = None]
-    means "use {!Nocap_parallel.Pool.default} at the moment of use", which
-    keeps engines valid across [Pool.with_domains] sweeps. An explicit pool
-    is owned by whoever created it and must outlive the engine's use. The
-    pool choice never affects proof bytes (the parallel layer's determinism
-    contract), and the RNG only feeds zk masking, so two engines differing
-    only in [pool]/[trace] produce identical proofs. *)
+    What an engine does not carry, and why: every kernel runs on the one
+    process-wide {!Nocap_parallel.Pool}, whose size only
+    [Pool.with_domains] and the [NOCAP_DOMAINS] baseline set (and which
+    never changes proof bytes); zk masking randomness comes from the
+    entry point's own [?rng] or a fixed per-entry-point seed; and the
+    prover's operation counts come back in its result
+    ([Spartan.prover_stats]). *)
 
 module Config : sig
   type t = {
@@ -55,21 +56,13 @@ end
 
 type t
 
-val create :
-  ?pool:Nocap_parallel.Pool.t ->
-  ?rng:Zk_util.Rng.t ->
-  ?trace:(string -> float -> unit) ->
-  ?config:Config.t ->
-  ?stream_budget_bytes:int ->
-  unit ->
-  t
-(** All fields optional: [create ()] is a fully default engine (lazy
-    default pool, per-call RNG seeds, no trace sink). It reads no
-    environment: [NOCAP_DOMAINS], [NOCAP_GC_MINOR_MB] and the other
-    {!Config} knobs reach an engine only through {!default} (or an
-    explicit [config]). [perfbench/prover_bench.ml] builds its engine with
-    [create], so those two knobs have no effect on the end-to-end
-    benchmark.
+val create : ?config:Config.t -> ?stream_budget_bytes:int -> unit -> t
+(** All fields optional: [create ()] is a fully default engine (no budget,
+    16 MiB minor heap under {!tune_gc}). It reads no environment:
+    [NOCAP_DOMAINS], [NOCAP_GC_MINOR_MB] and the other {!Config} knobs
+    reach an engine only through {!default} (or an explicit [config]).
+    [perfbench/prover_bench.ml] builds its engine with [create], so those
+    two knobs have no effect on the end-to-end benchmark.
     [stream_budget_bytes] is the byte-granular form of the
     [NOCAP_STREAM_BUDGET_MB] knob (it wins over the config when both are
     set) so tests can force spills on tiny circuits. It sizes the one
@@ -78,10 +71,11 @@ val create :
 
 val default : unit -> t
 (** The shared default engine, built on first use from {!Config.of_env}.
-    Its [domains] knob is applied as the default pool's baseline size (see
-    {!Nocap_parallel.Pool.set_baseline_domains}) — explicit pools and
-    [Pool.with_domains]/[set_default_domains] still take precedence — and
-    its [native] knob via {!Nocap_native.Native.set_mode}. *)
+    Its [domains] knob is applied as the pool's baseline size (see
+    {!Nocap_parallel.Pool.set_baseline_domains}; [Pool.with_domains] still
+    takes precedence), its [spin_us] knob via
+    {!Nocap_parallel.Pool.set_spin_us} and its [native] knob via
+    {!Nocap_native.Native.set_mode}. *)
 
 val reset_default : unit -> unit
 (** Drop the cached default engine so the next {!default} re-reads the
@@ -91,12 +85,6 @@ val resolve : t option -> t
 (** [resolve (Some e)] is [e]; [resolve None] is [default ()] — the one-line
     prologue of every [?engine] entry point. *)
 
-val pool : t -> Nocap_parallel.Pool.t option
-(** The engine's pool, or [None] for "default pool at use time". Designed
-    to forward directly: [Pool.run ?pool:(Engine.pool e) ...]. *)
-
-val config : t -> Config.t
-
 val stream_budget_bytes : t -> int option
 (** The effective prover memory budget: the explicit [create] argument if
     any, else [config.stream_budget_mb] scaled to bytes, else [None].
@@ -104,14 +92,6 @@ val stream_budget_bytes : t -> int option
     vectors: [None] runs it as one RAM-backed block per phase; [Some b]
     makes the blocks [b]-sized and backs the large vectors with spill
     files. Proof bytes are the same either way. *)
-
-val rng : seed:int64 -> ?rng:Zk_util.Rng.t -> t -> Zk_util.Rng.t
-(** RNG precedence for an entry point: explicit argument, else the
-    engine's, else a fresh [Rng.create seed] (the historical per-call
-    default, so default-engine proofs are bit-stable). *)
-
-val emit : t -> string -> float -> unit
-(** Send one named measurement to the trace sink, if any. *)
 
 val tune_gc : t -> unit
 (** Apply the engine's GC policy to the process: minor heap sized from

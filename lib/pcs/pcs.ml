@@ -11,8 +11,11 @@
 
     Contract highlights, beyond the types:
     - [commit]/[open_at]/[verify] take an optional {!Engine.t}; a backend
-      must produce identical bytes for every engine (pools only schedule,
-      the RNG only feeds hiding masks drawn in a fixed order).
+      must produce identical bytes for every engine. [commit] reads its
+      stream budget, which only sizes blocks; [open_at] and [verify]
+      ignore it, and keep the argument so wrappers (a timing functor, say)
+      forward one signature. Hiding masks come from [commit]'s [rng],
+      drawn in a fixed order.
     - The transcript discipline is caller-driven: the caller absorbs the
       commitment ({!S.absorb_commitment}); [open_at] and [verify] then
       absorb/draw in mirrored order, so one transcript can interleave

@@ -32,8 +32,7 @@ let nocap_prover_seconds ~n_constraints ~density =
   let wl = Workload.spartan_orion ~density ~n_constraints () in
   (Simulator.run Config.default wl).Simulator.total_seconds
 
-let run ?engine platform ~n_constraints ?(density = 1.0) () =
-  let engine = Zk_pcs.Engine.resolve engine in
+let run platform ~n_constraints ?(density = 1.0) () =
   let groth16 prover =
     {
       prover;
@@ -48,20 +47,12 @@ let run ?engine platform ~n_constraints ?(density = 1.0) () =
       verifier = Proofsize.spartan_orion_verifier_seconds ~n_constraints;
     }
   in
-  let b =
-    match platform with
-    | Groth16_cpu -> groth16 (Cpu_model.groth16_seconds ~n_constraints)
-    | Groth16_gpu -> groth16 (Gzkp.table1_seconds *. n_constraints /. 16.0e6)
-    | Groth16_pipezk -> groth16 (Pipezk.seconds ~n_constraints)
-    | Spartan_cpu ->
-      spartan (Cpu_model.spartan_orion_seconds ~density ~n_constraints ())
-    | Spartan_nocap -> spartan (nocap_prover_seconds ~n_constraints ~density)
-  in
-  let key = platform_name platform in
-  Zk_pcs.Engine.emit engine (key ^ "/prover_s") b.prover;
-  Zk_pcs.Engine.emit engine (key ^ "/send_s") b.send;
-  Zk_pcs.Engine.emit engine (key ^ "/verifier_s") b.verifier;
-  b
+  match platform with
+  | Groth16_cpu -> groth16 (Cpu_model.groth16_seconds ~n_constraints)
+  | Groth16_gpu -> groth16 (Gzkp.table1_seconds *. n_constraints /. 16.0e6)
+  | Groth16_pipezk -> groth16 (Pipezk.seconds ~n_constraints)
+  | Spartan_cpu -> spartan (Cpu_model.spartan_orion_seconds ~density ~n_constraints ())
+  | Spartan_nocap -> spartan (nocap_prover_seconds ~n_constraints ~density)
 
 let benchmark_breakdown platform (b : Zk_workloads.Benchmarks.t) =
   run platform ~n_constraints:b.Zk_workloads.Benchmarks.r1cs_size

@@ -25,7 +25,6 @@ val link_mb_per_s : float
 (** 10 MB/s (Sec. III). *)
 
 val run :
-  ?engine:Zk_pcs.Engine.t ->
   platform ->
   n_constraints:float ->
   ?density:float ->
@@ -33,8 +32,7 @@ val run :
   breakdown
 (** End-to-end breakdown for one platform on one statement size. The GPU
     platform is only calibrated at 16M constraints (Table I); other sizes
-    scale linearly per Sec. IX-B. Each component is reported to the engine's
-    trace sink (if any) under ["<platform>/{prover,send,verifier}_s"]. *)
+    scale linearly per Sec. IX-B. *)
 
 val benchmark_breakdown : platform -> Zk_workloads.Benchmarks.t -> breakdown
 

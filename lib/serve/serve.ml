@@ -486,12 +486,7 @@ let create ?engine ?fault_hook ?(config = default_config) () =
   Spill.install_signal_handlers ();
   let stream_engine =
     Option.map
-      (fun budget ->
-        Engine.create
-          ?pool:(Engine.pool engine)
-          ~config:(Engine.config engine)
-          ~stream_budget_bytes:(max 65536 (budget / 4))
-          ())
+      (fun budget -> Engine.create ~stream_budget_bytes:(max 65536 (budget / 4)) ())
       config.mem_budget_bytes
   in
   let t =

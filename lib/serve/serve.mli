@@ -13,7 +13,7 @@
 
     {b Determinism.} Job execution is a pure function of the request:
     circuit generation derives from (workload, scale), and the prover's
-    RNG is the engine-seeded default — so a retried attempt, a demoted
+    RNG is Spartan's fixed-seed default — so a retried attempt, a demoted
     attempt, and an offline {!Zk_spartan.Spartan.prove} of the same
     request all produce byte-identical proofs.
 
@@ -89,7 +89,9 @@ val create : ?engine:Zk_pcs.Engine.t -> ?fault_hook:fault_hook -> ?config:config
 (** Start the service: spawns [config.runners] runner domains plus a
     watchdog domain, and installs the {!Nocap_vec.Spill} signal-sweep
     handlers so spill hygiene holds from startup. The engine defaults to
-    {!Zk_pcs.Engine.default}. @raise Invalid_argument on a nonsensical
+    {!Zk_pcs.Engine.default}; demoted jobs run on a separate
+    [Engine.create ~stream_budget_bytes ()] sized from
+    [config.mem_budget_bytes]. @raise Invalid_argument on a nonsensical
     config. *)
 
 val workloads : unit -> string list

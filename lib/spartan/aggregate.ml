@@ -45,7 +45,7 @@ let comb2 v out = Fv.mul_into ~dst:out v.(0) v.(1)
 
 let prove ?engine ?rng params inst assignments =
   let engine = Zk_pcs.Engine.resolve engine in
-  let rng = Zk_pcs.Engine.rng ~seed:0xA66_CAFEL ?rng engine in
+  let rng = match rng with Some r -> r | None -> Zk_util.Rng.create 0xA66_CAFEL in
   let k = Array.length assignments in
   if k = 0 then invalid_arg "Aggregate.prove: empty batch";
   let l = inst.R1cs.log_size in
@@ -76,7 +76,7 @@ let prove ?engine ?rng params inst assignments =
         let tau = Transcript.challenge_gf_vec transcript "tau" l in
         let eq_tau = Spartan.fill_eq ~tag:"batch-eqtau" ~spill:false ~block:n tau in
         let r1 =
-          Sumcheck.prove ~engine ~comb_mults:(2 * k) transcript ~degree:3
+          Sumcheck.prove ~comb_mults:(2 * k) transcript ~degree:3
             ~tables:(Array.append [| eq_tau |] abc) ~comb:(comb1 rho) ~claim:Gf.zero
         in
         let rx = r1.Sumcheck.challenges in
@@ -111,7 +111,7 @@ let prove ?engine ?rng params inst assignments =
         Fv.zero z_comb;
         Array.iteri (fun i z -> Fv.axpy_into ~dst:z_comb sigma.(i) z) zs;
         let r2 =
-          Sumcheck.prove ~engine ~comb_mults:1 transcript ~degree:2
+          Sumcheck.prove ~comb_mults:1 transcript ~degree:2
             ~tables:[| m_table; Spill.of_fv z_comb |] ~comb:comb2 ~claim:claim2
         in
         let ry = r2.Sumcheck.challenges in

@@ -37,7 +37,8 @@ val prove :
   Zk_r1cs.R1cs.instance ->
   Zk_r1cs.R1cs.assignment array ->
   proof
-(** @raise Invalid_argument if the batch is empty or any assignment fails to
+(** [rng] seeds every instance's zk mask rows (default: a fixed seed).
+    @raise Invalid_argument if the batch is empty or any assignment fails to
     satisfy the instance. *)
 
 val verify :

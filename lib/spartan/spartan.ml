@@ -274,7 +274,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
      flat 8-byte/element wire vector z. *)
   let prove ?engine ?rng params inst asn =
     let engine = Engine.resolve engine in
-    let rng = Engine.rng ~seed:0x5EED_CAFEL ?rng engine in
+    let rng = match rng with Some r -> r | None -> Zk_util.Rng.create 0x5EED_CAFEL in
     let budget = Engine.stream_budget_bytes engine in
     let spill = Option.is_some budget in
     let l = inst.R1cs.log_size in
@@ -308,7 +308,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           let eq_tau = fill_eq ~tag:"spartan-eqtau" ~spill ~block tau in
           let r1 =
             Fun.protect ~finally:(fun () -> Spill.free eq_tau) @@ fun () ->
-            Sumcheck.prove ~engine ~comb_mults:2 ?budget_bytes:budget transcript
+            Sumcheck.prove ~comb_mults:2 ?budget_bytes:budget transcript
               ~degree:3
               ~tables:[| eq_tau; az; bz; cz |]
               ~comb:Sumcheck.spartan_comb ~claim:Gf.zero
@@ -331,7 +331,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           spmv_mults := !spmv_mults + R1cs.nnz inst;
           let r2 =
             Fun.protect ~finally:(fun () -> Spill.free m_table) @@ fun () ->
-            Sumcheck.prove ~engine ~comb_mults:1 ?budget_bytes:budget transcript ~degree:2
+            Sumcheck.prove ~comb_mults:1 ?budget_bytes:budget transcript ~degree:2
               ~tables:[| m_table; z_spill |]
               ~comb:comb2 ~claim:claim2
           in
@@ -344,19 +344,13 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           Transcript.absorb_gf transcript "vw" [| vw |];
           { sc1 = r1.Sumcheck.proof; va; vb; vc; sc2 = r2.Sumcheck.proof; vw; w_open })
     in
-    let stats : prover_stats =
+    ( { w_commitment; reps },
       {
         sumcheck_mults = !sc_mults;
         sumcheck_adds = !sc_adds;
         spmv_mults = !spmv_mults;
         transcript_hashes = Transcript.hash_count transcript;
-      }
-    in
-    Engine.emit engine "spartan/sumcheck_mults" (float_of_int stats.sumcheck_mults);
-    Engine.emit engine "spartan/spmv_mults" (float_of_int stats.spmv_mults);
-    Engine.emit engine "spartan/transcript_hashes"
-      (float_of_int stats.transcript_hashes);
-    ({ w_commitment; reps }, stats)
+      } )
 
   let verify ?engine params inst ~io proof =
     let engine = Engine.resolve engine in

@@ -70,9 +70,10 @@ module type S = sig
     Zk_r1cs.R1cs.assignment ->
     proof * prover_stats
   (** Produce a proof that the instance is satisfied by a witness whose public
-      io the verifier will see. [rng] seeds the zk mask rows (it defaults to
-      the engine's RNG, or a fixed seed); [engine] supplies the worker pool
-      and trace sink — proof bytes are identical for every engine.
+      io the verifier will see. [rng] seeds the zk mask rows (default: a
+      fixed seed, so default proofs are bit-stable); [engine] supplies the
+      prover memory budget — proof bytes are identical for every engine.
+      The returned stats are the proof's operation counts.
       @raise Invalid_argument if the assignment does not satisfy the
       instance, or if [params.pcs] is invalid. *)
 
@@ -175,7 +176,7 @@ val fill_m :
     ({!Zk_r1cs.Sparse.Csc.gather_acc}) with [eq(rx, x)] split by
     {!Zk_poly.Mle.eq_split}, as the verifier's {!abc_eval} splits it.
     O(nnz + n) for every [block]; each window is
-    split across the default pool.
+    split across the pool.
     @raise Invalid_argument unless [rx] has [log_size] entries and [r_abc]
     three. *)
 

@@ -62,9 +62,9 @@ let eval_block ~degree ~comb ~lo ~hi g =
    into 1024-point chunks evaluated in parallel, each producing a partial
    g; partials are added back in chunk order (and Gf addition is exact),
    so g is byte-identical for every domain count. *)
-let round_poly ?pool ~degree ~comb ~comb_mults ~lo ~hi () =
+let round_poly ~degree ~comb ~comb_mults ~lo ~hi =
   let k = Array.length lo in
-  Pool.fold_chunks ?pool ~chunk:1024
+  Pool.fold_chunks ~chunk:1024
     (* One index evaluates the combiner at degree+1 points on the vector
        kernels; the fixed chunk:1024 pins the combine order for every
        grain. *)
@@ -85,9 +85,9 @@ let round_poly ?pool ~degree ~comb ~comb_mults ~lo ~hi () =
 
 (* T(b) <- T(b) + r * (T(b + half) - T(b)) for every table, into [dst]
    (which may be [lo] itself: the kernel is elementwise). *)
-let fold ?pool ~dst ~lo ~hi r =
+let fold ~dst ~lo ~hi r =
   let k = Array.length lo in
-  Pool.run ?pool ~grain:(Pool.grain_of_ns (4 * k)) ~n:(Fv.length lo.(0)) (fun a b ->
+  Pool.run ~grain:(Pool.grain_of_ns (4 * k)) ~n:(Fv.length lo.(0)) (fun a b ->
       let view t = Fv.sub_view t ~pos:a ~len:(b - a) in
       for j = 0 to k - 1 do
         Fv.lerp_into ~dst:(view dst.(j)) (view lo.(j)) (view hi.(j)) r
@@ -99,8 +99,8 @@ let fold ?pool ~dst ~lo ~hi r =
    generation; unless [in_place], they are the caller's and round [round0]
    folds out of place into fresh half-length vectors, after which every
    fold is in place. *)
-let run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~in_place ~num_vars
-    ~round0 ~mults ~adds ~round_polys ~challenges () =
+let run_rounds ~comb_mults ~transcript ~degree ~comb ~tabs ~in_place ~num_vars
+    ~round0 ~mults ~adds ~round_polys ~challenges =
   let k = Array.length tabs in
   let tabs = ref tabs and in_place = ref in_place in
   for round = round0 to num_vars - 1 do
@@ -108,7 +108,7 @@ let run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~in_place ~num_
     let half = Fv.length !tabs.(0) / 2 in
     let lo = Array.map (fun t -> Fv.sub_view t ~pos:0 ~len:half) !tabs in
     let hi = Array.map (fun t -> Fv.sub_view t ~pos:half ~len:half) !tabs in
-    let g = round_poly ?pool ~degree ~comb ~comb_mults ~lo ~hi () in
+    let g = round_poly ~degree ~comb ~comb_mults ~lo ~hi in
     adds := !adds + (half * (degree + 1) * (k + 1));
     mults := !mults + (half * (degree + 1) * comb_mults);
     round_polys.(round) <- g;
@@ -116,7 +116,7 @@ let run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~in_place ~num_
     let r = Transcript.challenge_gf transcript "sumcheck/challenge" in
     challenges.(round) <- r;
     let dst = if !in_place then lo else Array.map (fun _ -> Fv.create half) lo in
-    fold ?pool ~dst ~lo ~hi r;
+    fold ~dst ~lo ~hi r;
     mults := !mults + (k * half);
     adds := !adds + (2 * k * half);
     tabs := dst;
@@ -155,8 +155,7 @@ module Spill = Nocap_vec.Spill
 
    [stats] reports the protocol's arithmetic, not the recomputation
    overhead, so it is the same for every budget. *)
-let prove ?engine ?(comb_mults = 0) ?budget_bytes transcript ~degree ~tables ~comb ~claim =
-  let pool = Option.bind engine Zk_pcs.Engine.pool in
+let prove ?(comb_mults = 0) ?budget_bytes transcript ~degree ~tables ~comb ~claim =
   let budget =
     match budget_bytes with
     | None -> max_int
@@ -222,8 +221,8 @@ let prove ?engine ?(comb_mults = 0) ?budget_bytes transcript ~degree ~tables ~co
       done;
       let view v = Fv.sub_view v ~pos:0 ~len in
       let part =
-        round_poly ?pool ~degree ~comb ~comb_mults ~lo:(Array.map view acc_lo)
-          ~hi:(Array.map view acc_hi) ()
+        round_poly ~degree ~comb ~comb_mults ~lo:(Array.map view acc_lo)
+          ~hi:(Array.map view acc_hi)
       in
       Array.iteri (fun t x -> g.(t) <- Gf.add g.(t) x) part;
       pos := !pos + len
@@ -265,8 +264,8 @@ let prove ?engine ?(comb_mults = 0) ?budget_bytes transcript ~degree ~tables ~co
       tables
   in
   let final_values =
-    run_rounds ?pool ~comb_mults ~transcript ~degree ~comb ~tabs ~in_place:(not in_ram)
-      ~num_vars ~round0 ~mults ~adds ~round_polys ~challenges ()
+    run_rounds ~comb_mults ~transcript ~degree ~comb ~tabs ~in_place:(not in_ram)
+      ~num_vars ~round0 ~mults ~adds ~round_polys ~challenges
   in
   {
     proof = { round_polys };

@@ -65,7 +65,6 @@ val spartan_comb : Nocap_vec.Fv.t array -> Nocap_vec.Fv.t -> unit
     ]} *)
 
 val prove :
-  ?engine:Zk_pcs.Engine.t ->
   ?comb_mults:int ->
   ?budget_bytes:int ->
   Zk_hash.Transcript.t ->
@@ -78,7 +77,6 @@ val prove :
     above; [comb_mults] is the number of field multiplications it performs
     per point (default 0), so [stats] can account for them. The claim is
     absorbed into the transcript, so prover and verifier bind to it.
-    [engine] supplies the worker pool for round evaluation and folds.
 
     With no [budget_bytes] every round runs on unboxed RAM vectors:
     RAM-backed tables are read where they are and the first fold writes
@@ -91,7 +89,7 @@ val prove :
     shrinking residual fits half the budget, it is materialized into RAM
     and the in-RAM loop finishes. Each streamed round costs one full
     pass over the original tables. The result — proof bytes, challenges,
-    final values, stats — is the same for every budget and every engine.
+    final values, stats — is the same for every budget and domain count.
     [tables] are read, never written; the caller frees them.
     @raise Invalid_argument if [tables] is empty, their lengths differ or
     are not a power of two, or [budget_bytes <= 0]. *)
@@ -102,21 +100,18 @@ val prove :
     and the FRI opening. *)
 
 val round_poly :
-  ?pool:Nocap_parallel.Pool.t ->
   degree:int ->
   comb:(Nocap_vec.Fv.t array -> Nocap_vec.Fv.t -> unit) ->
   comb_mults:int ->
   lo:Nocap_vec.Fv.t array ->
   hi:Nocap_vec.Fv.t array ->
-  unit ->
   Gf.t array
-(** [round_poly ~degree ~comb ~comb_mults ~lo ~hi ()] is the round
+(** [round_poly ~degree ~comb ~comb_mults ~lo ~hi] is the round
     polynomial [g(0..degree)] over the points whose top variable is 0 in
     [lo.(j)] and 1 in [hi.(j)] (all of one length), evaluated in 1024-point
     chunks ([comb_mults] only sizes the parallel grain). *)
 
 val fold :
-  ?pool:Nocap_parallel.Pool.t ->
   dst:Nocap_vec.Fv.t array ->
   lo:Nocap_vec.Fv.t array ->
   hi:Nocap_vec.Fv.t array ->

@@ -2,7 +2,7 @@
    the combiner, evaluated point by point with the same chunking and the
    same stats as [Zk_sumcheck.Sumcheck.prove]. Its proofs, challenges and
    final values must be byte-identical to the production prover's for
-   every budget, engine and domain count. *)
+   every budget and domain count. *)
 
 module Gf = Zk_field.Gf
 module Transcript = Zk_hash.Transcript
@@ -25,8 +25,7 @@ let log2_exact n =
   let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
   go 0 n
 
-let prove_arrays ?engine ?(comb_mults = 0) transcript ~degree ~tables ~comb ~claim =
-  let pool = Option.bind engine Zk_pcs.Engine.pool in
+let prove_arrays ?(comb_mults = 0) transcript ~degree ~tables ~comb ~claim =
   let k = Array.length tables in
   if k = 0 then invalid_arg "Sumcheck_oracle.prove_arrays: no tables";
   let n = Array.length tables.(0) in
@@ -74,7 +73,7 @@ let prove_arrays ?engine ?(comb_mults = 0) transcript ~degree ~tables ~comb ~cla
       g
     in
     let g =
-      Pool.fold_chunks ?pool ~chunk:1024
+      Pool.fold_chunks ~chunk:1024
         (* One index evaluates the combiner at degree+1 points; the fixed
            chunk:1024 pins the combine order for every grain. *)
         ~grain:(Pool.grain_of_ns (max 1 ((degree + 1) * (comb_mults + k) * 20)))
@@ -98,7 +97,7 @@ let prove_arrays ?engine ?(comb_mults = 0) transcript ~degree ~tables ~comb ~cla
        b < half are disjoint from the reads at b + half. *)
     for j = 0 to k - 1 do
       let t = tables.(j) in
-      Pool.run ?pool ~grain:(Pool.grain_of_ns 15) ~n:half (fun lo hi ->
+      Pool.run ~grain:(Pool.grain_of_ns 15) ~n:half (fun lo hi ->
           for b = lo to hi - 1 do
             t.(b) <- Gf.add t.(b) (Gf.mul r (Gf.sub t.(b + half) t.(b)))
           done)

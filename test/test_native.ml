@@ -56,6 +56,15 @@ let test_tiers_reached () =
     (if x4 = 4 then "x4 (AVX2)" else "x4 skipped: CPU has no AVX2")
     (if Native.have_avx512f () then "x8 (AVX-512F)" else "x8 skipped: CPU has no AVX-512F")
 
+(* A Merkle level's pool grain is priced by the lane count that runs: a
+   one-lane quad (the scalar C body) costs four permutations, more than one
+   x4 call, so a claim holds fewer nodes. *)
+let test_node_grain_by_tier () =
+  let grain (l : leg) = l.run Keccak.node_grain in
+  if Native.have_avx2 () then
+    Alcotest.(check bool) "scalar grain < avx2 grain" true (grain scalar < grain avx2)
+  else Alcotest.(check int) "no AVX2: one tier" (grain scalar) (grain avx2)
+
 let check_legs name (f : unit -> string) =
   let expected = off.run f in
   List.iter
@@ -714,6 +723,7 @@ let test_proof_bytes_invariant () =
 let suite =
   [
     Alcotest.test_case "SIMD tiers reached" `Quick test_tiers_reached;
+    Alcotest.test_case "Merkle node grain follows the lane count" `Quick test_node_grain_by_tier;
     Alcotest.test_case "gl_pow vs Gf.pow + Fermat" `Quick test_gl_pow;
     QCheck_alcotest.to_alcotest prop_elementwise;
     QCheck_alcotest.to_alcotest prop_lerp_raw;

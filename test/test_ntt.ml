@@ -82,7 +82,7 @@ let test_four_step () =
         (Printf.sprintf "four-step %dx%d" rows cols)
         expected
         (Nocap_vec.Fv.to_array
-           (Zk_ntt.Ntt.Gf_fv.four_step_forward ~rows ~cols (Nocap_vec.Fv.of_array a))))
+           (Ntt_oracle.four_step_forward_fv ~rows ~cols (Nocap_vec.Fv.of_array a))))
     [ (2, 2); (4, 4); (2, 8); (8, 2); (16, 16); (64, 64); (8, 512) ]
 
 let test_linearity () =

@@ -482,19 +482,20 @@ let test_shutdown_shared () =
   Alcotest.(check int) "no spill files survive the suite" 0 (Spill.live_files ())
 
 let suite =
-  [
-    Alcotest.test_case "cancel: every kernel honors the token" `Quick test_cancel_each_kernel;
-    prop_cancel_leaves_pool_reusable;
-    prop_deadline_expired;
-    prop_retry_byte_identical;
-    Alcotest.test_case "admission: queue overflow rejects" `Quick test_queue_full;
-    Alcotest.test_case "admission: malformed input rejects" `Quick test_invalid_input;
-    Alcotest.test_case "verify jobs classify rejection" `Quick test_verify_kind;
-    Alcotest.test_case "drain stops admission, finishes in-flight" `Quick
-      test_drain_rejects_new_work;
-    Alcotest.test_case "drain wakes on submit error-path release" `Quick
-      test_drain_wakes_on_submit_error;
-    Alcotest.test_case "pcs: free_committed is idempotent" `Quick test_free_committed_idempotent;
-    Alcotest.test_case "engine config aggregates all errors" `Quick test_config_aggregates_errors;
-    Alcotest.test_case "shutdown shared services cleanly" `Quick test_shutdown_shared;
-  ]
+  List.map Leak_check.wrap
+    [
+      Alcotest.test_case "cancel: every kernel honors the token" `Quick test_cancel_each_kernel;
+      prop_cancel_leaves_pool_reusable;
+      prop_deadline_expired;
+      prop_retry_byte_identical;
+      Alcotest.test_case "admission: queue overflow rejects" `Quick test_queue_full;
+      Alcotest.test_case "admission: malformed input rejects" `Quick test_invalid_input;
+      Alcotest.test_case "verify jobs classify rejection" `Quick test_verify_kind;
+      Alcotest.test_case "drain stops admission, finishes in-flight" `Quick
+        test_drain_rejects_new_work;
+      Alcotest.test_case "drain wakes on submit error-path release" `Quick
+        test_drain_wakes_on_submit_error;
+      Alcotest.test_case "pcs: free_committed is idempotent" `Quick test_free_committed_idempotent;
+      Alcotest.test_case "engine config aggregates all errors" `Quick test_config_aggregates_errors;
+      Alcotest.test_case "shutdown shared services cleanly" `Quick test_shutdown_shared;
+    ]

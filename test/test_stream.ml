@@ -670,24 +670,25 @@ let test_budget_knob () =
     (Engine.stream_budget_bytes e)
 
 let suite =
-  [
-    Alcotest.test_case "spill roundtrip + cleanup" `Quick test_spill_roundtrip;
-    Alcotest.test_case "spill RAM backing" `Quick test_spill_ram_backing;
-    Alcotest.test_case "spill view blocks" `Quick test_spill_view;
-    Alcotest.test_case "spill bounds checks" `Quick test_spill_bounds;
-    prop_eq_table_into;
-    Alcotest.test_case "ranged spmv = full" `Quick test_spmv_ranges;
-    Alcotest.test_case "z_fv = z" `Quick test_z_fv;
-    Alcotest.test_case "merkle builder = build" `Quick test_merkle_builder;
-    prop_merkle_builder_chunks;
-    Alcotest.test_case "sumcheck budgets = prove_arrays" `Quick test_sumcheck_streaming;
-    Alcotest.test_case "sumcheck over spilled tables" `Quick test_sumcheck_spilled_tables;
-    prop_vector_combiner_contract;
-    Alcotest.test_case "orion: budget = no budget" `Quick test_orion_budget_equal;
-    Alcotest.test_case "fri: budget = no budget" `Quick test_fri_budget_equal;
-    Alcotest.test_case "spartan budget sweep = goldens" `Quick test_spartan_budget_sweep;
-    Alcotest.test_case "no budget never touches disk" `Quick test_no_budget_never_spills;
-    Alcotest.test_case "spartan streamed proofs verify" `Quick
-      test_spartan_streaming_verifies;
-    Alcotest.test_case "budget knob parse + precedence" `Quick test_budget_knob;
-  ]
+  List.map Leak_check.wrap
+    [
+      Alcotest.test_case "spill roundtrip + cleanup" `Quick test_spill_roundtrip;
+      Alcotest.test_case "spill RAM backing" `Quick test_spill_ram_backing;
+      Alcotest.test_case "spill view blocks" `Quick test_spill_view;
+      Alcotest.test_case "spill bounds checks" `Quick test_spill_bounds;
+      prop_eq_table_into;
+      Alcotest.test_case "ranged spmv = full" `Quick test_spmv_ranges;
+      Alcotest.test_case "z_fv = z" `Quick test_z_fv;
+      Alcotest.test_case "merkle builder = build" `Quick test_merkle_builder;
+      prop_merkle_builder_chunks;
+      Alcotest.test_case "sumcheck budgets = prove_arrays" `Quick test_sumcheck_streaming;
+      Alcotest.test_case "sumcheck over spilled tables" `Quick test_sumcheck_spilled_tables;
+      prop_vector_combiner_contract;
+      Alcotest.test_case "orion: budget = no budget" `Quick test_orion_budget_equal;
+      Alcotest.test_case "fri: budget = no budget" `Quick test_fri_budget_equal;
+      Alcotest.test_case "spartan budget sweep = goldens" `Quick test_spartan_budget_sweep;
+      Alcotest.test_case "no budget never touches disk" `Quick test_no_budget_never_spills;
+      Alcotest.test_case "spartan streamed proofs verify" `Quick
+        test_spartan_streaming_verifies;
+      Alcotest.test_case "budget knob parse + precedence" `Quick test_budget_knob;
+    ]
