@@ -232,7 +232,7 @@ let kernels ~smoke rng =
           let r =
             Sumcheck.prove ~comb_mults:2 t ~degree:3
               ~tables:(Sumcheck_oracle.spills sc_tables)
-              ~comb:Sumcheck.spartan_comb ~claim:sc_claim
+              ~comb:Sumcheck.spartan_comb
           in
           Gf.to_string r.Sumcheck.challenges.(Array.length r.Sumcheck.challenges - 1));
     };

@@ -222,37 +222,22 @@ let run_sumcheck ~smoke =
           done;
           s
         in
-        let claim = ref Gf.zero in
         let r, ph =
           measure (fun () ->
               let tables = [| make_table 1; make_table 2 |] in
-              (* claim = sum of products, computed blockwise *)
-              let block = min (1 lsl 14) n in
-              let buf0 = Fv.create block and buf1 = Fv.create block in
-              let prod = Fv.create block in
-              let pos = ref 0 in
-              while !pos < n do
-                let len = min block (n - !pos) in
-                let p = Fv.sub_view prod ~pos:0 ~len in
-                Fv.mul_into ~dst:p
-                  (Spill.view tables.(0) ~pos:!pos ~len ~buf:buf0)
-                  (Spill.view tables.(1) ~pos:!pos ~len ~buf:buf1);
-                claim := Gf.add !claim (Fv.sum p);
-                pos := !pos + len
-              done;
               let t = Transcript.create "bench-stream" in
               let r =
-                Sumcheck.prove ~comb_mults:1 ~budget_bytes:budget t ~degree:2
-                  ~tables ~comb:comb2 ~claim:!claim
+                Sumcheck.prove ~comb_mults:1 ~budget_bytes:budget t ~degree:2 ~tables
+                  ~comb:comb2
               in
               Array.iter Spill.free tables;
               r)
         in
-        (log_n, r, ph, !claim))
+        (log_n, r, ph))
       sizes
   in
   List.map
-    (fun (log_n, streamed_r, s_ph, claim) ->
+    (fun (log_n, streamed_r, s_ph) ->
       let n = 1 lsl log_n in
       let no_budget_r, m_ph =
         measure (fun () ->
@@ -264,7 +249,7 @@ let run_sumcheck ~smoke =
             in
             let t = Transcript.create "bench-stream" in
             Sumcheck.prove ~comb_mults:1 t ~degree:2 ~tables:(Sumcheck_oracle.spills tables)
-              ~comb:comb2 ~claim)
+              ~comb:comb2)
       in
       {
         s_log_n = log_n;

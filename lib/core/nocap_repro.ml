@@ -52,7 +52,6 @@ module Memory_check = Zk_r1cs.Memory_check
 module Bignum = Zk_r1cs.Bignum
 module Sumcheck = Zk_sumcheck.Sumcheck
 module Sumcheck_ext = Zk_sumcheck.Sumcheck_ext
-module Grand_product = Zk_sumcheck.Grand_product
 module Orion = Zk_orion.Orion
 module Fri = Zk_orion.Fri
 module Stark = Zk_orion.Stark

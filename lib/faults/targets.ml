@@ -283,15 +283,16 @@ let fri () =
               Some { wo with Fp.final_constant = nudge rng wo.Fp.final_constant }) );
         ( "perturb_fri_round_poly",
           with_open (fun rng wo ->
-              if Array.length wo.Fp.round_polys = 0 then None
+              let rp = wo.Fp.sumcheck.Sumcheck.round_polys in
+              if Array.length rp = 0 then None
               else begin
-                let rp = Array.map Array.copy wo.Fp.round_polys in
+                let rp = Array.map Array.copy rp in
                 let i = Rng.int rng (Array.length rp) in
                 if Array.length rp.(i) = 0 then None
                 else begin
                   let j = Rng.int rng (Array.length rp.(i)) in
                   rp.(i).(j) <- nudge rng rp.(i).(j);
-                  Some { wo with Fp.round_polys = rp }
+                  Some { wo with Fp.sumcheck = { Sumcheck.round_polys = rp } }
                 end
               end) );
         ( "tamper_query_pos",

@@ -1,6 +1,5 @@
 module Gf = Zk_field.Gf
 module Mle = Zk_poly.Mle
-module Dense = Zk_poly.Dense
 module Merkle = Zk_merkle.Merkle
 module Keccak = Zk_hash.Keccak
 module Transcript = Zk_hash.Transcript
@@ -54,7 +53,7 @@ type committed = {
    opens [layer_count.(q)] layers, and its layers' entries follow each
    other in the per-layer arrays and buffers, query after query. *)
 type eval_proof = {
-  round_polys : Gf.t array array; (* one degree-2 polynomial (3 evals) per variable *)
+  sumcheck : Sumcheck.proof; (* one degree-2 polynomial (3 evals) per variable *)
   layer_roots : Merkle.digest array; (* roots of the folded layers 1..num_vars *)
   final_constant : Gf.t;
   positions : int array; (* per query: its layer-0 position *)
@@ -234,22 +233,36 @@ let commitment_num_vars (cm : commitment) = cm.num_vars
 (* The round polynomial's combiner: A * E. *)
 let product v out = Fv.mul_into ~dst:out v.(0) v.(1)
 
-(* The opening argument is a basefold-style interleaving: the claim
-   [v = sum_b f(b) * eq(q, b)] runs through a degree-2 sumcheck over the
-   tables [A = f] and [E = eq(q)], and each round's challenge [r_i] also
-   folds the committed codeword, which keeps the codeword in sync as the
-   coefficient vector of [f(r_1..r_i, .)]. After the last round the
-   codeword is the constant [f~(r)], so the verifier can close the
-   sumcheck with [f~(r) * eq~(q, r)] and needs only FRI-style spot checks
-   (no second commitment, no trusted evaluation).
+(* The opening's sumcheck framing, on both sides: the claim is the opened
+   value, and [after_round] runs after each round's challenge (the
+   prover's codeword fold and layer commit, the verifier's absorb of that
+   layer's root). *)
+let framing ~after_round =
+  {
+    Sumcheck.prelude =
+      (fun t ~num_vars:_ ~degree:_ value -> Transcript.absorb_gf t "fripcs/value" [| value |]);
+    round_label = "fripcs/round";
+    challenge_label = "fripcs/r";
+    after_round;
+  }
 
-   The tables [a]/[e] and every codeword layer are [Spill.t] vectors,
-   touched one block at a time: one block per layer in RAM with no budget,
+(* The opening argument is a basefold-style interleaving: the claim
+   [v = sum_b f(b) * eq(q, b)] runs through a degree-2 sumcheck
+   ({!Sumcheck.prove}) over the tables [A = f] and [E = eq(q)], and each
+   round's challenge [r_i] also folds the committed codeword, which keeps
+   the codeword in sync as the coefficient vector of [f(r_1..r_i, .)].
+   After the last round the codeword is the constant [f~(r)], so the
+   verifier can close the sumcheck with [f~(r) * eq~(q, r)] and needs only
+   FRI-style spot checks (no second commitment, no trusted evaluation).
+
+   The sumcheck reads the committed table in place and works out [v]
+   itself; under a budget it takes its recompute-halves path over the
+   spilled table and eq table. Every codeword layer is a [Spill.t] vector,
+   folded one block at a time: one block per layer in RAM with no budget,
    budget-sized blocks over spill files under one. Goldilocks ops are
-   exact and canonical, so the accumulation order fixes the bits and the
-   proof bytes are the same for every block size. Each block's fold starts
-   its running product of [w^-1] at [Gf.pow w_inv j]; same field element
-   for every split. *)
+   exact and canonical, so the proof bytes are the same for every block
+   size. Each block's fold starts its running product of [w^-1] at
+   [Gf.pow w_inv j]; same field element for every split. *)
 let open_at ?engine params committed transcript point =
   ignore (engine : Zk_pcs.Engine.t option);
   let cm = committed.c_commitment in
@@ -259,8 +272,8 @@ let open_at ?engine params committed transcript point =
   let domain = Spill.length committed.evals in
   let budget = committed.budget in
   let block = match budget with None -> domain | Some b -> block_of_budget b in
-  (* Back a fresh working vector with a file only when it would bite into
-     the budget; small tails stay in RAM (reads/writes are uniform). Every
+  (* Back a fresh vector with a file only when it would bite into the
+     budget; small tails stay in RAM (reads/writes are uniform). Every
      exit — success, cancellation, an injected I/O fault — frees them all;
      layer 0 is the committed codeword and stays alive until
      [free_committed]. *)
@@ -272,96 +285,22 @@ let open_at ?engine params committed transcript point =
     s
   in
   Fun.protect ~finally:(fun () -> List.iter Spill.free !temps) @@ fun () ->
-  (* Staging for file-backed blocks; RAM-backed blocks are read in place. *)
-  let bsz = max 1 (min block (max (n / 2) (domain / 2))) in
+  (* Staging for file-backed codeword blocks; RAM-backed blocks are read
+     in place. *)
+  let bsz = max 1 (min block (domain / 2)) in
   let stage () = Fv.create (if Option.is_some budget then bsz else 0) in
-  let alo = stage () and ahi = stage () in
-  let elo = stage () and ehi = stage () in
+  let lo_buf = stage () and hi_buf = stage () in
   Transcript.absorb_gf transcript "fripcs/point" point;
-  (* Working copies: a = table, e = eq(point). The eq table is generated
-     directly into blocks via the aligned-range factorization. *)
-  let a = fresh "fri-open-a" n in
-  let pos = ref 0 in
-  while !pos < n do
-    Pool.Cancel.check ();
-    let len = min bsz (n - !pos) in
-    Spill.write a ~pos:!pos (Spill.view committed.table ~pos:!pos ~len ~buf:alo);
-    pos := !pos + len
-  done;
-  let e = fresh "fri-open-e" n in
+  (* The eq table is generated directly into blocks via the aligned-range
+     factorization. *)
+  let e = fresh "fri-eq" n in
   Mle.eq_table_spill point ~block e;
-  let value =
-    let acc = ref Gf.zero in
-    let pos = ref 0 in
-    while !pos < n do
-      let len = min bsz (n - !pos) in
-      let av = Spill.view a ~pos:!pos ~len ~buf:alo in
-      let ev = Spill.view e ~pos:!pos ~len ~buf:elo in
-      for i = 0 to len - 1 do
-        acc := Gf.add !acc (Gf.mul (Fv.get av i) (Fv.get ev i))
-      done;
-      pos := !pos + len
-    done;
-    !acc
-  in
-  Transcript.absorb_gf transcript "fripcs/value" [| value |];
-  let round_polys = Array.make l [||] in
-  let challenges = Array.make l Gf.zero in
   let layers = ref [ committed.evals ] in
   let trees = ref [ committed.tree ] in
-  let a = ref a and e = ref e in
-  let len = ref n in
-  for round = 0 to l - 1 do
-    Pool.Cancel.check ();
-    let half = !len / 2 in
-    (* Pass 1: the round polynomial g(t) = sum_b A_t(b) * E_t(b) with the
-       top variable pinned to t, tabulated at t = 0, 1, 2 on the vector
-       sumcheck kernel, block by block (Goldilocks sums are exact, so the
-       block split does not change g). *)
-    let g = Array.make 3 Gf.zero in
-    let b = ref 0 in
-    while !b < half do
-      let bl = min bsz (half - !b) in
-      let alv = Spill.view !a ~pos:!b ~len:bl ~buf:alo in
-      let ahv = Spill.view !a ~pos:(!b + half) ~len:bl ~buf:ahi in
-      let elv = Spill.view !e ~pos:!b ~len:bl ~buf:elo in
-      let ehv = Spill.view !e ~pos:(!b + half) ~len:bl ~buf:ehi in
-      let part =
-        Sumcheck.round_poly ~degree:2 ~comb:product ~comb_mults:1 ~lo:[| alv; elv |]
-          ~hi:[| ahv; ehv |]
-      in
-      Array.iteri (fun t v -> g.(t) <- Gf.add g.(t) v) part;
-      b := !b + bl
-    done;
-    round_polys.(round) <- g;
-    Transcript.absorb_gf transcript "fripcs/round" g;
-    let r = Transcript.challenge_gf transcript "fripcs/r" in
-    challenges.(round) <- r;
-    (* Pass 2: bind the top variable of both tables into fresh vectors.
-       An output block may share the low input's staging buffer: element i
-       is read before it is written. *)
-    let a' = fresh "fri-open-a" half and e' = fresh "fri-open-e" half in
-    let b = ref 0 in
-    while !b < half do
-      let bl = min bsz (half - !b) in
-      let alv = Spill.view !a ~pos:!b ~len:bl ~buf:alo in
-      let ahv = Spill.view !a ~pos:(!b + half) ~len:bl ~buf:ahi in
-      let elv = Spill.view !e ~pos:!b ~len:bl ~buf:elo in
-      let ehv = Spill.view !e ~pos:(!b + half) ~len:bl ~buf:ehi in
-      let aout = Spill.writable a' ~pos:!b ~len:bl ~buf:alo in
-      let eout = Spill.writable e' ~pos:!b ~len:bl ~buf:elo in
-      Sumcheck.fold ~dst:[| aout; eout |] ~lo:[| alv; elv |] ~hi:[| ahv; ehv |] r;
-      Spill.store a' ~pos:!b aout;
-      Spill.store e' ~pos:!b eout;
-      b := !b + bl
-    done;
-    Spill.free !a;
-    Spill.free !e;
-    a := a';
-    e := e';
-    len := half;
-    (* ...and fold the codeword with the same challenge, blockwise (the
-       output may share the low input's staging buffer, as above). *)
+  (* Fold the codeword with the round's challenge, blockwise (an output
+     block may share the low input's staging buffer: element i is read
+     before it is written), then commit the new layer. *)
+  let fold_layer _ r =
     let cw = List.hd !layers in
     let cw_len = Spill.length cw in
     let cw_half = cw_len / 2 in
@@ -370,9 +309,9 @@ let open_at ?engine params committed transcript point =
     let j = ref 0 in
     while !j < cw_half do
       let bl = min bsz (cw_half - !j) in
-      let lo = Spill.view cw ~pos:!j ~len:bl ~buf:alo in
-      let hi = Spill.view cw ~pos:(!j + cw_half) ~len:bl ~buf:ahi in
-      let dst = Spill.writable next ~pos:!j ~len:bl ~buf:alo in
+      let lo = Spill.view cw ~pos:!j ~len:bl ~buf:lo_buf in
+      let hi = Spill.view cw ~pos:(!j + cw_half) ~len:bl ~buf:hi_buf in
+      let dst = Spill.writable next ~pos:!j ~len:bl ~buf:lo_buf in
       Fri.fold_block ~x_inv:(Gf.pow w_inv (Int64.of_int !j)) ~w_inv ~lo ~hi ~dst r;
       Spill.store next ~pos:!j dst;
       j := !j + bl
@@ -381,7 +320,11 @@ let open_at ?engine params committed transcript point =
     let tree = commit_layer_spill next ~block in
     trees := tree :: !trees;
     Transcript.absorb_digest transcript "fripcs/layer" (Merkle.root tree)
-  done;
+  in
+  let sc =
+    Sumcheck.prove ~comb_mults:1 ?budget_bytes:budget ~framing:(framing ~after_round:fold_layer)
+      transcript ~degree:2 ~tables:[| committed.table; e |] ~comb:product
+  in
   let layer_arr = Array.of_list (List.rev !layers) in
   let trees = Array.of_list (List.rev !trees) in
   let final_constant = Spill.get layer_arr.(l) 0 in
@@ -411,9 +354,9 @@ let open_at ?engine params committed transcript point =
             lane := !lane + (4 * depths.(i)))
           layer_arr
       done);
-  ( value,
+  ( sc.Sumcheck.claim,
     {
-      round_polys;
+      sumcheck = sc.Sumcheck.proof;
       layer_roots = Array.init l (fun i -> Merkle.root trees.(i + 1));
       final_constant;
       positions;
@@ -577,8 +520,11 @@ let verify ?engine params (cm : commitment) transcript point value proof =
   let* () =
     if Array.length point = l then Ok () else E.error E.Params "point dimension mismatch"
   in
+  (* Both counts are checked before any transcript work, rounds first, so
+     a proof with both wrong reads this backend's round-count message
+     rather than [Sumcheck.verify]'s. *)
   let* () =
-    if Array.length proof.round_polys = l then Ok ()
+    if Array.length proof.sumcheck.Sumcheck.round_polys = l then Ok ()
     else E.error E.Shape "wrong number of sumcheck rounds"
   in
   let* () =
@@ -586,33 +532,16 @@ let verify ?engine params (cm : commitment) transcript point value proof =
     else E.error E.Shape "wrong number of fold layers"
   in
   Transcript.absorb_gf transcript "fripcs/point" point;
-  Transcript.absorb_gf transcript "fripcs/value" [| value |];
-  let challenges = Array.make l Gf.zero in
-  let expected = ref value in
-  let* () =
-    let rec round i =
-      if i = l then Ok ()
-      else begin
-        let g = proof.round_polys.(i) in
-        if Array.length g <> 3 then E.errorf E.Shape "round %d: wrong degree" i
-        else if not (Gf.equal (Gf.add g.(0) g.(1)) !expected) then
-          E.errorf E.Sumcheck_mismatch "round %d: g(0) + g(1) does not match the claim" i
-        else begin
-          Transcript.absorb_gf transcript "fripcs/round" g;
-          let r = Transcript.challenge_gf transcript "fripcs/r" in
-          challenges.(i) <- r;
-          expected := Dense.interpolate_eval_small g r;
-          Transcript.absorb_digest transcript "fripcs/layer" proof.layer_roots.(i);
-          round (i + 1)
-        end
-      end
-    in
-    round 0
+  let after_round i _ = Transcript.absorb_digest transcript "fripcs/layer" proof.layer_roots.(i) in
+  let* sc =
+    Sumcheck.verify ~framing:(framing ~after_round) transcript ~degree:2 ~num_vars:l
+      ~claim:value proof.sumcheck
   in
+  let challenges = sc.Sumcheck.point in
   Transcript.absorb_gf transcript "fripcs/final" [| proof.final_constant |];
   (* The folded codeword constant is f~(r); it must close the sumcheck. *)
   let* () =
-    if Gf.equal !expected (Gf.mul proof.final_constant (Mle.eq_point point challenges))
+    if Gf.equal sc.Sumcheck.value (Gf.mul proof.final_constant (Mle.eq_point point challenges))
     then Ok ()
     else E.error E.Sumcheck_mismatch "final claim does not match the folded constant"
   in
@@ -634,14 +563,12 @@ let proof_size_bytes params (cm : commitment) proof =
   ignore params;
   ignore cm;
   let field = 8 and digest = 32 and index = 8 in
-  let round_bytes =
-    Array.fold_left (fun acc g -> acc + (field * Array.length g)) 0 proof.round_polys
-  in
   (* A position per query; two elements and a path per opened layer. *)
   let query_bytes =
     (index * num_queries proof) + (field * Fv.length proof.pairs) + (8 * Fv.length proof.paths)
   in
-  round_bytes + (digest * Array.length proof.layer_roots) + field + query_bytes
+  Sumcheck.proof_size_bytes proof.sumcheck + (digest * Array.length proof.layer_roots) + field
+  + query_bytes
 
 let stats params (cm : commitment) proof =
   {
@@ -665,8 +592,7 @@ let read_commitment r =
   Ok { root; num_vars }
 
 let write_eval_proof buf p =
-  Codec.put_int buf (Array.length p.round_polys);
-  Array.iter (Codec.put_gf_array buf) p.round_polys;
+  Sumcheck.write_proof buf p.sumcheck;
   Codec.put_int buf (Array.length p.layer_roots);
   Array.iter (Codec.put_digest buf) p.layer_roots;
   Codec.put_gf buf p.final_constant;
@@ -708,7 +634,7 @@ let push v x =
    the bytes left before it is allocated. *)
 let read_eval_proof r =
   let ( let* ) = Result.bind in
-  let* round_polys = Codec.get_array r Codec.get_gf_array in
+  let* sumcheck = Sumcheck.read_proof r in
   let* layer_roots = Codec.get_array r Codec.get_digest in
   let* final_constant = Codec.get_gf r in
   let* nq = Codec.get_len r in
@@ -756,7 +682,7 @@ let read_eval_proof r =
   | () ->
     Ok
       {
-        round_polys;
+        sumcheck;
         layer_roots;
         final_constant;
         positions;

@@ -9,8 +9,9 @@
     at monomial bit [j - 1]), low-degree-extends them with an NTT at rate
     [2^-blowup_log2], and Merkle-commits the codeword. [open_at] proves
     [v = sum_b f(b) eq(q, b)] with a basefold-style argument: a degree-2
-    sumcheck over [f] and [eq(q)] whose per-round challenge also
-    even/odd-folds the codeword, so after the last round the codeword is
+    sumcheck over [f] and [eq(q)] ({!Zk_sumcheck.Sumcheck.prove} and
+    [verify] under this backend's framing, which works out [v] as the
+    claim) whose per-round challenge also even/odd-folds the codeword, so after the last round the codeword is
     the constant [f~(r)] and spot checks against the committed layers are
     all that is left to verify.
 
@@ -37,7 +38,7 @@ type param_error = Blowup_out_of_range of int | Queries_not_positive of int
 type commitment = { root : Zk_merkle.Merkle.digest; num_vars : int }
 
 type eval_proof = {
-  round_polys : Zk_field.Gf.t array array;
+  sumcheck : Zk_sumcheck.Sumcheck.proof;
       (** one degree-2 round polynomial (3 evaluations) per variable *)
   layer_roots : Zk_merkle.Merkle.digest array;
       (** roots of the folded codeword layers 1..num_vars *)

@@ -83,19 +83,6 @@ let get_gf r =
   let* x = get_u64 r in
   if Gf.is_canonical x then Ok (Gf.of_int64 x) else non_canonical x
 
-let get_gf_array r =
-  let* n = get_len r in
-  let* () = need r (8 * n) in
-  let out = Array.make (max n 1) Gf.zero in
-  let rec go i =
-    if i = n then Ok (if n = 0 then [||] else out)
-    else
-      let* x = get_gf r in
-      out.(i) <- x;
-      go (i + 1)
-  in
-  go 0
-
 (* [n] little-endian words into [dst] at [pos]; the caller checked the
    bounds. *)
 let read_words r n dst ~pos =
@@ -105,8 +92,8 @@ let read_words r n dst ~pos =
   r.pos <- r.pos + (8 * n)
 
 (* One bounds check, one pass of word reads, then one canonicality pass:
-   the first offender is the element [get_gf_array] would have stopped
-   at, so the error is the same. *)
+   the first offender is the element a [get_gf] per element would have
+   stopped at, so the error is the same. *)
 let get_fv_into r ~len dst ~pos =
   if len < 0 || pos < 0 || pos + len > Fv.length dst then
     invalid_arg "Codec.get_fv_into: destination";

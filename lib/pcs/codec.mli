@@ -59,11 +59,12 @@ val get_len : reader -> (int, Verify_error.t) result
 val get_gf : reader -> (Gf.t, Verify_error.t) result
 (** Rejects non-canonical encodings (>= the field modulus). *)
 
-val get_gf_array : reader -> (Gf.t array, Verify_error.t) result
 val get_fv : reader -> (Fv.t, Verify_error.t) result
-(** {!get_gf_array} into a flat vector: one bounds check, one pass of word
-    reads, then a canonicality pass. Every error (category and message) is
-    the one {!get_gf_array} gives on the same bytes. *)
+(** The inverse of {!put_fv}: a length ({!get_len}), then that many
+    elements into a flat vector with one bounds check, one pass of word
+    reads and a canonicality pass. Every error (category and message) is
+    the one a {!get_gf} per element, after the length and a bounds check
+    of the whole run, gives on the same bytes. *)
 
 val get_fv_into : reader -> len:int -> Fv.t -> pos:int -> (unit, Verify_error.t) result
 (** [get_fv_into r ~len dst ~pos] reads [len] elements (no length prefix)

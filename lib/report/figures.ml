@@ -268,24 +268,17 @@ let soundness_ablation () =
     Array.init 4 (fun _ -> Fv.of_array (Array.init (1 lsl l) (fun _ -> Gf.random rng)))
   in
   let comb_ext v = Gf2.mul v.(0) (Gf2.sub (Gf2.mul v.(1) v.(2)) v.(3)) in
-  let claim =
-    let out = Fv.create (1 lsl l) in
-    Sumcheck.spartan_comb tables out;
-    Fv.sum out
-  in
-  let base_mults =
-    let t = Zk_hash.Transcript.create "abl-base" in
-    (Sumcheck.prove ~comb_mults:2 t ~degree:3
-       ~tables:(Array.map Nocap_vec.Spill.of_fv tables)
-       ~comb:Sumcheck.spartan_comb ~claim)
-      .Sumcheck.stats.Sumcheck.mults
+  let base =
+    Sumcheck.prove ~comb_mults:2 (Zk_hash.Transcript.create "abl-base") ~degree:3
+      ~tables:(Array.map Nocap_vec.Spill.of_fv tables)
+      ~comb:Sumcheck.spartan_comb
   in
   let ext =
     let t = Zk_hash.Transcript.create "abl-ext" in
     Zk_sumcheck.Sumcheck_ext.prove t ~degree:3 ~tables:(Array.map Fv.to_array tables)
-      ~comb:comb_ext ~comb_mults:2 ~claim
+      ~comb:comb_ext ~comb_mults:2 ~claim:base.Sumcheck.claim
   in
-  let reps3 = 3 * base_mults in
+  let reps3 = 3 * base.Sumcheck.stats.Sumcheck.mults in
   let ext_mults = ext.Zk_sumcheck.Sumcheck_ext.base_mults_equivalent in
   Render.table
     ~header:[ "Scheme"; "Prover mults (base-equivalent)"; "Proof elements / round" ]

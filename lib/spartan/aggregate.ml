@@ -77,7 +77,7 @@ let prove ?engine ?rng params inst assignments =
         let eq_tau = Spartan.fill_eq ~tag:"batch-eqtau" ~spill:false ~block:n tau in
         let r1 =
           Sumcheck.prove ~comb_mults:(2 * k) transcript ~degree:3
-            ~tables:(Array.append [| eq_tau |] abc) ~comb:(comb1 rho) ~claim:Gf.zero
+            ~tables:(Array.append [| eq_tau |] abc) ~comb:(comb1 rho)
         in
         let rx = r1.Sumcheck.challenges in
         let claims_abc =
@@ -92,19 +92,6 @@ let prove ?engine ?rng params inst assignments =
           claims_abc;
         let r_abc = Transcript.challenge_gf_vec transcript "r-abc" 3 in
         let sigma = Transcript.challenge_gf_vec transcript "sigma" k in
-        let claim2 =
-          let acc = ref Gf.zero in
-          Array.iteri
-            (fun i (va, vb, vc) ->
-              let combined =
-                Gf.add
-                  (Gf.mul r_abc.(0) va)
-                  (Gf.add (Gf.mul r_abc.(1) vb) (Gf.mul r_abc.(2) vc))
-              in
-              acc := Gf.add !acc (Gf.mul sigma.(i) combined))
-            claims_abc;
-          !acc
-        in
         (* The M-table is built once for the whole batch. *)
         let m_table = Spartan.fill_m ~spill:false ~block:n inst ~rx ~r_abc in
         let z_comb = Fv.create n in
@@ -112,7 +99,7 @@ let prove ?engine ?rng params inst assignments =
         Array.iteri (fun i z -> Fv.axpy_into ~dst:z_comb sigma.(i) z) zs;
         let r2 =
           Sumcheck.prove ~comb_mults:1 transcript ~degree:2
-            ~tables:[| m_table; Spill.of_fv z_comb |] ~comb:comb2 ~claim:claim2
+            ~tables:[| m_table; Spill.of_fv z_comb |] ~comb:comb2
         in
         let ry = r2.Sumcheck.challenges in
         let ry_rest = Array.sub ry 1 (l - 1) in
@@ -250,13 +237,10 @@ let verify ?engine params inst ~ios proof =
 
 let proof_size_bytes params proof =
   let field = 8 and digest = 32 in
-  let sumcheck_bytes (p : Sumcheck.proof) =
-    Array.fold_left (fun acc g -> acc + (field * Array.length g)) 0 p.Sumcheck.round_polys
-  in
   let rep_bytes rep =
-    sumcheck_bytes rep.sc1
+    Sumcheck.proof_size_bytes rep.sc1
     + (3 * field * Array.length rep.claims_abc)
-    + sumcheck_bytes rep.sc2
+    + Sumcheck.proof_size_bytes rep.sc2
     + (field * Array.length rep.vws)
     + Array.fold_left
         (fun acc (i, o) ->

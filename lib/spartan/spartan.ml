@@ -311,7 +311,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
             Sumcheck.prove ~comb_mults:2 ?budget_bytes:budget transcript
               ~degree:3
               ~tables:[| eq_tau; az; bz; cz |]
-              ~comb:Sumcheck.spartan_comb ~claim:Gf.zero
+              ~comb:Sumcheck.spartan_comb
           in
           sc_mults := !sc_mults + r1.Sumcheck.stats.Sumcheck.mults;
           sc_adds := !sc_adds + r1.Sumcheck.stats.Sumcheck.adds;
@@ -322,18 +322,13 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           Transcript.absorb_gf transcript "claims-abc" [| va; vb; vc |];
           (* --- Sumcheck #2 --- *)
           let r_abc = Transcript.challenge_gf_vec transcript "r-abc" 3 in
-          let claim2 =
-            Gf.add
-              (Gf.mul r_abc.(0) va)
-              (Gf.add (Gf.mul r_abc.(1) vb) (Gf.mul r_abc.(2) vc))
-          in
           let m_table = fill_m ~spill ~block inst ~rx ~r_abc in
           spmv_mults := !spmv_mults + R1cs.nnz inst;
           let r2 =
             Fun.protect ~finally:(fun () -> Spill.free m_table) @@ fun () ->
             Sumcheck.prove ~comb_mults:1 ?budget_bytes:budget transcript ~degree:2
               ~tables:[| m_table; z_spill |]
-              ~comb:comb2 ~claim:claim2
+              ~comb:comb2
           in
           sc_mults := !sc_mults + r2.Sumcheck.stats.Sumcheck.mults;
           sc_adds := !sc_adds + r2.Sumcheck.stats.Sumcheck.adds;
@@ -423,13 +418,9 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
 
   let proof_size_bytes params proof =
     let field = 8 and digest = 32 in
-    let sumcheck_bytes (p : Sumcheck.proof) =
-      Array.fold_left
-        (fun acc g -> acc + (field * Array.length g))
-        0 p.Sumcheck.round_polys
-    in
     let rep_bytes rep =
-      sumcheck_bytes rep.sc1 + (3 * field) + sumcheck_bytes rep.sc2 + field
+      Sumcheck.proof_size_bytes rep.sc1 + (3 * field) + Sumcheck.proof_size_bytes rep.sc2
+      + field
       + P.proof_size_bytes params.pcs proof.w_commitment rep.w_open
     in
     digest + Array.fold_left (fun acc r -> acc + rep_bytes r) 0 proof.reps
@@ -438,15 +429,6 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
      payload layout the pre-functor Serialize module wrote --- *)
 
   let magic = magic
-
-  let put_sumcheck buf (p : Sumcheck.proof) =
-    Codec.put_int buf (Array.length p.Sumcheck.round_polys);
-    Array.iter (Codec.put_gf_array buf) p.Sumcheck.round_polys
-
-  let get_sumcheck r =
-    let ( let* ) = Result.bind in
-    let* round_polys = Codec.get_array r Codec.get_gf_array in
-    Ok { Sumcheck.round_polys }
 
   let proof_to_bytes (p : proof) =
     (* The buffer starts at the proof's size, so it is allocated once
@@ -466,11 +448,11 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
     Codec.put_int buf (Array.length p.reps);
     Array.iter
       (fun r ->
-        put_sumcheck buf r.sc1;
+        Sumcheck.write_proof buf r.sc1;
         Codec.put_gf buf r.va;
         Codec.put_gf buf r.vb;
         Codec.put_gf buf r.vc;
-        put_sumcheck buf r.sc2;
+        Sumcheck.write_proof buf r.sc2;
         Codec.put_gf buf r.vw;
         P.write_eval_proof buf r.w_open)
       p.reps;
@@ -503,11 +485,11 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
         let* w_commitment = P.read_commitment r in
         let* reps =
           Codec.get_array r (fun r ->
-              let* sc1 = get_sumcheck r in
+              let* sc1 = Sumcheck.read_proof r in
               let* va = Codec.get_gf r in
               let* vb = Codec.get_gf r in
               let* vc = Codec.get_gf r in
-              let* sc2 = get_sumcheck r in
+              let* sc2 = Sumcheck.read_proof r in
               let* vw = Codec.get_gf r in
               let* w_open = P.read_eval_proof r in
               Ok { sc1; va; vb; vc; sc2; vw; w_open })

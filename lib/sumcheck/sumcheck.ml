@@ -11,12 +11,32 @@ type stats = { rounds : int; mults : int; adds : int }
 
 type prover_result = {
   proof : proof;
+  claim : Gf.t;
   challenges : Gf.t array;
   final_values : Gf.t array;
   stats : stats;
 }
 
 type verifier_result = { point : Gf.t array; value : Gf.t }
+
+type framing = {
+  prelude : Transcript.t -> num_vars:int -> degree:int -> Gf.t -> unit;
+  round_label : string;
+  challenge_label : string;
+  after_round : int -> Gf.t -> unit;
+}
+
+let default_framing =
+  {
+    prelude =
+      (fun t ~num_vars ~degree claim ->
+        Transcript.absorb_int t "sumcheck/num_vars" num_vars;
+        Transcript.absorb_int t "sumcheck/degree" degree;
+        Transcript.absorb_gf t "sumcheck/claim" [| claim |]);
+    round_label = "sumcheck/round";
+    challenge_label = "sumcheck/challenge";
+    after_round = (fun _ _ -> ());
+  }
 
 (* Spartan's first combiner eq * (az * bz - cz) over [| eq; az; bz; cz |]:
    degree 3, two multiplications per point. *)
@@ -98,31 +118,22 @@ let fold ~dst ~lo ~hi r =
    the shrinking tables first fit the budget). [tabs] hold the current
    generation; unless [in_place], they are the caller's and round [round0]
    folds out of place into fresh half-length vectors, after which every
-   fold is in place. *)
-let run_rounds ~comb_mults ~transcript ~degree ~comb ~tabs ~in_place ~num_vars
-    ~round0 ~mults ~adds ~round_polys ~challenges =
-  let k = Array.length tabs in
+   fold is in place. [finish round g] publishes a round polynomial and
+   returns its challenge. Returns the one-element final tables. *)
+let run_rounds ~comb_mults ~degree ~comb ~tabs ~in_place ~num_vars ~round0 ~finish =
   let tabs = ref tabs and in_place = ref in_place in
   for round = round0 to num_vars - 1 do
     Pool.Cancel.check ();
     let half = Fv.length !tabs.(0) / 2 in
     let lo = Array.map (fun t -> Fv.sub_view t ~pos:0 ~len:half) !tabs in
     let hi = Array.map (fun t -> Fv.sub_view t ~pos:half ~len:half) !tabs in
-    let g = round_poly ~degree ~comb ~comb_mults ~lo ~hi in
-    adds := !adds + (half * (degree + 1) * (k + 1));
-    mults := !mults + (half * (degree + 1) * comb_mults);
-    round_polys.(round) <- g;
-    Transcript.absorb_gf transcript "sumcheck/round" g;
-    let r = Transcript.challenge_gf transcript "sumcheck/challenge" in
-    challenges.(round) <- r;
+    let r = finish round (round_poly ~degree ~comb ~comb_mults ~lo ~hi) in
     let dst = if !in_place then lo else Array.map (fun _ -> Fv.create half) lo in
     fold ~dst ~lo ~hi r;
-    mults := !mults + (k * half);
-    adds := !adds + (2 * k * half);
     tabs := dst;
     in_place := true
   done;
-  Array.map (fun t -> Fv.get t 0) !tabs
+  !tabs
 
 module Spill = Nocap_vec.Spill
 
@@ -153,15 +164,21 @@ module Spill = Nocap_vec.Spill
    fold writes fresh half-length vectors, so the caller's tables are never
    written), and file-backed ones are loaded into RAM copies first.
 
+   The claim is round 0's g(0) + g(1), and computing g touches no
+   transcript, so the prelude that binds it is absorbed just before round
+   0's g: the transcript is the one a prover handed the claim would build.
+
    [stats] reports the protocol's arithmetic, not the recomputation
    overhead, so it is the same for every budget. *)
-let prove ?(comb_mults = 0) ?budget_bytes transcript ~degree ~tables ~comb ~claim =
+let prove ?(comb_mults = 0) ?budget_bytes ?(framing = default_framing) transcript ~degree
+    ~tables ~comb =
   let budget =
     match budget_bytes with
     | None -> max_int
     | Some b when b <= 0 -> invalid_arg "Sumcheck.prove: budget must be positive"
     | Some b -> b
   in
+  if degree < 1 then invalid_arg "Sumcheck.prove: degree must be at least 1";
   let k = Array.length tables in
   if k = 0 then invalid_arg "Sumcheck.prove: no tables";
   let n = Spill.length tables.(0) in
@@ -170,12 +187,27 @@ let prove ?(comb_mults = 0) ?budget_bytes transcript ~degree ~tables ~comb ~clai
     (fun t ->
       if Spill.length t <> n then invalid_arg "Sumcheck.prove: table size mismatch")
     tables;
-  Transcript.absorb_int transcript "sumcheck/num_vars" num_vars;
-  Transcript.absorb_int transcript "sumcheck/degree" degree;
-  Transcript.absorb_gf transcript "sumcheck/claim" [| claim |];
   let mults = ref 0 and adds = ref 0 in
+  let claim = ref Gf.zero in
   let round_polys = Array.make num_vars [||] in
   let challenges = Array.make num_vars Gf.zero in
+  let bind_claim c =
+    claim := c;
+    framing.prelude transcript ~num_vars ~degree c
+  in
+  let finish round g =
+    if round = 0 then bind_claim (Gf.add g.(0) g.(1));
+    let half = n lsr (round + 1) in
+    (* The round polynomial's evaluation, then the fold. *)
+    adds := !adds + (half * (degree + 1) * (k + 1)) + (2 * k * half);
+    mults := !mults + (half * (degree + 1) * comb_mults) + (k * half);
+    round_polys.(round) <- g;
+    Transcript.absorb_gf transcript framing.round_label g;
+    let r = Transcript.challenge_gf transcript framing.challenge_label in
+    challenges.(round) <- r;
+    framing.after_round round r;
+    r
+  in
   (* Residual tables fit the materialization half of the budget when
      k * (n >> j) * 8 <= budget / 2. *)
   let fits len = len <= 1 || k * len * 8 <= budget / 2 in
@@ -227,14 +259,7 @@ let prove ?(comb_mults = 0) ?budget_bytes transcript ~degree ~tables ~comb ~clai
       Array.iteri (fun t x -> g.(t) <- Gf.add g.(t) x) part;
       pos := !pos + len
     done;
-    adds := !adds + (half * (degree + 1) * (k + 1));
-    mults := !mults + (half * (degree + 1) * comb_mults);
-    round_polys.(j) <- g;
-    Transcript.absorb_gf transcript "sumcheck/round" g;
-    let r = Transcript.challenge_gf transcript "sumcheck/challenge" in
-    challenges.(j) <- r;
-    mults := !mults + (k * half);
-    adds := !adds + (2 * k * half);
+    ignore (finish j g : Gf.t);
     incr round
   done;
   (* Materialize the residual generation into RAM once and finish with the
@@ -263,28 +288,33 @@ let prove ?(comb_mults = 0) ?budget_bytes transcript ~degree ~tables ~comb ~clai
         end)
       tables
   in
-  let final_values =
-    run_rounds ~comb_mults ~transcript ~degree ~comb ~tabs ~in_place:(not in_ram)
-      ~num_vars ~round0 ~mults ~adds ~round_polys ~challenges
+  let final =
+    run_rounds ~comb_mults ~degree ~comb ~tabs ~in_place:(not in_ram) ~num_vars ~round0
+      ~finish
   in
+  (* With no rounds the claim is [comb] at the single point. *)
+  if num_vars = 0 then begin
+    let g = [| Gf.zero |] in
+    eval_block ~degree:0 ~comb ~lo:final ~hi:final g;
+    bind_claim g.(0)
+  end;
   {
     proof = { round_polys };
+    claim = !claim;
     challenges;
-    final_values;
+    final_values = Array.map (fun t -> Fv.get t 0) final;
     stats = { rounds = num_vars; mults = !mults; adds = !adds };
   }
 
 module E = Zk_pcs.Verify_error
 
-let verify transcript ~degree ~num_vars ~claim proof =
+let verify ?(framing = default_framing) transcript ~degree ~num_vars ~claim proof =
   if degree < 1 || num_vars < 0 then
     E.errorf E.Params "invalid sumcheck shape (degree %d, %d vars)" degree num_vars
   else if Array.length proof.round_polys <> num_vars then
     E.error E.Shape "wrong number of rounds"
   else begin
-    Transcript.absorb_int transcript "sumcheck/num_vars" num_vars;
-    Transcript.absorb_int transcript "sumcheck/degree" degree;
-    Transcript.absorb_gf transcript "sumcheck/claim" [| claim |];
+    framing.prelude transcript ~num_vars ~degree claim;
     let expected = ref claim in
     let point = Array.make num_vars Gf.zero in
     let rec go round =
@@ -294,11 +324,12 @@ let verify transcript ~degree ~num_vars ~claim proof =
         if Array.length g <> degree + 1 then
           E.errorf E.Shape "round %d: wrong degree" round
         else if not (Gf.equal (Gf.add g.(0) g.(1)) !expected) then
-          E.errorf E.Sumcheck_mismatch "round %d: g(0) + g(1) mismatch" round
+          E.errorf E.Sumcheck_mismatch "round %d: g(0) + g(1) does not match the claim" round
         else begin
-          Transcript.absorb_gf transcript "sumcheck/round" g;
-          let r = Transcript.challenge_gf transcript "sumcheck/challenge" in
+          Transcript.absorb_gf transcript framing.round_label g;
+          let r = Transcript.challenge_gf transcript framing.challenge_label in
           point.(round) <- r;
+          framing.after_round round r;
           expected := Dense.interpolate_eval_small g r;
           go (round + 1)
         end
@@ -306,3 +337,20 @@ let verify transcript ~degree ~num_vars ~claim proof =
     in
     go 0
   end
+
+(* --- byte form: the round count, then each round polynomial
+   length-prefixed --- *)
+
+module Codec = Zk_pcs.Codec
+
+let write_proof buf p =
+  Codec.put_int buf (Array.length p.round_polys);
+  Array.iter (Codec.put_gf_array buf) p.round_polys
+
+let read_proof r =
+  Result.map
+    (fun round_polys -> { round_polys })
+    (Codec.get_array r (fun r -> Result.map Fv.to_array (Codec.get_fv r)))
+
+let proof_size_bytes p =
+  Array.fold_left (fun acc g -> acc + (8 * Array.length g)) 0 p.round_polys

@@ -47,7 +47,7 @@ type eval_proof = {
 let of_flat (p : Fri_pcs.eval_proof) =
   let k = ref 0 and d = ref 0 in
   {
-    round_polys = p.Fri_pcs.round_polys;
+    round_polys = p.Fri_pcs.sumcheck.Zk_sumcheck.Sumcheck.round_polys;
     layer_roots = p.Fri_pcs.layer_roots;
     final_constant = p.Fri_pcs.final_constant;
     queries =
@@ -254,7 +254,7 @@ let write_eval_proof buf p =
 
 let read_eval_proof r =
   let ( let* ) = Result.bind in
-  let* round_polys = Codec.get_array r Codec.get_gf_array in
+  let* round_polys = Codec.get_array r Codec_oracle.get_gf_array in
   let* layer_roots = Codec.get_array r Codec.get_digest in
   let* final_constant = Codec.get_gf r in
   let* queries =

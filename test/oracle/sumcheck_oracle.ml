@@ -109,6 +109,7 @@ let prove_arrays ?(comb_mults = 0) transcript ~degree ~tables ~comb ~claim =
   let final_values = Array.map (fun t -> t.(0)) tables in
   {
     proof = { round_polys };
+    claim;
     challenges;
     final_values;
     stats = { rounds = num_vars; mults = !mults; adds = !adds };

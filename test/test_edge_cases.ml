@@ -53,7 +53,8 @@ let test_sumcheck_one_variable () =
   let tables = [| [| Gf.of_int 3; Gf.of_int 4 |] |] in
   let claim = Gf.of_int 7 in
   let pt = Transcript.create "edge" in
-  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first ~claim in
+  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first in
+  Alcotest.check gf "claim" claim res.Sumcheck.claim;
   let vt = Transcript.create "edge" in
   match Sumcheck.verify vt ~degree:1 ~num_vars:1 ~claim res.Sumcheck.proof with
   | Ok v ->
@@ -65,12 +66,17 @@ let test_bad_arguments_rejected () =
     (raises_invalid (fun () ->
          ignore
            (Sumcheck.prove (Transcript.create "x") ~degree:1 ~tables:[||]
-              ~comb:(fun _ out -> Nocap_vec.Fv.zero out) ~claim:Gf.zero)));
+              ~comb:(fun _ out -> Nocap_vec.Fv.zero out))));
   Alcotest.(check bool) "sumcheck non-pow2" true
     (raises_invalid (fun () ->
          ignore
            (Sumcheck.prove (Transcript.create "x") ~degree:1
-              ~tables:(Sumcheck_oracle.spills [| Array.make 3 Gf.zero |]) ~comb:Vcomb.first ~claim:Gf.zero)));
+              ~tables:(Sumcheck_oracle.spills [| Array.make 3 Gf.zero |]) ~comb:Vcomb.first)));
+  Alcotest.(check bool) "sumcheck degree 0" true
+    (raises_invalid (fun () ->
+         ignore
+           (Sumcheck.prove (Transcript.create "x") ~degree:0
+              ~tables:(Sumcheck_oracle.spills [| Array.make 4 Gf.zero |]) ~comb:Vcomb.first)));
   Alcotest.(check bool) "mle dimension mismatch" true
     (raises_invalid (fun () -> ignore (Mle.eval (Array.make 4 Gf.zero) [| Gf.one |])));
   Alcotest.(check bool) "merkle empty" true

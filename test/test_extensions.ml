@@ -126,8 +126,7 @@ let test_ext_vs_repetition_cost () =
     let t = Transcript.create "base-cost" in
     (Zk_sumcheck.Sumcheck.prove ~comb_mults:2 t ~degree:3
        ~tables:(Sumcheck_oracle.spills tables)
-       ~comb:Zk_sumcheck.Sumcheck.spartan_comb
-       ~claim)
+       ~comb:Zk_sumcheck.Sumcheck.spartan_comb)
       .Zk_sumcheck.Sumcheck.stats
       .Zk_sumcheck.Sumcheck.mults
   in

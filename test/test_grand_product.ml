@@ -3,7 +3,7 @@
    commitment (the SPARK-style composition). *)
 
 module Gf = Zk_field.Gf
-module Gp = Zk_sumcheck.Grand_product
+module Gp = Grand_product
 module Sumcheck = Zk_sumcheck.Sumcheck
 module Mle = Zk_poly.Mle
 module Orion = Zk_orion.Orion

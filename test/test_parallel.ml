@@ -294,18 +294,11 @@ let qcheck_sumcheck =
     QCheck.(make (gf_array_gen 8))
     (fun flat ->
       let tables = Array.init 4 (fun j -> Array.sub flat (j * 64) 64) in
-      let claim =
-        let acc = ref Gf.zero in
-        for b = 0 to 63 do
-          acc := Gf.add !acc (Sumcheck_oracle.spartan_comb_scalar (Array.map (fun t -> t.(b)) tables))
-        done;
-        !acc
-      in
       let run () =
         let t = Transcript.create "test-parallel" in
         let r =
           Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:(Sumcheck_oracle.spills tables)
-            ~comb:Sumcheck.spartan_comb ~claim
+            ~comb:Sumcheck.spartan_comb
         in
         (* The post-proof challenge pins the entire transcript state. *)
         (r.Sumcheck.proof, r.Sumcheck.challenges, r.Sumcheck.final_values,

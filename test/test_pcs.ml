@@ -395,7 +395,7 @@ let decode_with get data =
   | Ok v -> Ok (v, Codec.pos r)
   | Error e -> Error (Zk_pcs.Verify_error.to_string e)
 
-let boxed_decode = decode_with Codec.get_gf_array
+let boxed_decode = decode_with Codec_oracle.get_gf_array
 let flat_decode = decode_with (fun r -> Result.map Fv.to_array (Codec.get_fv r))
 
 let test_codec_fv () =

@@ -160,8 +160,7 @@ let test_cancel_each_kernel () =
       Fun.protect ~finally:(fun () -> Array.iter Spill.free tables) @@ fun () ->
       let t = Transcript.create "test-serve" in
       Sumcheck.prove ~comb_mults:1 ~budget_bytes:65536 t ~degree:2 ~tables
-        ~comb:Vcomb.prod2
-        ~claim:Gf.zero);
+        ~comb:Vcomb.prod2);
   (* The PCS openings, with and without a budget: a commitment made
      outside the token, opened under it, aborts and leaves no spill file
      behind. *)

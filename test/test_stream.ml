@@ -322,6 +322,7 @@ let check_sumcheck_equal msg (a : Sumcheck.prover_result) (b : Sumcheck.prover_r
     (fun i g -> check_gf_array (Printf.sprintf "%s: round %d" msg i) g
         b.Sumcheck.proof.Sumcheck.round_polys.(i))
     a.Sumcheck.proof.Sumcheck.round_polys;
+  check_gf_array (msg ^ ": claim") [| a.Sumcheck.claim |] [| b.Sumcheck.claim |];
   check_gf_array (msg ^ ": challenges") a.Sumcheck.challenges b.Sumcheck.challenges;
   check_gf_array (msg ^ ": final values") a.Sumcheck.final_values b.Sumcheck.final_values;
   Alcotest.(check bool)
@@ -348,7 +349,7 @@ let run_sumcheck_pair ~l ~degree ~tables_count ~comb ~vcomb ~comb_mults ~budget 
   let spills = Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables in
   let streamed =
     Sumcheck.prove ~comb_mults ?budget_bytes:budget t2 ~degree
-      ~tables:spills ~comb:vcomb ~claim
+      ~tables:spills ~comb:vcomb
   in
   Array.iteri
     (fun i t ->
@@ -412,7 +413,7 @@ let test_sumcheck_spilled_tables () =
   in
   let streamed =
     Sumcheck.prove ~comb_mults:1 ~budget_bytes:512 t2 ~degree:2
-      ~tables:spills ~comb:Vcomb.prod2 ~claim
+      ~tables:spills ~comb:Vcomb.prod2
   in
   Array.iter Spill.free spills;
   check_sumcheck_equal "spilled tables" reference streamed
@@ -482,7 +483,7 @@ let prop_vector_combiner_contract =
               let streamed =
                 Pool.with_domains domains (fun () ->
                     Sumcheck.prove ~comb_mults ?budget_bytes:budget
-                      (Transcript.create "contract") ~degree ~tables:spills ~comb:vector ~claim)
+                      (Transcript.create "contract") ~degree ~tables:spills ~comb:vector)
               in
               check_sumcheck_equal msg reference streamed;
               Array.iteri
@@ -521,30 +522,44 @@ let test_orion_budget_equal () =
       Orion.free_committed cd)
     [ 4; 7; 9 ]
 
+(* Each commitment is opened twice, at two points: the opening's sumcheck
+   reads the committed table in place, so the second opening sees the
+   table as committed. l = 0 has no sumcheck round. *)
 let test_fri_budget_equal () =
   let params = Fri_pcs.test_params in
   List.iter
     (fun l ->
       let rng = Rng.create 15L in
       let table = random_gf_array rng (1 lsl l) in
-      let point = random_gf_array (Rng.create 16L) l in
       let cd, cm_d = Fri_pcs.commit params (Rng.create 19L) table in
       let cs, cm_s =
         Fri_pcs.commit ~engine:(budget_engine 2048) params (Rng.create 19L) table
       in
       Alcotest.(check string) "fri root" cm_d.Fri_pcs.root cm_s.Fri_pcs.root;
-      let t1 = Transcript.create "fri-stream" in
-      Fri_pcs.absorb_commitment t1 cm_d;
-      let v1, p1 = Fri_pcs.open_at params cd t1 point in
-      let t2 = Transcript.create "fri-stream" in
-      Fri_pcs.absorb_commitment t2 cm_s;
-      let v2, p2 = Fri_pcs.open_at ~engine:(budget_engine 2048) params cs t2 point in
-      Alcotest.(check bool) "fri value" true (Gf.equal v1 v2);
-      Alcotest.(check bool) "fri value = MLE" true (Gf.equal v1 (Mle.eval table point));
-      Alcotest.(check bool) "fri proof" true (p1 = p2);
+      let transcript () =
+        let t = Transcript.create "fri-stream" in
+        Fri_pcs.absorb_commitment t cm_d;
+        t
+      in
+      List.iter
+        (fun seed ->
+          let point = random_gf_array (Rng.create seed) l in
+          let msg = Printf.sprintf "l=%d point seed %Ld" l seed in
+          let v1, p1 = Fri_pcs.open_at params cd (transcript ()) point in
+          let v2, p2 =
+            Fri_pcs.open_at ~engine:(budget_engine 2048) params cs (transcript ()) point
+          in
+          Alcotest.(check bool) (msg ^ ": fri value") true (Gf.equal v1 v2);
+          Alcotest.(check bool) (msg ^ ": fri value = MLE") true
+            (Gf.equal v1 (Mle.eval table point));
+          Alcotest.(check bool) (msg ^ ": fri proof") true (p1 = p2);
+          match Fri_pcs.verify params cm_d (transcript ()) point v1 p1 with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s" msg (Zk_pcs.Verify_error.to_string e))
+        [ 16L; 17L ];
       Fri_pcs.free_committed cs;
       Fri_pcs.free_committed cd)
-    [ 2; 5; 8 ]
+    [ 0; 2; 5; 8 ]
 
 (* --- end-to-end Spartan: one prover, every budget ------------------------ *)
 

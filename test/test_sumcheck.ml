@@ -23,7 +23,8 @@ let sum_over_cube tables comb =
 let run_roundtrip ~l ~degree ~tables ~comb ~vcomb =
   let claim = sum_over_cube tables comb in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree ~tables:(Sumcheck_oracle.spills tables) ~comb:vcomb ~claim in
+  let res = Sumcheck.prove pt ~degree ~tables:(Sumcheck_oracle.spills tables) ~comb:vcomb in
+  Alcotest.check gf "claim is the sum over the cube" claim res.Sumcheck.claim;
   let vt = Transcript.create "sumcheck-test" in
   match Sumcheck.verify vt ~degree ~num_vars:l ~claim res.Sumcheck.proof with
   | Error e -> Alcotest.failf "verify failed: %s" (Zk_pcs.Verify_error.to_string e)
@@ -66,20 +67,36 @@ let test_spartan_shape () =
        ~vcomb:Sumcheck.spartan_comb)
 
 let test_wrong_claim_rejected () =
+  (* An honest proof checked against claim + 1: round 0's g(0) + g(1) is
+     the true sum, so the verifier rejects it at once. *)
   let rng = Rng.create 43L in
   let tables = [| random_table rng 4 |] in
-  let comb v = v.(0) in
-  let claim = Gf.add (sum_over_cube tables comb) Gf.one in
+  let claim = Gf.add (sum_over_cube tables (fun v -> v.(0))) Gf.one in
   let pt = Transcript.create "sumcheck-test" in
-  (* A cheating prover can still produce rounds, but the verifier's final
-     reduced value will not match the true MLE evaluation. *)
-  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first ~claim in
+  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first in
   let vt = Transcript.create "sumcheck-test" in
   match Sumcheck.verify vt ~degree:1 ~num_vars:4 ~claim res.Sumcheck.proof with
-  | Error _ -> () (* round check already caught it *)
+  | Error e ->
+    Alcotest.(check string) "category" "sumcheck_mismatch"
+      (Zk_pcs.Verify_error.category_name e.Zk_pcs.Verify_error.category)
+  | Ok _ -> Alcotest.fail "a wrong claim was accepted"
+
+let test_no_rounds () =
+  (* One-element tables: no rounds, and the claim is comb at the point. *)
+  let tables = [| [| Gf.of_int 3 |]; [| Gf.of_int 5 |]; [| Gf.of_int 7 |] |] in
+  let pt = Transcript.create "sumcheck-test" in
+  let res =
+    Sumcheck.prove pt ~degree:3 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.prod_all
+  in
+  Alcotest.check gf "claim" (Gf.of_int 105) res.Sumcheck.claim;
+  Alcotest.(check int) "rounds" 0 (Array.length res.Sumcheck.proof.Sumcheck.round_polys);
+  let vt = Transcript.create "sumcheck-test" in
+  match Sumcheck.verify vt ~degree:3 ~num_vars:0 ~claim:res.Sumcheck.claim res.Sumcheck.proof with
+  | Error e -> Alcotest.failf "verify failed: %s" (Zk_pcs.Verify_error.to_string e)
   | Ok v ->
-    Alcotest.(check bool) "final oracle check must fail" false
-      (Gf.equal (Mle.eval tables.(0) v.Sumcheck.point) v.Sumcheck.value)
+    Alcotest.check gf "value" res.Sumcheck.claim v.Sumcheck.value;
+    Alcotest.check gf "transcripts agree" (Transcript.challenge_gf pt "after")
+      (Transcript.challenge_gf vt "after")
 
 let test_tampered_round_rejected () =
   let rng = Rng.create 44L in
@@ -87,7 +104,7 @@ let test_tampered_round_rejected () =
   let comb v = Gf.mul v.(0) v.(1) in
   let claim = sum_over_cube tables comb in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:2 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.prod2 ~claim in
+  let res = Sumcheck.prove pt ~degree:2 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.prod2 in
   let proof = res.Sumcheck.proof in
   proof.Sumcheck.round_polys.(2).(1) <- Gf.add proof.Sumcheck.round_polys.(2).(1) Gf.one;
   let vt = Transcript.create "sumcheck-test" in
@@ -107,7 +124,7 @@ let test_wrong_transcript_rejected () =
   let comb v = v.(0) in
   let claim = sum_over_cube tables comb in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first ~claim in
+  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first in
   let vt = Transcript.create "different-domain" in
   match Sumcheck.verify vt ~degree:1 ~num_vars:3 ~claim res.Sumcheck.proof with
   | Error _ -> ()
@@ -119,9 +136,8 @@ let test_stats () =
   let rng = Rng.create 46L in
   let l = 6 in
   let tables = [| random_table rng l |] in
-  let claim = sum_over_cube tables (fun v -> v.(0)) in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first ~claim in
+  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first in
   Alcotest.(check int) "rounds" l res.Sumcheck.stats.Sumcheck.rounds;
   (* Fold multiplications: sum over rounds of half = 2^(l-1) + ... + 1. *)
   Alcotest.(check int) "fold mults" ((1 lsl l) - 1) res.Sumcheck.stats.Sumcheck.mults
@@ -135,7 +151,7 @@ let prop_roundtrip_random_degrees =
       let comb v = Array.fold_left Gf.mul Gf.one v in
       let claim = sum_over_cube tables comb in
       let pt = Transcript.create "sumcheck-prop" in
-      let res = Sumcheck.prove pt ~degree:k ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.prod_all ~claim in
+      let res = Sumcheck.prove pt ~degree:k ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.prod_all in
       let vt = Transcript.create "sumcheck-prop" in
       match Sumcheck.verify vt ~degree:k ~num_vars:l ~claim res.Sumcheck.proof with
       | Error _ -> false
@@ -147,6 +163,7 @@ let suite =
     Alcotest.test_case "product of two" `Quick test_product_of_two;
     Alcotest.test_case "Spartan-shaped degree 3" `Quick test_spartan_shape;
     Alcotest.test_case "wrong claim rejected" `Quick test_wrong_claim_rejected;
+    Alcotest.test_case "no rounds: claim is comb at the point" `Quick test_no_rounds;
     Alcotest.test_case "tampered round rejected" `Quick test_tampered_round_rejected;
     Alcotest.test_case "wrong transcript rejected" `Quick test_wrong_transcript_rejected;
     Alcotest.test_case "prover stats" `Quick test_stats;

@@ -285,7 +285,7 @@ let test_sumcheck_prove_equiv () =
       ~tables ~comb ~claim
   and b =
     Sumcheck.prove ~comb_mults:2 (Transcript.create "test-vec-sumcheck") ~degree:3
-      ~tables:(Sumcheck_oracle.spills tables) ~comb:vcomb ~claim
+      ~tables:(Sumcheck_oracle.spills tables) ~comb:vcomb
   in
   Array.iteri
     (fun i g -> gf_array_eq (Printf.sprintf "round %d" i) g b.Sumcheck.proof.Sumcheck.round_polys.(i))
