@@ -65,7 +65,10 @@ type endtoend = {
 
 let endtoend_sizes ~smoke =
   (* (backend, constraints_log2, budget_bytes); the Orion 2^16 entry under
-     a 1 MiB budget is the smoke gate. *)
+     a 1 MiB budget is the smoke gate. The FRI 2^14 entry under 64 KiB is
+     small enough a budget that the opening streams too: its sumcheck
+     tables and fold layers spill, and the queries read the layers back
+     from their files. *)
   if smoke then [ ("orion", 16, 1 lsl 20); ("fri", 11, 1 lsl 18) ]
   else
     [
@@ -74,6 +77,7 @@ let endtoend_sizes ~smoke =
       ("orion", 20, 16 lsl 20);
       ("fri", 12, 1 lsl 19);
       ("fri", 14, 1 lsl 20);
+      ("fri", 14, 64 lsl 10);
     ]
 
 let prove_bytes ~engine backend inst asn =

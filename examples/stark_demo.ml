@@ -35,4 +35,4 @@ let () =
   | Ok () ->
     Printf.printf "standalone FRI low-degree test: OK (%d byte proof)\n"
       (Fri.proof_size_bytes fri_proof)
-  | Error e -> failwith e
+  | Error e -> failwith (Verify_error.to_string e)

@@ -34,7 +34,6 @@ module Fr_bls = Zk_field.Fr_bls
 module Fq_bls = Zk_field.Fq_bls
 module Keccak = Zk_hash.Keccak
 module Transcript = Zk_hash.Transcript
-module Multiset_hash = Zk_hash.Multiset_hash
 module Ntt = Zk_ntt.Ntt
 module Dense_poly = Zk_poly.Dense
 module Mle = Zk_poly.Mle
@@ -48,7 +47,6 @@ module R1cs = Zk_r1cs.R1cs
 module Builder = Zk_r1cs.Builder
 module Gadgets = Zk_r1cs.Gadgets
 module Lang = Zk_r1cs.Lang
-module Memory_check = Zk_r1cs.Memory_check
 module Bignum = Zk_r1cs.Bignum
 module Sumcheck = Zk_sumcheck.Sumcheck
 module Sumcheck_ext = Zk_sumcheck.Sumcheck_ext

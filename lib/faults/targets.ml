@@ -8,6 +8,7 @@ module Sumcheck = Zk_sumcheck.Sumcheck
 module Spartan = Zk_spartan.Spartan
 module O = Zk_orion.Orion
 module Fp = Zk_orion.Fri_pcs
+module Fri = Zk_orion.Fri
 module Spartan_fri = Zk_spartan.Spartan.Make (Zk_orion.Fri_pcs)
 
 (* All targets prove the same fixed statement; mutators must only ever see
@@ -257,9 +258,10 @@ let fri () =
             if Fp.num_queries wo = 0 then None
             else begin
               let q = Rng.int rng (Fp.num_queries wo) in
-              let n = wo.Fp.layer_count.(q) in
+              let layer_count = wo.Fp.queries.Fri.layer_count in
+              let n = layer_count.(q) in
               if n = 0 then None
-              else f rng wo (column_start wo.Fp.layer_count q + Rng.int rng n)
+              else f rng wo (column_start layer_count q + Rng.int rng n)
             end)
       in
       [
@@ -299,42 +301,44 @@ let fri () =
           with_open (fun rng wo ->
               if Fp.num_queries wo = 0 then None
               else begin
-                let positions = Array.copy wo.Fp.positions in
+                let positions = Array.copy wo.Fp.queries.Fri.positions in
                 let k = Rng.int rng (Array.length positions) in
                 positions.(k) <- positions.(k) lxor 1;
-                Some { wo with Fp.positions }
+                Some { wo with Fp.queries = { wo.Fp.queries with Fri.positions } }
               end) );
         ( "nudge_query_leaf",
           with_query_layer (fun rng wo k ->
-              let pairs = Fv.copy wo.Fp.pairs in
+              let pairs = Fv.copy wo.Fp.queries.Fri.pairs in
               let e = (2 * k) + if Rng.bool rng then 0 else 1 in
               Fv.set pairs e (nudge rng (Fv.get pairs e));
-              Some { wo with Fp.pairs }) );
+              Some { wo with Fp.queries = { wo.Fp.queries with Fri.pairs } }) );
         ( "tamper_query_path",
           with_query_layer (fun rng wo k ->
-              let len = wo.Fp.path_len.(k) in
+              let q = wo.Fp.queries in
+              let len = q.Fri.path_len.(k) in
               if len = 0 then None
               else begin
-                let paths = Fv.copy wo.Fp.paths in
-                let d = column_start wo.Fp.path_len k + Rng.int rng len in
+                let paths = Fv.copy q.Fri.paths in
+                let d = column_start q.Fri.path_len k + Rng.int rng len in
                 Keccak.set_digest paths d (tamper_digest rng (Keccak.digest_at paths d));
-                Some { wo with Fp.paths }
+                Some { wo with Fp.queries = { q with Fri.paths } }
               end) );
         (* One digest fewer: the verifier's wrong-length fallback. *)
         ( "truncate_query_path",
           with_query_layer (fun rng wo k ->
-              let len = wo.Fp.path_len.(k) in
+              let q = wo.Fp.queries in
+              let len = q.Fri.path_len.(k) in
               if len = 0 then None
               else begin
-                let d = column_start wo.Fp.path_len k + Rng.int rng len in
-                let lanes = Fv.length wo.Fp.paths in
+                let d = column_start q.Fri.path_len k + Rng.int rng len in
+                let lanes = Fv.length q.Fri.paths in
                 let paths = Fv.create (lanes - 4) in
-                Fv.blit ~src:wo.Fp.paths ~src_pos:0 ~dst:paths ~dst_pos:0 ~len:(4 * d);
-                Fv.blit ~src:wo.Fp.paths ~src_pos:(4 * (d + 1)) ~dst:paths ~dst_pos:(4 * d)
+                Fv.blit ~src:q.Fri.paths ~src_pos:0 ~dst:paths ~dst_pos:0 ~len:(4 * d);
+                Fv.blit ~src:q.Fri.paths ~src_pos:(4 * (d + 1)) ~dst:paths ~dst_pos:(4 * d)
                   ~len:(lanes - (4 * (d + 1)));
-                let path_len = Array.copy wo.Fp.path_len in
+                let path_len = Array.copy q.Fri.path_len in
                 path_len.(k) <- len - 1;
-                Some { wo with Fp.paths; path_len }
+                Some { wo with Fp.queries = { q with Fri.paths; path_len } }
               end) );
       ])
 

@@ -1,30 +1,59 @@
 module Gf = Zk_field.Gf
 module Merkle = Zk_merkle.Merkle
+module Keccak = Zk_hash.Keccak
 module Transcript = Zk_hash.Transcript
 module Ntt_fv = Zk_ntt.Ntt.Gf_fv
 module Fv = Nocap_vec.Fv
+module Spill = Nocap_vec.Spill
 module Pool = Nocap_parallel.Pool
 module Native = Nocap_native.Native
+module E = Zk_pcs.Verify_error
 
 type params = { blowup_log2 : int; num_queries : int }
 
 let default_params = { blowup_log2 = 2; num_queries = 30 }
 
+type queries = {
+  positions : int array; (* per query: its layer-0 position *)
+  layer_count : int array; (* per query: opened layers *)
+  pairs : Fv.t; (* per opened layer: the even, then the odd value *)
+  path_len : int array; (* per opened layer: its path's digest count *)
+  paths : Fv.t; (* every path, bottom-up, 4 lanes per digest *)
+}
+
 type proof = {
   layer_roots : Merkle.digest array;
   final_constant : Gf.t;
-  queries : query array;
-}
-
-and query = {
-  position : int;
-  layers : (Gf.t * Gf.t * Merkle.digest list) array;
+  queries : queries;
 }
 
 let log2_exact n =
   if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Fri: size must be a power of two";
   let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
   go 0 n
+
+let sum = Array.fold_left ( + ) 0
+
+(* Start of each run in a buffer of concatenated runs. *)
+let offsets lens =
+  let pos = Array.make (Array.length lens) 0 in
+  for k = 1 to Array.length lens - 1 do
+    pos.(k) <- pos.(k - 1) + lens.(k - 1)
+  done;
+  pos
+
+(* The per-query and per-layer arrays agree with each other and with the
+   buffers, and every root is a digest. A decoder only ever builds such
+   records; a hand-built one may not. *)
+let well_formed ~roots q =
+  let layers = sum q.layer_count in
+  Array.length q.layer_count = Array.length q.positions
+  && Array.for_all (fun c -> c >= 0) q.layer_count
+  && Array.length q.path_len = layers
+  && Fv.length q.pairs = 2 * layers
+  && Array.for_all (fun n -> n >= 0) q.path_len
+  && Fv.length q.paths = 4 * sum q.path_len
+  && Array.for_all (fun d -> String.length d = 32) roots
 
 (* Merkle tree over an evaluation layer, co-locating f(x) and f(-x): leaf j
    commits to (E[j], E[j + half]), i.e. column j of the layer read as a
@@ -76,6 +105,172 @@ let fold ~shift evals beta =
     ~dst beta;
   dst
 
+(* Query [q] opens a pair and its path in every layer: pair [k = q *
+   layers + i] at [2k], paths back to back. One query costs ~2µs a
+   layer. *)
+let open_queries layers trees positions =
+  let nq = Array.length positions and nl = Array.length layers in
+  let depths = Array.map Merkle.depth trees in
+  let per_query = sum depths in
+  let pairs = Fv.create (2 * nq * nl) and paths = Fv.create (4 * nq * per_query) in
+  Pool.run ~grain:(Pool.grain_of_ns (max 1 (nl * 2_000))) ~n:nq (fun lo hi ->
+      for q = lo to hi - 1 do
+        let lane = ref (4 * q * per_query) in
+        Array.iteri
+          (fun i layer ->
+            let half = Spill.length layer / 2 in
+            let pos = positions.(q) mod half in
+            let k = (q * nl) + i in
+            Fv.set pairs (2 * k) (Spill.get layer pos);
+            Fv.set pairs ((2 * k) + 1) (Spill.get layer (pos + half));
+            Merkle.path_into trees.(i) pos paths ~pos:!lane;
+            lane := !lane + (4 * depths.(i)))
+          layers
+      done);
+  {
+    positions;
+    layer_count = Array.make nq nl;
+    pairs;
+    path_len = Array.init (nq * nl) (fun k -> depths.(k mod nl));
+    paths;
+  }
+
+(* The positions in [0, n) that satisfy [p], in order. *)
+let select n p = Array.of_list (List.filter p (List.init n Fun.id))
+
+(* What decides one query, in the order the checks run. *)
+type query_verdict =
+  | Query_ok
+  | Bad_position
+  | Bad_layer_count
+  | Bad_path of int * string
+  | Bad_fold of int
+  | Not_constant
+
+let query_error q = function
+  | Query_ok -> Ok ()
+  | Bad_position -> E.errorf E.Consistency "query %d: position mismatch" q
+  | Bad_layer_count -> E.errorf E.Shape "query %d: layer count" q
+  | Bad_path (i, reason) -> E.errorf E.Merkle_mismatch "query %d layer %d: %s" q i reason
+  | Bad_fold i -> E.errorf E.Consistency "query %d layer %d: fold mismatch" q i
+  | Not_constant -> E.errorf E.Consistency "query %d: final layer not constant" q
+
+(* Every query in one batch, in stages: the record's shape; positions and
+   layer counts; the opened pairs of the well-shaped queries as the
+   columns of one [2 x (layers * ns)] matrix, hashed into leaves in one
+   {!Keccak.hash_cols_into}; per layer, every path of the honest length
+   walked together ({!Merkle.check_paths}); then each query's fold chain
+   and final constant. Layer [i] has [2^(domain_log2 - i)] points and its
+   tree [2^(domain_log2 - i - 1)] leaves, so every honest path there is
+   [domain_log2 - i - 1] long; a path of another length gets the scalar
+   {!Merkle.check_path} and its reason. The verdict is the first failing
+   query, with its first failing (layer, check) in the order a one query,
+   one layer at a time walk meets them. *)
+let check_queries ~shift ~roots ~domain_log2 ~challenges ~positions ~final_constant proof =
+  let nq = Array.length positions in
+  if Array.length proof.positions <> nq then E.error E.Shape "wrong number of queries"
+  else if not (well_formed ~roots proof) then
+    E.error E.Shape "query openings do not match their buffers"
+  else begin
+    let layers = Array.length roots in
+    let first = offsets proof.layer_count and path_pos = offsets proof.path_len in
+    let verdict =
+      Array.init nq (fun q ->
+          if proof.positions.(q) <> positions.(q) then Bad_position
+          else if proof.layer_count.(q) <> layers then Bad_layer_count
+          else Query_ok)
+    in
+    let shaped = select nq (fun q -> verdict.(q) = Query_ok) in
+    let ns = Array.length shaped in
+    (* Pair (query shaped.(w), layer i) is column [i * ns + w]. *)
+    let cols = layers * ns in
+    let mat = Fv.create (2 * cols) in
+    Array.iteri
+      (fun w q ->
+        for i = 0 to layers - 1 do
+          let c = (i * ns) + w and k = 2 * (first.(q) + i) in
+          Fv.unsafe_set mat c (Fv.unsafe_get proof.pairs k);
+          Fv.unsafe_set mat (cols + c) (Fv.unsafe_get proof.pairs (k + 1))
+        done)
+      shaped;
+    let leaves = Fv.create (4 * cols) in
+    if cols > 0 then Keccak.hash_cols_into ~rows:2 ~cols mat ~dst:leaves;
+    let bad_path = Array.make cols None in
+    for i = 0 to layers - 1 do
+      let depth = domain_log2 - i - 1 in
+      let leaf_pos w = positions.(shaped.(w)) land ((1 lsl depth) - 1) in
+      let full = select ns (fun w -> proof.path_len.(first.(shaped.(w)) + i) = depth) in
+      let full_leaves = Fv.create (4 * Array.length full) in
+      Array.iteri
+        (fun b w ->
+          Fv.blit ~src:leaves ~src_pos:(4 * ((i * ns) + w)) ~dst:full_leaves ~dst_pos:(4 * b)
+            ~len:4)
+        full;
+      let on_root =
+        Merkle.check_paths ~root:roots.(i) ~depth ~index:(Array.map leaf_pos full)
+          ~leaves:full_leaves ~paths:proof.paths
+          ~path_pos:(Array.map (fun w -> 4 * path_pos.(first.(shaped.(w)) + i)) full)
+      in
+      Array.iteri
+        (fun b w -> if not on_root.(b) then bad_path.((i * ns) + w) <- Some "root mismatch")
+        full;
+      Array.iteri
+        (fun w q ->
+          let k = first.(q) + i in
+          let len = proof.path_len.(k) in
+          if len <> depth then begin
+            let path = List.init len (fun d -> Keccak.digest_at proof.paths (path_pos.(k) + d)) in
+            match
+              Merkle.check_path ~root:roots.(i) ~index:(leaf_pos w)
+                ~leaf:(Keccak.digest_at leaves ((i * ns) + w))
+                ~path
+            with
+            | Ok () -> ()
+            | Error reason -> bad_path.((i * ns) + w) <- Some reason
+          end)
+        shaped
+    done;
+    (* The fold chain of one query: the value at position [j] of layer
+       [i + 1] is the fold of layer [i]'s pair at [j]. Layer [i] lies on
+       the coset [shift^(2^i) <w_i>], so its leaf [j] divides by
+       [shift^(2^i) * w_i^j]; on the plain subgroup the shift factor is
+       one and is skipped. *)
+    let w_invs = Array.init (layers - 1) (fun i -> Gf.inv (Gf.root_of_unity (domain_log2 - i))) in
+    let plain = Gf.equal shift Gf.one in
+    let shift_invs = Array.make (layers - 1) (Gf.inv shift) in
+    for i = 1 to layers - 2 do
+      shift_invs.(i) <- Gf.square shift_invs.(i - 1)
+    done;
+    let fold_chain w q =
+      let rec walk i j expected =
+        match bad_path.((i * ns) + w) with
+        | Some reason -> Bad_path (i, reason)
+        | None ->
+          let half = 1 lsl (domain_log2 - i - 1) in
+          let k = 2 * (first.(q) + i) in
+          let a = Fv.get proof.pairs k and b = Fv.get proof.pairs (k + 1) in
+          let leaf_pos = j land (half - 1) in
+          if i > 0 && not (Gf.equal expected (if j >= half then b else a)) then Bad_fold i
+          else if i = layers - 1 then
+            if Gf.equal a final_constant && Gf.equal b final_constant then Query_ok
+            else Not_constant
+          else begin
+            let x_inv = Gf.pow w_invs.(i) (Int64.of_int leaf_pos) in
+            let x_inv = if plain then x_inv else Gf.mul shift_invs.(i) x_inv in
+            walk (i + 1) leaf_pos (fold_at ~x_inv challenges.(i) a b)
+          end
+      in
+      walk 0 positions.(q) Gf.zero
+    in
+    Array.iteri (fun w q -> verdict.(q) <- fold_chain w q) shaped;
+    let rec scan q =
+      if q = nq then Ok ()
+      else if verdict.(q) = Query_ok then scan (q + 1)
+      else query_error q verdict.(q)
+    in
+    scan 0
+  end
+
 let prove ?(shift = Gf.one) params transcript coeffs =
   let n = Array.length coeffs in
   let log_n = log2_exact n in
@@ -106,121 +301,45 @@ let prove ?(shift = Gf.one) params transcript coeffs =
     trees := tree :: !trees;
     Transcript.absorb_digest transcript "fri/root" (Merkle.root tree)
   done;
-  let layers = Array.of_list (List.rev !layers) in
+  let layers = Array.of_list (List.rev_map Spill.of_fv !layers) in
   let trees = Array.of_list (List.rev !trees) in
   (* The last layer must be constant (degree < 1 after log_n folds). *)
-  let final_constant = Fv.get layers.(Array.length layers - 1) 0 in
+  let final_constant = Spill.get layers.(log_n) 0 in
   Transcript.absorb_gf transcript "fri/final" [| final_constant |];
-  (* Queries. *)
   let positions =
     Transcript.challenge_indices transcript "fri/queries" ~bound:(domain / 2)
       ~count:params.num_queries
-  in
-  let queries =
-    Array.map
-      (fun position ->
-        let opened =
-          Array.mapi
-            (fun i layer ->
-              let half = Fv.length layer / 2 in
-              let pos = position mod half in
-              (Fv.get layer pos, Fv.get layer (pos + half), Merkle.path trees.(i) pos))
-            layers
-        in
-        { position; layers = opened })
-      positions
   in
   {
     layer_roots = Array.map Merkle.root trees;
     final_constant;
-    queries;
+    queries = open_queries layers trees positions;
   }
 
 let verify ?(shift = Gf.one) params transcript ~degree_bound proof =
-  let ( let* ) = Result.bind in
   let log_n = log2_exact degree_bound in
-  let domain = degree_bound lsl params.blowup_log2 in
-  let* () =
-    if Array.length proof.layer_roots = log_n + 1 then Ok ()
-    else Error "wrong number of layers"
-  in
-  Transcript.absorb_int transcript "fri/degree" degree_bound;
-  Transcript.absorb_int transcript "fri/blowup" params.blowup_log2;
-  Transcript.absorb_digest transcript "fri/root" proof.layer_roots.(0);
-  let betas = Array.make log_n Gf.zero in
-  for i = 0 to log_n - 1 do
-    betas.(i) <- Transcript.challenge_gf transcript "fri/beta";
-    Transcript.absorb_digest transcript "fri/root" proof.layer_roots.(i + 1)
-  done;
-  Transcript.absorb_gf transcript "fri/final" [| proof.final_constant |];
-  let positions =
-    Transcript.challenge_indices transcript "fri/queries" ~bound:(domain / 2)
-      ~count:params.num_queries
-  in
-  let* () =
-    if Array.length proof.queries = params.num_queries then Ok ()
-    else Error "wrong number of queries"
-  in
-  (* Per-layer inverse twiddle bases: layer i has size domain / 2^i, over
-     the coset shift^(2^i) <w_i>; its fold at leaf j divides by
-     shift^(2^i) * w_i^j. *)
-  let log_domain = log2_exact domain in
-  let w_invs = Array.init log_n (fun i -> Gf.inv (Gf.root_of_unity (log_domain - i))) in
-  let shift_invs = Array.make log_n (Gf.inv shift) in
-  for i = 1 to log_n - 1 do
-    shift_invs.(i) <- Gf.square shift_invs.(i - 1)
-  done;
-  let rec check_query q_idx =
-    if q_idx >= Array.length proof.queries then Ok ()
-    else begin
-      let q = proof.queries.(q_idx) in
-      if q.position <> positions.(q_idx) then Error "query position mismatch"
-      else if Array.length q.layers <> log_n + 1 then Error "query layer count"
-      else begin
-        (* Walk the folding chain: at layer i the walked index j lives in
-           [0, layer_size); the co-located leaf is j mod half, and j selects
-           the low (a) or high (b) element of the opened pair. *)
-        let rec walk i layer_size j expected =
-          let half = layer_size / 2 in
-          let leaf_pos = j mod half in
-          let a, b, path = q.layers.(i) in
-          let leaf = Merkle.leaf_of_column [| a; b |] in
-          match Merkle.check_path ~root:proof.layer_roots.(i) ~index:leaf_pos ~leaf ~path with
-          | Error reason -> Error (Printf.sprintf "query %d layer %d: bad path: %s" q_idx i reason)
-          | Ok () ->
-            let value_at_j = if j >= half then b else a in
-            let consistent =
-              match expected with
-              | None -> true
-              | Some v -> Gf.equal v value_at_j
-            in
-            if not consistent then
-              Error (Printf.sprintf "query %d layer %d: fold mismatch" q_idx i)
-            else if i = log_n then
-              if Gf.equal a proof.final_constant && Gf.equal b proof.final_constant
-              then Ok ()
-              else Error (Printf.sprintf "query %d: final layer not constant" q_idx)
-            else begin
-              let x_inv = Gf.mul shift_invs.(i) (Gf.pow w_invs.(i) (Int64.of_int leaf_pos)) in
-              walk (i + 1) half leaf_pos (Some (fold_at ~x_inv betas.(i) a b))
-            end
-        in
-        match walk 0 domain q.position None with
-        | Error e -> Error e
-        | Ok () -> check_query (q_idx + 1)
-      end
-    end
-  in
-  check_query 0
+  if Array.length proof.layer_roots <> log_n + 1 then E.error E.Shape "wrong number of layers"
+  else begin
+    Transcript.absorb_int transcript "fri/degree" degree_bound;
+    Transcript.absorb_int transcript "fri/blowup" params.blowup_log2;
+    Transcript.absorb_digest transcript "fri/root" proof.layer_roots.(0);
+    let betas = Array.make log_n Gf.zero in
+    for i = 0 to log_n - 1 do
+      betas.(i) <- Transcript.challenge_gf transcript "fri/beta";
+      Transcript.absorb_digest transcript "fri/root" proof.layer_roots.(i + 1)
+    done;
+    Transcript.absorb_gf transcript "fri/final" [| proof.final_constant |];
+    let domain_log2 = log_n + params.blowup_log2 in
+    let positions =
+      Transcript.challenge_indices transcript "fri/queries" ~bound:(1 lsl (domain_log2 - 1))
+        ~count:params.num_queries
+    in
+    check_queries ~shift ~roots:proof.layer_roots ~domain_log2 ~challenges:betas ~positions
+      ~final_constant:proof.final_constant proof.queries
+  end
 
-let proof_size_bytes proof =
-  let digest = 32 and field = 8 in
-  (digest * Array.length proof.layer_roots)
-  + field
-  + Array.fold_left
-      (fun acc q ->
-        acc + 8
-        + Array.fold_left
-            (fun acc (_, _, path) -> acc + (2 * field) + (digest * List.length path))
-            0 q.layers)
-      0 proof.queries
+(* A root per layer and the constant; a position per query, two elements
+   and a path per opened layer. *)
+let proof_size_bytes { layer_roots; queries = q; _ } =
+  (32 * Array.length layer_roots) + 8
+  + (8 * Array.length q.positions) + (8 * Fv.length q.pairs) + (8 * Fv.length q.paths)

@@ -13,7 +13,12 @@
     Every primitive here is a NoCap FU operation: NTTs to evaluate, SHA3 to
     commit, element-wise arithmetic to fold — which is the generality point
     this module exists to demonstrate (its kernels are benchmarked alongside
-    Orion's in [bench/main.exe]). *)
+    Orion's in [bench/main.exe]).
+
+    This module owns the query phase of every FRI proof in the library: the
+    flat {!queries} record, its opener ({!open_queries}) and its batched
+    checker ({!check_queries}) serve both this low-degree test (and so
+    {!Stark}) and {!Fri_pcs}. *)
 
 module Gf = Zk_field.Gf
 
@@ -24,17 +29,26 @@ type params = {
 
 val default_params : params
 
-type proof = {
-  layer_roots : Zk_merkle.Merkle.digest array; (** one per fold layer *)
-  final_constant : Gf.t;
-  queries : query array;
+type queries = {
+  positions : int array;  (** per query: its layer-0 position *)
+  layer_count : int array;  (** per query: the layers it opens *)
+  pairs : Nocap_vec.Fv.t;
+      (** per opened layer, query after query: [f(x)] then [f(-x)] *)
+  path_len : int array;  (** per opened layer: its authentication path's length *)
+  paths : Nocap_vec.Fv.t;
+      (** every authentication path in the same order, bottom-up, as flat
+          lanes (4 per digest, {!Zk_hash.Keccak.digest_at}'s layout) *)
 }
+(** The spot checks of a proof, flat: no boxed element and no digest
+    string between the opener and the verdict. Query [q] opens
+    [layer_count.(q)] layers, and its layers' entries follow each other in
+    the per-layer arrays and buffers, query after query. Transparent so
+    tests and fault injection can edit it field by field. *)
 
-and query = {
-  position : int;
-  layers : (Gf.t * Gf.t * Zk_merkle.Merkle.digest list) array;
-      (** per layer: f(x), f(-x) and the authentication path of the leaf
-          that commits to both *)
+type proof = {
+  layer_roots : Zk_merkle.Merkle.digest array; (** one per fold layer, layer 0 first *)
+  final_constant : Gf.t;
+  queries : queries;
 }
 
 val prove :
@@ -55,14 +69,23 @@ val verify :
   Zk_hash.Transcript.t ->
   degree_bound:int ->
   proof ->
-  (unit, string) result
+  (unit, Zk_pcs.Verify_error.t) result
+(** Replays the transcript, then runs {!check_queries} over the queries.
+    [shift] must be the prover's. *)
 
 val proof_size_bytes : proof -> int
 
-(** {2 Shared folding machinery}
+
+val log2_exact : int -> int
+(** [log2_exact n] is [k] with [n = 2^k].
+    @raise Invalid_argument unless [n] is a positive power of two. *)
+
+(** {2 Shared folding and query machinery}
 
     Reused by {!Fri_pcs}, which interleaves these codeword folds with a
-    sumcheck to turn the low-degree test into a multilinear PCS. *)
+    sumcheck to turn the low-degree test into a multilinear PCS, and opens
+    and checks its spot checks with the same {!open_queries} and
+    {!check_queries}. *)
 
 val commit_layer : Nocap_vec.Fv.t -> Zk_merkle.Merkle.tree
 (** Merkle tree over an evaluation layer, co-locating [f(x)] and [f(-x)]:
@@ -98,3 +121,32 @@ val fold_block :
     the native fold kernel when the native layer is on, split across the
     pool; the output is the same in every mode and for every split.
     @raise Invalid_argument unless the three blocks have one length. *)
+
+val open_queries :
+  Nocap_vec.Spill.t array -> Zk_merkle.Merkle.tree array -> int array -> queries
+(** [open_queries layers trees positions] opens every query at every
+    layer: at layer [i], query [q] reads the pair at [positions.(q) mod
+    half_i] and [+ half_i] of [layers.(i)] and the path of that leaf in
+    [trees.(i)] (the tree {!commit_layer} builds over that layer). Queries
+    are split across the pool; the record is the same for every split. *)
+
+val check_queries :
+  shift:Gf.t ->
+  roots:Zk_merkle.Merkle.digest array ->
+  domain_log2:int ->
+  challenges:Gf.t array ->
+  positions:int array ->
+  final_constant:Gf.t ->
+  queries ->
+  (unit, Zk_pcs.Verify_error.t) result
+(** The verifier's spot checks, batched. [roots] has one root per layer,
+    layer 0 (of [2^domain_log2] points over the coset [shift * <w>])
+    first; [challenges.(i)] folds layer [i] into [i + 1]; [positions] are
+    the transcript's. Checks the query count and the record's shape
+    ([shape]), then reports the first failing query with its first failing
+    check in the order a one query, one layer at a time walk meets them:
+    position ([consistency]), layer count ([shape]), then per layer path
+    ([merkle_mismatch]), fold ([consistency]) and, last, the final
+    constant ([consistency]). At layer [i] the fold divides by
+    [shift^(2^i) * w_i^pos]; the shift factor is skipped when [shift] is
+    one. *)

@@ -1,7 +1,6 @@
 module Gf = Zk_field.Gf
 module Mle = Zk_poly.Mle
 module Merkle = Zk_merkle.Merkle
-module Keccak = Zk_hash.Keccak
 module Transcript = Zk_hash.Transcript
 module Ntt_fv = Zk_ntt.Ntt.Gf_fv
 module Pool = Nocap_parallel.Pool
@@ -13,9 +12,9 @@ module Sumcheck = Zk_sumcheck.Sumcheck
 let name = "fri"
 let tag = '\002'
 
-type params = { blowup_log2 : int; num_queries : int }
+type params = Fri.params = { blowup_log2 : int; num_queries : int }
 
-let default_params = { blowup_log2 = 2; num_queries = 30 }
+let default_params = Fri.default_params
 let test_params = { blowup_log2 = 2; num_queries = 12 }
 
 type param_error = Blowup_out_of_range of int | Queries_not_positive of int
@@ -49,49 +48,14 @@ type committed = {
   tree : Merkle.tree;
 }
 
-(* The spot checks are flat, as Orion's column openings are: query [q]
-   opens [layer_count.(q)] layers, and its layers' entries follow each
-   other in the per-layer arrays and buffers, query after query. *)
 type eval_proof = {
   sumcheck : Sumcheck.proof; (* one degree-2 polynomial (3 evals) per variable *)
   layer_roots : Merkle.digest array; (* roots of the folded layers 1..num_vars *)
   final_constant : Gf.t;
-  positions : int array; (* per query: its layer-0 position *)
-  layer_count : int array; (* per query: opened layers *)
-  pairs : Fv.t; (* per opened layer: the even, then the odd value *)
-  path_len : int array; (* per opened layer: its path's digest count *)
-  paths : Fv.t; (* every path, bottom-up, 4 lanes per digest *)
+  queries : Fri.queries;
 }
 
-let num_queries p = Array.length p.positions
-
-(* Start of each run in a buffer of concatenated runs. *)
-let offsets lens =
-  let pos = Array.make (Array.length lens) 0 in
-  for k = 1 to Array.length lens - 1 do
-    pos.(k) <- pos.(k - 1) + lens.(k - 1)
-  done;
-  pos
-
-let sum = Array.fold_left ( + ) 0
-
-(* The per-query and per-layer arrays agree with each other and with the
-   buffers, and every root is a digest. The decoder only ever builds such
-   records; a hand-built one may not. *)
-let well_formed p =
-  let layers = sum p.layer_count in
-  Array.length p.layer_count = num_queries p
-  && Array.for_all (fun c -> c >= 0) p.layer_count
-  && Array.length p.path_len = layers
-  && Fv.length p.pairs = 2 * layers
-  && Array.for_all (fun n -> n >= 0) p.path_len
-  && Fv.length p.paths = 4 * sum p.path_len
-  && Array.for_all (fun d -> String.length d = 32) p.layer_roots
-
-let log2_exact n =
-  if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Fri_pcs: size must be a power of two";
-  let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
-  go 0 n
+let num_queries p = Array.length p.queries.Fri.positions
 
 (* Hypercube evaluations -> univariate coefficients, arranged so that
    monomial bit [j - 1] carries variable [j] (the j-th variable the
@@ -102,7 +66,7 @@ let log2_exact n =
    drives both the sumcheck tables and the codeword. *)
 let monomial_coeffs_into table (dst : Fv.t) =
   let n = Array.length table in
-  let l = log2_exact n in
+  let l = Fri.log2_exact n in
   if Fv.length dst < n then invalid_arg "Fri_pcs.monomial_coeffs_into: destination too short";
   Fv.write_array table ~src_pos:0 dst ~dst_pos:0 ~len:n;
   (* Evaluations to multilinear monomial coefficients in place, one
@@ -169,7 +133,7 @@ let commit ?engine params rng table =
   | Error e -> invalid_arg ("Fri_pcs.commit: " ^ param_error_to_string e));
   ignore (rng : Zk_util.Rng.t); (* non-hiding backend: no masks to draw *)
   let n = Array.length table in
-  let num_vars = log2_exact n in
+  let num_vars = Fri.log2_exact n in
   let domain = n lsl params.blowup_log2 in
   (* Layer-0 codeword: the flat NTT of the zero-padded coefficients. *)
   let evals = Fv.create domain in
@@ -304,7 +268,7 @@ let open_at ?engine params committed transcript point =
     let cw = List.hd !layers in
     let cw_len = Spill.length cw in
     let cw_half = cw_len / 2 in
-    let w_inv = Gf.inv (Gf.root_of_unity (log2_exact cw_len)) in
+    let w_inv = Gf.inv (Gf.root_of_unity (Fri.log2_exact cw_len)) in
     let next = fresh "fri-layer" cw_half in
     let j = ref 0 in
     while !j < cw_half do
@@ -333,37 +297,12 @@ let open_at ?engine params committed transcript point =
     Transcript.challenge_indices transcript "fripcs/queries" ~bound:(domain / 2)
       ~count:params.num_queries
   in
-  (* Query [q] opens a pair and its path in every layer: pair [k = q *
-     layers + i] at [2k], paths back to back. One query costs ~2µs a
-     layer. *)
-  let nq = Array.length positions and layers = l + 1 in
-  let depths = Array.map Merkle.depth trees in
-  let per_query = sum depths in
-  let pairs = Fv.create (2 * nq * layers) and paths = Fv.create (4 * nq * per_query) in
-  Pool.run ~grain:(Pool.grain_of_ns (max 1 (layers * 2_000))) ~n:nq (fun lo hi ->
-      for q = lo to hi - 1 do
-        let lane = ref (4 * q * per_query) in
-        Array.iteri
-          (fun i layer ->
-            let half = Spill.length layer / 2 in
-            let pos = positions.(q) mod half in
-            let k = (q * layers) + i in
-            Fv.set pairs (2 * k) (Spill.get layer pos);
-            Fv.set pairs ((2 * k) + 1) (Spill.get layer (pos + half));
-            Merkle.path_into trees.(i) pos paths ~pos:!lane;
-            lane := !lane + (4 * depths.(i)))
-          layer_arr
-      done);
   ( sc.Sumcheck.claim,
     {
       sumcheck = sc.Sumcheck.proof;
       layer_roots = Array.init l (fun i -> Merkle.root trees.(i + 1));
       final_constant;
-      positions;
-      layer_count = Array.make nq layers;
-      pairs;
-      path_len = Array.init (nq * layers) (fun k -> depths.(k mod layers));
-      paths;
+      queries = Fri.open_queries layer_arr trees positions;
     } )
 
 module E = Zk_pcs.Verify_error
@@ -387,130 +326,6 @@ let validate_commitment params (cm : commitment) =
     E.errorf E.Params "num_vars %d outside [0, %d]" cm.num_vars
       (max_domain_log2 - params.blowup_log2)
   else Ok ()
-
-(* The positions in [0, n) that satisfy [p], in order. *)
-let select n p = Array.of_list (List.filter p (List.init n Fun.id))
-
-(* What decides one query, in the order the checks run. *)
-type query_verdict =
-  | Query_ok
-  | Bad_position
-  | Bad_layer_count
-  | Bad_path of int * string
-  | Bad_fold of int
-  | Not_constant
-
-let query_error q = function
-  | Query_ok -> Ok ()
-  | Bad_position -> E.errorf E.Consistency "query %d: position mismatch" q
-  | Bad_layer_count -> E.errorf E.Shape "query %d: layer count" q
-  | Bad_path (i, reason) -> E.errorf E.Merkle_mismatch "query %d layer %d: %s" q i reason
-  | Bad_fold i -> E.errorf E.Consistency "query %d layer %d: fold mismatch" q i
-  | Not_constant -> E.errorf E.Consistency "query %d: final layer not constant" q
-
-(* Every query of an opening in one batch, in stages: positions and layer
-   counts; the opened pairs of the well-shaped queries as the columns of
-   one [2 x (layers * ns)] matrix, hashed into leaves in one
-   {!Keccak.hash_cols_into}; per layer, every path of the honest length
-   walked together ({!Merkle.check_paths}); then each query's fold chain
-   and final constant. Layer [i] has [2^(domain_log2 - i)] points and its
-   tree [2^(domain_log2 - i - 1)] leaves, so every honest path there is
-   [domain_log2 - i - 1] long; a path of another length gets the scalar
-   {!Merkle.check_path} and its reason. The verdict is the first failing
-   query, with its first failing (layer, check) in the order a one query,
-   one layer at a time walk meets them. *)
-let check_queries ~roots ~domain_log2 ~challenges ~positions proof =
-  let nq = Array.length positions in
-  let layers = Array.length roots in
-  let first = offsets proof.layer_count and path_pos = offsets proof.path_len in
-  let verdict =
-    Array.init nq (fun q ->
-        if proof.positions.(q) <> positions.(q) then Bad_position
-        else if proof.layer_count.(q) <> layers then Bad_layer_count
-        else Query_ok)
-  in
-  let shaped = select nq (fun q -> verdict.(q) = Query_ok) in
-  let ns = Array.length shaped in
-  (* Pair (query shaped.(w), layer i) is column [i * ns + w]. *)
-  let cols = layers * ns in
-  let mat = Fv.create (2 * cols) in
-  Array.iteri
-    (fun w q ->
-      for i = 0 to layers - 1 do
-        let c = (i * ns) + w and k = 2 * (first.(q) + i) in
-        Fv.unsafe_set mat c (Fv.unsafe_get proof.pairs k);
-        Fv.unsafe_set mat (cols + c) (Fv.unsafe_get proof.pairs (k + 1))
-      done)
-    shaped;
-  let leaves = Fv.create (4 * cols) in
-  if cols > 0 then Keccak.hash_cols_into ~rows:2 ~cols mat ~dst:leaves;
-  let bad_path = Array.make cols None in
-  for i = 0 to layers - 1 do
-    let depth = domain_log2 - i - 1 in
-    let leaf_pos w = positions.(shaped.(w)) land ((1 lsl depth) - 1) in
-    let full = select ns (fun w -> proof.path_len.(first.(shaped.(w)) + i) = depth) in
-    let full_leaves = Fv.create (4 * Array.length full) in
-    Array.iteri
-      (fun b w ->
-        Fv.blit ~src:leaves ~src_pos:(4 * ((i * ns) + w)) ~dst:full_leaves ~dst_pos:(4 * b)
-          ~len:4)
-      full;
-    let on_root =
-      Merkle.check_paths ~root:roots.(i) ~depth ~index:(Array.map leaf_pos full)
-        ~leaves:full_leaves ~paths:proof.paths
-        ~path_pos:(Array.map (fun w -> 4 * path_pos.(first.(shaped.(w)) + i)) full)
-    in
-    Array.iteri
-      (fun b w -> if not on_root.(b) then bad_path.((i * ns) + w) <- Some "root mismatch")
-      full;
-    Array.iteri
-      (fun w q ->
-        let k = first.(q) + i in
-        let len = proof.path_len.(k) in
-        if len <> depth then begin
-          let path = List.init len (fun d -> Keccak.digest_at proof.paths (path_pos.(k) + d)) in
-          match
-            Merkle.check_path ~root:roots.(i) ~index:(leaf_pos w)
-              ~leaf:(Keccak.digest_at leaves ((i * ns) + w))
-              ~path
-          with
-          | Ok () -> ()
-          | Error reason -> bad_path.((i * ns) + w) <- Some reason
-        end)
-      shaped
-  done;
-  (* The fold chain of one query, as in {!Fri.verify} (plain subgroup: the
-     shift is 1 at every layer): the value at position [j] of layer [i + 1]
-     is the fold of layer [i]'s pair at [j]. *)
-  let final_constant = proof.final_constant in
-  let w_invs = Array.init (layers - 1) (fun i -> Gf.inv (Gf.root_of_unity (domain_log2 - i))) in
-  let fold_chain w q =
-    let rec walk i j expected =
-      match bad_path.((i * ns) + w) with
-      | Some reason -> Bad_path (i, reason)
-      | None ->
-        let half = 1 lsl (domain_log2 - i - 1) in
-        let k = 2 * (first.(q) + i) in
-        let a = Fv.get proof.pairs k and b = Fv.get proof.pairs (k + 1) in
-        let leaf_pos = j land (half - 1) in
-        if i > 0 && not (Gf.equal expected (if j >= half then b else a)) then Bad_fold i
-        else if i = layers - 1 then
-          if Gf.equal a final_constant && Gf.equal b final_constant then Query_ok
-          else Not_constant
-        else begin
-          let x_inv = Gf.pow w_invs.(i) (Int64.of_int leaf_pos) in
-          walk (i + 1) leaf_pos (Fri.fold_at ~x_inv challenges.(i) a b)
-        end
-    in
-    walk 0 positions.(q) Gf.zero
-  in
-  Array.iteri (fun w q -> verdict.(q) <- fold_chain w q) shaped;
-  let rec scan q =
-    if q = nq then Ok ()
-    else if verdict.(q) = Query_ok then scan (q + 1)
-    else query_error q verdict.(q)
-  in
-  scan 0
 
 let verify ?engine params (cm : commitment) transcript point value proof =
   ignore (engine : Zk_pcs.Engine.t option);
@@ -550,25 +365,19 @@ let verify ?engine params (cm : commitment) transcript point value proof =
       ~bound:(1 lsl (l + params.blowup_log2 - 1))
       ~count:params.num_queries
   in
-  let* () =
-    if num_queries proof <> params.num_queries then E.error E.Shape "wrong number of queries"
-    else if not (well_formed proof) then
-      E.error E.Shape "query openings do not match their buffers"
-    else Ok ()
-  in
-  check_queries ~roots:(Array.append [| cm.root |] proof.layer_roots)
-    ~domain_log2:(l + params.blowup_log2) ~challenges ~positions proof
+  Fri.check_queries ~shift:Gf.one
+    ~roots:(Array.append [| cm.root |] proof.layer_roots)
+    ~domain_log2:(l + params.blowup_log2) ~challenges ~positions
+    ~final_constant:proof.final_constant proof.queries
 
 let proof_size_bytes params (cm : commitment) proof =
   ignore params;
   ignore cm;
-  let field = 8 and digest = 32 and index = 8 in
-  (* A position per query; two elements and a path per opened layer. *)
-  let query_bytes =
-    (index * num_queries proof) + (field * Fv.length proof.pairs) + (8 * Fv.length proof.paths)
-  in
-  Sumcheck.proof_size_bytes proof.sumcheck + (digest * Array.length proof.layer_roots) + field
-  + query_bytes
+  (* The sumcheck, and a FRI proof without layer 0's root (the commitment). *)
+  Sumcheck.proof_size_bytes proof.sumcheck
+  + Fri.proof_size_bytes
+      { layer_roots = proof.layer_roots; final_constant = proof.final_constant;
+        queries = proof.queries }
 
 let stats params (cm : commitment) proof =
   {
@@ -596,22 +405,23 @@ let write_eval_proof buf p =
   Codec.put_int buf (Array.length p.layer_roots);
   Array.iter (Codec.put_digest buf) p.layer_roots;
   Codec.put_gf buf p.final_constant;
+  let q = p.queries in
   Codec.put_int buf (num_queries p);
   let k = ref 0 and lane = ref 0 in
   Array.iteri
-    (fun q position ->
+    (fun i position ->
       Codec.put_int buf position;
-      Codec.put_int buf p.layer_count.(q);
-      for _ = 1 to p.layer_count.(q) do
-        let len = p.path_len.(!k) in
-        Codec.put_gf buf (Fv.get p.pairs (2 * !k));
-        Codec.put_gf buf (Fv.get p.pairs ((2 * !k) + 1));
+      Codec.put_int buf q.Fri.layer_count.(i);
+      for _ = 1 to q.Fri.layer_count.(i) do
+        let len = q.Fri.path_len.(!k) in
+        Codec.put_gf buf (Fv.get q.Fri.pairs (2 * !k));
+        Codec.put_gf buf (Fv.get q.Fri.pairs ((2 * !k) + 1));
         Codec.put_int buf len;
-        Codec.put_digest_lanes buf (Fv.sub_view p.paths ~pos:!lane ~len:(4 * len));
+        Codec.put_digest_lanes buf (Fv.sub_view q.Fri.paths ~pos:!lane ~len:(4 * len));
         lane := !lane + (4 * len);
         incr k
       done)
-    p.positions
+    q.Fri.positions
 
 (* A growable int array, filled front to back. *)
 type ints = { mutable ints : int array; mutable count : int }
@@ -685,9 +495,12 @@ let read_eval_proof r =
         sumcheck;
         layer_roots;
         final_constant;
-        positions;
-        layer_count;
-        pairs = Codec.contents pairs;
-        path_len = Array.sub path_len.ints 0 path_len.count;
-        paths = Codec.contents paths;
+        queries =
+          {
+            Fri.positions;
+            layer_count;
+            pairs = Codec.contents pairs;
+            path_len = Array.sub path_len.ints 0 path_len.count;
+            paths = Codec.contents paths;
+          };
       }

@@ -28,10 +28,11 @@
     about the polynomial beyond the evaluation, so it is a performance /
     design-space backend, not a zero-knowledge one. *)
 
-type params = {
+type params = Fri.params = {
   blowup_log2 : int; (** rate = 2^-blowup_log2; 2 by default *)
   num_queries : int; (** fold spot-checks; 30 by default *)
 }
+(** {!Fri}'s; [default_params] is {!Fri.default_params}. *)
 
 type param_error = Blowup_out_of_range of int | Queries_not_positive of int
 
@@ -43,22 +44,17 @@ type eval_proof = {
   layer_roots : Zk_merkle.Merkle.digest array;
       (** roots of the folded codeword layers 1..num_vars *)
   final_constant : Zk_field.Gf.t;
-  positions : int array;  (** spot checks: each query's layer-0 position *)
-  layer_count : int array;  (** per query: the layers it opens ([num_vars + 1]) *)
-  pairs : Nocap_vec.Fv.t;
-      (** per opened layer, query after query: the even/odd pair (2
-          elements) *)
-  path_len : int array;  (** per opened layer: its authentication path's length *)
-  paths : Nocap_vec.Fv.t;
-      (** every authentication path in the same order, bottom-up, as flat
-          lanes (4 per digest, {!Zk_hash.Keccak.digest_at}'s layout) *)
+  queries : Fri.queries;
+      (** the spot checks, opened by {!Fri.open_queries} and checked by
+          {!Fri.check_queries} on the plain subgroup (shift one): per
+          query, its layer-0 position and [num_vars + 1] opened layers *)
 }
 (** Flat, like {!Orion.eval_proof}: no boxed element and no digest string
     between the wire and the verdict. Transparent like {!Orion_pcs}'s types,
     so typed fault injection (and any other structural consumer) can build
     corrupted proofs field-by-field instead of patching wire bytes blind.
-    The wire form is per query: position, layer count, then per layer the
-    pair, the path length and the path's raw digests. *)
+    The wire form is this module's: per query, position, layer count, then
+    per layer the pair, the path length and the path's raw digests. *)
 
 val num_queries : eval_proof -> int
 

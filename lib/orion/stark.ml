@@ -1,5 +1,5 @@
 module Gf = Zk_field.Gf
-module Ntt = Zk_ntt.Ntt.Gf_ntt
+module Ntt_fv = Zk_ntt.Ntt.Gf_fv
 module Merkle = Zk_merkle.Merkle
 module Transcript = Zk_hash.Transcript
 module Fv = Nocap_vec.Fv
@@ -14,14 +14,9 @@ type proof = {
 
 let params = Fri.default_params
 
-let log2_exact n =
-  if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Stark: size must be a power of two";
-  let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
-  go 0 n
-
 let trace_of ~n ~a0 ~a1 =
   if n < 4 then invalid_arg "Stark.trace_of: n >= 4";
-  ignore (log2_exact n);
+  ignore (Fri.log2_exact n);
   let t = Array.make n Gf.zero in
   t.(0) <- a0;
   t.(1) <- a1;
@@ -32,25 +27,27 @@ let trace_of ~n ~a0 ~a1 =
 
 let shift = Gf.multiplicative_generator
 
-(* Trace LDE over the coset shift * <w>, w the 4n-th root. *)
+(* Trace LDE over the coset shift * <w>, w the 4n-th root: the trace's
+   coefficients, scaled by shift^i and zero-padded, then one NTT. *)
 let trace_lde t =
   let n = Array.length t in
   let domain = 4 * n in
-  let coeffs = Array.copy t in
-  Ntt.inverse (Ntt.plan n) coeffs;
-  let evals = Array.make domain Gf.zero in
-  Array.blit coeffs 0 evals 0 n;
+  let evals = Fv.create domain in
+  Fv.zero evals;
+  let coeffs = Fv.sub_view evals ~pos:0 ~len:n in
+  Fv.write_array t ~src_pos:0 coeffs ~dst_pos:0 ~len:n;
+  Ntt_fv.inverse (Ntt_fv.plan n) coeffs;
   let si = ref Gf.one in
   for i = 0 to n - 1 do
-    evals.(i) <- Gf.mul evals.(i) !si;
+    Fv.set coeffs i (Gf.mul (Fv.get coeffs i) !si);
     si := Gf.mul !si shift
   done;
-  Ntt.forward (Ntt.plan domain) evals;
+  Ntt_fv.forward (Ntt_fv.plan domain) evals;
   evals
 
 let commit_trace lde =
   (* Leaf j hashes the one-element column [lde.(j)]. *)
-  Merkle.build (Merkle.leaves_of_matrix ~rows:1 ~cols:(Array.length lde) (Fv.of_array lde))
+  Merkle.build (Merkle.leaves_of_matrix ~rows:1 ~cols:(Fv.length lde) lde)
 
 (* Composition value at LDE index j, from the three trace values the
    transition touches. *)
@@ -89,37 +86,37 @@ let prove ~n ~a0 ~a1 =
   let tree = commit_trace lde in
   let transcript = start_transcript ~n ~a0 ~a1 ~last (Merkle.root tree) in
   let alphas = Transcript.challenge_gf_vec transcript "alphas" 4 in
-  let w = Gf.root_of_unity (log2_exact domain) in
+  let w = Gf.root_of_unity (Fri.log2_exact domain) in
   let g = Gf.pow w 4L in
   (* Composition evaluations over the coset. *)
-  let f_evals = Array.make domain Gf.zero in
+  let f = Fv.create domain in
   let x = ref shift in
   for j = 0 to domain - 1 do
-    f_evals.(j) <-
-      composition ~n ~a0 ~a1 ~last ~alphas ~g ~x:!x lde.(j)
-        lde.((j + 4) mod domain)
-        lde.((j + 8) mod domain);
+    Fv.set f j
+      (composition ~n ~a0 ~a1 ~last ~alphas ~g ~x:!x (Fv.get lde j)
+         (Fv.get lde ((j + 4) mod domain))
+         (Fv.get lde ((j + 8) mod domain)));
     x := Gf.mul !x w
   done;
   (* Back to coefficients (coset inverse NTT) and truncate to the degree
      bound n: honest compositions have degree < n. *)
-  let coeffs = Array.copy f_evals in
-  Ntt.inverse (Ntt.plan domain) coeffs;
+  Ntt_fv.inverse (Ntt_fv.plan domain) f;
   let s_inv = Gf.inv shift in
   let si = ref Gf.one in
-  for i = 0 to domain - 1 do
-    coeffs.(i) <- Gf.mul coeffs.(i) !si;
-    si := Gf.mul !si s_inv
-  done;
-  let f_coeffs = Array.sub coeffs 0 n in
+  let f_coeffs =
+    Array.init n (fun i ->
+        let c = Gf.mul (Fv.get f i) !si in
+        si := Gf.mul !si s_inv;
+        c)
+  in
   let fri = Fri.prove ~shift params transcript f_coeffs in
   let openings =
     Array.map
-      (fun (q : Fri.query) ->
+      (fun position ->
         Array.map
-          (fun idx -> (lde.(idx), Merkle.path tree idx))
-          (query_indices ~domain ~n q.Fri.position))
-      fri.Fri.queries
+          (fun idx -> (Fv.get lde idx, Merkle.path tree idx))
+          (query_indices ~domain ~n position))
+      fri.Fri.queries.Fri.positions
   in
   ({ trace_root = Merkle.root tree; fri; openings }, last)
 
@@ -129,20 +126,27 @@ let verify ~n ~a0 ~a1 ~claimed_last proof =
   let domain = 4 * n in
   let transcript = start_transcript ~n ~a0 ~a1 ~last:claimed_last proof.trace_root in
   let alphas = Transcript.challenge_gf_vec transcript "alphas" 4 in
-  let* () = Fri.verify ~shift params transcript ~degree_bound:n proof.fri in
   let* () =
-    if Array.length proof.openings = Array.length proof.fri.Fri.queries then Ok ()
+    Result.map_error Zk_pcs.Verify_error.to_string
+      (Fri.verify ~shift params transcript ~degree_bound:n proof.fri)
+  in
+  let queries = proof.fri.Fri.queries in
+  let* () =
+    if Array.length proof.openings = Array.length queries.Fri.positions then Ok ()
     else Error "opening count mismatch"
   in
-  let w = Gf.root_of_unity (log2_exact domain) in
+  (* [Fri.verify] accepted, so every query opened all [layers] layers, and
+     query [q]'s layer-0 pair is pair [q * layers]. *)
+  let layers = Array.length proof.fri.Fri.layer_roots in
+  let w = Gf.root_of_unity (Fri.log2_exact domain) in
   let g = Gf.pow w 4L in
   let rec check q_idx =
     if q_idx >= Array.length proof.openings then Ok ()
     else begin
-      let q = proof.fri.Fri.queries.(q_idx) in
+      let position = queries.Fri.positions.(q_idx) in
       let opens = proof.openings.(q_idx) in
       let* () = if Array.length opens = 6 then Ok () else Error "need six openings" in
-      let indices = query_indices ~domain ~n q.Fri.position in
+      let indices = query_indices ~domain ~n position in
       (* Authenticate every opened trace value. *)
       let rec auth i =
         if i >= 6 then Ok ()
@@ -166,12 +170,13 @@ let verify ~n ~a0 ~a1 ~claimed_last proof =
         let x = Gf.mul shift (Gf.pow w (Int64.of_int base_idx)) in
         composition ~n ~a0 ~a1 ~last:claimed_last ~alphas ~g ~x v0 v4 v8
       in
-      let f_lo = recompute q.Fri.position (fst opens.(0)) (fst opens.(1)) (fst opens.(2)) in
+      let f_lo = recompute position (fst opens.(0)) (fst opens.(1)) (fst opens.(2)) in
       let f_hi =
-        recompute ((q.Fri.position + (2 * n)) mod domain) (fst opens.(3)) (fst opens.(4))
+        recompute ((position + (2 * n)) mod domain) (fst opens.(3)) (fst opens.(4))
           (fst opens.(5))
       in
-      let a, b, _ = q.Fri.layers.(0) in
+      let k = 2 * q_idx * layers in
+      let a = Fv.get queries.Fri.pairs k and b = Fv.get queries.Fri.pairs (k + 1) in
       if not (Gf.equal f_lo a) then
         Error (Printf.sprintf "query %d: composition mismatch (low)" q_idx)
       else if not (Gf.equal f_hi b) then

@@ -1,9 +1,8 @@
-(* Query-at-a-time FRI PCS verifier: the reference the batched
-   [Zk_orion.Fri_pcs.verify] is checked against. An opening is decoded into
+(* Query-at-a-time FRI verifiers: the reference the batched
+   [Zk_orion.Fri.check_queries] is checked against, through
+   [Zk_orion.Fri_pcs.verify] and [Zk_orion.Fri.verify]. Spot checks are
    one (position, per-layer (even, odd, digest list)) tuple per query, and
-   each query is walked alone, layer by layer: [Merkle.check_path] over
-   [Merkle.leaf_of_column], the fold consistency, then the final constant.
-   The first failing query is reported with its first failing check.
+   each query is walked alone ({!walk_queries}).
 
    It is a whole [Pcs.S] backend (same name, tag and wire form as
    [Fri_pcs]; commit and open delegate to it), so [Spartan.Make] over it
@@ -44,28 +43,125 @@ type eval_proof = {
   queries : (int * (Gf.t * Gf.t * Merkle.digest list) array) array;
 }
 
-let of_flat (p : Fri_pcs.eval_proof) =
+(* The flat spot checks as one (position, per-layer (even, odd, path))
+   tuple per query, and back. *)
+let tuples_of_flat (q : Fri.queries) =
   let k = ref 0 and d = ref 0 in
+  Array.mapi
+    (fun i position ->
+      ( position,
+        Array.init q.Fri.layer_count.(i) (fun _ ->
+            let len = q.Fri.path_len.(!k) in
+            let opened =
+              ( Fv.get q.Fri.pairs (2 * !k),
+                Fv.get q.Fri.pairs ((2 * !k) + 1),
+                List.init len (fun i -> Keccak.digest_at q.Fri.paths (!d + i)) )
+            in
+            incr k;
+            d := !d + len;
+            opened) ))
+    q.Fri.positions
+
+let flat_of_tuples queries =
+  let opened = Array.concat (Array.to_list (Array.map snd queries)) in
+  let paths = Array.concat (Array.to_list (Array.map (fun (_, _, p) -> Array.of_list p) opened)) in
+  let flat = Fv.create (4 * Array.length paths) in
+  Array.iteri (Keccak.set_digest flat) paths;
+  {
+    Fri.positions = Array.map fst queries;
+    layer_count = Array.map (fun (_, o) -> Array.length o) queries;
+    pairs = Fv.of_array (Array.concat (Array.to_list (Array.map (fun (a, b, _) -> [| a; b |]) opened)));
+    path_len = Array.map (fun (_, _, p) -> List.length p) opened;
+    paths = flat;
+  }
+
+let of_flat (p : Fri_pcs.eval_proof) =
   {
     round_polys = p.Fri_pcs.sumcheck.Zk_sumcheck.Sumcheck.round_polys;
     layer_roots = p.Fri_pcs.layer_roots;
     final_constant = p.Fri_pcs.final_constant;
-    queries =
-      Array.mapi
-        (fun q position ->
-          ( position,
-            Array.init p.Fri_pcs.layer_count.(q) (fun _ ->
-                let len = p.Fri_pcs.path_len.(!k) in
-                let opened =
-                  ( Fv.get p.Fri_pcs.pairs (2 * !k),
-                    Fv.get p.Fri_pcs.pairs ((2 * !k) + 1),
-                    List.init len (fun i -> Keccak.digest_at p.Fri_pcs.paths (!d + i)) )
-                in
-                incr k;
-                d := !d + len;
-                opened) ))
-        p.Fri_pcs.positions;
+    queries = tuples_of_flat p.Fri_pcs.queries;
   }
+
+(* Each query walked alone, layer by layer: [Merkle.check_path] over
+   [Merkle.leaf_of_column], the fold consistency, then the final constant.
+   Layer [i] (of [2^(domain_log2 - i)] points, root [roots.(i)]) lies on
+   the coset [shift^(2^i) <w_i>], so its leaf [j] divides by
+   [shift^(2^i) * w_i^j]. The first failing query is reported with its
+   first failing check. *)
+let walk_queries ~shift ~roots ~domain_log2 ~challenges ~positions ~final_constant queries =
+  let l = Array.length roots - 1 in
+  let w_invs = Array.init l (fun i -> Gf.inv (Gf.root_of_unity (domain_log2 - i))) in
+  let shift_invs = Array.make l (Gf.inv shift) in
+  for i = 1 to l - 1 do
+    shift_invs.(i) <- Gf.square shift_invs.(i - 1)
+  done;
+  let rec check_query qi =
+    if qi >= Array.length queries then Ok ()
+    else begin
+      let position, opened = queries.(qi) in
+      if position <> positions.(qi) then E.errorf E.Consistency "query %d: position mismatch" qi
+      else if Array.length opened <> l + 1 then E.errorf E.Shape "query %d: layer count" qi
+      else begin
+        let rec walk i layer_size j exp =
+          let half = layer_size / 2 in
+          let leaf_pos = j mod half in
+          let av, bv, path = opened.(i) in
+          let leaf = Merkle.leaf_of_column [| av; bv |] in
+          match Merkle.check_path ~root:roots.(i) ~index:leaf_pos ~leaf ~path with
+          | Error reason -> E.errorf E.Merkle_mismatch "query %d layer %d: %s" qi i reason
+          | Ok () ->
+            let value_at_j = if j >= half then bv else av in
+            let consistent =
+              match exp with None -> true | Some v -> Gf.equal v value_at_j
+            in
+            if not consistent then E.errorf E.Consistency "query %d layer %d: fold mismatch" qi i
+            else if i = l then
+              if Gf.equal av final_constant && Gf.equal bv final_constant then Ok ()
+              else E.errorf E.Consistency "query %d: final layer not constant" qi
+            else begin
+              let x_inv =
+                Gf.mul shift_invs.(i) (Gf.pow w_invs.(i) (Int64.of_int leaf_pos))
+              in
+              walk (i + 1) half leaf_pos (Some (Fri.fold_at ~x_inv challenges.(i) av bv))
+            end
+        in
+        match walk 0 (1 lsl domain_log2) position None with
+        | Error e -> Error e
+        | Ok () -> check_query (qi + 1)
+      end
+    end
+  in
+  if Array.length queries <> Array.length positions then
+    E.error E.Shape "wrong number of queries"
+  else check_query 0
+
+(* [Fri.verify] over the tuple form: the same transcript replay, then
+   {!walk_queries}. *)
+let fri_verify ~shift (params : Fri.params) transcript ~degree_bound ~layer_roots
+    ~final_constant queries =
+  let log_n = Fri.log2_exact degree_bound in
+  if Array.length layer_roots <> log_n + 1 then E.error E.Shape "wrong number of layers"
+  else begin
+    Transcript.absorb_int transcript "fri/degree" degree_bound;
+    Transcript.absorb_int transcript "fri/blowup" params.Fri.blowup_log2;
+    Transcript.absorb_digest transcript "fri/root" layer_roots.(0);
+    let challenges =
+      Array.init log_n (fun i ->
+          let beta = Transcript.challenge_gf transcript "fri/beta" in
+          Transcript.absorb_digest transcript "fri/root" layer_roots.(i + 1);
+          beta)
+    in
+    Transcript.absorb_gf transcript "fri/final" [| final_constant |];
+    let domain_log2 = log_n + params.Fri.blowup_log2 in
+    let positions =
+      Transcript.challenge_indices transcript "fri/queries"
+        ~bound:(1 lsl (domain_log2 - 1))
+        ~count:params.Fri.num_queries
+    in
+    walk_queries ~shift ~roots:layer_roots ~domain_log2 ~challenges ~positions ~final_constant
+      queries
+  end
 
 (* The boxed evaluations-to-coefficients map [Fri_pcs.commit] once ran:
    [l] passes of [Gf.sub] over a copied [Gf.t array], then an [Array.init]
@@ -157,52 +253,15 @@ let verify ?engine params (cm : commitment) transcript point value proof =
     then Ok ()
     else E.error E.Sumcheck_mismatch "final claim does not match the folded constant"
   in
-  let domain = 1 lsl (l + blowup_log2) in
   let positions =
-    Transcript.challenge_indices transcript "fripcs/queries" ~bound:(domain / 2)
+    Transcript.challenge_indices transcript "fripcs/queries"
+      ~bound:(1 lsl (l + blowup_log2 - 1))
       ~count:num_queries
   in
-  let* () =
-    if Array.length proof.queries = num_queries then Ok ()
-    else E.error E.Shape "wrong number of queries"
-  in
-  let roots = Array.append [| cm.Fri_pcs.root |] proof.layer_roots in
-  let w_invs = Array.init l (fun i -> Gf.inv (Gf.root_of_unity (l + blowup_log2 - i))) in
-  let rec check_query qi =
-    if qi >= Array.length proof.queries then Ok ()
-    else begin
-      let position, opened = proof.queries.(qi) in
-      if position <> positions.(qi) then E.errorf E.Consistency "query %d: position mismatch" qi
-      else if Array.length opened <> l + 1 then E.errorf E.Shape "query %d: layer count" qi
-      else begin
-        let rec walk i layer_size j exp =
-          let half = layer_size / 2 in
-          let leaf_pos = j mod half in
-          let av, bv, path = opened.(i) in
-          let leaf = Merkle.leaf_of_column [| av; bv |] in
-          match Merkle.check_path ~root:roots.(i) ~index:leaf_pos ~leaf ~path with
-          | Error reason -> E.errorf E.Merkle_mismatch "query %d layer %d: %s" qi i reason
-          | Ok () ->
-            let value_at_j = if j >= half then bv else av in
-            let consistent =
-              match exp with None -> true | Some v -> Gf.equal v value_at_j
-            in
-            if not consistent then E.errorf E.Consistency "query %d layer %d: fold mismatch" qi i
-            else if i = l then
-              if Gf.equal av proof.final_constant && Gf.equal bv proof.final_constant then Ok ()
-              else E.errorf E.Consistency "query %d: final layer not constant" qi
-            else begin
-              let x_inv = Gf.pow w_invs.(i) (Int64.of_int leaf_pos) in
-              walk (i + 1) half leaf_pos (Some (Fri.fold_at ~x_inv challenges.(i) av bv))
-            end
-        in
-        match walk 0 domain position None with
-        | Error e -> Error e
-        | Ok () -> check_query (qi + 1)
-      end
-    end
-  in
-  check_query 0
+  walk_queries ~shift:Gf.one
+    ~roots:(Array.append [| cm.Fri_pcs.root |] proof.layer_roots)
+    ~domain_log2:(l + blowup_log2) ~challenges ~positions
+    ~final_constant:proof.final_constant proof.queries
 
 let proof_size_bytes _params (_cm : commitment) proof =
   let field = 8 and digest = 32 and index = 8 in

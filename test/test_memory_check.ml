@@ -3,7 +3,7 @@
    advantage over the multiplexer approach. *)
 
 module Gf = Zk_field.Gf
-module Mc = Zk_r1cs.Memory_check
+module Mc = Memory_check
 module R1cs = Zk_r1cs.R1cs
 module Builder = Zk_r1cs.Builder
 module Spartan = Zk_spartan.Spartan

@@ -55,8 +55,29 @@ let test_proof_scales_logarithmically () =
     true
     (s1024 < 3 * s64)
 
+(* The proof at n = 256: trace root, FRI proof and trace openings
+   hashed in order, and its size. *)
+let test_golden () =
+  let proof, last = Stark.prove ~n:256 ~a0:Gf.one ~a1:Gf.one in
+  let buf = Buffer.create 65536 in
+  Buffer.add_string buf proof.Stark.trace_root;
+  Test_fri.fingerprint_into buf proof.Stark.fri;
+  Array.iter
+    (Array.iter (fun (v, path) ->
+         Buffer.add_int64_le buf (Gf.to_int64 v);
+         List.iter (Buffer.add_string buf) path))
+    proof.Stark.openings;
+  let hash = Zk_hash.Keccak.to_hex (Zk_hash.Keccak.sha3_256_string (Buffer.contents buf)) in
+  Alcotest.(check string) "proof hash" "2b79702997c2fbecc2a08b9d33f6eed792b19b6a7fb079f33b1256adb848b7b3" hash;
+  Alcotest.(check int) "proof size" 107128 (Stark.proof_size_bytes proof);
+  Alcotest.(check int) "fri proof size" 48056 (Fri.proof_size_bytes proof.Stark.fri);
+  match Stark.verify ~n:256 ~a0:Gf.one ~a1:Gf.one ~claimed_last:last proof with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 let suite =
   [
+    Alcotest.test_case "golden proof at n = 256" `Quick test_golden;
     Alcotest.test_case "trace" `Quick test_trace;
     Alcotest.test_case "completeness" `Quick test_completeness;
     Alcotest.test_case "wrong boundary rejected" `Quick test_wrong_boundary_rejected;
