@@ -159,7 +159,8 @@ let kernels ~smoke rng =
       k_boxed =
         (fun () ->
           Keccak.to_hex
-            (Merkle_oracle.root (Merkle_oracle.build (Array.map Merkle.leaf_of_column mk_cols))));
+            (Merkle_oracle.root
+               (Merkle_oracle.build (Array.map Merkle_oracle.leaf_of_column mk_cols))));
       k_unboxed =
         (fun () ->
           Keccak.to_hex
@@ -248,7 +249,8 @@ let kernels ~smoke rng =
             Array.init code_len (fun j -> Array.map (fun row -> row.(j)) encoded)
           in
           Keccak.to_hex
-            (Merkle_oracle.root (Merkle_oracle.build (Array.map Merkle.leaf_of_column cols))));
+            (Merkle_oracle.root
+               (Merkle_oracle.build (Array.map Merkle_oracle.leaf_of_column cols))));
       k_unboxed =
         (fun () ->
           let _, cm = Orion.commit orion_params (Rng.create 1L) orion_table in

@@ -88,12 +88,14 @@ let kernels ~smoke rng =
   in
   let ch_dst = Fv.create (4 * ch_cols) in
   (* rsa-fri's layer-0 commit: a 2 x 2^14 codeword matrix, its 2^14
-     column leaves and the tree over them ([Fri.commit_layer]). *)
+     column leaves and the tree over them ([Fri.commit_layer], the commit
+     half of the FRI layer step, on a RAM-backed layer). *)
   let mf_half = scale (1 lsl 14) 64 in
   let mf_evals = Fv.create (2 * mf_half) in
   for i = 0 to (2 * mf_half) - 1 do
     Fv.set mf_evals i (Gf.random rng)
   done;
+  let mf_layer = Spill.of_fv mf_evals in
   (* One layer of an rsa-fri opening's spot checks: 30 authentication
      paths of depth 14 walked together against one root. *)
   let cp_paths = 30 and cp_depth = scale 14 6 in
@@ -254,7 +256,7 @@ let kernels ~smoke rng =
     {
       k_name = "merkle-build-fri";
       k_n = mf_half;
-      k_run = (fun () -> Keccak.to_hex (Merkle.root (Fri.commit_layer mf_evals)));
+      k_run = (fun () -> Keccak.to_hex (Merkle.root (Fri.commit_layer ~block:mf_half mf_layer)));
       k_x4 = true;
     };
   ]

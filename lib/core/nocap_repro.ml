@@ -46,8 +46,6 @@ module Sparse = Zk_r1cs.Sparse
 module R1cs = Zk_r1cs.R1cs
 module Builder = Zk_r1cs.Builder
 module Gadgets = Zk_r1cs.Gadgets
-module Lang = Zk_r1cs.Lang
-module Bignum = Zk_r1cs.Bignum
 module Sumcheck = Zk_sumcheck.Sumcheck
 module Sumcheck_ext = Zk_sumcheck.Sumcheck_ext
 module Orion = Zk_orion.Orion

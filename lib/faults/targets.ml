@@ -323,7 +323,7 @@ let fri () =
                 Keccak.set_digest paths d (tamper_digest rng (Keccak.digest_at paths d));
                 Some { wo with Fp.queries = { q with Fri.paths } }
               end) );
-        (* One digest fewer: the verifier's wrong-length fallback. *)
+        (* One digest fewer: the verifier's path-length check. *)
         ( "truncate_query_path",
           with_query_layer (fun rng wo k ->
               let q = wo.Fp.queries in

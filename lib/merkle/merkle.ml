@@ -14,8 +14,6 @@ let next_pow2 n =
   let rec go k = if k >= n then k else go (2 * k) in
   go 1
 
-let leaf_of_column col = Keccak.hash_gf col
-
 let of_digests ds =
   let v = Fv.create (4 * Array.length ds) in
   Array.iteri (Keccak.set_digest v) ds;
@@ -130,10 +128,6 @@ let num_leaves t = t.real_leaves
 
 let depth t = Array.length t.levels - 1
 
-let path t i =
-  if i < 0 || 4 * i >= Fv.length t.levels.(0) then invalid_arg "Merkle.path: index";
-  List.init (depth t) (fun k -> Keccak.digest_at t.levels.(k) ((i lsr k) lxor 1))
-
 let path_into t i dst ~pos =
   if i < 0 || 4 * i >= Fv.length t.levels.(0) then invalid_arg "Merkle.path_into: index";
   if pos < 0 || pos + (4 * depth t) > Fv.length dst then invalid_arg "Merkle.path_into: dst";
@@ -144,33 +138,10 @@ let path_into t i dst ~pos =
     done
   done
 
-(* A path longer than this cannot belong to any addressable tree (leaf
-   counts are OCaml ints); it only ever appears in hostile input, so bound
-   the walk before hashing anything. *)
-let max_proof_depth = 62
-
-let check_path ~root ~index ~leaf ~path =
-  if index < 0 then Error "negative leaf index"
-  else if List.length path > max_proof_depth then Error "path too long"
-  else if List.exists (fun d -> String.length d <> 32) path then
-    Error "path digest has wrong length"
-  else begin
-    let rec go idx current = function
-      | [] -> if String.equal current root then Ok () else Error "root mismatch"
-      | sibling :: rest ->
-        let parent =
-          if idx land 1 = 0 then Keccak.hash2 current sibling
-          else Keccak.hash2 sibling current
-        in
-        go (idx / 2) parent rest
-    in
-    go index leaf path
-  end
-
 (* Level by level over every path at once: each level packs the (node,
    sibling) pairs, ordered by the index bit, into one 8-lane-per-pair buffer
    and hashes them as a batch, so with AVX2 four paths share a permutation.
-   Each step is [hash2] of the same two digests [check_path] would hash. *)
+   Each step is [Keccak.hash2] of the node and its sibling. *)
 let check_paths ~root ~depth ~index ~leaves ~paths ~path_pos =
   let n = Array.length index in
   if String.length root <> 32 || depth < 0

@@ -2,9 +2,11 @@
 
     Orion commits to an encoded matrix by hashing each codeword column into a
     leaf and Merkle-hashing the leaves; openings reveal a column together with
-    its authentication path. The prover builds trees on flat lane buffers;
-    roots and paths leave as 32-byte [digest] strings, the wire form the
-    verifier ({!check_path}) reads. *)
+    its authentication path. Trees and paths are flat lane buffers
+    ({!path_into}, {!check_paths}); roots are 32-byte [digest] strings.
+    Leaves and nodes share one hash: an 8-element leaf hashes the same 64
+    bytes as a node over two digests, so a verifier must reject a path
+    whose digest count is not the tree depth, or a node opens as a leaf. *)
 
 type digest = Zk_hash.Keccak.digest
 
@@ -26,15 +28,12 @@ val build : Nocap_vec.Fv.t -> tree
 val of_digests : digest array -> Nocap_vec.Fv.t
 (** Pack digests into a flat leaf buffer for {!build} / {!Builder.add}. *)
 
-val leaf_of_column : Zk_field.Gf.t array -> digest
-(** Hash a column of field elements into a leaf (8 LE bytes per element, as
-    the Hash FU packs vector lanes). *)
-
 val leaves_of_matrix : rows:int -> cols:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
 (** Flat leaf digests for every column of a row-major [rows * cols] encoded
     matrix, read with stride [cols] straight out of the unboxed buffer
-    ({!Zk_hash.Keccak.hash_cols_into}). Leaf [j] is {!leaf_of_column} of
-    the gathered column [j]. *)
+    ({!Zk_hash.Keccak.hash_cols_into}). Leaf [j] is
+    {!Zk_hash.Keccak.hash_gf} of the gathered column [j] (8 LE bytes per
+    element, as the Hash FU packs vector lanes). *)
 
 (** Incremental tree construction for the streaming commit: flat leaf
     chunks arrive as column sponges finalize, and internal nodes are hashed
@@ -69,27 +68,12 @@ val num_leaves : tree -> int
 
 val depth : tree -> int
 
-val path : tree -> int -> digest list
-(** Authentication path for leaf [i], bottom-up (sibling at each level). *)
-
 val path_into : tree -> int -> Nocap_vec.Fv.t -> pos:int -> unit
-(** [path_into t i dst ~pos] writes {!path}[ t i] as flat lanes (4 per
-    digest, bottom-up) into [dst] at lane [pos]: copied straight from the
+(** [path_into t i dst ~pos] writes the authentication path of leaf [i]
+    (its sibling at each level, bottom-up, {!depth} digests) as flat lanes
+    (4 per digest) into [dst] at lane [pos]: copied straight from the
     tree's levels, no digest string.
     @raise Invalid_argument on a bad index or a too-short [dst]. *)
-
-val max_proof_depth : int
-(** Longest authentication path [check_path] will walk (62): a longer path
-    cannot belong to any addressable tree and is rejected before hashing. *)
-
-val check_path :
-  root:digest -> index:int -> leaf:digest -> path:digest list -> (unit, string) result
-(** Check a leaf against a root: [Ok ()] when the leaf hashes up [path]
-    to [root] at [index], else [Error] with the reason ("root mismatch",
-    "path too long", ...). Total on arbitrary input: hostile indices, over-long paths, and
-    wrong-length digests are rejected, never raised on. This layer reports
-    plain strings so it stays independent of the PCS error taxonomy;
-    callers wrap the reason in [Verify_error.Merkle_mismatch]. *)
 
 val check_paths :
   root:digest ->
@@ -99,13 +83,13 @@ val check_paths :
   paths:Nocap_vec.Fv.t ->
   path_pos:int array ->
   bool array
-(** Batched {!check_path} of [n = Array.length index] paths that all have
-    [depth] digests: leaf [i] is digest [i] of [leaves] (4 lanes each) and
+(** Check [n = Array.length index] paths that all have [depth] digests
+    against one root: leaf [i] is digest [i] of [leaves] (4 lanes each) and
     its path the [depth] digests at lanes [\[path_pos.(i), path_pos.(i) +
     4 * depth)] of [paths]. Element [i] of the result is whether leaf [i]
-    hashes up to [root] at [index.(i)], the answer {!check_path} gives on
-    the same path. The walk goes level by level, one {!Zk_hash.Keccak.hash_nodes_into}
-    batch per level.
+    hashes up to [root] at [index.(i)]. The walk goes level by level, one
+    {!Zk_hash.Keccak.hash_nodes_into} batch per level. A verifier checks
+    that each path it was sent has [depth] digests before it gets here.
     @raise Invalid_argument on mismatched shapes or a root that is not 32
     bytes. *)
 

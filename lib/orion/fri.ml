@@ -55,14 +55,6 @@ let well_formed ~roots q =
   && Fv.length q.paths = 4 * sum q.path_len
   && Array.for_all (fun d -> String.length d = 32) roots
 
-(* Merkle tree over an evaluation layer, co-locating f(x) and f(-x): leaf j
-   commits to (E[j], E[j + half]), i.e. column j of the layer read as a
-   2 x half row-major matrix — hashed straight out of the flat buffer and
-   split across the pool. *)
-let commit_layer evals =
-  let half = Fv.length evals / 2 in
-  Merkle.build (Merkle.leaves_of_matrix ~rows:2 ~cols:half evals)
-
 let inv2 = Gf.inv Gf.two
 
 (* One fold output from the pair (a, b) = (f(x), f(-x)):
@@ -94,16 +86,66 @@ let fold_block ~x_inv ~w_inv ~lo ~hi ~dst beta =
       if native then Native.fri_fold (view dst) (view lo) (view hi) coef w_inv
       else fold_block_ocaml ~coef ~w_inv ~lo:(view lo) ~hi:(view hi) ~dst:(view dst))
 
-let fold ~shift evals beta =
-  let n = Fv.length evals in
-  let half = n / 2 in
-  let w_inv = Gf.inv (Gf.root_of_unity (log2_exact n)) in
-  let dst = Fv.create half in
-  fold_block ~x_inv:(Gf.inv shift) ~w_inv
-    ~lo:(Fv.sub_view evals ~pos:0 ~len:half)
-    ~hi:(Fv.sub_view evals ~pos:half ~len:half)
-    ~dst beta;
-  dst
+(* A RAM-backed layer is its own 2 x half leaf matrix; a spilled one is
+   read [block] leaves at a time into a 2 x block matrix for the builder. *)
+let commit_layer ~block layer =
+  let half = Spill.length layer / 2 in
+  if not (Spill.is_spilled layer) then
+    Merkle.build (Merkle.leaves_of_matrix ~rows:2 ~cols:half (Spill.as_fv layer))
+  else begin
+    let builder = Merkle.Builder.create half in
+    let blk = max 1 (min block half) in
+    let pair = Fv.create (2 * blk) and leaves = Fv.create (4 * blk) in
+    let j = ref 0 in
+    while !j < half do
+      Pool.Cancel.check ();
+      let bl = min blk (half - !j) in
+      Spill.read layer ~pos:!j (Fv.sub_view pair ~pos:0 ~len:bl);
+      Spill.read layer ~pos:(!j + half) (Fv.sub_view pair ~pos:bl ~len:bl);
+      let dst = Fv.sub_view leaves ~pos:0 ~len:(4 * bl) in
+      Keccak.hash_cols_into ~rows:2 ~cols:bl (Fv.sub_view pair ~pos:0 ~len:(2 * bl)) ~dst;
+      Merkle.Builder.add builder dst;
+      j := !j + bl
+    done;
+    Merkle.Builder.finish builder
+  end
+
+(* A block at [j] starts its running product at [shift^-1 * w^-j], the
+   element a single block reaches. Only a spilled side is staged; the
+   output may share the low input's buffer (fold_block allows it). *)
+let fold_layer ~shift ~block layer beta ~dst =
+  let half = Spill.length layer / 2 in
+  if half < 2 || Spill.length dst <> half then invalid_arg "Fri.fold_layer: lengths";
+  let w_inv = Gf.inv (Gf.root_of_unity (log2_exact (Spill.length layer))) in
+  let shift_inv = Gf.inv shift in
+  let bsz = max 1 (min block half) in
+  let staged = Spill.is_spilled layer || Spill.is_spilled dst in
+  let stage () = Fv.create (if staged then bsz else 0) in
+  let lo_buf = stage () and hi_buf = stage () in
+  let j = ref 0 in
+  while !j < half do
+    Pool.Cancel.check ();
+    let bl = min bsz (half - !j) in
+    let lo = Spill.view layer ~pos:!j ~len:bl ~buf:lo_buf in
+    let hi = Spill.view layer ~pos:(!j + half) ~len:bl ~buf:hi_buf in
+    let out = Spill.writable dst ~pos:!j ~len:bl ~buf:lo_buf in
+    let x_inv = Gf.mul shift_inv (Gf.pow w_inv (Int64.of_int !j)) in
+    fold_block ~x_inv ~w_inv ~lo ~hi ~dst:out beta;
+    Spill.store dst ~pos:!j out;
+    j := !j + bl
+  done;
+  commit_layer ~block dst
+
+let coset_lde ~shift ~domain coeffs =
+  let evals = Fv.create domain in
+  Fv.zero evals;
+  let si = ref Gf.one in
+  for i = 0 to Fv.length coeffs - 1 do
+    Fv.set evals i (Gf.mul (Fv.get coeffs i) !si);
+    si := Gf.mul !si shift
+  done;
+  Ntt_fv.forward (Ntt_fv.plan domain) evals;
+  evals
 
 (* Query [q] opens a pair and its path in every layer: pair [k = q *
    layers + i] at [2k], paths back to back. One query costs ~2µs a
@@ -162,8 +204,8 @@ let query_error q = function
    walked together ({!Merkle.check_paths}); then each query's fold chain
    and final constant. Layer [i] has [2^(domain_log2 - i)] points and its
    tree [2^(domain_log2 - i - 1)] leaves, so every honest path there is
-   [domain_log2 - i - 1] long; a path of another length gets the scalar
-   {!Merkle.check_path} and its reason. The verdict is the first failing
+   [domain_log2 - i - 1] long; a path of another length is never walked
+   and fails as "wrong path length". The verdict is the first failing
    query, with its first failing (layer, check) in the order a one query,
    one layer at a time walk meets them. *)
 let check_queries ~shift ~roots ~domain_log2 ~challenges ~positions ~final_constant proof =
@@ -216,18 +258,8 @@ let check_queries ~shift ~roots ~domain_log2 ~challenges ~positions ~final_const
         full;
       Array.iteri
         (fun w q ->
-          let k = first.(q) + i in
-          let len = proof.path_len.(k) in
-          if len <> depth then begin
-            let path = List.init len (fun d -> Keccak.digest_at proof.paths (path_pos.(k) + d)) in
-            match
-              Merkle.check_path ~root:roots.(i) ~index:(leaf_pos w)
-                ~leaf:(Keccak.digest_at leaves ((i * ns) + w))
-                ~path
-            with
-            | Ok () -> ()
-            | Error reason -> bad_path.((i * ns) + w) <- Some reason
-          end)
+          if proof.path_len.(first.(q) + i) <> depth then
+            bad_path.((i * ns) + w) <- Some "wrong path length")
         shaped
     done;
     (* The fold chain of one query: the value at position [j] of layer
@@ -277,32 +309,22 @@ let prove ?(shift = Gf.one) params transcript coeffs =
   let domain = n lsl params.blowup_log2 in
   Transcript.absorb_int transcript "fri/degree" n;
   Transcript.absorb_int transcript "fri/blowup" params.blowup_log2;
-  (* Layer 0: evaluations over the (possibly coset-shifted) domain. Coset:
-     scale coefficient i by shift^i before the NTT. *)
-  let evals = Fv.create domain in
-  Fv.zero evals;
-  let si = ref Gf.one in
-  for i = 0 to n - 1 do
-    Fv.set evals i (Gf.mul coeffs.(i) !si);
-    si := Gf.mul !si shift
-  done;
-  Ntt_fv.forward (Ntt_fv.plan domain) evals;
-  (* Commit and fold log_n times. *)
-  let layers = ref [ evals ] in
-  let trees = ref [ commit_layer evals ] in
-  Transcript.absorb_digest transcript "fri/root" (Merkle.root (List.hd !trees));
+  (* Layer 0: evaluations over the (possibly coset-shifted) domain. *)
+  let evals = coset_lde ~shift ~domain (Fv.of_array coeffs) in
+  (* Commit, then fold and commit log_n times; layer [i] lies on the coset
+     [shift^(2^i) <w_i>]. Every layer is one block in RAM. *)
+  let layers = Array.make (log_n + 1) (Spill.of_fv evals) in
+  let trees = Array.make (log_n + 1) (commit_layer ~block:domain layers.(0)) in
+  Transcript.absorb_digest transcript "fri/root" (Merkle.root trees.(0));
   let layer_shift = ref shift in
-  for _ = 1 to log_n do
+  for i = 1 to log_n do
     let beta = Transcript.challenge_gf transcript "fri/beta" in
-    let next = fold ~shift:!layer_shift (List.hd !layers) beta in
+    layers.(i) <- Spill.of_fv (Fv.create (domain lsr i));
+    trees.(i) <-
+      fold_layer ~shift:!layer_shift ~block:domain layers.(i - 1) beta ~dst:layers.(i);
     layer_shift := Gf.square !layer_shift;
-    layers := next :: !layers;
-    let tree = commit_layer next in
-    trees := tree :: !trees;
-    Transcript.absorb_digest transcript "fri/root" (Merkle.root tree)
+    Transcript.absorb_digest transcript "fri/root" (Merkle.root trees.(i))
   done;
-  let layers = Array.of_list (List.rev_map Spill.of_fv !layers) in
-  let trees = Array.of_list (List.rev !trees) in
   (* The last layer must be constant (degree < 1 after log_n folds). *)
   let final_constant = Spill.get layers.(log_n) 0 in
   Transcript.absorb_gf transcript "fri/final" [| final_constant |];

@@ -82,27 +82,42 @@ val log2_exact : int -> int
 
 (** {2 Shared folding and query machinery}
 
-    Reused by {!Fri_pcs}, which interleaves these codeword folds with a
-    sumcheck to turn the low-degree test into a multilinear PCS, and opens
-    and checks its spot checks with the same {!open_queries} and
-    {!check_queries}. *)
+    One layer step, {!fold_layer}, serves {!prove} and each round of
+    {!Fri_pcs}'s opening; both open and check their spot checks with
+    {!open_queries} and {!check_queries}. *)
 
-val commit_layer : Nocap_vec.Fv.t -> Zk_merkle.Merkle.tree
-(** Merkle tree over an evaluation layer, co-locating [f(x)] and [f(-x)]:
-    leaf [j] commits to [(E.(j), E.(j + half))] — column [j] of the layer
-    viewed as a [2 x half] row-major matrix
-    ({!Zk_merkle.Merkle.leaves_of_matrix}). *)
+val coset_lde : shift:Gf.t -> domain:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
+(** [coset_lde ~shift ~domain coeffs] evaluates the polynomial with
+    coefficients [coeffs] over the coset [shift * <w>] of [domain] points:
+    coefficient [i] times [shift^i], zero-padded, then one forward NTT.
+    Layer 0 of {!prove} and {!Stark}'s trace. *)
 
-val fold : shift:Gf.t -> Nocap_vec.Fv.t -> Gf.t -> Nocap_vec.Fv.t
-(** [fold ~shift evals beta] halves the layer:
-    [out.(j) = (E.(j) + E.(j+half)) / 2 + beta * (E.(j) - E.(j+half)) / (2x_j)]
-    where [x_j = shift * w^j]. On the coefficient side this is
-    [c'_i = c_{2i} + beta * c_{2i+1}] — it binds monomial bit 0. The
-    divisions by [x_j] are a running product of [w^-1] from [shift^-1]:
-    two inversions per layer, none per element. *)
+val commit_layer : block:int -> Nocap_vec.Spill.t -> Zk_merkle.Merkle.tree
+(** Merkle tree over an evaluation layer: leaf [j] commits to [(E.(j),
+    E.(j + half))], column [j] of the layer read as a [2 x half] matrix. A
+    RAM-backed layer is hashed in place; a spilled one [block] leaves at a
+    time through {!Zk_merkle.Merkle.Builder}. Same tree either way. *)
+
+val fold_layer :
+  shift:Gf.t ->
+  block:int ->
+  Nocap_vec.Spill.t ->
+  Gf.t ->
+  dst:Nocap_vec.Spill.t ->
+  Zk_merkle.Merkle.tree
+(** The layer step: [fold_layer ~shift ~block layer beta ~dst] halves
+    [layer], over the coset [shift * <w>], into [dst]:
+    [dst.(j) = (E.(j) + E.(j+half)) / 2 + beta * (E.(j) - E.(j+half)) / (2x_j)]
+    with [x_j = shift * w^j] ([c'_i = c_{2i} + beta * c_{2i+1}] on the
+    coefficients), then returns {!commit_layer} of [dst]. It runs
+    {!fold_block} on [block]-element blocks, in place when RAM-backed,
+    checking the cancel token between blocks; the output is the same for
+    every backing and [block].
+    @raise Invalid_argument unless [dst] is half of [layer] and at least
+    two points long. *)
 
 val fold_at : x_inv:Gf.t -> Gf.t -> Gf.t -> Gf.t -> Gf.t
-(** [fold_at ~x_inv beta a b] is one {!fold} output from the pair
+(** [fold_at ~x_inv beta a b] is one {!fold_layer} output from the pair
     [(a, b) = (f(x), f(-x))] given [x_inv = x^-1]: the verifiers' spot
     check, same arithmetic as the prover's. *)
 
@@ -114,12 +129,12 @@ val fold_block :
   dst:Nocap_vec.Fv.t ->
   Gf.t ->
   unit
-(** The kernel behind {!fold}, on one block of a layer:
+(** The kernel behind {!fold_layer}, on one block of a layer:
     [dst.(i)] is the fold of [(lo.(i), hi.(i))] at
-    [x_i = x_inv^-1 * w_inv^-i]; [dst] may alias [lo]. A streamed caller
-    folding block [\[j, j + len)] passes [x_inv = shift^-1 * w^-j]. Runs
-    the native fold kernel when the native layer is on, split across the
-    pool; the output is the same in every mode and for every split.
+    [x_i = x_inv^-1 * w_inv^-i] (a running product: no inversion per
+    element); [dst] may alias [lo]. Runs the native fold kernel when the
+    native layer is on, split across the pool; the output is the same in
+    every mode and for every split.
     @raise Invalid_argument unless the three blocks have one length. *)
 
 val open_queries :
@@ -146,7 +161,8 @@ val check_queries :
     ([shape]), then reports the first failing query with its first failing
     check in the order a one query, one layer at a time walk meets them:
     position ([consistency]), layer count ([shape]), then per layer path
-    ([merkle_mismatch]), fold ([consistency]) and, last, the final
-    constant ([consistency]). At layer [i] the fold divides by
-    [shift^(2^i) * w_i^pos]; the shift factor is skipped when [shift] is
-    one. *)
+    ([merkle_mismatch]; a path whose length is not the layer tree's depth
+    is never walked and reads "wrong path length"), fold ([consistency])
+    and, last, the final constant ([consistency]). At layer [i] the fold
+    divides by [shift^(2^i) * w_i^pos]; the shift factor is skipped when
+    [shift] is one. *)

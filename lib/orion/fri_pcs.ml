@@ -60,7 +60,7 @@ let num_queries p = Array.length p.queries.Fri.positions
 (* Hypercube evaluations -> univariate coefficients, arranged so that
    monomial bit [j - 1] carries variable [j] (the j-th variable the
    sumcheck binds; variable 1 is the MSB of the evaluation index). With
-   that arrangement {!Fri.fold}'s coefficient action
+   that arrangement {!Fri.fold_layer}'s coefficient action
    [c'_i = c_{2i} + r * c_{2i+1}] is exactly "substitute the round
    challenge for the variable the sumcheck just bound", so one challenge
    drives both the sumcheck tables and the codeword. *)
@@ -99,29 +99,6 @@ let monomial_coeffs_into table (dst : Fv.t) =
     end
   done
 
-(* Chunked {!Fri.commit_layer} over a spillable codeword, fed through the
-   incremental Merkle builder: leaf j pairs positions j and j + half. Each
-   block reads its [bl] low and [bl] high elements as the two rows of a
-   flat [2 x bl] matrix, whose columns are the block's leaves. Same leaf
-   bytes, same tree. *)
-let commit_layer_spill ev ~block =
-  let n = Spill.length ev in
-  let half = n / 2 in
-  let builder = Merkle.Builder.create half in
-  let blk = min block half in
-  let pair = Fv.create (2 * blk) in
-  let j = ref 0 in
-  while !j < half do
-    Pool.Cancel.check ();
-    let bl = min blk (half - !j) in
-    Spill.read ev ~pos:!j (Fv.sub_view pair ~pos:0 ~len:bl);
-    Spill.read ev ~pos:(!j + half) (Fv.sub_view pair ~pos:bl ~len:bl);
-    Merkle.Builder.add builder
-      (Merkle.leaves_of_matrix ~rows:2 ~cols:bl (Fv.sub_view pair ~pos:0 ~len:(2 * bl)));
-    j := !j + bl
-  done;
-  Merkle.Builder.finish builder
-
 let block_of_budget budget =
   (* Six block-sized staging vectors live at once in the opening loop
      (lo/hi per table plus output); keep them inside half the budget. *)
@@ -140,7 +117,7 @@ let commit ?engine params rng table =
   Fv.zero evals;
   monomial_coeffs_into table evals;
   Ntt_fv.forward (Ntt_fv.plan domain) evals;
-  let tree = Fri.commit_layer evals in
+  let tree = Fri.commit_layer ~block:domain (Spill.of_fv evals) in
   let c_commitment = { root = Merkle.root tree; num_vars } in
   let budget = Option.bind engine Zk_pcs.Engine.stream_budget_bytes in
   match budget with
@@ -222,11 +199,9 @@ let framing ~after_round =
    The sumcheck reads the committed table in place and works out [v]
    itself; under a budget it takes its recompute-halves path over the
    spilled table and eq table. Every codeword layer is a [Spill.t] vector,
-   folded one block at a time: one block per layer in RAM with no budget,
-   budget-sized blocks over spill files under one. Goldilocks ops are
-   exact and canonical, so the proof bytes are the same for every block
-   size. Each block's fold starts its running product of [w^-1] at
-   [Gf.pow w_inv j]; same field element for every split. *)
+   folded and committed by {!Fri.fold_layer}: one block per layer in RAM
+   with no budget, budget-sized blocks over spill files under one. The
+   proof bytes are the same for every block size. *)
 let open_at ?engine params committed transcript point =
   ignore (engine : Zk_pcs.Engine.t option);
   let cm = committed.c_commitment in
@@ -249,49 +224,24 @@ let open_at ?engine params committed transcript point =
     s
   in
   Fun.protect ~finally:(fun () -> List.iter Spill.free !temps) @@ fun () ->
-  (* Staging for file-backed codeword blocks; RAM-backed blocks are read
-     in place. *)
-  let bsz = max 1 (min block (domain / 2)) in
-  let stage () = Fv.create (if Option.is_some budget then bsz else 0) in
-  let lo_buf = stage () and hi_buf = stage () in
   Transcript.absorb_gf transcript "fripcs/point" point;
   (* The eq table is generated directly into blocks via the aligned-range
      factorization. *)
   let e = fresh "fri-eq" n in
   Mle.eq_table_spill point ~block e;
-  let layers = ref [ committed.evals ] in
-  let trees = ref [ committed.tree ] in
-  (* Fold the codeword with the round's challenge, blockwise (an output
-     block may share the low input's staging buffer: element i is read
-     before it is written), then commit the new layer. *)
-  let fold_layer _ r =
-    let cw = List.hd !layers in
-    let cw_len = Spill.length cw in
-    let cw_half = cw_len / 2 in
-    let w_inv = Gf.inv (Gf.root_of_unity (Fri.log2_exact cw_len)) in
-    let next = fresh "fri-layer" cw_half in
-    let j = ref 0 in
-    while !j < cw_half do
-      let bl = min bsz (cw_half - !j) in
-      let lo = Spill.view cw ~pos:!j ~len:bl ~buf:lo_buf in
-      let hi = Spill.view cw ~pos:(!j + cw_half) ~len:bl ~buf:hi_buf in
-      let dst = Spill.writable next ~pos:!j ~len:bl ~buf:lo_buf in
-      Fri.fold_block ~x_inv:(Gf.pow w_inv (Int64.of_int !j)) ~w_inv ~lo ~hi ~dst r;
-      Spill.store next ~pos:!j dst;
-      j := !j + bl
-    done;
-    layers := next :: !layers;
-    let tree = commit_layer_spill next ~block in
-    trees := tree :: !trees;
-    Transcript.absorb_digest transcript "fripcs/layer" (Merkle.root tree)
+  (* Round [i]'s challenge folds layer [i] into layer [i + 1]. *)
+  let layers = Array.make (l + 1) committed.evals in
+  let trees = Array.make (l + 1) committed.tree in
+  let fold_layer i r =
+    layers.(i + 1) <- fresh "fri-layer" (Spill.length layers.(i) / 2);
+    trees.(i + 1) <- Fri.fold_layer ~shift:Gf.one ~block layers.(i) r ~dst:layers.(i + 1);
+    Transcript.absorb_digest transcript "fripcs/layer" (Merkle.root trees.(i + 1))
   in
   let sc =
     Sumcheck.prove ~comb_mults:1 ?budget_bytes:budget ~framing:(framing ~after_round:fold_layer)
       transcript ~degree:2 ~tables:[| committed.table; e |] ~comb:product
   in
-  let layer_arr = Array.of_list (List.rev !layers) in
-  let trees = Array.of_list (List.rev !trees) in
-  let final_constant = Spill.get layer_arr.(l) 0 in
+  let final_constant = Spill.get layers.(l) 0 in
   Transcript.absorb_gf transcript "fripcs/final" [| final_constant |];
   let positions =
     Transcript.challenge_indices transcript "fripcs/queries" ~bound:(domain / 2)
@@ -302,7 +252,7 @@ let open_at ?engine params committed transcript point =
       sumcheck = sc.Sumcheck.proof;
       layer_roots = Array.init l (fun i -> Merkle.root trees.(i + 1));
       final_constant;
-      queries = Fri.open_queries layer_arr trees positions;
+      queries = Fri.open_queries layers trees positions;
     } )
 
 module E = Zk_pcs.Verify_error

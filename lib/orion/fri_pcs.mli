@@ -62,9 +62,9 @@ val monomial_coeffs_into : Zk_field.Gf.t array -> Nocap_vec.Fv.t -> unit
 (** [monomial_coeffs_into table dst] writes the univariate coefficients of
     the multilinear [table] (length [2^l]) into [dst.(0 .. 2^l - 1)],
     monomial bit [j - 1] carrying variable [j] (the MSB of the evaluation
-    index is variable 1), so {!Fri.fold} by a sumcheck challenge binds the
-    same variable the sumcheck does. The commit's layer-0 codeword is the
-    NTT of these coefficients, zero-padded.
+    index is variable 1), so {!Fri.fold_layer} by a sumcheck challenge
+    binds the same variable the sumcheck does. The commit's layer-0
+    codeword is the NTT of these coefficients, zero-padded.
     @raise Invalid_argument unless the table's length is a power of two
     and [dst] holds at least that many elements. *)
 

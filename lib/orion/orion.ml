@@ -412,23 +412,25 @@ let column_error k = function
   | Bad_u -> E.errorf E.Consistency "column %d: u consistency failed" k
   | Bad_proximity i -> E.errorf E.Consistency "column %d: proximity %d failed" k i
 
-(* Every column of an opening in one batch, in stages: shapes, a transpose
-   of the well-shaped columns into one [rows x nw] matrix, all leaves
-   ({!Keccak.hash_cols_into}), all full-depth paths level by level
+(* Every column of an opening in one batch, in stages: shapes (index,
+   height, path length: see {!Merkle}), a transpose of the well-shaped
+   columns into one [rows x nw] matrix, all leaves
+   ({!Keccak.hash_cols_into}), all paths level by level
    ({!Merkle.check_paths}), then the combinations as one axpy per data row.
    [coeffs.(c)] are combination [c]'s row coefficients and [encoded.(c)]
    its encoded claim: eq(q_row) against u first, then each rho_i against
-   proximity row i, shifted by mask row i when [zk]. A path of another
-   length gets the scalar {!Merkle.check_path} and its reason. The verdict
-   is the first failing column in opening order, with its first failing
-   check. *)
+   proximity row i, shifted by mask row i when [zk]. The verdict is the
+   first failing column in opening order, with its first failing check. *)
 let check_columns ~root ~indices ~rows ~data_rows ~zk ~coeffs ~encoded proof =
   let nq = Array.length indices in
   let col_pos = offsets proof.col_height and path_pos = offsets proof.path_len in
+  (* Code lengths are powers of two: the tree is unpadded. *)
+  let depth = Merkle.path_length (Fv.length encoded.(0)) in
   let verdict =
     Array.init nq (fun k ->
         if proof.col_index.(k) <> indices.(k) then Bad_index
         else if proof.col_height.(k) <> rows then Bad_height
+        else if proof.path_len.(k) <> depth then Bad_path "wrong path length"
         else Col_ok)
   in
   let shaped = select nq (fun k -> verdict.(k) = Col_ok) in
@@ -442,35 +444,13 @@ let check_columns ~root ~indices ~rows ~data_rows ~zk ~coeffs ~encoded proof =
     shaped;
   let leaves = Fv.create (4 * nw) in
   if nw > 0 then Keccak.hash_cols_into ~rows ~cols:nw mat ~dst:leaves;
-  (* Merkle: code lengths are powers of two, so the tree is unpadded and
-     every honest path is [depth] long. *)
-  let depth = Merkle.path_length (Fv.length encoded.(0)) in
-  let full = select nw (fun w -> proof.path_len.(shaped.(w)) = depth) in
-  let full_leaves = Fv.create (4 * Array.length full) in
-  Array.iteri
-    (fun b w -> Fv.blit ~src:leaves ~src_pos:(4 * w) ~dst:full_leaves ~dst_pos:(4 * b) ~len:4)
-    full;
   let on_root =
     Merkle.check_paths ~root ~depth
-      ~index:(Array.map (fun w -> indices.(shaped.(w))) full)
-      ~leaves:full_leaves ~paths:proof.paths
-      ~path_pos:(Array.map (fun w -> 4 * path_pos.(shaped.(w))) full)
+      ~index:(Array.map (fun k -> indices.(k)) shaped)
+      ~leaves ~paths:proof.paths
+      ~path_pos:(Array.map (fun k -> 4 * path_pos.(k)) shaped)
   in
-  Array.iteri
-    (fun b w -> if not on_root.(b) then verdict.(shaped.(w)) <- Bad_path "root mismatch")
-    full;
-  Array.iteri
-    (fun w k ->
-      let len = proof.path_len.(k) in
-      if len <> depth then begin
-        let path = List.init len (fun d -> Keccak.digest_at proof.paths (path_pos.(k) + d)) in
-        match
-          Merkle.check_path ~root ~index:indices.(k) ~leaf:(Keccak.digest_at leaves w) ~path
-        with
-        | Ok () -> ()
-        | Error reason -> verdict.(k) <- Bad_path reason
-      end)
-    shaped;
+  Array.iteri (fun w k -> if not on_root.(w) then verdict.(k) <- Bad_path "root mismatch") shaped;
   (* acc.(c) = coeffs.(c)^T (data rows of mat), plus mask row c - 1 for a
      proximity combination under zk. *)
   let ncomb = Array.length coeffs in

@@ -1,16 +1,16 @@
 module Gf = Zk_field.Gf
 module Ntt_fv = Zk_ntt.Ntt.Gf_fv
 module Merkle = Zk_merkle.Merkle
+module Keccak = Zk_hash.Keccak
 module Transcript = Zk_hash.Transcript
 module Fv = Nocap_vec.Fv
 
-type proof = {
-  trace_root : Merkle.digest;
-  fri : Fri.proof;
-  (* Per FRI query: openings of the committed trace LDE at the six positions
-     needed to recompute the composition polynomial at the query's pair. *)
-  openings : (Gf.t * Merkle.digest list) array array;
+type openings = {
+  values : Fv.t; (* per FRI query, six trace-LDE values *)
+  paths : Fv.t; (* per value, its path: 4 lanes per digest *)
 }
+
+type proof = { trace_root : Merkle.digest; fri : Fri.proof; openings : openings }
 
 let params = Fri.default_params
 
@@ -30,20 +30,9 @@ let shift = Gf.multiplicative_generator
 (* Trace LDE over the coset shift * <w>, w the 4n-th root: the trace's
    coefficients, scaled by shift^i and zero-padded, then one NTT. *)
 let trace_lde t =
-  let n = Array.length t in
-  let domain = 4 * n in
-  let evals = Fv.create domain in
-  Fv.zero evals;
-  let coeffs = Fv.sub_view evals ~pos:0 ~len:n in
-  Fv.write_array t ~src_pos:0 coeffs ~dst_pos:0 ~len:n;
-  Ntt_fv.inverse (Ntt_fv.plan n) coeffs;
-  let si = ref Gf.one in
-  for i = 0 to n - 1 do
-    Fv.set coeffs i (Gf.mul (Fv.get coeffs i) !si);
-    si := Gf.mul !si shift
-  done;
-  Ntt_fv.forward (Ntt_fv.plan domain) evals;
-  evals
+  let coeffs = Fv.of_array t in
+  Ntt_fv.inverse (Ntt_fv.plan (Array.length t)) coeffs;
+  Fri.coset_lde ~shift ~domain:(4 * Array.length t) coeffs
 
 let commit_trace lde =
   (* Leaf j hashes the one-element column [lde.(j)]. *)
@@ -72,11 +61,14 @@ let start_transcript ~n ~a0 ~a1 ~last root =
   Transcript.absorb_digest t "trace" root;
   t
 
-let query_indices ~domain ~n position =
-  [| position; (position + 4) mod domain; (position + 8) mod domain;
-     (position + (2 * n)) mod domain;
-     (position + (2 * n) + 4) mod domain;
-     (position + (2 * n) + 8) mod domain |]
+(* The six LDE positions query [position] opens, for every query in turn:
+   the transition's three rows at the query's pair, low then high. *)
+let opened_indices ~domain ~n positions =
+  Array.init
+    (6 * Array.length positions)
+    (fun k ->
+      let lo = if k mod 6 < 3 then 0 else 2 * n in
+      (positions.(k / 6) + lo + (4 * (k mod 3))) mod domain)
 
 let prove ~n ~a0 ~a1 =
   let t = trace_of ~n ~a0 ~a1 in
@@ -110,15 +102,16 @@ let prove ~n ~a0 ~a1 =
         c)
   in
   let fri = Fri.prove ~shift params transcript f_coeffs in
-  let openings =
-    Array.map
-      (fun position ->
-        Array.map
-          (fun idx -> (Fv.get lde idx, Merkle.path tree idx))
-          (query_indices ~domain ~n position))
-      fri.Fri.queries.Fri.positions
-  in
-  ({ trace_root = Merkle.root tree; fri; openings }, last)
+  let indices = opened_indices ~domain ~n fri.Fri.queries.Fri.positions in
+  let depth = Merkle.depth tree in
+  let values = Fv.create (Array.length indices) in
+  let paths = Fv.create (4 * depth * Array.length indices) in
+  Array.iteri
+    (fun k idx ->
+      Fv.set values k (Fv.get lde idx);
+      Merkle.path_into tree idx paths ~pos:(4 * depth * k))
+    indices;
+  ({ trace_root = Merkle.root tree; fri; openings = { values; paths } }, last)
 
 let verify ~n ~a0 ~a1 ~claimed_last proof =
   let ( let* ) = Result.bind in
@@ -131,69 +124,72 @@ let verify ~n ~a0 ~a1 ~claimed_last proof =
       (Fri.verify ~shift params transcript ~degree_bound:n proof.fri)
   in
   let queries = proof.fri.Fri.queries in
+  let nq = Array.length queries.Fri.positions in
+  let { values; paths } = proof.openings in
+  let nv = Fv.length values in
+  (* Opening [k = 6q + i] is value [k] and the [depth] digests from lane
+     [4 * depth * k]. Buffers that stop before query [nq - 1] or run past
+     it hold the wrong number of openings. *)
+  let depth = Fri.log2_exact domain (* one trace leaf per LDE point *) in
+  let path_lanes = 4 * depth in
+  let queries_in len per = (len + per - 1) / per in
   let* () =
-    if Array.length proof.openings = Array.length queries.Fri.positions then Ok ()
+    if queries_in nv 6 = nq && queries_in (Fv.length paths) (6 * path_lanes) = nq then Ok ()
     else Error "opening count mismatch"
   in
   (* [Fri.verify] accepted, so every query opened all [layers] layers, and
      query [q]'s layer-0 pair is pair [q * layers]. *)
   let layers = Array.length proof.fri.Fri.layer_roots in
-  let w = Gf.root_of_unity (Fri.log2_exact domain) in
+  let w = Gf.root_of_unity depth in
   let g = Gf.pow w 4L in
-  let rec check q_idx =
-    if q_idx >= Array.length proof.openings then Ok ()
+  (* Every value with a whole path, authenticated at once; no path reaches
+     a root that is not a digest. *)
+  let indices = opened_indices ~domain ~n queries.Fri.positions in
+  let full = min nv (Fv.length paths / path_lanes) in
+  let leaves = Fv.create (4 * nv) in
+  if nv > 0 then Keccak.hash_cols_into ~rows:1 ~cols:nv values ~dst:leaves;
+  let on_root =
+    if String.length proof.trace_root <> 32 then Array.make full false
+    else
+      Merkle.check_paths ~root:proof.trace_root ~depth ~index:(Array.sub indices 0 full)
+        ~leaves:(Fv.sub_view leaves ~pos:0 ~len:(4 * full))
+        ~paths ~path_pos:(Array.init full (fun k -> path_lanes * k))
+  in
+  let rec check q =
+    if q >= nq then Ok ()
     else begin
-      let position = queries.Fri.positions.(q_idx) in
-      let opens = proof.openings.(q_idx) in
-      let* () = if Array.length opens = 6 then Ok () else Error "need six openings" in
-      let indices = query_indices ~domain ~n position in
-      (* Authenticate every opened trace value. *)
+      let* () = if (6 * q) + 6 <= nv then Ok () else Error "need six openings" in
       let rec auth i =
+        let k = (6 * q) + i in
         if i >= 6 then Ok ()
-        else begin
-          let v, path = opens.(i) in
-          match
-            Merkle.check_path ~root:proof.trace_root ~index:indices.(i)
-              ~leaf:(Merkle.leaf_of_column [| v |])
-              ~path
-          with
-          | Ok () -> auth (i + 1)
-          | Error reason ->
-            Error (Printf.sprintf "query %d: bad trace opening %d: %s" q_idx i reason)
-        end
+        else if k >= full then
+          Error (Printf.sprintf "query %d: bad trace opening %d: wrong path length" q i)
+        else if not on_root.(k) then
+          Error (Printf.sprintf "query %d: bad trace opening %d: root mismatch" q i)
+        else auth (i + 1)
       in
       let* () = auth 0 in
       (* Recompute the composition at the query pair and compare with the
          FRI layer-0 values: this ties the low-degree proof to the committed
          execution trace. *)
-      let recompute base_idx v0 v4 v8 =
-        let x = Gf.mul shift (Gf.pow w (Int64.of_int base_idx)) in
-        composition ~n ~a0 ~a1 ~last:claimed_last ~alphas ~g ~x v0 v4 v8
+      let recompute i =
+        let v j = Fv.get values ((6 * q) + i + j) in
+        let x = Gf.mul shift (Gf.pow w (Int64.of_int indices.((6 * q) + i))) in
+        composition ~n ~a0 ~a1 ~last:claimed_last ~alphas ~g ~x (v 0) (v 1) (v 2)
       in
-      let f_lo = recompute position (fst opens.(0)) (fst opens.(1)) (fst opens.(2)) in
-      let f_hi =
-        recompute ((position + (2 * n)) mod domain) (fst opens.(3)) (fst opens.(4))
-          (fst opens.(5))
-      in
-      let k = 2 * q_idx * layers in
+      let f_lo = recompute 0 and f_hi = recompute 3 in
+      let k = 2 * q * layers in
       let a = Fv.get queries.Fri.pairs k and b = Fv.get queries.Fri.pairs (k + 1) in
       if not (Gf.equal f_lo a) then
-        Error (Printf.sprintf "query %d: composition mismatch (low)" q_idx)
+        Error (Printf.sprintf "query %d: composition mismatch (low)" q)
       else if not (Gf.equal f_hi b) then
-        Error (Printf.sprintf "query %d: composition mismatch (high)" q_idx)
-      else check (q_idx + 1)
+        Error (Printf.sprintf "query %d: composition mismatch (high)" q)
+      else check (q + 1)
     end
   in
   check 0
 
+(* A root, the FRI proof, then a value and a path per opening. *)
 let proof_size_bytes proof =
-  let digest = 32 and field = 8 in
-  digest
-  + Fri.proof_size_bytes proof.fri
-  + Array.fold_left
-      (fun acc opens ->
-        acc
-        + Array.fold_left
-            (fun acc (_, path) -> acc + field + (digest * List.length path))
-            0 opens)
-      0 proof.openings
+  32 + Fri.proof_size_bytes proof.fri
+  + (8 * Fv.length proof.openings.values) + (8 * Fv.length proof.openings.paths)

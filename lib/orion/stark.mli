@@ -17,13 +17,18 @@
 
 module Gf = Zk_field.Gf
 
-type proof = {
-  trace_root : Zk_merkle.Merkle.digest;
-  fri : Fri.proof;
-  openings : (Gf.t * Zk_merkle.Merkle.digest list) array array;
-      (** per FRI query: the six authenticated trace-LDE values the
-          composition check needs *)
+type openings = {
+  values : Nocap_vec.Fv.t;
+      (** per FRI query, the six trace-LDE values the composition check
+          needs: the transition's three rows at the query's low point, then
+          at its high point *)
+  paths : Nocap_vec.Fv.t;
+      (** per value, its path in the trace tree: [log2 (4n)] digests,
+          bottom-up, 4 lanes each *)
 }
+(** The trace openings, flat like {!Fri.queries}. *)
+
+type proof = { trace_root : Zk_merkle.Merkle.digest; fri : Fri.proof; openings : openings }
 
 val trace_of : n:int -> a0:Gf.t -> a1:Gf.t -> Gf.t array
 (** The honest Fibonacci trace (power-of-two [n >= 4]). *)
@@ -33,5 +38,8 @@ val prove : n:int -> a0:Gf.t -> a1:Gf.t -> proof * Gf.t
 
 val verify :
   n:int -> a0:Gf.t -> a1:Gf.t -> claimed_last:Gf.t -> proof -> (unit, string) result
+(** {!Fri.verify}, then the openings: their count, then query by query its
+    six values, each path's length and root (one batched
+    {!Zk_merkle.Merkle.check_paths} for all), and the composition. *)
 
 val proof_size_bytes : proof -> int

@@ -83,8 +83,10 @@ let of_flat (p : Fri_pcs.eval_proof) =
     queries = tuples_of_flat p.Fri_pcs.queries;
   }
 
-(* Each query walked alone, layer by layer: [Merkle.check_path] over
-   [Merkle.leaf_of_column], the fold consistency, then the final constant.
+(* Each query walked alone, layer by layer: the path's length (the layer
+   tree's depth), [Merkle_oracle.check_path] over
+   [Merkle_oracle.leaf_of_column], the fold consistency, then the final
+   constant.
    Layer [i] (of [2^(domain_log2 - i)] points, root [roots.(i)]) lies on
    the coset [shift^(2^i) <w_i>], so its leaf [j] divides by
    [shift^(2^i) * w_i^j]. The first failing query is reported with its
@@ -107,8 +109,12 @@ let walk_queries ~shift ~roots ~domain_log2 ~challenges ~positions ~final_consta
           let half = layer_size / 2 in
           let leaf_pos = j mod half in
           let av, bv, path = opened.(i) in
-          let leaf = Merkle.leaf_of_column [| av; bv |] in
-          match Merkle.check_path ~root:roots.(i) ~index:leaf_pos ~leaf ~path with
+          let leaf = Merkle_oracle.leaf_of_column [| av; bv |] in
+          let checked =
+            if List.length path <> domain_log2 - i - 1 then Error "wrong path length"
+            else Merkle_oracle.check_path ~root:roots.(i) ~index:leaf_pos ~leaf ~path
+          in
+          match checked with
           | Error reason -> E.errorf E.Merkle_mismatch "query %d layer %d: %s" qi i reason
           | Ok () ->
             let value_at_j = if j >= half then bv else av in

@@ -1,9 +1,13 @@
-(* String-digest Merkle tree: the reference the flat prover tree
-   (Zk_merkle.Merkle) is checked against. One [digest array] per level,
-   built serially with [Keccak.hash2], padded to a power of two with the
-   empty-leaf digest derived here independently of the library. *)
+(* String-digest Merkle tree and path check: the reference the flat
+   prover tree and the batched path walk (Zk_merkle.Merkle) are checked
+   against. One [digest array] per level, built serially with
+   [Keccak.hash2], padded to a power of two with the empty-leaf digest
+   derived here independently of the library; a path is a digest list,
+   walked one [hash2] at a time. *)
 
 module Keccak = Zk_hash.Keccak
+module Merkle = Zk_merkle.Merkle
+module Fv = Nocap_vec.Fv
 
 type t = { levels : Keccak.digest array array }
 
@@ -32,3 +36,39 @@ let root t = t.levels.(Array.length t.levels - 1).(0)
 let depth t = Array.length t.levels - 1
 
 let path t i = List.init (depth t) (fun k -> t.levels.(k).((i lsr k) lxor 1))
+
+(* A flat tree's path for leaf [i], read back as a digest list. *)
+let path_of_tree tree i =
+  let depth = Merkle.depth tree in
+  let lanes = Fv.create (4 * depth) in
+  Merkle.path_into tree i lanes ~pos:0;
+  List.init depth (Keccak.digest_at lanes)
+
+(* Hash a column of field elements into a leaf (8 LE bytes per element). *)
+let leaf_of_column col = Keccak.hash_gf col
+
+(* A path longer than this cannot belong to any addressable tree (leaf
+   counts are OCaml ints); it only ever appears in hostile input, so bound
+   the walk before hashing anything. *)
+let max_proof_depth = 62
+
+(* [Ok ()] when [leaf] hashes up [path] to [root] at [index], else the
+   reason. Total on arbitrary input. It checks no path length against a
+   tree depth: its callers do that first. *)
+let check_path ~root ~index ~leaf ~path =
+  if index < 0 then Error "negative leaf index"
+  else if List.length path > max_proof_depth then Error "path too long"
+  else if List.exists (fun d -> String.length d <> 32) path then
+    Error "path digest has wrong length"
+  else begin
+    let rec go idx current = function
+      | [] -> if String.equal current root then Ok () else Error "root mismatch"
+      | sibling :: rest ->
+        let parent =
+          if idx land 1 = 0 then Keccak.hash2 current sibling
+          else Keccak.hash2 sibling current
+        in
+        go (idx / 2) parent rest
+    in
+    go index leaf path
+  end

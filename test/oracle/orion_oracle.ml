@@ -1,7 +1,8 @@
 (* Column-at-a-time Orion verifier: the reference the batched
    [Zk_orion.Orion.verify_eval] is checked against. Each opened column is
    unpacked into a boxed array and a digest list, then checked alone —
-   index, height, [Merkle.check_path] over [Merkle.leaf_of_column], the u
+   index, height, path length (the tree's depth),
+   [Merkle_oracle.check_path] over [Merkle_oracle.leaf_of_column], the u
    dot product, each proximity dot product — and the first failing column
    is reported with its first failing check. The combinations are encoded
    with the boxed reference encoder ([Ecc_oracle.encode]). *)
@@ -73,9 +74,11 @@ let verify_eval (params : Orion.params) (cm : Orion.commitment) transcript point
     let j, col, path = column proof k in
     if j <> indices.(k) then E.errorf E.Consistency "column %d: index mismatch" k
     else if Array.length col <> expected_rows then E.errorf E.Shape "column %d: wrong height" k
+    else if List.length path <> Merkle.path_length bound then
+      E.errorf E.Merkle_mismatch "column %d: wrong path length" k
     else
-      let leaf = Merkle.leaf_of_column col in
-      match Merkle.check_path ~root:cm.Orion.root ~index:j ~leaf ~path with
+      let leaf = Merkle_oracle.leaf_of_column col in
+      match Merkle_oracle.check_path ~root:cm.Orion.root ~index:j ~leaf ~path with
       | Error reason -> E.errorf E.Merkle_mismatch "column %d: %s" k reason
       | Ok () ->
         let dot coeffs =

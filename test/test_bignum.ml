@@ -3,7 +3,6 @@
    SNARK. *)
 
 module Gf = Zk_field.Gf
-module Bignum = Zk_r1cs.Bignum
 module Builder = Zk_r1cs.Builder
 module R1cs = Zk_r1cs.R1cs
 module Spartan = Zk_spartan.Spartan

@@ -8,6 +8,8 @@ module Transcript = Zk_hash.Transcript
 module Rng = Zk_util.Rng
 module Fv = Nocap_vec.Fv
 module Keccak = Zk_hash.Keccak
+module Merkle = Zk_merkle.Merkle
+module Spill = Nocap_vec.Spill
 module E = Zk_pcs.Verify_error
 module Fri_oracle = Fri_pcs_oracle
 
@@ -95,7 +97,7 @@ let prop_random_sizes =
       match verify ~degree_bound:n proof with Ok () -> true | Error _ -> false)
 
 (* The pre-running-product fold, one inversion per element: the oracle
-   for {!Fri.fold}'s inversion-free twiddles. *)
+   for {!Fri.fold_layer}'s inversion-free twiddles. *)
 let reference_fold ~shift evals beta =
   let n = Array.length evals in
   let half = n / 2 in
@@ -111,16 +113,39 @@ let reference_fold ~shift evals beta =
       x := Gf.mul !x w;
       out)
 
+(* The layer step on a RAM layer folded as one block and on a spilled
+   layer (into a spilled output) folded and committed in blocks smaller
+   than half: both outputs are the reference fold, and both trees have one
+   root. The smallest layer is 4 points: a committed layer needs a leaf,
+   so the step never folds into one point. *)
 let prop_fold_vs_reference =
-  QCheck.Test.make ~count:60 ~name:"Fri.fold = per-element-inverse fold (plain and coset)"
-    QCheck.(triple (int_range 1 12) bool (int_range 0 1_000_000))
+  QCheck.Test.make ~count:60
+    ~name:"Fri.fold_layer = per-element-inverse fold (plain and coset, RAM and spilled)"
+    QCheck.(triple (int_range 2 12) bool (int_range 0 1_000_000))
     (fun (log_n, coset, seed) ->
       let rng = Rng.create (Int64.of_int seed) in
-      let evals = Array.init (1 lsl log_n) (fun _ -> Gf.random rng) in
+      let n = 1 lsl log_n in
+      let evals = Array.init n (fun _ -> Gf.random rng) in
       let beta = Gf.random rng in
       let shift = if coset then Gf.multiplicative_generator else Gf.one in
-      let got = Fri.fold ~shift (Nocap_vec.Fv.of_array evals) beta in
-      Nocap_vec.Fv.to_array got = reference_fold ~shift evals beta)
+      let want = reference_fold ~shift evals beta in
+      let ram = Spill.of_fv (Fv.create (n / 2)) in
+      let ram_root =
+        Merkle.root (Fri.fold_layer ~shift ~block:n (Spill.of_fv (Fv.of_array evals)) beta ~dst:ram)
+      in
+      let layer = Spill.create ~tag:"fri-test" ~spill:true n in
+      let dst = Spill.create ~tag:"fri-test" ~spill:true (n / 2) in
+      Fun.protect
+        ~finally:(fun () ->
+          Spill.free layer;
+          Spill.free dst)
+        (fun () ->
+          Spill.write layer ~pos:0 (Fv.of_array evals);
+          let block = 1 + Rng.int rng (max 1 ((n / 4) - 1)) in
+          let spilled_root = Merkle.root (Fri.fold_layer ~shift ~block layer beta ~dst) in
+          Fv.to_array (Spill.as_fv ram) = want
+          && Fv.to_array (Spill.to_fv dst) = want
+          && String.equal ram_root spilled_root))
 
 (* The bytes of a proof, in one fixed order: layer roots, the final
    constant, then query by query its position and, layer by layer, the

@@ -1,7 +1,6 @@
 (* The expression-language front end and the compile-time SpMV scheduler. *)
 
 module Gf = Zk_field.Gf
-module Lang = Zk_r1cs.Lang
 module R1cs = Zk_r1cs.R1cs
 module Sparse = Zk_r1cs.Sparse
 module Spartan = Zk_spartan.Spartan

@@ -10,39 +10,56 @@ let leaves n = Array.init n (fun i -> Keccak.sha3_256_string (Printf.sprintf "le
 
 let build ls = Merkle.build (Merkle.of_digests ls)
 
+(* Every path of [t] as flat lanes, leaf after leaf. *)
+let all_paths t =
+  let n = Merkle.num_leaves t and depth = Merkle.depth t in
+  let paths = Fv.create (4 * n * depth) in
+  for i = 0 to n - 1 do
+    Merkle.path_into t i paths ~pos:(4 * i * depth)
+  done;
+  paths
+
+let check ?root t ~index ~leaves ~paths =
+  let root = Option.value root ~default:(Merkle.root t) and depth = Merkle.depth t in
+  Merkle.check_paths ~root ~depth ~index ~leaves:(Merkle.of_digests leaves) ~paths
+    ~path_pos:(Array.map (fun i -> 4 * i * depth) index)
+
 let test_roundtrip () =
   List.iter
     (fun n ->
       let ls = leaves n in
       let t = build ls in
       Alcotest.(check int) "num_leaves" n (Merkle.num_leaves t);
-      for i = 0 to n - 1 do
-        Alcotest.(check (result unit string))
-          (Printf.sprintf "n=%d leaf %d verifies" n i)
-          (Ok ())
-          (Merkle.check_path ~root:(Merkle.root t) ~index:i ~leaf:ls.(i) ~path:(Merkle.path t i))
-      done)
+      Alcotest.(check (array bool))
+        (Printf.sprintf "n=%d: every leaf verifies" n)
+        (Array.make n true)
+        (check t ~index:(Array.init n Fun.id) ~leaves:ls ~paths:(all_paths t)))
     [ 1; 2; 3; 7; 8; 16; 100 ]
 
 let test_rejections () =
   let ls = leaves 16 in
   let t = build ls in
-  let root = Merkle.root t in
-  let path5 = Merkle.path t 5 in
-  let mismatch name r =
-    Alcotest.(check (result unit string)) name (Error "root mismatch") r
+  let paths = all_paths t in
+  let one ?root ~index leaf paths =
+    (check ?root t ~index:[| index |] ~leaves:[| leaf |] ~paths).(0)
   in
-  mismatch "wrong leaf" (Merkle.check_path ~root ~index:5 ~leaf:ls.(6) ~path:path5);
-  mismatch "wrong index" (Merkle.check_path ~root ~index:6 ~leaf:ls.(5) ~path:path5);
-  mismatch "wrong root"
-    (Merkle.check_path ~root:(Keccak.sha3_256_string "evil") ~index:5 ~leaf:ls.(5) ~path:path5);
-  let tampered = match path5 with x :: rest -> Keccak.sha3_256_string "x" :: rest @ [ x ] |> List.tl | [] -> [] in
-  mismatch "tampered path" (Merkle.check_path ~root ~index:5 ~leaf:ls.(5) ~path:tampered)
+  let depth = Merkle.depth t in
+  Alcotest.(check bool) "honest" true (one ~index:5 ls.(5) paths);
+  Alcotest.(check bool) "wrong leaf" false (one ~index:5 ls.(6) paths);
+  (* Leaf 5 and its path checked at index 6. *)
+  let moved = Fv.copy paths in
+  Fv.blit ~src:paths ~src_pos:(4 * 5 * depth) ~dst:moved ~dst_pos:(4 * 6 * depth) ~len:(4 * depth);
+  Alcotest.(check bool) "wrong index" false (one ~index:6 ls.(5) moved);
+  Alcotest.(check bool) "wrong root" false
+    (one ~root:(Keccak.sha3_256_string "evil") ~index:5 ls.(5) paths);
+  let tampered = Fv.copy paths in
+  Keccak.set_digest tampered ((5 * depth) + 1) (Keccak.sha3_256_string "x");
+  Alcotest.(check bool) "tampered path" false (one ~index:5 ls.(5) tampered)
 
 let test_depth_and_path_length () =
   let t = build (leaves 16) in
   Alcotest.(check int) "depth 16" 4 (Merkle.depth t);
-  Alcotest.(check int) "path length matches" 4 (List.length (Merkle.path t 3));
+  Alcotest.(check int) "path length matches" 4 (List.length (Merkle_oracle.path_of_tree t 3));
   Alcotest.(check int) "path_length 16" 4 (Merkle.path_length 16);
   Alcotest.(check int) "path_length 17" 5 (Merkle.path_length 17);
   Alcotest.(check int) "path_length 1" 0 (Merkle.path_length 1)
@@ -51,7 +68,26 @@ let test_column_leaf () =
   let col = Array.init 128 Gf.of_int in
   Alcotest.(check string) "column leaf = hash_gf"
     (Keccak.to_hex (Keccak.hash_gf col))
-    (Keccak.to_hex (Merkle.leaf_of_column col))
+    (Keccak.to_hex
+       (Keccak.digest_at (Merkle.leaves_of_matrix ~rows:128 ~cols:1 (Fv.of_array col)) 0))
+
+(* The oracle's boxed path check is total on hostile input: a bad index,
+   an over-long path or a short digest is a reason, never an exception. *)
+let test_oracle_check_path_hostile () =
+  let ls = leaves 16 in
+  let oracle = Merkle_oracle.build ls in
+  let root = Merkle_oracle.root oracle and path = Merkle_oracle.path oracle 5 in
+  let verdict name want r = Alcotest.(check (result unit string)) name want r in
+  verdict "honest" (Ok ()) (Merkle_oracle.check_path ~root ~index:5 ~leaf:ls.(5) ~path);
+  verdict "wrong leaf" (Error "root mismatch")
+    (Merkle_oracle.check_path ~root ~index:5 ~leaf:ls.(6) ~path);
+  verdict "negative index" (Error "negative leaf index")
+    (Merkle_oracle.check_path ~root ~index:(-1) ~leaf:ls.(5) ~path);
+  verdict "path too long" (Error "path too long")
+    (Merkle_oracle.check_path ~root ~index:5 ~leaf:ls.(5)
+       ~path:(List.init (Merkle_oracle.max_proof_depth + 1) (fun _ -> ls.(0))));
+  verdict "short digest" (Error "path digest has wrong length")
+    (Merkle_oracle.check_path ~root ~index:5 ~leaf:ls.(5) ~path:("short" :: List.tl path))
 
 let test_root_depends_on_all_leaves () =
   let ls = leaves 8 in
@@ -86,7 +122,7 @@ let prop_flat_vs_oracle =
         String.equal (Merkle_oracle.root oracle) (Merkle.root tree)
         && Merkle.depth tree = Merkle_oracle.depth oracle
         && List.for_all
-             (fun i -> Merkle_oracle.path oracle i = Merkle.path tree i)
+             (fun i -> Merkle_oracle.path oracle i = Merkle_oracle.path_of_tree tree i)
              (List.init padded Fun.id)
       in
       let chunked leaves =
@@ -119,18 +155,19 @@ let prop_flat_vs_oracle =
               && same (chunked leaves)))
         Test_native.legs)
 
-(* Flat paths and the batched walk against [path] / [check_path], in every
-   kernel leg: every leaf of a 32-leaf tree, with a leaf lane, a path lane
-   or an index bit tampered in some of them. *)
+(* Flat paths and the batched walk against the string-digest oracle's
+   [path] / [check_path], in every kernel leg: every leaf of a 32-leaf
+   tree, with a leaf lane, a path lane or an index bit tampered in some of
+   them. *)
 let test_flat_paths () =
   let n = 32 in
   let ls = leaves n in
   let t = build ls in
+  let oracle = Merkle_oracle.build ls in
   let root = Merkle.root t and depth = Merkle.depth t in
-  let paths = Fv.create (4 * n * depth) in
+  let paths = all_paths t in
   for i = 0 to n - 1 do
-    Merkle.path_into t i paths ~pos:(4 * i * depth);
-    Alcotest.(check (list string)) (Printf.sprintf "path_into %d" i) (Merkle.path t i)
+    Alcotest.(check (list string)) (Printf.sprintf "path_into %d" i) (Merkle_oracle.path oracle i)
       (List.init depth (fun d -> Keccak.digest_at paths ((i * depth) + d)))
   done;
   let leaf_lanes = Merkle.of_digests ls in
@@ -148,7 +185,7 @@ let test_flat_paths () =
   let expected =
     Array.init n (fun i ->
         Result.is_ok
-          (Merkle.check_path ~root ~index:index.(i) ~leaf:(Keccak.digest_at leaf_lanes i)
+          (Merkle_oracle.check_path ~root ~index:index.(i) ~leaf:(Keccak.digest_at leaf_lanes i)
              ~path:(List.init depth (fun d -> Keccak.digest_at paths ((i * depth) + d)))))
   in
   Alcotest.(check (array bool)) "honest ones verify" (Array.init n (fun i -> i mod 4 = 3)) expected;
@@ -169,4 +206,5 @@ let suite =
     Alcotest.test_case "root covers all leaves" `Quick test_root_depends_on_all_leaves;
     QCheck_alcotest.to_alcotest prop_flat_vs_oracle;
     Alcotest.test_case "flat paths and batched path checks" `Quick test_flat_paths;
+    Alcotest.test_case "oracle check_path: hostile input" `Quick test_oracle_check_path_hostile;
   ]

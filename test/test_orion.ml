@@ -7,6 +7,8 @@ module Fv = Nocap_vec.Fv
 module Mle = Zk_poly.Mle
 module Transcript = Zk_hash.Transcript
 module Rng = Zk_util.Rng
+module Merkle = Zk_merkle.Merkle
+module Keccak = Zk_hash.Keccak
 
 let small_params =
   (* Fewer rows so tests exercise multi-column matrices at small sizes. *)
@@ -120,6 +122,62 @@ let test_proof_size () =
     (8 * cols) + (4 * 8 * cols) + (189 * (8 + (8 * rows) + (32 * path_len)))
   in
   Alcotest.(check int) "exact size" expected sz
+
+(* Leaves and interior nodes share one hash, so at column height 8 a
+   column made of the lanes of leaves 2j and 2j + 1 hashes to node (1, j),
+   and leaf 2j's path without its first digest takes that node to the root
+   at index j. An opened column at an index j below half the leaves is
+   replaced by that forgery: the verifier must refuse the short path
+   before walking it, not reach the combination checks. *)
+let test_node_as_leaf_rejected () =
+  let params = { small_params with Orion.zk = false } in
+  let table, cm, point, value, proof = roundtrip ~params ~seed:69L 6 in
+  let module Code = (val params.Orion.code : Zk_ecc.Linear_code.S) in
+  let rows = cm.Orion.mat_rows and cols = cm.Orion.mat_cols in
+  let len = Code.blowup * cols in
+  Alcotest.(check int) "column height" 8 rows;
+  (* The committed tree, rebuilt from the table. *)
+  let encoded = Fv.create (rows * len) in
+  for r = 0 to rows - 1 do
+    Code.encode_row_into
+      ~src:(Fv.of_array (Array.sub table (r * cols) cols))
+      ~dst:(Fv.sub_view encoded ~pos:(r * len) ~len)
+  done;
+  let leaves = Merkle.leaves_of_matrix ~rows ~cols:len encoded in
+  let tree = Merkle.build leaves in
+  Alcotest.(check string) "rebuilt root" cm.Orion.root (Merkle.root tree);
+  let depth = Merkle.depth tree in
+  let rec first k = if proof.Orion.col_index.(k) < len / 2 then k else first (k + 1) in
+  let k = first 0 in
+  let j = proof.Orion.col_index.(k) in
+  let col_values = Fv.copy proof.Orion.col_values in
+  Fv.blit ~src:leaves ~src_pos:(8 * j) ~dst:col_values ~dst_pos:(rows * k) ~len:8;
+  let short = Fv.create (4 * depth) in
+  Merkle.path_into tree (2 * j) short ~pos:0;
+  (* The forgery does hash up to the root along the short path. *)
+  let column = Fv.to_array (Fv.sub_view col_values ~pos:(rows * k) ~len:rows) in
+  Alcotest.(check (result unit string)) "node opens as a leaf" (Ok ())
+    (Merkle_oracle.check_path ~root:cm.Orion.root ~index:j
+       ~leaf:(Merkle_oracle.leaf_of_column column)
+       ~path:(List.init (depth - 1) (fun d -> Keccak.digest_at short (d + 1))));
+  let paths = Fv.create (Fv.length proof.Orion.paths - 4) in
+  let at = 4 * depth * k in
+  Fv.blit ~src:proof.Orion.paths ~src_pos:0 ~dst:paths ~dst_pos:0 ~len:at;
+  Fv.blit ~src:short ~src_pos:4 ~dst:paths ~dst_pos:at ~len:(4 * (depth - 1));
+  Fv.blit ~src:proof.Orion.paths ~src_pos:(at + (4 * depth)) ~dst:paths
+    ~dst_pos:(at + (4 * (depth - 1)))
+    ~len:(Fv.length paths - at - (4 * (depth - 1)));
+  let path_len = Array.copy proof.Orion.path_len in
+  path_len.(k) <- depth - 1;
+  let forged = { proof with Orion.col_values; paths; path_len } in
+  let vt = Transcript.create "orion-test" in
+  Orion.absorb_commitment vt cm;
+  match Orion.verify_eval params cm vt point value forged with
+  | Ok () -> Alcotest.fail "accepted an interior node opened as a leaf"
+  | Error e ->
+    Alcotest.(check string) "reason"
+      (Printf.sprintf "merkle_mismatch: column %d: wrong path length" k)
+      (Zk_pcs.Verify_error.to_string e)
 
 let test_expander_code_roundtrip () =
   (* Orion over the expander code (the pre-Shockwave configuration used by
@@ -274,6 +332,7 @@ let suite =
     Alcotest.test_case "proximity masking" `Quick test_proximity_masking_hides_rows;
     Alcotest.test_case "proof size accounting" `Quick test_proof_size;
     Alcotest.test_case "expander-code configuration" `Quick test_expander_code_roundtrip;
+    Alcotest.test_case "interior node opened as a leaf rejected" `Quick test_node_as_leaf_rejected;
   ]
   @ List.map
       (fun (leg : Test_native.leg) ->

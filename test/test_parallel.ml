@@ -244,7 +244,7 @@ let qcheck_merkle_leaves =
       let flat = Array.init (rows * cols) (fun _ -> Gf.random rng) in
       let serial =
         Array.init cols (fun j ->
-            Merkle.leaf_of_column (Array.init rows (fun r -> flat.((r * cols) + j))))
+            Merkle_oracle.leaf_of_column (Array.init rows (fun r -> flat.((r * cols) + j))))
       in
       let m = Fv.of_array flat in
       with_each_domain_count (fun _ ->

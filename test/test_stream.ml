@@ -252,7 +252,7 @@ let test_merkle_builder () =
   List.iter
     (fun n ->
       let leaves =
-        Array.init n (fun _ -> Merkle.leaf_of_column (random_gf_array rng 2))
+        Array.init n (fun _ -> Merkle_oracle.leaf_of_column (random_gf_array rng 2))
       in
       let reference = Merkle.build (Merkle.of_digests leaves) in
       (* push in ragged chunks *)
@@ -269,8 +269,9 @@ let test_merkle_builder () =
       Alcotest.(check string)
         (Printf.sprintf "root n=%d" n)
         (Merkle.root reference) (Merkle.root tree);
+      let oracle = Merkle_oracle.build leaves in
       for i = 0 to n - 1 do
-        if Merkle.path reference i <> Merkle.path tree i then
+        if Merkle_oracle.path oracle i <> Merkle_oracle.path_of_tree tree i then
           Alcotest.failf "n=%d: path %d differs" n i
       done)
     [ 1; 2; 3; 5; 8; 13; 16; 33 ]
@@ -283,7 +284,7 @@ let prop_merkle_builder_chunks =
     QCheck.(pair (int_range 1 300) small_int)
     (fun (n, seed) ->
       let rng = Rng.create (Int64.of_int (succ seed)) in
-      let leaves = Array.init n (fun _ -> Merkle.leaf_of_column (random_gf_array rng 1)) in
+      let leaves = Array.init n (fun _ -> Merkle_oracle.leaf_of_column (random_gf_array rng 1)) in
       let reference = Merkle_oracle.build leaves in
       let b = Merkle.Builder.create n in
       let pos = ref 0 in
@@ -306,7 +307,7 @@ let prop_merkle_builder_chunks =
       let tree = Merkle.Builder.finish b in
       String.equal (Merkle_oracle.root reference) (Merkle.root tree)
       && List.for_all
-           (fun i -> Merkle_oracle.path reference i = Merkle.path tree i)
+           (fun i -> Merkle_oracle.path reference i = Merkle_oracle.path_of_tree tree i)
            (List.init n Fun.id))
 
 (* --- streaming sumcheck ------------------------------------------------- *)

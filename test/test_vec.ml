@@ -254,7 +254,7 @@ let test_leaves_of_matrix () =
   let gathered =
     Array.init cols (fun j -> Array.init rows (fun r -> flat.((r * cols) + j)))
   in
-  let expected = Array.map Merkle.leaf_of_column gathered in
+  let expected = Array.map Merkle_oracle.leaf_of_column gathered in
   let got = Merkle.leaves_of_matrix ~rows ~cols (Fv.of_array flat) in
   Alcotest.(check (array string)) "leaves" expected (Array.init cols (Keccak.digest_at got));
   Alcotest.(check string) "same root"
@@ -314,7 +314,7 @@ let test_orion_flat_commit () =
   let code_len = Rs.blowup * cols in
   let gathered = Array.init code_len (fun j -> Array.map (fun row -> row.(j)) encoded) in
   let expected_root =
-    Merkle_oracle.root (Merkle_oracle.build (Array.map Merkle.leaf_of_column gathered))
+    Merkle_oracle.root (Merkle_oracle.build (Array.map Merkle_oracle.leaf_of_column gathered))
   in
   let committed, cm = Orion.commit params (Rng.create 1L) table in
   Alcotest.(check string) "root matches boxed pipeline"
