@@ -26,7 +26,8 @@ type kernel = {
   k_n : int;
       (* elements processed per run (permutations for keccak-f1600,
          leaves for merkle-build, nonzeros for csr-eval, node hashes for
-         merkle-check-paths) *)
+         merkle-check-paths, challenges or indices for the transcript
+         rows) *)
   k_run : unit -> string; (* runs under the ambient leg; returns fingerprint *)
   k_x4 : bool; (* also timed under [Native.with_avx2_only] *)
 }
@@ -140,6 +141,16 @@ let kernels ~smoke rng =
   let ce_row_hi, ce_row_lo, _ = Mle.eq_split (ce_point ()) in
   let ce_col_hi, ce_col_lo, _ = Mle.eq_split (ce_point ()) in
   let ce_mats = [ ce_inst.R1cs.a; ce_inst.R1cs.b; ce_inst.R1cs.c ] in
+  (* Orion's Fiat-Shamir draws at litmus scale: one 128-challenge rho
+     vector and one 189-column index draw over 128 columns, each from a
+     fresh transcript that has absorbed an evaluation point. The squeezes
+     of each are batched through [Keccak.sha3_blocks_into]. *)
+  let tr_point = Array.init 13 (fun _ -> Gf.random rng) in
+  let transcript () =
+    let t = Transcript.create "bench-native" in
+    Transcript.absorb_gf t "orion/point" tr_point;
+    t
+  in
   [
     {
       k_name = "fv-mul";
@@ -254,6 +265,28 @@ let kernels ~smoke rng =
       k_x4 = true;
     };
     {
+      k_name = "transcript-rho";
+      k_n = 128;
+      k_run =
+        (fun () ->
+          let t = transcript () in
+          let rho = Transcript.challenge_gf_vec t "orion/rho" 128 in
+          String.concat "," (Array.to_list (Array.map Gf.to_string rho))
+          ^ Printf.sprintf ";%d" (Transcript.hash_count t));
+      k_x4 = true;
+    };
+    {
+      k_name = "transcript-indices";
+      k_n = 189;
+      k_run =
+        (fun () ->
+          let t = transcript () in
+          let ix = Transcript.challenge_indices t "orion/columns" ~bound:128 ~count:189 in
+          String.concat "," (Array.to_list (Array.map string_of_int ix))
+          ^ Printf.sprintf ";%d" (Transcript.hash_count t));
+      k_x4 = true;
+    };
+    {
       k_name = "merkle-build-fri";
       k_n = mf_half;
       k_run = (fun () -> Keccak.to_hex (Merkle.root (Fri.commit_layer ~block:mf_half mf_layer)));
@@ -350,7 +383,8 @@ let gates rows =
       (List.map (fun r -> r.kernel.k_name) rows)
       [
         "fv-lerp"; "sumcheck-round"; "csr-eval"; "ntt-forward-rows"; "keccak-f1600";
-        "rs-encode-rows"; "merkle-check-paths"; "merkle-build-fri";
+        "rs-encode-rows"; "merkle-check-paths"; "merkle-build-fri"; "transcript-rho";
+        "transcript-indices";
       ]
 
 (* --- driver ------------------------------------------------------------- *)

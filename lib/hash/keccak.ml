@@ -131,18 +131,20 @@ let absorb_tail_padded st (msg : bytes) off rem =
 
 let trailing_pad = Int64.shift_left 0x80L 56 (* byte 135 = lane 16, top byte *)
 
-let squeeze_32 st =
-  let out = Bytes.create digest_length in
+let squeeze_32_into st out =
   for lane = 0 to 3 do
     Bytes.set_int64_le out (8 * lane) (Fv.unsafe_get st lane)
-  done;
+  done
+
+let squeeze_32 st =
+  let out = Bytes.create digest_length in
+  squeeze_32_into st out;
   Bytes.unsafe_to_string out
 
-let sha3_256_ocaml (msg : bytes) : digest =
+let sha3_256_ocaml_into (msg : bytes) len out =
   let s = Domain.DLS.get scratch_key in
   let st = s.st in
   Fv.zero st;
-  let len = Bytes.length msg in
   let off = ref 0 in
   while len - !off >= rate_bytes do
     absorb_full_block st msg !off;
@@ -152,17 +154,19 @@ let sha3_256_ocaml (msg : bytes) : digest =
   absorb_tail_padded st msg !off (len - !off);
   xor_lane st 16 trailing_pad;
   f1600 s;
-  squeeze_32 st
+  squeeze_32_into st out
 
 (* The whole-message native sponge skips the per-block OCaml absorb loop,
    not just the permutation. *)
+let sha3_256_into (msg : bytes) ~len out =
+  if len < 0 || len > Bytes.length msg || Bytes.length out < digest_length then
+    invalid_arg "Keccak.sha3_256_into";
+  if Native.on () then Native.sha3 msg len out else sha3_256_ocaml_into msg len out
+
 let sha3_256 (msg : bytes) : digest =
-  if Native.on () then begin
-    let out = Bytes.create digest_length in
-    Native.sha3 msg out;
-    Bytes.unsafe_to_string out
-  end
-  else sha3_256_ocaml msg
+  let out = Bytes.create digest_length in
+  sha3_256_into msg ~len:(Bytes.length msg) out;
+  Bytes.unsafe_to_string out
 
 let sha3_256_string s = sha3_256 (Bytes.unsafe_of_string s)
 
@@ -368,6 +372,29 @@ let hash_cols_into ~rows ~cols (flat : Fv.t) ~(dst : Fv.t) =
     else hash_cols_ocaml flat ~cols ~rows dst
   in
   over_groups ~perms:((rows / rate_lanes) + 1) cols body
+
+(* --- single-block messages ------------------------------------------------- *)
+
+let sha3_blocks_ocaml (src : Fv.t) (dst : Fv.t) n =
+  let s = Domain.DLS.get scratch_key in
+  let st = s.st in
+  for i = 0 to n - 1 do
+    Fv.zero st;
+    for lane = 0 to rate_lanes - 1 do
+      Fv.unsafe_set st lane (Fv.unsafe_get src ((rate_lanes * i) + lane))
+    done;
+    f1600 s;
+    for lane = 0 to 3 do
+      Fv.unsafe_set dst ((4 * i) + lane) (Fv.unsafe_get st lane)
+    done
+  done
+
+(* No pool split: a caller's batch is a few hundred blocks at most (one
+   transcript vector), ~70 ns a block under x8. *)
+let sha3_blocks_into ~(src : Fv.t) ~(dst : Fv.t) n =
+  if n < 0 || Fv.length src < rate_lanes * n || Fv.length dst < 4 * n then
+    invalid_arg "Keccak.sha3_blocks_into";
+  if Native.on () then Native.sha3_blocks src dst 0 n else sha3_blocks_ocaml src dst n
 
 (* --- incremental per-column sponges -------------------------------------- *)
 

@@ -20,6 +20,13 @@ val sha3_256 : bytes -> digest
 
 val sha3_256_string : string -> digest
 
+val sha3_256_into : bytes -> len:int -> bytes -> unit
+(** [sha3_256_into msg ~len out] writes the SHA3-256 of the first [len]
+    bytes of [msg] into the first 32 bytes of [out], allocating nothing.
+    [out] may be [msg]: the digest is written after the message is read.
+    @raise Invalid_argument unless [0 <= len <= Bytes.length msg] and [out]
+    holds 32 bytes. *)
+
 val hash2 : digest -> digest -> digest
 (** The paper's Hash-FU compression: SHA3-256 of the concatenation of two
     256-bit values: a Merkle-tree interior node. The verifier's path check
@@ -82,6 +89,17 @@ val hash_cols_into : rows:int -> cols:int -> Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.
     four (AVX2) adjacent columns share one sponge permutation.
     @raise Invalid_argument unless [Fv.length flat = rows * cols] and
     [Fv.length dst = 4 * cols]. *)
+
+val sha3_blocks_into : src:Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> int -> unit
+(** [sha3_blocks_into ~src ~dst n] hashes [n] independent messages that
+    each fit one 136-byte rate block: block [i] is lanes
+    [\[17i, 17i + 17)] of [src], message and SHA3 padding (0x06 after the
+    message, 0x80 in byte 135) already in place; its digest goes to lanes
+    [\[4i, 4i + 4)] of [dst]. Eight blocks share one permutation with
+    AVX-512F, four with AVX2 (as {!hash_nodes_into}), on the calling
+    domain. Byte-identical for every mode.
+    @raise Invalid_argument unless [src] holds [n] blocks and [dst] [n]
+    digests. *)
 
 (** A bank of independent per-column sponges for hashing a row-major matrix
     incrementally: absorb row-blocks as they are produced, finalize once at

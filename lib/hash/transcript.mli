@@ -4,7 +4,15 @@
     prover and verifier absorb the same protocol messages and derive verifier
     challenges by hashing the running state, so soundness reduces to SHA3's
     collision/correlation resistance. Both sides must absorb byte-identical
-    data in the same order. *)
+    data in the same order.
+
+    Every absorb and every challenge mix is one SHA3-256 of the running
+    state followed by the labelled message; every squeeze one SHA3-256 of
+    the state followed by ["sq"] and a squeeze counter in decimal. A
+    vector's squeezes are independent of each other, so
+    {!challenge_gf_vec} and {!challenge_indices} hash them in batches
+    ({!Keccak.sha3_blocks_into}); the bytes hashed, and so every challenge,
+    are those of squeezing one at a time. *)
 
 type t
 
@@ -38,3 +46,17 @@ val challenge_indices : t -> string -> bound:int -> count:int -> int array
 val hash_count : t -> int
 (** Number of SHA3 compressions this transcript has performed (instrumentation
     for the performance model). *)
+
+val state : t -> Keccak.digest
+(** The running state: the digest the next mix or squeeze hashes first. *)
+
+val with_rejected_squeeze : int -> (unit -> 'a) -> 'a
+(** Test hook, in the style of [Native.with_avx2_only]: run [f] with the
+    digest of every squeeze whose counter is [k] replaced by 32 0xFF bytes,
+    so no chunk of it is a field element and that challenge must squeeze
+    again (the ~2^-128 event the batched sampler handles by rewinding).
+    Restores the previous hook after. *)
+
+val rejected_squeeze : unit -> int option
+(** The counter {!with_rejected_squeeze} currently forces, for an oracle
+    that must force the same squeeze. *)

@@ -55,9 +55,9 @@ val with_avx2_only : (unit -> 'a) -> 'a
     kernels run the 4-lane AVX2 Keccak even on an AVX-512F host. *)
 
 val keccak_lanes : unit -> int
-(** Sponges per permutation the flat Merkle kernels run at under the
-    current mode and hooks: 8 (AVX-512F), 4 (AVX2) or 1 (scalar C or
-    OCaml). *)
+(** Sponges per permutation the flat Merkle kernels and [sha3_blocks] run
+    at under the current mode and hooks: 8 (AVX-512F), 4 (AVX2) or 1
+    (scalar C or OCaml). *)
 
 (** {2 CPU feature detection} *)
 
@@ -116,8 +116,9 @@ external rs_encode_row : fv -> fv -> fv -> unit = "caml_nocap_rs_encode_row" [@@
 external f1600_off : fv -> int -> unit = "caml_nocap_f1600_off" [@@noalloc]
 (** Keccak-f[1600] permutation of the 25 lanes at offset [off]. *)
 
-external sha3 : Bytes.t -> Bytes.t -> unit = "caml_nocap_sha3" [@@noalloc]
-(** [sha3 msg out]: SHA3-256 of [msg] into the 32-byte [out]. *)
+external sha3 : Bytes.t -> int -> Bytes.t -> unit = "caml_nocap_sha3" [@@noalloc]
+(** [sha3 msg len out]: SHA3-256 of the first [len] bytes of [msg] into the
+    first 32 bytes of [out]; [out] may be [msg]. *)
 
 external hash2 : string -> string -> Bytes.t -> unit = "caml_nocap_hash2" [@@noalloc]
 (** SHA3-256 of the concatenation of two 32-byte strings (Merkle node). *)
@@ -135,6 +136,13 @@ external hash_nodes : fv -> fv -> int -> int -> unit = "caml_nocap_hash_nodes" [
     digest lanes [dst.(4i .. 4i + 3)] are the SHA3-256 of the 64 bytes in
     lanes [src.(8i .. 8i + 7)] — one flat Merkle level from the one below.
     With AVX2 four nodes share one 4-lane permutation. *)
+
+external sha3_blocks : fv -> fv -> int -> int -> unit = "caml_nocap_sha3_blocks" [@@noalloc]
+(** [sha3_blocks src dst lo hi]: for every block [i] in [\[lo, hi)], the
+    digest lanes [dst.(4i .. 4i + 3)] are one permutation of the 17 lanes
+    [src.(17i .. 17i + 16)]: the SHA3-256 of a message that fits one rate
+    block, padding included. Eight blocks per AVX-512F permutation, then
+    four per AVX2 one, as in [hash_nodes]. *)
 
 external hash_cols : fv -> int -> int -> fv -> int -> int -> unit
   = "caml_nocap_hash_cols_byte" "caml_nocap_hash_cols"

@@ -810,9 +810,12 @@ static void sha3_256_c(const unsigned char *msg, size_t len, unsigned char *out)
   squeeze32(st, out);
 }
 
-CAMLprim value caml_nocap_sha3(value vmsg, value vout)
+/* SHA3-256 of the first [len] bytes of [msg] into the first 32 bytes of
+   [out]. The digest is written after the last read, so [out] may be
+   [msg]: the transcript hashes its state-prefixed message in place. */
+CAMLprim value caml_nocap_sha3(value vmsg, value vlen, value vout)
 {
-  sha3_256_c(Bytes_val(vmsg), caml_string_length(vmsg), Bytes_val(vout));
+  sha3_256_c(Bytes_val(vmsg), (size_t)Long_val(vlen), Bytes_val(vout));
   return Val_unit;
 }
 
@@ -928,6 +931,19 @@ static void hash_col_c(const uint64_t *col, intnat stride, intnat rows, uint64_t
   for (int l = 0; l < 4; l++) out[l] = st[l];
 }
 
+/* sha3_blocks hashes independent messages that each fit one rate block:
+   block i is lanes [17i, 17i + 17) of src with the SHA3 padding already
+   in place, its digest lanes [4i, 4i + 4) of dst. The Fiat-Shamir
+   transcript stages a vector's squeezes this way. Tiers as in
+   hash_nodes. */
+static void sha3_block_c(const uint64_t *blk, uint64_t *out)
+{
+  uint64_t st[25] = { 0 };
+  for (int l = 0; l < RATE_LANES; l++) st[l] = blk[l];
+  keccak_f1600_x1(st);
+  for (int l = 0; l < 4; l++) out[l] = st[l];
+}
+
 /* --- 4-lane AVX2 Keccak sponge -------------------------------------------
    One 64-bit lane position across four independent states per ymm register:
    the flat Merkle kernels (node pairs and matrix columns) drive four
@@ -1023,6 +1039,18 @@ __attribute__((target("avx2"))) static void hash_cols_x4(const uint64_t *col0, i
   store_digests_x4(st, out);
 }
 
+/* Blocks i..i+3: lane l of the four sponges is one gather at stride 17. */
+__attribute__((target("avx2"))) static void sha3_blocks_x4(const uint64_t *blks, uint64_t *out)
+{
+  __m256i st[25];
+  const __m256i idx = _mm256_setr_epi64x(0, RATE_LANES, 2 * RATE_LANES, 3 * RATE_LANES);
+  for (int l = 0; l < RATE_LANES; l++)
+    st[l] = _mm256_i64gather_epi64((const long long *)(blks + l), idx, 8);
+  for (int l = RATE_LANES; l < 25; l++) st[l] = _mm256_setzero_si256();
+  keccak_f1600_x4(st);
+  store_digests_x4(st, out);
+}
+
 /* --- 8-lane AVX-512F Keccak sponge ----------------------------------------
    The same KECCAK_ROUND over __m512i: eight sponges per zmm register, ROL
    as vprolq. Only the flat Merkle kernels drive it; their ranges run
@@ -1102,6 +1130,20 @@ __attribute__((target("avx512f"))) static void hash_cols_x8(const uint64_t *col0
   store_digests_x8(st, out);
 }
 
+/* Blocks i..i+7: as sha3_blocks_x4, eight at a time. */
+__attribute__((target("avx512f"))) static void sha3_blocks_x8(const uint64_t *blks, uint64_t *out)
+{
+  __m512i st[25];
+  const __m512i idx = _mm512_setr_epi64(0, RATE_LANES, 2 * RATE_LANES, 3 * RATE_LANES,
+                                        4 * RATE_LANES, 5 * RATE_LANES, 6 * RATE_LANES,
+                                        7 * RATE_LANES);
+  for (int l = 0; l < RATE_LANES; l++)
+    st[l] = _mm512_i64gather_epi64(idx, (const void *)(blks + l), 8);
+  for (int l = RATE_LANES; l < 25; l++) st[l] = _mm512_setzero_si512();
+  keccak_f1600_x8(st);
+  store_digests_x8(st, out);
+}
+
 #endif /* NOCAP_X86_64 */
 
 CAMLprim value caml_nocap_hash_nodes(value vsrc, value vdst, value vlo, value vhi)
@@ -1133,6 +1175,21 @@ CAMLprim value caml_nocap_hash_cols(value vflat, value vcols, value vrows, value
     for (; j + 4 <= hi; j += 4) hash_cols_x4(flat + j, cols, rows, dst + 4 * j);
 #endif
   for (; j < hi; j++) hash_col_c(flat + j, cols, rows, dst + 4 * j);
+  return Val_unit;
+}
+
+CAMLprim value caml_nocap_sha3_blocks(value vsrc, value vdst, value vlo, value vhi)
+{
+  const uint64_t *src = BA_DATA(vsrc);
+  uint64_t *dst = BA_DATA(vdst);
+  intnat i = Int_val(vlo), hi = Int_val(vhi);
+#if defined(NOCAP_X86_64)
+  if (g_simd >= 2 && have_avx512f())
+    for (; i + 8 <= hi; i += 8) sha3_blocks_x8(src + RATE_LANES * i, dst + 4 * i);
+  if (g_simd && have_avx2())
+    for (; i + 4 <= hi; i += 4) sha3_blocks_x4(src + RATE_LANES * i, dst + 4 * i);
+#endif
+  for (; i < hi; i++) sha3_block_c(src + RATE_LANES * i, dst + 4 * i);
   return Val_unit;
 }
 

@@ -32,27 +32,17 @@ let log2_exact n =
   let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
   go 0 n
 
-let sum = Array.fold_left ( + ) 0
-
-(* Start of each run in a buffer of concatenated runs. *)
-let offsets lens =
-  let pos = Array.make (Array.length lens) 0 in
-  for k = 1 to Array.length lens - 1 do
-    pos.(k) <- pos.(k - 1) + lens.(k - 1)
-  done;
-  pos
-
 (* The per-query and per-layer arrays agree with each other and with the
    buffers, and every root is a digest. A decoder only ever builds such
    records; a hand-built one may not. *)
 let well_formed ~roots q =
-  let layers = sum q.layer_count in
+  let layers = Runs.sum q.layer_count in
   Array.length q.layer_count = Array.length q.positions
   && Array.for_all (fun c -> c >= 0) q.layer_count
   && Array.length q.path_len = layers
   && Fv.length q.pairs = 2 * layers
   && Array.for_all (fun n -> n >= 0) q.path_len
-  && Fv.length q.paths = 4 * sum q.path_len
+  && Fv.length q.paths = 4 * Runs.sum q.path_len
   && Array.for_all (fun d -> String.length d = 32) roots
 
 let inv2 = Gf.inv Gf.two
@@ -153,7 +143,7 @@ let coset_lde ~shift ~domain coeffs =
 let open_queries layers trees positions =
   let nq = Array.length positions and nl = Array.length layers in
   let depths = Array.map Merkle.depth trees in
-  let per_query = sum depths in
+  let per_query = Runs.sum depths in
   let pairs = Fv.create (2 * nq * nl) and paths = Fv.create (4 * nq * per_query) in
   Pool.run ~grain:(Pool.grain_of_ns (max 1 (nl * 2_000))) ~n:nq (fun lo hi ->
       for q = lo to hi - 1 do
@@ -176,9 +166,6 @@ let open_queries layers trees positions =
     path_len = Array.init (nq * nl) (fun k -> depths.(k mod nl));
     paths;
   }
-
-(* The positions in [0, n) that satisfy [p], in order. *)
-let select n p = Array.of_list (List.filter p (List.init n Fun.id))
 
 (* What decides one query, in the order the checks run. *)
 type query_verdict =
@@ -215,14 +202,14 @@ let check_queries ~shift ~roots ~domain_log2 ~challenges ~positions ~final_const
     E.error E.Shape "query openings do not match their buffers"
   else begin
     let layers = Array.length roots in
-    let first = offsets proof.layer_count and path_pos = offsets proof.path_len in
+    let first = Runs.offsets proof.layer_count and path_pos = Runs.offsets proof.path_len in
     let verdict =
       Array.init nq (fun q ->
           if proof.positions.(q) <> positions.(q) then Bad_position
           else if proof.layer_count.(q) <> layers then Bad_layer_count
           else Query_ok)
     in
-    let shaped = select nq (fun q -> verdict.(q) = Query_ok) in
+    let shaped = Runs.select nq (fun q -> verdict.(q) = Query_ok) in
     let ns = Array.length shaped in
     (* Pair (query shaped.(w), layer i) is column [i * ns + w]. *)
     let cols = layers * ns in
@@ -241,7 +228,7 @@ let check_queries ~shift ~roots ~domain_log2 ~challenges ~positions ~final_const
     for i = 0 to layers - 1 do
       let depth = domain_log2 - i - 1 in
       let leaf_pos w = positions.(shaped.(w)) land ((1 lsl depth) - 1) in
-      let full = select ns (fun w -> proof.path_len.(first.(shaped.(w)) + i) = depth) in
+      let full = Runs.select ns (fun w -> proof.path_len.(first.(shaped.(w)) + i) = depth) in
       let full_leaves = Fv.create (4 * Array.length full) in
       Array.iteri
         (fun b w ->

@@ -77,16 +77,6 @@ type eval_proof = {
 
 let num_openings p = Array.length p.col_index
 
-(* Start of each opening's run in a buffer of concatenated runs. *)
-let offsets lens =
-  let pos = Array.make (Array.length lens) 0 in
-  for k = 1 to Array.length lens - 1 do
-    pos.(k) <- pos.(k - 1) + lens.(k - 1)
-  done;
-  pos
-
-let sum = Array.fold_left ( + ) 0
-
 (* The per-opening arrays agree with each other and with the buffers. The
    decoder only ever builds such records; a hand-built one may not. *)
 let well_formed p =
@@ -95,8 +85,8 @@ let well_formed p =
   && Array.length p.path_len = nq
   && Array.for_all (fun h -> h >= 0) p.col_height
   && Array.for_all (fun l -> l >= 0) p.path_len
-  && sum p.col_height = Fv.length p.col_values
-  && 4 * sum p.path_len = Fv.length p.paths
+  && Runs.sum p.col_height = Fv.length p.col_values
+  && 4 * Runs.sum p.path_len = Fv.length p.paths
 
 let log2_exact n =
   if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Orion: size must be a power of two";
@@ -392,9 +382,6 @@ let validate_commitment params (cm : commitment) =
     else Ok ()
   end
 
-(* The positions in [0, n) that satisfy [p], in order. *)
-let select n p = Array.of_list (List.filter p (List.init n Fun.id))
-
 (* What decides one opened column, in the order the checks run. *)
 type column_verdict =
   | Col_ok
@@ -423,7 +410,7 @@ let column_error k = function
    first failing column in opening order, with its first failing check. *)
 let check_columns ~root ~indices ~rows ~data_rows ~zk ~coeffs ~encoded proof =
   let nq = Array.length indices in
-  let col_pos = offsets proof.col_height and path_pos = offsets proof.path_len in
+  let col_pos = Runs.offsets proof.col_height and path_pos = Runs.offsets proof.path_len in
   (* Code lengths are powers of two: the tree is unpadded. *)
   let depth = Merkle.path_length (Fv.length encoded.(0)) in
   let verdict =
@@ -433,7 +420,7 @@ let check_columns ~root ~indices ~rows ~data_rows ~zk ~coeffs ~encoded proof =
         else if proof.path_len.(k) <> depth then Bad_path "wrong path length"
         else Col_ok)
   in
-  let shaped = select nq (fun k -> verdict.(k) = Col_ok) in
+  let shaped = Runs.select nq (fun k -> verdict.(k) = Col_ok) in
   let nw = Array.length shaped in
   let mat = Fv.create (rows * nw) in
   Array.iteri

@@ -94,6 +94,123 @@ let prop_challenges_canonical =
       Transcript.absorb_bytes t "data" (Bytes.of_string s);
       Gf.is_canonical (Gf.to_int64 (Transcript.challenge_gf t "c")))
 
+(* --- batched transcript vs the one-at-a-time oracle ------------------------ *)
+
+type op =
+  | Absorb_bytes of string * string
+  | Absorb_gf of string * Gf.t array
+  | Absorb_fv of string * Gf.t array
+  | Absorb_int of string * int
+  | Absorb_digest of string * string
+  | Challenge of string
+  | Challenge_vec of string * int
+  | Indices of string * int * int (* bound, count *)
+
+let show_op = function
+  | Absorb_bytes (l, d) -> Printf.sprintf "absorb_bytes %S (%d bytes)" l (String.length d)
+  | Absorb_gf (l, a) -> Printf.sprintf "absorb_gf %S (%d)" l (Array.length a)
+  | Absorb_fv (l, a) -> Printf.sprintf "absorb_fv %S (%d)" l (Array.length a)
+  | Absorb_int (l, n) -> Printf.sprintf "absorb_int %S %d" l n
+  | Absorb_digest (l, _) -> Printf.sprintf "absorb_digest %S" l
+  | Challenge l -> Printf.sprintf "challenge_gf %S" l
+  | Challenge_vec (l, n) -> Printf.sprintf "challenge_gf_vec %S %d" l n
+  | Indices (l, b, c) -> Printf.sprintf "challenge_indices %S ~bound:%d ~count:%d" l b c
+
+(* Labels up to 120 bytes, so a challenge mix ([state ^ "ch:" ^ label])
+   sometimes spans two rate blocks. *)
+let gen_case =
+  let open QCheck.Gen in
+  let label = string_size ~gen:printable (int_range 0 120) in
+  let gf = map (fun x -> Gf.of_int64 x) ui64 in
+  let op =
+    frequency
+      [
+        (2, map2 (fun l d -> Absorb_bytes (l, d)) label (string_size (int_range 0 300)));
+        (2, map2 (fun l a -> Absorb_gf (l, a)) label (array_size (int_range 0 40) gf));
+        (1, map2 (fun l a -> Absorb_fv (l, a)) label (array_size (int_range 0 40) gf));
+        (1, map2 (fun l n -> Absorb_int (l, n)) label (oneof [ int; small_signed_int ]));
+        (1, map2 (fun l d -> Absorb_digest (l, d)) label (string_size (return 32)));
+        (2, map (fun l -> Challenge l) label);
+        (2, map2 (fun l n -> Challenge_vec (l, n)) label (int_range 0 300));
+        ( 2,
+          map3
+            (fun l b c -> Indices (l, b, c))
+            label
+            (oneof [ int_range 1 300; int_range 1 (1 lsl 40) ])
+            (int_range 0 300) );
+      ]
+  in
+  triple (string_size ~gen:printable (int_range 0 20)) (list_size (int_range 1 8) op)
+    (opt (int_range 0 400))
+
+let print_case (domain, ops, reject) =
+  Printf.sprintf "domain %S, reject %s:\n  %s" domain
+    (Option.fold ~none:"none" ~some:string_of_int reject)
+    (String.concat "\n  " (List.map show_op ops))
+
+(* Every op on both transcripts; every result, the state after it and the
+   hash count must agree. With [reject = Some k] both run under
+   [Transcript.with_rejected_squeeze k], so the challenge drawing squeeze k
+   takes the batched sampler's rewind path. *)
+let run_case (domain, ops, reject) =
+  let t = Transcript.create domain and o = Transcript_oracle.create domain in
+  let ( =! ) what ok = if not ok then QCheck.Test.fail_reportf "%s differs" what in
+  let step op =
+    (match op with
+    | Absorb_bytes (l, d) ->
+      Transcript.absorb_bytes t l (Bytes.of_string d);
+      Transcript_oracle.absorb_bytes o l (Bytes.of_string d)
+    | Absorb_gf (l, a) ->
+      Transcript.absorb_gf t l a;
+      Transcript_oracle.absorb_gf o l a
+    | Absorb_fv (l, a) ->
+      Transcript.absorb_fv t l (Nocap_vec.Fv.of_array a);
+      Transcript_oracle.absorb_gf o l a
+    | Absorb_int (l, n) ->
+      Transcript.absorb_int t l n;
+      Transcript_oracle.absorb_int o l n
+    | Absorb_digest (l, d) ->
+      Transcript.absorb_digest t l d;
+      Transcript_oracle.absorb_digest o l d
+    | Challenge l ->
+      show_op op =! Gf.equal (Transcript.challenge_gf t l) (Transcript_oracle.challenge_gf o l)
+    | Challenge_vec (l, n) ->
+      show_op op
+      =! (Transcript.challenge_gf_vec t l n = Transcript_oracle.challenge_gf_vec o l n)
+    | Indices (l, bound, count) ->
+      show_op op
+      =! (Transcript.challenge_indices t l ~bound ~count
+         = Transcript_oracle.challenge_indices o l ~bound ~count));
+    ("state after " ^ show_op op) =! String.equal (Transcript.state t) (Transcript_oracle.state o);
+    ("hash_count after " ^ show_op op)
+    =! (Transcript.hash_count t = Transcript_oracle.hash_count o)
+  in
+  let run () = List.iter step ops in
+  (match reject with None -> run () | Some k -> Transcript.with_rejected_squeeze k run);
+  true
+
+let prop_transcript_vs_oracle (leg : Test_native.leg) ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "transcript = one-at-a-time oracle [%s]" leg.name)
+    (QCheck.make ~print:print_case gen_case)
+    (fun case -> leg.run (fun () -> run_case case))
+
+(* The forced rejection really reaches the rewind: squeeze 5 is the sixth
+   challenge's, so that challenge and every one after it move, and the
+   transcript spends exactly one more squeeze. *)
+let test_rejected_squeeze_hook () =
+  let draw () =
+    let t = Transcript.create "reject" in
+    let v = Transcript.challenge_gf_vec t "v" 10 in
+    (v, Transcript.hash_count t)
+  in
+  let v, h = draw () in
+  let v', h' = Transcript.with_rejected_squeeze 5 draw in
+  Alcotest.(check bool) "challenges 0-4 kept" true (Array.sub v 0 5 = Array.sub v' 0 5);
+  Alcotest.(check bool) "challenge 5 redrawn" false (Gf.equal v.(5) v'.(5));
+  Alcotest.(check int) "one extra squeeze" (h + 1) h';
+  Alcotest.(check bool) "hook restored" true (Transcript.rejected_squeeze () = None)
+
 let suite =
   [
     Alcotest.test_case "SHA3-256 known answers" `Quick test_sha3_kats;
@@ -104,4 +221,11 @@ let suite =
     Alcotest.test_case "transcript divergence" `Quick test_transcript_divergence;
     Alcotest.test_case "challenge indices" `Quick test_challenge_indices;
     QCheck_alcotest.to_alcotest prop_challenges_canonical;
+    Alcotest.test_case "rejected squeeze hook" `Quick test_rejected_squeeze_hook;
   ]
+  @ List.map
+      (fun (leg : Test_native.leg) ->
+        (* The OCaml Keccak is ~50x slower than C: fewer cases there. *)
+        QCheck_alcotest.to_alcotest
+          (prop_transcript_vs_oracle leg ~count:(if leg.name = "off" then 15 else 60)))
+      Test_native.legs

@@ -439,6 +439,61 @@ let test_hash_entry_points () =
         legs)
     [ 1; 4; 7; 8; 9; 12; 13; 16; 23; 64 ]
 
+(* One-block messages of every length 0..135 (the 0x06 pad in every byte
+   position, and sharing byte 135 with the closing 0x80 at 135), staged
+   at an odd lane offset, in batches with every mix of x8 groups, x4
+   groups and scalar tails: each digest must be the boxed sponge's
+   SHA3-256 of its message, in every leg. [sha3_256_into] of a message
+   prefix, written over the message itself, must agree too. *)
+let test_sha3_blocks_into () =
+  let rate = Keccak_oracle.rate in
+  let message i = Bytes.init (i mod rate) (fun k -> Char.chr (((k * 29) + i) land 0xff)) in
+  let block msg =
+    let b = Bytes.make rate '\000' in
+    Bytes.blit msg 0 b 0 (Bytes.length msg);
+    let xor k v = Bytes.set_uint8 b k (Bytes.get_uint8 b k lxor v) in
+    xor (Bytes.length msg) 0x06;
+    xor (rate - 1) 0x80;
+    b
+  in
+  List.iter
+    (fun n ->
+      let msgs = Array.init n (fun i -> message ((37 * n) + (11 * i))) in
+      let src = Fv.sub_view (Fv.create ((17 * n) + 1)) ~pos:1 ~len:(17 * n) in
+      Array.iteri
+        (fun i m ->
+          let b = block m in
+          for lane = 0 to 16 do
+            Fv.set src ((17 * i) + lane) (Bytes.get_int64_le b (8 * lane))
+          done)
+        msgs;
+      let expected = String.concat "" (Array.to_list (Array.map Keccak_oracle.sha3_256 msgs)) in
+      List.iter
+        (fun l ->
+          let got =
+            l.run (fun () ->
+                let dst = Fv.create (4 * n) in
+                Keccak.sha3_blocks_into ~src ~dst n;
+                String.concat "" (List.init n (Keccak.digest_at dst)))
+          in
+          Alcotest.(check string) (Printf.sprintf "sha3_blocks_into n=%d [%s]" n l.name)
+            (Keccak.to_hex expected) (Keccak.to_hex got))
+        legs)
+    [ 0; 1; 3; 4; 5; 7; 8; 9; 12; 13; 16; 23; 136 ];
+  List.iter
+    (fun len ->
+      let msg = Bytes.init 300 (fun k -> Char.chr ((k * 131) land 0xff)) in
+      let expected = Keccak_oracle.sha3_256 (Bytes.sub msg 0 len) in
+      List.iter
+        (fun l ->
+          let buf = Bytes.copy msg in
+          l.run (fun () -> Keccak.sha3_256_into buf ~len buf);
+          Alcotest.(check string) (Printf.sprintf "sha3_256_into len=%d in place [%s]" len l.name)
+            (Keccak.to_hex expected)
+            (Keccak.to_hex (Bytes.sub_string buf 0 32)))
+        legs)
+    [ 0; 31; 32; 33; 135; 136; 137; 300 ]
+
 (* Column leaves at every width mod 8 (x8 groups, an x4 group, scalar
    tails) and row counts on both sides of the 17-lane rate block; the
    offset case reads the matrix from an odd lane offset. *)
@@ -735,6 +790,8 @@ let suite =
     Alcotest.test_case "sha3_256 + hash2 vs boxed sponge oracle" `Quick test_sha3_vs_sponge_oracle;
     Alcotest.test_case "hash_gf/hash_fv/hash2/nodes across modes" `Quick test_hash_entry_points;
     Alcotest.test_case "hash_cols_into across modes" `Quick test_hash_cols_into;
+    Alcotest.test_case "sha3_blocks_into + sha3_256_into vs boxed sponge oracle" `Quick
+      test_sha3_blocks_into;
     Alcotest.test_case "FRI fold_block across modes and splits" `Quick test_fri_fold_block;
     QCheck_alcotest.to_alcotest prop_abc_eval;
     Alcotest.test_case "f1600_off offset torture" `Quick test_f1600_off_torture;

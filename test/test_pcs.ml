@@ -734,10 +734,47 @@ let prop_monomial_coeffs =
       done;
       true)
 
+(* --- counted work ------------------------------------------------------ *)
+
+(* Transcript hashes per proof at perfbench scale, from its generators and
+   seed 1: a count is noise-free where wall time is not, and the batched
+   squeezes must hash exactly what one-at-a-time squeezing did, in every
+   kernel mode. Litmus (64 transactions, Orion): 3642 of its 4021 hashes
+   are the twelve 128-challenge [orion/rho] vectors and the three 189-index
+   [orion/columns] draws. RSA modexp (16 instances, FRI): 642. *)
+let test_transcript_hash_counts () =
+  let seed = 1L in
+  let count name expected prove =
+    List.iter
+      (fun (mode, run) ->
+        Alcotest.(check int) (Printf.sprintf "%s transcript_hashes [%s]" name mode) expected
+          (run prove))
+      [
+        ("native off", Nocap_native.Native.with_mode Nocap_native.Native.Off);
+        ("native on", Nocap_native.Native.with_mode Nocap_native.Native.On);
+      ]
+  in
+  let rows = 8 in
+  let transactions =
+    Zk_workloads.Litmus_circuit.random_transactions (Rng.create seed) ~rows ~count:64
+  in
+  let inst, asn =
+    Zk_workloads.Litmus_circuit.circuit ~rows ~transactions ~seed:(Int64.succ seed) ()
+  in
+  count "litmus 64" 4021 (fun () ->
+      let _, st = Spartan.prove ~rng:(Rng.create seed) Spartan.default_params inst asn in
+      st.Spartan.transcript_hashes);
+  let inst, asn = Zk_workloads.Modexp.circuit ~instances:16 ~seed () in
+  count "rsa-fri 16" 642 (fun () ->
+      let _, st = Spartan_fri.prove ~rng:(Rng.create seed) Spartan_fri.default_params inst asn in
+      st.Spartan_fri.transcript_hashes)
+
 let suite =
   [
     Alcotest.test_case "golden proof bytes across domain counts" `Slow
       test_golden_bytes;
+    Alcotest.test_case "transcript hash counts at perfbench scale" `Slow
+      test_transcript_hash_counts;
     Alcotest.test_case "fri golden proof bytes across domain counts" `Slow
       test_fri_golden_bytes;
     Alcotest.test_case "engine context never changes bytes" `Quick
