@@ -136,11 +136,6 @@ let squeeze_32_into st out =
     Bytes.set_int64_le out (8 * lane) (Fv.unsafe_get st lane)
   done
 
-let squeeze_32 st =
-  let out = Bytes.create digest_length in
-  squeeze_32_into st out;
-  Bytes.unsafe_to_string out
-
 let sha3_256_ocaml_into (msg : bytes) len out =
   let s = Domain.DLS.get scratch_key in
   let st = s.st in
@@ -177,88 +172,12 @@ let pad_and_permute s m =
   xor_lane s.st 16 trailing_pad;
   f1600 s
 
-(* Two 32-byte digests fill exactly lanes 0-7, so the Merkle compression
-   absorbs both operands in place of the old [a ^ b] concatenation buffer:
-   one permutation, zero intermediate allocation. *)
-let hash2_ocaml a b =
-  let s = Domain.DLS.get scratch_key in
-  let st = s.st in
-  Fv.zero st;
-  for lane = 0 to 3 do
-    xor_lane st lane (String.get_int64_le a (8 * lane));
-    xor_lane st (4 + lane) (String.get_int64_le b (8 * lane))
-  done;
-  pad_and_permute s 8 (* a 64-byte message: pad at byte 64 *);
-  squeeze_32 st
-
-let hash2 a b =
-  if String.length a <> digest_length || String.length b <> digest_length then
-    invalid_arg "Keccak.hash2: digests must be 32 bytes";
-  if Native.on () then begin
-    let out = Bytes.create digest_length in
-    Native.hash2 a b out;
-    Bytes.unsafe_to_string out
-  end
-  else hash2_ocaml a b
-
-(* Field elements are 8 LE bytes, so element k of a message lands exactly in
-   lane [k mod rate_lanes]: both Gf-hash entry points absorb elements as
-   lanes directly, skipping the intermediate byte buffer the old
-   implementation built. *)
-
-let finish_gf_block s m =
-  pad_and_permute s m;
-  squeeze_32 s.st
-
-let rec hash_gf (elems : Gf.t array) =
-  if Native.on () then begin
-    let out = Bytes.create digest_length in
-    Native.hash_gf elems out;
-    Bytes.unsafe_to_string out
-  end
-  else hash_gf_ocaml elems
-
-and hash_gf_ocaml (elems : Gf.t array) =
-  let s = Domain.DLS.get scratch_key in
-  let st = s.st in
-  Fv.zero st;
-  let n = Array.length elems in
-  let off = ref 0 in
-  while n - !off >= rate_lanes do
-    for k = 0 to rate_lanes - 1 do
-      xor_lane st k (Gf.to_int64 (Array.unsafe_get elems (!off + k)))
-    done;
-    f1600 s;
-    off := !off + rate_lanes
-  done;
-  let m = n - !off in
-  for k = 0 to m - 1 do
-    xor_lane st k (Gf.to_int64 (Array.unsafe_get elems (!off + k)))
-  done;
-  finish_gf_block s m
-
-(* Strided flat-vector variant: element i of the message is
-   [v.(pos + i*stride)]. stride = 1 hashes a contiguous vector; stride =
-   n_cols hashes one column of a row-major matrix without gathering it. *)
-let rec hash_fv_stride (v : Fv.t) ~pos ~stride ~count =
-  if count < 0 || pos < 0 || stride < 1
-     || (count > 0 && pos + ((count - 1) * stride) >= Fv.length v)
-  then invalid_arg "Keccak.hash_fv_stride";
-  if Native.on () then begin
-    let out = Bytes.create digest_length in
-    Native.hash_fv_stride v pos stride count out;
-    Bytes.unsafe_to_string out
-  end
-  else hash_fv_stride_ocaml v ~pos ~stride ~count
-
-and hash_fv_stride_ocaml (v : Fv.t) ~pos ~stride ~count =
-  let s = Domain.DLS.get scratch_key in
-  sponge_strided s v ~pos ~stride ~count;
-  squeeze_32 s.st
-
 (* Absorb the strided message, pad and permute: the digest is then lanes
-   0..3 of [s.st]. *)
-and sponge_strided s (v : Fv.t) ~pos ~stride ~count =
+   0..3 of [s.st]. Element i of the message is [v.(pos + i*stride)], so
+   stride = n_cols hashes one column of a row-major matrix without
+   gathering it. Field elements are 8 LE bytes, so element k lands exactly
+   in lane [k mod rate_lanes]: no intermediate byte buffer. *)
+let sponge_strided s (v : Fv.t) ~pos ~stride ~count =
   let st = s.st in
   Fv.zero st;
   let off = ref 0 in
@@ -276,8 +195,6 @@ and sponge_strided s (v : Fv.t) ~pos ~stride ~count =
     xor_lane st k (Fv.unsafe_get v (base + (k * stride)))
   done;
   pad_and_permute s m
-
-let hash_fv v = hash_fv_stride v ~pos:0 ~stride:1 ~count:(Fv.length v)
 
 (* --- grain calibration --------------------------------------------------- *)
 
@@ -403,7 +320,7 @@ let sha3_blocks_into ~(src : Fv.t) ~(dst : Fv.t) n =
    commit pipeline hash block k while encoding block k+1: rows stream in as
    they are produced instead of a single column-strided pass at the end.
    For any column j, absorbing rows 0..total-1 in order and finalizing is
-   byte-identical to [hash_fv_stride ~pos:j ~stride:cols ~count:total]. *)
+   byte-identical to column j's leaf in {!hash_cols_into}. *)
 module Col_hash = struct
   type t = { cols : int; states : Fv.t (* 25 lanes per column *) }
 
@@ -464,5 +381,3 @@ let to_hex d =
   String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
   Buffer.contents buf
 
-let digest_to_gf d =
-  Array.init 4 (fun i -> Zk_field.Gf.of_int64 (String.get_int64_le d (8 * i)))

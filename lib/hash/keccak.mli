@@ -27,22 +27,6 @@ val sha3_256_into : bytes -> len:int -> bytes -> unit
     @raise Invalid_argument unless [0 <= len <= Bytes.length msg] and [out]
     holds 32 bytes. *)
 
-val hash2 : digest -> digest -> digest
-(** The paper's Hash-FU compression: SHA3-256 of the concatenation of two
-    256-bit values: a Merkle-tree interior node. The verifier's path check
-    uses it; the prover's flat levels ({!hash_nodes_into}) hash the same
-    bytes. *)
-
-val hash_gf : Zk_field.Gf.t array -> digest
-(** Hash a vector of field elements, each packed as 8 little-endian bytes
-    (the Hash FU reinterprets groups of four 64-bit lanes as 256-bit
-    inputs). *)
-
-val hash_fv : Nocap_vec.Fv.t -> digest
-(** {!hash_gf} over an unboxed flat vector; the digest equals
-    [hash_gf (Fv.to_array v)]. Elements are absorbed lane-aligned straight
-    from the Bigarray, with no intermediate byte buffer. *)
-
 val rate_lanes : int
 (** [17] — 64-bit lanes absorbed per SHA3-256 block. Row-block producers
     (the Orion commit pipeline) size their blocks in multiples of this so
@@ -70,7 +54,8 @@ val set_digest : Nocap_vec.Fv.t -> int -> digest -> unit
 
 val hash_nodes_into : src:Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> unit
 (** One Merkle level from the one below: digest [i] of [dst] is
-    [hash2] of digests [2i] and [2i + 1] of [src]. Nodes split across the
+    the SHA3-256 of the 64 bytes of digests [2i] and [2i + 1] of [src]
+    (the paper's Hash-FU compression). Nodes split across the
     {!Nocap_parallel.Pool} domains in groups of eight with AVX-512F (one
     8-lane permutation each) and of four otherwise (one 4-lane permutation
     each with AVX2). Byte-identical for every mode and domain count.
@@ -83,8 +68,10 @@ val node_grain : unit -> int
 
 val hash_cols_into : rows:int -> cols:int -> Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> unit
 (** [hash_cols_into ~rows ~cols flat ~dst] hashes each column of the
-    row-major [rows * cols] matrix [flat] into digest [j] of [dst] —
-    [hash_gf] of the gathered column, without gathering it. Columns split
+    row-major [rows * cols] matrix [flat] into digest [j] of [dst]: the
+    SHA3-256 of the column's elements packed as 8 little-endian bytes each
+    (the Hash FU reinterprets groups of four 64-bit lanes as 256-bit
+    inputs), without gathering the column. Columns split
     across the pool in groups as in {!hash_nodes_into}; eight (AVX-512F) or
     four (AVX2) adjacent columns share one sponge permutation.
     @raise Invalid_argument unless [Fv.length flat = rows * cols] and
@@ -124,6 +111,3 @@ end
 
 val to_hex : digest -> string
 
-val digest_to_gf : digest -> Zk_field.Gf.t array
-(** Interpret a digest as four field elements (each 8 LE bytes reduced
-    mod p), matching how NoCap stores digests in vector lanes. *)

@@ -37,9 +37,8 @@ let nodes level ~pos ~len = Fv.sub_view level ~pos:(4 * pos) ~len:(4 * len)
    batched, pool-parallel [Keccak.hash_nodes_into] straight into the
    tree's levels, and only its root joins the serial cascade. One chunk of
    all the leaves is thus a plain level-by-level build. The node set never
-   depends on the chunking — pairs compressed as [Keccak.hash2] does,
-   padding with [empty_leaf] — so roots and paths are the same for every
-   split. *)
+   depends on the chunking — the same pair compression, padding with
+   [empty_leaf] — so roots and paths are the same for every split. *)
 module Builder = struct
   type t = {
     levels : Fv.t array;
@@ -141,7 +140,7 @@ let path_into t i dst ~pos =
 (* Level by level over every path at once: each level packs the (node,
    sibling) pairs, ordered by the index bit, into one 8-lane-per-pair buffer
    and hashes them as a batch, so with AVX2 four paths share a permutation.
-   Each step is [Keccak.hash2] of the node and its sibling. *)
+   Each step is the SHA3-256 of the node and its sibling's 64 bytes. *)
 let check_paths ~root ~depth ~index ~leaves ~paths ~path_pos =
   let n = Array.length index in
   if String.length root <> 32 || depth < 0

@@ -31,9 +31,9 @@ val of_digests : digest array -> Nocap_vec.Fv.t
 val leaves_of_matrix : rows:int -> cols:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
 (** Flat leaf digests for every column of a row-major [rows * cols] encoded
     matrix, read with stride [cols] straight out of the unboxed buffer
-    ({!Zk_hash.Keccak.hash_cols_into}). Leaf [j] is
-    {!Zk_hash.Keccak.hash_gf} of the gathered column [j] (8 LE bytes per
-    element, as the Hash FU packs vector lanes). *)
+    ({!Zk_hash.Keccak.hash_cols_into}). Leaf [j] is the SHA3-256 of column
+    [j] packed as 8 LE bytes per element, as the Hash FU packs vector
+    lanes. *)
 
 (** Incremental tree construction for the streaming commit: flat leaf
     chunks arrive as column sponges finalize, and internal nodes are hashed

@@ -96,13 +96,6 @@ external ntt_inverse : fv -> fv -> int64 -> unit = "caml_nocap_ntt_inverse" [@@n
 external rs_encode_row : fv -> fv -> fv -> unit = "caml_nocap_rs_encode_row" [@@noalloc]
 external f1600_off : fv -> int -> unit = "caml_nocap_f1600_off" [@@noalloc]
 external sha3 : Bytes.t -> int -> Bytes.t -> unit = "caml_nocap_sha3" [@@noalloc]
-external hash2 : string -> string -> Bytes.t -> unit = "caml_nocap_hash2" [@@noalloc]
-external hash_gf : int64 array -> Bytes.t -> unit = "caml_nocap_hash_gf" [@@noalloc]
-
-external hash_fv_stride : fv -> int -> int -> int -> Bytes.t -> unit
-  = "caml_nocap_hash_fv_stride"
-[@@noalloc]
-
 external hash_nodes : fv -> fv -> int -> int -> unit = "caml_nocap_hash_nodes" [@@noalloc]
 external sha3_blocks : fv -> fv -> int -> int -> unit = "caml_nocap_sha3_blocks" [@@noalloc]
 

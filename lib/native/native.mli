@@ -120,17 +120,6 @@ external sha3 : Bytes.t -> int -> Bytes.t -> unit = "caml_nocap_sha3" [@@noalloc
 (** [sha3 msg len out]: SHA3-256 of the first [len] bytes of [msg] into the
     first 32 bytes of [out]; [out] may be [msg]. *)
 
-external hash2 : string -> string -> Bytes.t -> unit = "caml_nocap_hash2" [@@noalloc]
-(** SHA3-256 of the concatenation of two 32-byte strings (Merkle node). *)
-
-external hash_gf : int64 array -> Bytes.t -> unit = "caml_nocap_hash_gf" [@@noalloc]
-(** SHA3-256 of an [int64 array] absorbed as little-endian 64-bit lanes. *)
-
-external hash_fv_stride : fv -> int -> int -> int -> Bytes.t -> unit
-  = "caml_nocap_hash_fv_stride"
-[@@noalloc]
-(** [hash_fv_stride v pos stride count out]. *)
-
 external hash_nodes : fv -> fv -> int -> int -> unit = "caml_nocap_hash_nodes" [@@noalloc]
 (** [hash_nodes src dst lo hi]: for every node [i] in [\[lo, hi)], the
     digest lanes [dst.(4i .. 4i + 3)] are the SHA3-256 of the 64 bytes in

@@ -841,24 +841,9 @@ static void hash_node_c(const uint64_t *pair, uint64_t *out)
   for (int l = 0; l < 4; l++) out[l] = st[l];
 }
 
-/* Keccak.hash2: the node compression over two 32-byte strings. */
-CAMLprim value caml_nocap_hash2(value va, value vb, value vout)
-{
-  uint64_t pair[8], d[4];
-  const unsigned char *a = (const unsigned char *)String_val(va);
-  const unsigned char *b = (const unsigned char *)String_val(vb);
-  for (int l = 0; l < 4; l++) {
-    pair[l] = load64le(a + 8 * l);
-    pair[4 + l] = load64le(b + 8 * l);
-  }
-  hash_node_c(pair, d);
-  for (int l = 0; l < 4; l++) store64le(Bytes_val(vout) + 8 * l, d[l]);
-  return Val_unit;
-}
-
 /* Absorb [count] already-packed 64-bit lanes fetched by [get(i)], pad and
-   run the final permutation; the digest is lanes 0..3 of [st]. The shared
-   body of hash_gf / hash_fv_stride / hash_cols. */
+   run the final permutation; the digest is lanes 0..3 of [st]. The scalar
+   body of hash_cols. */
 #define SPONGE_LANES(st, count, GET)                                                     \
   do {                                                                                   \
     intnat off_ = 0;                                                                     \
@@ -873,32 +858,6 @@ CAMLprim value caml_nocap_hash2(value va, value vb, value vout)
     st[16] ^= TRAILING_PAD;                                                              \
     keccak_f1600_x1(st);                                                                 \
   } while (0)
-
-CAMLprim value caml_nocap_hash_gf(value varr, value vout)
-{
-  uint64_t st[25] = { 0 };
-  intnat n = Wosize_val(varr);
-  unsigned char *out = Bytes_val(vout);
-#define GET_BOXED(i) ((uint64_t)Int64_val(Field(varr, (i))))
-  SPONGE_LANES(st, n, GET_BOXED);
-#undef GET_BOXED
-  squeeze32(st, out);
-  return Val_unit;
-}
-
-CAMLprim value caml_nocap_hash_fv_stride(value vv, value vpos, value vstride, value vcount,
-                                         value vout)
-{
-  uint64_t st[25] = { 0 };
-  const uint64_t *v = BA_DATA(vv);
-  intnat pos = Int_val(vpos), stride = Int_val(vstride), count = Int_val(vcount);
-  unsigned char *out = Bytes_val(vout);
-#define GET_STRIDED(i) (v[pos + (i)*stride])
-  SPONGE_LANES(st, count, GET_STRIDED);
-#undef GET_STRIDED
-  squeeze32(st, out);
-  return Val_unit;
-}
 
 /* Col_hash.absorb: per-column incremental sponges living 25 lanes apart in
    one flat bank; mirror of the OCaml loop (rows in order, permute on every

@@ -1,6 +1,7 @@
 module Gf = Zk_field.Gf
 module Ntt = Zk_ntt.Ntt.Gf_ntt
 module Keccak = Zk_hash.Keccak
+module Fv = Nocap_vec.Fv
 
 type t = {
   k : int;
@@ -64,21 +65,19 @@ let exec_one t instr =
     done;
     t.regs.(dst) <- v
   | Isa.Vhash (d, a, b) ->
+    (* Group g of both sources is node g: lanes [8g, 8g + 4) from [a],
+       [8g + 4, 8g + 8) from [b]. Each digest lane is read back as a field
+       element (reduced mod p). *)
     let va = reg a and vb = reg b in
-    let out = Array.make t.k Gf.zero in
+    let src = Fv.create (2 * t.k) and dst = Fv.create t.k in
     for g = 0 to (t.k / 4) - 1 do
-      let pack v =
-        let bytes = Bytes.create 32 in
-        for i = 0 to 3 do
-          Bytes.set_int64_le bytes (8 * i) (Gf.to_int64 v.((4 * g) + i))
-        done;
-        Bytes.unsafe_to_string bytes
-      in
-      let digest = Keccak.hash2 (pack va) (pack vb) in
-      let words = Keccak.digest_to_gf digest in
-      Array.blit words 0 out (4 * g) 4
+      for i = 0 to 3 do
+        Fv.set src ((8 * g) + i) (Gf.to_int64 va.((4 * g) + i));
+        Fv.set src ((8 * g) + 4 + i) (Gf.to_int64 vb.((4 * g) + i))
+      done
     done;
-    t.regs.(d) <- out
+    Keccak.hash_nodes_into ~src ~dst;
+    t.regs.(d) <- Array.init t.k (fun i -> Gf.of_int64 (Fv.get dst i))
   | Isa.Vshuffle (d, s, perm) ->
     if Array.length perm <> t.k then invalid_arg "Vm: permutation length";
     let v = reg s in

@@ -50,17 +50,16 @@ type commitment = {
 }
 
 (* Prover-side state is kept unboxed: the un-encoded rows (data then
-   masks) are one row-major flat [Spill.t], RAM-backed with no budget and
-   file-backed under one. The encoded matrix — the blowup-times-larger
-   object — is never kept: the commit encodes and hashes it one row block
-   at a time, and openings re-encode every row block on demand, gathering
-   just the queried codeword positions. *)
+   masks) and their codeword are each one row-major flat [Spill.t],
+   RAM-backed with no budget and file-backed under one. The commit encodes
+   every row once into [codeword]; openings read the queried positions
+   back from it. *)
 type committed = {
   c_params : params;
   c_commitment : commitment;
-  masks : Fv.t; (* proximity_count x mat_cols mask rows (length 0 if not zk) *)
   enc_rows : int; (* data rows + mask rows *)
   all_rows : Spill.t; (* enc_rows x mat_cols, row-major *)
+  codeword : Spill.t; (* enc_rows x code length, row-major *)
   row_block : int; (* rows per encode block *)
   tree : Merkle.tree;
 }
@@ -97,17 +96,22 @@ let log2_exact n =
    block boundary is a permutation boundary. *)
 let pipeline_block = 2 * Keccak.rate_lanes
 
+(* Staging for [len] elements moved through a spill file; RAM-backed
+   vectors are read and written in place. *)
+let staging v len = Fv.create (if Spill.is_spilled v then len else 0)
+
 (* Commit over a flat-element producer: [read ~pos dst] must fill [dst]
    with elements [pos, pos + length dst) of the table (row-major
-   [rows * cols], like the flat table itself). Nothing bigger than a row
-   block (all rows when there is no budget), the per-column sponge bank
-   (200 bytes/column) and the Merkle tree is ever resident; the un-encoded
-   rows are kept for the opening phase. Mask rows are drawn from [rng] in
-   a fixed order, rows stream into each column sponge in order
-   (block-local absorb indices stay lane-aligned because blocks are
-   multiples of [pipeline_block]), and the Merkle builder hashes the same
-   leaf set for every block size — so the root and every subsequent proof
-   byte are the same for every budget. *)
+   [rows * cols], like the flat table itself). Each row block is encoded
+   once, straight into the stored codeword, and absorbed into the
+   per-column sponge bank (200 bytes/column); with a budget, nothing bigger
+   than a row block of rows and of codeword, the sponge bank and the
+   Merkle tree is resident, the rest lives in spill files. Mask rows are
+   drawn from [rng] in a fixed order, rows stream into each column sponge
+   in order (block-local absorb indices stay lane-aligned because blocks
+   are multiples of [pipeline_block]), and the Merkle builder hashes the
+   same leaf set for every block size — so the root and every subsequent
+   proof byte are the same for every budget. *)
 let commit_stream ?budget_bytes params rng ~num_vars ~read =
   (match validate_params params with
   | Ok () -> ()
@@ -139,13 +143,19 @@ let commit_stream ?budget_bytes params rng ~num_vars ~read =
   in
   let spill = Option.is_some budget_bytes in
   let all_rows = Spill.create ~tag:"orion-rows" ~spill (enc_rows * cols) in
+  let codeword = Spill.create ~tag:"orion-codeword" ~spill (enc_rows * code_len) in
   (* Cancellation or an injected I/O fault mid-commit must not strand the
-     staging spill until a major GC: free it on any non-success exit (the
+     spills until a major GC: free both on any non-success exit (the
      finalizer stays as backstop only). *)
   let staged_ok = ref false in
-  Fun.protect ~finally:(fun () -> if not !staged_ok then Spill.free all_rows)
+  Fun.protect
+    ~finally:(fun () ->
+      if not !staged_ok then begin
+        Spill.free all_rows;
+        Spill.free codeword
+      end)
   @@ fun () ->
-  let src_buf = Fv.create (if spill then row_block * cols else 0) in
+  let src_buf = staging all_rows (row_block * cols) in
   (* Stage the data rows (straight into RAM-backed storage)... *)
   let pos = ref 0 in
   while !pos < rows * cols do
@@ -159,7 +169,7 @@ let commit_stream ?budget_bytes params rng ~num_vars ~read =
   (* ...then the mask rows after them. *)
   if mask_rows > 0 then Spill.write all_rows ~pos:(rows * cols) masks;
   let col_hash = Keccak.Col_hash.create code_len in
-  let enc_buf = Fv.create (min row_block enc_rows * code_len) in
+  let enc_buf = staging codeword (min row_block enc_rows * code_len) in
   let row_ns = Code.row_encode_ns ~cols in
   let nblocks = (enc_rows + row_block - 1) / row_block in
   for k = 0 to nblocks - 1 do
@@ -167,11 +177,14 @@ let commit_stream ?budget_bytes params rng ~num_vars ~read =
     let r_lo = k * row_block in
     let bh = min row_block (enc_rows - r_lo) in
     let src = Spill.view all_rows ~pos:(r_lo * cols) ~len:(bh * cols) ~buf:src_buf in
+    let enc =
+      Spill.writable codeword ~pos:(r_lo * code_len) ~len:(bh * code_len) ~buf:enc_buf
+    in
     Pool.run ~grain:(Pool.grain_of_ns row_ns) ~n:bh (fun lo hi ->
         for r = lo to hi - 1 do
           Code.encode_row_into
             ~src:(Fv.sub_view src ~pos:(r * cols) ~len:cols)
-            ~dst:(Fv.sub_view enc_buf ~pos:(r * code_len) ~len:code_len)
+            ~dst:(Fv.sub_view enc ~pos:(r * code_len) ~len:code_len)
         done);
     let col_ns =
       max 1 (((bh + Keccak.rate_lanes - 1) / Keccak.rate_lanes) * Keccak.block_ns ())
@@ -180,8 +193,9 @@ let commit_stream ?budget_bytes params rng ~num_vars ~read =
         (* Block-local row indices: r_lo is a multiple of the sponge rate,
            so [r mod rate_lanes] — the only thing absorb derives from the
            row index — matches the absolute row's. *)
-        Keccak.Col_hash.absorb col_hash enc_buf ~row_stride:code_len ~r_lo:0 ~r_hi:bh
-          ~c_lo ~c_hi)
+        Keccak.Col_hash.absorb col_hash enc ~row_stride:code_len ~r_lo:0 ~r_hi:bh ~c_lo
+          ~c_hi);
+    Spill.store codeword ~pos:(r_lo * code_len) enc
   done;
   let leaves = Fv.create (4 * code_len) in
   Pool.run
@@ -194,7 +208,7 @@ let commit_stream ?budget_bytes params rng ~num_vars ~read =
     { root = Merkle.root tree; num_vars; mat_rows = rows; mat_cols = cols }
   in
   staged_ok := true;
-  ( { c_params = params; c_commitment = commitment; masks; enc_rows; all_rows; row_block; tree },
+  ( { c_params = params; c_commitment = commitment; enc_rows; all_rows; codeword; row_block; tree },
     commitment )
 
 (* The PCS entry point: the engine's stream budget, if any, sizes the row
@@ -206,7 +220,9 @@ let commit ?engine params rng table =
     ~num_vars:(log2_exact (Array.length table))
     ~read:(fun ~pos dst -> Fv.write_array table ~src_pos:pos dst ~dst_pos:0 ~len:(Fv.length dst))
 
-let free_committed c = Spill.free c.all_rows
+let free_committed c =
+  Spill.free c.all_rows;
+  Spill.free c.codeword
 
 let absorb_commitment transcript (cm : commitment) =
   Transcript.absorb_digest transcript "orion/root" cm.root;
@@ -222,12 +238,6 @@ let code_length params (cm : commitment) =
   let module Code = (val params.code : Zk_ecc.Linear_code.S) in
   Code.blowup * cm.mat_cols
 
-(* Staging for one row block read back from a spill file; RAM-backed rows
-   are read in place. *)
-let row_staging committed =
-  let spilled = Spill.is_spilled committed.all_rows in
-  Fv.create (if spilled then committed.row_block * committed.c_commitment.mat_cols else 0)
-
 (* coeffs^T over the DATA rows, one row block at a time, as an axpy per
    row over each column chunk. Column chunks are independent, and within a
    column the accumulation order over rows is the serial one, so the
@@ -237,7 +247,7 @@ let row_combination committed coeffs =
   let nrows = Array.length coeffs in
   let out = Fv.create cols in
   Fv.zero out;
-  let buf = row_staging committed in
+  let buf = staging committed.all_rows (committed.row_block * cols) in
   let r = ref 0 in
   while !r < nrows do
     Pool.Cancel.check ();
@@ -255,41 +265,32 @@ let row_combination committed coeffs =
   done;
   out
 
-(* Column openings: one more re-encode pass over the stored rows,
-   gathering only the queried codeword positions — the encoded matrix is
-   never materialized — straight into the proof's flat column buffer
-   (opening q at [q * enc_rows]). The encoder is deterministic, so the
-   gathered values are the committed codeword's. Paths are copied as lanes
-   from the tree's flat levels. *)
+(* Column openings: one pass over the stored codeword, gathering only the
+   queried positions straight into the proof's flat column buffer (opening
+   q at [q * enc_rows]). A spilled codeword is read back in blocks of whole
+   rows no bigger than the commit's row staging ([row_block * mat_cols]
+   elements), so an opening stages no more than the commit did. Paths are
+   copied as lanes from the tree's flat levels. *)
 let gather_columns committed indices =
-  let module Code = (val committed.c_params.code : Zk_ecc.Linear_code.S) in
   let cols = committed.c_commitment.mat_cols in
-  let code_len = Code.blowup * cols in
-  let row_block = committed.row_block in
-  let nq = Array.length indices in
+  let code_len = code_length committed.c_params committed.c_commitment in
   let enc_rows = committed.enc_rows in
+  let block = max 1 (committed.row_block * cols / code_len) in
+  let nq = Array.length indices in
   let col_values = Fv.create (nq * enc_rows) in
-  let src_buf = row_staging committed in
-  let enc_buf = Fv.create (min row_block enc_rows * code_len) in
-  let row_ns = Code.row_encode_ns ~cols in
+  let buf = staging committed.codeword (min block enc_rows * code_len) in
   let r_lo = ref 0 in
   while !r_lo < enc_rows do
     Pool.Cancel.check ();
-    let bh = min row_block (enc_rows - !r_lo) in
-    let src =
-      Spill.view committed.all_rows ~pos:(!r_lo * cols) ~len:(bh * cols) ~buf:src_buf
+    let bh = min block (enc_rows - !r_lo) in
+    let enc =
+      Spill.view committed.codeword ~pos:(!r_lo * code_len) ~len:(bh * code_len) ~buf
     in
-    Pool.run ~grain:(Pool.grain_of_ns row_ns) ~n:bh (fun lo hi ->
-        for r = lo to hi - 1 do
-          Code.encode_row_into
-            ~src:(Fv.sub_view src ~pos:(r * cols) ~len:cols)
-            ~dst:(Fv.sub_view enc_buf ~pos:(r * code_len) ~len:code_len)
-        done);
     for q = 0 to nq - 1 do
       let j = indices.(q) in
       let dst = (q * enc_rows) + !r_lo in
       for r = 0 to bh - 1 do
-        Fv.set col_values (dst + r) (Fv.get enc_buf ((r * code_len) + j))
+        Fv.set col_values (dst + r) (Fv.get enc ((r * code_len) + j))
       done
     done;
     r_lo := !r_lo + bh
@@ -315,13 +316,17 @@ let prove_eval ?engine params committed transcript point =
   let q_row, q_col = split_point cm point in
   Transcript.absorb_gf transcript "orion/point" point;
   (* Proximity test: random combinations of the data rows, each masked by its
-     own committed random row so that nothing about the witness leaks. *)
+     own committed random row (stored after the data rows) so that nothing
+     about the witness leaks. *)
+  let mask_buf = staging committed.all_rows cols in
   let proximity =
     Array.init params.proximity_count (fun i ->
         let rho = Transcript.challenge_gf_vec transcript "orion/rho" cm.mat_rows in
         let v = row_combination committed rho in
         if params.zk then
-          Fv.add_into ~dst:v v (Fv.sub_view committed.masks ~pos:(i * cols) ~len:cols);
+          Fv.add_into ~dst:v v
+            (Spill.view committed.all_rows ~pos:((cm.mat_rows + i) * cols) ~len:cols
+               ~buf:mask_buf);
         Transcript.absorb_fv transcript "orion/proximity" v;
         v)
   in

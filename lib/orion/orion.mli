@@ -54,9 +54,10 @@ type commitment = {
 }
 
 type committed
-(** Prover-side state: the un-encoded coefficient rows and mask rows (in
-    RAM, or in a spill file under a stream budget) and the Merkle tree.
-    The encoded matrix is not kept; openings re-encode the rows. *)
+(** Prover-side state: the un-encoded coefficient rows and mask rows, their
+    encoded matrix (each in RAM, or in a spill file under a stream budget)
+    and the Merkle tree. Openings read the committed codeword; they encode
+    nothing. *)
 
 type eval_proof = {
   u : Nocap_vec.Fv.t; (** eq(q_row)^T W, length mat_cols *)
@@ -101,16 +102,18 @@ val commit_stream :
 (** The commit over a flat-element producer: [read ~pos dst] fills [dst]
     with elements [pos, pos + length dst) of the (row-major) table, so
     callers can commit to data that never exists in RAM at once (chunked
-    witness generation, generators). Rows are encoded and column-hashed
-    one row block at a time and the encoded matrix is never kept. With no
-    [budget_bytes] the block spans every row and the rows stay in RAM;
-    under a budget, blocks are budget-sized and the rows spill to a temp
-    file, so peak residency is one row block plus the column-sponge bank
-    and the Merkle tree. Byte-identical for every budget. *)
+    witness generation, generators). Rows are encoded once and
+    column-hashed one row block at a time; the encoded blocks are kept for
+    the openings. With no [budget_bytes] the block spans every row and the
+    rows and the codeword stay in RAM; under a budget, blocks are
+    budget-sized and both spill to temp files, so peak residency is one
+    row block of each plus the column-sponge bank and the Merkle tree. On
+    cancellation or an I/O fault both spill files are released before the
+    exception propagates. Byte-identical for every budget. *)
 
 val free_committed : committed -> unit
-(** Release the spill file behind a commitment made under a budget (no-op
-    for RAM-backed rows). Idempotent; also run by a GC finalizer as a
+(** Release the spill files behind a commitment made under a budget (no-op
+    for RAM-backed ones). Idempotent; also run by a GC finalizer as a
     backstop. *)
 
 val prove_eval :
@@ -123,8 +126,8 @@ val prove_eval :
 (** [prove_eval params cm transcript point] opens the polynomial at [point]
     (length [num_vars]), returning the value and the proof. The commitment
     must have been absorbed by the caller via {!absorb_commitment}. Row
-    combinations read the stored rows block by block; column openings
-    re-encode every row block and gather the queried positions. [engine]
+    combinations read the stored rows block by block; column openings read
+    the queried positions from the stored codeword block by block. [engine]
     is accepted for the {!Zk_pcs.Pcs.S} signature and unused. Checks the
     ambient cancel token once per row block.
     @raise Nocap_parallel.Pool.Cancel.Cancelled if it is cancelled. *)

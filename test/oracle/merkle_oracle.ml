@@ -1,15 +1,23 @@
 (* String-digest Merkle tree and path check: the reference the flat
    prover tree and the batched path walk (Zk_merkle.Merkle) are checked
-   against. One [digest array] per level, built serially with
-   [Keccak.hash2], padded to a power of two with the empty-leaf digest
-   derived here independently of the library; a path is a digest list,
-   walked one [hash2] at a time. *)
+   against. One [digest array] per level, built serially with [hash2],
+   padded to a power of two with the empty-leaf digest derived here
+   independently of the library; a path is a digest list, walked one
+   [hash2] at a time. Leaves and nodes are [Keccak.sha3_256] of their
+   packed bytes: the whole-message sponge, which the native suite checks
+   against the boxed [Keccak_oracle.sha3_256] at every length in every
+   kernel leg, and whose absorb and padding code is separate from the
+   Merkle kernels'. The boxed sponge itself is ~25x slower, too slow for
+   the oracle verifiers that walk these paths in every mutation case. *)
 
 module Keccak = Zk_hash.Keccak
 module Merkle = Zk_merkle.Merkle
 module Fv = Nocap_vec.Fv
 
 type t = { levels : Keccak.digest array array }
+
+(* An interior node: SHA3-256 of the 64-byte concatenation. *)
+let hash2 a b = Keccak.sha3_256 (Bytes.of_string (a ^ b))
 
 let empty_leaf = Keccak.sha3_256_string "nocap-repro/merkle-empty-leaf"
 
@@ -27,7 +35,7 @@ let build leaves =
     else
       go (level :: acc)
         (Array.init (Array.length level / 2) (fun i ->
-             Keccak.hash2 level.(2 * i) level.((2 * i) + 1)))
+             hash2 level.(2 * i) level.((2 * i) + 1)))
   in
   { levels = Array.of_list (go [] level0) }
 
@@ -45,7 +53,10 @@ let path_of_tree tree i =
   List.init depth (Keccak.digest_at lanes)
 
 (* Hash a column of field elements into a leaf (8 LE bytes per element). *)
-let leaf_of_column col = Keccak.hash_gf col
+let leaf_of_column col =
+  let bytes = Bytes.create (8 * Array.length col) in
+  Array.iteri (fun i e -> Bytes.set_int64_le bytes (8 * i) (Zk_field.Gf.to_int64 e)) col;
+  Keccak.sha3_256 bytes
 
 (* A path longer than this cannot belong to any addressable tree (leaf
    counts are OCaml ints); it only ever appears in hostile input, so bound
@@ -65,8 +76,7 @@ let check_path ~root ~index ~leaf ~path =
       | [] -> if String.equal current root then Ok () else Error "root mismatch"
       | sibling :: rest ->
         let parent =
-          if idx land 1 = 0 then Keccak.hash2 current sibling
-          else Keccak.hash2 sibling current
+          if idx land 1 = 0 then hash2 current sibling else hash2 sibling current
         in
         go (idx / 2) parent rest
     in

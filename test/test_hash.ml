@@ -34,24 +34,31 @@ let test_rate_boundaries () =
   Alcotest.(check bool) "135 <> 136" false (String.equal d135 d136);
   Alcotest.(check bool) "136 <> 137" false (String.equal d136 d137)
 
-let test_hash2 () =
-  let a = Keccak.sha3_256_string "left" and b = Keccak.sha3_256_string "right" in
-  Alcotest.(check string) "hash2 = sha3(a||b)"
-    (hex (Keccak.sha3_256_string (a ^ b)))
-    (hex (Keccak.hash2 a b));
-  Alcotest.(check bool) "order matters" false
-    (String.equal (Keccak.hash2 a b) (Keccak.hash2 b a))
+(* One Merkle node over the flat lane form: digests [0] and [1] of a
+   two-digest buffer. *)
+let node a b =
+  let src = Nocap_vec.Fv.create 8 and dst = Nocap_vec.Fv.create 4 in
+  Keccak.set_digest src 0 a;
+  Keccak.set_digest src 1 b;
+  Keccak.hash_nodes_into ~src ~dst;
+  Keccak.digest_at dst 0
 
-let test_hash_gf () =
+let test_node () =
+  let a = Keccak.sha3_256_string "left" and b = Keccak.sha3_256_string "right" in
+  Alcotest.(check string) "node = sha3(a||b)"
+    (hex (Keccak_oracle.sha3_256 (Bytes.of_string (a ^ b))))
+    (hex (node a b));
+  Alcotest.(check bool) "order matters" false (String.equal (node a b) (node b a))
+
+let test_leaf_packing () =
   let elems = [| Gf.of_int 1; Gf.of_int 2; Gf.of_int 3; Gf.of_int 4 |] in
   let buf = Bytes.create 32 in
   Array.iteri (fun i e -> Bytes.set_int64_le buf (8 * i) (Gf.to_int64 e)) elems;
+  let leaf = Nocap_vec.Fv.create 4 in
+  Keccak.hash_cols_into ~rows:4 ~cols:1 (Nocap_vec.Fv.of_array elems) ~dst:leaf;
   Alcotest.(check string) "packing is 8 LE bytes per element"
-    (hex (Keccak.sha3_256 buf))
-    (hex (Keccak.hash_gf elems));
-  let back = Keccak.digest_to_gf (Keccak.hash_gf elems) in
-  Alcotest.(check int) "digest_to_gf yields 4 elements" 4 (Array.length back);
-  Array.iter (fun e -> Alcotest.(check bool) "canonical" true (Gf.is_canonical (Gf.to_int64 e))) back
+    (hex (Keccak_oracle.sha3_256 buf))
+    (hex (Keccak.digest_at leaf 0))
 
 let test_transcript_determinism () =
   let run () =
@@ -215,8 +222,8 @@ let suite =
   [
     Alcotest.test_case "SHA3-256 known answers" `Quick test_sha3_kats;
     Alcotest.test_case "rate boundaries" `Quick test_rate_boundaries;
-    Alcotest.test_case "hash2" `Quick test_hash2;
-    Alcotest.test_case "hash_gf packing" `Quick test_hash_gf;
+    Alcotest.test_case "node compression" `Quick test_node;
+    Alcotest.test_case "column leaf packing" `Quick test_leaf_packing;
     Alcotest.test_case "transcript determinism" `Quick test_transcript_determinism;
     Alcotest.test_case "transcript divergence" `Quick test_transcript_divergence;
     Alcotest.test_case "challenge indices" `Quick test_challenge_indices;

@@ -363,8 +363,7 @@ let test_sha3_all_lengths () =
 
 (* Every leg's sha3_256 against the boxed sponge ([Keccak_oracle]) around
    one, two and three rate blocks: rem = rate - 1 puts the 0x06 and 0x80
-   pad bits in one byte, rem = 0 adds a whole padding block. hash2 is
-   SHA3 of the concatenated digests. *)
+   pad bits in one byte, rem = 0 adds a whole padding block. *)
 let test_sha3_vs_sponge_oracle () =
   let rate = Keccak_oracle.rate in
   List.iter
@@ -379,43 +378,13 @@ let test_sha3_vs_sponge_oracle () =
             (Keccak.to_hex (l.run (fun () -> Keccak.sha3_256 msg))))
         legs)
     (List.concat_map (fun k -> [ (k * rate) - 1; k * rate; (k * rate) + 1 ]) [ 1; 2; 3 ]
-     @ [ 0; 1; 63; 64; 65 ]);
-  let d1 = Keccak_oracle.sha3_256 (Bytes.of_string "left") in
-  let d2 = Keccak_oracle.sha3_256 (Bytes.of_string "right") in
-  let expected = Keccak_oracle.sha3_256 (Bytes.of_string (d1 ^ d2)) in
-  List.iter
-    (fun l ->
-      Alcotest.(check string) (Printf.sprintf "hash2 [%s]" l.name) (Keccak.to_hex expected)
-        (Keccak.to_hex (l.run (fun () -> Keccak.hash2 d1 d2))))
-    legs
+     @ [ 0; 1; 63; 64; 65 ])
 
-let test_hash_entry_points () =
-  let rng = Rng.create 0xCAFEL in
-  List.iter
-    (fun n ->
-      let elems = Array.init n (fun _ -> Gf.random rng) in
-      check_legs
-        (Printf.sprintf "hash_gf n=%d" n)
-        (fun () -> Keccak.hash_gf elems))
-    [ 0; 1; 3; 4; 17; 100 ];
-  (* hash_fv over a misaligned sub-view: the C base pointer starts at an
-     odd element offset, off any 32-byte boundary. *)
-  let big = Fv.create 67 in
-  random_fill rng big;
-  List.iter
-    (fun (pos, len) ->
-      let v = Fv.sub_view big ~pos ~len in
-      check_legs
-        (Printf.sprintf "hash_fv pos=%d len=%d" pos len)
-        (fun () -> Keccak.hash_fv v))
-    [ (0, 40); (3, 40); (1, 0); (5, 17) ];
-  let d1 = Keccak.sha3_256 (Bytes.of_string "left") in
-  let d2 = Keccak.sha3_256 (Bytes.of_string "right") in
-  check_legs "hash2" (fun () -> Keccak.hash2 d1 d2);
+let test_hash_nodes_into () =
   (* One flat Merkle level per node count: whole x8 and x4 groups with
      every mix of x4 and scalar tails, from a source at an odd lane offset
-     (off any 32- or 64-byte boundary). Each leg must also agree with
-     hash2 on the string digests. *)
+     (off any 32- or 64-byte boundary). Each leg must agree with the boxed
+     sponge's SHA3-256 of each concatenated digest pair. *)
   let digests = Array.init 128 (fun i -> Keccak.sha3_256 (Bytes.make 5 (Char.chr i))) in
   let lanes = Fv.sub_view (Fv.create ((4 * 128) + 1)) ~pos:1 ~len:(4 * 128) in
   Array.iteri (Keccak.set_digest lanes) digests;
@@ -424,7 +393,8 @@ let test_hash_entry_points () =
       let src = Fv.sub_view lanes ~pos:0 ~len:(8 * nodes) in
       let expected =
         String.concat ""
-          (List.init nodes (fun i -> Keccak.hash2 digests.(2 * i) digests.((2 * i) + 1)))
+          (List.init nodes (fun i ->
+               Keccak_oracle.sha3_256 (Bytes.of_string (digests.(2 * i) ^ digests.((2 * i) + 1)))))
       in
       List.iter
         (fun l ->
@@ -494,6 +464,13 @@ let test_sha3_blocks_into () =
         legs)
     [ 0; 31; 32; 33; 135; 136; 137; 300 ]
 
+(* SHA3-256 of field elements packed as 8 little-endian bytes each, by
+   the boxed sponge. *)
+let sha3_packed a =
+  let buf = Bytes.create (8 * Array.length a) in
+  Array.iteri (fun i x -> Bytes.set_int64_le buf (8 * i) (Gf.to_int64 x)) a;
+  Keccak_oracle.sha3_256 buf
+
 (* Column leaves at every width mod 8 (x8 groups, an x4 group, scalar
    tails) and row counts on both sides of the 17-lane rate block; the
    offset case reads the matrix from an odd lane offset. *)
@@ -506,8 +483,7 @@ let test_hash_cols_into () =
       let expected =
         String.concat ""
           (List.init cols (fun j ->
-               off.run (fun () ->
-                   Keccak.hash_gf (Array.init rows (fun r -> Fv.get flat ((r * cols) + j))))))
+               sha3_packed (Array.init rows (fun r -> Fv.get flat ((r * cols) + j)))))
       in
       List.iter
         (fun l ->
@@ -787,8 +763,8 @@ let suite =
     Alcotest.test_case "RS row encode vs oracle + raw fused stub" `Quick test_rs_encode_row;
     Alcotest.test_case "expander row encode vs oracle" `Quick test_expander_encode_row;
     Alcotest.test_case "sha3 lengths 0..300 across modes + FIPS" `Quick test_sha3_all_lengths;
-    Alcotest.test_case "sha3_256 + hash2 vs boxed sponge oracle" `Quick test_sha3_vs_sponge_oracle;
-    Alcotest.test_case "hash_gf/hash_fv/hash2/nodes across modes" `Quick test_hash_entry_points;
+    Alcotest.test_case "sha3_256 vs boxed sponge oracle" `Quick test_sha3_vs_sponge_oracle;
+    Alcotest.test_case "hash_nodes_into across modes" `Quick test_hash_nodes_into;
     Alcotest.test_case "hash_cols_into across modes" `Quick test_hash_cols_into;
     Alcotest.test_case "sha3_blocks_into + sha3_256_into vs boxed sponge oracle" `Quick
       test_sha3_blocks_into;

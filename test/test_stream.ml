@@ -500,28 +500,88 @@ let prop_vector_combiner_contract =
 
 let budget_engine bytes = Engine.create ~stream_budget_bytes:bytes ()
 
+(* Each commitment is opened twice, at two points: openings gather their
+   columns from the codeword stored at commit time (in RAM, or in a spill
+   file under the budget), so the second opening must read it exactly as
+   committed — same proof from both backings, and the proof verifies. *)
 let test_orion_budget_equal () =
   let params = { Orion.default_params with Orion.rows = 8 } in
   List.iter
     (fun l ->
       let rng = Rng.create 5L in
       let table = random_gf_array rng (1 lsl l) in
-      let point = random_gf_array (Rng.create 6L) l in
       let cd, cm_d = Orion.commit params (Rng.create 9L) table in
       let cs, cm_s = Orion.commit ~engine:(budget_engine 2048) params (Rng.create 9L) table in
       Alcotest.(check string) "orion root" cm_d.Orion.root cm_s.Orion.root;
-      let t1 = Transcript.create "orion-stream" in
-      Orion.absorb_commitment t1 cm_d;
-      let v1, p1 = Orion.prove_eval params cd t1 point in
-      let t2 = Transcript.create "orion-stream" in
-      Orion.absorb_commitment t2 cm_s;
-      let v2, p2 = Orion.prove_eval ~engine:(budget_engine 2048) params cs t2 point in
-      Alcotest.(check bool) "orion value" true (Gf.equal v1 v2);
-      Alcotest.(check bool) "orion value = MLE" true (Gf.equal v1 (Mle.eval table point));
-      Alcotest.(check bool) "orion proof" true (p1 = p2);
+      let transcript () =
+        let t = Transcript.create "orion-stream" in
+        Orion.absorb_commitment t cm_d;
+        t
+      in
+      List.iter
+        (fun seed ->
+          let point = random_gf_array (Rng.create seed) l in
+          let msg = Printf.sprintf "l=%d point seed %Ld" l seed in
+          let v1, p1 = Orion.prove_eval params cd (transcript ()) point in
+          let v2, p2 =
+            Orion.prove_eval ~engine:(budget_engine 2048) params cs (transcript ()) point
+          in
+          Alcotest.(check bool) (msg ^ ": orion value") true (Gf.equal v1 v2);
+          Alcotest.(check bool) (msg ^ ": orion value = MLE") true
+            (Gf.equal v1 (Mle.eval table point));
+          Alcotest.(check bool) (msg ^ ": orion proof") true (p1 = p2);
+          match Orion.verify_eval params cm_d (transcript ()) point v1 p1 with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s" msg (Zk_pcs.Verify_error.to_string e))
+        [ 6L; 7L ];
       Orion.free_committed cs;
       Orion.free_committed cd)
     [ 4; 7; 9 ]
+
+exception Injected_write of int
+
+(* A budgeted commit whose k-th spill write fails, for every k the commit
+   reaches (data row blocks, mask rows, codeword blocks): the fault must
+   propagate and both spill files must be released with it. 128 rows of 8
+   columns under a 2 KiB budget run in four row blocks. *)
+let test_orion_commit_fault_path () =
+  let params = Orion.default_params in
+  let table = random_gf_array (Rng.create 25L) 1024 in
+  let commit () = Orion.commit ~engine:(budget_engine 2048) params (Rng.create 26L) table in
+  let with_write_hook on_write f =
+    let writes = ref 0 in
+    Spill.set_io_fault_hook
+      (Some
+         (fun op ->
+           if op = "write" then begin
+             incr writes;
+             on_write !writes
+           end));
+    Fun.protect ~finally:(fun () -> Spill.set_io_fault_hook None) f;
+    !writes
+  in
+  let total =
+    with_write_hook ignore (fun () ->
+        let c, _ = commit () in
+        Orion.free_committed c)
+  in
+  Alcotest.(check bool) "several block writes" true (total > 4);
+  for k = 1 to total do
+    let live = Spill.live_files () in
+    let raised = ref false in
+    ignore
+      (with_write_hook
+         (fun n -> if n = k then raise (Injected_write n))
+         (fun () ->
+           try
+             let c, _ = commit () in
+             Orion.free_committed c
+           with Injected_write n when n = k -> raised := true));
+    Alcotest.(check bool) (Printf.sprintf "write %d/%d: fault propagates" k total) true !raised;
+    Alcotest.(check int)
+      (Printf.sprintf "write %d/%d: live spill files" k total)
+      live (Spill.live_files ())
+  done
 
 (* Each commitment is opened twice, at two points: the opening's sumcheck
    reads the committed table in place, so the second opening sees the
@@ -701,6 +761,8 @@ let suite =
       Alcotest.test_case "sumcheck over spilled tables" `Quick test_sumcheck_spilled_tables;
       prop_vector_combiner_contract;
       Alcotest.test_case "orion: budget = no budget" `Quick test_orion_budget_equal;
+      Alcotest.test_case "orion: commit fault at every write" `Quick
+        test_orion_commit_fault_path;
       Alcotest.test_case "fri: budget = no budget" `Quick test_fri_budget_equal;
       Alcotest.test_case "spartan budget sweep = goldens" `Quick test_spartan_budget_sweep;
       Alcotest.test_case "no budget never touches disk" `Quick test_no_budget_never_spills;

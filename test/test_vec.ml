@@ -213,38 +213,54 @@ let test_four_step () =
 
 (* --- flat keccak / merkle ------------------------------------------------ *)
 
-let test_hash_fv () =
+(* SHA3-256 of field elements packed as 8 little-endian bytes each, by
+   the byte-level oracle sponge. *)
+let sha3_packed a =
+  let buf = Bytes.create (8 * Array.length a) in
+  Array.iteri (fun i x -> Bytes.set_int64_le buf (8 * i) (Gf.to_int64 x)) a;
+  Keccak_oracle.sha3_256 buf
+
+let test_hash_column () =
   let rng = Rng.create 10L in
   (* Sizes straddle the 17-element rate: 0, partial, exactly one block,
      one block + 1, several blocks. *)
   List.iter
     (fun n ->
       let a = Array.init n (fun _ -> Gf.random rng) in
+      let dst = Fv.create 4 in
+      Keccak.hash_cols_into ~rows:n ~cols:1 (Fv.of_array a) ~dst;
       Alcotest.(check string)
-        (Printf.sprintf "hash_fv n=%d" n)
-        (Keccak.to_hex (Keccak.hash_gf a))
-        (Keccak.to_hex (Keccak.hash_fv (Fv.of_array a))))
+        (Printf.sprintf "one-column leaf n=%d" n)
+        (Keccak.to_hex (sha3_packed a))
+        (Keccak.to_hex (Keccak.digest_at dst 0)))
     [ 0; 1; 5; 16; 17; 18; 34; 100 ]
 
-let test_hash2_concat_free () =
+let test_hash_node () =
   let d1 = Keccak.sha3_256_string "left" and d2 = Keccak.sha3_256_string "right" in
-  Alcotest.(check string) "hash2 = sha3(a||b)"
-    (Keccak.to_hex (Keccak.sha3_256_string (d1 ^ d2)))
-    (Keccak.to_hex (Keccak.hash2 d1 d2))
+  let src = Fv.create 8 and dst = Fv.create 4 in
+  Keccak.set_digest src 0 d1;
+  Keccak.set_digest src 1 d2;
+  Keccak.hash_nodes_into ~src ~dst;
+  Alcotest.(check string) "node = sha3(a||b)"
+    (Keccak.to_hex (Keccak_oracle.sha3_256 (Bytes.of_string (d1 ^ d2))))
+    (Keccak.to_hex (Keccak.digest_at dst 0))
 
-let test_hash_gf_packed_oracle () =
-  (* hash_gf absorbs elements lane-aligned; the oracle packs the same
-     elements into bytes and hashes those. *)
+let test_hash_cols_packed_oracle () =
+  (* hash_cols_into absorbs each column lane-aligned with stride [cols];
+     the oracle packs the gathered column into bytes and hashes those. *)
   let rng = Rng.create 11L in
+  let cols = 5 in
   List.iter
-    (fun n ->
-      let a = Array.init n (fun _ -> Gf.random rng) in
-      let buf = Bytes.create (8 * n) in
-      Array.iteri (fun i x -> Bytes.set_int64_le buf (8 * i) (Gf.to_int64 x)) a;
-      Alcotest.(check string)
-        (Printf.sprintf "hash_gf = sha3(packed) n=%d" n)
-        (Keccak.to_hex (Keccak.sha3_256 buf))
-        (Keccak.to_hex (Keccak.hash_gf a)))
+    (fun rows ->
+      let a = Array.init (rows * cols) (fun _ -> Gf.random rng) in
+      let dst = Fv.create (4 * cols) in
+      Keccak.hash_cols_into ~rows ~cols (Fv.of_array a) ~dst;
+      for j = 0 to cols - 1 do
+        Alcotest.(check string)
+          (Printf.sprintf "column %d = sha3(packed) rows=%d" j rows)
+          (Keccak.to_hex (sha3_packed (Array.init rows (fun r -> a.((r * cols) + j)))))
+          (Keccak.to_hex (Keccak.digest_at dst j))
+      done)
     [ 0; 3; 17; 40 ]
 
 let test_leaves_of_matrix () =
@@ -448,9 +464,9 @@ let suite =
     Alcotest.test_case "flat NTT = Gf_ntt" `Quick test_ntt_equiv;
     Alcotest.test_case "flat row NTTs" `Quick test_ntt_rows_flat;
     Alcotest.test_case "flat four-step NTT" `Quick test_four_step;
-    Alcotest.test_case "hash_fv = hash_gf" `Quick test_hash_fv;
-    Alcotest.test_case "concat-free hash2" `Quick test_hash2_concat_free;
-    Alcotest.test_case "lane-aligned hash_gf" `Quick test_hash_gf_packed_oracle;
+    Alcotest.test_case "one-column leaf = sha3(packed)" `Quick test_hash_column;
+    Alcotest.test_case "node hash = sha3(a||b)" `Quick test_hash_node;
+    Alcotest.test_case "lane-aligned column leaves" `Quick test_hash_cols_packed_oracle;
     Alcotest.test_case "leaves_of_matrix" `Quick test_leaves_of_matrix;
     Alcotest.test_case "sumcheck prove = prove_arrays" `Quick test_sumcheck_prove_equiv;
     Alcotest.test_case "orion flat commit vs boxed pipeline" `Quick test_orion_flat_commit;
