@@ -159,7 +159,7 @@ let domain_counts () =
   List.sort_uniq compare (1 :: 2 :: 4 :: [ n ])
 
 (* Empty-body parallel_for latency: the pool's pure dispatch cost (submit,
-   wake, steal-to-empty, retire, wait). grain:1 over 64 indices forces the
+   wake, claim past the end, retire, wait). grain:1 over 64 indices forces the
    parallel path even at one domain. *)
 let measure_dispatch ~smoke () =
   let iters = if smoke then 100 else 1000 in

@@ -295,7 +295,7 @@ let bench_serialize =
   in
   Test.make ~name:"extension/proof-serialize" (staged (fun () ->
       let proof = Lazy.force fixture in
-      match Proof_serialize.proof_of_bytes (Proof_serialize.proof_to_bytes proof) with
+      match Spartan.proof_of_bytes (Spartan.proof_to_bytes proof) with
       | Ok _ -> ()
       | Error e -> failwith (Zk_pcs.Verify_error.to_string e)))
 

@@ -120,7 +120,7 @@ let verify_cmd =
     let inst, asn = b.Benchmarks.generate scale in
     let io = R1cs.public_io inst asn in
     let result =
-      match Proof_serialize.backend_of_bytes data with
+      match Spartan.backend_of_bytes data with
       | Error e -> Error e
       | Ok bk when String.equal bk Orion_pcs.name ->
         let params = { Spartan.test_params with Spartan.repetitions = reps } in

@@ -62,7 +62,6 @@ module Spartan = Zk_spartan.Spartan
 (** Spartan over the FRI backend — same SNARK, NTT-heavy PCS. *)
 module Spartan_fri = Zk_spartan.Spartan.Make (Zk_orion.Fri_pcs)
 
-module Proof_serialize = Zk_spartan.Serialize
 module Aggregate = Zk_spartan.Aggregate
 
 (* Proving service runtime: job queue, deadlines, retry, degradation *)

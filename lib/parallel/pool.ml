@@ -1,10 +1,10 @@
-(* Work-stealing Domain pool.
+(* Domain pool with one claim cursor per job.
 
-   Submission statically slices [0, n) into one packed (lo, hi) range per
-   participant, each held in a single atomic int. Owners CAS-claim [grain]
-   indices from the bottom of their own range; participants that run dry
-   CAS-steal the top half of a victim's range and install it as their new
-   own range (Rayon-style splitting). Publication is an epoch counter:
+   A job is a flat loop over [0, n). Every participant, the submitter
+   included, claims the next [grain] indices with one fetch-and-add on the
+   job's shared cursor until the cursor passes [n]; nothing is pre-assigned
+   to a participant, so a worker the OS has not scheduled holds no work
+   another participant could need. Publication is an epoch counter:
    workers spin on it for a bounded budget, then park on a condition
    variable guarded by a parked-count handshake, so the submit hot path of
    a busy pipeline is one atomic increment — no mutex, no broadcast. The
@@ -12,22 +12,6 @@
    loop and progress never depends on workers waking up at all. *)
 
 module Arena = Nocap_vec.Arena
-
-(* --- packed ranges ------------------------------------------------------ *)
-
-(* A half-open range [lo, hi) packed as (lo lsl 31) lor hi, both < 2^31.
-   Empty iff lo >= hi. Within one job every index is claimed exactly once
-   and installs only land in empty slots, so a non-empty packed value never
-   repeats — CAS on the raw int is ABA-free. *)
-
-let range_bits = 31
-let range_mask = (1 lsl range_bits) - 1
-let pack lo hi = (lo lsl range_bits) lor hi
-let range_lo r = r lsr range_bits
-let range_hi r = r land range_mask
-
-(* Largest [n] a single job can cover; bigger loops run in segments. *)
-let max_segment = range_mask
 
 (* --- cooperative cancellation ------------------------------------------- *)
 
@@ -81,8 +65,9 @@ end
 type job = {
   body : int -> int -> unit; (* half-open chunk [lo, hi) *)
   cancel : Cancel.token option; (* submitter's ambient token, checked per chunk *)
+  n : int;
   grain : int;
-  slots : int Atomic.t array; (* one packed range per participant, strided *)
+  next : int Atomic.t; (* claim cursor: first index not yet claimed *)
   remaining : int Atomic.t; (* indices not yet retired *)
   failed : bool Atomic.t;
   mutable exn : (exn * Printexc.raw_backtrace) option;
@@ -91,13 +76,6 @@ type job = {
   done_lock : Mutex.t;
   done_cond : Condition.t;
 }
-
-(* Adjacent atomics share cache lines; striding the slot array keeps each
-   participant's range ~64B from its neighbours' (atomic blocks are two
-   words, allocated back to back). *)
-let slot_stride = 4
-
-let slot slots i = Array.unsafe_get slots (i * slot_stride)
 
 type t = {
   pool_size : int;
@@ -114,36 +92,25 @@ type t = {
 (* --- spin policy -------------------------------------------------------- *)
 
 (* cpu_relax iterations per microsecond of spin budget — deliberately
-   conservative so a misconfigured budget overshoots rather than parks
-   early. *)
+   conservative so the budget overshoots rather than parks early. *)
 let relax_per_us = 40
 
-(* -1 = unset, use the built-in default: park immediately on single-core
-   hosts (spinning there only steals cycles from whoever has the work),
-   spin 20µs otherwise. *)
-let spin_override = Atomic.make (-1)
+(* An idle worker (and a submitter waiting on completion) spins 20µs before
+   parking on the OS; a single-core host parks at once, since spinning
+   there only steals cycles from whoever has the work. *)
+let spin_us = if Domain.recommended_domain_count () <= 1 then 0 else 20
 
-let default_spin_us = if Domain.recommended_domain_count () <= 1 then 0 else 20
-
-let spin_us () =
-  let v = Atomic.get spin_override in
-  if v < 0 then default_spin_us else v
-
-let set_spin_us v = Atomic.set spin_override (if v < 0 then -1 else v)
-
-let spin_iters () = spin_us () * relax_per_us
+let spin_iters = spin_us * relax_per_us
 
 (* --- grain -------------------------------------------------------------- *)
 
-(* One claimed chunk should amortize ~50µs of work: long enough that claim
-   CASes and steal traffic vanish in the noise, short enough that a 4-way
-   split still load-balances a millisecond-scale kernel. *)
+(* One claimed chunk should amortize ~50µs of work: long enough that the
+   claim's fetch-and-add on the shared cursor vanishes in the noise, short
+   enough that a 4-way split still load-balances a millisecond-scale
+   kernel. *)
 let target_chunk_ns = 50_000
 
 let grain_of_ns cost = max 1 (target_chunk_ns / max 1 cost)
-
-(* Serial cutoff when the caller gave no cost hint. *)
-let default_serial_cutoff = 64
 
 (* True while the current domain is executing chunks of some task; nested
    submissions from such a domain run serially instead of deadlocking on
@@ -178,79 +145,30 @@ let exec job lo hi =
     Mutex.unlock job.done_lock
   end
 
-(* Claim up to [grain] indices from the bottom of our own range. Only
-   thieves contend with the owner, so the CAS almost always lands first
-   try. After a failure the whole range is claimed at once and drained
-   without running the body — the submitter re-raises anyway. *)
-let rec claim_own job me =
-  let s = slot job.slots me in
-  let r = Atomic.get s in
-  let lo = range_lo r and hi = range_hi r in
-  if lo >= hi then false
+(* Claim [grain] indices at a time from the shared cursor until it passes
+   [n]. After a failure the rest of the range is claimed at once and
+   retired without running the body — the submitter re-raises anyway.
+   The cursor may overshoot [n] by a grain per participant; an index is
+   claimed by exactly one fetch-and-add (or the one exchange) whose
+   window covers it. *)
+let rec claim job =
+  if Atomic.get job.failed then begin
+    let lo = Atomic.exchange job.next job.n in
+    if lo < job.n then exec job lo job.n
+  end
   else begin
-    let take = if Atomic.get job.failed then hi - lo else min job.grain (hi - lo) in
-    let mid = lo + take in
-    if Atomic.compare_and_set s r (pack mid hi) then begin
-      exec job lo mid;
-      true
+    let lo = Atomic.fetch_and_add job.next job.grain in
+    if lo < job.n then begin
+      exec job lo (min job.n (lo + job.grain));
+      claim job
     end
-    else claim_own job me
   end
 
-(* Steal from a victim's range and install the spoils as our own range (our
-   slot is empty whenever this runs). Big ranges split in half; ranges at or
-   below one grain are taken whole — a static slice must never strand in
-   the slot of a worker the OS hasn't scheduled yet, or the submitter could
-   sleep forever on an oversubscribed host. *)
-let try_steal job me victim =
-  let s = slot job.slots victim in
-  let r = Atomic.get s in
-  let lo = range_lo r and hi = range_hi r in
-  if lo >= hi then false
-  else begin
-    let mid = if hi - lo <= job.grain then lo else lo + ((hi - lo) / 2) in
-    if Atomic.compare_and_set s r (pack lo mid) then begin
-      Atomic.set (slot job.slots me) (pack mid hi);
-      true
-    end
-    else false
-  end
-
-let steal_round job me nslots =
-  let got = ref false in
-  let v = ref (me + 1) in
-  let tries = ref (nslots - 1) in
-  while (not !got) && !tries > 0 do
-    let victim = if !v >= nslots then !v - nslots else !v in
-    if try_steal job me victim then got := true;
-    incr v;
-    decr tries
-  done;
-  !got
-
-(* After this many consecutive empty scans a participant gives up on the
-   job: every unretired index is then either inside another participant's
-   running [exec] or in the slot of an active owner that will drain it, so
-   there is nothing left to help with. The submitter then sleeps in
-   [wait_done] (woken by the last retirer) instead of burning a core. *)
-let steal_patience = 64
-
-let participate job me nslots =
+let participate job =
   let flag = Domain.DLS.get in_worker in
   let was = !flag in
   flag := true;
-  let misses = ref 0 in
-  let continue = ref true in
-  while !continue do
-    if claim_own job me then misses := 0
-    else if Atomic.get job.remaining = 0 then continue := false
-    else if nslots > 1 && steal_round job me nslots then misses := 0
-    else begin
-      incr misses;
-      if !misses > steal_patience then continue := false
-      else Domain.cpu_relax ()
-    end
-  done;
+  claim job;
   flag := was
 
 (* Submitter-side completion wait: spin briefly (the common case — workers
@@ -260,9 +178,8 @@ let participate job me nslots =
    side always sees the other. *)
 let wait_done job =
   if Atomic.get job.remaining > 0 then begin
-    let budget = spin_iters () in
     let i = ref 0 in
-    while !i < budget && Atomic.get job.remaining > 0 do
+    while !i < spin_iters && Atomic.get job.remaining > 0 do
       Domain.cpu_relax ();
       incr i
     done;
@@ -279,14 +196,14 @@ let wait_done job =
 
 (* --- workers ------------------------------------------------------------ *)
 
-let worker pool me () =
+let worker pool () =
   let last = ref (Atomic.get pool.epoch) in
   while not (Atomic.get pool.shutdown) do
     let e = Atomic.get pool.epoch in
     if e <> !last then begin
       last := e;
       match Atomic.get pool.current with
-      | Some job -> participate job me pool.pool_size
+      | Some job -> participate job
       | None -> ()
     end
     else begin
@@ -294,9 +211,8 @@ let worker pool me () =
          epoch under the lock; the submitter bumps the epoch before reading
          the parked count — so either we see the new epoch and skip the
          wait, or the submitter sees us parked and broadcasts. *)
-      let budget = spin_iters () in
       let i = ref 0 in
-      while !i < budget && Atomic.get pool.epoch = e && not (Atomic.get pool.shutdown) do
+      while !i < spin_iters && Atomic.get pool.epoch = e && not (Atomic.get pool.shutdown) do
         Domain.cpu_relax ();
         incr i
       done;
@@ -329,7 +245,7 @@ let create domains =
       shutdown = Atomic.make false;
     }
   in
-  pool.workers <- Array.init (pool_size - 1) (fun i -> Domain.spawn (worker pool (i + 1)));
+  pool.workers <- Array.init (pool_size - 1) (fun _ -> Domain.spawn (worker pool));
   pool
 
 let teardown pool =
@@ -420,26 +336,14 @@ let serial_run body n =
       Cancel.raise_if_cancelled tok
     done
 
-(* One job over [0, n), n <= max_segment. Static slices seed the slots;
-   stealing rebalances from there, so a slice that finishes early never
-   idles while a neighbour lags. *)
 let submit p grain ~n body =
-  let nslots = p.pool_size in
-  let slots =
-    Array.init (nslots * slot_stride) (fun i ->
-        if i mod slot_stride <> 0 then Atomic.make 0
-        else begin
-          let me = i / slot_stride in
-          let lo = me * n / nslots and hi = (me + 1) * n / nslots in
-          Atomic.make (pack lo hi)
-        end)
-  in
   let job =
     {
       body;
       cancel = Cancel.current ();
+      n;
       grain;
-      slots;
+      next = Atomic.make 0;
       remaining = Atomic.make n;
       failed = Atomic.make false;
       exn = None;
@@ -460,7 +364,7 @@ let submit p grain ~n body =
     Condition.broadcast p.park_cond;
     Mutex.unlock p.park_lock
   end;
-  participate job 0 nslots;
+  participate job;
   wait_done job;
   Atomic.set p.current None;
   Mutex.unlock p.submit_lock;
@@ -468,61 +372,41 @@ let submit p grain ~n body =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let run ?grain ~n body =
+let run ~grain ~n body =
   if n > 0 then begin
-    let cutoff = match grain with Some g -> 2 * max 1 g | None -> default_serial_cutoff in
-    if n < cutoff || !(Domain.DLS.get in_worker) then serial_run body n
+    let grain = max 1 grain in
+    if n < 2 * grain || !(Domain.DLS.get in_worker) then serial_run body n
     else begin
       let p = default () in
       if p.pool_size = 1 || Atomic.get p.shutdown then serial_run body n
-      else begin
-        let grain =
-          match grain with
-          | Some g -> max 1 g
-          | None -> max 1 (n / (16 * p.pool_size))
-        in
-        if n <= max_segment then submit p grain ~n body
-        else begin
-          (* Ranges pack into 31 bits; astronomically large loops run as a
-             sequence of segment-local jobs. *)
-          let seg = ref 0 in
-          while !seg < n do
-            let len = min max_segment (n - !seg) in
-            let base = !seg in
-            submit p grain ~n:len (fun lo hi -> body (base + lo) (base + hi));
-            seg := !seg + len
-          done
-        end
-      end
+      else submit p grain ~n body
     end
   end
 
-let parallel_for ?grain ~n f =
-  run ?grain ~n (fun lo hi ->
+let parallel_for ~grain ~n f =
+  run ~grain ~n (fun lo hi ->
       for i = lo to hi - 1 do
         f i
       done)
 
-let parallel_init ?grain n f =
+let parallel_init ~grain n f =
   if n <= 0 then [||]
   else begin
     let first = f 0 in
     let out = Array.make n first in
-    run ?grain ~n:(n - 1) (fun lo hi ->
+    run ~grain ~n:(n - 1) (fun lo hi ->
         for i = lo to hi - 1 do
           out.(i + 1) <- f (i + 1)
         done);
     out
   end
 
-let fold_chunks ?chunk ?grain ~n ~init ~body ~combine () =
+let fold_chunks ~chunk ~grain ~n ~init ~body ~combine () =
   if n <= 0 then init
   else begin
-    (* Chunk geometry is a function of n (and the explicit chunk) only, so
-       the combine order below is identical for every pool size and grain. *)
-    let chunk =
-      match chunk with Some c -> max 1 c | None -> max 1 ((n + 63) / 64)
-    in
+    (* Chunk geometry is a function of n and chunk only, so the combine
+       order below is identical for every pool size and grain. *)
+    let chunk = max 1 chunk in
     let nchunks = (n + chunk - 1) / chunk in
     let parts = Array.make nchunks None in
     let run_chunks clo chi =
@@ -536,11 +420,8 @@ let fold_chunks ?chunk ?grain ~n ~init ~body ~combine () =
     (* Grain arrives in items; convert to whole chunks per claim. The serial
        crossover is checked in items too, before the chunk-count reduction,
        so a cost-calibrated grain means the same thing here as in run. *)
-    (match grain with
-    | Some g when n < 2 * max 1 g -> Arena.with_frame (fun () -> run_chunks 0 nchunks)
-    | _ ->
-      let grain_chunks = Option.map (fun g -> max 1 (g / chunk)) grain in
-      run ?grain:grain_chunks ~n:nchunks run_chunks);
+    if n < 2 * max 1 grain then Arena.with_frame (fun () -> run_chunks 0 nchunks)
+    else run ~grain:(max 1 (grain / chunk)) ~n:nchunks run_chunks;
     Array.fold_left
       (fun acc part -> match part with Some v -> combine acc v | None -> acc)
       init parts

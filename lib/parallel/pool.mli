@@ -1,4 +1,4 @@
-(** Work-stealing Domain pool for the prover hot paths.
+(** Domain pool for the prover hot paths.
 
     There is one pool per process: persistent worker domains, sized by
     {!default_domains}, execute chunked index ranges on behalf of a
@@ -10,20 +10,21 @@
     Pippenger windows) is an embarrassingly parallel loop over disjoint
     output slots.
 
-    {b Scheduling.} Submission statically slices [\[0, n)] into one packed
-    lock-free range per participant; owners claim [grain] indices at a time
-    from the bottom of their range, idle participants steal the top half of
-    a victim's range (Rayon-style splitting), so imbalance self-corrects
-    without a shared queue. The submit hot path is a single atomic epoch
-    bump — parked workers are woken only when the parked count says someone
-    is actually asleep, and workers spin ({!Domain.cpu_relax}) for a short
-    budget before parking, so back-to-back kernel launches never touch a
-    mutex. See DESIGN.md Sec. 12.
+    {b Scheduling.} A job over [\[0, n)] has one atomic claim cursor.
+    Every participant, the submitter included, takes the next [grain]
+    indices with one fetch-and-add until the cursor passes [n], so a fast
+    participant simply claims more chunks than a slow one.
+    The submit hot path is a single atomic epoch bump — parked workers are
+    woken only when the parked count says someone is actually asleep, and
+    workers spin ({!Domain.cpu_relax}) for 20µs (0 on a single-core host)
+    before parking, so back-to-back kernel launches never touch a mutex.
+    See DESIGN.md Sec. 12.
 
-    {b Grain.} [?grain] is the per-claim chunk size, calibrated so one claim
-    amortizes ≥ ~50µs of work ({!grain_of_ns} maps a per-item cost estimate
-    to a grain). Inputs below the crossover ([n < 2 * grain]) run serially
-    in the caller — dispatch is never paid where it cannot win.
+    {b Grain.} Every entry point takes its per-claim chunk size, calibrated
+    so one claim amortizes ≥ ~50µs of work ({!grain_of_ns} maps a per-item
+    cost estimate to a grain). Inputs below the crossover
+    ([n < 2 * grain]) run serially in the caller — dispatch is never paid
+    where it cannot win.
 
     {b Arenas.} Every claimed chunk (and the serial fallback) runs inside
     {!Nocap_vec.Arena.with_frame}, so bodies may allocate domain-local
@@ -98,44 +99,34 @@ val with_domains : int -> (unit -> 'a) -> 'a
     [\[1, 128\]]), restoring the previous size afterwards (even on
     exceptions). Benchmarks and tests sweep domain counts with it. *)
 
-val set_spin_us : int -> unit
-(** Spin budget (microseconds of {!Domain.cpu_relax}) an idle worker burns
-    before parking on the OS, and the submitter burns before sleeping on
-    job completion. [0] parks immediately — right for oversubscribed or
-    single-core hosts. Negative values reset to the built-in default
-    (0 when [Domain.recommended_domain_count () <= 1], else 20). The engine
-    layer installs [NOCAP_SPIN_US] here. *)
-
-val spin_us : unit -> int
-(** The spin budget currently in effect. *)
-
 val grain_of_ns : int -> int
 (** [grain_of_ns cost] is the grain that makes one claimed chunk amortize
     ~50µs of work for a body costing [cost] nanoseconds per index:
     [max 1 (50_000 / max 1 cost)]. Kernels pass measured-once cost
     constants; see DESIGN.md Sec. 12 for the calibration table. *)
 
-val run : ?grain:int -> n:int -> (int -> int -> unit) -> unit
+val run : grain:int -> n:int -> (int -> int -> unit) -> unit
 (** [run ~grain ~n body] executes [body lo hi] over half-open chunks
-    covering [\[0, n)]. Chunks are claimed and stolen dynamically, so
-    [body] must only write state disjoint per index (or commute exactly).
-    [grain] is the per-claim chunk length (default
-    [max 1 (n / (16 * default_domains ()))] with a serial cutoff of 64);
-    [n < 2 * grain] short-circuits to [body 0 n] in the calling domain.
-    Every chunk runs inside an {!Nocap_vec.Arena.with_frame}. The first exception raised by any
+    covering [\[0, n)]. Chunks of at most [grain] indices are claimed
+    dynamically by whichever participant is free, so [body] must only
+    write state disjoint per index (or commute exactly).
+    [n < 2 * grain] short-circuits to [body 0 n] in the calling domain
+    (in slices of 4096 while a {!Cancel} token is installed, so the token
+    is still checked). Every chunk runs inside an
+    {!Nocap_vec.Arena.with_frame}. The first exception raised by any
     participant is re-raised in the submitting domain after all chunks
     complete. Nested calls from inside a worker run serially. *)
 
-val parallel_for : ?grain:int -> n:int -> (int -> unit) -> unit
+val parallel_for : grain:int -> n:int -> (int -> unit) -> unit
 (** Per-index variant of {!run}. *)
 
-val parallel_init : ?grain:int -> int -> (int -> 'a) -> 'a array
+val parallel_init : grain:int -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init]. [f 0] runs first in the submitting domain (to
     seed the result array), the rest in parallel. *)
 
 val fold_chunks :
-  ?chunk:int ->
-  ?grain:int ->
+  chunk:int ->
+  grain:int ->
   n:int ->
   init:'acc ->
   body:(int -> int -> 'part) ->
@@ -144,9 +135,9 @@ val fold_chunks :
   'acc
 (** Chunked parallel reduction: [body lo hi] produces a partial result per
     chunk; partials are combined {e in chunk order} starting from [init].
-    Chunk boundaries depend only on [n] and [chunk] (default
-    [max 1 (ceil (n / 64))]), so the reduction tree is identical for every
-    domain count — this is what makes reductions over inexact operations
-    deterministic too. [grain] is still in {e items}: participants claim
-    [max 1 (grain / chunk)] chunks at a time, and [n < 2 * grain] falls
-    back to a serial loop over the same chunk sequence. *)
+    Chunk boundaries depend only on [n] and [chunk], so the reduction tree
+    is identical for every domain count — this is what makes reductions
+    over inexact operations deterministic too. [grain] is still in
+    {e items}: participants claim [max 1 (grain / chunk)] chunks at a
+    time, and [n < 2 * grain] falls back to a serial loop over the same
+    chunk sequence. *)

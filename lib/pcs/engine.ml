@@ -5,7 +5,6 @@ module Config = struct
   type t = {
     domains : int option;
     gc_minor_mb : int option;
-    spin_us : int option;
     native : Native.mode option;
     stream_budget_mb : int option;
   }
@@ -14,7 +13,6 @@ module Config = struct
     {
       domains = None;
       gc_minor_mb = None;
-      spin_us = None;
       native = None;
       stream_budget_mb = None;
     }
@@ -24,14 +22,6 @@ module Config = struct
     | Some v when v > 0 -> Ok v
     | Some v -> Error (Printf.sprintf "%s must be a positive integer, got %d" name v)
     | None -> Error (Printf.sprintf "%s must be a positive integer, got %S" name raw)
-
-  (* Spin budgets may legitimately be 0 ("park immediately"), so the spin
-     knob gets its own non-negative parser. *)
-  let parse_non_negative ~name raw =
-    match int_of_string_opt (String.trim raw) with
-    | Some v when v >= 0 -> Ok v
-    | Some v -> Error (Printf.sprintf "%s must be a non-negative integer, got %d" name v)
-    | None -> Error (Printf.sprintf "%s must be a non-negative integer, got %S" name raw)
 
   (* Every knob is parsed even after one fails: a service operator who
      fat-fingered three variables gets all three diagnostics in one startup
@@ -49,14 +39,8 @@ module Config = struct
       | None -> None
       | Some raw -> keep (parse_positive ~name raw)
     in
-    let knob_nn name =
-      match lookup name with
-      | None -> None
-      | Some raw -> keep (parse_non_negative ~name raw)
-    in
     let domains = knob "NOCAP_DOMAINS" in
     let gc_minor_mb = knob "NOCAP_GC_MINOR_MB" in
-    let spin_us = knob_nn "NOCAP_SPIN_US" in
     let native =
       match lookup "NOCAP_NATIVE" with
       | None -> None
@@ -64,7 +48,7 @@ module Config = struct
     in
     let stream_budget_mb = knob "NOCAP_STREAM_BUDGET_MB" in
     match List.rev !errors with
-    | [] -> Ok { domains; gc_minor_mb; spin_us; native; stream_budget_mb }
+    | [] -> Ok { domains; gc_minor_mb; native; stream_budget_mb }
     | errs -> Error (String.concat "; " errs)
 
   (* The single *validating* environment-read site in the tree. Malformed
@@ -100,7 +84,6 @@ let default () =
        a pool eagerly) keeps Pool.with_domains able to override, and avoids
        spawning domains in processes that never prove. *)
     Option.iter Pool.set_baseline_domains config.Config.domains;
-    Option.iter Pool.set_spin_us config.Config.spin_us;
     Option.iter Native.set_mode config.Config.native;
     let e = create ~config () in
     default_engine := Some e;

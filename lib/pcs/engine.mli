@@ -20,7 +20,6 @@ module Config : sig
   type t = {
     domains : int option;
     gc_minor_mb : int option;
-    spin_us : int option;
     native : Nocap_native.Native.mode option;
     stream_budget_mb : int option;
   }
@@ -32,10 +31,7 @@ module Config : sig
   (** Parse the configuration from a key-value source ([lookup] is
       [Sys.getenv_opt] in production, an assoc list in tests). Recognized
       keys: [NOCAP_DOMAINS] (default-pool size), [NOCAP_GC_MINOR_MB]
-      (minor heap size for {!tune_gc}), [NOCAP_SPIN_US] (idle-worker
-      spin budget before parking, see
-      {!Nocap_parallel.Pool.set_spin_us}; 0 is legal and means park
-      immediately), [NOCAP_NATIVE] (kernel layer mode, see
+      (minor heap size for {!tune_gc}), [NOCAP_NATIVE] (kernel layer mode, see
       {!Nocap_native.Native.parse_mode}: [0|off] or [1|on|auto|simd];
       anything else, [scalar] included, is an error) and [NOCAP_STREAM_BUDGET_MB] (prover memory
       budget in MiB; setting it makes the prover's blocks budget-sized
@@ -73,8 +69,7 @@ val default : unit -> t
 (** The shared default engine, built on first use from {!Config.of_env}.
     Its [domains] knob is applied as the pool's baseline size (see
     {!Nocap_parallel.Pool.set_baseline_domains}; [Pool.with_domains] still
-    takes precedence), its [spin_us] knob via
-    {!Nocap_parallel.Pool.set_spin_us} and its [native] knob via
+    takes precedence) and its [native] knob via
     {!Nocap_native.Native.set_mode}. *)
 
 val reset_default : unit -> unit

@@ -6,7 +6,6 @@ module Gf = Zk_field.Gf
 module Gf2 = Zk_field.Gf2
 module Sumcheck_ext = Zk_sumcheck.Sumcheck_ext
 module Spartan = Zk_spartan.Spartan
-module Serialize = Zk_spartan.Serialize
 module Aggregate = Zk_spartan.Aggregate
 module R1cs = Zk_r1cs.R1cs
 module Synthetic = Zk_workloads.Synthetic
@@ -147,9 +146,9 @@ let proof_fixture =
 
 let test_serialize_roundtrip () =
   let inst, asn, proof = Lazy.force proof_fixture in
-  let bytes = Serialize.proof_to_bytes proof in
-  Alcotest.(check int) "size accessor" (Bytes.length bytes) (Serialize.serialized_size proof);
-  match Serialize.proof_of_bytes bytes with
+  let bytes = Spartan.proof_to_bytes proof in
+  Alcotest.(check int) "size accessor" (Bytes.length bytes) (Spartan.serialized_size proof);
+  match Spartan.proof_of_bytes bytes with
   | Error e -> Alcotest.failf "decode failed: %s" (Zk_pcs.Verify_error.to_string e)
   | Ok proof' ->
     (match Spartan.verify Spartan.test_params inst ~io:(R1cs.public_io inst asn) proof' with
@@ -158,19 +157,19 @@ let test_serialize_roundtrip () =
 
 let test_serialize_rejects_garbage () =
   let _, _, proof = Lazy.force proof_fixture in
-  let bytes = Serialize.proof_to_bytes proof in
+  let bytes = Spartan.proof_to_bytes proof in
   (* Truncation. *)
-  (match Serialize.proof_of_bytes (Bytes.sub bytes 0 (Bytes.length bytes / 2)) with
+  (match Spartan.proof_of_bytes (Bytes.sub bytes 0 (Bytes.length bytes / 2)) with
   | Ok _ -> Alcotest.fail "accepted truncated proof"
   | Error _ -> ());
   (* Trailing bytes. *)
-  (match Serialize.proof_of_bytes (Bytes.cat bytes (Bytes.make 1 'x')) with
+  (match Spartan.proof_of_bytes (Bytes.cat bytes (Bytes.make 1 'x')) with
   | Ok _ -> Alcotest.fail "accepted trailing bytes"
   | Error _ -> ());
   (* Bad magic. *)
   let bad = Bytes.copy bytes in
   Bytes.set bad 0 'X';
-  (match Serialize.proof_of_bytes bad with
+  (match Spartan.proof_of_bytes bad with
   | Ok _ -> Alcotest.fail "accepted bad magic"
   | Error _ -> ());
   (* A non-canonical field element (0xFFFF...FF) after the header. *)
@@ -178,7 +177,7 @@ let test_serialize_rejects_garbage () =
   let off = 8 + 1 + 32 + 24 + 8 + 8 in
   (* magic, backend tag, root, dims, reps count, first length *)
   Bytes.fill bad2 off 8 '\xff';
-  match Serialize.proof_of_bytes bad2 with
+  match Spartan.proof_of_bytes bad2 with
   | Ok _ -> Alcotest.fail "accepted non-canonical element"
   | Error _ -> ()
 
@@ -187,7 +186,7 @@ let prop_serialize_random_corruption =
     QCheck.(pair small_nat small_nat)
     (fun (pos_seed, byte) ->
       let inst, asn, proof = Lazy.force proof_fixture in
-      let bytes = Serialize.proof_to_bytes proof in
+      let bytes = Spartan.proof_to_bytes proof in
       let pos = 8 + (pos_seed * 37 mod (Bytes.length bytes - 8)) in
       let orig = Bytes.get bytes pos in
       let nb = Char.chr (byte land 0xff) in
@@ -195,7 +194,7 @@ let prop_serialize_random_corruption =
       else begin
         let corrupted = Bytes.copy bytes in
         Bytes.set corrupted pos nb;
-        match Serialize.proof_of_bytes corrupted with
+        match Spartan.proof_of_bytes corrupted with
         | Error _ -> true
         | Ok p -> (
           match Spartan.verify Spartan.test_params inst ~io:(R1cs.public_io inst asn) p with

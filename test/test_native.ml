@@ -22,7 +22,6 @@ module Pool = Nocap_parallel.Pool
 module Builder = Zk_r1cs.Builder
 module Gadgets = Zk_r1cs.Gadgets
 module Spartan = Zk_spartan.Spartan
-module Serialize = Zk_spartan.Serialize
 
 let p_int64 = 0xFFFF_FFFF_0000_0001L
 
@@ -737,7 +736,7 @@ let test_proof_bytes_invariant () =
     leg.run (fun () ->
         Pool.with_domains d (fun () ->
             let proof, _ = Spartan.prove Spartan.test_params inst asn in
-            Serialize.proof_to_bytes proof))
+            Spartan.proof_to_bytes proof))
   in
   let reference = prove_bytes off 1 in
   List.iter

@@ -1,5 +1,5 @@
 (* Parallel runtime tests: pool torture (nesting, exceptions, degenerate
-   sizes, work-stealing under skew, park/unpark races) plus QCheck
+   sizes, claims under skew, park/unpark races) plus QCheck
    parallel/serial equivalence — every converted hot path must produce
    byte-identical results for domain counts 1, 2, and N, and for every
    grain including ones larger than the whole range. *)
@@ -30,10 +30,10 @@ let with_each_domain_count f = List.map (fun d -> Pool.with_domains d (fun () ->
 
 let test_degenerate () =
   Pool.with_domains 3 (fun () ->
-      Pool.parallel_for ~n:0 (fun _ -> failwith "must not run");
-      Pool.run ~n:(-5) (fun _ _ -> failwith "must not run");
-      Alcotest.(check (array int)) "init 0" [||] (Pool.parallel_init 0 (fun i -> i));
-      Alcotest.(check (array int)) "init 1" [| 7 |] (Pool.parallel_init 1 (fun _ -> 7));
+      Pool.parallel_for ~grain:1 ~n:0 (fun _ -> failwith "must not run");
+      Pool.run ~grain:1 ~n:(-5) (fun _ _ -> failwith "must not run");
+      Alcotest.(check (array int)) "init 0" [||] (Pool.parallel_init ~grain:1 0 (fun i -> i));
+      Alcotest.(check (array int)) "init 1" [| 7 |] (Pool.parallel_init ~grain:1 1 (fun _ -> 7));
       let hits = ref 0 in
       Pool.parallel_for ~grain:1 ~n:1 (fun _ -> incr hits);
       Alcotest.(check int) "size-1 input runs once" 1 !hits)
@@ -68,10 +68,10 @@ let test_exception_propagation () =
       let a = Pool.parallel_init ~grain:1 64 (fun i -> 2 * i) in
       Alcotest.(check (array int)) "pool alive after exn" (Array.init 64 (fun i -> 2 * i)) a)
 
-(* Every index raises while stealing is active (grain 1 over many indices
-   forces workers to trade chunks): the caller must still see exactly one
-   exception (with its backtrace preserved), and the pool must not wedge —
-   subsequent submissions run on all workers. *)
+(* Every index raises while all participants claim (grain 1 over many
+   indices spreads the chunks across workers): the caller must still see
+   exactly one exception (with its backtrace preserved), and the pool must
+   not wedge — subsequent submissions run on all workers. *)
 let test_exception_storm_surfaces_once () =
   let prev = Printexc.backtrace_status () in
   Printexc.record_backtrace true;
@@ -116,33 +116,58 @@ let test_with_domains_restores () =
   (try Pool.with_domains 2 (fun () -> failwith "boom") with Failure _ -> ());
   Alcotest.(check int) "default restored after exn" before (Pool.default_domains ())
 
-(* Park/unpark races: with the spin budget forced to zero every worker
-   parks the instant it runs out of work, so back-to-back submissions
-   exercise the epoch/parked handshake hundreds of times. A missed wakeup
-   here shows up as a hang (alcotest timeout) or a lost index. *)
+(* Park/unpark races: every third round sleeps 200µs, well past the 20µs
+   spin budget, before submitting, so the workers park and are woken by
+   the submit a hundred times each, and the other rounds submit back to
+   back into spinning workers. A missed wakeup here shows up as a hang
+   (alcotest timeout) or a lost index. *)
 let test_park_unpark_races () =
-  let prev = Pool.spin_us () in
-  Pool.set_spin_us 0;
-  Fun.protect
-    ~finally:(fun () -> Pool.set_spin_us prev)
-    (fun () ->
-      Pool.with_domains 4 (fun () ->
-          for round = 1 to 300 do
-            let n = 1 + (round mod 97) in
-            let hits = Array.make n 0 in
-            Pool.parallel_for ~grain:1 ~n (fun i ->
-                hits.(i) <- hits.(i) + 1);
-            Array.iteri
-              (fun i h ->
-                if h <> 1 then
-                  Alcotest.failf "round %d: index %d ran %d times" round i h)
-              hits
-          done))
+  Pool.with_domains 4 (fun () ->
+      for round = 1 to 300 do
+        if round mod 3 = 0 then Unix.sleepf 200e-6;
+        let n = 1 + (round mod 97) in
+        let hits = Array.make n 0 in
+        Pool.parallel_for ~grain:1 ~n (fun i ->
+            hits.(i) <- hits.(i) + 1);
+        Array.iteri
+          (fun i h ->
+            if h <> 1 then
+              Alcotest.failf "round %d: index %d ran %d times" round i h)
+          hits
+      done)
 
-(* Work-stealing under skew: a few indices carry almost all the work, so a
-   static split strands most of it on one worker and only stealing can
-   rebalance. Every index must run exactly once regardless. *)
-let test_stealing_skewed_work () =
+(* Ranges past 2^31 indices: one job covers them with grain-sized claims
+   (the serial fallback of a 1-domain pool with one body call), and the
+   recorded chunks tile [0, n) exactly once. *)
+let test_huge_range () =
+  let grain = 1 lsl 28 and n = (1 lsl 31) + 5 in
+  List.iter
+    (fun d ->
+      let chunks = ref [] and lock = Mutex.create () in
+      Pool.with_domains d (fun () ->
+          Pool.run ~grain ~n (fun lo hi ->
+              Mutex.lock lock;
+              chunks := (lo, hi) :: !chunks;
+              Mutex.unlock lock));
+      let sorted = List.sort compare !chunks in
+      let next =
+        List.fold_left
+          (fun pos (lo, hi) ->
+            if lo <> pos || hi <= lo then
+              Alcotest.failf "%d domains: chunk [%d, %d) at %d" d lo hi pos;
+            if d > 1 && hi - lo > grain then
+              Alcotest.failf "%d domains: chunk [%d, %d) exceeds the grain" d lo hi;
+            hi)
+          0 sorted
+      in
+      Alcotest.(check int) (Printf.sprintf "%d domains tile [0, n)" d) n next)
+    domain_counts
+
+(* Claims under skew: a few indices carry almost all the work, so a static
+   split would strand most of it on one worker; grain-sized claims from the
+   shared cursor rebalance it. Every index must run exactly once
+   regardless. *)
+let test_skewed_work () =
   Pool.with_domains 4 (fun () ->
       let n = 256 in
       let hits = Array.make n 0 in
@@ -160,16 +185,16 @@ let test_stealing_skewed_work () =
         (fun i h -> if h <> 1 then Alcotest.failf "skew: index %d ran %d times" i h)
         hits)
 
-(* QCheck stealing torture: random n (including 0 and 1), random grain
+(* QCheck claim torture: random n (including 0 and 1), random grain
    (including grains larger than n, which must hit the serial fallback),
    random per-index work skew, random domain count. Coverage is checked
    with per-index counters — exactly-once execution is the whole
-   correctness contract of the deque/steal protocol. *)
+   correctness contract of the claim cursor. *)
 let qcheck ?(count = 10) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
-let qcheck_stealing_torture =
-  qcheck ~count:40 "work-stealing covers every index exactly once"
+let qcheck_claim_torture =
+  qcheck ~count:40 "claims cover every index exactly once"
     QCheck.(
       make
         Gen.(
@@ -182,7 +207,7 @@ let qcheck_stealing_torture =
           Pool.parallel_for ~grain ~n (fun i ->
               hits.(i) <- hits.(i) + 1;
               (* Deterministic skew derived from the seed: some indices are
-                 ~100x heavier, forcing thieves onto slow victims. *)
+                 ~100x heavier, so fast participants claim past slow ones. *)
               let iters = if (i + seed) mod 13 = 0 then 5_000 else 50 in
               let acc = ref 0 in
               for k = 1 to iters do
@@ -358,9 +383,9 @@ let suite =
     Alcotest.test_case "with_domains restores" `Quick test_with_domains_restores;
     Alcotest.test_case "park/unpark races under repeated submit" `Quick
       test_park_unpark_races;
-    Alcotest.test_case "stealing rebalances skewed work" `Quick
-      test_stealing_skewed_work;
-    qcheck_stealing_torture;
+    Alcotest.test_case "ranges past 2^31 indices" `Quick test_huge_range;
+    Alcotest.test_case "claims rebalance skewed work" `Quick test_skewed_work;
+    qcheck_claim_torture;
     qcheck_grain_equivalence;
     qcheck_merkle;
     qcheck_merkle_leaves;

@@ -15,7 +15,6 @@ module Orion = Zk_orion.Orion
 module Orion_pcs = Zk_orion.Orion_pcs
 module Fri_pcs = Zk_orion.Fri_pcs
 module Spartan = Zk_spartan.Spartan
-module Serialize = Zk_spartan.Serialize
 module Synthetic = Zk_workloads.Synthetic
 
 (* Spartan over the second backend — the whole point of the functor. *)
@@ -222,11 +221,11 @@ let test_serialize_tagged () =
   let fb = Spartan_fri.proof_to_bytes fri_proof in
   (* Header sniffing. *)
   Alcotest.(check (result string string))
-    "orion tag" (Ok "orion") (Result.map_error Zk_pcs.Verify_error.to_string (Serialize.backend_of_bytes ob));
+    "orion tag" (Ok "orion") (Result.map_error Zk_pcs.Verify_error.to_string (Spartan.backend_of_bytes ob));
   Alcotest.(check (result string string))
-    "fri tag" (Ok "fri") (Result.map_error Zk_pcs.Verify_error.to_string (Serialize.backend_of_bytes fb));
+    "fri tag" (Ok "fri") (Result.map_error Zk_pcs.Verify_error.to_string (Spartan.backend_of_bytes fb));
   (* Round-trips through each backend's own codec. *)
-  (match Serialize.proof_of_bytes ob with
+  (match Spartan.proof_of_bytes ob with
   | Error e -> Alcotest.failf "orion round-trip failed: %s" (Zk_pcs.Verify_error.to_string e)
   | Ok p -> (
     match Spartan.verify Spartan.test_params inst ~io p with
@@ -240,7 +239,7 @@ let test_serialize_tagged () =
     | Error e -> Alcotest.failf "decoded fri proof rejected: %s" (Zk_pcs.Verify_error.to_string e)));
   (* A FRI blob fed to the Orion decoder is an error naming both backends,
      not a crash or a misparse. *)
-  (match Serialize.proof_of_bytes fb with
+  (match Spartan.proof_of_bytes fb with
   | Ok _ -> Alcotest.fail "orion decoder accepted a fri blob"
   | Error e ->
     let e = Zk_pcs.Verify_error.to_string e in
@@ -250,25 +249,25 @@ let test_serialize_tagged () =
   (* Unknown tag byte. *)
   let unknown = Bytes.copy ob in
   Bytes.set unknown 8 '\xee';
-  (match Serialize.proof_of_bytes unknown with
+  (match Spartan.proof_of_bytes unknown with
   | Ok _ -> Alcotest.fail "accepted unknown backend tag"
   | Error e ->
     Alcotest.(check bool)
       "unknown-tag error mentions the tag" true (contains ~sub:"0xee" (Zk_pcs.Verify_error.to_string e)));
   Alcotest.(check bool)
     "backend_of_bytes rejects unknown tag" true
-    (Result.is_error (Serialize.backend_of_bytes unknown));
+    (Result.is_error (Spartan.backend_of_bytes unknown));
   (* Legacy NCAP1 blob: friendly error, and the sniffer still names orion. *)
   let legacy = Bytes.copy ob in
   Bytes.blit_string "NCAP1" 0 legacy 0 5;
-  (match Serialize.proof_of_bytes legacy with
+  (match Spartan.proof_of_bytes legacy with
   | Ok _ -> Alcotest.fail "accepted legacy blob"
   | Error e ->
     Alcotest.(check bool)
       "legacy error mentions NCAP1" true (contains ~sub:"NCAP1" (Zk_pcs.Verify_error.to_string e)));
   Alcotest.(check (result string string))
     "legacy sniffs as orion" (Ok "orion")
-    (Result.map_error Zk_pcs.Verify_error.to_string (Serialize.backend_of_bytes legacy))
+    (Result.map_error Zk_pcs.Verify_error.to_string (Spartan.backend_of_bytes legacy))
 
 (* --- Orion parameter validation --- *)
 
@@ -330,7 +329,6 @@ let test_engine_config () =
             [
               ("NOCAP_DOMAINS", "3");
               ("NOCAP_GC_MINOR_MB", "64");
-              ("NOCAP_SPIN_US", "0");
               ("NOCAP_NATIVE", "off");
               ("NOCAP_STREAM_BUDGET_MB", "256");
             ])
@@ -339,7 +337,6 @@ let test_engine_config () =
       {
         Engine.Config.domains = Some 3;
         gc_minor_mb = Some 64;
-        spin_us = Some 0;
         native = Some Nocap_native.Native.Off;
         stream_budget_mb = Some 256;
       } ->
@@ -352,14 +349,6 @@ let test_engine_config () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted NOCAP_DOMAINS=%s" v)
     [ "zero"; "-2"; "0"; "" ];
-  (* Spin budgets accept 0 (park immediately) but nothing negative or
-     malformed. *)
-  List.iter
-    (fun v ->
-      match Engine.Config.parse ~lookup:(lookup [ ("NOCAP_SPIN_US", v) ]) with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted NOCAP_SPIN_US=%s" v)
-    [ "-1"; "ten"; "" ];
   (match Engine.Config.parse ~lookup:(lookup [ ("NOCAP_GC_MINOR_MB", "1.5") ]) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted fractional NOCAP_GC_MINOR_MB");

@@ -449,7 +449,7 @@ let test_config_aggregates_errors () =
        ~lookup:
          (lookup_of
             [ ("NOCAP_DOMAINS", "zero"); ("NOCAP_GC_MINOR_MB", "-4");
-              ("NOCAP_SPIN_US", "1"); ("NOCAP_NATIVE", "bogus") ])
+              ("NOCAP_NATIVE", "bogus") ])
    with
   | Ok _ -> Alcotest.fail "malformed config accepted"
   | Error msg ->
