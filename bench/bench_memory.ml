@@ -231,9 +231,7 @@ let kernels ~smoke rng =
         (fun () ->
           let t = Transcript.create "bench-memory" in
           let r =
-            Sumcheck.prove ~comb_mults:2 t ~degree:3
-              ~tables:(Sumcheck_oracle.spills sc_tables)
-              ~comb:Sumcheck.spartan_comb
+            Sumcheck.prove t ~tables:(Sumcheck_oracle.spills sc_tables) ~comb:Sumcheck.Eq_abc
           in
           Gf.to_string r.Sumcheck.challenges.(Array.length r.Sumcheck.challenges - 1));
     };

@@ -117,11 +117,11 @@ let kernels ~smoke rng =
   let cp_pos = Array.init cp_paths (fun k -> 4 * k * cp_depth) in
   (* The sumcheck fold/round-point kernel, at a fixed field constant. *)
   let lerp_c = Gf.random rng in
-  (* One sumcheck round as Spartan's first sumcheck runs it: 4 tables of
-     2^16, degree 3 (eq * (az * bz - cz)), round polynomial on the vector
-     kernels, then the fold into half-length tables. *)
+  (* One sumcheck round as Spartan's first sumcheck runs it over 4 tables
+     of 2^16, degree 3 (eq * (az * bz - cz)): the fused pass that reads
+     the tables once, folds them with the previous challenge into 2^15
+     halves and evaluates the round polynomial over those (2^14 pairs). *)
   let sc_n = scale (1 lsl 16) (1 lsl 10) in
-  let sc_half = sc_n / 2 in
   let sc_tables =
     Array.init 4 (fun _ ->
         let t = Fv.create sc_n in
@@ -130,9 +130,10 @@ let kernels ~smoke rng =
         done;
         t)
   in
-  let sc_lo = Array.map (fun t -> Fv.sub_view t ~pos:0 ~len:sc_half) sc_tables in
-  let sc_hi = Array.map (fun t -> Fv.sub_view t ~pos:sc_half ~len:sc_half) sc_tables in
-  let sc_dst = Array.map (fun _ -> Fv.create sc_half) sc_tables in
+  let sc_dst = Array.map (fun _ -> Fv.create (sc_n / 2)) sc_tables in
+  (* The eq table Spartan's first sumcheck starts from, at 2^16. *)
+  let eq_point = Array.init (scale 16 10) (fun _ -> Gf.random rng) in
+  let eq_dst = Fv.create (1 lsl Array.length eq_point) in
   (* The Spartan verifier's matrix evaluation at rsa-fri size (the RSA
      circuit at 16 instances: l = 14, ~25.6k nonzeros over A, B, C): one
      tensor-split CSR walk per matrix against fixed eq tables. *)
@@ -175,13 +176,18 @@ let kernels ~smoke rng =
       k_n = sc_n;
       k_run =
         (fun () ->
-          let g =
-            Sumcheck.round_poly ~degree:3 ~comb:Sumcheck.spartan_comb ~comb_mults:2 ~lo:sc_lo
-              ~hi:sc_hi
-          in
-          Sumcheck.fold ~dst:sc_dst ~lo:sc_lo ~hi:sc_hi lerp_c;
+          let g = Sumcheck.round_kernel Sumcheck.Eq_abc ~fold:(lerp_c, sc_dst) sc_tables in
           String.concat "," (Array.to_list (Array.map Gf.to_string g))
-          ^ Gf.to_string (Fv.get sc_dst.(3) (sc_half - 1)));
+          ^ Gf.to_string (Fv.get sc_dst.(3) ((sc_n / 2) - 1)));
+      k_x4 = false;
+    };
+    {
+      k_name = "eq-table";
+      k_n = Fv.length eq_dst;
+      k_run =
+        (fun () ->
+          Mle.eq_table_into eq_point ~lo:0 eq_dst;
+          Gf.to_string (Fv.get eq_dst (Fv.length eq_dst - 1)));
       k_x4 = false;
     };
     {
@@ -382,7 +388,7 @@ let gates rows =
   @ Bench_report.require ~what:"kernel"
       (List.map (fun r -> r.kernel.k_name) rows)
       [
-        "fv-lerp"; "sumcheck-round"; "csr-eval"; "ntt-forward-rows"; "keccak-f1600";
+        "fv-lerp"; "sumcheck-round"; "eq-table"; "csr-eval"; "ntt-forward-rows"; "keccak-f1600";
         "rs-encode-rows"; "merkle-check-paths"; "merkle-build-fri"; "transcript-rho";
         "transcript-indices";
       ]

@@ -200,8 +200,6 @@ type sumcheck_row = {
   s_equal : bool;
 }
 
-let comb2 v out = Fv.mul_into ~dst:out v.(0) v.(1)
-
 let run_sumcheck ~smoke =
   let budget = if smoke then 1 lsl 18 else 1 lsl 22 in
   let sizes = if smoke then [ 14; 15; 16 ] else [ 18; 20; 22 ] in
@@ -231,8 +229,7 @@ let run_sumcheck ~smoke =
               let tables = [| make_table 1; make_table 2 |] in
               let t = Transcript.create "bench-stream" in
               let r =
-                Sumcheck.prove ~comb_mults:1 ~budget_bytes:budget t ~degree:2 ~tables
-                  ~comb:comb2
+                Sumcheck.prove ~budget_bytes:budget t ~tables ~comb:Sumcheck.Product
               in
               Array.iter Spill.free tables;
               r)
@@ -252,8 +249,7 @@ let run_sumcheck ~smoke =
               |]
             in
             let t = Transcript.create "bench-stream" in
-            Sumcheck.prove ~comb_mults:1 t ~degree:2 ~tables:(Sumcheck_oracle.spills tables)
-              ~comb:comb2)
+            Sumcheck.prove t ~tables:(Sumcheck_oracle.spills tables) ~comb:Sumcheck.Product)
       in
       {
         s_log_n = log_n;

@@ -196,9 +196,8 @@ let bench_sumcheck =
   Test.make ~name:"kernel/sumcheck-2^12" (staged (fun () ->
       let t = Transcript.create "bench" in
       ignore
-        (Sumcheck.prove ~comb_mults:2 t ~degree:3
-           ~tables:(Sumcheck_oracle.spills sumcheck_tables)
-           ~comb:Sumcheck.spartan_comb)))
+        (Sumcheck.prove t ~tables:(Sumcheck_oracle.spills sumcheck_tables)
+           ~comb:Sumcheck.Eq_abc)))
 
 let spartan_instance = lazy (Synthetic.circuit ~n_constraints:2000 ~seed:42L ())
 

@@ -94,6 +94,20 @@ external fri_fold : fv -> fv -> fv -> int64 -> int64 -> unit = "caml_nocap_fri_f
     with the powers of [w_inv] as a running product (four interleaved
     ones under AVX2); [dst] may alias [lo] or [hi]. *)
 
+external sumcheck_round : int -> fv array -> fv array -> int -> int -> int64 -> fv -> unit
+  = "caml_nocap_sumcheck_round_byte" "caml_nocap_sumcheck_round"
+[@@noalloc]
+(** [sumcheck_round kind src dst lo hi r g]: the fused sumcheck round over
+    the pairs [\[lo, hi)], for [kind] 0 ([eq * (a * b - c)] over
+    [\[| eq; a; b; c |\]], degree 3) or 1 ([a * b], degree 2). With an
+    empty [dst], pair [i] of table [j] is [(src.(2j).(i), src.(2j+1).(i))].
+    Otherwise [src.(4j .. 4j+3)] are the quarters of table [j]'s previous
+    generation: the pass folds them with [r] ([fv_lerp] on quarters 0/2
+    and 1/3), stores the pair to [dst.(2j)] and [dst.(2j+1)], and
+    evaluates it. [g.(0 .. 3)] receives the sums of the combiner at
+    [t = 0 .. degree] (entries past [degree] read 0); [t >= 2] is walked
+    add-only from [hi]. *)
+
 external csr_eval : int array -> int array -> fv -> fv -> fv -> fv -> fv -> (int64[@unboxed])
   = "caml_nocap_csr_eval_byte" "caml_nocap_csr_eval"
 [@@noalloc]

@@ -460,6 +460,186 @@ CAMLprim value caml_nocap_fri_fold(value vdst, value vlo, value vhi, value vcoef
   return Val_unit;
 }
 
+/* --- fused sumcheck round -------------------------------------------------
+   One pass of a sumcheck round for the two production combiners: kind 0 is
+   eq * (a * b - c) over the tables [eq; a; b; c] (degree 3), kind 1 is
+   a * b over [a; b] (degree 2). Pair i of table j is (lo, hi). With no
+   destination, lo = src[2j][i] and hi = src[2j + 1][i]. With one, the
+   pass first folds the previous generation's quarters src[4j .. 4j + 3]
+   with the challenge r, lo = q0 + r * (q2 - q0) and hi = q1 + r * (q3 -
+   q1) (caml_nocap_fv_lerp operation for operation), and stores them to
+   dst[2j][i] and dst[2j + 1][i]. g[t], t = 0..degree, is the sum
+   over pairs [i0, i1) of the combiner at lo + t * (hi - lo), walked
+   add-only: t = 0 and 1 are lo and hi, and each further t adds hi - lo
+   once more. Every term the sums add is a gl_mul result, so canonical,
+   and Goldilocks addition of canonical values is exact: the AVX2 body's
+   lane sums reach the scalar body's bits. */
+
+typedef struct {
+  const uint64_t *src[16];
+  uint64_t *dst[8];
+  int fold;
+  uint64_t r;
+} sc_args;
+
+static inline void sc_pair(const sc_args *a, int j, intnat i, uint64_t *lo, uint64_t *hi)
+{
+  if (a->fold) {
+    const uint64_t *const *q = a->src + (4 * j);
+    uint64_t x = q[0][i], y = q[1][i];
+    x = gl_add(x, gl_mul(a->r, gl_sub(q[2][i], x)));
+    y = gl_add(y, gl_mul(a->r, gl_sub(q[3][i], y)));
+    a->dst[2 * j][i] = x;
+    a->dst[(2 * j) + 1][i] = y;
+    *lo = x;
+    *hi = y;
+  } else {
+    *lo = a->src[2 * j][i];
+    *hi = a->src[(2 * j) + 1][i];
+  }
+}
+
+static inline uint64_t sc_eq_abc(uint64_t e, uint64_t x, uint64_t y, uint64_t z)
+{
+  return gl_mul(e, gl_sub(gl_mul(x, y), z));
+}
+
+static void sc_round_scalar(int kind, const sc_args *a, intnat i, intnat n, uint64_t *g)
+{
+  for (; i < n; i++) {
+    if (kind == 0) {
+      uint64_t e0, e1, x0, x1, y0, y1, z0, z1;
+      sc_pair(a, 0, i, &e0, &e1);
+      sc_pair(a, 1, i, &x0, &x1);
+      sc_pair(a, 2, i, &y0, &y1);
+      sc_pair(a, 3, i, &z0, &z1);
+      uint64_t de = gl_sub(e1, e0), dx = gl_sub(x1, x0), dy = gl_sub(y1, y0),
+               dz = gl_sub(z1, z0);
+      g[0] = gl_add(g[0], sc_eq_abc(e0, x0, y0, z0));
+      g[1] = gl_add(g[1], sc_eq_abc(e1, x1, y1, z1));
+      for (int t = 2; t <= 3; t++) {
+        e1 = gl_add(e1, de);
+        x1 = gl_add(x1, dx);
+        y1 = gl_add(y1, dy);
+        z1 = gl_add(z1, dz);
+        g[t] = gl_add(g[t], sc_eq_abc(e1, x1, y1, z1));
+      }
+    } else {
+      uint64_t x0, x1, y0, y1;
+      sc_pair(a, 0, i, &x0, &x1);
+      sc_pair(a, 1, i, &y0, &y1);
+      uint64_t dx = gl_sub(x1, x0), dy = gl_sub(y1, y0);
+      g[0] = gl_add(g[0], gl_mul(x0, y0));
+      g[1] = gl_add(g[1], gl_mul(x1, y1));
+      g[2] = gl_add(g[2], gl_mul(gl_add(x1, dx), gl_add(y1, dy)));
+    }
+  }
+}
+
+#if defined(NOCAP_X86_64)
+__attribute__((target("avx2"))) static inline void sc4_pair(const sc_args *a, int j, intnat i,
+                                                            __m256i r, __m256i *lo, __m256i *hi)
+{
+  if (a->fold) {
+    const uint64_t *const *q = a->src + (4 * j);
+    __m256i x = _mm256_loadu_si256((const __m256i *)(q[0] + i));
+    __m256i y = _mm256_loadu_si256((const __m256i *)(q[1] + i));
+    x = gl4_add(x, gl4_mul(r, gl4_sub(_mm256_loadu_si256((const __m256i *)(q[2] + i)), x)));
+    y = gl4_add(y, gl4_mul(r, gl4_sub(_mm256_loadu_si256((const __m256i *)(q[3] + i)), y)));
+    _mm256_storeu_si256((__m256i *)(a->dst[2 * j] + i), x);
+    _mm256_storeu_si256((__m256i *)(a->dst[(2 * j) + 1] + i), y);
+    *lo = x;
+    *hi = y;
+  } else {
+    *lo = _mm256_loadu_si256((const __m256i *)(a->src[2 * j] + i));
+    *hi = _mm256_loadu_si256((const __m256i *)(a->src[(2 * j) + 1] + i));
+  }
+}
+
+__attribute__((target("avx2"))) static inline __m256i sc4_eq_abc(__m256i e, __m256i x, __m256i y,
+                                                                 __m256i z)
+{
+  return gl4_mul(e, gl4_sub(gl4_mul(x, y), z));
+}
+
+/* Four pairs per step into four-lane sums, added into g; returns the
+   first pair it leaves to the scalar body. */
+__attribute__((target("avx2"))) static intnat sc_round_avx2(int kind, const sc_args *a, intnat i,
+                                                            intnat n, uint64_t *g)
+{
+  const __m256i r = _mm256_set1_epi64x((long long)a->r);
+  __m256i acc[4];
+  for (int t = 0; t < 4; t++) acc[t] = _mm256_setzero_si256();
+  if (kind == 0) {
+    for (; i + 4 <= n; i += 4) {
+      __m256i e0, e1, x0, x1, y0, y1, z0, z1;
+      sc4_pair(a, 0, i, r, &e0, &e1);
+      sc4_pair(a, 1, i, r, &x0, &x1);
+      sc4_pair(a, 2, i, r, &y0, &y1);
+      sc4_pair(a, 3, i, r, &z0, &z1);
+      __m256i de = gl4_sub(e1, e0), dx = gl4_sub(x1, x0), dy = gl4_sub(y1, y0),
+              dz = gl4_sub(z1, z0);
+      acc[0] = gl4_add(acc[0], sc4_eq_abc(e0, x0, y0, z0));
+      acc[1] = gl4_add(acc[1], sc4_eq_abc(e1, x1, y1, z1));
+      e1 = gl4_add(e1, de);
+      x1 = gl4_add(x1, dx);
+      y1 = gl4_add(y1, dy);
+      z1 = gl4_add(z1, dz);
+      acc[2] = gl4_add(acc[2], sc4_eq_abc(e1, x1, y1, z1));
+      e1 = gl4_add(e1, de);
+      x1 = gl4_add(x1, dx);
+      y1 = gl4_add(y1, dy);
+      z1 = gl4_add(z1, dz);
+      acc[3] = gl4_add(acc[3], sc4_eq_abc(e1, x1, y1, z1));
+    }
+  } else {
+    for (; i + 4 <= n; i += 4) {
+      __m256i x0, x1, y0, y1;
+      sc4_pair(a, 0, i, r, &x0, &x1);
+      sc4_pair(a, 1, i, r, &y0, &y1);
+      __m256i dx = gl4_sub(x1, x0), dy = gl4_sub(y1, y0);
+      acc[0] = gl4_add(acc[0], gl4_mul(x0, y0));
+      acc[1] = gl4_add(acc[1], gl4_mul(x1, y1));
+      acc[2] = gl4_add(acc[2], gl4_mul(gl4_add(x1, dx), gl4_add(y1, dy)));
+    }
+  }
+  for (int t = 0; t < 4; t++) {
+    uint64_t lane[4];
+    _mm256_storeu_si256((__m256i *)lane, acc[t]);
+    for (int k = 0; k < 4; k++) g[t] = gl_add(g[t], lane[k]);
+  }
+  return i;
+}
+#endif
+
+/* g must hold 4 entries; g[degree + 1 ..] is left zero. */
+CAMLprim value caml_nocap_sumcheck_round(value vkind, value vsrc, value vdst, value vlo,
+                                         value vhi, value vr, value vg)
+{
+  sc_args a;
+  int kind = Int_val(vkind);
+  mlsize_t nsrc = Wosize_val(vsrc), ndst = Wosize_val(vdst);
+  for (mlsize_t j = 0; j < nsrc; j++) a.src[j] = BA_DATA(Field(vsrc, j));
+  for (mlsize_t j = 0; j < ndst; j++) a.dst[j] = BA_DATA(Field(vdst, j));
+  a.fold = ndst > 0;
+  a.r = (uint64_t)Int64_val(vr);
+  uint64_t *g = BA_DATA(vg);
+  for (int t = 0; t < 4; t++) g[t] = 0;
+  intnat i = Long_val(vlo), n = Long_val(vhi);
+#if defined(NOCAP_X86_64)
+  if (g_simd && have_avx2()) i = sc_round_avx2(kind, &a, i, n, g);
+#endif
+  sc_round_scalar(kind, &a, i, n, g);
+  return Val_unit;
+}
+
+CAMLprim value caml_nocap_sumcheck_round_byte(value *argv, int argn)
+{
+  (void)argn;
+  return caml_nocap_sumcheck_round(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
+                                   argv[6]);
+}
+
 /* --- sparse matrix MLE ----------------------------------------------------
    The Spartan verifier's walk, Sparse.mle_eval_split's OCaml body
    operation for operation: per row the sum of v * col_hi[c >> cs] *

@@ -171,9 +171,6 @@ let absorb_commitment transcript (cm : commitment) =
 
 let commitment_num_vars (cm : commitment) = cm.num_vars
 
-(* The round polynomial's combiner: A * E. *)
-let product v out = Fv.mul_into ~dst:out v.(0) v.(1)
-
 (* The opening's sumcheck framing, on both sides: the claim is the opened
    value, and [after_round] runs after each round's challenge (the
    prover's codeword fold and layer commit, the verifier's absorb of that
@@ -238,8 +235,8 @@ let open_at ?engine params committed transcript point =
     Transcript.absorb_digest transcript "fripcs/layer" (Merkle.root trees.(i + 1))
   in
   let sc =
-    Sumcheck.prove ~comb_mults:1 ?budget_bytes:budget ~framing:(framing ~after_round:fold_layer)
-      transcript ~degree:2 ~tables:[| committed.table; e |] ~comb:product
+    Sumcheck.prove ?budget_bytes:budget ~framing:(framing ~after_round:fold_layer) transcript
+      ~tables:[| committed.table; e |] ~comb:Sumcheck.Product
   in
   let final_constant = Spill.get layers.(l) 0 in
   Transcript.absorb_gf transcript "fripcs/final" [| final_constant |];

@@ -32,15 +32,19 @@ let eval a point =
   (!cur).(0)
 
 (* Entries [lo, lo + len) of the eq table, len = Fv.length dst, filled in
-   place by the doubling chain: each new variable becomes the low bit, so
-   after all L variables variable i sits at bit position (L - i) —
-   variable 1 is the most significant bit, as required. The chain factors
-   exactly: for an aligned power-of-two block, every entry is (product
-   over the high variables at the block's fixed bits) * (eq table of the
-   low variables), so a block's doubling starts from that prefix instead
-   of one. Goldilocks arithmetic is exact, so every block entry is
-   bit-identical to the full table's, which is what keeps blocked and
-   streamed proofs byte-equal. *)
+   place by doubling on contiguous halves. For an aligned power-of-two
+   block every entry is (product over the high variables at the block's
+   fixed bits) * (eq table of the low variables), so the block starts from
+   that prefix. The low variables then enter from the last to the first,
+   each as the top bit of the filled part [0, s): its high half [s, 2s) is
+   the low half times r_i (one [Fv.scale_into]), and the low half becomes
+   itself minus that (one [Fv.sub_into]): per entry v, v * r_i and
+   v - v * r_i. Every entry is a product of the same factors whatever the
+   block, Goldilocks arithmetic is exact and every result is canonical,
+   so each entry is bit-identical to the full table's, which keeps
+   blocked and streamed proofs byte-equal. *)
+let small = 32
+
 let eq_table_into point ~lo dst =
   let l = Array.length point in
   let n = 1 lsl l in
@@ -62,15 +66,22 @@ let eq_table_into point ~lo dst =
   done;
   Fv.unsafe_set dst 0 !prefix;
   let size = ref 1 in
-  for i = k to l - 1 do
-    let r = point.(i) in
-    for b = !size - 1 downto 0 do
-      let v = Fv.unsafe_get dst b in
-      let hi = Gf.mul v r in
-      Fv.unsafe_set dst ((2 * b) + 1) hi;
-      Fv.unsafe_set dst (2 * b) (Gf.sub v hi)
-    done;
-    size := 2 * !size
+  for i = l - 1 downto k do
+    let s = !size and r = point.(i) in
+    (* Below [small] entries two kernel calls cost more than the loop. *)
+    if s < small then
+      for b = 0 to s - 1 do
+        let v = Fv.unsafe_get dst b in
+        let hi = Gf.mul v r in
+        Fv.unsafe_set dst (s + b) hi;
+        Fv.unsafe_set dst b (Gf.sub v hi)
+      done
+    else begin
+      let low = Fv.sub_view dst ~pos:0 ~len:s and high = Fv.sub_view dst ~pos:s ~len:s in
+      Fv.scale_into ~dst:high low r;
+      Fv.sub_into ~dst:low low high
+    end;
+    size := 2 * s
   done
 
 let eq_fv point =

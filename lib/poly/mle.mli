@@ -39,10 +39,14 @@ val eq_table_into : point -> lo:int -> Nocap_vec.Fv.t -> unit
 (** [eq_table_into r ~lo dst] fills [dst] with entries [lo, lo + len) of
     {!eq_table}[ r], [len = Fv.length dst], without materializing the full
     table: [len] must be a positive power of two and [lo] a multiple of
-    [len] (aligned blocks). The doubling runs in place, seeded with the
-    product over the block's fixed high bits; because the table's doubling
-    chain factors exactly over Goldilocks, each entry is bit-identical to
-    the full table's — the blocked and streaming provers depend on this. *)
+    [len] (aligned blocks). [dst.(0)] is seeded with the product over the
+    block's fixed high bits; then the low variables enter from the last to
+    the first, each as the block's most significant bit so far, doubling
+    the filled part on contiguous halves: [high <- low * r_i]
+    ({!Nocap_vec.Fv.scale_into}), then [low <- low - high]
+    ({!Nocap_vec.Fv.sub_into}). Goldilocks arithmetic is exact, so each
+    entry is bit-identical to the full table's — the blocked and
+    streaming provers depend on this. *)
 
 val eq_fv : point -> Nocap_vec.Fv.t
 (** {!eq_table} as a fresh flat vector (one {!eq_table_into} at [lo = 0]). *)

@@ -269,9 +269,9 @@ let soundness_ablation () =
   in
   let comb_ext v = Gf2.mul v.(0) (Gf2.sub (Gf2.mul v.(1) v.(2)) v.(3)) in
   let base =
-    Sumcheck.prove ~comb_mults:2 (Zk_hash.Transcript.create "abl-base") ~degree:3
+    Sumcheck.prove (Zk_hash.Transcript.create "abl-base")
       ~tables:(Array.map Nocap_vec.Spill.of_fv tables)
-      ~comb:Sumcheck.spartan_comb
+      ~comb:Sumcheck.Eq_abc
   in
   let ext =
     let t = Zk_hash.Transcript.create "abl-ext" in

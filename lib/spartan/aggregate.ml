@@ -41,8 +41,6 @@ let comb1 rho v out =
     rho;
   Fv.mul_into ~dst:out out v.(0)
 
-let comb2 v out = Fv.mul_into ~dst:out v.(0) v.(1)
-
 let prove ?engine ?rng params inst assignments =
   let engine = Zk_pcs.Engine.resolve engine in
   let rng = match rng with Some r -> r | None -> Zk_util.Rng.create 0xA66_CAFEL in
@@ -76,8 +74,8 @@ let prove ?engine ?rng params inst assignments =
         let tau = Transcript.challenge_gf_vec transcript "tau" l in
         let eq_tau = Spartan.fill_eq ~tag:"batch-eqtau" ~spill:false ~block:n tau in
         let r1 =
-          Sumcheck.prove ~comb_mults:(2 * k) transcript ~degree:3
-            ~tables:(Array.append [| eq_tau |] abc) ~comb:(comb1 rho)
+          Sumcheck.prove transcript ~tables:(Array.append [| eq_tau |] abc)
+            ~comb:(Sumcheck.Vector { degree = 3; mults = 2 * k; f = comb1 rho })
         in
         let rx = r1.Sumcheck.challenges in
         let claims_abc =
@@ -98,8 +96,8 @@ let prove ?engine ?rng params inst assignments =
         Fv.zero z_comb;
         Array.iteri (fun i z -> Fv.axpy_into ~dst:z_comb sigma.(i) z) zs;
         let r2 =
-          Sumcheck.prove ~comb_mults:1 transcript ~degree:2
-            ~tables:[| m_table; Spill.of_fv z_comb |] ~comb:comb2
+          Sumcheck.prove transcript ~tables:[| m_table; Spill.of_fv z_comb |]
+            ~comb:Sumcheck.Product
         in
         let ry = r2.Sumcheck.challenges in
         let ry_rest = Array.sub ry 1 (l - 1) in

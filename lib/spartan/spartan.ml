@@ -169,10 +169,6 @@ let abc_eval inst ~rx ~ry ~r_abc =
     [ inst.R1cs.a; inst.R1cs.b; inst.R1cs.c ];
   !acc
 
-(* comb for sumcheck #2: m * z, degree 2 (sumcheck #1 uses
-   Sumcheck.spartan_comb). *)
-let comb2 v out = Fv.mul_into ~dst:out v.(0) v.(1)
-
 module type S = sig
   module P : Zk_pcs.Pcs.S
 
@@ -308,10 +304,8 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           let eq_tau = fill_eq ~tag:"spartan-eqtau" ~spill ~block tau in
           let r1 =
             Fun.protect ~finally:(fun () -> Spill.free eq_tau) @@ fun () ->
-            Sumcheck.prove ~comb_mults:2 ?budget_bytes:budget transcript
-              ~degree:3
-              ~tables:[| eq_tau; az; bz; cz |]
-              ~comb:Sumcheck.spartan_comb
+            Sumcheck.prove ?budget_bytes:budget transcript ~tables:[| eq_tau; az; bz; cz |]
+              ~comb:Sumcheck.Eq_abc
           in
           sc_mults := !sc_mults + r1.Sumcheck.stats.Sumcheck.mults;
           sc_adds := !sc_adds + r1.Sumcheck.stats.Sumcheck.adds;
@@ -326,9 +320,8 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           spmv_mults := !spmv_mults + R1cs.nnz inst;
           let r2 =
             Fun.protect ~finally:(fun () -> Spill.free m_table) @@ fun () ->
-            Sumcheck.prove ~comb_mults:1 ?budget_bytes:budget transcript ~degree:2
-              ~tables:[| m_table; z_spill |]
-              ~comb:comb2
+            Sumcheck.prove ?budget_bytes:budget transcript ~tables:[| m_table; z_spill |]
+              ~comb:Sumcheck.Product
           in
           sc_mults := !sc_mults + r2.Sumcheck.stats.Sumcheck.mults;
           sc_adds := !sc_adds + r2.Sumcheck.stats.Sumcheck.adds;

@@ -38,12 +38,13 @@ let default_framing =
     after_round = (fun _ _ -> ());
   }
 
-(* Spartan's first combiner eq * (az * bz - cz) over [| eq; az; bz; cz |]:
-   degree 3, two multiplications per point. *)
-let spartan_comb v out =
-  Fv.mul_into ~dst:out v.(1) v.(2);
-  Fv.sub_into ~dst:out out v.(3);
-  Fv.mul_into ~dst:out out v.(0)
+type comb =
+  | Eq_abc
+  | Product
+  | Vector of { degree : int; mults : int; f : Fv.t array -> Fv.t -> unit }
+
+let degree = function Eq_abc -> 3 | Product -> 2 | Vector v -> v.degree
+let comb_mults = function Eq_abc -> 2 | Product -> 1 | Vector v -> v.mults
 
 let log2_exact n =
   if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Sumcheck: table size must be a power of two";
@@ -51,89 +52,198 @@ let log2_exact n =
   go 0 n
 
 module Arena = Nocap_vec.Arena
+module Native = Nocap_native.Native
 
-(* Adds to [g] the round polynomial's sums over one block of points, given
-   the blocks' lo halves (t = 0) and hi halves (t = 1) of every table. The
-   values at t = 0 and t = 1 are the halves themselves; each t >= 2 is a
-   [lerp_into] at the field constant t. Each point's [comb] writes the
-   elementwise combiner into [out], which is summed into g(t). Scratch
-   comes from this domain's arena and is reclaimed on return. *)
-let eval_block ~degree ~comb ~lo ~hi g =
+(* A [Vector] combiner's sums over one block of pairs: the values at t = 0
+   and t = 1 are the halves themselves; each t >= 2 is a [lerp_into] at
+   the field constant t into arena scratch, reclaimed on return. *)
+let eval_vector ~degree ~f ~lo ~hi =
   Arena.with_frame @@ fun () ->
-  let m = Fv.length lo.(0) in
-  let out = Arena.alloc m in
+  let g = Array.make (degree + 1) Gf.zero in
+  let out = Arena.alloc (Fv.length lo.(0)) in
   let point t tabs =
-    comb tabs out;
-    g.(t) <- Gf.add g.(t) (Fv.sum out)
+    f tabs out;
+    g.(t) <- Fv.sum out
   in
   point 0 lo;
-  if degree >= 1 then point 1 hi;
+  point 1 hi;
   if degree >= 2 then begin
-    let pts = Array.map (fun _ -> Arena.alloc m) lo in
+    let pts = Array.map (fun _ -> Arena.alloc (Fv.length out)) lo in
     for t = 2 to degree do
       let c = Gf.of_int t in
       Array.iteri (fun j p -> Fv.lerp_into ~dst:p lo.(j) hi.(j) c) pts;
       point t pts
     done
-  end
+  end;
+  g
 
-(* The round polynomial g(t), t = 0..degree, over the points whose lo/hi
-   halves are [lo.(j)]/[hi.(j)] (equal-length vectors). The points split
-   into 1024-point chunks evaluated in parallel, each producing a partial
+(* The OCaml bodies of the fused kernel ([NOCAP_NATIVE=off]), the scalar C
+   body operation for operation: t >= 2 is walked add-only from hi. *)
+let[@inline] eq_abc e x y z = Gf.mul e (Gf.sub (Gf.mul x y) z)
+
+let eval_eq_abc lo hi =
+  let e0 = lo.(0) and x0 = lo.(1) and y0 = lo.(2) and z0 = lo.(3) in
+  let e1 = hi.(0) and x1 = hi.(1) and y1 = hi.(2) and z1 = hi.(3) in
+  let g = Array.make 4 Gf.zero in
+  for i = 0 to Fv.length e0 - 1 do
+    let el = Fv.unsafe_get e0 i and xl = Fv.unsafe_get x0 i in
+    let yl = Fv.unsafe_get y0 i and zl = Fv.unsafe_get z0 i in
+    let eh = Fv.unsafe_get e1 i and xh = Fv.unsafe_get x1 i in
+    let yh = Fv.unsafe_get y1 i and zh = Fv.unsafe_get z1 i in
+    let de = Gf.sub eh el and dx = Gf.sub xh xl in
+    let dy = Gf.sub yh yl and dz = Gf.sub zh zl in
+    let e2 = Gf.add eh de and x2 = Gf.add xh dx in
+    let y2 = Gf.add yh dy and z2 = Gf.add zh dz in
+    g.(0) <- Gf.add g.(0) (eq_abc el xl yl zl);
+    g.(1) <- Gf.add g.(1) (eq_abc eh xh yh zh);
+    g.(2) <- Gf.add g.(2) (eq_abc e2 x2 y2 z2);
+    g.(3) <-
+      Gf.add g.(3) (eq_abc (Gf.add e2 de) (Gf.add x2 dx) (Gf.add y2 dy) (Gf.add z2 dz))
+  done;
+  g
+
+let eval_product lo hi =
+  let x0 = lo.(0) and y0 = lo.(1) and x1 = hi.(0) and y1 = hi.(1) in
+  let g = Array.make 3 Gf.zero in
+  for i = 0 to Fv.length x0 - 1 do
+    let xl = Fv.unsafe_get x0 i and yl = Fv.unsafe_get y0 i in
+    let xh = Fv.unsafe_get x1 i and yh = Fv.unsafe_get y1 i in
+    g.(0) <- Gf.add g.(0) (Gf.mul xl yl);
+    g.(1) <- Gf.add g.(1) (Gf.mul xh yh);
+    g.(2) <- Gf.add g.(2) (Gf.mul (Gf.add xh (Gf.sub xh xl)) (Gf.add yh (Gf.sub yh yl)))
+  done;
+  g
+
+(* The native kernel's sums land in this domain's four-entry buffer. *)
+let sums_key = Domain.DLS.new_key (fun () -> Fv.create 4)
+
+(* One round's pass over the pairs [a, b): [src] holds each table's lo/hi
+   halves (2 views per table) or, when [dst] is not empty, the previous
+   generation's quarters (4 per table), which fold with [r] into [dst]'s
+   lo/hi halves first; returns the pairs' g(0..degree). *)
+let pass_chunk comb ~r ~src ~dst a b =
+  match comb with
+  | (Eq_abc | Product) when Native.on () ->
+    let g = Domain.DLS.get sums_key in
+    Native.sumcheck_round (match comb with Eq_abc -> 0 | _ -> 1) src dst a b r g;
+    Array.init (degree comb + 1) (Fv.unsafe_get g)
+  | _ ->
+    let view t = Fv.sub_view t ~pos:a ~len:(b - a) in
+    let halves =
+      if Array.length dst = 0 then Array.map view src
+      else begin
+        let dv = Array.map view dst in
+        Array.iteri
+          (fun i d ->
+            let q = (4 * (i / 2)) + (i mod 2) in
+            Fv.lerp_into ~dst:d (view src.(q)) (view src.(q + 2)) r)
+          dv;
+        dv
+      end
+    in
+    let lo = Array.init (Array.length halves / 2) (fun j -> halves.(2 * j)) in
+    let hi = Array.init (Array.length halves / 2) (fun j -> halves.((2 * j) + 1)) in
+    (match comb with
+    | Eq_abc -> eval_eq_abc lo hi
+    | Product -> eval_product lo hi
+    | Vector { degree; f; _ } -> eval_vector ~degree ~f ~lo ~hi)
+
+(* Per-pair cost (ns) of a folding pass on the AVX2 tier (an evaluating
+   one costs about half), for the pool's grain. *)
+let pair_ns comb ~k =
+  match comb with
+  | Eq_abc -> 48
+  | Product -> 20
+  | Vector v -> (v.degree + 1) * (v.mults + k) * 4
+
+(* The round polynomial g(t), t = 0..degree, over [h] pairs. The pairs
+   split into 1024-pair chunks run in parallel, each producing a partial
    g; partials are added back in chunk order (and Gf addition is exact),
    so g is byte-identical for every domain count. *)
-let round_poly ~degree ~comb ~comb_mults ~lo ~hi =
-  let k = Array.length lo in
+let pass comb ~r ~src ~dst ~h =
+  let d = degree comb in
   Pool.fold_chunks ~chunk:1024
-    (* One index evaluates the combiner at degree+1 points on the vector
-       kernels; the fixed chunk:1024 pins the combine order for every
-       grain. *)
-    ~grain:(Pool.grain_of_ns (max 1 ((degree + 1) * (comb_mults + k) * 4)))
-    ~n:(Fv.length lo.(0))
-    ~init:(Array.make (degree + 1) Gf.zero)
-    ~body:(fun a b ->
-      let view t = Fv.sub_view t ~pos:a ~len:(b - a) in
-      let g = Array.make (degree + 1) Gf.zero in
-      eval_block ~degree ~comb ~lo:(Array.map view lo) ~hi:(Array.map view hi) g;
-      g)
+    ~grain:(Pool.grain_of_ns (pair_ns comb ~k:(Array.length src / 2)))
+    ~n:h
+    ~init:(Array.make (d + 1) Gf.zero)
+    ~body:(pass_chunk comb ~r ~src ~dst)
     ~combine:(fun acc part ->
-      for t = 0 to degree do
+      for t = 0 to d do
         acc.(t) <- Gf.add acc.(t) part.(t)
       done;
       acc)
     ()
 
-(* T(b) <- T(b) + r * (T(b + half) - T(b)) for every table, into [dst]
-   (which may be [lo] itself: the kernel is elementwise). *)
-let fold ~dst ~lo ~hi r =
-  let k = Array.length lo in
-  Pool.run ~grain:(Pool.grain_of_ns (4 * k)) ~n:(Fv.length lo.(0)) (fun a b ->
-      let view t = Fv.sub_view t ~pos:a ~len:(b - a) in
-      for j = 0 to k - 1 do
-        Fv.lerp_into ~dst:(view dst.(j)) (view lo.(j)) (view hi.(j)) r
-      done)
+(* [parts] equal views of each table, table by table. *)
+let halves_of tabs ~parts =
+  let len = Fv.length tabs.(0) / parts in
+  Array.init (parts * Array.length tabs) (fun i ->
+      Fv.sub_view tabs.(i / parts) ~pos:(i mod parts * len) ~len)
+
+(* The native kernel trusts its arguments: the table count must match the
+   combiner and every table have one length. *)
+let check_tables name comb ~len tables =
+  let k = Array.length tables in
+  if k = 0 then invalid_arg (name ^ ": no tables");
+  (match comb with
+  | Eq_abc when k <> 4 -> invalid_arg (name ^ ": Eq_abc takes four tables")
+  | Product when k <> 2 -> invalid_arg (name ^ ": Product takes two tables")
+  | _ -> ());
+  Array.iter
+    (fun t -> if len t <> len tables.(0) then invalid_arg (name ^ ": table size mismatch"))
+    tables
+
+let round_kernel comb ?fold tabs =
+  check_tables "Sumcheck.round_kernel" comb ~len:Fv.length tabs;
+  let len = Fv.length tabs.(0) in
+  let bad () = invalid_arg "Sumcheck.round_kernel: bad table length" in
+  match fold with
+  | None ->
+    if len < 2 || len mod 2 <> 0 then bad ();
+    pass comb ~r:Gf.zero ~src:(halves_of tabs ~parts:2) ~dst:[||] ~h:(len / 2)
+  | Some (r, dst) ->
+    if len < 4 || len mod 4 <> 0 || Array.length dst <> Array.length tabs
+       || Array.exists (fun d -> Fv.length d <> len / 2) dst
+    then bad ();
+    pass comb ~r ~src:(halves_of tabs ~parts:4) ~dst:(halves_of dst ~parts:2) ~h:(len / 4)
 
 (* The round loop over unboxed in-RAM tables: every round of an unbudgeted
    proof, and the tail of a budgeted one from [round0] (the round at which
-   the shrinking tables first fit the budget). [tabs] hold the current
-   generation; unless [in_place], they are the caller's and round [round0]
-   folds out of place into fresh half-length vectors, after which every
-   fold is in place. [finish round g] publishes a round polynomial and
-   returns its challenge. Returns the one-element final tables. *)
-let run_rounds ~comb_mults ~degree ~comb ~tabs ~in_place ~num_vars ~round0 ~finish =
-  let tabs = ref tabs and in_place = ref in_place in
+   the shrinking tables first fit the budget). [tabs] hold generation
+   [round0]; unless [in_place], they are the caller's and the first fold
+   writes fresh half-length vectors, after which every fold is in place.
+   Each round after the first folds the tables with the previous
+   challenge in the same pass that evaluates its polynomial. [finish
+   round g] publishes a round polynomial and returns its challenge.
+   Returns the tables' values at the challenge point. *)
+let run_rounds ~comb ~tabs ~in_place ~num_vars ~round0 ~finish =
+  let tabs = ref tabs and in_place = ref in_place and prev = ref None in
   for round = round0 to num_vars - 1 do
     Pool.Cancel.check ();
-    let half = Fv.length !tabs.(0) / 2 in
-    let lo = Array.map (fun t -> Fv.sub_view t ~pos:0 ~len:half) !tabs in
-    let hi = Array.map (fun t -> Fv.sub_view t ~pos:half ~len:half) !tabs in
-    let r = finish round (round_poly ~degree ~comb ~comb_mults ~lo ~hi) in
-    let dst = if !in_place then lo else Array.map (fun _ -> Fv.create half) lo in
-    fold ~dst ~lo ~hi r;
-    tabs := dst;
-    in_place := true
+    let g =
+      match !prev with
+      | None -> round_kernel comb !tabs
+      | Some r ->
+        let half = Fv.length !tabs.(0) / 2 in
+        let dst =
+          if !in_place then Array.map (fun t -> Fv.sub_view t ~pos:0 ~len:half) !tabs
+          else Array.map (fun _ -> Fv.create half) !tabs
+        in
+        let g = round_kernel comb ~fold:(r, dst) !tabs in
+        tabs := dst;
+        in_place := true;
+        g
+    in
+    prev := Some (finish round g)
   done;
-  !tabs
+  (* The last challenge's fold, from two entries to one. *)
+  Array.map
+    (fun t ->
+      let x = Fv.get t 0 in
+      match !prev with
+      | None -> x
+      | Some r -> Gf.add x (Gf.mul r (Gf.sub (Fv.get t 1) x)))
+    !tabs
 
 module Spill = Nocap_vec.Spill
 
@@ -155,8 +265,8 @@ module Spill = Nocap_vec.Spill
    arithmetic is exact, so the recomputed values — and hence every round
    polynomial, challenge, and final value — are bit-identical to folding.
 
-   Each recomputed lo/hi block pair goes through the same chunk evaluator
-   ({!round_poly}) as the in-RAM rounds. As the residual table length
+   Each recomputed lo/hi block pair goes through the same pass ({!pass})
+   as the in-RAM rounds. As the residual table length
    n >> j shrinks, it eventually fits half the budget; at that point the
    tables are materialized into RAM once and {!run_rounds} finishes. With
    no budget the tables fit at round 0 and every round runs in
@@ -170,8 +280,8 @@ module Spill = Nocap_vec.Spill
 
    [stats] reports the protocol's arithmetic, not the recomputation
    overhead, so it is the same for every budget. *)
-let prove ?(comb_mults = 0) ?budget_bytes ?(framing = default_framing) transcript ~degree
-    ~tables ~comb =
+let prove ?budget_bytes ?(framing = default_framing) transcript ~tables ~comb =
+  let degree = degree comb and comb_mults = comb_mults comb in
   let budget =
     match budget_bytes with
     | None -> max_int
@@ -180,13 +290,9 @@ let prove ?(comb_mults = 0) ?budget_bytes ?(framing = default_framing) transcrip
   in
   if degree < 1 then invalid_arg "Sumcheck.prove: degree must be at least 1";
   let k = Array.length tables in
-  if k = 0 then invalid_arg "Sumcheck.prove: no tables";
+  check_tables "Sumcheck.prove" comb ~len:Spill.length tables;
   let n = Spill.length tables.(0) in
   let num_vars = log2_exact n in
-  Array.iter
-    (fun t ->
-      if Spill.length t <> n then invalid_arg "Sumcheck.prove: table size mismatch")
-    tables;
   let mults = ref 0 and adds = ref 0 in
   let claim = ref Gf.zero in
   let round_polys = Array.make num_vars [||] in
@@ -251,11 +357,11 @@ let prove ?(comb_mults = 0) ?budget_bytes ?(framing = default_framing) transcrip
         recompute ~w ~stride tables.(t) acc_lo.(t) ~pos:!pos ~len;
         recompute ~w ~stride tables.(t) acc_hi.(t) ~pos:(!pos + half) ~len
       done;
-      let view v = Fv.sub_view v ~pos:0 ~len in
-      let part =
-        round_poly ~degree ~comb ~comb_mults ~lo:(Array.map view acc_lo)
-          ~hi:(Array.map view acc_hi)
+      let src =
+        Array.init (2 * k) (fun i ->
+            Fv.sub_view (if i land 1 = 0 then acc_lo else acc_hi).(i / 2) ~pos:0 ~len)
       in
+      let part = pass comb ~r:Gf.zero ~src ~dst:[||] ~h:len in
       Array.iteri (fun t x -> g.(t) <- Gf.add g.(t) x) part;
       pos := !pos + len
     done;
@@ -288,21 +394,17 @@ let prove ?(comb_mults = 0) ?budget_bytes ?(framing = default_framing) transcrip
         end)
       tables
   in
-  let final =
-    run_rounds ~comb_mults ~degree ~comb ~tabs ~in_place:(not in_ram) ~num_vars ~round0
-      ~finish
-  in
-  (* With no rounds the claim is [comb] at the single point. *)
-  if num_vars = 0 then begin
-    let g = [| Gf.zero |] in
-    eval_block ~degree:0 ~comb ~lo:final ~hi:final g;
-    bind_claim g.(0)
-  end;
+  (* With no rounds the claim is [comb] at the single point: g(0) of a
+     pass whose one pair is that point twice. *)
+  if num_vars = 0 then
+    bind_claim
+      (pass comb ~r:Gf.zero ~src:(Array.init (2 * k) (fun i -> tabs.(i / 2))) ~dst:[||] ~h:1).(0);
+  let final_values = run_rounds ~comb ~tabs ~in_place:(not in_ram) ~num_vars ~round0 ~finish in
   {
     proof = { round_polys };
     claim = !claim;
     challenges;
-    final_values = Array.map (fun t -> Fv.get t 0) final;
+    final_values;
     stats = { rounds = num_vars; mults = !mults; adds = !adds };
   }
 

@@ -53,9 +53,9 @@ let prove transcript v =
   for k = l downto 1 do
     let evens, odds = halves.(k) in
     let res =
-      Sumcheck.prove ~comb_mults:2 transcript ~degree:3
+      Sumcheck.prove transcript
         ~tables:(Array.map Spill.of_fv [| Mle.eq_fv !r; evens; odds |])
-        ~comb
+        ~comb:(Sumcheck.Vector { degree = 3; mults = 2; f = comb })
     in
     let p0 = res.Sumcheck.final_values.(1) and p1 = res.Sumcheck.final_values.(2) in
     layer_claims.(l - k) <- (p0, p1);

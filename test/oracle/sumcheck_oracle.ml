@@ -11,9 +11,58 @@ module Fv = Nocap_vec.Fv
 module Spill = Nocap_vec.Spill
 open Zk_sumcheck.Sumcheck
 
-(* The scalar form of [Sumcheck.spartan_comb]: eq * (az * bz - cz) over
+(* The scalar form of [Sumcheck.Eq_abc]: eq * (az * bz - cz) over
    [| eq; az; bz; cz |]. *)
 let spartan_comb_scalar v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3))
+
+(* --- the two-pass round ------------------------------------------------
+
+   The fused round kernel's oracle: the round polynomial on the vector
+   kernels (one [Fv.lerp_into] per table for each
+   t >= 2 into arena scratch, the vector combiner, an [Fv.sum] per point),
+   then a separate fold pass. [Sumcheck.round_kernel]'s g and folded
+   halves must be bit-equal to these on every kernel tier. *)
+
+(* The vector forms of [Sumcheck.Eq_abc] and [Sumcheck.Product]. *)
+let eq_abc_vector v out =
+  Fv.mul_into ~dst:out v.(1) v.(2);
+  Fv.sub_into ~dst:out out v.(3);
+  Fv.mul_into ~dst:out out v.(0)
+
+let product_vector v out = Fv.mul_into ~dst:out v.(0) v.(1)
+
+let eval_block ~degree ~comb ~lo ~hi g =
+  Nocap_vec.Arena.with_frame @@ fun () ->
+  let m = Fv.length lo.(0) in
+  let out = Nocap_vec.Arena.alloc m in
+  let point t tabs =
+    comb tabs out;
+    g.(t) <- Gf.add g.(t) (Fv.sum out)
+  in
+  point 0 lo;
+  point 1 hi;
+  let pts = Array.map (fun _ -> Nocap_vec.Arena.alloc m) lo in
+  for t = 2 to degree do
+    let c = Gf.of_int t in
+    Array.iteri (fun j p -> Fv.lerp_into ~dst:p lo.(j) hi.(j) c) pts;
+    point t pts
+  done
+
+(* g(0..degree) over the pairs (lo.(j).(b), hi.(j).(b)), 1024 at a time. *)
+let round_poly ~degree ~comb ~lo ~hi =
+  Pool.fold_chunks ~chunk:1024 ~grain:1024 ~n:(Fv.length lo.(0))
+    ~init:(Array.make (degree + 1) Gf.zero)
+    ~body:(fun a b ->
+      let view t = Fv.sub_view t ~pos:a ~len:(b - a) in
+      let g = Array.make (degree + 1) Gf.zero in
+      eval_block ~degree ~comb ~lo:(Array.map view lo) ~hi:(Array.map view hi) g;
+      g)
+    ~combine:(fun acc part -> Array.map2 Gf.add acc part)
+    ()
+
+(* dst.(j) <- lo.(j) + r * (hi.(j) - lo.(j)). *)
+let fold ~dst ~lo ~hi r =
+  Array.iteri (fun j d -> Fv.lerp_into ~dst:d lo.(j) hi.(j) r) dst
 
 (* Boxed tables as fresh RAM-backed spill vectors, the form the production
    prover takes. *)

@@ -53,7 +53,9 @@ let test_sumcheck_one_variable () =
   let tables = [| [| Gf.of_int 3; Gf.of_int 4 |] |] in
   let claim = Gf.of_int 7 in
   let pt = Transcript.create "edge" in
-  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first in
+  let res =
+    Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:(Vcomb.vector 1 Vcomb.first)
+  in
   Alcotest.check gf "claim" claim res.Sumcheck.claim;
   let vt = Transcript.create "edge" in
   match Sumcheck.verify vt ~degree:1 ~num_vars:1 ~claim res.Sumcheck.proof with
@@ -65,18 +67,34 @@ let test_bad_arguments_rejected () =
   Alcotest.(check bool) "sumcheck empty tables" true
     (raises_invalid (fun () ->
          ignore
-           (Sumcheck.prove (Transcript.create "x") ~degree:1 ~tables:[||]
-              ~comb:(fun _ out -> Nocap_vec.Fv.zero out))));
+           (Sumcheck.prove (Transcript.create "x") ~tables:[||]
+              ~comb:(Vcomb.vector 1 (fun _ out -> Nocap_vec.Fv.zero out)))));
   Alcotest.(check bool) "sumcheck non-pow2" true
     (raises_invalid (fun () ->
          ignore
-           (Sumcheck.prove (Transcript.create "x") ~degree:1
-              ~tables:(Sumcheck_oracle.spills [| Array.make 3 Gf.zero |]) ~comb:Vcomb.first)));
+           (Sumcheck.prove (Transcript.create "x")
+              ~tables:(Sumcheck_oracle.spills [| Array.make 3 Gf.zero |])
+              ~comb:(Vcomb.vector 1 Vcomb.first))));
   Alcotest.(check bool) "sumcheck degree 0" true
     (raises_invalid (fun () ->
          ignore
-           (Sumcheck.prove (Transcript.create "x") ~degree:0
-              ~tables:(Sumcheck_oracle.spills [| Array.make 4 Gf.zero |]) ~comb:Vcomb.first)));
+           (Sumcheck.prove (Transcript.create "x")
+              ~tables:(Sumcheck_oracle.spills [| Array.make 4 Gf.zero |])
+              ~comb:(Vcomb.vector 0 Vcomb.first))));
+  Alcotest.(check bool) "sumcheck Eq_abc over two tables" true
+    (raises_invalid (fun () ->
+         ignore
+           (Sumcheck.prove (Transcript.create "x")
+              ~tables:(Sumcheck_oracle.spills [| Array.make 4 Gf.zero; Array.make 4 Gf.zero |])
+              ~comb:Sumcheck.Eq_abc)));
+  let fvs k len = Array.init k (fun _ -> Nocap_vec.Fv.create len) in
+  Alcotest.(check bool) "round kernel Eq_abc over five tables" true
+    (raises_invalid (fun () -> ignore (Sumcheck.round_kernel Sumcheck.Eq_abc (fvs 5 8))));
+  Alcotest.(check bool) "round kernel odd length" true
+    (raises_invalid (fun () -> ignore (Sumcheck.round_kernel Sumcheck.Product (fvs 2 3))));
+  Alcotest.(check bool) "round kernel fold into short halves" true
+    (raises_invalid (fun () ->
+         ignore (Sumcheck.round_kernel Sumcheck.Product ~fold:(Gf.one, fvs 2 2) (fvs 2 8))));
   Alcotest.(check bool) "mle dimension mismatch" true
     (raises_invalid (fun () -> ignore (Mle.eval (Array.make 4 Gf.zero) [| Gf.one |])));
   Alcotest.(check bool) "merkle empty" true

@@ -123,9 +123,8 @@ let test_ext_vs_repetition_cost () =
   let ext = Sumcheck_ext.prove pt ~degree:3 ~tables ~comb:comb2 ~comb_mults:2 ~claim in
   let base_run () =
     let t = Transcript.create "base-cost" in
-    (Zk_sumcheck.Sumcheck.prove ~comb_mults:2 t ~degree:3
-       ~tables:(Sumcheck_oracle.spills tables)
-       ~comb:Zk_sumcheck.Sumcheck.spartan_comb)
+    (Zk_sumcheck.Sumcheck.prove t ~tables:(Sumcheck_oracle.spills tables)
+       ~comb:Zk_sumcheck.Sumcheck.Eq_abc)
       .Zk_sumcheck.Sumcheck.stats
       .Zk_sumcheck.Sumcheck.mults
   in

@@ -539,6 +539,129 @@ let test_fri_fold_block () =
         legs)
     [ 1; 3 ]
 
+(* --- sumcheck round and eq table vs their oracles ------------------------ *)
+
+module Sumcheck = Zk_sumcheck.Sumcheck
+
+(* Canonical values with the top of the field over-weighted: p - 1 down
+   to p - 8, 2^64 - 2^33 (the largest eps multiple), 0 and 1. *)
+let near_p rng =
+  match Rng.int rng 4 with
+  | 0 -> Int64.sub p_int64 (Int64.of_int (1 + Rng.int rng 8))
+  | 1 -> List.nth [ 0L; 1L; 0xFFFF_FFFE_0000_0000L ] (Rng.int rng 3)
+  | _ -> Gf.random rng
+
+let near_p_table rng n =
+  let v = Fv.create n in
+  for i = 0 to n - 1 do
+    Fv.set v i (near_p rng)
+  done;
+  v
+
+(* [Sumcheck.round_kernel] for [Eq_abc] and [Product] against the
+   two-pass round ([Sumcheck_oracle]: per-t lerp, vector combiner and
+   sum, then a separate fold), at 1..17 pairs and powers of
+   two up to past the parallel grain (the SIMD tails and the chunking),
+   evaluate-only and folding (out of place and in place), in every leg.
+   g and the folded halves must be bit-equal. *)
+let test_round_kernel_vs_oracle () =
+  let rng = Rng.create 0x5C0DEL in
+  let sizes = List.init 17 (fun i -> i + 1) @ [ 32; 64; 256; 1024; 1025; 4096; 8192 ] in
+  List.iter
+    (fun (comb, vector, k) ->
+      let degree = Sumcheck.degree comb in
+      List.iter
+        (fun h ->
+          let prev = Array.init k (fun _ -> near_p_table rng (4 * h)) in
+          let r = near_p rng in
+          let halves t ~parts =
+            let len = Fv.length t / parts in
+            Array.init parts (fun q -> Fv.sub_view t ~pos:(q * len) ~len)
+          in
+          (* Evaluate-only over [prev] (2h pairs) and the fold of [prev]
+             into 2h-entry tables followed by the round over them. *)
+          let expected_eval, expected_fold, expected_dst =
+            off.run (fun () ->
+                let lo = Array.map (fun t -> (halves t ~parts:2).(0)) prev in
+                let hi = Array.map (fun t -> (halves t ~parts:2).(1)) prev in
+                let ge = Sumcheck_oracle.round_poly ~degree ~comb:vector ~lo ~hi in
+                let dst = Array.map (fun _ -> Fv.create (2 * h)) prev in
+                Sumcheck_oracle.fold ~dst ~lo ~hi r;
+                let gf =
+                  Sumcheck_oracle.round_poly ~degree ~comb:vector
+                    ~lo:(Array.map (fun t -> (halves t ~parts:2).(0)) dst)
+                    ~hi:(Array.map (fun t -> (halves t ~parts:2).(1)) dst)
+                in
+                (ge, gf, dst))
+          in
+          let same what a b =
+            Alcotest.(check bool) what true (Array.for_all2 Int64.equal a b)
+          in
+          List.iter
+            (fun l ->
+              List.iter
+                (fun d ->
+                  let name what =
+                    Printf.sprintf "degree %d, %d pairs, %d domains, %s [%s]" degree h d what
+                      l.name
+                  in
+                  l.run (fun () ->
+                      Pool.with_domains d (fun () ->
+                          same (name "evaluate") expected_eval (Sumcheck.round_kernel comb prev);
+                          let dst = Array.map (fun _ -> Fv.create (2 * h)) prev in
+                          same (name "fold: g") expected_fold
+                            (Sumcheck.round_kernel comb ~fold:(r, dst) prev);
+                          Array.iteri
+                            (fun j t ->
+                              Alcotest.(check bool) (name "fold: halves") true
+                                (Fv.equal expected_dst.(j) t))
+                            dst;
+                          let work = Array.map Fv.copy prev in
+                          let dst =
+                            Array.map (fun t -> Fv.sub_view t ~pos:0 ~len:(2 * h)) work
+                          in
+                          same (name "in-place fold: g") expected_fold
+                            (Sumcheck.round_kernel comb ~fold:(r, dst) work);
+                          Array.iteri
+                            (fun j t ->
+                              Alcotest.(check bool) (name "in-place fold: halves") true
+                                (Fv.equal expected_dst.(j) t))
+                            dst)))
+                (if h >= 4096 then [ 1; 2 ] else [ 1 ]))
+            legs)
+        sizes)
+    [
+      (Sumcheck.Eq_abc, Sumcheck_oracle.eq_abc_vector, 4);
+      (Sumcheck.Product, Sumcheck_oracle.product_vector, 2);
+    ]
+
+(* [Mle.eq_table_into]'s doubling on contiguous halves against the
+   per-entry chain ([Mle_oracle]), for every aligned
+   [(lo, len)] block at l <= 10, in every leg. *)
+let test_eq_table_vs_oracle () =
+  let rng = Rng.create 0xE0E0L in
+  for l = 0 to 10 do
+    let point = Array.init l (fun _ -> near_p rng) in
+    let len = ref 1 in
+    while !len <= 1 lsl l do
+      let lo = ref 0 in
+      while !lo < 1 lsl l do
+        let expected = Fv.create !len in
+        Mle_oracle.eq_table_into point ~lo:!lo expected;
+        List.iter
+          (fun leg ->
+            let got = Fv.create !len in
+            leg.run (fun () -> Zk_poly.Mle.eq_table_into point ~lo:!lo got);
+            Alcotest.(check bool)
+              (Printf.sprintf "l=%d lo=%d len=%d [%s]" l !lo !len leg.name)
+              true (Fv.equal expected got))
+          legs;
+        lo := !lo + !len
+      done;
+      len := 2 * !len
+    done
+  done
+
 (* The verifier's matrix evaluation ([Spartan.abc_eval]: one tensor-split
    [Sparse.mle_eval_split] walk per matrix) against r_abc . (the oracle's
    full-eq-table [mle_eval] of A, B, C), in every leg. Random [2^l]-square
@@ -768,6 +891,10 @@ let suite =
     Alcotest.test_case "sha3_blocks_into + sha3_256_into vs boxed sponge oracle" `Quick
       test_sha3_blocks_into;
     Alcotest.test_case "FRI fold_block across modes and splits" `Quick test_fri_fold_block;
+    Alcotest.test_case "sumcheck round kernel vs two-pass oracle" `Quick
+      test_round_kernel_vs_oracle;
+    Alcotest.test_case "eq_table_into vs per-entry oracle, every block" `Quick
+      test_eq_table_vs_oracle;
     QCheck_alcotest.to_alcotest prop_abc_eval;
     Alcotest.test_case "f1600_off offset torture" `Quick test_f1600_off_torture;
     QCheck_alcotest.to_alcotest prop_f1600_vs_ocaml;

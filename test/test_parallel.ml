@@ -322,8 +322,7 @@ let qcheck_sumcheck =
       let run () =
         let t = Transcript.create "test-parallel" in
         let r =
-          Sumcheck.prove ~comb_mults:2 t ~degree:3 ~tables:(Sumcheck_oracle.spills tables)
-            ~comb:Sumcheck.spartan_comb
+          Sumcheck.prove t ~tables:(Sumcheck_oracle.spills tables) ~comb:Sumcheck.Eq_abc
         in
         (* The post-proof challenge pins the entire transcript state. *)
         (r.Sumcheck.proof, r.Sumcheck.challenges, r.Sumcheck.final_values,

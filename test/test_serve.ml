@@ -159,8 +159,7 @@ let test_cancel_each_kernel () =
       let tables = [| mk 1; mk 2 |] in
       Fun.protect ~finally:(fun () -> Array.iter Spill.free tables) @@ fun () ->
       let t = Transcript.create "test-serve" in
-      Sumcheck.prove ~comb_mults:1 ~budget_bytes:65536 t ~degree:2 ~tables
-        ~comb:Vcomb.prod2);
+      Sumcheck.prove ~budget_bytes:65536 t ~tables ~comb:Sumcheck.Product);
   (* The PCS openings, with and without a budget: a commitment made
      outside the token, opened under it, aborts and leaves no spill file
      behind. *)

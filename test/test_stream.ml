@@ -331,7 +331,8 @@ let check_sumcheck_equal msg (a : Sumcheck.prover_result) (b : Sumcheck.prover_r
     true
     (a.Sumcheck.stats = b.Sumcheck.stats)
 
-let run_sumcheck_pair ~l ~degree ~tables_count ~comb ~vcomb ~comb_mults ~budget seed =
+let run_sumcheck_pair ~l ~tables_count ~comb ~vcomb ~budget seed =
+  let degree = Sumcheck.degree vcomb and comb_mults = Sumcheck.comb_mults vcomb in
   let n = 1 lsl l in
   let rng = Rng.create (Int64.of_int (succ seed)) in
   let tables = Array.init tables_count (fun _ -> random_gf_array rng n) in
@@ -349,8 +350,7 @@ let run_sumcheck_pair ~l ~degree ~tables_count ~comb ~vcomb ~comb_mults ~budget 
   let t2 = Transcript.create "stream-test" in
   let spills = Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables in
   let streamed =
-    Sumcheck.prove ~comb_mults ?budget_bytes:budget t2 ~degree
-      ~tables:spills ~comb:vcomb
+    Sumcheck.prove ?budget_bytes:budget t2 ~tables:spills ~comb:vcomb
   in
   Array.iteri
     (fun i t ->
@@ -376,13 +376,10 @@ let test_sumcheck_streaming () =
       let salt = Option.value budget ~default:0 in
       List.iter
         (fun l ->
-          run_sumcheck_pair ~l ~degree:2 ~tables_count:2 ~comb:comb2 ~vcomb:Vcomb.prod2
-            ~comb_mults:1
-            ~budget (l + salt);
-          run_sumcheck_pair ~l ~degree:3 ~tables_count:4 ~comb:Sumcheck_oracle.spartan_comb_scalar
-            ~vcomb:Sumcheck.spartan_comb
-            ~comb_mults:2
-            ~budget ((l * 31) + salt))
+          run_sumcheck_pair ~l ~tables_count:2 ~comb:comb2 ~vcomb:Sumcheck.Product ~budget
+            (l + salt);
+          run_sumcheck_pair ~l ~tables_count:4 ~comb:Sumcheck_oracle.spartan_comb_scalar
+            ~vcomb:Sumcheck.Eq_abc ~budget ((l * 31) + salt))
         [ 0; 1; 2; 5; 8 ])
     [ None; Some 256; Some (4 * 1024); Some (64 * 1024 * 1024) ]
 
@@ -413,8 +410,7 @@ let test_sumcheck_spilled_tables () =
       tables
   in
   let streamed =
-    Sumcheck.prove ~comb_mults:1 ~budget_bytes:512 t2 ~degree:2
-      ~tables:spills ~comb:Vcomb.prod2
+    Sumcheck.prove ~budget_bytes:512 t2 ~tables:spills ~comb:Sumcheck.Product
   in
   Array.iter Spill.free spills;
   check_sumcheck_equal "spilled tables" reference streamed
@@ -483,8 +479,8 @@ let prop_vector_combiner_contract =
               let spills = Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables in
               let streamed =
                 Pool.with_domains domains (fun () ->
-                    Sumcheck.prove ~comb_mults ?budget_bytes:budget
-                      (Transcript.create "contract") ~degree ~tables:spills ~comb:vector)
+                    Sumcheck.prove ?budget_bytes:budget (Transcript.create "contract")
+                      ~tables:spills ~comb:(Vcomb.vector ~mults:comb_mults degree vector))
               in
               check_sumcheck_equal msg reference streamed;
               Array.iteri

@@ -10,6 +10,9 @@ let gf = Alcotest.testable Gf.pp Gf.equal
 
 let random_table rng l = Array.init (1 lsl l) (fun _ -> Gf.random rng)
 
+(* The one-table degree-1 combiner. *)
+let first = Vcomb.vector 1 Vcomb.first
+
 let sum_over_cube tables comb =
   let n = Array.length tables.(0) in
   let acc = ref Gf.zero in
@@ -20,10 +23,11 @@ let sum_over_cube tables comb =
 
 (* [comb] is the scalar form (claims and checks), [vcomb] the vector form
    the prover takes. *)
-let run_roundtrip ~l ~degree ~tables ~comb ~vcomb =
+let run_roundtrip ~l ~tables ~comb ~vcomb =
+  let degree = Sumcheck.degree vcomb in
   let claim = sum_over_cube tables comb in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree ~tables:(Sumcheck_oracle.spills tables) ~comb:vcomb in
+  let res = Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:vcomb in
   Alcotest.check gf "claim is the sum over the cube" claim res.Sumcheck.claim;
   let vt = Transcript.create "sumcheck-test" in
   match Sumcheck.verify vt ~degree ~num_vars:l ~claim res.Sumcheck.proof with
@@ -49,22 +53,21 @@ let test_single_table () =
   (* Listing 1: prove sum of a single multilinear table (degree 1). *)
   let rng = Rng.create 40L in
   let tables = [| random_table rng 5 |] in
-  ignore (run_roundtrip ~l:5 ~degree:1 ~tables ~comb:(fun v -> v.(0)) ~vcomb:Vcomb.first)
+  ignore (run_roundtrip ~l:5 ~tables ~comb:(fun v -> v.(0)) ~vcomb:(Vcomb.vector 1 Vcomb.first))
 
 let test_product_of_two () =
   let rng = Rng.create 41L in
   let tables = [| random_table rng 4; random_table rng 4 |] in
   ignore
-    (run_roundtrip ~l:4 ~degree:2 ~tables ~comb:(fun v -> Gf.mul v.(0) v.(1))
-       ~vcomb:Vcomb.prod2)
+    (run_roundtrip ~l:4 ~tables ~comb:(fun v -> Gf.mul v.(0) v.(1)) ~vcomb:Sumcheck.Product)
 
 let test_spartan_shape () =
   (* The degree-3 Spartan combination eq * (az * bz - cz). *)
   let rng = Rng.create 42L in
   let tables = Array.init 4 (fun _ -> random_table rng 6) in
   ignore
-    (run_roundtrip ~l:6 ~degree:3 ~tables ~comb:Sumcheck_oracle.spartan_comb_scalar
-       ~vcomb:Sumcheck.spartan_comb)
+    (run_roundtrip ~l:6 ~tables ~comb:Sumcheck_oracle.spartan_comb_scalar
+       ~vcomb:Sumcheck.Eq_abc)
 
 let test_wrong_claim_rejected () =
   (* An honest proof checked against claim + 1: round 0's g(0) + g(1) is
@@ -73,7 +76,7 @@ let test_wrong_claim_rejected () =
   let tables = [| random_table rng 4 |] in
   let claim = Gf.add (sum_over_cube tables (fun v -> v.(0))) Gf.one in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first in
+  let res = Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:first in
   let vt = Transcript.create "sumcheck-test" in
   match Sumcheck.verify vt ~degree:1 ~num_vars:4 ~claim res.Sumcheck.proof with
   | Error e ->
@@ -86,7 +89,8 @@ let test_no_rounds () =
   let tables = [| [| Gf.of_int 3 |]; [| Gf.of_int 5 |]; [| Gf.of_int 7 |] |] in
   let pt = Transcript.create "sumcheck-test" in
   let res =
-    Sumcheck.prove pt ~degree:3 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.prod_all
+    Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables)
+      ~comb:(Vcomb.vector 3 Vcomb.prod_all)
   in
   Alcotest.check gf "claim" (Gf.of_int 105) res.Sumcheck.claim;
   Alcotest.(check int) "rounds" 0 (Array.length res.Sumcheck.proof.Sumcheck.round_polys);
@@ -104,7 +108,7 @@ let test_tampered_round_rejected () =
   let comb v = Gf.mul v.(0) v.(1) in
   let claim = sum_over_cube tables comb in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:2 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.prod2 in
+  let res = Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:Sumcheck.Product in
   let proof = res.Sumcheck.proof in
   proof.Sumcheck.round_polys.(2).(1) <- Gf.add proof.Sumcheck.round_polys.(2).(1) Gf.one;
   let vt = Transcript.create "sumcheck-test" in
@@ -124,7 +128,7 @@ let test_wrong_transcript_rejected () =
   let comb v = v.(0) in
   let claim = sum_over_cube tables comb in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first in
+  let res = Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:first in
   let vt = Transcript.create "different-domain" in
   match Sumcheck.verify vt ~degree:1 ~num_vars:3 ~claim res.Sumcheck.proof with
   | Error _ -> ()
@@ -137,7 +141,7 @@ let test_stats () =
   let l = 6 in
   let tables = [| random_table rng l |] in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~degree:1 ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.first in
+  let res = Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:first in
   Alcotest.(check int) "rounds" l res.Sumcheck.stats.Sumcheck.rounds;
   (* Fold multiplications: sum over rounds of half = 2^(l-1) + ... + 1. *)
   Alcotest.(check int) "fold mults" ((1 lsl l) - 1) res.Sumcheck.stats.Sumcheck.mults
@@ -151,7 +155,10 @@ let prop_roundtrip_random_degrees =
       let comb v = Array.fold_left Gf.mul Gf.one v in
       let claim = sum_over_cube tables comb in
       let pt = Transcript.create "sumcheck-prop" in
-      let res = Sumcheck.prove pt ~degree:k ~tables:(Sumcheck_oracle.spills tables) ~comb:Vcomb.prod_all in
+      let res =
+        Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables)
+          ~comb:(Vcomb.vector k Vcomb.prod_all)
+      in
       let vt = Transcript.create "sumcheck-prop" in
       match Sumcheck.verify vt ~degree:k ~num_vars:l ~claim res.Sumcheck.proof with
       | Error _ -> false

@@ -300,8 +300,8 @@ let test_sumcheck_prove_equiv () =
     Sumcheck_oracle.prove_arrays ~comb_mults:2 (Transcript.create "test-vec-sumcheck") ~degree:3
       ~tables ~comb ~claim
   and b =
-    Sumcheck.prove ~comb_mults:2 (Transcript.create "test-vec-sumcheck") ~degree:3
-      ~tables:(Sumcheck_oracle.spills tables) ~comb:vcomb
+    Sumcheck.prove (Transcript.create "test-vec-sumcheck")
+      ~tables:(Sumcheck_oracle.spills tables) ~comb:(Vcomb.vector ~mults:2 3 vcomb)
   in
   Array.iteri
     (fun i g -> gf_array_eq (Printf.sprintf "round %d" i) g b.Sumcheck.proof.Sumcheck.round_polys.(i))
