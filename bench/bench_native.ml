@@ -1,21 +1,26 @@
 (* Native kernel layer benchmark: times each C-stub-backed kernel three
-   ways — pure OCaml oracle ([Native.Off]), portable scalar C
-   ([Native.with_scalar_c]), and SIMD-dispatched C ([Native.On]) —
-   cross-checks that all three produce identical results, and writes
-   BENCH_native.json through [Bench_report.write] with its gates. The
-   flat Merkle rows also time the AVX2 tier alone
+   ways — its OCaml reference from test/oracle (the "ocaml" column),
+   portable scalar C ([Native.with_scalar_c]), and the best SIMD tier the
+   CPU has — cross-checks that all three produce identical results, and
+   writes BENCH_native.json through [Bench_report.write] with its gates.
+   The flat Merkle rows also time the AVX2 tier alone
    ([Native.with_avx2_only]), so on an AVX-512F host the report shows what
    the 8-lane Keccak adds over the 4-lane one.
 
+   The references are the boxed or serial OCaml forms the test suite
+   checks the kernels against. The field, NTT, RS, eq-table, sumcheck,
+   CSR, permutation and column-hash references are pure OCaml; the Merkle
+   and transcript references (the string-digest tree, the one-at-a-time
+   transcript) hash through the whole-message C sponge, so their ratios
+   measure the batched kernels' layout, not C against OCaml.
+
    Everything runs single-domain ([Pool.with_domains 1]): the point is the
    per-kernel instruction stream, not parallel scaling — BENCH_parallel.json
-   covers that axis, and the native/OCaml choice composes with it (the
-   mode-aware grain costs in Keccak/Ntt/Reed_solomon keep chunking sane
-   either way).
+   covers that axis.
 
-   The three legs are timed over the same preallocated inputs, so the
-   ratios isolate the kernel swap itself. On a machine without AVX2/NEON the
-   SIMD rows degrade to the scalar C bodies and speedup_simd ~= speedup_scalar;
+   The legs are timed over the same preallocated inputs, so the ratios
+   isolate the kernel swap itself. On a machine without AVX2/NEON the SIMD
+   rows degrade to the scalar C bodies and speedup_simd ~= speedup_scalar;
    the "features" field in the JSON records which case a given report is. *)
 
 open Nocap_repro
@@ -29,6 +34,7 @@ type kernel = {
          merkle-check-paths, challenges or indices for the transcript
          rows) *)
   k_run : unit -> string; (* runs under the ambient leg; returns fingerprint *)
+  k_oracle : unit -> string; (* the test/oracle reference; same fingerprint *)
   k_x4 : bool; (* also timed under [Native.with_avx2_only] *)
 }
 
@@ -52,6 +58,10 @@ let kernels ~smoke rng =
   done;
   let ntt_buf = Fv.create (ntt_rows * ntt_cols) in
   let ntt_plan = Gf_fv.plan ntt_cols in
+  let row_arrays flat ~rows ~cols =
+    Array.init rows (fun r -> Fv.to_array (Fv.sub_view flat ~pos:(r * cols) ~len:cols))
+  in
+  let ntt_boxed = row_arrays ntt_input ~rows:ntt_rows ~cols:ntt_cols in
   (* Fused RS row encode over a message matrix, into one preallocated
      codeword matrix. *)
   let rs_rows = scale 128 4 in
@@ -62,6 +72,7 @@ let kernels ~smoke rng =
     Fv.set rs_flat i (Gf.random rng)
   done;
   let rs_out = Fv.create (rs_rows * rs_len) in
+  let rs_boxed = row_arrays rs_flat ~rows:rs_rows ~cols:rs_cols in
   (* Column sponges over a flat codeword matrix (Merkle leaf hashing). *)
   let ch_rows = scale 2048 64 in
   let ch_cols = scale 256 16 in
@@ -72,21 +83,19 @@ let kernels ~smoke rng =
   (* Single Keccak-f[1600] permutations, back to back on one state: the
      kernel under every sponge entry point, without the absorb/squeeze
      around it. Each run restarts from the same state so the fingerprint
-     is comparable across modes. *)
+     is comparable across legs. *)
   let kf_n = scale 100_000 1_000 in
   let kf_init = Fv.create 25 in
   for i = 0 to 24 do
     Fv.set kf_init i (Gf.random rng)
   done;
-  let kf_st = Fv.create 25 and kf_b = Fv.create 25 and kf_c = Fv.create 5 in
+  let kf_st = Fv.create 25 in
   (* A whole flat Merkle tree over 2^13 leaves: every level through the
      node kernel, eight (x8) or four (x4) nodes per permutation under
      SIMD. *)
   let mk_n = scale 8192 64 in
-  let mk_leaves =
-    Merkle.of_digests
-      (Array.init mk_n (fun i -> Keccak.sha3_256 (Bytes.of_string (string_of_int i))))
-  in
+  let mk_digests = Array.init mk_n (fun i -> Keccak.sha3_256 (Bytes.of_string (string_of_int i))) in
+  let mk_leaves = Merkle.of_digests mk_digests in
   let ch_dst = Fv.create (4 * ch_cols) in
   (* rsa-fri's layer-0 commit: a 2 x 2^14 codeword matrix, its 2^14
      column leaves and the tree over them ([Fri.commit_layer], the commit
@@ -139,8 +148,10 @@ let kernels ~smoke rng =
      tensor-split CSR walk per matrix against fixed eq tables. *)
   let ce_inst, _ = Benchmarks.rsa.Benchmarks.generate (scale 16 1) in
   let ce_point () = Array.init ce_inst.R1cs.log_size (fun _ -> Gf.random rng) in
-  let ce_row_hi, ce_row_lo, _ = Mle.eq_split (ce_point ()) in
-  let ce_col_hi, ce_col_lo, _ = Mle.eq_split (ce_point ()) in
+  let ce_rx = ce_point () and ce_ry = ce_point () in
+  let ce_row_hi, ce_row_lo, _ = Mle.eq_split ce_rx in
+  let ce_col_hi, ce_col_lo, _ = Mle.eq_split ce_ry in
+  let ce_row_eq = Mle.eq_fv ce_rx and ce_col_eq = Mle.eq_fv ce_ry in
   let ce_mats = [ ce_inst.R1cs.a; ce_inst.R1cs.b; ce_inst.R1cs.c ] in
   (* Orion's Fiat-Shamir draws at litmus scale: one 128-challenge rho
      vector and one 189-column index draw over 128 columns, each from a
@@ -152,6 +163,18 @@ let kernels ~smoke rng =
     Transcript.absorb_gf t "orion/point" tr_point;
     t
   in
+  let transcript_oracle () =
+    let t = Transcript_oracle.create "bench-native" in
+    Transcript_oracle.absorb_gf t "orion/point" tr_point;
+    t
+  in
+  let gfs a = String.concat "," (Array.to_list (Array.map Gf.to_string a)) in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let last a = a.(Array.length a - 1) in
+  let halves t =
+    let h = Fv.length t / 2 in
+    (Fv.sub_view t ~pos:0 ~len:h, Fv.sub_view t ~pos:h ~len:h)
+  in
   [
     {
       k_name = "fv-mul";
@@ -159,6 +182,10 @@ let kernels ~smoke rng =
       k_run =
         (fun () ->
           Fv.mul_into ~dst:ew_dst ew_a ew_b;
+          Gf.to_string (Fv.get ew_dst (ew_n - 1)));
+      k_oracle =
+        (fun () ->
+          Fv_oracle.mul_into ~dst:ew_dst ew_a ew_b;
           Gf.to_string (Fv.get ew_dst (ew_n - 1)));
       k_x4 = false;
     };
@@ -169,6 +196,10 @@ let kernels ~smoke rng =
         (fun () ->
           Fv.lerp_into ~dst:ew_dst ew_a ew_b lerp_c;
           Gf.to_string (Fv.get ew_dst (ew_n - 1)));
+      k_oracle =
+        (fun () ->
+          Fv_oracle.lerp_into ~dst:ew_dst ew_a ew_b lerp_c;
+          Gf.to_string (Fv.get ew_dst (ew_n - 1)));
       k_x4 = false;
     };
     {
@@ -177,8 +208,20 @@ let kernels ~smoke rng =
       k_run =
         (fun () ->
           let g = Sumcheck.round_kernel Sumcheck.Eq_abc ~fold:(lerp_c, sc_dst) sc_tables in
-          String.concat "," (Array.to_list (Array.map Gf.to_string g))
-          ^ Gf.to_string (Fv.get sc_dst.(3) ((sc_n / 2) - 1)));
+          gfs g ^ Gf.to_string (Fv.get sc_dst.(3) ((sc_n / 2) - 1)));
+      k_oracle =
+        (fun () ->
+          (* The two-pass round: fold every table, then evaluate. *)
+          let split ts =
+            (Array.map (fun t -> fst (halves t)) ts, Array.map (fun t -> snd (halves t)) ts)
+          in
+          let lo, hi = split sc_tables in
+          Sumcheck_oracle.fold ~dst:sc_dst ~lo ~hi lerp_c;
+          let lo, hi = split sc_dst in
+          let g =
+            Sumcheck_oracle.round_poly ~degree:3 ~comb:Sumcheck_oracle.eq_abc_vector ~lo ~hi
+          in
+          gfs g ^ Gf.to_string (Fv.get sc_dst.(3) ((sc_n / 2) - 1)));
       k_x4 = false;
     };
     {
@@ -187,6 +230,10 @@ let kernels ~smoke rng =
       k_run =
         (fun () ->
           Mle.eq_table_into eq_point ~lo:0 eq_dst;
+          Gf.to_string (Fv.get eq_dst (Fv.length eq_dst - 1)));
+      k_oracle =
+        (fun () ->
+          Mle_oracle.eq_table_into eq_point ~lo:0 eq_dst;
           Gf.to_string (Fv.get eq_dst (Fv.length eq_dst - 1)));
       k_x4 = false;
     };
@@ -202,6 +249,13 @@ let kernels ~smoke rng =
                    (Sparse.mle_eval_split m ~row_hi:ce_row_hi ~row_lo:ce_row_lo
                       ~col_hi:ce_col_hi ~col_lo:ce_col_lo))
                Gf.zero ce_mats));
+      k_oracle =
+        (fun () ->
+          Gf.to_string
+            (List.fold_left
+               (fun acc m ->
+                 Gf.add acc (Sparse_oracle.mle_eval m ~row_eq:ce_row_eq ~col_eq:ce_col_eq))
+               Gf.zero ce_mats));
       k_x4 = false;
     };
     {
@@ -215,6 +269,10 @@ let kernels ~smoke rng =
             Gf_fv.forward ntt_plan (Fv.sub_view ntt_buf ~pos:(r * ntt_cols) ~len:ntt_cols)
           done;
           Gf.to_string (Fv.get ntt_buf ((ntt_rows * ntt_cols) - 1)));
+      k_oracle =
+        (fun () ->
+          let plan = Ntt.Gf_ntt.plan ntt_cols in
+          Gf.to_string (last (last (Array.map (Ntt.Gf_ntt.forward_copy plan) ntt_boxed))));
       k_x4 = false;
     };
     {
@@ -224,10 +282,16 @@ let kernels ~smoke rng =
         (fun () ->
           Fv.blit ~src:kf_init ~src_pos:0 ~dst:kf_st ~dst_pos:0 ~len:25;
           for _ = 1 to kf_n do
-            if Native.on () then Native.f1600_off kf_st 0
-            else Keccak.f1600_off_ocaml kf_st 0 kf_b kf_c
+            Native.f1600_off kf_st 0
           done;
           Printf.sprintf "%Lx" (Fv.get kf_st 0));
+      k_oracle =
+        (fun () ->
+          let st = Array.init 25 (Fv.get kf_init) in
+          for _ = 1 to kf_n do
+            Keccak_oracle.keccak_f1600 st
+          done;
+          Printf.sprintf "%Lx" st.(0));
       k_x4 = false;
     };
     {
@@ -241,6 +305,8 @@ let kernels ~smoke rng =
               ~dst:(Fv.sub_view rs_out ~pos:(r * rs_len) ~len:rs_len)
           done;
           Gf.to_string (Fv.get rs_out (((rs_rows - 1) * rs_len) + 1)));
+      k_oracle =
+        (fun () -> Gf.to_string (last (Array.map Ecc_oracle.rs_encode rs_boxed)).(1));
       k_x4 = false;
     };
     {
@@ -250,6 +316,18 @@ let kernels ~smoke rng =
         (fun () ->
           Keccak.hash_cols_into ~rows:ch_rows ~cols:ch_cols ch_flat ~dst:ch_dst;
           Keccak.to_hex (Keccak.digest_at ch_dst (ch_cols - 1)));
+      k_oracle =
+        (fun () ->
+          (* Each column packed as 8 little-endian bytes per element,
+             through the boxed sponge. *)
+          let column j =
+            let b = Bytes.create (8 * ch_rows) in
+            for r = 0 to ch_rows - 1 do
+              Bytes.set_int64_le b (8 * r) (Fv.get ch_flat ((r * ch_cols) + j))
+            done;
+            Keccak_oracle.sha3_256 b
+          in
+          Keccak.to_hex (last (Array.init ch_cols column)));
       k_x4 = true;
     };
     {
@@ -262,12 +340,23 @@ let kernels ~smoke rng =
               ~leaves:cp_leaves ~paths:cp_lanes ~path_pos:cp_pos
           in
           string_of_int (Array.fold_left (fun n b -> if b then n + 1 else n) 0 ok));
+      k_oracle =
+        (fun () ->
+          let root = Merkle.root cp_tree in
+          let ok k =
+            Merkle_oracle.check_path ~root ~index:cp_index.(k)
+              ~leaf:(Keccak.digest_at cp_leaves k)
+              ~path:(List.init cp_depth (fun d -> Keccak.digest_at cp_lanes ((k * cp_depth) + d)))
+            = Ok ()
+          in
+          string_of_int (List.length (List.filter ok (List.init cp_paths Fun.id))));
       k_x4 = true;
     };
     {
       k_name = "merkle-build";
       k_n = mk_n;
       k_run = (fun () -> Keccak.to_hex (Merkle.root (Merkle.build mk_leaves)));
+      k_oracle = (fun () -> Keccak.to_hex (Merkle_oracle.root (Merkle_oracle.build mk_digests)));
       k_x4 = true;
     };
     {
@@ -277,8 +366,12 @@ let kernels ~smoke rng =
         (fun () ->
           let t = transcript () in
           let rho = Transcript.challenge_gf_vec t "orion/rho" 128 in
-          String.concat "," (Array.to_list (Array.map Gf.to_string rho))
-          ^ Printf.sprintf ";%d" (Transcript.hash_count t));
+          gfs rho ^ Printf.sprintf ";%d" (Transcript.hash_count t));
+      k_oracle =
+        (fun () ->
+          let t = transcript_oracle () in
+          let rho = Transcript_oracle.challenge_gf_vec t "orion/rho" 128 in
+          gfs rho ^ Printf.sprintf ";%d" (Transcript_oracle.hash_count t));
       k_x4 = true;
     };
     {
@@ -288,14 +381,25 @@ let kernels ~smoke rng =
         (fun () ->
           let t = transcript () in
           let ix = Transcript.challenge_indices t "orion/columns" ~bound:128 ~count:189 in
-          String.concat "," (Array.to_list (Array.map string_of_int ix))
-          ^ Printf.sprintf ";%d" (Transcript.hash_count t));
+          ints ix ^ Printf.sprintf ";%d" (Transcript.hash_count t));
+      k_oracle =
+        (fun () ->
+          let t = transcript_oracle () in
+          let ix = Transcript_oracle.challenge_indices t "orion/columns" ~bound:128 ~count:189 in
+          ints ix ^ Printf.sprintf ";%d" (Transcript_oracle.hash_count t));
       k_x4 = true;
     };
     {
       k_name = "merkle-build-fri";
       k_n = mf_half;
       k_run = (fun () -> Keccak.to_hex (Merkle.root (Fri.commit_layer ~block:mf_half mf_layer)));
+      k_oracle =
+        (fun () ->
+          (* Leaf j is the column (f(x_j), f(-x_j)) of the 2 x half layer. *)
+          let leaf j =
+            Merkle_oracle.leaf_of_column [| Fv.get mf_evals j; Fv.get mf_evals (j + mf_half) |]
+          in
+          Keccak.to_hex (Merkle_oracle.root (Merkle_oracle.build (Array.init mf_half leaf))));
       k_x4 = true;
     };
   ]
@@ -311,18 +415,18 @@ type row = {
 
 let measure_kernel ~smoke k =
   let reps = if smoke then 2 else 5 in
-  let under leg =
+  let under leg run =
     leg (fun () ->
         (* Warm-up builds plans/twiddles and takes the equality fingerprint. *)
-        let fp = k.k_run () in
-        (fp, Bench_report.time_best ~reps k.k_run))
+        let fp = run () in
+        (fp, Bench_report.time_best ~reps run))
   in
-  let fp_ocaml, ocaml_s = under (Native.with_mode Native.Off) in
-  let fp_scalar, scalar_s = under Native.with_scalar_c in
-  let fp_simd, simd_s = under (Native.with_mode Native.On) in
+  let fp_ocaml, ocaml_s = under (fun f -> f ()) k.k_oracle in
+  let fp_scalar, scalar_s = under Native.with_scalar_c k.k_run in
+  let fp_simd, simd_s = under (fun f -> f ()) k.k_run in
   let fp_x4, x4_s =
     if k.k_x4 then
-      let fp, t = under Native.with_avx2_only in
+      let fp, t = under Native.with_avx2_only k.k_run in
       (fp, Some t)
     else (fp_simd, None)
   in
@@ -384,7 +488,7 @@ let gates rows =
     positive "speedup_scalar" speedup_scalar;
     positive "speedup_simd" speedup_simd;
   ]
-  @ List.map (fun r -> (r.fingerprint_equal, r.kernel.k_name ^ " diverged across modes")) rows
+  @ List.map (fun r -> (r.fingerprint_equal, r.kernel.k_name ^ " diverged across legs")) rows
   @ Bench_report.require ~what:"kernel"
       (List.map (fun r -> r.kernel.k_name) rows)
       [
@@ -396,8 +500,8 @@ let gates rows =
 (* --- driver ------------------------------------------------------------- *)
 
 let run ~smoke ~path =
-  Bench_report.section "Native kernels: OCaml vs scalar C vs SIMD (single domain)" ~smoke;
-  Printf.printf "cpu features: %s, default mode: %s\n%!"
+  Bench_report.section "Native kernels: OCaml reference vs scalar C vs SIMD (single domain)" ~smoke;
+  Printf.printf "cpu features: %s, default tier: %s\n%!"
     (Native.features_to_string ())
     (Native.mode_to_string (Native.mode ()));
   let rng = Rng.create 0x5E1FL in

@@ -1,19 +1,14 @@
 (** SHA3-256 (FIPS 202) built on the Keccak-f[1600] permutation, implemented
-    from scratch. This is the hash the paper's Hash FU implements at 1 KB/cycle
-    (Sec. IV-B); every Merkle-tree node and Fiat-Shamir challenge in
-    Spartan+Orion goes through it. *)
+    from scratch in the C kernel layer ({!Nocap_native.Native}). This is the
+    hash the paper's Hash FU implements at 1 KB/cycle (Sec. IV-B); every
+    Merkle-tree node and Fiat-Shamir challenge in Spartan+Orion goes
+    through it. The boxed reference sponge is [test/oracle/keccak_oracle.ml]. *)
 
 type digest = string
 (** 32 bytes. *)
 
 val digest_length : int
 (** [32]. *)
-
-val f1600_off_ocaml : Nocap_vec.Fv.t -> int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t -> unit
-(** [f1600_off_ocaml st off b c] permutes the 25 lanes [st.(off .. off + 24)]
-    in place with the OCaml permutation, using [b] (25 lanes) and [c]
-    (5 lanes) as scratch. This is the body every sponge runs when the
-    native layer is off, and the oracle for [Native.f1600_off]. *)
 
 val sha3_256 : bytes -> digest
 (** SHA3-256 of arbitrary input. *)
@@ -32,10 +27,9 @@ val rate_lanes : int
     (the Orion commit pipeline) size their blocks in multiples of this so
     every {!Col_hash.absorb} call ends on a permutation boundary. *)
 
-val block_ns : unit -> int
-(** Calibrated cost of one Keccak-f[1600] permutation in this build
-    (nanoseconds) — mode-dependent (the C permutation is ~55x cheaper than
-    the OCaml one); the cost every batched entry point feeds
+val block_ns : int
+(** Calibrated cost of one scalar Keccak-f[1600] permutation in the C
+    kernel (nanoseconds): the cost every batched entry point feeds
     {!Nocap_parallel.Pool.grain_of_ns}. *)
 
 (** {2 Flat digest buffers}
@@ -58,13 +52,13 @@ val hash_nodes_into : src:Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> unit
     (the paper's Hash-FU compression). Nodes split across the
     {!Nocap_parallel.Pool} domains in groups of eight with AVX-512F (one
     8-lane permutation each) and of four otherwise (one 4-lane permutation
-    each with AVX2). Byte-identical for every mode and domain count.
+    each with AVX2). Byte-identical for every SIMD tier and domain count.
     @raise Invalid_argument unless [Fv.length src = 2 * Fv.length dst] and
     [dst] holds whole digests. *)
 
 val node_grain : unit -> int
 (** Nodes per pool claim in {!hash_nodes_into}: whole groups amortizing
-    ~50µs of permutations in the current mode. *)
+    ~50µs of permutations at the current tier's lane count. *)
 
 val hash_cols_into : rows:int -> cols:int -> Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> unit
 (** [hash_cols_into ~rows ~cols flat ~dst] hashes each column of the
@@ -84,7 +78,7 @@ val sha3_blocks_into : src:Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> int -> unit
     message, 0x80 in byte 135) already in place; its digest goes to lanes
     [\[4i, 4i + 4)] of [dst]. Eight blocks share one permutation with
     AVX-512F, four with AVX2 (as {!hash_nodes_into}), on the calling
-    domain. Byte-identical for every mode.
+    domain. Byte-identical for every SIMD tier.
     @raise Invalid_argument unless [src] holds [n] blocks and [dst] [n]
     digests. *)
 

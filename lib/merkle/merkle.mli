@@ -22,7 +22,7 @@ val build : Nocap_vec.Fv.t -> tree
     one batched {!Zk_hash.Keccak.hash_nodes_into} call split across the
     {!Nocap_parallel.Pool} domains, eight nodes per AVX-512F permutation
     or four per AVX2 one; the tree is the same for every domain count and
-    native mode.
+    SIMD tier.
     @raise Invalid_argument on an empty leaf buffer. *)
 
 val of_digests : digest array -> Nocap_vec.Fv.t

@@ -1,18 +1,18 @@
 type mode =
-  | Off
-  | On
+  | Scalar
+  | Neon
+  | Avx2
+  | Avx512f
 
-let mode_to_string = function Off -> "off" | On -> "on"
-
-let parse_mode s =
-  match String.lowercase_ascii (String.trim s) with
-  | "0" | "off" -> Ok Off
-  | "1" | "on" | "auto" | "simd" -> Ok On
-  | other ->
-    Error (Printf.sprintf "invalid NOCAP_NATIVE %S (expected 0|off|1|on|auto|simd)" other)
+let mode_to_string = function
+  | Scalar -> "scalar"
+  | Neon -> "neon"
+  | Avx2 -> "avx2"
+  | Avx512f -> "avx512f"
 
 external cpu_features : unit -> int = "caml_nocap_cpu_features" [@@noalloc]
-external set_simd : int -> unit = "caml_nocap_set_simd" [@@noalloc]
+external simd_level : unit -> int = "caml_nocap_simd_level" [@@noalloc]
+external set_simd_level : int -> unit = "caml_nocap_set_simd" [@@noalloc]
 
 let have_avx2 () = cpu_features () land 1 <> 0
 let have_neon () = cpu_features () land 2 <> 0
@@ -27,56 +27,25 @@ let features_to_string () =
   | [] -> "none"
   | names -> String.concat "+" names
 
-(* The C-side [g_simd] level starts at 0, so [set_mode] must run before
-   any SIMD kernel can fire; the lazy default below covers programs that
-   never resolve an [Engine] (tests, bare library users).
-   [Engine.Config.of_env] parses the same variable with loud errors and
-   re-applies it here. [simd] mirrors the level: 2 every SIMD tier, 1 up
-   to AVX2/NEON, 0 scalar C only. *)
-let current = ref None
-let simd = ref 0
-
-let set_simd_level l =
-  simd := l;
-  set_simd l
-
-let set_mode m =
-  current := Some m;
-  set_simd_level (match m with On -> 2 | Off -> 0)
-
-let default_mode () =
-  match Sys.getenv_opt "NOCAP_NATIVE" with
-  | None -> On
-  | Some s -> ( match parse_mode s with Ok m -> m | Error _ -> On)
-
+(* The level lives on the C side ([g_simd], 2 from process start): 2 every
+   SIMD tier, 1 up to AVX2/NEON, 0 scalar C only. Reading it back from C
+   means [mode] reports what the kernels will actually run. *)
 let mode () =
-  match !current with
-  | Some m -> m
-  | None ->
-    let m = default_mode () in
-    set_mode m;
-    m
-
-let on () = mode () <> Off
-
-let with_mode m f =
-  let prev = mode () in
-  set_mode m;
-  Fun.protect ~finally:(fun () -> set_mode prev) f
+  let l = simd_level () in
+  if l >= 2 && have_avx512f () then Avx512f
+  else if l >= 1 && have_avx2 () then Avx2
+  else if l >= 1 && have_neon () then Neon
+  else Scalar
 
 let with_simd_level l f =
-  with_mode On (fun () ->
-      set_simd_level l;
-      f ())
+  let prev = simd_level () in
+  set_simd_level l;
+  Fun.protect ~finally:(fun () -> set_simd_level prev) f
 
 let with_scalar_c f = with_simd_level 0 f
 let with_avx2_only f = with_simd_level 1 f
 
-let keccak_lanes () =
-  if not (on ()) then 1
-  else if !simd >= 2 && have_avx512f () then 8
-  else if !simd >= 1 && have_avx2 () then 4
-  else 1
+let keccak_lanes () = match mode () with Avx512f -> 8 | Avx2 -> 4 | Neon | Scalar -> 1
 
 type fv = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -1,63 +1,44 @@
-(** Runtime switch for the native (C) kernel layer.
+(** The native (C) kernel layer and its SIMD tier.
 
-    The C stubs in [nocap_native_stubs.c] are bit-exact replacements for the
-    hot OCaml kernels over [Fv] buffers (Goldilocks elementwise ops, radix-2
-    NTT, Keccak-f[1600] sponges, fused RS row encode).  This module owns the
-    single mode flag that every dispatch site consults:
-
-    - [Off] — pure OCaml oracles only.
-    - [On]  — C kernels with AVX2/NEON bodies when the CPU supports them,
-              and the 8-lane AVX-512F Keccak under the flat Merkle kernels
-              where the CPU has AVX-512F (falls back to the portable scalar
-              C body per kernel otherwise).
-
-    The lower tiers of SIMD-dispatched kernels are reachable on a wider host
-    only through the test hooks {!with_avx2_only} and {!with_scalar_c}.
-
-    The default comes from [NOCAP_NATIVE] (unset = [On]); [Engine.Config]
-    re-parses the same variable with loud errors and re-applies it via
-    [set_mode], so engine-driven programs get config validation while bare
-    library users still get a sensible default.  Mode changes are global and
-    instantaneous, but every kernel is bit-exact across modes, so flipping
-    mid-run is safe (the bench harness does exactly that). *)
+    The C stubs in [nocap_native_stubs.c] are the one production body of
+    the hot kernels over [Fv] buffers (Goldilocks elementwise ops, radix-2
+    NTT, Keccak-f[1600] sponges, fused RS row encode, the fused sumcheck
+    round, the FRI fold, the CSR matrix walk). Each has a portable scalar C
+    body and, where the CPU has them, AVX2/NEON bodies and the 8-lane
+    AVX-512F Keccak under the flat Merkle kernels, chosen per call by CPUID
+    at run time. Every tier is bit-exact against the others and against
+    the references in [test/oracle/]. From process start the kernels run
+    the widest tier the CPU has; the lower tiers are reachable on a wider
+    host only through the test hooks {!with_avx2_only} and
+    {!with_scalar_c}. *)
 
 type mode =
-  | Off
-  | On
-
-val mode_to_string : mode -> string
-
-val parse_mode : string -> (mode, string) result
-(** Accepts ["0"|"off"] (Off) and ["1"|"on"|"auto"|"simd"] (On),
-    case-insensitively. *)
+  | Scalar  (** portable scalar C *)
+  | Neon  (** the NEON bodies (aarch64) *)
+  | Avx2  (** the AVX2 bodies, 4-lane Keccak *)
+  | Avx512f  (** the AVX2 bodies plus the 8-lane AVX-512F Keccak *)
+(** The kernel tier that runs under the current hooks. *)
 
 val mode : unit -> mode
-(** Current mode.  First call reads [NOCAP_NATIVE] (malformed values fall
-    back to [On]; [Engine.Config.of_env] reports them loudly). *)
+(** The widest tier the kernels run: the CPU's widest outside the hooks. *)
 
-val set_mode : mode -> unit
-
-val on : unit -> bool
-(** [mode () <> Off]: dispatch sites branch to the C kernel. *)
-
-val with_mode : mode -> (unit -> 'a) -> 'a
-(** Run [f] under a forced mode, restoring the previous mode after (also on
-    exceptions).  Not atomic w.r.t. concurrent [set_mode]. *)
+val mode_to_string : mode -> string
+(** ["scalar"], ["neon"], ["avx2"] or ["avx512f"], for bench metadata. *)
 
 val with_scalar_c : (unit -> 'a) -> 'a
-(** Test and bench hook: run [f] in mode [On] with the SIMD variants
-    disabled, so every kernel runs its portable scalar C body; restores the
-    previous mode after.  Not a [mode]: no configuration selects it. *)
+(** Test and bench hook: run [f] with the SIMD variants disabled, so every
+    kernel runs its portable scalar C body; restores the previous tier
+    after (also on exceptions). Global, not per domain. *)
 
 val with_avx2_only : (unit -> 'a) -> 'a
-(** Test and bench hook, a sibling of {!with_scalar_c}: run [f] in mode
-    [On] with the SIMD tiers above AVX2/NEON disabled, so the flat Merkle
-    kernels run the 4-lane AVX2 Keccak even on an AVX-512F host. *)
+(** Test and bench hook, a sibling of {!with_scalar_c}: run [f] with the
+    SIMD tiers above AVX2/NEON disabled, so the flat Merkle kernels run
+    the 4-lane AVX2 Keccak even on an AVX-512F host. *)
 
 val keccak_lanes : unit -> int
 (** Sponges per permutation the flat Merkle kernels and [sha3_blocks] run
-    at under the current mode and hooks: 8 (AVX-512F), 4 (AVX2) or 1
-    (scalar C or OCaml). *)
+    at under the current tier: 8 (AVX-512F), 4 (AVX2) or 1 (scalar C or
+    NEON). *)
 
 (** {2 CPU feature detection} *)
 
@@ -72,7 +53,7 @@ val features_to_string : unit -> string
 (** {2 Raw stub entry points}
 
     Exposed for the equivalence test-suite and bench micro-loops; library
-    code goes through the dispatching wrappers in [Fv]/[Ntt]/[Keccak]/
+    code goes through the checked wrappers in [Fv]/[Ntt]/[Keccak]/
     [Reed_solomon] instead.  All operate on [int64] C-layout Bigarrays and
     perform no bounds checks: callers validate shapes first. *)
 

@@ -4,10 +4,11 @@
 
    Contract with the OCaml side (see DESIGN.md Sec. 13):
 
-   - Every kernel is BIT-EXACT against its OCaml oracle for every input,
-     canonical or not: the scalar C code mirrors the OCaml formulas
-     operation for operation, and the SIMD variants evaluate the same
-     per-lane expressions, so results never depend on which path ran.
+   - Every kernel is BIT-EXACT against its reference in test/oracle for
+     every input, canonical or not: the scalar C code follows the
+     Zk_field.Gf formulas operation for operation, and the SIMD variants
+     evaluate the same per-lane expressions, so results never depend on
+     which tier ran.
    - Bounds and shape validation happen in OCaml before the call; the C
      side trusts its arguments (all stubs are [@@noalloc] leaf calls that
      never touch the OCaml heap or run the GC).
@@ -15,13 +16,13 @@
      target the repo builds on; AVX2 bodies carry
      __attribute__((target("avx2"))) so the object file stays portable and
      the choice is made per call from __builtin_cpu_supports. On aarch64
-     the add/sub lanes use NEON; everything else takes the scalar path
-     (still well ahead of the OCaml loops). The g_simd level is set from
-     OCaml (Native.set_mode, Native.with_avx2_only, Native.with_scalar_c):
-     2 allows every SIMD tier (the 8-lane AVX-512F Keccak where the CPU has
-     it), 1 stops at the AVX2/NEON bodies and 0 pins every kernel to
-     scalar C, which is how the tests and the bench reach the lower tiers
-     on a wider host. */
+     the add/sub lanes use NEON; everything else takes the scalar path.
+     The g_simd level starts at 2, which allows every SIMD tier (the 8-lane
+     AVX-512F Keccak where the CPU has it); the OCaml test hooks
+     (Native.with_avx2_only, Native.with_scalar_c) lower it to 1, which
+     stops at the AVX2/NEON bodies, or 0, which pins every kernel to scalar
+     C: that is how the tests and the bench reach the lower tiers on a
+     wider host. */
 
 #include <stdint.h>
 #include <stddef.h>
@@ -40,9 +41,9 @@
 #include <arm_neon.h>
 #endif
 
-/* --- runtime feature detection / mode flag ------------------------------- */
+/* --- runtime feature detection / SIMD level ------------------------------ */
 
-static int g_simd = 0; /* 0 scalar, 1 AVX2/NEON, 2 also AVX-512F; set from OCaml */
+static int g_simd = 2; /* 0 scalar, 1 AVX2/NEON, 2 also AVX-512F; lowered by the test hooks */
 
 #if defined(NOCAP_X86_64)
 static int g_have_avx2 = -1;
@@ -85,6 +86,12 @@ CAMLprim value caml_nocap_set_simd(value v)
 {
   g_simd = Int_val(v);
   return Val_unit;
+}
+
+CAMLprim value caml_nocap_simd_level(value unit)
+{
+  (void)unit;
+  return Val_int(g_simd);
 }
 
 /* --- scalar Goldilocks arithmetic ----------------------------------------
@@ -641,8 +648,7 @@ CAMLprim value caml_nocap_sumcheck_round_byte(value *argv, int argn)
 }
 
 /* --- sparse matrix MLE ----------------------------------------------------
-   The Spartan verifier's walk, Sparse.mle_eval_split's OCaml body
-   operation for operation: per row the sum of v * col_hi[c >> cs] *
+   The Spartan verifier's walk behind Sparse.mle_eval_split: per row the sum of v * col_hi[c >> cs] *
    col_lo[c & cmask] over its nonzeros, times row_lo[r & rmask]; per block
    of 2^rs rows the sum of those, times row_hi[block]. The CSR arrays are
    OCaml int arrays, the tables int64 Bigarrays; every lo length is a power
@@ -1040,8 +1046,8 @@ static void hash_node_c(const uint64_t *pair, uint64_t *out)
   } while (0)
 
 /* Col_hash.absorb: per-column incremental sponges living 25 lanes apart in
-   one flat bank; mirror of the OCaml loop (rows in order, permute on every
-   17th absorbed lane). */
+   one flat bank, each absorbing rows in order and permuting on every 17th
+   absorbed lane. */
 CAMLprim value caml_nocap_col_absorb(value vstates, value vflat, value vrs, value vrlo,
                                      value vrhi, value vclo, value vchi)
 {

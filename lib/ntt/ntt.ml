@@ -225,16 +225,14 @@ end
 module Gf_fv = struct
   type plan = {
     n : int;
-    log_n : int;
     twiddles : Fv.t; (* w^0 .. w^(n/2-1) *)
     inv_twiddles : Fv.t;
     n_inv : Gf.t;
   }
 
   let plan n =
-    let log_n = log2_exact n in
-    let t = Gf_twiddles.get log_n in
-    { n; log_n; twiddles = t.Gf_twiddles.pow; inv_twiddles = t.Gf_twiddles.inv_pow;
+    let t = Gf_twiddles.get (log2_exact n) in
+    { n; twiddles = t.Gf_twiddles.pow; inv_twiddles = t.Gf_twiddles.inv_pow;
       n_inv = t.Gf_twiddles.n_inv }
 
   let size p = p.n
@@ -243,68 +241,15 @@ module Gf_fv = struct
   let inv_twiddles p = p.inv_twiddles
   let n_inv p = p.n_inv
 
-  (* Imperative bit-reversal (no helper closure, so the loop body stays
-     allocation-free). *)
-  let bit_reverse_permute log_n (a : Fv.t) =
-    let n = 1 lsl log_n in
-    for i = 0 to n - 1 do
-      let j = ref 0 and x = ref i in
-      for _ = 1 to log_n do
-        j := (!j lsl 1) lor (!x land 1);
-        x := !x lsr 1
-      done;
-      let j = !j in
-      if j > i then begin
-        let t = Fv.unsafe_get a i in
-        Fv.unsafe_set a i (Fv.unsafe_get a j);
-        Fv.unsafe_set a j t
-      end
-    done
+  (* One C call per transform: the kernel runs the bit-reverse and the
+     radix-2 butterflies against the shared twiddle table. *)
+  let check p a = if Fv.length a <> p.n then invalid_arg "Ntt.Gf_fv: length mismatch"
 
-  (* Bounds as in [Gf_ntt.transform]: the length check pins the buffer size
-     and every index below is < n, so unsafe accesses are in bounds. *)
-  let transform (twiddles : Fv.t) p (a : Fv.t) =
-    let n = p.n in
-    if Fv.length a <> n then invalid_arg "Ntt.Gf_fv: length mismatch";
-    bit_reverse_permute p.log_n a;
-    let len = ref 2 in
-    while !len <= n do
-      let half = !len / 2 in
-      let stride = n / !len in
-      let k = ref 0 in
-      while !k < n do
-        for j = 0 to half - 1 do
-          let w = Fv.unsafe_get twiddles (j * stride) in
-          let u = Fv.unsafe_get a (!k + j) in
-          let t = Gf.mul w (Fv.unsafe_get a (!k + j + half)) in
-          Fv.unsafe_set a (!k + j) (Gf.add u t);
-          Fv.unsafe_set a (!k + j + half) (Gf.sub u t)
-        done;
-        k := !k + !len
-      done;
-      len := !len * 2
-    done
-
-  (* Native dispatch is per transform, not per butterfly: the C kernel runs
-     the same bit-reverse + butterfly schedule against the same shared
-     twiddle table, so outputs are bit-identical to [transform]. *)
   let forward p a =
-    if Native.on () then begin
-      if Fv.length a <> p.n then invalid_arg "Ntt.Gf_fv: length mismatch";
-      Native.ntt_forward a p.twiddles
-    end
-    else transform p.twiddles p a
+    check p a;
+    Native.ntt_forward a p.twiddles
 
   let inverse p a =
-    if Native.on () then begin
-      if Fv.length a <> p.n then invalid_arg "Ntt.Gf_fv: length mismatch";
-      Native.ntt_inverse a p.inv_twiddles p.n_inv
-    end
-    else begin
-      transform p.inv_twiddles p a;
-      let n_inv = p.n_inv in
-      for i = 0 to p.n - 1 do
-        Fv.unsafe_set a i (Gf.mul (Fv.unsafe_get a i) n_inv)
-      done
-    end
+    check p a;
+    Native.ntt_inverse a p.inv_twiddles p.n_inv
 end

@@ -53,9 +53,7 @@ module Gf_ntt : S with type elt = Zk_field.Gf.t
 module Fr_ntt : S with type elt = Zk_field.Fr_bls.t
 
 (** Shared Goldilocks twiddle tables, built lazily per log2 size under a
-    Domain-safe double-checked mutex and consumed by both the OCaml
-    butterflies and the native C kernels (which read the very same [Fv]
-    buffers, so the two paths cannot drift). *)
+    Domain-safe double-checked mutex and read by the native C kernels. *)
 module Gf_twiddles : sig
   type tables = {
     pow : Nocap_vec.Fv.t;  (** w^0 .. w^(n/2-1) for the primitive n-th root *)
@@ -69,11 +67,9 @@ end
 
 (** Unboxed Goldilocks NTT over flat {!Nocap_vec.Fv} buffers: the same
     radix-2 transform as {!Gf_ntt} (which remains the boxed correctness
-    oracle), with data and twiddles in Bigarray-backed vectors so every
-    butterfly runs on unboxed int64 without heap allocation. When
-    {!Nocap_native.Native.on} the butterfly passes run in the C kernel
-    layer against the same twiddle tables. Results are bit-identical to
-    {!Gf_ntt} on the same input in every mode. *)
+    oracle), run by the C kernel layer ({!Nocap_native.Native.ntt_forward})
+    against the shared twiddle tables. Results are bit-identical to
+    {!Gf_ntt} on the same input in every SIMD tier. *)
 module Gf_fv : sig
   type plan
 

@@ -48,33 +48,23 @@ let well_formed ~roots q =
 let inv2 = Gf.inv Gf.two
 
 (* One fold output from the pair (a, b) = (f(x), f(-x)):
-   (a + b)/2 + beta * (a - b)/(2x), with [coef = beta / (2x)] supplied. *)
-let[@inline] fold_pair ~coef a b = Gf.add (Gf.mul inv2 (Gf.add a b)) (Gf.mul coef (Gf.sub a b))
-
-let fold_at ~x_inv beta a b = fold_pair ~coef:(Gf.mul beta (Gf.mul inv2 x_inv)) a b
-
-let fold_block_ocaml ~coef ~w_inv ~lo ~hi ~dst =
-  let coef = ref coef in
-  for i = 0 to Fv.length dst - 1 do
-    Fv.unsafe_set dst i (fold_pair ~coef:!coef (Fv.unsafe_get lo i) (Fv.unsafe_get hi i));
-    coef := Gf.mul !coef w_inv
-  done
+   (a + b)/2 + beta * (a - b)/(2x). *)
+let fold_at ~x_inv beta a b =
+  let coef = Gf.mul beta (Gf.mul inv2 x_inv) in
+  Gf.add (Gf.mul inv2 (Gf.add a b)) (Gf.mul coef (Gf.sub a b))
 
 (* Split across the pool: the chunk at [a] starts its running product at
    [coef0 * w_inv^a], the same field element the serial loop reaches, so
    the output is the same for every split. One element costs ~6 ns in the
-   AVX2 kernel (~27 ns scalar C) and ~74 ns in the OCaml loop (2^16
-   elements, one domain). *)
+   AVX2 kernel (~27 ns scalar C; 2^16 elements, one domain). *)
 let fold_block ~x_inv ~w_inv ~lo ~hi ~dst beta =
   let n = Fv.length dst in
   if Fv.length lo <> n || Fv.length hi <> n then invalid_arg "Fri.fold_block: lengths";
   let coef0 = Gf.mul beta (Gf.mul inv2 x_inv) in
-  let native = Native.on () in
-  Pool.run ~grain:(Pool.grain_of_ns (if native then 6 else 74)) ~n (fun a b ->
+  Pool.run ~grain:(Pool.grain_of_ns 6) ~n (fun a b ->
       let coef = Gf.mul coef0 (Gf.pow w_inv (Int64.of_int a)) in
       let view v = Fv.sub_view v ~pos:a ~len:(b - a) in
-      if native then Native.fri_fold (view dst) (view lo) (view hi) coef w_inv
-      else fold_block_ocaml ~coef ~w_inv ~lo:(view lo) ~hi:(view hi) ~dst:(view dst))
+      Native.fri_fold (view dst) (view lo) (view hi) coef w_inv)
 
 (* A RAM-backed layer is its own 2 x half leaf matrix; a spilled one is
    read [block] leaves at a time into a 2 x block matrix for the builder. *)

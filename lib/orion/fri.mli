@@ -132,9 +132,9 @@ val fold_block :
 (** The kernel behind {!fold_layer}, on one block of a layer:
     [dst.(i)] is the fold of [(lo.(i), hi.(i))] at
     [x_i = x_inv^-1 * w_inv^-i] (a running product: no inversion per
-    element); [dst] may alias [lo]. Runs the native fold kernel when the
-    native layer is on, split across the pool; the output is the same in
-    every mode and for every split.
+    element); [dst] may alias [lo]. Runs the native fold kernel
+    ({!Nocap_native.Native.fri_fold}) split across the pool; the output is
+    the same in every SIMD tier and for every split.
     @raise Invalid_argument unless the three blocks have one length. *)
 
 val open_queries :

@@ -187,7 +187,7 @@ let commit_stream ?budget_bytes params rng ~num_vars ~read =
             ~dst:(Fv.sub_view enc ~pos:(r * code_len) ~len:code_len)
         done);
     let col_ns =
-      max 1 (((bh + Keccak.rate_lanes - 1) / Keccak.rate_lanes) * Keccak.block_ns ())
+      max 1 (((bh + Keccak.rate_lanes - 1) / Keccak.rate_lanes) * Keccak.block_ns)
     in
     Pool.run ~grain:(Pool.grain_of_ns col_ns) ~n:code_len (fun c_lo c_hi ->
         (* Block-local row indices: r_lo is a multiple of the sponge rate,
@@ -199,7 +199,7 @@ let commit_stream ?budget_bytes params rng ~num_vars ~read =
   done;
   let leaves = Fv.create (4 * code_len) in
   Pool.run
-    ~grain:(Pool.grain_of_ns (max 1 (Keccak.block_ns ())))
+    ~grain:(Pool.grain_of_ns Keccak.block_ns)
     ~n:code_len
     (fun c_lo c_hi ->
       Keccak.Col_hash.finalize col_hash ~total_rows:enc_rows ~c_lo ~c_hi leaves);

@@ -1,11 +1,9 @@
 module Pool = Nocap_parallel.Pool
-module Native = Nocap_native.Native
 
 module Config = struct
   type t = {
     domains : int option;
     gc_minor_mb : int option;
-    native : Native.mode option;
     stream_budget_mb : int option;
   }
 
@@ -13,7 +11,6 @@ module Config = struct
     {
       domains = None;
       gc_minor_mb = None;
-      native = None;
       stream_budget_mb = None;
     }
 
@@ -41,23 +38,15 @@ module Config = struct
     in
     let domains = knob "NOCAP_DOMAINS" in
     let gc_minor_mb = knob "NOCAP_GC_MINOR_MB" in
-    let native =
-      match lookup "NOCAP_NATIVE" with
-      | None -> None
-      | Some raw -> keep (Native.parse_mode raw)
-    in
     let stream_budget_mb = knob "NOCAP_STREAM_BUDGET_MB" in
     match List.rev !errors with
-    | [] -> Ok { domains; gc_minor_mb; native; stream_budget_mb }
+    | [] -> Ok { domains; gc_minor_mb; stream_budget_mb }
     | errs -> Error (String.concat "; " errs)
 
   (* The single *validating* environment-read site in the tree. Malformed
      values fail loudly here instead of silently falling back: an operator
      who set NOCAP_DOMAINS=four wants to hear about it, not run
-     single-domain. (NOCAP_NATIVE is also read leniently by [Native.mode]
-     itself as a layering exception — the kernel libraries sit below this
-     module and must work in processes that never resolve an engine; both
-     parsers accept exactly the same grammar.) *)
+     single-domain. *)
   let of_env () =
     match parse ~lookup:Sys.getenv_opt with
     | Ok c -> c
@@ -84,7 +73,6 @@ let default () =
        a pool eagerly) keeps Pool.with_domains able to override, and avoids
        spawning domains in processes that never prove. *)
     Option.iter Pool.set_baseline_domains config.Config.domains;
-    Option.iter Native.set_mode config.Config.native;
     let e = create ~config () in
     default_engine := Some e;
     e

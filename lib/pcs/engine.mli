@@ -20,7 +20,6 @@ module Config : sig
   type t = {
     domains : int option;
     gc_minor_mb : int option;
-    native : Nocap_native.Native.mode option;
     stream_budget_mb : int option;
   }
 
@@ -31,9 +30,7 @@ module Config : sig
   (** Parse the configuration from a key-value source ([lookup] is
       [Sys.getenv_opt] in production, an assoc list in tests). Recognized
       keys: [NOCAP_DOMAINS] (default-pool size), [NOCAP_GC_MINOR_MB]
-      (minor heap size for {!tune_gc}), [NOCAP_NATIVE] (kernel layer mode, see
-      {!Nocap_native.Native.parse_mode}: [0|off] or [1|on|auto|simd];
-      anything else, [scalar] included, is an error) and [NOCAP_STREAM_BUDGET_MB] (prover memory
+      (minor heap size for {!tune_gc}) and [NOCAP_STREAM_BUDGET_MB] (prover memory
       budget in MiB; setting it makes the prover's blocks budget-sized
       and spills them to temp files, see {!stream_budget_bytes}). A key that is set but malformed is an [Error] —
       rejected loudly, never silently defaulted. All knobs are validated
@@ -43,10 +40,7 @@ module Config : sig
 
   val of_env : unit -> t
   (** [parse] over the process environment; the only *validating*
-      [Sys.getenv] site in the library tree ([Nocap_native.Native.mode]
-      also reads NOCAP_NATIVE leniently, because the kernel libraries sit
-      below this module — same grammar, malformed falls back to default
-      there and errors here).
+      [Sys.getenv] site in the library tree.
       @raise Invalid_argument on a malformed value. *)
 end
 
@@ -69,8 +63,7 @@ val default : unit -> t
 (** The shared default engine, built on first use from {!Config.of_env}.
     Its [domains] knob is applied as the pool's baseline size (see
     {!Nocap_parallel.Pool.set_baseline_domains}; [Pool.with_domains] still
-    takes precedence) and its [native] knob via
-    {!Nocap_native.Native.set_mode}. *)
+    takes precedence). *)
 
 val reset_default : unit -> unit
 (** Drop the cached default engine so the next {!default} re-reads the

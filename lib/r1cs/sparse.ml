@@ -143,32 +143,6 @@ let entries m =
   in
   seq 0 0
 
-(* The OCaml body of [mle_eval_split], and the native kernel's oracle: the
-   C walk mirrors it operation for operation. Rows are taken in blocks of
-   one [row_hi] entry, so [row_hi] is multiplied in once per block. *)
-let mle_eval_split_ocaml m ~row_hi ~row_lo ~col_hi ~col_lo =
-  let rs = log2 (Fv.length row_lo) and cs = log2 (Fv.length col_lo) in
-  let rmask = Fv.length row_lo - 1 and cmask = Fv.length col_lo - 1 in
-  let row_ptr = m.row_ptr and col_idx = m.col_idx and values = m.values in
-  let acc = ref Gf.zero in
-  for h = 0 to ((m.nrows + rmask) lsr rs) - 1 do
-    let blk = ref Gf.zero in
-    for r = h lsl rs to min m.nrows ((h + 1) lsl rs) - 1 do
-      let k0 = Array.unsafe_get row_ptr r and k1 = Array.unsafe_get row_ptr (r + 1) in
-      if k0 < k1 then begin
-        let row = ref Gf.zero in
-        for k = k0 to k1 - 1 do
-          let c = Array.unsafe_get col_idx k in
-          let vh = Gf.mul (Fv.unsafe_get values k) (Fv.unsafe_get col_hi (c lsr cs)) in
-          row := Gf.add !row (Gf.mul vh (Fv.unsafe_get col_lo (c land cmask)))
-        done;
-        blk := Gf.add !blk (Gf.mul (Fv.unsafe_get row_lo (r land rmask)) !row)
-      end
-    done;
-    acc := Gf.add !acc (Gf.mul (Fv.unsafe_get row_hi h) !blk)
-  done;
-  !acc
-
 let mle_eval_split m ~row_hi ~row_lo ~col_hi ~col_lo =
   let pow2 v = Fv.length v > 0 && Fv.length v land (Fv.length v - 1) = 0 in
   if not (pow2 row_lo && pow2 col_lo) then
@@ -176,9 +150,7 @@ let mle_eval_split m ~row_hi ~row_lo ~col_hi ~col_lo =
   if Fv.length row_hi * Fv.length row_lo < m.nrows
      || Fv.length col_hi * Fv.length col_lo < m.ncols
   then invalid_arg "Sparse.mle_eval_split: hi x lo shorter than the matrix";
-  if Nocap_native.Native.on () then
-    Nocap_native.Native.csr_eval m.row_ptr m.col_idx m.values row_hi row_lo col_hi col_lo
-  else mle_eval_split_ocaml m ~row_hi ~row_lo ~col_hi ~col_lo
+  Nocap_native.Native.csr_eval m.row_ptr m.col_idx m.values row_hi row_lo col_hi col_lo
 
 let bandwidth_profile m =
   let n = nnz m in

@@ -80,8 +80,7 @@ val mle_eval_split :
     [row_hi] entry; empty rows cost a comparison. Scaling [col_hi] by a
     constant scales the result, which is how the Spartan verifier folds
     its random combination of A, B and C into the walks. Runs the native
-    kernel ({!Nocap_native.Native.csr_eval}) unless the native layer is
-    off; both are exact, so the result does not depend on the mode.
+    kernel ({!Nocap_native.Native.csr_eval}).
     @raise Invalid_argument if a [lo] table is not a positive power of two
     long or [hi x lo] covers fewer than the matrix's rows or columns. *)
 

@@ -77,43 +77,6 @@ let eval_vector ~degree ~f ~lo ~hi =
   end;
   g
 
-(* The OCaml bodies of the fused kernel ([NOCAP_NATIVE=off]), the scalar C
-   body operation for operation: t >= 2 is walked add-only from hi. *)
-let[@inline] eq_abc e x y z = Gf.mul e (Gf.sub (Gf.mul x y) z)
-
-let eval_eq_abc lo hi =
-  let e0 = lo.(0) and x0 = lo.(1) and y0 = lo.(2) and z0 = lo.(3) in
-  let e1 = hi.(0) and x1 = hi.(1) and y1 = hi.(2) and z1 = hi.(3) in
-  let g = Array.make 4 Gf.zero in
-  for i = 0 to Fv.length e0 - 1 do
-    let el = Fv.unsafe_get e0 i and xl = Fv.unsafe_get x0 i in
-    let yl = Fv.unsafe_get y0 i and zl = Fv.unsafe_get z0 i in
-    let eh = Fv.unsafe_get e1 i and xh = Fv.unsafe_get x1 i in
-    let yh = Fv.unsafe_get y1 i and zh = Fv.unsafe_get z1 i in
-    let de = Gf.sub eh el and dx = Gf.sub xh xl in
-    let dy = Gf.sub yh yl and dz = Gf.sub zh zl in
-    let e2 = Gf.add eh de and x2 = Gf.add xh dx in
-    let y2 = Gf.add yh dy and z2 = Gf.add zh dz in
-    g.(0) <- Gf.add g.(0) (eq_abc el xl yl zl);
-    g.(1) <- Gf.add g.(1) (eq_abc eh xh yh zh);
-    g.(2) <- Gf.add g.(2) (eq_abc e2 x2 y2 z2);
-    g.(3) <-
-      Gf.add g.(3) (eq_abc (Gf.add e2 de) (Gf.add x2 dx) (Gf.add y2 dy) (Gf.add z2 dz))
-  done;
-  g
-
-let eval_product lo hi =
-  let x0 = lo.(0) and y0 = lo.(1) and x1 = hi.(0) and y1 = hi.(1) in
-  let g = Array.make 3 Gf.zero in
-  for i = 0 to Fv.length x0 - 1 do
-    let xl = Fv.unsafe_get x0 i and yl = Fv.unsafe_get y0 i in
-    let xh = Fv.unsafe_get x1 i and yh = Fv.unsafe_get y1 i in
-    g.(0) <- Gf.add g.(0) (Gf.mul xl yl);
-    g.(1) <- Gf.add g.(1) (Gf.mul xh yh);
-    g.(2) <- Gf.add g.(2) (Gf.mul (Gf.add xh (Gf.sub xh xl)) (Gf.add yh (Gf.sub yh yl)))
-  done;
-  g
-
 (* The native kernel's sums land in this domain's four-entry buffer. *)
 let sums_key = Domain.DLS.new_key (fun () -> Fv.create 4)
 
@@ -123,11 +86,11 @@ let sums_key = Domain.DLS.new_key (fun () -> Fv.create 4)
    lo/hi halves first; returns the pairs' g(0..degree). *)
 let pass_chunk comb ~r ~src ~dst a b =
   match comb with
-  | (Eq_abc | Product) when Native.on () ->
+  | Eq_abc | Product ->
     let g = Domain.DLS.get sums_key in
     Native.sumcheck_round (match comb with Eq_abc -> 0 | _ -> 1) src dst a b r g;
     Array.init (degree comb + 1) (Fv.unsafe_get g)
-  | _ ->
+  | Vector { degree; f; _ } ->
     let view t = Fv.sub_view t ~pos:a ~len:(b - a) in
     let halves =
       if Array.length dst = 0 then Array.map view src
@@ -143,10 +106,7 @@ let pass_chunk comb ~r ~src ~dst a b =
     in
     let lo = Array.init (Array.length halves / 2) (fun j -> halves.(2 * j)) in
     let hi = Array.init (Array.length halves / 2) (fun j -> halves.((2 * j) + 1)) in
-    (match comb with
-    | Eq_abc -> eval_eq_abc lo hi
-    | Product -> eval_product lo hi
-    | Vector { degree; f; _ } -> eval_vector ~degree ~f ~lo ~hi)
+    eval_vector ~degree ~f ~lo ~hi
 
 (* Per-pair cost (ns) of a folding pass on the AVX2 tier (an evaluating
    one costs about half), for the pool's grain. *)

@@ -62,8 +62,8 @@ type prover_result = {
     them with the previous challenge in the same pass ([lo + r * (hi -
     lo)] on the previous generation's quarters) and writes each half
     once. [Eq_abc] and [Product] run the fused native kernel
-    ([Nocap_native.Native.sumcheck_round]: AVX2 or scalar C, an OCaml
-    body under [NOCAP_NATIVE=off]), which walks each [t >= 2] add-only
+    ([Nocap_native.Native.sumcheck_round]: AVX2 or scalar C), which
+    walks each [t >= 2] add-only
     ([hi + (t - 1) * (hi - lo)]) and sums g(0..degree) with no scratch.
     A [Vector] combiner evaluates each [t >= 2] with one
     {!Nocap_vec.Fv.lerp_into} per table into arena scratch, then [f],

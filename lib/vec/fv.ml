@@ -76,11 +76,9 @@ let equal (a : t) (b : t) =
 
 (* --- allocation-free elementwise kernels -------------------------------- *)
 
-(* Each kernel checks bounds once, then either calls the bit-exact C kernel
-   (Native.on — the branch is per call, not per element) or runs the unsafe
-   OCaml loop; with the [@inline] Gf ops the loop body compiles to
-   straight-line unboxed int64 code. [dst] may alias [a] or [b] (the loops
-   are elementwise; the C kernels preserve this). *)
+(* Each kernel checks bounds once, then calls the C kernel (scalar, AVX2
+   or NEON by the CPU's tier). [dst] may alias [a] or [b]: the kernels are
+   elementwise. *)
 
 module Native = Nocap_native.Native
 
@@ -92,54 +90,29 @@ let check3 name dst a b =
 
 let add_into ~dst a b =
   check3 "Fv.add_into" dst a b;
-  if Native.on () then Native.fv_add dst a b
-  else
-    for i = 0 to length dst - 1 do
-      unsafe_set dst i (Gf.add (unsafe_get a i) (unsafe_get b i))
-    done
+  Native.fv_add dst a b
 
 let sub_into ~dst a b =
   check3 "Fv.sub_into" dst a b;
-  if Native.on () then Native.fv_sub dst a b
-  else
-    for i = 0 to length dst - 1 do
-      unsafe_set dst i (Gf.sub (unsafe_get a i) (unsafe_get b i))
-    done
+  Native.fv_sub dst a b
 
 let mul_into ~dst a b =
   check3 "Fv.mul_into" dst a b;
-  if Native.on () then Native.fv_mul dst a b
-  else
-    for i = 0 to length dst - 1 do
-      unsafe_set dst i (Gf.mul (unsafe_get a i) (unsafe_get b i))
-    done
+  Native.fv_mul dst a b
 
 let scale_into ~dst a c =
   check2 "Fv.scale_into" dst a;
-  if Native.on () then Native.fv_scale dst a c
-  else
-    for i = 0 to length dst - 1 do
-      unsafe_set dst i (Gf.mul c (unsafe_get a i))
-    done
+  Native.fv_scale dst a c
 
 (* dst <- dst + c * src : the inner loop of Orion's row combination. *)
 let axpy_into ~dst c src =
   check2 "Fv.axpy_into" dst src;
-  if Native.on () then Native.fv_axpy dst c src
-  else
-    for i = 0 to length dst - 1 do
-      unsafe_set dst i (Gf.add (unsafe_get dst i) (Gf.mul c (unsafe_get src i)))
-    done
+  Native.fv_axpy dst c src
 
 (* dst <- a + c * (b - a) : the sumcheck fold and round-point kernel. *)
 let lerp_into ~dst a b c =
   check3 "Fv.lerp_into" dst a b;
-  if Native.on () then Native.fv_lerp dst a b c
-  else
-    for i = 0 to length dst - 1 do
-      let x = unsafe_get a i in
-      unsafe_set dst i (Gf.add x (Gf.mul c (Gf.sub (unsafe_get b i) x)))
-    done
+  Native.fv_lerp dst a b c
 
 let map_into ~dst f a =
   check2 "Fv.map_into" dst a;

@@ -43,8 +43,9 @@ val equal : t -> t -> bool
 
 (** {1 Allocation-free elementwise kernels}
 
-    Each checks lengths once, then runs an unsafe loop. [dst] may alias an
-    input (the loops are elementwise). *)
+    Each checks lengths once, then runs the C kernel
+    ({!Nocap_native.Native}). [dst] may alias an input (the kernels are
+    elementwise). {!map_into}, {!fold} and {!sum} are OCaml loops. *)
 
 val add_into : dst:t -> t -> t -> unit
 val sub_into : dst:t -> t -> t -> unit

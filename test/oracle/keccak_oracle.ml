@@ -1,8 +1,7 @@
 (* Keccak-f[1600] over a boxed [int64 array] state, written straight from
    FIPS 202 (theta, rho + pi, chi, iota with its own round-constant and
-   rotation tables): the reference the flat OCaml permutation
-   [Zk_hash.Keccak.f1600_off_ocaml] and the native C permutations are
-   checked against. *)
+   rotation tables): the reference the native C permutations are checked
+   against. *)
 
 let round_constants =
   [|

@@ -14,7 +14,6 @@ module Gf_fv = Zk_ntt.Ntt.Gf_fv
 module Fv = Nocap_vec.Fv
 module Arena = Nocap_vec.Arena
 module Pool = Nocap_parallel.Pool
-module Native = Nocap_native.Native
 
 let log2_exact n =
   if n <= 0 || n land (n - 1) <> 0 then
@@ -60,11 +59,8 @@ let four_step_forward ~rows ~cols a =
   (* Step 4: transpose, so output index k = c * rows + r holds X_k. *)
   Array.init n (fun k -> out.(((k mod rows) * cols) + (k / rows)))
 
-(* Unboxed butterflies run ~3x cheaper than the boxed transform's; the C
-   kernels cut another ~3x, so chunk cost is mode-dependent. *)
-let bf_ns () = if Native.on () then 3 else 8
-
-let ntt_grain m = Pool.grain_of_ns (max 1 (m / 2 * log2_exact m * bf_ns ()))
+(* A butterfly costs ~3ns in the C kernel. *)
+let ntt_grain m = Pool.grain_of_ns (max 1 (m / 2 * log2_exact m * 3))
 
 (* Scale bases w^0 .. w^(rows-1) for the primitive (rows*cols)-th root. *)
 let scale_rows ~rows ~cols =

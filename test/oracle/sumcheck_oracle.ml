@@ -17,19 +17,19 @@ let spartan_comb_scalar v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3))
 
 (* --- the two-pass round ------------------------------------------------
 
-   The fused round kernel's oracle: the round polynomial on the vector
-   kernels (one [Fv.lerp_into] per table for each
-   t >= 2 into arena scratch, the vector combiner, an [Fv.sum] per point),
-   then a separate fold pass. [Sumcheck.round_kernel]'s g and folded
-   halves must be bit-equal to these on every kernel tier. *)
+   The fused round kernel's oracle: the round polynomial on the OCaml
+   vector loops of [Fv_oracle] (one [lerp_into] per table for each t >= 2
+   into arena scratch, the vector combiner, an [Fv.sum] per point), then
+   a separate fold pass. [Sumcheck.round_kernel]'s g and folded halves
+   must be bit-equal to these on every kernel tier. *)
 
 (* The vector forms of [Sumcheck.Eq_abc] and [Sumcheck.Product]. *)
 let eq_abc_vector v out =
-  Fv.mul_into ~dst:out v.(1) v.(2);
-  Fv.sub_into ~dst:out out v.(3);
-  Fv.mul_into ~dst:out out v.(0)
+  Fv_oracle.mul_into ~dst:out v.(1) v.(2);
+  Fv_oracle.sub_into ~dst:out out v.(3);
+  Fv_oracle.mul_into ~dst:out out v.(0)
 
-let product_vector v out = Fv.mul_into ~dst:out v.(0) v.(1)
+let product_vector v out = Fv_oracle.mul_into ~dst:out v.(0) v.(1)
 
 let eval_block ~degree ~comb ~lo ~hi g =
   Nocap_vec.Arena.with_frame @@ fun () ->
@@ -44,7 +44,7 @@ let eval_block ~degree ~comb ~lo ~hi g =
   let pts = Array.map (fun _ -> Nocap_vec.Arena.alloc m) lo in
   for t = 2 to degree do
     let c = Gf.of_int t in
-    Array.iteri (fun j p -> Fv.lerp_into ~dst:p lo.(j) hi.(j) c) pts;
+    Array.iteri (fun j p -> Fv_oracle.lerp_into ~dst:p lo.(j) hi.(j) c) pts;
     point t pts
   done
 
@@ -62,7 +62,7 @@ let round_poly ~degree ~comb ~lo ~hi =
 
 (* dst.(j) <- lo.(j) + r * (hi.(j) - lo.(j)). *)
 let fold ~dst ~lo ~hi r =
-  Array.iteri (fun j d -> Fv.lerp_into ~dst:d lo.(j) hi.(j) r) dst
+  Array.iteri (fun j d -> Fv_oracle.lerp_into ~dst:d lo.(j) hi.(j) r) dst
 
 (* Boxed tables as fresh RAM-backed spill vectors, the form the production
    prover takes. *)

@@ -295,8 +295,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fold_vs_reference;
   ]
   @ List.map
-      (fun (leg : Test_native.leg) ->
-        (* The OCaml Keccak is ~50x slower than C: fewer cases there. *)
-        QCheck_alcotest.to_alcotest
-          (prop_fri_verify_vs_walk leg ~count:(if leg.name = "off" then 40 else 150)))
+      (fun leg -> QCheck_alcotest.to_alcotest (prop_fri_verify_vs_walk leg ~count:150))
       Test_native.legs

@@ -231,8 +231,5 @@ let suite =
     Alcotest.test_case "rejected squeeze hook" `Quick test_rejected_squeeze_hook;
   ]
   @ List.map
-      (fun (leg : Test_native.leg) ->
-        (* The OCaml Keccak is ~50x slower than C: fewer cases there. *)
-        QCheck_alcotest.to_alcotest
-          (prop_transcript_vs_oracle leg ~count:(if leg.name = "off" then 15 else 60)))
+      (fun leg -> QCheck_alcotest.to_alcotest (prop_transcript_vs_oracle leg ~count:60))
       Test_native.legs

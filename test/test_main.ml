@@ -1,4 +1,7 @@
 let () =
+  (* Build the default engine up front, as the CLI does: a rerun under
+     NOCAP_DOMAINS (test/dune) then sizes the pool from the first test on. *)
+  ignore (Zk_pcs.Engine.default ());
   Alcotest.run "nocap_repro"
     [
       ("parallel", Test_parallel.suite);

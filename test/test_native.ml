@@ -1,12 +1,12 @@
-(* Equivalence suite for the native (C) kernel layer: every stub is checked
-   against its OCaml oracle — QCheck over raw 64-bit patterns (including
-   non-canonical residues >= p) for the field kernels, exhaustive message
-   lengths across the sponge rate boundaries for the hashes, offset/sub-view
-   torture for the in-place permutation and the column sponges, and a
-   full-pipeline proof-byte golden across the three kernel legs and domain
-   counts 1/2/3.
+(* Equivalence suite for the native (C) kernel layer: every stub is checked,
+   in every SIMD tier, against its reference in test/oracle — QCheck over
+   raw 64-bit patterns (including non-canonical residues >= p) for the
+   field kernels, exhaustive message lengths across the sponge rate
+   boundaries for the hashes, offset/sub-view torture for the in-place
+   permutation and the column sponges, and a full-pipeline proof-byte
+   golden across the three tiers and domain counts 1/2/3.
 
-   The dispatchers are bit-exact by construction (the C mirrors the OCaml
+   The kernels are bit-exact by construction (the C follows the Gf
    formulas operation for operation), so every comparison here is for raw
    equality, not "equal mod p". *)
 
@@ -25,31 +25,70 @@ module Spartan = Zk_spartan.Spartan
 
 let p_int64 = 0xFFFF_FFFF_0000_0001L
 
-(* The kernel legs: pure OCaml ([Off]), the portable scalar C bodies
-   ([Native.with_scalar_c]), the AVX2 tier ([Native.with_avx2_only]: the
-   4-lane Keccak under the flat Merkle kernels) and the best SIMD the CPU
-   has ([On]: the 8-lane AVX-512F Keccak where present). Every cross-leg
-   check compares the C legs against the OCaml result. On a host without
-   a tier its leg degrades to the next one down — the check still runs,
-   and "SIMD tiers reached" says which tiers did. *)
+(* What the kernels run before any test hook or engine call: taken while
+   the test program initialises, ahead of every suite. *)
+let startup_mode = Native.mode ()
+let startup_lanes = Native.keccak_lanes ()
+let startup_node_grain = Keccak.node_grain ()
+
+(* The kernel legs: the portable scalar C bodies ([Native.with_scalar_c]),
+   the AVX2 tier ([Native.with_avx2_only]: the 4-lane Keccak under the
+   flat Merkle kernels) and the best SIMD the CPU has (no hook: the 8-lane
+   AVX-512F Keccak where present). Every check compares each leg against
+   a reference from test/oracle. On a host without a tier its leg
+   degrades to the next one down — the check still runs, and "SIMD tiers
+   reached" says which tiers did. *)
 type leg = { name : string; run : 'a. (unit -> 'a) -> 'a }
 
-let off = { name = "off"; run = (fun f -> Native.with_mode Native.Off f) }
 let scalar = { name = "scalar"; run = (fun f -> Native.with_scalar_c f) }
 let avx2 = { name = "avx2"; run = (fun f -> Native.with_avx2_only f) }
-let on = { name = "on"; run = (fun f -> Native.with_mode Native.On f) }
-let c_legs = [ scalar; avx2; on ]
-let legs = off :: c_legs
+let best = { name = "best"; run = (fun f -> f ()) }
+let legs = [ scalar; avx2; best ]
+
+(* The widest tier the CPU has, and its Merkle-kernel lane count. *)
+let widest =
+  if Native.have_avx512f () then (Native.Avx512f, 8)
+  else if Native.have_avx2 () then (Native.Avx2, 4)
+  else if Native.have_neon () then (Native.Neon, 1)
+  else (Native.Scalar, 1)
+
+(* From process start, with no hook or engine call before, the kernels run
+   the widest tier: the C level starts at the top. The Merkle node grain
+   is priced by the lane count that runs, so on a SIMD host it is the x8
+   or x4 group grain, not the scalar body's. *)
+let test_startup_tier () =
+  let mode, lanes = widest in
+  Alcotest.(check string) "tier at startup" (Native.mode_to_string mode)
+    (Native.mode_to_string startup_mode);
+  Alcotest.(check int) "Keccak lanes at startup" lanes startup_lanes;
+  Alcotest.(check int) "node grain at startup = best tier's" (best.run Keccak.node_grain)
+    startup_node_grain;
+  if lanes > 1 then
+    Alcotest.(check bool) "node grain at startup is a SIMD group's" true
+      (startup_node_grain > scalar.run Keccak.node_grain)
+
+(* test/dune reruns this suite under NOCAP_DOMAINS=1 and =3, and
+   test_main installs the environment's engine before any suite runs, so
+   every kernel check here runs on a pool of that size. A rerun that kept
+   the host-sized pool would repeat the main run, so pin the size. *)
+let test_env_pool_size () =
+  let expected =
+    match Sys.getenv_opt "NOCAP_DOMAINS" with
+    | Some v -> int_of_string (String.trim v)
+    | None -> max 1 (min 128 (Domain.recommended_domain_count ()))
+  in
+  Alcotest.(check int) "pool size" expected (Pool.default_domains ())
 
 (* Each leg's Merkle-kernel width is the tier it claims, or the next one
    down where the CPU lacks it. *)
 let test_tiers_reached () =
   let lanes (l : leg) = l.run Native.keccak_lanes in
   let x4 = if Native.have_avx2 () then 4 else 1 in
-  Alcotest.(check int) "off" 1 (lanes off);
   Alcotest.(check int) "scalar" 1 (lanes scalar);
+  Alcotest.(check string) "scalar tier" "scalar"
+    (Native.mode_to_string (scalar.run Native.mode));
   Alcotest.(check int) "avx2" x4 (lanes avx2);
-  Alcotest.(check int) "on" (if Native.have_avx512f () then 8 else x4) (lanes on);
+  Alcotest.(check int) "best" (snd widest) (lanes best);
   Printf.printf "SIMD tiers reached (cpu %s): scalar C, %s, %s\n"
     (Native.features_to_string ())
     (if x4 = 4 then "x4 (AVX2)" else "x4 skipped: CPU has no AVX2")
@@ -64,8 +103,7 @@ let test_node_grain_by_tier () =
     Alcotest.(check bool) "scalar grain < avx2 grain" true (grain scalar < grain avx2)
   else Alcotest.(check int) "no AVX2: one tier" (grain scalar) (grain avx2)
 
-let check_legs name (f : unit -> string) =
-  let expected = off.run f in
+let check_legs name ~expected (f : unit -> string) =
   List.iter
     (fun l -> Alcotest.(check string) (Printf.sprintf "%s [%s]" name l.name) expected (l.run f))
     legs
@@ -74,7 +112,7 @@ let check_legs name (f : unit -> string) =
 
 (* Any bit pattern, with the reduction-boundary neighbourhood over-weighted:
    0, 1, eps, p-1, p, p+1, all-ones. The kernels must agree with the OCaml
-   formulas even on non-canonical inputs (the dispatch sites never
+   formulas even on non-canonical inputs (the call sites never
    canonicalize first). *)
 let gen_raw64 =
   QCheck.Gen.(
@@ -154,38 +192,37 @@ let prop_elementwise =
       let n = Array.length ra in
       let a = fv_of_raw ra and b = fv_of_raw rb in
       let s = if n = 0 then 0L else ra.(0) in
-      let oracle op =
+      let run op =
         let dst = Fv.create n in
-        off.run (fun () -> op dst);
+        op dst;
         dst
       in
-      let native (leg : leg) op =
-        let dst = Fv.create n in
-        leg.run (fun () -> op dst);
-        dst
+      let axpy axpy_into dst =
+        Fv.blit ~src:b ~src_pos:0 ~dst ~dst_pos:0 ~len:n;
+        axpy_into ~dst s a
       in
       let ops =
         [
-          ("add", fun dst -> Fv.add_into ~dst a b);
-          ("sub", fun dst -> Fv.sub_into ~dst a b);
-          ("mul", fun dst -> Fv.mul_into ~dst a b);
-          ("scale", fun dst -> Fv.scale_into ~dst a s);
-          ( "axpy",
-            fun dst ->
-              Fv.blit ~src:b ~src_pos:0 ~dst ~dst_pos:0 ~len:n;
-              Fv.axpy_into ~dst s a );
-          ("lerp", fun dst -> Fv.lerp_into ~dst a b s);
+          ("add", (fun dst -> Fv_oracle.add_into ~dst a b), fun dst -> Fv.add_into ~dst a b);
+          ("sub", (fun dst -> Fv_oracle.sub_into ~dst a b), fun dst -> Fv.sub_into ~dst a b);
+          ("mul", (fun dst -> Fv_oracle.mul_into ~dst a b), fun dst -> Fv.mul_into ~dst a b);
+          ( "scale",
+            (fun dst -> Fv_oracle.scale_into ~dst a s),
+            fun dst -> Fv.scale_into ~dst a s );
+          ("axpy", axpy Fv_oracle.axpy_into, axpy Fv.axpy_into);
+          ( "lerp",
+            (fun dst -> Fv_oracle.lerp_into ~dst a b s),
+            fun dst -> Fv.lerp_into ~dst a b s );
         ]
       in
       List.for_all
-        (fun (name, op) ->
-          let expected = oracle op in
+        (fun (name, oracle, kernel) ->
+          let expected = run oracle in
           List.for_all
             (fun m ->
-              fv_raw_eq expected (native m op)
-              || QCheck.Test.fail_reportf "%s diverged under %s" name
-                   m.name)
-            c_legs)
+              fv_raw_eq expected (m.run (fun () -> run kernel))
+              || QCheck.Test.fail_reportf "%s diverged under %s" name m.name)
+            legs)
         ops)
 
 (* The raw lerp stub (the sumcheck fold and round-point kernel) against
@@ -217,10 +254,12 @@ let prop_lerp_raw =
               (fresh && alias_a && alias_b)
               || QCheck.Test.fail_reportf "lerp diverged under %s (n=%d)"
                    m.name n))
-        c_legs)
+        legs)
 
 (* --- NTT / RS encode ----------------------------------------------------- *)
 
+(* The flat transforms in every leg against the boxed [Gf_ntt]: forward
+   equals its forward, and the inverse takes it back to the input. *)
 let test_ntt_equiv () =
   let rng = Rng.create 0xA11CEL in
   List.iter
@@ -228,32 +267,19 @@ let test_ntt_equiv () =
       let n = 1 lsl log_n in
       let plan = Gf_fv.plan n in
       let input = Array.init n (fun _ -> Gf.random rng) in
-      let ocaml_buf = Fv.of_array input in
-      off.run (fun () -> Gf_fv.forward plan ocaml_buf);
+      let expected = Zk_ntt.Ntt.Gf_ntt.forward_copy (Zk_ntt.Ntt.Gf_ntt.plan n) input in
       List.iter
         (fun m ->
-          let c_buf = Fv.of_array input in
-          m.run (fun () ->
-              Native.ntt_forward c_buf (Gf_fv.twiddles plan));
-          Alcotest.(check bool)
+          let buf = Fv.of_array input in
+          m.run (fun () -> Gf_fv.forward plan buf);
+          Alcotest.(check (array int64))
             (Printf.sprintf "forward n=%d [%s]" n m.name)
-            true (fv_raw_eq ocaml_buf c_buf);
-          (* Inverse kernel: exact roundtrip back to the input. *)
-          m.run (fun () ->
-              Native.ntt_inverse c_buf (Gf_fv.inv_twiddles plan) (Gf_fv.n_inv plan));
-          Alcotest.(check bool)
+            expected (Fv.to_array buf);
+          m.run (fun () -> Gf_fv.inverse plan buf);
+          Alcotest.(check (array int64))
             (Printf.sprintf "roundtrip n=%d [%s]" n m.name)
-            true (fv_raw_eq (Fv.of_array input) c_buf))
-        c_legs;
-      (* The dispatching inverse agrees with the OCaml inverse on the
-         forward image. *)
-      let inv_ocaml = Fv.copy ocaml_buf in
-      off.run (fun () -> Gf_fv.inverse plan inv_ocaml);
-      let inv_c = Fv.copy ocaml_buf in
-      Native.with_mode Native.On (fun () -> Gf_fv.inverse plan inv_c);
-      Alcotest.(check bool)
-        (Printf.sprintf "inverse n=%d" n)
-        true (fv_raw_eq inv_ocaml inv_c))
+            input (Fv.to_array buf))
+        legs)
     [ 0; 1; 2; 3; 5; 8; 10 ]
 
 (* A code's row encoder against the boxed oracle in every leg, at sizes on
@@ -298,9 +324,7 @@ let test_rs_encode_row () =
       let code_len = Rs.blowup * cols in
       let dst_raw = Fv.create code_len in
       Fv.fill dst_raw (Gf.of_int 0x5A5A5A);
-      Native.with_mode Native.On (fun () ->
-          Native.rs_encode_row (Fv.of_array msg) dst_raw
-            (Gf_fv.twiddles (Gf_fv.plan code_len)));
+      Native.rs_encode_row (Fv.of_array msg) dst_raw (Gf_fv.twiddles (Gf_fv.plan code_len));
       Alcotest.(check (array int64))
         (Printf.sprintf "rs_encode_row raw cols=%d" cols)
         expected (Fv.to_array dst_raw))
@@ -312,8 +336,8 @@ let test_expander_encode_row () =
   ignore (check_encode_row (module Zk_ecc.Expander) 0xE5EEDL)
 
 (* Rows of one flat buffer transformed in place through row views, odd row
-   counts included: the C kernel reads each row from a base pointer inside
-   the buffer. *)
+   counts included, against the boxed [Gf_ntt] per row: the C kernel reads
+   each row from a base pointer inside the buffer. *)
 let test_ntt_rows_equiv () =
   let rng = Rng.create 0xB0B5L in
   List.iter
@@ -329,7 +353,13 @@ let test_ntt_rows_equiv () =
             done);
         buf
       in
-      let expected = run off in
+      let expected = Fv.copy flat in
+      for r = 0 to rows - 1 do
+        let row = Fv.to_array (Fv.sub_view flat ~pos:(r * cols) ~len:cols) in
+        Fv.write_array
+          (Zk_ntt.Ntt.Gf_ntt.forward_copy (Zk_ntt.Ntt.Gf_ntt.plan cols) row)
+          ~src_pos:0 expected ~dst_pos:(r * cols) ~len:cols
+      done;
       List.iter
         (fun m ->
           Alcotest.(check bool)
@@ -337,19 +367,20 @@ let test_ntt_rows_equiv () =
                m.name)
             true
             (fv_raw_eq expected (run m)))
-        c_legs)
+        legs)
     [ (1, 64); (3, 32); (7, 128); (16, 16) ]
 
 (* --- Keccak / SHA3 ------------------------------------------------------- *)
 
 (* Every length from the empty message across both rate boundaries (one
-   block = 136 bytes): exercises the padding byte landing in every lane
-   position, including the rem = rate case. *)
+   block = 136 bytes), against the boxed sponge: exercises the padding
+   byte landing in every lane position, including the rem = rate case. *)
 let test_sha3_all_lengths () =
   for len = 0 to 300 do
     let msg = Bytes.init len (fun i -> Char.chr ((i * 37 + len) land 0xff)) in
     check_legs
       (Printf.sprintf "sha3_256 len=%d" len)
+      ~expected:(Keccak_oracle.sha3_256 msg)
       (fun () -> Keccak.sha3_256 msg)
   done;
   (* FIPS 202 known answers pin the absolute value, not just agreement. *)
@@ -581,18 +612,17 @@ let test_round_kernel_vs_oracle () =
           (* Evaluate-only over [prev] (2h pairs) and the fold of [prev]
              into 2h-entry tables followed by the round over them. *)
           let expected_eval, expected_fold, expected_dst =
-            off.run (fun () ->
-                let lo = Array.map (fun t -> (halves t ~parts:2).(0)) prev in
-                let hi = Array.map (fun t -> (halves t ~parts:2).(1)) prev in
-                let ge = Sumcheck_oracle.round_poly ~degree ~comb:vector ~lo ~hi in
-                let dst = Array.map (fun _ -> Fv.create (2 * h)) prev in
-                Sumcheck_oracle.fold ~dst ~lo ~hi r;
-                let gf =
-                  Sumcheck_oracle.round_poly ~degree ~comb:vector
-                    ~lo:(Array.map (fun t -> (halves t ~parts:2).(0)) dst)
-                    ~hi:(Array.map (fun t -> (halves t ~parts:2).(1)) dst)
-                in
-                (ge, gf, dst))
+            let lo = Array.map (fun t -> (halves t ~parts:2).(0)) prev in
+            let hi = Array.map (fun t -> (halves t ~parts:2).(1)) prev in
+            let ge = Sumcheck_oracle.round_poly ~degree ~comb:vector ~lo ~hi in
+            let dst = Array.map (fun _ -> Fv.create (2 * h)) prev in
+            Sumcheck_oracle.fold ~dst ~lo ~hi r;
+            let gf =
+              Sumcheck_oracle.round_poly ~degree ~comb:vector
+                ~lo:(Array.map (fun t -> (halves t ~parts:2).(0)) dst)
+                ~hi:(Array.map (fun t -> (halves t ~parts:2).(1)) dst)
+            in
+            (ge, gf, dst)
           in
           let same what a b =
             Alcotest.(check bool) what true (Array.for_all2 Int64.equal a b)
@@ -746,11 +776,11 @@ let test_f1600_off_torture () =
                  m.name)
               expected (Fv.get st i)
           done)
-        c_legs)
+        legs)
     [ 0; 7; 25; 52; 75 ]
 
-(* The raw C permutation against the OCaml one on arbitrary 25-lane
-   states, in both C legs (SIMD dispatch still runs the scalar body for a
+(* The raw C permutation against the boxed oracle on arbitrary 25-lane
+   states, in every leg (SIMD dispatch still runs the scalar body for a
    single state). *)
 let arb_state =
   QCheck.make
@@ -758,16 +788,17 @@ let arb_state =
     QCheck.Gen.(array_repeat 25 gen_raw64)
 
 let prop_f1600_vs_ocaml =
-  QCheck.Test.make ~count:200 ~name:"native f1600_off vs Keccak.f1600_off_ocaml on random states"
+  QCheck.Test.make ~count:200 ~name:"native f1600_off vs boxed oracle on random states"
     arb_state (fun lanes ->
-      let expected = fv_of_raw lanes in
-      Keccak.f1600_off_ocaml expected 0 (Fv.create 25) (Fv.create 5);
+      let expected = Array.copy lanes in
+      Keccak_oracle.keccak_f1600 expected;
+      let expected = fv_of_raw expected in
       List.for_all
         (fun m ->
           let got = fv_of_raw lanes in
           m.run (fun () -> Native.f1600_off got 0);
           fv_raw_eq expected got)
-        c_legs)
+        legs)
 
 (* Known answer: Keccak-f[1600] of the all-zero state (the Keccak team's
    published intermediate values), lanes 0 and 1. *)
@@ -785,17 +816,16 @@ let test_f1600_zero_kat () =
       let lanes = Array.init 25 (Fv.get st) in
       Keccak_oracle.keccak_f1600 lanes;
       Array.iteri (Fv.set st) lanes);
-  check "[ocaml]" (fun st -> Keccak.f1600_off_ocaml st 0 (Fv.create 25) (Fv.create 5));
   List.iter
     (fun m ->
       check
         (Printf.sprintf "[%s]" m.name)
         (fun st -> m.run (fun () -> Native.f1600_off st 0)))
-    c_legs
+    legs
 
 (* Column sponges driven through irregular absorb chunks (splitting rows at
    non-multiples of the 17-lane rate and columns mid-range) over a
-   misaligned sub-view, against the one-shot hash_cols_into. *)
+   misaligned sub-view, against the boxed sponge of each packed column. *)
 let test_col_hash_torture () =
   let rng = Rng.create 0xC01L in
   let rows = 40 and cols = 13 in
@@ -803,10 +833,7 @@ let test_col_hash_torture () =
   random_fill rng big;
   let flat = Fv.sub_view big ~pos:5 ~len:(rows * cols) in
   let expected =
-    off.run (fun () ->
-        let dst = Fv.create (4 * cols) in
-        Keccak.hash_cols_into ~rows ~cols flat ~dst;
-        Array.init cols (Keccak.digest_at dst))
+    Array.init cols (fun j -> sha3_packed (Array.init rows (fun r -> Fv.get flat ((r * cols) + j))))
   in
   let splits = [ 0; 1; 4; 16; 17; 18; 34; rows ] in
   List.iter
@@ -850,9 +877,9 @@ let golden_circuit () =
   Gadgets.assert_equal b (Builder.lc_var !cur) (Builder.lc_var out);
   Builder.finalize b
 
-(* The acceptance pin: proof bytes are identical with the native layer off,
-   scalar, and SIMD, for domain counts 1, 2 and 3 — the kernels never leak
-   into the transcript. *)
+(* The acceptance pin: proof bytes are identical under scalar C, the AVX2
+   tier and the best SIMD tier, for domain counts 1, 2 and 3 — the kernels
+   never leak into the transcript. *)
 let test_proof_bytes_invariant () =
   let inst, asn = golden_circuit () in
   let prove_bytes (leg : leg) d =
@@ -861,7 +888,7 @@ let test_proof_bytes_invariant () =
             let proof, _ = Spartan.prove Spartan.test_params inst asn in
             Spartan.proof_to_bytes proof))
   in
-  let reference = prove_bytes off 1 in
+  let reference = prove_bytes scalar 1 in
   List.iter
     (fun d ->
       List.iter
@@ -875,22 +902,25 @@ let test_proof_bytes_invariant () =
 
 let suite =
   [
+    Alcotest.test_case "widest SIMD tier from startup" `Quick test_startup_tier;
+    Alcotest.test_case "pool size follows NOCAP_DOMAINS" `Quick test_env_pool_size;
     Alcotest.test_case "SIMD tiers reached" `Quick test_tiers_reached;
     Alcotest.test_case "Merkle node grain follows the lane count" `Quick test_node_grain_by_tier;
     Alcotest.test_case "gl_pow vs Gf.pow + Fermat" `Quick test_gl_pow;
     QCheck_alcotest.to_alcotest prop_elementwise;
     QCheck_alcotest.to_alcotest prop_lerp_raw;
-    Alcotest.test_case "NTT forward/inverse vs OCaml, all sizes" `Quick test_ntt_equiv;
-    Alcotest.test_case "row-batched NTT vs OCaml" `Quick test_ntt_rows_equiv;
+    Alcotest.test_case "NTT forward/inverse vs boxed Gf_ntt, all sizes" `Quick test_ntt_equiv;
+    Alcotest.test_case "row-batched NTT vs boxed Gf_ntt" `Quick test_ntt_rows_equiv;
     Alcotest.test_case "RS row encode vs oracle + raw fused stub" `Quick test_rs_encode_row;
     Alcotest.test_case "expander row encode vs oracle" `Quick test_expander_encode_row;
-    Alcotest.test_case "sha3 lengths 0..300 across modes + FIPS" `Quick test_sha3_all_lengths;
+    Alcotest.test_case "sha3 lengths 0..300 vs boxed sponge, all tiers + FIPS" `Quick
+      test_sha3_all_lengths;
     Alcotest.test_case "sha3_256 vs boxed sponge oracle" `Quick test_sha3_vs_sponge_oracle;
-    Alcotest.test_case "hash_nodes_into across modes" `Quick test_hash_nodes_into;
-    Alcotest.test_case "hash_cols_into across modes" `Quick test_hash_cols_into;
+    Alcotest.test_case "hash_nodes_into across tiers" `Quick test_hash_nodes_into;
+    Alcotest.test_case "hash_cols_into across tiers" `Quick test_hash_cols_into;
     Alcotest.test_case "sha3_blocks_into + sha3_256_into vs boxed sponge oracle" `Quick
       test_sha3_blocks_into;
-    Alcotest.test_case "FRI fold_block across modes and splits" `Quick test_fri_fold_block;
+    Alcotest.test_case "FRI fold_block across tiers and splits" `Quick test_fri_fold_block;
     Alcotest.test_case "sumcheck round kernel vs two-pass oracle" `Quick
       test_round_kernel_vs_oracle;
     Alcotest.test_case "eq_table_into vs per-entry oracle, every block" `Quick
@@ -900,5 +930,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_f1600_vs_ocaml;
     Alcotest.test_case "f1600 zero-state KAT" `Quick test_f1600_zero_kat;
     Alcotest.test_case "Col_hash chunked absorb torture" `Quick test_col_hash_torture;
-    Alcotest.test_case "proof bytes invariant: modes x domains" `Quick test_proof_bytes_invariant;
+    Alcotest.test_case "proof bytes invariant: tiers x domains" `Quick test_proof_bytes_invariant;
   ]

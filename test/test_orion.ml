@@ -335,8 +335,5 @@ let suite =
     Alcotest.test_case "interior node opened as a leaf rejected" `Quick test_node_as_leaf_rejected;
   ]
   @ List.map
-      (fun (leg : Test_native.leg) ->
-        (* The OCaml Keccak is ~50x slower than C: fewer cases there. *)
-        QCheck_alcotest.to_alcotest
-          (prop_batched_vs_oracle leg ~count:(if leg.name = "off" then 25 else 120)))
+      (fun leg -> QCheck_alcotest.to_alcotest (prop_batched_vs_oracle leg ~count:120))
       Test_native.legs

@@ -57,7 +57,7 @@ let test_golden_bytes () =
       List.iter
         (fun d -> check (Printf.sprintf "at %d domains" d) (Pool.with_domains d))
         [ 1; 2; 3 ];
-      check "with native kernels off" (Nocap_native.Native.with_mode Nocap_native.Native.Off);
+      check "with scalar C kernels" Nocap_native.Native.with_scalar_c;
       check "with the AVX2 tier only" Nocap_native.Native.with_avx2_only)
     golden_cases
 
@@ -83,8 +83,8 @@ let test_fri_golden_bytes () =
       List.iter
         (fun d -> check (Printf.sprintf "at %d domains" d) (Pool.with_domains d))
         [ 1; 2; 3 ];
-      (* The pure-OCaml kernels (NOCAP_NATIVE=0) produce the same bytes. *)
-      check "with native kernels off" (Nocap_native.Native.with_mode Nocap_native.Native.Off);
+      (* The portable scalar C bodies produce the same bytes. *)
+      check "with scalar C kernels" Nocap_native.Native.with_scalar_c;
       (* The 4-lane Merkle kernels, also on an AVX-512F host. *)
       check "with the AVX2 tier only" Nocap_native.Native.with_avx2_only)
     fri_golden_cases
@@ -329,7 +329,6 @@ let test_engine_config () =
             [
               ("NOCAP_DOMAINS", "3");
               ("NOCAP_GC_MINOR_MB", "64");
-              ("NOCAP_NATIVE", "off");
               ("NOCAP_STREAM_BUDGET_MB", "256");
             ])
    with
@@ -337,7 +336,6 @@ let test_engine_config () =
       {
         Engine.Config.domains = Some 3;
         gc_minor_mb = Some 64;
-        native = Some Nocap_native.Native.Off;
         stream_budget_mb = Some 256;
       } ->
     ()
@@ -351,27 +349,7 @@ let test_engine_config () =
     [ "zero"; "-2"; "0"; "" ];
   (match Engine.Config.parse ~lookup:(lookup [ ("NOCAP_GC_MINOR_MB", "1.5") ]) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted fractional NOCAP_GC_MINOR_MB");
-  (* NOCAP_NATIVE accepts the documented grammar and rejects the rest. *)
-  List.iter
-    (fun (v, m) ->
-      match Engine.Config.parse ~lookup:(lookup [ ("NOCAP_NATIVE", v) ]) with
-      | Ok { Engine.Config.native = Some m'; _ } when m' = m -> ()
-      | Ok _ -> Alcotest.failf "NOCAP_NATIVE=%s parsed wrong" v
-      | Error e -> Alcotest.failf "NOCAP_NATIVE=%s rejected: %s" v e)
-    Nocap_native.Native.
-      [
-        ("0", Off); ("off", Off); ("OFF", Off); ("1", On); ("on", On); ("auto", On);
-        ("simd", On);
-      ];
-  (* The scalar C bodies are a test hook ([Native.with_scalar_c]), not a
-     mode, so the knob rejects "scalar" like any other unknown value. *)
-  List.iter
-    (fun v ->
-      match Engine.Config.parse ~lookup:(lookup [ ("NOCAP_NATIVE", v) ]) with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted NOCAP_NATIVE=%s" v)
-    [ "scalar"; "fast" ]
+  | Ok _ -> Alcotest.fail "accepted fractional NOCAP_GC_MINOR_MB")
 
 (* --- flat codec: get_fv is get_gf_array, error for error --- *)
 
@@ -728,7 +706,7 @@ let prop_monomial_coeffs =
 (* Transcript hashes per proof at perfbench scale, from its generators and
    seed 1: a count is noise-free where wall time is not, and the batched
    squeezes must hash exactly what one-at-a-time squeezing did, in every
-   kernel mode. Litmus (64 transactions, Orion): 3642 of its 4021 hashes
+   kernel tier. Litmus (64 transactions, Orion): 3642 of its 4021 hashes
    are the twelve 128-challenge [orion/rho] vectors and the three 189-index
    [orion/columns] draws. RSA modexp (16 instances, FRI): 642. *)
 let test_transcript_hash_counts () =
@@ -739,8 +717,8 @@ let test_transcript_hash_counts () =
         Alcotest.(check int) (Printf.sprintf "%s transcript_hashes [%s]" name mode) expected
           (run prove))
       [
-        ("native off", Nocap_native.Native.with_mode Nocap_native.Native.Off);
-        ("native on", Nocap_native.Native.with_mode Nocap_native.Native.On);
+        ("scalar C", Nocap_native.Native.with_scalar_c);
+        ("best tier", fun f -> f ());
       ]
   in
   let rows = 8 in
@@ -785,13 +763,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_monomial_coeffs;
   ]
   @ List.concat_map
-      (fun (leg : Test_native.leg) ->
-        (* The OCaml Keccak is ~50x slower than C: fewer cases there. *)
-        let off = leg.name = "off" in
+      (fun leg ->
         [
-          QCheck_alcotest.to_alcotest
-            (prop_fri_flat_vs_oracle leg ~count:(if off then 30 else 150));
-          QCheck_alcotest.to_alcotest
-            (prop_fri_target_vs_oracle leg ~count:(if off then 2 else 6));
+          QCheck_alcotest.to_alcotest (prop_fri_flat_vs_oracle leg ~count:150);
+          QCheck_alcotest.to_alcotest (prop_fri_target_vs_oracle leg ~count:6);
         ])
       Test_native.legs

@@ -447,8 +447,7 @@ let test_config_aggregates_errors () =
      Engine.Config.parse
        ~lookup:
          (lookup_of
-            [ ("NOCAP_DOMAINS", "zero"); ("NOCAP_GC_MINOR_MB", "-4");
-              ("NOCAP_NATIVE", "bogus") ])
+            [ ("NOCAP_DOMAINS", "zero"); ("NOCAP_GC_MINOR_MB", "-4") ])
    with
   | Ok _ -> Alcotest.fail "malformed config accepted"
   | Error msg ->
@@ -456,7 +455,7 @@ let test_config_aggregates_errors () =
       (fun var ->
         if not (contains msg var) then
           Alcotest.failf "aggregate error misses %s: %s" var msg)
-      [ "NOCAP_DOMAINS"; "NOCAP_GC_MINOR_MB"; "NOCAP_NATIVE" ]);
+      [ "NOCAP_DOMAINS"; "NOCAP_GC_MINOR_MB" ]);
   (* one bad knob must not poison a good one's parse *)
   match
     Engine.Config.parse

@@ -8,9 +8,8 @@
    Spartan pipeline — must be *byte-identical* for every budget and equal
    to its reference oracle: Goldilocks ops are exact and canonical, so any
    algebraically equal evaluation order yields the same bits, the same
-   transcripts, the same proofs. The suite runs under every NOCAP_NATIVE
-   mode via the runtest matrix in test/dune, and the Spartan budget sweep
-   covers domain counts 1/2/3. *)
+   transcripts, the same proofs. The Spartan budget sweep covers domain
+   counts 1/2/3 and the scalar C kernel tier beside the best one. *)
 
 module Gf = Zk_field.Gf
 module Fv = Nocap_vec.Fv
@@ -627,13 +626,19 @@ let engine_of budget = Engine.create ?stream_budget_bytes:budget ()
    spills with one block): the payload hash must be the pinned one every
    time. The 300-constraint fixtures run at domain counts 1/2/3; the larger
    ones, whose SpMV passes split into several row/column blocks under the
-   small budgets, at one domain. *)
+   small budgets, at one domain. Each budget also runs once on the scalar
+   C kernels ([Native.with_scalar_c]), at one domain, so byte identity
+   under a budget holds on more than one kernel tier. *)
 let test_spartan_budget_sweep () =
   let live_before = Spill.live_files () in
   let budgets =
     [ None; Some (2 * 1024); Some (8 * 1024); Some (64 * 1024); Some (256 * 1024 * 1024) ]
   in
-  let domains n = if n <= 300 then [ 1; 2; 3 ] else [ 1 ] in
+  let legs n =
+    let best = List.map (fun d -> (string_of_int d, d, fun f -> f ())) in
+    best (if n <= 300 then [ 1; 2; 3 ] else [ 1 ])
+    @ [ ("1 scalar", 1, Nocap_native.Native.with_scalar_c) ]
+  in
   let orion =
     List.map
       (fun (name, n, seed, params, expected) ->
@@ -657,15 +662,15 @@ let test_spartan_budget_sweep () =
       List.iter
         (fun budget ->
           List.iter
-            (fun d ->
+            (fun (leg, d, tier) ->
               Pool.with_domains d (fun () ->
                   Alcotest.(check string)
-                    (Printf.sprintf "%s budget=%s domains=%d" name
+                    (Printf.sprintf "%s budget=%s domains=%s" name
                        (match budget with None -> "none" | Some b -> string_of_int b)
-                       d)
+                       leg)
                     expected
-                    (Test_pcs.payload_hash (prove (engine_of budget) inst asn))))
-            (domains n))
+                    (tier (fun () -> Test_pcs.payload_hash (prove (engine_of budget) inst asn)))))
+            (legs n))
         budgets)
     (orion @ fri);
   Alcotest.(check int) "no leaked spill files" live_before (Spill.live_files ())

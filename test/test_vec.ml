@@ -386,20 +386,18 @@ let test_orion_commit_domain_invariance () =
 (* Whether cross-module inlining is active (release profile). The dev
    profile passes -opaque, which keeps the Gf primitives out-of-line and
    makes even Fv loops box their intermediates — minor-heap-allocation
-   assertions only hold on the optimized build. Probed with the native
-   kernels pinned off: the C [mul_into] never allocates in any profile, so
+   assertions only hold on the optimized build. Probed through [Fv.sum], an
+   OCaml loop over [Gf.add]: a C kernel never allocates in any profile, so
    it would mask the very boxing this detector exists to find. *)
 let inlining_active () =
-  Nocap_native.Native.with_mode Nocap_native.Native.Off (fun () ->
-      let n = 4096 in
-      let v = Fv.create n in
-      Fv.fill v Gf.one;
-      let dst = Fv.create n in
-      ignore (Sys.opaque_identity (Fv.mul_into ~dst v v));
-      let m0 = Gc.minor_words () in
-      ignore (Sys.opaque_identity (Fv.mul_into ~dst v v));
-      let m1 = Gc.minor_words () in
-      (m1 -. m0) /. float_of_int n < 1.0)
+  let n = 4096 in
+  let v = Fv.create n in
+  Fv.fill v Gf.one;
+  ignore (Sys.opaque_identity (Fv.sum v));
+  let m0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Fv.sum v));
+  let m1 = Gc.minor_words () in
+  (m1 -. m0) /. float_of_int n < 1.0
 
 let test_allocation_regression () =
   (* Sized to fit the default minor heap so nothing is promoted mid-loop. *)
