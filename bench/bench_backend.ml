@@ -40,7 +40,7 @@ let measure ~smoke (module P : Pcs.S) =
   (* Correctness gates: the opened value must be the MLE evaluation, and the
      verifier must accept — a bench that times a broken backend is worse
      than no bench. *)
-  if not (Gf.equal value (Mle.eval evals point)) then
+  if not (Gf.equal value (Mle_oracle.eval evals point)) then
     failwith (Printf.sprintf "bench backend: %s opened a wrong value" P.name);
   (match P.verify params cm (transcript ()) point value proof with
   | Ok () -> ()

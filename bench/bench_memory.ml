@@ -260,7 +260,7 @@ type row = { kernel : kernel; boxed : gc_sample; unboxed : gc_sample; fingerprin
 
 let measure_kernel ~smoke k =
   let reps = if smoke then 2 else 5 in
-  (* Warm-up both variants (plans, arena growth, page faults) and take the
+  (* Warm-up both variants (plans, page faults) and take the
      equality fingerprints. *)
   let fp_boxed = k.k_boxed () in
   let fp_unboxed = k.k_unboxed () in

@@ -24,9 +24,8 @@ open Toolkit
    boxed baselines from spending their time in minor collections (so the
    boxed-vs-unboxed comparison in `memory` measures allocation cost, not
    collector scheduling), and a higher space_overhead keeps the major GC
-   out of the timed regions. NOCAP_GC_MINOR_MB (validated once by
-   Engine.Config, along with NOCAP_DOMAINS) overrides the minor-heap size
-   in MiB. *)
+   out of the timed regions. Building the default engine validates
+   NOCAP_DOMAINS once, through Engine.Config. *)
 let tune_gc () = Engine.tune_gc (Engine.default ())
 
 (* Static verification of every schedule the harness produces: each kernel

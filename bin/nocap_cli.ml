@@ -619,7 +619,7 @@ let serve_cmd =
 
 let () =
   (* Build the default engine up front: this validates NOCAP_DOMAINS /
-     NOCAP_GC_MINOR_MB once, loudly, instead of each subsystem quietly
+     NOCAP_STREAM_BUDGET_MB once, loudly, instead of each subsystem quietly
      re-reading the environment. *)
   (try ignore (Nocap_repro.Engine.default ())
    with Invalid_argument msg ->

@@ -23,7 +23,6 @@ module Pool = Nocap_parallel.Pool
 module Native = Nocap_native.Native
 module Fv = Nocap_vec.Fv
 module Spill = Nocap_vec.Spill
-module Arena = Nocap_vec.Arena
 module Rng = Zk_util.Rng
 module Stats = Zk_util.Stats
 module Json_min = Zk_util.Json_min

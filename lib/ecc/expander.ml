@@ -29,7 +29,6 @@ let rec random_accesses n =
 let row_encode_ns ~cols = max 1 ((random_accesses cols * 50) + (blowup * cols * 10))
 
 module Fv = Nocap_vec.Fv
-module Arena = Nocap_vec.Arena
 
 (* Row [r] of a pseudo-random sparse graph matrix: [degree] (column,
    coefficient) pairs drawn from an Rng seeded by (tag, n, row), so encoding
@@ -51,7 +50,9 @@ let apply_graph ~tag (x : Fv.t) (dst : Fv.t) =
 
 (* Encode [src] (length n) into [dst] (length 4n). The output layout
    [msg; z; w] makes the tag-2 input [msg ++ z] a contiguous prefix of
-   [dst], so only the compressed intermediate [y] needs arena scratch. *)
+   [dst]. The compressed intermediate [y] (n/2) sits in the tail
+   [dst[3n, 3.5n)]: the recursion writes only [dst[n, 3n)], and graph B
+   overwrites the tail only after [y] is spent. *)
 let rec encode_fv_into (src : Fv.t) (dst : Fv.t) =
   let n = Fv.length src in
   if n <= base_size then begin
@@ -66,7 +67,7 @@ let rec encode_fv_into (src : Fv.t) (dst : Fv.t) =
        expand the concatenation back through graph B to n more symbols:
        total n + 2n + n = 4n. The message is systematic in the codeword. *)
     Fv.blit ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:n;
-    let y = Arena.alloc (n / 2) in
+    let y = Fv.sub_view dst ~pos:(3 * n) ~len:(n / 2) in
     apply_graph ~tag:1 src y;
     encode_fv_into y (Fv.sub_view dst ~pos:n ~len:(2 * n));
     apply_graph ~tag:2
@@ -74,15 +75,15 @@ let rec encode_fv_into (src : Fv.t) (dst : Fv.t) =
       (Fv.sub_view dst ~pos:(3 * n) ~len:n)
   end
 
-(* One row through the recursive encoder, arena-framed so it is safe from
-   any domain (and from serial callers). *)
+(* One row through the recursive encoder; it needs no scratch beyond
+   [dst], so it is safe from any domain. *)
 let encode_row_into ~src ~dst =
   let n = Fv.length src in
   if n = 0 || n land (n - 1) <> 0 then
     invalid_arg "Expander.encode_row_into: message length must be a power of two";
   if Fv.length dst <> blowup * n then
     invalid_arg "Expander.encode_row_into: dst length <> blowup * src length";
-  Arena.with_frame (fun () -> encode_fv_into src dst)
+  encode_fv_into src dst
 
 let graph_bytes n =
   (* Each graph entry stores a column index (8 bytes) and coefficient

@@ -17,9 +17,9 @@ module type S = sig
   val encode_row_into : src:Nocap_vec.Fv.t -> dst:Nocap_vec.Fv.t -> unit
   (** Encode one row in place: [src] is a length-[cols] message view, [dst]
       a length-[blowup * cols] codeword view, fully overwritten. The message
-      length must be a power of two. Safe to call from pool workers
-      (scratch is domain-local). The Orion commit pipeline streams rows
-      through this to overlap encoding with column hashing.
+      length must be a power of two. Safe to call from pool workers (it
+      writes nothing outside [dst]). The Orion commit pipeline streams
+      rows through this to overlap encoding with column hashing.
       @raise Invalid_argument on a message length that is not a power of
       two or a [dst] that is not [blowup] times as long. *)
 

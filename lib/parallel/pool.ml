@@ -11,8 +11,6 @@
    submitter participates too, so a pool of size 1 degenerates to a plain
    loop and progress never depends on workers waking up at all. *)
 
-module Arena = Nocap_vec.Arena
-
 (* --- cooperative cancellation ------------------------------------------- *)
 
 (* A cancel token is one atomic flag shared between a controller (a service
@@ -134,9 +132,8 @@ let exec job lo hi =
        match job.cancel with
        | Some tok ->
          Cancel.raise_if_cancelled tok;
-         Arena.with_frame (fun () ->
-             Cancel.with_token tok (fun () -> job.body lo hi))
-       | None -> Arena.with_frame (fun () -> job.body lo hi)
+         Cancel.with_token tok (fun () -> job.body lo hi)
+       | None -> job.body lo hi
      with e -> record_exn job e (Printexc.get_raw_backtrace ()));
   let old = Atomic.fetch_and_add job.remaining (lo - hi) in
   if old - (hi - lo) = 0 && Atomic.get job.waiter > 0 then begin
@@ -325,13 +322,13 @@ let serial_cancel_slice = 4096
 
 let serial_run body n =
   match Cancel.current () with
-  | None -> Arena.with_frame (fun () -> body 0 n)
+  | None -> body 0 n
   | Some tok ->
     Cancel.raise_if_cancelled tok;
     let pos = ref 0 in
     while !pos < n do
       let hi = min n (!pos + serial_cancel_slice) in
-      Arena.with_frame (fun () -> body !pos hi);
+      body !pos hi;
       pos := hi;
       Cancel.raise_if_cancelled tok
     done
@@ -420,7 +417,7 @@ let fold_chunks ~chunk ~grain ~n ~init ~body ~combine () =
     (* Grain arrives in items; convert to whole chunks per claim. The serial
        crossover is checked in items too, before the chunk-count reduction,
        so a cost-calibrated grain means the same thing here as in run. *)
-    if n < 2 * max 1 grain then Arena.with_frame (fun () -> run_chunks 0 nchunks)
+    if n < 2 * max 1 grain then run_chunks 0 nchunks
     else run ~grain:(max 1 (grain / chunk)) ~n:nchunks run_chunks;
     Array.fold_left
       (fun acc part -> match part with Some v -> combine acc v | None -> acc)

@@ -26,10 +26,6 @@
     ([n < 2 * grain]) run serially in the caller — dispatch is never paid
     where it cannot win.
 
-    {b Arenas.} Every claimed chunk (and the serial fallback) runs inside
-    {!Nocap_vec.Arena.with_frame}, so bodies may allocate domain-local
-    scratch freely and never contend on a shared heap.
-
     {b Determinism contract.} Results are byte-identical for every domain
     count, including 1, because (a) all parallelised bodies write disjoint
     array slots or combine exact field/group elements, and (b)
@@ -112,8 +108,7 @@ val run : grain:int -> n:int -> (int -> int -> unit) -> unit
     write state disjoint per index (or commute exactly).
     [n < 2 * grain] short-circuits to [body 0 n] in the calling domain
     (in slices of 4096 while a {!Cancel} token is installed, so the token
-    is still checked). Every chunk runs inside an
-    {!Nocap_vec.Arena.with_frame}. The first exception raised by any
+    is still checked). The first exception raised by any
     participant is re-raised in the submitting domain after all chunks
     complete. Nested calls from inside a worker run serially. *)
 

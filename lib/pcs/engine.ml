@@ -1,18 +1,9 @@
 module Pool = Nocap_parallel.Pool
 
 module Config = struct
-  type t = {
-    domains : int option;
-    gc_minor_mb : int option;
-    stream_budget_mb : int option;
-  }
+  type t = { domains : int option; stream_budget_mb : int option }
 
-  let default =
-    {
-      domains = None;
-      gc_minor_mb = None;
-      stream_budget_mb = None;
-    }
+  let default = { domains = None; stream_budget_mb = None }
 
   let parse_positive ~name raw =
     match int_of_string_opt (String.trim raw) with
@@ -37,10 +28,9 @@ module Config = struct
       | Some raw -> keep (parse_positive ~name raw)
     in
     let domains = knob "NOCAP_DOMAINS" in
-    let gc_minor_mb = knob "NOCAP_GC_MINOR_MB" in
     let stream_budget_mb = knob "NOCAP_STREAM_BUDGET_MB" in
     match List.rev !errors with
-    | [] -> Ok { domains; gc_minor_mb; stream_budget_mb }
+    | [] -> Ok { domains; stream_budget_mb }
     | errs -> Error (String.concat "; " errs)
 
   (* The single *validating* environment-read site in the tree. Malformed
@@ -89,11 +79,5 @@ let stream_budget_bytes e =
   | None ->
     Option.map (fun mb -> mb * 1024 * 1024) e.config.Config.stream_budget_mb
 
-let tune_gc e =
-  let mb = Option.value e.config.Config.gc_minor_mb ~default:16 in
-  Gc.set
-    {
-      (Gc.get ()) with
-      Gc.minor_heap_size = mb * 1024 * 1024 / 8;
-      space_overhead = 200;
-    }
+let tune_gc (_ : t) =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 16 * 1024 * 1024 / 8; space_overhead = 200 }

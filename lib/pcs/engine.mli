@@ -2,8 +2,8 @@
 
     An [Engine.t] carries the two runtime policies a prove/verify entry
     point takes from its caller: the prover memory budget
-    ({!stream_budget_bytes}) and the GC tuning ({!tune_gc}), both read from
-    a {!Config.t}. It is created once (usually by the driver) and threaded
+    ({!stream_budget_bytes}, read from a {!Config.t}) and the GC tuning
+    ({!tune_gc}). It is created once (usually by the driver) and threaded
     down through Spartan, the PCS backends and zkdb. Call sites that pass
     nothing get {!default}, built from the environment, so the context is
     opt-in.
@@ -17,11 +17,7 @@
     ([Spartan.prover_stats]). *)
 
 module Config : sig
-  type t = {
-    domains : int option;
-    gc_minor_mb : int option;
-    stream_budget_mb : int option;
-  }
+  type t = { domains : int option; stream_budget_mb : int option }
 
   val default : t
   (** All knobs unset. *)
@@ -29,11 +25,11 @@ module Config : sig
   val parse : lookup:(string -> string option) -> (t, string) result
   (** Parse the configuration from a key-value source ([lookup] is
       [Sys.getenv_opt] in production, an assoc list in tests). Recognized
-      keys: [NOCAP_DOMAINS] (default-pool size), [NOCAP_GC_MINOR_MB]
-      (minor heap size for {!tune_gc}) and [NOCAP_STREAM_BUDGET_MB] (prover memory
-      budget in MiB; setting it makes the prover's blocks budget-sized
-      and spills them to temp files, see {!stream_budget_bytes}). A key that is set but malformed is an [Error] —
-      rejected loudly, never silently defaulted. All knobs are validated
+      keys: [NOCAP_DOMAINS] (default-pool size) and
+      [NOCAP_STREAM_BUDGET_MB] (prover memory budget in MiB; setting it
+      makes the prover's blocks budget-sized and spills them to temp
+      files, see {!stream_budget_bytes}). A key that is set but malformed
+      is an [Error] — rejected loudly, never silently defaulted. All knobs are validated
       even after one fails: the [Error] aggregates every malformed
       variable (["; "]-separated, in knob order), so a service operator
       sees the complete misconfiguration in a single startup report. *)
@@ -48,11 +44,10 @@ type t
 
 val create : ?config:Config.t -> ?stream_budget_bytes:int -> unit -> t
 (** All fields optional: [create ()] is a fully default engine (no budget,
-    16 MiB minor heap under {!tune_gc}). It reads no environment:
-    [NOCAP_DOMAINS], [NOCAP_GC_MINOR_MB] and the other {!Config} knobs
-    reach an engine only through {!default} (or an explicit [config]).
-    [perfbench/prover_bench.ml] builds its engine with [create], so those
-    two knobs have no effect on the end-to-end benchmark.
+    16 MiB minor heap under {!tune_gc}). It reads no environment: the
+    {!Config} knobs reach an engine only through {!default} (or an
+    explicit [config]). [perfbench/prover_bench.ml] builds its engine
+    with [create], so they have no effect on the end-to-end benchmark.
     [stream_budget_bytes] is the byte-granular form of the
     [NOCAP_STREAM_BUDGET_MB] knob (it wins over the config when both are
     set) so tests can force spills on tiny circuits. It sizes the one
@@ -82,7 +77,7 @@ val stream_budget_bytes : t -> int option
     files. Proof bytes are the same either way. *)
 
 val tune_gc : t -> unit
-(** Apply the engine's GC policy to the process: minor heap sized from
-    [config.gc_minor_mb] (default 16 MiB) and [space_overhead] 200 — the
-    tuning the benchmarks always ran with. Deliberately explicit: library
-    entry points never mutate process-global GC state on their own. *)
+(** Apply the GC policy to the process: a 16 MiB minor heap and
+    [space_overhead] 200 — the tuning the benchmarks always ran with.
+    Deliberately explicit: library entry points never mutate
+    process-global GC state on their own. *)

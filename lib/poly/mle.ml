@@ -3,34 +3,6 @@ module Fv = Nocap_vec.Fv
 
 type point = Gf.t array
 
-let num_vars a =
-  let n = Array.length a in
-  if n = 0 || n land (n - 1) <> 0 then invalid_arg "Mle: table must be a power of two";
-  let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
-  go 0 n
-
-let fold_top a r =
-  let n = Array.length a in
-  if n < 2 then invalid_arg "Mle.fold_top";
-  let half = n / 2 in
-  Array.init half (fun b ->
-      Gf.add a.(b) (Gf.mul r (Gf.sub a.(b + half) a.(b))))
-
-let fold_top_in_place a ~len r =
-  if len < 2 || len > Array.length a then invalid_arg "Mle.fold_top_in_place";
-  let half = len / 2 in
-  for b = 0 to half - 1 do
-    a.(b) <- Gf.add a.(b) (Gf.mul r (Gf.sub a.(b + half) a.(b)))
-  done;
-  half
-
-let eval a point =
-  let l = num_vars a in
-  if Array.length point <> l then invalid_arg "Mle.eval: dimension mismatch";
-  let cur = ref (Array.copy a) in
-  Array.iter (fun r -> cur := fold_top !cur r) point;
-  (!cur).(0)
-
 (* Entries [lo, lo + len) of the eq table, len = Fv.length dst, filled in
    place by doubling on contiguous halves. For an aligned power-of-two
    block every entry is (product over the high variables at the block's
@@ -136,6 +108,3 @@ let eq_point r s =
     acc := Gf.mul !acc term
   done;
   !acc
-
-let eval_of_index l i =
-  Array.init l (fun j -> if (i lsr (l - 1 - j)) land 1 = 1 then Gf.one else Gf.zero)

@@ -6,34 +6,17 @@
     correspond to the bit pattern of i").
 
     Variable-ordering convention used throughout this library: variable 1 is
-    the {e most significant} bit of the index. [fold_top] binds variable 1
-    first, which matches the paper's sumcheck DP (Listing 1) where round [i]
-    halves the array. *)
+    the {e most significant} bit of the index. The sumcheck prover binds
+    variable 1 first, which matches the paper's sumcheck DP (Listing 1)
+    where round [i] halves the array. *)
 
 type point = Zk_field.Gf.t array
 (** A point in F^L: challenges (r_1, ..., r_L), variable 1 first. *)
 
-val num_vars : 'a array -> int
-(** [log2] of the table length. @raise Invalid_argument if not a power of 2. *)
-
-val fold_top : Zk_field.Gf.t array -> Zk_field.Gf.t -> Zk_field.Gf.t array
-(** [fold_top a r] binds the top variable to [r]:
-    [a'.(b) = (1 - r) * a.(b) + r * a.(b + n/2)]. The output has half the
-    length. *)
-
-val fold_top_in_place :
-  Zk_field.Gf.t array -> len:int -> Zk_field.Gf.t -> int
-(** In-place variant used by the sumcheck prover: folds the first [len]
-    entries and returns the new live length [len/2]. Avoids reallocating the
-    DP array every round. *)
-
-val eval : Zk_field.Gf.t array -> point -> Zk_field.Gf.t
-(** Evaluate the MLE of a table at an arbitrary point. *)
-
 val eq_table : point -> Zk_field.Gf.t array
 (** [eq_table r] tabulates [eq(r, b)] for all [2^L] Boolean [b]:
-    the Lagrange-basis vector such that
-    [eval a r = sum_b a.(b) * (eq_table r).(b)]. *)
+    the Lagrange-basis vector: the MLE of a table [a] at [r] is
+    [sum_b a.(b) * (eq_table r).(b)]. *)
 
 val eq_table_into : point -> lo:int -> Nocap_vec.Fv.t -> unit
 (** [eq_table_into r ~lo dst] fills [dst] with entries [lo, lo + len) of
@@ -69,7 +52,3 @@ val eq_table_spill : point -> block:int -> Nocap_vec.Spill.t -> unit
 
 val eq_point : point -> point -> Zk_field.Gf.t
 (** [eq_point r s] = [prod_i (r_i * s_i + (1 - r_i) * (1 - s_i))]. *)
-
-val eval_of_index : int -> int -> point
-(** [eval_of_index l i] is the Boolean point of length [l] whose bits are the
-    binary expansion of [i] (variable 1 = most significant bit). *)

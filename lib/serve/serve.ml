@@ -8,8 +8,9 @@
    [lock] with two conditions — [work] (runners sleep here for ready jobs)
    and [done_c] (awaiters and drainers sleep here for outcomes). Proving
    itself runs outside the lock on runner *domains* (never systhreads: the
-   kernel layer keeps per-domain arena scratch in DLS, which OS threads on
-   one domain would interleave and corrupt). Asynchronous controllers —
+   prover keeps per-domain state in DLS (the ambient cancel token, kernel
+   sums and transcript staging buffers), which OS threads on one domain
+   would interleave and corrupt). Asynchronous controllers —
    the watchdog, [cancel], signal handlers — never interact with a running
    attempt except through its cooperative Pool.Cancel token, so a stuck or
    crashing job can only ever fail itself. *)

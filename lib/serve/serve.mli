@@ -17,9 +17,11 @@
     attempt, and an offline {!Zk_spartan.Spartan.prove} of the same
     request all produce byte-identical proofs.
 
-    {b Threads.} Runners are {e domains}, not systhreads: the kernel
-    layer keeps per-domain arena scratch in domain-local storage, which
-    OS threads sharing one domain would interleave. All runners submit
+    {b Threads.} Runners are {e domains}, not systhreads: the prover
+    keeps per-domain state in domain-local storage (the pool's ambient
+    cancel token and worker flag, the sumcheck round kernel's sums
+    buffer, the transcript's squeeze staging buffer), which OS threads
+    sharing one domain would interleave. All runners submit
     into the shared {!Nocap_parallel.Pool}; its submit lock serializes
     kernel launches while small jobs bypass it entirely on the serial
     path. *)

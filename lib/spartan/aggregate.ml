@@ -28,19 +28,6 @@ let start_transcript params inst ios =
   Array.iter (Transcript.absorb_gf t "io") ios;
   t
 
-(* comb for the batched first sumcheck over tables
-   [eq; a_1; b_1; c_1; ...; a_k; b_k; c_k] with coefficients rho. *)
-let comb1 rho v out =
-  let tmp = Nocap_vec.Arena.alloc (Fv.length out) in
-  Fv.zero out;
-  Array.iteri
-    (fun i r ->
-      Fv.mul_into ~dst:tmp v.((3 * i) + 1) v.((3 * i) + 2);
-      Fv.sub_into ~dst:tmp tmp v.((3 * i) + 3);
-      Fv.axpy_into ~dst:out r tmp)
-    rho;
-  Fv.mul_into ~dst:out out v.(0)
-
 let prove ?engine ?rng params inst assignments =
   let engine = Zk_pcs.Engine.resolve engine in
   let rng = match rng with Some r -> r | None -> Zk_util.Rng.create 0xA66_CAFEL in
@@ -75,7 +62,7 @@ let prove ?engine ?rng params inst assignments =
         let eq_tau = Spartan.fill_eq ~tag:"batch-eqtau" ~spill:false ~block:n tau in
         let r1 =
           Sumcheck.prove transcript ~tables:(Array.append [| eq_tau |] abc)
-            ~comb:(Sumcheck.Vector { degree = 3; mults = 2 * k; f = comb1 rho })
+            ~comb:(Sumcheck.Eq_abc_batch rho)
         in
         let rx = r1.Sumcheck.challenges in
         let claims_abc =

@@ -38,83 +38,74 @@ let default_framing =
     after_round = (fun _ _ -> ());
   }
 
-type comb =
-  | Eq_abc
-  | Product
-  | Vector of { degree : int; mults : int; f : Fv.t array -> Fv.t -> unit }
+type comb = Eq_abc | Product | Eq_abc_batch of Gf.t array
 
-let degree = function Eq_abc -> 3 | Product -> 2 | Vector v -> v.degree
-let comb_mults = function Eq_abc -> 2 | Product -> 1 | Vector v -> v.mults
+let degree = function Eq_abc | Eq_abc_batch _ -> 3 | Product -> 2
+let comb_mults = function
+  | Eq_abc -> 2
+  | Product -> 1
+  | Eq_abc_batch rho -> 2 * Array.length rho
 
 let log2_exact n =
   if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Sumcheck: table size must be a power of two";
   let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
   go 0 n
 
-module Arena = Nocap_vec.Arena
 module Native = Nocap_native.Native
-
-(* A [Vector] combiner's sums over one block of pairs: the values at t = 0
-   and t = 1 are the halves themselves; each t >= 2 is a [lerp_into] at
-   the field constant t into arena scratch, reclaimed on return. *)
-let eval_vector ~degree ~f ~lo ~hi =
-  Arena.with_frame @@ fun () ->
-  let g = Array.make (degree + 1) Gf.zero in
-  let out = Arena.alloc (Fv.length lo.(0)) in
-  let point t tabs =
-    f tabs out;
-    g.(t) <- Fv.sum out
-  in
-  point 0 lo;
-  point 1 hi;
-  if degree >= 2 then begin
-    let pts = Array.map (fun _ -> Arena.alloc (Fv.length out)) lo in
-    for t = 2 to degree do
-      let c = Gf.of_int t in
-      Array.iteri (fun j p -> Fv.lerp_into ~dst:p lo.(j) hi.(j) c) pts;
-      point t pts
-    done
-  end;
-  g
 
 (* The native kernel's sums land in this domain's four-entry buffer. *)
 let sums_key = Domain.DLS.new_key (fun () -> Fv.create 4)
 
-(* One round's pass over the pairs [a, b): [src] holds each table's lo/hi
-   halves (2 views per table) or, when [dst] is not empty, the previous
-   generation's quarters (4 per table), which fold with [r] into [dst]'s
-   lo/hi halves first; returns the pairs' g(0..degree). *)
-let pass_chunk comb ~r ~src ~dst a b =
+(* The kernel calls of one pass, each [(kind, src, dst)] in
+   [Native.sumcheck_round]'s form: [src] holds each table's lo/hi halves
+   (2 views per table) or, when [dst] is not empty, the previous
+   generation's quarters (4 per table), which fold with the round's
+   challenge into [dst]'s lo/hi halves first. [Eq_abc_batch] makes one
+   kind-0 call per instance over [| eq; a_i; b_i; c_i |]. The eq table
+   folds in the first call only: later calls take its freshly folded
+   halves as all four quarters, and lo + r * (lo - lo) = lo stores them
+   back unchanged. *)
+let kernel_calls comb ~src ~dst =
+  match comb with
+  | Eq_abc -> [| (0, src, dst) |]
+  | Product -> [| (1, src, dst) |]
+  | Eq_abc_batch rho ->
+    let p = if Array.length dst = 0 then 2 else 4 in
+    let eq_first = Array.sub src 0 p in
+    let eq_later = if p = 2 then eq_first else [| dst.(0); dst.(1); dst.(0); dst.(1) |] in
+    Array.mapi
+      (fun i _ ->
+        let j = (3 * i) + 1 in
+        let abc_src = Array.sub src (p * j) (3 * p) in
+        ( 0,
+          Array.append (if i = 0 then eq_first else eq_later) abc_src,
+          if p = 2 then [||] else Array.append (Array.sub dst 0 2) (Array.sub dst (2 * j) 6) ))
+      rho
+
+(* One round's pass over the pairs [a, b) of every call, with [r] the
+   previous challenge when the calls fold; returns the pairs'
+   g(0..degree), a batch's calls weighted by its rho. *)
+let pass_chunk comb calls ~r a b =
+  let g = Domain.DLS.get sums_key in
+  let run (kind, src, dst) = Native.sumcheck_round kind src dst a b r g in
   match comb with
   | Eq_abc | Product ->
-    let g = Domain.DLS.get sums_key in
-    Native.sumcheck_round (match comb with Eq_abc -> 0 | _ -> 1) src dst a b r g;
+    run calls.(0);
     Array.init (degree comb + 1) (Fv.unsafe_get g)
-  | Vector { degree; f; _ } ->
-    let view t = Fv.sub_view t ~pos:a ~len:(b - a) in
-    let halves =
-      if Array.length dst = 0 then Array.map view src
-      else begin
-        let dv = Array.map view dst in
-        Array.iteri
-          (fun i d ->
-            let q = (4 * (i / 2)) + (i mod 2) in
-            Fv.lerp_into ~dst:d (view src.(q)) (view src.(q + 2)) r)
-          dv;
-        dv
-      end
-    in
-    let lo = Array.init (Array.length halves / 2) (fun j -> halves.(2 * j)) in
-    let hi = Array.init (Array.length halves / 2) (fun j -> halves.((2 * j) + 1)) in
-    eval_vector ~degree ~f ~lo ~hi
+  | Eq_abc_batch rho ->
+    let acc = Array.make 4 Gf.zero in
+    Array.iteri
+      (fun i call ->
+        run call;
+        for t = 0 to 3 do
+          acc.(t) <- Gf.add acc.(t) (Gf.mul rho.(i) (Fv.unsafe_get g t))
+        done)
+      calls;
+    acc
 
 (* Per-pair cost (ns) of a folding pass on the AVX2 tier (an evaluating
    one costs about half), for the pool's grain. *)
-let pair_ns comb ~k =
-  match comb with
-  | Eq_abc -> 48
-  | Product -> 20
-  | Vector v -> (v.degree + 1) * (v.mults + k) * 4
+let pair_ns = function Eq_abc -> 48 | Product -> 20 | Eq_abc_batch rho -> 48 * Array.length rho
 
 (* The round polynomial g(t), t = 0..degree, over [h] pairs. The pairs
    split into 1024-pair chunks run in parallel, each producing a partial
@@ -122,11 +113,12 @@ let pair_ns comb ~k =
    so g is byte-identical for every domain count. *)
 let pass comb ~r ~src ~dst ~h =
   let d = degree comb in
+  let calls = kernel_calls comb ~src ~dst in
   Pool.fold_chunks ~chunk:1024
-    ~grain:(Pool.grain_of_ns (pair_ns comb ~k:(Array.length src / 2)))
+    ~grain:(Pool.grain_of_ns (pair_ns comb))
     ~n:h
     ~init:(Array.make (d + 1) Gf.zero)
-    ~body:(pass_chunk comb ~r ~src ~dst)
+    ~body:(pass_chunk comb calls ~r)
     ~combine:(fun acc part ->
       for t = 0 to d do
         acc.(t) <- Gf.add acc.(t) part.(t)
@@ -144,10 +136,11 @@ let halves_of tabs ~parts =
    combiner and every table have one length. *)
 let check_tables name comb ~len tables =
   let k = Array.length tables in
-  if k = 0 then invalid_arg (name ^ ": no tables");
   (match comb with
   | Eq_abc when k <> 4 -> invalid_arg (name ^ ": Eq_abc takes four tables")
   | Product when k <> 2 -> invalid_arg (name ^ ": Product takes two tables")
+  | Eq_abc_batch rho when Array.length rho = 0 || k <> 1 + (3 * Array.length rho) ->
+    invalid_arg (name ^ ": Eq_abc_batch takes one eq and three tables per weight")
   | _ -> ());
   Array.iter
     (fun t -> if len t <> len tables.(0) then invalid_arg (name ^ ": table size mismatch"))
@@ -248,7 +241,6 @@ let prove ?budget_bytes ?(framing = default_framing) transcript ~tables ~comb =
     | Some b when b <= 0 -> invalid_arg "Sumcheck.prove: budget must be positive"
     | Some b -> b
   in
-  if degree < 1 then invalid_arg "Sumcheck.prove: degree must be at least 1";
   let k = Array.length tables in
   check_tables "Sumcheck.prove" comb ~len:Spill.length tables;
   let n = Spill.length tables.(0) in

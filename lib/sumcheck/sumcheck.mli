@@ -48,38 +48,31 @@ type prover_result = {
       [[| eq; a; b; c |]], degree 3, two multiplications per point.
     - [Product]: [a * b] over [[| a; b |]], degree 2, one multiplication
       (Spartan's and [Aggregate]'s second sumchecks, the FRI PCS opening).
-    - [Vector { degree; mults; f }]: any other combiner in vector form.
-      [f vals out] writes [out.(i) <- comb(vals.(0).(i), ..., vals.(k-1).(i))]
-      for every [i], where all vectors have the same (chunk) length, at
-      most 1024. It is built from the elementwise [Fv] kernels, which
-      dispatch to the native layer. [f] must not write [vals] (they may be
-      views of the tables themselves); it may use [out] as scratch and
-      take more from [Nocap_vec.Arena.alloc], which the prover's
-      enclosing frame reclaims.
+    - [Eq_abc_batch rho]: [Aggregate]'s batched first combiner
+      [eq * sum_i rho.(i) * (a_i * b_i - c_i)] over
+      [[| eq; a_1; b_1; c_1; ...; a_k; b_k; c_k |]] ([k = Array.length
+      rho >= 1]), degree 3, [2k] multiplications per point.
 
-    A round is one pass over the tables. Per chunk of pairs it reads each
-    table's lo/hi halves once; in RAM, every round after the first folds
-    them with the previous challenge in the same pass ([lo + r * (hi -
-    lo)] on the previous generation's quarters) and writes each half
-    once. [Eq_abc] and [Product] run the fused native kernel
-    ([Nocap_native.Native.sumcheck_round]: AVX2 or scalar C), which
-    walks each [t >= 2] add-only
-    ([hi + (t - 1) * (hi - lo)]) and sums g(0..degree) with no scratch.
-    A [Vector] combiner evaluates each [t >= 2] with one
-    {!Nocap_vec.Fv.lerp_into} per table into arena scratch, then [f],
-    then [Fv.sum]. *)
+    A round is one pass over the tables on the fused native kernel
+    ([Nocap_native.Native.sumcheck_round]: AVX2 or scalar C). Per chunk
+    of pairs it reads each table's lo/hi halves once; in RAM, every round
+    after the first folds them with the previous challenge in the same
+    pass ([lo + r * (hi - lo)] on the previous generation's quarters) and
+    writes each half once. Each [t >= 2] is walked add-only ([hi + (t -
+    1) * (hi - lo)]) and g(0..degree) is summed with no scratch.
+    [Eq_abc_batch] makes one [Eq_abc] call per instance and weights its
+    sums by [rho.(i)]; the shared eq table folds in the first call only.
+    Goldilocks arithmetic is exact, so the round polynomials are those of
+    the combiner summed point by point. *)
 
-type comb =
-  | Eq_abc
-  | Product
-  | Vector of { degree : int; mults : int; f : Nocap_vec.Fv.t array -> Nocap_vec.Fv.t -> unit }
+type comb = Eq_abc | Product | Eq_abc_batch of Gf.t array
 
 val degree : comb -> int
-(** 3 for [Eq_abc], 2 for [Product], a [Vector]'s own degree. *)
+(** 3 for [Eq_abc] and [Eq_abc_batch], 2 for [Product]. *)
 
 val comb_mults : comb -> int
-(** Field multiplications per point: 2 for [Eq_abc], 1 for [Product], a
-    [Vector]'s [mults]. *)
+(** Field multiplications per point: 2 for [Eq_abc], 1 for [Product],
+    [2k] for [Eq_abc_batch] over [k] weights. *)
 
 (** {1 Transcript framing} *)
 
@@ -137,10 +130,9 @@ val prove :
     result — proof bytes, challenges, final values, stats — is the same
     for every budget, domain count and kernel tier. [tables] are read,
     never written; the caller frees them.
-    @raise Invalid_argument if [tables] is empty, their lengths differ or
-    are not a power of two, their count does not match [Eq_abc] (4) or
-    [Product] (2), a [Vector]'s degree is below 1, or
-    [budget_bytes <= 0]. *)
+    @raise Invalid_argument if the number of [tables] does not match [Eq_abc] (4),
+    [Product] (2) or [Eq_abc_batch] ([1 + 3k], [k >= 1]), their lengths
+    differ or are not a power of two, or [budget_bytes <= 0]. *)
 
 type verifier_result = {
   point : Gf.t array;
@@ -193,6 +185,6 @@ val round_kernel :
     [tabs.(j)] itself) and returns the round polynomial over [dst]. Chunks
     of 1024 pairs run on the pool; the result is the same for every
     domain count and kernel tier.
-    @raise Invalid_argument if the table count does not match [Eq_abc]
-    (4) or [Product] (2), the lengths differ or are not as above, or
+    @raise Invalid_argument if the table count does not match the
+    combiner (as for {!prove}), the lengths differ or are not as above, or
     [dst] does not hold one half-length vector per table. *)

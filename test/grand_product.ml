@@ -18,11 +18,6 @@ let log2_exact n =
   let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
   go 0 n
 
-(* eq * evens * odds, elementwise over a chunk. *)
-let comb v out =
-  Fv.mul_into ~dst:out v.(1) v.(2);
-  Fv.mul_into ~dst:out out v.(0)
-
 let prove transcript v =
   let n = Array.length v in
   let l = log2_exact n in
@@ -52,10 +47,13 @@ let prove transcript v =
   (* Descend from the root: tie P_k(r) to the layer below. *)
   for k = l downto 1 do
     let evens, odds = halves.(k) in
+    (* eq * evens * odds is Eq_abc with a zero third table. *)
+    let zero = Fv.create (Fv.length evens) in
+    Fv.zero zero;
     let res =
       Sumcheck.prove transcript
-        ~tables:(Array.map Spill.of_fv [| Mle.eq_fv !r; evens; odds |])
-        ~comb:(Sumcheck.Vector { degree = 3; mults = 2; f = comb })
+        ~tables:(Array.map Spill.of_fv [| Mle.eq_fv !r; evens; odds; zero |])
+        ~comb:Sumcheck.Eq_abc
     in
     let p0 = res.Sumcheck.final_values.(1) and p1 = res.Sumcheck.final_values.(2) in
     layer_claims.(l - k) <- (p0, p1);

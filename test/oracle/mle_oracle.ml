@@ -29,3 +29,46 @@ let eq_table_into point ~lo dst =
     done;
     size := 2 * !size
   done
+
+(* --- boxed MLE folds and evaluation ------------------------------------
+
+   A table of [2^L] entries is the MLE's values on the Boolean cube,
+   variable 1 the most significant bit of the index. *)
+
+(* [log2] of the table length. *)
+let num_vars a =
+  let n = Array.length a in
+  if n = 0 || n land (n - 1) <> 0 then invalid_arg "Mle_oracle: table must be a power of two";
+  let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
+  go 0 n
+
+(* Binds the top variable to [r]: a'.(b) = a.(b) + r * (a.(b + n/2) - a.(b)),
+   half the length. *)
+let fold_top a r =
+  let n = Array.length a in
+  if n < 2 then invalid_arg "Mle_oracle.fold_top";
+  let half = n / 2 in
+  Array.init half (fun b -> Gf.add a.(b) (Gf.mul r (Gf.sub a.(b + half) a.(b))))
+
+(* [fold_top] on the first [len] entries of [a], in place; returns the new
+   live length [len / 2]. *)
+let fold_top_in_place a ~len r =
+  if len < 2 || len > Array.length a then invalid_arg "Mle_oracle.fold_top_in_place";
+  let half = len / 2 in
+  for b = 0 to half - 1 do
+    a.(b) <- Gf.add a.(b) (Gf.mul r (Gf.sub a.(b + half) a.(b)))
+  done;
+  half
+
+(* The MLE of a table at an arbitrary point, one [fold_top] per variable. *)
+let eval a point =
+  let l = num_vars a in
+  if Array.length point <> l then invalid_arg "Mle_oracle.eval: dimension mismatch";
+  let cur = ref (Array.copy a) in
+  Array.iter (fun r -> cur := fold_top !cur r) point;
+  (!cur).(0)
+
+(* The Boolean point of length [l] whose bits are the binary expansion of
+   [i], variable 1 the most significant bit. *)
+let eval_of_index l i =
+  Array.init l (fun j -> if (i lsr (l - 1 - j)) land 1 = 1 then Gf.one else Gf.zero)

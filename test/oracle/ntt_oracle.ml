@@ -12,7 +12,6 @@ module Gf = Zk_field.Gf
 module Ntt = Zk_ntt.Ntt.Gf_ntt
 module Gf_fv = Zk_ntt.Ntt.Gf_fv
 module Fv = Nocap_vec.Fv
-module Arena = Nocap_vec.Arena
 module Pool = Nocap_parallel.Pool
 
 let log2_exact n =
@@ -78,20 +77,19 @@ let four_step_forward_fv ~rows ~cols (a : Fv.t) : Fv.t =
   ignore (log2_exact n);
   let col_plan = Gf_fv.plan rows and row_plan = Gf_fv.plan cols in
   let out = Fv.copy a in
-  (* Step 1: column NTTs (stride [cols]); each chunk gathers into arena
-     scratch owned by the executing domain. *)
+  (* Step 1: column NTTs (stride [cols]); each chunk gathers into its own
+     column buffer. *)
   Pool.run ~grain:(ntt_grain rows) ~n:cols (fun c_lo c_hi ->
-      Arena.with_frame (fun () ->
-          let col = Arena.alloc rows in
-          for c = c_lo to c_hi - 1 do
-            for r = 0 to rows - 1 do
-              Fv.unsafe_set col r (Fv.unsafe_get out ((r * cols) + c))
-            done;
-            Gf_fv.forward col_plan col;
-            for r = 0 to rows - 1 do
-              Fv.unsafe_set out ((r * cols) + c) (Fv.unsafe_get col r)
-            done
-          done));
+      let col = Fv.create rows in
+      for c = c_lo to c_hi - 1 do
+        for r = 0 to rows - 1 do
+          Fv.unsafe_set col r (Fv.unsafe_get out ((r * cols) + c))
+        done;
+        Gf_fv.forward col_plan col;
+        for r = 0 to rows - 1 do
+          Fv.unsafe_set out ((r * cols) + c) (Fv.unsafe_get col r)
+        done
+      done);
   (* Step 2: twiddle scale by w^(r*c) (the running power f stays a serial
      chain within each row, so chunked rows start mid-sequence without
      recomputation). *)

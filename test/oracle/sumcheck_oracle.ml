@@ -15,11 +15,22 @@ open Zk_sumcheck.Sumcheck
    [| eq; az; bz; cz |]. *)
 let spartan_comb_scalar v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(3))
 
+(* The scalar form of [Sumcheck.Eq_abc_batch rho]: eq * sum_i rho.(i) *
+   (a_i * b_i - c_i) over [| eq; a_1; b_1; c_1; ... |]. *)
+let eq_abc_batch_scalar rho v =
+  let acc = ref Gf.zero in
+  Array.iteri
+    (fun i r ->
+      let a = v.((3 * i) + 1) and b = v.((3 * i) + 2) and c = v.((3 * i) + 3) in
+      acc := Gf.add !acc (Gf.mul r (Gf.sub (Gf.mul a b) c)))
+    rho;
+  Gf.mul v.(0) !acc
+
 (* --- the two-pass round ------------------------------------------------
 
    The fused round kernel's oracle: the round polynomial on the OCaml
    vector loops of [Fv_oracle] (one [lerp_into] per table for each t >= 2
-   into arena scratch, the vector combiner, an [Fv.sum] per point), then
+   into scratch vectors, the vector combiner, an [Fv.sum] per point), then
    a separate fold pass. [Sumcheck.round_kernel]'s g and folded halves
    must be bit-equal to these on every kernel tier. *)
 
@@ -31,17 +42,28 @@ let eq_abc_vector v out =
 
 let product_vector v out = Fv_oracle.mul_into ~dst:out v.(0) v.(1)
 
+(* The vector form of [Sumcheck.Eq_abc_batch rho]. *)
+let eq_abc_batch_vector rho v out =
+  let tmp = Fv.create (Fv.length out) in
+  Fv.zero out;
+  Array.iteri
+    (fun i r ->
+      Fv_oracle.mul_into ~dst:tmp v.((3 * i) + 1) v.((3 * i) + 2);
+      Fv_oracle.sub_into ~dst:tmp tmp v.((3 * i) + 3);
+      Fv_oracle.axpy_into ~dst:out r tmp)
+    rho;
+  Fv_oracle.mul_into ~dst:out out v.(0)
+
 let eval_block ~degree ~comb ~lo ~hi g =
-  Nocap_vec.Arena.with_frame @@ fun () ->
   let m = Fv.length lo.(0) in
-  let out = Nocap_vec.Arena.alloc m in
+  let out = Fv.create m in
   let point t tabs =
     comb tabs out;
     g.(t) <- Gf.add g.(t) (Fv.sum out)
   in
   point 0 lo;
   point 1 hi;
-  let pts = Array.map (fun _ -> Nocap_vec.Arena.alloc m) lo in
+  let pts = Array.map (fun _ -> Fv.create m) lo in
   for t = 2 to degree do
     let c = Gf.of_int t in
     Array.iteri (fun j p -> Fv_oracle.lerp_into ~dst:p lo.(j) hi.(j) c) pts;

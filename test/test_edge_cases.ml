@@ -50,37 +50,45 @@ let test_orion_single_element () =
   | Error e -> Alcotest.failf "single-element orion failed: %s" (Zk_pcs.Verify_error.to_string e)
 
 let test_sumcheck_one_variable () =
-  let tables = [| [| Gf.of_int 3; Gf.of_int 4 |] |] in
-  let claim = Gf.of_int 7 in
+  let tables = [| [| Gf.of_int 3; Gf.of_int 4 |]; [| Gf.of_int 5; Gf.of_int 6 |] |] in
+  let claim = Gf.of_int 39 in
   let pt = Transcript.create "edge" in
   let res =
-    Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:(Vcomb.vector 1 Vcomb.first)
+    Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:Sumcheck.Product
   in
   Alcotest.check gf "claim" claim res.Sumcheck.claim;
   let vt = Transcript.create "edge" in
-  match Sumcheck.verify vt ~degree:1 ~num_vars:1 ~claim res.Sumcheck.proof with
+  match Sumcheck.verify vt ~degree:2 ~num_vars:1 ~claim res.Sumcheck.proof with
   | Ok v ->
-    Alcotest.check gf "reduced claim" (Mle.eval tables.(0) v.Sumcheck.point) v.Sumcheck.value
+    Alcotest.check gf "reduced claim"
+      (Gf.mul
+         (Mle_oracle.eval tables.(0) v.Sumcheck.point)
+         (Mle_oracle.eval tables.(1) v.Sumcheck.point))
+      v.Sumcheck.value
   | Error e -> Alcotest.failf "1-variable sumcheck: %s" (Zk_pcs.Verify_error.to_string e)
 
 let test_bad_arguments_rejected () =
   Alcotest.(check bool) "sumcheck empty tables" true
     (raises_invalid (fun () ->
-         ignore
-           (Sumcheck.prove (Transcript.create "x") ~tables:[||]
-              ~comb:(Vcomb.vector 1 (fun _ out -> Nocap_vec.Fv.zero out)))));
+         ignore (Sumcheck.prove (Transcript.create "x") ~tables:[||] ~comb:Sumcheck.Product)));
   Alcotest.(check bool) "sumcheck non-pow2" true
     (raises_invalid (fun () ->
          ignore
            (Sumcheck.prove (Transcript.create "x")
-              ~tables:(Sumcheck_oracle.spills [| Array.make 3 Gf.zero |])
-              ~comb:(Vcomb.vector 1 Vcomb.first))));
-  Alcotest.(check bool) "sumcheck degree 0" true
+              ~tables:(Sumcheck_oracle.spills [| Array.make 3 Gf.zero; Array.make 3 Gf.zero |])
+              ~comb:Sumcheck.Product)));
+  Alcotest.(check bool) "sumcheck Eq_abc_batch with no weights" true
     (raises_invalid (fun () ->
          ignore
            (Sumcheck.prove (Transcript.create "x")
               ~tables:(Sumcheck_oracle.spills [| Array.make 4 Gf.zero |])
-              ~comb:(Vcomb.vector 0 Vcomb.first))));
+              ~comb:(Sumcheck.Eq_abc_batch [||]))));
+  Alcotest.(check bool) "sumcheck Eq_abc_batch over four tables per weight" true
+    (raises_invalid (fun () ->
+         ignore
+           (Sumcheck.prove (Transcript.create "x")
+              ~tables:(Sumcheck_oracle.spills (Array.make 8 (Array.make 4 Gf.zero)))
+              ~comb:(Sumcheck.Eq_abc_batch [| Gf.one; Gf.one |]))));
   Alcotest.(check bool) "sumcheck Eq_abc over two tables" true
     (raises_invalid (fun () ->
          ignore
@@ -96,7 +104,7 @@ let test_bad_arguments_rejected () =
     (raises_invalid (fun () ->
          ignore (Sumcheck.round_kernel Sumcheck.Product ~fold:(Gf.one, fvs 2 2) (fvs 2 8))));
   Alcotest.(check bool) "mle dimension mismatch" true
-    (raises_invalid (fun () -> ignore (Mle.eval (Array.make 4 Gf.zero) [| Gf.one |])));
+    (raises_invalid (fun () -> ignore (Mle_oracle.eval (Array.make 4 Gf.zero) [| Gf.one |])));
   Alcotest.(check bool) "merkle empty" true
     (raises_invalid (fun () -> ignore (Merkle.build (Nocap_vec.Fv.create 0))));
   Alcotest.(check bool) "gadget width 0" true

@@ -11,6 +11,7 @@ module R1cs = Zk_r1cs.R1cs
 module Synthetic = Zk_workloads.Synthetic
 module Transcript = Zk_hash.Transcript
 module Rng = Zk_util.Rng
+module Pool = Nocap_parallel.Pool
 module Isa = Nocap_model.Isa
 module Vm = Nocap_model.Vm
 module Streams = Nocap_model.Streams
@@ -349,10 +350,19 @@ let test_batch_golden () =
     let inst, asn1 = build 3 5 in
     (inst, [| asn1; snd (build 4 4); snd (build 2 8) |])
   in
+  (* The batched first sumcheck runs the native round kernel once per
+     instance, so the bytes are pinned at every domain count and tier. *)
   List.iter
     (fun (name, (inst, assignments), params, expected) ->
-      Alcotest.(check string) name expected
-        (aggregate_fingerprint (Aggregate.prove params inst assignments)))
+      let check label run =
+        Alcotest.(check string) (name ^ " " ^ label) expected
+          (run (fun () -> aggregate_fingerprint (Aggregate.prove params inst assignments)))
+      in
+      List.iter
+        (fun d -> check (Printf.sprintf "at %d domains" d) (Pool.with_domains d))
+        [ 1; 2; 3 ];
+      check "with scalar C kernels" Nocap_native.Native.with_scalar_c;
+      check "with the AVX2 tier only" Nocap_native.Native.with_avx2_only)
     [
       ( "synthetic-300 x3, 2 reps",
         synthetic,

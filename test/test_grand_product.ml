@@ -33,7 +33,7 @@ let test_completeness () =
           (fun i x -> Alcotest.check gf "claim point" x rc.Gp.point.(i))
           claim.Gp.point;
         (* ...and really is the input vector's MLE at that point. *)
-        Alcotest.check gf "claim correct" (Mle.eval v rc.Gp.point) rc.Gp.value)
+        Alcotest.check gf "claim correct" (Mle_oracle.eval v rc.Gp.point) rc.Gp.value)
     [ 0; 1; 2; 4; 7; 10 ]
 
 let test_forged_product_rejected () =
@@ -48,7 +48,7 @@ let test_forged_product_rejected () =
   | Ok rc ->
     (* If the rounds happen to pass, the final oracle check must not. *)
     Alcotest.(check bool) "oracle check fails" false
-      (Gf.equal (Mle.eval v rc.Gp.point) rc.Gp.value)
+      (Gf.equal (Mle_oracle.eval v rc.Gp.point) rc.Gp.value)
 
 let test_tampered_halves_rejected () =
   let rng = Rng.create 911L in
@@ -63,7 +63,7 @@ let test_tampered_halves_rejected () =
   | Error _ -> ()
   | Ok rc ->
     Alcotest.(check bool) "oracle check fails" false
-      (Gf.equal (Mle.eval v rc.Gp.point) rc.Gp.value)
+      (Gf.equal (Mle_oracle.eval v rc.Gp.point) rc.Gp.value)
 
 let test_with_orion_commitment () =
   (* The SPARK composition: the vector is committed, the grand product is
@@ -99,7 +99,7 @@ let prop_roundtrip =
       let vt = Transcript.create "gp-prop" in
       match Gp.verify vt ~num_vars:l ~product proof with
       | Error _ -> false
-      | Ok rc -> Gf.equal (Mle.eval v rc.Gp.point) rc.Gp.value)
+      | Ok rc -> Gf.equal (Mle_oracle.eval v rc.Gp.point) rc.Gp.value)
 
 (* Golden proof bytes: the product, every layer's half-claims and sumcheck
    round polynomials, and the reduced claim, hashed with SHA3-256. Pins the

@@ -12,7 +12,6 @@
 
 module Native = Nocap_native.Native
 module Fv = Nocap_vec.Fv
-module Arena = Nocap_vec.Arena
 module Gf = Zk_field.Gf
 module Rng = Zk_util.Rng
 module Keccak = Zk_hash.Keccak
@@ -284,10 +283,10 @@ let test_ntt_equiv () =
 
 (* A code's row encoder against the boxed oracle in every leg, at sizes on
    both sides of the expander's RS base case (32). The message and codeword
-   are arena views above an [offset]-lane watermark, so with an odd offset
-   they and the expander's own arena scratch start off any 32- or 64-byte
-   boundary. The codeword is pre-filled with garbage to catch a missing
-   zero-pad. Returns each message with its oracle codeword. *)
+   are views [offset] lanes into one buffer, so with an odd offset they
+   (and the expander's scratch in the codeword's tail) start off any 32-
+   or 64-byte boundary. The codeword is pre-filled with garbage to catch a
+   missing zero-pad. Returns each message with its oracle codeword. *)
 let check_encode_row (module Code : Zk_ecc.Linear_code.S) seed =
   let rng = Rng.create seed in
   List.map
@@ -297,13 +296,13 @@ let check_encode_row (module Code : Zk_ecc.Linear_code.S) seed =
       let expected = Ecc_oracle.encode (module Code) msg in
       let encode (leg : leg) =
         leg.run (fun () ->
-            Arena.with_frame (fun () ->
-                ignore (Arena.alloc offset);
-                let src = Arena.alloc cols and dst = Arena.alloc code_len in
-                Fv.write_array msg ~src_pos:0 src ~dst_pos:0 ~len:cols;
-                Fv.fill dst (Gf.of_int 0x5A5A5A);
-                Code.encode_row_into ~src ~dst;
-                Fv.to_array dst))
+            let buf = Fv.create (offset + cols + code_len) in
+            let src = Fv.sub_view buf ~pos:offset ~len:cols
+            and dst = Fv.sub_view buf ~pos:(offset + cols) ~len:code_len in
+            Fv.write_array msg ~src_pos:0 src ~dst_pos:0 ~len:cols;
+            Fv.fill dst (Gf.of_int 0x5A5A5A);
+            Code.encode_row_into ~src ~dst;
+            Fv.to_array dst)
       in
       List.iter
         (fun m ->
@@ -589,12 +588,13 @@ let near_p_table rng n =
   done;
   v
 
-(* [Sumcheck.round_kernel] for [Eq_abc] and [Product] against the
+(* [Sumcheck.round_kernel] for every combiner against the
    two-pass round ([Sumcheck_oracle]: per-t lerp, vector combiner and
    sum, then a separate fold), at 1..17 pairs and powers of
    two up to past the parallel grain (the SIMD tails and the chunking),
    evaluate-only and folding (out of place and in place), in every leg.
-   g and the folded halves must be bit-equal. *)
+   g and the folded halves must be bit-equal. The batch of three runs
+   the shared eq table through the kernel's identity refold. *)
 let test_round_kernel_vs_oracle () =
   let rng = Rng.create 0x5C0DEL in
   let sizes = List.init 17 (fun i -> i + 1) @ [ 32; 64; 256; 1024; 1025; 4096; 8192 ] in
@@ -632,8 +632,8 @@ let test_round_kernel_vs_oracle () =
               List.iter
                 (fun d ->
                   let name what =
-                    Printf.sprintf "degree %d, %d pairs, %d domains, %s [%s]" degree h d what
-                      l.name
+                    Printf.sprintf "%d tables, degree %d, %d pairs, %d domains, %s [%s]" k
+                      degree h d what l.name
                   in
                   l.run (fun () ->
                       Pool.with_domains d (fun () ->
@@ -663,6 +663,8 @@ let test_round_kernel_vs_oracle () =
     [
       (Sumcheck.Eq_abc, Sumcheck_oracle.eq_abc_vector, 4);
       (Sumcheck.Product, Sumcheck_oracle.product_vector, 2);
+      (let rho = Array.init 3 (fun _ -> near_p rng) in
+       (Sumcheck.Eq_abc_batch rho, Sumcheck_oracle.eq_abc_batch_vector rho, 10));
     ]
 
 (* [Mle.eq_table_into]'s doubling on contiguous halves against the

@@ -25,7 +25,7 @@ let roundtrip ?(params = small_params) ~seed l =
   Orion.absorb_commitment pt cm;
   let value, proof = Orion.prove_eval params committed pt point in
   (* The opened value is the MLE evaluation. *)
-  Alcotest.(check bool) "value = MLE eval" true (Gf.equal value (Mle.eval table point));
+  Alcotest.(check bool) "value = MLE eval" true (Gf.equal value (Mle_oracle.eval table point));
   let vt = Transcript.create "orion-test" in
   Orion.absorb_commitment vt cm;
   (match Orion.verify_eval params cm vt point value proof with

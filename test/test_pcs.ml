@@ -162,7 +162,7 @@ let test_fri_pcs_direct () =
   let value, proof = Fri_pcs.open_at params committed (transcript ()) point in
   Alcotest.(check bool)
     "opened value is the MLE evaluation" true
-    (Gf.equal value (Mle.eval evals point));
+    (Gf.equal value (Mle_oracle.eval evals point));
   (match Fri_pcs.verify params cm (transcript ()) point value proof with
   | Ok () -> ()
   | Error e -> Alcotest.failf "valid opening rejected: %s" (Zk_pcs.Verify_error.to_string e));
@@ -199,7 +199,7 @@ let test_fri_pcs_degenerate () =
   let value, proof = Fri_pcs.open_at params committed (transcript ()) point in
   Alcotest.(check bool)
     "L=1 value" true
-    (Gf.equal value (Mle.eval evals point));
+    (Gf.equal value (Mle_oracle.eval evals point));
   match Fri_pcs.verify params cm (transcript ()) point value proof with
   | Ok () -> ()
   | Error e -> Alcotest.failf "L=1 opening rejected: %s" (Zk_pcs.Verify_error.to_string e)
@@ -328,17 +328,10 @@ let test_engine_config () =
          (lookup
             [
               ("NOCAP_DOMAINS", "3");
-              ("NOCAP_GC_MINOR_MB", "64");
               ("NOCAP_STREAM_BUDGET_MB", "256");
             ])
    with
-  | Ok
-      {
-        Engine.Config.domains = Some 3;
-        gc_minor_mb = Some 64;
-        stream_budget_mb = Some 256;
-      } ->
-    ()
+  | Ok { Engine.Config.domains = Some 3; stream_budget_mb = Some 256 } -> ()
   | Ok _ -> Alcotest.fail "parsed values wrong"
   | Error e -> Alcotest.failf "valid env rejected: %s" e);
   List.iter
@@ -347,9 +340,9 @@ let test_engine_config () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted NOCAP_DOMAINS=%s" v)
     [ "zero"; "-2"; "0"; "" ];
-  (match Engine.Config.parse ~lookup:(lookup [ ("NOCAP_GC_MINOR_MB", "1.5") ]) with
+  (match Engine.Config.parse ~lookup:(lookup [ ("NOCAP_STREAM_BUDGET_MB", "1.5") ]) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted fractional NOCAP_GC_MINOR_MB")
+  | Ok _ -> Alcotest.fail "accepted fractional NOCAP_STREAM_BUDGET_MB")
 
 (* --- flat codec: get_fv is get_gf_array, error for error --- *)
 

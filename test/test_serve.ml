@@ -447,7 +447,7 @@ let test_config_aggregates_errors () =
      Engine.Config.parse
        ~lookup:
          (lookup_of
-            [ ("NOCAP_DOMAINS", "zero"); ("NOCAP_GC_MINOR_MB", "-4") ])
+            [ ("NOCAP_DOMAINS", "zero"); ("NOCAP_STREAM_BUDGET_MB", "-4") ])
    with
   | Ok _ -> Alcotest.fail "malformed config accepted"
   | Error msg ->
@@ -455,15 +455,15 @@ let test_config_aggregates_errors () =
       (fun var ->
         if not (contains msg var) then
           Alcotest.failf "aggregate error misses %s: %s" var msg)
-      [ "NOCAP_DOMAINS"; "NOCAP_GC_MINOR_MB" ]);
+      [ "NOCAP_DOMAINS"; "NOCAP_STREAM_BUDGET_MB" ]);
   (* one bad knob must not poison a good one's parse *)
   match
     Engine.Config.parse
-      ~lookup:(lookup_of [ ("NOCAP_DOMAINS", "3"); ("NOCAP_GC_MINOR_MB", "x") ])
+      ~lookup:(lookup_of [ ("NOCAP_DOMAINS", "3"); ("NOCAP_STREAM_BUDGET_MB", "x") ])
   with
-  | Ok _ -> Alcotest.fail "malformed NOCAP_GC_MINOR_MB accepted"
+  | Ok _ -> Alcotest.fail "malformed NOCAP_STREAM_BUDGET_MB accepted"
   | Error msg ->
-    Alcotest.(check bool) "names the bad knob" true (contains msg "NOCAP_GC_MINOR_MB");
+    Alcotest.(check bool) "names the bad knob" true (contains msg "NOCAP_STREAM_BUDGET_MB");
     Alcotest.(check bool) "does not blame the good knob" false (contains msg "NOCAP_DOMAINS")
 
 (* --- cleanup ------------------------------------------------------------ *)

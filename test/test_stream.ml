@@ -155,7 +155,7 @@ let prop_eq_table_into =
       let point = random_gf_array rng l in
       let n = 1 lsl l in
       (* the closed form, independent of the doubling chain *)
-      let full = Array.init n (fun b -> Mle.eq_point point (Mle.eval_of_index l b)) in
+      let full = Array.init n (fun b -> Mle.eq_point point (Mle_oracle.eval_of_index l b)) in
       (* every aligned power-of-two block size *)
       let ok = ref true in
       let len = ref 1 in
@@ -414,48 +414,31 @@ let test_sumcheck_spilled_tables () =
   Array.iter Spill.free spills;
   check_sumcheck_equal "spilled tables" reference streamed
 
-(* The vector-combiner contract: a random combiner — a sum of [terms]
-   (coefficient, variable indices) monomials of degree <= [degree] over
-   k tables — written once as a scalar function for the boxed oracle and
-   once on the Fv kernels for the provers. Sizes 2..2^12 make halves both
-   below and above the 1024-point chunk, and the streamed blocks under the
-   small budgets are not multiples of it. *)
-let random_combiner rng ~k ~degree =
-  let terms =
-    List.init
-      (1 + Rng.int rng 3)
-      (fun _ ->
-        (gf_of_rng rng, List.init (1 + Rng.int rng degree) (fun _ -> Rng.int rng k)))
-  in
-  let scalar v =
-    List.fold_left
-      (fun acc (c, idx) -> Gf.add acc (List.fold_left (fun p j -> Gf.mul p v.(j)) c idx))
-      Gf.zero terms
-  in
-  let vector v out =
-    let tmp = Nocap_vec.Arena.alloc (Fv.length out) in
-    Fv.zero out;
-    List.iter
-      (fun (c, idx) ->
-        Fv.fill tmp c;
-        List.iter (fun j -> Fv.mul_into ~dst:tmp tmp v.(j)) idx;
-        Fv.add_into ~dst:out out tmp)
-      terms
-  in
-  let mults = List.fold_left (fun acc (_, idx) -> acc + List.length idx) 0 terms in
-  (scalar, vector, mults)
+(* The combiner contract: random tables for each production combiner —
+   [Product], [Eq_abc], and [Eq_abc_batch] over [k] instances with random
+   weights — written once as a scalar function for the boxed oracle. Sizes
+   2..2^12 make halves both below and above the 1024-point chunk, and the
+   streamed blocks under the small budgets are not multiples of it. *)
+let random_combiner rng ~which ~k =
+  match which with
+  | 0 -> (Sumcheck.Product, (fun v -> Gf.mul v.(0) v.(1)), 2)
+  | 1 -> (Sumcheck.Eq_abc, Sumcheck_oracle.spartan_comb_scalar, 4)
+  | _ ->
+    let rho = Array.init k (fun _ -> gf_of_rng rng) in
+    (Sumcheck.Eq_abc_batch rho, Sumcheck_oracle.eq_abc_batch_scalar rho, 1 + (3 * k))
 
-let prop_vector_combiner_contract =
-  qcheck ~count:25 "vector combiners: prove = prove_arrays (budgets x domains)"
+let prop_combiner_contract =
+  qcheck ~count:25 "combiners: prove = prove_arrays (budgets x domains)"
     QCheck.(
       make
-        ~print:(fun (l, k, d, s) -> Printf.sprintf "l=%d k=%d degree=%d seed=%d" l k d s)
-        Gen.(quad (int_range 1 12) (int_range 1 5) (int_range 1 4) small_nat))
-    (fun (l, k, degree, seed) ->
-      let rng = Rng.create (Int64.of_int (seed + (1000 * l) + (100 * k) + degree)) in
+        ~print:(fun (l, which, k, s) -> Printf.sprintf "l=%d comb=%d k=%d seed=%d" l which k s)
+        Gen.(quad (int_range 1 12) (int_range 0 2) (int_range 1 4) small_nat))
+    (fun (l, which, k, seed) ->
+      let rng = Rng.create (Int64.of_int (seed + (1000 * l) + (100 * k) + which)) in
       let n = 1 lsl l in
-      let tables = Array.init k (fun _ -> random_gf_array rng n) in
-      let scalar, vector, comb_mults = random_combiner rng ~k ~degree in
+      let comb, scalar, ntables = random_combiner rng ~which ~k in
+      let degree = Sumcheck.degree comb in
+      let tables = Array.init ntables (fun _ -> random_gf_array rng n) in
       let claim =
         let acc = ref Gf.zero in
         for b = 0 to n - 1 do
@@ -464,22 +447,22 @@ let prop_vector_combiner_contract =
         !acc
       in
       let reference =
-        Sumcheck_oracle.prove_arrays ~comb_mults (Transcript.create "contract") ~degree ~tables
-          ~comb:scalar ~claim
+        Sumcheck_oracle.prove_arrays ~comb_mults:(Sumcheck.comb_mults comb)
+          (Transcript.create "contract") ~degree ~tables ~comb:scalar ~claim
       in
       List.iter
         (fun domains ->
           List.iter
             (fun budget ->
               let msg =
-                Printf.sprintf "l=%d k=%d degree=%d domains=%d budget=%s" l k degree domains
+                Printf.sprintf "l=%d comb=%d k=%d domains=%d budget=%s" l which k domains
                   (match budget with None -> "none" | Some b -> string_of_int b)
               in
               let spills = Array.map (fun t -> Spill.of_fv (Fv.of_array t)) tables in
               let streamed =
                 Pool.with_domains domains (fun () ->
                     Sumcheck.prove ?budget_bytes:budget (Transcript.create "contract")
-                      ~tables:spills ~comb:(Vcomb.vector ~mults:comb_mults degree vector))
+                      ~tables:spills ~comb)
               in
               check_sumcheck_equal msg reference streamed;
               Array.iteri
@@ -488,7 +471,7 @@ let prop_vector_combiner_contract =
                     (Fv.to_array (Spill.as_fv spills.(i))))
                 tables)
             [ None; Some 512; Some 2048; Some 65536 ])
-        [ 1; 2 ];
+        [ 1; 2; 3 ];
       true)
 
 (* --- PCS commits and openings under a budget ----------------------------- *)
@@ -523,7 +506,7 @@ let test_orion_budget_equal () =
           in
           Alcotest.(check bool) (msg ^ ": orion value") true (Gf.equal v1 v2);
           Alcotest.(check bool) (msg ^ ": orion value = MLE") true
-            (Gf.equal v1 (Mle.eval table point));
+            (Gf.equal v1 (Mle_oracle.eval table point));
           Alcotest.(check bool) (msg ^ ": orion proof") true (p1 = p2);
           match Orion.verify_eval params cm_d (transcript ()) point v1 p1 with
           | Ok () -> ()
@@ -607,7 +590,7 @@ let test_fri_budget_equal () =
           in
           Alcotest.(check bool) (msg ^ ": fri value") true (Gf.equal v1 v2);
           Alcotest.(check bool) (msg ^ ": fri value = MLE") true
-            (Gf.equal v1 (Mle.eval table point));
+            (Gf.equal v1 (Mle_oracle.eval table point));
           Alcotest.(check bool) (msg ^ ": fri proof") true (p1 = p2);
           match Fri_pcs.verify params cm_d (transcript ()) point v1 p1 with
           | Ok () -> ()
@@ -760,7 +743,7 @@ let suite =
       prop_merkle_builder_chunks;
       Alcotest.test_case "sumcheck budgets = prove_arrays" `Quick test_sumcheck_streaming;
       Alcotest.test_case "sumcheck over spilled tables" `Quick test_sumcheck_spilled_tables;
-      prop_vector_combiner_contract;
+      prop_combiner_contract;
       Alcotest.test_case "orion: budget = no budget" `Quick test_orion_budget_equal;
       Alcotest.test_case "orion: commit fault at every write" `Quick
         test_orion_commit_fault_path;

@@ -10,8 +10,10 @@ let gf = Alcotest.testable Gf.pp Gf.equal
 
 let random_table rng l = Array.init (1 lsl l) (fun _ -> Gf.random rng)
 
-(* The one-table degree-1 combiner. *)
-let first = Vcomb.vector 1 Vcomb.first
+(* A table's sum over the cube, as the [Product] with the all-ones table. *)
+let with_ones t = [| t; Array.make (Array.length t) Gf.one |]
+
+let product v = Gf.mul v.(0) v.(1)
 
 let sum_over_cube tables comb =
   let n = Array.length tables.(0) in
@@ -44,16 +46,18 @@ let run_roundtrip ~l ~tables ~comb ~vcomb =
       (fun j t ->
         Alcotest.check gf
           (Printf.sprintf "table %d folded correctly" j)
-          (Mle.eval t v.Sumcheck.point)
+          (Mle_oracle.eval t v.Sumcheck.point)
           res.Sumcheck.final_values.(j))
       tables;
     res
 
 let test_single_table () =
-  (* Listing 1: prove sum of a single multilinear table (degree 1). *)
+  (* Listing 1: prove the sum of a single multilinear table, as its
+     product with the all-ones table. *)
   let rng = Rng.create 40L in
-  let tables = [| random_table rng 5 |] in
-  ignore (run_roundtrip ~l:5 ~tables ~comb:(fun v -> v.(0)) ~vcomb:(Vcomb.vector 1 Vcomb.first))
+  ignore
+    (run_roundtrip ~l:5 ~tables:(with_ones (random_table rng 5)) ~comb:product
+       ~vcomb:Sumcheck.Product)
 
 let test_product_of_two () =
   let rng = Rng.create 41L in
@@ -73,12 +77,14 @@ let test_wrong_claim_rejected () =
   (* An honest proof checked against claim + 1: round 0's g(0) + g(1) is
      the true sum, so the verifier rejects it at once. *)
   let rng = Rng.create 43L in
-  let tables = [| random_table rng 4 |] in
-  let claim = Gf.add (sum_over_cube tables (fun v -> v.(0))) Gf.one in
+  let tables = with_ones (random_table rng 4) in
+  let claim = Gf.add (sum_over_cube tables product) Gf.one in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:first in
+  let res =
+    Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:Sumcheck.Product
+  in
   let vt = Transcript.create "sumcheck-test" in
-  match Sumcheck.verify vt ~degree:1 ~num_vars:4 ~claim res.Sumcheck.proof with
+  match Sumcheck.verify vt ~degree:2 ~num_vars:4 ~claim res.Sumcheck.proof with
   | Error e ->
     Alcotest.(check string) "category" "sumcheck_mismatch"
       (Zk_pcs.Verify_error.category_name e.Zk_pcs.Verify_error.category)
@@ -86,13 +92,12 @@ let test_wrong_claim_rejected () =
 
 let test_no_rounds () =
   (* One-element tables: no rounds, and the claim is comb at the point. *)
-  let tables = [| [| Gf.of_int 3 |]; [| Gf.of_int 5 |]; [| Gf.of_int 7 |] |] in
+  let tables = Array.map (fun x -> [| Gf.of_int x |]) [| 3; 5; 7; 2 |] in
   let pt = Transcript.create "sumcheck-test" in
   let res =
-    Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables)
-      ~comb:(Vcomb.vector 3 Vcomb.prod_all)
+    Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:Sumcheck.Eq_abc
   in
-  Alcotest.check gf "claim" (Gf.of_int 105) res.Sumcheck.claim;
+  Alcotest.check gf "claim" (Gf.of_int 99) res.Sumcheck.claim;
   Alcotest.(check int) "rounds" 0 (Array.length res.Sumcheck.proof.Sumcheck.round_polys);
   let vt = Transcript.create "sumcheck-test" in
   match Sumcheck.verify vt ~degree:3 ~num_vars:0 ~claim:res.Sumcheck.claim res.Sumcheck.proof with
@@ -117,50 +122,65 @@ let test_tampered_round_rejected () =
   | Ok v ->
     Alcotest.(check bool) "tampered proof must not survive oracle check" false
       (Gf.equal
-         (Gf.mul (Mle.eval tables.(0) v.Sumcheck.point) (Mle.eval tables.(1) v.Sumcheck.point))
+         (Gf.mul
+            (Mle_oracle.eval tables.(0) v.Sumcheck.point)
+            (Mle_oracle.eval tables.(1) v.Sumcheck.point))
          v.Sumcheck.value))
 
 let test_wrong_transcript_rejected () =
   (* Verifier with a different domain gets different challenges; the final
      oracle check then fails (challenge binding). *)
   let rng = Rng.create 45L in
-  let tables = [| random_table rng 3 |] in
-  let comb v = v.(0) in
-  let claim = sum_over_cube tables comb in
+  let tables = with_ones (random_table rng 3) in
+  let claim = sum_over_cube tables product in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:first in
+  let res =
+    Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:Sumcheck.Product
+  in
   let vt = Transcript.create "different-domain" in
-  match Sumcheck.verify vt ~degree:1 ~num_vars:3 ~claim res.Sumcheck.proof with
+  match Sumcheck.verify vt ~degree:2 ~num_vars:3 ~claim res.Sumcheck.proof with
   | Error _ -> ()
   | Ok v ->
     Alcotest.(check bool) "divergent challenges break the oracle check" false
-      (Gf.equal (Mle.eval tables.(0) v.Sumcheck.point) v.Sumcheck.value)
+      (Gf.equal
+         (product (Array.map (fun t -> Mle_oracle.eval t v.Sumcheck.point) tables))
+         v.Sumcheck.value)
 
 let test_stats () =
   let rng = Rng.create 46L in
   let l = 6 in
-  let tables = [| random_table rng l |] in
+  let tables = [| random_table rng l; random_table rng l |] in
   let pt = Transcript.create "sumcheck-test" in
-  let res = Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:first in
+  let res =
+    Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:Sumcheck.Product
+  in
   Alcotest.(check int) "rounds" l res.Sumcheck.stats.Sumcheck.rounds;
-  (* Fold multiplications: sum over rounds of half = 2^(l-1) + ... + 1. *)
-  Alcotest.(check int) "fold mults" ((1 lsl l) - 1) res.Sumcheck.stats.Sumcheck.mults
+  (* Per pair, one multiplication at each of the 3 points and one per
+     table to fold; the pairs over the rounds are 2^(l-1) + ... + 1. *)
+  Alcotest.(check int) "mults" (5 * ((1 lsl l) - 1)) res.Sumcheck.stats.Sumcheck.mults
 
+(* [c] picks the combiner: [Product] (degree 2), [Eq_abc] (degree 3) or a
+   batch of [c - 1] instances. *)
 let prop_roundtrip_random_degrees =
   QCheck.Test.make ~count:20 ~name:"sumcheck roundtrip across sizes and degrees"
-    QCheck.(pair (int_range 1 7) (int_range 1 3))
-    (fun (l, k) ->
-      let rng = Rng.create (Int64.of_int ((l * 100) + k)) in
+    QCheck.(pair (int_range 1 7) (int_range 0 3))
+    (fun (l, c) ->
+      let rng = Rng.create (Int64.of_int ((l * 100) + c)) in
+      let vcomb, comb, k =
+        match c with
+        | 0 -> (Sumcheck.Product, product, 2)
+        | 1 -> (Sumcheck.Eq_abc, Sumcheck_oracle.spartan_comb_scalar, 4)
+        | _ ->
+          let rho = Array.init (c - 1) (fun _ -> Gf.random rng) in
+          (Sumcheck.Eq_abc_batch rho, Sumcheck_oracle.eq_abc_batch_scalar rho, 1 + (3 * (c - 1)))
+      in
       let tables = Array.init k (fun _ -> random_table rng l) in
-      let comb v = Array.fold_left Gf.mul Gf.one v in
       let claim = sum_over_cube tables comb in
       let pt = Transcript.create "sumcheck-prop" in
-      let res =
-        Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables)
-          ~comb:(Vcomb.vector k Vcomb.prod_all)
-      in
+      let res = Sumcheck.prove pt ~tables:(Sumcheck_oracle.spills tables) ~comb:vcomb in
       let vt = Transcript.create "sumcheck-prop" in
-      match Sumcheck.verify vt ~degree:k ~num_vars:l ~claim res.Sumcheck.proof with
+      let degree = Sumcheck.degree vcomb in
+      match Sumcheck.verify vt ~degree ~num_vars:l ~claim res.Sumcheck.proof with
       | Error _ -> false
       | Ok v -> Gf.equal (comb res.Sumcheck.final_values) v.Sumcheck.value)
 

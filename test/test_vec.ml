@@ -5,7 +5,6 @@
    regression on the Fv loops. *)
 
 module Fv = Nocap_vec.Fv
-module Arena = Nocap_vec.Arena
 module Gf = Zk_field.Gf
 module Rng = Zk_util.Rng
 module Ntt = Zk_ntt.Ntt
@@ -124,38 +123,6 @@ let test_bounds () =
      ignore (Fv.sub_view v ~pos:2 ~len:3);
      Alcotest.fail "oversized view accepted"
    with Invalid_argument _ -> ())
-
-(* --- arena semantics ----------------------------------------------------- *)
-
-let test_arena () =
-  Arena.reset ();
-  Arena.with_frame (fun () ->
-      let a = Arena.alloc_zero 100 in
-      let b = Arena.alloc_zero 50 in
-      Alcotest.(check int) "watermark" 150 (Arena.used ());
-      (* Disjoint views: writes to one never show in the other. *)
-      Fv.fill a Gf.one;
-      Alcotest.check gf_testable "b untouched" Gf.zero (Fv.get b 0);
-      Fv.fill b Gf.two;
-      Alcotest.check gf_testable "a untouched" Gf.one (Fv.get a 99);
-      Arena.with_frame (fun () ->
-          let c = Arena.alloc_zero 10 in
-          Fv.fill c (Gf.of_int 3);
-          Alcotest.(check int) "inner watermark" 160 (Arena.used ()));
-      Alcotest.(check int) "inner frame reclaimed" 150 (Arena.used ());
-      (* Growth inside a frame keeps old views valid. *)
-      let big = Arena.alloc_zero (Arena.capacity () + 1) in
-      Fv.fill big (Gf.of_int 9);
-      Alcotest.check gf_testable "a survives growth" Gf.one (Fv.get a 0);
-      Alcotest.check gf_testable "b survives growth" Gf.two (Fv.get b 49));
-  (* Exception safety: a raising frame still restores the watermark. *)
-  let before = Arena.used () in
-  (try
-     Arena.with_frame (fun () ->
-         ignore (Arena.alloc 32);
-         failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "watermark restored on raise" before (Arena.used ())
 
 (* --- flat NTT vs Gf_ntt oracle ------------------------------------------- *)
 
@@ -282,8 +249,8 @@ let test_leaves_of_matrix () =
 let test_sumcheck_prove_equiv () =
   let rng = Rng.create 15L in
   let n = 1 lsl 8 in
-  let tables = Array.init 3 (fun _ -> Array.init n (fun _ -> Gf.random rng)) in
-  let comb v = Gf.mul v.(0) (Gf.sub (Gf.mul v.(1) v.(2)) v.(0)) in
+  let tables = Array.init 4 (fun _ -> Array.init n (fun _ -> Gf.random rng)) in
+  let comb = Sumcheck_oracle.spartan_comb_scalar in
   let claim =
     let acc = ref Gf.zero in
     for b = 0 to n - 1 do
@@ -291,17 +258,12 @@ let test_sumcheck_prove_equiv () =
     done;
     !acc
   in
-  let vcomb v out =
-    Fv.mul_into ~dst:out v.(1) v.(2);
-    Fv.sub_into ~dst:out out v.(0);
-    Fv.mul_into ~dst:out out v.(0)
-  in
   let a =
     Sumcheck_oracle.prove_arrays ~comb_mults:2 (Transcript.create "test-vec-sumcheck") ~degree:3
       ~tables ~comb ~claim
   and b =
     Sumcheck.prove (Transcript.create "test-vec-sumcheck")
-      ~tables:(Sumcheck_oracle.spills tables) ~comb:(Vcomb.vector ~mults:2 3 vcomb)
+      ~tables:(Sumcheck_oracle.spills tables) ~comb:Sumcheck.Eq_abc
   in
   Array.iteri
     (fun i g -> gf_array_eq (Printf.sprintf "round %d" i) g b.Sumcheck.proof.Sumcheck.round_polys.(i))
@@ -458,7 +420,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fold_sum;
     QCheck_alcotest.to_alcotest prop_views;
     Alcotest.test_case "bounds checks" `Quick test_bounds;
-    Alcotest.test_case "arena frames + growth" `Quick test_arena;
     Alcotest.test_case "flat NTT = Gf_ntt" `Quick test_ntt_equiv;
     Alcotest.test_case "flat row NTTs" `Quick test_ntt_rows_flat;
     Alcotest.test_case "flat four-step NTT" `Quick test_four_step;
