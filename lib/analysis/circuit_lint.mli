@@ -44,20 +44,17 @@ type verdict = {
   probe_ops : int;  (** field operations spent in the elimination *)
 }
 
-val default_probe_budget : int
-val default_max_reports : int
-
 val analyze :
   ?max_reports:int ->
   ?probe_budget:int ->
   Zk_r1cs.R1cs.instance ->
   Zk_r1cs.R1cs.assignment ->
   verdict
-(** Full analysis. [max_reports] (default {!default_max_reports}) caps the
-    concrete findings per rule — overflow collapses into one aggregate
-    diagnostic with the same rule name. [probe_budget] (default
-    {!default_probe_budget}) bounds the field operations the rank probe may
-    spend before giving up with a [probe-overflow] warning. *)
+(** Full analysis. [max_reports] (default 8) caps the concrete findings
+    per rule — overflow collapses into one aggregate diagnostic with the
+    same rule name. [probe_budget] (default 50,000,000) bounds the field
+    operations the rank probe may spend before giving up with a
+    [probe-overflow] warning. *)
 
 val lint :
   ?max_reports:int ->

@@ -18,6 +18,7 @@ type verdict = {
   check : Check.report;
 }
 
+(* The VM sizing (registers, memory slots) derived from the program itself. *)
 let of_program ~name ~vector_len program =
   let max_reg =
     List.fold_left

@@ -21,10 +21,6 @@ type verdict = {
   check : Check.report;
 }
 
-val of_program :
-  name:string -> vector_len:int -> Nocap_model.Isa.program -> entry
-(** Derive the VM sizing (registers, memory slots) from the program itself. *)
-
 val of_spmv : name:string -> vector_len:int -> Zk_r1cs.Sparse.t -> entry
 (** Compile the matrix with {!Nocap_model.Spmv_compile.compile} and wrap the
     resulting program. The matrix dimensions must be multiples of

@@ -68,8 +68,6 @@ val exit_code : t list -> int
     A stable JSON envelope (schema id ["nocap-diag/v1"]) shared by both
     linters' [--format json] output, parseable with {!Zk_util.Json_min}. *)
 
-val json_schema : string
-
 val to_json : t -> string
 (** One diagnostic as a single-line JSON object. *)
 

@@ -1,7 +1,1 @@
 let table1_seconds = 37.44
-
-let auction_seconds = 513.0
-
-let goldilocks_multiply_add_per_cycle = 200.0
-
-let nocap_multiply_add_per_cycle = 2048.0

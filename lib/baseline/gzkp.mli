@@ -5,12 +5,3 @@
 
 val table1_seconds : float
 (** 37.44 s at 16M constraints. *)
-
-val auction_seconds : float
-(** 513 s at 550M constraints (Sec. IX-B's linear-scaling estimate). *)
-
-val goldilocks_multiply_add_per_cycle : float
-(** ~200: the V100's sustained Goldilocks multiply-add rate, 10x below
-    NoCap's (Sec. IX-B). *)
-
-val nocap_multiply_add_per_cycle : float

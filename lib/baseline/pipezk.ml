@@ -8,5 +8,3 @@ let accelerated_seconds ~n_constraints = accelerated_per_constraint *. n_constra
 let cpu_seconds ~n_constraints = cpu_per_constraint *. n_constraints
 
 let seconds ~n_constraints = accelerated_seconds ~n_constraints +. cpu_seconds ~n_constraints
-
-let accelerated_speedup_over_cpu = 32.0

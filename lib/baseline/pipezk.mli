@@ -8,14 +8,5 @@
     and the CPU part the remaining 6.59 s of the 8.02 s total. Both parts
     scale linearly with constraint count. *)
 
-val accelerated_seconds : n_constraints:float -> float
-(** The part PipeZK's pipelines execute. *)
-
-val cpu_seconds : n_constraints:float -> float
-(** The MSM-G2 phase left on the host CPU. *)
-
 val seconds : n_constraints:float -> float
 (** End-to-end proving time. *)
-
-val accelerated_speedup_over_cpu : float
-(** 32x on the offloaded portion (Sec. III). *)

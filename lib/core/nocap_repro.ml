@@ -34,7 +34,6 @@ module Fq_bls = Zk_field.Fq_bls
 module Keccak = Zk_hash.Keccak
 module Transcript = Zk_hash.Transcript
 module Ntt = Zk_ntt.Ntt
-module Dense_poly = Zk_poly.Dense
 module Mle = Zk_poly.Mle
 module Reed_solomon = Zk_ecc.Reed_solomon
 module Expander_code = Zk_ecc.Expander

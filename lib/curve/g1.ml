@@ -114,5 +114,3 @@ let scalar_mul k p =
   !acc
 
 let random rng = scalar_mul (Fr.random rng) generator
-
-let field_mults_per_add = 16

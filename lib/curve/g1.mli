@@ -33,7 +33,3 @@ val scalar_mul : Fr.t -> t -> t
 
 val random : Zk_util.Rng.t -> t
 (** A random multiple of the generator. *)
-
-val field_mults_per_add : int
-(** Approximate 381-bit field multiplications per mixed point addition; used
-    by the Groth16 cost model (Sec. III's critical-operation accounting). *)

@@ -13,7 +13,7 @@
     {!report} fails loudly on either.
 
     Sweeps are deterministic: (seed, mutant index) replays the exact mutant,
-    and a pinned {!load_corpus_file} corpus replays historical crashers in
+    and a pinned {!replay_corpus} corpus replays historical crashers in
     [dune runtest]. *)
 
 type target = {
@@ -66,10 +66,8 @@ val sweep : ?seed:int64 -> byte_mutants:int -> structured_rounds:int -> target -
 val pp_report : Format.formatter -> report -> unit
 (** Multi-line human summary (bucket table plus alarms). *)
 
-val load_corpus_file : string -> bytes
-(** Parse a corpus entry: lines of hex bytes, ['#'] comments and blank
-    lines ignored, whitespace between hex pairs free-form.
-    @raise Failure on a byte that is not two hex digits. *)
-
 val replay_corpus : target -> dir:string -> (string * verdict) list
-(** Run every [*.hex] file under [dir] (sorted) through the target. *)
+(** Run every [*.hex] file under [dir] (sorted) through the target. An
+    entry is lines of hex bytes, ['#'] comments and blank lines ignored,
+    whitespace between hex pairs free-form.
+    @raise Failure on a byte that is not two hex digits. *)

@@ -28,7 +28,6 @@ val default : plan
     250ms sleep, first attempt only. *)
 
 val crashes : plan -> job_id:int -> bool
-val io_fails : plan -> job_id:int -> bool
 val slows : plan -> job_id:int -> bool
 (** Predicates the bench uses to predict which jobs were faulted. *)
 

@@ -27,15 +27,6 @@ let square x = mul x x
 
 let mul_base x s = { c0 = Gf.mul x.c0 s; c1 = Gf.mul x.c1 s }
 
-let conjugate x = { x with c1 = Gf.neg x.c1 }
-
-let norm x = Gf.sub (Gf.square x.c0) (Gf.mul w (Gf.square x.c1))
-
-let inv x =
-  let n = norm x in
-  if Gf.equal n Gf.zero then raise Division_by_zero;
-  mul_base (conjugate x) (Gf.inv n)
-
 let pow x e =
   let acc = ref one and base = ref x and e = ref e in
   while not (Int64.equal !e 0L) do

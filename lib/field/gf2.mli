@@ -22,15 +22,6 @@ val neg : t -> t
 val mul : t -> t -> t
 val square : t -> t
 val mul_base : t -> Gf.t -> t
-val inv : t -> t
-(** Via the conjugate and the norm. @raise Division_by_zero on zero. *)
-
-val conjugate : t -> t
-(** The Frobenius map [x -> x^p]: negates the [phi] coefficient. *)
-
-val norm : t -> Gf.t
-(** [x * conjugate x = c0^2 - 7 c1^2], an element of the base field. *)
-
 val pow : t -> int64 -> t
 val random : Zk_util.Rng.t -> t
 val pp : Format.formatter -> t -> unit

@@ -9,9 +9,6 @@ val mul64 : int64 -> int64 -> int64 * int64
 val add_carry : int64 -> int64 -> int64 -> int64 * int64
 (** [add_carry a b c] with [c] in [{0,1}] is [(sum, carry_out)]. *)
 
-val sub_borrow : int64 -> int64 -> int64 -> int64 * int64
-(** [sub_borrow a b brw] with [brw] in [{0,1}] is [(diff, borrow_out)]. *)
-
 val compare : int64 array -> int64 array -> int
 (** Unsigned comparison of equal-length limb arrays. *)
 

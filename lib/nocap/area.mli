@@ -17,9 +17,6 @@ val of_config : Config.t -> breakdown
 val compute_total : breakdown -> float
 (** NTT + multiply + add + hash FUs. *)
 
-val memory_total : breakdown -> float
-(** Register file + Benes network + memory interface. *)
-
 val total : breakdown -> float
 
 val table_rows : breakdown -> (string * float) list

@@ -95,10 +95,6 @@ let run config workload =
     total_hbm_bytes = List.fold_left (fun acc t -> acc +. t.hbm_bytes) 0.0 tasks;
   }
 
-let task_seconds result task =
-  let t = List.find (fun t -> t.task = task) result.tasks in
-  t.cycles /. (result.config.Config.freq_ghz *. 1e9)
-
 let task_fraction result task =
   let t = List.find (fun t -> t.task = task) result.tasks in
   t.cycles /. result.total_cycles

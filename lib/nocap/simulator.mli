@@ -35,8 +35,6 @@ type result = {
 
 val run : Config.t -> Workload.t -> result
 
-val task_seconds : result -> Workload.task -> float
-
 val task_fraction : result -> Workload.task -> float
 (** Share of total runtime (Fig. 6a). *)
 

@@ -238,7 +238,6 @@ module Gf_fv = struct
   let size p = p.n
 
   let twiddles p = p.twiddles
-  let inv_twiddles p = p.inv_twiddles
   let n_inv p = p.n_inv
 
   (* One C call per transform: the kernel runs the bit-reverse and the

@@ -132,15 +132,12 @@ val prove_eval :
     ambient cancel token once per row block.
     @raise Nocap_parallel.Pool.Cancel.Cancelled if it is cancelled. *)
 
-val max_num_vars : int
-(** Largest [num_vars] a wire commitment may claim (32; paper scale tops out
-    near 2^26). Bounding it keeps every size the verifier derives from an
-    attacker-controlled commitment in range. *)
-
 val validate_commitment : params -> commitment -> (unit, Zk_pcs.Verify_error.t) result
 (** Pin an untrusted commitment to the matrix layout [commit] would have
     produced under these params: digest length, [num_vars] within
-    [0, max_num_vars], and [mat_rows]/[mat_cols] equal to the derived
+    [0, 32] (paper scale tops out near 2^26; the bound keeps every size
+    the verifier derives from an attacker-controlled commitment in
+    range), and [mat_rows]/[mat_cols] equal to the derived
     layout. Run by {!verify_eval} before any size is trusted. *)
 
 val verify_eval :

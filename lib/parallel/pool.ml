@@ -36,7 +36,6 @@ module Cancel = struct
       Atomic.set t.flag true
     end
 
-  let is_cancelled t = Atomic.get t.flag
   let reason t = t.why
 
   let ambient : token option ref Domain.DLS.key =

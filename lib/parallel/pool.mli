@@ -61,7 +61,6 @@ module Cancel : sig
       ["cancelled"]) is the one reported. Safe from any domain and from
       signal handlers. *)
 
-  val is_cancelled : token -> bool
   val reason : token -> string
 
   val with_token : token -> (unit -> 'a) -> 'a

@@ -13,7 +13,6 @@ module Fv = Nocap_vec.Fv
 
 (** {2 Writer} *)
 
-val put_u64 : Buffer.t -> int64 -> unit
 val put_int : Buffer.t -> int -> unit
 val put_byte : Buffer.t -> char -> unit
 val put_gf : Buffer.t -> Gf.t -> unit
@@ -43,14 +42,12 @@ type reader
 val reader : bytes -> reader
 val pos : reader -> int
 val remaining : reader -> int
-val at_end : reader -> bool
 
 val max_len : int
 (** Upper bound accepted for any single length field (2^28): a decoded
     length beyond this is rejected before any allocation happens. *)
 
 val need : reader -> int -> (unit, Verify_error.t) result
-val get_u64 : reader -> (int64, Verify_error.t) result
 val get_byte : reader -> (char, Verify_error.t) result
 
 val get_len : reader -> (int, Verify_error.t) result

@@ -67,8 +67,6 @@ let default () =
     default_engine := Some e;
     e
 
-let reset_default () = default_engine := None
-
 let resolve = function Some e -> e | None -> default ()
 
 (* Byte granularity so tests can force spills on tiny circuits; the env

@@ -33,11 +33,6 @@ module Config : sig
       even after one fails: the [Error] aggregates every malformed
       variable (["; "]-separated, in knob order), so a service operator
       sees the complete misconfiguration in a single startup report. *)
-
-  val of_env : unit -> t
-  (** [parse] over the process environment; the only *validating*
-      [Sys.getenv] site in the library tree.
-      @raise Invalid_argument on a malformed value. *)
 end
 
 type t
@@ -55,14 +50,12 @@ val create : ?config:Config.t -> ?stream_budget_bytes:int -> unit -> t
     @raise Invalid_argument if [stream_budget_bytes <= 0]. *)
 
 val default : unit -> t
-(** The shared default engine, built on first use from {!Config.of_env}.
-    Its [domains] knob is applied as the pool's baseline size (see
-    {!Nocap_parallel.Pool.set_baseline_domains}; [Pool.with_domains] still
-    takes precedence). *)
-
-val reset_default : unit -> unit
-(** Drop the cached default engine so the next {!default} re-reads the
-    environment. For tests. *)
+(** The shared default engine, built on first use from {!Config.parse}
+    over the process environment (the only *validating* [Sys.getenv] site
+    in the library tree). Its [domains] knob is applied as the pool's
+    baseline size (see {!Nocap_parallel.Pool.set_baseline_domains};
+    [Pool.with_domains] still takes precedence).
+    @raise Invalid_argument on a malformed value. *)
 
 val resolve : t option -> t
 (** [resolve (Some e)] is [e]; [resolve None] is [default ()] — the one-line

@@ -38,9 +38,6 @@ let category_name = function
   | Sumcheck_mismatch -> "sumcheck_mismatch"
   | Consistency -> "consistency"
 
-let category_of_name name =
-  List.find_opt (fun c -> String.equal (category_name c) name) all_categories
-
 let exit_code category =
   let rec index i = function
     | [] -> assert false

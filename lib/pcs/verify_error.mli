@@ -54,8 +54,6 @@ val category_name : category -> string
     the bucket key in BENCH_faults.json and the token [nocap-cli verify]
     prints on stderr. *)
 
-val category_of_name : string -> category option
-
 val exit_code : category -> int
 (** Distinct per-category process exit code for [nocap-cli verify]
     (documented in the README): 10 + the category's position in

@@ -21,9 +21,6 @@ type breakdown = {
 
 val total : breakdown -> float
 
-val link_mb_per_s : float
-(** 10 MB/s (Sec. III). *)
-
 val run :
   platform ->
   n_constraints:float ->
@@ -39,11 +36,9 @@ val benchmark_breakdown : platform -> Zk_workloads.Benchmarks.t -> breakdown
 val speedup : breakdown -> breakdown -> float
 (** [speedup baseline ours] = total baseline / total ours. *)
 
-val pcie_gbps : float
-(** 64 GB/s: PCIe 5.0, the host link of Sec. IV-D. *)
-
 val witness_upload_seconds : n_constraints:float -> float
 (** Time to ship the wire values (8 bytes each) from the host CPU to NoCap
-    before proving starts. The paper's claim that PCIe 5.0 is "more than
-    enough to keep NoCap busy" (Sec. IV-D) is checked in the tests: this is
-    ~1-2% of the proving time at every benchmark size. *)
+    over PCIe 5.0 (64 GB/s, the host link of Sec. IV-D) before proving
+    starts. The paper's claim that PCIe 5.0 is "more than enough to keep
+    NoCap busy" (Sec. IV-D) is checked in the tests: this is ~1-2% of the
+    proving time at every benchmark size. *)

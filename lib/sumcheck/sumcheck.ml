@@ -1,7 +1,6 @@
 module Gf = Zk_field.Gf
 module Transcript = Zk_hash.Transcript
 module Mle = Zk_poly.Mle
-module Dense = Zk_poly.Dense
 module Pool = Nocap_parallel.Pool
 module Fv = Nocap_vec.Fv
 
@@ -360,6 +359,48 @@ let prove ?budget_bytes ?(framing = default_framing) transcript ~tables ~comb =
     stats = { rounds = num_vars; mults = !mults; adds = !adds };
   }
 
+(* --- round-polynomial evaluation: barycentric weights for the nodes
+   0..d --- *)
+
+(* w_i = 1 / prod_{j <> i} (i - j) = (-1)^(d-i) / (i! (d-i)!), one table
+   per degree, filled on first use in each domain. *)
+let weights_key = Domain.DLS.new_key (fun () -> Hashtbl.create 4)
+
+let round_weights d =
+  if d < 0 then invalid_arg "Sumcheck.round_weights: negative degree";
+  let cache = Domain.DLS.get weights_key in
+  match Hashtbl.find_opt cache d with
+  | Some w -> w
+  | None ->
+    let fact = Array.make (d + 1) Gf.one in
+    for i = 1 to d do
+      fact.(i) <- Gf.mul fact.(i - 1) (Gf.of_int i)
+    done;
+    let w =
+      Array.init (d + 1) (fun i ->
+          let x = Gf.inv (Gf.mul fact.(i) fact.(d - i)) in
+          if (d - i) land 1 = 1 then Gf.neg x else x)
+    in
+    Hashtbl.add cache d w;
+    w
+
+(* g(r) = sum_i g(i) * w_i * prod_{j <> i} (r - j), the products taken
+   from a suffix table and a running prefix of the factors (r - j). No
+   inversion; at a node every term but the node's own has a zero factor. *)
+let eval_round_poly g r =
+  let d = Array.length g - 1 in
+  let w = round_weights d in
+  let suffix = Array.make (d + 1) Gf.one in
+  for i = d - 1 downto 0 do
+    suffix.(i) <- Gf.mul suffix.(i + 1) (Gf.sub r (Gf.of_int (i + 1)))
+  done;
+  let acc = ref Gf.zero and prefix = ref Gf.one in
+  for i = 0 to d do
+    acc := Gf.add !acc (Gf.mul (Gf.mul g.(i) w.(i)) (Gf.mul !prefix suffix.(i)));
+    prefix := Gf.mul !prefix (Gf.sub r (Gf.of_int i))
+  done;
+  !acc
+
 module E = Zk_pcs.Verify_error
 
 let verify ?(framing = default_framing) transcript ~degree ~num_vars ~claim proof =
@@ -384,7 +425,7 @@ let verify ?(framing = default_framing) transcript ~degree ~num_vars ~claim proo
           let r = Transcript.challenge_gf transcript framing.challenge_label in
           point.(round) <- r;
           framing.after_round round r;
-          expected := Dense.interpolate_eval_small g r;
+          expected := eval_round_poly g r;
           go (round + 1)
         end
       end

@@ -90,12 +90,12 @@ type framing = {
     caller that interleaves its own protocol with the rounds (the FRI PCS
     opening folds and commits a codeword layer per challenge on the
     prover side, and absorbs that layer's root on the verifier side) does
-    so in [after_round]. *)
+    so in [after_round].
 
-val default_framing : framing
-(** The prelude absorbs [sumcheck/num_vars], [sumcheck/degree] and
-    [sumcheck/claim]; rounds use [sumcheck/round] and [sumcheck/challenge];
-    [after_round] does nothing. *)
+    The default framing, used when [?framing] is omitted: the prelude
+    absorbs [sumcheck/num_vars], [sumcheck/degree] and [sumcheck/claim];
+    rounds use [sumcheck/round] and [sumcheck/challenge]; [after_round]
+    does nothing. *)
 
 (** {1 Prover and verifier} *)
 
@@ -111,7 +111,7 @@ val prove :
 
     The prover works out its own claim: it is round 0's [g(0) + g(1)]
     (with no rounds, [comb] at the single point), returned as
-    [result.claim]. [framing]'s prelude (default {!default_framing})
+    [result.claim]. [framing]'s prelude (default: the default framing)
     absorbs it just before round 0's polynomial; computing that polynomial
     touches no transcript, so the transcript is the one a prover handed
     the honest claim would build.
@@ -147,13 +147,35 @@ val verify :
   claim:Gf.t ->
   proof ->
   (verifier_result, Zk_pcs.Verify_error.t) result
-(** Replays the rounds under [framing] (default {!default_framing}),
-    checking [g_i(0) + g_i(1)] against the running claim. The caller must
-    still check [result.value] against oracle evaluations of
-    the tables at [result.point]. Total on arbitrary proofs: a wrong round
+(** Replays the rounds under [framing] (default: the default framing),
+    checking [g_i(0) + g_i(1)] against the running claim and reducing it
+    to [g_i(r_i)] with {!eval_round_poly} (no field inversion per round).
+    The caller must still check [result.value] against oracle evaluations
+    of the tables at [result.point]. Total on arbitrary proofs: a wrong round
     count or round-polynomial degree is [Shape], a failed running-claim
     check is [Sumcheck_mismatch], and [degree < 1] is [Params] (a degree-0
     round polynomial could not even be length-checked against [g(1)]). *)
+
+(** {1 Round-polynomial evaluation}
+
+    A round polynomial travels as its values at the nodes [0..d]. The
+    verifiers evaluate it at the challenge in barycentric form,
+    [g(r) = sum_i g(i) * w_i * prod_{j <> i} (r - j)], with the products
+    taken from prefix and suffix products of the factors [(r - j)]. The
+    weights [w_i] are fixed per degree, so a round does no inversion. *)
+
+val round_weights : int -> Gf.t array
+(** [round_weights d] is [w_0..w_d] for the nodes [0..d]:
+    [w_i = 1 / prod_{j <> i} (i - j) = (-1)^(d-i) / (i! (d-i)!)].
+    Computed once per degree (per domain) and kept; the caller must not
+    write to it.
+    {!Zk_sumcheck.Sumcheck_ext} scales by the same weights.
+    @raise Invalid_argument if [d < 0]. *)
+
+val eval_round_poly : Gf.t array -> Gf.t -> Gf.t
+(** [eval_round_poly g r] is the value at [r] of the polynomial of degree
+    [< Array.length g] with values [g.(i)] at [i = 0..d]. Exact at the
+    nodes. @raise Invalid_argument if [g] is empty. *)
 
 (** {1 Byte form} *)
 

@@ -89,29 +89,27 @@ let prove transcript ~degree ~tables ~comb ~comb_mults ~claim =
     base_mults_equivalent = !mults;
   }
 
-(* Lagrange evaluation at an extension point, nodes 0..d. *)
-let interpolate_eval_ext (ys : Gf2.t array) (r : Gf2.t) =
-  let d = Array.length ys - 1 in
-  let xs = Array.init (d + 1) (fun i -> Gf2.of_base (Gf.of_int i)) in
-  let hit = ref None in
-  Array.iteri (fun i x -> if Gf2.equal x r then hit := Some ys.(i)) xs;
-  match !hit with
-  | Some y -> y
-  | None ->
-    let num = Array.map (fun x -> Gf2.sub r x) xs in
-    let full = Array.fold_left Gf2.mul Gf2.one num in
-    let acc = ref Gf2.zero in
-    for i = 0 to d do
-      let denom = ref num.(i) in
-      for j = 0 to d do
-        if j <> i then denom := Gf2.mul !denom (Gf2.sub xs.(i) xs.(j))
-      done;
-      acc := Gf2.add !acc (Gf2.mul ys.(i) (Gf2.mul full (Gf2.inv !denom)))
-    done;
-    !acc
+(* The round polynomial at an extension point: {!Sumcheck.eval_round_poly}'s
+   prefix/suffix products taken in GF(p^2), scaled by the same base-field
+   weights. *)
+let eval_round_poly (g : Gf2.t array) (r : Gf2.t) =
+  let d = Array.length g - 1 in
+  let w = Sumcheck.round_weights d in
+  let factor j = Gf2.sub r (Gf2.of_base (Gf.of_int j)) in
+  let suffix = Array.make (d + 1) Gf2.one in
+  for i = d - 1 downto 0 do
+    suffix.(i) <- Gf2.mul suffix.(i + 1) (factor (i + 1))
+  done;
+  let acc = ref Gf2.zero and prefix = ref Gf2.one in
+  for i = 0 to d do
+    acc := Gf2.add !acc (Gf2.mul_base (Gf2.mul g.(i) (Gf2.mul !prefix suffix.(i))) w.(i));
+    prefix := Gf2.mul !prefix (factor i)
+  done;
+  !acc
 
 let verify transcript ~degree ~num_vars ~claim proof =
-  if Array.length proof.round_polys <> num_vars then Error "wrong number of rounds"
+  if degree < 1 then Error (Printf.sprintf "invalid sumcheck shape (degree %d)" degree)
+  else if Array.length proof.round_polys <> num_vars then Error "wrong number of rounds"
   else begin
     Transcript.absorb_int transcript "sumcheck-ext/num_vars" num_vars;
     Transcript.absorb_int transcript "sumcheck-ext/degree" degree;
@@ -130,7 +128,7 @@ let verify transcript ~degree ~num_vars ~claim proof =
           absorb_gf2 transcript "sumcheck-ext/round" g;
           let r = challenge_gf2 transcript "sumcheck-ext/challenge" in
           point.(round) <- r;
-          expected := interpolate_eval_ext g r;
+          expected := eval_round_poly g r;
           go (round + 1)
         end
       end

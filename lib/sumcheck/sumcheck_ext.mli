@@ -39,6 +39,16 @@ val verify :
   claim:Gf.t ->
   proof ->
   (verifier_result, string) result
+(** Replays the rounds, checking [g_i(0) + g_i(1)] against the running
+    claim and reducing it to [g_i(r_i)] with {!eval_round_poly}. A
+    [degree] below 1 is an [Error]. *)
+
+val eval_round_poly : Gf2.t array -> Gf2.t -> Gf2.t
+(** [eval_round_poly g r] is the value at the extension point [r] of the
+    polynomial with values [g.(i)] at the base-field nodes [i = 0..d]:
+    {!Sumcheck.eval_round_poly}'s barycentric form with the products in
+    GF(p^2), scaled ({!Zk_field.Gf2.mul_base}) by the base-field weights
+    {!Sumcheck.round_weights}. No inversion. *)
 
 val eval_mle_ext : Gf.t array -> Gf2.t array -> Gf2.t
 (** Evaluate a base-field table's MLE at an extension point (the oracle check

@@ -232,13 +232,6 @@ let field obj key =
 
 let as_num = function Num f -> f | _ -> raise (Bad_json "expected number")
 
-(* Integral fields (domain counts, sizes, grains): reject 3.5 where the
-   schema means 3. *)
-let as_int j =
-  let f = as_num j in
-  let i = int_of_float f in
-  if float_of_int i <> f then raise (Bad_json "expected integer");
-  i
 let as_str = function Str s -> s | _ -> raise (Bad_json "expected string")
 let as_list = function List l -> l | _ -> raise (Bad_json "expected array")
 let as_bool = function Bool b -> b | _ -> raise (Bad_json "expected bool")

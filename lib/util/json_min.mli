@@ -35,10 +35,6 @@ val field : json -> string -> json
 
 val as_num : json -> float
 
-val as_int : json -> int
-(** {!as_num} restricted to integral values.
-    @raise Bad_json on fractional numbers. *)
-
 val as_str : json -> string
 val as_list : json -> json list
 val as_bool : json -> bool

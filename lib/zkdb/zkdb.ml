@@ -67,11 +67,8 @@ let prove_batch ?engine ?(params = Spartan.test_params) db txs =
   db.batches <- db.batches + 1;
   { instance; io = R1cs.public_io instance asn; proof; transactions = txs }
 
-let check_batch ?engine ?(params = Spartan.test_params) receipt =
-  Spartan.verify ?engine params receipt.instance ~io:receipt.io receipt.proof
-
 let verify_batch ?engine ?(params = Spartan.test_params) receipt =
-  Result.is_ok (check_batch ?engine ~params receipt)
+  Result.is_ok (Spartan.verify ?engine params receipt.instance ~io:receipt.io receipt.proof)
 
 type prover_platform = Cpu | Nocap
 

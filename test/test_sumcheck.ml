@@ -184,6 +184,58 @@ let prop_roundtrip_random_degrees =
       | Error _ -> false
       | Ok v -> Gf.equal (comb res.Sumcheck.final_values) v.Sumcheck.value)
 
+(* The verifier's barycentric evaluator against naive Lagrange, at every
+   degree 1..8: at a random point and at each node. *)
+let prop_eval_round_poly =
+  QCheck.Test.make ~count:30 ~name:"eval_round_poly = naive Lagrange (degrees 1..8, nodes)"
+    QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int (seed + 500)) in
+      List.for_all
+        (fun d ->
+          let g = Array.init (d + 1) (fun _ -> Gf.random rng) in
+          let points = Gf.random rng :: List.init (d + 1) Gf.of_int in
+          List.for_all
+            (fun r -> Gf.equal (Sumcheck.eval_round_poly g r) (Lagrange_oracle.eval g r))
+            points)
+        (List.init 8 succ))
+
+(* The weights from their definition: w_i * prod_{j <> i} (i - j) = 1,
+   and one table per degree, not one per call. *)
+let test_round_weights () =
+  for d = 0 to 8 do
+    let w = Sumcheck.round_weights d in
+    Alcotest.(check int) "length" (d + 1) (Array.length w);
+    Array.iteri
+      (fun i wi ->
+        let den = ref Gf.one in
+        for j = 0 to d do
+          if j <> i then den := Gf.mul !den (Gf.of_int (i - j))
+        done;
+        Alcotest.check gf (Printf.sprintf "d=%d i=%d" d i) Gf.one (Gf.mul wi !den))
+      w;
+    Alcotest.(check bool) "kept per degree" true (w == Sumcheck.round_weights d)
+  done;
+  Alcotest.check_raises "negative degree"
+    (Invalid_argument "Sumcheck.round_weights: negative degree") (fun () ->
+      ignore (Sumcheck.round_weights (-1)))
+
+(* Tabulate a coefficient-form polynomial at the nodes 0..d; the evaluator
+   must give back its Horner value anywhere. *)
+let prop_eval_round_poly_recovers =
+  QCheck.Test.make ~count:30
+    ~name:"eval_round_poly recovers a degree-d polynomial from its node values"
+    QCheck.small_nat (fun seed ->
+      let rng = Rng.create (Int64.of_int (seed + 700)) in
+      List.for_all
+        (fun d ->
+          let coeffs = Array.init (d + 1) (fun _ -> Gf.random rng) in
+          let horner x = Array.fold_right (fun c acc -> Gf.add c (Gf.mul acc x)) coeffs Gf.zero in
+          let g = Array.init (d + 1) (fun i -> horner (Gf.of_int i)) in
+          let r = Gf.random rng in
+          Gf.equal (Sumcheck.eval_round_poly g r) (horner r))
+        (List.init 8 succ))
+
 let suite =
   [
     Alcotest.test_case "single table (Listing 1)" `Quick test_single_table;
@@ -195,4 +247,7 @@ let suite =
     Alcotest.test_case "wrong transcript rejected" `Quick test_wrong_transcript_rejected;
     Alcotest.test_case "prover stats" `Quick test_stats;
     QCheck_alcotest.to_alcotest prop_roundtrip_random_degrees;
+    QCheck_alcotest.to_alcotest prop_eval_round_poly;
+    Alcotest.test_case "round weights" `Quick test_round_weights;
+    QCheck_alcotest.to_alcotest prop_eval_round_poly_recovers;
   ]
