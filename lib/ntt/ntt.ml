@@ -22,7 +22,6 @@ module type S = sig
   val forward : plan -> elt array -> unit
   val inverse : plan -> elt array -> unit
   val forward_copy : plan -> elt array -> elt array
-  val inverse_copy : plan -> elt array -> elt array
   val butterfly_count : int -> int
 end
 
@@ -142,11 +141,6 @@ module Make (F : FIELD) : S with type elt = F.t = struct
   let forward_copy p a =
     let b = Array.copy a in
     forward p b;
-    b
-
-  let inverse_copy p a =
-    let b = Array.copy a in
-    inverse p b;
     b
 
   let butterfly_count n = n / 2 * log2_exact n

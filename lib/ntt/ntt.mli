@@ -39,7 +39,6 @@ module type S = sig
   (** In-place inverse NTT; [inverse p (forward p a)] is the identity. *)
 
   val forward_copy : plan -> elt array -> elt array
-  val inverse_copy : plan -> elt array -> elt array
 
   val butterfly_count : int -> int
   (** [butterfly_count n] = [n/2 * log2 n]: work metric used by the

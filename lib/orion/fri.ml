@@ -67,7 +67,9 @@ let fold_block ~x_inv ~w_inv ~lo ~hi ~dst beta =
       Native.fri_fold (view dst) (view lo) (view hi) coef w_inv)
 
 (* A RAM-backed layer is its own 2 x half leaf matrix; a spilled one is
-   read [block] leaves at a time into a 2 x block matrix for the builder. *)
+   read [block] leaves at a time into a 2 x block matrix for the builder:
+   each block's two halves are read straight into that matrix's rows, the
+   layout the column hasher wants. *)
 let commit_layer ~block layer =
   let half = Spill.length layer / 2 in
   if not (Spill.is_spilled layer) then
@@ -76,44 +78,28 @@ let commit_layer ~block layer =
     let builder = Merkle.Builder.create half in
     let blk = max 1 (min block half) in
     let pair = Fv.create (2 * blk) and leaves = Fv.create (4 * blk) in
-    let j = ref 0 in
-    while !j < half do
-      Pool.Cancel.check ();
-      let bl = min blk (half - !j) in
-      Spill.read layer ~pos:!j (Fv.sub_view pair ~pos:0 ~len:bl);
-      Spill.read layer ~pos:(!j + half) (Fv.sub_view pair ~pos:bl ~len:bl);
-      let dst = Fv.sub_view leaves ~pos:0 ~len:(4 * bl) in
-      Keccak.hash_cols_into ~rows:2 ~cols:bl (Fv.sub_view pair ~pos:0 ~len:(2 * bl)) ~dst;
-      Merkle.Builder.add builder dst;
-      j := !j + bl
-    done;
+    Spill.walk ~rows:half ~block:blk (fun ~pos:j ~len:bl _ _ ->
+        Spill.read layer ~pos:j (Fv.sub_view pair ~pos:0 ~len:bl);
+        Spill.read layer ~pos:(j + half) (Fv.sub_view pair ~pos:bl ~len:bl);
+        let dst = Fv.sub_view leaves ~pos:0 ~len:(4 * bl) in
+        Keccak.hash_cols_into ~rows:2 ~cols:bl (Fv.sub_view pair ~pos:0 ~len:(2 * bl)) ~dst;
+        Merkle.Builder.add builder dst);
     Merkle.Builder.finish builder
   end
 
 (* A block at [j] starts its running product at [shift^-1 * w^-j], the
-   element a single block reaches. Only a spilled side is staged; the
-   output may share the low input's buffer (fold_block allows it). *)
+   element a single block reaches. *)
 let fold_layer ~shift ~block layer beta ~dst =
   let half = Spill.length layer / 2 in
   if half < 2 || Spill.length dst <> half then invalid_arg "Fri.fold_layer: lengths";
   let w_inv = Gf.inv (Gf.root_of_unity (log2_exact (Spill.length layer))) in
   let shift_inv = Gf.inv shift in
-  let bsz = max 1 (min block half) in
-  let staged = Spill.is_spilled layer || Spill.is_spilled dst in
-  let stage () = Fv.create (if staged then bsz else 0) in
-  let lo_buf = stage () and hi_buf = stage () in
-  let j = ref 0 in
-  while !j < half do
-    Pool.Cancel.check ();
-    let bl = min bsz (half - !j) in
-    let lo = Spill.view layer ~pos:!j ~len:bl ~buf:lo_buf in
-    let hi = Spill.view layer ~pos:(!j + half) ~len:bl ~buf:hi_buf in
-    let out = Spill.writable dst ~pos:!j ~len:bl ~buf:lo_buf in
-    let x_inv = Gf.mul shift_inv (Gf.pow w_inv (Int64.of_int !j)) in
-    fold_block ~x_inv ~w_inv ~lo ~hi ~dst:out beta;
-    Spill.store dst ~pos:!j out;
-    j := !j + bl
-  done;
+  Spill.walk ~rows:half ~block:(max 1 block)
+    ~read:[ (layer, 0, 1); (layer, half, 1) ]
+    ~write:[ (dst, 0, 1) ]
+    (fun ~pos:j ~len:_ srcs dsts ->
+      let x_inv = Gf.mul shift_inv (Gf.pow w_inv (Int64.of_int j)) in
+      fold_block ~x_inv ~w_inv ~lo:srcs.(0) ~hi:srcs.(1) ~dst:dsts.(0) beta);
   commit_layer ~block dst
 
 let coset_lde ~shift ~domain coeffs =

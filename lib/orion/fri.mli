@@ -110,9 +110,9 @@ val fold_layer :
     [dst.(j) = (E.(j) + E.(j+half)) / 2 + beta * (E.(j) - E.(j+half)) / (2x_j)]
     with [x_j = shift * w^j] ([c'_i = c_{2i} + beta * c_{2i+1}] on the
     coefficients), then returns {!commit_layer} of [dst]. It runs
-    {!fold_block} on [block]-element blocks, in place when RAM-backed,
-    checking the cancel token between blocks; the output is the same for
-    every backing and [block].
+    {!fold_block} on the [block]-element blocks of one
+    {!Nocap_vec.Spill.walk}, in place when RAM-backed; the output is the
+    same for every backing and [block].
     @raise Invalid_argument unless [dst] is half of [layer] and at least
     two points long. *)
 

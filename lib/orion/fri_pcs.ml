@@ -130,36 +130,18 @@ let commit ?engine params rng table =
        (documented limit); the win is downstream: the codeword and table
        spill, and the opening's fold pyramid never materializes. *)
     let block = block_of_budget b in
-    (* One block loop stages both spills: the codeword straight from its
-       flat vector, the table through a block-sized buffer. Free the
-       partially-built spills on cancellation / injected I/O faults instead
-       of waiting for the GC backstop. *)
-    let created = ref [] in
-    let create tag len =
-      let s = Spill.create ~tag ~spill:true len in
-      created := s :: !created;
-      s
-    in
-    (try
-       let s_evals = create "fri-evals" domain in
-       let s_table = create "fri-table" n in
-       let buf = Fv.create (min block n) in
-       let pos = ref 0 in
-       while !pos < domain do
-         Pool.Cancel.check ();
-         let len = min block (domain - !pos) in
-         Spill.write s_evals ~pos:!pos (Fv.sub_view evals ~pos:!pos ~len);
-         if !pos < n then begin
-           let v = Fv.sub_view buf ~pos:0 ~len:(min len (n - !pos)) in
-           Fv.write_array table ~src_pos:!pos v ~dst_pos:0 ~len:(Fv.length v);
-           Spill.write s_table ~pos:!pos v
-         end;
-         pos := !pos + len
-       done;
-       ({ c_commitment; table = s_table; evals = s_evals; budget; tree }, c_commitment)
-     with e ->
-       List.iter Spill.free !created;
-       raise e)
+    (* One walk over the table's rows stages both spills: each table row
+       carries its [blowup] codeword elements, so a block writes [block]
+       codeword elements, copied from the flat vector. *)
+    let blowup = 1 lsl params.blowup_log2 in
+    let s_evals = Spill.create ~tag:"fri-evals" ~spill:true domain in
+    let s_table = Spill.create ~tag:"fri-table" ~spill:true n in
+    Spill.walk ~rows:n ~block:(block / blowup)
+      ~write:[ (s_evals, 0, blowup); (s_table, 0, 1) ]
+      (fun ~pos ~len _ dsts ->
+        Fv.blit ~src:evals ~src_pos:(pos * blowup) ~dst:dsts.(0) ~dst_pos:0 ~len:(len * blowup);
+        Fv.write_array table ~src_pos:pos dsts.(1) ~dst_pos:0 ~len);
+    ({ c_commitment; table = s_table; evals = s_evals; budget; tree }, c_commitment)
 
 let free_committed c =
   Spill.free c.table;

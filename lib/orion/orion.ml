@@ -96,22 +96,20 @@ let log2_exact n =
    block boundary is a permutation boundary. *)
 let pipeline_block = 2 * Keccak.rate_lanes
 
-(* Staging for [len] elements moved through a spill file; RAM-backed
-   vectors are read and written in place. *)
-let staging v len = Fv.create (if Spill.is_spilled v then len else 0)
-
 (* Commit over a flat-element producer: [read ~pos dst] must fill [dst]
    with elements [pos, pos + length dst) of the table (row-major
-   [rows * cols], like the flat table itself). Each row block is encoded
-   once, straight into the stored codeword, and absorbed into the
-   per-column sponge bank (200 bytes/column); with a budget, nothing bigger
-   than a row block of rows and of codeword, the sponge bank and the
-   Merkle tree is resident, the rest lives in spill files. Mask rows are
-   drawn from [rng] in a fixed order, rows stream into each column sponge
-   in order (block-local absorb indices stay lane-aligned because blocks
-   are multiples of [pipeline_block]), and the Merkle builder hashes the
-   same leaf set for every block size — so the root and every subsequent
-   proof byte are the same for every budget. *)
+   [rows * cols], like the flat table itself). One walk over the data rows
+   then the mask rows fills each row block (from [read], or from the masks
+   past [rows]), encodes it once, absorbs it into the per-column sponge
+   bank (200 bytes/column) and stores both the rows and their codeword;
+   with a budget, nothing bigger than a row block of rows and of codeword,
+   the sponge bank and the Merkle tree is resident, the rest lives in
+   spill files. Mask rows are drawn from [rng] in a fixed order, rows
+   stream into each column sponge in order (block-local absorb indices
+   stay lane-aligned because blocks are multiples of [pipeline_block]),
+   and the Merkle builder hashes the same leaf set for every block size —
+   so the root and every subsequent proof byte are the same for every
+   budget. *)
 let commit_stream ?budget_bytes params rng ~num_vars ~read =
   (match validate_params params with
   | Ok () -> ()
@@ -144,70 +142,50 @@ let commit_stream ?budget_bytes params rng ~num_vars ~read =
   let spill = Option.is_some budget_bytes in
   let all_rows = Spill.create ~tag:"orion-rows" ~spill (enc_rows * cols) in
   let codeword = Spill.create ~tag:"orion-codeword" ~spill (enc_rows * code_len) in
-  (* Cancellation or an injected I/O fault mid-commit must not strand the
-     spills until a major GC: free both on any non-success exit (the
-     finalizer stays as backstop only). *)
-  let staged_ok = ref false in
-  Fun.protect
-    ~finally:(fun () ->
-      if not !staged_ok then begin
-        Spill.free all_rows;
-        Spill.free codeword
-      end)
-  @@ fun () ->
-  let src_buf = staging all_rows (row_block * cols) in
-  (* Stage the data rows (straight into RAM-backed storage)... *)
-  let pos = ref 0 in
-  while !pos < rows * cols do
-    Pool.Cancel.check ();
-    let len = min (row_block * cols) ((rows * cols) - !pos) in
-    let v = Spill.writable all_rows ~pos:!pos ~len ~buf:src_buf in
-    read ~pos:!pos v;
-    Spill.store all_rows ~pos:!pos v;
-    pos := !pos + len
-  done;
-  (* ...then the mask rows after them. *)
-  if mask_rows > 0 then Spill.write all_rows ~pos:(rows * cols) masks;
   let col_hash = Keccak.Col_hash.create code_len in
-  let enc_buf = staging codeword (min row_block enc_rows * code_len) in
   let row_ns = Code.row_encode_ns ~cols in
-  let nblocks = (enc_rows + row_block - 1) / row_block in
-  for k = 0 to nblocks - 1 do
-    Pool.Cancel.check ();
-    let r_lo = k * row_block in
-    let bh = min row_block (enc_rows - r_lo) in
-    let src = Spill.view all_rows ~pos:(r_lo * cols) ~len:(bh * cols) ~buf:src_buf in
-    let enc =
-      Spill.writable codeword ~pos:(r_lo * code_len) ~len:(bh * code_len) ~buf:enc_buf
-    in
-    Pool.run ~grain:(Pool.grain_of_ns row_ns) ~n:bh (fun lo hi ->
-        for r = lo to hi - 1 do
-          Code.encode_row_into
-            ~src:(Fv.sub_view src ~pos:(r * cols) ~len:cols)
-            ~dst:(Fv.sub_view enc ~pos:(r * code_len) ~len:code_len)
-        done);
-    let col_ns =
-      max 1 (((bh + Keccak.rate_lanes - 1) / Keccak.rate_lanes) * Keccak.block_ns)
-    in
-    Pool.run ~grain:(Pool.grain_of_ns col_ns) ~n:code_len (fun c_lo c_hi ->
-        (* Block-local row indices: r_lo is a multiple of the sponge rate,
-           so [r mod rate_lanes] — the only thing absorb derives from the
-           row index — matches the absolute row's. *)
-        Keccak.Col_hash.absorb col_hash enc ~row_stride:code_len ~r_lo:0 ~r_hi:bh ~c_lo
-          ~c_hi);
-    Spill.store codeword ~pos:(r_lo * code_len) enc
-  done;
-  let leaves = Fv.create (4 * code_len) in
-  Pool.run
-    ~grain:(Pool.grain_of_ns Keccak.block_ns)
-    ~n:code_len
-    (fun c_lo c_hi ->
-      Keccak.Col_hash.finalize col_hash ~total_rows:enc_rows ~c_lo ~c_hi leaves);
-  let tree = Merkle.build leaves in
+  let tree = ref None in
+  Spill.walk ~rows:enc_rows ~block:row_block
+    ~write:[ (all_rows, 0, cols); (codeword, 0, code_len) ]
+    (fun ~pos:r_lo ~len:bh _ dsts ->
+      let src = dsts.(0) and enc = dsts.(1) in
+      let data = max 0 (min bh (rows - r_lo)) in
+      if data > 0 then read ~pos:(r_lo * cols) (Fv.sub_view src ~pos:0 ~len:(data * cols));
+      if data < bh then
+        Fv.blit ~src:masks
+          ~src_pos:((r_lo + data - rows) * cols)
+          ~dst:src ~dst_pos:(data * cols)
+          ~len:((bh - data) * cols);
+      Pool.run ~grain:(Pool.grain_of_ns row_ns) ~n:bh (fun lo hi ->
+          for r = lo to hi - 1 do
+            Code.encode_row_into
+              ~src:(Fv.sub_view src ~pos:(r * cols) ~len:cols)
+              ~dst:(Fv.sub_view enc ~pos:(r * code_len) ~len:code_len)
+          done);
+      let col_ns =
+        max 1 (((bh + Keccak.rate_lanes - 1) / Keccak.rate_lanes) * Keccak.block_ns)
+      in
+      Pool.run ~grain:(Pool.grain_of_ns col_ns) ~n:code_len (fun c_lo c_hi ->
+          (* Block-local row indices: r_lo is a multiple of the sponge rate,
+             so [r mod rate_lanes] — the only thing absorb derives from the
+             row index — matches the absolute row's. *)
+          Keccak.Col_hash.absorb col_hash enc ~row_stride:code_len ~r_lo:0 ~r_hi:bh ~c_lo
+            ~c_hi);
+      (* The last block also closes the sponges and builds the tree inside
+         the walk, so a cancellation there still frees both spills. *)
+      if r_lo + bh = enc_rows then begin
+        let leaves = Fv.create (4 * code_len) in
+        Pool.run
+          ~grain:(Pool.grain_of_ns Keccak.block_ns)
+          ~n:code_len
+          (fun c_lo c_hi ->
+            Keccak.Col_hash.finalize col_hash ~total_rows:enc_rows ~c_lo ~c_hi leaves);
+        tree := Some (Merkle.build leaves)
+      end);
+  let tree = Option.get !tree in
   let commitment =
     { root = Merkle.root tree; num_vars; mat_rows = rows; mat_cols = cols }
   in
-  staged_ok := true;
   ( { c_params = params; c_commitment = commitment; enc_rows; all_rows; codeword; row_block; tree },
     commitment )
 
@@ -244,25 +222,18 @@ let code_length params (cm : commitment) =
    combination is byte-identical for every domain count and block size. *)
 let row_combination committed coeffs =
   let cols = committed.c_commitment.mat_cols in
-  let nrows = Array.length coeffs in
   let out = Fv.create cols in
   Fv.zero out;
-  let buf = staging committed.all_rows (committed.row_block * cols) in
-  let r = ref 0 in
-  while !r < nrows do
-    Pool.Cancel.check ();
-    let r0 = !r in
-    let bh = min committed.row_block (nrows - r0) in
-    let mat = Spill.view committed.all_rows ~pos:(r0 * cols) ~len:(bh * cols) ~buf in
-    (* One output column costs [bh] axpy steps, a few ns each. *)
-    Pool.run ~grain:(Pool.grain_of_ns (max 1 (bh * 4))) ~n:cols (fun lo hi ->
-        let dst = Fv.sub_view out ~pos:lo ~len:(hi - lo) in
-        for i = 0 to bh - 1 do
-          Fv.axpy_into ~dst coeffs.(r0 + i)
-            (Fv.sub_view mat ~pos:((i * cols) + lo) ~len:(hi - lo))
-        done);
-    r := r0 + bh
-  done;
+  Spill.walk ~rows:(Array.length coeffs) ~block:committed.row_block
+    ~read:[ (committed.all_rows, 0, cols) ]
+    (fun ~pos:r0 ~len:bh srcs _ ->
+      (* One output column costs [bh] axpy steps, a few ns each. *)
+      Pool.run ~grain:(Pool.grain_of_ns (max 1 (bh * 4))) ~n:cols (fun lo hi ->
+          let dst = Fv.sub_view out ~pos:lo ~len:(hi - lo) in
+          for i = 0 to bh - 1 do
+            Fv.axpy_into ~dst coeffs.(r0 + i)
+              (Fv.sub_view srcs.(0) ~pos:((i * cols) + lo) ~len:(hi - lo))
+          done));
   out
 
 (* Column openings: one pass over the stored codeword, gathering only the
@@ -278,23 +249,15 @@ let gather_columns committed indices =
   let block = max 1 (committed.row_block * cols / code_len) in
   let nq = Array.length indices in
   let col_values = Fv.create (nq * enc_rows) in
-  let buf = staging committed.codeword (min block enc_rows * code_len) in
-  let r_lo = ref 0 in
-  while !r_lo < enc_rows do
-    Pool.Cancel.check ();
-    let bh = min block (enc_rows - !r_lo) in
-    let enc =
-      Spill.view committed.codeword ~pos:(!r_lo * code_len) ~len:(bh * code_len) ~buf
-    in
-    for q = 0 to nq - 1 do
-      let j = indices.(q) in
-      let dst = (q * enc_rows) + !r_lo in
-      for r = 0 to bh - 1 do
-        Fv.set col_values (dst + r) (Fv.get enc ((r * code_len) + j))
-      done
-    done;
-    r_lo := !r_lo + bh
-  done;
+  Spill.walk ~rows:enc_rows ~block ~read:[ (committed.codeword, 0, code_len) ]
+    (fun ~pos:r_lo ~len:bh srcs _ ->
+      for q = 0 to nq - 1 do
+        let j = indices.(q) in
+        let dst = (q * enc_rows) + r_lo in
+        for r = 0 to bh - 1 do
+          Fv.set col_values (dst + r) (Fv.get srcs.(0) ((r * code_len) + j))
+        done
+      done);
   let depth = Merkle.depth committed.tree in
   let paths = Fv.create (4 * nq * depth) in
   Array.iteri (fun q j -> Merkle.path_into committed.tree j paths ~pos:(4 * q * depth)) indices;
@@ -318,15 +281,14 @@ let prove_eval ?engine params committed transcript point =
   (* Proximity test: random combinations of the data rows, each masked by its
      own committed random row (stored after the data rows) so that nothing
      about the witness leaks. *)
-  let mask_buf = staging committed.all_rows cols in
   let proximity =
     Array.init params.proximity_count (fun i ->
         let rho = Transcript.challenge_gf_vec transcript "orion/rho" cm.mat_rows in
         let v = row_combination committed rho in
         if params.zk then
-          Fv.add_into ~dst:v v
-            (Spill.view committed.all_rows ~pos:((cm.mat_rows + i) * cols) ~len:cols
-               ~buf:mask_buf);
+          Spill.walk ~rows:1 ~block:1
+            ~read:[ (committed.all_rows, (cm.mat_rows + i) * cols, cols) ]
+            (fun ~pos:_ ~len:_ srcs _ -> Fv.add_into ~dst:v v srcs.(0));
         Transcript.absorb_fv transcript "orion/proximity" v;
         v)
   in

@@ -131,19 +131,15 @@ let get_digest r =
   r.pos <- r.pos + 32;
   Ok d
 
-let get_list r get =
+let get_array r get =
   let* n = get_len r in
   let rec go i acc =
-    if i = n then Ok (List.rev acc)
+    if i = n then Ok (Array.of_list (List.rev acc))
     else
       let* x = get r in
       go (i + 1) (x :: acc)
   in
   go 0 []
-
-let get_array r get =
-  let* l = get_list r get in
-  Ok (Array.of_list l)
 
 (* --- growable flat buffers for decoders --- *)
 

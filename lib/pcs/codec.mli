@@ -81,9 +81,6 @@ val get_digest_lanes_into :
     exactly as [count] calls of {!get_digest} would ({!need_digests}).
     @raise Invalid_argument if the range does not fit [dst]. *)
 
-val get_list :
-  reader -> (reader -> ('a, Verify_error.t) result) -> ('a list, Verify_error.t) result
-
 val get_array :
   reader -> (reader -> ('a, Verify_error.t) result) -> ('a array, Verify_error.t) result
 

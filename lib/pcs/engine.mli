@@ -64,10 +64,11 @@ val resolve : t option -> t
 val stream_budget_bytes : t -> int option
 (** The effective prover memory budget: the explicit [create] argument if
     any, else [config.stream_budget_mb] scaled to bytes, else [None].
-    There is one prover path, which works in blocks over [Spill.t]
-    vectors: [None] runs it as one RAM-backed block per phase; [Some b]
-    makes the blocks [b]-sized and backs the large vectors with spill
-    files. Proof bytes are the same either way. *)
+    There is one prover path, whose streamed loops walk [Spill.t]
+    vectors in blocks ([Nocap_vec.Spill.walk]): [None] runs each as one
+    RAM-backed block; [Some b] makes the blocks [b]-sized and backs the
+    large vectors with spill files. Proof bytes are the same either
+    way. *)
 
 val tune_gc : t -> unit
 (** Apply the GC policy to the process: a 16 MiB minor heap and

@@ -69,8 +69,7 @@ let eq_split point =
   (eq_fv (Array.sub point 0 h), eq_fv (Array.sub point h (l - h)), l - h)
 
 (* Aligned power-of-two blocks of at most [block] elements, each doubled in
-   place by [eq_table_into]; file-backed blocks go through one staging
-   buffer. *)
+   place by [eq_table_into]. *)
 let eq_table_spill point ~block s =
   let module Spill = Nocap_vec.Spill in
   let len = Spill.length s in
@@ -83,19 +82,8 @@ let eq_table_spill point ~block s =
     done;
     !p
   in
-  try
-    let buf = Fv.create (if Spill.is_spilled s then eb else 0) in
-    let pos = ref 0 in
-    while !pos < len do
-      Nocap_parallel.Pool.Cancel.check ();
-      let blk = Spill.writable s ~pos:!pos ~len:eb ~buf in
-      eq_table_into point ~lo:!pos blk;
-      Spill.store s ~pos:!pos blk;
-      pos := !pos + eb
-    done
-  with e ->
-    Spill.free s;
-    raise e
+  Spill.walk ~rows:len ~block:eb ~write:[ (s, 0, 1) ] (fun ~pos ~len:_ _ dsts ->
+      eq_table_into point ~lo:pos dsts.(0))
 
 let eq_point r s =
   let l = Array.length r in

@@ -46,8 +46,8 @@ val eq_split : point -> Nocap_vec.Fv.t * Nocap_vec.Fv.t * int
 val eq_table_spill : point -> block:int -> Nocap_vec.Spill.t -> unit
 (** [eq_table_spill r ~block s] fills [s] with {!eq_table}[ r], one aligned
     power-of-two block of at most [block] elements at a time through
-    {!eq_table_into}, with a {!Nocap_parallel.Pool.Cancel.check} per
-    block. On any exception [s] is freed and the exception re-raised.
+    {!eq_table_into}, in one {!Nocap_vec.Spill.walk} (so a cancellation or
+    an I/O fault frees [s] and re-raises).
     @raise Invalid_argument if [Spill.length s <> 2^(Array.length r)]. *)
 
 val eq_point : point -> point -> Zk_field.Gf.t

@@ -60,45 +60,24 @@ let io_mle_eval io_live point =
   done;
   !acc
 
-(* File-backed blocks are filled in these staging vectors and then
-   stored; RAM-backed ones are filled in place. *)
-let stage ~spill ~block = Fv.create (if spill then block else 0)
-
-let free_on_error spills f =
-  try f ()
-  with e ->
-    List.iter Spill.free spills;
-    raise e
-
 (* Row-blocked Az/Bz/Cz, written straight into the vectors' blocks: each
-   block is checked for satisfiability and stored; under a budget the
-   three dense vectors never coexist in RAM. *)
+   block is checked for satisfiability before it is stored; under a budget
+   the three dense vectors never coexist in RAM. *)
 let fill_abc ~spill ~block inst zfv =
   let n = R1cs.size inst in
   let az = Spill.create ~tag:"spartan-az" ~spill n in
   let bz = Spill.create ~tag:"spartan-bz" ~spill n in
   let cz = Spill.create ~tag:"spartan-cz" ~spill n in
-  free_on_error [ az; bz; cz ] (fun () ->
-      let abuf = stage ~spill ~block and bbuf = stage ~spill ~block in
-      let cbuf = stage ~spill ~block in
-      let r = ref 0 in
-      while !r < n do
-        Pool.Cancel.check ();
-        let len = min block (n - !r) in
-        let ab = Spill.writable az ~pos:!r ~len ~buf:abuf in
-        let bb = Spill.writable bz ~pos:!r ~len ~buf:bbuf in
-        let cb = Spill.writable cz ~pos:!r ~len ~buf:cbuf in
-        Sparse.spmv_into inst.R1cs.a ~x:zfv ~r_lo:!r ab;
-        Sparse.spmv_into inst.R1cs.b ~x:zfv ~r_lo:!r bb;
-        Sparse.spmv_into inst.R1cs.c ~x:zfv ~r_lo:!r cb;
-        for i = 0 to len - 1 do
-          let abi = Gf.mul (Fv.unsafe_get ab i) (Fv.unsafe_get bb i) in
-          if not (Gf.equal abi (Fv.unsafe_get cb i)) then invalid_arg "Spartan: assignment does not satisfy the instance"
-        done;
-        Spill.store az ~pos:!r ab;
-        Spill.store bz ~pos:!r bb;
-        Spill.store cz ~pos:!r cb;
-        r := !r + len
+  Spill.walk ~rows:n ~block ~write:[ (az, 0, 1); (bz, 0, 1); (cz, 0, 1) ]
+    (fun ~pos ~len _ dsts ->
+      let ab = dsts.(0) and bb = dsts.(1) and cb = dsts.(2) in
+      Sparse.spmv_into inst.R1cs.a ~x:zfv ~r_lo:pos ab;
+      Sparse.spmv_into inst.R1cs.b ~x:zfv ~r_lo:pos bb;
+      Sparse.spmv_into inst.R1cs.c ~x:zfv ~r_lo:pos cb;
+      for i = 0 to len - 1 do
+        let abi = Gf.mul (Fv.unsafe_get ab i) (Fv.unsafe_get bb i) in
+        if not (Gf.equal abi (Fv.unsafe_get cb i)) then
+          invalid_arg "Spartan: assignment does not satisfy the instance"
       done);
   (az, bz, cz)
 
@@ -137,22 +116,13 @@ let fill_m ~spill ~block inst ~rx ~r_abc =
   let his = scaled_by_abc hi r_abc in
   let grain = fill_m_grain inst in
   let m = Spill.create ~tag:"spartan-m" ~spill n in
-  free_on_error [ m ] (fun () ->
-      let mbuf = stage ~spill ~block in
-      let c = ref 0 in
-      while !c < n do
-        Pool.Cancel.check ();
-        let c_lo = !c and len = min block (n - !c) in
-        let mb = Spill.writable m ~pos:c_lo ~len ~buf:mbuf in
-        Pool.run ~grain ~n:len (fun j0 j1 ->
-            let dst = Fv.sub_view mb ~pos:j0 ~len:(j1 - j0) in
-            Fv.zero dst;
-            Array.iteri
-              (fun k csc -> Sparse.Csc.gather_acc csc ~hi:his.(k) ~lo ~c_lo:(c_lo + j0) dst)
-              inst.R1cs.columns);
-        Spill.store m ~pos:c_lo mb;
-        c := c_lo + len
-      done);
+  Spill.walk ~rows:n ~block ~write:[ (m, 0, 1) ] (fun ~pos:c_lo ~len _ dsts ->
+      Pool.run ~grain ~n:len (fun j0 j1 ->
+          let dst = Fv.sub_view dsts.(0) ~pos:j0 ~len:(j1 - j0) in
+          Fv.zero dst;
+          Array.iteri
+            (fun k csc -> Sparse.Csc.gather_acc csc ~hi:his.(k) ~lo ~c_lo:(c_lo + j0) dst)
+            inst.R1cs.columns));
   m
 
 (* The verifier's M~(r_x, r_y) = sum_k r_abc.(k) * M_k~(r_x, r_y) over

@@ -144,9 +144,9 @@ val abc_eval : Zk_r1cs.R1cs.instance -> rx:Gf.t array -> ry:Gf.t array -> r_abc:
 
     The full-length tables of {!S.prove}, shared with {!Aggregate}: each a
     fresh [Spill.t] (file-backed when [spill]) filled one block of at most
-    [block] elements at a time, with a {!Nocap_parallel.Pool.Cancel.check}
-    per block. The caller frees the result; a fill that raises frees what
-    it created. The values do not depend on [spill] or [block]. *)
+    [block] elements at a time by one {!Nocap_vec.Spill.walk}. The caller
+    frees the result; a fill that raises frees what it created. The values
+    do not depend on [spill] or [block]. *)
 
 val fill_abc :
   spill:bool ->

@@ -63,11 +63,6 @@ let write_array (src : Gf.t array) ~src_pos (dst : t) ~dst_pos ~len =
     set dst (dst_pos + i) src.(src_pos + i)
   done
 
-let read_array (src : t) ~src_pos (dst : Gf.t array) ~dst_pos ~len =
-  for i = 0 to len - 1 do
-    dst.(dst_pos + i) <- get src (src_pos + i)
-  done
-
 let equal (a : t) (b : t) =
   length a = length b
   &&
@@ -113,12 +108,6 @@ let axpy_into ~dst c src =
 let lerp_into ~dst a b c =
   check3 "Fv.lerp_into" dst a b;
   Native.fv_lerp dst a b c
-
-let map_into ~dst f a =
-  check2 "Fv.map_into" dst a;
-  for i = 0 to length dst - 1 do
-    unsafe_set dst i (f (unsafe_get a i))
-  done
 
 let fold f init (v : t) =
   let acc = ref init in

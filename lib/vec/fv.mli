@@ -37,7 +37,6 @@ val of_array : Gf.t array -> t
 val to_array : t -> Gf.t array
 
 val write_array : Gf.t array -> src_pos:int -> t -> dst_pos:int -> len:int -> unit
-val read_array : t -> src_pos:int -> Gf.t array -> dst_pos:int -> len:int -> unit
 
 val equal : t -> t -> bool
 
@@ -45,7 +44,7 @@ val equal : t -> t -> bool
 
     Each checks lengths once, then runs the C kernel
     ({!Nocap_native.Native}). [dst] may alias an input (the kernels are
-    elementwise). {!map_into}, {!fold} and {!sum} are OCaml loops. *)
+    elementwise). {!fold} and {!sum} are OCaml loops. *)
 
 val add_into : dst:t -> t -> t -> unit
 val sub_into : dst:t -> t -> t -> unit
@@ -63,8 +62,6 @@ val lerp_into : dst:t -> t -> t -> Gf.t -> unit
     line through [(0, a)] and [(1, b)] at [t = c]: the sumcheck fold (at
     the challenge, usually with [dst == a]) and the round polynomial's
     evaluation points [t >= 2]. *)
-
-val map_into : dst:t -> (Gf.t -> Gf.t) -> t -> unit
 
 val fold : ('a -> Gf.t -> 'a) -> 'a -> t -> 'a
 

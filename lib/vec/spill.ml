@@ -163,24 +163,48 @@ let read t ~pos dst =
       A1.unsafe_set dst i (Bytes.get_int64_le f.stage (i * 8))
     done
 
-let view t ~pos ~len ~buf =
-  match t.backing with
-  | Ram fv ->
-    check_range t ~pos ~n:len "view";
-    Fv.sub_view fv ~pos ~len
-  | File _ ->
-    let v = Fv.sub_view buf ~pos:0 ~len in
-    read t ~pos v;
-    v
+(* A block of attachment [(v, off, width)]: rows [pos, pos + len) are
+   elements [off + pos * width, off + (pos + len) * width). A RAM-backed
+   vector lends its own storage; a file-backed one the front of [stage]. *)
+let block_of (v, off, width) stage ~pos ~len =
+  match v.backing with
+  | Ram fv -> Fv.sub_view fv ~pos:(off + (pos * width)) ~len:(len * width)
+  | File _ -> Fv.sub_view stage ~pos:0 ~len:(len * width)
 
-let writable t ~pos ~len ~buf =
-  match t.backing with
-  | Ram fv ->
-    check_range t ~pos ~n:len "writable";
-    Fv.sub_view fv ~pos ~len
-  | File _ -> Fv.sub_view buf ~pos:0 ~len
-
-let store t ~pos v = match t.backing with Ram _ -> () | File _ -> write t ~pos v
+let walk ~rows ~block ?read:(reads = []) ?write:(writes = []) f =
+  try
+    if rows < 0 || block < 1 then
+      invalid_arg (Printf.sprintf "Spill.walk: rows %d, block %d" rows block);
+    List.iter
+      (fun (v, off, width) ->
+        if width < 0 then invalid_arg "Spill.walk: negative width";
+        check_range v ~pos:off ~n:(rows * width) "walk")
+      (reads @ writes);
+    let staged =
+      List.map (fun ((v, _, width) as a) ->
+          (a, Fv.create (if is_spilled v then min block rows * width else 0)))
+    in
+    let reads = staged reads and writes = staged writes in
+    let pos = ref 0 in
+    while !pos < rows do
+      Nocap_parallel.Pool.Cancel.check ();
+      let p = !pos in
+      let len = min block (rows - p) in
+      let blocks = List.map (fun (a, stage) -> block_of a stage ~pos:p ~len) in
+      let srcs = blocks reads and dsts = blocks writes in
+      let transfer io atts blks =
+        List.iter2
+          (fun ((v, off, width), _) blk -> if is_spilled v then io v ~pos:(off + (p * width)) blk)
+          atts blks
+      in
+      transfer read reads srcs;
+      f ~pos:p ~len (Array.of_list srcs) (Array.of_list dsts);
+      transfer write writes dsts;
+      pos := p + len
+    done
+  with e ->
+    List.iter (fun (v, _, _) -> free v) writes;
+    raise e
 
 let get t i =
   match t.backing with

@@ -5,8 +5,8 @@
     backing-store decision made explicit: [spill:false] wraps a plain
     {!Fv.t}; [spill:true] stores the elements in an unlinked temp file and
     keeps only an I/O staging buffer resident. Producers and consumers move
-    data in [Fv] blocks ({!write}/{!read}), so the hot loops above this
-    layer are identical for both backings.
+    data in [Fv] blocks through one block loop ({!walk}), so the hot loops
+    above this layer are identical for both backings.
 
     Layout contract: a spilled vector stores the same canonical 8-byte
     little-endian Gf images an [Fv.t] holds in RAM, so round-tripping
@@ -50,23 +50,35 @@ val write : t -> pos:int -> Fv.t -> unit
 val read : t -> pos:int -> Fv.t -> unit
 (** Load [Fv.length dst] elements from [pos]. *)
 
-val view : t -> pos:int -> len:int -> buf:Fv.t -> Fv.t
-(** Elements [pos, pos + len) for reading: a shared view of a RAM-backed
-    vector's storage (no copy), or a {!read} into the front of [buf] when
-    file-backed. The view may alias the vector, so treat it as read-only
-    unless the vector's contents are dead. *)
+val walk :
+  rows:int ->
+  block:int ->
+  ?read:(t * int * int) list ->
+  ?write:(t * int * int) list ->
+  (pos:int -> len:int -> Fv.t array -> Fv.t array -> unit) ->
+  unit
+(** The block loop of every streamed phase. [walk ~rows ~block ~read
+    ~write f] covers rows [\[0, rows)] in blocks of at most [block] rows,
+    in order, and calls [f ~pos ~len srcs dsts] once per block
+    [\[pos, pos + len)]. An attachment [(v, off, width)] gives each row
+    [width] elements of [v], so the block covers elements
+    [\[off + pos * width, off + (pos + len) * width)]; [srcs] are the
+    blocks of [read] and [dsts] those of [write], in list order.
 
-val writable : t -> pos:int -> len:int -> buf:Fv.t -> Fv.t
-(** A block to fill for elements [pos, pos + len): a view of a RAM-backed
-    vector's own storage, or the front of [buf] when file-backed. Its
-    contents are unspecified; pass it to {!store} once filled. *)
+    A RAM-backed vector's block is a view of its own storage (no copy). A
+    file-backed one gets one staging buffer of [min block rows * width]
+    elements for the whole walk: a read block is loaded before [f] runs,
+    and a write block, whose contents [f] must set, is stored after it.
+    The walk calls {!Nocap_parallel.Pool.Cancel.check} before each block.
 
-val store : t -> pos:int -> Fv.t -> unit
-(** Make a filled {!writable} block part of the vector: a no-op when
-    RAM-backed (the block is the storage), a {!write} when file-backed. *)
+    Every attachment's range is checked before any I/O. If anything raises
+    (an invalid argument, [f], a cancellation, an I/O fault), every vector
+    in [write] is {!free}d and the exception re-raised.
+    @raise Invalid_argument if [rows < 0], [block < 1], a width is negative
+    or an attachment's range leaves its vector. *)
 
 val get : t -> int -> Gf.t
-(** Point read. O(1) in RAM; one tiny pread when spilled — use {!view}
+(** Point read. O(1) in RAM; one tiny pread when spilled — {!walk} over
     blocks for scans. *)
 
 val as_fv : t -> Fv.t

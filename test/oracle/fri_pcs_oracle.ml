@@ -328,8 +328,8 @@ let read_eval_proof r =
           Codec.get_array r (fun r ->
               let* a = Codec.get_gf r in
               let* b = Codec.get_gf r in
-              let* path = Codec.get_list r Codec.get_digest in
-              Ok (a, b, path))
+              let* path = Codec.get_array r Codec.get_digest in
+              Ok (a, b, Array.to_list path))
         in
         Ok (position, opened))
   in

@@ -103,32 +103,126 @@ let test_spill_ram_backing () =
   check_gf_array "of_fv" data (Fv.to_array (Spill.to_fv wrapped));
   Spill.free s
 
-let test_spill_view () =
+(* Count file transfers (reads and writes) for the duration of [f]. *)
+let with_io_count f =
+  let ios = ref 0 in
+  Spill.set_io_fault_hook (Some (fun _ -> incr ios));
+  Fun.protect ~finally:(fun () -> Spill.set_io_fault_hook None) f;
+  !ios
+
+let filled ~spill data =
+  let s = Spill.create ~tag:"walk" ~spill (Array.length data) in
+  Spill.write s ~pos:0 (Fv.of_array data);
+  s
+
+(* Read walks hand each block the elements a plain array slice holds, in
+   row order, for ragged tails, a block past the row count, no rows, and
+   attachments shaped like FRI's halves and Orion's row matrix; write
+   walks store exactly the blocks the body fills. Both backings. *)
+let test_spill_walk () =
   let n = 513 in
-  let rng = Rng.create 42L in
-  let data = random_gf_array rng n in
-  let buf = Fv.create 32 in
+  let data = random_gf_array (Rng.create 42L) n in
+  let slice off len = Array.sub data off len in
   List.iter
     (fun spill ->
-      let s = Spill.create ~tag:"view" ~spill n in
-      Spill.write s ~pos:0 (Fv.of_array data);
-      let probe pos len =
-        check_gf_array
-          (Printf.sprintf "view %d+%d (spilled %b)" pos len spill)
-          (Array.sub data pos len)
-          (Fv.to_array (Spill.view s ~pos ~len ~buf))
+      let s = filled ~spill data in
+      let read_walk name ~rows ~block atts =
+        let next = ref 0 in
+        Spill.walk ~rows ~block ~read:(List.map (fun (off, w) -> (s, off, w)) atts)
+          (fun ~pos ~len srcs dsts ->
+            let msg = Printf.sprintf "%s (spilled %b) block at %d" name spill pos in
+            Alcotest.(check int) (msg ^ ": in order") !next pos;
+            Alcotest.(check int) (msg ^ ": length") (min block (rows - pos)) len;
+            Alcotest.(check int) (msg ^ ": no write blocks") 0 (Array.length dsts);
+            List.iteri
+              (fun i (off, w) ->
+                check_gf_array msg (slice (off + (pos * w)) (len * w)) (Fv.to_array srcs.(i)))
+              atts;
+            next := pos + len);
+        Alcotest.(check int) (Printf.sprintf "%s (spilled %b): covered" name spill) rows !next
       in
-      (* buffer-sized blocks with a ragged tail, then blocks across their
-         edges, single elements at both ends and an empty block *)
-      let pos = ref 0 in
-      while !pos < n do
-        let len = min 32 (n - !pos) in
-        probe !pos len;
-        pos := !pos + len
-      done;
+      read_walk "ragged tail" ~rows:n ~block:32 [ (0, 1) ];
+      read_walk "block > rows" ~rows:n ~block:1000 [ (0, 1) ];
+      read_walk "one row per block" ~rows:9 ~block:1 [ (500, 1) ];
+      read_walk "fri halves" ~rows:256 ~block:100 [ (0, 1); (256, 1) ];
+      read_walk "orion rows" ~rows:31 ~block:7 [ (1, 16); (497, 0) ];
+      read_walk "no rows" ~rows:0 ~block:4 [ (n, 3) ];
+      (* Write walks: every element of an attached range is set by the
+         body; the rest of the vector stays zero. *)
       List.iter
-        (fun (pos, len) -> probe pos len)
-        [ (31, 2); (500, 13); (0, 1); (n - 1, 1); (256, 0) ];
+        (fun (name, rows, block, off, w) ->
+          let d = Spill.create ~tag:"walk-dst" ~spill n in
+          Spill.walk ~rows ~block ~read:[ (s, off, w) ] ~write:[ (d, off, w) ]
+            (fun ~pos:_ ~len:_ srcs dsts ->
+              Fv.blit ~src:srcs.(0) ~src_pos:0 ~dst:dsts.(0) ~dst_pos:0 ~len:(Fv.length srcs.(0)));
+          let expect =
+            Array.init n (fun i -> if i >= off && i < off + (rows * w) then data.(i) else Gf.zero)
+          in
+          check_gf_array (Printf.sprintf "write %s (spilled %b)" name spill) expect
+            (Fv.to_array (Spill.to_fv d));
+          Spill.free d)
+        [
+          ("ragged tail", n, 32, 0, 1);
+          ("block > rows", 200, 1000, 13, 1);
+          ("orion rows", 31, 7, 1, 16);
+          ("no rows", 0, 5, 0, 1);
+        ];
+      Spill.free s)
+    [ false; true ]
+
+exception Body_fault of int
+
+(* A body that raises at block [k] frees every written vector (and no
+   read one) and re-raises, for every [k]; a tripped cancel token raises
+   before the first transfer; an attachment past its vector raises
+   Invalid_argument before the first transfer. *)
+let test_spill_walk_failures () =
+  let n = 100 and block = 16 in
+  let data = random_gf_array (Rng.create 43L) n in
+  List.iter
+    (fun spill ->
+      let s = filled ~spill data in
+      let live = Spill.live_files () in
+      let blocks = (n + block - 1) / block in
+      let walk_into ?(read = [ (s, 0, 1) ]) body =
+        let a = Spill.create ~tag:"walk-a" ~spill n and b = Spill.create ~tag:"walk-b" ~spill n in
+        Spill.walk ~rows:n ~block ~read ~write:[ (a, 0, 1); (b, 0, 1) ] body;
+        Spill.free a;
+        Spill.free b
+      in
+      for k = 0 to blocks - 1 do
+        (match
+           walk_into (fun ~pos ~len:_ _ _ -> if pos / block = k then raise (Body_fault k))
+         with
+        | () -> Alcotest.failf "raise at block %d: walk returned" k
+        | exception Body_fault j when j = k -> ());
+        Alcotest.(check int) (Printf.sprintf "raise at block %d (spilled %b): live files" k spill)
+          live (Spill.live_files ())
+      done;
+      let tok = Pool.Cancel.create () in
+      Pool.Cancel.cancel ~reason:"walk" tok;
+      let ios =
+        with_io_count (fun () ->
+            let walk () = walk_into (fun ~pos:_ ~len:_ _ _ -> ()) in
+            match Pool.Cancel.with_token tok walk with
+            | () -> Alcotest.fail "cancelled walk returned"
+            | exception Pool.Cancel.Cancelled _ -> ())
+      in
+      Alcotest.(check int) (Printf.sprintf "cancel (spilled %b): transfers" spill) 0 ios;
+      List.iter
+        (fun (name, read) ->
+          let ios =
+            with_io_count (fun () ->
+                match walk_into ~read (fun ~pos:_ ~len:_ _ _ -> ()) with
+                | () -> Alcotest.failf "%s: walk returned" name
+                | exception Invalid_argument _ -> ())
+          in
+          Alcotest.(check int) (Printf.sprintf "%s (spilled %b): transfers" name spill) 0 ios)
+        [ ("range past the end", [ (s, 1, 1) ]); ("negative offset", [ (s, -1, 1) ]);
+          ("negative width", [ (s, 0, -1) ]) ];
+      Alcotest.(check int) (Printf.sprintf "failed walks (spilled %b): live files" spill)
+        live (Spill.live_files ());
+      check_gf_array "read vector intact" data (Fv.to_array (Spill.to_fv s));
       Spill.free s)
     [ false; true ]
 
@@ -519,9 +613,9 @@ let test_orion_budget_equal () =
 exception Injected_write of int
 
 (* A budgeted commit whose k-th spill write fails, for every k the commit
-   reaches (data row blocks, mask rows, codeword blocks): the fault must
-   propagate and both spill files must be released with it. 128 rows of 8
-   columns under a 2 KiB budget run in four row blocks. *)
+   reaches (row blocks and codeword blocks): the fault must propagate and
+   both spill files must be released with it. 128 data rows and 4 mask
+   rows of 8 columns under a 2 KiB budget run in four row blocks. *)
 let test_orion_commit_fault_path () =
   let params = Orion.default_params in
   let table = random_gf_array (Rng.create 25L) 1024 in
@@ -697,6 +791,57 @@ let test_spartan_streaming_verifies () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "fri streamed proof rejected: %s" (Zk_pcs.Verify_error.to_string e)
 
+exception Injected_io of string * int
+
+(* One budgeted proof per backend at 4 KiB, with a fault injected at every
+   spill transfer in turn (each read, then each write): the fault must
+   propagate out of [prove] and every spill file must be released with it.
+   The fault-free run pins the proof's spill traffic: the bytes written
+   are the parent tree's, and the read and write counts are no more than
+   its (orion 110 reads and 8 writes, fri 188 and 10, 35840 and 38912
+   bytes). *)
+let test_spartan_fault_every_transfer () =
+  let inst, asn = chain_circuit 4 80 in
+  let engine = budget_engine 4096 in
+  (* The openings' point reads run on every pool domain: count atomically. *)
+  let count ~fault prove =
+    let reads = Atomic.make 0 and writes = Atomic.make 0 in
+    Spill.set_io_fault_hook
+      (Some
+         (fun op ->
+           let k = 1 + Atomic.fetch_and_add (if op = "read" then reads else writes) 1 in
+           if fault = Some (op, k) then raise (Injected_io (op, k))));
+    Fun.protect ~finally:(fun () -> Spill.set_io_fault_hook None) prove;
+    (Atomic.get reads, Atomic.get writes)
+  in
+  List.iter
+    (fun (name, max_reads, max_writes, bytes, prove) ->
+      let bytes0 = Spill.spilled_bytes_total () in
+      let reads, writes = count ~fault:None prove in
+      Alcotest.(check int) (name ^ ": bytes spilled") bytes (Spill.spilled_bytes_total () - bytes0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d reads <= %d" name reads max_reads) true (reads <= max_reads);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d writes <= %d" name writes max_writes) true
+        (writes <= max_writes);
+      List.iter
+        (fun (op, total) ->
+          for k = 1 to total do
+            let live = Spill.live_files () in
+            let msg = Printf.sprintf "%s: %s %d/%d" name op k total in
+            (match count ~fault:(Some (op, k)) prove with
+            | _ -> Alcotest.failf "%s: fault did not propagate" msg
+            | exception Injected_io (o, j) when o = op && j = k -> ());
+            Alcotest.(check int) (msg ^ ": live spill files") live (Spill.live_files ())
+          done)
+        [ ("read", reads); ("write", writes) ])
+    [
+      ( "orion", 110, 8, 35840,
+        fun () -> ignore (Spartan.prove ~engine Spartan.test_params inst asn) );
+      ( "fri", 188, 10, 38912,
+        fun () -> ignore (Spartan_fri.prove ~engine Spartan_fri.test_params inst asn) );
+    ]
+
 (* --- configuration knob ------------------------------------------------- *)
 
 let test_budget_knob () =
@@ -734,7 +879,8 @@ let suite =
     [
       Alcotest.test_case "spill roundtrip + cleanup" `Quick test_spill_roundtrip;
       Alcotest.test_case "spill RAM backing" `Quick test_spill_ram_backing;
-      Alcotest.test_case "spill view blocks" `Quick test_spill_view;
+      Alcotest.test_case "spill walk = plain array" `Quick test_spill_walk;
+      Alcotest.test_case "spill walk: raise, cancel, bad range" `Quick test_spill_walk_failures;
       Alcotest.test_case "spill bounds checks" `Quick test_spill_bounds;
       prop_eq_table_into;
       Alcotest.test_case "ranged spmv = full" `Quick test_spmv_ranges;
@@ -752,5 +898,7 @@ let suite =
       Alcotest.test_case "no budget never touches disk" `Quick test_no_budget_never_spills;
       Alcotest.test_case "spartan streamed proofs verify" `Quick
         test_spartan_streaming_verifies;
+      Alcotest.test_case "spartan: fault at every spill transfer" `Quick
+        test_spartan_fault_every_transfer;
       Alcotest.test_case "budget knob parse + precedence" `Quick test_budget_knob;
     ]
