@@ -29,7 +29,7 @@ module Gf_fv = Ntt.Gf_fv
 type kernel = {
   k_name : string;
   k_n : int;
-      (* elements processed per run (permutations for keccak-f1600,
+      (* elements processed per run (states permuted for keccak-f1600,
          leaves for merkle-build, nonzeros for csr-eval, node hashes for
          merkle-check-paths, challenges or indices for the transcript
          rows) *)
@@ -80,16 +80,24 @@ let kernels ~smoke rng =
   for i = 0 to (ch_rows * ch_cols) - 1 do
     Fv.set ch_flat i (Gf.random rng)
   done;
-  (* Single Keccak-f[1600] permutations, back to back on one state: the
-     kernel under every sponge entry point, without the absorb/squeeze
-     around it. Each run restarts from the same state so the fingerprint
-     is comparable across legs. *)
+  (* One Keccak-f[1600] permutation of each of [kf_n] independent states
+     (17 random lanes, the rest zero: [Native.sha3_blocks]), so each tier
+     permutes as many states at once as it has lanes (8 under AVX-512F, 4
+     under AVX2, 1 in scalar C): the kernel under every sponge entry
+     point. The fingerprint folds every state's first four lanes. *)
   let kf_n = scale 100_000 1_000 in
-  let kf_init = Fv.create 25 in
-  for i = 0 to 24 do
-    Fv.set kf_init i (Gf.random rng)
+  let kf_blocks = Fv.create (Keccak.rate_lanes * kf_n) in
+  for i = 0 to Fv.length kf_blocks - 1 do
+    Fv.set kf_blocks i (Gf.random rng)
   done;
-  let kf_st = Fv.create 25 in
+  let kf_out = Fv.create (4 * kf_n) in
+  let kf_fold lane =
+    let acc = ref 0L in
+    for i = 0 to (4 * kf_n) - 1 do
+      acc := Int64.logxor (Int64.mul !acc 31L) (lane i)
+    done;
+    Printf.sprintf "%Lx" !acc
+  in
   (* A whole flat Merkle tree over 2^13 leaves: every level through the
      node kernel, eight (x8) or four (x4) nodes per permutation under
      SIMD. *)
@@ -280,19 +288,22 @@ let kernels ~smoke rng =
       k_n = kf_n;
       k_run =
         (fun () ->
-          Fv.blit ~src:kf_init ~src_pos:0 ~dst:kf_st ~dst_pos:0 ~len:25;
-          for _ = 1 to kf_n do
-            Native.f1600_off kf_st 0
-          done;
-          Printf.sprintf "%Lx" (Fv.get kf_st 0));
+          Native.sha3_blocks kf_blocks kf_out 0 kf_n;
+          kf_fold (Fv.get kf_out));
       k_oracle =
         (fun () ->
-          let st = Array.init 25 (Fv.get kf_init) in
-          for _ = 1 to kf_n do
-            Keccak_oracle.keccak_f1600 st
+          let out = Array.make (4 * kf_n) 0L in
+          for i = 0 to kf_n - 1 do
+            let st =
+              Array.init 25 (fun l ->
+                  if l < Keccak.rate_lanes then Fv.get kf_blocks ((Keccak.rate_lanes * i) + l)
+                  else 0L)
+            in
+            Keccak_oracle.keccak_f1600 st;
+            Array.blit st 0 out (4 * i) 4
           done;
-          Printf.sprintf "%Lx" st.(0));
-      k_x4 = false;
+          kf_fold (Array.get out));
+      k_x4 = true;
     };
     {
       k_name = "rs-encode-rows";
@@ -392,7 +403,7 @@ let kernels ~smoke rng =
     {
       k_name = "merkle-build-fri";
       k_n = mf_half;
-      k_run = (fun () -> Keccak.to_hex (Merkle.root (Fri.commit_layer ~block:mf_half mf_layer)));
+      k_run = (fun () -> Keccak.to_hex (Merkle.root (Fri.commit_layer ~budget:None mf_layer)));
       k_oracle =
         (fun () ->
           (* Leaf j is the column (f(x_j), f(-x_j)) of the 2 x half layer. *)

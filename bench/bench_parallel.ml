@@ -130,7 +130,7 @@ let kernels ~smoke rng =
       k_run =
         (fun () ->
           let inst, rx, r_abc = Lazy.force mfill in
-          let m = Spartan.fill_m ~spill:false ~block:(R1cs.size inst) inst ~rx ~r_abc in
+          let m = Spartan.fill_m ~budget:None inst ~rx ~r_abc in
           Gf.to_string (Fv.sum (Spill.as_fv m)));
     };
     {

@@ -29,13 +29,10 @@ val op_name : op -> string
 (** Stable snake_case identifier, the per-operator bucket key in fuzz
     reports. *)
 
-val pick : Zk_util.Rng.t -> op
-(** Draw an operator uniformly. *)
-
 val apply : Zk_util.Rng.t -> op -> bytes -> bytes
 (** Apply one operator. The result is never equal to the input (a forced
     bit flip backs up any degenerate draw); the input is not modified.
     Requires a non-empty input. *)
 
 val random : Zk_util.Rng.t -> bytes -> op * bytes
-(** [pick] + [apply] in one step. *)
+(** Draw an operator uniformly and {!apply} it. *)

@@ -116,13 +116,14 @@ module Col_hash = struct
     Fv.zero states;
     { cols; states }
 
-  (* Absorb rows [r_lo, r_hi) of the row-major matrix [flat] (row length
-     [row_stride]) into the sponges of columns [c_lo, c_hi). Rows must
-     arrive in order and exactly once per column; disjoint column ranges
-     may be absorbed from different domains concurrently. *)
+  (* Absorb rows [r_lo, r_hi) of a row-major matrix (row length
+     [row_stride]), held by [flat] from its row 0, into the sponges of
+     columns [c_lo, c_hi). Rows must arrive in order and exactly once per
+     column; disjoint column ranges may be absorbed from different domains
+     concurrently. *)
   let absorb t (flat : Fv.t) ~row_stride ~r_lo ~r_hi ~c_lo ~c_hi =
     if c_lo < 0 || c_hi > t.cols || r_lo < 0
-       || (r_hi > r_lo && ((r_hi - 1) * row_stride) + c_hi > Fv.length flat)
+       || (r_hi > r_lo && ((r_hi - r_lo - 1) * row_stride) + c_hi > Fv.length flat)
     then invalid_arg "Keccak.Col_hash.absorb";
     Native.col_absorb t.states flat row_stride r_lo r_hi c_lo c_hi
 

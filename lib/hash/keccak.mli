@@ -23,9 +23,7 @@ val sha3_256_into : bytes -> len:int -> bytes -> unit
     holds 32 bytes. *)
 
 val rate_lanes : int
-(** [17] — 64-bit lanes absorbed per SHA3-256 block. Row-block producers
-    (the Orion commit pipeline) size their blocks in multiples of this so
-    every {!Col_hash.absorb} call ends on a permutation boundary. *)
+(** [17] — 64-bit lanes absorbed per SHA3-256 block. *)
 
 val block_ns : int
 (** Calibrated cost of one scalar Keccak-f[1600] permutation in the C
@@ -95,8 +93,9 @@ module Col_hash : sig
 
   val absorb :
     t -> Nocap_vec.Fv.t -> row_stride:int -> r_lo:int -> r_hi:int -> c_lo:int -> c_hi:int -> unit
-  (** Absorb element [(r, j)] = [flat.(r * row_stride + j)] for every row
-      [r] in [\[r_lo, r_hi)] and column [j] in [\[c_lo, c_hi)]. *)
+  (** Absorb element [(r, j)] = [flat.((r - r_lo) * row_stride + j)] for
+      every row [r] in [\[r_lo, r_hi)] and column [j] in [\[c_lo, c_hi)].
+      Lanes follow the absolute row, so a block may have any height. *)
 
   val finalize : t -> total_rows:int -> c_lo:int -> c_hi:int -> Nocap_vec.Fv.t -> unit
   (** Pad, permute and squeeze columns [\[c_lo, c_hi)] into digest [j] of

@@ -81,3 +81,7 @@ external col_absorb : fv -> fv -> int -> int -> int -> int -> int -> unit
 [@@noalloc]
 
 external gl_pow : int64 -> int64 -> int64 = "caml_nocap_gl_pow"
+external spill_io : Unix.file_descr -> fv -> int -> bool -> unit = "caml_nocap_spill_io"
+
+let pread fd dst off = spill_io fd dst off false
+let pwrite fd src off = spill_io fd src off true

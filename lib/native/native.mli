@@ -141,7 +141,21 @@ external col_absorb : fv -> fv -> int -> int -> int -> int -> int -> unit
   = "caml_nocap_col_absorb_byte" "caml_nocap_col_absorb"
 [@@noalloc]
 (** [col_absorb states flat row_stride r_lo r_hi c_lo c_hi]: incremental
-    column-sponge absorption for [Keccak.Col_hash]. *)
+    column-sponge absorption for [Keccak.Col_hash]: [flat] holds rows
+    [\[r_lo, r_hi)] from its row 0, each absorbed into lane [r mod 17] of
+    its column's sponge. *)
 
 external gl_pow : int64 -> int64 -> int64 = "caml_nocap_gl_pow"
 (** Goldilocks exponentiation (test hook for the C field arithmetic). *)
+
+(** {2 Spill-file I/O} *)
+
+val pread : Unix.file_descr -> fv -> int -> unit
+(** [pread fd dst off] fills [dst] from file bytes [\[off, off + 8 * length
+    dst)] (little-endian images), looping on [EINTR] and partial reads,
+    with the runtime lock released.
+    @raise Unix.Unix_error on an errno, [Failure] if the file ends first. *)
+
+val pwrite : Unix.file_descr -> fv -> int -> unit
+(** [pwrite fd src off]: the inverse of {!pread}; [Failure] on a
+    zero-byte write. *)

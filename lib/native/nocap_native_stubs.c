@@ -10,8 +10,10 @@
      evaluate the same per-lane expressions, so results never depend on
      which tier ran.
    - Bounds and shape validation happen in OCaml before the call; the C
-     side trusts its arguments (all stubs are [@@noalloc] leaf calls that
-     never touch the OCaml heap or run the GC).
+     side trusts its arguments (the kernel stubs are [@@noalloc] leaf calls
+     that never touch the OCaml heap or run the GC; caml_nocap_spill_io
+     is not: it releases the runtime lock around the syscall and may
+     raise).
    - SIMD selection is runtime: the scalar fallback compiles on every
      target the repo builds on; AVX2 bodies carry
      __attribute__((target("avx2"))) so the object file stays portable and
@@ -24,13 +26,19 @@
      C: that is how the tests and the bench reach the lower tiers on a
      wider host. */
 
+#include <errno.h>
 #include <stdint.h>
 #include <stddef.h>
 #include <string.h>
+#include <unistd.h>
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
 #include <caml/bigarray.h>
+#include <caml/fail.h>
+#include <caml/memory.h>
+#include <caml/signals.h>
+#include <caml/unixsupport.h>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -1047,7 +1055,8 @@ static void hash_node_c(const uint64_t *pair, uint64_t *out)
 
 /* Col_hash.absorb: per-column incremental sponges living 25 lanes apart in
    one flat bank, each absorbing rows in order and permuting on every 17th
-   absorbed lane. */
+   absorbed lane. [flat] holds rows [r_lo, r_hi) from its row 0; the lane
+   is the absolute row's, so a row block may start anywhere. */
 CAMLprim value caml_nocap_col_absorb(value vstates, value vflat, value vrs, value vrlo,
                                      value vrhi, value vclo, value vchi)
 {
@@ -1060,7 +1069,7 @@ CAMLprim value caml_nocap_col_absorb(value vstates, value vflat, value vrs, valu
     uint64_t *st = states + 25 * j;
     for (intnat r = r_lo; r < r_hi; r++) {
       int lane = (int)(r % RATE_LANES);
-      st[lane] ^= flat[r * row_stride + j];
+      st[lane] ^= flat[(r - r_lo) * row_stride + j];
       if (lane == RATE_LANES - 1) keccak_f1600_x1(st);
     }
   }
@@ -1349,6 +1358,41 @@ CAMLprim value caml_nocap_hash_cols_byte(value *argv, int argn)
 CAMLprim value caml_nocap_gl_pow(value va, value ve)
 {
   return caml_copy_int64((int64_t)gl_pow((uint64_t)Int64_val(va), (uint64_t)Int64_val(ve)));
+}
+
+/* --- spill-file block I/O -------------------------------------------------
+   Spill.read/write move an Fv block straight between its storage and the
+   file at byte offset [off], with the runtime lock released around each
+   syscall (the block is a root and bigarray storage never moves). The file
+   holds the int64 images as they lie, which Spill documents as
+   little-endian: a big-endian host would need a byte swap here. */
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+#error "spill files hold little-endian int64 images: byte-swap in spill_io first"
+#endif
+
+CAMLprim value caml_nocap_spill_io(value vfd, value vbuf, value voff, value vwrite)
+{
+  CAMLparam4(vfd, vbuf, voff, vwrite);
+  int fd = Int_val(vfd), is_write = Bool_val(vwrite);
+  char *p = (char *)Caml_ba_data_val(vbuf);
+  size_t left = (size_t)BA_DIM(vbuf) * 8;
+  off_t off = (off_t)Long_val(voff);
+  while (left > 0) {
+    caml_enter_blocking_section();
+    ssize_t n = is_write ? pwrite(fd, p, left, off) : pread(fd, p, left, off);
+    int err = errno;
+    caml_leave_blocking_section();
+    if (n < 0 && err == EINTR) {
+      caml_process_pending_actions();
+      continue;
+    }
+    if (n < 0) caml_unix_error(err, is_write ? "pwrite" : "pread", Nothing);
+    if (n == 0) caml_failwith(is_write ? "Spill: short write" : "Spill: short read (truncated spill file)");
+    p += n;
+    left -= (size_t)n;
+    off += n;
+  }
+  CAMLreturn(Val_unit);
 }
 
 CAMLprim value caml_nocap_col_absorb_byte(value *argv, int argn)

@@ -232,7 +232,6 @@ module Gf_fv = struct
   let size p = p.n
 
   let twiddles p = p.twiddles
-  let n_inv p = p.n_inv
 
   (* One C call per transform: the kernel runs the bit-reverse and the
      radix-2 butterflies against the shared twiddle table. *)

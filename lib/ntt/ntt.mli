@@ -81,8 +81,6 @@ module Gf_fv : sig
   (** The shared forward twiddle table (read-only by convention); exposed
       for the native kernels and the equivalence tests. *)
 
-  val n_inv : plan -> Zk_field.Gf.t
-
   val forward : plan -> Nocap_vec.Fv.t -> unit
   (** In-place forward NTT. *)
 

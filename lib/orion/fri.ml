@@ -67,16 +67,17 @@ let fold_block ~x_inv ~w_inv ~lo ~hi ~dst beta =
       Native.fri_fold (view dst) (view lo) (view hi) coef w_inv)
 
 (* A RAM-backed layer is its own 2 x half leaf matrix; a spilled one is
-   read [block] leaves at a time into a 2 x block matrix for the builder:
-   each block's two halves are read straight into that matrix's rows, the
-   layout the column hasher wants. *)
-let commit_layer ~block layer =
+   read a block of leaves at a time into a 2 x block matrix for the
+   builder: each block's two halves are read straight into that matrix's
+   rows, the layout the column hasher wants. A leaf stages its pair and
+   its digest. *)
+let commit_layer ~budget layer =
   let half = Spill.length layer / 2 in
   if not (Spill.is_spilled layer) then
     Merkle.build (Merkle.leaves_of_matrix ~rows:2 ~cols:half (Spill.as_fv layer))
   else begin
     let builder = Merkle.Builder.create half in
-    let blk = max 1 (min block half) in
+    let blk = Spill.block_rows ~budget ~row_bytes:(8 * (2 + 4)) half in
     let pair = Fv.create (2 * blk) and leaves = Fv.create (4 * blk) in
     Spill.walk ~rows:half ~block:blk (fun ~pos:j ~len:bl _ _ ->
         Spill.read layer ~pos:j (Fv.sub_view pair ~pos:0 ~len:bl);
@@ -88,19 +89,19 @@ let commit_layer ~block layer =
   end
 
 (* A block at [j] starts its running product at [shift^-1 * w^-j], the
-   element a single block reaches. *)
-let fold_layer ~shift ~block layer beta ~dst =
+   element a single block reaches. A row stages its pair and its output. *)
+let fold_layer ~shift ~budget layer beta ~dst =
   let half = Spill.length layer / 2 in
   if half < 2 || Spill.length dst <> half then invalid_arg "Fri.fold_layer: lengths";
   let w_inv = Gf.inv (Gf.root_of_unity (log2_exact (Spill.length layer))) in
   let shift_inv = Gf.inv shift in
-  Spill.walk ~rows:half ~block:(max 1 block)
+  Spill.walk ~rows:half ~block:(Spill.block_rows ~budget ~row_bytes:(8 * 3) half)
     ~read:[ (layer, 0, 1); (layer, half, 1) ]
     ~write:[ (dst, 0, 1) ]
     (fun ~pos:j ~len:_ srcs dsts ->
       let x_inv = Gf.mul shift_inv (Gf.pow w_inv (Int64.of_int j)) in
       fold_block ~x_inv ~w_inv ~lo:srcs.(0) ~hi:srcs.(1) ~dst:dsts.(0) beta);
-  commit_layer ~block dst
+  commit_layer ~budget dst
 
 let coset_lde ~shift ~domain coeffs =
   let evals = Fv.create domain in
@@ -277,14 +278,14 @@ let prove ?(shift = Gf.one) params transcript coeffs =
   (* Commit, then fold and commit log_n times; layer [i] lies on the coset
      [shift^(2^i) <w_i>]. Every layer is one block in RAM. *)
   let layers = Array.make (log_n + 1) (Spill.of_fv evals) in
-  let trees = Array.make (log_n + 1) (commit_layer ~block:domain layers.(0)) in
+  let trees = Array.make (log_n + 1) (commit_layer ~budget:None layers.(0)) in
   Transcript.absorb_digest transcript "fri/root" (Merkle.root trees.(0));
   let layer_shift = ref shift in
   for i = 1 to log_n do
     let beta = Transcript.challenge_gf transcript "fri/beta" in
     layers.(i) <- Spill.of_fv (Fv.create (domain lsr i));
     trees.(i) <-
-      fold_layer ~shift:!layer_shift ~block:domain layers.(i - 1) beta ~dst:layers.(i);
+      fold_layer ~shift:!layer_shift ~budget:None layers.(i - 1) beta ~dst:layers.(i);
     layer_shift := Gf.square !layer_shift;
     Transcript.absorb_digest transcript "fri/root" (Merkle.root trees.(i))
   done;

@@ -92,27 +92,28 @@ val coset_lde : shift:Gf.t -> domain:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
     coefficient [i] times [shift^i], zero-padded, then one forward NTT.
     Layer 0 of {!prove} and {!Stark}'s trace. *)
 
-val commit_layer : block:int -> Nocap_vec.Spill.t -> Zk_merkle.Merkle.tree
+val commit_layer : budget:int option -> Nocap_vec.Spill.t -> Zk_merkle.Merkle.tree
 (** Merkle tree over an evaluation layer: leaf [j] commits to [(E.(j),
     E.(j + half))], column [j] of the layer read as a [2 x half] matrix. A
-    RAM-backed layer is hashed in place; a spilled one [block] leaves at a
-    time through {!Zk_merkle.Merkle.Builder}. Same tree either way. *)
+    RAM-backed layer is hashed in place; a spilled one a
+    {!Nocap_vec.Spill.block_rows} block of leaves at a time through
+    {!Zk_merkle.Merkle.Builder}. Same tree either way. *)
 
 val fold_layer :
   shift:Gf.t ->
-  block:int ->
+  budget:int option ->
   Nocap_vec.Spill.t ->
   Gf.t ->
   dst:Nocap_vec.Spill.t ->
   Zk_merkle.Merkle.tree
-(** The layer step: [fold_layer ~shift ~block layer beta ~dst] halves
+(** The layer step: [fold_layer ~shift ~budget layer beta ~dst] halves
     [layer], over the coset [shift * <w>], into [dst]:
     [dst.(j) = (E.(j) + E.(j+half)) / 2 + beta * (E.(j) - E.(j+half)) / (2x_j)]
     with [x_j = shift * w^j] ([c'_i = c_{2i} + beta * c_{2i+1}] on the
     coefficients), then returns {!commit_layer} of [dst]. It runs
-    {!fold_block} on the [block]-element blocks of one
-    {!Nocap_vec.Spill.walk}, in place when RAM-backed; the output is the
-    same for every backing and [block].
+    {!fold_block} on the {!Nocap_vec.Spill.block_rows} blocks of one
+    {!Nocap_vec.Spill.walk} under [budget], in place when RAM-backed; the
+    output is the same for every backing and budget.
     @raise Invalid_argument unless [dst] is half of [layer] and at least
     two points long. *)
 

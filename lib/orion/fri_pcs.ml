@@ -99,11 +99,6 @@ let monomial_coeffs_into table (dst : Fv.t) =
     end
   done
 
-let block_of_budget budget =
-  (* Six block-sized staging vectors live at once in the opening loop
-     (lo/hi per table plus output); keep them inside half the budget. *)
-  max 1024 (budget / 2 / (8 * 6))
-
 let commit ?engine params rng table =
   (match validate_params params with
   | Ok () -> ()
@@ -117,7 +112,7 @@ let commit ?engine params rng table =
   Fv.zero evals;
   monomial_coeffs_into table evals;
   Ntt_fv.forward (Ntt_fv.plan domain) evals;
-  let tree = Fri.commit_layer ~block:domain (Spill.of_fv evals) in
+  let tree = Fri.commit_layer ~budget:None (Spill.of_fv evals) in
   let c_commitment = { root = Merkle.root tree; num_vars } in
   let budget = Option.bind engine Zk_pcs.Engine.stream_budget_bytes in
   match budget with
@@ -125,18 +120,18 @@ let commit ?engine params rng table =
     ( { c_commitment; table = Spill.of_fv (Fv.of_array table); evals = Spill.of_fv evals;
         budget; tree },
       c_commitment )
-  | Some b ->
+  | Some _ ->
     (* The NTT itself ran in RAM — O(domain) resident at 8 bytes/element
        (documented limit); the win is downstream: the codeword and table
        spill, and the opening's fold pyramid never materializes. *)
-    let block = block_of_budget b in
     (* One walk over the table's rows stages both spills: each table row
-       carries its [blowup] codeword elements, so a block writes [block]
-       codeword elements, copied from the flat vector. *)
+       carries its [blowup] codeword elements, copied from the flat
+       vector. *)
     let blowup = 1 lsl params.blowup_log2 in
     let s_evals = Spill.create ~tag:"fri-evals" ~spill:true domain in
     let s_table = Spill.create ~tag:"fri-table" ~spill:true n in
-    Spill.walk ~rows:n ~block:(block / blowup)
+    Spill.walk ~rows:n
+      ~block:(Spill.block_rows ~budget ~row_bytes:(8 * (blowup + 1)) n)
       ~write:[ (s_evals, 0, blowup); (s_table, 0, 1) ]
       (fun ~pos ~len _ dsts ->
         Fv.blit ~src:evals ~src_pos:(pos * blowup) ~dst:dsts.(0) ~dst_pos:0 ~len:(len * blowup);
@@ -179,7 +174,7 @@ let framing ~after_round =
    itself; under a budget it takes its recompute-halves path over the
    spilled table and eq table. Every codeword layer is a [Spill.t] vector,
    folded and committed by {!Fri.fold_layer}: one block per layer in RAM
-   with no budget, budget-sized blocks over spill files under one. The
+   with no budget, {!Spill.block_rows} blocks over spill files under one. The
    proof bytes are the same for every block size. *)
 let open_at ?engine params committed transcript point =
   ignore (engine : Zk_pcs.Engine.t option);
@@ -189,7 +184,6 @@ let open_at ?engine params committed transcript point =
   let n = Spill.length committed.table in
   let domain = Spill.length committed.evals in
   let budget = committed.budget in
-  let block = match budget with None -> domain | Some b -> block_of_budget b in
   (* Back a fresh vector with a file only when it would bite into the
      budget; small tails stay in RAM (reads/writes are uniform). Every
      exit — success, cancellation, an injected I/O fault — frees them all;
@@ -207,13 +201,13 @@ let open_at ?engine params committed transcript point =
   (* The eq table is generated directly into blocks via the aligned-range
      factorization. *)
   let e = fresh "fri-eq" n in
-  Mle.eq_table_spill point ~block e;
+  Mle.eq_table_spill point ~budget e;
   (* Round [i]'s challenge folds layer [i] into layer [i + 1]. *)
   let layers = Array.make (l + 1) committed.evals in
   let trees = Array.make (l + 1) committed.tree in
   let fold_layer i r =
     layers.(i + 1) <- fresh "fri-layer" (Spill.length layers.(i) / 2);
-    trees.(i + 1) <- Fri.fold_layer ~shift:Gf.one ~block layers.(i) r ~dst:layers.(i + 1);
+    trees.(i + 1) <- Fri.fold_layer ~shift:Gf.one ~budget layers.(i) r ~dst:layers.(i + 1);
     Transcript.absorb_digest transcript "fripcs/layer" (Merkle.root trees.(i + 1))
   in
   let sc =

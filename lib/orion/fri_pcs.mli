@@ -18,7 +18,7 @@
     The prover keeps the table, the codeword and every fold layer as
     {!Nocap_vec.Spill.t} vectors and walks them in blocks: with no engine
     stream budget they wrap RAM and each layer is one block; under a
-    budget they are spill files read and written in budget-sized blocks.
+    budget they are spill files read and written in [Spill.block_rows] blocks.
     Proof bytes are the same either way. [open_at] checks the ambient
     cancel token at its block boundaries and frees every spill file it
     made on any exit.

@@ -60,7 +60,7 @@ type committed = {
   enc_rows : int; (* data rows + mask rows *)
   all_rows : Spill.t; (* enc_rows x mat_cols, row-major *)
   codeword : Spill.t; (* enc_rows x code length, row-major *)
-  row_block : int; (* rows per encode block *)
+  budget : int option; (* sizes every block walk over the two *)
   tree : Merkle.tree;
 }
 
@@ -92,10 +92,6 @@ let log2_exact n =
   let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
   go 0 n
 
-(* Rows per block are whole multiples of two full sponge blocks, so every
-   block boundary is a permutation boundary. *)
-let pipeline_block = 2 * Keccak.rate_lanes
-
 (* Commit over a flat-element producer: [read ~pos dst] must fill [dst]
    with elements [pos, pos + length dst) of the table (row-major
    [rows * cols], like the flat table itself). One walk over the data rows
@@ -105,11 +101,10 @@ let pipeline_block = 2 * Keccak.rate_lanes
    with a budget, nothing bigger than a row block of rows and of codeword,
    the sponge bank and the Merkle tree is resident, the rest lives in
    spill files. Mask rows are drawn from [rng] in a fixed order, rows
-   stream into each column sponge in order (block-local absorb indices
-   stay lane-aligned because blocks are multiples of [pipeline_block]),
-   and the Merkle builder hashes the same leaf set for every block size —
-   so the root and every subsequent proof byte are the same for every
-   budget. *)
+   stream into each column sponge in order (absorb takes each row's
+   absolute index, so a block may have any height), and the Merkle
+   builder hashes the same leaf set for every block size — so the root
+   and every subsequent proof byte are the same for every budget. *)
 let commit_stream ?budget_bytes params rng ~num_vars ~read =
   (match validate_params params with
   | Ok () -> ()
@@ -127,25 +122,15 @@ let commit_stream ?budget_bytes params rng ~num_vars ~read =
     Fv.unsafe_set masks i (Gf.random rng)
   done;
   let enc_rows = rows + mask_rows in
-  (* Under a budget, the row block is sized so the un-encoded and encoded
-     staging buffers together fit ~half of it, rounded to whole pipeline
-     blocks (keeps block-local absorb indices congruent to absolute ones
-     mod the sponge rate). With no budget it spans every row. *)
-  let all_blocks = ((enc_rows + pipeline_block - 1) / pipeline_block) * pipeline_block in
-  let row_block =
-    match budget_bytes with
-    | None -> all_blocks
-    | Some b ->
-      let by_budget = b / 2 / (8 * (cols + code_len)) in
-      min (max 1 (by_budget / pipeline_block) * pipeline_block) all_blocks
-  in
   let spill = Option.is_some budget_bytes in
   let all_rows = Spill.create ~tag:"orion-rows" ~spill (enc_rows * cols) in
   let codeword = Spill.create ~tag:"orion-codeword" ~spill (enc_rows * code_len) in
   let col_hash = Keccak.Col_hash.create code_len in
   let row_ns = Code.row_encode_ns ~cols in
   let tree = ref None in
-  Spill.walk ~rows:enc_rows ~block:row_block
+  (* A block stages its rows and their codeword. *)
+  let block = Spill.block_rows ~budget:budget_bytes ~row_bytes:(8 * (cols + code_len)) enc_rows in
+  Spill.walk ~rows:enc_rows ~block
     ~write:[ (all_rows, 0, cols); (codeword, 0, code_len) ]
     (fun ~pos:r_lo ~len:bh _ dsts ->
       let src = dsts.(0) and enc = dsts.(1) in
@@ -166,11 +151,8 @@ let commit_stream ?budget_bytes params rng ~num_vars ~read =
         max 1 (((bh + Keccak.rate_lanes - 1) / Keccak.rate_lanes) * Keccak.block_ns)
       in
       Pool.run ~grain:(Pool.grain_of_ns col_ns) ~n:code_len (fun c_lo c_hi ->
-          (* Block-local row indices: r_lo is a multiple of the sponge rate,
-             so [r mod rate_lanes] — the only thing absorb derives from the
-             row index — matches the absolute row's. *)
-          Keccak.Col_hash.absorb col_hash enc ~row_stride:code_len ~r_lo:0 ~r_hi:bh ~c_lo
-            ~c_hi);
+          Keccak.Col_hash.absorb col_hash enc ~row_stride:code_len ~r_lo ~r_hi:(r_lo + bh)
+            ~c_lo ~c_hi);
       (* The last block also closes the sponges and builds the tree inside
          the walk, so a cancellation there still frees both spills. *)
       if r_lo + bh = enc_rows then begin
@@ -186,7 +168,8 @@ let commit_stream ?budget_bytes params rng ~num_vars ~read =
   let commitment =
     { root = Merkle.root tree; num_vars; mat_rows = rows; mat_cols = cols }
   in
-  ( { c_params = params; c_commitment = commitment; enc_rows; all_rows; codeword; row_block; tree },
+  ( { c_params = params; c_commitment = commitment; enc_rows; all_rows; codeword;
+      budget = budget_bytes; tree },
     commitment )
 
 (* The PCS entry point: the engine's stream budget, if any, sizes the row
@@ -224,7 +207,9 @@ let row_combination committed coeffs =
   let cols = committed.c_commitment.mat_cols in
   let out = Fv.create cols in
   Fv.zero out;
-  Spill.walk ~rows:(Array.length coeffs) ~block:committed.row_block
+  let rows = Array.length coeffs in
+  let block = Spill.block_rows ~budget:committed.budget ~row_bytes:(8 * cols) rows in
+  Spill.walk ~rows ~block
     ~read:[ (committed.all_rows, 0, cols) ]
     (fun ~pos:r0 ~len:bh srcs _ ->
       (* One output column costs [bh] axpy steps, a few ns each. *)
@@ -238,15 +223,12 @@ let row_combination committed coeffs =
 
 (* Column openings: one pass over the stored codeword, gathering only the
    queried positions straight into the proof's flat column buffer (opening
-   q at [q * enc_rows]). A spilled codeword is read back in blocks of whole
-   rows no bigger than the commit's row staging ([row_block * mat_cols]
-   elements), so an opening stages no more than the commit did. Paths are
+   q at [q * enc_rows]), in blocks of whole codeword rows. Paths are
    copied as lanes from the tree's flat levels. *)
 let gather_columns committed indices =
-  let cols = committed.c_commitment.mat_cols in
   let code_len = code_length committed.c_params committed.c_commitment in
   let enc_rows = committed.enc_rows in
-  let block = max 1 (committed.row_block * cols / code_len) in
+  let block = Spill.block_rows ~budget:committed.budget ~row_bytes:(8 * code_len) enc_rows in
   let nq = Array.length indices in
   let col_values = Fv.create (nq * enc_rows) in
   Spill.walk ~rows:enc_rows ~block ~read:[ (committed.codeword, 0, code_len) ]

@@ -105,9 +105,10 @@ val commit_stream :
     witness generation, generators). Rows are encoded once and
     column-hashed one row block at a time; the encoded blocks are kept for
     the openings. With no [budget_bytes] the block spans every row and the
-    rows and the codeword stay in RAM; under a budget, blocks are
-    budget-sized and both spill to temp files, so peak residency is one
-    row block of each plus the column-sponge bank and the Merkle tree. On
+    rows and the codeword stay in RAM; under a budget, blocks are sized by
+    {!Nocap_vec.Spill.block_rows} and both spill to temp files, so peak
+    residency is one row block of each plus the column-sponge bank and the
+    Merkle tree. On
     cancellation or an I/O fault both spill files are released before the
     exception propagates. Byte-identical for every budget. *)
 

@@ -66,8 +66,9 @@ val stream_budget_bytes : t -> int option
     any, else [config.stream_budget_mb] scaled to bytes, else [None].
     There is one prover path, whose streamed loops walk [Spill.t]
     vectors in blocks ([Nocap_vec.Spill.walk]): [None] runs each as one
-    RAM-backed block; [Some b] makes the blocks [b]-sized and backs the
-    large vectors with spill files. Proof bytes are the same either
+    RAM-backed block; [Some b] sizes every block to stage at most [b / 2]
+    ([Nocap_vec.Spill.block_rows]) and backs the large vectors with spill
+    files. Proof bytes are the same either
     way. *)
 
 val tune_gc : t -> unit

@@ -68,21 +68,15 @@ let eq_split point =
   let h = l / 2 in
   (eq_fv (Array.sub point 0 h), eq_fv (Array.sub point h (l - h)), l - h)
 
-(* Aligned power-of-two blocks of at most [block] elements, each doubled in
-   place by [eq_table_into]. *)
-let eq_table_spill point ~block s =
+(* Aligned power-of-two blocks, the budget's block rounded down, each
+   doubled in place by [eq_table_into]. *)
+let eq_table_spill point ~budget s =
   let module Spill = Nocap_vec.Spill in
   let len = Spill.length s in
   if len <> 1 lsl Array.length point then invalid_arg "Mle.eq_table_spill: length mismatch";
-  let eb =
-    let b = min block len in
-    let p = ref 1 in
-    while !p * 2 <= b do
-      p := !p * 2
-    done;
-    !p
-  in
-  Spill.walk ~rows:len ~block:eb ~write:[ (s, 0, 1) ] (fun ~pos ~len:_ _ dsts ->
+  let b = Spill.block_rows ~budget ~row_bytes:8 len in
+  let rec floor_pow2 p = if 2 * p <= b then floor_pow2 (2 * p) else p in
+  Spill.walk ~rows:len ~block:(floor_pow2 1) ~write:[ (s, 0, 1) ] (fun ~pos ~len:_ _ dsts ->
       eq_table_into point ~lo:pos dsts.(0))
 
 let eq_point r s =

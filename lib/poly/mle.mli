@@ -43,9 +43,10 @@ val eq_split : point -> Nocap_vec.Fv.t * Nocap_vec.Fv.t * int
     [hi = \[1\]]. The prover's M~ gather and the verifier's matrix
     evaluation both split this way. *)
 
-val eq_table_spill : point -> block:int -> Nocap_vec.Spill.t -> unit
-(** [eq_table_spill r ~block s] fills [s] with {!eq_table}[ r], one aligned
-    power-of-two block of at most [block] elements at a time through
+val eq_table_spill : point -> budget:int option -> Nocap_vec.Spill.t -> unit
+(** [eq_table_spill r ~budget s] fills [s] with {!eq_table}[ r], one aligned
+    power-of-two block at a time (the {!Nocap_vec.Spill.block_rows} block
+    of [budget] at 8 bytes a row, rounded down) through
     {!eq_table_into}, in one {!Nocap_vec.Spill.walk} (so a cancellation or
     an I/O fault frees [s] and re-raises).
     @raise Invalid_argument if [Spill.length s <> 2^(Array.length r)]. *)

@@ -43,7 +43,7 @@ let prove ?engine ?rng params inst assignments =
     Array.concat
       (List.map
          (fun z ->
-           let az, bz, cz = Spartan.fill_abc ~spill:false ~block:n inst z in
+           let az, bz, cz = Spartan.fill_abc ~budget:None inst z in
            [| az; bz; cz |])
          (Array.to_list zs))
   in
@@ -59,7 +59,7 @@ let prove ?engine ?rng params inst assignments =
     Array.init params.Spartan.repetitions (fun _ ->
         let rho = Transcript.challenge_gf_vec transcript "rho" k in
         let tau = Transcript.challenge_gf_vec transcript "tau" l in
-        let eq_tau = Spartan.fill_eq ~tag:"batch-eqtau" ~spill:false ~block:n tau in
+        let eq_tau = Spartan.fill_eq ~tag:"batch-eqtau" ~budget:None tau in
         let r1 =
           Sumcheck.prove transcript ~tables:(Array.append [| eq_tau |] abc)
             ~comb:(Sumcheck.Eq_abc_batch rho)
@@ -78,7 +78,7 @@ let prove ?engine ?rng params inst assignments =
         let r_abc = Transcript.challenge_gf_vec transcript "r-abc" 3 in
         let sigma = Transcript.challenge_gf_vec transcript "sigma" k in
         (* The M-table is built once for the whole batch. *)
-        let m_table = Spartan.fill_m ~spill:false ~block:n inst ~rx ~r_abc in
+        let m_table = Spartan.fill_m ~budget:None inst ~rx ~r_abc in
         let z_comb = Fv.create n in
         Fv.zero z_comb;
         Array.iteri (fun i z -> Fv.axpy_into ~dst:z_comb sigma.(i) z) zs;

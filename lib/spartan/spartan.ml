@@ -63,12 +63,15 @@ let io_mle_eval io_live point =
 (* Row-blocked Az/Bz/Cz, written straight into the vectors' blocks: each
    block is checked for satisfiability before it is stored; under a budget
    the three dense vectors never coexist in RAM. *)
-let fill_abc ~spill ~block inst zfv =
+let fill_abc ~budget inst zfv =
   let n = R1cs.size inst in
+  let spill = Option.is_some budget in
   let az = Spill.create ~tag:"spartan-az" ~spill n in
   let bz = Spill.create ~tag:"spartan-bz" ~spill n in
   let cz = Spill.create ~tag:"spartan-cz" ~spill n in
-  Spill.walk ~rows:n ~block ~write:[ (az, 0, 1); (bz, 0, 1); (cz, 0, 1) ]
+  Spill.walk ~rows:n
+    ~block:(Spill.block_rows ~budget ~row_bytes:(8 * 3) n)
+    ~write:[ (az, 0, 1); (bz, 0, 1); (cz, 0, 1) ]
     (fun ~pos ~len _ dsts ->
       let ab = dsts.(0) and bb = dsts.(1) and cb = dsts.(2) in
       Sparse.spmv_into inst.R1cs.a ~x:zfv ~r_lo:pos ab;
@@ -81,9 +84,9 @@ let fill_abc ~spill ~block inst zfv =
       done);
   (az, bz, cz)
 
-let fill_eq ~tag ~spill ~block point =
-  let s = Spill.create ~tag ~spill (1 lsl Array.length point) in
-  Mle.eq_table_spill point ~block s;
+let fill_eq ~tag ~budget point =
+  let s = Spill.create ~tag ~spill:(Option.is_some budget) (1 lsl Array.length point) in
+  Mle.eq_table_spill point ~budget s;
   s
 
 (* ~15 ns per nonzero (two multiplications and an add) and ~15 ns per
@@ -108,14 +111,15 @@ let scaled_by_abc hi r_abc =
    replace the full eq(r_x, .) vector, so a fill costs O(nnz + n) for
    every block size. Each window is split across the pool and summed
    straight into its block. *)
-let fill_m ~spill ~block inst ~rx ~r_abc =
+let fill_m ~budget inst ~rx ~r_abc =
   let n = R1cs.size inst in
   if Array.length rx <> inst.R1cs.log_size || Array.length r_abc <> 3 then
     invalid_arg "Spartan.fill_m: r_x must have log_size entries and r_abc three";
   let hi, lo, _ = Mle.eq_split rx in
   let his = scaled_by_abc hi r_abc in
   let grain = fill_m_grain inst in
-  let m = Spill.create ~tag:"spartan-m" ~spill n in
+  let m = Spill.create ~tag:"spartan-m" ~spill:(Option.is_some budget) n in
+  let block = Spill.block_rows ~budget ~row_bytes:8 n in
   Spill.walk ~rows:n ~block ~write:[ (m, 0, 1) ] (fun ~pos:c_lo ~len _ dsts ->
       Pool.run ~grain ~n:len (fun j0 j1 ->
           let dst = Fv.sub_view dsts.(0) ~pos:j0 ~len:(j1 - j0) in
@@ -233,8 +237,8 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
      (Az/Bz/Cz, the eq tables, the M~ table, the sumcheck generations, the
      PCS working set) is a [Spill.t] filled one row/column block at a time.
      With no budget there is one block spanning the whole vector and every
-     vector is RAM-backed; under a budget, blocks are budget-sized and the
-     vectors live in spill files. Transcript traffic, RNG draws and
+     vector is RAM-backed; under a budget, [Spill.block_rows] sizes the
+     blocks and the vectors live in spill files. Transcript traffic, RNG draws and
      arithmetic are the same either way, so the proof bytes are too. The
      only full-length residents are the caller-owned assignment and the
      flat 8-byte/element wire vector z. *)
@@ -242,14 +246,11 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
     let engine = Engine.resolve engine in
     let rng = match rng with Some r -> r | None -> Zk_util.Rng.create 0x5EED_CAFEL in
     let budget = Engine.stream_budget_bytes engine in
-    let spill = Option.is_some budget in
     let l = inst.R1cs.log_size in
-    let n = R1cs.size inst in
-    let block = match budget with None -> n | Some b -> max 1024 (b / (8 * 8)) in
     (* z as a flat vector (validates the assignment shape). *)
     let zfv = R1cs.z_fv inst asn in
     (* Raises before any commitment work on an unsatisfied assignment. *)
-    let az, bz, cz = fill_abc ~spill ~block inst zfv in
+    let az, bz, cz = fill_abc ~budget inst zfv in
     (* Every exit — success, cancellation, an injected I/O fault — releases
        the spilled vectors deterministically. *)
     Fun.protect
@@ -271,7 +272,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
       Array.init params.repetitions (fun _ ->
           (* --- Sumcheck #1 --- *)
           let tau = Transcript.challenge_gf_vec transcript "tau" l in
-          let eq_tau = fill_eq ~tag:"spartan-eqtau" ~spill ~block tau in
+          let eq_tau = fill_eq ~tag:"spartan-eqtau" ~budget tau in
           let r1 =
             Fun.protect ~finally:(fun () -> Spill.free eq_tau) @@ fun () ->
             Sumcheck.prove ?budget_bytes:budget transcript ~tables:[| eq_tau; az; bz; cz |]
@@ -286,7 +287,7 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
           Transcript.absorb_gf transcript "claims-abc" [| va; vb; vc |];
           (* --- Sumcheck #2 --- *)
           let r_abc = Transcript.challenge_gf_vec transcript "r-abc" 3 in
-          let m_table = fill_m ~spill ~block inst ~rx ~r_abc in
+          let m_table = fill_m ~budget inst ~rx ~r_abc in
           spmv_mults := !spmv_mults + R1cs.nnz inst;
           let r2 =
             Fun.protect ~finally:(fun () -> Spill.free m_table) @@ fun () ->

@@ -143,14 +143,13 @@ val abc_eval : Zk_r1cs.R1cs.instance -> rx:Gf.t array -> ry:Gf.t array -> r_abc:
 (** {1 Prover tables}
 
     The full-length tables of {!S.prove}, shared with {!Aggregate}: each a
-    fresh [Spill.t] (file-backed when [spill]) filled one block of at most
-    [block] elements at a time by one {!Nocap_vec.Spill.walk}. The caller
-    frees the result; a fill that raises frees what it created. The values
-    do not depend on [spill] or [block]. *)
+    fresh [Spill.t] (file-backed when [budget] is set) filled one
+    {!Nocap_vec.Spill.block_rows} block of [budget] at a time by one
+    {!Nocap_vec.Spill.walk}. The caller frees the result; a fill that
+    raises frees what it created. The values do not depend on [budget]. *)
 
 val fill_abc :
-  spill:bool ->
-  block:int ->
+  budget:int option ->
   Zk_r1cs.R1cs.instance ->
   Nocap_vec.Fv.t ->
   Nocap_vec.Spill.t * Nocap_vec.Spill.t * Nocap_vec.Spill.t
@@ -159,13 +158,12 @@ val fill_abc :
     @raise Invalid_argument if [z] does not satisfy the instance. *)
 
 val fill_eq :
-  tag:string -> spill:bool -> block:int -> Gf.t array -> Nocap_vec.Spill.t
+  tag:string -> budget:int option -> Gf.t array -> Nocap_vec.Spill.t
 (** {!Zk_poly.Mle.eq_table}[ r] in a vector named [tag]
     ({!Zk_poly.Mle.eq_table_spill}). *)
 
 val fill_m :
-  spill:bool ->
-  block:int ->
+  budget:int option ->
   Zk_r1cs.R1cs.instance ->
   rx:Gf.t array ->
   r_abc:Gf.t array ->
@@ -175,7 +173,7 @@ val fill_m :
     gathered column by column from the instance's column-major copies
     ({!Zk_r1cs.Sparse.Csc.gather_acc}) with [eq(rx, x)] split by
     {!Zk_poly.Mle.eq_split}, as the verifier's {!abc_eval} splits it.
-    O(nnz + n) for every [block]; each window is
+    O(nnz + n) for every [budget]; each window is
     split across the pool.
     @raise Invalid_argument unless [rx] has [log_size] entries and [r_abc]
     three. *)

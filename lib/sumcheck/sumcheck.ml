@@ -212,7 +212,7 @@ module Spill = Nocap_vec.Spill
    where w_j = Mle.eq_table [r_0..r_{j-1}] — the same doubling recurrence
    the fold applies, factored out (the recompute-halves / two-pass trick).
    Each streamed round therefore reads every original table once, in
-   budget-sized blocks, and accumulates T_j values on the fly; nothing but
+   [Spill.block_rows] blocks, and accumulates T_j values on the fly; nothing but
    O(block) scratch and the 2^j weight vector stays resident. Goldilocks
    arithmetic is exact, so the recomputed values — and hence every round
    polynomial, challenge, and final value — are bit-identical to folding.
@@ -270,10 +270,7 @@ let prove ?budget_bytes ?(framing = default_framing) transcript ~tables ~comb =
   let fits len = len <= 1 || k * len * 8 <= budget / 2 in
   (* Streamed-round scratch: per table an accumulator pair (lo/hi) plus a
      read buffer, all block-sized — 3k + slack vectors of 8 bytes/elem. *)
-  let block =
-    let b = max 256 (budget / (8 * ((3 * k) + 2))) in
-    min b (max 1 (n / 2))
-  in
+  let block = Spill.block_rows ~budget:budget_bytes ~row_bytes:(8 * ((3 * k) + 2)) (n / 2) in
   let scratch =
     lazy
       ( Fv.create block,
@@ -300,22 +297,17 @@ let prove ?budget_bytes ?(framing = default_framing) transcript ~tables ~comb =
     let half = stride / 2 in
     let w = Mle.eq_fv (Array.sub challenges 0 j) in
     let g = Array.make (degree + 1) Gf.zero in
-    let pos = ref 0 in
-    while !pos < half do
-      Pool.Cancel.check ();
-      let len = min block (half - !pos) in
-      for t = 0 to k - 1 do
-        recompute ~w ~stride tables.(t) acc_lo.(t) ~pos:!pos ~len;
-        recompute ~w ~stride tables.(t) acc_hi.(t) ~pos:(!pos + half) ~len
-      done;
-      let src =
-        Array.init (2 * k) (fun i ->
-            Fv.sub_view (if i land 1 = 0 then acc_lo else acc_hi).(i / 2) ~pos:0 ~len)
-      in
-      let part = pass comb ~r:Gf.zero ~src ~dst:[||] ~h:len in
-      Array.iteri (fun t x -> g.(t) <- Gf.add g.(t) x) part;
-      pos := !pos + len
-    done;
+    Spill.walk ~rows:half ~block (fun ~pos ~len _ _ ->
+        for t = 0 to k - 1 do
+          recompute ~w ~stride tables.(t) acc_lo.(t) ~pos ~len;
+          recompute ~w ~stride tables.(t) acc_hi.(t) ~pos:(pos + half) ~len
+        done;
+        let src =
+          Array.init (2 * k) (fun i ->
+              Fv.sub_view (if i land 1 = 0 then acc_lo else acc_hi).(i / 2) ~pos:0 ~len)
+        in
+        let part = pass comb ~r:Gf.zero ~src ~dst:[||] ~h:len in
+        Array.iteri (fun t x -> g.(t) <- Gf.add g.(t) x) part);
     ignore (finish j g : Gf.t);
     incr round
   done;
@@ -334,13 +326,8 @@ let prove ?budget_bytes ?(framing = default_framing) transcript ~tables ~comb =
         else if round0 = 0 then Spill.to_fv tj
         else begin
           let dst = Fv.create stride in
-          let pos = ref 0 in
-          while !pos < stride do
-            Pool.Cancel.check ();
-            let len = min block (stride - !pos) in
-            recompute ~w ~stride tj (Fv.sub_view dst ~pos:!pos ~len) ~pos:!pos ~len;
-            pos := !pos + len
-          done;
+          Spill.walk ~rows:stride ~block (fun ~pos ~len _ _ ->
+              recompute ~w ~stride tj (Fv.sub_view dst ~pos ~len) ~pos ~len);
           dst
         end)
       tables

@@ -123,7 +123,7 @@ val prove :
     pass. Under a budget no folded table generation is ever stored
     (recompute-halves): after j rounds the current table is recomputed on
     the fly as an eq-weighted sum of strided slices of the original, read
-    in budget-sized blocks, and each recomputed block pair goes through
+    in {!Nocap_vec.Spill.block_rows} blocks, and each recomputed pair goes through
     the same round kernel; once the shrinking residual fits half the
     budget, it is materialized into RAM and the in-RAM loop finishes.
     Each streamed round costs one full pass over the original tables. The

@@ -234,4 +234,3 @@ let as_num = function Num f -> f | _ -> raise (Bad_json "expected number")
 
 let as_str = function Str s -> s | _ -> raise (Bad_json "expected string")
 let as_list = function List l -> l | _ -> raise (Bad_json "expected array")
-let as_bool = function Bool b -> b | _ -> raise (Bad_json "expected bool")

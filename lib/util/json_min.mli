@@ -37,4 +37,3 @@ val as_num : json -> float
 
 val as_str : json -> string
 val as_list : json -> json list
-val as_bool : json -> bool

@@ -1,5 +1,5 @@
 module Gf = Zk_field.Gf
-module A1 = Bigarray.Array1
+module Native = Nocap_native.Native
 
 (* Registry of spill files that still have a visible path (unlink-after-open
    failed, e.g. an OS without POSIX unlink semantics on open files). The
@@ -8,7 +8,7 @@ let leftover_paths : (int, string) Hashtbl.t = Hashtbl.create 8
 let registry_mutex = Mutex.create ()
 let next_id = ref 0
 let live_files_count = ref 0
-let spilled_total = ref 0
+let spilled_total = Atomic.make 0
 
 (* Best-effort removal of every leftover path. Callable from at_exit and
    from signal handlers: a handler can interrupt a thread that already
@@ -70,7 +70,6 @@ let io_fault_point op =
 type file = {
   id : int;
   fd : Unix.file_descr;
-  mutable stage : Bytes.t;
   io : Mutex.t;
   mutable freed : bool;
 }
@@ -84,11 +83,10 @@ let length t = t.len
 let is_spilled t = match t.backing with Ram _ -> false | File _ -> true
 
 let free_file f =
-  Mutex.lock f.io;
+  Mutex.protect f.io @@ fun () ->
   if not f.freed then begin
     f.freed <- true;
     (try Unix.close f.fd with Unix.Unix_error _ -> ());
-    f.stage <- Bytes.empty;
     Mutex.lock registry_mutex;
     (match Hashtbl.find_opt leftover_paths f.id with
     | Some path ->
@@ -97,34 +95,22 @@ let free_file f =
     | None -> ());
     decr live_files_count;
     Mutex.unlock registry_mutex
-  end;
-  Mutex.unlock f.io
+  end
 
 let free t = match t.backing with Ram _ -> () | File f -> free_file f
-
-let ensure_stage f nbytes =
-  if Bytes.length f.stage < nbytes then f.stage <- Bytes.create nbytes
-
-let really_write fd buf len =
-  let off = ref 0 in
-  while !off < len do
-    let n = Unix.write fd buf !off (len - !off) in
-    if n <= 0 then failwith "Spill: short write";
-    off := !off + n
-  done
-
-let really_read fd buf len =
-  let off = ref 0 in
-  while !off < len do
-    let n = Unix.read fd buf !off (len - !off) in
-    if n <= 0 then failwith "Spill: short read (truncated spill file)";
-    off := !off + n
-  done
 
 let check_range t ~pos ~n op =
   if pos < 0 || n < 0 || pos + n > t.len then
     invalid_arg
       (Printf.sprintf "Spill.%s: range [%d, %d) outside [0, %d)" op pos (pos + n) t.len)
+
+(* One positioned transfer of [blk] at element [pos], under the file's
+   mutex so it cannot race [free]'s close. *)
+let transfer f op io ~pos blk =
+  Mutex.protect f.io @@ fun () ->
+  if f.freed then invalid_arg ("Spill." ^ op ^ ": vector already freed");
+  io_fault_point op;
+  io f.fd blk (pos * 8)
 
 let write t ~pos src =
   let n = Fv.length src in
@@ -132,36 +118,21 @@ let write t ~pos src =
   match t.backing with
   | Ram fv -> Fv.blit ~src ~src_pos:0 ~dst:fv ~dst_pos:pos ~len:n
   | File f ->
-    Mutex.lock f.io;
-    Fun.protect ~finally:(fun () -> Mutex.unlock f.io) @@ fun () ->
-    if f.freed then invalid_arg "Spill.write: vector already freed";
-    io_fault_point "write";
-    let nbytes = n * 8 in
-    ensure_stage f nbytes;
-    for i = 0 to n - 1 do
-      Bytes.set_int64_le f.stage (i * 8) (A1.unsafe_get src i)
-    done;
-    ignore (Unix.lseek f.fd (pos * 8) Unix.SEEK_SET);
-    really_write f.fd f.stage nbytes;
-    spilled_total := !spilled_total + nbytes
+    transfer f "write" Native.pwrite ~pos src;
+    ignore (Atomic.fetch_and_add spilled_total (n * 8))
 
 let read t ~pos dst =
   let n = Fv.length dst in
   check_range t ~pos ~n "read";
   match t.backing with
   | Ram fv -> Fv.blit ~src:fv ~src_pos:pos ~dst ~dst_pos:0 ~len:n
-  | File f ->
-    Mutex.lock f.io;
-    Fun.protect ~finally:(fun () -> Mutex.unlock f.io) @@ fun () ->
-    if f.freed then invalid_arg "Spill.read: vector already freed";
-    io_fault_point "read";
-    let nbytes = n * 8 in
-    ensure_stage f nbytes;
-    ignore (Unix.lseek f.fd (pos * 8) Unix.SEEK_SET);
-    really_read f.fd f.stage nbytes;
-    for i = 0 to n - 1 do
-      A1.unsafe_set dst i (Bytes.get_int64_le f.stage (i * 8))
-    done
+  | File f -> transfer f "read" Native.pread ~pos dst
+
+let block_rows ~budget ~row_bytes rows =
+  if row_bytes < 1 then invalid_arg "Spill.block_rows: row_bytes must be positive";
+  match budget with
+  | None -> max 1 rows
+  | Some b -> max 1 (min rows (b / 2 / row_bytes))
 
 (* A block of attachment [(v, off, width)]: rows [pos, pos + len) are
    elements [off + pos * width, off + (pos + len) * width). A RAM-backed
@@ -252,13 +223,13 @@ let create ?(tag = "spill") ~spill n =
       Hashtbl.replace leftover_paths id path;
       Mutex.unlock registry_mutex);
     Unix.ftruncate fd (n * 8);
-    let f = { id; fd; stage = Bytes.empty; io = Mutex.create (); freed = false } in
+    let f = { id; fd; io = Mutex.create (); freed = false } in
     let t = { len = n; backing = File f } in
     (* Backstop only — provers free deterministically. *)
     Gc.finalise (fun t -> free t) t;
     t
   end
 
-let spilled_bytes_total () = !spilled_total
+let spilled_bytes_total () = Atomic.get spilled_total
 let live_files () = !live_files_count
-let reset_counters () = spilled_total := 0
+let reset_counters () = Atomic.set spilled_total 0

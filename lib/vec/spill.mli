@@ -3,22 +3,25 @@
     The streaming prover works over vectors that may not fit the configured
     memory budget ([Engine.Config.stream_budget_mb]). A [Spill.t] is the
     backing-store decision made explicit: [spill:false] wraps a plain
-    {!Fv.t}; [spill:true] stores the elements in an unlinked temp file and
-    keeps only an I/O staging buffer resident. Producers and consumers move
-    data in [Fv] blocks through one block loop ({!walk}), so the hot loops
-    above this layer are identical for both backings.
+    {!Fv.t}; [spill:true] stores the elements in an unlinked temp file.
+    Producers and consumers move data in [Fv] blocks through one block loop
+    ({!walk}) sized by one rule ({!block_rows}), so the hot loops above
+    this layer are identical for both backings.
 
-    Layout contract: a spilled vector stores the same canonical 8-byte
-    little-endian Gf images an [Fv.t] holds in RAM, so round-tripping
-    through a file is bit-exact and backing choice can never change proof
-    bytes.
+    Layout contract: element [i] is file bytes [\[8i, 8i + 8)], the
+    little-endian image of the int64 an [Fv.t] holds in RAM — the block's
+    storage as it lies on every (little-endian) target the repo builds; the
+    stub refuses to build on a big-endian host. Round trips are bit-exact,
+    so backing choice can never change proof bytes.
 
-    {b I/O model.} Explicit positioned read/write (seek + copy through a
-    [Bytes] stage), deliberately not [mmap]: mapped pages are resident
-    pages, and the whole point of spilling is a peak-RSS bound the kernel
-    can verify (VmHWM). Each file carries a mutex so concurrent block
-    transfers are safe, but the intended pattern is single-submitter:
-    domains compute into RAM blocks, the submitting thread does the I/O.
+    {b I/O model.} One positioned read or write per block
+    ({!Nocap_native.Native.pread}/[pwrite]) straight between the [Fv]
+    block and the file, runtime lock released; deliberately not [mmap]:
+    mapped pages are resident pages, and the whole point of spilling is a
+    peak-RSS bound the kernel can verify (VmHWM). A per-file mutex orders
+    transfers against {!free}'s close; the intended pattern is
+    single-submitter: domains compute into RAM blocks, one thread does the
+    I/O.
 
     {b Temp-file hygiene.} Files are created by [Filename.temp_file] with a
     [.nocap-spill] suffix and unlinked immediately after opening where the
@@ -45,10 +48,18 @@ val length : t -> int
 val is_spilled : t -> bool
 
 val write : t -> pos:int -> Fv.t -> unit
-(** Store [Fv.length src] elements at [pos]. *)
+(** Store [Fv.length src] elements at [pos]. [Invalid_argument] if the
+    range leaves the vector or it was {!free}d. *)
 
 val read : t -> pos:int -> Fv.t -> unit
-(** Load [Fv.length dst] elements from [pos]. *)
+(** Load [Fv.length dst] elements from [pos]; raises as {!write}. *)
+
+val block_rows : budget:int option -> row_bytes:int -> int -> int
+(** The block of every streamed loop: [block_rows ~budget ~row_bytes rows]
+    is [rows] with no budget, and under a budget [b] the most rows whose
+    [row_bytes] (what the loop stages per row) fit [b / 2], clamped to
+    [\[1, rows\]]. Never below 1, a valid {!walk} block.
+    @raise Invalid_argument if [row_bytes < 1]. *)
 
 val walk :
   rows:int ->
@@ -124,5 +135,5 @@ val set_io_fault_hook : (string -> unit) option -> unit
 (** Fault-injection seam: the hook is called with ["read"] or ["write"]
     before every file-backed transfer, on the domain doing the I/O, and
     may raise (e.g. [Unix.Unix_error (EIO, _, _)]) to simulate disk
-    failure — the staging mutex is released on the way out. [None]
+    failure — the file's mutex is released on the way out. [None]
     disarms. Testing only; never set in production paths. *)

@@ -7,9 +7,6 @@
     static-analysis corpus ({!Nocap_analysis.Circuit_corpus}) and the
     structure reports cover the ML workload. *)
 
-val bias : int
-(** Per-neuron centring bias applied before the ReLU. *)
-
 val reference : w1:int array array -> w2:int array array -> int array -> int
 (** Software inference: returns the predicted class index. *)
 

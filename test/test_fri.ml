@@ -131,7 +131,7 @@ let prop_fold_vs_reference =
       let want = reference_fold ~shift evals beta in
       let ram = Spill.of_fv (Fv.create (n / 2)) in
       let ram_root =
-        Merkle.root (Fri.fold_layer ~shift ~block:n (Spill.of_fv (Fv.of_array evals)) beta ~dst:ram)
+        Merkle.root (Fri.fold_layer ~shift ~budget:None (Spill.of_fv (Fv.of_array evals)) beta ~dst:ram)
       in
       let layer = Spill.create ~tag:"fri-test" ~spill:true n in
       let dst = Spill.create ~tag:"fri-test" ~spill:true (n / 2) in
@@ -141,8 +141,10 @@ let prop_fold_vs_reference =
           Spill.free dst)
         (fun () ->
           Spill.write layer ~pos:0 (Fv.of_array evals);
-          let block = 1 + Rng.int rng (max 1 ((n / 4) - 1)) in
-          let spilled_root = Merkle.root (Fri.fold_layer ~shift ~block layer beta ~dst) in
+          (* 48 bytes a block row: a fold block of that many rows, and a
+             commit block of half as many. *)
+          let budget = Some (48 * (1 + Rng.int rng (max 1 ((n / 4) - 1)))) in
+          let spilled_root = Merkle.root (Fri.fold_layer ~shift ~budget layer beta ~dst) in
           Fv.to_array (Spill.as_fv ram) = want
           && Fv.to_array (Spill.to_fv dst) = want
           && String.equal ram_root spilled_root))

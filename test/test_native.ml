@@ -826,8 +826,9 @@ let test_f1600_zero_kat () =
     legs
 
 (* Column sponges driven through irregular absorb chunks (splitting rows at
-   non-multiples of the 17-lane rate and columns mid-range) over a
-   misaligned sub-view, against the boxed sponge of each packed column. *)
+   non-multiples of the 17-lane rate and columns mid-range), each chunk a
+   sub-view holding just its rows of a misaligned matrix, against the
+   boxed sponge of each packed column. *)
 let test_col_hash_torture () =
   let rng = Rng.create 0xC01L in
   let rows = 40 and cols = 13 in
@@ -845,10 +846,11 @@ let test_col_hash_torture () =
             let t = Keccak.Col_hash.create cols in
             let rec go = function
               | lo :: (hi :: _ as rest) ->
-                Keccak.Col_hash.absorb t flat ~row_stride:cols ~r_lo:lo ~r_hi:hi
-                  ~c_lo:0 ~c_hi:5;
-                Keccak.Col_hash.absorb t flat ~row_stride:cols ~r_lo:lo ~r_hi:hi
-                  ~c_lo:5 ~c_hi:cols;
+                let rows = Fv.sub_view flat ~pos:(lo * cols) ~len:((hi - lo) * cols) in
+                Keccak.Col_hash.absorb t rows ~row_stride:cols ~r_lo:lo ~r_hi:hi ~c_lo:0
+                  ~c_hi:5;
+                Keccak.Col_hash.absorb t rows ~row_stride:cols ~r_lo:lo ~r_hi:hi ~c_lo:5
+                  ~c_hi:cols;
                 go rest
               | _ -> ()
             in

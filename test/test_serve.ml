@@ -136,7 +136,7 @@ let test_cancel_each_kernel () =
   let live = Spill.live_files () in
   cancelled (fun () ->
       let rx = Array.init inst.Zk_r1cs.R1cs.log_size (fun i -> Gf.of_int (i + 3)) in
-      Spartan.fill_m ~spill:true ~block:1024 inst ~rx ~r_abc:[| Gf.one; Gf.two; Gf.of_int 3 |]);
+      Spartan.fill_m ~budget:(Some 16384) inst ~rx ~r_abc:[| Gf.one; Gf.two; Gf.of_int 3 |]);
   Alcotest.(check int) "fill_m leaves no spill file" live (Spill.live_files ());
   (* Orion out-of-core commit (row staging loop) *)
   let table = Array.init 1024 (fun i -> Gf.of_int64 (Int64.of_int (i + 1))) in

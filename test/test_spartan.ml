@@ -243,29 +243,28 @@ let dense_m inst rx r_abc =
     [ inst.R1cs.a; inst.R1cs.b; inst.R1cs.c ];
   acc
 
-(* fill_m against [dense_m] for spill {false, true} x block {1, 3, 1024, n}
-   x domains {1, 2}; [l = 1] leaves r_x's high half empty. *)
+(* fill_m against [dense_m] for no budget (one RAM block) and budgets of
+   spilled blocks of 1, 3, 1024 and n rows (8 bytes a row, half the
+   budget), x domains {1, 2}; [l = 1] leaves r_x's high half empty. *)
 let fill_m_matches_dense ~l seed =
   let inst, rx, r_abc = random_m_instance ~l seed in
   let n = R1cs.size inst in
   let expected = dense_m inst rx r_abc in
   List.for_all
-    (fun (spill, block, domains) ->
+    (fun (budget, domains) ->
       let m =
         Nocap_parallel.Pool.with_domains domains (fun () ->
-            Spartan.fill_m ~spill ~block inst ~rx ~r_abc)
+            Spartan.fill_m ~budget inst ~rx ~r_abc)
       in
       let got = Nocap_vec.Spill.to_fv m in
       Nocap_vec.Spill.free m;
       Array.for_all2 Gf.equal expected (Nocap_vec.Fv.to_array got)
-      || QCheck.Test.fail_reportf "seed %d, log_size %d: spill=%b block=%d domains=%d" seed l
-           spill block domains)
+      || QCheck.Test.fail_reportf "seed %d, log_size %d: budget=%s domains=%d" seed l
+           (match budget with None -> "none" | Some b -> string_of_int b)
+           domains)
     (List.concat_map
-       (fun spill ->
-         List.concat_map
-           (fun block -> List.map (fun d -> (spill, block, d)) [ 1; 2 ])
-           [ 1; 3; 1024; n ])
-       [ false; true ])
+       (fun budget -> List.map (fun d -> (budget, d)) [ 1; 2 ])
+       (None :: List.map (fun rows -> Some (16 * rows)) [ 1; 3; 1024; n ]))
 
 let test_fill_m_edges () =
   List.iter

@@ -226,6 +226,63 @@ let test_spill_walk_failures () =
       Spill.free s)
     [ false; true ]
 
+(* Blocks move straight between an [Fv] block and the file: sub-views at
+   odd offsets of larger vectors, written to and read from odd element
+   positions, round-trip exactly and leave the neighbours alone. *)
+let test_spill_sub_views () =
+  let n = 101 in
+  let data = random_gf_array (Rng.create 44L) n in
+  List.iter
+    (fun spill ->
+      let s = Spill.create ~tag:"views" ~spill n in
+      let big = Fv.of_array (Array.append [| Gf.one; Gf.two; Gf.one |] data) in
+      List.iter
+        (fun (pos, len) ->
+          Spill.write s ~pos (Fv.sub_view big ~pos:(3 + pos) ~len))
+        [ (0, 1); (1, 37); (38, 13); (51, 50) ];
+      check_gf_array (Printf.sprintf "write views (spilled %b)" spill) data
+        (Fv.to_array (Spill.to_fv s));
+      let out = Fv.create (n + 10) in
+      Fv.fill out Gf.two;
+      List.iter
+        (fun (pos, len) -> Spill.read s ~pos (Fv.sub_view out ~pos:(5 + pos) ~len))
+        [ (3, 97); (0, 3); (100, 1) ];
+      check_gf_array (Printf.sprintf "read views (spilled %b)" spill)
+        (Array.concat [ Array.make 5 Gf.two; data; Array.make 5 Gf.two ])
+        (Fv.to_array out);
+      Spill.free s)
+    [ false; true ]
+
+(* A freed file-backed vector refuses every transfer; a freed RAM-backed
+   one is still its [Fv]. *)
+let test_spill_use_after_free () =
+  let s = Spill.create ~tag:"freed" ~spill:true 8 in
+  Spill.free s;
+  let buf = Fv.create 4 in
+  List.iter
+    (fun (name, io) ->
+      match io () with
+      | () -> Alcotest.failf "%s after free returned" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("read", fun () -> Spill.read s ~pos:0 buf);
+      ("write", fun () -> Spill.write s ~pos:0 buf);
+      ("get", fun () -> ignore (Spill.get s 1));
+    ]
+
+(* The one block rule: under a budget a block stages at most half of it
+   whenever one row fits, one row when none does, and never more rows
+   than there are; with no budget it is every row. *)
+let prop_block_rows =
+  qcheck ~count:500 "Spill.block_rows fits half the budget"
+    QCheck.(triple (int_range 1 100_000) (int_range 1 4096) (int_range 1 100_000))
+    (fun (budget, row_bytes, rows) ->
+      let b = Spill.block_rows ~budget:(Some budget) ~row_bytes rows in
+      Spill.block_rows ~budget:None ~row_bytes rows = rows
+      && b >= 1 && b <= rows
+      && (if row_bytes <= budget / 2 then row_bytes * b <= budget / 2 else b = 1)
+      && (b = rows || row_bytes * (b + 1) > budget / 2))
+
 let test_spill_bounds () =
   let s = Spill.create ~tag:"bounds" ~spill:true 8 in
   let buf = Fv.create 4 in
@@ -610,12 +667,35 @@ let test_orion_budget_equal () =
       Orion.free_committed cd)
     [ 4; 7; 9 ]
 
+(* A commit whose rows are wide next to its budget: each block write
+   carries exactly [Spill.block_rows] rows (two of 512 data and 2048
+   codeword columns in 80 KiB), so the 12 rows (8 data, 4 mask) take six
+   blocks of two writes each, and the root is the one with no budget. *)
+let test_orion_wide_commit_blocks () =
+  let params = { Orion.default_params with Orion.rows = 8 } in
+  let table = random_gf_array (Rng.create 27L) 4096 in
+  let budget = 80 * 1024 in
+  let cols = 512 and code_len = 2048 and enc_rows = 12 in
+  let block = Spill.block_rows ~budget:(Some budget) ~row_bytes:(8 * (cols + code_len)) enc_rows in
+  Alcotest.(check int) "rows per block" 2 block;
+  let _, cm = Orion.commit params (Rng.create 28L) table in
+  let writes = Atomic.make 0 in
+  Spill.set_io_fault_hook (Some (fun op -> if op = "write" then Atomic.incr writes));
+  let c, cm_s =
+    Fun.protect ~finally:(fun () -> Spill.set_io_fault_hook None) (fun () ->
+        Orion.commit ~engine:(budget_engine budget) params (Rng.create 28L) table)
+  in
+  Orion.free_committed c;
+  Alcotest.(check int) "block writes" (2 * ((enc_rows + block - 1) / block)) (Atomic.get writes);
+  Alcotest.(check string) "root" cm.Orion.root cm_s.Orion.root
+
 exception Injected_write of int
 
 (* A budgeted commit whose k-th spill write fails, for every k the commit
    reaches (row blocks and codeword blocks): the fault must propagate and
    both spill files must be released with it. 128 data rows and 4 mask
-   rows of 8 columns under a 2 KiB budget run in four row blocks. *)
+   rows of 8 columns (32 codeword columns, 320 staged bytes a row) under a
+   2 KiB budget run in 44 blocks of three rows. *)
 let test_orion_commit_fault_path () =
   let params = Orion.default_params in
   let table = random_gf_array (Rng.create 25L) 1024 in
@@ -796,10 +876,9 @@ exception Injected_io of string * int
 (* One budgeted proof per backend at 4 KiB, with a fault injected at every
    spill transfer in turn (each read, then each write): the fault must
    propagate out of [prove] and every spill file must be released with it.
-   The fault-free run pins the proof's spill traffic: the bytes written
-   are the parent tree's, and the read and write counts are no more than
-   its (orion 110 reads and 8 writes, fri 188 and 10, 35840 and 38912
-   bytes). *)
+   The fault-free run pins the proof's spill traffic exactly: the bytes
+   written (which vectors spill) and the read and write counts (how many
+   [Spill.block_rows] blocks the budget makes). *)
 let test_spartan_fault_every_transfer () =
   let inst, asn = chain_circuit 4 80 in
   let engine = budget_engine 4096 in
@@ -815,15 +894,12 @@ let test_spartan_fault_every_transfer () =
     (Atomic.get reads, Atomic.get writes)
   in
   List.iter
-    (fun (name, max_reads, max_writes, bytes, prove) ->
+    (fun (name, want_reads, want_writes, bytes, prove) ->
       let bytes0 = Spill.spilled_bytes_total () in
       let reads, writes = count ~fault:None prove in
       Alcotest.(check int) (name ^ ": bytes spilled") bytes (Spill.spilled_bytes_total () - bytes0);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %d reads <= %d" name reads max_reads) true (reads <= max_reads);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %d writes <= %d" name writes max_writes) true
-        (writes <= max_writes);
+      Alcotest.(check int) (name ^ ": reads") want_reads reads;
+      Alcotest.(check int) (name ^ ": writes") want_writes writes;
       List.iter
         (fun (op, total) ->
           for k = 1 to total do
@@ -836,9 +912,9 @@ let test_spartan_fault_every_transfer () =
           done)
         [ ("read", reads); ("write", writes) ])
     [
-      ( "orion", 110, 8, 35840,
+      ( "orion", 567, 49, 35840,
         fun () -> ignore (Spartan.prove ~engine Spartan.test_params inst asn) );
-      ( "fri", 188, 10, 38912,
+      ( "fri", 704, 49, 38912,
         fun () -> ignore (Spartan_fri.prove ~engine Spartan_fri.test_params inst asn) );
     ]
 
@@ -882,6 +958,9 @@ let suite =
       Alcotest.test_case "spill walk = plain array" `Quick test_spill_walk;
       Alcotest.test_case "spill walk: raise, cancel, bad range" `Quick test_spill_walk_failures;
       Alcotest.test_case "spill bounds checks" `Quick test_spill_bounds;
+      Alcotest.test_case "spill sub-views at odd offsets" `Quick test_spill_sub_views;
+      Alcotest.test_case "spill transfer after free raises" `Quick test_spill_use_after_free;
+      prop_block_rows;
       prop_eq_table_into;
       Alcotest.test_case "ranged spmv = full" `Quick test_spmv_ranges;
       Alcotest.test_case "z_fv = z" `Quick test_z_fv;
@@ -891,6 +970,8 @@ let suite =
       Alcotest.test_case "sumcheck over spilled tables" `Quick test_sumcheck_spilled_tables;
       prop_combiner_contract;
       Alcotest.test_case "orion: budget = no budget" `Quick test_orion_budget_equal;
+      Alcotest.test_case "orion: wide commit blocks = block_rows" `Quick
+        test_orion_wide_commit_blocks;
       Alcotest.test_case "orion: commit fault at every write" `Quick
         test_orion_commit_fault_path;
       Alcotest.test_case "fri: budget = no budget" `Quick test_fri_budget_equal;
