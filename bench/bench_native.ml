@@ -133,7 +133,7 @@ let kernels ~smoke rng =
     cp_index;
   let cp_pos = Array.init cp_paths (fun k -> 4 * k * cp_depth) in
   (* The sumcheck fold/round-point kernel, at a fixed field constant. *)
-  let lerp_c = Gf.random rng in
+  let sc_r = Gf.random rng in
   (* One sumcheck round as Spartan's first sumcheck runs it over 4 tables
      of 2^16, degree 3 (eq * (az * bz - cz)): the fused pass that reads
      the tables once, folds them with the previous challenge into 2^15
@@ -198,24 +198,11 @@ let kernels ~smoke rng =
       k_x4 = false;
     };
     {
-      k_name = "fv-lerp";
-      k_n = ew_n;
-      k_run =
-        (fun () ->
-          Fv.lerp_into ~dst:ew_dst ew_a ew_b lerp_c;
-          Gf.to_string (Fv.get ew_dst (ew_n - 1)));
-      k_oracle =
-        (fun () ->
-          Fv_oracle.lerp_into ~dst:ew_dst ew_a ew_b lerp_c;
-          Gf.to_string (Fv.get ew_dst (ew_n - 1)));
-      k_x4 = false;
-    };
-    {
       k_name = "sumcheck-round";
       k_n = sc_n;
       k_run =
         (fun () ->
-          let g = Sumcheck.round_kernel Sumcheck.Eq_abc ~fold:(lerp_c, sc_dst) sc_tables in
+          let g = Sumcheck.round_kernel Sumcheck.Eq_abc ~fold:(sc_r, sc_dst) sc_tables in
           gfs g ^ Gf.to_string (Fv.get sc_dst.(3) ((sc_n / 2) - 1)));
       k_oracle =
         (fun () ->
@@ -224,7 +211,7 @@ let kernels ~smoke rng =
             (Array.map (fun t -> fst (halves t)) ts, Array.map (fun t -> snd (halves t)) ts)
           in
           let lo, hi = split sc_tables in
-          Sumcheck_oracle.fold ~dst:sc_dst ~lo ~hi lerp_c;
+          Sumcheck_oracle.fold ~dst:sc_dst ~lo ~hi sc_r;
           let lo, hi = split sc_dst in
           let g =
             Sumcheck_oracle.round_poly ~degree:3 ~comb:Sumcheck_oracle.eq_abc_vector ~lo ~hi
@@ -503,7 +490,7 @@ let gates rows =
   @ Bench_report.require ~what:"kernel"
       (List.map (fun r -> r.kernel.k_name) rows)
       [
-        "fv-lerp"; "sumcheck-round"; "eq-table"; "csr-eval"; "ntt-forward-rows"; "keccak-f1600";
+        "sumcheck-round"; "eq-table"; "csr-eval"; "ntt-forward-rows"; "keccak-f1600";
         "rs-encode-rows"; "merkle-check-paths"; "merkle-build-fri"; "transcript-rho";
         "transcript-indices";
       ]

@@ -61,6 +61,7 @@ type endtoend = {
   e_spill_bytes : int;
   e_budgeted : phase;
   e_no_budget : phase;
+  e_gen_seconds : float * float; (* circuit generation, budgeted and none *)
 }
 
 let endtoend_sizes ~smoke =
@@ -94,13 +95,15 @@ let prove_bytes ~engine backend inst asn =
 (* [main.exe stream-row BACKEND LOG2 BUDGET budgeted|none]: one endtoend
    proof in a fresh process. It builds the circuit, settles, times the
    proof and prints one line: the proof's sha3, seconds, peak and floor
-   RSS in KiB, and bytes spilled. *)
+   RSS in KiB, bytes spilled, and the circuit generation's seconds. *)
 let row_main = function
   | [ backend; lg; budget; mode ] ->
+    let t0 = wall () in
     let inst, asn =
       Synthetic.circuit ~n_constraints:(1 lsl int_of_string lg) ~public_seed:true
         ~seed:0xBEEFL ()
     in
+    let gen_seconds = wall () -. t0 in
     let engine =
       if mode = "budgeted" then
         Some (Engine.create ~stream_budget_bytes:(int_of_string budget) ())
@@ -108,8 +111,8 @@ let row_main = function
     in
     Spill.reset_counters ();
     let bytes, ph = measure (fun () -> prove_bytes ~engine backend inst asn) in
-    Printf.printf "%s %.9f %d %d %d\n" (Keccak.to_hex (Keccak.sha3_256 bytes)) ph.seconds
-      ph.peak_rss_kb ph.floor_rss_kb (Spill.spilled_bytes_total ())
+    Printf.printf "%s %.9f %d %d %d %.9f\n" (Keccak.to_hex (Keccak.sha3_256 bytes)) ph.seconds
+      ph.peak_rss_kb ph.floor_rss_kb (Spill.spilled_bytes_total ()) gen_seconds
   | _ -> failwith "usage: stream-row BACKEND LOG2 BUDGET budgeted|none"
 
 (* Each endtoend proof runs in a child process of this executable, so its
@@ -125,15 +128,16 @@ let prove_in_child (backend, lg, budget) ~budgeted =
   let line = In_channel.input_all ic in
   match Unix.close_process_in ic with
   | Unix.WEXITED 0 ->
-    Scanf.sscanf line " %s %f %d %d %d" (fun digest seconds peak_rss_kb floor_rss_kb spilled ->
-        (digest, { seconds; peak_rss_kb; floor_rss_kb }, spilled))
+    Scanf.sscanf line " %s %f %d %d %d %f"
+      (fun digest seconds peak_rss_kb floor_rss_kb spilled gen_seconds ->
+        (digest, { seconds; peak_rss_kb; floor_rss_kb }, spilled, gen_seconds))
   | _ -> failwith "bench stream: endtoend child failed"
 
 let run_endtoend ~smoke =
   List.map
     (fun ((backend, lg, budget) as case) ->
-      let s_digest, s_ph, spill_bytes = prove_in_child case ~budgeted:true in
-      let m_digest, m_ph, _ = prove_in_child case ~budgeted:false in
+      let s_digest, s_ph, spill_bytes, s_gen = prove_in_child case ~budgeted:true in
+      let m_digest, m_ph, _, m_gen = prove_in_child case ~budgeted:false in
       {
         e_backend = backend;
         e_constraints_log2 = lg;
@@ -142,6 +146,7 @@ let run_endtoend ~smoke =
         e_spill_bytes = spill_bytes;
         e_budgeted = s_ph;
         e_no_budget = m_ph;
+        e_gen_seconds = (s_gen, m_gen);
       })
     (endtoend_sizes ~smoke)
 
@@ -267,13 +272,15 @@ let run_sumcheck ~smoke =
 let document ~smoke ~rss_source ~resettable endtoend commits sumchecks =
   let open Bench_report in
   let open Json_min in
-  let phase p =
+  (* An endtoend phase also records its child's circuit generation. *)
+  let phase ?gen_seconds p =
     Obj
-      [
-        ("seconds", Num p.seconds);
-        ("peak_rss_kb", int p.peak_rss_kb);
-        ("floor_rss_kb", int p.floor_rss_kb);
-      ]
+      ([
+         ("seconds", Num p.seconds);
+         ("peak_rss_kb", int p.peak_rss_kb);
+         ("floor_rss_kb", int p.floor_rss_kb);
+       ]
+      @ Option.fold ~none:[] ~some:(fun g -> [ ("gen_seconds", Num g) ]) gen_seconds)
   in
   let slowdown b n = Num (b.seconds /. max 1e-9 n.seconds) in
   [
@@ -289,8 +296,8 @@ let document ~smoke ~rss_source ~resettable endtoend commits sumchecks =
             ("budget_bytes", int e.e_budget);
             ("bytes_equal", Bool e.e_bytes_equal);
             ("spill_bytes", int e.e_spill_bytes);
-            ("streaming", phase e.e_budgeted);
-            ("in_memory", phase e.e_no_budget);
+            ("streaming", phase ~gen_seconds:(fst e.e_gen_seconds) e.e_budgeted);
+            ("in_memory", phase ~gen_seconds:(snd e.e_gen_seconds) e.e_no_budget);
             ("slowdown", slowdown e.e_budgeted e.e_no_budget);
           ])
         endtoend );
@@ -365,8 +372,8 @@ let run ~smoke ~path =
   Zk_report.Render.table
     ~header:
       [
-        "backend"; "2^c"; "budget"; "equal"; "spilled"; "budgeted"; "no budget"; "floor";
-        "rss bud"; "rss none";
+        "backend"; "2^c"; "budget"; "equal"; "spilled"; "budgeted"; "no budget"; "gen";
+        "floor"; "rss bud"; "rss none";
       ]
     (List.map
        (fun e ->
@@ -378,6 +385,7 @@ let run ~smoke ~path =
            Printf.sprintf "%dK" (e.e_spill_bytes / 1024);
            Zk_report.Render.seconds e.e_budgeted.seconds;
            Zk_report.Render.seconds e.e_no_budget.seconds;
+           Zk_report.Render.seconds (fst e.e_gen_seconds);
            Printf.sprintf "%dM" (e.e_budgeted.floor_rss_kb / 1024);
            Printf.sprintf "%dM" (e.e_budgeted.peak_rss_kb / 1024);
            Printf.sprintf "%dM" (e.e_no_budget.peak_rss_kb / 1024);

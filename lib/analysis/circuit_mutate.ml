@@ -103,10 +103,15 @@ let linear_row inst ~one_col r =
 
 let rebuild (inst : R1cs.instance) ~a ~b ~c =
   let n = R1cs.size inst in
-  R1cs.make
-    ~a:(Sparse.of_entries ~nrows:n ~ncols:n a)
-    ~b:(Sparse.of_entries ~nrows:n ~ncols:n b)
-    ~c:(Sparse.of_entries ~nrows:n ~ncols:n c)
+  let pack entries =
+    let e = Array.of_list entries in
+    let ints f = Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout (Array.map f e) in
+    Sparse.of_triplets ~nrows:n ~ncols:n
+      (ints (fun (r, _, _) -> r))
+      (ints (fun (_, c, _) -> c))
+      (Nocap_vec.Fv.of_array (Array.map (fun (_, _, v) -> v) e))
+  in
+  R1cs.make ~a:(pack a) ~b:(pack b) ~c:(pack c)
     ~log_size:inst.log_size ~num_constraints:inst.num_constraints
     ~num_witness:inst.num_witness ~num_io:inst.num_io
 

@@ -20,11 +20,7 @@ let satisfied circuit z =
          Fr.equal (Fr.mul (lc_eval z a) (lc_eval z b)) (lc_eval z c))
        circuit.constraints
 
-let next_pow2 n =
-  let rec go k = if k >= n then k else go (2 * k) in
-  go 1
-
-let domain_size circuit = next_pow2 (max 2 (Array.length circuit.constraints))
+let domain_size circuit = 1 lsl Zk_util.Pow2.log2_ceil (max 2 (Array.length circuit.constraints))
 
 type setup = {
   tau : Fr.t;
@@ -47,17 +43,12 @@ let setup rng circuit =
   let d = domain_size circuit in
   (* tau must avoid the evaluation domain (Z(tau) <> 0); random tau hits the
      domain with negligible probability, but re-draw to be exact. *)
-  let log_d =
-    let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
-    go 0 d
-  in
   let rec pick_tau () =
     let t = nonzero rng in
     (* Z(tau) = tau^d - 1 *)
     let td = Fr.pow t [| Int64.of_int d; 0L; 0L; 0L |] in
     if Fr.equal td Fr.one then pick_tau () else t
   in
-  ignore log_d;
   {
     tau = pick_tau ();
     alpha = nonzero rng;
@@ -69,11 +60,7 @@ let setup rng circuit =
 (* Lagrange basis values L_i(tau) over the radix-2 domain:
    L_i(tau) = Z(tau) * w^i / (d * (tau - w^i)). *)
 let lagrange_at_tau ~d tau =
-  let log_d =
-    let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
-    go 0 d
-  in
-  let w = Fr.root_of_unity log_d in
+  let w = Fr.root_of_unity (Zk_util.Pow2.log2_floor d) in
   let z_tau = Fr.sub (Fr.pow tau [| Int64.of_int d; 0L; 0L; 0L |]) Fr.one in
   let d_inv = Fr.inv (Fr.of_int d) in
   let out = Array.make d Fr.zero in
@@ -225,7 +212,7 @@ let verify s circuit public proof =
 type workload = { ntt_points : int; msm_g1_points : int; msm_g2_points : int }
 
 let prover_workload ~n =
-  let d = next_pow2 (max 2 n) in
+  let d = 1 lsl Zk_util.Pow2.log2_ceil (max 2 n) in
   {
     (* 3 inverse NTTs + 3 coset NTTs + 1 inverse NTT for h. *)
     ntt_points = 7 * d;

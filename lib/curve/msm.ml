@@ -8,8 +8,7 @@ let naive scalars points =
   !acc
 
 let window_for n =
-  let rec log2 k m = if m <= 1 then k else log2 (k + 1) (m / 2) in
-  min 16 (max 2 (log2 0 n - 2))
+  min 16 (max 2 (Zk_util.Pow2.log2_floor n - 2))
 
 let scalar_bits = 255
 

@@ -17,12 +17,8 @@ let encode_row_into ~src ~dst =
   let module Nfv = Zk_ntt.Ntt.Gf_fv in
   Nocap_native.Native.rs_encode_row src dst (Nfv.twiddles (Nfv.plan (blowup * n)))
 
-let log2 m =
-  let rec go k x = if x <= 1 then k else go (k + 1) (x lsr 1) in
-  go 0 m
-
 (* A butterfly costs ~3ns in the C kernel, the fused zero-pad prologue
    ~1ns per output. *)
 let row_encode_ns ~cols =
   let m = blowup * cols in
-  max 1 ((m / 2 * log2 m * 3) + m)
+  max 1 ((m / 2 * Zk_util.Pow2.log2_floor m * 3) + m)

@@ -10,10 +10,6 @@ type tree = { levels : Fv.t array; real_leaves : int }
 
 let empty_leaf = Keccak.sha3_256_string "nocap-repro/merkle-empty-leaf"
 
-let next_pow2 n =
-  let rec go k = if k >= n then k else go (2 * k) in
-  go 1
-
 let of_digests ds =
   let v = Fv.create (4 * Array.length ds) in
   Array.iteri (Keccak.set_digest v) ds;
@@ -49,9 +45,8 @@ module Builder = struct
 
   let create n =
     if n <= 0 then invalid_arg "Merkle.Builder.create: need at least one leaf";
-    let padded = next_pow2 n in
-    let rec depth_of k m = if m = 1 then k else depth_of (k + 1) (m / 2) in
-    let depth = depth_of 0 padded in
+    let depth = Zk_util.Pow2.log2_ceil n in
+    let padded = 1 lsl depth in
     let levels = Array.init (depth + 1) (fun k -> Fv.create (4 * (padded lsr k))) in
     { levels; fill = Array.make (depth + 1) 0; real = n; added = 0 }
 
@@ -168,6 +163,4 @@ let check_paths ~root ~depth ~index ~leaves ~paths ~path_pos =
       in
       eq 0)
 
-let path_length n =
-  let rec go k m = if m >= n then k else go (k + 1) (2 * m) in
-  go 0 1
+let path_length = Zk_util.Pow2.log2_ceil

@@ -54,13 +54,15 @@ external fv_sub : fv -> fv -> fv -> unit = "caml_nocap_fv_sub" [@@noalloc]
 external fv_mul : fv -> fv -> fv -> unit = "caml_nocap_fv_mul" [@@noalloc]
 external fv_scale : fv -> fv -> int64 -> unit = "caml_nocap_fv_scale" [@@noalloc]
 external fv_axpy : fv -> int64 -> fv -> unit = "caml_nocap_fv_axpy" [@@noalloc]
-external fv_lerp : fv -> fv -> fv -> int64 -> unit = "caml_nocap_fv_lerp" [@@noalloc]
 external fri_fold : fv -> fv -> fv -> int64 -> int64 -> unit = "caml_nocap_fri_fold" [@@noalloc]
 external sumcheck_round : int -> fv array -> fv array -> int -> int -> int64 -> fv -> unit
   = "caml_nocap_sumcheck_round_byte" "caml_nocap_sumcheck_round"
 [@@noalloc]
 
-external csr_eval : int array -> int array -> fv -> fv -> fv -> fv -> fv -> (int64[@unboxed])
+external csr_eval :
+  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  fv -> fv -> fv -> fv -> fv -> (int64[@unboxed])
   = "caml_nocap_csr_eval_byte" "caml_nocap_csr_eval"
 [@@noalloc]
 

@@ -65,10 +65,6 @@ external fv_mul : fv -> fv -> fv -> unit = "caml_nocap_fv_mul" [@@noalloc]
 external fv_scale : fv -> fv -> int64 -> unit = "caml_nocap_fv_scale" [@@noalloc]
 external fv_axpy : fv -> int64 -> fv -> unit = "caml_nocap_fv_axpy" [@@noalloc]
 
-external fv_lerp : fv -> fv -> fv -> int64 -> unit = "caml_nocap_fv_lerp" [@@noalloc]
-(** [fv_lerp dst a b c]: [dst.(i) <- a.(i) + c * (b.(i) - a.(i))]; [dst]
-    may alias [a] or [b]. *)
-
 external fri_fold : fv -> fv -> fv -> int64 -> int64 -> unit = "caml_nocap_fri_fold" [@@noalloc]
 (** [fri_fold dst lo hi coef w_inv]: the FRI fold of one block,
     [dst.(i) <- (lo.(i) + hi.(i)) / 2 + coef * w_inv^i * (lo.(i) - hi.(i))],
@@ -83,19 +79,24 @@ external sumcheck_round : int -> fv array -> fv array -> int -> int -> int64 -> 
     [\[| eq; a; b; c |\]], degree 3) or 1 ([a * b], degree 2). With an
     empty [dst], pair [i] of table [j] is [(src.(2j).(i), src.(2j+1).(i))].
     Otherwise [src.(4j .. 4j+3)] are the quarters of table [j]'s previous
-    generation: the pass folds them with [r] ([fv_lerp] on quarters 0/2
+    generation: the pass folds them with [r] (a lerp on quarters 0/2
     and 1/3), stores the pair to [dst.(2j)] and [dst.(2j+1)], and
     evaluates it. [g.(0 .. 3)] receives the sums of the combiner at
     [t = 0 .. degree] (entries past [degree] read 0); [t >= 2] is walked
     add-only from [hi]. *)
 
-external csr_eval : int array -> int array -> fv -> fv -> fv -> fv -> fv -> (int64[@unboxed])
+external csr_eval :
+  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  fv -> fv -> fv -> fv -> fv -> (int64[@unboxed])
   = "caml_nocap_csr_eval_byte" "caml_nocap_csr_eval"
 [@@noalloc]
 (** [csr_eval row_ptr col_idx values row_hi row_lo col_hi col_lo]: the
     sparse matrix MLE walk of [Zk_r1cs.Sparse.mle_eval_split] over a CSR
-    matrix's arrays, with [2^s] the length of each [lo] table; one field
-    element, returned unboxed. Scalar C only (gather-bound). *)
+    matrix's arrays — the Bigarray int indices read in place, the rows
+    [Bigarray.Array1.dim row_ptr - 1] — with [2^s] the length of each
+    [lo] table; one field element, returned unboxed. Scalar C only
+    (gather-bound). *)
 
 external ntt_forward : fv -> fv -> unit = "caml_nocap_ntt_forward" [@@noalloc]
 (** [ntt_forward buf tw]: in-place forward NTT of [buf] (length n, a power

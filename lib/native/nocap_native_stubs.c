@@ -285,20 +285,6 @@ __attribute__((target("avx2"))) static void fv_axpy_avx2(uint64_t *dst, uint64_t
   }
   for (; i < n; i++) dst[i] = gl_add(dst[i], gl_mul(c, src[i]));
 }
-
-__attribute__((target("avx2"))) static void fv_lerp_avx2(uint64_t *dst, const uint64_t *a,
-                                                         const uint64_t *b, uint64_t c,
-                                                         intnat n)
-{
-  const __m256i cv = _mm256_set1_epi64x((long long)c);
-  intnat i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i x = _mm256_loadu_si256((const __m256i *)(a + i));
-    __m256i y = _mm256_loadu_si256((const __m256i *)(b + i));
-    _mm256_storeu_si256((__m256i *)(dst + i), gl4_add(x, gl4_mul(cv, gl4_sub(y, x))));
-  }
-  for (; i < n; i++) dst[i] = gl_add(a[i], gl_mul(c, gl_sub(b[i], a[i])));
-}
 #endif /* NOCAP_X86_64 */
 
 #if defined(__aarch64__)
@@ -403,22 +389,6 @@ CAMLprim value caml_nocap_fv_axpy(value vdst, value vc, value vsrc)
   return Val_unit;
 }
 
-/* dst[i] = a[i] + c * (b[i] - a[i]): the sumcheck fold and the round
-   polynomial's line through (0, a) and (1, b) at t = c. dst may alias a
-   or b (each element is read before it is written). */
-CAMLprim value caml_nocap_fv_lerp(value vdst, value va, value vb, value vc)
-{
-  uint64_t *dst = BA_DATA(vdst);
-  const uint64_t *a = BA_DATA(va), *b = BA_DATA(vb);
-  uint64_t c = (uint64_t)Int64_val(vc);
-  intnat n = BA_DIM(vdst);
-#if defined(NOCAP_X86_64)
-  if (g_simd && have_avx2()) { fv_lerp_avx2(dst, a, b, c, n); return Val_unit; }
-#endif
-  for (intnat i = 0; i < n; i++) dst[i] = gl_add(a[i], gl_mul(c, gl_sub(b[i], a[i])));
-  return Val_unit;
-}
-
 /* One FRI fold block: dst[i] = (lo[i] + hi[i]) / 2 + coef_i * (lo[i] - hi[i])
    with coef_i = coef * w_inv^i, operation for operation Fri.fold_pair.
    The scalar body keeps Fri's running product; the AVX2 body runs four
@@ -482,11 +452,10 @@ CAMLprim value caml_nocap_fri_fold(value vdst, value vlo, value vhi, value vcoef
    destination, lo = src[2j][i] and hi = src[2j + 1][i]. With one, the
    pass first folds the previous generation's quarters src[4j .. 4j + 3]
    with the challenge r, lo = q0 + r * (q2 - q0) and hi = q1 + r * (q3 -
-   q1) (caml_nocap_fv_lerp operation for operation), and stores them to
-   dst[2j][i] and dst[2j + 1][i]. g[t], t = 0..degree, is the sum
-   over pairs [i0, i1) of the combiner at lo + t * (hi - lo), walked
-   add-only: t = 0 and 1 are lo and hi, and each further t adds hi - lo
-   once more. Every term the sums add is a gl_mul result, so canonical,
+   q1), and stores them to dst[2j][i] and dst[2j + 1][i]. g[t], t =
+   0..degree, is the sum over pairs [i0, i1) of the combiner at lo + t *
+   (hi - lo), walked add-only: t = 0 and 1 are lo and hi, and each further
+   t adds hi - lo once more. Every term the sums add is a gl_mul result, so canonical,
    and Goldilocks addition of canonical values is exact: the AVX2 body's
    lane sums reach the scalar body's bits. */
 
@@ -656,12 +625,13 @@ CAMLprim value caml_nocap_sumcheck_round_byte(value *argv, int argn)
 }
 
 /* --- sparse matrix MLE ----------------------------------------------------
-   The Spartan verifier's walk behind Sparse.mle_eval_split: per row the sum of v * col_hi[c >> cs] *
-   col_lo[c & cmask] over its nonzeros, times row_lo[r & rmask]; per block
-   of 2^rs rows the sum of those, times row_hi[block]. The CSR arrays are
-   OCaml int arrays, the tables int64 Bigarrays; every lo length is a power
-   of two and every index in range (checked in OCaml). Gathers dominate, so
-   there is no SIMD body. */
+   The Spartan verifier's walk behind Sparse.mle_eval_split: per row the
+   sum of v * col_hi[c >> cs] * col_lo[c & cmask] over its nonzeros, times
+   row_lo[r & rmask]; per block of 2^rs rows the sum of those, times
+   row_hi[block]. The CSR indices are native-int Bigarrays, the values and
+   tables int64 Bigarrays; every lo length is a power of two and every
+   index in range (checked in OCaml). Gathers dominate, so there is no
+   SIMD body. */
 
 static intnat log2_pow2(intnat n)
 {
@@ -676,7 +646,9 @@ int64_t caml_nocap_csr_eval(value vrow_ptr, value vcol_idx, value vvals, value v
   const uint64_t *vals = BA_DATA(vvals);
   const uint64_t *row_hi = BA_DATA(vrow_hi), *row_lo = BA_DATA(vrow_lo);
   const uint64_t *col_hi = BA_DATA(vcol_hi), *col_lo = BA_DATA(vcol_lo);
-  intnat nrows = (intnat)Wosize_val(vrow_ptr) - 1;
+  const intnat *row_ptr = (const intnat *)BA_DATA(vrow_ptr);
+  const intnat *col_idx = (const intnat *)BA_DATA(vcol_idx);
+  intnat nrows = BA_DIM(vrow_ptr) - 1;
   intnat rs = log2_pow2(BA_DIM(vrow_lo)), cs = log2_pow2(BA_DIM(vcol_lo));
   intnat rmask = BA_DIM(vrow_lo) - 1;
   uint64_t cmask = (uint64_t)BA_DIM(vcol_lo) - 1;
@@ -685,11 +657,11 @@ int64_t caml_nocap_csr_eval(value vrow_ptr, value vcol_idx, value vvals, value v
     intnat r1 = (h + 1) << rs < nrows ? (h + 1) << rs : nrows;
     uint64_t blk = 0;
     for (intnat r = h << rs; r < r1; r++) {
-      intnat k0 = Long_val(Field(vrow_ptr, r)), k1 = Long_val(Field(vrow_ptr, r + 1));
+      intnat k0 = row_ptr[r], k1 = row_ptr[r + 1];
       if (k0 >= k1) continue;
       uint64_t row = 0;
       for (intnat k = k0; k < k1; k++) {
-        uint64_t c = (uint64_t)Long_val(Field(vcol_idx, k));
+        uint64_t c = (uint64_t)col_idx[k];
         row = gl_add(row, gl_mul(gl_mul(vals[k], col_hi[c >> cs]), col_lo[c & cmask]));
       }
       blk = gl_add(blk, gl_mul(row_lo[r & rmask], row));

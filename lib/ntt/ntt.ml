@@ -25,13 +25,6 @@ module type S = sig
   val butterfly_count : int -> int
 end
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
-let log2_exact n =
-  if not (is_pow2 n) then invalid_arg "Ntt: size must be a power of two";
-  let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
-  go 0 n
-
 module Make (F : FIELD) : S with type elt = F.t = struct
   type elt = F.t
 
@@ -51,7 +44,7 @@ module Make (F : FIELD) : S with type elt = F.t = struct
   let plans_lock = Mutex.create ()
 
   let make_plan n =
-    let log_n = log2_exact n in
+    let log_n = Zk_util.Pow2.log2_exact "Ntt" n in
     if log_n > F.two_adicity then invalid_arg "Ntt.plan: size exceeds 2-adicity";
     let w = F.root_of_unity log_n in
     let w_inv = F.inv w in
@@ -90,7 +83,7 @@ module Make (F : FIELD) : S with type elt = F.t = struct
 
   let bit_reverse_permute a =
     let n = Array.length a in
-    let log_n = log2_exact n in
+    let log_n = Zk_util.Pow2.log2_exact "Ntt" n in
     for i = 0 to n - 1 do
       (* Reverse the low log_n bits of i. *)
       let rec rev acc k x =
@@ -143,7 +136,7 @@ module Make (F : FIELD) : S with type elt = F.t = struct
     forward p b;
     b
 
-  let butterfly_count n = n / 2 * log2_exact n
+  let butterfly_count n = n / 2 * Zk_util.Pow2.log2_exact "Ntt" n
 end
 
 module Gf_ntt = Make (Zk_field.Gf)
@@ -225,7 +218,7 @@ module Gf_fv = struct
   }
 
   let plan n =
-    let t = Gf_twiddles.get (log2_exact n) in
+    let t = Gf_twiddles.get (Zk_util.Pow2.log2_exact "Ntt" n) in
     { n; twiddles = t.Gf_twiddles.pow; inv_twiddles = t.Gf_twiddles.inv_pow;
       n_inv = t.Gf_twiddles.n_inv }
 

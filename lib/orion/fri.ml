@@ -8,6 +8,7 @@ module Spill = Nocap_vec.Spill
 module Pool = Nocap_parallel.Pool
 module Native = Nocap_native.Native
 module E = Zk_pcs.Verify_error
+module Pow2 = Zk_util.Pow2
 
 type params = { blowup_log2 : int; num_queries : int }
 
@@ -26,11 +27,6 @@ type proof = {
   final_constant : Gf.t;
   queries : queries;
 }
-
-let log2_exact n =
-  if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Fri: size must be a power of two";
-  let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
-  go 0 n
 
 (* The per-query and per-layer arrays agree with each other and with the
    buffers, and every root is a digest. A decoder only ever builds such
@@ -93,7 +89,7 @@ let commit_layer ~budget layer =
 let fold_layer ~shift ~budget layer beta ~dst =
   let half = Spill.length layer / 2 in
   if half < 2 || Spill.length dst <> half then invalid_arg "Fri.fold_layer: lengths";
-  let w_inv = Gf.inv (Gf.root_of_unity (log2_exact (Spill.length layer))) in
+  let w_inv = Gf.inv (Gf.root_of_unity (Pow2.log2_exact "Fri" (Spill.length layer))) in
   let shift_inv = Gf.inv shift in
   Spill.walk ~rows:half ~block:(Spill.block_rows ~budget ~row_bytes:(8 * 3) half)
     ~read:[ (layer, 0, 1); (layer, half, 1) ]
@@ -269,7 +265,7 @@ let check_queries ~shift ~roots ~domain_log2 ~challenges ~positions ~final_const
 
 let prove ?(shift = Gf.one) params transcript coeffs =
   let n = Array.length coeffs in
-  let log_n = log2_exact n in
+  let log_n = Pow2.log2_exact "Fri" n in
   let domain = n lsl params.blowup_log2 in
   Transcript.absorb_int transcript "fri/degree" n;
   Transcript.absorb_int transcript "fri/blowup" params.blowup_log2;
@@ -303,7 +299,7 @@ let prove ?(shift = Gf.one) params transcript coeffs =
   }
 
 let verify ?(shift = Gf.one) params transcript ~degree_bound proof =
-  let log_n = log2_exact degree_bound in
+  let log_n = Pow2.log2_exact "Fri" degree_bound in
   if Array.length proof.layer_roots <> log_n + 1 then E.error E.Shape "wrong number of layers"
   else begin
     Transcript.absorb_int transcript "fri/degree" degree_bound;

@@ -76,10 +76,6 @@ val verify :
 val proof_size_bytes : proof -> int
 
 
-val log2_exact : int -> int
-(** [log2_exact n] is [k] with [n = 2^k].
-    @raise Invalid_argument unless [n] is a positive power of two. *)
-
 (** {2 Shared folding and query machinery}
 
     One layer step, {!fold_layer}, serves {!prove} and each round of

@@ -66,7 +66,7 @@ let num_queries p = Array.length p.queries.Fri.positions
    drives both the sumcheck tables and the codeword. *)
 let monomial_coeffs_into table (dst : Fv.t) =
   let n = Array.length table in
-  let l = Fri.log2_exact n in
+  let l = Zk_util.Pow2.log2_exact "Fri" n in
   if Fv.length dst < n then invalid_arg "Fri_pcs.monomial_coeffs_into: destination too short";
   Fv.write_array table ~src_pos:0 dst ~dst_pos:0 ~len:n;
   (* Evaluations to multilinear monomial coefficients in place, one
@@ -105,7 +105,7 @@ let commit ?engine params rng table =
   | Error e -> invalid_arg ("Fri_pcs.commit: " ^ param_error_to_string e));
   ignore (rng : Zk_util.Rng.t); (* non-hiding backend: no masks to draw *)
   let n = Array.length table in
-  let num_vars = Fri.log2_exact n in
+  let num_vars = Zk_util.Pow2.log2_exact "Fri" n in
   let domain = n lsl params.blowup_log2 in
   (* Layer-0 codeword: the flat NTT of the zero-padded coefficients. *)
   let evals = Fv.create domain in

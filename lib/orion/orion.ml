@@ -6,6 +6,7 @@ module Transcript = Zk_hash.Transcript
 module Pool = Nocap_parallel.Pool
 module Fv = Nocap_vec.Fv
 module Spill = Nocap_vec.Spill
+module Pow2 = Zk_util.Pow2
 
 type params = {
   rows : int;
@@ -86,11 +87,6 @@ let well_formed p =
   && Array.for_all (fun l -> l >= 0) p.path_len
   && Runs.sum p.col_height = Fv.length p.col_values
   && 4 * Runs.sum p.path_len = Fv.length p.paths
-
-let log2_exact n =
-  if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Orion: size must be a power of two";
-  let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
-  go 0 n
 
 (* Commit over a flat-element producer: [read ~pos dst] must fill [dst]
    with elements [pos, pos + length dst) of the table (row-major
@@ -178,7 +174,7 @@ let commit ?engine params rng table =
   commit_stream
     ?budget_bytes:(Option.bind engine Zk_pcs.Engine.stream_budget_bytes)
     params rng
-    ~num_vars:(log2_exact (Array.length table))
+    ~num_vars:(Pow2.log2_exact "Orion" (Array.length table))
     ~read:(fun ~pos dst -> Fv.write_array table ~src_pos:pos dst ~dst_pos:0 ~len:(Fv.length dst))
 
 let free_committed c =
@@ -192,7 +188,7 @@ let absorb_commitment transcript (cm : commitment) =
 
 let split_point (cm : commitment) point =
   if Array.length point <> cm.num_vars then invalid_arg "Orion.split_point: dimension";
-  let log_rows = log2_exact cm.mat_rows in
+  let log_rows = Pow2.log2_exact "Orion" cm.mat_rows in
   (Array.sub point 0 log_rows, Array.sub point log_rows (cm.num_vars - log_rows))
 
 let code_length params (cm : commitment) =

@@ -16,7 +16,7 @@ let params = Fri.default_params
 
 let trace_of ~n ~a0 ~a1 =
   if n < 4 then invalid_arg "Stark.trace_of: n >= 4";
-  ignore (Fri.log2_exact n);
+  ignore (Zk_util.Pow2.log2_exact "Fri" n);
   let t = Array.make n Gf.zero in
   t.(0) <- a0;
   t.(1) <- a1;
@@ -78,7 +78,7 @@ let prove ~n ~a0 ~a1 =
   let tree = commit_trace lde in
   let transcript = start_transcript ~n ~a0 ~a1 ~last (Merkle.root tree) in
   let alphas = Transcript.challenge_gf_vec transcript "alphas" 4 in
-  let w = Gf.root_of_unity (Fri.log2_exact domain) in
+  let w = Gf.root_of_unity (Zk_util.Pow2.log2_exact "Fri" domain) in
   let g = Gf.pow w 4L in
   (* Composition evaluations over the coset. *)
   let f = Fv.create domain in
@@ -130,7 +130,7 @@ let verify ~n ~a0 ~a1 ~claimed_last proof =
   (* Opening [k = 6q + i] is value [k] and the [depth] digests from lane
      [4 * depth * k]. Buffers that stop before query [nq - 1] or run past
      it hold the wrong number of openings. *)
-  let depth = Fri.log2_exact domain (* one trace leaf per LDE point *) in
+  let depth = Zk_util.Pow2.log2_exact "Fri" domain (* one trace leaf per LDE point *) in
   let path_lanes = 4 * depth in
   let queries_in len per = (len + per - 1) / per in
   let* () =

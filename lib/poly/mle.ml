@@ -25,8 +25,7 @@ let eq_table_into point ~lo dst =
     invalid_arg "Mle.eq_table_into: length must be a positive power of two";
   if len > n || lo mod len <> 0 || lo < 0 || lo + len > n then
     invalid_arg "Mle.eq_table_into: block must be aligned and in range";
-  let rec log2 m = if m = 1 then 0 else 1 + log2 (m lsr 1) in
-  let k = l - log2 len in
+  let k = l - Zk_util.Pow2.log2_floor len in
   let m = lo / len in
   let prefix = ref Gf.one in
   for i = 0 to k - 1 do

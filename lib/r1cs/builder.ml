@@ -1,4 +1,5 @@
 module Gf = Zk_field.Gf
+module Fv = Nocap_vec.Fv
 
 type var = Witness of int | Io of int
 
@@ -27,17 +28,61 @@ module Vec = struct
   let to_array v = Array.sub v.data 0 v.len
 end
 
+(* One matrix's terms as flat triplets, rows in constraint order, grown
+   by doubling. A column is a witness index [i], or [lnot i] for io slot
+   [i] until [finalize] knows where the io half starts. *)
+module Terms = struct
+  type t = {
+    mutable rows : Sparse.ints;
+    mutable cols : Sparse.ints;
+    mutable vals : Fv.t;
+    mutable len : int;
+  }
+
+  let create () =
+    let ints () = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 64 in
+    { rows = ints (); cols = ints (); vals = Fv.create 64; len = 0 }
+
+  (* A copy twice as long: [ints] and [Fv.t] are both Bigarrays. *)
+  let grow a =
+    let n = Bigarray.Array1.dim a in
+    let b = Bigarray.Array1.create (Bigarray.Array1.kind a) Bigarray.c_layout (2 * n) in
+    Bigarray.Array1.blit a (Bigarray.Array1.sub b 0 n);
+    b
+
+  let push t row col v =
+    if t.len = Fv.length t.vals then begin
+      t.rows <- grow t.rows;
+      t.cols <- grow t.cols;
+      t.vals <- grow t.vals
+    end;
+    Bigarray.Array1.unsafe_set t.rows t.len row;
+    Bigarray.Array1.unsafe_set t.cols t.len col;
+    Fv.unsafe_set t.vals t.len v;
+    t.len <- t.len + 1
+
+  (* The io tags resolve into a copy of the columns, so the builder can
+     take more constraints and be finalized again. *)
+  let to_sparse t ~n =
+    let cols = Bigarray.Array1.create Bigarray.int Bigarray.c_layout t.len in
+    for i = 0 to t.len - 1 do
+      let c = Bigarray.Array1.unsafe_get t.cols i in
+      Bigarray.Array1.unsafe_set cols i (if c < 0 then (n / 2) + lnot c else c)
+    done;
+    Sparse.of_triplets ~nrows:n ~ncols:n (Bigarray.Array1.sub t.rows 0 t.len) cols
+      (Fv.sub_view t.vals ~pos:0 ~len:t.len)
+end
+
 type t = {
   wvals : Vec.t;
   iovals : Vec.t;
-  mutable constraints : (lc * lc * lc) list; (* reversed *)
+  terms : Terms.t array; (* A, B, C *)
   mutable n_constraints : int;
 }
 
 let create () =
-  let b =
-    { wvals = Vec.create (); iovals = Vec.create (); constraints = []; n_constraints = 0 }
-  in
+  let terms = Array.init 3 (fun _ -> Terms.create ()) in
+  let b = { wvals = Vec.create (); iovals = Vec.create (); terms; n_constraints = 0 } in
   ignore (Vec.push b.iovals Gf.one);
   b
 
@@ -70,41 +115,30 @@ let constrain t a b c =
     invalid_arg
       (Printf.sprintf "Builder.constrain: unsatisfied constraint %d (%s * %s <> %s)"
          t.n_constraints (Gf.to_string va) (Gf.to_string vb) (Gf.to_string vc));
-  t.constraints <- (a, b, c) :: t.constraints;
-  t.n_constraints <- t.n_constraints + 1
+  let row = t.n_constraints in
+  List.iteri
+    (fun k lc ->
+      List.iter
+        (fun (v, coeff) ->
+          Terms.push t.terms.(k) row (match v with Witness i -> i | Io i -> lnot i) coeff)
+        lc)
+    [ a; b; c ];
+  t.n_constraints <- row + 1
 
 let num_constraints t = t.n_constraints
 
 let num_witness t = t.wvals.Vec.len
 
-let next_pow2 n =
-  let rec go k = if k >= n then k else go (2 * k) in
-  go 1
-
 let finalize t =
   let nw = t.wvals.Vec.len and nio = t.iovals.Vec.len in
-  let half_min = next_pow2 (max 1 (max nw nio)) in
-  let n = next_pow2 (max (max 2 t.n_constraints) (2 * half_min)) in
+  let half_min = 1 lsl Zk_util.Pow2.log2_ceil (max 1 (max nw nio)) in
+  let log_size = Zk_util.Pow2.log2_ceil (max (max 2 t.n_constraints) (2 * half_min)) in
+  let n = 1 lsl log_size in
   let half = n / 2 in
-  let col = function Witness i -> i | Io i -> half + i in
-  let entries_of select =
-    List.concat
-      (List.mapi
-         (fun k (a, b, c) ->
-           let row = t.n_constraints - 1 - k in
-           List.map (fun (v, coeff) -> (row, col v, coeff)) (select (a, b, c)))
-         t.constraints)
-  in
-  let a = Sparse.of_entries ~nrows:n ~ncols:n (entries_of (fun (a, _, _) -> a)) in
-  let b = Sparse.of_entries ~nrows:n ~ncols:n (entries_of (fun (_, b, _) -> b)) in
-  let c = Sparse.of_entries ~nrows:n ~ncols:n (entries_of (fun (_, _, c) -> c)) in
-  let log_size =
-    let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
-    go 0 n
-  in
+  let m k = Terms.to_sparse t.terms.(k) ~n in
   let inst =
-    R1cs.make ~a ~b ~c ~log_size ~num_constraints:t.n_constraints ~num_witness:nw
-      ~num_io:nio
+    R1cs.make ~a:(m 0) ~b:(m 1) ~c:(m 2) ~log_size ~num_constraints:t.n_constraints
+      ~num_witness:nw ~num_io:nio
   in
   let pad vec =
     let arr = Array.make half Gf.zero in

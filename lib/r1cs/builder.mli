@@ -34,7 +34,10 @@ val lc_add : lc -> lc -> lc
 val lc_value : t -> lc -> Zk_field.Gf.t
 
 val constrain : t -> lc -> lc -> lc -> unit
-(** [constrain t a b c] adds the constraint [<a,z> * <b,z> = <c,z>].
+(** [constrain t a b c] adds the constraint [<a,z> * <b,z> = <c,z>] as the
+    next row: each term of [a], [b] and [c] is appended to that matrix's
+    flat (row, column, coefficient) triplets, the column tagged witness or
+    io until {!finalize} places the io half.
     @raise Invalid_argument if the current assignment violates it (catching
     circuit bugs at construction time). *)
 
@@ -43,4 +46,6 @@ val num_witness : t -> int
 
 val finalize : t -> R1cs.instance * R1cs.assignment
 (** Pad to the next valid power-of-two square instance and return it with its
-    satisfying assignment. *)
+    satisfying assignment. Each matrix is one {!Sparse.of_triplets} over
+    the builder's triplets (rows in constraint order; repeated terms
+    summed, cancelling ones dropped). *)

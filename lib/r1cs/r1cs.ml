@@ -4,7 +4,7 @@ type instance = {
   a : Sparse.t;
   b : Sparse.t;
   c : Sparse.t;
-  columns : Sparse.Csc.t array;
+  columns : Sparse.t array;
   digest : Zk_hash.Keccak.digest;
   log_size : int;
   num_constraints : int;
@@ -15,7 +15,8 @@ type instance = {
 type assignment = { w : Gf.t array; io : Gf.t array }
 
 (* The hashed layout [make]'s documentation pins, written into one
-   exact-size buffer straight from the CSR arrays. *)
+   exact-size buffer straight from the CSR arrays (unchecked loads at the
+   concrete [Sparse.ints] type). *)
 let digest_of ~log_size mats =
   let header = Printf.sprintf "r1cs:%d:" log_size in
   let size =
@@ -28,10 +29,12 @@ let digest_of ~log_size mats =
     (fun (tag, (m : Sparse.t)) ->
       Bytes.set buf !pos tag;
       incr pos;
+      let row_ptr = m.Sparse.row_ptr and col_idx = m.Sparse.col_idx in
       for r = 0 to m.Sparse.nrows - 1 do
-        for k = m.Sparse.row_ptr.(r) to m.Sparse.row_ptr.(r + 1) - 1 do
+        for k = Bigarray.Array1.unsafe_get row_ptr r
+            to Bigarray.Array1.unsafe_get row_ptr (r + 1) - 1 do
           Bytes.set_int64_le buf !pos (Int64.of_int r);
-          Bytes.set_int64_le buf (!pos + 8) (Int64.of_int m.Sparse.col_idx.(k));
+          Bytes.set_int64_le buf (!pos + 8) (Int64.of_int (Bigarray.Array1.unsafe_get col_idx k));
           Bytes.set_int64_le buf (!pos + 16)
             (Gf.to_int64 (Nocap_vec.Fv.unsafe_get m.Sparse.values k));
           pos := !pos + 24
@@ -53,7 +56,7 @@ let make ~a ~b ~c ~log_size ~num_constraints ~num_witness ~num_io =
   let half = n / 2 in
   if num_constraints > n || num_witness > half || num_io > half || num_io < 1 then
     invalid_arg "R1cs.make: counts out of range";
-  let columns = Array.map Sparse.Csc.of_csr [| a; b; c |] in
+  let columns = Array.map Sparse.transpose [| a; b; c |] in
   (* Eager, not lazy: domains sharing an instance never race to force it. *)
   let digest = digest_of ~log_size [ ('A', a); ('B', b); ('C', c) ] in
   { a; b; c; columns; digest; log_size; num_constraints; num_witness; num_io }

@@ -12,9 +12,9 @@
 
     An instance is preprocessed once: {!make} is its only constructor, and
     it takes ownership of the three matrices. Everything that depends only
-    on the circuit — the column-major copies ([columns]) and the binding
-    digest ([digest]) — is computed there and never again, so every proof
-    and every verification on one circuit shares it. The matrices are
+    on the circuit — the transposes ([columns]) and the binding digest
+    ([digest]) — is computed there and never again, so every proof and
+    every verification on one circuit shares it. The matrices are
     frozen after [make]: their arrays are mutable, but nothing may write
     them, or [columns] and [digest] would describe a different circuit
     from the one the prover and verifier read. Nothing in this library
@@ -25,8 +25,9 @@ type instance = private {
   a : Sparse.t;
   b : Sparse.t;
   c : Sparse.t;
-  columns : Sparse.Csc.t array;
-      (* A, B, C column-major, built once by [make] for the prover's M~ *)
+  columns : Sparse.t array;
+      (* A^T, B^T, C^T ({!Sparse.transpose}), built once by [make] for the
+         prover's M~ gather *)
   digest : Zk_hash.Keccak.digest;
       (* SHA3-256 of the matrices, hashed once by [make]; see {!make} *)
   log_size : int; (* matrices are 2^log_size x 2^log_size, >= 1 *)
@@ -47,10 +48,10 @@ val make :
   num_witness:int ->
   num_io:int ->
   instance
-(** Validates dimensions, builds [columns] and hashes [digest], in
-    O(nnz + 2^log_size). The matrices must already be [2^log_size] square,
-    and the instance owns them from here on (see the frozen-after-[make]
-    contract above).
+(** Validates dimensions, transposes the matrices into [columns] and
+    hashes [digest], in O(nnz + 2^log_size). The matrices must already be
+    [2^log_size] square, and the instance owns them from here on (see the
+    frozen-after-[make] contract above).
 
     [digest] is the SHA3-256 of ["r1cs:<log_size>:"] followed, for A, B
     and C in turn, by the matrix tag (['A'], ['B'], ['C']) and one

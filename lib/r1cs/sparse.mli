@@ -1,22 +1,40 @@
 (** Sparse matrices in compressed-sparse-row form, and the SpMV task of
-    Sec. V-A. The R1CS matrices A, B, C are "limited-bandwidth" — most
-    nonzeros sit near the diagonal — which is what lets NoCap stream them with
-    good vector reuse; {!bandwidth_profile} measures that property so the
-    performance model can exploit it. *)
+    Sec. V-A. There is one type and one constructor ({!of_triplets}); a
+    column-major view is the CSR of the {!transpose}. The R1CS matrices A,
+    B, C are "limited-bandwidth" — most nonzeros sit near the diagonal —
+    which is what lets NoCap stream them with good vector reuse;
+    {!bandwidth_profile} measures that property so the performance model
+    can exploit it. *)
+
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Matrix indices: native ints off the OCaml heap. *)
 
 type t = private {
   nrows : int;
   ncols : int;
-  row_ptr : int array; (* length nrows + 1 *)
-  col_idx : int array;
+  row_ptr : ints; (* length nrows + 1 *)
+  col_idx : ints; (* ascending within each row *)
   values : Nocap_vec.Fv.t; (* unboxed: 8 bytes a nonzero, nothing the GC scans *)
 }
+(** The one sparse type. A matrix is [(nrows + 1 + 2 * nnz) * 8] resident
+    bytes (plus 16 for each triplet {!of_triplets} merged away), none of
+    it scanned by the GC. *)
 
-val of_entries : nrows:int -> ncols:int -> (int * int * Zk_field.Gf.t) list -> t
-(** Build from (row, col, value) triples. Duplicate (row, col) entries are
-    summed; zero values are dropped. *)
+val of_triplets : nrows:int -> ncols:int -> ints -> ints -> Nocap_vec.Fv.t -> t
+(** [of_triplets ~nrows ~ncols rows cols values] is the matrix whose entry
+    [(rows.{i}, cols.{i})] is [values.(i)], in any order: entries at one
+    position are summed, then sums that are zero are dropped. The layout is
+    canonical — row-major, columns ascending within each row — so equal
+    matrices have equal fields. Two stable counting sorts (by column, then
+    by row) and one merge pass: O(nnz + nrows + ncols). The inputs are only
+    read.
+    @raise Invalid_argument if the three lengths differ or an entry is
+    out of bounds. *)
 
 val nnz : t -> int
+
+val transpose : t -> t
+(** [m^T], through {!of_triplets}. [transpose (transpose m) = m]. *)
 
 val spmv_into : t -> x:Nocap_vec.Fv.t -> r_lo:int -> Nocap_vec.Fv.t -> unit
 (** [spmv_into m ~x ~r_lo dst] writes rows [r_lo, r_lo + Fv.length dst)
@@ -25,40 +43,20 @@ val spmv_into : t -> x:Nocap_vec.Fv.t -> r_lo:int -> Nocap_vec.Fv.t -> unit
     @raise Invalid_argument if [x] is shorter than [ncols] or the row
     window is out of range. *)
 
-(** Column-major (CSC) copies, for the prover's second-sumcheck table:
-    Spartan's M~ is a transpose product, so it is gathered one column at
-    a time. Everything is off the OCaml heap — [Bigarray] int column
-    pointers and row indices, [Fv] values — so a copy is
-    [(ncols + 1 + 2 * nnz) * 8] resident bytes and nothing the GC scans. *)
-module Csc : sig
-  type csr := t
-  type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-  type t = private {
-    nrows : int;
-    ncols : int;
-    col_ptr : ints; (* length ncols + 1 *)
-    row_idx : ints; (* ascending within each column *)
-    values : Nocap_vec.Fv.t;
-  }
-
-  val of_csr : csr -> t
-  (** The transpose layout of a CSR matrix, in O(nnz + nrows + ncols). *)
-
-  val gather_acc :
-    t -> hi:Nocap_vec.Fv.t -> lo:Nocap_vec.Fv.t -> c_lo:int -> Nocap_vec.Fv.t -> unit
-  (** [gather_acc m ~hi ~lo ~c_lo dst] adds columns
-      [c_lo, c_lo + Fv.length dst) of [m^T y] into [dst], where [y] is the
-      tensor product [y(r) = hi.(r lsr s) * lo.(r land (2^s - 1))] and
-      [2^s = Fv.length lo] (a power of two; [lo = \[1\]] makes [y = hi]).
-      Two multiplications per in-window nonzero, and each column is summed
-      in a register and stored once. With [hi]/[lo] the eq tables of a
-      point's top and bottom variables, [y] is that point's full eq
-      table, never materialized.
-      @raise Invalid_argument if [lo] is not a power of two long, if
-      [hi x lo] covers fewer than [nrows] rows, or if the window is out
-      of range. *)
-end
+val gather_acc :
+  t -> hi:Nocap_vec.Fv.t -> lo:Nocap_vec.Fv.t -> r_lo:int -> Nocap_vec.Fv.t -> unit
+(** [gather_acc m ~hi ~lo ~r_lo dst] adds rows [r_lo, r_lo + Fv.length dst)
+    of [m y] into [dst], where [y] is the tensor product
+    [y(c) = hi.(c lsr s) * lo.(c land (2^s - 1))] and [2^s = Fv.length lo]
+    (a power of two; [lo = \[1\]] makes [y = hi]). Two multiplications per
+    in-window nonzero, and each row is summed in a register and stored
+    once. On a {!transpose}, rows are the original's columns: this is the
+    prover's M~ gather, Spartan's transpose product against a point's eq
+    table (with [hi]/[lo] the eq tables of the point's top and bottom
+    variables), never materializing that table.
+    @raise Invalid_argument if [lo] is not a power of two long, if
+    [hi x lo] covers fewer than [ncols] entries, or if the window is out
+    of range. *)
 
 val entries : t -> (int * int * Zk_field.Gf.t) Seq.t
 (** All nonzero entries in row-major order. *)

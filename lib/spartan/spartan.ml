@@ -104,8 +104,8 @@ let scaled_by_abc hi r_abc =
       v)
     r_abc
 
-(* Column-blocked M~ table, gathered from the column-major A, B, C:
-   M~(y) = sum over column y's entries (row, v) of
+(* Column-blocked M~ table, gathered row by row from the transposes of
+   A, B, C: M~(y) = sum over column y's entries (row, v) of
    v * hi_k(row lsr s) * lo(row land (2^s - 1)), with (hi, lo, s) r_x's
    [Mle.eq_split] and hi_k = r_abc.(k) * hi. Two sqrt(n)-sized tables
    replace the full eq(r_x, .) vector, so a fill costs O(nnz + n) for
@@ -125,7 +125,7 @@ let fill_m ~budget inst ~rx ~r_abc =
           let dst = Fv.sub_view dsts.(0) ~pos:j0 ~len:(j1 - j0) in
           Fv.zero dst;
           Array.iteri
-            (fun k csc -> Sparse.Csc.gather_acc csc ~hi:his.(k) ~lo ~c_lo:(c_lo + j0) dst)
+            (fun k mt -> Sparse.gather_acc mt ~hi:his.(k) ~lo ~r_lo:(c_lo + j0) dst)
             inst.R1cs.columns));
   m
 

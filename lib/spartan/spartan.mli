@@ -170,11 +170,11 @@ val fill_m :
   Nocap_vec.Spill.t
 (** The second sumcheck's table
     [M~(y) = sum_x eq(rx, x) * (rA * A(x,y) + rB * B(x,y) + rC * C(x,y))],
-    gathered column by column from the instance's column-major copies
-    ({!Zk_r1cs.Sparse.Csc.gather_acc}) with [eq(rx, x)] split by
-    {!Zk_poly.Mle.eq_split}, as the verifier's {!abc_eval} splits it.
-    O(nnz + n) for every [budget]; each window is
-    split across the pool.
+    gathered column by column as rows of the instance's transposes
+    ([columns], one {!Zk_r1cs.Sparse.gather_acc} each) with [eq(rx, x)]
+    split by {!Zk_poly.Mle.eq_split}, as the verifier's {!abc_eval} splits
+    it. O(nnz + n) for every [budget]; each window is split across the
+    pool.
     @raise Invalid_argument unless [rx] has [log_size] entries and [r_abc]
     three. *)
 

@@ -45,11 +45,6 @@ let comb_mults = function
   | Product -> 1
   | Eq_abc_batch rho -> 2 * Array.length rho
 
-let log2_exact n =
-  if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Sumcheck: table size must be a power of two";
-  let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
-  go 0 n
-
 module Native = Nocap_native.Native
 
 (* The native kernel's sums land in this domain's four-entry buffer. *)
@@ -243,7 +238,7 @@ let prove ?budget_bytes ?(framing = default_framing) transcript ~tables ~comb =
   let k = Array.length tables in
   check_tables "Sumcheck.prove" comb ~len:Spill.length tables;
   let n = Spill.length tables.(0) in
-  let num_vars = log2_exact n in
+  let num_vars = Zk_util.Pow2.log2_exact "Sumcheck" n in
   let mults = ref 0 and adds = ref 0 in
   let claim = ref Gf.zero in
   let round_polys = Array.make num_vars [||] in

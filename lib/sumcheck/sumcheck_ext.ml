@@ -13,12 +13,6 @@ type prover_result = {
 
 type verifier_result = { point : Gf2.t array; value : Gf2.t }
 
-let log2_exact n =
-  if n <= 0 || n land (n - 1) <> 0 then
-    invalid_arg "Sumcheck_ext: table size must be a power of two";
-  let rec go k m = if m = 1 then k else go (k + 1) (m lsr 1) in
-  go 0 n
-
 let absorb_gf2 transcript label (v : Gf2.t array) =
   let flat = Array.concat (Array.to_list (Array.map (fun x -> [| x.Gf2.c0; x.Gf2.c1 |]) v)) in
   Transcript.absorb_gf transcript label flat
@@ -32,7 +26,7 @@ let prove transcript ~degree ~tables ~comb ~comb_mults ~claim =
   let k = Array.length tables in
   if k = 0 then invalid_arg "Sumcheck_ext.prove: no tables";
   let n = Array.length tables.(0) in
-  let num_vars = log2_exact n in
+  let num_vars = Zk_util.Pow2.log2_exact "Sumcheck_ext" n in
   Transcript.absorb_int transcript "sumcheck-ext/num_vars" num_vars;
   Transcript.absorb_int transcript "sumcheck-ext/degree" degree;
   Transcript.absorb_gf transcript "sumcheck-ext/claim" [| claim |];
@@ -137,7 +131,7 @@ let verify transcript ~degree ~num_vars ~claim proof =
   end
 
 let eval_mle_ext table point =
-  let l = log2_exact (Array.length table) in
+  let l = Zk_util.Pow2.log2_exact "Sumcheck_ext" (Array.length table) in
   if Array.length point <> l then invalid_arg "Sumcheck_ext.eval_mle_ext";
   let cur = ref (Array.map Gf2.of_base table) in
   Array.iter

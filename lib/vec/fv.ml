@@ -104,11 +104,6 @@ let axpy_into ~dst c src =
   check2 "Fv.axpy_into" dst src;
   Native.fv_axpy dst c src
 
-(* dst <- a + c * (b - a) : the sumcheck fold and round-point kernel. *)
-let lerp_into ~dst a b c =
-  check3 "Fv.lerp_into" dst a b;
-  Native.fv_lerp dst a b c
-
 let fold f init (v : t) =
   let acc = ref init in
   for i = 0 to length v - 1 do

@@ -57,12 +57,6 @@ val axpy_into : dst:t -> Gf.t -> t -> unit
 (** [axpy_into ~dst c src]: [dst.(i) <- dst.(i) + c * src.(i)] — the inner
     loop of Orion's row combination. *)
 
-val lerp_into : dst:t -> t -> t -> Gf.t -> unit
-(** [lerp_into ~dst a b c]: [dst.(i) <- a.(i) + c * (b.(i) - a.(i))] — the
-    line through [(0, a)] and [(1, b)] at [t = c]: the sumcheck fold (at
-    the challenge, usually with [dst == a]) and the round polynomial's
-    evaluation points [t >= 2]. *)
-
 val fold : ('a -> Gf.t -> 'a) -> 'a -> t -> 'a
 
 val sum : t -> Gf.t

@@ -145,7 +145,7 @@ let walk_queries ~shift ~roots ~domain_log2 ~challenges ~positions ~final_consta
    {!walk_queries}. *)
 let fri_verify ~shift (params : Fri.params) transcript ~degree_bound ~layer_roots
     ~final_constant queries =
-  let log_n = Fri.log2_exact degree_bound in
+  let log_n = Zk_util.Pow2.log2_exact "Fri" degree_bound in
   if Array.length layer_roots <> log_n + 1 then E.error E.Shape "wrong number of layers"
   else begin
     Transcript.absorb_int transcript "fri/degree" degree_bound;

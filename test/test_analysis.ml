@@ -65,7 +65,7 @@ let test_spmv_programs_clean () =
       List.init nnz (fun _ ->
           (Rng.int rng n, Rng.int rng n, Gf.of_int (1 + Rng.int rng 1000)))
     in
-    let m = Sparse.of_entries ~nrows:n ~ncols:n entries in
+    let m = Sparse_oracle.of_list ~nrows:n ~ncols:n entries in
     let name = Printf.sprintf "spmv-%d" trial in
     let v = Corpus.verify Config.default (Corpus.of_spmv ~name ~vector_len:k m) in
     Alcotest.(check bool) (name ^ " clean: " ^ Corpus.summary v) true (Corpus.clean v);
@@ -446,6 +446,35 @@ let test_circuits_clean () =
         Alcotest.failf "%s report inconsistent: %s" e.Circuit_corpus.name msg)
     Circuit_corpus.entries
 
+(* Every corpus circuit's instance digest at scale 1, pinned. The digest
+   hashes each matrix entry by entry, so these bytes guard the gadget
+   circuits' row order, the merging of repeated terms and the dropping of
+   terms that cancel — the synthetic proof goldens exercise none of
+   those. *)
+let corpus_digests =
+  [
+    ("aes128", "e42fc9614875738ce7911ef051f9b8501c9ccb25ef318a1c4f92405d00de4677");
+    ("sha256", "5c3e1b04c3c30c57d2585b40aeca36f93944313a7482dd032452b2e05df15f71");
+    ("keccak", "72503f1f637cf2d2adb82c7ab3e9c44db8c3a1cdab711b410aa608f7230bbb8b");
+    ("cipher", "14e73cf8252b34191ec7f3731dd3851b701cb02552b73f7cc77139ade81b71a9");
+    ("modexp", "4a20d8fca9b700185be17e5c6c84a57563743a91fc51cf67ec0039f24c6aca0d");
+    ("auction", "0c4b5c14bfa20f0112063f3084f6d2b435508288a4b995a197e86b932f16f078");
+    ("ml_inference", "d49877e8b4b12324c504097b50f1a7ce566549dc324b209e6f4d14925615eee3");
+    ("verifiable_db", "6abe3a51979d620639c52cb2f3696804b228a5e2b95296cd407efd0bcc0e41a2");
+    ("synthetic", "a71203ad44890338a50170fc42cdd8a4c5b460706339ee0067b414f6b4787136");
+  ]
+
+let test_corpus_digests () =
+  Alcotest.(check (list string)) "every corpus entry is pinned" Circuit_corpus.names
+    (List.map fst corpus_digests);
+  List.iter
+    (fun (e : Circuit_corpus.entry) ->
+      let inst, _ = e.Circuit_corpus.generate ~scale:1 in
+      Alcotest.(check string) e.Circuit_corpus.name
+        (List.assoc e.Circuit_corpus.name corpus_digests)
+        (Zk_hash.Keccak.to_hex (Zk_spartan.Spartan.instance_digest inst)))
+    Circuit_corpus.entries
+
 (* --- circuit linter: hand-built defects --- *)
 
 let lint_builder f =
@@ -499,7 +528,7 @@ let test_unsatisfied_and_trivial () =
   (* Builder.constrain refuses violated constraints, so assemble the broken
      instances directly: side 4 (log_size 2), w = [w0; _], io = [1; _]. *)
   let mk ea eb ec ~nc =
-    let m e = Sparse.of_entries ~nrows:4 ~ncols:4 e in
+    let m e = Sparse_oracle.of_list ~nrows:4 ~ncols:4 e in
     R1cs.make ~a:(m ea) ~b:(m eb) ~c:(m ec) ~log_size:2 ~num_constraints:nc
       ~num_witness:1 ~num_io:1
   in
@@ -835,6 +864,7 @@ let suite =
     Alcotest.test_case "fuzz: reads/writes observed" `Quick test_fuzz_reads_writes_observed;
     Alcotest.test_case "VM errors carry instruction index" `Quick test_vm_error_index;
     Alcotest.test_case "circuit corpus lints clean" `Slow test_circuits_clean;
+    Alcotest.test_case "circuit corpus digests pinned" `Quick test_corpus_digests;
     Alcotest.test_case "circuit linter detects injected defects" `Quick
       test_circuit_lint_detects;
     Alcotest.test_case "circuit linter: unsatisfied and trivial rows" `Quick

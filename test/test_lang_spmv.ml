@@ -128,7 +128,7 @@ let random_band_matrix rng ~n ~band ~nnz =
     let c = lo + Rng.int rng (hi - lo + 1) in
     entries := (r, c, Gf.random rng) :: !entries
   done;
-  Sparse.of_entries ~nrows:n ~ncols:n !entries
+  Sparse_oracle.of_list ~nrows:n ~ncols:n !entries
 
 let test_spmv_matches_reference () =
   let rng = Rng.create 300L in
@@ -172,7 +172,7 @@ let test_spmv_on_r1cs_matrix () =
   Array.iteri (fun i e -> Alcotest.check gf (Printf.sprintf "Az[%d]" i) e y.(i)) expected
 
 let test_spmv_rejects_bad_dims () =
-  let m = Sparse.of_entries ~nrows:12 ~ncols:12 [ (0, 0, Gf.one) ] in
+  let m = Sparse_oracle.of_list ~nrows:12 ~ncols:12 [ (0, 0, Gf.one) ] in
   Alcotest.(check bool) "non-multiple dims" true
     (try
        ignore (Spmv.compile ~vector_len:8 m);

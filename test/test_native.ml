@@ -209,9 +209,6 @@ let prop_elementwise =
             (fun dst -> Fv_oracle.scale_into ~dst a s),
             fun dst -> Fv.scale_into ~dst a s );
           ("axpy", axpy Fv_oracle.axpy_into, axpy Fv.axpy_into);
-          ( "lerp",
-            (fun dst -> Fv_oracle.lerp_into ~dst a b s),
-            fun dst -> Fv.lerp_into ~dst a b s );
         ]
       in
       List.for_all
@@ -223,37 +220,6 @@ let prop_elementwise =
               || QCheck.Test.fail_reportf "%s diverged under %s" name m.name)
             legs)
         ops)
-
-(* The raw lerp stub (the sumcheck fold and round-point kernel) against
-   the OCaml loop, under the scalar and SIMD C bodies: lengths 0..70 cover
-   every AVX2 (4-lane) and NEON (2-lane) tail, and the in-place forms the
-   fold uses (dst == a) and dst == b must read each element before
-   writing it. *)
-let prop_lerp_raw =
-  QCheck.Test.make ~count:300 ~name:"raw fv_lerp stub vs OCaml loop, aliasing and tails"
-    arb_raw_vec_pair (fun (ra, rb) ->
-      let n = Array.length ra in
-      let c = if n = 0 then 3L else rb.(n - 1) in
-      let expected =
-        Fv.of_array
-          (Array.init n (fun i -> Gf.add ra.(i) (Gf.mul c (Gf.sub rb.(i) ra.(i)))))
-      in
-      List.for_all
-        (fun m ->
-          m.run (fun () ->
-              let a = fv_of_raw ra and b = fv_of_raw rb in
-              let dst = Fv.create n in
-              Native.fv_lerp dst a b c;
-              let fresh = fv_raw_eq expected dst in
-              Native.fv_lerp a a b c;
-              let alias_a = fv_raw_eq expected a in
-              let a = fv_of_raw ra in
-              Native.fv_lerp b a b c;
-              let alias_b = fv_raw_eq expected b in
-              (fresh && alias_a && alias_b)
-              || QCheck.Test.fail_reportf "lerp diverged under %s (n=%d)"
-                   m.name n))
-        legs)
 
 (* --- NTT / RS encode ----------------------------------------------------- *)
 
@@ -719,7 +685,7 @@ let prop_abc_eval =
             entries := (r, Rng.int rng n, Gf.random rng) :: !entries
           done
         done;
-        Zk_r1cs.Sparse.of_entries ~nrows:n ~ncols:n
+        Sparse_oracle.of_list ~nrows:n ~ncols:n
           (List.filter (fun (_, c, _) -> c <> empty) !entries)
       in
       let a = matrix ~dense_col:true in
@@ -912,7 +878,6 @@ let suite =
     Alcotest.test_case "Merkle node grain follows the lane count" `Quick test_node_grain_by_tier;
     Alcotest.test_case "gl_pow vs Gf.pow + Fermat" `Quick test_gl_pow;
     QCheck_alcotest.to_alcotest prop_elementwise;
-    QCheck_alcotest.to_alcotest prop_lerp_raw;
     Alcotest.test_case "NTT forward/inverse vs boxed Gf_ntt, all sizes" `Quick test_ntt_equiv;
     Alcotest.test_case "row-batched NTT vs boxed Gf_ntt" `Quick test_ntt_rows_equiv;
     Alcotest.test_case "RS row encode vs oracle + raw fused stub" `Quick test_rs_encode_row;

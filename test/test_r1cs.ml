@@ -19,7 +19,7 @@ let spmv (m : Sparse.t) x =
 let test_sparse_spmv () =
   (* [[1 2 0] [0 0 3] [0 0 0]] * [1 1 1] = [3 3 0] *)
   let m =
-    Sparse.of_entries ~nrows:3 ~ncols:3
+    Sparse_oracle.of_list ~nrows:3 ~ncols:3
       [ (0, 0, Gf.one); (0, 1, Gf.two); (1, 2, Gf.of_int 3) ]
   in
   let y = spmv m [| Gf.one; Gf.one; Gf.one |] in
@@ -30,7 +30,7 @@ let test_sparse_spmv () =
 
 let test_sparse_duplicates_and_zeros () =
   let m =
-    Sparse.of_entries ~nrows:2 ~ncols:2
+    Sparse_oracle.of_list ~nrows:2 ~ncols:2
       [ (0, 0, Gf.one); (0, 0, Gf.two); (1, 1, Gf.zero) ]
   in
   Alcotest.(check int) "duplicates merged, zeros dropped" 1 (Sparse.nnz m);
@@ -44,7 +44,7 @@ let test_sparse_transpose () =
   for _ = 1 to 40 do
     entries := (Rng.int rng n, Rng.int rng n, Gf.random rng) :: !entries
   done;
-  let m = Sparse.of_entries ~nrows:n ~ncols:n !entries in
+  let m = Sparse_oracle.of_list ~nrows:n ~ncols:n !entries in
   let x = Array.init n (fun _ -> Gf.random rng) in
   let y = Array.init n (fun _ -> Gf.random rng) in
   (* <y, Mx> = <M^T y, x> *)
@@ -52,43 +52,110 @@ let test_sparse_transpose () =
   Alcotest.check gf "adjoint identity" (dot y (spmv m x)) (dot (Sparse_oracle.spmv_transpose m y) x);
   Alcotest.(check (array gf)) "spmv_into = oracle" (Sparse_oracle.spmv m x) (spmv m x)
 
-(* R1cs.make's column-major copies hold exactly A, B and C's entries:
-   same dimensions, ascending rows within each column, and the same
-   (row, col, value) set. *)
+(* [m]'s fields against the oracle's, one by one, as a QCheck verdict. *)
+let same_csr name (expected : Sparse_oracle.csr) (m : Sparse.t) =
+  let got = Sparse_oracle.csr_of m in
+  let fail field = QCheck.Test.fail_reportf "%s: %s differs from the oracle" name field in
+  (expected.nrows = got.nrows && expected.ncols = got.ncols || fail "shape")
+  && (expected.row_ptr = got.row_ptr || fail "row_ptr")
+  && (expected.col_idx = got.col_idx || fail "col_idx")
+  && (Array.for_all2 Gf.equal expected.values got.values || fail "values")
+
+let swapped m = List.map (fun (r, c, v) -> (c, r, v)) (List.of_seq (Sparse.entries m))
+
+(* R1cs.make's [columns] are the transposes of A, B and C: swapped
+   dimensions and, for each entry (r, c, v), the entry (c, r, v), in the
+   canonical layout [of_triplets] builds. *)
 let test_instance_columns () =
   let inst, _ = Zk_workloads.Synthetic.circuit ~n_constraints:300 ~seed:5L () in
   List.iteri
     (fun k (m : Sparse.t) ->
-      let t = inst.R1cs.columns.(k) in
-      Alcotest.(check (pair int int)) "dimensions" (m.Sparse.nrows, m.Sparse.ncols)
-        (t.Sparse.Csc.nrows, t.Sparse.Csc.ncols);
-      Alcotest.(check int) "col_ptr length" (m.Sparse.ncols + 1)
-        (Bigarray.Array1.dim t.Sparse.Csc.col_ptr);
-      let from_csc = ref [] in
-      for c = 0 to t.Sparse.Csc.ncols - 1 do
-        for i = t.Sparse.Csc.col_ptr.{c} to t.Sparse.Csc.col_ptr.{c + 1} - 1 do
-          let r = t.Sparse.Csc.row_idx.{i} in
-          if i > t.Sparse.Csc.col_ptr.{c} then
-            Alcotest.(check bool) "rows ascend in a column" true
-              (t.Sparse.Csc.row_idx.{i - 1} < r);
-          from_csc := (r, c, Nocap_vec.Fv.get t.Sparse.Csc.values i) :: !from_csc
-        done
-      done;
-      let sorted = List.sort compare !from_csc in
-      let expected = List.of_seq (Sparse.entries m) in
-      Alcotest.(check int) "nnz" (List.length expected) (List.length sorted);
-      List.iter2
-        (fun (r, c, v) (r', c', v') ->
-          Alcotest.(check (pair int int)) "position" (r, c) (r', c');
-          Alcotest.check gf "value" v v')
-        expected sorted)
+      let expected =
+        Sparse_oracle.of_entries ~nrows:m.Sparse.ncols ~ncols:m.Sparse.nrows (swapped m)
+      in
+      Alcotest.(check bool) "columns = the oracle's transpose" true
+        (same_csr "columns" expected inst.R1cs.columns.(k)))
     [ inst.R1cs.a; inst.R1cs.b; inst.R1cs.c ]
+
+(* Random triplets on small shapes (1x1 and non-square included): any
+   order, repeated positions, explicit zeros, and values drawn so that
+   repeats often cancel to zero. *)
+let random_triplets rng =
+  let nrows = 1 + Rng.int rng 6 and ncols = 1 + Rng.int rng 6 in
+  let pool = [| Gf.zero; Gf.one; Gf.two; Gf.neg Gf.one; Gf.neg Gf.two |] in
+  let value () = if Rng.int rng 4 = 0 then Gf.random rng else pool.(Rng.int rng 5) in
+  let entries =
+    List.init (Rng.int rng 30) (fun _ -> (Rng.int rng nrows, Rng.int rng ncols, value ()))
+  in
+  (nrows, ncols, entries)
+
+let prop_of_triplets =
+  QCheck.Test.make ~count:500 ~name:"of_triplets = list oracle; transpose twice = identity"
+    QCheck.int (fun seed ->
+      let nrows, ncols, entries = random_triplets (Rng.create (Int64.of_int seed)) in
+      let m = Sparse_oracle.of_list ~nrows ~ncols entries in
+      same_csr "of_triplets" (Sparse_oracle.of_entries ~nrows ~ncols entries) m
+      && same_csr "transpose"
+           (Sparse_oracle.of_entries ~nrows:ncols ~ncols:nrows (swapped m))
+           (Sparse.transpose m)
+      && same_csr "transpose twice" (Sparse_oracle.csr_of m) (Sparse.transpose (Sparse.transpose m)))
+
+(* [gather_acc] over a transpose, on every row window, against the
+   oracle's transpose product with y = hi (x) lo, lo 1, 2 or 4 long; a
+   window adds onto what [dst] holds. *)
+let prop_gather_windows =
+  QCheck.Test.make ~count:200 ~name:"gather_acc on a transpose = spmv_transpose, every window"
+    QCheck.int (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let nrows, ncols, entries = random_triplets rng in
+      let m = Sparse_oracle.of_list ~nrows ~ncols entries in
+      let s = Rng.int rng 3 in
+      let lo = Nocap_vec.Fv.of_array (Array.init (1 lsl s) (fun _ -> Gf.random rng)) in
+      let hi =
+        Nocap_vec.Fv.of_array (Array.init (((nrows - 1) lsr s) + 1) (fun _ -> Gf.random rng))
+      in
+      let y =
+        Array.init nrows (fun r ->
+            Gf.mul (Nocap_vec.Fv.get hi (r lsr s)) (Nocap_vec.Fv.get lo (r land ((1 lsl s) - 1))))
+      in
+      let expected = Sparse_oracle.spmv_transpose m y and mt = Sparse.transpose m in
+      let base = Gf.random rng in
+      List.for_all
+        (fun r_lo ->
+          List.for_all
+            (fun r_hi ->
+              let dst = Nocap_vec.Fv.create (r_hi - r_lo) in
+              Nocap_vec.Fv.fill dst base;
+              Sparse.gather_acc mt ~hi ~lo ~r_lo dst;
+              Array.for_all2 Gf.equal
+                (Array.map (Gf.add base) (Array.sub expected r_lo (r_hi - r_lo)))
+                (Nocap_vec.Fv.to_array dst)
+              || QCheck.Test.fail_reportf "window [%d, %d) of %dx%d" r_lo r_hi nrows ncols)
+            (List.init (ncols - r_lo + 1) (fun k -> r_lo + k)))
+        (List.init (ncols + 1) Fun.id))
+
+let test_of_triplets_rejects () =
+  let ints l = Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout (Array.of_list l) in
+  let build rows cols =
+    Sparse.of_triplets ~nrows:2 ~ncols:3 (ints rows) (ints cols)
+      (Nocap_vec.Fv.of_array (Array.make (List.length cols) Gf.one))
+  in
+  List.iter
+    (fun (r, c) ->
+      Alcotest.check_raises
+        (Printf.sprintf "entry (%d, %d) of a 2x3" r c)
+        (Invalid_argument "Sparse.of_triplets: entry out of bounds")
+        (fun () -> ignore (build [ 0; r ] [ 0; c ])))
+    [ (2, 0); (0, 3); (-1, 0); (0, -1) ];
+  Alcotest.check_raises "lengths differ"
+    (Invalid_argument "Sparse.of_triplets: rows, cols and values differ in length")
+    (fun () -> ignore (build [ 0; 1 ] [ 0 ]))
 
 let test_sparse_mle_eval () =
   let rng = Rng.create 31L in
   let n = 8 in
   let m =
-    Sparse.of_entries ~nrows:n ~ncols:n
+    Sparse_oracle.of_list ~nrows:n ~ncols:n
       [ (0, 0, Gf.of_int 5); (3, 6, Gf.of_int 7); (7, 7, Gf.of_int 11) ]
   in
   let rx = Array.init 3 (fun _ -> Gf.random rng) in
@@ -102,7 +169,7 @@ let test_sparse_mle_eval () =
 
 let test_bandwidth_profile () =
   let m =
-    Sparse.of_entries ~nrows:8 ~ncols:8
+    Sparse_oracle.of_list ~nrows:8 ~ncols:8
       [ (0, 0, Gf.one); (1, 2, Gf.one); (5, 1, Gf.one) ]
   in
   let max_band, mean = Sparse.bandwidth_profile m in
@@ -302,6 +369,9 @@ let suite =
     Alcotest.test_case "sparse transpose adjoint" `Quick test_sparse_transpose;
     Alcotest.test_case "sparse MLE eval" `Quick test_sparse_mle_eval;
     Alcotest.test_case "instance columns are the transpose" `Quick test_instance_columns;
+    Alcotest.test_case "of_triplets rejects bad triplets" `Quick test_of_triplets_rejects;
+    QCheck_alcotest.to_alcotest prop_of_triplets;
+    QCheck_alcotest.to_alcotest prop_gather_windows;
     Alcotest.test_case "bandwidth profile" `Quick test_bandwidth_profile;
     Alcotest.test_case "builder simple" `Quick test_builder_simple;
     Alcotest.test_case "builder rejects bad constraint" `Quick test_builder_rejects_bad_constraint;

@@ -219,7 +219,7 @@ let random_m_instance ~l seed =
       done
     done;
     let entries = List.filter (fun (_, c, _) -> c <> empty) !entries in
-    Zk_r1cs.Sparse.of_entries ~nrows:n ~ncols:n entries
+    Sparse_oracle.of_list ~nrows:n ~ncols:n entries
   in
   let a = matrix ~dense_col:true and b = matrix ~dense_col:false in
   let c = matrix ~dense_col:false in

@@ -333,7 +333,7 @@ let random_sparse rng ~nrows ~ncols ~per_row =
       entries := (r, Rng.int rng ncols, gf_of_rng rng) :: !entries
     done
   done;
-  Sparse.of_entries ~nrows ~ncols !entries
+  Sparse_oracle.of_list ~nrows ~ncols !entries
 
 let test_spmv_ranges () =
   let rng = Rng.create 77L in
@@ -352,18 +352,19 @@ let test_spmv_ranges () =
         (Array.sub full lo (hi - lo))
         (Fv.to_array part))
     [ (0, 37); (0, 1); (36, 37); (5, 21); (17, 18) ];
-  (* Column windows of the transpose, gathered from the column-major copy
-     with y = y (x) [1]; a window accumulates onto what dst already holds. *)
-  let csc = Sparse.Csc.of_csr m in
+  (* Column windows of the transpose product, gathered as row windows of
+     the transpose with y = y (x) [1]; a window accumulates onto what dst
+     already holds. *)
+  let mt = Sparse.transpose m in
   let one = Fv.of_array [| Gf.one |] and yv = Fv.of_array y in
   let base = gf_of_rng rng in
   List.iter
     (fun (lo, hi) ->
       let part = Fv.create (hi - lo) in
       Fv.fill part base;
-      Sparse.Csc.gather_acc csc ~hi:yv ~lo:one ~c_lo:lo part;
+      Sparse.gather_acc mt ~hi:yv ~lo:one ~r_lo:lo part;
       check_gf_array
-        (Printf.sprintf "Csc.gather_acc [%d,%d)" lo hi)
+        (Printf.sprintf "gather_acc [%d,%d)" lo hi)
         (Array.map (Gf.add base) (Array.sub fullt lo (hi - lo)))
         (Fv.to_array part))
     [ (0, 29); (0, 1); (28, 29); (3, 17) ]
