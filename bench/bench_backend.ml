@@ -30,7 +30,8 @@ let measure ~smoke (module P : Pcs.S) =
   let evals = Array.init n (fun _ -> Gf.random rng) in
   let point = Array.init num_vars (fun _ -> Gf.random rng) in
   let fresh_rng () = Rng.create 0x5EED_BACCL in
-  let committed, cm = P.commit params (fresh_rng ()) evals in
+  let table = Fv.of_array evals in
+  let committed, cm = P.commit params (fresh_rng ()) table in
   let transcript () =
     let t = Transcript.create ("bench-backend-" ^ P.name) in
     P.absorb_commitment t cm;
@@ -47,7 +48,7 @@ let measure ~smoke (module P : Pcs.S) =
   | Error e ->
     failwith (Printf.sprintf "bench backend: %s rejected its own proof: %s" P.name (Zk_pcs.Verify_error.to_string e)));
   let commit_seconds =
-    Bench_report.time_best ~reps (fun () -> P.commit params (fresh_rng ()) evals)
+    Bench_report.time_best ~reps (fun () -> P.commit params (fresh_rng ()) table)
   in
   let open_seconds =
     Bench_report.time_best ~reps (fun () -> P.open_at params committed (transcript ()) point)

@@ -103,7 +103,10 @@ let kernels ~smoke rng =
   let rs_len = Reed_solomon.blowup * rs_cols in
   let rs_msgs = Array.init rs_rows (fun _ -> Array.init rs_cols (fun _ -> Gf.random rng)) in
   let rs_flat = Fv.create (rs_rows * rs_cols) in
-  Array.iteri (fun r row -> Fv.write_array row ~src_pos:0 rs_flat ~dst_pos:(r * rs_cols) ~len:rs_cols) rs_msgs;
+  Array.iteri
+    (fun r row ->
+      Fv.blit ~src:(Fv.of_array row) ~src_pos:0 ~dst:rs_flat ~dst_pos:(r * rs_cols) ~len:rs_cols)
+    rs_msgs;
   let rs_out = Fv.create (rs_rows * rs_len) in
   (* Sumcheck fold: the round-folding recurrence
      T(b) <- T(b) + r*(T(b+half) - T(b)) run to a single element, with a
@@ -133,6 +136,7 @@ let kernels ~smoke rng =
      (reference encoder, string-digest tree). *)
   let orion_n = scale (1 lsl 16) (1 lsl 8) in
   let orion_table = Array.init orion_n (fun _ -> Gf.random rng) in
+  let orion_flat = Fv.of_array orion_table in
   let orion_params =
     { Orion.rows = scale 128 16; code = (module Reed_solomon); proximity_count = 4; zk = false }
   in
@@ -251,7 +255,7 @@ let kernels ~smoke rng =
                (Merkle_oracle.build (Array.map Merkle_oracle.leaf_of_column cols))));
       k_unboxed =
         (fun () ->
-          let _, cm = Orion.commit orion_params (Rng.create 1L) orion_table in
+          let _, cm = Orion.commit orion_params (Rng.create 1L) orion_flat in
           Keccak.to_hex cm.Orion.root);
     };
   ]

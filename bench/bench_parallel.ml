@@ -53,7 +53,7 @@ let kernels ~smoke rng =
   let msm_points = Array.init msm_n (fun _ -> G1.random rng) in
   let msm_c = Msm.window_for msm_n in
   let orion_n = scale (1 lsl 12) (1 lsl 8) in
-  let orion_table = Array.init orion_n (fun _ -> Gf.random rng) in
+  let orion_table = Fv.of_array (Array.init orion_n (fun _ -> Gf.random rng)) in
   let orion_rows = scale 64 16 in
   let orion_params =
     { Orion.rows = orion_rows; code = (module Reed_solomon); proximity_count = 4; zk = true }

@@ -94,11 +94,11 @@ let drain sink =
 
 let analyze ?(max_reports = default_max_reports)
     ?(probe_budget = default_probe_budget) (inst : R1cs.instance)
-    (asgn : R1cs.assignment) =
+    (z : R1cs.assignment) =
   let n = R1cs.size inst in
   let half = n / 2 in
   let nc = inst.num_constraints in
-  let z = R1cs.z_fv inst asgn in
+  R1cs.check_assignment inst z;
   let a_rows = rows_of_matrix inst.a ~num_rows:nc in
   let b_rows = rows_of_matrix inst.b ~num_rows:nc in
   let c_rows = rows_of_matrix inst.c ~num_rows:nc in

@@ -138,7 +138,7 @@ let apply (inst : R1cs.instance) (asgn : R1cs.assignment) op =
   | Detach_var v ->
     if v < 0 || v >= inst.num_witness then None
     else
-      let zv = asgn.w.(v) in
+      let zv = Nocap_vec.Fv.get asgn v in
       let fold l =
         List.map
           (fun (r, c, k) ->

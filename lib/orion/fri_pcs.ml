@@ -65,10 +65,10 @@ let num_queries p = Array.length p.queries.Fri.positions
    challenge for the variable the sumcheck just bound", so one challenge
    drives both the sumcheck tables and the codeword. *)
 let monomial_coeffs_into table (dst : Fv.t) =
-  let n = Array.length table in
+  let n = Fv.length table in
   let l = Zk_util.Pow2.log2_exact "Fri" n in
   if Fv.length dst < n then invalid_arg "Fri_pcs.monomial_coeffs_into: destination too short";
-  Fv.write_array table ~src_pos:0 dst ~dst_pos:0 ~len:n;
+  Fv.blit ~src:table ~src_pos:0 ~dst ~dst_pos:0 ~len:n;
   (* Evaluations to multilinear monomial coefficients in place, one
      variable (index bit) at a time: (f(0), f(1)) |-> (f(0), f(1) - f(0)). *)
   let stride = ref 1 in
@@ -104,7 +104,7 @@ let commit ?engine params rng table =
   | Ok () -> ()
   | Error e -> invalid_arg ("Fri_pcs.commit: " ^ param_error_to_string e));
   ignore (rng : Zk_util.Rng.t); (* non-hiding backend: no masks to draw *)
-  let n = Array.length table in
+  let n = Fv.length table in
   let num_vars = Zk_util.Pow2.log2_exact "Fri" n in
   let domain = n lsl params.blowup_log2 in
   (* Layer-0 codeword: the flat NTT of the zero-padded coefficients. *)
@@ -117,8 +117,8 @@ let commit ?engine params rng table =
   let budget = Option.bind engine Zk_pcs.Engine.stream_budget_bytes in
   match budget with
   | None ->
-    ( { c_commitment; table = Spill.of_fv (Fv.of_array table); evals = Spill.of_fv evals;
-        budget; tree },
+    (* The caller's table, borrowed until [free_committed]. *)
+    ( { c_commitment; table = Spill.of_fv table; evals = Spill.of_fv evals; budget; tree },
       c_commitment )
   | Some _ ->
     (* The NTT itself ran in RAM — O(domain) resident at 8 bytes/element
@@ -135,7 +135,7 @@ let commit ?engine params rng table =
       ~write:[ (s_evals, 0, blowup); (s_table, 0, 1) ]
       (fun ~pos ~len _ dsts ->
         Fv.blit ~src:evals ~src_pos:(pos * blowup) ~dst:dsts.(0) ~dst_pos:0 ~len:(len * blowup);
-        Fv.write_array table ~src_pos:pos dsts.(1) ~dst_pos:0 ~len);
+        Fv.blit ~src:table ~src_pos:pos ~dst:dsts.(1) ~dst_pos:0 ~len);
     ({ c_commitment; table = s_table; evals = s_evals; budget; tree }, c_commitment)
 
 let free_committed c =

@@ -17,8 +17,9 @@
 
     The prover keeps the table, the codeword and every fold layer as
     {!Nocap_vec.Spill.t} vectors and walks them in blocks: with no engine
-    stream budget they wrap RAM and each layer is one block; under a
-    budget they are spill files read and written in [Spill.block_rows] blocks.
+    stream budget they wrap RAM (the table is the caller's, borrowed) and
+    each layer is one block; under a budget they are spill files read and
+    written in [Spill.block_rows] blocks.
     Proof bytes are the same either way. [open_at] checks the ambient
     cancel token at its block boundaries and frees every spill file it
     made on any exit.
@@ -58,7 +59,7 @@ type eval_proof = {
 
 val num_queries : eval_proof -> int
 
-val monomial_coeffs_into : Zk_field.Gf.t array -> Nocap_vec.Fv.t -> unit
+val monomial_coeffs_into : Nocap_vec.Fv.t -> Nocap_vec.Fv.t -> unit
 (** [monomial_coeffs_into table dst] writes the univariate coefficients of
     the multilinear [table] (length [2^l]) into [dst.(0 .. 2^l - 1)],
     monomial bit [j - 1] carrying variable [j] (the MSB of the evaluation

@@ -174,8 +174,8 @@ let commit ?engine params rng table =
   commit_stream
     ?budget_bytes:(Option.bind engine Zk_pcs.Engine.stream_budget_bytes)
     params rng
-    ~num_vars:(Pow2.log2_exact "Orion" (Array.length table))
-    ~read:(fun ~pos dst -> Fv.write_array table ~src_pos:pos dst ~dst_pos:0 ~len:(Fv.length dst))
+    ~num_vars:(Pow2.log2_exact "Orion" (Fv.length table))
+    ~read:(fun ~pos dst -> Fv.blit ~src:table ~src_pos:pos ~dst ~dst_pos:0 ~len:(Fv.length dst))
 
 let free_committed c =
   Spill.free c.all_rows;

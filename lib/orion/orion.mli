@@ -82,10 +82,10 @@ val num_openings : eval_proof -> int
 (** Number of opened columns. *)
 
 val commit :
-  ?engine:Zk_pcs.Engine.t -> params -> Zk_util.Rng.t -> Gf.t array -> committed * commitment
+  ?engine:Zk_pcs.Engine.t -> params -> Zk_util.Rng.t -> Nocap_vec.Fv.t -> committed * commitment
 (** [commit params rng table] commits to the multilinear polynomial whose
     evaluation table is [table] (power-of-two length): {!commit_stream}
-    over the table, with the engine's stream budget
+    over the table, read in place block by block, with the engine's stream budget
     ({!Zk_pcs.Engine.stream_budget_bytes}). [rng] draws the zk mask rows
     (unused when [params.zk] is false); the draw order is fixed, so the
     commitment does not depend on the engine, and the commitment and all

@@ -66,10 +66,11 @@ module type S = sig
   type eval_proof
 
   val commit :
-    ?engine:Engine.t -> params -> Zk_util.Rng.t -> Gf.t array -> committed * commitment
+    ?engine:Engine.t -> params -> Zk_util.Rng.t -> Nocap_vec.Fv.t -> committed * commitment
   (** Commit to the multilinear polynomial whose evaluation table is the
-      array (power-of-two length). [rng] draws hiding masks, if the backend
-      has any; it must be consumed in a deterministic order.
+      vector (power-of-two length), borrowed read-only, not copied: the
+      caller keeps it unchanged until {!free_committed}. [rng] draws hiding
+      masks, if any; it must be consumed in a deterministic order.
       @raise Invalid_argument on invalid [params] (see {!validate_params})
       or a non-power-of-two table. *)
 

@@ -5,28 +5,21 @@ type var = Witness of int | Io of int
 
 type lc = (var * Gf.t) list
 
-(* Growable value store. *)
-module Vec = struct
-  type t = { mutable data : Gf.t array; mutable len : int }
+(* A copy twice as long: index buffers and [Fv.t] are both Bigarrays. *)
+let grow a =
+  let n = Bigarray.Array1.dim a in
+  let b = Bigarray.Array1.create (Bigarray.Array1.kind a) Bigarray.c_layout (2 * n) in
+  Bigarray.Array1.blit a (Bigarray.Array1.sub b 0 n);
+  b
 
-  let create () = { data = Array.make 16 Gf.zero; len = 0 }
+(* One half's wire values, grown by doubling. *)
+type wires = { mutable data : Fv.t; mutable len : int }
 
-  let push v x =
-    if v.len = Array.length v.data then begin
-      let bigger = Array.make (2 * v.len) Gf.zero in
-      Array.blit v.data 0 bigger 0 v.len;
-      v.data <- bigger
-    end;
-    v.data.(v.len) <- x;
-    v.len <- v.len + 1;
-    v.len - 1
-
-  let get v i =
-    if i >= v.len then invalid_arg "Builder: variable out of range";
-    v.data.(i)
-
-  let to_array v = Array.sub v.data 0 v.len
-end
+let push v x =
+  if v.len = Fv.length v.data then v.data <- grow v.data;
+  Fv.unsafe_set v.data v.len x;
+  v.len <- v.len + 1;
+  v.len - 1
 
 (* One matrix's terms as flat triplets, rows in constraint order, grown
    by doubling. A column is a witness index [i], or [lnot i] for io slot
@@ -42,13 +35,6 @@ module Terms = struct
   let create () =
     let ints () = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 64 in
     { rows = ints (); cols = ints (); vals = Fv.create 64; len = 0 }
-
-  (* A copy twice as long: [ints] and [Fv.t] are both Bigarrays. *)
-  let grow a =
-    let n = Bigarray.Array1.dim a in
-    let b = Bigarray.Array1.create (Bigarray.Array1.kind a) Bigarray.c_layout (2 * n) in
-    Bigarray.Array1.blit a (Bigarray.Array1.sub b 0 n);
-    b
 
   let push t row col v =
     if t.len = Fv.length t.vals then begin
@@ -74,27 +60,29 @@ module Terms = struct
 end
 
 type t = {
-  wvals : Vec.t;
-  iovals : Vec.t;
+  wvals : wires;
+  iovals : wires;
   terms : Terms.t array; (* A, B, C *)
   mutable n_constraints : int;
 }
 
 let create () =
   let terms = Array.init 3 (fun _ -> Terms.create ()) in
-  let b = { wvals = Vec.create (); iovals = Vec.create (); terms; n_constraints = 0 } in
-  ignore (Vec.push b.iovals Gf.one);
+  let wires () = { data = Fv.create 16; len = 0 } in
+  let b = { wvals = wires (); iovals = wires (); terms; n_constraints = 0 } in
+  ignore (push b.iovals Gf.one);
   b
 
 let one = Io 0
 
-let input t v = Io (Vec.push t.iovals v)
+let input t v = Io (push t.iovals v)
 
-let witness t v = Witness (Vec.push t.wvals v)
+let witness t v = Witness (push t.wvals v)
 
-let value t = function
-  | Witness i -> Vec.get t.wvals i
-  | Io i -> Vec.get t.iovals i
+let value t var =
+  let v, i = match var with Witness i -> (t.wvals, i) | Io i -> (t.iovals, i) in
+  if i >= v.len then invalid_arg "Builder: variable out of range";
+  Fv.unsafe_get v.data i
 
 let lc_var v = [ (v, Gf.one) ]
 
@@ -127,10 +115,10 @@ let constrain t a b c =
 
 let num_constraints t = t.n_constraints
 
-let num_witness t = t.wvals.Vec.len
+let num_witness t = t.wvals.len
 
 let finalize t =
-  let nw = t.wvals.Vec.len and nio = t.iovals.Vec.len in
+  let nw = t.wvals.len and nio = t.iovals.len in
   let half_min = 1 lsl Zk_util.Pow2.log2_ceil (max 1 (max nw nio)) in
   let log_size = Zk_util.Pow2.log2_ceil (max (max 2 t.n_constraints) (2 * half_min)) in
   let n = 1 lsl log_size in
@@ -140,9 +128,9 @@ let finalize t =
     R1cs.make ~a:(m 0) ~b:(m 1) ~c:(m 2) ~log_size ~num_constraints:t.n_constraints
       ~num_witness:nw ~num_io:nio
   in
-  let pad vec =
-    let arr = Array.make half Gf.zero in
-    Array.blit (Vec.to_array vec) 0 arr 0 vec.Vec.len;
-    arr
-  in
-  (inst, { R1cs.w = pad t.wvals; io = pad t.iovals })
+  (* A fresh z per call, so finalizing again leaves an earlier one alone. *)
+  let z = Fv.create n in
+  Fv.zero z;
+  Fv.blit ~src:t.wvals.data ~src_pos:0 ~dst:z ~dst_pos:0 ~len:nw;
+  Fv.blit ~src:t.iovals.data ~src_pos:0 ~dst:z ~dst_pos:half ~len:nio;
+  (inst, z)

@@ -4,7 +4,8 @@
     The builder is {e concrete}: every variable is allocated together with its
     value, so finalization yields both the instance and a satisfying
     assignment. This matches NoCap's system model, where the host CPU computes
-    all wire values and ships them to the accelerator (Sec. II). *)
+    all wire values and ships them to the accelerator (Sec. II) as one
+    vector, [z = w || io]. *)
 
 type t
 
@@ -48,4 +49,5 @@ val finalize : t -> R1cs.instance * R1cs.assignment
 (** Pad to the next valid power-of-two square instance and return it with its
     satisfying assignment. Each matrix is one {!Sparse.of_triplets} over
     the builder's triplets (rows in constraint order; repeated terms
-    summed, cancelling ones dropped). *)
+    summed, cancelling ones dropped). The assignment is a fresh zero-padded
+    [z] (witness [i] at [i], io [i] at [2^(log_size - 1) + i]). *)

@@ -12,7 +12,7 @@ type instance = {
   num_io : int;
 }
 
-type assignment = { w : Gf.t array; io : Gf.t array }
+type assignment = Nocap_vec.Fv.t
 
 (* The hashed layout [make]'s documentation pins, written into one
    exact-size buffer straight from the CSR arrays (unchecked loads at the
@@ -63,31 +63,19 @@ let make ~a ~b ~c ~log_size ~num_constraints ~num_witness ~num_io =
 
 let size inst = 1 lsl inst.log_size
 
-(* [fn] names the entry point in the error, so a shape error says which
-   call it came from. *)
-let check_assignment ~fn inst asn =
-  let half = size inst / 2 in
-  if Array.length asn.w <> half || Array.length asn.io <> half then
-    invalid_arg (fn ^ ": assignment halves must be 2^(log_size-1)");
-  if not (Gf.equal asn.io.(0) Gf.one) then invalid_arg (fn ^ ": io.(0) must be 1")
+let check_assignment inst z =
+  let n = size inst in
+  if Nocap_vec.Fv.length z <> n then
+    invalid_arg "R1cs.check_assignment: assignment halves must be 2^(log_size-1)";
+  if not (Gf.equal (Nocap_vec.Fv.get z (n / 2)) Gf.one) then
+    invalid_arg "R1cs.check_assignment: io.(0) must be 1"
 
-let z_fv_checked ~fn inst asn =
-  check_assignment ~fn inst asn;
-  let half = size inst / 2 in
-  let zfv = Nocap_vec.Fv.create (2 * half) in
-  Nocap_vec.Fv.write_array asn.w ~src_pos:0 zfv ~dst_pos:0 ~len:half;
-  Nocap_vec.Fv.write_array asn.io ~src_pos:0 zfv ~dst_pos:half ~len:half;
-  zfv
-
-(* The wire vector straight into a flat vector, for the prover's SpMV. *)
-let z_fv inst asn = z_fv_checked ~fn:"R1cs.z_fv" inst asn
-
-let satisfied inst asn =
-  let zv = z_fv_checked ~fn:"R1cs.satisfied" inst asn in
+let satisfied inst z =
+  check_assignment inst z;
   let n = size inst in
   let mul m =
     let dst = Nocap_vec.Fv.create n in
-    Sparse.spmv_into m ~x:zv ~r_lo:0 dst;
+    Sparse.spmv_into m ~x:z ~r_lo:0 dst;
     dst
   in
   let az = mul inst.a and bz = mul inst.b and cz = mul inst.c in
@@ -98,6 +86,8 @@ let satisfied inst asn =
   done;
   !ok
 
-let public_io inst asn = Array.sub asn.io 0 inst.num_io
+let witness inst z = Nocap_vec.Fv.sub_view z ~pos:0 ~len:(size inst / 2)
+
+let public_io inst z = Nocap_vec.Fv.(to_array (sub_view z ~pos:(size inst / 2) ~len:inst.num_io))
 
 let nnz inst = Sparse.nnz inst.a + Sparse.nnz inst.b + Sparse.nnz inst.c

@@ -8,7 +8,8 @@
     [2^(log_size - 1)]; [io.(0)] is the constant 1, followed by the public
     inputs, zero-padded. The split lets the multilinear extension of [z]
     decompose as [(1 - y_1) * w~(rest) + y_1 * io~(rest)], so the verifier
-    only needs a commitment opening for the witness half.
+    only needs a commitment opening for the witness half. The assignment
+    is that one flat vector, read in place by every prover phase.
 
     An instance is preprocessed once: {!make} is its only constructor, and
     it takes ownership of the three matrices. Everything that depends only
@@ -36,8 +37,9 @@ type instance = private {
   num_io : int; (* live entries of io, including the constant 1 *)
 }
 
-type assignment = { w : Zk_field.Gf.t array; io : Zk_field.Gf.t array }
-(** Both halves have length [2^(log_size - 1)]; [io.(0) = 1]. *)
+type assignment = Nocap_vec.Fv.t
+(** The wire vector [z = w || io], of length [2^log_size], with
+    [z.(2^(log_size - 1)) = 1] (the constant wire, [io.(0)]). *)
 
 val make :
   a:Sparse.t ->
@@ -64,15 +66,16 @@ val make :
 val size : instance -> int
 (** [2^log_size]. *)
 
-val z_fv : instance -> assignment -> Nocap_vec.Fv.t
-(** The full wire vector [w || io] as a fresh flat vector, copied straight
-    out of the assignment's halves.
-    @raise Invalid_argument unless both halves have length
-    [2^(log_size - 1)] and [io.(0) = 1]. *)
+val check_assignment : instance -> assignment -> unit
+(** @raise Invalid_argument unless [z] has length [2^log_size] and
+    [z.(2^(log_size - 1)) = 1]. Provers call it before any commitment. *)
 
 val satisfied : instance -> assignment -> bool
 (** Check [(Az) o (Bz) = Cz].
-    @raise Invalid_argument on an assignment {!z_fv} rejects. *)
+    @raise Invalid_argument on an assignment {!check_assignment} rejects. *)
+
+val witness : instance -> assignment -> Nocap_vec.Fv.t
+(** The witness half [w] as a view of [z] (shared storage, no copy). *)
 
 val public_io : instance -> assignment -> Zk_field.Gf.t array
 (** The live io prefix (constant 1 and public inputs) — what the verifier

@@ -38,20 +38,20 @@ let prove ?engine ?rng params inst assignments =
   (* Spartan's table fills, in RAM with one block per table. Every
      instance's Az/Bz/Cz is checked while it is filled, so an unsatisfied
      batch raises before any commitment work. *)
-  let zs = Array.map (R1cs.z_fv inst) assignments in
+  Array.iter (R1cs.check_assignment inst) assignments;
   let abc =
     Array.concat
       (List.map
          (fun z ->
            let az, bz, cz = Spartan.fill_abc ~budget:None inst z in
            [| az; bz; cz |])
-         (Array.to_list zs))
+         (Array.to_list assignments))
   in
   let ios = Array.map (R1cs.public_io inst) assignments in
   let transcript = start_transcript params inst ios in
   let committed_and_cm =
     Array.map
-      (fun asn -> Orion.commit ~engine params.Spartan.pcs rng asn.R1cs.w)
+      (fun z -> Orion.commit ~engine params.Spartan.pcs rng (R1cs.witness inst z))
       assignments
   in
   Array.iter (fun (_, cm) -> Orion.absorb_commitment transcript cm) committed_and_cm;
@@ -81,7 +81,7 @@ let prove ?engine ?rng params inst assignments =
         let m_table = Spartan.fill_m ~budget:None inst ~rx ~r_abc in
         let z_comb = Fv.create n in
         Fv.zero z_comb;
-        Array.iteri (fun i z -> Fv.axpy_into ~dst:z_comb sigma.(i) z) zs;
+        Array.iteri (fun i z -> Fv.axpy_into ~dst:z_comb sigma.(i) z) assignments;
         let r2 =
           Sumcheck.prove transcript ~tables:[| m_table; Spill.of_fv z_comb |]
             ~comb:Sumcheck.Product

@@ -240,17 +240,17 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
      vector is RAM-backed; under a budget, [Spill.block_rows] sizes the
      blocks and the vectors live in spill files. Transcript traffic, RNG draws and
      arithmetic are the same either way, so the proof bytes are too. The
-     only full-length residents are the caller-owned assignment and the
-     flat 8-byte/element wire vector z. *)
-  let prove ?engine ?rng params inst asn =
+     only full-length resident the prover does not allocate is the
+     caller's z, which SpMV, the second sumcheck and the commitment read
+     in place. *)
+  let prove ?engine ?rng params inst z =
     let engine = Engine.resolve engine in
     let rng = match rng with Some r -> r | None -> Zk_util.Rng.create 0x5EED_CAFEL in
     let budget = Engine.stream_budget_bytes engine in
     let l = inst.R1cs.log_size in
-    (* z as a flat vector (validates the assignment shape). *)
-    let zfv = R1cs.z_fv inst asn in
+    R1cs.check_assignment inst z;
     (* Raises before any commitment work on an unsatisfied assignment. *)
-    let az, bz, cz = fill_abc ~budget inst zfv in
+    let az, bz, cz = fill_abc ~budget inst z in
     (* Every exit — success, cancellation, an injected I/O fault — releases
        the spilled vectors deterministically. *)
     Fun.protect
@@ -259,15 +259,15 @@ module Make (P0 : Zk_pcs.Pcs.S) = struct
         Spill.free bz;
         Spill.free cz)
     @@ fun () ->
-    let transcript = start_transcript params inst (R1cs.public_io inst asn) in
+    let transcript = start_transcript params inst (R1cs.public_io inst z) in
     (* Commit to the witness half; the engine budget sizes the backend's
        blocks the same way. *)
-    let committed, w_commitment = P.commit ~engine params.pcs rng asn.R1cs.w in
+    let committed, w_commitment = P.commit ~engine params.pcs rng (R1cs.witness inst z) in
     Fun.protect ~finally:(fun () -> P.free_committed committed) @@ fun () ->
     P.absorb_commitment transcript w_commitment;
     let spmv_mults = ref (R1cs.nnz inst) in
     let sc_mults = ref 0 and sc_adds = ref 0 in
-    let z_spill = Spill.of_fv zfv in
+    let z_spill = Spill.of_fv z in
     let reps =
       Array.init params.repetitions (fun _ ->
           (* --- Sumcheck #1 --- *)

@@ -73,9 +73,10 @@ module type S = sig
       io the verifier will see. [rng] seeds the zk mask rows (default: a
       fixed seed, so default proofs are bit-stable); [engine] supplies the
       prover memory budget — proof bytes are identical for every engine.
-      The returned stats are the proof's operation counts.
-      @raise Invalid_argument if the assignment does not satisfy the
-      instance, or if [params.pcs] is invalid. *)
+      z is borrowed read-only, never copied. The returned stats are the
+      proof's operation counts.
+      @raise Invalid_argument if the assignment is malformed or does not
+      satisfy the instance, or if [params.pcs] is invalid. *)
 
   val verify :
     ?engine:Zk_pcs.Engine.t ->
@@ -153,7 +154,7 @@ val fill_abc :
   Zk_r1cs.R1cs.instance ->
   Nocap_vec.Fv.t ->
   Nocap_vec.Spill.t * Nocap_vec.Spill.t * Nocap_vec.Spill.t
-(** [(Az, Bz, Cz)] for the wire vector [z] ({!Zk_r1cs.R1cs.z_fv}), each
+(** [(Az, Bz, Cz)] for the wire vector [z] ({!Zk_r1cs.R1cs.assignment}), each
     row block checked for [Az * Bz = Cz] before it is stored.
     @raise Invalid_argument if [z] does not satisfy the instance. *)
 

@@ -58,11 +58,6 @@ let of_array (a : Gf.t array) : t =
 let to_array (v : t) : Gf.t array =
   Array.init (length v) (fun i -> unsafe_get v i)
 
-let write_array (src : Gf.t array) ~src_pos (dst : t) ~dst_pos ~len =
-  for i = 0 to len - 1 do
-    set dst (dst_pos + i) src.(src_pos + i)
-  done
-
 let equal (a : t) (b : t) =
   length a = length b
   &&

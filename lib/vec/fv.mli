@@ -36,8 +36,6 @@ val copy : t -> t
 val of_array : Gf.t array -> t
 val to_array : t -> Gf.t array
 
-val write_array : Gf.t array -> src_pos:int -> t -> dst_pos:int -> len:int -> unit
-
 val equal : t -> t -> bool
 
 (** {1 Allocation-free elementwise kernels}

@@ -34,7 +34,7 @@ let test_assert_nonzero () =
        false
      with Invalid_argument _ -> true);
   (* And a tampered-to-zero wire fails satisfaction. *)
-  asn.R1cs.w.(0) <- Gf.zero;
+  Nocap_vec.Fv.set asn 0 Gf.zero;
   Alcotest.(check bool) "zero wire unsatisfied" false (R1cs.satisfied inst asn)
 
 let test_pcie_never_bottlenecks () =

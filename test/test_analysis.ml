@@ -536,13 +536,13 @@ let test_unsatisfied_and_trivial () =
   let bad =
     mk [ (0, 0, Gf.one) ] [ (0, 2, Gf.one) ] [ (0, 2, Gf.of_int 5) ] ~nc:1
   in
-  let asgn = { R1cs.w = [| Gf.of_int 4; Gf.zero |]; io = [| Gf.one; Gf.zero |] } in
+  let asgn = Nocap_vec.Fv.of_array [| Gf.of_int 4; Gf.zero; Gf.one; Gf.zero |] in
   check_rule "unsatisfied" "unsatisfied-constraint" (Circuit_lint.lint bad asgn);
   (* Row 1 is declared a real constraint but is completely empty. *)
   let hollow =
     mk [ (0, 0, Gf.one) ] [ (0, 2, Gf.one) ] [ (0, 2, Gf.of_int 5) ] ~nc:2
   in
-  let asgn = { R1cs.w = [| Gf.of_int 5; Gf.zero |]; io = [| Gf.one; Gf.zero |] } in
+  let asgn = Nocap_vec.Fv.of_array [| Gf.of_int 5; Gf.zero; Gf.one; Gf.zero |] in
   check_rule "trivial" "trivial-constraint" (Circuit_lint.lint hollow asgn)
 
 (* --- circuit linter: rank-probe behaviour --- *)

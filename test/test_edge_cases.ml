@@ -37,7 +37,7 @@ let test_orion_single_element () =
   (* A 1-element table: num_vars = 0, rows = cols = 1. *)
   let params = { Orion.default_params with Orion.rows = 8 } in
   let rng = Rng.create 200L in
-  let table = [| Gf.of_int 42 |] in
+  let table = Nocap_vec.Fv.of_array [| Gf.of_int 42 |] in
   let committed, cm = Orion.commit params rng table in
   let pt = Transcript.create "edge" in
   Orion.absorb_commitment pt cm;

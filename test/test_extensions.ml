@@ -285,8 +285,8 @@ let test_batch_distinct_witnesses () =
 
 let test_batch_unsatisfied_rejected () =
   let inst, asn = Synthetic.circuit ~n_constraints:100 ~seed:97L () in
-  let bad = { R1cs.w = Array.copy asn.R1cs.w; io = asn.R1cs.io } in
-  bad.R1cs.w.(0) <- Gf.add bad.R1cs.w.(0) Gf.one;
+  let bad = Nocap_vec.Fv.copy asn in
+  Nocap_vec.Fv.set bad 0 (Gf.add (Nocap_vec.Fv.get bad 0) Gf.one);
   Alcotest.(check bool) "prove raises" true
     (try
        ignore (Aggregate.prove Spartan.test_params inst [| asn; bad |]);

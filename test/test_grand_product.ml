@@ -72,7 +72,7 @@ let test_with_orion_commitment () =
   let l = 8 in
   let v = random_vec rng (1 lsl l) in
   let params = { Orion.default_params with Orion.rows = 8 } in
-  let committed, cm = Orion.commit params rng v in
+  let committed, cm = Orion.commit params rng (Nocap_vec.Fv.of_array v) in
   let pt = Transcript.create "gp-orion" in
   Orion.absorb_commitment pt cm;
   let product, gp_proof, claim = Gp.prove pt v in

@@ -163,7 +163,7 @@ let test_spmv_on_r1cs_matrix () =
   let inst, asn = Zk_workloads.Synthetic.circuit ~n_constraints:120 ~seed:302L () in
   let m = inst.R1cs.a in
   let k = 16 in
-  let x = Nocap_vec.Fv.to_array (R1cs.z_fv inst asn) in
+  let x = Nocap_vec.Fv.to_array asn in
   let sched = Spmv.compile ~vector_len:k m in
   let slots = Array.length x / k * 2 + List.length sched.Spmv.coeff_slots + 4 in
   let vm = Vm.create ~vector_len:k ~num_regs:8 ~mem_slots:slots in

@@ -265,7 +265,7 @@ let check_encode_row (module Code : Zk_ecc.Linear_code.S) seed =
             let buf = Fv.create (offset + cols + code_len) in
             let src = Fv.sub_view buf ~pos:offset ~len:cols
             and dst = Fv.sub_view buf ~pos:(offset + cols) ~len:code_len in
-            Fv.write_array msg ~src_pos:0 src ~dst_pos:0 ~len:cols;
+            Fv.blit ~src:(Fv.of_array msg) ~src_pos:0 ~dst:src ~dst_pos:0 ~len:cols;
             Fv.fill dst (Gf.of_int 0x5A5A5A);
             Code.encode_row_into ~src ~dst;
             Fv.to_array dst)
@@ -321,9 +321,9 @@ let test_ntt_rows_equiv () =
       let expected = Fv.copy flat in
       for r = 0 to rows - 1 do
         let row = Fv.to_array (Fv.sub_view flat ~pos:(r * cols) ~len:cols) in
-        Fv.write_array
-          (Zk_ntt.Ntt.Gf_ntt.forward_copy (Zk_ntt.Ntt.Gf_ntt.plan cols) row)
-          ~src_pos:0 expected ~dst_pos:(r * cols) ~len:cols
+        Fv.blit
+          ~src:(Fv.of_array (Zk_ntt.Ntt.Gf_ntt.forward_copy (Zk_ntt.Ntt.Gf_ntt.plan cols) row))
+          ~src_pos:0 ~dst:expected ~dst_pos:(r * cols) ~len:cols
       done;
       List.iter
         (fun m ->

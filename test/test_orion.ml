@@ -19,7 +19,7 @@ let random_table rng l = Array.init (1 lsl l) (fun _ -> Gf.random rng)
 let roundtrip ?(params = small_params) ~seed l =
   let rng = Rng.create seed in
   let table = random_table rng l in
-  let committed, cm = Orion.commit params rng table in
+  let committed, cm = Orion.commit params rng (Fv.of_array table) in
   let point = Array.init l (fun _ -> Gf.random rng) in
   let pt = Transcript.create "orion-test" in
   Orion.absorb_commitment pt cm;
@@ -88,7 +88,7 @@ let test_proximity_masking_hides_rows () =
   let rng = Rng.create 66L in
   let l = 6 in
   let table = random_table rng l in
-  let committed, cm = Orion.commit small_params rng table in
+  let committed, cm = Orion.commit small_params rng (Fv.of_array table) in
   let pt = Transcript.create "orion-test" in
   Orion.absorb_commitment pt cm;
   let point = Array.init l (fun _ -> Gf.random rng) in
@@ -197,7 +197,7 @@ let honest_openings =
        (fun (params, l, seed) ->
          let rng = Rng.create seed in
          let table = random_table rng l in
-         let committed, cm = Orion.commit params rng table in
+         let committed, cm = Orion.commit params rng (Fv.of_array table) in
          let point = Array.init l (fun _ -> Gf.random rng) in
          let pt = Transcript.create "orion-oracle" in
          Orion.absorb_commitment pt cm;

@@ -340,7 +340,7 @@ let qcheck_orion =
     (fun (table, seed) ->
       let run () =
         let rng = Rng.create (Int64.of_int seed) in
-        let committed, cm = Orion.commit orion_params rng table in
+        let committed, cm = Orion.commit orion_params rng (Fv.of_array table) in
         let t = Transcript.create "test-parallel-orion" in
         Orion.absorb_commitment t cm;
         let point = Transcript.challenge_gf_vec t "point" cm.Orion.num_vars in

@@ -9,6 +9,7 @@ module Keccak = Zk_hash.Keccak
 module Transcript = Zk_hash.Transcript
 module Mle = Zk_poly.Mle
 module Pool = Nocap_parallel.Pool
+module Fv = Nocap_vec.Fv
 module R1cs = Zk_r1cs.R1cs
 module Engine = Zk_pcs.Engine
 module Orion = Zk_orion.Orion
@@ -153,7 +154,7 @@ let test_fri_pcs_direct () =
   let evals = Array.init (1 lsl num_vars) (fun _ -> Gf.random rng) in
   let point = Array.init num_vars (fun _ -> Gf.random rng) in
   let params = Fri_pcs.test_params in
-  let committed, cm = Fri_pcs.commit params (Rng.create 1L) evals in
+  let committed, cm = Fri_pcs.commit params (Rng.create 1L) (Fv.of_array evals) in
   let transcript () =
     let t = Transcript.create "test-fri-pcs" in
     Fri_pcs.absorb_commitment t cm;
@@ -190,7 +191,7 @@ let test_fri_pcs_degenerate () =
   let evals = [| Gf.of_int64 5L; Gf.of_int64 9L |] in
   let point = [| Gf.of_int64 42L |] in
   let params = Fri_pcs.test_params in
-  let committed, cm = Fri_pcs.commit params (Rng.create 1L) evals in
+  let committed, cm = Fri_pcs.commit params (Rng.create 1L) (Fv.of_array evals) in
   let transcript () =
     let t = Transcript.create "test-fri-tiny" in
     Fri_pcs.absorb_commitment t cm;
@@ -298,7 +299,7 @@ let test_orion_param_validation () =
   | Ok () -> Alcotest.fail "accepted proximity_count=0");
   (* Invalid params are rejected at commit time, loudly. *)
   let evals = Array.init 64 (fun i -> Gf.of_int i) in
-  match Orion.commit bad_rows (Rng.create 1L) evals with
+  match Orion.commit bad_rows (Rng.create 1L) (Fv.of_array evals) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "commit accepted invalid params"
 
@@ -347,7 +348,6 @@ let test_engine_config () =
 (* --- flat codec: get_fv is get_gf_array, error for error --- *)
 
 module Codec = Zk_pcs.Codec
-module Fv = Nocap_vec.Fv
 
 let decode_with get data =
   let r = Codec.reader data in
@@ -455,7 +455,7 @@ let fri_openings =
     (List.map
        (fun (params, l, seed) ->
          let rng = Rng.create seed in
-         let table = Array.init (1 lsl l) (fun _ -> Gf.random rng) in
+         let table = Fv.of_array (Array.init (1 lsl l) (fun _ -> Gf.random rng)) in
          let committed, cm = Fri_pcs.commit params rng table in
          let point = Array.init l (fun _ -> Gf.random rng) in
          let value, proof = Fri_pcs.open_at params committed (fri_transcript cm) point in
@@ -679,7 +679,7 @@ let prop_monomial_coeffs =
         let table = Array.init n (fun _ -> Gf.random rng) in
         let dst = Fv.create (2 * n) in
         Fv.fill dst Gf.one;
-        Fri_pcs.monomial_coeffs_into table dst;
+        Fri_pcs.monomial_coeffs_into (Fv.of_array table) dst;
         let want = Fri_pcs_oracle.monomial_coeffs table in
         Array.iteri
           (fun i c ->

@@ -7,6 +7,7 @@ module Builder = Zk_r1cs.Builder
 module Gadgets = Zk_r1cs.Gadgets
 module Mle = Zk_poly.Mle
 module Rng = Zk_util.Rng
+module Fv = Nocap_vec.Fv
 
 let gf = Alcotest.testable Gf.pp Gf.equal
 
@@ -193,7 +194,34 @@ let test_builder_simple () =
   let inst, asn = Builder.finalize b in
   Alcotest.(check bool) "satisfied" true (R1cs.satisfied inst asn);
   Alcotest.(check int) "constraints" 2 inst.R1cs.num_constraints;
-  Alcotest.check gf "io(0) = 1" Gf.one asn.R1cs.io.(0)
+  (* The layout of z: witness [i] at slot [i], io [i] at [half + i], the
+     constant 1 at [half], zeros everywhere else. *)
+  let half = R1cs.size inst / 2 in
+  Alcotest.(check int) "z length" (R1cs.size inst) (Fv.length asn);
+  let slots =
+    [ (Builder.one, half); (x, 0); (y, 1); (prod, half + 1); (sum, half + 2) ]
+  in
+  List.iter
+    (fun (v, slot) ->
+      Alcotest.check gf (Printf.sprintf "value at slot %d" slot) (Builder.value b v)
+        (Fv.get asn slot))
+    slots;
+  Alcotest.check gf "z.(half) = 1" Gf.one (Fv.get asn half);
+  for i = 0 to R1cs.size inst - 1 do
+    if not (List.exists (fun (_, slot) -> slot = i) slots) then
+      Alcotest.check gf (Printf.sprintf "padding slot %d" i) Gf.zero (Fv.get asn i)
+  done;
+  (* Finalizing again after more constraints writes a fresh z and leaves
+     the first one as it was. *)
+  let before = Fv.copy asn in
+  let x2 = Builder.witness b (Gf.of_int 9) in
+  Builder.constrain b (Builder.lc_var x) (Builder.lc_var x) (Builder.lc_var x2);
+  let inst2, asn2 = Builder.finalize b in
+  Alcotest.(check bool) "second z satisfied" true (R1cs.satisfied inst2 asn2);
+  Alcotest.check gf "second z holds the new wire" (Gf.of_int 9) (Fv.get asn2 2);
+  Alcotest.(check bool) "first z unchanged" true (Fv.equal before asn);
+  Fv.set asn2 0 Gf.zero;
+  Alcotest.(check bool) "the two z are independent" true (Fv.equal before asn)
 
 let test_builder_rejects_bad_constraint () =
   let b = Builder.create () in
@@ -211,36 +239,33 @@ let test_tampered_assignment_unsatisfied () =
   Builder.constrain b (Builder.lc_var x) (Builder.lc_var y) (Builder.lc_const (Gf.of_int 15));
   let inst, asn = Builder.finalize b in
   Alcotest.(check bool) "honest" true (R1cs.satisfied inst asn);
-  asn.R1cs.w.(0) <- Gf.of_int 4;
+  Fv.set asn 0 (Gf.of_int 4);
   Alcotest.(check bool) "tampered" false (R1cs.satisfied inst asn)
 
-(* A malformed assignment is rejected before any product, and the error
-   names the entry point it reached: each half one short, each half one
-   long, and io.(0) <> 1. *)
+(* A malformed assignment is rejected before any product, by the one
+   validator every consumer calls: z one short, one long, a lone half, and
+   z.(half) <> 1. *)
 let test_assignment_shape_errors () =
   let b = Builder.create () in
   let x = Builder.witness b (Gf.of_int 3) in
   Builder.constrain b (Builder.lc_var x) (Builder.lc_var x) (Builder.lc_const (Gf.of_int 9));
   let inst, asn = Builder.finalize b in
-  let resize a len = Array.init len (fun i -> if i < Array.length a then a.(i) else Gf.zero) in
-  let half = R1cs.size inst / 2 in
+  let resize len =
+    Fv.of_array (Array.init len (fun i -> if i < Fv.length asn then Fv.get asn i else Gf.zero))
+  in
+  let n = R1cs.size inst in
   let halves = "assignment halves must be 2^(log_size-1)" in
+  let not_one = Fv.copy asn in
+  Fv.set not_one (n / 2) Gf.two;
   let bad =
-    [
-      ({ asn with R1cs.w = resize asn.R1cs.w (half - 1) }, halves);
-      ({ asn with R1cs.w = resize asn.R1cs.w (half + 1) }, halves);
-      ({ asn with R1cs.io = resize asn.R1cs.io (half - 1) }, halves);
-      ({ asn with R1cs.io = resize asn.R1cs.io (half + 1) }, halves);
-      ({ asn with R1cs.io = Array.mapi (fun i v -> if i = 0 then Gf.two else v) asn.R1cs.io },
-        "io.(0) must be 1");
-    ]
+    [ (resize (n - 1), halves); (resize (n + 1), halves); (resize (n / 2), halves);
+      (not_one, "io.(0) must be 1") ]
   in
   List.iter
     (fun (asn, reason) ->
-      Alcotest.check_raises "z_fv" (Invalid_argument ("R1cs.z_fv: " ^ reason)) (fun () ->
-          ignore (R1cs.z_fv inst asn));
-      Alcotest.check_raises "satisfied" (Invalid_argument ("R1cs.satisfied: " ^ reason))
-        (fun () -> ignore (R1cs.satisfied inst asn)))
+      let expected = Invalid_argument ("R1cs.check_assignment: " ^ reason) in
+      Alcotest.check_raises "check_assignment" expected (fun () -> R1cs.check_assignment inst asn);
+      Alcotest.check_raises "satisfied" expected (fun () -> ignore (R1cs.satisfied inst asn)))
     bad
 
 (* --- gadgets --- *)

@@ -4,10 +4,10 @@
    must report Deadline_exceeded (never a success, never a hang); retried
    jobs must produce proofs byte-identical to the offline prover; admission
    control must classify overflow and malformed input; and the PCS
-   committed-state lifecycle must tolerate double frees. The service
-   properties run as QCheck random sweeps over shared long-lived service
-   instances (shut down by the final cleanup case, which also checks that
-   no spill files survived). *)
+   committed-state lifecycle must tolerate double frees. Each service
+   property runs as a QCheck random sweep over its own service instance,
+   started with the case and shut down when it ends, so every case leaves
+   the thread count where it found it ({!Leak_check}). *)
 
 module Gf = Zk_field.Gf
 module Spill = Nocap_vec.Spill
@@ -53,63 +53,50 @@ let submit_ok srv req =
 let prove_req ?deadline_s ?(tenant = "test") workload scale =
   { Serve.tenant; workload; scale; kind = Serve.Prove; deadline_s }
 
-(* --- shared service instances (created on first use, shut down by the
-   cleanup case at the end of the suite) ---------------------------------- *)
+(* --- per-case service instances ----------------------------------------- *)
 
-let shared = ref []
+(* A QCheck property over one service built from [config] and
+   [fault_hook]: the service starts when the case does and is shut down
+   when it ends, with every submitted job accounted for. *)
+let qcheck_serve ?count name ?fault_hook config gen prop =
+  let srv = ref None in
+  let name, speed, run = qcheck ?count name gen (fun x -> prop (Option.get !srv) x) in
+  ( name,
+    speed,
+    fun () ->
+      let t = Serve.create ?fault_hook ~config () in
+      srv := Some t;
+      match run () with
+      | () ->
+        let s = Serve.shutdown t in
+        Alcotest.(check int) "no jobs left behind" s.Serve.submitted
+          (s.Serve.completed + s.Serve.failed)
+      | exception e ->
+        ignore (Serve.shutdown t);
+        raise e )
 
-let make_shared config fault_hook =
-  let srv = Serve.create ?fault_hook ~config () in
-  shared := srv :: !shared;
-  srv
+let service_config =
+  { Serve.default_config with Serve.capacity = 64; runners = 2; params = Spartan.test_params }
 
 (* Every attempt sleeps far past any deadline the property picks. *)
-let slow_srv =
-  lazy
-    (make_shared
-       {
-         Serve.default_config with
-         Serve.capacity = 64;
-         runners = 2;
-         params = Spartan.test_params;
-       }
-       (Some
-          (Runtime_faults.hook
-             {
-               Runtime_faults.none with
-               Runtime_faults.slow_every = 1;
-               slow_s = 0.12;
-               first_attempt_only = false;
-             })))
+let slow_hook =
+  Runtime_faults.hook
+    {
+      Runtime_faults.none with
+      Runtime_faults.slow_every = 1;
+      slow_s = 0.12;
+      first_attempt_only = false;
+    }
 
 (* Every first attempt crashes; retries must recover. *)
-let crash_srv =
-  lazy
-    (make_shared
-       {
-         Serve.default_config with
-         Serve.capacity = 64;
-         runners = 2;
-         max_retries = 2;
-         backoff_base_s = 0.002;
-         backoff_max_s = 0.02;
-         params = Spartan.test_params;
-       }
-       (Some (Runtime_faults.hook { Runtime_faults.none with Runtime_faults.crash_every = 1 })))
+let crash_config =
+  { service_config with Serve.max_retries = 2; backoff_base_s = 0.002; backoff_max_s = 0.02 }
+
+let crash_hook = Runtime_faults.hook { Runtime_faults.none with Runtime_faults.crash_every = 1 }
 
 (* No faults, but a memory budget that demotes the synthetic jobs to the
    streaming prover — long enough in flight to cancel mid-kernel. *)
-let stream_srv =
-  lazy
-    (make_shared
-       {
-         Serve.default_config with
-         Serve.capacity = 64;
-         runners = 2;
-         mem_budget_bytes = Some (64 * 1024);
-         params = Spartan.test_params;
-       }
-       None)
+let stream_config = { service_config with Serve.mem_budget_bytes = Some (64 * 1024) }
 
 (* --- cancellation ------------------------------------------------------- *)
 
@@ -139,7 +126,9 @@ let test_cancel_each_kernel () =
       Spartan.fill_m ~budget:(Some 16384) inst ~rx ~r_abc:[| Gf.one; Gf.two; Gf.of_int 3 |]);
   Alcotest.(check int) "fill_m leaves no spill file" live (Spill.live_files ());
   (* Orion out-of-core commit (row staging loop) *)
-  let table = Array.init 1024 (fun i -> Gf.of_int64 (Int64.of_int (i + 1))) in
+  let table =
+    Nocap_vec.Fv.of_array (Array.init 1024 (fun i -> Gf.of_int64 (Int64.of_int (i + 1))))
+  in
   cancelled (fun () ->
       Orion.commit ~engine:stream_engine
         { Orion.default_params with Orion.rows = 16 }
@@ -197,10 +186,9 @@ let test_cancel_each_kernel () =
    either Cancelled (caught mid-kernel) or a byte-identical proof (the
    job won the race) — and the service keeps proving correctly after. *)
 let prop_cancel_leaves_pool_reusable =
-  qcheck ~count:6 "serve: cancel mid-job, pool stays reusable"
+  qcheck_serve ~count:6 "serve: cancel mid-job, pool stays reusable" stream_config
     QCheck.(int_range 0 25)
-    (fun delay_ms ->
-      let srv = Lazy.force stream_srv in
+    (fun srv delay_ms ->
       let id = submit_ok srv (prove_req "synthetic" 4096) in
       Unix.sleepf (float_of_int delay_ms /. 1000.0);
       ignore (Serve.cancel ~reason:"prop" srv id);
@@ -224,10 +212,10 @@ let prop_cancel_leaves_pool_reusable =
 (* --- deadlines ---------------------------------------------------------- *)
 
 let prop_deadline_expired =
-  qcheck ~count:6 "serve: expired deadline reports Deadline_exceeded"
+  qcheck_serve ~count:6 "serve: expired deadline reports Deadline_exceeded"
+    ~fault_hook:slow_hook service_config
     QCheck.(int_range 5 60)
-    (fun deadline_ms ->
-      let srv = Lazy.force slow_srv in
+    (fun srv deadline_ms ->
       let deadline_s = float_of_int deadline_ms /. 1000.0 in
       (* every attempt sleeps 120ms, so any deadline below that expires *)
       let id = submit_ok srv (prove_req ~deadline_s "litmus" 1) in
@@ -244,10 +232,10 @@ let prop_deadline_expired =
 (* --- retries ------------------------------------------------------------ *)
 
 let prop_retry_byte_identical =
-  qcheck ~count:6 "serve: retried job's proof byte-identical to offline"
+  qcheck_serve ~count:6 "serve: retried job's proof byte-identical to offline"
+    ~fault_hook:crash_hook crash_config
     QCheck.(oneofl [ ("litmus", 1); ("litmus", 2); ("synthetic", 512); ("synthetic", 1024) ])
-    (fun (workload, scale) ->
-      let srv = Lazy.force crash_srv in
+    (fun srv (workload, scale) ->
       let id = submit_ok srv (prove_req workload scale) in
       match Serve.await srv id with
       | Serve.Proof { bytes; attempts; _ } ->
@@ -419,7 +407,9 @@ let test_drain_wakes_on_submit_error () =
 (* --- committed-state lifecycle ------------------------------------------ *)
 
 let test_free_committed_idempotent () =
-  let table = Array.init 1024 (fun i -> Gf.of_int64 (Int64.of_int (i + 3))) in
+  let table =
+    Nocap_vec.Fv.of_array (Array.init 1024 (fun i -> Gf.of_int64 (Int64.of_int (i + 3))))
+  in
   let params = { Orion.default_params with Orion.rows = 16 } in
   (* RAM-backed commit (no budget): free is a no-op, twice *)
   let committed, _ = Orion.commit params (Rng.create 9L) table in
@@ -466,17 +456,28 @@ let test_config_aggregates_errors () =
     Alcotest.(check bool) "names the bad knob" true (contains msg "NOCAP_STREAM_BUDGET_MB");
     Alcotest.(check bool) "does not blame the good knob" false (contains msg "NOCAP_DOMAINS")
 
-(* --- cleanup ------------------------------------------------------------ *)
+(* --- the leak check itself ----------------------------------------------- *)
 
-let test_shutdown_shared () =
-  List.iter
-    (fun srv ->
-      let s = Serve.shutdown srv in
-      Alcotest.(check int) "no jobs left behind" s.Serve.submitted
-        (s.Serve.completed + s.Serve.failed))
-    !shared;
-  shared := [];
-  Alcotest.(check int) "no spill files survive the suite" 0 (Spill.live_files ())
+(* A case that leaves a domain running fails the thread check; the domain
+   is joined only after the wrapped case has returned. *)
+let test_leak_check_counts_threads () =
+  if Sys.file_exists "/proc/self/task" then begin
+    let stop = Atomic.make false and leaked = ref None in
+    let _, _, leaky =
+      Leak_check.wrap
+        (Alcotest.test_case "leaky" `Quick (fun () ->
+             leaked :=
+               Some
+                 (Domain.spawn (fun () ->
+                      while not (Atomic.get stop) do
+                        Unix.sleepf 0.001
+                      done))))
+    in
+    let failed = match leaky () with () -> false | exception _ -> true in
+    Atomic.set stop true;
+    Option.iter Domain.join !leaked;
+    Alcotest.(check bool) "a leaked domain fails the case" true failed
+  end
 
 let suite =
   List.map Leak_check.wrap
@@ -494,5 +495,6 @@ let suite =
         test_drain_wakes_on_submit_error;
       Alcotest.test_case "pcs: free_committed is idempotent" `Quick test_free_committed_idempotent;
       Alcotest.test_case "engine config aggregates all errors" `Quick test_config_aggregates_errors;
-      Alcotest.test_case "shutdown shared services cleanly" `Quick test_shutdown_shared;
+      Alcotest.test_case "leak check fails a case that leaves a domain running" `Quick
+        test_leak_check_counts_threads;
     ]

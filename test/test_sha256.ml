@@ -31,8 +31,8 @@ let test_circuit_satisfied () =
 
 let test_circuit_message_tamper_fails () =
   let inst, asn = Lazy.force circuit_fixture in
-  let asn' = { R1cs.w = Array.copy asn.R1cs.w; io = asn.R1cs.io } in
-  asn'.R1cs.w.(0) <- Gf.add asn'.R1cs.w.(0) Gf.one;
+  let asn' = Nocap_vec.Fv.copy asn in
+  Nocap_vec.Fv.set asn' 0 (Gf.add (Nocap_vec.Fv.get asn' 0) Gf.one);
   Alcotest.(check bool) "tampered message fails" false (R1cs.satisfied inst asn')
 
 let test_circuit_proves () =

@@ -96,7 +96,7 @@ let test_unsatisfied_rejected_at_prove () =
   let x = Builder.witness b (Gf.of_int 3) in
   Builder.constrain b (Builder.lc_var x) (Builder.lc_var x) (Builder.lc_const (Gf.of_int 9));
   let inst, asn = Builder.finalize b in
-  asn.R1cs.w.(0) <- Gf.of_int 4;
+  Nocap_vec.Fv.set asn 0 (Gf.of_int 4);
   Alcotest.(check bool) "prove raises" true
     (try
        ignore (Spartan.prove params inst asn);

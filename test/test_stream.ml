@@ -387,14 +387,22 @@ let chain_circuit seed steps =
   Gadgets.assert_equal b (Builder.lc_var !cur) (Builder.lc_var out);
   Builder.finalize b
 
-let test_z_fv () =
-  let inst, asn = chain_circuit 3 50 in
-  check_gf_array "z_fv" (Array.append asn.R1cs.w asn.R1cs.io) (Fv.to_array (R1cs.z_fv inst asn));
-  Alcotest.(check bool) "z_fv validates the shape" true
-    (try
-       ignore (R1cs.z_fv inst { asn with R1cs.w = Array.sub asn.R1cs.w 1 1 });
-       false
-     with Invalid_argument _ -> true)
+(* The witness half and the public io are read out of z in place: the
+   witness is a view sharing z's storage, not a copy. *)
+let test_assignment_views () =
+  let inst, z = chain_circuit 3 50 in
+  let half = R1cs.size inst / 2 in
+  check_gf_array "witness = z prefix"
+    (Fv.to_array (Fv.sub_view z ~pos:0 ~len:half))
+    (Fv.to_array (R1cs.witness inst z));
+  check_gf_array "public io = live io prefix"
+    (Fv.to_array (Fv.sub_view z ~pos:half ~len:inst.R1cs.num_io))
+    (R1cs.public_io inst z);
+  let z' = Fv.copy z in
+  let w' = R1cs.witness inst z' in
+  Fv.set w' 0 (Gf.add (Fv.get w' 0) Gf.one);
+  Alcotest.(check bool) "a write through the view lands in z" true
+    (Gf.equal (Fv.get w' 0) (Fv.get z' 0) && not (Gf.equal (Fv.get z' 0) (Fv.get z 0)))
 
 (* --- incremental Merkle builder ----------------------------------------- *)
 
@@ -640,8 +648,9 @@ let test_orion_budget_equal () =
     (fun l ->
       let rng = Rng.create 5L in
       let table = random_gf_array rng (1 lsl l) in
-      let cd, cm_d = Orion.commit params (Rng.create 9L) table in
-      let cs, cm_s = Orion.commit ~engine:(budget_engine 2048) params (Rng.create 9L) table in
+      let flat = Fv.of_array table in
+      let cd, cm_d = Orion.commit params (Rng.create 9L) flat in
+      let cs, cm_s = Orion.commit ~engine:(budget_engine 2048) params (Rng.create 9L) flat in
       Alcotest.(check string) "orion root" cm_d.Orion.root cm_s.Orion.root;
       let transcript () =
         let t = Transcript.create "orion-stream" in
@@ -674,7 +683,7 @@ let test_orion_budget_equal () =
    blocks of two writes each, and the root is the one with no budget. *)
 let test_orion_wide_commit_blocks () =
   let params = { Orion.default_params with Orion.rows = 8 } in
-  let table = random_gf_array (Rng.create 27L) 4096 in
+  let table = Fv.of_array (random_gf_array (Rng.create 27L) 4096) in
   let budget = 80 * 1024 in
   let cols = 512 and code_len = 2048 and enc_rows = 12 in
   let block = Spill.block_rows ~budget:(Some budget) ~row_bytes:(8 * (cols + code_len)) enc_rows in
@@ -699,7 +708,7 @@ exception Injected_write of int
    2 KiB budget run in 44 blocks of three rows. *)
 let test_orion_commit_fault_path () =
   let params = Orion.default_params in
-  let table = random_gf_array (Rng.create 25L) 1024 in
+  let table = Fv.of_array (random_gf_array (Rng.create 25L) 1024) in
   let commit () = Orion.commit ~engine:(budget_engine 2048) params (Rng.create 26L) table in
   let with_write_hook on_write f =
     let writes = ref 0 in
@@ -745,9 +754,10 @@ let test_fri_budget_equal () =
     (fun l ->
       let rng = Rng.create 15L in
       let table = random_gf_array rng (1 lsl l) in
-      let cd, cm_d = Fri_pcs.commit params (Rng.create 19L) table in
+      let flat = Fv.of_array table in
+      let cd, cm_d = Fri_pcs.commit params (Rng.create 19L) flat in
       let cs, cm_s =
-        Fri_pcs.commit ~engine:(budget_engine 2048) params (Rng.create 19L) table
+        Fri_pcs.commit ~engine:(budget_engine 2048) params (Rng.create 19L) flat
       in
       Alcotest.(check string) "fri root" cm_d.Fri_pcs.root cm_s.Fri_pcs.root;
       let transcript () =
@@ -786,7 +796,10 @@ let engine_of budget = Engine.create ?stream_budget_bytes:budget ()
    ones, whose SpMV passes split into several row/column blocks under the
    small budgets, at one domain. Each budget also runs once on the scalar
    C kernels ([Native.with_scalar_c]), at one domain, so byte identity
-   under a budget holds on more than one kernel tier. *)
+   under a budget holds on more than one kernel tier. Every proof of a
+   fixture reads the same z, which the prover and both PCS backends borrow
+   without a copy: after each proof z must still equal its copy from
+   before the first, and each repeat must give the pinned bytes again. *)
 let test_spartan_budget_sweep () =
   let live_before = Spill.live_files () in
   let budgets =
@@ -817,17 +830,20 @@ let test_spartan_budget_sweep () =
   List.iter
     (fun (name, n, seed, expected, prove) ->
       let inst, asn = Zk_workloads.Synthetic.circuit ~n_constraints:n ~seed () in
+      let z0 = Fv.copy asn in
       List.iter
         (fun budget ->
           List.iter
             (fun (leg, d, tier) ->
               Pool.with_domains d (fun () ->
-                  Alcotest.(check string)
-                    (Printf.sprintf "%s budget=%s domains=%s" name
-                       (match budget with None -> "none" | Some b -> string_of_int b)
-                       leg)
-                    expected
-                    (tier (fun () -> Test_pcs.payload_hash (prove (engine_of budget) inst asn)))))
+                  let label =
+                    Printf.sprintf "%s budget=%s domains=%s" name
+                      (match budget with None -> "none" | Some b -> string_of_int b)
+                      leg
+                  in
+                  Alcotest.(check string) label expected
+                    (tier (fun () -> Test_pcs.payload_hash (prove (engine_of budget) inst asn)));
+                  Alcotest.(check bool) (label ^ ": z unchanged") true (Fv.equal z0 asn)))
             (legs n))
         budgets)
     (orion @ fri);
@@ -964,7 +980,7 @@ let suite =
       prop_block_rows;
       prop_eq_table_into;
       Alcotest.test_case "ranged spmv = full" `Quick test_spmv_ranges;
-      Alcotest.test_case "z_fv = z" `Quick test_z_fv;
+      Alcotest.test_case "witness and io are views of z" `Quick test_assignment_views;
       Alcotest.test_case "merkle builder = build" `Quick test_merkle_builder;
       prop_merkle_builder_chunks;
       Alcotest.test_case "sumcheck budgets = prove_arrays" `Quick test_sumcheck_streaming;

@@ -292,7 +292,7 @@ let test_orion_flat_commit () =
   let expected_root =
     Merkle_oracle.root (Merkle_oracle.build (Array.map Merkle_oracle.leaf_of_column gathered))
   in
-  let committed, cm = Orion.commit params (Rng.create 1L) table in
+  let committed, cm = Orion.commit params (Rng.create 1L) (Fv.of_array table) in
   Alcotest.(check string) "root matches boxed pipeline"
     (Keccak.to_hex expected_root)
     (Keccak.to_hex cm.Orion.root);
@@ -329,7 +329,7 @@ let test_orion_flat_commit () =
 let test_orion_commit_domain_invariance () =
   let rng = Rng.create 17L in
   let n = 1 lsl 10 in
-  let table = Array.init n (fun _ -> Gf.random rng) in
+  let table = Fv.of_array (Array.init n (fun _ -> Gf.random rng)) in
   let params = { Orion.default_params with Orion.rows = 16 } in
   let root d =
     Pool.with_domains d (fun () ->
