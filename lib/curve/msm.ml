@@ -1,12 +1,6 @@
 module Fr = Zk_field.Fr_bls
 module Limbs = Zk_field.Limbs
 
-let naive scalars points =
-  if Array.length scalars <> Array.length points then invalid_arg "Msm.naive: lengths";
-  let acc = ref G1.infinity in
-  Array.iteri (fun i s -> acc := G1.add !acc (G1.scalar_mul s points.(i))) scalars;
-  !acc
-
 let window_for n =
   min 16 (max 2 (Zk_util.Pow2.log2_floor n - 2))
 

@@ -2,12 +2,10 @@
 
     MSM dominates Groth16 proof generation — it is the kernel PipeZK's
     dedicated pipelines accelerate (Sec. III, Sec. IX-A). {!pippenger}
-    implements the bucket method; {!naive} is the reference for tests. *)
+    implements the bucket method; the naive sum of scalar multiplications
+    it is tested against is [Msm_oracle.naive] in [test/oracle]. *)
 
 module Fr = Zk_field.Fr_bls
-
-val naive : Fr.t array -> G1.t array -> G1.t
-(** Independent scalar multiplications, summed. O(n * 256) doublings. *)
 
 val pippenger : ?window:int -> Fr.t array -> G1.t array -> G1.t
 (** Bucket-method MSM. [window] defaults to a size tuned to the input length

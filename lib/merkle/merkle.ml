@@ -22,99 +22,28 @@ let leaves_of_matrix ~rows ~cols flat =
   Keccak.hash_cols_into ~rows ~cols flat ~dst;
   dst
 
-(* Nodes [pos, pos + len) of a level, as a view of its lane buffer. *)
-let nodes level ~pos ~len = Fv.sub_view level ~pos:(4 * pos) ~len:(4 * len)
-
-(* Incremental builder for the streaming commit: leaves arrive in chunks
-   (as column sponges finalize) and internal nodes are hashed as soon as
-   both children exist, so no leaf chunk has to persist. A chunk is cut
-   into aligned power-of-two runs: a run of [m] leaves starting at a
-   multiple of [m] is a complete subtree, hashed level by level with the
-   batched, pool-parallel [Keccak.hash_nodes_into] straight into the
-   tree's levels, and only its root joins the serial cascade. One chunk of
-   all the leaves is thus a plain level-by-level build. The node set never
-   depends on the chunking — the same pair compression, padding with
-   [empty_leaf] — so roots and paths are the same for every split. *)
-module Builder = struct
-  type t = {
-    levels : Fv.t array;
-    fill : int array; (* nodes written so far at each level *)
-    real : int;
-    mutable added : int;
-  }
-
-  let create n =
-    if n <= 0 then invalid_arg "Merkle.Builder.create: need at least one leaf";
-    let depth = Zk_util.Pow2.log2_ceil n in
-    let padded = 1 lsl depth in
-    let levels = Array.init (depth + 1) (fun k -> Fv.create (4 * (padded lsr k))) in
-    { levels; fill = Array.make (depth + 1) 0; real = n; added = 0 }
-
-  (* Node [fill.(k)] of level [k] has just been written: count it, and if
-     it completes a pair, hash the parent and carry on up. *)
-  let rec bump t k =
-    let i = t.fill.(k) in
-    t.fill.(k) <- i + 1;
-    if i land 1 = 1 && k + 1 < Array.length t.levels then begin
-      Keccak.hash_nodes_into
-        ~src:(nodes t.levels.(k) ~pos:(i - 1) ~len:2)
-        ~dst:(nodes t.levels.(k + 1) ~pos:(i / 2) ~len:1);
-      bump t (k + 1)
-    end
-
-  (* [run] holds a complete subtree's [m] leaves: [m] is a power of two and
-     the level-0 fill is a multiple of [m], so level [k] of the subtree
-     lands at [fill.(k) = fill.(0) / 2^k] for every [k] up to its root. *)
-  let add_subtree t run ~m =
-    Fv.blit ~src:run ~src_pos:0 ~dst:t.levels.(0) ~dst_pos:(4 * t.fill.(0)) ~len:(4 * m);
-    let k = ref 0 and len = ref m in
-    while !len > 1 do
-      let f = t.fill.(!k) in
-      Keccak.hash_nodes_into
-        ~src:(nodes t.levels.(!k) ~pos:f ~len:!len)
-        ~dst:(nodes t.levels.(!k + 1) ~pos:(f / 2) ~len:(!len / 2));
-      t.fill.(!k) <- f + !len;
-      len := !len / 2;
-      incr k
-    done;
-    bump t !k
-
-  let append t leaves =
-    let n = Fv.length leaves / 4 in
-    let pos = ref 0 in
-    while !pos < n do
-      (* Largest power of two that fits the rest and divides the fill. *)
-      let f = t.fill.(0) in
-      let m = ref 1 in
-      while 2 * !m <= n - !pos && f land ((2 * !m) - 1) = 0 do
-        m := 2 * !m
-      done;
-      add_subtree t (nodes leaves ~pos:!pos ~len:!m) ~m:!m;
-      pos := !pos + !m
-    done
-
-  let add t leaves =
-    if Fv.length leaves land 3 <> 0 then invalid_arg "Merkle.Builder.add: need whole digests";
-    let n = Fv.length leaves / 4 in
-    if t.added + n > t.real then invalid_arg "Merkle.Builder.add: too many leaves";
-    append t leaves;
-    t.added <- t.added + n
-
-  let finish t =
-    if t.added <> t.real then
-      invalid_arg
-        (Printf.sprintf "Merkle.Builder.finish: %d of %d leaves added" t.added t.real);
-    let pad = (Fv.length t.levels.(0) / 4) - t.fill.(0) in
-    if pad > 0 then append t (of_digests (Array.make pad empty_leaf));
-    { levels = t.levels; real_leaves = t.real }
-end
-
+(* One loop over levels. Level 0 is [leaves] itself when the leaf count is
+   a power of two, else a copy padded with [empty_leaf]; each level above
+   is one batched [Keccak.hash_nodes_into] over the one below. *)
 let build leaves =
   let n = Fv.length leaves / 4 in
-  if n = 0 then invalid_arg "Merkle.build: empty";
-  let b = Builder.create n in
-  Builder.add b leaves;
-  Builder.finish b
+  if n = 0 || Fv.length leaves land 3 <> 0 then invalid_arg "Merkle.build: need whole leaf digests";
+  let depth = Zk_util.Pow2.log2_ceil n in
+  let padded = 1 lsl depth in
+  let levels = Array.make (depth + 1) leaves in
+  if n < padded then begin
+    let v = Fv.create (4 * padded) in
+    Fv.blit ~src:leaves ~src_pos:0 ~dst:v ~dst_pos:0 ~len:(4 * n);
+    for i = n to padded - 1 do
+      Keccak.set_digest v i empty_leaf
+    done;
+    levels.(0) <- v
+  end;
+  for k = 1 to depth do
+    levels.(k) <- Fv.create (4 * (padded lsr k));
+    Keccak.hash_nodes_into ~src:levels.(k - 1) ~dst:levels.(k)
+  done;
+  { levels; real_leaves = n }
 
 let root t = Keccak.digest_at t.levels.(Array.length t.levels - 1) 0
 

@@ -23,10 +23,15 @@ val build : Nocap_vec.Fv.t -> tree
     {!Nocap_parallel.Pool} domains, eight nodes per AVX-512F permutation
     or four per AVX2 one; the tree is the same for every domain count and
     SIMD tier.
-    @raise Invalid_argument on an empty leaf buffer. *)
+
+    When the leaf count is a power of two the tree keeps [leaves] itself as
+    its level 0, with no copy: the caller hands the buffer over and must
+    not write to it while the tree is in use (reading it is fine).
+    Otherwise level 0 is a padded copy and [leaves] stays the caller's.
+    @raise Invalid_argument on an empty leaf buffer or a partial digest. *)
 
 val of_digests : digest array -> Nocap_vec.Fv.t
-(** Pack digests into a flat leaf buffer for {!build} / {!Builder.add}. *)
+(** Pack digests into a flat leaf buffer for {!build}. *)
 
 val leaves_of_matrix : rows:int -> cols:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
 (** Flat leaf digests for every column of a row-major [rows * cols] encoded
@@ -34,32 +39,6 @@ val leaves_of_matrix : rows:int -> cols:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
     ({!Zk_hash.Keccak.hash_cols_into}). Leaf [j] is the SHA3-256 of column
     [j] packed as 8 LE bytes per element, as the Hash FU packs vector
     lanes. *)
-
-(** Incremental tree construction for the streaming commit: flat leaf
-    chunks arrive as column sponges finalize, and internal nodes are hashed
-    eagerly the moment both children exist. Each chunk is cut into aligned
-    power-of-two runs, and every run is a complete subtree hashed level by
-    level into the tree's flat levels with the batched, pool-parallel node
-    kernel, so one chunk of all the leaves costs what {!build} costs.
-    [finish] returns the tree {!build} gives over the same leaves (same
-    pair hashing, same [empty_leaf] padding); only the hashing schedule
-    differs. *)
-module Builder : sig
-  type t
-
-  val create : int -> t
-  (** [create n] expects exactly [n] real leaves.
-      @raise Invalid_argument if [n <= 0]. *)
-
-  val add : t -> Nocap_vec.Fv.t -> unit
-  (** Append the next chunk of flat leaf digests (4 lanes each), in leaf
-      order. The chunk is copied; the caller may reuse it.
-      @raise Invalid_argument past [n] leaves or on a partial digest. *)
-
-  val finish : t -> tree
-  (** Pad and finish. @raise Invalid_argument unless exactly [n] leaves
-      were added. *)
-end
 
 val root : tree -> digest
 

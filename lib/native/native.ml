@@ -82,7 +82,6 @@ external col_absorb : fv -> fv -> int -> int -> int -> int -> int -> unit
   = "caml_nocap_col_absorb_byte" "caml_nocap_col_absorb"
 [@@noalloc]
 
-external gl_pow : int64 -> int64 -> int64 = "caml_nocap_gl_pow"
 external spill_io : Unix.file_descr -> fv -> int -> bool -> unit = "caml_nocap_spill_io"
 
 let pread fd dst off = spill_io fd dst off false

@@ -146,9 +146,6 @@ external col_absorb : fv -> fv -> int -> int -> int -> int -> int -> unit
     [\[r_lo, r_hi)] from its row 0, each absorbed into lane [r mod 17] of
     its column's sponge. *)
 
-external gl_pow : int64 -> int64 -> int64 = "caml_nocap_gl_pow"
-(** Goldilocks exponentiation (test hook for the C field arithmetic). *)
-
 (** {2 Spill-file I/O} *)
 
 val pread : Unix.file_descr -> fv -> int -> unit

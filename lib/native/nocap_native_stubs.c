@@ -156,19 +156,6 @@ static inline uint64_t gl_mul(uint64_t a, uint64_t b)
 #endif
 }
 
-/* n_inv = n^(p-2): one-off per inverse-NTT plan, so a plain square-and-
-   multiply is plenty. */
-static uint64_t gl_pow(uint64_t x, uint64_t e)
-{
-  uint64_t acc = 1, base = x;
-  while (e != 0) {
-    if (e & 1) acc = gl_mul(acc, base);
-    base = gl_mul(base, base);
-    e >>= 1;
-  }
-  return acc;
-}
-
 /* --- AVX2 Goldilocks lanes ----------------------------------------------- */
 
 #if defined(NOCAP_X86_64)
@@ -1323,13 +1310,6 @@ CAMLprim value caml_nocap_hash_cols_byte(value *argv, int argn)
 {
   (void)argn;
   return caml_nocap_hash_cols(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
-}
-
-/* Self-check hook for gl_pow (used by inverse-NTT plan building from C if
-   ever needed) — keeps the symbol alive and testable. */
-CAMLprim value caml_nocap_gl_pow(value va, value ve)
-{
-  return caml_copy_int64((int64_t)gl_pow((uint64_t)Int64_val(va), (uint64_t)Int64_val(ve)));
 }
 
 /* --- spill-file block I/O -------------------------------------------------

@@ -63,26 +63,25 @@ let fold_block ~x_inv ~w_inv ~lo ~hi ~dst beta =
       Native.fri_fold (view dst) (view lo) (view hi) coef w_inv)
 
 (* A RAM-backed layer is its own 2 x half leaf matrix; a spilled one is
-   read a block of leaves at a time into a 2 x block matrix for the
-   builder: each block's two halves are read straight into that matrix's
-   rows, the layout the column hasher wants. A leaf stages its pair and
-   its digest. *)
+   read a block of leaves at a time into a 2 x block matrix, each half
+   straight into its row (the layout the column hasher wants), and hashed
+   into that block's slice of the one leaf buffer. A leaf counts its pair
+   and its digest against the budget. *)
 let commit_layer ~budget layer =
   let half = Spill.length layer / 2 in
+  let leaves = Fv.create (4 * half) in
   if not (Spill.is_spilled layer) then
-    Merkle.build (Merkle.leaves_of_matrix ~rows:2 ~cols:half (Spill.as_fv layer))
+    Keccak.hash_cols_into ~rows:2 ~cols:half (Spill.as_fv layer) ~dst:leaves
   else begin
-    let builder = Merkle.Builder.create half in
     let blk = Spill.block_rows ~budget ~row_bytes:(8 * (2 + 4)) half in
-    let pair = Fv.create (2 * blk) and leaves = Fv.create (4 * blk) in
+    let pair = Fv.create (2 * blk) in
     Spill.walk ~rows:half ~block:blk (fun ~pos:j ~len:bl _ _ ->
         Spill.read layer ~pos:j (Fv.sub_view pair ~pos:0 ~len:bl);
         Spill.read layer ~pos:(j + half) (Fv.sub_view pair ~pos:bl ~len:bl);
-        let dst = Fv.sub_view leaves ~pos:0 ~len:(4 * bl) in
-        Keccak.hash_cols_into ~rows:2 ~cols:bl (Fv.sub_view pair ~pos:0 ~len:(2 * bl)) ~dst;
-        Merkle.Builder.add builder dst);
-    Merkle.Builder.finish builder
-  end
+        Keccak.hash_cols_into ~rows:2 ~cols:bl (Fv.sub_view pair ~pos:0 ~len:(2 * bl))
+          ~dst:(Fv.sub_view leaves ~pos:(4 * j) ~len:(4 * bl)))
+  end;
+  Merkle.build leaves
 
 (* A block at [j] starts its running product at [shift^-1 * w^-j], the
    element a single block reaches. A row stages its pair and its output. *)

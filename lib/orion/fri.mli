@@ -91,9 +91,11 @@ val coset_lde : shift:Gf.t -> domain:int -> Nocap_vec.Fv.t -> Nocap_vec.Fv.t
 val commit_layer : budget:int option -> Nocap_vec.Spill.t -> Zk_merkle.Merkle.tree
 (** Merkle tree over an evaluation layer: leaf [j] commits to [(E.(j),
     E.(j + half))], column [j] of the layer read as a [2 x half] matrix. A
-    RAM-backed layer is hashed in place; a spilled one a
-    {!Nocap_vec.Spill.block_rows} block of leaves at a time through
-    {!Zk_merkle.Merkle.Builder}. Same tree either way. *)
+    RAM-backed layer's leaves are hashed in one batched call straight out
+    of its buffer; a spilled layer's a {!Nocap_vec.Spill.block_rows} block
+    of leaves at a time into their slice of one flat leaf buffer. Either
+    way that buffer goes to one {!Zk_merkle.Merkle.build}, which keeps it
+    as the tree's level 0. Same tree either way. *)
 
 val fold_layer :
   shift:Gf.t ->

@@ -229,12 +229,9 @@ module Spill = Nocap_vec.Spill
    overhead, so it is the same for every budget. *)
 let prove ?budget_bytes ?(framing = default_framing) transcript ~tables ~comb =
   let degree = degree comb and comb_mults = comb_mults comb in
-  let budget =
-    match budget_bytes with
-    | None -> max_int
-    | Some b when b <= 0 -> invalid_arg "Sumcheck.prove: budget must be positive"
-    | Some b -> b
-  in
+  (match budget_bytes with
+  | Some b when b <= 0 -> invalid_arg "Sumcheck.prove: budget must be positive"
+  | _ -> ());
   let k = Array.length tables in
   check_tables "Sumcheck.prove" comb ~len:Spill.length tables;
   let n = Spill.length tables.(0) in
@@ -260,9 +257,9 @@ let prove ?budget_bytes ?(framing = default_framing) transcript ~tables ~comb =
     framing.after_round round r;
     r
   in
-  (* Residual tables fit the materialization half of the budget when
-     k * (n >> j) * 8 <= budget / 2. *)
-  let fits len = len <= 1 || k * len * 8 <= budget / 2 in
+  (* Residual tables fit the materialization half of the budget when one
+     Spill block holds all [len] rows of [k] elements. *)
+  let fits len = Spill.block_rows ~budget:budget_bytes ~row_bytes:(8 * k) len = len in
   (* Streamed-round scratch: per table an accumulator pair (lo/hi) plus a
      read buffer, all block-sized — 3k + slack vectors of 8 bytes/elem. *)
   let block = Spill.block_rows ~budget:budget_bytes ~row_bytes:(8 * ((3 * k) + 2)) (n / 2) in

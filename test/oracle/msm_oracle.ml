@@ -1,10 +1,18 @@
-(* Single-domain bucket-method MSM: the reference [Zk_curve.Msm.pippenger]
-   must equal exactly for every domain count. Windows are accumulated and
+(* Reference MSMs for [Zk_curve.Msm.pippenger]: the naive sum of scalar
+   multiplications, and the single-domain bucket-method MSM it must equal
+   exactly for every domain count, whose windows are accumulated and
    combined one after another on the calling domain. *)
 
 module Fr = Zk_field.Fr_bls
 module Limbs = Zk_field.Limbs
 module G1 = Zk_curve.G1
+
+(* Independent scalar multiplications, summed: O(n * 256) doublings. *)
+let naive scalars points =
+  if Array.length scalars <> Array.length points then invalid_arg "Msm_oracle.naive: lengths";
+  let acc = ref G1.infinity in
+  Array.iteri (fun i s -> acc := G1.add !acc (G1.scalar_mul s points.(i))) scalars;
+  !acc
 
 let scalar_bits = 255
 

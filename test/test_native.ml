@@ -170,21 +170,6 @@ let random_fill rng v =
 
 (* --- Goldilocks scalar + elementwise kernels ----------------------------- *)
 
-let test_gl_pow () =
-  let rng = Rng.create 0x90AL in
-  (* Fermat: a^(p-1) = 1 for canonical non-zero a. *)
-  for _ = 1 to 50 do
-    let a = Gf.random rng in
-    if not (Gf.equal a Gf.zero) then
-      Alcotest.(check int64) "fermat" 1L (Native.gl_pow a (Int64.pred p_int64))
-  done;
-  (* Against the OCaml ladder on arbitrary canonical bases/exponents. *)
-  for _ = 1 to 200 do
-    let a = Gf.random rng in
-    let e = Int64.of_int (Rng.int rng 1_000_000) in
-    Alcotest.(check int64) "pow vs Gf.pow" (Gf.pow a e) (Native.gl_pow a e)
-  done
-
 let prop_elementwise =
   QCheck.Test.make ~count:300 ~name:"native fv add/sub/mul/scale/axpy vs OCaml on raw bit patterns"
     arb_raw_vec_pair (fun (ra, rb) ->
@@ -876,7 +861,6 @@ let suite =
     Alcotest.test_case "pool size follows NOCAP_DOMAINS" `Quick test_env_pool_size;
     Alcotest.test_case "SIMD tiers reached" `Quick test_tiers_reached;
     Alcotest.test_case "Merkle node grain follows the lane count" `Quick test_node_grain_by_tier;
-    Alcotest.test_case "gl_pow vs Gf.pow + Fermat" `Quick test_gl_pow;
     QCheck_alcotest.to_alcotest prop_elementwise;
     Alcotest.test_case "NTT forward/inverse vs boxed Gf_ntt, all sizes" `Quick test_ntt_equiv;
     Alcotest.test_case "row-batched NTT vs boxed Gf_ntt" `Quick test_ntt_rows_equiv;

@@ -404,71 +404,6 @@ let test_assignment_views () =
   Alcotest.(check bool) "a write through the view lands in z" true
     (Gf.equal (Fv.get w' 0) (Fv.get z' 0) && not (Gf.equal (Fv.get z' 0) (Fv.get z 0)))
 
-(* --- incremental Merkle builder ----------------------------------------- *)
-
-let test_merkle_builder () =
-  let rng = Rng.create 99L in
-  List.iter
-    (fun n ->
-      let leaves =
-        Array.init n (fun _ -> Merkle_oracle.leaf_of_column (random_gf_array rng 2))
-      in
-      let reference = Merkle.build (Merkle.of_digests leaves) in
-      (* push in ragged chunks *)
-      let b = Merkle.Builder.create n in
-      let pos = ref 0 in
-      let step = ref 1 in
-      while !pos < n do
-        let len = min !step (n - !pos) in
-        Merkle.Builder.add b (Merkle.of_digests (Array.sub leaves !pos len));
-        pos := !pos + len;
-        step := 1 + ((!step * 3) mod 7)
-      done;
-      let tree = Merkle.Builder.finish b in
-      Alcotest.(check string)
-        (Printf.sprintf "root n=%d" n)
-        (Merkle.root reference) (Merkle.root tree);
-      let oracle = Merkle_oracle.build leaves in
-      for i = 0 to n - 1 do
-        if Merkle_oracle.path oracle i <> Merkle_oracle.path_of_tree tree i then
-          Alcotest.failf "n=%d: path %d differs" n i
-      done)
-    [ 1; 2; 3; 5; 8; 13; 16; 33 ]
-
-(* Random chunk sequences mixing aligned power-of-two runs (the builder's
-   batched subtree path) with ragged, unaligned chunks, over leaf totals
-   that are mostly not powers of two. *)
-let prop_merkle_builder_chunks =
-  qcheck ~count:100 "merkle builder: mixed chunks = string-tree oracle"
-    QCheck.(pair (int_range 1 300) small_int)
-    (fun (n, seed) ->
-      let rng = Rng.create (Int64.of_int (succ seed)) in
-      let leaves = Array.init n (fun _ -> Merkle_oracle.leaf_of_column (random_gf_array rng 1)) in
-      let reference = Merkle_oracle.build leaves in
-      let b = Merkle.Builder.create n in
-      let pos = ref 0 in
-      while !pos < n do
-        let rest = n - !pos in
-        let len =
-          if Rng.int rng 2 = 0 then begin
-            (* an aligned power of two: divides the position, fits the rest *)
-            let m = ref 1 in
-            while 2 * !m <= rest && !pos land ((2 * !m) - 1) = 0 && Rng.int rng 4 > 0 do
-              m := 2 * !m
-            done;
-            !m
-          end
-          else min rest (1 + Rng.int rng 13)
-        in
-        Merkle.Builder.add b (Merkle.of_digests (Array.sub leaves !pos len));
-        pos := !pos + len
-      done;
-      let tree = Merkle.Builder.finish b in
-      String.equal (Merkle_oracle.root reference) (Merkle.root tree)
-      && List.for_all
-           (fun i -> Merkle_oracle.path reference i = Merkle_oracle.path_of_tree tree i)
-           (List.init n Fun.id))
-
 (* --- streaming sumcheck ------------------------------------------------- *)
 
 let comb2 v = Gf.mul v.(0) v.(1)
@@ -981,8 +916,6 @@ let suite =
       prop_eq_table_into;
       Alcotest.test_case "ranged spmv = full" `Quick test_spmv_ranges;
       Alcotest.test_case "witness and io are views of z" `Quick test_assignment_views;
-      Alcotest.test_case "merkle builder = build" `Quick test_merkle_builder;
-      prop_merkle_builder_chunks;
       Alcotest.test_case "sumcheck budgets = prove_arrays" `Quick test_sumcheck_streaming;
       Alcotest.test_case "sumcheck over spilled tables" `Quick test_sumcheck_spilled_tables;
       prop_combiner_contract;
